@@ -452,6 +452,45 @@ func TestColdScanDoesRealIO(t *testing.T) {
 	}
 }
 
+// TestColdFindByKeyDoesRealIO: a key lookup on a file-backed image goes
+// through the device like a scan does — after DropCaches it preads (one block
+// per column it touches, not the table), warm it reads nothing, and dropping
+// the caches again makes it cold again: nothing above the buffer pool
+// remembers a decoded block.
+func TestColdFindByKeyDoesRealIO(t *testing.T) {
+	dir := t.TempDir()
+	m := model{}
+	db := openTestDB(t, dir)
+	defer db.Close()
+	commitInserts(t, db, m, 0, 5000)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	commitMixed(t, db, m, 1000, 1100) // a live delta over the file-backed image
+	lookup := func() (reads uint64) {
+		t.Helper()
+		db.dev.ResetStats()
+		tx := db.Begin()
+		defer tx.Abort()
+		_, row, found, err := tx.FindByKey(types.Row{types.Int(3333)})
+		if want := m[3333]; err != nil || !found || row[1].S != want.V || row[2].I != want.N {
+			t.Fatalf("FindByKey(3333) = %v, %v, %v; want %v", row, found, err, want)
+		}
+		_, reads = db.dev.Stats()
+		return reads
+	}
+	for round := 0; round < 2; round++ {
+		db.dev.DropCaches()
+		cold := lookup()
+		if cold == 0 || cold > uint64(2*dbSchema.NumCols()) {
+			t.Fatalf("round %d: cold lookup charged %d block reads, want 1..%d", round, cold, 2*dbSchema.NumCols())
+		}
+		if warm := lookup(); warm != 0 {
+			t.Fatalf("round %d: warm lookup charged %d block reads", round, warm)
+		}
+	}
+}
+
 // TestGroupCommitFsyncFailureRecovery: a batch of concurrent commits dies at
 // the durability barrier (injected one-shot fsync failure). Every
 // transaction in and behind the batch must fail, the log stays poisoned for

@@ -10,6 +10,18 @@
 // reusable selection vectors, and pushed-down column projection, serving the
 // table layer, the transaction layer and the TPC-H workload alike.
 //
+// Point access is positional: FindByKey and every key-addressed write
+// (Insert, DeleteByKey, UpdateByKey) resolve their target through one probe,
+// engine.Seek. The sparse index names one block, whose sort-key columns alone
+// are binary-searched to the first stable SID at or past the key
+// (colstore.Store.LowerBound); the pinned layer stack is opened AT that SID,
+// each PDT cursor seeking there with its running shift as every scan morsel
+// does, so ghosts, re-inserts of a deleted key and layer-only inserts are
+// merged in by construction and RIDs are exact; and the scanner underneath
+// decodes only a 16-row window of the projected columns, doubling while a run
+// of deletes or of same-SID inserts (append-only keys) hides the answer —
+// the one part still walked linearly. Writes project the sort key only.
+//
 // The write path is vectorized end to end as well: batches of updates
 // resolve their target positions with one shared merge-scan cursor
 // (Table.ApplyBatch, Txn.ApplyBatch), commits serialize straight out of the

@@ -17,6 +17,7 @@ package colstore
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,8 +62,6 @@ type Device struct {
 	zoneSkips  atomic.Uint64
 	indexSkips atomic.Uint64
 }
-
-type blockKey struct{ col, blk int }
 
 // devKey identifies a block globally: RAM-resident stores key on their store
 // id, file-backed stores on the owning segment file's id — so a block
@@ -283,9 +282,6 @@ type Store struct {
 	dev        *Device
 	closed     atomic.Bool
 	aux        any // opaque per-image sidecar (the secondary-index set); set before sharing
-
-	cacheMu sync.Mutex
-	decoded map[blockKey]*vector.Vector // small point-read decode cache
 }
 
 // Builder accumulates rows in sort-key order and produces a Store — in RAM,
@@ -321,7 +317,6 @@ func NewBuilder(schema *types.Schema, dev *Device, blockRows int, compressed boo
 			blocks:     make([][][]byte, schema.NumCols()),
 			zones:      make([][]storage.Zone, schema.NumCols()),
 			dev:        dev,
-			decoded:    make(map[blockKey]*vector.Vector),
 		},
 		pending: vector.NewBatch(kinds, blockRows),
 	}
@@ -609,7 +604,6 @@ func FromSegmentChain(segs []*storage.Segment, dev *Device) (*Store, error) {
 		places:     places,
 		sparse:     newest.Sparse(),
 		dev:        dev,
-		decoded:    make(map[blockKey]*vector.Vector),
 	}, nil
 }
 
@@ -650,7 +644,6 @@ func (s *Store) CloneShared() *Store {
 		sparse:     s.sparse,
 		dev:        s.dev,
 		aux:        s.aux,
-		decoded:    make(map[blockKey]*vector.Vector),
 	}
 }
 
@@ -712,9 +705,6 @@ func (s *Store) Close() error {
 		s.Evict()
 		return nil
 	}
-	s.cacheMu.Lock()
-	s.decoded = make(map[blockKey]*vector.Vector)
-	s.cacheMu.Unlock()
 	var err error
 	for _, seg := range s.segs {
 		if seg.Release() {
@@ -767,8 +757,7 @@ func (s *Store) Device() *Device { return s.dev }
 // the per-block map entries a retired image would otherwise leak across
 // checkpoints. The store stays fully readable — its next fetches are simply
 // cold again — so evicting is always safe; it is called when a checkpoint
-// retires an image and its last reader finishes. The small point-read decode
-// cache is dropped too.
+// retires an image and its last reader finishes.
 func (s *Store) Evict() {
 	if s.segs == nil {
 		s.dev.evictStore(s.id)
@@ -777,9 +766,6 @@ func (s *Store) Evict() {
 			s.dev.evictSegment(seg)
 		}
 	}
-	s.cacheMu.Lock()
-	s.decoded = make(map[blockKey]*vector.Vector)
-	s.cacheMu.Unlock()
 }
 
 // NumBlocks returns the per-column logical block count.
@@ -872,29 +858,12 @@ func (s *Store) Prefetch(cols []int, from, to uint64) error {
 	return nil
 }
 
-// decodeBlock fetches (charging the device) and decodes one column block
-// into a freshly allocated vector.
-func (s *Store) decodeBlock(col, blk int) (*vector.Vector, error) {
-	v := vector.New(s.schema.Cols[col].Kind, s.blockRows)
-	if err := s.decodeBlockInto(col, blk, v); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-// decodeBlockInto fetches (charging the device) and decodes one column block
-// into v, reusing v's backing arrays. Sequential scanners pass the same
-// vector for every block of a column, so steady-state scans decode without
-// per-block allocation.
-func (s *Store) decodeBlockInto(col, blk int, v *vector.Vector) error {
-	return s.decodeBlockTailInto(col, blk, 0, v)
-}
-
-// decodeBlockTailInto is decodeBlockInto starting at value index skip: v
-// receives only the block's values from skip on. The whole encoded block is
-// still fetched — the device's byte accounting is unchanged — but a point
-// probe entering mid-block materializes just the tail it will read.
-func (s *Store) decodeBlockTailInto(col, blk, skip int, v *vector.Vector) error {
+// decodeWindowInto fetches (charging the device) and decodes the n values of
+// one column block starting at value index skip into v, reusing v's backing
+// arrays. The whole encoded block is still fetched — the device's byte
+// accounting is what a disk would see — but only the window is materialized:
+// a scan decodes its share of the block, a point probe the few rows it reads.
+func (s *Store) decodeWindowInto(col, blk, skip, n int, v *vector.Vector) error {
 	enc, err := s.encodedBlock(col, blk)
 	if err != nil {
 		return err
@@ -902,68 +871,18 @@ func (s *Store) decodeBlockTailInto(col, blk, skip int, v *vector.Vector) error 
 	v.Reset()
 	switch v.Kind {
 	case types.Float64:
-		v.F, err = compress.DecodeFloat64sFrom(enc, skip, v.F)
+		v.F, err = compress.DecodeFloat64sFrom(enc, skip, n, v.F)
 	case types.String:
-		v.S, err = compress.DecodeStringsFrom(enc, skip, v.S)
+		v.S, err = compress.DecodeStringsFrom(enc, skip, n, v.S)
 	case types.Bool:
-		v.I, err = compress.DecodeBoolsFrom(enc, skip, v.I)
+		v.I, err = compress.DecodeBoolsFrom(enc, skip, n, v.I)
 	default:
-		v.I, err = compress.DecodeInt64sFrom(enc, skip, v.I)
+		v.I, err = compress.DecodeInt64sFrom(enc, skip, n, v.I)
 	}
 	if err != nil {
 		return fmt.Errorf("colstore: column %d block %d: %w", col, blk, err)
 	}
 	return nil
-}
-
-const pointCacheCap = 64
-
-// cachedBlock is decodeBlock with a small shared cache, used by point reads.
-func (s *Store) cachedBlock(col, blk int) (*vector.Vector, error) {
-	k := blockKey{col, blk}
-	s.cacheMu.Lock()
-	if v, ok := s.decoded[k]; ok {
-		s.cacheMu.Unlock()
-		return v, nil
-	}
-	s.cacheMu.Unlock()
-	v, err := s.decodeBlock(col, blk)
-	if err != nil {
-		return nil, err
-	}
-	s.cacheMu.Lock()
-	if len(s.decoded) >= pointCacheCap {
-		for victim := range s.decoded {
-			delete(s.decoded, victim)
-			break
-		}
-	}
-	s.decoded[k] = v
-	s.cacheMu.Unlock()
-	return v, nil
-}
-
-// RowAt returns the values of the given columns for the tuple at sid.
-func (s *Store) RowAt(sid uint64, cols []int) (types.Row, error) {
-	if sid >= s.nrows {
-		return nil, fmt.Errorf("colstore: SID %d out of range (nrows=%d)", sid, s.nrows)
-	}
-	blk := int(sid) / s.blockRows
-	off := int(sid) % s.blockRows
-	out := make(types.Row, len(cols))
-	for i, c := range cols {
-		v, err := s.cachedBlock(c, blk)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v.Get(off)
-	}
-	return out, nil
-}
-
-// KeyAt returns the sort-key values of the tuple at sid.
-func (s *Store) KeyAt(sid uint64) (types.Row, error) {
-	return s.RowAt(sid, s.schema.SortKey)
 }
 
 // comparePrefix orders a (possibly partial, prefix-of-sort-key) key against
@@ -1041,6 +960,50 @@ func (s *Store) SIDRange(loKey, hiKey types.Row) (from, to uint64) {
 	return from, to
 }
 
+// LowerBound returns the SID of the first stable tuple whose sort key is >=
+// key (NRows when every key is smaller). key is the full sort key or a prefix
+// of it. The sparse index names the one block that can hold the boundary; of
+// that block only the sort-key columns are decoded, leading column first, and
+// each later key column only over the rows still tied on the columns before
+// it. A full key equal to a block's first key resolves from the sparse index
+// alone, without touching any block.
+func (s *Store) LowerBound(key types.Row) (uint64, error) {
+	key = key[:min(len(key), len(s.schema.SortKey))]
+	// b: first block whose first key is >= key; the boundary lies in b-1.
+	b := sort.Search(len(s.sparse), func(i int) bool { return comparePrefix(key, s.sparse[i]) <= 0 })
+	if b == 0 {
+		return 0, nil
+	}
+	start := uint64(b) * uint64(s.blockRows)
+	if b < len(s.sparse) && len(key) == len(s.schema.SortKey) && comparePrefix(key, s.sparse[b]) == 0 {
+		return start, nil
+	}
+	blk := b - 1
+	// [lo, hi): the block's rows (as block offsets) equal to key on every
+	// column searched so far; within them the next key column is sorted.
+	lo, hi := 0, s.blockRows
+	if start > s.nrows {
+		hi -= int(start - s.nrows)
+	}
+	var v *vector.Vector
+	for i, want := range key {
+		col := s.schema.SortKey[i]
+		if kind := s.schema.Cols[col].Kind; v == nil || v.Kind != kind {
+			v = vector.New(kind, hi-lo)
+		}
+		if err := s.decodeWindowInto(col, blk, lo, hi-lo, v); err != nil {
+			return 0, err
+		}
+		ge := sort.Search(hi-lo, func(r int) bool { return types.Compare(v.Get(r), want) >= 0 })
+		gt := ge + sort.Search(hi-lo-ge, func(r int) bool { return types.Compare(v.Get(ge+r), want) > 0 })
+		if ge == gt {
+			return uint64(blk*s.blockRows + lo + ge), nil
+		}
+		lo, hi = lo+ge, lo+gt
+	}
+	return uint64(blk*s.blockRows + lo), nil
+}
+
 // Scanner iterates a SID range of the store, producing schema-typed batches
 // for a column subset.
 type Scanner struct {
@@ -1048,7 +1011,8 @@ type Scanner struct {
 	cols  []int
 	sid   uint64 // next SID to produce
 	end   uint64
-	// decoded block (tail) per requested column
+	// decoded window per requested column: the values of block blkIdx from
+	// offset blkSkip up to the block's (or the scan's) end
 	bufs    []*vector.Vector
 	blkIdx  int // which block the bufs hold, -1 if none
 	blkSkip int // value index the bufs start at within that block
@@ -1088,16 +1052,23 @@ func (sc *Scanner) Next(out *vector.Batch, max int) (int, error) {
 	}
 	s := sc.store
 	blk := int(sc.sid) / s.blockRows
+	blockEnd := uint64(blk+1) * uint64(s.blockRows)
+	if blockEnd > sc.end {
+		blockEnd = sc.end
+	}
 	if blk != sc.blkIdx {
-		// Entering a block mid-way (only ever the scan's first block) decodes
-		// just the tail from the entry offset: a point probe at the end of a
-		// big block skips the bulk of its decode work.
+		// Entering a block decodes exactly the rows of it the scan will read:
+		// from the entry offset (non-zero only in the scan's first block) to
+		// the block's end or the scan's, whichever comes first. A full scan
+		// decodes whole blocks; a point probe's 16-row window decodes 16.
 		skip := int(sc.sid) % s.blockRows
+		n := int(blockEnd - sc.sid)
 		for i, c := range sc.cols {
 			if sc.bufs[i] == nil {
-				sc.bufs[i] = vector.New(s.schema.Cols[c].Kind, s.blockRows-skip)
+				// Room for the largest window this scan will decode.
+				sc.bufs[i] = vector.New(s.schema.Cols[c].Kind, min(int(sc.end-sc.sid), s.blockRows))
 			}
-			if err := s.decodeBlockTailInto(c, blk, skip, sc.bufs[i]); err != nil {
+			if err := s.decodeWindowInto(c, blk, skip, n, sc.bufs[i]); err != nil {
 				return 0, err
 			}
 		}
@@ -1105,10 +1076,6 @@ func (sc *Scanner) Next(out *vector.Batch, max int) (int, error) {
 		sc.blkSkip = skip
 	}
 	off := int(sc.sid)%s.blockRows - sc.blkSkip
-	blockEnd := uint64(blk+1) * uint64(s.blockRows)
-	if blockEnd > sc.end {
-		blockEnd = sc.end
-	}
 	n := int(blockEnd - sc.sid)
 	if n > max {
 		n = max

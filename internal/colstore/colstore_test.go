@@ -87,28 +87,109 @@ func TestBuilderRejectsBadRow(t *testing.T) {
 	}
 }
 
-func TestRowAtAndKeyAt(t *testing.T) {
+// rowAt reads one tuple by position through a one-row scan window.
+func rowAt(t testing.TB, s *Store, sid uint64, cols []int) types.Row {
+	t.Helper()
+	kinds := make([]types.Kind, len(cols))
+	for i, c := range cols {
+		kinds[i] = s.Schema().Cols[c].Kind
+	}
+	out := vector.NewBatch(kinds, 1)
+	if n, err := s.NewScanner(cols, sid, sid+1).Next(out, 1); err != nil || n != 1 {
+		t.Fatalf("one-row window at SID %d: n=%d err=%v", sid, n, err)
+	}
+	return out.Row(0)
+}
+
+// TestLowerBoundAndWindowedScan covers point access on the stable image:
+// LowerBound finds the SID of every key (present, in a gap, before the first,
+// past the last, equal to a block's first key) and a one-row scan window at
+// that SID reads the tuple back.
+func TestLowerBoundAndWindowedScan(t *testing.T) {
 	for _, compressed := range []bool{false, true} {
 		s := buildStore(t, 100, 16, compressed)
-		for _, sid := range []uint64{0, 15, 16, 99} {
-			row, err := s.RowAt(sid, []int{0, 1, 2, 3})
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, sid := range []uint64{0, 15, 16, 17, 50, 99} {
 			i := int64(sid)
-			if row[0].I != i*2 || row[1].S != fmt.Sprintf("s%04d", i) {
-				t.Errorf("compressed=%v RowAt(%d) = %v", compressed, sid, row)
+			for _, k := range []int64{i * 2, i*2 - 1} { // the key itself, and the gap below it
+				got, err := s.LowerBound(types.Row{types.Int(k)})
+				if err != nil || got != sid {
+					t.Fatalf("compressed=%v LowerBound(%d) = %d, %v; want %d", compressed, k, got, err, sid)
+				}
 			}
-			key, err := s.KeyAt(sid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(key) != 1 || key[0].I != i*2 {
-				t.Errorf("KeyAt(%d) = %v", sid, key)
+			row := rowAt(t, s, sid, []int{0, 1, 2, 3})
+			if row[0].I != i*2 || row[1].S != fmt.Sprintf("s%04d", i) || row[2].F != float64(i)/2 || (row[3].I != 0) != (i%3 == 0) {
+				t.Errorf("compressed=%v row at %d = %v", compressed, sid, row)
 			}
 		}
-		if _, err := s.RowAt(100, []int{0}); err == nil {
-			t.Error("out-of-range SID accepted")
+		if got, err := s.LowerBound(types.Row{types.Int(199)}); err != nil || got != 100 {
+			t.Errorf("LowerBound past the last key = %d, %v", got, err)
+		}
+		if n, _ := s.NewScanner([]int{0}, 100, 101).Next(vector.NewBatch([]types.Kind{types.Int64}, 1), 1); n != 0 {
+			t.Error("window past the last row produced a row")
+		}
+	}
+	empty, err := NewBuilder(testSchema(), nil, 4, false).Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := empty.LowerBound(types.Row{types.Int(1)}); err != nil || got != 0 {
+		t.Errorf("LowerBound on an empty store = %d, %v", got, err)
+	}
+}
+
+// TestLowerBoundTouchesOneBlock pins the I/O shape of the descent: it reads
+// the sort-key column of exactly one block, and none at all when the key is a
+// block's first key (the sparse index already names its SID) or sorts before
+// the first row.
+func TestLowerBoundTouchesOneBlock(t *testing.T) {
+	s := buildStore(t, 100, 16, true)
+	for _, c := range []struct {
+		key   int64
+		sid   uint64
+		reads uint64
+	}{{-5, 0, 0}, {0, 0, 0}, {64, 32, 0}, {63, 32, 1}, {66, 33, 1}, {62, 31, 1}, {198, 99, 1}, {500, 100, 1}} {
+		s.Device().DropCaches()
+		s.Device().ResetStats()
+		sid, err := s.LowerBound(types.Row{types.Int(c.key)})
+		if _, reads := s.Device().Stats(); err != nil || sid != c.sid || reads != c.reads {
+			t.Errorf("LowerBound(%d) = %d, %v with %d block reads; want %d with %d", c.key, sid, err, reads, c.sid, c.reads)
+		}
+	}
+}
+
+// TestLowerBoundCompositeKey searches a two-column sort key whose leading
+// column repeats: later key columns are searched only within the rows tied on
+// the earlier ones, and a prefix key finds the first row of its group.
+func TestLowerBoundCompositeKey(t *testing.T) {
+	schema := types.MustSchema([]types.Column{
+		{Name: "a", Kind: types.Int64}, {Name: "b", Kind: types.String}, {Name: "v", Kind: types.Int64},
+	}, []int{0, 1})
+	var rows []types.Row
+	for a := 0; a < 40; a++ {
+		for b := 0; b < 1+a%4; b++ {
+			rows = append(rows, types.Row{types.Int(int64(a * 10)), types.Str(fmt.Sprintf("k%d", b*2)), types.Int(int64(len(rows)))})
+		}
+	}
+	for _, compressed := range []bool{false, true} {
+		s, err := BulkLoad(schema, nil, 8, compressed, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes := []types.Row{{types.Int(-1), types.Str("")}, {types.Int(1000), types.Str("")}}
+		for _, r := range rows {
+			probes = append(probes, types.Row{r[0], r[1]}, types.Row{r[0], types.Str(r[1].S + "x")}, types.Row{r[0]}, types.Row{types.Int(r[0].I + 5)})
+		}
+		for _, key := range probes {
+			want := uint64(len(rows))
+			for i, r := range rows {
+				if comparePrefix(key, types.Row{r[0], r[1]}) <= 0 {
+					want = uint64(i)
+					break
+				}
+			}
+			if got, err := s.LowerBound(key); err != nil || got != want {
+				t.Fatalf("compressed=%v LowerBound(%v) = %d, %v; want %d", compressed, key, got, err, want)
+			}
 		}
 	}
 }
@@ -324,8 +405,8 @@ func TestAddBatch(t *testing.T) {
 		t.Fatalf("AddBatch store has %d rows", s2.NRows())
 	}
 	for sid := uint64(0); sid < 50; sid++ {
-		a, _ := src.RowAt(sid, []int{0, 1, 2, 3})
-		c, _ := s2.RowAt(sid, []int{0, 1, 2, 3})
+		a := rowAt(t, src, sid, []int{0, 1, 2, 3})
+		c := rowAt(t, s2, sid, []int{0, 1, 2, 3})
 		if types.CompareRows(a, c) != 0 {
 			t.Fatalf("row %d differs: %v vs %v", sid, a, c)
 		}
@@ -347,23 +428,10 @@ func TestAddBatchRejectsOutOfOrder(t *testing.T) {
 	}
 }
 
-func TestPointCacheEviction(t *testing.T) {
-	s := buildStore(t, 100*pointCacheCap, 16, false)
-	// touch more blocks than the cache holds; correctness must be unaffected
-	for i := 0; i < 100*pointCacheCap; i += 16 {
-		row, err := s.RowAt(uint64(i), []int{0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if row[0].I != int64(i*2) {
-			t.Fatalf("RowAt(%d) = %v", i, row)
-		}
-	}
-}
-
-// TestScannerMidBlockStart checks the partial first-block decode: a scanner
-// entering at every offset of a block must produce exactly the suffix a
-// full-range scan produces, for all column kinds, compressed or not.
+// TestScannerMidBlockStart checks the windowed decode: a scanner over any
+// [from, to) — entering and leaving blocks mid-way, inside one block or across
+// several — must produce exactly that slice of a full-range scan, for all
+// column kinds, compressed or not.
 func TestScannerMidBlockStart(t *testing.T) {
 	const n, blockRows = 100, 16
 	for _, compressed := range []bool{false, true} {
@@ -371,15 +439,18 @@ func TestScannerMidBlockStart(t *testing.T) {
 		cols := []int{0, 1, 2, 3}
 		full := scanAll(t, s, cols, 0, uint64(n), 7)
 		for from := uint64(0); from < uint64(n); from += 3 {
-			got := scanAll(t, s, cols, from, uint64(n), 7)
-			if got.Len() != n-int(from) {
-				t.Fatalf("compressed=%v from=%d: got %d rows, want %d", compressed, from, got.Len(), n-int(from))
-			}
-			for i := 0; i < got.Len(); i++ {
-				for c := range cols {
-					a, b := got.Vecs[c].Get(i), full.Vecs[c].Get(i+int(from))
-					if types.Compare(a, b) != 0 {
-						t.Fatalf("compressed=%v from=%d row %d col %d: %v != %v", compressed, from, i, c, a, b)
+			for _, to := range []uint64{from, from + 1, from + 5, from + 16, from + 40, uint64(n), uint64(n) + 9} {
+				got := scanAll(t, s, cols, from, to, 7)
+				want := int(min(to, uint64(n)) - from)
+				if got.Len() != want {
+					t.Fatalf("compressed=%v [%d,%d): got %d rows, want %d", compressed, from, to, got.Len(), want)
+				}
+				for i := 0; i < got.Len(); i++ {
+					for c := range cols {
+						a, b := got.Vecs[c].Get(i), full.Vecs[c].Get(i+int(from))
+						if types.Compare(a, b) != 0 {
+							t.Fatalf("compressed=%v [%d,%d) row %d col %d: %v != %v", compressed, from, to, i, c, a, b)
+						}
 					}
 				}
 			}

@@ -255,6 +255,5 @@ func (d *DeltaBuilder) Finish() (*Store, error) {
 		places:     d.places,
 		sparse:     d.sparse,
 		dev:        dev,
-		decoded:    make(map[blockKey]*vector.Vector),
 	}, nil
 }

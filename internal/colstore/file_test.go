@@ -122,8 +122,8 @@ func TestFileStoreReopen(t *testing.T) {
 		}
 	}
 	// Point reads and the sparse index survive the round trip too.
-	if row, err := re.RowAt(10, []int{0, 1}); err != nil || row[0].I != 20 {
-		t.Fatalf("RowAt(10) = %v, %v", row, err)
+	if sid, err := re.LowerBound(types.Row{types.Int(20)}); err != nil || sid != 10 || rowAt(t, re, sid, []int{0, 1})[0].I != 20 {
+		t.Fatalf("LowerBound(20) = %d, %v", sid, err)
 	}
 	from, to := re.SIDRange(types.Row{types.Int(40)}, types.Row{types.Int(60)})
 	if from >= to || to > re.NRows() {

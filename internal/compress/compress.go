@@ -9,9 +9,21 @@ package compress
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"sort"
 )
+
+// ErrCorrupt is wrapped by every decode error: the bytes are not a block this
+// package wrote, or the caller asked for values the block does not hold.
+// Decoders never panic on hostile input and never size an allocation from a
+// length they have not checked against the buffer.
+var ErrCorrupt = errors.New("compress: corrupt block")
+
+func corrupt(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
+}
 
 // Scheme identifies the physical encoding of a block.
 type Scheme byte
@@ -48,9 +60,40 @@ func putHeader(scheme Scheme, n int) []byte {
 
 func readHeader(buf []byte) (Scheme, int, []byte, error) {
 	if len(buf) < 5 {
-		return 0, 0, nil, fmt.Errorf("compress: truncated header (%d bytes)", len(buf))
+		return 0, 0, nil, corrupt("truncated header (%d bytes)", len(buf))
 	}
 	return Scheme(buf[0]), int(binary.LittleEndian.Uint32(buf[1:5])), buf[5:], nil
+}
+
+// window resolves a request for n values from index skip (n < 0: through the
+// block's end) against a block holding count values, returning the exclusive
+// end index.
+func window(count, skip, n int) (int, error) {
+	if n < 0 {
+		n = count - skip
+	}
+	if skip < 0 || n < 0 || n > count-skip {
+		return 0, corrupt("values [%d, %d+%d) requested from a block of %d", skip, skip, n, count)
+	}
+	return skip + n, nil
+}
+
+// uvarint2 decodes a one- or two-byte varint at body[p:] — the widths sorted
+// keys, dates and dictionary codes almost always take — with a branch per
+// width the predictor learns, which is what makes walking the prefix of a
+// delta block to a probe's window cheap. sz == 0 sends the caller to
+// binary.Uvarint (longer varint, or too close to the buffer's end).
+func uvarint2(body []byte, p int) (u uint64, sz int) {
+	if p+1 < len(body) {
+		b0, b1 := body[p], body[p+1]
+		if b0 < 0x80 {
+			return uint64(b0), 1
+		}
+		if b1 < 0x80 {
+			return uint64(b0&0x7f) | uint64(b1)<<7, 2
+		}
+	}
+	return 0, 0
 }
 
 // EncodeInt64s encodes vals, choosing the smallest of plain, delta-varint and
@@ -113,43 +156,43 @@ func encodeRLEInt(vals []int64) []byte {
 
 // DecodeInt64s decodes a block produced by EncodeInt64s, appending to out.
 func DecodeInt64s(buf []byte, out []int64) ([]int64, error) {
-	return DecodeInt64sFrom(buf, 0, out)
+	return DecodeInt64sFrom(buf, 0, -1, out)
 }
 
-// DecodeInt64sFrom decodes the tail of a block starting at value index skip,
-// appending to out. Point probes entering a block mid-way use it to
-// materialize only the values they will read: plain blocks jump straight to
-// the offset, varint blocks walk but never append the skipped prefix, and RLE
-// blocks skip whole runs arithmetically. skip at or past the block length
-// decodes nothing.
-func DecodeInt64sFrom(buf []byte, skip int, out []int64) ([]int64, error) {
-	scheme, n, body, err := readHeader(buf)
+// DecodeInt64sFrom decodes the n values of a block starting at value index
+// skip, appending to out; n < 0 decodes through the block's end. Point probes
+// use it to materialize only the window they will read: plain blocks jump
+// straight to the offset, varint blocks walk the prefix without appending it
+// and stop at the window's end, and RLE blocks skip whole runs
+// arithmetically. A window reaching past the block's value count is an error.
+func DecodeInt64sFrom(buf []byte, skip, n int, out []int64) ([]int64, error) {
+	scheme, count, body, err := readHeader(buf)
 	if err != nil {
 		return nil, err
 	}
-	if skip < 0 {
-		skip = 0
-	}
-	if skip > n {
-		skip = n
+	end, err := window(count, skip, n)
+	if err != nil {
+		return nil, err
 	}
 	switch scheme {
 	case PlainInt:
-		if len(body) < 8*n {
-			return nil, fmt.Errorf("compress: plain int block truncated")
+		if len(body)/8 < count {
+			return nil, corrupt("plain int block truncated")
 		}
-		for i := skip; i < n; i++ {
+		for i := skip; i < end; i++ {
 			out = append(out, int64(binary.LittleEndian.Uint64(body[8*i:])))
 		}
 		return out, nil
 	case DeltaVarint:
-		prev := int64(0)
-		for i := 0; i < n; i++ {
-			u, sz := binary.Uvarint(body)
-			if sz <= 0 {
-				return nil, fmt.Errorf("compress: bad varint in delta block")
+		prev, p := int64(0), 0
+		for i := 0; i < end; i++ {
+			u, sz := uvarint2(body, p)
+			if sz == 0 {
+				if u, sz = binary.Uvarint(body[p:]); sz <= 0 {
+					return nil, corrupt("bad varint in delta block")
+				}
 			}
-			body = body[sz:]
+			p += sz
 			prev += unzigzag(u)
 			if i >= skip {
 				out = append(out, prev)
@@ -157,37 +200,29 @@ func DecodeInt64sFrom(buf []byte, skip int, out []int64) ([]int64, error) {
 		}
 		return out, nil
 	case RLEInt:
-		got := 0
-		for got < n {
+		for got := 0; got < end; {
 			u, sz := binary.Uvarint(body)
 			if sz <= 0 {
-				return nil, fmt.Errorf("compress: bad RLE value varint")
+				return nil, corrupt("bad RLE value varint")
 			}
 			body = body[sz:]
 			run, sz := binary.Uvarint(body)
 			if sz <= 0 {
-				return nil, fmt.Errorf("compress: bad RLE run varint")
+				return nil, corrupt("bad RLE run varint")
 			}
 			body = body[sz:]
-			if run == 0 || got+int(run) > n {
-				return nil, fmt.Errorf("compress: RLE run overflows block")
+			if run == 0 || run > uint64(count-got) {
+				return nil, corrupt("RLE run overflows block")
 			}
-			end := got + int(run)
-			if end > skip {
-				v := unzigzag(u)
-				from := got
-				if from < skip {
-					from = skip
-				}
-				for k := from; k < end; k++ {
-					out = append(out, v)
-				}
+			v := unzigzag(u)
+			for k := max(got, skip); k < min(got+int(run), end); k++ {
+				out = append(out, v)
 			}
-			got = end
+			got += int(run)
 		}
 		return out, nil
 	}
-	return nil, fmt.Errorf("compress: scheme %d is not an int encoding", scheme)
+	return nil, corrupt("scheme %d is not an int encoding", scheme)
 }
 
 // EncodeFloat64s encodes vals; floats are stored plain (the paper's
@@ -204,26 +239,27 @@ func EncodeFloat64s(vals []float64) []byte {
 
 // DecodeFloat64s decodes a block produced by EncodeFloat64s, appending to out.
 func DecodeFloat64s(buf []byte, out []float64) ([]float64, error) {
-	return DecodeFloat64sFrom(buf, 0, out)
+	return DecodeFloat64sFrom(buf, 0, -1, out)
 }
 
-// DecodeFloat64sFrom decodes the block tail starting at value index skip
-// (see DecodeInt64sFrom).
-func DecodeFloat64sFrom(buf []byte, skip int, out []float64) ([]float64, error) {
-	scheme, n, body, err := readHeader(buf)
+// DecodeFloat64sFrom decodes the n values starting at value index skip (see
+// DecodeInt64sFrom).
+func DecodeFloat64sFrom(buf []byte, skip, n int, out []float64) ([]float64, error) {
+	scheme, count, body, err := readHeader(buf)
 	if err != nil {
 		return nil, err
 	}
 	if scheme != PlainFloat {
-		return nil, fmt.Errorf("compress: scheme %d is not a float encoding", scheme)
+		return nil, corrupt("scheme %d is not a float encoding", scheme)
 	}
-	if len(body) < 8*n {
-		return nil, fmt.Errorf("compress: float block truncated")
+	if len(body)/8 < count {
+		return nil, corrupt("float block truncated")
 	}
-	if skip < 0 {
-		skip = 0
+	end, err := window(count, skip, n)
+	if err != nil {
+		return nil, err
 	}
-	for i := skip; i < n; i++ {
+	for i := skip; i < end; i++ {
 		out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:])))
 	}
 	return out, nil
@@ -246,26 +282,27 @@ func EncodeBools(vals []int64) []byte {
 
 // DecodeBools decodes a block produced by EncodeBools, appending 0/1 int64s.
 func DecodeBools(buf []byte, out []int64) ([]int64, error) {
-	return DecodeBoolsFrom(buf, 0, out)
+	return DecodeBoolsFrom(buf, 0, -1, out)
 }
 
-// DecodeBoolsFrom decodes the block tail starting at value index skip
-// (see DecodeInt64sFrom).
-func DecodeBoolsFrom(buf []byte, skip int, out []int64) ([]int64, error) {
-	scheme, n, body, err := readHeader(buf)
+// DecodeBoolsFrom decodes the n values starting at value index skip (see
+// DecodeInt64sFrom).
+func DecodeBoolsFrom(buf []byte, skip, n int, out []int64) ([]int64, error) {
+	scheme, count, body, err := readHeader(buf)
 	if err != nil {
 		return nil, err
 	}
 	if scheme != BitBool {
-		return nil, fmt.Errorf("compress: scheme %d is not a bool encoding", scheme)
+		return nil, corrupt("scheme %d is not a bool encoding", scheme)
 	}
-	if len(body) < (n+7)/8 {
-		return nil, fmt.Errorf("compress: bool block truncated")
+	if len(body) < (count+7)/8 {
+		return nil, corrupt("bool block truncated")
 	}
-	if skip < 0 {
-		skip = 0
+	end, err := window(count, skip, n)
+	if err != nil {
+		return nil, err
 	}
-	for i := skip; i < n; i++ {
+	for i := skip; i < end; i++ {
 		out = append(out, int64(body[i/8]>>(i%8)&1))
 	}
 	return out, nil
@@ -326,101 +363,162 @@ func encodeDictString(vals []string) []byte {
 
 // DecodeStrings decodes a block produced by EncodeStrings, appending to out.
 func DecodeStrings(buf []byte, out []string) ([]string, error) {
-	return DecodeStringsFrom(buf, 0, out)
+	return DecodeStringsFrom(buf, 0, -1, out)
 }
 
-// DecodeStringsFrom decodes the block tail starting at value index skip (see
+// DecodeStringsFrom decodes the n values starting at value index skip (see
 // DecodeInt64sFrom). Plain blocks random-access the offset array; dictionary
-// blocks still parse the dictionary but skip the prefix codes without
-// materializing their strings.
-func DecodeStringsFrom(buf []byte, skip int, out []string) ([]string, error) {
-	scheme, n, body, err := readHeader(buf)
+// blocks still parse the dictionary but walk the codes before the window
+// without materializing their strings, and stop at the window's end.
+func DecodeStringsFrom(buf []byte, skip, n int, out []string) ([]string, error) {
+	scheme, count, body, err := readHeader(buf)
 	if err != nil {
 		return nil, err
 	}
-	if skip < 0 {
-		skip = 0
-	}
-	if skip > n {
-		skip = n
+	end, err := window(count, skip, n)
+	if err != nil {
+		return nil, err
 	}
 	switch scheme {
 	case PlainString:
-		if len(body) < 4*n {
-			return nil, fmt.Errorf("compress: string offsets truncated")
+		if len(body)/4 < count {
+			return nil, corrupt("string offsets truncated")
 		}
-		data := body[4*n:]
+		data := body[4*count:]
 		prev := uint32(0)
 		if skip > 0 {
 			prev = binary.LittleEndian.Uint32(body[4*(skip-1):])
-			if int(prev) > len(data) {
-				return nil, fmt.Errorf("compress: bad string offset")
-			}
 		}
-		for i := skip; i < n; i++ {
+		for i := skip; i < end; i++ {
 			off := binary.LittleEndian.Uint32(body[4*i:])
-			if off < prev || int(off) > len(data) {
-				return nil, fmt.Errorf("compress: bad string offset")
+			if off < prev || uint64(off) > uint64(len(data)) {
+				return nil, corrupt("bad string offset")
 			}
 			out = append(out, string(data[prev:off]))
 			prev = off
 		}
 		return out, nil
 	case DictString:
-		dictLen, sz := binary.Uvarint(body)
-		if sz <= 0 {
-			return nil, fmt.Errorf("compress: bad dict length")
+		dictLen, body, err := dictHeader(body)
+		if err != nil {
+			return nil, err
 		}
-		body = body[sz:]
-		if skip == 0 {
-			// Full decode: materialize each dict string once, share it across
-			// all its codes.
-			dict := make([]string, dictLen)
-			for i := range dict {
-				l, sz := binary.Uvarint(body)
-				if sz <= 0 || int(l) > len(body)-sz {
-					return nil, fmt.Errorf("compress: bad dict entry")
-				}
-				body = body[sz:]
-				dict[i] = string(body[:l])
-				body = body[l:]
-			}
-			for i := 0; i < n; i++ {
-				code, sz := binary.Uvarint(body)
-				if sz <= 0 || code >= dictLen {
-					return nil, fmt.Errorf("compress: bad dict code")
-				}
-				body = body[sz:]
-				out = append(out, dict[code])
-			}
-			return out, nil
+		if end-skip < dictLen {
+			return decodeDictWindow(body, dictLen, skip, end, out)
 		}
-		// Tail decode: index the dict entries without converting them, then
-		// materialize strings only for the codes actually emitted — a probe
-		// reading a handful of rows must not pay one allocation per dict entry.
-		spans := make([][]byte, dictLen)
-		for i := range spans {
-			l, sz := binary.Uvarint(body)
-			if sz <= 0 || int(l) > len(body)-sz {
-				return nil, fmt.Errorf("compress: bad dict entry")
+		// The window is at least as long as the dictionary: materialize each
+		// entry once and share it across all its codes.
+		dict := make([]string, dictLen)
+		p := 0
+		for i := range dict {
+			var entry []byte
+			if entry, p, err = dictEntry(body, p); err != nil {
+				return nil, err
 			}
-			body = body[sz:]
-			spans[i] = body[:l]
-			body = body[l:]
+			dict[i] = string(entry)
 		}
-		for i := 0; i < n; i++ {
-			code, sz := binary.Uvarint(body)
-			if sz <= 0 || code >= dictLen {
-				return nil, fmt.Errorf("compress: bad dict code")
+		i := 0
+		if dictLen <= 0x80 && skip <= len(body)-p {
+			// Every valid code fits one byte, so the window starts skip in.
+			i, p = skip, p+skip
+		}
+		for ; i < end; i++ {
+			code, sz := uvarint2(body, p)
+			if sz == 0 {
+				code, sz = binary.Uvarint(body[p:])
 			}
-			body = body[sz:]
+			if sz <= 0 || code >= uint64(dictLen) {
+				return nil, corrupt("bad dict code")
+			}
+			p += sz
 			if i >= skip {
-				out = append(out, string(spans[code]))
+				out = append(out, dict[code])
 			}
 		}
 		return out, nil
 	}
-	return nil, fmt.Errorf("compress: scheme %d is not a string encoding", scheme)
+	return nil, corrupt("scheme %d is not a string encoding", scheme)
+}
+
+// decodeDictWindow decodes codes [skip, end) of a dictionary block whose
+// window is shorter than its dictionary (a probe reading a handful of rows of
+// a block whose dictionary may hold thousands of entries), keeping no
+// per-entry state: it steps over the dictionary to reach the codes, reads the
+// window's, then revisits the dictionary once for just the entries they name.
+func decodeDictWindow(body []byte, dictLen, skip, end int, out []string) ([]string, error) {
+	p, err := 0, error(nil)
+	for i := 0; i < dictLen; i++ {
+		if _, p, err = dictEntry(body, p); err != nil {
+			return nil, err
+		}
+	}
+	codes, i, p := body[p:], 0, 0
+	if dictLen <= 0x80 && skip <= len(codes) {
+		// Every valid code fits one byte, so the window starts at byte skip.
+		i, p = skip, skip
+	}
+	want := make([]int, 0, end-skip)
+	for ; i < end; i++ {
+		code, sz := uvarint2(codes, p)
+		if sz == 0 {
+			code, sz = binary.Uvarint(codes[p:])
+		}
+		if sz <= 0 || code >= uint64(dictLen) {
+			return nil, corrupt("bad dict code")
+		}
+		p += sz
+		if i >= skip {
+			want = append(want, int(code))
+		}
+	}
+	// Fill the window in code order, so one forward pass over the dictionary
+	// serves every position; equal codes share one string.
+	order := make([]int, len(want))
+	for k := range order {
+		order[k] = k
+	}
+	sort.Slice(order, func(a, b int) bool { return want[order[a]] < want[order[b]] })
+	base := len(out)
+	out = append(out, make([]string, len(want))...)
+	next, str := 0, ""
+	p = 0
+	for n, k := range order {
+		if n == 0 || want[k] != want[order[n-1]] {
+			var entry []byte
+			for ; next <= want[k]; next++ {
+				if entry, p, err = dictEntry(body, p); err != nil {
+					return nil, err
+				}
+			}
+			str = string(entry)
+		}
+		out[base+k] = str
+	}
+	return out, nil
+}
+
+// dictHeader reads a dictionary block's entry count, bounded by the bytes
+// left (every entry takes at least its length byte).
+func dictHeader(body []byte) (int, []byte, error) {
+	dictLen, sz := binary.Uvarint(body)
+	if sz <= 0 || dictLen > uint64(len(body)-sz) {
+		return 0, nil, corrupt("bad dict length")
+	}
+	return int(dictLen), body[sz:], nil
+}
+
+// dictEntry reads the length-prefixed dictionary entry at body[p:], returning
+// its bytes (aliasing body) and the offset of whatever follows it.
+func dictEntry(body []byte, p int) (entry []byte, next int, err error) {
+	l, sz := uvarint2(body, p)
+	if sz == 0 {
+		l, sz = binary.Uvarint(body[p:])
+	}
+	if sz <= 0 || l > uint64(len(body)-p-sz) {
+		return nil, 0, corrupt("bad dict entry")
+	}
+	next = p + sz + int(l)
+	return body[p+sz : next], next, nil
 }
 
 // DictValues returns the dictionary of a DictString block — its exact
@@ -436,20 +534,17 @@ func DictValues(buf []byte) (vals []string, ok bool, err error) {
 	if scheme != DictString {
 		return nil, false, nil
 	}
-	dictLen, sz := binary.Uvarint(body)
-	if sz <= 0 {
-		return nil, false, fmt.Errorf("compress: bad dict length")
+	dictLen, body, err := dictHeader(body)
+	if err != nil {
+		return nil, false, err
 	}
-	body = body[sz:]
 	vals = make([]string, dictLen)
-	for i := range vals {
-		l, sz := binary.Uvarint(body)
-		if sz <= 0 || int(l) > len(body)-sz {
-			return nil, false, fmt.Errorf("compress: bad dict entry")
+	for i, p := 0, 0; i < dictLen; i++ {
+		var entry []byte
+		if entry, p, err = dictEntry(body, p); err != nil {
+			return nil, false, err
 		}
-		body = body[sz:]
-		vals[i] = string(body[:l])
-		body = body[l:]
+		vals[i] = string(entry)
 	}
 	return vals, true, nil
 }
@@ -469,16 +564,16 @@ func RLEValues(buf []byte) (vals []int64, ok bool, err error) {
 	for got < n {
 		u, sz := binary.Uvarint(body)
 		if sz <= 0 {
-			return nil, false, fmt.Errorf("compress: bad RLE value varint")
+			return nil, false, corrupt("bad RLE value varint")
 		}
 		body = body[sz:]
 		run, sz := binary.Uvarint(body)
 		if sz <= 0 {
-			return nil, false, fmt.Errorf("compress: bad RLE run varint")
+			return nil, false, corrupt("bad RLE run varint")
 		}
 		body = body[sz:]
-		if run == 0 || got+int(run) > n {
-			return nil, false, fmt.Errorf("compress: RLE run overflows block")
+		if run == 0 || run > uint64(n-got) {
+			return nil, false, corrupt("RLE run overflows block")
 		}
 		vals = append(vals, unzigzag(u))
 		got += int(run)

@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -211,42 +212,163 @@ func TestZigzag(t *testing.T) {
 	}
 }
 
-// tailSkips picks skip points that exercise every boundary: start, one-in,
-// mid-block, run boundaries, last value, exactly the end, and past the end.
-func tailSkips(n int) []int {
-	skips := []int{0, 1, n / 3, n / 2, n - 1, n, n + 7, -2}
-	out := skips[:0:0]
-	for _, s := range skips {
-		if s >= -2 {
-			out = append(out, s)
-		}
-	}
-	return out
+// windowCase is one encoded block with its expected full decode and a
+// type-erased windowed decoder, so one checker serves all seven encodings.
+type windowCase struct {
+	name   string
+	buf    []byte
+	count  int
+	window func(buf []byte, skip, n int) (any, error)
+	slice  func(lo, hi int) any // full decode's [lo:hi]
+	length func(v any) int
 }
 
-func clampSkip(skip, n int) int {
-	if skip < 0 {
-		return 0
+func intCase(name string, buf []byte, bools bool) windowCase {
+	dec := DecodeInt64sFrom
+	if bools {
+		dec = DecodeBoolsFrom
 	}
-	if skip > n {
-		return n
+	full, err := dec(buf, 0, -1, nil)
+	if err != nil {
+		panic(name + ": " + err.Error())
 	}
-	return skip
+	return windowCase{name: name, buf: buf, count: len(full),
+		window: func(b []byte, skip, n int) (any, error) { return dec(b, skip, n, nil) },
+		slice:  func(lo, hi int) any { return full[lo:hi] },
+		length: func(v any) int { return len(v.([]int64)) }}
+}
+
+func floatCase(name string, buf []byte) windowCase {
+	full, err := DecodeFloat64s(buf, nil)
+	if err != nil {
+		panic(name + ": " + err.Error())
+	}
+	return windowCase{name: name, buf: buf, count: len(full),
+		window: func(b []byte, skip, n int) (any, error) { return DecodeFloat64sFrom(b, skip, n, nil) },
+		slice:  func(lo, hi int) any { return full[lo:hi] },
+		length: func(v any) int { return len(v.([]float64)) }}
+}
+
+func stringCase(name string, buf []byte) windowCase {
+	full, err := DecodeStrings(buf, nil)
+	if err != nil {
+		panic(name + ": " + err.Error())
+	}
+	return windowCase{name: name, buf: buf, count: len(full),
+		window: func(b []byte, skip, n int) (any, error) { return DecodeStringsFrom(b, skip, n, nil) },
+		slice:  func(lo, hi int) any { return full[lo:hi] },
+		length: func(v any) int { return len(v.([]string)) }}
+}
+
+// checkWindows asserts the Decode*From contract on one block: every in-range
+// (skip, n) equals the full decode's [skip:skip+n], n < 0 is the tail, and a
+// window outside the block, like any truncation of the buffer, is ErrCorrupt —
+// never a panic, never more values than asked for.
+func checkWindows(t *testing.T, c windowCase) {
+	t.Helper()
+	for skip := 0; skip <= c.count; skip++ {
+		for n := -1; n <= c.count-skip; n++ {
+			got, err := c.window(c.buf, skip, n)
+			if err != nil {
+				t.Fatalf("%s [%d,+%d): %v", c.name, skip, n, err)
+			}
+			hi := skip + n
+			if n < 0 {
+				hi = c.count
+			}
+			if want := c.slice(skip, hi); c.length(got) != hi-skip || (hi > skip && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("%s [%d,+%d): got %v want %v", c.name, skip, n, got, want)
+			}
+		}
+	}
+	for _, w := range [][2]int{{0, c.count + 1}, {c.count, 1}, {c.count + 1, 0}, {c.count + 1, -1}, {-1, 1}, {c.count / 2, c.count}} {
+		if _, err := c.window(c.buf, w[0], w[1]); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s [%d,+%d) outside the block: err = %v, want ErrCorrupt", c.name, w[0], w[1], err)
+		}
+	}
+	for cut := 0; cut < len(c.buf); cut++ {
+		got, err := c.window(c.buf[:cut], 0, -1)
+		if err == nil {
+			// A cut that only drops bytes no value needs (none of the codecs
+			// pad) must not be silently accepted with fewer values.
+			if c.length(got) != c.count {
+				t.Errorf("%s cut at %d/%d: accepted with %d of %d values", c.name, cut, len(c.buf), c.length(got), c.count)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s cut at %d: err = %v, want ErrCorrupt", c.name, cut, err)
+		}
+	}
+}
+
+// TestDecodeFromWindows runs the window contract over one small block of each
+// of the seven encodings.
+func TestDecodeFromWindows(t *testing.T) {
+	ints := []int64{3, -1, 0, 1 << 40, -(1 << 40), 7, 7, 7, -9, 0, 0, 2}
+	strs := []string{"", "a", "bc", "", "a", "ghij", "bc", "a"}
+	cases := []windowCase{
+		intCase("plain-int", encodePlainInt(ints), false),
+		intCase("delta-varint", encodeDeltaVarint(ints), false),
+		intCase("rle-int", encodeRLEInt(ints), false),
+		floatCase("plain-float", EncodeFloat64s([]float64{0, -1.5, 3.25, 1e300, -1e-300, 42})),
+		intCase("bit-bool", EncodeBools([]int64{1, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1}), true),
+		stringCase("plain-string", encodePlainString(strs)),
+		stringCase("dict-string", encodeDictString(strs)),
+	}
+	seen := map[Scheme]bool{}
+	for _, c := range cases {
+		seen[BlockScheme(c.buf)] = true
+		checkWindows(t, c)
+	}
+	if len(seen) != int(DictString) {
+		t.Errorf("table covers %d of %d encodings", len(seen), DictString)
+	}
+}
+
+// TestDecodeFromHostileLengths feeds headers whose counts and dictionary
+// sizes promise far more than the buffer holds: the decoders must answer
+// ErrCorrupt without sizing anything from the claimed length.
+func TestDecodeFromHostileLengths(t *testing.T) {
+	huge := func(scheme Scheme, body ...byte) []byte {
+		return append([]byte{byte(scheme), 0xff, 0xff, 0xff, 0xff}, body...)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, scheme := range []Scheme{PlainInt, DeltaVarint, RLEInt} {
+			if _, err := DecodeInt64s(huge(scheme, 2, 1), nil); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("scheme %d: err = %v", scheme, err)
+			}
+		}
+		if _, err := DecodeFloat64s(huge(PlainFloat, 0), nil); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("float: err = %v", err)
+		}
+		if _, err := DecodeBools(huge(BitBool, 0), nil); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("bool: err = %v", err)
+		}
+		// dict length varint claiming 2^40 entries over a 6-byte body
+		for _, buf := range [][]byte{huge(PlainString, 0), huge(DictString, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20)} {
+			if _, err := DecodeStrings(buf, nil); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("scheme %d: err = %v", BlockScheme(buf), err)
+			}
+			if _, _, err := DictValues(buf); BlockScheme(buf) == DictString && !errors.Is(err, ErrCorrupt) {
+				t.Errorf("DictValues: err = %v", err)
+			}
+		}
+	})
+	// Error values and the test's own small buffers allocate; a slice sized
+	// from a 2^32 count or a 2^40 dictionary would dwarf this bound (or die).
+	if allocs > 64 {
+		t.Errorf("hostile headers cost %v allocs per run", allocs)
+	}
 }
 
 func TestDecodeInt64sFrom(t *testing.T) {
-	cases := map[string][]int64{
-		"sorted":   nil,
-		"constant": nil,
-		"mixed":    {3, -1, 0, 1 << 40, -(1 << 40), 7, 7, 7, -9, 0, 0, 2},
-	}
 	sorted := make([]int64, 300)
 	constant := make([]int64, 300)
 	for i := range sorted {
 		sorted[i] = int64(1000000 + i)
 		constant[i] = 42
 	}
-	cases["sorted"], cases["constant"] = sorted, constant
 	// runs of varying length to hit RLE partial-run skips
 	var runs []int64
 	for i := 0; i < 20; i++ {
@@ -254,59 +376,23 @@ func TestDecodeInt64sFrom(t *testing.T) {
 			runs = append(runs, int64(i*i))
 		}
 	}
-	cases["runs"] = runs
-
-	for name, vals := range cases {
+	for name, vals := range map[string][]int64{"sorted": sorted, "constant": constant, "runs": runs} {
 		for _, compress := range []bool{false, true} {
-			buf := EncodeInt64s(vals, compress)
-			full, err := DecodeInt64s(buf, nil)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			for _, skip := range tailSkips(len(vals)) {
-				got, err := DecodeInt64sFrom(buf, skip, nil)
-				if err != nil {
-					t.Fatalf("%s skip=%d: %v", name, skip, err)
-				}
-				want := full[clampSkip(skip, len(vals)):]
-				if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-					t.Errorf("%s scheme=%d skip=%d: got %d vals, want %d", name, BlockScheme(buf), skip, len(got), len(want))
-				}
-			}
+			checkWindows(t, intCase(name, EncodeInt64s(vals, compress), false))
 		}
 	}
 	// force each int scheme explicitly
 	for _, enc := range [][]byte{encodePlainInt(sorted), encodeDeltaVarint(sorted), encodeRLEInt(constant), encodeRLEInt(runs)} {
-		full, err := DecodeInt64s(enc, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, skip := range tailSkips(len(full)) {
-			got, err := DecodeInt64sFrom(enc, skip, nil)
-			if err != nil {
-				t.Fatalf("scheme=%d skip=%d: %v", BlockScheme(enc), skip, err)
-			}
-			want := full[clampSkip(skip, len(full)):]
-			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-				t.Errorf("scheme=%d skip=%d mismatch", BlockScheme(enc), skip)
-			}
-		}
+		checkWindows(t, intCase("forced", enc, false))
 	}
 }
 
 func TestDecodeFloat64sFrom(t *testing.T) {
-	vals := []float64{0, -1.5, 3.25, 1e300, -1e-300, 42}
-	buf := EncodeFloat64s(vals)
-	for _, skip := range tailSkips(len(vals)) {
-		got, err := DecodeFloat64sFrom(buf, skip, nil)
-		if err != nil {
-			t.Fatalf("skip=%d: %v", skip, err)
-		}
-		want := vals[clampSkip(skip, len(vals)):]
-		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-			t.Errorf("skip=%d mismatch", skip)
-		}
+	vals := make([]float64, 40)
+	for i := range vals {
+		vals[i] = float64(i)*1.5 - 7
 	}
+	checkWindows(t, floatCase("floats", EncodeFloat64s(vals)))
 }
 
 func TestDecodeBoolsFrom(t *testing.T) {
@@ -316,17 +402,7 @@ func TestDecodeBoolsFrom(t *testing.T) {
 			vals[i] = 1
 		}
 	}
-	buf := EncodeBools(vals)
-	for _, skip := range tailSkips(len(vals)) {
-		got, err := DecodeBoolsFrom(buf, skip, nil)
-		if err != nil {
-			t.Fatalf("skip=%d: %v", skip, err)
-		}
-		want := vals[clampSkip(skip, len(vals)):]
-		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-			t.Errorf("skip=%d mismatch", skip)
-		}
-	}
+	checkWindows(t, intCase("bools", EncodeBools(vals), true))
 }
 
 func TestDecodeStringsFrom(t *testing.T) {
@@ -334,23 +410,9 @@ func TestDecodeStringsFrom(t *testing.T) {
 	for i := range lowCard {
 		lowCard[i] = []string{"alpha", "beta", "gamma"}[i%3]
 	}
-	cases := [][]string{
-		{"", "a", "bc", "", "def", "ghij"},
-		lowCard,
-	}
-	for _, vals := range cases {
+	for _, vals := range [][]string{{"", "a", "bc", "", "def", "ghij"}, lowCard} {
 		for _, compress := range []bool{false, true} {
-			buf := EncodeStrings(vals, compress)
-			for _, skip := range tailSkips(len(vals)) {
-				got, err := DecodeStringsFrom(buf, skip, nil)
-				if err != nil {
-					t.Fatalf("scheme=%d skip=%d: %v", BlockScheme(buf), skip, err)
-				}
-				want := vals[clampSkip(skip, len(vals)):]
-				if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-					t.Errorf("scheme=%d skip=%d mismatch", BlockScheme(buf), skip)
-				}
-			}
+			checkWindows(t, stringCase("strings", EncodeStrings(vals, compress)))
 		}
 	}
 }

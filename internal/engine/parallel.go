@@ -49,10 +49,11 @@ var (
 	ParallelThreshold = 128 << 10
 )
 
-// minParallelBatch keeps point probes serial: plans with very small batch
-// sizes (FindByKey-style early-stop probes use 16) never auto-parallelize,
-// whatever the table size — fanning workers across the whole tail of a table
-// to find one row would invert the optimization.
+// minParallelBatch keeps early-stop plans serial: a plan that asks for very
+// small batches means to stop after a handful of rows, so it never
+// auto-parallelizes, whatever the table size — fanning workers across the
+// whole tail of a table to find one row would invert the optimization. (Key
+// probes do not run plans at all; see Seek.)
 const minParallelBatch = 256
 
 const (

@@ -12,13 +12,16 @@ package engine
 // Pruning under a PDT layer stack must respect pending updates: a block the
 // frozen or in-flight PDTs touch (insert, delete or in-place modify) may
 // hold rows whose current values differ from the stable image the stats
-// describe, so dirty blocks are never pruned. PruneBlocks folds the pinned
-// layer stack down to stable coordinates (the same non-destructive pdt.Fold
-// the maintenance path uses) and marks every touched block dirty — which is
-// also what keeps index reads snapshot-consistent: the per-block summaries
-// are built over the stable image at fold/checkpoint time, and any block
-// whose image the snapshot's unfolded deltas would patch is scanned, not
-// probed. Blocks in the shifted region whose values are untouched remain
+// describe, so dirty blocks are never pruned. PruneBlocks finds them by
+// position (dirtyBlocks): each block boundary of the scan's range is carried
+// up through the pinned layers by the same carried-shift descent a morsel
+// open uses, and a layer dirties a block when its first entry at or after the
+// block's start lies before the block's end — O(log n) per boundary and layer,
+// so the pass costs what the range spans, whatever the deltas hold elsewhere.
+// That is also what keeps index reads snapshot-consistent: the per-block
+// summaries are built over the stable image at fold/checkpoint time, and any
+// block whose image the snapshot's unfolded deltas would patch is scanned,
+// not probed. Blocks in the shifted region whose values are untouched remain
 // prunable: morsel opens seek each layer cursor to the morsel's start SID
 // carrying the running shift, so RIDs stay exact across skipped ranges.
 
@@ -136,54 +139,17 @@ func PruneBlocks(store *colstore.Store, lo, hi uint64, preds []Pred, layers ...*
 		return nil
 	}
 	prober, _ := store.Aux().(IndexProber)
-	// Fold the pinned layer stack to stable coordinates: entry SIDs of the
-	// folded PDT address TABLE₀ positions, exactly what blocks are.
-	var folded *pdt.PDT
-	for _, l := range layers {
-		if l == nil || l.Empty() {
-			continue
-		}
-		if folded == nil {
-			folded = l
-			continue
-		}
-		f, err := pdt.Fold(folded, l)
-		if err != nil {
-			// A fold failure (schema mismatch) cannot happen for layers of one
-			// table; decline pruning rather than fail the scan if it ever does.
-			return nil
-		}
-		folded = f
-	}
-	var entries []pdt.Entry
-	if folded != nil {
-		entries = folded.Entries() // ascending SID
-	}
 	br := uint64(store.BlockRows())
 	b0, b1 := lo/br, (hi-1)/br
+	dirtyBlk := dirtyBlocks(br, lo, hi, layers)
 	res := &PruneResult{Total: int(b1 - b0 + 1)}
 	var zoneSkips, indexSkips int
-	ei := 0
 	for b := b0; b <= b1; b++ {
 		blkLo, blkHi := b*br, (b+1)*br
 		if blkHi > hi {
 			blkHi = hi
 		}
-		for ei < len(entries) && entries[ei].SID < blkLo {
-			ei++
-		}
-		dirty := ei < len(entries) && entries[ei].SID < blkHi
-		if !dirty && b == b1 {
-			// The scan's final block owns delta entries sitting exactly on
-			// the range's end boundary (appends land at SID == hi); they can
-			// qualify, so their presence keeps the block.
-			for j := ei; j < len(entries) && entries[j].SID <= hi; j++ {
-				if entries[j].SID == hi {
-					dirty = true
-					break
-				}
-			}
-		}
+		dirty := dirtyBlk[b-b0]
 		keep := true
 		if !dirty {
 			for _, pr := range preds {
@@ -218,6 +184,46 @@ func PruneBlocks(store *colstore.Store, lo, hi uint64, preds []Pred, layers ...*
 	res.ZoneSkips, res.IndexSkips = zoneSkips, indexSkips
 	store.Device().CountSkips(uint64(zoneSkips), uint64(indexSkips))
 	return res
+}
+
+// dirtyBlocks reports, for each block overlapping the stable range [lo, hi),
+// whether any layer of the stack (bottom-to-top; nil and empty layers are
+// skipped) holds an update that lands in it. The range's final block also
+// owns entries sitting exactly on hi: appends land there, and only the scan's
+// last morsel emits them.
+//
+// bounds holds the block boundaries in the current layer's SID domain. A
+// layer dirties block j when it has an entry in [bounds[j], bounds[j+1]);
+// SeekSid answers that and maps the boundary into the next layer's domain in
+// one descent. The mapping sends a boundary to the first output position at
+// or after it, so an upper-layer entry can only be attributed to a later
+// block than the one a fold would put it in when it sits next to a ghost of
+// this layer — whose own delete entry already dirtied the earlier block. The
+// result is therefore a superset of the folded stack's dirty set.
+func dirtyBlocks(br, lo, hi uint64, layers []*pdt.PDT) []bool {
+	b0 := lo / br
+	nb := int((hi-1)/br - b0 + 1)
+	dirty := make([]bool, nb)
+	bounds := make([]uint64, nb+1)
+	for j := range bounds {
+		bounds[j] = min(max((b0+uint64(j))*br, lo), hi)
+	}
+	for _, l := range layers {
+		if l == nil || l.Empty() {
+			continue
+		}
+		rid, next, ok := l.SeekSid(bounds[0])
+		for j := 0; j < nb; j++ {
+			end := bounds[j+1]
+			if ok && (next < end || (next == end && j == nb-1)) {
+				dirty[j] = true
+			}
+			bounds[j] = rid
+			rid, next, ok = l.SeekSid(end)
+		}
+		bounds[nb] = rid
+	}
+	return dirty
 }
 
 // zoneExcludes reports whether the zone proves no value of the block can

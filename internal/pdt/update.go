@@ -192,6 +192,23 @@ func (t *PDT) SKRidToSid(skVals types.Row, rid uint64) uint64 {
 	return uint64(int64(rid) - c.delta)
 }
 
+// SeekSid is the O(log n) descent a positional reader opens this layer with
+// at input position sid: rid is where output starts there — sid plus the
+// shift of every entry before it, the RID of whatever comes first at SID >=
+// sid, inserts included (MergeScan.StartRID) — and next is the SID of the
+// first entry at or after sid (ok is false when there is none). Both are
+// monotone in sid, so mapping a range's two ends gives the range of the layer
+// above that can touch it, and next says whether this layer touches it at
+// all, without visiting the entries in between.
+func (t *PDT) SeekSid(sid uint64) (rid, next uint64, ok bool) {
+	c := t.newCursorAtSid(sid)
+	rid = uint64(int64(sid) + c.delta)
+	if !c.valid() {
+		return rid, 0, false
+	}
+	return rid, c.sid(), true
+}
+
 // SidToRid maps a stable tuple's SID to its current RID. ghost reports
 // whether the tuple has been deleted (its RID is then the RID of the next
 // visible tuple, per the paper's ghost convention).

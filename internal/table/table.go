@@ -208,75 +208,50 @@ func (t *Table) FindByKey(key types.Row) (rid uint64, row types.Row, found bool,
 	if len(key) != len(t.schema.SortKey) {
 		return 0, nil, false, fmt.Errorf("table: FindByKey needs the full %d-column sort key", len(t.schema.SortKey))
 	}
-	err = engine.Scan(t, t.allCols()...).Range(key, key).BatchSize(16).
-		Run(func(b *vector.Batch, sel []uint32) error {
-			for _, i := range sel {
-				cmp := b.CompareKey(key, t.schema.SortKey, int(i))
-				if cmp == 0 {
-					rid, row, found = b.Rids[i], b.Row(int(i)), true
-					return engine.Stop
-				}
-				if cmp < 0 {
-					return engine.Stop // passed the key's position
-				}
-			}
-			return nil
-		})
+	im := t.img.Load()
+	if t.opts.Mode == ModeVDT {
+		return t.vdtFind(im, key)
+	}
+	rid, row, found, err = engine.Seek(im.store, key, t.allCols(), im.pdt)
+	if err != nil || !found {
+		return 0, nil, false, err
+	}
+	return rid, row, true, nil
+}
+
+// vdtFind is the value-based baseline's key lookup: a VDT orders its updates
+// by key, not position, so there is no stack to seek into — the probe merges
+// the sparse-index range around key by value and stops at the first row at or
+// past it. (Every positional image goes through engine.Seek instead.)
+func (t *Table) vdtFind(im *image, key types.Row) (rid uint64, row types.Row, found bool, err error) {
+	cols := t.allCols()
+	src, err := engine.NewSource(engine.TableSpec{Store: im.store, VDT: im.vdt}, cols, key, key)
 	if err != nil {
 		return 0, nil, false, err
 	}
-	return rid, row, found, nil
-}
-
-// insertPosition returns the RID where a tuple with the given key belongs
-// (the RID of the first visible tuple with a greater key) and whether an
-// equal key is already visible.
-func (t *Table) insertPosition(key types.Row) (rid uint64, dup bool, err error) {
-	rid = t.NRows()
-	err = engine.Scan(t, t.schema.SortKey...).Range(key, nil).BatchSize(16).
-		Run(func(b *vector.Batch, sel []uint32) error {
-			for _, i := range sel {
-				cmp := b.CompareKey(key, nil, int(i))
-				if cmp == 0 {
-					rid, dup = b.Rids[i], true
-					return engine.Stop
-				}
-				if cmp < 0 {
-					rid = b.Rids[i]
-					return engine.Stop
-				}
-			}
-			return nil
-		})
-	if err != nil {
-		return 0, false, err
-	}
-	return rid, dup, nil
-}
-
-// stableHasKey reports whether the stable image contains the key (the scan
-// bypasses the delta structure on purpose).
-func (t *Table) stableHasKey(key types.Row) (found bool, err error) {
-	src, err := engine.NewSource(engine.TableSpec{Store: t.img.Load().store}, t.schema.SortKey, key, key)
-	if err != nil {
-		return false, err
-	}
-	out := vector.NewBatch(t.Kinds(t.schema.SortKey), 256)
+	const probeBatch = 16
+	b := vector.NewBatch(t.Kinds(cols), probeBatch)
 	for {
-		out.Reset()
-		n, err := src.Next(out, 256)
-		if err != nil {
-			return false, err
-		}
-		if n == 0 {
-			return false, nil
+		b.Reset()
+		n, err := src.Next(b, probeBatch)
+		if err != nil || n == 0 {
+			return 0, nil, false, err
 		}
 		for i := 0; i < n; i++ {
-			if types.CompareRows(key, out.Row(i)) == 0 {
-				return true, nil
+			if cmp := b.CompareKey(key, t.schema.SortKey, i); cmp == 0 {
+				return b.Rids[i], b.Row(i), true, nil
+			} else if cmp < 0 {
+				return 0, nil, false, nil // passed the key's position
 			}
 		}
 	}
+}
+
+// stableHasKey reports whether the stable image contains the key (the probe
+// bypasses the delta structure on purpose).
+func (t *Table) stableHasKey(key types.Row) (found bool, err error) {
+	_, _, found, err = engine.Seek(t.img.Load().store, key, nil)
+	return found, err
 }
 
 // Insert adds a new tuple; its sort key must not be visible.
@@ -290,7 +265,7 @@ func (t *Table) Insert(row types.Row) error {
 	case ModeNone:
 		return fmt.Errorf("table: read-only (ModeNone)")
 	case ModePDT:
-		rid, dup, err := t.insertPosition(key)
+		rid, _, dup, err := engine.Seek(im.store, key, nil, im.pdt)
 		if err != nil {
 			return err
 		}
@@ -322,11 +297,11 @@ func (t *Table) DeleteByKey(key types.Row) (bool, error) {
 	case ModeNone:
 		return false, fmt.Errorf("table: read-only (ModeNone)")
 	case ModePDT:
-		rid, row, found, err := t.FindByKey(key)
+		rid, _, found, err := engine.Seek(im.store, key, nil, im.pdt)
 		if err != nil || !found {
 			return false, err
 		}
-		return true, im.pdt.Delete(rid, t.schema.KeyOf(row))
+		return true, im.pdt.Delete(rid, key)
 	case ModeVDT:
 		_, inIns := im.vdt.HasInsert(key)
 		stable, err := t.stableHasKey(key)
@@ -350,7 +325,16 @@ func (t *Table) UpdateByKey(key types.Row, col int, val types.Value) (bool, erro
 	if t.opts.Mode == ModeNone {
 		return false, fmt.Errorf("table: read-only (ModeNone)")
 	}
-	rid, row, found, err := t.FindByKey(key)
+	im := t.img.Load()
+	if t.opts.Mode == ModePDT && !t.schema.IsSortKeyCol(col) {
+		// A positional modify needs the row's RID and none of its values.
+		rid, _, found, err := engine.Seek(im.store, key, nil, im.pdt)
+		if err != nil || !found {
+			return false, err
+		}
+		return true, im.pdt.Modify(rid, col, val)
+	}
+	_, row, found, err := t.FindByKey(key)
 	if err != nil || !found {
 		return false, err
 	}
@@ -370,18 +354,11 @@ func (t *Table) UpdateByKey(key types.Row, col int, val types.Value) (bool, erro
 		}
 		return true, t.Insert(newRow)
 	}
-	im := t.img.Load()
-	switch t.opts.Mode {
-	case ModePDT:
-		return true, im.pdt.Modify(rid, col, val)
-	case ModeVDT:
-		stable, err := t.stableHasKey(key)
-		if err != nil {
-			return false, err
-		}
-		return true, im.vdt.Modify(row, col, val, stable)
+	stable, err := t.stableHasKey(key)
+	if err != nil {
+		return false, err
 	}
-	return false, fmt.Errorf("table: unknown mode")
+	return true, im.vdt.Modify(row, col, val, stable)
 }
 
 // Checkpoint folds the buffered deltas into a brand-new stable image and

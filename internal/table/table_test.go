@@ -370,3 +370,67 @@ func TestLoadRejectsUnsortedRows(t *testing.T) {
 		t.Fatal("unsorted load accepted")
 	}
 }
+
+// TestFindByKeyAgreesAcrossModes: the positional probe (ModePDT, ModeNone)
+// and the value-merge baseline (ModeVDT) answer every key identically — RID,
+// row and found — on a clean image and, for the two updatable modes, after
+// the same random row-at-a-time updates (inserts, deletes, modifies and
+// sort-key updates in both directions).
+func TestFindByKeyAgreesAcrossModes(t *testing.T) {
+	const n = 90
+	tbls := map[DeltaMode]*Table{}
+	for _, mode := range []DeltaMode{ModePDT, ModeVDT, ModeNone} {
+		tbls[mode] = newTable(t, mode, n)
+	}
+	var keys []types.Row
+	for a := int64(-10); a <= n/3*10+10; a += 5 {
+		for _, b := range []string{"", "s00", "s01", "s01x", "s02", "zz"} {
+			keys = append(keys, types.Row{types.Int(a), types.Str(b)})
+		}
+	}
+	agree := func(label string, modes ...DeltaMode) {
+		t.Helper()
+		for _, key := range keys {
+			rid0, row0, found0, err := tbls[modes[0]].FindByKey(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, mode := range modes[1:] {
+				rid, row, found, err := tbls[mode].FindByKey(key)
+				if err != nil || rid != rid0 || found != found0 || types.CompareRows(row, row0) != 0 {
+					t.Fatalf("%s: FindByKey(%v): %v says (%d, %v, %v, %v), %v says (%d, %v, %v)",
+						label, key, mode, rid, row, found, err, modes[0], rid0, row0, found0)
+				}
+			}
+		}
+	}
+	agree("clean", ModePDT, ModeVDT, ModeNone)
+
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 200; i++ {
+		key := keys[rng.Intn(len(keys))]
+		op, shift := rng.Intn(4), int64(rng.Intn(5)-2)*5
+		var errs [2]error
+		var oks [2]bool
+		for j, mode := range []DeltaMode{ModePDT, ModeVDT} {
+			tbl := tbls[mode]
+			switch op {
+			case 0:
+				errs[j] = tbl.Insert(types.Row{key[0], key[1], types.Int(int64(i)), types.Float(0.5)})
+			case 1:
+				oks[j], errs[j] = tbl.DeleteByKey(key)
+			case 2:
+				oks[j], errs[j] = tbl.UpdateByKey(key, 2, types.Int(int64(-i)))
+			default:
+				oks[j], errs[j] = tbl.UpdateByKey(key, 0, types.Int(key[0].I+shift))
+			}
+		}
+		if oks[0] != oks[1] || (errs[0] == nil) != (errs[1] == nil) {
+			t.Fatalf("op %d on %v: PDT says (%v, %v), VDT says (%v, %v)", op, key, oks[0], errs[0], oks[1], errs[1])
+		}
+	}
+	if err := tbls[ModePDT].PDT().Validate(); err != nil {
+		t.Fatal(err)
+	}
+	agree("after updates", ModePDT, ModeVDT)
+}

@@ -272,7 +272,7 @@ func TestParkedCommitConflicts(t *testing.T) {
 	}
 	check := m.Begin()
 	defer check.Abort()
-	if _, row, found, err := check.findByKey(types.Row{types.Int(10)}); err != nil || !found {
+	if _, row, found, err := check.FindByKey(types.Row{types.Int(10)}); err != nil || !found {
 		t.Fatalf("key 10 missing after commit: %v", err)
 	} else if row[1].I != 111 {
 		t.Fatalf("key 10 col 1 = %d, want the parked winner's 111", row[1].I)

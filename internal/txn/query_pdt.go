@@ -11,7 +11,6 @@ import (
 	"pdtstore/internal/engine"
 	"pdtstore/internal/pdt"
 	"pdtstore/internal/types"
-	"pdtstore/internal/vector"
 )
 
 // Query is one self-protected statement inside a transaction.
@@ -65,7 +64,9 @@ func (q *Query) Insert(row types.Row) error {
 		return err
 	}
 	key := schema.KeyOf(row)
-	rid, dup, err := q.insertPosition(key)
+	// The slot in the statement's *current* domain: the transaction's pinned
+	// layers with the Query-PDT as one more layer on top.
+	rid, _, dup, err := q.txn.seek(key, nil, q.qpdt)
 	if err != nil {
 		return err
 	}
@@ -82,7 +83,7 @@ func (q *Query) DeleteByKey(key types.Row) (bool, error) {
 	if q.done {
 		return false, ErrTxnDone
 	}
-	rid, row, found, err := q.txn.findByKey(key)
+	rid, _, found, err := q.txn.seek(key, nil)
 	if err != nil || !found {
 		return false, err
 	}
@@ -90,7 +91,7 @@ func (q *Query) DeleteByKey(key types.Row) (bool, error) {
 	if ghost {
 		return false, nil
 	}
-	return true, q.qpdt.Delete(cur, q.txn.mgr.tbl.Schema().KeyOf(row))
+	return true, q.qpdt.Delete(cur, key)
 }
 
 // UpdateByKey buffers a single-column update of a frozen-view tuple.
@@ -98,7 +99,7 @@ func (q *Query) UpdateByKey(key types.Row, col int, val types.Value) (bool, erro
 	if q.done {
 		return false, ErrTxnDone
 	}
-	rid, _, found, err := q.txn.findByKey(key)
+	rid, _, found, err := q.txn.seek(key, nil)
 	if err != nil || !found {
 		return false, err
 	}
@@ -107,41 +108,6 @@ func (q *Query) UpdateByKey(key types.Row, col int, val types.Value) (bool, erro
 		return false, nil
 	}
 	return true, q.qpdt.Modify(cur, col, val)
-}
-
-// insertPosition locates key's slot in the statement's *current* domain
-// (frozen view plus this statement's own buffered updates): a stacked merge
-// over the sort-key columns — the transaction's pinned layers (mirroring
-// Txn.Scan) with the Query-PDT stacked on top.
-func (q *Query) insertPosition(key types.Row) (rid uint64, dup bool, err error) {
-	t := q.txn
-	schema := t.mgr.tbl.Schema()
-	store := t.ver.store
-	from, _ := store.SIDRange(key, nil)
-	base := store.NewScanner(schema.SortKey, from, store.NRows())
-	stack := engine.StackPDTs(base, schema.SortKey, from, true,
-		t.ver.readPDT, t.frozen, t.writeSnap, t.trans, q.qpdt)
-	out := vector.NewBatch(t.mgr.tbl.Kinds(schema.SortKey), 256)
-	last := uint64(int64(t.visibleRows()) + q.qpdt.Delta())
-	for {
-		out.Reset()
-		n, err := stack.Next(out, 256)
-		if err != nil {
-			return 0, false, err
-		}
-		if n == 0 {
-			return last, false, nil
-		}
-		for i := 0; i < n; i++ {
-			cmp := types.CompareRows(key, out.Row(i))
-			if cmp == 0 {
-				return out.Rids[i], true, nil
-			}
-			if cmp < 0 {
-				return out.Rids[i], false, nil
-			}
-		}
-	}
 }
 
 // Pending returns the number of updates buffered so far.

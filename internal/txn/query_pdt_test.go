@@ -70,17 +70,17 @@ func TestQueryPDTUpdateDeleteAndDiscard(t *testing.T) {
 		t.Fatal("double delete in one statement succeeded")
 	}
 	// frozen view: the transaction still sees the original state
-	if _, row, found, _ := tx.findByKey(types.Row{types.Int(20)}); !found || row[1].I == 777 {
+	if _, row, found, _ := tx.FindByKey(types.Row{types.Int(20)}); !found || row[1].I == 777 {
 		t.Fatal("statement write leaked into the frozen view")
 	}
 	if err := q.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	_, row, found, _ := tx.findByKey(types.Row{types.Int(20)})
+	_, row, found, _ := tx.FindByKey(types.Row{types.Int(20)})
 	if !found || row[1].I != 777 {
 		t.Fatal("update not visible after Finish")
 	}
-	if _, _, found, _ := tx.findByKey(types.Row{types.Int(30)}); found {
+	if _, _, found, _ := tx.FindByKey(types.Row{types.Int(30)}); found {
 		t.Fatal("delete not visible after Finish")
 	}
 
@@ -93,7 +93,7 @@ func TestQueryPDTUpdateDeleteAndDiscard(t *testing.T) {
 		t.Fatal(err)
 	}
 	q2.Discard()
-	if _, row, _, _ := tx.findByKey(types.Row{types.Int(40)}); row[1].I == 1 {
+	if _, row, _, _ := tx.FindByKey(types.Row{types.Int(40)}); row[1].I == 1 {
 		t.Fatal("discarded statement leaked")
 	}
 	if err := q2.Finish(); err == nil {

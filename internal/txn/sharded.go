@@ -350,7 +350,7 @@ func (t *STxn) FindByKey(key types.Row) (rid uint64, row types.Row, found bool, 
 		return 0, nil, false, fmt.Errorf("txn: need the full %d-column sort key", len(t.s.schema.SortKey))
 	}
 	home := t.s.ShardOf(key)
-	rid, row, found, err = t.txns[home].findByKey(key)
+	rid, row, found, err = t.txns[home].FindByKey(key)
 	if err != nil || !found {
 		return 0, nil, false, err
 	}
@@ -388,33 +388,17 @@ func (t *STxn) UpdateByKey(key types.Row, col int, val types.Value) (bool, error
 	if t.done {
 		return false, ErrTxnDone
 	}
-	schema := t.s.schema
 	src := t.txns[t.s.ShardOf(key)]
-	if !schema.IsSortKeyCol(col) {
+	if !t.s.schema.IsSortKeyCol(col) {
 		return src.UpdateByKey(key, col, val)
 	}
-	_, row, found, err := src.findByKey(key)
+	rid, row, found, err := src.FindByKey(key)
 	if err != nil || !found {
 		return false, err
 	}
-	newRow := row.Clone()
-	newRow[col] = val
-	newKey := schema.KeyOf(newRow)
-	dst := t.txns[t.s.ShardOf(newKey)]
-	if dst == src {
-		return src.UpdateByKey(key, col, val)
-	}
-	// Uniqueness on the destination before the delete, so a collision rejects
-	// the update with the old row still in place.
-	if _, _, taken, err := dst.findByKey(newKey); err != nil {
-		return false, err
-	} else if taken {
-		return false, fmt.Errorf("txn: duplicate key %v", newKey)
-	}
-	if _, err := src.DeleteByKey(key); err != nil {
-		return false, err
-	}
-	return true, dst.Insert(newRow)
+	row[col] = val
+	err = src.rekey(rid, key, row, t.txns[t.s.ShardOf(t.s.schema.KeyOf(row))])
+	return err == nil, err
 }
 
 // ApplyBatch splits the batch by owning shard and applies each run with the

@@ -249,7 +249,7 @@ func TestShardedCrossShardConflict(t *testing.T) {
 	check := s.Begin()
 	defer check.Abort()
 	for _, key := range []int64{50, 350} {
-		_, row, found, err := check.txns[s.ShardOf(types.Row{types.Int(key)})].findByKey(types.Row{types.Int(key)})
+		_, row, found, err := check.txns[s.ShardOf(types.Row{types.Int(key)})].FindByKey(types.Row{types.Int(key)})
 		if err != nil || !found {
 			t.Fatalf("key %d: %v %v", key, found, err)
 		}

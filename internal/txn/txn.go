@@ -45,7 +45,6 @@ import (
 	"pdtstore/internal/pdt"
 	"pdtstore/internal/table"
 	"pdtstore/internal/types"
-	"pdtstore/internal/vector"
 	"pdtstore/internal/wal"
 )
 
@@ -423,40 +422,31 @@ func (t *Txn) PartitionScan(loKey, hiKey types.Row) (*engine.PartScan, error) {
 		}}, nil
 }
 
+// seek is the transaction's key probe: engine.Seek over the pinned image and
+// the full Equation 9 layer stack, plus any layers the caller stacks on top (a
+// statement's Query-PDT). cols names what to fetch of an exact hit beyond its
+// position; writes that only need a RID pass nil.
+func (t *Txn) seek(key types.Row, cols []int, above ...*pdt.PDT) (rid uint64, row types.Row, exact bool, err error) {
+	if t.done {
+		return 0, nil, false, ErrTxnDone
+	}
+	layers := append([]*pdt.PDT{t.ver.readPDT, t.frozen, t.writeSnap, t.trans}, above...)
+	return engine.Seek(t.ver.store, key, cols, layers...)
+}
+
 // FindByKey locates the visible tuple with the given (full) sort key in the
 // transaction's snapshot, returning its RID and current column values.
 func (t *Txn) FindByKey(key types.Row) (rid uint64, row types.Row, found bool, err error) {
-	return t.findByKey(key)
-}
-
-// findByKey locates a visible tuple in the transaction's view.
-func (t *Txn) findByKey(key types.Row) (rid uint64, row types.Row, found bool, err error) {
 	schema := t.mgr.tbl.Schema()
-	if len(key) != len(schema.SortKey) {
-		return 0, nil, false, fmt.Errorf("txn: need the full %d-column sort key", len(schema.SortKey))
-	}
 	cols := make([]int, schema.NumCols())
 	for i := range cols {
 		cols[i] = i
 	}
-	err = engine.Scan(t, cols...).Range(key, key).BatchSize(16).
-		Run(func(b *vector.Batch, sel []uint32) error {
-			for _, i := range sel {
-				cmp := b.CompareKey(key, schema.SortKey, int(i))
-				if cmp == 0 {
-					rid, row, found = b.Rids[i], b.Row(int(i)), true
-					return engine.Stop
-				}
-				if cmp < 0 {
-					return engine.Stop
-				}
-			}
-			return nil
-		})
-	if err != nil {
+	rid, row, found, err = t.seek(key, cols)
+	if err != nil || !found {
 		return 0, nil, false, err
 	}
-	return rid, row, found, nil
+	return rid, row, true, nil
 }
 
 // visibleRows returns the transaction's current row count.
@@ -470,31 +460,6 @@ func (t *Txn) visibleRows() uint64 {
 	return uint64(n)
 }
 
-// insertPosition finds the RID where key belongs in this transaction's view.
-func (t *Txn) insertPosition(key types.Row) (rid uint64, dup bool, err error) {
-	schema := t.mgr.tbl.Schema()
-	rid = t.visibleRows()
-	err = engine.Scan(t, schema.SortKey...).Range(key, nil).BatchSize(16).
-		Run(func(b *vector.Batch, sel []uint32) error {
-			for _, i := range sel {
-				cmp := b.CompareKey(key, nil, int(i))
-				if cmp == 0 {
-					rid, dup = b.Rids[i], true
-					return engine.Stop
-				}
-				if cmp < 0 {
-					rid = b.Rids[i]
-					return engine.Stop
-				}
-			}
-			return nil
-		})
-	if err != nil {
-		return 0, false, err
-	}
-	return rid, dup, nil
-}
-
 // Insert adds a tuple within the transaction.
 func (t *Txn) Insert(row types.Row) error {
 	if t.done {
@@ -505,7 +470,7 @@ func (t *Txn) Insert(row types.Row) error {
 		return err
 	}
 	key := schema.KeyOf(row)
-	rid, dup, err := t.insertPosition(key)
+	rid, _, dup, err := t.seek(key, nil)
 	if err != nil {
 		return err
 	}
@@ -517,14 +482,11 @@ func (t *Txn) Insert(row types.Row) error {
 
 // DeleteByKey removes the visible tuple with the given key.
 func (t *Txn) DeleteByKey(key types.Row) (bool, error) {
-	if t.done {
-		return false, ErrTxnDone
-	}
-	rid, row, found, err := t.findByKey(key)
+	rid, _, found, err := t.seek(key, nil)
 	if err != nil || !found {
 		return false, err
 	}
-	return true, t.trans.Delete(rid, t.mgr.tbl.Schema().KeyOf(row))
+	return true, t.trans.Delete(rid, key)
 }
 
 // UpdateByKey sets one column of the visible tuple with the given key.
@@ -532,31 +494,48 @@ func (t *Txn) DeleteByKey(key types.Row) (bool, error) {
 // uniqueness is validated before the delete, so a collision rejects the
 // update with the old row still in place.
 func (t *Txn) UpdateByKey(key types.Row, col int, val types.Value) (bool, error) {
-	if t.done {
-		return false, ErrTxnDone
+	if !t.mgr.tbl.Schema().IsSortKeyCol(col) {
+		// A positional modify needs the row's RID and none of its values.
+		rid, _, found, err := t.seek(key, nil)
+		if err != nil || !found {
+			return false, err
+		}
+		return true, t.trans.Modify(rid, col, val)
 	}
-	schema := t.mgr.tbl.Schema()
-	rid, row, found, err := t.findByKey(key)
+	rid, row, found, err := t.FindByKey(key)
 	if err != nil || !found {
 		return false, err
 	}
-	if schema.IsSortKeyCol(col) {
-		newRow := row.Clone()
-		newRow[col] = val
-		newKey := schema.KeyOf(newRow)
-		if types.CompareRows(newKey, key) != 0 {
-			if _, _, taken, err := t.findByKey(newKey); err != nil {
-				return false, err
-			} else if taken {
-				return false, fmt.Errorf("txn: duplicate key %v", newKey)
-			}
+	row[col] = val
+	err = t.rekey(rid, key, row, t)
+	return err == nil, err
+}
+
+// rekey moves the tuple at rid (whose sort key is key) to newRow's key: a
+// delete here plus an insert into dst — this transaction, or the sibling shard
+// transaction owning the new key. One probe of dst both proves the new key
+// free, before anything is written, and places the insert; the delete reuses
+// the caller's RID, and within one transaction shifts the insert left by one
+// when it lands past the deleted row.
+func (t *Txn) rekey(rid uint64, key, newRow types.Row, dst *Txn) error {
+	newKey := dst.mgr.tbl.Schema().KeyOf(newRow)
+	at := rid
+	if dst != t || types.CompareRows(newKey, key) != 0 {
+		var taken bool
+		var err error
+		if at, _, taken, err = dst.seek(newKey, nil); err != nil {
+			return err
+		} else if taken {
+			return fmt.Errorf("txn: duplicate key %v", newKey)
 		}
-		if _, err := t.DeleteByKey(key); err != nil {
-			return false, err
+		if dst == t && at > rid {
+			at--
 		}
-		return true, t.Insert(newRow)
 	}
-	return true, t.trans.Modify(rid, col, val)
+	if err := t.trans.Delete(rid, key); err != nil {
+		return err
+	}
+	return dst.trans.Insert(at, newRow)
 }
 
 // ApplyBatch applies a batch of inserts, deletes and updates within the

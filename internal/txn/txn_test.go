@@ -110,14 +110,14 @@ func TestReadYourOwnWrites(t *testing.T) {
 	if ok, err := tx.UpdateByKey(key, 1, types.Int(999)); err != nil || !ok {
 		t.Fatalf("update: %v %v", ok, err)
 	}
-	_, row, found, err := tx.findByKey(key)
+	_, row, found, err := tx.FindByKey(key)
 	if err != nil || !found || row[1].I != 999 {
 		t.Fatalf("own write invisible: %v %v %v", row, found, err)
 	}
 	if ok, err := tx.DeleteByKey(key); err != nil || !ok {
 		t.Fatalf("delete: %v %v", ok, err)
 	}
-	if _, _, found, _ := tx.findByKey(key); found {
+	if _, _, found, _ := tx.FindByKey(key); found {
 		t.Fatal("own delete invisible")
 	}
 	if err := tx.Insert(types.Row{types.Int(30), types.Int(7), types.Str("re")}); err != nil {
@@ -146,7 +146,7 @@ func TestWriteWriteConflictAborts(t *testing.T) {
 	// Loser's changes must not be visible.
 	check := m.Begin()
 	defer check.Abort()
-	_, row, _, _ := check.findByKey(key)
+	_, row, _, _ := check.FindByKey(key)
 	if row[1].I != 1 {
 		t.Fatalf("final value = %d, want winner's 1", row[1].I)
 	}
@@ -171,7 +171,7 @@ func TestDifferentColumnsReconcile(t *testing.T) {
 	}
 	check := m.Begin()
 	defer check.Abort()
-	_, row, _, _ := check.findByKey(key)
+	_, row, _, _ := check.FindByKey(key)
 	if row[1].I != 11 || row[2].S != "bb" {
 		t.Fatalf("reconciled row = %v", row)
 	}
@@ -222,7 +222,7 @@ func TestSortKeyUpdateCollisionKeepsOldRow(t *testing.T) {
 	if ok, err := tx.UpdateByKey(key, 0, types.Int(40)); err == nil {
 		t.Fatalf("colliding sort-key update accepted (ok=%v)", ok)
 	}
-	if _, _, found, err := tx.findByKey(key); err != nil || !found {
+	if _, _, found, err := tx.FindByKey(key); err != nil || !found {
 		t.Fatalf("old row lost after rejected update: found=%v err=%v", found, err)
 	}
 	if n := len(txnKeys(t, tx)); n != 10 {
@@ -232,7 +232,7 @@ func TestSortKeyUpdateCollisionKeepsOldRow(t *testing.T) {
 	if ok, err := tx.UpdateByKey(key, 0, types.Int(35)); err != nil || !ok {
 		t.Fatalf("legal sort-key update: %v", err)
 	}
-	if _, _, found, _ := tx.findByKey(types.Row{types.Int(35)}); !found {
+	if _, _, found, _ := tx.FindByKey(types.Row{types.Int(35)}); !found {
 		t.Fatal("moved row missing")
 	}
 }
