@@ -178,8 +178,8 @@ func BenchmarkFig19_TPCH(b *testing.B) {
 
 // BenchmarkScanPipeline measures the engine read pipeline on lineitem:
 // projected (2-column) vs full-width scans and the TPC-H Q1 scan path, with
-// allocs/op reported (cmd/pdtbench -fig scan sweeps the same cases and emits
-// BENCH_scan.json with the seed baseline for comparison).
+// allocs/op reported (benchmark/ records the same pipeline end to end as
+// q1_ms_p50, wide_mrows_per_s and engine.allocs_per_krow_*).
 func BenchmarkScanPipeline(b *testing.B) {
 	for _, mode := range []table.DeltaMode{table.ModeNone, table.ModePDT} {
 		db, err := tpch.Load(0.005, mode, true, 4096)

@@ -143,9 +143,9 @@ type CheckpointDecision struct {
 // swaps to the new chains (the commit point), and each WAL stream drops every
 // record its shard's image now contains. Commits keep flowing throughout —
 // they land in a side delta layer and stay in the log until the next
-// checkpoint. A sharded store streams its shards' images one at a time (each
-// shard's checkpoint is online independently) and commits them all with the
-// single manifest swap before truncating each stream below its own bar.
+// checkpoint. The shards' images stream one at a time (each shard's
+// checkpoint is online independently) and commit together with the single
+// manifest swap, before each stream is truncated below its own bar.
 func (db *DB) Checkpoint() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -161,22 +161,14 @@ func (db *DB) checkpointLocked(only []bool) error {
 	db.nextGen++
 	gen := db.nextGen
 	n := len(db.mgrs)
-	names := make([]string, n)
 	freeze := make([]uint64, n)
 	chains := make([][]string, n)
-	for i := range names {
-		if db.sharded == nil {
-			names[i] = segmentName(gen)
-		} else {
-			names[i] = shardSegmentName(gen, i)
-		}
-	}
 	first := true
 	for i := range db.mgrs {
 		if only != nil && !only[i] {
 			// Untouched shard: carry the previous chain and freeze bar.
-			freeze[i] = db.shardFreezeLSN(i)
-			chains[i] = db.shardChain(i)
+			freeze[i] = db.man.Shards[i].LSN
+			chains[i] = db.man.Shards[i].Chain()
 			continue
 		}
 		if !first {
@@ -186,12 +178,12 @@ func (db *DB) checkpointLocked(only []bool) error {
 		}
 		first = false
 		i := i
-		prevFreeze := db.shardFreezeLSN(i)
+		prevFreeze := db.man.Shards[i].LSN
 		var retired *colstore.Store
 		err := db.mgrs[i].CheckpointInto(func(lsn uint64, store *colstore.Store, deltas ...*pdt.PDT) (*colstore.Store, error) {
 			freeze[i] = lsn
 			retired = store
-			ns, err := db.buildShardImage(i, names[i], lsn-prevFreeze, store, deltas)
+			ns, err := db.buildShardImage(i, shardSegmentName(gen, i), lsn-prevFreeze, store, deltas)
 			if err != nil {
 				return nil, err
 			}
@@ -224,15 +216,9 @@ func (db *DB) checkpointLocked(only []bool) error {
 		}
 	}
 	prev := db.man
-	var man storage.Manifest
-	if db.sharded == nil {
-		man = storage.Manifest{Generation: gen, Segment: chains[0][len(chains[0])-1], Segments: chains[0], LSN: freeze[0]}
-	} else {
-		entries := make([]storage.ShardEntry, n)
-		for i := range entries {
-			entries[i] = storage.ShardEntry{Segment: chains[i][len(chains[i])-1], Segments: chains[i], LSN: freeze[i]}
-		}
-		man = storage.Manifest{Generation: gen, Shards: entries, Splits: prev.Splits}
+	man := storage.Manifest{Generation: gen, Shards: make([]storage.ShardEntry, n), Splits: prev.Splits}
+	for i := range man.Shards {
+		man.Shards[i] = storage.ShardEntry{Segment: chains[i][len(chains[i])-1], Segments: chains[i], LSN: freeze[i]}
 	}
 	if err := storage.WriteManifest(db.dir, man); err != nil {
 		return err
@@ -385,22 +371,6 @@ func (db *DB) reindex(ns *colstore.Store, prev *colstore.Store, ds *table.DirtyS
 	return nil
 }
 
-// shardFreezeLSN reads shard i's current manifest freeze bar under db.mu.
-func (db *DB) shardFreezeLSN(i int) uint64 {
-	if len(db.man.Shards) > 0 {
-		return db.man.Shards[i].LSN
-	}
-	return db.man.LSN
-}
-
-// shardChain reads shard i's current manifest segment chain under db.mu.
-func (db *DB) shardChain(i int) []string {
-	if len(db.man.Shards) > 0 {
-		return db.man.Shards[i].Chain()
-	}
-	return db.man.Chain()
-}
-
 // storeChainNames maps a store's segment chain to manifest file names.
 func storeChainNames(s *colstore.Store) []string {
 	segs := s.Segments()
@@ -417,7 +387,7 @@ func storeChainNames(s *colstore.Store) []string {
 // counts — each in-place modify dirties about one cell, and any insert or
 // delete shifts the image's tail, costed as half the image.
 func (db *DB) decideShard(i int) CheckpointDecision {
-	tail := db.mgrs[i].LSN() - db.shardFreezeLSN(i)
+	tail := db.mgrs[i].LSN() - db.man.Shards[i].LSN
 	total := db.tbls[i].Store().NumBlocks() * db.schema.NumCols()
 	d := CheckpointDecision{TailRecords: tail, TotalBlocks: total, Mode: "skip"}
 	if tail == 0 {

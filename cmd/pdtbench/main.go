@@ -1,36 +1,15 @@
 // Command pdtbench regenerates the paper's microbenchmark figures plus the
-// engine's scan-pipeline profile:
+// write-path and modeled-barrier commit profiles:
 //
 //	pdtbench -fig 16 [-max 1000000]          PDT maintenance cost vs size
 //	pdtbench -fig 17 [-n 1000000]            MergeScan scaling & key type
 //	pdtbench -fig 18 [-n 1000000]            single- vs multi-column keys
-//	pdtbench -fig scan [-json BENCH_scan.json] [-workers 1,2,4,8] [-prows 1000000]
-//	                                         engine scan throughput + allocs/op,
-//	                                         projected vs full-width, the
-//	                                         TPC-H Q1 scan path vs the seed,
-//	                                         and the morsel-parallel worker
-//	                                         sweep (cold GB/s with modeled
-//	                                         per-block read latency, hot GB/s,
-//	                                         speedup vs 1 worker)
 //	pdtbench -fig update [-json BENCH_update.json]
 //	                                         write-path profile: propagate
 //	                                         (bulk vs per-entry), commit+WAL,
 //	                                         txn batch vs per-op, checkpoint,
 //	                                         and update throughput for
 //	                                         PDT vs VDT vs in-place
-//	pdtbench -fig online [-json BENCH_update.json]
-//	                                         online maintenance: a steady
-//	                                         commit stream racing a concurrent
-//	                                         checkpoint vs the stop-the-world
-//	                                         baseline — commits/sec, mean
-//	                                         commit latency, max stall, and
-//	                                         checkpoint duration per mode
-//	pdtbench -fig recovery [-rows 20000] [-json BENCH_update.json]
-//	                                         durability: cold Open (manifest +
-//	                                         segment + WAL replay) time and
-//	                                         durable checkpoint cost vs WAL
-//	                                         tail length, plus fsynced commit
-//	                                         latency and log size per tail
 //	pdtbench -fig commit [-writers 1,8,64] [-commits 50] [-barriers 0,2000]
 //	                     [-shards 1,4] [-json BENCH_update.json]
 //	                                         group commit: commits/s, commit
@@ -45,10 +24,11 @@
 //	                                         vs the single-sequencer path
 //
 // Output is a plain-text table with one row per parameter combination,
-// mirroring the series of the corresponding figure; -fig scan and
-// -fig update additionally write machine-readable JSON reports, and
-// -fig online, -fig recovery and -fig commit merge their rows into the
-// update report's "online", "recovery" and "commit" sections.
+// mirroring the series of the corresponding figure; -fig update additionally
+// writes a machine-readable JSON report, and -fig commit merges its rows into
+// that report's "commit" sections. End-to-end scan, lookup, recovery and
+// online-maintenance numbers come from benchmark/ (bash benchmark/run.sh),
+// which checks every answer against an oracle.
 package main
 
 import (
@@ -67,19 +47,14 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "16", "figure to regenerate: 16, 17, 18 or scan")
+	fig := flag.String("fig", "16", "figure to regenerate: 16, 17, 18, update or commit")
 	n := flag.Int("n", 1_000_000, "table size for figures 17/18")
 	maxEntries := flag.Int("max", 1_000_000, "PDT size to grow to for figure 16")
 	fanout := flag.Int("fanout", 8, "PDT fan-out")
 	blockRows := flag.Int("blockrows", 8192, "values per column block")
-	sf := flag.Float64("sf", 0.01, "TPC-H scale factor for -fig scan")
-	jsonPath := flag.String("json", "", "write -fig scan results to this JSON file")
-	rows := flag.Int("rows", 0, "base table rows for -fig recovery (0 = default)")
-	tails := flag.String("tails", "", "comma-separated WAL tail lengths for -fig recovery")
+	jsonPath := flag.String("json", "", "merge -fig update / -fig commit results into this JSON file")
 	writers := flag.String("writers", "", "comma-separated writer counts for -fig commit")
 	shards := flag.String("shards", "", "comma-separated shard counts for -fig commit (default 1 = unsharded)")
-	workers := flag.String("workers", "", "comma-separated scan worker counts for -fig scan (default 1,2,4,8)")
-	prows := flag.Int("prows", 0, "table rows for the -fig scan parallel sweep (0 = 1M)")
 	commits := flag.Int("commits", 0, "commits per writer for -fig commit (0 = default)")
 	barriers := flag.String("barriers", "", "comma-separated barrier latencies in us for -fig commit (default 0,2000)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the figure run to this file")
@@ -123,16 +98,8 @@ func main() {
 		runFig17(*n, *blockRows)
 	case "18":
 		runFig18(*n, *blockRows)
-	case "scan":
-		runScan(*sf, *workers, *prows, *jsonPath)
-	case "lookup":
-		runLookup(*prows, *jsonPath)
 	case "update":
 		runUpdate(*jsonPath)
-	case "online":
-		runOnline(*jsonPath)
-	case "recovery":
-		runRecovery(*rows, *tails, *jsonPath)
 	case "commit":
 		runCommit(*writers, *barriers, *shards, *commits, *jsonPath)
 	default:
@@ -213,7 +180,7 @@ func currentHost() hostHeader {
 }
 
 // mergeReportSections rewrites the given top-level sections of a JSON report
-// file, preserving every other section (so -fig update and -fig online can
+// file, preserving every other section (so -fig update and -fig commit can
 // share BENCH_update.json without clobbering each other).
 func mergeReportSections(path string, sections map[string]any) error {
 	report := map[string]json.RawMessage{}
@@ -242,31 +209,6 @@ func mergeReportSections(path string, sections map[string]any) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func runOnline(jsonPath string) {
-	rows, err := bench.OnlineProfile(bench.OnlineConfig{})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pdtbench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("Online maintenance: commit stream vs concurrent checkpoint")
-	fmt.Printf("%-28s %12s %10s %14s %14s %14s\n",
-		"case", "mode", "commits/s", "mean commit us", "max stall ms", "checkpoint ms")
-	for _, r := range rows {
-		fmt.Printf("%-28s %12s %10.0f %14.1f %14.2f %14.2f\n",
-			r.Name, r.Mode, r.CommitsPerSec, r.MeanCommitUs, r.MaxStallMs, r.CheckpointMs)
-	}
-	if jsonPath == "" {
-		return
-	}
-	// Merge into the update report (BENCH_update.json gains an "online"
-	// section) without disturbing its other sections.
-	if err := mergeReportSections(jsonPath, map[string]any{"online": rows}); err != nil {
-		fmt.Fprintf(os.Stderr, "pdtbench: writing %s: %v\n", jsonPath, err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s\n", jsonPath)
 }
 
 func runCommit(writersCSV, barriersCSV, shardsCSV string, commitsPerWriter int, jsonPath string) {
@@ -326,174 +268,6 @@ func runCommit(writersCSV, barriersCSV, shardsCSV string, commitsPerWriter int, 
 		}
 	}
 	if err := mergeReportSections(jsonPath, map[string]any{section: rows}); err != nil {
-		fmt.Fprintf(os.Stderr, "pdtbench: writing %s: %v\n", jsonPath, err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s\n", jsonPath)
-}
-
-func runRecovery(rows int, tails, jsonPath string) {
-	cfg := bench.RecoveryConfig{Rows: rows}
-	if tails != "" {
-		for _, part := range strings.Split(tails, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "pdtbench: bad -tails value %q: %v\n", part, err)
-				os.Exit(2)
-			}
-			cfg.Tails = append(cfg.Tails, v)
-		}
-	}
-	pts, err := bench.RecoveryProfile(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pdtbench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("Durability: cold open/replay and checkpoint cost vs WAL tail length")
-	fmt.Printf("%12s %12s %10s %12s %14s %14s %14s %14s\n",
-		"tail commits", "WAL KB", "WAL files", "open ms", "checkpoint ms", "inc ckpt ms", "auto open ms", "commit us")
-	for _, p := range pts {
-		fmt.Printf("%12d %12.1f %10d %12.2f %14.2f %14.2f %14.2f %14.1f\n",
-			p.TailCommits, float64(p.WALBytes)/1024, p.WALFiles, p.OpenMs, p.CheckpointMs,
-			p.IncCheckpointMs, p.AutoOpenMs, p.CommitUs)
-	}
-	incCfg := bench.RecoveryIncConfig{}
-	if rows > 0 {
-		incCfg.Rows = rows * 10
-	}
-	incPts, err := bench.RecoveryIncrementalProfile(incCfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pdtbench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("Incremental checkpoints: cost vs dirtied fraction of a fixed image")
-	fmt.Printf("%10s %12s %12s %12s %13s %10s %10s %9s\n",
-		"dirty frac", "updated rows", "dirty blocks", "total blocks", "mode", "full ms", "inc ms", "speedup")
-	for _, p := range incPts {
-		fmt.Printf("%10g %12d %12d %12d %13s %10.2f %10.2f %8.1fx\n",
-			p.DirtyFrac, p.UpdatedRows, p.DirtyBlocks, p.TotalBlocks, p.Mode, p.FullMs, p.IncMs, p.Speedup)
-	}
-	if jsonPath == "" {
-		return
-	}
-	if err := mergeReportSections(jsonPath, map[string]any{
-		"recovery":             pts,
-		"recovery_incremental": incPts,
-	}); err != nil {
-		fmt.Fprintf(os.Stderr, "pdtbench: writing %s: %v\n", jsonPath, err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s\n", jsonPath)
-}
-
-// seedQ1Baseline records the TPC-H Q1 scan path as measured on the seed tree
-// (commit efd3739, before the engine refactor) with the same configuration
-// runScan uses (SF 0.01, compressed, 4096-row blocks, 2×0.001 refresh
-// streams), so regenerated reports keep the before/after comparison.
-var seedQ1Baseline = []bench.ScanAllocRow{
-	{Name: "tpch/Q1", Mode: "none", Rows: 60733, NsPerOp: 5692090, BytesPerOp: 4715219, AllocsPerOp: 60203},
-	{Name: "tpch/Q1", Mode: "PDT", Rows: 60731, NsPerOp: 6139847, BytesPerOp: 4802248, AllocsPerOp: 60224},
-}
-
-func runScan(sf float64, workersCSV string, prows int, jsonPath string) {
-	cfg := bench.ScanAllocConfig{SF: sf, BlockRows: 4096, Streams: 2, UpdateFrac: 0.001}
-	rows, err := bench.ScanAllocProfile(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pdtbench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("Engine scan pipeline: SF %g, projected vs full-width, hot buffer pool\n", sf)
-	fmt.Printf("%-26s %6s %6s %10s %12s %12s %12s\n",
-		"case", "mode", "cols", "rows/op", "ms/op", "Mrows/s", "allocs/op")
-	for _, r := range rows {
-		fmt.Printf("%-26s %6s %6d %10d %12.2f %12.1f %12d\n",
-			r.Name, r.Mode, r.Cols, r.Rows, r.NsPerOp/1e6, r.MRowsPerSec, r.AllocsPerOp)
-	}
-	// The seed baseline was measured at SF 0.01; at any other scale factor
-	// the numbers are not comparable, so it is omitted. The seed rows predate
-	// the throughput column; derive it from their recorded ns/op.
-	baseline := seedQ1Baseline
-	if sf != 0.01 {
-		baseline = nil
-	}
-	baseline = bench.FillThroughput(baseline)
-	for _, s := range baseline {
-		fmt.Printf("%-26s %6s %6s %10d %12.2f %12.1f %12d   (seed baseline)\n",
-			s.Name, s.Mode, "-", s.Rows, s.NsPerOp/1e6, s.MRowsPerSec, s.AllocsPerOp)
-	}
-
-	pcfg := bench.ParallelScanConfig{Tuples: prows}
-	if workersCSV != "" {
-		for _, part := range strings.Split(workersCSV, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || v < 1 {
-				fmt.Fprintf(os.Stderr, "pdtbench: bad -workers value %q\n", part)
-				os.Exit(2)
-			}
-			pcfg.Workers = append(pcfg.Workers, v)
-		}
-	}
-	prowsEff := pcfg.Tuples
-	if prowsEff == 0 {
-		prowsEff = 1_000_000
-	}
-	fmt.Printf("\nParallel scan sweep: %d rows, 4 data cols, cold = dropped caches + modeled per-block read latency\n", prowsEff)
-	prt, err := bench.ParallelScanProfile(pcfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pdtbench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("%6s %8s %12s %10s %8s %12s %10s %8s\n",
-		"mode", "workers", "cold ms", "cold GB/s", "x1", "hot ms", "hot GB/s", "x1")
-	for _, r := range prt {
-		fmt.Printf("%6s %8d %12.2f %10.3f %7.2fx %12.2f %10.3f %7.2fx\n",
-			r.Mode, r.Workers, r.ColdNS/1e6, r.ColdGBs, r.ColdSpeedup,
-			r.HotNS/1e6, r.HotGBs, r.HotSpeedup)
-	}
-
-	if jsonPath == "" {
-		return
-	}
-	if err := mergeReportSections(jsonPath, map[string]any{
-		"config":        cfg,
-		"seed_baseline": baseline,
-		"results":       rows,
-		"parallel":      prt,
-	}); err != nil {
-		fmt.Fprintf(os.Stderr, "pdtbench: writing %s: %v\n", jsonPath, err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s\n", jsonPath)
-}
-
-// runLookup records the access-path figure: selective-predicate cold latency
-// on the pruned (zone map / secondary index) path vs the full-scan path.
-func runLookup(prows int, jsonPath string) {
-	cfg := bench.LookupConfig{Tuples: prows}
-	rows, err := bench.LookupProfile(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pdtbench: %v\n", err)
-		os.Exit(1)
-	}
-	n := cfg.Tuples
-	if n == 0 {
-		n = 1_000_000
-	}
-	fmt.Printf("Selective lookup: %d rows, cold = dropped caches + modeled per-block read latency\n", n)
-	fmt.Printf("%-12s %8s %10s %12s %8s %8s %10s\n",
-		"case", "path", "rows", "cold ms", "zskip", "iskip", "speedup")
-	for _, r := range rows {
-		speedup := "-"
-		if r.SpeedupVsFull > 0 {
-			speedup = fmt.Sprintf("%.1fx", r.SpeedupVsFull)
-		}
-		fmt.Printf("%-12s %8s %10d %12.2f %8d %8d %10s\n",
-			r.Case, r.Path, r.Rows, r.ColdNS/1e6, r.ZoneSkips, r.IndexSkips, speedup)
-	}
-	if jsonPath == "" {
-		return
-	}
-	if err := mergeReportSections(jsonPath, map[string]any{"lookup": rows}); err != nil {
 		fmt.Fprintf(os.Stderr, "pdtbench: writing %s: %v\n", jsonPath, err)
 		os.Exit(1)
 	}

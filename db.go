@@ -1,37 +1,42 @@
 package pdtstore
 
 // Durable store lifecycle: Open(dir) either bootstraps a fresh store
-// directory or recovers one — load the MANIFEST's segment generation as the
-// stable image, replay the WAL tail past the manifest's LSN, and resume the
-// commit clock — and DB.Checkpoint makes the online checkpoint durable:
+// directory or recovers one — load each shard's segment chain from the
+// MANIFEST as its stable image, replay its WAL stream's tail past the shard's
+// freeze LSN, and resume the commit clock — and DB.Checkpoint makes the online
+// checkpoint durable:
 //
-//	stream image  →  fsync segment  →  swap MANIFEST  →  truncate WAL
+//	stream image(s)  →  fsync segment(s)  →  swap MANIFEST  →  truncate WAL(s)
 //
 // The manifest swap (an atomic rename) is the commit point. A crash anywhere
 // in that sequence recovers exactly the committed state: before the swap the
-// old manifest still pairs the old segment with the full log; after it the
-// new manifest's LSN tells recovery which log records the new image already
-// contains, so the untruncated tail cannot double-apply.
+// old manifest still pairs the old segments with the full logs; after it the
+// new manifest's freeze LSNs tell recovery which log records the new images
+// already contain, so an untruncated tail cannot double-apply.
 //
-// Sharded stores (Options.Shards > 1) generalize every piece per shard: the
-// manifest lists one segment and freeze LSN per shard plus the permanent
-// split keys, each shard owns a WAL stream directory, and recovery replays
-// the streams independently before reconciling them to one global commit
-// clock — wal.CompleteGroups drops cross-shard commits that only some
-// streams got (a crash between two shards' batch fsyncs), so reopen is
-// all-or-nothing per clock entry. Checkpoint streams the shards' images one
-// at a time and commits them with a single manifest swap: a crash between
-// two shards' builds loses nothing, because the old manifest still pairs the
-// old images with the full streams.
+// There is one store shape: N >= 1 key-range shards (Options.Shards; an
+// unsharded store is N = 1 with no split keys). The manifest lists one
+// segment chain and freeze LSN per shard plus the permanent split keys, each
+// shard owns a WAL stream directory, and recovery replays the streams
+// independently before reconciling them to one global commit clock —
+// wal.CompleteGroups drops cross-shard commits that only some streams got (a
+// crash between two shards' batch fsyncs), so reopen is all-or-nothing per
+// clock entry. Checkpoint streams the shards' images one at a time and commits
+// them with a single manifest swap: a crash between two shards' builds loses
+// nothing, because the old manifest still pairs the old images with the full
+// streams.
 //
 // Directory layout:
 //
 //	dir/
-//	  MANIFEST                     current generation + segment(s) + freeze LSN(s)
-//	  seg-<generation>.seg         stable image segments (one live, rest GC'd)
-//	  seg-<generation>-s<i>.seg    per-shard stable images (sharded stores)
-//	  wal/<seq>.wal                rotated commit log files (shard 0 when sharded)
+//	  MANIFEST                     current generation + per-shard chains and freeze LSNs
+//	  seg-<generation>-s<i>.seg    shard i's stable image segments (chain members live, rest GC'd)
+//	  wal/<seq>.wal                shard 0's rotated commit log files
 //	  wal-s<i>/<seq>.wal           shard i's commit log stream, i >= 1
+//
+// Directories written before every store carried a shard list hold a flat
+// manifest and seg-<generation>.seg files; storage.LoadManifest lifts the
+// manifest into the one-shard form and the next checkpoint rewrites both.
 
 import (
 	"fmt"
@@ -80,16 +85,18 @@ type Options struct {
 	Device *colstore.Device
 	// Shards splits the table into this many key-range shards, each with its
 	// own Write-PDT, group-commit sequencer and WAL stream sharing one global
-	// commit clock (0 or 1 = unsharded). Opening an existing unsharded store
-	// with Shards > 1 adopts it — the image is cut into per-shard segments —
-	// provided its WAL tail is empty (checkpoint first); changing the shard
-	// count of an already-sharded store is not supported.
+	// commit clock. 0 means "whatever the directory holds": one shard for a
+	// fresh store, the manifest's count for an existing one. Opening a
+	// one-shard store with Shards > 1 adopts the layout — the image is cut
+	// into per-shard segments — provided its WAL tail is empty (checkpoint
+	// first); any other change of an existing store's shard count is not
+	// supported.
 	Shards int
 	// ShardKeys are the Shards-1 ascending full-sort-key cuts. Required when
-	// bootstrapping a fresh sharded store (an empty image has no quantiles to
-	// cut at); optional when adopting an existing image, where nil selects
-	// row-count quantile cuts read off the image. Ignored for stores that are
-	// already sharded — the manifest's recorded splits are permanent.
+	// bootstrapping a fresh store with more than one shard (an empty image
+	// has no quantiles to cut at); optional when adopting an existing image,
+	// where nil selects row-count quantile cuts read off the image. Ignored
+	// once the manifest records splits — they are permanent.
 	ShardKeys []types.Row
 	// Checkpoint tunes incremental checkpoints and the background cost-model
 	// scheduler. The zero value selects the defaults (incremental allowed,
@@ -107,11 +114,10 @@ type Options struct {
 	IndexColumns []int
 }
 
-// Tx is the store's unified transaction interface, returned by DB.Begin for
-// sharded and unsharded stores alike: *txn.Txn implements it over a single
-// manager, *txn.STxn over the shard coordinator (pinning a consistent
-// per-shard snapshot vector and routing each operation to the owning shard).
-// Callers never branch on the store's shard layout.
+// Tx is the store's transaction interface, returned by DB.Begin. It is
+// implemented by *txn.STxn over the shard coordinator, which pins a consistent
+// per-shard snapshot vector and routes each operation to the owning shard —
+// with one shard, a vector of one and no routing to do.
 type Tx interface {
 	// Schema returns the table schema.
 	Schema() *types.Schema
@@ -149,8 +155,7 @@ type DB struct {
 	opts   Options
 	schema *types.Schema
 	dev    *colstore.Device
-	// One entry per shard; unsharded stores are the one-element case with
-	// sharded == nil (no coordinator, manifest keeps the flat form).
+	// One entry per shard, coordinated by sharded.
 	tbls    []*table.Table
 	mgrs    []*txn.Manager
 	logs    []*wal.FileLog
@@ -197,7 +202,7 @@ const (
 	// names the previous generation's chain.
 	faultMidBlockMapWrite = "mid-block-map-write"
 	// faultBetweenShardCheckpoints fires before each shard's image build
-	// except the first (sharded stores only): some shards have already
+	// except the first (so never with one shard): some shards have already
 	// streamed and installed their new images, the rest have not, and the
 	// manifest still pairs the old images with the full WAL streams.
 	faultBetweenShardCheckpoints = "between-shard-checkpoints"
@@ -215,14 +220,12 @@ const (
 	faultPostSwapPreTruncate = "post-swap-pre-truncate"
 )
 
-func segmentName(gen uint64) string { return fmt.Sprintf("seg-%016x.seg", gen) }
-
 func shardSegmentName(gen uint64, shard int) string {
 	return fmt.Sprintf("seg-%016x-s%d.seg", gen, shard)
 }
 
-// shardWalDir keeps shard 0 on the unsharded stream name so adopting a
-// sharded layout inherits the existing log untouched.
+// shardWalDir keeps shard 0 on the plain "wal" name: a one-shard store's
+// stream stays where it is when the store adopts more shards.
 func shardWalDir(shard int) string {
 	if shard == 0 {
 		return "wal"
@@ -231,14 +234,13 @@ func shardWalDir(shard int) string {
 }
 
 // Open opens or creates a durable store at dir and recovers its committed
-// state: the manifest's segment generation becomes the stable image (blocks
-// pread lazily through the buffer pool), the WAL tail beyond the manifest's
-// LSN is replayed into the Write-PDT, and the commit clock resumes the
-// pre-crash sequence. A torn final WAL record (crash mid-append) is truncated
-// away; every earlier record is applied exactly once. For a sharded store the
-// same contract holds per shard, plus cross-shard atomicity: a commit clock
-// entry whose record is missing from any participant stream is dropped from
-// all of them.
+// state: each shard's segment chain in the manifest becomes its stable image
+// (blocks pread lazily through the buffer pool), the tail of its WAL stream
+// beyond its freeze LSN is replayed into the Write-PDT, and the commit clock
+// resumes the pre-crash sequence. A torn final WAL record (crash mid-append)
+// is truncated away; every earlier record is applied exactly once — except a
+// cross-shard commit whose record is missing from any participant stream,
+// which is dropped from all of them.
 func Open(dir string, opts Options) (*DB, error) {
 	ckpt, err := opts.Checkpoint.normalize()
 	if err != nil {
@@ -251,9 +253,17 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
+	var stores []*colstore.Store
+	var logs []*wal.FileLog
 	opened := false
 	defer func() {
 		if !opened {
+			for _, l := range logs {
+				if l != nil {
+					l.Close()
+				}
+			}
+			closeStores(stores)
 			unlockDir(lock)
 		}
 	}()
@@ -265,102 +275,25 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := opts.Shards
-	if n < 1 {
-		n = 1
-	}
-	var stores []*colstore.Store
-	var splits []types.Row
-	closeStores := func() {
-		for _, s := range stores {
-			if s != nil {
-				s.Close()
-			}
-		}
-	}
 	switch {
-	case found && len(man.Shards) > 0:
-		// Already sharded: the manifest's layout wins; Options.Shards may
-		// only agree with it.
-		if opts.Shards > 1 && opts.Shards != len(man.Shards) {
-			return nil, fmt.Errorf("pdtstore: store at %s has %d shards; re-sharding to %d is not supported", dir, len(man.Shards), opts.Shards)
-		}
-		n = len(man.Shards)
-		splits = man.Splits
-		stores = make([]*colstore.Store, n)
-		for i, sh := range man.Shards {
-			stores[i], err = openChain(dir, sh.Chain(), dev, opts.Schema)
-			if err != nil {
-				closeStores()
-				return nil, fmt.Errorf("pdtstore: open shard %d segment generation %d: %w", i, man.Generation, err)
-			}
-		}
-	case found:
-		store, err := openChain(dir, man.Chain(), dev, opts.Schema)
-		if err != nil {
-			return nil, fmt.Errorf("pdtstore: open segment generation %d: %w", man.Generation, err)
-		}
-		if n > 1 {
-			stores, splits, man, err = adoptShards(dir, man, opts, dev, store, n)
-			store.Close()
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			stores = []*colstore.Store{store}
-		}
-	case n > 1:
-		// Fresh sharded bootstrap: n empty per-shard images at generation 1.
-		if opts.Schema == nil {
-			return nil, fmt.Errorf("pdtstore: creating a new store at %s requires Options.Schema", dir)
-		}
-		if len(opts.ShardKeys) != n-1 {
-			return nil, fmt.Errorf("pdtstore: bootstrapping %d shards requires %d Options.ShardKeys cuts, got %d", n, n-1, len(opts.ShardKeys))
-		}
-		splits = opts.ShardKeys
-		stores = make([]*colstore.Store, n)
-		entries := make([]storage.ShardEntry, n)
-		for i := range stores {
-			name := shardSegmentName(1, i)
-			b, err := colstore.NewFileBuilder(opts.Schema, dev, opts.BlockRows, opts.Compressed, filepath.Join(dir, name))
-			if err != nil {
-				closeStores()
-				return nil, err
-			}
-			stores[i], err = b.Finish()
-			if err != nil {
-				closeStores()
-				return nil, err
-			}
-			entries[i] = storage.ShardEntry{Segment: name}
-		}
-		man = storage.Manifest{Generation: 1, Shards: entries, Splits: splits}
-		if err := storage.WriteManifest(dir, man); err != nil {
-			closeStores()
-			return nil, err
-		}
+	case !found:
+		stores, man, err = bootstrap(dir, opts, dev)
+	case opts.Shards > 1 && len(man.Shards) == 1:
+		stores, man, err = adoptShards(dir, man, opts, dev)
+	case opts.Shards > 1 && opts.Shards != len(man.Shards):
+		// The manifest's layout wins; Options.Shards may only agree with it.
+		err = fmt.Errorf("pdtstore: store at %s has %d shards; re-sharding to %d is not supported", dir, len(man.Shards), opts.Shards)
 	default:
-		if opts.Schema == nil {
-			return nil, fmt.Errorf("pdtstore: creating a new store at %s requires Options.Schema", dir)
+		stores = make([]*colstore.Store, len(man.Shards))
+		for i, sh := range man.Shards {
+			if stores[i], err = openChain(dir, sh.Chain(), dev, opts.Schema); err != nil {
+				err = fmt.Errorf("pdtstore: open shard %d segment generation %d: %w", i, man.Generation, err)
+				break
+			}
 		}
-		// Bootstrap: generation 1 is an empty, durable image. If the process
-		// dies between segment and manifest, the next Open simply bootstraps
-		// again over the stray file.
-		name := segmentName(1)
-		b, err := colstore.NewFileBuilder(opts.Schema, dev, opts.BlockRows, opts.Compressed, filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		store, err := b.Finish()
-		if err != nil {
-			return nil, err
-		}
-		man = storage.Manifest{Generation: 1, Segment: name, LSN: 0}
-		if err := storage.WriteManifest(dir, man); err != nil {
-			store.Close()
-			return nil, err
-		}
-		stores = []*colstore.Store{store}
+	}
+	if err != nil {
+		return nil, err
 	}
 	gcStraySegments(dir, manifestSegments(man))
 
@@ -368,39 +301,25 @@ func Open(dir string, opts Options) (*DB, error) {
 	// carry them forward (shared), Rebuild them (incremental) or Build them
 	// afresh (full). Built here last so every Open branch is covered.
 	if len(opts.IndexColumns) > 0 {
-		for i := range stores {
-			idx, err := index.Build(stores[i], opts.IndexColumns)
+		for _, st := range stores {
+			idx, err := index.Build(st, opts.IndexColumns)
 			if err != nil {
-				closeStores()
 				return nil, fmt.Errorf("pdtstore: build secondary index: %w", err)
 			}
-			stores[i].SetAux(idx)
+			st.SetAux(idx)
 		}
 	}
 
+	n := len(stores)
 	// Per-shard base LSNs: records at or below a shard's bar were
 	// materialized into its image before the manifest swapped.
 	bases := make([]uint64, n)
-	if len(man.Shards) > 0 {
-		for i, sh := range man.Shards {
-			bases[i] = sh.LSN
-		}
-	} else {
-		bases[0] = man.LSN
-	}
-
 	tbls := make([]*table.Table, n)
-	logs := make([]*wal.FileLog, n)
+	logs = make([]*wal.FileLog, n)
 	streams := make([][]wal.Record, n)
-	closeLogs := func() {
-		for _, l := range logs {
-			if l != nil {
-				l.Close()
-			}
-		}
-	}
 	for i := range stores {
-		tbl, err := table.FromStore(stores[i], table.Options{
+		bases[i] = man.Shards[i].LSN
+		tbls[i], err = table.FromStore(stores[i], table.Options{
 			Mode:       table.ModePDT,
 			BlockRows:  opts.BlockRows,
 			Compressed: opts.Compressed,
@@ -408,44 +327,33 @@ func Open(dir string, opts Options) (*DB, error) {
 			Device:     dev,
 		})
 		if err != nil {
-			closeLogs()
-			closeStores()
 			return nil, err
 		}
-		tbls[i] = tbl
-		flog, records, err := wal.OpenFileLog(filepath.Join(dir, shardWalDir(i)))
+		logs[i], streams[i], err = wal.OpenFileLog(filepath.Join(dir, shardWalDir(i)))
 		if err != nil {
-			closeLogs()
-			closeStores()
 			return nil, err
 		}
 		// The clock must sit at the max of the manifest's freeze LSN and the
 		// last log record: a fully truncated log must not rewind it below the
 		// checkpoint, or post-recovery commits would reuse spent LSNs.
-		if bases[i] > flog.LSN() {
-			flog.SetLSN(bases[i])
+		if bases[i] > logs[i].LSN() {
+			logs[i].SetLSN(bases[i])
 		}
-		logs[i] = flog
-		streams[i] = records
 	}
-	if n > 1 {
-		// Cross-shard atomicity: a commit clock entry missing from any
-		// participant stream (crash between two shards' batch fsyncs, or
-		// a torn tail on one stream) never installed anywhere — drop it
-		// from every stream.
-		streams = wal.CompleteGroups(streams, bases)
-	}
+	// Cross-shard atomicity: a commit clock entry missing from any
+	// participant stream (crash between two shards' batch fsyncs, or a torn
+	// tail on one stream) never installed anywhere — drop it from every
+	// stream.
+	streams = wal.CompleteGroups(streams, bases)
 	mgrs := make([]*txn.Manager, n)
 	for i := range stores {
-		mgr, err := txn.NewManager(tbls[i], txn.Options{
+		mgrs[i], err = txn.NewManager(tbls[i], txn.Options{
 			WriteBudget:    opts.WriteBudget,
 			Log:            logs[i],
 			MaxCommitBatch: opts.MaxCommitBatch,
 			MaxCommitDelay: opts.MaxCommitDelay,
 		})
 		if err != nil {
-			closeLogs()
-			closeStores()
 			return nil, err
 		}
 		// Replay only the records the checkpointed image does not already
@@ -458,26 +366,18 @@ func Open(dir string, opts Options) (*DB, error) {
 				tail = append(tail, rec)
 			}
 		}
-		if err := mgr.Recover(tail); err != nil {
-			closeLogs()
-			closeStores()
+		if err := mgrs[i].Recover(tail); err != nil {
 			return nil, fmt.Errorf("pdtstore: WAL replay shard %d: %w", i, err)
 		}
-		mgrs[i] = mgr
 	}
-	var sharded *txn.Sharded
-	if n > 1 {
-		sharded, err = txn.NewSharded(mgrs, splits)
-		if err != nil {
-			closeLogs()
-			closeStores()
-			return nil, err
-		}
-		// Reconcile to the global clock: every shard's freeze bar is a spent
-		// LSN even when its stream was fully truncated.
-		for _, b := range bases {
-			sharded.RaiseClock(b)
-		}
+	sharded, err := txn.NewSharded(mgrs, man.Splits)
+	if err != nil {
+		return nil, err
+	}
+	// Reconcile to the global clock: every shard's freeze bar is a spent LSN
+	// even when its stream was fully truncated.
+	for _, b := range bases {
+		sharded.RaiseClock(b)
 	}
 	db := &DB{
 		dir:      dir,
@@ -503,58 +403,97 @@ func Open(dir string, opts Options) (*DB, error) {
 	return db, nil
 }
 
-// adoptShards converts an existing unsharded image to a sharded layout:
-// stream the image into per-shard segments cut at the split keys, then swap a
-// sharded manifest naming them (the adopt commit point). The WAL tail past the
-// manifest's freeze LSN must be empty — tail records live on one stream and
-// cannot be re-routed — so callers checkpoint first. A crash before the swap
-// leaves the unsharded manifest intact and the partial shard segments as
-// strays for GC.
-func adoptShards(dir string, man storage.Manifest, opts Options, dev *colstore.Device, store *colstore.Store, n int) ([]*colstore.Store, []types.Row, storage.Manifest, error) {
-	flog, records, err := wal.OpenFileLog(filepath.Join(dir, "wal"))
+func closeStores(stores []*colstore.Store) {
+	for _, s := range stores {
+		if s != nil {
+			s.Close()
+		}
+	}
+}
+
+// bootstrap creates a fresh store: generation 1 is one empty, durable image
+// per shard. If the process dies between the segments and the manifest, the
+// next Open simply bootstraps again over the stray files.
+func bootstrap(dir string, opts Options, dev *colstore.Device) ([]*colstore.Store, storage.Manifest, error) {
+	if opts.Schema == nil {
+		return nil, storage.Manifest{}, fmt.Errorf("pdtstore: creating a new store at %s requires Options.Schema", dir)
+	}
+	n := max(opts.Shards, 1)
+	if len(opts.ShardKeys) != n-1 {
+		return nil, storage.Manifest{}, fmt.Errorf("pdtstore: bootstrapping %d shards requires %d Options.ShardKeys cuts, got %d", n, n-1, len(opts.ShardKeys))
+	}
+	stores := make([]*colstore.Store, n)
+	man := storage.Manifest{Generation: 1, Shards: make([]storage.ShardEntry, n), Splits: opts.ShardKeys}
+	for i := range stores {
+		name := shardSegmentName(1, i)
+		b, err := colstore.NewFileBuilder(opts.Schema, dev, opts.BlockRows, opts.Compressed, filepath.Join(dir, name))
+		if err != nil {
+			closeStores(stores)
+			return nil, storage.Manifest{}, err
+		}
+		if stores[i], err = b.Finish(); err != nil {
+			closeStores(stores)
+			return nil, storage.Manifest{}, err
+		}
+		man.Shards[i] = storage.ShardEntry{Segment: name}
+	}
+	if err := storage.WriteManifest(dir, man); err != nil {
+		closeStores(stores)
+		return nil, storage.Manifest{}, err
+	}
+	return stores, man, nil
+}
+
+// adoptShards converts a one-shard store to opts.Shards shards: stream the
+// image into per-shard segments cut at the split keys, then swap a manifest
+// naming them (the adopt commit point). The WAL tail past the manifest's
+// freeze LSN must be empty — tail records live on one stream and cannot be
+// re-routed — so callers checkpoint first. A crash before the swap leaves the
+// one-shard manifest intact and the partial shard segments as strays for GC.
+func adoptShards(dir string, man storage.Manifest, opts Options, dev *colstore.Device) ([]*colstore.Store, storage.Manifest, error) {
+	n, old := opts.Shards, man.Shards[0]
+	store, err := openChain(dir, old.Chain(), dev, opts.Schema)
 	if err != nil {
-		return nil, nil, man, err
+		return nil, man, fmt.Errorf("pdtstore: open segment generation %d: %w", man.Generation, err)
+	}
+	defer store.Close()
+	flog, records, err := wal.OpenFileLog(filepath.Join(dir, shardWalDir(0)))
+	if err != nil {
+		return nil, man, err
 	}
 	flog.Close()
 	for _, rec := range records {
-		if rec.LSN > man.LSN {
-			return nil, nil, man, fmt.Errorf("pdtstore: adopting a %d-shard layout requires an empty WAL tail (LSN %d past freeze %d): checkpoint before re-opening with Shards", n, rec.LSN, man.LSN)
+		if rec.LSN > old.LSN {
+			return nil, man, fmt.Errorf("pdtstore: adopting a %d-shard layout requires an empty WAL tail (LSN %d past freeze %d): checkpoint before re-opening with Shards", n, rec.LSN, old.LSN)
 		}
 	}
 	keys := opts.ShardKeys
 	if keys == nil {
 		if keys, err = table.ShardCuts(store, n); err != nil {
-			return nil, nil, man, err
+			return nil, man, err
 		}
 	} else if len(keys) != n-1 {
-		return nil, nil, man, fmt.Errorf("pdtstore: %d shards need %d Options.ShardKeys cuts, got %d", n, n-1, len(keys))
+		return nil, man, fmt.Errorf("pdtstore: %d shards need %d Options.ShardKeys cuts, got %d", n, n-1, len(keys))
 	}
 	gen := man.Generation + 1
-	names := make([]string, n)
-	for i := range names {
-		names[i] = shardSegmentName(gen, i)
+	newMan := storage.Manifest{Generation: gen, Shards: make([]storage.ShardEntry, n), Splits: keys}
+	for i := range newMan.Shards {
+		newMan.Shards[i] = storage.ShardEntry{Segment: shardSegmentName(gen, i), LSN: old.LSN}
 	}
 	stores, err := table.SplitStore(store, keys, func(i int) (*colstore.Builder, error) {
-		return colstore.NewFileBuilder(store.Schema(), dev, opts.BlockRows, opts.Compressed, filepath.Join(dir, names[i]))
+		return colstore.NewFileBuilder(store.Schema(), dev, opts.BlockRows, opts.Compressed, filepath.Join(dir, newMan.Shards[i].Segment))
 	})
 	if err != nil {
-		return nil, nil, man, err
+		return nil, man, err
 	}
-	entries := make([]storage.ShardEntry, n)
-	for i := range entries {
-		entries[i] = storage.ShardEntry{Segment: names[i], LSN: man.LSN}
-	}
-	newMan := storage.Manifest{Generation: gen, Shards: entries, Splits: keys}
 	if err := storage.WriteManifest(dir, newMan); err != nil {
-		for _, s := range stores {
-			s.Close()
-		}
-		return nil, nil, man, err
+		closeStores(stores)
+		return nil, man, err
 	}
-	for _, nm := range man.Chain() {
+	for _, nm := range old.Chain() {
 		os.Remove(filepath.Join(dir, nm))
 	}
-	return stores, keys, newMan, nil
+	return stores, newMan, nil
 }
 
 // openChain opens a manifest segment chain (oldest generation first) into one
@@ -599,67 +538,9 @@ func (db *DB) Dir() string { return db.dir }
 // Shards returns the shard count (1 for an unsharded store).
 func (db *DB) Shards() int { return len(db.mgrs) }
 
-// Sharded returns the shard coordinator, or nil for an unsharded store.
-// Sharded DBs begin transactions through it: Sharded().Begin() pins a
-// consistent vector of per-shard snapshots.
-func (db *DB) Sharded() *txn.Sharded { return db.sharded }
-
-// Table returns the underlying table (reads and plans build over it); nil for
-// a sharded store, whose per-shard tables are Sharded().Shard(i) territory.
-// Direct table reads always track the newest installed version and are not
-// pinned: once a checkpoint supersedes a stable image, its descriptor is
-// closed as soon as the last pinned *transaction* releases it, so a direct
-// scan that must survive concurrent maintenance should run through Begin
-// (which pins the version for the transaction's lifetime) instead.
-func (db *DB) Table() *table.Table {
-	if db.sharded != nil {
-		return nil
-	}
-	return db.tbls[0]
-}
-
-// Manager returns the transaction manager; nil for a sharded store.
-//
-// Deprecated: Manager leaks the internal txn layer and forces callers to
-// branch on the shard layout. Use Begin for transactions and Stats for
-// observability.
-func (db *DB) Manager() *txn.Manager {
-	if db.sharded != nil {
-		return nil
-	}
-	return db.mgrs[0]
-}
-
-// Begin starts a snapshot-isolated transaction on any store: a sharded DB
-// pins a consistent vector of per-shard snapshots through the coordinator, an
-// unsharded one pins its single manager's snapshot. Both satisfy Tx.
-func (db *DB) Begin() Tx {
-	if db.sharded != nil {
-		return db.sharded.Begin()
-	}
-	return db.mgrs[0].Begin()
-}
-
-// Log returns the durable commit log; shard 0's stream on a sharded store.
-//
-// Deprecated: Log leaks the internal wal layer. Use Stats, which reports the
-// tail length, byte size and file count of every shard's stream.
-func (db *DB) Log() *wal.FileLog { return db.logs[0] }
-
-// ShardLog returns shard i's commit log stream.
-//
-// Deprecated: see Log; use Stats.
-func (db *DB) ShardLog(i int) *wal.FileLog { return db.logs[i] }
-
-// Manifest returns the current durable manifest.
-//
-// Deprecated: Manifest leaks the internal storage layer. Use Stats, which
-// reports the generation and the live segment chains.
-func (db *DB) Manifest() storage.Manifest {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.man
-}
+// Begin starts a snapshot-isolated transaction: the coordinator pins a
+// consistent vector of per-shard snapshots for the transaction's lifetime.
+func (db *DB) Begin() Tx { return db.sharded.Begin() }
 
 // Close stops the background checkpoint scheduler and waits for background
 // maintenance, then releases the log and every file-backed image. It reports
@@ -737,10 +618,7 @@ func (db *DB) injectFault(point string) error {
 // manifestSegments is the set of segment file names a manifest pins — every
 // member of every shard's generation chain, not just the newest.
 func manifestSegments(m storage.Manifest) map[string]bool {
-	keep := make(map[string]bool, len(m.Shards)+1)
-	for _, nm := range m.Chain() {
-		keep[nm] = true
-	}
+	keep := make(map[string]bool, len(m.Shards))
 	for _, sh := range m.Shards {
 		for _, nm := range sh.Chain() {
 			keep[nm] = true

@@ -150,73 +150,24 @@ func TestEmptyDeltaCheckpointShares(t *testing.T) {
 // references, and GC after the swap — and requires recovery to reconstruct
 // exactly the committed state off the old manifest (or the new one, past the
 // swap).
-func TestIncrementalCrashPoints(t *testing.T) {
-	points := []string{faultMidBlockMapWrite, faultPreSwapMixedGen, faultPostSwapPreGC}
-	for _, point := range points {
-		t.Run(point, func(t *testing.T) {
-			dir := t.TempDir()
-			m := model{}
-			db := openTestDB(t, dir)
-			commitInserts(t, db, m, 0, 640)
-			if err := db.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			commitUpdates(t, db, m, 3, 70, 200) // modify-only: incremental path
-
-			errBoom := errors.New("injected crash: " + point)
-			fired := false
-			db.fault = func(p string) error {
-				if p == point {
-					fired = true
-					return errBoom
-				}
-				return nil
-			}
-			if err := db.Checkpoint(); !errors.Is(err, errBoom) {
-				t.Fatalf("Checkpoint through the fault = %v", err)
-			}
-			if !fired {
-				t.Fatalf("fault point %s never fired", point)
-			}
-			db.crash()
-
-			db2 := openTestDB(t, dir)
-			checkState(t, db2, m)
-			// The interrupted attempt left no half-GC'd chain: every segment
-			// the manifest names is openable, strays are gone, and the next
-			// incremental checkpoint completes.
-			commitUpdates(t, db2, m, 130)
-			if err := db2.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			if err := db2.Close(); err != nil {
-				t.Fatal(err)
-			}
-			db3 := openTestDB(t, dir)
-			defer db3.Close()
-			checkState(t, db3, m)
-		})
-	}
-}
+func TestIncrementalCrashPoints(t *testing.T) { testIncrementalCrashPoints(t, 1) }
 
 // TestShardedIncrementalCheckpointCrashPoints drives the same three cuts on a
 // 4-shard store, where the manifest swap commits four chains at once.
-func TestShardedIncrementalCheckpointCrashPoints(t *testing.T) {
+func TestShardedIncrementalCheckpointCrashPoints(t *testing.T) { testIncrementalCrashPoints(t, 4) }
+
+func testIncrementalCrashPoints(t *testing.T, shards int) {
 	points := []string{faultMidBlockMapWrite, faultPreSwapMixedGen, faultPostSwapPreGC}
 	for _, point := range points {
 		t.Run(point, func(t *testing.T) {
 			dir := t.TempDir()
-			db := openShardDB(t, dir, 4)
+			db := openShardDB(t, dir, shards)
 			m := model{}
-			var keys []int64
-			for k := int64(0); k < 1000; k += 5 {
-				keys = append(keys, k)
-			}
-			sCommitInserts(t, db, m, keys...)
+			commitInserts(t, db, m, 0, 1000) // four blocks of 64 per shard at least
 			if err := db.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
-			commitUpdates(t, db, m, 10, 300, 550, 800) // one modify per shard
+			commitUpdates(t, db, m, 10, 300, 550, 800) // modify-only, one per quarter: incremental path
 
 			errBoom := errors.New("injected crash: " + point)
 			fired := false
@@ -235,8 +186,11 @@ func TestShardedIncrementalCheckpointCrashPoints(t *testing.T) {
 			}
 			db.crash()
 
-			db = openShardDB(t, dir, 4)
-			sCheckState(t, db, m)
+			db = openShardDB(t, dir, shards)
+			checkState(t, db, m)
+			// The interrupted attempt left no half-GC'd chain: every segment
+			// the manifest names is openable, strays are gone, and the next
+			// incremental checkpoint completes.
 			commitUpdates(t, db, m, 15, 305)
 			if err := db.Checkpoint(); err != nil {
 				t.Fatal(err)
@@ -244,9 +198,9 @@ func TestShardedIncrementalCheckpointCrashPoints(t *testing.T) {
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
-			db = openShardDB(t, dir, 4)
+			db = openShardDB(t, dir, shards)
 			defer db.Close()
-			sCheckState(t, db, m)
+			checkState(t, db, m)
 		})
 	}
 }
@@ -269,12 +223,8 @@ func testEquivalence(t *testing.T, shards int) {
 	rng := rand.New(rand.NewSource(42 + int64(shards)))
 	open := func(dir string, ckpt CheckpointOptions) *DB {
 		t.Helper()
-		opts := Options{Schema: dbSchema, BlockRows: 64, Compressed: true, Checkpoint: ckpt}
-		if shards > 1 {
-			opts.Shards = shards
-			opts.ShardKeys = shardTestCuts[:shards-1]
-		}
-		db, err := Open(dir, opts)
+		db, err := Open(dir, Options{Schema: dbSchema, BlockRows: 64, Compressed: true, Checkpoint: ckpt,
+			Shards: shards, ShardKeys: shardTestCuts[:shards-1]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -435,8 +385,8 @@ func TestCheckpointOptionsValidation(t *testing.T) {
 	checkState(t, db, m)
 }
 
-// TestStatsSnapshot sanity-checks the Stats surface the deprecated accessors
-// were replaced with.
+// TestStatsSnapshot sanity-checks the Stats surface: the only window into the
+// store's clock, WAL and segment chains.
 func TestStatsSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	db := openTestDB(t, dir)
@@ -519,7 +469,7 @@ func TestSharedSegmentRefcount(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	base := db.Table().Store().Segment() // gen-2 flat segment
+	base := db.tbls[0].Store().Segment() // gen-2 flat segment
 	long := db.Begin()                   // pins the gen-2 store
 
 	commitUpdates(t, db, m, 3)

@@ -415,7 +415,7 @@ func TestPrunedScanDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			check("final")
-			sCheckState(t, db, m)
+			checkState(t, db, m)
 		})
 	}
 }

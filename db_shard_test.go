@@ -1,26 +1,24 @@
 package pdtstore
 
-// Kill-and-reopen crash tests for sharded stores: per-shard WAL streams, one
+// Kill-and-reopen crash tests across shard counts: per-shard WAL streams, one
 // global commit clock, and the cross-shard cut points. The harness holds at
 // every seam — between two shards' WAL appends of one cross-shard commit
 // (only some streams got their record: reopen must drop the commit from all
 // of them), between the in-memory installs (every stream has the record:
 // reopen must surface the commit whole), and at every fault point of the
-// sharded checkpoint sequence, including between two shards' image builds.
+// checkpoint sequence at 1 and 4 shards, including between two shards' image
+// builds.
 
 import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
-	"pdtstore/internal/engine"
 	"pdtstore/internal/table"
 	"pdtstore/internal/txn"
 	"pdtstore/internal/types"
-	"pdtstore/internal/vector"
 	"pdtstore/internal/wal"
 )
 
@@ -62,52 +60,6 @@ func sCommitInserts(t *testing.T, db *DB, m model, keys ...int64) {
 	}
 }
 
-// sReadAll scans the full committed state through a fresh sharded
-// transaction (globally consecutive RIDs, shards concatenated in key order).
-func sReadAll(t *testing.T, db *DB) model {
-	t.Helper()
-	tx := db.Begin()
-	defer tx.Abort()
-	got := model{}
-	var lastKey int64 = -1 << 62
-	err := engine.Scan(tx, 0, 1, 2).Run(func(b *vector.Batch, sel []uint32) error {
-		for _, i := range sel {
-			r := b.Row(int(i))
-			if _, dup := got[r[0].I]; dup {
-				return fmt.Errorf("duplicate key %d surfaced by scan", r[0].I)
-			}
-			if r[0].I <= lastKey {
-				return fmt.Errorf("key order broken across shards: %d after %d", r[0].I, lastKey)
-			}
-			lastKey = r[0].I
-			got[r[0].I] = modelRow{V: r[1].S, N: r[2].I}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return got
-}
-
-func sCheckState(t *testing.T, db *DB, want model) {
-	t.Helper()
-	got := sReadAll(t, db)
-	if len(got) != len(want) {
-		t.Fatalf("state has %d rows, want %d", len(got), len(want))
-	}
-	keys := make([]int64, 0, len(want))
-	for k := range want {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		if got[k] != want[k] {
-			t.Fatalf("key %d: got %+v, want %+v", k, got[k], want[k])
-		}
-	}
-}
-
 // replayStream reads shard i's WAL stream from disk (the DB must be closed
 // or crashed; the read-only peek opens and closes its own descriptors).
 func replayStream(t *testing.T, dir string, shard int) []wal.Record {
@@ -123,28 +75,25 @@ func replayStream(t *testing.T, dir string, shard int) []wal.Record {
 func TestShardedBootstrapCommitReopen(t *testing.T) {
 	dir := t.TempDir()
 	db := openShardDB(t, dir, 4)
-	if db.Shards() != 4 || db.Sharded() == nil {
-		t.Fatalf("Shards() = %d, sharded = %v", db.Shards(), db.Sharded())
-	}
-	if db.Table() != nil || db.Manager() != nil {
-		t.Fatal("sharded DB must not expose a flat table/manager")
+	if db.Shards() != 4 {
+		t.Fatalf("Shards() = %d", db.Shards())
 	}
 	man := db.man
-	if len(man.Shards) != 4 || len(man.Splits) != 3 || man.Segment != "" {
+	if len(man.Shards) != 4 || len(man.Splits) != 3 {
 		t.Fatalf("sharded manifest = %+v", man)
 	}
 	m := model{}
 	sCommitInserts(t, db, m, 10, 20, 30)          // shard 0 only
 	sCommitInserts(t, db, m, 100, 300, 600, 900)  // all four shards
 	sCommitInserts(t, db, m, 260, 270, 510, 1000) // shards 1, 2, 3
-	sCheckState(t, db, m)
+	checkState(t, db, m)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	db = openShardDB(t, dir, 4)
 	defer db.Close()
-	sCheckState(t, db, m)
+	checkState(t, db, m)
 	// Reopening without Options.Shards follows the manifest's layout.
 	db.Close()
 	db2, err := Open(dir, Options{Schema: dbSchema})
@@ -155,7 +104,7 @@ func TestShardedBootstrapCommitReopen(t *testing.T) {
 	if db2.Shards() != 4 {
 		t.Fatalf("manifest layout ignored: Shards() = %d", db2.Shards())
 	}
-	sCheckState(t, db2, m)
+	checkState(t, db2, m)
 }
 
 func TestShardedReshardRejected(t *testing.T) {
@@ -176,12 +125,12 @@ func TestShardedCrashRecovery(t *testing.T) {
 	m := model{}
 	sCommitInserts(t, db, m, 1, 2, 3, 251, 252, 501, 751)
 	sCommitInserts(t, db, m, 800, 900) // shard 3 single-shard batches
-	clock := db.Sharded().Clock()
+	clock := db.sharded.Clock()
 	db.crash()
 
 	db = openShardDB(t, dir, 4)
-	sCheckState(t, db, m)
-	if got := db.Sharded().Clock(); got < clock {
+	checkState(t, db, m)
+	if got := db.sharded.Clock(); got < clock {
 		t.Fatalf("commit clock rewound across crash: %d < %d", got, clock)
 	}
 	// The clock keeps ticking past recovery: another round, another crash.
@@ -189,7 +138,7 @@ func TestShardedCrashRecovery(t *testing.T) {
 	db.crash()
 	db = openShardDB(t, dir, 4)
 	defer db.Close()
-	sCheckState(t, db, m)
+	checkState(t, db, m)
 }
 
 func TestShardedAdoptUnsharded(t *testing.T) {
@@ -217,13 +166,13 @@ func TestShardedAdoptUnsharded(t *testing.T) {
 	if len(man.Shards) != 4 || len(man.Splits) != 3 {
 		t.Fatalf("adopted manifest = %+v", man)
 	}
-	sCheckState(t, db2, m)
+	checkState(t, db2, m)
 	// Adopted stores commit and recover like any sharded store.
 	sCommitInserts(t, db2, m, 1001, 1002)
 	db2.crash()
 	db2 = openShardDB(t, dir, 4)
 	defer db2.Close()
-	sCheckState(t, db2, m)
+	checkState(t, db2, m)
 }
 
 func TestShardedAdoptRequiresEmptyTail(t *testing.T) {
@@ -255,7 +204,7 @@ func TestShardedCrashBetweenAppends(t *testing.T) {
 	sCommitInserts(t, db, m, 10, 260, 510, 760)
 
 	errBoom := errors.New("injected crash between shard appends")
-	db.Sharded().SetCommitFault(&txn.CommitFault{
+	db.sharded.SetCommitFault(&txn.CommitFault{
 		BetweenAppends: func(i int) error { return errBoom },
 	})
 	tx := db.Begin()
@@ -289,7 +238,7 @@ func TestShardedCrashBetweenAppends(t *testing.T) {
 
 	db = openShardDB(t, dir, 4)
 	defer db.Close()
-	sCheckState(t, db, m) // neither key 50 nor key 950 survives
+	checkState(t, db, m) // neither key 50 nor key 950 survives
 }
 
 // TestShardedCrashBetweenInstalls cuts a cross-shard commit after every
@@ -302,7 +251,7 @@ func TestShardedCrashBetweenInstalls(t *testing.T) {
 	sCommitInserts(t, db, m, 10, 260, 510, 760)
 
 	errBoom := errors.New("injected crash between shard installs")
-	db.Sharded().SetCommitFault(&txn.CommitFault{
+	db.sharded.SetCommitFault(&txn.CommitFault{
 		BetweenInstalls: func(i int) error { return errBoom },
 	})
 	tx := db.Begin()
@@ -321,12 +270,13 @@ func TestShardedCrashBetweenInstalls(t *testing.T) {
 	m[960] = modelRow{V: "v960", N: 9600}
 	db = openShardDB(t, dir, 4)
 	defer db.Close()
-	sCheckState(t, db, m) // both keys present: all-or-nothing, durably "all"
+	checkState(t, db, m) // both keys present: all-or-nothing, durably "all"
 }
 
 // TestShardedCheckpointCrashPoints kills the store at every fault point of
-// the sharded checkpoint sequence — including between two shards' image
-// builds — and requires recovery to reconstruct exactly the committed state.
+// the checkpoint sequence, at 1 and 4 shards — including between two shards'
+// image builds, a point only a multi-shard checkpoint passes — and requires
+// recovery to reconstruct exactly the committed state.
 func TestShardedCheckpointCrashPoints(t *testing.T) {
 	points := []string{
 		faultBetweenShardCheckpoints,
@@ -336,43 +286,50 @@ func TestShardedCheckpointCrashPoints(t *testing.T) {
 	}
 	for _, point := range points {
 		t.Run(point, func(t *testing.T) {
-			dir := t.TempDir()
-			db := openShardDB(t, dir, 4)
-			m := model{}
-			sCommitInserts(t, db, m, 10, 20, 260, 270, 510, 760)
-			sCommitInserts(t, db, m, 100, 600, 900) // cross-shard in the tail
-
-			errBoom := errors.New("injected crash: " + point)
-			fired := false
-			db.fault = func(p string) error {
-				if p == point {
-					fired = true
-					return errBoom
+			for _, shards := range []int{1, 4} {
+				if shards == 1 && point == faultBetweenShardCheckpoints {
+					continue
 				}
-				return nil
-			}
-			if err := db.Checkpoint(); !errors.Is(err, errBoom) {
-				t.Fatalf("Checkpoint through the fault = %v", err)
-			}
-			if !fired {
-				t.Fatalf("fault point %s never fired", point)
-			}
-			db.crash()
+				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+					dir := t.TempDir()
+					db := openShardDB(t, dir, shards)
+					m := model{}
+					sCommitInserts(t, db, m, 10, 20, 260, 270, 510, 760)
+					sCommitInserts(t, db, m, 100, 600, 900) // cross-shard in the tail
 
-			db = openShardDB(t, dir, 4)
-			sCheckState(t, db, m)
-			// The next checkpoint completes and the state survives another
-			// reopen off the fresh images.
-			sCommitInserts(t, db, m, 30, 530)
-			if err := db.Checkpoint(); err != nil {
-				t.Fatal(err)
+					errBoom := errors.New("injected crash: " + point)
+					fired := false
+					db.fault = func(p string) error {
+						if p == point {
+							fired = true
+							return errBoom
+						}
+						return nil
+					}
+					if err := db.Checkpoint(); !errors.Is(err, errBoom) {
+						t.Fatalf("Checkpoint through the fault = %v", err)
+					}
+					if !fired {
+						t.Fatalf("fault point %s never fired", point)
+					}
+					db.crash()
+
+					db = openShardDB(t, dir, shards)
+					checkState(t, db, m)
+					// The next checkpoint completes and the state survives
+					// another reopen off the fresh images.
+					sCommitInserts(t, db, m, 30, 530)
+					if err := db.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+					if err := db.Close(); err != nil {
+						t.Fatal(err)
+					}
+					db = openShardDB(t, dir, shards)
+					defer db.Close()
+					checkState(t, db, m)
+				})
 			}
-			if err := db.Close(); err != nil {
-				t.Fatal(err)
-			}
-			db = openShardDB(t, dir, 4)
-			defer db.Close()
-			sCheckState(t, db, m)
 		})
 	}
 }
@@ -405,5 +362,5 @@ func TestShardedCheckpointTruncatesPerStream(t *testing.T) {
 	}
 	db = openShardDB(t, dir, 4)
 	defer db.Close()
-	sCheckState(t, db, m)
+	checkState(t, db, m)
 }

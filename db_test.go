@@ -9,6 +9,7 @@ package pdtstore
 // reconstruct exactly the committed state: nothing lost, nothing doubled.
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -17,10 +18,14 @@ import (
 	"strings"
 	"testing"
 
+	"pdtstore/internal/colstore"
 	"pdtstore/internal/engine"
+	"pdtstore/internal/pdt"
+	"pdtstore/internal/storage"
 	"pdtstore/internal/table"
 	"pdtstore/internal/types"
 	"pdtstore/internal/vector"
+	"pdtstore/internal/wal"
 )
 
 var dbSchema = types.MustSchema([]types.Column{
@@ -57,21 +62,11 @@ func openTestDB(t *testing.T, dir string) *DB {
 // commitInserts commits [lo, hi) as one transaction and updates the model.
 func commitInserts(t *testing.T, db *DB, m model, lo, hi int64) {
 	t.Helper()
-	ops := make([]table.Op, 0, hi-lo)
+	keys := make([]int64, 0, hi-lo)
 	for k := lo; k < hi; k++ {
-		ops = append(ops, table.Op{Kind: table.OpInsert,
-			Row: types.Row{types.Int(k), types.Str(fmt.Sprintf("v%d", k)), types.Int(k * 10)}})
+		keys = append(keys, k)
 	}
-	tx := db.Begin()
-	if _, err := tx.ApplyBatch(ops); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	for k := lo; k < hi; k++ {
-		m[k] = modelRow{V: fmt.Sprintf("v%d", k), N: k * 10}
-	}
+	sCommitInserts(t, db, m, keys...)
 }
 
 // commitMixed commits updates to [lo, hi) (modify n, delete every 5th key)
@@ -102,18 +97,24 @@ func commitMixed(t *testing.T, db *DB, m model, lo, hi int64) {
 
 // readAll scans the full committed state through a fresh transaction (the
 // direct table view excludes the master Write-PDT, where both live commits
-// and recovered WAL records buffer until the next fold).
+// and recovered WAL records buffer until the next fold): the shards
+// concatenated in key order.
 func readAll(t *testing.T, db *DB) model {
 	t.Helper()
 	tx := db.Begin()
 	defer tx.Abort()
 	got := model{}
+	var lastKey int64 = -1 << 62
 	err := engine.Scan(tx, 0, 1, 2).Run(func(b *vector.Batch, sel []uint32) error {
 		for _, i := range sel {
 			r := b.Row(int(i))
 			if _, dup := got[r[0].I]; dup {
 				return fmt.Errorf("duplicate key %d surfaced by scan", r[0].I)
 			}
+			if r[0].I <= lastKey {
+				return fmt.Errorf("key order broken across shards: %d after %d", r[0].I, lastKey)
+			}
+			lastKey = r[0].I
 			got[r[0].I] = modelRow{V: r[1].S, N: r[2].I}
 		}
 		return nil
@@ -165,6 +166,116 @@ func TestOpenCreateCommitReopen(t *testing.T) {
 		t.Fatalf("clock after post-reopen commit = %d, want %d", got, lsn+1)
 	}
 	checkState(t, db2, m)
+}
+
+// TestOpenFlatFormDirectory hand-writes what every directory created before
+// stores always carried a shard list holds — a flat manifest (segment and
+// freeze LSN at top level), a seg-<gen>.seg image and a non-empty wal/ tail —
+// and requires it to open as the one-shard store, answer identically, move to
+// the Shards form and the per-shard segment name at its next checkpoint, and
+// from there adopt more shards like any one-shard store.
+func TestOpenFlatFormDirectory(t *testing.T) {
+	dir := t.TempDir()
+	const gen, freeze = 7, 5
+	oldName := fmt.Sprintf("seg-%016x.seg", gen)
+	m := model{}
+	b, err := colstore.NewFileBuilder(dbSchema, colstore.NewDevice(), 64, true, filepath.Join(dir, oldName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(0); k < 300; k++ {
+		m[k] = modelRow{V: fmt.Sprintf("v%d", k), N: k * 10}
+		if err := b.Add(types.Row{types.Int(k), types.Str(m[k].V), types.Int(m[k].N)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	if err := storage.WriteManifest(dir, storage.Manifest{Generation: gen, Segment: oldName, LSN: freeze}); err != nil {
+		t.Fatal(err)
+	}
+	// The tail: one record at the freeze LSN (already in the image — replay
+	// must skip it) and two past it, as a positional delta over the image.
+	flog, _, err := wal.OpenFileLog(filepath.Join(dir, "wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := func(lsn uint64, edit func(p *pdt.PDT) error) {
+		t.Helper()
+		p := pdt.New(dbSchema, 0)
+		if err := edit(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := flog.AppendGroupAt(lsn, []wal.GroupRecord{{Table: "table", Entries: p.Dump()}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	record(freeze, func(p *pdt.PDT) error { return p.Modify(0, 2, types.Int(-999)) })
+	record(freeze+1, func(p *pdt.PDT) error { return p.Modify(42, 2, types.Int(-42)) })
+	m[42] = modelRow{V: "v42", N: -42}
+	record(freeze+2, func(p *pdt.PDT) error {
+		return p.Insert(300, types.Row{types.Int(1000), types.Str("tail"), types.Int(1)})
+	})
+	m[1000] = modelRow{V: "tail", N: 1}
+	if err := flog.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db := openTestDB(t, dir)
+	checkState(t, db, m)
+	stats := db.Stats()
+	if sh := stats.Shard[0]; stats.Shards != 1 || stats.Generation != gen || sh.FreezeLSN != freeze || sh.LSN != freeze+2 ||
+		sh.WALRecords != 2 || len(sh.Segments) != 1 || sh.Segments[0].Name != oldName {
+		t.Fatalf("stats over the flat directory = %+v", stats)
+	}
+	commitMixed(t, db, m, 0, 10) // deletes in block 0: a full rewrite, so the old file leaves the chain
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	newName := fmt.Sprintf("seg-%016x-s0.seg", gen+1)
+	man, ok, err := storage.LoadManifest(dir)
+	if err != nil || !ok {
+		t.Fatalf("LoadManifest after checkpoint: ok=%v err=%v", ok, err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, storage.ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Shards) != 1 || man.Shards[0].Segment != newName || man.Shards[0].LSN != freeze+3 ||
+		len(fields) != 2 || fields["generation"] == nil || fields["shards"] == nil {
+		t.Fatalf("manifest after checkpoint = %s, want only generation and a one-entry shards list", raw)
+	}
+	if segs := segFiles(t, dir); len(segs) != 1 || segs[0] != newName {
+		t.Fatalf("segment files after checkpoint = %v, want only %s", segs, newName)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = openTestDB(t, dir)
+	checkState(t, db, m)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Adoption is "the manifest has one shard and Options.Shards asks for more".
+	db, err = Open(dir, Options{Schema: dbSchema, BlockRows: 64, Compressed: true, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if db.Shards() != 3 || len(db.man.Shards) != 3 || len(db.man.Splits) != 2 {
+		t.Fatalf("adopted layout: Shards() = %d, manifest = %+v", db.Shards(), db.man)
+	}
+	checkState(t, db, m)
+	sCommitInserts(t, db, m, 350, 5000) // appends: the last shard takes both
+	checkState(t, db, m)
 }
 
 // TestOpenIsExclusive: a second opener must be rejected while the store is
@@ -562,7 +673,7 @@ func TestRetiredImageClosesOnLastRelease(t *testing.T) {
 	}
 	snapshot := m.clone()
 	long := db.Begin() // pins the gen-2 version
-	seg := db.Table().Store().Segment()
+	seg := db.tbls[0].Store().Segment()
 	if seg == nil {
 		t.Fatal("checkpointed store is not file-backed")
 	}

@@ -70,22 +70,22 @@
 // tail, generation chain, per-segment live-block counts and the last
 // scheduler decision.
 //
-// The public write surface is the Tx interface: DB.Begin returns one
-// regardless of sharding, and DB.Stats is the window into durability
-// state. The old accessors — DB.Manager, DB.Log, DB.ShardLog and
-// DB.Manifest — remain as deprecated wrappers for one release: they leak
-// internal types (txn.Manager, wal.FileLog, storage.Manifest) and bypass
-// the locking Stats does for you; migrate to DB.Begin, DB.Stats and
-// DB.Checkpoint. TestPublicAPISnapshot pins the exported surface against
-// testdata/api.golden so drift is caught in review.
+// The public write surface is the Tx interface, returned by DB.Begin, and
+// DB.Stats is the window into durability state; no accessor hands out the
+// txn, wal or storage layers underneath. TestPublicAPISnapshot pins the
+// exported surface against testdata/api.golden so drift is caught in
+// review.
 //
-// Commits group-commit: concurrent Txn.Commit calls validate and fold under
-// a narrow critical section, park on a commit sequencer, and a leader makes
-// the whole batch durable with one WAL append and one fsync
-// (wal.AppendGroup), waking every waiter with its LSN — Begin and scans
-// never wait behind an in-flight fsync, and a failed barrier aborts the
-// whole batch fail-stop with nothing visible, live or at replay.
-// Options.MaxCommitBatch and Options.MaxCommitDelay tune the batching.
+// Every commit runs one pipeline — validate, park, durable, install.
+// Validate (txn's validateLocked) serializes the Trans-PDT against the
+// commits it overlapped and folds it onto the write chain under a narrow
+// critical section; the commit then parks on its shard's sequencer, where a
+// leader makes the whole batch durable with one WAL append and one fsync
+// (wal.AppendGroup); install (installLocked) advances the clock and the
+// Write-PDT and wakes every waiter with its LSN. Begin and scans never wait
+// behind an in-flight fsync, and a failed barrier aborts the whole batch
+// fail-stop with nothing visible, live or at replay. Options.MaxCommitBatch
+// and Options.MaxCommitDelay tune the batching.
 //
 // The serialized part of that commit path is O(change), not O(state):
 // Begin takes a copy-on-write Write-PDT snapshot in O(1) (pdt.Snapshot;
@@ -99,20 +99,23 @@
 // included — while still fetching (and charging) whole blocks from the
 // device.
 //
-// Writes shard per core: Options.Shards partitions a table into N key-range
-// shards, each a full transaction manager over its own physically split
+// There is one store shape: N >= 1 key-range shards (Options.Shards; an
+// unsharded store is N = 1), each a full transaction manager over its own
 // stable image, Write-PDT, commit sequencer and WAL stream, coordinated by
-// one global monotonic commit clock (txn.Sharded). Single-shard commits go
-// through their home shard's sequencer with no global lock; cross-shard
-// commits run two phases — prepare every participant, append one record per
-// participant stream under one shared LSN naming the full participant set,
-// then install behind a begin gate — and recovery drops incomplete groups
-// from every stream (wal.CompleteGroups), so a torn cross-shard commit is
-// all-or-nothing per clock entry. Begin pins a consistent per-shard snapshot
-// vector; an existing unsharded store adopts sharding at Open (checkpointed
-// tail required, manifest swap as the commit point); checkpoints build
-// per-shard segments behind a single manifest swap and truncate each stream
-// at its own freeze LSN.
+// one global monotonic commit clock (txn.Sharded). The manifest lists one
+// segment chain and freeze LSN per shard, segments are named
+// seg-<generation>-s<shard>.seg, and shard 0's log lives in wal/. Writes
+// shard per core: single-shard commits go through their home shard's
+// sequencer with no global lock; a cross-shard commit is "hold, then the
+// same validate and install" — hold every participant's pipeline and
+// validate it, append one record per participant stream under one shared LSN
+// naming the full participant set, then install behind a begin gate — and
+// recovery drops incomplete groups from every stream (wal.CompleteGroups),
+// so a torn cross-shard commit is all-or-nothing per clock entry. Begin pins
+// a consistent per-shard snapshot vector; a one-shard store adopts more
+// shards at Open (checkpointed tail required, manifest swap as the commit
+// point); checkpoints build per-shard segments behind a single manifest
+// swap and truncate each stream at its own freeze LSN.
 //
 // Selective scans prune before they read. Every checkpoint stamps a zone
 // map — min/max plus null count — per (column, block) into the segment
@@ -130,16 +133,15 @@
 // differential suites hold them byte-identical to full scans across TPC-H
 // and randomized update histories, at every shard count. Stats counts the
 // skips (ZoneSkippedBlocks, IndexSkippedBlocks); engine.SetPruning and
-// Plan.NoPrune are the kill switches; cmd/pdtbench -fig lookup records the
-// cold-latency payoff against the full-scan baseline.
+// Plan.NoPrune are the kill switches; the benchmark's cold workload records
+// the payoff (engine.zone_skipped_blocks, engine.index_skipped_blocks).
 //
 // See README.md for the quickstart and docs/ARCHITECTURE.md for the full
 // stack walk with commit and scan data-flow diagrams. The benchmarks in
-// bench_test.go regenerate every figure of the paper's §4, plus the engine's
-// scan-pipeline profile (cmd/pdtbench -fig scan), the write-path profile
-// (cmd/pdtbench -fig update), the online-maintenance figure
-// (cmd/pdtbench -fig online), the durability figure — now including the
-// incremental-vs-full checkpoint profile — (cmd/pdtbench -fig recovery),
-// the group-commit figure (cmd/pdtbench -fig commit) and the access-path
-// figure (cmd/pdtbench -fig lookup).
+// bench_test.go regenerate every figure of the paper's §4; cmd/pdtbench
+// prints Figures 16–18, the write-path profile (-fig update) and the
+// modeled-barrier group-commit sweep (-fig commit); and benchmark/ is the
+// one end-to-end instrument — scans, lookups, recovery and online
+// maintenance through the public API, every answer checked against an
+// oracle (bash benchmark/run.sh, declared in BENCHMARK.json).
 package pdtstore

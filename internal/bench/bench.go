@@ -9,11 +9,9 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"testing"
 	"time"
 
 	"pdtstore/internal/colstore"
-	"pdtstore/internal/engine"
 	"pdtstore/internal/pdt"
 	"pdtstore/internal/table"
 	"pdtstore/internal/tpch"
@@ -294,263 +292,6 @@ func MeasureScan(tbl *table.Table, c ScanConfig) (ScanResult, error) {
 	}
 	res.HotNS = float64(time.Since(start).Nanoseconds())
 	return res, nil
-}
-
-// ----- Engine scan pipeline: throughput and allocation profile ---------------
-
-// ScanAllocRow is one measured scan-pipeline case: hot throughput plus the
-// allocation profile of the whole pipeline (source, filter kernels, sink).
-type ScanAllocRow struct {
-	Name        string  `json:"name"`
-	Mode        string  `json:"mode"`
-	Cols        int     `json:"cols_projected"`
-	Rows        int     `json:"rows_per_op"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	MRowsPerSec float64 `json:"mrows_per_sec"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
-
-func measureScanCase(name, mode string, cols, rows int, fn func() error) (ScanAllocRow, error) {
-	var innerErr error
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := fn(); err != nil {
-				innerErr = err
-				b.FailNow()
-			}
-		}
-	})
-	if innerErr != nil {
-		return ScanAllocRow{}, innerErr
-	}
-	ns := float64(r.T.Nanoseconds()) / float64(r.N)
-	row := ScanAllocRow{
-		Name: name, Mode: mode, Cols: cols, Rows: rows,
-		NsPerOp:     ns,
-		BytesPerOp:  r.AllocedBytesPerOp(),
-		AllocsPerOp: r.AllocsPerOp(),
-	}
-	if ns > 0 {
-		row.MRowsPerSec = float64(rows) / ns * 1e3
-	}
-	return row, nil
-}
-
-// ScanAllocConfig sizes the scan-pipeline profile.
-type ScanAllocConfig struct {
-	SF         float64 // TPC-H scale factor for the Q1 rows (default 0.01)
-	BlockRows  int     // default 4096
-	Streams    int     // refresh streams before measuring (default 2)
-	UpdateFrac float64 // fraction of orders per stream (default 0.001)
-}
-
-// ScanAllocProfile measures the engine read pipeline on lineitem under the
-// no-updates and PDT modes: a 2-column projected scan, a full-width scan
-// (every lineitem column), and the TPC-H Q1 scan path — the "projected vs
-// full-width" contrast that shows projection pushdown at work, with
-// allocs/op proving the selection-vector pipeline stays allocation-free per
-// batch.
-func ScanAllocProfile(cfg ScanAllocConfig) ([]ScanAllocRow, error) {
-	if cfg.SF == 0 {
-		cfg.SF = 0.01
-	}
-	if cfg.BlockRows == 0 {
-		cfg.BlockRows = 4096
-	}
-	if cfg.Streams == 0 {
-		cfg.Streams = 2
-	}
-	if cfg.UpdateFrac == 0 {
-		cfg.UpdateFrac = 0.001
-	}
-	var out []ScanAllocRow
-	for _, mode := range []table.DeltaMode{table.ModeNone, table.ModePDT} {
-		db, err := tpch.Load(cfg.SF, mode, true, cfg.BlockRows)
-		if err != nil {
-			return nil, err
-		}
-		if err := db.ApplyRefresh(cfg.Streams, cfg.UpdateFrac); err != nil {
-			return nil, err
-		}
-		li := db.Lineitem
-		nrows := int(li.NRows())
-		allCols := make([]int, li.Schema().NumCols())
-		for i := range allCols {
-			allCols[i] = i
-		}
-		drain := func(cols []int) func() error {
-			return func() error {
-				return engine.Scan(li, cols...).Run(func(*vector.Batch, []uint32) error { return nil })
-			}
-		}
-		cases := []struct {
-			name string
-			cols []int
-			rows int
-			fn   func() error
-		}{
-			{"lineitem/projected-2col", []int{tpch.LExtendedprice, tpch.LDiscount}, nrows, nil},
-			{"lineitem/full-width", allCols, nrows, nil},
-			{"tpch/Q1", nil, nrows, func() error { _, err := tpch.Q1(db); return err }},
-		}
-		for _, c := range cases {
-			fn := c.fn
-			ncols := len(c.cols)
-			if fn == nil {
-				fn = drain(c.cols)
-			}
-			// warm the buffer pool so the profile measures the hot pipeline
-			if err := fn(); err != nil {
-				return nil, err
-			}
-			row, err := measureScanCase(c.name, mode.String(), ncols, c.rows, fn)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, row)
-		}
-	}
-	return out, nil
-}
-
-// FillThroughput computes MRowsPerSec for every row where it is missing
-// (zero) but NsPerOp and Rows are known — repairing seed baselines recorded
-// before the throughput column existed. Rows already carrying a value are
-// left untouched.
-func FillThroughput(rows []ScanAllocRow) []ScanAllocRow {
-	for i := range rows {
-		if rows[i].MRowsPerSec == 0 && rows[i].NsPerOp > 0 && rows[i].Rows > 0 {
-			rows[i].MRowsPerSec = float64(rows[i].Rows) / rows[i].NsPerOp * 1e3
-		}
-	}
-	return rows
-}
-
-// ----- Parallel scan sweep ---------------------------------------------------
-
-// ParallelScanConfig sizes the worker sweep.
-type ParallelScanConfig struct {
-	Tuples        int           // table size (default 1M)
-	Workers       []int         // worker counts to sweep (default 1,2,4,8)
-	BlockRows     int           // colstore block size (default 4096)
-	UpdatesPer100 float64       // update ratio for the PDT cell (default 1.0)
-	ReadLatency   time.Duration // modeled per-block cold-read latency (default 200µs)
-	Seed          int64
-}
-
-// ParallelScanRow is one cell of the sweep: one (mode, workers) pair.
-type ParallelScanRow struct {
-	Mode        string  `json:"mode"`
-	Workers     int     `json:"workers"`
-	Rows        int     `json:"rows"`
-	ColdNS      float64 `json:"cold_ns"`
-	ColdGBs     float64 `json:"cold_gb_per_sec"`
-	ColdSpeedup float64 `json:"cold_speedup"`
-	HotNS       float64 `json:"hot_ns"`
-	HotGBs      float64 `json:"hot_gb_per_sec"`
-	HotSpeedup  float64 `json:"hot_speedup"`
-}
-
-// ParallelScanProfile sweeps the morsel-parallel scan over worker counts, for
-// a plain table and a PDT-carrying one. Cold passes run against dropped
-// caches with the configured per-block device latency modeling a real disk's
-// read cost (the modeled sleeps overlap across workers, exactly as concurrent
-// reads overlap on hardware); hot passes run from the warm buffer pool with
-// latency off. GB/s is computed over the encoded size of the scanned data
-// columns; speedups are relative to the 1-worker row of the same mode.
-func ParallelScanProfile(cfg ParallelScanConfig) ([]ParallelScanRow, error) {
-	if cfg.Tuples == 0 {
-		cfg.Tuples = 1_000_000
-	}
-	if len(cfg.Workers) == 0 {
-		cfg.Workers = []int{1, 2, 4, 8}
-	}
-	if cfg.BlockRows == 0 {
-		cfg.BlockRows = 4096
-	}
-	if cfg.UpdatesPer100 == 0 {
-		cfg.UpdatesPer100 = 1.0
-	}
-	if cfg.ReadLatency == 0 {
-		cfg.ReadLatency = 200 * time.Microsecond
-	}
-	var out []ParallelScanRow
-	for _, mode := range []table.DeltaMode{table.ModeNone, table.ModePDT} {
-		sc := ScanConfig{
-			Tuples: cfg.Tuples, DataCols: 4, KeyCols: 1,
-			UpdatesPer100: cfg.UpdatesPer100, Mode: mode,
-			BlockRows: cfg.BlockRows, Seed: cfg.Seed,
-		}
-		if mode == table.ModeNone {
-			sc.UpdatesPer100 = 0
-		}
-		tbl, err := BuildScanTable(sc)
-		if err != nil {
-			return nil, err
-		}
-		cols := make([]int, sc.DataCols)
-		for i := range cols {
-			cols[i] = sc.KeyCols + i
-		}
-		var scanBytes uint64
-		for _, c := range cols {
-			scanBytes += tbl.Store().EncodedSize(c)
-		}
-		dev := tbl.Store().Device()
-		drain := func(w int) (int, error) {
-			rows := 0
-			err := engine.Scan(tbl, cols...).Parallel(w).
-				Run(func(b *vector.Batch, sel []uint32) error {
-					if sel != nil {
-						rows += len(sel)
-					} else {
-						rows += b.Len()
-					}
-					return nil
-				})
-			return rows, err
-		}
-		var base ParallelScanRow
-		for _, w := range cfg.Workers {
-			row := ParallelScanRow{Mode: mode.String(), Workers: w}
-			// cold: dropped caches, modeled per-block read latency
-			dev.SetReadLatency(cfg.ReadLatency)
-			dev.DropCaches()
-			start := time.Now()
-			rows, err := drain(w)
-			if err != nil {
-				dev.SetReadLatency(0)
-				return nil, err
-			}
-			row.ColdNS = float64(time.Since(start).Nanoseconds())
-			row.Rows = rows
-			// hot: warm pool, no modeled latency
-			dev.SetReadLatency(0)
-			if _, err := drain(w); err != nil {
-				return nil, err
-			}
-			start = time.Now()
-			if _, err := drain(w); err != nil {
-				return nil, err
-			}
-			row.HotNS = float64(time.Since(start).Nanoseconds())
-			if row.ColdNS > 0 {
-				row.ColdGBs = float64(scanBytes) / row.ColdNS
-			}
-			if row.HotNS > 0 {
-				row.HotGBs = float64(scanBytes) / row.HotNS
-			}
-			if w == 1 || base.Workers == 0 {
-				base = row
-			}
-			row.ColdSpeedup = base.ColdNS / row.ColdNS
-			row.HotSpeedup = base.HotNS / row.HotNS
-			out = append(out, row)
-		}
-	}
-	return out, nil
 }
 
 // ----- Figure 19: TPC-H ------------------------------------------------------

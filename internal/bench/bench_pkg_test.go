@@ -149,51 +149,6 @@ func TestUpdateHarness(t *testing.T) {
 	}
 }
 
-// TestOnlineHarness runs a miniature online-maintenance profile: both modes
-// must complete, the checkpoint must actually overlap (or interleave with)
-// the commit stream, and the metrics must be sane.
-func TestOnlineHarness(t *testing.T) {
-	rows, err := OnlineProfile(OnlineConfig{TableRows: 20_000, HotRows: 500, Commits: 60, OpsPerTxn: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(OnlineModes) {
-		t.Fatalf("got %d rows, want %d", len(rows), len(OnlineModes))
-	}
-	for _, r := range rows {
-		if r.Commits != 60 || r.CommitsPerSec <= 0 || r.CheckpointMs <= 0 {
-			t.Fatalf("degenerate cell %+v", r)
-		}
-		if r.MaxStallMs <= 0 || r.MeanCommitUs <= 0 {
-			t.Fatalf("missing latency metrics %+v", r)
-		}
-	}
-}
-
-// TestRecoveryHarness runs a miniature durability profile: open time must be
-// measured for every tail, the WAL must grow with the tail, and the
-// checkpoint that absorbs it must complete.
-func TestRecoveryHarness(t *testing.T) {
-	pts, err := RecoveryProfile(RecoveryConfig{Rows: 1500, OpsPerCommit: 8, Tails: []int{0, 12}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 {
-		t.Fatalf("got %d points, want 2", len(pts))
-	}
-	if pts[0].TailCommits != 0 || pts[0].WALBytes != 0 {
-		t.Fatalf("tail-0 point not clean: %+v", pts[0])
-	}
-	if pts[1].WALBytes == 0 || pts[1].CommitUs <= 0 {
-		t.Fatalf("tail-12 point missing WAL growth: %+v", pts[1])
-	}
-	for _, p := range pts {
-		if p.OpenMs <= 0 || p.CheckpointMs <= 0 {
-			t.Fatalf("degenerate point %+v", p)
-		}
-	}
-}
-
 // TestCommitHarness runs a miniature group-commit profile: both modes must
 // complete for every (writers, barrier) cell, the per-commit series must pay
 // one barrier per commit, and the group series must never pay more.
@@ -221,29 +176,6 @@ func TestCommitHarness(t *testing.T) {
 		case "group":
 			if r.Fsyncs > uint64(r.Commits) {
 				t.Fatalf("group mode paid %d barriers for %d commits: %+v", r.Fsyncs, r.Commits, r)
-			}
-		}
-	}
-}
-
-func TestLookupHarness(t *testing.T) {
-	rows, err := LookupProfile(LookupConfig{Tuples: 40_000, BlockRows: 1024, ReadLatency: 50 * time.Microsecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("got %d rows, want 4 (2 cases x 2 paths)", len(rows))
-	}
-	for _, r := range rows {
-		if r.Rows <= 0 || r.ColdNS <= 0 || r.BlocksTotal <= 0 {
-			t.Fatalf("degenerate row %+v", r)
-		}
-		if r.Path == "pruned" {
-			if r.ZoneSkips+r.IndexSkips == 0 {
-				t.Fatalf("pruned path skipped nothing: %+v", r)
-			}
-			if r.SpeedupVsFull < 5 {
-				t.Fatalf("pruned %s speedup %.1fx, want >= 5x", r.Case, r.SpeedupVsFull)
 			}
 		}
 	}

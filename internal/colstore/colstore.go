@@ -7,7 +7,7 @@
 //
 // A store is either RAM-resident (built by NewBuilder/BulkLoad — the paper's
 // simulated-I/O benchmark configuration, where the device only accounts
-// bytes) or file-backed (built by NewFileBuilder or opened via FromSegment):
+// bytes) or file-backed (built by NewFileBuilder or opened via FromSegmentChain):
 // its blocks live in an on-disk segment file and are pread lazily through the
 // device's buffer pool, so cold scans do real I/O, Device.Stats reports real
 // bytes, and DropCaches makes the next scan hit the disk again. Stable IDs
@@ -548,22 +548,9 @@ func BulkLoad(schema *types.Schema, dev *Device, blockRows int, compressed bool,
 	return b.Finish()
 }
 
-// FromSegment wraps an opened segment file in a file-backed store: blocks are
-// pread on demand through the device's buffer pool, with cold bytes charged
-// to its counters. The store owns the segment and releases it via Close.
-func FromSegment(seg *storage.Segment, dev *Device) *Store {
-	s, err := FromSegmentChain([]*storage.Segment{seg}, dev)
-	if err != nil {
-		// A single-segment chain only fails when the segment's own block map
-		// is self-inconsistent, which OpenSegment's CRC already rules out for
-		// files we wrote; treat it like the pre-incremental constructor did.
-		panic(err)
-	}
-	return s
-}
-
 // FromSegmentChain wraps an opened segment chain (oldest first) in a
-// file-backed store. The newest segment's block map resolves every logical
+// file-backed store: blocks are pread on demand through the device's buffer
+// pool, with cold bytes charged to its counters. The newest segment's block map resolves every logical
 // block to its owning chain member; a missing map is only legal for a
 // single-segment (self-contained) chain. The store owns one reference to
 // each member and releases them via Close.

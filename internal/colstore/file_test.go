@@ -93,7 +93,7 @@ func TestFileStoreMatchesRAMStore(t *testing.T) {
 }
 
 // TestFileStoreReopen: a finished segment reopened through OpenSegment +
-// FromSegment must serve the same data and metadata.
+// FromSegmentChain must serve the same data and metadata.
 func TestFileStoreReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.seg")
 	dev := NewDevice()
@@ -107,7 +107,10 @@ func TestFileStoreReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	re := FromSegment(seg, NewDevice())
+	re, err := FromSegmentChain([]*storage.Segment{seg}, NewDevice())
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer re.Close()
 	if re.NRows() != 75 || re.BlockRows() != 16 || !re.Compressed() {
 		t.Fatalf("reopened meta: nrows=%d blockRows=%d compressed=%v", re.NRows(), re.BlockRows(), re.Compressed())

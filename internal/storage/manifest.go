@@ -16,29 +16,23 @@ const ManifestName = "MANIFEST"
 
 // Manifest is the durable root of a store directory. Swapping it (an atomic
 // rename) is the commit point of a checkpoint: after the swap, recovery loads
-// Segment and replays only WAL records with LSN > LSN; before it, recovery
-// loads the previous generation and replays the full log. Either way the
-// reconstructed state is exactly the committed state.
+// each shard's segment chain and replays only that shard's WAL records past
+// its freeze LSN; before it, recovery loads the previous generation and
+// replays the full log. Either way the reconstructed state is exactly the
+// committed state.
 type Manifest struct {
 	// Generation counts checkpoints; segment files are named after it.
 	Generation uint64 `json:"generation"`
-	// Segment is the file name (within the store directory) of the stable
-	// image this generation checkpointed (unsharded stores only; a sharded
-	// store leaves it empty and lists one entry per shard in Shards).
-	Segment string `json:"segment,omitempty"`
-	// Segments, when non-empty, is the generation's full segment chain,
-	// oldest first: an incremental checkpoint writes only dirty blocks into a
-	// new segment (always the last chain member, equal to Segment) and its
-	// block map resolves inherited blocks into the earlier members. A
-	// single-element chain — or an absent one, the pre-incremental format —
-	// is a self-contained image.
+	// Segment, Segments and LSN are the flat form every store wrote before
+	// the one-shard store became the only shape: the image, its chain and its
+	// freeze LSN at top level, no Shards. LoadManifest lifts them into
+	// Shards[0] and clears them; nothing else reads them, and the store only
+	// ever writes the Shards form.
+	Segment  string   `json:"segment,omitempty"`
 	Segments []string `json:"segments,omitempty"`
-	// LSN is the commit clock at the checkpoint's freeze point: every commit
-	// with LSN <= this is contained in Segment, every later commit is only in
-	// the WAL.
-	LSN uint64 `json:"lsn,omitempty"`
-	// Shards, when non-empty, marks the store as sharded: entry i names
-	// shard i's stable image and its own freeze LSN (shards checkpoint
+	LSN      uint64   `json:"lsn,omitempty"`
+	// Shards has one entry per shard (one for an unsharded store): entry i
+	// names shard i's stable image and its own freeze LSN (shards checkpoint
 	// independently, so the bars differ). All LSNs live on one global commit
 	// clock shared by every shard's WAL stream.
 	Shards []ShardEntry `json:"shards,omitempty"`
@@ -49,32 +43,25 @@ type Manifest struct {
 	Splits []types.Row `json:"splits,omitempty"`
 }
 
-// ShardEntry is one shard's slot in a sharded manifest.
+// ShardEntry is one shard's slot in the manifest.
 type ShardEntry struct {
-	// Segment is the file name of the shard's stable image.
+	// Segment is the file name (within the store directory) of the shard's
+	// newest segment, the one whose footer carries the block map.
 	Segment string `json:"segment"`
-	// Segments is the shard's segment chain, oldest first (see
-	// Manifest.Segments). Empty means the single self-contained Segment.
+	// Segments, when non-empty, is the shard's full segment chain, oldest
+	// first: an incremental checkpoint writes only dirty blocks into a new
+	// segment (always the last chain member, equal to Segment) and its block
+	// map resolves inherited blocks into the earlier members. An absent chain
+	// is the single self-contained Segment.
 	Segments []string `json:"segments,omitempty"`
 	// LSN is the shard's checkpoint freeze bar: every commit touching this
-	// shard with LSN <= this is contained in Segment.
+	// shard with LSN <= this is contained in the image, every later commit is
+	// only in the WAL.
 	LSN uint64 `json:"lsn"`
 }
 
-// Chain returns the unsharded generation's segment chain, oldest first,
-// normalizing the pre-incremental single-segment form.
-func (m Manifest) Chain() []string {
-	if len(m.Segments) > 0 {
-		return m.Segments
-	}
-	if m.Segment != "" {
-		return []string{m.Segment}
-	}
-	return nil
-}
-
 // Chain returns the shard's segment chain, oldest first, normalizing the
-// pre-incremental single-segment form.
+// single-segment form.
 func (e ShardEntry) Chain() []string {
 	if len(e.Segments) > 0 {
 		return e.Segments
@@ -130,12 +117,13 @@ func LoadManifest(dir string) (m Manifest, ok bool, err error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return Manifest{}, false, fmt.Errorf("storage: corrupt manifest: %w", err)
 	}
-	if m.Segment == "" && len(m.Shards) == 0 {
-		return Manifest{}, false, fmt.Errorf("storage: manifest names no segment")
+	if len(m.Shards) == 0 {
+		if m.Segment == "" {
+			return Manifest{}, false, fmt.Errorf("storage: manifest names no segment")
+		}
+		m.Shards = []ShardEntry{{Segment: m.Segment, Segments: m.Segments, LSN: m.LSN}}
 	}
-	if err := validateChain(m.Segment, m.Segments); err != nil {
-		return Manifest{}, false, err
-	}
+	m.Segment, m.Segments, m.LSN = "", nil, 0
 	for i, sh := range m.Shards {
 		if sh.Segment == "" {
 			return Manifest{}, false, fmt.Errorf("storage: manifest shard %d names no segment", i)
@@ -144,7 +132,7 @@ func LoadManifest(dir string) (m Manifest, ok bool, err error) {
 			return Manifest{}, false, fmt.Errorf("storage: manifest shard %d: %w", i, err)
 		}
 	}
-	if len(m.Shards) > 0 && len(m.Splits) != len(m.Shards)-1 {
+	if len(m.Splits) != len(m.Shards)-1 {
 		return Manifest{}, false, fmt.Errorf("storage: manifest has %d shards but %d split keys", len(m.Shards), len(m.Splits))
 	}
 	return m, true, nil
@@ -162,7 +150,7 @@ func validateChain(segment string, chain []string) error {
 			return fmt.Errorf("storage: manifest chain member %d is unnamed", i)
 		}
 	}
-	if segment != "" && chain[len(chain)-1] != segment {
+	if chain[len(chain)-1] != segment {
 		return fmt.Errorf("storage: manifest chain ends at %q, segment is %q", chain[len(chain)-1], segment)
 	}
 	return nil

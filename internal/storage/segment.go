@@ -349,8 +349,7 @@ func (s *Segment) Closed() bool { return s.closed.Load() }
 // --- footer encoding ---------------------------------------------------------
 
 // Section tags of the footer's extensible tail. The tail starts with a
-// sentinel u32 that no legacy trailing-placements footer can produce (a
-// column count), then a section count, then [tag][len][payload] sections.
+// sentinel u32, then a section count, then [tag][len][payload] sections.
 // Unknown tags are skipped, so older readers of a newer footer degrade
 // gracefully instead of failing.
 const (
@@ -383,9 +382,6 @@ func encodeFooter(schema *types.Schema, nrows uint64, blockRows int, compressed 
 		buf = appendRow(buf, row)
 	}
 	// The tail after the sparse rows is the extensible part of the footer.
-	// Two earlier formats end here: the pre-incremental format stops outright
-	// and the pre-zone-map format appends a bare placements map (decoded by
-	// the legacy branch below). New segments always write the sectioned tail.
 	var sections []struct {
 		tag     byte
 		payload []byte
@@ -466,61 +462,38 @@ func decodeFooter(buf []byte) (*Segment, error) {
 	if r.err != nil {
 		return nil, fmt.Errorf("corrupt footer: %w", r.err)
 	}
-	if len(r.buf) > 0 {
-		marker := r.u32()
-		if r.err != nil {
-			return nil, fmt.Errorf("corrupt footer: %w", r.err)
+	if marker := r.u32(); r.err != nil || marker != sectionSentinel {
+		return nil, fmt.Errorf("corrupt footer: no section tail after the sparse index")
+	}
+	nsec := int(r.u8())
+	for i := 0; i < nsec; i++ {
+		tag := r.u8()
+		plen := int(r.u32())
+		if r.err != nil || plen > len(r.buf) {
+			return nil, fmt.Errorf("corrupt footer: bad section length %d", plen)
 		}
-		if marker == sectionSentinel {
-			nsec := int(r.u8())
-			for i := 0; i < nsec; i++ {
-				tag := r.u8()
-				plen := int(r.u32())
-				if r.err != nil || plen > len(r.buf) {
-					return nil, fmt.Errorf("corrupt footer: bad section length %d", plen)
-				}
-				sr := &reader{buf: r.take(plen)}
-				switch tag {
-				case sectionPlaces:
-					places, err := decodePlaces(sr, ncols)
-					if err != nil {
-						return nil, err
-					}
-					s.places = places
-				case sectionZones:
-					zones, err := decodeZones(sr, ncols)
-					if err != nil {
-						return nil, err
-					}
-					s.zones = zones
-				default:
-					// Unknown section written by a newer format: skip it.
-				}
-			}
-			if r.err != nil {
-				return nil, fmt.Errorf("corrupt footer: %w", r.err)
-			}
-		} else {
-			// Legacy trailing placements: the marker was the map's column
-			// count.
-			places, err := decodePlaceCols(r, int(marker), ncols)
-			if err != nil {
+		sr := &reader{buf: r.take(plen)}
+		switch tag {
+		case sectionPlaces:
+			if s.places, err = decodePlaces(sr, ncols); err != nil {
 				return nil, err
 			}
-			s.places = places
-			if r.err != nil {
-				return nil, fmt.Errorf("corrupt footer: %w", r.err)
+		case sectionZones:
+			if s.zones, err = decodeZones(sr, ncols); err != nil {
+				return nil, err
 			}
+		default:
+			// Unknown section written by a newer format: skip it.
 		}
+	}
+	if r.err != nil {
+		return nil, fmt.Errorf("corrupt footer: %w", r.err)
 	}
 	return s, nil
 }
 
 func decodePlaces(r *reader, ncols int) ([][]BlockPlace, error) {
-	return decodePlaceCols(r, int(r.u32()), ncols)
-}
-
-func decodePlaceCols(r *reader, npcols, ncols int) ([][]BlockPlace, error) {
+	npcols := int(r.u32())
 	if r.err != nil || npcols != ncols {
 		return nil, fmt.Errorf("corrupt footer: block map covers %d columns, schema has %d", npcols, ncols)
 	}

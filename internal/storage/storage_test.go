@@ -2,6 +2,9 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -167,12 +170,91 @@ func TestSegmentRejectsPartialFile(t *testing.T) {
 	}
 }
 
+// rewriteFooter replaces the footer of the finished segment at path with
+// edit(footer) behind a fresh, valid trailer, so OpenSegment's CRC passes and
+// only the footer decoder can object.
+func rewriteFooter(t *testing.T, path string, edit func(footer []byte) []byte) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trailer := data[len(data)-trailerSize:]
+	off := binary.LittleEndian.Uint64(trailer[0:8])
+	footer := edit(append([]byte(nil), data[off:len(data)-trailerSize]...))
+	out := append([]byte(nil), data[:off]...)
+	out = append(out, footer...)
+	out = binary.LittleEndian.AppendUint64(out, off)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(footer)))
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(footer))
+	out = append(out, segMagic[:]...)
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFooterRequiresSectionTail: a CRC-valid footer that stops after the
+// sparse index, carries a bare trailing block map, or ends inside a section —
+// none of which encodeFooter writes — is a corrupt-footer error, never a
+// panic and never a silently accepted image.
+func TestFooterRequiresSectionTail(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "seg-src.seg")
+	seg, _ := buildSegment(t, src)
+	// The footer up to and including the sparse index: what encodeFooter
+	// writes with no sections, minus its sentinel u32 and section-count byte.
+	bare := encodeFooter(seg.schema, seg.nrows, seg.blockRows, seg.compressed, seg.index, seg.sparse, nil, nil)
+	bare = bare[:len(bare)-5]
+	seg.Close()
+	full, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func(name string, edit func(footer []byte) []byte) error {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, full, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rewriteFooter(t, path, edit)
+		s, err := OpenSegment(path)
+		if err == nil {
+			s.Close()
+		}
+		return err
+	}
+	if err := open("intact.seg", func(f []byte) []byte { return f }); err != nil {
+		t.Fatalf("rewriteFooter broke an untouched footer: %v", err)
+	}
+	cases := map[string]func(f []byte) []byte{
+		"stops after sparse index": func([]byte) []byte { return bare },
+		"bare trailing block map": func([]byte) []byte {
+			f := binary.LittleEndian.AppendUint32(append([]byte(nil), bare...), 3)
+			for c := 0; c < 3; c++ {
+				f = binary.LittleEndian.AppendUint32(f, 0)
+			}
+			return f
+		},
+	}
+	// Every cut inside the section tail: the section count, a section header,
+	// a payload the declared length overruns.
+	footerLen := int(binary.LittleEndian.Uint32(full[len(full)-trailerSize+8:]))
+	for cut := 1; cut <= footerLen-len(bare); cut++ {
+		cut := cut
+		cases[fmt.Sprintf("section tail short by %d", cut)] = func(f []byte) []byte { return f[:len(f)-cut] }
+	}
+	for name, edit := range cases {
+		if err := open("case.seg", edit); err == nil || !strings.Contains(err.Error(), "corrupt footer") {
+			t.Errorf("%s: OpenSegment = %v, want a corrupt-footer error", name, err)
+		}
+	}
+}
+
 func TestManifestRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	if _, ok, err := LoadManifest(dir); err != nil || ok {
 		t.Fatalf("fresh dir: ok=%v err=%v, want absent", ok, err)
 	}
-	m := Manifest{Generation: 3, Segment: "seg-0000000000000003.seg", LSN: 42}
+	m := Manifest{Generation: 3, Shards: []ShardEntry{{Segment: "seg-0000000000000003-s0.seg", LSN: 42}}}
 	if err := WriteManifest(dir, m); err != nil {
 		t.Fatal(err)
 	}
@@ -184,12 +266,45 @@ func TestManifestRoundtrip(t *testing.T) {
 		t.Fatalf("manifest = %+v, want %+v", got, m)
 	}
 	// Overwrite with the next generation: the swap replaces, never appends.
-	m2 := Manifest{Generation: 4, Segment: "seg-0000000000000004.seg", LSN: 99}
+	m2 := Manifest{Generation: 4, Shards: []ShardEntry{
+		{Segment: "seg-0000000000000004-s0.seg", Segments: []string{"seg-0000000000000003-s0.seg", "seg-0000000000000004-s0.seg"}, LSN: 99},
+		{Segment: "seg-0000000000000004-s1.seg", LSN: 7},
+	}, Splits: []types.Row{{types.Int(10)}}}
 	if err := WriteManifest(dir, m2); err != nil {
 		t.Fatal(err)
 	}
 	if got, _, _ := LoadManifest(dir); !reflect.DeepEqual(got, m2) {
 		t.Fatalf("manifest after swap = %+v, want %+v", got, m2)
+	}
+}
+
+// TestManifestLiftsFlatForm: a manifest naming its image at top level (what
+// directories written before every store had a Shards list hold) loads as the
+// one-shard form, with the flat fields cleared.
+func TestManifestLiftsFlatForm(t *testing.T) {
+	dir := t.TempDir()
+	chain := []string{"seg-0000000000000002.seg", "seg-0000000000000003.seg"}
+	for _, flat := range []Manifest{
+		{Generation: 3, Segment: chain[1], LSN: 42},
+		{Generation: 3, Segment: chain[1], Segments: chain, LSN: 42},
+	} {
+		if err := WriteManifest(dir, flat); err != nil {
+			t.Fatal(err)
+		}
+		got, ok, err := LoadManifest(dir)
+		if err != nil || !ok {
+			t.Fatalf("LoadManifest(%+v): ok=%v err=%v", flat, ok, err)
+		}
+		want := Manifest{Generation: 3, Shards: []ShardEntry{{Segment: flat.Segment, Segments: flat.Segments, LSN: 42}}}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("lifted manifest = %+v, want %+v", got, want)
+		}
+	}
+	if err := WriteManifest(dir, Manifest{Generation: 3, LSN: 42}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadManifest(dir); err == nil {
+		t.Fatal("a manifest naming no segment in either form loaded")
 	}
 }
 

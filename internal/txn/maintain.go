@@ -63,7 +63,7 @@ func (m *Manager) rebasePendingLocked() {
 	m.commitChain = nil
 	base := m.writePDT
 	for i, r := range m.pending {
-		folded, err := m.fold(base, r.serialized)
+		folded, err := pdt.FoldSnap(base, r.serialized)
 		if err != nil {
 			werr := fmt.Errorf("txn: rebasing parked commit: %w", err)
 			for _, rest := range m.pending[i:] {
@@ -102,7 +102,7 @@ func (m *Manager) maybeFoldLocked() {
 // completeFold folds the frozen write layer into a fresh Read-PDT off-lock
 // and installs the result as the new version.
 func (m *Manager) completeFold(base *version, frozen *pdt.PDT) {
-	folded, err := m.fold(base.readPDT, frozen)
+	folded, err := pdt.FoldSnap(base.readPDT, frozen)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err != nil {
@@ -225,7 +225,7 @@ func (m *Manager) CheckpointInto(build MaterializeFn) error {
 	if err != nil {
 		// Roll the frozen layer back under the write layer so the two-layer
 		// invariant holds again (reads were never wrong either way).
-		restored, ferr := m.fold(frozen, m.writePDT)
+		restored, ferr := pdt.FoldSnap(frozen, m.writePDT)
 		if ferr != nil {
 			m.maintErr = fmt.Errorf("txn: checkpoint rollback: %w", ferr)
 			return err

@@ -1,9 +1,10 @@
 package txn
 
-// Shard-per-core writes: a table is partitioned into N key-range shards, each
-// a full Manager over its own physically split stable image, Write-PDT,
-// group-commit sequencer and WAL stream. The Sharded coordinator owns what
-// must stay global:
+// Shard-per-core writes: a table is partitioned into N >= 1 key-range shards,
+// each a full Manager over its own physically split stable image, Write-PDT,
+// group-commit sequencer and WAL stream. An unsharded table is the N = 1 case,
+// not a different design: no split keys, every key routes to shard 0, every
+// commit is single-shard. The Sharded coordinator owns what must stay global:
 //
 //   - one monotonic commit clock all shards allocate LSNs from, so commit,
 //     recovery and replay ordering stay total across the independent WAL
@@ -15,14 +16,15 @@ package txn
 // A transaction that only wrote one shard commits through that shard's own
 // sequencer — no coordination, no global lock, which is the whole point:
 // under concurrent writers with disjoint key ranges the N sequencers batch,
-// fsync and install in parallel. A transaction spanning shards commits in two
-// phases under a coordinator mutex: every participant is quiesced and its
-// delta validated and folded (prepare), then one clock slot L is allocated
-// and each participant's WAL stream gets a record at LSN L naming the full
-// participant set (phase A), then all participants install behind the begin
-// gate (phase B). A crash between the phase-A appends leaves an incomplete
-// group that recovery drops on every stream (wal.CompleteGroups), so the
-// commit is all-or-nothing per clock entry.
+// fsync and install in parallel. A transaction spanning shards runs the same
+// validate and install steps (Manager.validateLocked, installLocked) under a
+// coordinator mutex, with a hold in place of the sequencer: every participant
+// is quiesced and its delta validated and folded (prepare), then one clock
+// slot L is allocated and each participant's WAL stream gets a record at LSN
+// L naming the full participant set (phase A), then all participants install
+// behind the begin gate (phase B). A crash between the phase-A appends leaves
+// an incomplete group that recovery drops on every stream
+// (wal.CompleteGroups), so the commit is all-or-nothing per clock entry.
 import (
 	"fmt"
 	"sort"
@@ -585,21 +587,15 @@ type preparedCommit struct {
 	folded     *pdt.PDT
 }
 
-// prepareCommit quiesces the shard and validates+folds t's delta against its
-// committed state. On return the shard's held flag is set: new commits park
-// at the top of Commit, fold re-arming and checkpoint entry wait, and the
-// Write-PDT cannot change until install or release clears it — so the fold
-// computed here stays installable by a bare pointer swap.
+// prepareCommit is hold, drain, then the ordinary validate step. On return
+// the shard's held flag is set: new commits park at the top of Commit, fold
+// re-arming and checkpoint entry wait, and the Write-PDT cannot change until
+// install or release clears it — so the fold validateLocked computed against
+// the drained (empty) queue stays installable by a bare pointer swap.
 func (m *Manager) prepareCommit(t *Txn) (*preparedCommit, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	t.done = true
-	fail := func(err error) (*preparedCommit, error) {
-		m.held = false
-		m.finishLocked(t)
-		m.cond.Broadcast()
-		return nil, err
-	}
 	m.held = true
 	// Drain: parked rounds flush (the leader ignores held), new arrivals
 	// wait on held, and a checkpoint in flight completes its swap (its
@@ -607,43 +603,28 @@ func (m *Manager) prepareCommit(t *Txn) (*preparedCommit, error) {
 	for (len(m.pending) > 0 || m.inflight > 0 || m.checkpointing) && m.maintErr == nil {
 		m.cond.Wait()
 	}
+	fail := func(err error) (*preparedCommit, error) {
+		m.held = false
+		m.finishLocked(t)
+		m.cond.Broadcast()
+		return nil, err
+	}
 	if err := m.maintErr; err != nil {
 		return fail(err)
 	}
-	serialized := t.trans
-	chain := make([]*pdt.PDT, 0, len(m.committed))
-	for _, c := range m.committed {
-		if c.commitLSN > t.startLSN {
-			chain = append(chain, c.serialized)
-		}
-	}
-	if len(chain) > 0 {
-		next, err := serialized.SerializeChain(chain)
-		if err != nil {
-			return fail(fmt.Errorf("%w: %v", ErrConflict, err))
-		}
-		serialized = next
-	}
-	folded, err := m.fold(m.writePDT, serialized)
+	serialized, folded, err := m.validateLocked(t)
 	if err != nil {
 		return fail(err)
 	}
 	return &preparedCommit{m: m, t: t, serialized: serialized, folded: folded}, nil
 }
 
-// install makes the prepared commit visible on its shard at the global LSN
-// all participants share, releasing the held pipeline.
+// install is the ordinary install step at the global LSN all participants
+// share, then releases the held pipeline.
 func (p *preparedCommit) install(lsn uint64) {
 	m := p.m
 	m.mu.Lock()
-	m.lsn = lsn
-	m.writePDT = p.folded
-	m.finishLocked(p.t)
-	if refs := len(m.running); refs > 0 {
-		m.committed = append(m.committed, &committedTxn{
-			serialized: p.serialized, commitLSN: lsn, refcnt: refs})
-	}
-	m.snapCache = nil
+	m.installLocked(p.t, p.serialized, p.folded, lsn)
 	m.held = false
 	m.cond.Broadcast()
 	m.maybeFoldLocked()

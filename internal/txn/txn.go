@@ -10,10 +10,12 @@
 // (Algorithm 9's TZ set, with reference counting) — aborting on write-write
 // conflict — and folds the result into the master Write-PDT.
 //
-// Commits are group-committed: a validated commit parks on a sequencer and
-// one leader makes a whole batch durable with a single WAL append (one
-// fsync), so the durability wait happens off the manager mutex and
-// concurrent writers share the barrier instead of queueing on it. See
+// Every commit runs one pipeline — validate, park, durable, install.
+// validateLocked serializes the Trans-PDT and folds it onto the write chain;
+// the commit parks on a sequencer where one leader makes a whole batch
+// durable with a single WAL append (one fsync), so the durability wait
+// happens off the manager mutex and concurrent writers share the barrier
+// instead of queueing on it; installLocked then makes it visible. See
 // Txn.Commit and commitLeader.
 //
 // Maintenance is online (maintain.go): the (store, Read-PDT) pair a
@@ -24,13 +26,15 @@
 // commits keep landing in a fresh write layer and a pointer swap installs
 // the new version, so neither readers nor writers ever stall on a merge.
 //
-// Writes scale across cores by sharding (sharded.go): Sharded coordinates N
-// key-range shards, each a full Manager with its own Write-PDT, sequencer
-// and WAL stream, under one global commit clock. Single-shard commits use
-// their home shard's sequencer with no coordination; cross-shard commits
-// run a two-phase prepare/append/install that recovery makes all-or-nothing
-// per clock entry (wal.CompleteGroups). Sharded.Begin pins a consistent
-// vector of per-shard snapshots behind a begin gate.
+// Writes scale across cores by sharding (sharded.go): Sharded coordinates
+// N >= 1 key-range shards, each a full Manager with its own Write-PDT,
+// sequencer and WAL stream, under one global commit clock. Single-shard
+// commits use their home shard's sequencer with no coordination; a
+// cross-shard commit holds each participant's pipeline, then runs the same
+// validate and install around one WAL record per participant stream, which
+// recovery makes all-or-nothing per clock entry (wal.CompleteGroups).
+// Sharded.Begin pins a consistent vector of per-shard snapshots behind a
+// begin gate.
 package txn
 
 import (
@@ -123,7 +127,6 @@ type Manager struct {
 
 	writeBudget uint64 // bytes before Write→Read propagation
 	log         wal.Log
-	entrywise   bool
 }
 
 type committedTxn struct {
@@ -156,11 +159,6 @@ type Options struct {
 	// Log, when set, receives one record per commit (the WAL): an in-memory
 	// wal.Writer, or a wal.FileLog for commit-durable operation.
 	Log wal.Log
-	// EntrywisePropagate folds PDT layers with the per-entry reference
-	// algorithm instead of the bulk merge. It exists so the update
-	// benchmarks can measure the pre-vectorized write path; production
-	// callers leave it false.
-	EntrywisePropagate bool
 	// MaxCommitBatch caps how many parked commits one leader flush folds
 	// into a single WAL append (and fsync). Zero selects 128. One disables
 	// group commit — every commit pays its own durability barrier — which
@@ -195,7 +193,6 @@ func NewManager(tbl *table.Table, opts Options) (*Manager, error) {
 		running:     map[*Txn]struct{}{},
 		writeBudget: budget,
 		log:         opts.Log,
-		entrywise:   opts.EntrywisePropagate,
 		maxBatch:    maxBatch,
 		maxDelay:    opts.MaxCommitDelay,
 	}
@@ -218,30 +215,6 @@ func raiseClock(c *atomic.Uint64, lsn uint64) {
 			return
 		}
 	}
-}
-
-// propagate folds src into dst in place with the configured algorithm
-// (recovery's replay path; live commits use the non-destructive fold).
-func (m *Manager) propagate(dst, src *pdt.PDT) error {
-	if m.entrywise {
-		return dst.PropagateEntrywise(src)
-	}
-	return dst.Propagate(src)
-}
-
-// fold merges layer over base into a new PDT, leaving both inputs intact.
-// FoldSnap shares base's structure copy-on-write when layer is small — the
-// group-commit common case — so per-commit fold cost tracks the delta size,
-// not the Write-PDT size.
-func (m *Manager) fold(base, layer *pdt.PDT) (*pdt.PDT, error) {
-	if m.entrywise {
-		out := base.Copy()
-		if err := out.PropagateEntrywise(layer); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	return pdt.FoldSnap(base, layer)
 }
 
 // Table returns the underlying table.
@@ -342,7 +315,7 @@ func (m *Manager) Recover(records []wal.Record) error {
 		if err != nil {
 			return fmt.Errorf("txn: recover LSN %d: %w", rec.LSN, err)
 		}
-		if err := m.propagate(m.writePDT, p); err != nil {
+		if err := m.writePDT.Propagate(p); err != nil {
 			return fmt.Errorf("txn: recover LSN %d: %w", rec.LSN, err)
 		}
 		m.lsn = rec.LSN
@@ -568,10 +541,10 @@ func (t *Txn) ApplyBatch(ops []table.Op) (int, error) {
 // conflict the transaction aborts and ErrConflict (wrapping the PDT-level
 // detail) is returned.
 //
-// Commits are group-committed: validation and the fold happen under a narrow
-// critical section, then the commit parks on the sequencer and the manager
-// mutex is released — Begin, Scan and other commits' validation never wait
-// behind an fsync. One leader flushes every parked commit with a single WAL
+// Commits are group-committed: validation and the fold (validateLocked)
+// happen under a narrow critical section, then the commit parks on the
+// sequencer and the manager mutex is released — Begin, Scan and other
+// commits' validation never wait behind an fsync. One leader flushes every parked commit with a single WAL
 // append (one durability barrier for the whole batch) and wakes each waiter
 // with its LSN; the Write-PDT and the commit clock advance, in LSN order,
 // only after the batch is durable. Fail-stop: a failed append or fsync
@@ -594,48 +567,14 @@ func (t *Txn) Commit() error {
 		m.mu.Unlock()
 		return err
 	}
-
-	// Serialize against everything ahead in the commit order: transactions
-	// that committed during this one's lifetime, then commits parked on the
-	// sequencer (validated but not yet durable). The parked dependency is
-	// safe under fail-stop — if their batch's fsync fails, they all abort
-	// and so does everything parked behind them. The whole overlap chain is
-	// resolved in a single SerializeChain sweep (one output build, one
-	// payload clone) instead of one Serialize rebuild per overlapping commit.
-	serialized := t.trans
-	chain := make([]*pdt.PDT, 0, len(m.committed)+len(m.pending))
-	for _, c := range m.committed {
-		if c.commitLSN > t.startLSN {
-			chain = append(chain, c.serialized)
-		}
-	}
-	for _, r := range m.pending {
-		chain = append(chain, r.serialized)
-	}
-	if len(chain) > 0 {
-		next, err := serialized.SerializeChain(chain)
-		if err != nil {
-			m.finishLocked(t)
-			m.mu.Unlock()
-			return fmt.Errorf("%w: %v", ErrConflict, err)
-		}
-		serialized = next
-	}
-	if serialized.Count() == 0 {
+	if t.trans.Count() == 0 {
 		// Nothing to log or apply: the clock must not advance (only durable
 		// records move it) and the shared snapshot stays valid.
 		m.finishLocked(t)
 		m.mu.Unlock()
 		return nil
 	}
-	// Fold onto the chain of parked commits (or the Write-PDT itself when
-	// none are parked): once the batch is durable, installing it is one
-	// pointer swap to the last member's fold.
-	base := m.commitChain
-	if base == nil {
-		base = m.writePDT
-	}
-	folded, err := m.fold(base, serialized)
+	serialized, folded, err := m.validateLocked(t)
 	if err != nil {
 		m.finishLocked(t)
 		m.mu.Unlock()
@@ -776,30 +715,75 @@ func (m *Manager) commitLeader(own *commitReq) {
 	}
 }
 
-// installBatchLocked makes a durable batch visible: the commit clock walks
-// the batch's LSNs in order, the Write-PDT advances to the last member's
-// precomputed fold, each member joins the TZ set for the transactions still
-// running, and every waiter wakes with its LSN.
+// validateLocked is the validate step of every commit, sequenced or
+// cross-shard (Algorithm 9): serialize t's Trans-PDT against everything ahead
+// of it in the commit order — transactions that committed during its lifetime
+// (the TZ members past startLSN), then commits parked on the sequencer
+// (validated but not yet durable) — and fold the result onto the write chain.
+// The parked dependency is safe under fail-stop: if their batch's fsync
+// fails, they all abort and so does everything parked behind them. The whole
+// overlap chain is resolved in a single SerializeChain sweep (one output
+// build, one payload clone) instead of one Serialize rebuild per overlapping
+// commit. The fold lands on the chain of parked commits, or on the Write-PDT
+// itself when none are parked (always, behind prepareCommit's drain), so
+// installing is one pointer swap; FoldSnap shares the base's structure
+// copy-on-write when the layer is small — the common case — so the fold costs
+// what the delta holds, not what the Write-PDT holds. A conflict returns
+// ErrConflict wrapping the PDT-level detail. The caller finishes t on error.
+func (m *Manager) validateLocked(t *Txn) (serialized, folded *pdt.PDT, err error) {
+	chain := make([]*pdt.PDT, 0, len(m.committed)+len(m.pending))
+	for _, c := range m.committed {
+		if c.commitLSN > t.startLSN {
+			chain = append(chain, c.serialized)
+		}
+	}
+	for _, r := range m.pending {
+		chain = append(chain, r.serialized)
+	}
+	serialized = t.trans
+	if len(chain) > 0 {
+		if serialized, err = serialized.SerializeChain(chain); err != nil {
+			return nil, nil, fmt.Errorf("%w: %v", ErrConflict, err)
+		}
+	}
+	base := m.commitChain
+	if base == nil {
+		base = m.writePDT
+	}
+	folded, err = pdt.FoldSnap(base, serialized)
+	return serialized, folded, err
+}
+
+// installLocked is the install step of every commit: once t's record is
+// durable at lsn the clock moves there, the Write-PDT advances to the fold
+// validateLocked precomputed, t leaves the running set and its serialized
+// delta joins the TZ set for the transactions still running.
+func (m *Manager) installLocked(t *Txn, serialized, folded *pdt.PDT, lsn uint64) {
+	m.lsn = lsn
+	m.writePDT = folded
+	m.finishLocked(t)
+	if refs := len(m.running); refs > 0 {
+		m.committed = append(m.committed, &committedTxn{
+			serialized: serialized,
+			commitLSN:  lsn,
+			refcnt:     refs,
+		})
+	}
+	m.snapCache = nil
+}
+
+// installBatchLocked makes a durable batch visible: each member installs at
+// its LSN, in order, and every waiter wakes with its LSN.
 func (m *Manager) installBatchLocked(batch []*commitReq, first uint64) {
 	for i, r := range batch {
-		m.lsn = first + uint64(i)
-		r.lsn = m.lsn
-		m.writePDT = r.folded
-		m.finishLocked(r.t)
-		if refs := len(m.running); refs > 0 {
-			m.committed = append(m.committed, &committedTxn{
-				serialized: r.serialized,
-				commitLSN:  r.lsn,
-				refcnt:     refs,
-			})
-		}
+		r.lsn = first + uint64(i)
+		m.installLocked(r.t, r.serialized, r.folded, r.lsn)
 	}
 	m.pending = m.pending[len(batch):]
 	if len(m.pending) == 0 {
 		m.pending = nil
 		m.commitChain = nil
 	}
-	m.snapCache = nil
 	for _, r := range batch {
 		close(r.done)
 	}

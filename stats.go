@@ -73,7 +73,7 @@ func (db *DB) Stats() Stats {
 		store := db.tbls[i].Store()
 		ss := ShardStats{
 			LSN:          db.mgrs[i].LSN(),
-			FreezeLSN:    db.shardFreezeLSN(i),
+			FreezeLSN:    db.man.Shards[i].LSN,
 			WALBytes:     db.logs[i].SizeBytes(),
 			WALFiles:     db.logs[i].Files(),
 			LastDecision: db.lastCost[i],
