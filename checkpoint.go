@@ -46,11 +46,16 @@ const (
 	// DefaultMaxWALRecords force-checkpoints a shard whose tail grew this
 	// long regardless of the cost model.
 	DefaultMaxWALRecords = 1024
-	// Cost-model weights, in microseconds: replaying one WAL record at open,
-	// writing one (column, block) cell, and one manifest swap + fsync.
-	DefaultReplayCostUs     = 300.0
-	DefaultBlockWriteCostUs = 40.0
-	DefaultSwapCostUs       = 2000.0
+)
+
+// Cost-model weights, in microseconds: replaying one WAL record at open,
+// writing one (column, block) cell, and one manifest swap + fsync. Constants,
+// not options: nothing ever set them, and the scheduler is meant to fit them
+// online from measured µs/record and µs/block rather than be told.
+const (
+	replayCostUs     = 300.0
+	blockWriteCostUs = 40.0
+	swapCostUs       = 2000.0
 )
 
 // CheckpointOptions tunes the incremental checkpoint machinery and its
@@ -73,12 +78,6 @@ type CheckpointOptions struct {
 	// MaxWALRecords force-checkpoints a shard whose tail reached this many
 	// commit-clock entries (0 = default).
 	MaxWALRecords int
-	// Cost-model weights, microseconds per unit (0 = defaults): one WAL
-	// record replayed at open, one (column, block) cell written, one
-	// manifest swap.
-	ReplayCostUs     float64
-	BlockWriteCostUs float64
-	SwapCostUs       float64
 }
 
 // normalize substitutes defaults for zero fields and rejects nonsense.
@@ -92,15 +91,6 @@ func (o CheckpointOptions) normalize() (CheckpointOptions, error) {
 	if o.MaxWALRecords == 0 {
 		o.MaxWALRecords = DefaultMaxWALRecords
 	}
-	if o.ReplayCostUs == 0 {
-		o.ReplayCostUs = DefaultReplayCostUs
-	}
-	if o.BlockWriteCostUs == 0 {
-		o.BlockWriteCostUs = DefaultBlockWriteCostUs
-	}
-	if o.SwapCostUs == 0 {
-		o.SwapCostUs = DefaultSwapCostUs
-	}
 	if o.MaxGenerations < 1 {
 		return o, fmt.Errorf("pdtstore: Checkpoint.MaxGenerations < 1 (%d)", o.MaxGenerations)
 	}
@@ -109,9 +99,6 @@ func (o CheckpointOptions) normalize() (CheckpointOptions, error) {
 	}
 	if o.MaxWALRecords < 1 {
 		return o, fmt.Errorf("pdtstore: Checkpoint.MaxWALRecords < 1 (%d)", o.MaxWALRecords)
-	}
-	if o.ReplayCostUs < 0 || o.BlockWriteCostUs < 0 || o.SwapCostUs < 0 {
-		return o, fmt.Errorf("pdtstore: negative Checkpoint cost weight")
 	}
 	return o, nil
 }
@@ -302,8 +289,8 @@ func (db *DB) buildShardImage(i int, name string, tail uint64, store *colstore.S
 			d.TotalBlocks = ns.NumBlocks() * db.schema.NumCols()
 			d.DirtyBlocks = d.TotalBlocks
 		}
-		d.ReplayUs = float64(tail) * db.ckpt.ReplayCostUs
-		d.WriteUs = float64(d.TotalBlocks)*db.ckpt.BlockWriteCostUs + db.ckpt.SwapCostUs
+		d.ReplayUs = float64(tail) * replayCostUs
+		d.WriteUs = float64(d.TotalBlocks)*blockWriteCostUs + swapCostUs
 		db.lastCost[i] = d
 		return ns, nil
 	}
@@ -332,8 +319,8 @@ func (db *DB) buildShardImage(i int, name string, tail uint64, store *colstore.S
 		TailRecords: tail,
 		DirtyBlocks: ds.WriteCells(),
 		TotalBlocks: ds.TotalCells(),
-		ReplayUs:    float64(tail) * db.ckpt.ReplayCostUs,
-		WriteUs:     float64(ds.WriteCells())*db.ckpt.BlockWriteCostUs + db.ckpt.SwapCostUs,
+		ReplayUs:    float64(tail) * replayCostUs,
+		WriteUs:     float64(ds.WriteCells())*blockWriteCostUs + swapCostUs,
 		Mode:        "incremental",
 	}
 	return ns, nil
@@ -405,8 +392,8 @@ func (db *DB) decideShard(i int) CheckpointDecision {
 		est = 1
 	}
 	d.DirtyBlocks = est
-	d.ReplayUs = float64(tail) * db.ckpt.ReplayCostUs
-	d.WriteUs = float64(est)*db.ckpt.BlockWriteCostUs + db.ckpt.SwapCostUs
+	d.ReplayUs = float64(tail) * replayCostUs
+	d.WriteUs = float64(est)*blockWriteCostUs + swapCostUs
 	if int(tail) >= db.ckpt.MaxWALRecords || d.ReplayUs > d.WriteUs {
 		d.Mode = "checkpoint"
 	}

@@ -125,8 +125,9 @@ type Tx interface {
 	// rows visible to the transaction whose sort key lies in [loKey, hiKey]
 	// (nil bounds are open; bounds may be prefixes of the sort key).
 	Scan(cols []int, loKey, hiKey types.Row) (pdt.BatchSource, error)
-	// PartitionScan exposes the snapshot to the parallel scan engine
-	// (engine.PartRelation); Tx values plug directly into engine.Scan plans.
+	// PartitionScan exposes the snapshot to the scan engine as slices by
+	// stable-SID range (engine.PartRelation): Tx values plug directly into
+	// engine.Scan plans, and Scan is this scan's whole-range open.
 	PartitionScan(loKey, hiKey types.Row) (*engine.PartScan, error)
 	// FindByKey locates the visible tuple with the given (full) sort key.
 	FindByKey(key types.Row) (rid uint64, row types.Row, found bool, err error)

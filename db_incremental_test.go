@@ -352,9 +352,6 @@ func TestCheckpointOptionsValidation(t *testing.T) {
 		{MaxGenerations: -1},
 		{Interval: -time.Second},
 		{MaxWALRecords: -3},
-		{ReplayCostUs: -1},
-		{BlockWriteCostUs: -1},
-		{SwapCostUs: -1},
 	}
 	for _, ckpt := range bad {
 		dir := t.TempDir()

@@ -186,20 +186,19 @@ func TestSkipCountersEndToEnd(t *testing.T) {
 		t.Fatalf("string equality scan skipped no blocks via the index: %+v", db.Stats())
 	}
 
-	// SetPruning(false) is the global kill switch: no scan may skip anything.
-	engine.SetPruning(false)
+	// NoPrune is the per-plan kill switch: such a scan may skip nothing.
 	zb, ib := db.Stats().ZoneSkippedBlocks, db.Stats().IndexSkippedBlocks
-	pr2, fu2 := scan(func() *engine.Plan {
-		tx := db.Begin()
-		t.Cleanup(func() { tx.Abort() })
-		return engine.Scan(tx, 0, 1, 2).FilterStrEq(1, "v300")
-	})
-	engine.SetPruning(true)
-	if pr2 != fu2 {
-		t.Fatal("scans differ with pruning globally disabled")
+	tx = db.Begin()
+	defer tx.Abort()
+	un, err := engine.Scan(tx, 0, 1, 2).FilterStrEq(1, "v300").NoPrune().Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dumpBatch(un) != pr {
+		t.Fatal("NoPrune scan differs from the pruned one")
 	}
 	if st := db.Stats(); st.ZoneSkippedBlocks != zb || st.IndexSkippedBlocks != ib {
-		t.Fatalf("SetPruning(false) still skipped blocks: %+v", st)
+		t.Fatalf("NoPrune scan still skipped blocks: %+v", st)
 	}
 }
 

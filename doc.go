@@ -132,9 +132,9 @@
 // read, so pruned scans are snapshot-consistent by construction — the
 // differential suites hold them byte-identical to full scans across TPC-H
 // and randomized update histories, at every shard count. Stats counts the
-// skips (ZoneSkippedBlocks, IndexSkippedBlocks); engine.SetPruning and
-// Plan.NoPrune are the kill switches; the benchmark's cold workload records
-// the payoff (engine.zone_skipped_blocks, engine.index_skipped_blocks).
+// skips (ZoneSkippedBlocks, IndexSkippedBlocks); Plan.NoPrune is the
+// per-plan kill switch; the benchmark's cold workload records the payoff
+// (engine.zone_skipped_blocks, engine.index_skipped_blocks).
 //
 // See README.md for the quickstart and docs/ARCHITECTURE.md for the full
 // stack walk with commit and scan data-flow diagrams. The benchmarks in

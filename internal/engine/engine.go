@@ -4,11 +4,14 @@
 // transaction layer's stacked snapshots, the TPC-H queries and the benchmark
 // harness — builds its scans here, so there is exactly one place that knows
 // how to assemble the paper's merge pipelines (Algorithm 2 and Equation 9)
-// and one place execution strategy lives: Plan.Parallel (automatic above
-// ParallelThreshold) splits any PartRelation into block-aligned morsels and
-// runs one pipeline per worker over a shared morsel queue (parallel.go),
-// with ordered delivery for Run and per-partition partials, merged in
-// partition order, for RunPartitioned.
+// and one place execution strategy lives: every plan resolves to stable-SID
+// ranges cut into block-aligned morsels, and one executor (parallel.go) walks
+// them with one pipeline loop — on several goroutines over a shared morsel
+// queue when the scan is large or Plan.Parallel says so, inline on the
+// caller's goroutine otherwise. Run, Collect and RunPartitioned below are
+// three sinks over that executor: ordered delivery, per-worker output
+// stitched in morsel order, and morsel-tagged delivery for partial states
+// merged in morsel order.
 //
 // The pipeline is vectorized in the MonetDB/X100 style the paper assumes:
 // batches of typed column vectors flow block-at-a-time, predicates run as
@@ -43,7 +46,7 @@ type Relation interface {
 // Stop is returned by a sink callback to end a Run early without error.
 var Stop = errors.New("engine: stop iteration")
 
-// planFilter is one compiled predicate: a typed kernel applied to the vector
+// planFilter is one bound predicate: a typed kernel applied to the vector
 // holding schema column col, plus the declarative Pred the pruning pass uses
 // to skip blocks the kernel could never select from (pred.Op == PredNone for
 // filters with no prunable description).
@@ -66,7 +69,7 @@ type Plan struct {
 	filters   []planFilter
 	batchSize int
 	needRids  bool
-	workers   int  // 0 = auto, 1 = serial, n > 1 = forced (see Parallel)
+	workers   int  // 0 = auto, 1 = caller's goroutine, n > 1 = forced (see Parallel)
 	noPrune   bool // see NoPrune
 }
 
@@ -177,10 +180,10 @@ func (p *Plan) FilterStrContains(col int, sub string) *Plan {
 		func(v *vector.Vector, s *vector.Selection) { s.FilterStrContains(v, sub) })
 }
 
-// analyzed is the relation-independent part of a compiled plan: the scan
-// column set (projected columns first, then filter-only columns), the batch
-// kinds, and each filter bound to its batch slot. Parallel executions share
-// one analysis across every worker pipeline.
+// analyzed is the relation-independent part of a plan: the scan column set
+// (projected columns first, then filter-only columns), the batch kinds, and
+// each filter bound to its batch slot. Every worker pipeline of an execution
+// shares one analysis.
 type analyzed struct {
 	scanCols []int
 	kinds    []types.Kind
@@ -222,166 +225,136 @@ func (p *Plan) analyze() (*analyzed, error) {
 	return &analyzed{scanCols: scanCols, kinds: kinds, slots: slots}, nil
 }
 
-// compiled is the executable serial form of a plan: its analysis plus the
-// opened source.
-type compiled struct {
-	src pdt.BatchSource
-	*analyzed
-}
-
-func (p *Plan) compile() (*compiled, error) {
-	a, err := p.analyze()
-	if err != nil {
-		return nil, err
-	}
-	src, err := p.rel.Scan(a.scanCols, p.loKey, p.hiKey)
-	if err != nil {
-		return nil, err
-	}
-	return &compiled{src: src, analyzed: a}, nil
-}
-
-// Run streams the pipeline into fn. Each call hands fn the current batch (the
-// plan's projected columns first, in order, then any filter-only columns) and
-// the selection of qualifying row indexes. The batch and selection are reused
-// across calls; fn must not retain them. Returning Stop from fn ends the run
-// without error. Batches where every row is filtered out never reach fn.
+// Run streams the pipeline into fn: the ordered sink. Each call hands fn the
+// current batch (the plan's projected columns first, in order, then any
+// filter-only columns) and the selection of qualifying row indexes. The batch
+// and selection are reused across calls; fn must not retain them. Returning
+// Stop from fn ends the run without error. Batches where every row is
+// filtered out never reach fn.
 //
-// Large scans over partitionable relations run in parallel (see Parallel);
-// batches are still delivered in exactly the serial order, so sinks that fold
-// rows sequentially see the same stream either way.
+// fn always runs on the caller's goroutine and sees the rows in scan order.
+// With one worker it is the executor's emit callback itself; with several
+// the workers hand their batches to a delivery loop that releases them in
+// morsel order (runOrdered), so a sink that folds rows sequentially sees the
+// same stream either way — only the batch boundaries move.
 func (p *Plan) Run(fn func(b *vector.Batch, sel []uint32) error) error {
-	a, err := p.analyze()
-	if err != nil {
-		return err
-	}
 	ap, err := p.resolveAccess()
 	if err != nil {
 		return err
 	}
-	if ap == nil {
-		return p.runSerial(a, fn)
+	if ap.workers > 1 {
+		return ap.runOrdered(fn)
 	}
-	if ap.workers <= 1 {
-		return p.runMorsels(ap, a, func(_ int, b *vector.Batch, sel []uint32) error { return fn(b, sel) })
-	}
-	return p.runParallel(ap, a, fn)
+	return ap.pumpAll(func(pp *pipe, _ int) error { return fn(pp.b, pp.sel.Indexes()) })
 }
 
-// runSerial is the single-goroutine pipeline: one source, one batch, one
-// selection vector.
-func (p *Plan) runSerial(a *analyzed, fn func(b *vector.Batch, sel []uint32) error) error {
-	src, err := p.rel.Scan(a.scanCols, p.loKey, p.hiKey)
+// RunPartitioned streams the pipeline like Run, but tags every (batch, sel)
+// pair with the index of the part it came from instead of imposing a global
+// order: the unordered sink. A part is a morsel — the part count is always
+// the execution's morsel count, whatever the worker count — so parts are
+// processed concurrently when there are several workers, each part by
+// exactly one worker, and within a part batches arrive in row order. start
+// runs once, before any fn call, with the part count, so the caller can
+// allocate per-part state up front; folding those partial states together in
+// part order after RunPartitioned returns yields a result independent of how
+// parts were scheduled — the deterministic combine step parallel
+// aggregations need. fn may be called concurrently for different parts,
+// never for the same one; returning Stop ends the whole run without error.
+func (p *Plan) RunPartitioned(start func(parts int) error, fn func(part int, b *vector.Batch, sel []uint32) error) error {
+	ap, err := p.resolveAccess()
 	if err != nil {
 		return err
 	}
-	b := vector.NewBatch(a.kinds, p.batchSize)
-	sel := vector.GetSelection()
-	defer vector.PutSelection(sel)
-	for {
-		b.Reset()
-		n, err := src.Next(b, p.batchSize)
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			return nil
-		}
-		sel.All(n)
-		for i, f := range p.filters {
-			f.apply(b.Vecs[a.slots[i]], sel)
-			if sel.Len() == 0 {
-				break
-			}
-		}
-		if sel.Len() == 0 {
-			continue
-		}
-		if err := fn(b, sel.Indexes()); err != nil {
-			if errors.Is(err, Stop) {
-				return nil
-			}
-			return err
-		}
+	if err := start(len(ap.morsels)); err != nil {
+		return err
 	}
+	return ap.pumpAll(func(pp *pipe, part int) error { return fn(part, pp.b, pp.sel.Indexes()) })
 }
 
 // Collect drains the pipeline into one dense batch holding exactly the
-// projected columns (filter-only columns are projected away), pre-sized from
-// the source's row-count hint. RIDs are carried through when WithRids was
-// set. Like Run, large scans over partitionable relations execute in
-// parallel, and the output batch is bit-identical to the serial one.
+// projected columns (filter-only columns are projected away): the
+// materializing sink. RIDs are carried through when WithRids was set. Each
+// worker appends its morsels' survivors to a private output batch, pre-sized
+// from the morsel widths, and records one segment per morsel; stitching the
+// segments in morsel order reproduces the scan order exactly, whatever the
+// worker count. With one worker its output already is that order, and is
+// returned as it stands.
 func (p *Plan) Collect() (*vector.Batch, error) {
 	ap, err := p.resolveAccess()
 	if err != nil {
 		return nil, err
 	}
-	if ap != nil {
-		a, err := p.analyze()
-		if err != nil {
-			return nil, err
-		}
-		if ap.workers <= 1 {
-			return p.collectMorsels(ap, a)
-		}
-		return p.collectParallel(ap, a)
+	outKinds := ap.a.kinds[:len(p.outCols)]
+	width := 0
+	for _, m := range ap.morsels {
+		width += int(m.hi - m.lo)
 	}
-	c, err := p.compile()
+	hint := width / ap.workers
+	if hint == 0 {
+		hint = p.batchSize
+	}
+	outs := make([]*vector.Batch, ap.workers)
+	for w := range outs {
+		outs[w] = vector.NewBatch(outKinds, hint)
+	}
+	type seg struct {
+		worker       int
+		start, end   int
+		rstart, rend int
+	}
+	segs := make([]seg, len(ap.morsels))
+	// With no filter and no filter-only column a morsel's rows are the output
+	// rows: the source decodes straight into the worker's output batch.
+	direct := len(p.filters) == 0 && len(ap.a.scanCols) == len(p.outCols)
+	project := func(pp *pipe, _ int) error {
+		out, idx := outs[pp.worker], pp.sel.Indexes()
+		for i, v := range out.Vecs {
+			v.AppendSelected(pp.b.Vecs[i], idx)
+		}
+		if p.needRids && len(pp.b.Rids) > 0 {
+			for _, ri := range idx {
+				out.Rids = append(out.Rids, pp.b.Rids[ri])
+			}
+		}
+		return nil
+	}
+	err = ap.execute(func(pp *pipe, mi int, src pdt.BatchSource) error {
+		out := outs[pp.worker]
+		s := seg{worker: pp.worker, start: out.Len(), rstart: len(out.Rids)}
+		var err error
+		if direct {
+			for n := 1; n > 0 && err == nil; {
+				n, err = src.Next(out, p.batchSize)
+			}
+			if !p.needRids {
+				out.Rids = out.Rids[:s.rstart]
+			}
+		} else {
+			err = pp.pump(src, mi, project)
+		}
+		s.end, s.rend = out.Len(), len(out.Rids)
+		segs[mi] = s
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	hint := SizeHint(c.src)
-	if hint < 0 {
-		hint = p.batchSize
+	if ap.workers == 1 {
+		return outs[0], nil
 	}
-	outKinds := c.kinds[:len(p.outCols)]
-	out := vector.NewBatch(outKinds, hint)
-	if len(p.filters) == 0 && len(c.scanCols) == len(p.outCols) {
-		// Fast path: no filtering, no projection compaction — drain the
-		// source straight into the output batch.
-		for {
-			n, err := c.src.Next(out, p.batchSize)
-			if err != nil {
-				return nil, err
-			}
-			if n == 0 {
-				if !p.needRids {
-					out.Rids = out.Rids[:0]
-				}
-				return out, nil
-			}
-		}
+	// Stitch: each morsel was fully processed by exactly one worker, so
+	// concatenating the segments in morsel order restores the scan order.
+	total := 0
+	for _, s := range segs {
+		total += s.end - s.start
 	}
-	b := vector.NewBatch(c.kinds, p.batchSize)
-	sel := vector.GetSelection()
-	defer vector.PutSelection(sel)
-	for {
-		b.Reset()
-		n, err := c.src.Next(b, p.batchSize)
-		if err != nil {
-			return nil, err
+	final := vector.NewBatch(outKinds, total)
+	for _, s := range segs {
+		src := outs[s.worker]
+		for i, v := range final.Vecs {
+			v.AppendRange(src.Vecs[i], s.start, s.end)
 		}
-		if n == 0 {
-			return out, nil
-		}
-		sel.All(n)
-		for i, f := range p.filters {
-			f.apply(b.Vecs[c.slots[i]], sel)
-			if sel.Len() == 0 {
-				break
-			}
-		}
-		if sel.Len() == 0 {
-			continue
-		}
-		idx := sel.Indexes()
-		for i := range p.outCols {
-			out.Vecs[i].AppendSelected(b.Vecs[i], idx)
-		}
-		if p.needRids && len(b.Rids) > 0 {
-			for _, ri := range idx {
-				out.Rids = append(out.Rids, b.Rids[ri])
-			}
-		}
+		final.Rids = append(final.Rids, src.Rids[s.rstart:s.rend]...)
 	}
+	return final, nil
 }

@@ -6,8 +6,9 @@ package engine
 // predicates against per-block zone maps and secondary-index summaries
 // BEFORE any block is fetched. The result is the subset of the scan's
 // stable-SID range that can still hold qualifying rows; morselization then
-// covers only that subset, so neither serial nor parallel workers ever open
-// a pruned block.
+// covers only that subset, so no worker ever opens a pruned block. Pruning is
+// a per-plan matter: Plan.NoPrune opts one plan out (the differential suites
+// run every query both ways), and there is no process-wide switch.
 //
 // Pruning under a PDT layer stack must respect pending updates: a block the
 // frozen or in-flight PDTs touch (insert, delete or in-place modify) may
@@ -27,7 +28,6 @@ package engine
 
 import (
 	"strings"
-	"sync/atomic"
 
 	"pdtstore/internal/colstore"
 	"pdtstore/internal/pdt"
@@ -76,8 +76,8 @@ type SIDRange struct{ Lo, Hi uint64 }
 // PruneResult is the outcome of a pre-scan pruning pass: the kept sub-ranges
 // (ascending, disjoint, block-aligned except at the scan's own bounds),
 // block accounting, and which structure proved each skipped block
-// irrelevant. Kept == Total means nothing was pruned; the plan falls back to
-// the plain scan path.
+// irrelevant. Kept == Total means nothing was pruned; the plan reads its one
+// whole range.
 type PruneResult struct {
 	Ranges     []SIDRange
 	Total      int // blocks the unpruned scan would touch
@@ -95,18 +95,6 @@ type PruneResult struct {
 type IndexProber interface {
 	CanSkip(pred Pred, blk int) (skip, indexed bool)
 }
-
-// pruneOff is the global pruning switch: differential suites flip it to
-// compare pruned and unpruned executions of identical plans.
-var pruneOff atomic.Bool
-
-// SetPruning enables (default) or disables pre-scan block pruning globally.
-// Flips are not synchronized with running plans; callers toggle it only
-// between executions (the differential tests do).
-func SetPruning(on bool) { pruneOff.Store(!on) }
-
-// PruningEnabled reports the global pruning switch.
-func PruningEnabled() bool { return !pruneOff.Load() }
 
 // typedPreds collects the plan's prunable predicate descriptions.
 func (p *Plan) typedPreds() []Pred {

@@ -1,9 +1,8 @@
 package engine
 
-// White-box tests for the pre-scan pruning primitives: the zone exclusion
-// rules (including the truncated-string edge) and the range-aware morselizer
-// (hard cut boundaries, zero-width slot preservation, start dedupe, and the
-// last-morsel flag).
+// White-box test for the pre-scan pruning primitive: the zone exclusion rules
+// (including the truncated-string edge). The morselizer that turns kept
+// ranges into morsels is tested in morsel_test.go.
 
 import (
 	"testing"
@@ -52,84 +51,5 @@ func TestZoneExcludes(t *testing.T) {
 		if got := zoneExcludes(c.z, c.p); got != c.want {
 			t.Errorf("%s: zoneExcludes = %v, want %v", c.name, got, c.want)
 		}
-	}
-}
-
-func TestMorselizeRanges(t *testing.T) {
-	ps := &PartScan{Lo: 0, Hi: 128, Unit: 16}
-	flat := func(ms []morsel) [][3]uint64 {
-		out := make([][3]uint64, len(ms))
-		for i, m := range ms {
-			last := uint64(0)
-			if m.last {
-				last = 1
-			}
-			out[i] = [3]uint64{m.lo, m.hi, last}
-		}
-		return out
-	}
-
-	// Kept ranges are covered exactly, in order, by block-aligned morsels;
-	// only the morsel reaching the true scan end carries last=true.
-	ranges := []SIDRange{{0, 32}, {96, 128}}
-	ms := morselizeRanges(ranges, ps, 1)
-	got := flat(ms)
-	var covered []SIDRange
-	for i, m := range got {
-		if m[0]%16 != 0 || m[1]%16 != 0 {
-			t.Fatalf("morsel %v not block-aligned", m)
-		}
-		if n := len(covered); n > 0 && covered[n-1].Hi == m[0] {
-			covered[n-1].Hi = m[1]
-		} else {
-			covered = append(covered, SIDRange{m[0], m[1]})
-		}
-		if wantLast := i == len(got)-1; (m[2] == 1) != wantLast || (wantLast && m[1] != ps.Hi) {
-			t.Fatalf("morsel %d = %v: bad last flag (morsels %v)", i, m, got)
-		}
-	}
-	if len(covered) != len(ranges) || covered[0] != ranges[0] || covered[1] != ranges[1] {
-		t.Fatalf("morsels cover %v, want %v (morsels %v)", covered, ranges, got)
-	}
-
-	// A pruned-away tail must not flag its final morsel as last: no morsel
-	// reaches ps.Hi, so no morsel may claim the append boundary.
-	ms = morselizeRanges([]SIDRange{{0, 32}}, ps, 1)
-	for _, m := range ms {
-		if m.last {
-			t.Fatalf("pruned-tail morsel %v claims last", m)
-		}
-	}
-
-	// Cuts are hard boundaries even inside one kept range.
-	ps2 := &PartScan{Lo: 0, Hi: 64, Unit: 16, Cuts: []uint64{40}}
-	ms = morselizeRanges([]SIDRange{{0, 64}}, ps2, 1)
-	for _, m := range ms {
-		if m.lo < 40 && m.hi > 40 {
-			t.Fatalf("morsel %v straddles the cut at 40", m)
-		}
-	}
-
-	// Zero-width ranges survive as zero-width morsels (empty shard slots must
-	// still be opened) — unless another morsel already starts there.
-	ms = morselizeRanges([]SIDRange{{0, 16}, {16, 16}, {16, 32}, {40, 40}}, &PartScan{Lo: 0, Hi: 40, Unit: 16}, 1)
-	starts := map[uint64]int{}
-	for _, m := range ms {
-		starts[m.lo]++
-	}
-	for at, n := range starts {
-		if n > 1 {
-			t.Fatalf("%d morsels start at %d: %v", n, at, ms)
-		}
-	}
-	lastM := ms[len(ms)-1]
-	if lastM.lo != 40 || lastM.hi != 40 || !lastM.last {
-		t.Fatalf("trailing zero-width slot = %+v, want {40 40 last}", lastM)
-	}
-
-	// Nothing kept at all: one zero-width fallback at the scan start.
-	ms = morselizeRanges(nil, ps, 2)
-	if len(ms) != 1 || ms[0].lo != ps.Lo || ms[0].hi != ps.Lo {
-		t.Fatalf("empty ranges → %v, want one zero-width morsel at Lo", ms)
 	}
 }

@@ -38,41 +38,42 @@ type TableSpec struct {
 // additionally read the sort-key columns — the defining cost of the baseline
 // the paper measures — and projects them away again before rows leave the
 // source.
+//
+// A positional image (PDT or none) has its pipeline stated once, in
+// PartitionSpec: its source is that scan's whole-range open. Only the VDT
+// merge, which PartitionSpec declines, is assembled here.
 func NewSource(spec TableSpec, cols []int, loKey, hiKey types.Row) (pdt.BatchSource, error) {
+	if ps := PartitionSpec(spec, loKey, hiKey); ps != nil {
+		return ps.OpenAll(cols)
+	}
 	s := spec.Store
 	from, to := s.SIDRange(loKey, hiKey)
-	switch {
-	case spec.PDT != nil && !spec.PDT.Empty():
-		return pdt.NewMergeScan(spec.PDT, s.NewScanner(cols, from, to), cols, from, true), nil
-	case spec.VDT != nil && !spec.VDT.Empty():
-		srcCols := append([]int(nil), cols...)
-		for _, k := range s.Schema().SortKey {
-			present := false
-			for _, c := range srcCols {
-				if c == k {
-					present = true
-					break
-				}
-			}
-			if !present {
-				srcCols = append(srcCols, k)
+	srcCols := append([]int(nil), cols...)
+	for _, k := range s.Schema().SortKey {
+		present := false
+		for _, c := range srcCols {
+			if c == k {
+				present = true
+				break
 			}
 		}
-		src := s.NewScanner(srcCols, from, to)
-		startRID := spec.VDT.RangeStartRID(from, loKey)
-		return vdt.NewMergeScan(spec.VDT, src, srcCols, cols, loKey, hiKey, startRID)
-	default:
-		return &plainSource{sc: s.NewScanner(cols, from, to)}, nil
+		if !present {
+			srcCols = append(srcCols, k)
+		}
 	}
+	src := s.NewScanner(srcCols, from, to)
+	startRID := spec.VDT.RangeStartRID(from, loKey)
+	return vdt.NewMergeScan(spec.VDT, src, srcCols, cols, loKey, hiKey, startRID)
 }
 
-// PartitionSpec is NewSource's partitionable counterpart: it resolves the
-// sort-key range to stable-SID bounds once and returns a PartScan whose Open
-// assembles the same merge pipeline NewSource would, clamped to one morsel's
+// PartitionSpec is the read pipeline of a positional table image: it
+// resolves the sort-key range to stable-SID bounds once and returns a
+// PartScan whose Open assembles the merge pipeline — stable scanner, under a
+// PDT MergeScan when the image has a non-empty PDT — clamped to one morsel's
 // [lo, hi) sub-range. Non-last morsels open their PDT merge with
 // includeEnd=false, so a delta entry sitting exactly on a morsel boundary is
 // owned by the morsel that starts there — the invariant that makes
-// concatenated morsel outputs equal the serial scan. A table whose updates
+// concatenated morsel outputs equal the whole scan. A table whose updates
 // live in a VDT declines (returns nil): a value-based merge interleaves by
 // key, not position, and cannot be sliced by SID range.
 func PartitionSpec(spec TableSpec, loKey, hiKey types.Row) *PartScan {
@@ -87,11 +88,11 @@ func PartitionSpec(spec TableSpec, loKey, hiKey types.Row) *PartScan {
 	}
 	return &PartScan{Lo: lo, Hi: hi, Unit: s.BlockRows(),
 		Prune: PruneFunc(s, lo, hi, delta),
-		Open: func(cols []int, mlo, mhi uint64, last bool) (pdt.BatchSource, error) {
-			// Readahead: charge the morsel's cold block reads up front so
-			// concurrent workers' modeled I/O overlaps.
-			if err := s.Prefetch(cols, mlo, mhi); err != nil {
-				return nil, err
+		Open: func(cols []int, mlo, mhi uint64, last, ahead bool) (pdt.BatchSource, error) {
+			if ahead {
+				if err := s.Prefetch(cols, mlo, mhi); err != nil {
+					return nil, err
+				}
 			}
 			sc := s.NewScanner(cols, mlo, mhi)
 			if delta != nil {

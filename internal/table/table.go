@@ -177,29 +177,35 @@ func (t *Table) Kinds(cols []int) []types.Kind {
 // may be prefixes of the sort key). The source also emits RIDs. Range
 // restriction uses the sparse index, so the scan may produce rows just
 // outside the bounds (partial blocks); predicates re-filter downstream,
-// exactly as with real zone maps. The pipeline itself — delta-mode dispatch,
-// merge stacking, projection pushdown — lives in package engine; Table
-// satisfies engine.Relation, so plans can be built directly over it.
+// exactly as with real zone maps. The pipeline itself lives in package
+// engine: for a positional image (PDT or none) the source is the whole-range
+// open of the very PartScan PartitionScan returns, and only a VDT with
+// buffered updates gets the value-based merge. Table satisfies
+// engine.Relation, so plans can be built directly over it.
 func (t *Table) Scan(cols []int, loKey, hiKey types.Row) (pdt.BatchSource, error) {
-	// An empty delta structure means the stable image is scanned directly
-	// (engine.NewSource checks): tables the update streams never touch behave
-	// exactly like clean runs, as the paper's footnote on Q2/Q11/Q16 requires.
+	return engine.NewSource(t.spec(), cols, loKey, hiKey)
+}
+
+// spec pins one consistent (store, delta) image. An empty delta structure
+// means the stable image is scanned directly (package engine checks): tables
+// the update streams never touch behave exactly like clean runs, as the
+// paper's footnote on Q2/Q11/Q16 requires.
+func (t *Table) spec() engine.TableSpec {
 	im := t.img.Load()
-	return engine.NewSource(engine.TableSpec{Store: im.store, PDT: im.pdt, VDT: im.vdt}, cols, loKey, hiKey)
+	return engine.TableSpec{Store: im.store, PDT: im.pdt, VDT: im.vdt}
 }
 
 // PartitionScan makes Table an engine.PartRelation: it pins one consistent
 // (store, delta) image and returns block-aligned, range-clamped slices of
-// the same merge pipeline Scan would build over it. Every worker of a
-// parallel plan opens its morsels against that single pinned image, so a
-// checkpoint installing a new image mid-plan can never mix generations
-// within one scan. VDT tables with buffered updates decline (nil PartScan)
-// and scan serially. Like direct Scan, concurrent *updates* to the PDT are
-// the caller's to serialize; the transaction layer's snapshots are the safe
-// way to scan while writes proceed.
+// its merge pipeline. Every worker of a plan opens its morsels against that
+// single pinned image, so a checkpoint installing a new image mid-plan can
+// never mix generations within one scan. VDT tables with buffered updates
+// decline (nil PartScan) and run as one indivisible morsel over Scan. Like
+// direct Scan, concurrent *updates* to the PDT are the caller's to
+// serialize; the transaction layer's snapshots are the safe way to scan
+// while writes proceed.
 func (t *Table) PartitionScan(loKey, hiKey types.Row) (*engine.PartScan, error) {
-	im := t.img.Load()
-	return engine.PartitionSpec(engine.TableSpec{Store: im.store, PDT: im.pdt, VDT: im.vdt}, loKey, hiKey), nil
+	return engine.PartitionSpec(t.spec(), loKey, hiKey), nil
 }
 
 // FindByKey locates the visible tuple with the given (full) sort key,

@@ -28,6 +28,13 @@ type DB struct {
 	Lineitem *table.Table
 
 	Gen *Gen
+
+	// NoPrune and Workers are applied to every plan the queries build
+	// (Plan.NoPrune, Plan.Parallel): the differential suites run the workload
+	// with and without block pruning and on one or several workers and expect
+	// byte-identical answers. The zero values are the engine's defaults.
+	NoPrune bool
+	Workers int
 }
 
 // Load generates and bulk-loads a database at the given scale factor.

@@ -3,15 +3,14 @@ package tpch
 // Pruning differential over the whole workload: every TPC-H query must give
 // byte-identical answers with pre-scan block pruning on (zone maps plus
 // secondary indexes over every non-float column of every table) as with
-// pruning globally off — across refresh-stream update histories, and on both
-// the serial and the forced-parallel access path. This is the suite that
+// every plan opted out of it (DB.NoPrune) — across refresh-stream update
+// histories, and on one worker as on several (DB.Workers). This is the suite that
 // keeps "skip this block" honest: any zone or summary that lies about its
 // block's contents changes a query fingerprint here.
 
 import (
 	"testing"
 
-	"pdtstore/internal/engine"
 	"pdtstore/internal/index"
 	"pdtstore/internal/table"
 	"pdtstore/internal/types"
@@ -38,7 +37,6 @@ func attachIndexes(t *testing.T, db *DB) {
 }
 
 func TestQueriesPruneAgree(t *testing.T) {
-	defer engine.SetPruning(true)
 	db := loadTest(t, table.ModePDT)
 	attachIndexes(t, db)
 
@@ -75,9 +73,9 @@ func TestQueriesPruneAgree(t *testing.T) {
 		},
 	} {
 		prep()
-		engine.SetPruning(false)
+		db.NoPrune, db.Workers = true, 1
 		baseline := run("unpruned")
-		engine.SetPruning(true)
+		db.NoPrune = false
 		pruned := run("pruned")
 		compare("with pruning enabled", pruned, baseline)
 
@@ -86,12 +84,7 @@ func TestQueriesPruneAgree(t *testing.T) {
 			t.Error("no blocks were ever skipped: the pruned pass never pruned")
 		}
 
-		func() {
-			defer func(th, dw int) { engine.ParallelThreshold = th; engine.DefaultWorkers = dw }(
-				engine.ParallelThreshold, engine.DefaultWorkers)
-			engine.ParallelThreshold = 0
-			engine.DefaultWorkers = 4
-			compare("under pruning plus forced parallelism", run("pruned parallel"), baseline)
-		}()
+		db.Workers = 4
+		compare("under pruning plus forced parallelism", run("pruned parallel"), baseline)
 	}
 }

@@ -44,14 +44,24 @@ var Queries = []Query{
 	{21, "suppliers who kept orders waiting", Q21}, {22, "global sales opportunity", Q22},
 }
 
+// scan is the one plan constructor of the workload: every query builds its
+// scans here, so the fixture's two execution settings reach all of them.
+func (db *DB) scan(t *table.Table, cols ...int) *engine.Plan {
+	p := engine.Scan(t, cols...).Parallel(db.Workers)
+	if db.NoPrune {
+		p.NoPrune()
+	}
+	return p
+}
+
 // collect drains a projection of t into one dense batch via the engine.
-func collect(t *table.Table, cols ...int) (*vector.Batch, error) {
-	return engine.Scan(t, cols...).Collect()
+func (db *DB) collect(t *table.Table, cols ...int) (*vector.Batch, error) {
+	return db.scan(t, cols...).Collect()
 }
 
 // nationNames returns nationkey -> name and name -> regionkey lookups.
 func (db *DB) nationMaps() (map[int64]string, map[int64]int64, error) {
-	b, err := collect(db.Nation, NNationkey, NName, NRegionkey)
+	b, err := db.collect(db.Nation, NNationkey, NName, NRegionkey)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -65,7 +75,7 @@ func (db *DB) nationMaps() (map[int64]string, map[int64]int64, error) {
 }
 
 func (db *DB) regionKey(name string) (int64, error) {
-	b, err := engine.Scan(db.Region, RRegionkey).FilterStrEq(RName, name).Collect()
+	b, err := db.scan(db.Region, RRegionkey).FilterStrEq(RName, name).Collect()
 	if err != nil {
 		return 0, err
 	}
@@ -95,7 +105,7 @@ func Q1(db *DB) (string, error) {
 		kb  []byte
 	}
 	var parts []q1part
-	err := engine.Scan(db.Lineitem,
+	err := db.scan(db.Lineitem,
 		LQuantity, LExtendedprice, LDiscount, LTax, LReturnflag, LLinestatus).
 		FilterInt64Le(LShipdate, cutoff).
 		RunPartitioned(
@@ -150,7 +160,7 @@ func Q2(db *DB) (string, error) {
 		return "", err
 	}
 	wanted := map[int64]string{} // partkey -> mfgr
-	err = engine.Scan(db.Part, PPartkey, PMfgr, PType).
+	err = db.scan(db.Part, PPartkey, PMfgr, PType).
 		FilterInt64Eq(PSize, 15).
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
@@ -163,7 +173,7 @@ func Q2(db *DB) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	supp, err := collect(db.Supplier, SSuppkey, SName, SNationkey, SAcctbal)
+	supp, err := db.collect(db.Supplier, SSuppkey, SName, SNationkey, SAcctbal)
 	if err != nil {
 		return "", err
 	}
@@ -178,7 +188,7 @@ func Q2(db *DB) (string, error) {
 		row  int
 	}
 	mins := map[int64]best{}
-	err = engine.Scan(db.PartSupp, PSPartkey, PSSuppkey, PSSupplycost).
+	err = db.scan(db.PartSupp, PSPartkey, PSSuppkey, PSSupplycost).
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
 				pk := b.Vecs[0].I[i]
@@ -215,7 +225,7 @@ func Q2(db *DB) (string, error) {
 func Q3(db *DB) (string, error) {
 	date := Days(1995, 3, 15)
 	building := map[int64]bool{}
-	err := engine.Scan(db.Customer, CCustkey).
+	err := db.scan(db.Customer, CCustkey).
 		FilterStrEq(CMktsegment, "BUILDING").
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
@@ -231,7 +241,7 @@ func Q3(db *DB) (string, error) {
 		prio int64
 	}
 	ords := map[int64]ordInfo{}
-	err = engine.Scan(db.Orders, OOrderdate, OOrderkey, OCustkey, OShippriority).
+	err = db.scan(db.Orders, OOrderdate, OOrderkey, OCustkey, OShippriority).
 		Range(nil, types.Row{types.DateVal(date - 1)}).
 		FilterInt64Le(OOrderdate, date-1).
 		Run(func(b *vector.Batch, sel []uint32) error {
@@ -246,7 +256,7 @@ func Q3(db *DB) (string, error) {
 		return "", err
 	}
 	rev := map[int64]float64{}
-	err = engine.Scan(db.Lineitem, LOrderkey, LExtendedprice, LDiscount).
+	err = db.scan(db.Lineitem, LOrderkey, LExtendedprice, LDiscount).
 		FilterInt64Ge(LShipdate, date+1).
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
@@ -275,7 +285,7 @@ func Q3(db *DB) (string, error) {
 func Q4(db *DB) (string, error) {
 	lo, hi := Days(1993, 7, 1), Days(1993, 10, 1)
 	late := map[int64]bool{}
-	err := engine.Scan(db.Lineitem, LOrderkey, LCommitdate, LReceiptdate).
+	err := db.scan(db.Lineitem, LOrderkey, LCommitdate, LReceiptdate).
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
 				if b.Vecs[1].I[i] < b.Vecs[2].I[i] {
@@ -288,7 +298,7 @@ func Q4(db *DB) (string, error) {
 		return "", err
 	}
 	counts := map[string]int{}
-	err = engine.Scan(db.Orders, OOrderkey, OOrderpriority).
+	err = db.scan(db.Orders, OOrderkey, OOrderpriority).
 		Range(types.Row{types.DateVal(lo)}, types.Row{types.DateVal(hi - 1)}).
 		FilterInt64Range(OOrderdate, lo, hi-1).
 		Run(func(b *vector.Batch, sel []uint32) error {
@@ -320,7 +330,7 @@ func Q5(db *DB) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	cust, err := collect(db.Customer, CCustkey, CNationkey)
+	cust, err := db.collect(db.Customer, CCustkey, CNationkey)
 	if err != nil {
 		return "", err
 	}
@@ -330,7 +340,7 @@ func Q5(db *DB) (string, error) {
 			custNation[cust.Vecs[0].I[i]] = cust.Vecs[1].I[i]
 		}
 	}
-	supp, err := collect(db.Supplier, SSuppkey, SNationkey)
+	supp, err := db.collect(db.Supplier, SSuppkey, SNationkey)
 	if err != nil {
 		return "", err
 	}
@@ -340,7 +350,7 @@ func Q5(db *DB) (string, error) {
 	}
 	lo, hi := Days(1994, 1, 1), Days(1995, 1, 1)
 	ordNation := map[int64]int64{} // orderkey -> customer nation
-	err = engine.Scan(db.Orders, OOrderkey, OCustkey).
+	err = db.scan(db.Orders, OOrderkey, OCustkey).
 		Range(types.Row{types.DateVal(lo)}, types.Row{types.DateVal(hi - 1)}).
 		FilterInt64Range(OOrderdate, lo, hi-1).
 		Run(func(b *vector.Batch, sel []uint32) error {
@@ -355,7 +365,7 @@ func Q5(db *DB) (string, error) {
 		return "", err
 	}
 	revByNation := map[int64]float64{}
-	err = engine.Scan(db.Lineitem, LOrderkey, LSuppkey, LExtendedprice, LDiscount).
+	err = db.scan(db.Lineitem, LOrderkey, LSuppkey, LExtendedprice, LDiscount).
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
 				n, ok := ordNation[b.Vecs[0].I[i]]
@@ -385,7 +395,7 @@ func Q6(db *DB) (string, error) {
 	// Partitioned sum: per-partition partial totals folded in partition
 	// order, so the float result is the same whatever the worker schedule.
 	var partials []float64
-	err := engine.Scan(db.Lineitem, LExtendedprice, LDiscount).
+	err := db.scan(db.Lineitem, LExtendedprice, LDiscount).
 		FilterInt64Range(LShipdate, lo, hi-1).
 		FilterFloat64Range(LDiscount, 0.05, 0.07).
 		FilterFloat64Lt(LQuantity, 24).
@@ -423,7 +433,7 @@ func Q7(db *DB) (string, error) {
 			de = k
 		}
 	}
-	supp, err := collect(db.Supplier, SSuppkey, SNationkey)
+	supp, err := db.collect(db.Supplier, SSuppkey, SNationkey)
 	if err != nil {
 		return "", err
 	}
@@ -431,7 +441,7 @@ func Q7(db *DB) (string, error) {
 	for i := 0; i < supp.Len(); i++ {
 		suppNation[supp.Vecs[0].I[i]] = supp.Vecs[1].I[i]
 	}
-	cust, err := collect(db.Customer, CCustkey, CNationkey)
+	cust, err := db.collect(db.Customer, CCustkey, CNationkey)
 	if err != nil {
 		return "", err
 	}
@@ -440,7 +450,7 @@ func Q7(db *DB) (string, error) {
 		custNation[cust.Vecs[0].I[i]] = cust.Vecs[1].I[i]
 	}
 	ordCustNation := map[int64]int64{}
-	err = engine.Scan(db.Orders, OOrderkey, OCustkey).
+	err = db.scan(db.Orders, OOrderkey, OCustkey).
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
 				ordCustNation[b.Vecs[0].I[i]] = custNation[b.Vecs[1].I[i]]
@@ -452,7 +462,7 @@ func Q7(db *DB) (string, error) {
 	}
 	lo, hi := Days(1995, 1, 1), Days(1996, 12, 31)
 	vol := map[string]float64{}
-	err = engine.Scan(db.Lineitem, LOrderkey, LSuppkey, LExtendedprice, LDiscount, LShipdate).
+	err = db.scan(db.Lineitem, LOrderkey, LSuppkey, LExtendedprice, LDiscount, LShipdate).
 		FilterInt64Range(LShipdate, lo, hi).
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
@@ -487,7 +497,7 @@ func Q8(db *DB) (string, error) {
 		return "", err
 	}
 	wanted := map[int64]bool{}
-	err = engine.Scan(db.Part, PPartkey).
+	err = db.scan(db.Part, PPartkey).
 		FilterStrEq(PType, "ECONOMY ANODIZED STEEL").
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
@@ -498,7 +508,7 @@ func Q8(db *DB) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	cust, err := collect(db.Customer, CCustkey, CNationkey)
+	cust, err := db.collect(db.Customer, CCustkey, CNationkey)
 	if err != nil {
 		return "", err
 	}
@@ -508,7 +518,7 @@ func Q8(db *DB) (string, error) {
 			amCust[cust.Vecs[0].I[i]] = true
 		}
 	}
-	supp, err := collect(db.Supplier, SSuppkey, SNationkey)
+	supp, err := db.collect(db.Supplier, SSuppkey, SNationkey)
 	if err != nil {
 		return "", err
 	}
@@ -518,7 +528,7 @@ func Q8(db *DB) (string, error) {
 	}
 	lo, hi := Days(1995, 1, 1), Days(1996, 12, 31)
 	ordYear := map[int64]int{}
-	err = engine.Scan(db.Orders, OOrderdate, OOrderkey, OCustkey).
+	err = db.scan(db.Orders, OOrderdate, OOrderkey, OCustkey).
 		Range(types.Row{types.DateVal(lo)}, types.Row{types.DateVal(hi)}).
 		FilterInt64Range(OOrderdate, lo, hi).
 		Run(func(b *vector.Batch, sel []uint32) error {
@@ -534,7 +544,7 @@ func Q8(db *DB) (string, error) {
 	}
 	totals := map[int]float64{}
 	brazil := map[int]float64{}
-	err = engine.Scan(db.Lineitem, LOrderkey, LPartkey, LSuppkey, LExtendedprice, LDiscount).
+	err = db.scan(db.Lineitem, LOrderkey, LPartkey, LSuppkey, LExtendedprice, LDiscount).
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
 				if !wanted[b.Vecs[1].I[i]] {
@@ -574,7 +584,7 @@ func Q9(db *DB) (string, error) {
 		return "", err
 	}
 	wanted := map[int64]bool{}
-	err = engine.Scan(db.Part, PPartkey).
+	err = db.scan(db.Part, PPartkey).
 		FilterStrContains(PName, "green").
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
@@ -585,7 +595,7 @@ func Q9(db *DB) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	supp, err := collect(db.Supplier, SSuppkey, SNationkey)
+	supp, err := db.collect(db.Supplier, SSuppkey, SNationkey)
 	if err != nil {
 		return "", err
 	}
@@ -594,7 +604,7 @@ func Q9(db *DB) (string, error) {
 		suppNation[supp.Vecs[0].I[i]] = supp.Vecs[1].I[i]
 	}
 	cost := map[[2]int64]float64{}
-	err = engine.Scan(db.PartSupp, PSPartkey, PSSuppkey, PSSupplycost).
+	err = db.scan(db.PartSupp, PSPartkey, PSSuppkey, PSSupplycost).
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
 				if wanted[b.Vecs[0].I[i]] {
@@ -607,7 +617,7 @@ func Q9(db *DB) (string, error) {
 		return "", err
 	}
 	ordYear := map[int64]int{}
-	err = engine.Scan(db.Orders, OOrderdate, OOrderkey).
+	err = db.scan(db.Orders, OOrderdate, OOrderkey).
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
 				ordYear[b.Vecs[1].I[i]] = yearOf(b.Vecs[0].I[i])
@@ -618,7 +628,7 @@ func Q9(db *DB) (string, error) {
 		return "", err
 	}
 	profit := map[string]float64{}
-	err = engine.Scan(db.Lineitem,
+	err = db.scan(db.Lineitem,
 		LOrderkey, LPartkey, LSuppkey, LQuantity, LExtendedprice, LDiscount).
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
@@ -652,7 +662,7 @@ func Q9(db *DB) (string, error) {
 func Q10(db *DB) (string, error) {
 	lo, hi := Days(1993, 10, 1), Days(1994, 1, 1)
 	ordCust := map[int64]int64{}
-	err := engine.Scan(db.Orders, OOrderkey, OCustkey).
+	err := db.scan(db.Orders, OOrderkey, OCustkey).
 		Range(types.Row{types.DateVal(lo)}, types.Row{types.DateVal(hi - 1)}).
 		FilterInt64Range(OOrderdate, lo, hi-1).
 		Run(func(b *vector.Batch, sel []uint32) error {
@@ -665,7 +675,7 @@ func Q10(db *DB) (string, error) {
 		return "", err
 	}
 	rev := map[int64]float64{}
-	err = engine.Scan(db.Lineitem, LOrderkey, LExtendedprice, LDiscount).
+	err = db.scan(db.Lineitem, LOrderkey, LExtendedprice, LDiscount).
 		FilterStrEq(LReturnflag, "R").
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
@@ -682,7 +692,7 @@ func Q10(db *DB) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	cust, err := collect(db.Customer, CCustkey, CName, CAcctbal, CNationkey, CPhone)
+	cust, err := db.collect(db.Customer, CCustkey, CName, CAcctbal, CNationkey, CPhone)
 	if err != nil {
 		return "", err
 	}
@@ -709,7 +719,7 @@ func Q11(db *DB) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	supp, err := collect(db.Supplier, SSuppkey, SNationkey)
+	supp, err := db.collect(db.Supplier, SSuppkey, SNationkey)
 	if err != nil {
 		return "", err
 	}
@@ -721,7 +731,7 @@ func Q11(db *DB) (string, error) {
 	}
 	value := map[int64]float64{}
 	total := 0.0
-	err = engine.Scan(db.PartSupp, PSPartkey, PSSuppkey, PSAvailqty, PSSupplycost).
+	err = db.scan(db.PartSupp, PSPartkey, PSSuppkey, PSAvailqty, PSSupplycost).
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
 				if german[b.Vecs[1].I[i]] {
@@ -751,7 +761,7 @@ func Q11(db *DB) (string, error) {
 func Q12(db *DB) (string, error) {
 	lo, hi := Days(1994, 1, 1), Days(1995, 1, 1)
 	ordPrio := map[int64]string{}
-	err := engine.Scan(db.Orders, OOrderkey, OOrderpriority).
+	err := db.scan(db.Orders, OOrderkey, OOrderpriority).
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
 				ordPrio[b.Vecs[0].I[i]] = b.Vecs[1].S[i]
@@ -763,7 +773,7 @@ func Q12(db *DB) (string, error) {
 	}
 	high := map[string]int{}
 	low := map[string]int{}
-	err = engine.Scan(db.Lineitem, LOrderkey, LShipdate, LCommitdate, LReceiptdate, LShipmode).
+	err = db.scan(db.Lineitem, LOrderkey, LShipdate, LCommitdate, LReceiptdate, LShipmode).
 		FilterStrIn(LShipmode, "MAIL", "SHIP").
 		FilterInt64Range(LReceiptdate, lo, hi-1).
 		Run(func(b *vector.Batch, sel []uint32) error {
@@ -796,7 +806,7 @@ func Q12(db *DB) (string, error) {
 // "special…requests" comments, histogrammed.
 func Q13(db *DB) (string, error) {
 	perCust := map[int64]int{}
-	err := engine.Scan(db.Orders, OCustkey, OComment).
+	err := db.scan(db.Orders, OCustkey, OComment).
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
 				c := b.Vecs[1].S[i]
@@ -811,7 +821,7 @@ func Q13(db *DB) (string, error) {
 		return "", err
 	}
 	hist := map[int]int{}
-	cust, err := collect(db.Customer, CCustkey)
+	cust, err := db.collect(db.Customer, CCustkey)
 	if err != nil {
 		return "", err
 	}
@@ -829,7 +839,7 @@ func Q13(db *DB) (string, error) {
 // Q14 — Promotion Effect, September 1995.
 func Q14(db *DB) (string, error) {
 	promo := map[int64]bool{}
-	err := engine.Scan(db.Part, PPartkey).
+	err := db.scan(db.Part, PPartkey).
 		FilterStrPrefix(PType, "PROMO").
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
@@ -842,7 +852,7 @@ func Q14(db *DB) (string, error) {
 	}
 	lo, hi := Days(1995, 9, 1), Days(1995, 10, 1)
 	promoRev, totalRev := 0.0, 0.0
-	err = engine.Scan(db.Lineitem, LPartkey, LExtendedprice, LDiscount).
+	err = db.scan(db.Lineitem, LPartkey, LExtendedprice, LDiscount).
 		FilterInt64Range(LShipdate, lo, hi-1).
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
@@ -868,7 +878,7 @@ func Q14(db *DB) (string, error) {
 func Q15(db *DB) (string, error) {
 	lo, hi := Days(1996, 1, 1), Days(1996, 4, 1)
 	rev := map[int64]float64{}
-	err := engine.Scan(db.Lineitem, LSuppkey, LExtendedprice, LDiscount).
+	err := db.scan(db.Lineitem, LSuppkey, LExtendedprice, LDiscount).
 		FilterInt64Range(LShipdate, lo, hi-1).
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
@@ -885,7 +895,7 @@ func Q15(db *DB) (string, error) {
 			best = r
 		}
 	}
-	supp, err := collect(db.Supplier, SSuppkey, SName, SAddress, SPhone)
+	supp, err := db.collect(db.Supplier, SSuppkey, SName, SAddress, SPhone)
 	if err != nil {
 		return "", err
 	}
@@ -903,7 +913,7 @@ func Q15(db *DB) (string, error) {
 // Q16 — Parts/Supplier Relationship: distinct non-complaint suppliers per
 // (brand, type, size) bucket.
 func Q16(db *DB) (string, error) {
-	supp, err := collect(db.Supplier, SSuppkey, SComment)
+	supp, err := db.collect(db.Supplier, SSuppkey, SComment)
 	if err != nil {
 		return "", err
 	}
@@ -915,7 +925,7 @@ func Q16(db *DB) (string, error) {
 		}
 	}
 	sizes := map[int64]bool{49: true, 14: true, 23: true, 45: true, 19: true, 3: true, 36: true, 9: true}
-	parts, err := collect(db.Part, PPartkey, PBrand, PType, PSize)
+	parts, err := db.collect(db.Part, PPartkey, PBrand, PType, PSize)
 	if err != nil {
 		return "", err
 	}
@@ -928,7 +938,7 @@ func Q16(db *DB) (string, error) {
 		bucket[parts.Vecs[0].I[i]] = fmt.Sprintf("%s|%s|%d", brand, ptype, size)
 	}
 	supSets := map[string]map[int64]bool{}
-	err = engine.Scan(db.PartSupp, PSPartkey, PSSuppkey).
+	err = db.scan(db.PartSupp, PSPartkey, PSSuppkey).
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
 				key, ok := bucket[b.Vecs[0].I[i]]
@@ -959,7 +969,7 @@ func Q16(db *DB) (string, error) {
 // Q17 — Small-Quantity-Order Revenue for Brand#23 MED BOX parts.
 func Q17(db *DB) (string, error) {
 	wanted := map[int64]bool{}
-	err := engine.Scan(db.Part, PPartkey).
+	err := db.scan(db.Part, PPartkey).
 		FilterStrEq(PBrand, "Brand#23").
 		FilterStrEq(PContainer, "MED BOX").
 		Run(func(b *vector.Batch, sel []uint32) error {
@@ -972,7 +982,7 @@ func Q17(db *DB) (string, error) {
 		return "", err
 	}
 	sums := map[int64]*exec.Agg{}
-	err = engine.Scan(db.Lineitem, LPartkey, LQuantity).
+	err = db.scan(db.Lineitem, LPartkey, LQuantity).
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
 				pk := b.Vecs[0].I[i]
@@ -989,7 +999,7 @@ func Q17(db *DB) (string, error) {
 		return "", err
 	}
 	total := 0.0
-	err = engine.Scan(db.Lineitem, LPartkey, LQuantity, LExtendedprice).
+	err = db.scan(db.Lineitem, LPartkey, LQuantity, LExtendedprice).
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
 				pk := b.Vecs[0].I[i]
@@ -1009,7 +1019,7 @@ func Q17(db *DB) (string, error) {
 // (dbgen's threshold; at small scale the result may legitimately be empty.)
 func Q18(db *DB) (string, error) {
 	qty := map[int64]float64{}
-	err := engine.Scan(db.Lineitem, LOrderkey, LQuantity).
+	err := db.scan(db.Lineitem, LOrderkey, LQuantity).
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
 				qty[b.Vecs[0].I[i]] += b.Vecs[1].F[i]
@@ -1026,7 +1036,7 @@ func Q18(db *DB) (string, error) {
 		}
 	}
 	var out []string
-	err = engine.Scan(db.Orders, OOrderdate, OOrderkey, OCustkey, OTotalprice).
+	err = db.scan(db.Orders, OOrderdate, OOrderkey, OCustkey, OTotalprice).
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
 				okey := b.Vecs[1].I[i]
@@ -1051,7 +1061,7 @@ func Q18(db *DB) (string, error) {
 // The shared shipmode/shipinstruct conjuncts run as kernels; the OR of part
 // attributes stays in the sink.
 func Q19(db *DB) (string, error) {
-	parts, err := collect(db.Part, PPartkey, PBrand, PContainer, PSize)
+	parts, err := db.collect(db.Part, PPartkey, PBrand, PContainer, PSize)
 	if err != nil {
 		return "", err
 	}
@@ -1064,7 +1074,7 @@ func Q19(db *DB) (string, error) {
 		info[parts.Vecs[0].I[i]] = pinfo{parts.Vecs[1].S[i], parts.Vecs[2].S[i], parts.Vecs[3].I[i]}
 	}
 	total := 0.0
-	err = engine.Scan(db.Lineitem, LPartkey, LQuantity, LExtendedprice, LDiscount).
+	err = db.scan(db.Lineitem, LPartkey, LQuantity, LExtendedprice, LDiscount).
 		FilterStrIn(LShipmode, "AIR", "REG AIR").
 		FilterStrEq(LShipinstruct, "DELIVER IN PERSON").
 		Run(func(b *vector.Batch, sel []uint32) error {
@@ -1097,7 +1107,7 @@ func Q20(db *DB) (string, error) {
 		return "", err
 	}
 	forest := map[int64]bool{}
-	err = engine.Scan(db.Part, PPartkey).
+	err = db.scan(db.Part, PPartkey).
 		FilterStrPrefix(PName, "forest").
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
@@ -1110,7 +1120,7 @@ func Q20(db *DB) (string, error) {
 	}
 	lo, hi := Days(1994, 1, 1), Days(1995, 1, 1)
 	shipped := map[[2]int64]float64{}
-	err = engine.Scan(db.Lineitem, LPartkey, LSuppkey, LQuantity).
+	err = db.scan(db.Lineitem, LPartkey, LSuppkey, LQuantity).
 		FilterInt64Range(LShipdate, lo, hi-1).
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
@@ -1125,7 +1135,7 @@ func Q20(db *DB) (string, error) {
 		return "", err
 	}
 	qualifying := map[int64]bool{}
-	err = engine.Scan(db.PartSupp, PSPartkey, PSSuppkey, PSAvailqty).
+	err = db.scan(db.PartSupp, PSPartkey, PSSuppkey, PSAvailqty).
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
 				pk, sk := b.Vecs[0].I[i], b.Vecs[1].I[i]
@@ -1141,7 +1151,7 @@ func Q20(db *DB) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	supp, err := collect(db.Supplier, SSuppkey, SName, SAddress, SNationkey)
+	supp, err := db.collect(db.Supplier, SSuppkey, SName, SAddress, SNationkey)
 	if err != nil {
 		return "", err
 	}
@@ -1162,7 +1172,7 @@ func Q21(db *DB) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	supp, err := collect(db.Supplier, SSuppkey, SName, SNationkey)
+	supp, err := db.collect(db.Supplier, SSuppkey, SName, SNationkey)
 	if err != nil {
 		return "", err
 	}
@@ -1173,7 +1183,7 @@ func Q21(db *DB) (string, error) {
 		}
 	}
 	fOrders := map[int64]bool{}
-	err = engine.Scan(db.Orders, OOrderkey).
+	err = db.scan(db.Orders, OOrderkey).
 		FilterStrEq(OOrderstatus, "F").
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
@@ -1189,7 +1199,7 @@ func Q21(db *DB) (string, error) {
 		late  map[int64]bool
 	}
 	states := map[int64]*ordState{}
-	err = engine.Scan(db.Lineitem, LOrderkey, LSuppkey, LCommitdate, LReceiptdate).
+	err = db.scan(db.Lineitem, LOrderkey, LSuppkey, LCommitdate, LReceiptdate).
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
 				okey := b.Vecs[0].I[i]
@@ -1238,7 +1248,7 @@ func Q21(db *DB) (string, error) {
 // grouped by phone prefix.
 func Q22(db *DB) (string, error) {
 	prefixes := map[string]bool{"13": true, "31": true, "23": true, "29": true, "30": true, "18": true, "17": true}
-	cust, err := collect(db.Customer, CCustkey, CPhone, CAcctbal)
+	cust, err := db.collect(db.Customer, CCustkey, CPhone, CAcctbal)
 	if err != nil {
 		return "", err
 	}
@@ -1254,7 +1264,7 @@ func Q22(db *DB) (string, error) {
 	}
 	avg := sum / float64(n)
 	hasOrder := map[int64]bool{}
-	err = engine.Scan(db.Orders, OCustkey).
+	err = db.scan(db.Orders, OCustkey).
 		Run(func(b *vector.Batch, sel []uint32) error {
 			for _, i := range sel {
 				hasOrder[b.Vecs[0].I[i]] = true

@@ -206,32 +206,25 @@ func (t *STxn) ShardTxn(i int) *Txn { return t.txns[i] }
 // Schema returns the table schema (STxn is an engine.Relation).
 func (t *STxn) Schema() *types.Schema { return t.s.schema }
 
-// Scan returns the transaction's view of the whole table: the shards' merged
-// pipelines concatenated in shard (= key) order, each shifted so RIDs are
-// globally consecutive — shard i's local RID r surfaces as r plus the
-// visible row counts of the shards before it.
+// Scan returns the transaction's view of the key range as one source: the
+// whole-range open of PartitionScan — the shards' merged pipelines
+// concatenated in shard (= key) order, each shifted so RIDs are globally
+// consecutive.
 func (t *STxn) Scan(cols []int, loKey, hiKey types.Row) (pdt.BatchSource, error) {
-	if t.done {
-		return nil, ErrTxnDone
+	ps, err := t.PartitionScan(loKey, hiKey)
+	if err != nil {
+		return nil, err
 	}
-	srcs := make([]pdt.BatchSource, len(t.txns))
-	var off uint64
-	for i, tx := range t.txns {
-		src, err := tx.Scan(cols, loKey, hiKey)
-		if err != nil {
-			return nil, err
-		}
-		srcs[i] = engine.OffsetRids(src, off)
-		off += tx.visibleRows()
-	}
-	return engine.Concat(srcs...), nil
+	return ps.OpenAll(cols)
 }
 
 // PartitionScan makes STxn an engine.PartRelation: the shards' clamped scan
 // ranges are laid out end to end in one compacted domain, with a hard cut at
 // every shard boundary, so each morsel falls entirely inside one shard and
 // opens that shard's pipeline alone — a parallel scan's workers fan out
-// across shards without any morsel straddling two Write-PDT stacks. A shard
+// across shards without any morsel straddling two Write-PDT stacks. RIDs
+// stay globally consecutive: shard i's local RID r surfaces as r plus the
+// visible row counts of the shards before it. A shard
 // whose clamped stable range is empty still owns a zero-width slot (its
 // delta layers can hold qualifying inserts); the morsel starting at that
 // slot's position — or the domain's last morsel, for a slot at the very end —
@@ -309,7 +302,7 @@ func (t *STxn) PartitionScan(loKey, hiKey types.Row) (*engine.PartScan, error) {
 			}
 			return res
 		},
-		Open: func(cols []int, mlo, mhi uint64, last bool) (pdt.BatchSource, error) {
+		Open: func(cols []int, mlo, mhi uint64, last, ahead bool) (pdt.BatchSource, error) {
 			var srcs []pdt.BatchSource
 			for _, sg := range segs {
 				var slo, shi uint64
@@ -330,7 +323,7 @@ func (t *STxn) PartitionScan(loKey, hiKey types.Row) (*engine.PartScan, error) {
 				// The shard's own end boundary decides includeEnd: the morsel
 				// reaching the shard's clamped Hi owns the delta entries
 				// sitting exactly there, whatever its global position.
-				inner, err := sg.ps.Open(cols, slo, shi, shi == sg.ps.Hi)
+				inner, err := sg.ps.Open(cols, slo, shi, shi == sg.ps.Hi, ahead)
 				if err != nil {
 					return nil, err
 				}

@@ -349,49 +349,55 @@ func (t *Txn) CommitLSN() uint64 { return t.commitLSN }
 // be built directly over a transaction's view).
 func (t *Txn) Schema() *types.Schema { return t.mgr.tbl.Schema() }
 
-// Scan returns the transaction's view: the pinned stable image merged with
-// the PDT layers (Equation 9: TABLE₀ ∘ R ∘ W ∘ T, with the frozen
-// maintenance layer between R and W while a fold is in flight), stacked by
-// the engine.
-func (t *Txn) Scan(cols []int, loKey, hiKey types.Row) (pdt.BatchSource, error) {
-	if t.done {
-		return nil, ErrTxnDone
-	}
-	store := t.ver.store
-	from, to := store.SIDRange(loKey, hiKey)
-	base := store.NewScanner(cols, from, to)
-	return engine.StackPDTs(base, cols, from, true, t.ver.readPDT, t.frozen, t.writeSnap, t.trans), nil
+// layers is the transaction's PDT stack, bottom to top (Equation 9:
+// TABLE₀ ∘ R ∘ W ∘ T, with the frozen maintenance layer — nil unless a fold
+// was in flight at Begin — between R and W). Every reader of the
+// transaction's view stacks exactly this list: scans, the prune pass's
+// dirty-block gate, key probes and the row count.
+func (t *Txn) layers() []*pdt.PDT {
+	return []*pdt.PDT{t.ver.readPDT, t.frozen, t.writeSnap, t.trans}
 }
 
-// PartitionScan makes Txn an engine.PartRelation: parallel plans over a
-// transaction's view open each morsel as a range-clamped copy of the full
-// Equation 9 stack. Every layer in the stack is immutable for the life of
-// the transaction — the pinned version's Read-PDT, the frozen maintenance
-// layer, the copy-on-write Write-PDT snapshot taken at Begin — except the
-// private Trans-PDT, which only this transaction mutates; so workers may
-// cursor through all four layers concurrently while commits, folds and
-// checkpoints proceed elsewhere. Each PDT merge seeks its cursor to the
-// morsel's start SID (carrying the running shift in) and chains its StartRID
-// into the layer above, exactly as the serial stacking does.
+// Scan returns the transaction's view of the key range as one source: the
+// whole-range open of PartitionScan, which is where the pipeline is stated.
+func (t *Txn) Scan(cols []int, loKey, hiKey types.Row) (pdt.BatchSource, error) {
+	ps, err := t.PartitionScan(loKey, hiKey)
+	if err != nil {
+		return nil, err
+	}
+	return ps.OpenAll(cols)
+}
+
+// PartitionScan makes Txn an engine.PartRelation: a plan over a
+// transaction's view opens each morsel as a range-clamped copy of the full
+// Equation 9 stack over the pinned stable image. Every layer in the stack is
+// immutable for the life of the transaction — the pinned version's Read-PDT,
+// the frozen maintenance layer, the copy-on-write Write-PDT snapshot taken
+// at Begin — except the private Trans-PDT, which only this transaction
+// mutates; so workers may cursor through all four layers concurrently while
+// commits, folds and checkpoints proceed elsewhere. Each PDT merge seeks its
+// cursor to the morsel's start SID (carrying the running shift in) and
+// chains its StartRID into the layer above (engine.StackPDTs).
 func (t *Txn) PartitionScan(loKey, hiKey types.Row) (*engine.PartScan, error) {
 	if t.done {
 		return nil, ErrTxnDone
 	}
-	store := t.ver.store
+	store, layers := t.ver.store, t.layers()
 	lo, hi := store.SIDRange(loKey, hiKey)
-	readPDT, frozen, writeSnap, trans := t.ver.readPDT, t.frozen, t.writeSnap, t.trans
 	return &engine.PartScan{Lo: lo, Hi: hi, Unit: store.BlockRows(),
 		// The prune pass consults the pinned image's zone maps and index
-		// sidecar, treating every block the four pinned layers touch as
+		// sidecar, treating every block the pinned layers touch as
 		// unskippable — the positional dirty-block gate that keeps index and
 		// zone answers snapshot-consistent while deltas are unfolded.
-		Prune: engine.PruneFunc(store, lo, hi, readPDT, frozen, writeSnap, trans),
-		Open: func(cols []int, mlo, mhi uint64, last bool) (pdt.BatchSource, error) {
-			if err := store.Prefetch(cols, mlo, mhi); err != nil {
-				return nil, err
+		Prune: engine.PruneFunc(store, lo, hi, layers...),
+		Open: func(cols []int, mlo, mhi uint64, last, ahead bool) (pdt.BatchSource, error) {
+			if ahead {
+				if err := store.Prefetch(cols, mlo, mhi); err != nil {
+					return nil, err
+				}
 			}
 			base := store.NewScanner(cols, mlo, mhi)
-			return engine.StackPDTs(base, cols, mlo, last, readPDT, frozen, writeSnap, trans), nil
+			return engine.StackPDTs(base, cols, mlo, last, layers...), nil
 		}}, nil
 }
 
@@ -403,8 +409,7 @@ func (t *Txn) seek(key types.Row, cols []int, above ...*pdt.PDT) (rid uint64, ro
 	if t.done {
 		return 0, nil, false, ErrTxnDone
 	}
-	layers := append([]*pdt.PDT{t.ver.readPDT, t.frozen, t.writeSnap, t.trans}, above...)
-	return engine.Seek(t.ver.store, key, cols, layers...)
+	return engine.Seek(t.ver.store, key, cols, append(t.layers(), above...)...)
 }
 
 // FindByKey locates the visible tuple with the given (full) sort key in the
@@ -425,11 +430,11 @@ func (t *Txn) FindByKey(key types.Row) (rid uint64, row types.Row, found bool, e
 // visibleRows returns the transaction's current row count.
 func (t *Txn) visibleRows() uint64 {
 	n := int64(t.ver.store.NRows())
-	n += t.ver.readPDT.Delta()
-	if t.frozen != nil {
-		n += t.frozen.Delta()
+	for _, l := range t.layers() {
+		if l != nil {
+			n += l.Delta()
+		}
 	}
-	n += t.writeSnap.Delta() + t.trans.Delta()
 	return uint64(n)
 }
 
