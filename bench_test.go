@@ -267,19 +267,11 @@ func BenchmarkAblation_SerializePropagate(b *testing.B) {
 			}
 		}
 	})
-	b.Run("propagate-500", func(b *testing.B) {
+	b.Run("fold-500", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			lower := mkTxn(1_000_000)
-			b.StartTimer()
-			if err := lower.Propagate(ty); err != nil {
+			if _, err := pdt.Fold(tx, ty); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-	b.Run("copy-500", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = tx.Copy()
 		}
 	})
 }
@@ -296,10 +288,7 @@ func BenchmarkWritePath(b *testing.B) {
 	b.Run("propagate-bulk-1k-into-5k", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			dst := base.Copy()
-			b.StartTimer()
-			if err := dst.Propagate(delta); err != nil {
+			if _, err := pdt.Fold(base, delta); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -307,10 +296,7 @@ func BenchmarkWritePath(b *testing.B) {
 	b.Run("propagate-entrywise-1k-into-5k", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			dst := base.Copy()
-			b.StartTimer()
-			if err := dst.PropagateEntrywise(delta); err != nil {
+			if err := base.Snapshot().Propagate(delta); err != nil {
 				b.Fatal(err)
 			}
 		}

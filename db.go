@@ -44,7 +44,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"time"
 
 	"pdtstore/internal/colstore"
 	"pdtstore/internal/engine"
@@ -76,11 +75,6 @@ type Options struct {
 	// flush folds into a single WAL append and fsync (0 = transaction-
 	// manager default of 128; 1 makes every commit pay its own fsync).
 	MaxCommitBatch int
-	// MaxCommitDelay, when positive, lets the group-commit leader wait that
-	// long for more commits to join a non-full batch. Zero (the default)
-	// relies on natural batching: whatever arrives during the previous
-	// fsync flushes together.
-	MaxCommitDelay time.Duration
 	// Device shares a buffer pool across stores; nil creates a private one.
 	Device *colstore.Device
 	// Shards splits the table into this many key-range shards, each with its
@@ -352,7 +346,6 @@ func Open(dir string, opts Options) (*DB, error) {
 			WriteBudget:    opts.WriteBudget,
 			Log:            logs[i],
 			MaxCommitBatch: opts.MaxCommitBatch,
-			MaxCommitDelay: opts.MaxCommitDelay,
 		})
 		if err != nil {
 			return nil, err

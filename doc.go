@@ -26,9 +26,10 @@
 // resolve their target positions with one shared merge-scan cursor
 // (Table.ApplyBatch, Txn.ApplyBatch), commits serialize straight out of the
 // Trans-PDT into a buffer-reusing WAL, PDT layers fold into each other with
-// an O(n+m) leaf-chain merge (pdt.Propagate, with the per-entry reference
-// kept as PropagateEntrywise), and checkpoints stream the merged view into
-// the block builder without materializing rows.
+// an O(n+m) leaf-chain merge (pdt.Fold; when the layer is small pdt.FoldSnap
+// takes the paper's per-entry Algorithm 7, pdt.Propagate, on a copy-on-write
+// fork, which is also how a WAL tail is replayed), and checkpoints stream the
+// merged view into the block builder without materializing rows.
 //
 // Maintenance is online: every transaction pins an immutable (stable image,
 // Read-PDT) version at Begin, and both downward folds — Write→Read
@@ -85,7 +86,7 @@
 // Write-PDT and wakes every waiter with its LSN. Begin and scans never wait
 // behind an in-flight fsync, and a failed barrier aborts the whole batch
 // fail-stop with nothing visible, live or at replay. Options.MaxCommitBatch
-// and Options.MaxCommitDelay tune the batching.
+// caps the batch.
 //
 // The serialized part of that commit path is O(change), not O(state):
 // Begin takes a copy-on-write Write-PDT snapshot in O(1) (pdt.Snapshot;

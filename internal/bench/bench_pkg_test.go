@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"pdtstore/internal/pdt"
 	"pdtstore/internal/table"
 )
 
@@ -123,11 +124,12 @@ func TestUpdateHarness(t *testing.T) {
 	if base.Count() < 1900 || delta.Count() < 350 {
 		t.Fatalf("undersized layers: base %d, delta %d", base.Count(), delta.Count())
 	}
-	bulk, ent := base.Copy(), base.Copy()
-	if err := bulk.Propagate(delta); err != nil {
+	bulk, err := pdt.Fold(base, delta)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ent.PropagateEntrywise(delta); err != nil {
+	ent := base.Snapshot()
+	if err := ent.Propagate(delta); err != nil {
 		t.Fatal(err)
 	}
 	if err := bulk.Validate(); err != nil {

@@ -4,10 +4,10 @@ package bench
 // throughput and merge (propagate/checkpoint) cost, not scans. This file
 // measures them along the axes of §4's update study:
 //
-//   - Propagate: folding a 10k-entry layer into a 50k-entry PDT, bulk merge
-//     vs the per-entry reference (PropagateEntrywise).
-//   - Commit+propagate: the tail of Txn.Commit — WAL append of the
-//     serialized Trans-PDT plus its propagation into the Write-PDT.
+//   - Propagate: folding a 10k-entry layer into a 50k-entry PDT, the bulk
+//     merge (pdt.Fold) vs the per-entry Algorithm 7 (Propagate on a snapshot).
+//   - Commit+fold: the tail of Txn.Commit — WAL append of the serialized
+//     Trans-PDT plus its fold onto the Write-PDT (pdt.FoldSnap).
 //   - Txn end-to-end: begin, apply a mixed op set (row-at-a-time vs
 //     ApplyBatch), commit.
 //   - Checkpoint: folding buffered deltas into a fresh stable image through
@@ -204,7 +204,7 @@ func measureUpdate(name, mode string, fn func(b *testing.B)) UpdateRow {
 
 // BuildPropagatePair returns a base PDT of baseN mixed entries over a
 // virtual stable table, plus a consecutive delta layer of deltaN entries
-// over the base's output image — the input shape of every Propagate call.
+// over the base's output image — the input shape of every downward fold.
 // Exported for the root write-path benchmarks.
 func BuildPropagatePair(baseN, deltaN int) (base, delta *pdt.PDT, err error) {
 	schema := updSchema()
@@ -221,8 +221,8 @@ func BuildPropagatePair(baseN, deltaN int) (base, delta *pdt.PDT, err error) {
 	return base, delta, nil
 }
 
-// propagateRows measures folding a delta layer into a base PDT, bulk vs the
-// per-entry reference.
+// propagateRows measures folding a delta layer into a base PDT: the bulk
+// merge against the per-entry algorithm on a copy-on-write snapshot.
 func propagateRows(cfg UpdateConfig) ([]UpdateRow, error) {
 	base, delta, err := BuildPropagatePair(cfg.PropagateBase, cfg.PropagateDelta)
 	if err != nil {
@@ -231,21 +231,17 @@ func propagateRows(cfg UpdateConfig) ([]UpdateRow, error) {
 	name := fmt.Sprintf("propagate/%dk-into-%dk", cfg.PropagateDelta/1000, cfg.PropagateBase/1000)
 	variants := []struct {
 		mode string
-		fold func(dst *pdt.PDT) error
+		fold func() error
 	}{
-		{"bulk", func(dst *pdt.PDT) error { return dst.Propagate(delta) }},
-		{"entrywise", func(dst *pdt.PDT) error { return dst.PropagateEntrywise(delta) }},
+		{"bulk", func() error { _, err := pdt.Fold(base, delta); return err }},
+		{"entrywise", func() error { return base.Snapshot().Propagate(delta) }},
 	}
 	var out []UpdateRow
 	for _, v := range variants {
-		v := v
 		out = append(out, measureUpdate(name, v.mode, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				dst := base.Copy()
-				b.StartTimer()
-				if err := v.fold(dst); err != nil {
+				if err := v.fold(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -255,7 +251,7 @@ func propagateRows(cfg UpdateConfig) ([]UpdateRow, error) {
 }
 
 // commitRows measures the tail of Txn.Commit: WAL append of the serialized
-// Trans-PDT plus its propagation into the master Write-PDT.
+// Trans-PDT plus the fold onto the master Write-PDT that validateLocked runs.
 func commitRows(cfg UpdateConfig) ([]UpdateRow, error) {
 	schema := updSchema()
 	keys := updStableKeys(10 * cfg.CommitWrite)
@@ -268,34 +264,19 @@ func commitRows(cfg UpdateConfig) ([]UpdateRow, error) {
 	if _, err := genLayer(t0, img, cfg.CommitTrans, 4); err != nil {
 		return nil, err
 	}
-	name := fmt.Sprintf("commit+propagate/%d-into-%dk", cfg.CommitTrans, cfg.CommitWrite/1000)
-	variants := []struct {
-		mode string
-		fold func(dst *pdt.PDT) error
-	}{
-		{"bulk", func(dst *pdt.PDT) error { return dst.Propagate(t0) }},
-		{"entrywise", func(dst *pdt.PDT) error { return dst.PropagateEntrywise(t0) }},
-	}
-	var out []UpdateRow
-	for _, v := range variants {
-		v := v
-		log := wal.NewWriter(io.Discard)
-		out = append(out, measureUpdate(name, v.mode, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				dst := w0.Copy()
-				b.StartTimer()
-				if _, err := log.Append("t", t0.Dump()); err != nil {
-					b.Fatal(err)
-				}
-				if err := v.fold(dst); err != nil {
-					b.Fatal(err)
-				}
+	name := fmt.Sprintf("commit+fold/%d-into-%dk", cfg.CommitTrans, cfg.CommitWrite/1000)
+	log := wal.NewWriter(io.Discard)
+	return []UpdateRow{measureUpdate(name, "foldsnap", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := log.Append("t", t0.Dump()); err != nil {
+				b.Fatal(err)
 			}
-		}))
-	}
-	return out, nil
+			if _, err := pdt.FoldSnap(w0, t0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})}, nil
 }
 
 // ----- transaction end-to-end ------------------------------------------------

@@ -20,7 +20,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pdtstore/internal/compress"
 	"pdtstore/internal/storage"
@@ -44,9 +43,7 @@ const DefaultBlockRows = 8192
 // workers all charge fetches through one device. Pool hits take only a read
 // lock, so warm scans scale; cold charges take the write lock once per block
 // and stay charge-once under races (two workers fetching the same block cold
-// charge one read). SetReadLatency models a disk's per-block access time:
-// the sleep happens outside every lock, so concurrent cold reads overlap the
-// way queued reads on a real device do.
+// charge one read).
 type Device struct {
 	mu        sync.RWMutex
 	bytesRead uint64
@@ -54,7 +51,6 @@ type Device struct {
 	cached    map[devKey][]byte
 	nextStore uint64
 	segIDs    map[*storage.Segment]uint64 // pool identity per segment file
-	latencyNS atomic.Int64                // modeled cold-read latency (0 = none)
 
 	// Block-skip accounting: blocks a scan proved irrelevant without
 	// fetching, split by which structure proved it. Atomic (not under mu)
@@ -137,24 +133,6 @@ func (d *Device) evictLocked(id uint64) {
 	}
 }
 
-// SetReadLatency models a per-block cold-read access time: every charged
-// cold fetch sleeps for lat before returning, outside the pool lock, so N
-// workers' cold reads overlap instead of serializing — the modeled-I/O knob
-// the parallel scan benchmark uses to show scan scaling on real disks (like
-// the group-commit benchmark's modeled fsync barrier). Zero disables it.
-// Pool hits are never delayed.
-func (d *Device) SetReadLatency(lat time.Duration) {
-	d.latencyNS.Store(int64(lat))
-}
-
-// coldDelay sleeps the modeled read latency, if configured. Must be called
-// with no lock held.
-func (d *Device) coldDelay() {
-	if ns := d.latencyNS.Load(); ns > 0 {
-		time.Sleep(time.Duration(ns))
-	}
-}
-
 // fetch charges a RAM-resident block's first read (presence-only pool entry).
 func (d *Device) fetch(store uint64, col, blk, size int) {
 	k := devKey{store, col, blk}
@@ -173,7 +151,6 @@ func (d *Device) fetch(store uint64, col, blk, size int) {
 	d.bytesRead += uint64(size)
 	d.reads++
 	d.mu.Unlock()
-	d.coldDelay()
 }
 
 // poolGet returns a file-backed block's bytes if resident in the pool.
@@ -196,7 +173,6 @@ func (d *Device) poolFill(k devKey, b []byte) {
 	d.bytesRead += uint64(len(b))
 	d.reads++
 	d.mu.Unlock()
-	d.coldDelay()
 }
 
 // DropCaches empties the simulated buffer pool, so the next fetch of every
@@ -821,11 +797,10 @@ func (s *Store) encodedBlock(col, blk int) ([]byte, error) {
 // Prefetch charges the cold read of every block of the given columns
 // overlapping SIDs [from, to) — the sequential readahead of a scan about to
 // visit that range. Blocks already resident are untouched; cold ones are
-// fetched (and, for file-backed stores, loaded into the buffer pool), each
-// paying the device's modeled read latency. A parallel scan worker prefetches
-// its morsel on open, so the modeled I/O of concurrent morsels overlaps like
-// queued readahead on a real disk instead of serializing behind ordered
-// batch delivery.
+// fetched (and, for file-backed stores, loaded into the buffer pool). A
+// parallel scan worker prefetches its morsel on open, so the I/O of
+// concurrent morsels overlaps like queued readahead instead of serializing
+// behind ordered batch delivery.
 func (s *Store) Prefetch(cols []int, from, to uint64) error {
 	if from >= to || s.nrows == 0 {
 		return nil

@@ -8,7 +8,6 @@ package colstore
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"pdtstore/internal/types"
 	"pdtstore/internal/vector"
@@ -96,12 +95,10 @@ func TestDeviceStatsConcurrentScanners(t *testing.T) {
 	}
 }
 
-func TestDeviceReadLatencyOverlapsAndStops(t *testing.T) {
-	// Functional contract of the modeled latency: cold fetches are delayed,
-	// pool hits never are, and Prefetch charges a range exactly once.
+func TestPrefetchChargesRangeOnce(t *testing.T) {
+	// Prefetch charges a range exactly once, a warm scan recharges nothing,
+	// and empty or inverted ranges are no-ops.
 	s, dev := parallelTestStore(t, 1000)
-	dev.SetReadLatency(time.Millisecond)
-	defer dev.SetReadLatency(0)
 
 	dev.DropCaches()
 	dev.ResetStats()
@@ -112,15 +109,10 @@ func TestDeviceReadLatencyOverlapsAndStops(t *testing.T) {
 	if reads1 != uint64(2*s.NumBlocks()) {
 		t.Fatalf("prefetch charged %d reads, want %d", reads1, 2*s.NumBlocks())
 	}
-	// Hot: a scan after prefetch charges nothing more and is not delayed.
-	start := time.Now()
+	// Hot: a scan after prefetch charges nothing more.
 	drainStore(t, s, []int{0, 1})
-	hot := time.Since(start)
 	if bytes2, reads2 := dev.Stats(); bytes2 != bytes1 || reads2 != reads1 {
 		t.Fatalf("post-prefetch scan recharged: %d/%d -> %d/%d", bytes1, reads1, bytes2, reads2)
-	}
-	if lat := time.Duration(s.NumBlocks()) * time.Millisecond; hot > lat {
-		t.Fatalf("warm scan took %v — pool hits appear to pay the %v cold latency", hot, lat)
 	}
 	// Prefetch of an empty or inverted range is a no-op.
 	if err := s.Prefetch([]int{0}, 5, 5); err != nil {

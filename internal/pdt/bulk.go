@@ -1,7 +1,7 @@
 package pdt
 
 // bulkBuilder constructs a PDT's tree bottom-up from entries supplied in
-// (SID, RID) order, used by Copy, Serialize, Rebuild and the bulk Propagate.
+// (SID, RID) order, used by Fold, Serialize and Rebuild.
 // It fills leaves to the fanout and then stacks internal levels, computing
 // deltas and separators in one pass.
 //

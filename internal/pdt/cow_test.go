@@ -1,8 +1,8 @@
 package pdt
 
 // Differential tests for the copy-on-write snapshot scheme: a Snapshot taken
-// at any point must behave exactly like the old deep Copy — frozen at the
-// moment it was taken, unaffected by any later mutation of the live tree (and
+// at any point must behave exactly like a deep copy — frozen at the moment it
+// was taken, unaffected by any later mutation of the live tree (and
 // vice versa: mutating a fork must never leak into the tree it forked from).
 
 import (
@@ -20,33 +20,14 @@ func cowSchema() *types.Schema {
 	}, []int{0})
 }
 
-// sameEntries compares two PDTs entry by entry: positions, kinds, and payload
-// values must match. Value-space offsets may differ (FoldSnap and Snapshot
-// reallocate payload tables), so only logical content is compared.
-func sameEntries(t *testing.T, label string, got, want *PDT) {
+// sameEntries holds a PDT to a (deep-cloned, see snapshotDump) dump:
+// positions, kinds, and payload values must match. Value-space offsets may
+// differ (FoldSnap and Snapshot reallocate payload tables), so only logical
+// content is compared.
+func sameEntries(t *testing.T, label string, got *PDT, want []RebuildEntry) {
 	t.Helper()
-	a, b := got.Dump(), want.Dump()
-	if len(a) != len(b) {
-		t.Fatalf("%s: %d entries, want %d", label, len(a), len(b))
-	}
-	for i := range a {
-		if a[i].SID != b[i].SID || a[i].Kind != b[i].Kind {
-			t.Fatalf("%s: entry %d = (%d,%d), want (%d,%d)", label, i, a[i].SID, a[i].Kind, b[i].SID, b[i].Kind)
-		}
-		switch a[i].Kind {
-		case KindIns:
-			if types.CompareRows(a[i].Ins, b[i].Ins) != 0 {
-				t.Fatalf("%s: entry %d insert row %v, want %v", label, i, a[i].Ins, b[i].Ins)
-			}
-		case KindDel:
-			if types.CompareRows(a[i].Del, b[i].Del) != 0 {
-				t.Fatalf("%s: entry %d ghost key %v, want %v", label, i, a[i].Del, b[i].Del)
-			}
-		default:
-			if types.Compare(a[i].Mod, b[i].Mod) != 0 {
-				t.Fatalf("%s: entry %d mod value %v, want %v", label, i, a[i].Mod, b[i].Mod)
-			}
-		}
+	if d := got.Dump(); !dumpsEqual(d, want) {
+		t.Fatalf("%s: entries differ\n got %v\nwant %v", label, d, want)
 	}
 }
 
@@ -79,9 +60,9 @@ func randomMutation(t *testing.T, rng *rand.Rand, p *PDT, visible *int64, nextKe
 	}
 }
 
-// TestSnapshotDifferential interleaves random mutations with Snapshot and
-// Copy calls: every snapshot must stay identical to the deep copy taken at
-// the same instant, no matter how the live tree mutates afterwards.
+// TestSnapshotDifferential interleaves random mutations with Snapshot calls:
+// every snapshot must stay identical to the deep-cloned dump taken at the
+// same instant, no matter how the live tree mutates afterwards.
 func TestSnapshotDifferential(t *testing.T) {
 	schema := cowSchema()
 	for seed := int64(0); seed < 8; seed++ {
@@ -91,15 +72,16 @@ func TestSnapshotDifferential(t *testing.T) {
 		nextKey := int64(1 << 30)
 
 		type pair struct {
-			snap, copy *PDT
-			at         int
+			snap *PDT
+			want []RebuildEntry
+			at   int
 		}
 		var pairs []pair
 		const steps = 400
 		for i := 0; i < steps; i++ {
 			randomMutation(t, rng, p, &visible, &nextKey)
 			if rng.Intn(25) == 0 {
-				pairs = append(pairs, pair{snap: p.Snapshot(), copy: p.Copy(), at: i})
+				pairs = append(pairs, pair{snap: p.Snapshot(), want: snapshotDump(p), at: i})
 			}
 		}
 		if err := p.Validate(); err != nil {
@@ -109,7 +91,7 @@ func TestSnapshotDifferential(t *testing.T) {
 			if err := pr.snap.Validate(); err != nil {
 				t.Fatalf("seed %d: snapshot at step %d invalid: %v", seed, pr.at, err)
 			}
-			sameEntries(t, "snapshot vs deep copy", pr.snap, pr.copy)
+			sameEntries(t, "snapshot vs deep copy", pr.snap, pr.want)
 		}
 	}
 }
@@ -127,7 +109,7 @@ func TestSnapshotMutateFork(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			randomMutation(t, rng, p, &visible, &nextKey)
 		}
-		frozen := p.Copy() // reference for p's state
+		frozen := snapshotDump(p) // reference for p's state
 		snap := p.Snapshot()
 
 		// Mutate the snapshot heavily; p must not move.
@@ -145,7 +127,7 @@ func TestSnapshotMutateFork(t *testing.T) {
 
 		// And the other way: mutate p, the (already diverged) snapshot's
 		// content must not move either.
-		snapRef := snap.Copy()
+		snapRef := snapshotDump(snap)
 		for i := 0; i < 200; i++ {
 			randomMutation(t, rng, p, &visible, &nextKey)
 		}
@@ -165,7 +147,7 @@ func TestFoldSnapDifferential(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			randomMutation(t, rng, base, &visible, &nextKey)
 		}
-		// w sizes from tiny (entrywise path) to large (bulk fallback).
+		// w sizes from tiny (per-entry path) to large (bulk fallback).
 		wSteps := []int{1, 5, 60, 500}[seed%4]
 		w := New(schema, 0)
 		wVisible, wKey := visible, nextKey+1<<20
@@ -173,20 +155,20 @@ func TestFoldSnapDifferential(t *testing.T) {
 			randomMutation(t, rng, w, &wVisible, &wKey)
 		}
 
-		baseRef := base.Copy()
-		wRef := w.Copy()
+		baseRef := snapshotDump(base)
+		wRef := snapshotDump(w)
 		got, err := FoldSnap(base, w)
 		if err != nil {
 			t.Fatalf("seed %d: FoldSnap: %v", seed, err)
 		}
-		want, err := Fold(baseRef, wRef)
+		want, err := Fold(base, w)
 		if err != nil {
 			t.Fatalf("seed %d: Fold: %v", seed, err)
 		}
 		if err := got.Validate(); err != nil {
 			t.Fatalf("seed %d: FoldSnap output invalid: %v", seed, err)
 		}
-		sameEntries(t, "FoldSnap vs Fold", got, want)
+		sameEntries(t, "FoldSnap vs Fold", got, want.Dump())
 		// Both inputs must be untouched.
 		sameEntries(t, "fold base preserved", base, baseRef)
 		sameEntries(t, "fold layer preserved", w, wRef)

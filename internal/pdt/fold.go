@@ -6,24 +6,24 @@ import (
 	"pdtstore/internal/types"
 )
 
-// Fold is the non-destructive sibling of Propagate: it merges a consecutive,
-// higher-layer PDT w (whose SIDs are base's RIDs) with base into a brand-new
-// PDT and leaves both inputs untouched. The transaction manager uses it for
-// online maintenance — folding the Write-PDT into a *copy* of the Read-PDT
-// that is then installed as a new version, while transactions pinned to the
-// old version keep reading base — and at commit, so a failed WAL append never
-// leaves the master Write-PDT half-mutated.
+// Fold is the bulk downward merge: it combines a consecutive, higher-layer
+// PDT w (whose SIDs are base's RIDs) with base into a brand-new PDT and leaves
+// both inputs untouched. The transaction manager uses it for online
+// maintenance — folding the Write-PDT into a fresh Read-PDT that is then
+// installed as a new version, while transactions pinned to the old version
+// keep reading base — and, through FoldSnap, at commit, so a failed WAL
+// append never leaves the master Write-PDT half-mutated.
 //
-// The merge logic is Propagate's single O(n+m) pass over both leaf chains;
-// the difference is purely in payload handling. The two implementations are
-// deliberately separate — a shared core parameterized by an emit strategy
-// would put indirect calls in Propagate's innermost loop — and MUST evolve
-// in lockstep: fold_test.go's checkFold runs Fold against Copy+Propagate on
-// every input of the whole randomized/directed propagate suite, so any
-// divergence fails the build. Propagate absorbs w's value
-// space and rewrites base's in place (modify collisions overwrite a value
-// slot, modifies of base-inserted tuples rewrite the stored row). Fold
-// instead emits every surviving payload into the output's own value space,
+// It is a single merge pass: both trees' leaf chains are walked in (SID, RID)
+// order and the combined entry stream is emitted into a bulkBuilder, so
+// folding m updates into a tree of n entries costs O(n+m) sequential work
+// instead of m root descents with per-entry leaf shifting (Propagate, which
+// fold_test.go's checkFold holds it entry-equal to on the whole
+// randomized/directed suite). The running output delta dOut plays the role of
+// Algorithm 7's δ: a w entry targeting final position r stores SID r−dOut,
+// which is exactly what the per-entry algorithms derive by cursor descent.
+//
+// Fold emits every surviving payload into the output's own value space,
 // sharing row and value storage with the inputs where no rewrite happens and
 // cloning the one case that needs mutation (a modify landing on a tuple base
 // inserted). Both inputs therefore stay valid afterwards: immutable Read-PDT
@@ -172,7 +172,7 @@ func FoldSnap(base, w *PDT) (*PDT, error) {
 		return Fold(base, w)
 	}
 	out := base.fork()
-	if err := out.PropagateEntrywise(w); err != nil {
+	if err := out.Propagate(w); err != nil {
 		// out is abandoned; base was never written (all mutation was
 		// copy-on-write into out's own nodes and reallocated payload tables).
 		return nil, err

@@ -1,11 +1,12 @@
 package pdt
 
-// Differential tests for the non-destructive Fold against Copy+Propagate:
-// over every two-layer mix the bulk-propagate suite generates, Fold must
-// produce a Validate()-clean tree with an identical Dump() (payload-level
+// Differential tests for the three downward merges. Over every two-layer mix
+// the propagate and serialize suites generate, the bulk Fold must produce a
+// Validate()-clean tree with a Dump() identical to the per-entry reference,
+// Algorithm 7 (Propagate) run on a Snapshot of the base — payload-level
 // equality; value-space offsets legitimately differ because Fold compacts
-// orphaned slots away) — and, the property Propagate cannot offer, both
-// inputs must be bit-for-bit untouched afterwards.
+// orphaned slots away — FoldSnap must agree with both, and both inputs must be
+// bit-for-bit untouched afterwards.
 
 import (
 	"testing"
@@ -39,10 +40,11 @@ func dumpsEqual(a, b []RebuildEntry) bool {
 	return true
 }
 
-// checkFold runs Fold(base, w) and cross-checks it against Copy+Propagate.
-// Called from propagatePair, so the whole randomized/directed propagate suite
-// exercises Fold on the same inputs.
-func checkFold(t *testing.T, base, w *PDT, stable []types.Row, ref *refModel) {
+// checkFold runs Fold(base, w), cross-checks it against Snapshot+Propagate
+// and FoldSnap, and returns the folded tree. It is how every test of the
+// propagate and serialize suites folds a layer, so the whole
+// randomized/directed set exercises all three merges on the same inputs.
+func checkFold(t *testing.T, base, w *PDT, stable []types.Row, ref *refModel) *PDT {
 	t.Helper()
 	baseBefore := snapshotDump(base)
 	wBefore := snapshotDump(w)
@@ -51,22 +53,33 @@ func checkFold(t *testing.T, base, w *PDT, stable []types.Row, ref *refModel) {
 	if err != nil {
 		t.Fatalf("fold: %v", err)
 	}
-	if err := out.Validate(); err != nil {
-		t.Fatalf("fold result invalid: %v\n%s", err, out)
-	}
-
-	expected := base.Copy()
+	expected := base.Snapshot()
 	if err := expected.Propagate(w); err != nil {
 		t.Fatalf("reference propagate: %v", err)
 	}
-	if !dumpsEqual(out.Dump(), expected.Dump()) {
-		t.Fatalf("fold dump differs from propagate dump\nfold: %s\npropagate: %s", out, expected)
+	snap, err := FoldSnap(base, w)
+	if err != nil {
+		t.Fatalf("foldsnap: %v", err)
 	}
-	oi, od, om := out.Counts()
 	ei, ed, em := expected.Counts()
-	if oi != ei || od != ed || om != em || out.Delta() != expected.Delta() {
-		t.Fatalf("fold counters (%d,%d,%d,%+d) differ from propagate (%d,%d,%d,%+d)",
-			oi, od, om, out.Delta(), ei, ed, em, expected.Delta())
+	for _, got := range []struct {
+		name string
+		p    *PDT
+	}{{"fold", out}, {"propagate", expected}, {"foldsnap", snap}} {
+		if err := got.p.Validate(); err != nil {
+			t.Fatalf("%s result invalid: %v\n%s", got.name, err, got.p)
+		}
+		if !dumpsEqual(got.p.Dump(), expected.Dump()) {
+			t.Fatalf("%s dump differs from propagate dump\n%s: %s\npropagate: %s", got.name, got.name, got.p, expected)
+		}
+		gi, gd, gm := got.p.Counts()
+		if gi != ei || gd != ed || gm != em || got.p.Delta() != expected.Delta() {
+			t.Fatalf("%s counters (%d,%d,%d,%+d) differ from propagate (%d,%d,%d,%+d)",
+				got.name, gi, gd, gm, got.p.Delta(), ei, ed, em, expected.Delta())
+		}
+		if ref != nil {
+			checkAgainstRef(t, got.p, stable, ref)
+		}
 	}
 
 	if !dumpsEqual(base.Dump(), baseBefore) {
@@ -75,9 +88,7 @@ func checkFold(t *testing.T, base, w *PDT, stable []types.Row, ref *refModel) {
 	if !dumpsEqual(w.Dump(), wBefore) {
 		t.Fatalf("fold mutated its upper layer\nw now: %s", w)
 	}
-	if ref != nil {
-		checkAgainstRef(t, out, stable, ref)
-	}
+	return out
 }
 
 // TestFoldSharesUnrewrittenPayloads pins the cheap-copy property the online

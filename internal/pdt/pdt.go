@@ -253,8 +253,8 @@ func (t *PDT) fork() *PDT {
 
 // Snapshot returns an O(1) frozen copy of the PDT. The snapshot never
 // changes; t remains fully mutable, path-copying shared nodes as it goes.
-// Logically equivalent to Copy at none of the cost: no nodes or payloads are
-// copied until one side actually diverges.
+// Logically a deep copy at none of the cost: no nodes or payloads are copied
+// until one side actually diverges.
 func (t *PDT) Snapshot() *PDT {
 	out := t.fork()
 	// Retag the receiver as well: nodes stamped with the old tag are now
@@ -262,21 +262,6 @@ func (t *PDT) Snapshot() *PDT {
 	t.cow = newCowTag()
 	t.valsOwned = false
 	t.sharedPayload = true
-	return out
-}
-
-// Copy returns a deep copy of the PDT. The copy shares nothing with the
-// original; Snapshot is the cheap alternative when the copy stays read-only.
-func (t *PDT) Copy() *PDT {
-	out := New(t.schema, t.fanout)
-	b := newBulkBuilder(out)
-	b.reserve(t.nEntries)
-	for c := t.newCursorAtStart(); c.valid(); c.advance() {
-		b.append(c.sid(), c.kind(), c.val())
-	}
-	b.finish()
-	out.vals = t.vals.clone()
-	out.nIns, out.nDel, out.nMod, out.deadIns = t.nIns, t.nDel, t.nMod, t.deadIns
 	return out
 }
 

@@ -382,18 +382,18 @@ func TestSidToRid(t *testing.T) {
 	}
 }
 
-func TestCopyIsDeep(t *testing.T) {
+func TestSnapshotIsIndependent(t *testing.T) {
 	p := New(inventorySchema(), 0)
 	stable := table0()
 	ref := newRefModel(inventorySchema(), stable)
 	applyInsert(t, p, ref, inv("Berlin", "chair", true, 1))
 	applyModify(t, p, ref, 3, 3, types.Int(77))
 
-	cp := p.Copy()
+	cp := p.Snapshot()
 	if err := cp.Validate(); err != nil {
-		t.Fatalf("copy invalid: %v", err)
+		t.Fatalf("snapshot invalid: %v", err)
 	}
-	// Mutate the copy; the original must not change.
+	// Mutate the snapshot; the original must not change.
 	if err := cp.Modify(2, 3, types.Int(123)); err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestCopyIsDeep(t *testing.T) {
 	}
 	checkAgainstRef(t, p, stable, ref)
 	if cp.Count() == p.Count() {
-		t.Error("copy mutation affected entry counts equally")
+		t.Error("snapshot mutation affected entry counts equally")
 	}
 }
 

@@ -1,195 +1,33 @@
 package pdt
 
-// Propagate is the paper's Algorithm 7: it folds a consecutive, higher-layer
-// PDT W (whose SIDs are this PDT's RIDs) into the receiver, converting
-// positions as it goes. It is used when the Write-PDT outgrows its budget
-// and migrates into the Read-PDT, and at commit time to fold a serialized
-// Trans-PDT into the master Write-PDT.
-//
-// The implementation is a single merge pass: both trees' leaf chains are
-// walked in (SID, RID) order and the combined entry stream is emitted into a
-// bulkBuilder, so folding m updates into a tree of n entries costs O(n+m)
-// sequential work instead of m root descents with per-entry leaf shifting
-// (PropagateEntrywise, kept as the reference implementation). The running
-// output delta dOut plays the role of Algorithm 7's δ: a w entry targeting
-// final position r stores SID r−dOut, which is exactly what the per-entry
-// algorithms derive by cursor descent.
+import "fmt"
 
-import (
-	"fmt"
-
-	"pdtstore/internal/types"
-)
-
-// Propagate applies every update of w to t. w must be consecutive to t:
-// w's SID domain is t's current RID domain.
-//
-// Propagate absorbs w's payload storage instead of cloning it (insert tuples
-// and ghost keys are shared, not copied); w must be discarded afterwards.
-// Retaining w for read-only sort-key access stays safe — the one in-place
-// payload mutation t can later perform (rewriting a column of an inserted
-// tuple) can never touch sort-key columns. On error t may be left invalid
-// and must be discarded, exactly like a failed per-entry propagation.
+// Propagate is the paper's Algorithm 7: it applies every update of a
+// consecutive, higher-layer PDT w (whose SID domain is t's current RID
+// domain) to t in place, one root descent per entry, cloning w's payloads.
+// The cursor's running delta is Algorithm 7's δ — the net shift of w's own
+// updates already absorbed — so each entry's RID is its position in t's
+// evolving image. Every entry passes Insert/Delete/Modify's validation, so a
+// malformed w yields an error; t then holds the entries before the bad one
+// and must be discarded (FoldSnap, which runs this on a fork, keeps its base
+// intact). Costs O(m·log n); Fold is the O(n+m) bulk merge for large w.
 func (t *PDT) Propagate(w *PDT) error {
 	if w.schema.NumCols() != t.schema.NumCols() {
 		return fmt.Errorf("pdt: propagate across different schemas")
 	}
-	if w.Empty() {
-		return nil
-	}
-	t.mutableVals()
-	ct := t.newCursorAtStart()
-	cw := w.newCursorAtStart()
-	oldEntries := t.nEntries
-	t.nEntries, t.nIns, t.nDel, t.nMod = 0, 0, 0, 0
-	b := newBulkBuilder(t)
-	b.reserve(oldEntries + w.nEntries)
-
-	// dOut is the accumulated shift of every entry emitted so far — the
-	// combined tree's delta before the current merge position.
-	var dOut int64
-	emitT := func() {
-		b.append(ct.sid(), ct.kind(), ct.val())
-		dOut += kindShift(ct.kind())
-		ct.advance()
-	}
-
-	for cw.valid() {
-		// p is the position, in t's output image, that the next w entries
-		// target (w's SID domain is t's RID domain).
-		p := cw.sid()
-		for ct.valid() && ct.rid() < p {
-			emitT()
-		}
-
-		// Inserts of w at p slot in among t's ghost deletes at p by sort
-		// key (SKRidToSid's ghost-ordering rule). w's inserts at one SID
-		// arrive in key order, so this is a sorted merge.
-		for cw.valid() && cw.sid() == p && cw.kind() == KindIns {
-			tuple := w.vals.ins[cw.val()]
-			insKey := w.schema.KeyOf(tuple)
-			for ct.valid() && ct.rid() == p && ct.kind() == KindDel &&
-				types.CompareRows(t.vals.del[ct.val()], insKey) < 0 {
-				emitT()
-			}
-			b.append(uint64(int64(cw.rid())-dOut), KindIns, uint64(len(t.vals.ins)))
-			t.vals.ins = append(t.vals.ins, tuple)
-			dOut++
-			cw.advance()
-		}
-		if !cw.valid() || cw.sid() != p {
-			continue
-		}
-
-		// The rest of w's chain at p (one delete, or a modify run) targets
-		// the tuple visible at p. t's remaining ghosts at p precede it.
-		for ct.valid() && ct.rid() == p && ct.kind() == KindDel {
-			emitT()
-		}
-
-		if cw.kind() == KindDel {
-			if ct.valid() && ct.rid() == p && ct.kind() == KindIns {
-				// Delete of a tuple t inserted: both vanish (§2.1 collapse);
-				// the insert-space row is orphaned, as in AddDelete.
-				t.deadIns++
-				ct.advance()
-			} else {
-				// Deleting a stable tuple removes its modify entries first.
-				for ct.valid() && ct.rid() == p && ct.kind() != KindIns && ct.kind() != KindDel {
-					ct.advance()
-				}
-				b.append(uint64(int64(cw.rid())-dOut), KindDel, uint64(len(t.vals.del)))
-				t.vals.del = append(t.vals.del, w.vals.del[cw.val()])
-				dOut--
-			}
-			cw.advance()
-			continue
-		}
-
-		// Modify run of w at p.
-		if ct.valid() && ct.rid() == p && ct.kind() == KindIns {
-			// The visible tuple at p is an insert of t: rewrite its stored
-			// tuple (AddModify's insert fast path). When a snapshot still
-			// shares the row, write into a clone at a fresh slot and emit
-			// the insert entry here, repointed; otherwise rewrite in place
-			// and let the outer merge emit the entry unchanged.
-			row := t.vals.ins[ct.val()]
-			if t.sharedPayload {
-				row = row.Clone()
-				b.append(ct.sid(), KindIns, uint64(len(t.vals.ins)))
-				t.vals.ins = append(t.vals.ins, row)
-				t.deadIns++
-				dOut++
-				ct.advance()
-			}
-			for cw.valid() && cw.sid() == p {
-				row[cw.kind()] = w.vals.mods[cw.kind()][cw.val()]
-				cw.advance()
-			}
-			continue
-		}
-		// The visible tuple at p is stable: merge the two modify runs by
-		// column number; on a column collision w's value overwrites t's
-		// value-space slot, keeping t's entry.
-		for cw.valid() && cw.sid() == p {
-			col := cw.kind()
-			for ct.valid() && ct.rid() == p && ct.kind() < col {
-				emitT()
-			}
-			if ct.valid() && ct.rid() == p && ct.kind() == col {
-				if t.sharedPayload {
-					// Repoint t's entry at a fresh slot holding w's value
-					// rather than overwriting memory a snapshot reads.
-					b.append(ct.sid(), col, uint64(len(t.vals.mods[col])))
-					t.vals.mods[col] = append(t.vals.mods[col], w.vals.mods[col][cw.val()])
-					dOut += kindShift(uint16(col))
-					ct.advance()
-				} else {
-					t.vals.mods[col][ct.val()] = w.vals.mods[col][cw.val()]
-					emitT()
-				}
-			} else {
-				b.append(uint64(int64(cw.rid())-dOut), col, uint64(len(t.vals.mods[col])))
-				t.vals.mods[col] = append(t.vals.mods[col], w.vals.mods[col][cw.val()])
-			}
-			cw.advance()
-		}
-	}
-	for ct.valid() {
-		emitT()
-	}
-	b.finish()
-	return nil
-}
-
-// PropagateEntrywise is the pre-vectorized reference implementation: one
-// root descent per entry of w, exactly the paper's per-update algorithms.
-// It produces a tree entry- and offset-identical to Propagate (the
-// randomized property tests assert this) but clones w's payloads and costs
-// O(m·log n) with per-entry leaf shifting. It is kept for differential
-// testing and as the baseline of the update benchmarks.
-func (t *PDT) PropagateEntrywise(w *PDT) error {
-	if w.schema.NumCols() != t.schema.NumCols() {
-		return fmt.Errorf("pdt: propagate across different schemas")
-	}
-	// The cursor's running delta is exactly Algorithm 7's δ: the net shift
-	// of w's own updates already absorbed, so each entry's RID is its
-	// position in t's evolving image.
 	for c := w.newCursorAtStart(); c.valid(); c.advance() {
 		rid := c.rid()
+		var err error
 		switch kind := c.kind(); kind {
 		case KindIns:
-			if err := t.Insert(rid, w.vals.ins[c.val()]); err != nil {
-				return err
-			}
+			err = t.Insert(rid, w.vals.ins[c.val()])
 		case KindDel:
-			if err := t.AddDelete(rid, w.vals.del[c.val()]); err != nil {
-				return err
-			}
+			err = t.Delete(rid, w.vals.del[c.val()])
 		default:
-			if err := t.AddModify(rid, int(kind), w.vals.mods[kind][c.val()]); err != nil {
-				return err
-			}
+			err = t.Modify(rid, int(kind), w.vals.mods[kind][c.val()])
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -1,13 +1,11 @@
 package pdt
 
-// Differential tests for the bulk (merge-based) Propagate against the
-// per-entry reference PropagateEntrywise: across randomized two-layer update
-// mixes — including chain boundaries at small fanouts, ghost deletes,
-// delete-of-insert collapses, re-inserts of deleted keys and modify
-// collisions — both paths must produce Validate()-clean trees with identical
-// entry streams (same SIDs, RIDs, kinds AND value-space offsets) and
-// identical Dump() payloads, and the merged view must match the row-slice
-// reference model.
+// Inputs for the downward-merge differentials (fold_test.go's checkFold: bulk
+// Fold ≡ Snapshot + per-entry Propagate ≡ FoldSnap, inputs untouched):
+// randomized two-layer update mixes — including chain boundaries at small
+// fanouts, ghost deletes, delete-of-insert collapses, re-inserts of deleted
+// keys and modify collisions — whose merged view must also match the
+// row-slice reference model.
 
 import (
 	"fmt"
@@ -16,62 +14,6 @@ import (
 
 	"pdtstore/internal/types"
 )
-
-// propagatePair folds w into copies of base both ways and cross-checks them.
-func propagatePair(t *testing.T, base, w *PDT, stable []types.Row, ref *refModel) {
-	t.Helper()
-	bulk := base.Copy()
-	ent := base.Copy()
-	if err := bulk.Propagate(w); err != nil {
-		t.Fatalf("bulk propagate: %v", err)
-	}
-	if err := ent.PropagateEntrywise(w); err != nil {
-		t.Fatalf("entrywise propagate: %v", err)
-	}
-	if err := bulk.Validate(); err != nil {
-		t.Fatalf("bulk result invalid: %v\n%s", err, bulk)
-	}
-	if err := ent.Validate(); err != nil {
-		t.Fatalf("entrywise result invalid: %v\n%s", err, ent)
-	}
-	be, ee := bulk.Entries(), ent.Entries()
-	if len(be) != len(ee) {
-		t.Fatalf("bulk has %d entries, entrywise %d\nbulk: %s\nentrywise: %s", len(be), len(ee), bulk, ent)
-	}
-	for i := range be {
-		if be[i] != ee[i] {
-			t.Fatalf("entry %d differs: bulk %+v, entrywise %+v\nbulk: %s\nentrywise: %s",
-				i, be[i], ee[i], bulk, ent)
-		}
-		bt, et := bulk.EntryTuple(be[i]), ent.EntryTuple(ee[i])
-		if types.CompareRows(bt, et) != 0 {
-			t.Fatalf("entry %d payload differs: bulk %v, entrywise %v", i, bt, et)
-		}
-	}
-	bd, ed := bulk.Dump(), ent.Dump()
-	for i := range bd {
-		if bd[i].SID != ed[i].SID || bd[i].Kind != ed[i].Kind ||
-			types.CompareRows(bd[i].Ins, ed[i].Ins) != 0 ||
-			types.CompareRows(bd[i].Del, ed[i].Del) != 0 ||
-			types.Compare(bd[i].Mod, ed[i].Mod) != 0 {
-			t.Fatalf("dump entry %d differs: bulk %+v, entrywise %+v", i, bd[i], ed[i])
-		}
-	}
-	bi, bdl, bm := bulk.Counts()
-	ei, edl, em := ent.Counts()
-	if bi != ei || bdl != edl || bm != em || bulk.Delta() != ent.Delta() {
-		t.Fatalf("counters differ: bulk (%d,%d,%d,%+d), entrywise (%d,%d,%d,%+d)",
-			bi, bdl, bm, bulk.Delta(), ei, edl, em, ent.Delta())
-	}
-	if bulk.deadIns != ent.deadIns {
-		t.Fatalf("deadIns differs: bulk %d, entrywise %d", bulk.deadIns, ent.deadIns)
-	}
-	if ref != nil {
-		checkAgainstRef(t, bulk, stable, ref)
-	}
-	// The non-destructive Fold must agree on the same inputs (fold_test.go).
-	checkFold(t, base, w, stable, ref)
-}
 
 func TestBulkPropagateRandomized(t *testing.T) {
 	for _, fanout := range []int{3, 4, DefaultFanout} {
@@ -89,7 +31,7 @@ func TestBulkPropagateRandomized(t *testing.T) {
 				w := New(schema, fanout)
 				wref := newRefModel(schema, ref.rows)
 				randomOps(t, rng, w, wref, 120, false)
-				propagatePair(t, base, w, stable, wref)
+				checkFold(t, base, w, stable, wref)
 			})
 		}
 	}
@@ -105,7 +47,7 @@ func TestBulkPropagateLargeMix(t *testing.T) {
 	w := New(schema, DefaultFanout)
 	wref := newRefModel(schema, ref.rows)
 	randomOps(t, rng, w, wref, 1500, false)
-	propagatePair(t, base, w, stable, wref)
+	checkFold(t, base, w, stable, wref)
 }
 
 func TestBulkPropagateEmptyCases(t *testing.T) {
@@ -116,7 +58,7 @@ func TestBulkPropagateEmptyCases(t *testing.T) {
 	base := New(schema, 4)
 	ref := newRefModel(schema, stable)
 	applyInsert(t, base, ref, types.Row{types.Int(15), types.Int(1), types.Str("x")})
-	propagatePair(t, base, New(schema, 4), stable, ref)
+	checkFold(t, base, New(schema, 4), stable, ref)
 
 	// Empty base: the result is a re-SIDed copy of w.
 	w := New(schema, 4)
@@ -124,7 +66,7 @@ func TestBulkPropagateEmptyCases(t *testing.T) {
 	applyDelete(t, w, wref, 3)
 	applyInsert(t, w, wref, types.Row{types.Int(15), types.Int(1), types.Str("x")})
 	applyModify(t, w, wref, 0, 1, types.Int(7))
-	propagatePair(t, New(schema, 4), w, stable, wref)
+	checkFold(t, New(schema, 4), w, stable, wref)
 }
 
 // TestBulkPropagateDirected exercises the §2.1 interaction cases one by one:
@@ -230,7 +172,7 @@ func TestBulkPropagateDirected(t *testing.T) {
 				w := New(schema, fanout)
 				wref := newRefModel(schema, ref.rows)
 				tc.w(t, w, wref)
-				propagatePair(t, base, w, stable, wref)
+				checkFold(t, base, w, stable, wref)
 			})
 		}
 	}

@@ -1,8 +1,10 @@
 package pdt
 
-// Tests for the two transaction-management transforms: Propagate (fold a
-// consecutive PDT into the one below) and Serialize (re-base an aligned
-// PDT onto a committed sibling, detecting write-write conflicts).
+// Tests for the two transaction-management transforms: the downward merge
+// (fold a consecutive PDT into the one below — every case goes through
+// fold_test.go's checkFold, so Fold, per-entry Propagate and FoldSnap all
+// answer it) and Serialize (re-base an aligned PDT onto a committed sibling,
+// detecting write-write conflicts).
 
 import (
 	"errors"
@@ -28,10 +30,7 @@ func TestPropagateBasic(t *testing.T) {
 	applyModify(t, upper, ref, 0, 1, types.Int(222))
 	applyDelete(t, upper, ref, 8)
 
-	if err := lower.Propagate(upper); err != nil {
-		t.Fatalf("propagate: %v", err)
-	}
-	checkAgainstRef(t, lower, stable, ref)
+	checkFold(t, lower, upper, stable, ref)
 }
 
 func TestPropagateEmptyUpper(t *testing.T) {
@@ -40,10 +39,7 @@ func TestPropagateEmptyUpper(t *testing.T) {
 	lower := New(schema, 4)
 	ref := newRefModel(schema, stable)
 	applyInsert(t, lower, ref, types.Row{types.Int(11), types.Int(0), types.Str("x")})
-	if err := lower.Propagate(New(schema, 4)); err != nil {
-		t.Fatal(err)
-	}
-	checkAgainstRef(t, lower, stable, ref)
+	checkFold(t, lower, New(schema, 4), stable, ref)
 }
 
 func TestPropagateIntoEmptyLower(t *testing.T) {
@@ -54,10 +50,7 @@ func TestPropagateIntoEmptyLower(t *testing.T) {
 	upper := New(schema, 4)
 	applyDelete(t, upper, ref, 3)
 	applyInsert(t, upper, ref, types.Row{types.Int(12), types.Int(0), types.Str("y")})
-	if err := lower.Propagate(upper); err != nil {
-		t.Fatal(err)
-	}
-	checkAgainstRef(t, lower, stable, ref)
+	checkFold(t, lower, upper, stable, ref)
 }
 
 func TestPropagateCollapsesUpperOntoLowerEntries(t *testing.T) {
@@ -74,10 +67,7 @@ func TestPropagateCollapsesUpperOntoLowerEntries(t *testing.T) {
 	applyDelete(t, upper, ref, 1)                   // deletes the lower's insert
 	applyModify(t, upper, ref, 3, 1, types.Int(55)) // re-modifies same tuple+col
 
-	if err := lower.Propagate(upper); err != nil {
-		t.Fatal(err)
-	}
-	checkAgainstRef(t, lower, stable, ref)
+	lower = checkFold(t, lower, upper, stable, ref)
 	ins, del, mod := lower.Counts()
 	if ins != 0 || del != 0 || mod != 1 {
 		t.Errorf("counts after collapse: ins=%d del=%d mod=%d, want 0/0/1", ins, del, mod)
@@ -97,10 +87,7 @@ func TestPropagateRandomizedEquivalence(t *testing.T) {
 		upper := New(schema, 4)
 		randomOps(t, rng, upper, ref, 60, false)
 
-		if err := lower.Propagate(upper); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		checkAgainstRef(t, lower, stable, ref)
+		checkFold(t, lower, upper, stable, ref)
 	}
 }
 
@@ -231,15 +218,18 @@ func TestSerializeNoConflictDisjoint(t *testing.T) {
 		t.Fatalf("serialized PDT invalid: %v", err)
 	}
 
-	// Serial re-execution semantics: y's updates, then x's located by key.
-	merged := buildTxn(t, schema, snapshot, yOps)
-	if err := merged.Propagate(txPrime); err != nil {
-		t.Fatalf("propagate serialized: %v", err)
-	}
+	checkSerialExecution(t, schema, snapshot, xOps, yOps, txPrime)
+}
+
+// checkSerialExecution folds the serialized x' onto y's own PDT (checkFold:
+// all three downward merges) and holds the result to serial re-execution
+// semantics: y's updates, then x's located by key.
+func checkSerialExecution(t *testing.T, schema *types.Schema, snapshot []types.Row, xOps, yOps []logicalOp, txPrime *PDT) *PDT {
+	t.Helper()
 	ref := newRefModel(schema, snapshot)
 	replayByKey(t, ref, yOps)
 	replayByKey(t, ref, xOps)
-	checkAgainstRef(t, merged, snapshot, ref)
+	return checkFold(t, buildTxn(t, schema, snapshot, yOps), txPrime, snapshot, ref)
 }
 
 // replayByKey applies logical ops to a reference only.
@@ -315,14 +305,7 @@ func TestSerializeModDifferentColumnsReconciles(t *testing.T) {
 	if err != nil {
 		t.Fatalf("different-column modifies must reconcile: %v", err)
 	}
-	merged := buildTxn(t, schema, snapshot, yOps)
-	if err := merged.Propagate(txPrime); err != nil {
-		t.Fatal(err)
-	}
-	ref := newRefModel(schema, snapshot)
-	replayByKey(t, ref, yOps)
-	replayByKey(t, ref, xOps)
-	checkAgainstRef(t, merged, snapshot, ref)
+	checkSerialExecution(t, schema, snapshot, xOps, yOps, txPrime)
 }
 
 func TestSerializeInsertVsDeleteNoConflict(t *testing.T) {
@@ -338,14 +321,7 @@ func TestSerializeInsertVsDeleteNoConflict(t *testing.T) {
 	if err != nil {
 		t.Fatalf("insert vs delete conflicted: %v", err)
 	}
-	merged := buildTxn(t, schema, snapshot, yOps)
-	if err := merged.Propagate(txPrime); err != nil {
-		t.Fatal(err)
-	}
-	ref := newRefModel(schema, snapshot)
-	replayByKey(t, ref, yOps)
-	replayByKey(t, ref, xOps)
-	checkAgainstRef(t, merged, snapshot, ref)
+	checkSerialExecution(t, schema, snapshot, xOps, yOps, txPrime)
 }
 
 func TestSerializeConcurrentInsertsSameSID(t *testing.T) {
@@ -367,14 +343,7 @@ func TestSerializeConcurrentInsertsSameSID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged := buildTxn(t, schema, snapshot, yOps)
-	if err := merged.Propagate(txPrime); err != nil {
-		t.Fatal(err)
-	}
-	ref := newRefModel(schema, snapshot)
-	replayByKey(t, ref, yOps)
-	replayByKey(t, ref, xOps)
-	checkAgainstRef(t, merged, snapshot, ref)
+	merged := checkSerialExecution(t, schema, snapshot, xOps, yOps, txPrime)
 	// Verify key interleaving in the final image: 40,42,44,46,48,50.
 	out := mergeAll(t, merged, snapshot)
 	wantKeys := []int64{10, 20, 30, 40, 42, 44, 46, 48, 50}
@@ -449,14 +418,7 @@ func TestSerializeRandomizedAgainstNaive(t *testing.T) {
 			if err != nil {
 				t.Fatalf("naive says ok, Serialize rejected: %v\nx=%v\ny=%v", err, xOps, yOps)
 			}
-			merged := buildTxn(t, schema, snapshot, yOps)
-			if err := merged.Propagate(txPrime); err != nil {
-				t.Fatalf("propagate: %v", err)
-			}
-			ref := newRefModel(schema, snapshot)
-			replayByKey(t, ref, yOps)
-			replayByKey(t, ref, xOps)
-			checkAgainstRef(t, merged, snapshot, ref)
+			checkSerialExecution(t, schema, snapshot, xOps, yOps, txPrime)
 		})
 	}
 }

@@ -198,7 +198,7 @@ func TestQuickSidToRidConsistency(t *testing.T) {
 	}
 }
 
-func TestQuickCopyEquivalence(t *testing.T) {
+func TestQuickSnapshotEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		schema := intSchema()
@@ -206,7 +206,7 @@ func TestQuickCopyEquivalence(t *testing.T) {
 		p := New(schema, 4)
 		ref := newRefModel(schema, stable)
 		randomOps(t, rng, p, ref, 80, false)
-		cp := p.Copy()
+		cp := p.Snapshot()
 		if err := cp.Validate(); err != nil {
 			return false
 		}

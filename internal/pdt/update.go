@@ -1,8 +1,8 @@
 package pdt
 
-// Update operations: AddInsert, AddModify, AddDelete (the paper's Algorithms
-// 3–5) plus SKRidToSid (Algorithm 6) and the high-level Insert convenience
-// that combines the two. All operations identify their target purely by
+// Update operations: AddInsert, Modify, Delete (the paper's Algorithms 3–5)
+// plus SKRidToSid (Algorithm 6) and the high-level Insert convenience that
+// combines the two. All operations identify their target purely by
 // position; the only value comparisons anywhere are the ghost-ordering
 // comparisons of SKRidToSid, which untie multiple inserts at one SID.
 //
@@ -30,8 +30,8 @@ func (t *PDT) Insert(rid uint64, tuple types.Row) error {
 }
 
 // AddInsert records an insert of tuple at (sid, rid). Most callers want
-// Insert; AddInsert exists for Propagate and for callers that already know
-// the ghost-respecting SID.
+// Insert; AddInsert exists for callers that already know the
+// ghost-respecting SID.
 func (t *PDT) AddInsert(sid, rid uint64, tuple types.Row) error {
 	c := t.newCursorBySidRid(sid, rid)
 	// Algorithm 3: advance while the entry precedes the insertion point.
@@ -59,18 +59,13 @@ func (t *PDT) placeEntry(c *cursor, sid uint64, kind uint16, val uint64) {
 }
 
 // Modify records setting column col of the tuple at current row position rid
-// to value v. Sort-key columns cannot be modified this way (callers express
-// that as delete+insert, as §2.1 prescribes).
+// to value v (Algorithm 4). Sort-key columns cannot be modified this way
+// (callers express that as delete+insert, as §2.1 prescribes). If the target
+// tuple is an insert or already has a modify entry for col, the value space
+// is updated in place (or, if a snapshot shares the payload, a fresh slot is
+// appended and the entry repointed); otherwise a new modify triplet enters
+// the tree, keeping a tuple's modify entries ordered by column number.
 func (t *PDT) Modify(rid uint64, col int, v types.Value) error {
-	return t.AddModify(rid, col, v)
-}
-
-// AddModify is Algorithm 4. If the target tuple is an insert or already has
-// a modify entry for col, the value space is updated in place (or, if a
-// snapshot shares the payload, a fresh slot is appended and the entry
-// repointed); otherwise a new modify triplet enters the tree, keeping a
-// tuple's modify entries ordered by column number.
-func (t *PDT) AddModify(rid uint64, col int, v types.Value) error {
 	if col < 0 || col >= t.schema.NumCols() {
 		return fmt.Errorf("pdt: modify of column %d out of range", col)
 	}
@@ -127,19 +122,14 @@ func (t *PDT) AddModify(rid uint64, col int, v types.Value) error {
 	return nil
 }
 
-// Delete records the deletion of the tuple at current row position rid.
-// skVals must hold the tuple's sort-key values; for a stable tuple they
-// become the ghost key (kept so sparse indexes built on the stable image
-// stay valid), and for an inserted tuple they are ignored because the insert
-// is simply removed. Tuples at RID > rid shift one position left.
+// Delete records the deletion of the tuple at current row position rid
+// (Algorithm 5, extended with the §2.1 collapse rules). skVals must hold the
+// tuple's sort-key values; for a stable tuple they become the ghost key (kept
+// so sparse indexes built on the stable image stay valid) and any modify
+// entries of the tuple are removed first; for an inserted tuple they are
+// ignored because the insert is simply removed. Tuples at RID > rid shift one
+// position left.
 func (t *PDT) Delete(rid uint64, skVals types.Row) error {
-	return t.AddDelete(rid, skVals)
-}
-
-// AddDelete is Algorithm 5, extended with the §2.1 collapse rules: deleting
-// an inserted tuple removes the insert outright, and deleting a tuple that
-// has modify entries removes those entries before adding the delete.
-func (t *PDT) AddDelete(rid uint64, skVals types.Row) error {
 	if len(skVals) != len(t.schema.SortKey) {
 		return fmt.Errorf("pdt: delete needs %d sort-key values, got %d", len(t.schema.SortKey), len(skVals))
 	}

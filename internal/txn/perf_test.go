@@ -7,10 +7,13 @@ package txn
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
+	"pdtstore/internal/pdt"
 	"pdtstore/internal/table"
 	"pdtstore/internal/types"
+	"pdtstore/internal/wal"
 )
 
 // growWritePDT commits n single-insert transactions so the master Write-PDT
@@ -93,5 +96,67 @@ func TestBeginAllocsConstant(t *testing.T) {
 	large := measure(1 << 13)
 	if large > small+4 {
 		t.Errorf("Begin allocations grew with Write-PDT size: %0.1f at 256 entries, %0.1f at 8192", small, large)
+	}
+}
+
+// tailRecords builds a WAL tail by hand: one record of base modifies (column
+// 1 of rows 0..base-1) that becomes the Write-PDT, then n one-op records,
+// each a modify of the same column on a row of its own — so every record
+// appends to the payload table the layer has already filled.
+func tailRecords(base, n int) (wal.Record, []wal.Record) {
+	first := wal.Record{LSN: 1}
+	for i := 0; i < base; i++ {
+		first.Entries = append(first.Entries, pdt.RebuildEntry{SID: uint64(i), Kind: 1, Mod: types.Int(int64(i))})
+	}
+	tail := make([]wal.Record, n)
+	for i := range tail {
+		tail[i] = wal.Record{LSN: uint64(2 + i), Entries: []pdt.RebuildEntry{
+			{SID: uint64(base + i), Kind: 1, Mod: types.Int(7)}}}
+	}
+	return first, tail
+}
+
+// BenchmarkRecoverTail replays 1k one-op records onto an 8k-entry Write-PDT.
+func BenchmarkRecoverTail(b *testing.B) {
+	first, tail := tailRecords(8<<10, 1<<10)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := mustManager(b, 64, Options{})
+		if err := m.Recover([]wal.Record{first}); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := m.Recover(tail); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestRecoverCostFollowsTail is the guard for per-entry replay: the bytes
+// allocated replaying a fixed tail must not follow the size of the layer it
+// lands on. A whole-tree rebuild per record grows them 16x here, and so does
+// a fresh fork per record, whose first append copies the payload table.
+func TestRecoverCostFollowsTail(t *testing.T) {
+	measure := func(base int) uint64 {
+		m := mustManager(t, 64, Options{})
+		first, tail := tailRecords(base, 512)
+		if err := m.Recover([]wal.Record{first}); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := m.Recover(tail); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := m.WritePDT().Count(); got != base+512 {
+			t.Fatalf("replayed Write-PDT holds %d entries, want %d", got, base+512)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := measure(1<<10), measure(16<<10)
+	if large >= 4*small {
+		t.Errorf("replaying 512 one-op records allocated %d bytes onto 1k entries, %d onto 16k: cost follows the layer, not the tail", small, large)
 	}
 }

@@ -113,14 +113,20 @@ func (q *Query) UpdateByKey(key types.Row, col int, val types.Value) (bool, erro
 // Pending returns the number of updates buffered so far.
 func (q *Query) Pending() int { return q.qpdt.Count() }
 
-// Finish propagates the statement's buffered updates into the Trans-PDT,
-// making them visible to the rest of the transaction.
+// Finish folds the statement's buffered updates into a new Trans-PDT, making
+// them visible to the rest of the transaction. A scan opened before Finish
+// keeps reading the tree it pinned.
 func (q *Query) Finish() error {
 	if q.done {
 		return ErrTxnDone
 	}
 	q.done = true
-	return q.txn.trans.Propagate(q.qpdt)
+	trans, err := pdt.FoldSnap(q.txn.trans, q.qpdt)
+	if err != nil {
+		return err
+	}
+	q.txn.trans = trans
+	return nil
 }
 
 // Discard drops the statement's buffered updates (statement-level rollback).

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pdtstore/internal/types"
+	"pdtstore/internal/vector"
 )
 
 func TestQueryPDTSelfProtection(t *testing.T) {
@@ -119,5 +120,63 @@ func TestQueryPDTDuplicateInsert(t *testing.T) {
 	}
 	if err := q.Insert(types.Row{types.Int(11), types.Int(0), types.Str("b")}); err == nil {
 		t.Fatal("duplicate of pending insert accepted")
+	}
+}
+
+// TestQueryFinishLeavesOpenScansAlone: Finish installs a new Trans-PDT rather
+// than rewriting the one in place, so a scan opened before it drains the
+// pre-Finish view — including a row the transaction inserted and the
+// statement then modified, which an in-place fold rewrites under the scan.
+func TestQueryFinishLeavesOpenScansAlone(t *testing.T) {
+	m := newManager(t, 10, Options{})
+	tx := m.Begin()
+	defer tx.Abort()
+	if err := tx.Insert(types.Row{types.Int(15), types.Int(1), types.Str("tx")}); err != nil {
+		t.Fatal(err)
+	}
+	q, err := tx.BeginQuery()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := q.UpdateByKey(types.Row{types.Int(15)}, 1, types.Int(777)); err != nil || !ok {
+		t.Fatalf("update: %v %v", ok, err)
+	}
+	if ok, err := q.DeleteByKey(types.Row{types.Int(30)}); err != nil || !ok {
+		t.Fatalf("delete: %v %v", ok, err)
+	}
+	if err := q.Insert(types.Row{types.Int(55), types.Int(0), types.Str("q")}); err != nil {
+		t.Fatal(err)
+	}
+
+	before := snapshotRows(t, tx)
+	src, err := tx.Scan([]int{0, 1, 2}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	out := vector.NewBatch([]types.Kind{types.Int64, types.Int64, types.String}, 64)
+	for {
+		n, err := src.Next(out, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			break
+		}
+	}
+	got := make([]types.Row, out.Len())
+	for i := range got {
+		got[i] = out.Row(i)
+	}
+	sameRows(t, got, before, "scan opened before Finish")
+
+	after := snapshotRows(t, tx)
+	if len(after) != len(before) { // one delete, one insert
+		t.Fatalf("after Finish: %d rows, want %d", len(after), len(before))
+	}
+	if _, row, found, _ := tx.FindByKey(types.Row{types.Int(15)}); !found || row[1].I != 777 {
+		t.Fatalf("statement's update missing after Finish: %v %v", row, found)
 	}
 }

@@ -16,7 +16,8 @@
 // durable with a single WAL append (one fsync), so the durability wait
 // happens off the manager mutex and concurrent writers share the barrier
 // instead of queueing on it; installLocked then makes it visible. See
-// Txn.Commit and commitLeader.
+// Txn.Commit and commitLeader. Recover replays the logged records with the
+// per-entry half of that fold, on one snapshot of the Write-PDT.
 //
 // Maintenance is online (maintain.go): the (store, Read-PDT) pair a
 // transaction reads is an immutable version pinned at Begin. When the
@@ -42,7 +43,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pdtstore/internal/colstore"
 	"pdtstore/internal/engine"
@@ -113,7 +113,6 @@ type Manager struct {
 	commitChain  *pdt.PDT // fold of writePDT with every parked commit
 	leaderActive bool     // a goroutine is running the sequencer loop
 	maxBatch     int      // commits per WAL append (1 = per-commit fsync)
-	maxDelay     time.Duration
 
 	storeRefs      map[*colstore.Store]int // live versions per stable image
 	checkpointing  bool
@@ -164,12 +163,6 @@ type Options struct {
 	// group commit — every commit pays its own durability barrier — which
 	// is the baseline the commit benchmark measures against.
 	MaxCommitBatch int
-	// MaxCommitDelay, when positive, lets the flush leader wait that long
-	// for more commits to join a batch smaller than MaxCommitBatch. The
-	// natural batching — whatever arrives while the previous fsync runs —
-	// is usually enough; the delay trades single-writer commit latency for
-	// fewer, fuller batches.
-	MaxCommitDelay time.Duration
 }
 
 // NewManager wraps a ModePDT table. The table's own PDT becomes the first
@@ -194,7 +187,6 @@ func NewManager(tbl *table.Table, opts Options) (*Manager, error) {
 		writeBudget: budget,
 		log:         opts.Log,
 		maxBatch:    maxBatch,
-		maxDelay:    opts.MaxCommitDelay,
 	}
 	m.cond = sync.NewCond(&m.mu)
 	m.storeRefs = map[*colstore.Store]int{m.cur.store: 1}
@@ -306,20 +298,26 @@ func (m *Manager) finishLocked(t *Txn) {
 // Recover rebuilds the committed state from WAL records (applied on top of
 // the manager's current checkpointed state, in LSN order) and re-syncs both
 // the commit clock and the attached WAL writer to the last durable LSN, so
-// post-recovery commits continue the pre-crash sequence.
+// post-recovery commits continue the pre-crash sequence. Every record is
+// applied entry by entry (pdt.Propagate, the paper's Algorithm 7) to one
+// copy-on-write snapshot of the Write-PDT, installed only when the whole tail
+// went in: replay costs what the tail holds, and a record that cannot be
+// applied leaves the manager where Recover found it.
 func (m *Manager) Recover(records []wal.Record) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	w, lsn := m.writePDT.Snapshot(), m.lsn
 	for _, rec := range records {
 		p, err := pdt.Rebuild(m.tbl.Schema(), 0, rec.Entries)
+		if err == nil {
+			err = w.Propagate(p)
+		}
 		if err != nil {
 			return fmt.Errorf("txn: recover LSN %d: %w", rec.LSN, err)
 		}
-		if err := m.writePDT.Propagate(p); err != nil {
-			return fmt.Errorf("txn: recover LSN %d: %w", rec.LSN, err)
-		}
-		m.lsn = rec.LSN
+		lsn = rec.LSN
 	}
+	m.writePDT, m.lsn = w, lsn
 	if m.log != nil {
 		m.log.SetLSN(m.lsn)
 	}
@@ -660,18 +658,6 @@ func (m *Manager) commitLeader(own *commitReq) {
 		m.inflight = n
 		batch := m.pending[:n:n]
 		m.mu.Unlock()
-
-		if m.maxDelay > 0 && len(batch) < m.maxBatch {
-			// Optional batching window: give concurrent writers a moment to
-			// join before paying the durability barrier.
-			time.Sleep(m.maxDelay)
-			m.mu.Lock()
-			if extra := min(m.maxBatch-len(batch), len(m.pending)-m.inflight); extra > 0 {
-				batch = append(batch, m.pending[m.inflight:m.inflight+extra]...)
-				m.inflight += extra
-			}
-			m.mu.Unlock()
-		}
 
 		// Off-lock: allocate the batch's LSN run from the (possibly shared)
 		// commit clock, then one append, one fsync, for the whole batch. On

@@ -6,8 +6,7 @@
 // Each committed transaction appends one record holding its serialized
 // Trans-PDT entry dump. Recovery replays the records in LSN order,
 // propagating each rebuilt PDT into a fresh Write-PDT over the checkpointed
-// stable image — exactly the sequence of Propagate calls the original
-// commits performed.
+// stable image — the sequence of folds the original commits performed.
 //
 // Writer frames and encodes records over any io.Writer (tests, benchmarks);
 // FileLog is the durable form: a directory of rotated log files with an
