@@ -262,12 +262,22 @@ type Store struct {
 
 // Builder accumulates rows in sort-key order and produces a Store — in RAM,
 // or streamed block by block into an on-disk segment file (NewFileBuilder).
+//
+// Filling a block and flushing it overlap: a full block is handed to one
+// goroutine that encodes it, computes its zones and appends it column by
+// column, while the caller fills the other of two row buffers. At most one
+// block is in flight; flush, Finish and Abort join it before they touch the
+// writer, and its error becomes the builder's. A builder dropped without
+// Finish or Abort strands nothing: the goroutine finishes its block and
+// exits, its result channel being buffered.
 type Builder struct {
-	store   *Store
-	segw    *storage.SegmentWriter // nil for RAM-resident builds
-	pending *vector.Batch
-	lastKey types.Row
-	err     error
+	store    *Store
+	segw     *storage.SegmentWriter // nil for RAM-resident builds
+	pending  *vector.Batch          // the block being filled
+	spare    *vector.Batch          // the other buffer: in flight, or idle after join
+	inflight chan error             // non-nil while a block is in flight; yields its result
+	lastKey  types.Row
+	err      error
 }
 
 // NewBuilder starts building a store. blockRows <= 0 selects
@@ -315,6 +325,7 @@ func NewFileBuilder(schema *types.Schema, dev *Device, blockRows int, compressed
 // Abort discards a file-backed build, removing the partial segment file. It
 // is a no-op for RAM builds and after Finish.
 func (b *Builder) Abort() {
+	b.join()
 	if b.segw != nil {
 		b.segw.Abort()
 		b.segw = nil
@@ -384,6 +395,9 @@ func (b *Builder) AddBatch(batch *vector.Batch) error {
 		if b.pending.Len() == s.blockRows {
 			b.lastKey = s.schema.KeyOf(b.pending.Row(s.blockRows - 1))
 			b.flush()
+			if b.err != nil {
+				return b.err
+			}
 		}
 	}
 	if b.pending.Len() > 0 {
@@ -465,32 +479,68 @@ func zoneOf(v *vector.Vector) storage.Zone {
 	}
 }
 
+// flush starts writing the pending block in the background and swaps in the
+// other buffer, after joining the block before it: the caller goes on filling
+// while this one is encoded and appended.
 func (b *Builder) flush() {
+	b.join()
+	if b.err != nil {
+		return
+	}
+	full := b.pending
+	if b.spare == nil {
+		b.spare = vector.NewBatch(full.Kinds(), b.store.blockRows)
+	}
+	b.pending, b.spare = b.spare, full
+	b.store.nrows += uint64(full.Len())
+	done := make(chan error, 1)
+	b.inflight = done
+	go func() { done <- b.writeBlock(full) }()
+}
+
+// join waits for the block in flight, if any, keeps its error and makes its
+// buffer the idle spare. Everything writeBlock touches — the segment writer,
+// the RAM store's block lists — belongs to the caller again once it returns.
+func (b *Builder) join() {
+	if b.inflight == nil {
+		return
+	}
+	if err := <-b.inflight; err != nil && b.err == nil {
+		b.err = err
+	}
+	b.inflight = nil
+	b.spare.Reset()
+}
+
+// writeBlock encodes one block's columns and appends them, in column order,
+// to the segment file or the RAM store.
+func (b *Builder) writeBlock(block *vector.Batch) error {
 	s := b.store
-	n := b.pending.Len()
-	for c, v := range b.pending.Vecs {
+	for c, v := range block.Vecs {
 		enc := encodeVec(v, s.compressed)
 		z := zoneOf(v)
 		if b.segw != nil {
 			if err := b.segw.AppendBlock(c, enc, z); err != nil {
-				b.err = err
-				return
+				return err
 			}
 		} else {
 			s.blocks[c] = append(s.blocks[c], enc)
 			s.zones[c] = append(s.zones[c], z)
 		}
 	}
-	s.nrows += uint64(n)
-	b.pending.Reset()
+	return nil
 }
 
 // Finish seals the store. The builder must not be used afterwards. For a
 // file-backed build this writes the segment footer and fsyncs: when Finish
 // returns, the image is durable.
 func (b *Builder) Finish() (*Store, error) {
-	if b.pending.Len() > 0 && b.err == nil {
-		b.flush()
+	b.join()
+	if b.err == nil && b.pending.Len() > 0 {
+		// Nothing is left to overlap the partial last block with.
+		b.store.nrows += uint64(b.pending.Len())
+		b.err = b.writeBlock(b.pending)
+		b.pending.Reset()
 	}
 	if b.err != nil {
 		if b.segw != nil {

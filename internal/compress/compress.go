@@ -11,7 +11,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -42,27 +44,46 @@ const (
 	BitBool
 	// PlainString stores uint32 offsets followed by the concatenated bytes.
 	PlainString
-	// DictString stores a sorted dictionary of distinct strings followed by
-	// varint codes.
+	// DictString stores a dictionary of the distinct strings, in order of
+	// first appearance, followed by one varint code per value.
 	DictString
 )
+
+// headerSize is the scheme byte plus the little-endian uint32 value count
+// every block starts with.
+const headerSize = 5
 
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-func putHeader(scheme Scheme, n int) []byte {
-	buf := make([]byte, 0, 5+n)
-	buf = append(buf, byte(scheme))
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], uint32(n))
-	return append(buf, tmp[:]...)
+// newBlock allocates a block of exactly size bytes and writes its header:
+// the scheme tag and the value count. Encoders size a block before they write
+// it, so nothing is ever grown or built and thrown away.
+func newBlock(scheme Scheme, n, size int) []byte {
+	buf := make([]byte, size)
+	buf[0] = byte(scheme)
+	binary.LittleEndian.PutUint32(buf[1:headerSize], uint32(n))
+	return buf
+}
+
+// uvarintLen is the number of bytes binary.PutUvarint writes for u.
+func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
+
+// putUvarint writes u at buf[p:] and returns the offset after it; the
+// one-byte case (zero deltas, run lengths, small dictionary codes) is inline.
+func putUvarint(buf []byte, p int, u uint64) int {
+	if u < 0x80 {
+		buf[p] = byte(u)
+		return p + 1
+	}
+	return p + binary.PutUvarint(buf[p:], u)
 }
 
 func readHeader(buf []byte) (Scheme, int, []byte, error) {
-	if len(buf) < 5 {
+	if len(buf) < headerSize {
 		return 0, 0, nil, corrupt("truncated header (%d bytes)", len(buf))
 	}
-	return Scheme(buf[0]), int(binary.LittleEndian.Uint32(buf[1:5])), buf[5:], nil
+	return Scheme(buf[0]), int(binary.LittleEndian.Uint32(buf[1:headerSize])), buf[headerSize:], nil
 }
 
 // window resolves a request for n values from index skip (n < 0: through the
@@ -97,59 +118,56 @@ func uvarint2(body []byte, p int) (u uint64, sz int) {
 }
 
 // EncodeInt64s encodes vals, choosing the smallest of plain, delta-varint and
-// RLE when compress is true, plain otherwise.
+// RLE when compress is true (plain unless delta is strictly smaller, RLE if
+// strictly smaller than that), plain otherwise. One pass over the run
+// structure sizes all three; only the winner is written.
 func EncodeInt64s(vals []int64, compress bool) []byte {
-	if !compress {
-		return encodePlainInt(vals)
-	}
-	plain := encodePlainInt(vals)
-	delta := encodeDeltaVarint(vals)
-	rle := encodeRLEInt(vals)
-	best := plain
-	if len(delta) < len(best) {
-		best = delta
-	}
-	if len(rle) < len(best) {
-		best = rle
-	}
-	return best
-}
-
-func encodePlainInt(vals []int64) []byte {
-	buf := putHeader(PlainInt, len(vals))
-	var tmp [8]byte
-	for _, v := range vals {
-		binary.LittleEndian.PutUint64(tmp[:], uint64(v))
-		buf = append(buf, tmp[:]...)
-	}
-	return buf
-}
-
-func encodeDeltaVarint(vals []int64) []byte {
-	buf := putHeader(DeltaVarint, len(vals))
-	var tmp [binary.MaxVarintLen64]byte
-	prev := int64(0)
-	for _, v := range vals {
-		n := binary.PutUvarint(tmp[:], zigzag(v-prev))
-		buf = append(buf, tmp[:n]...)
-		prev = v
-	}
-	return buf
-}
-
-func encodeRLEInt(vals []int64) []byte {
-	buf := putHeader(RLEInt, len(vals))
-	var tmp [binary.MaxVarintLen64]byte
-	for i := 0; i < len(vals); {
-		j := i + 1
-		for j < len(vals) && vals[j] == vals[i] {
-			j++
+	plain := headerSize + 8*len(vals)
+	scheme, size := PlainInt, plain
+	if compress {
+		delta, rle := headerSize, headerSize
+		prev := int64(0)
+		// Sizes only grow, so once both are past plain the block is plain.
+		for i := 0; i < len(vals) && (delta < plain || rle < plain); {
+			v, j := vals[i], i+1
+			for j < len(vals) && vals[j] == v {
+				j++
+			}
+			delta += uvarintLen(zigzag(v-prev)) + (j - i - 1) // a repeat is a zero delta
+			rle += uvarintLen(zigzag(v)) + uvarintLen(uint64(j-i))
+			prev, i = v, j
 		}
-		n := binary.PutUvarint(tmp[:], zigzag(vals[i]))
-		buf = append(buf, tmp[:n]...)
-		n = binary.PutUvarint(tmp[:], uint64(j-i))
-		buf = append(buf, tmp[:n]...)
-		i = j
+		if delta < size {
+			scheme, size = DeltaVarint, delta
+		}
+		if rle < size {
+			scheme, size = RLEInt, rle
+		}
+	}
+	buf := newBlock(scheme, len(vals), size)
+	p := headerSize
+	switch scheme {
+	case PlainInt:
+		for _, v := range vals {
+			binary.LittleEndian.PutUint64(buf[p:], uint64(v))
+			p += 8
+		}
+	case DeltaVarint:
+		prev := int64(0)
+		for _, v := range vals {
+			p = putUvarint(buf, p, zigzag(v-prev))
+			prev = v
+		}
+	case RLEInt:
+		for i := 0; i < len(vals); {
+			j := i + 1
+			for j < len(vals) && vals[j] == vals[i] {
+				j++
+			}
+			p = putUvarint(buf, p, zigzag(vals[i]))
+			p = putUvarint(buf, p, uint64(j-i))
+			i = j
+		}
 	}
 	return buf
 }
@@ -228,11 +246,9 @@ func DecodeInt64sFrom(buf []byte, skip, n int, out []int64) ([]int64, error) {
 // EncodeFloat64s encodes vals; floats are stored plain (the paper's
 // lightweight codecs target keys and categorical data, not measures).
 func EncodeFloat64s(vals []float64) []byte {
-	buf := putHeader(PlainFloat, len(vals))
-	var tmp [8]byte
-	for _, v := range vals {
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-		buf = append(buf, tmp[:]...)
+	buf := newBlock(PlainFloat, len(vals), headerSize+8*len(vals))
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(buf[headerSize+8*i:], math.Float64bits(v))
 	}
 	return buf
 }
@@ -266,18 +282,17 @@ func DecodeFloat64sFrom(buf []byte, skip, n int, out []float64) ([]float64, erro
 }
 
 // EncodeBools bit-packs booleans represented as 0/1 int64s (the vector
-// layer's native bool representation). The compress flag is accepted for
-// interface symmetry; bit-packing is always worthwhile and lossless.
+// layer's native bool representation). There is no plain alternative:
+// bit-packing is always worthwhile and lossless.
 func EncodeBools(vals []int64) []byte {
-	buf := putHeader(BitBool, len(vals))
-	nBytes := (len(vals) + 7) / 8
-	bits := make([]byte, nBytes)
+	buf := newBlock(BitBool, len(vals), headerSize+(len(vals)+7)/8)
+	packed := buf[headerSize:]
 	for i, v := range vals {
 		if v != 0 {
-			bits[i/8] |= 1 << (i % 8)
+			packed[i/8] |= 1 << (i % 8)
 		}
 	}
-	return append(buf, bits...)
+	return buf
 }
 
 // DecodeBools decodes a block produced by EncodeBools, appending 0/1 int64s.
@@ -308,55 +323,67 @@ func DecodeBoolsFrom(buf []byte, skip, n int, out []int64) ([]int64, error) {
 	return out, nil
 }
 
+// dictSeed keys the hash of the dictionary sizing pass. Codes are assigned in
+// first-appearance order, so the seed never shows in the output.
+var dictSeed = maphash.MakeSeed()
+
 // EncodeStrings encodes vals, choosing dictionary encoding when it is
-// smaller than plain (and compress is true).
+// strictly smaller than plain (and compress is true). The dictionary pass
+// assigns every value its code and sums the exact dictionary block size
+// without building the block; only the winner is written.
 func EncodeStrings(vals []string, compress bool) []byte {
-	plain := encodePlainString(vals)
-	if !compress {
-		return plain
-	}
-	if dict := encodeDictString(vals); len(dict) < len(plain) {
-		return dict
-	}
-	return plain
-}
-
-func encodePlainString(vals []string) []byte {
-	buf := putHeader(PlainString, len(vals))
-	var tmp [4]byte
-	off := uint32(0)
+	n := len(vals)
+	plain := headerSize + 4*n
 	for _, s := range vals {
-		off += uint32(len(s))
-		binary.LittleEndian.PutUint32(tmp[:], off)
-		buf = append(buf, tmp[:]...)
+		plain += len(s)
 	}
-	for _, s := range vals {
-		buf = append(buf, s...)
-	}
-	return buf
-}
-
-func encodeDictString(vals []string) []byte {
-	distinct := make(map[string]int, 64)
-	var dict []string
-	for _, s := range vals {
-		if _, ok := distinct[s]; !ok {
-			distinct[s] = len(dict)
-			dict = append(dict, s)
+	if compress {
+		// One scratch allocation: codes[i] is vals[i]'s dictionary code, slots
+		// an open-addressed table (a power of two, at most half full) holding
+		// 1 + the index of a distinct value's first appearance.
+		mask := 1<<bits.Len(uint(max(2*n-1, 0))) - 1
+		scratch := make([]uint32, n+mask+1)
+		codes, slots := scratch[:n], scratch[n:]
+		ndict, dict := 0, headerSize
+		for i, s := range vals {
+			h := int(maphash.String(dictSeed, s)) & mask
+			for slots[h] != 0 && vals[slots[h]-1] != s {
+				h = (h + 1) & mask
+			}
+			if slots[h] == 0 {
+				slots[h] = uint32(i + 1)
+				codes[i] = uint32(ndict)
+				ndict++
+				dict += uvarintLen(uint64(len(s))) + len(s)
+			} else {
+				codes[i] = codes[slots[h]-1]
+			}
+			dict += uvarintLen(uint64(codes[i]))
+		}
+		dict += uvarintLen(uint64(ndict))
+		if dict < plain {
+			buf := newBlock(DictString, n, dict)
+			p := putUvarint(buf, headerSize, uint64(ndict))
+			next := uint32(0)
+			for i, s := range vals {
+				if codes[i] == next { // first appearance: the next dictionary entry
+					p = putUvarint(buf, p, uint64(len(s)))
+					p += copy(buf[p:], s)
+					next++
+				}
+			}
+			for _, c := range codes {
+				p = putUvarint(buf, p, uint64(c))
+			}
+			return buf
 		}
 	}
-	buf := putHeader(DictString, len(vals))
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(dict)))
-	buf = append(buf, tmp[:n]...)
-	for _, s := range dict {
-		n = binary.PutUvarint(tmp[:], uint64(len(s)))
-		buf = append(buf, tmp[:n]...)
-		buf = append(buf, s...)
-	}
-	for _, s := range vals {
-		n = binary.PutUvarint(tmp[:], uint64(distinct[s]))
-		buf = append(buf, tmp[:n]...)
+	buf := newBlock(PlainString, n, plain)
+	off, p := uint32(0), headerSize+4*n
+	for i, s := range vals {
+		off += uint32(len(s))
+		binary.LittleEndian.PutUint32(buf[headerSize+4*i:], off)
+		p += copy(buf[p:], s)
 	}
 	return buf
 }

@@ -28,7 +28,9 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"pdtstore/internal/colstore"
@@ -191,8 +193,9 @@ func (sum *summary) strSkipEq(x string) (skip, indexed bool) {
 }
 
 // buildSummary digests one encoded block. Dictionary and RLE encodings hand
-// over their exact value sets directly; other encodings decode and dedup,
-// overflowing into a Bloom filter past maxExact distinct values.
+// over their exact value sets directly; other encodings decode. Up to
+// maxExact distinct values make the exact arm, more overflow into a Bloom
+// filter.
 func buildSummary(kind types.Kind, enc []byte) (summary, error) {
 	sum := summary{kind: kind}
 	switch kind {
@@ -206,9 +209,7 @@ func buildSummary(kind types.Kind, enc []byte) (summary, error) {
 				return sum, err
 			}
 		}
-		distinct := dedupStrings(vals)
-		if len(distinct) <= maxExact {
-			sum.strs = distinct
+		if sum.strs, ok = distinct(vals); ok {
 			return sum, nil
 		}
 		sum.bits = newBloom(len(vals))
@@ -220,7 +221,7 @@ func buildSummary(kind types.Kind, enc []byte) (summary, error) {
 		if err != nil {
 			return sum, err
 		}
-		sum.ints = dedupInt64s(vals)
+		sum.ints, _ = distinct(vals) // at most two
 	default: // Int64, Date
 		vals, ok, err := compress.RLEValues(enc)
 		if err != nil {
@@ -231,9 +232,7 @@ func buildSummary(kind types.Kind, enc []byte) (summary, error) {
 				return sum, err
 			}
 		}
-		distinct := dedupInt64s(vals)
-		if len(distinct) <= maxExact {
-			sum.ints = distinct
+		if sum.ints, ok = distinct(vals); ok {
 			return sum, nil
 		}
 		sum.bits = newBloom(len(vals))
@@ -244,30 +243,25 @@ func buildSummary(kind types.Kind, enc []byte) (summary, error) {
 	return sum, nil
 }
 
-func dedupInt64s(vals []int64) []int64 {
-	out := append([]int64(nil), vals...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	n := 0
-	for i, v := range out {
-		if i == 0 || v != out[n-1] {
-			out[n] = v
-			n++
+// distinct returns the sorted distinct values of vals, or ok=false as soon as
+// it has seen more than maxExact of them — a Bloom block learns that within
+// its first few hundred values, without copying or sorting the block.
+func distinct[T cmp.Ordered](vals []T) (out []T, ok bool) {
+	seen := make(map[T]struct{}, 16)
+	for i, v := range vals {
+		if i > 0 && v == vals[i-1] {
+			continue
+		}
+		if _, dup := seen[v]; !dup {
+			if len(seen) == maxExact {
+				return nil, false
+			}
+			seen[v] = struct{}{}
+			out = append(out, v)
 		}
 	}
-	return out[:n]
-}
-
-func dedupStrings(vals []string) []string {
-	out := append([]string(nil), vals...)
-	sort.Strings(out)
-	n := 0
-	for i, v := range out {
-		if i == 0 || v != out[n-1] {
-			out[n] = v
-			n++
-		}
-	}
-	return out[:n]
+	slices.Sort(out)
+	return out, true
 }
 
 // newBloom sizes a bit set for n values at bloomBitsPerRow bits each.
