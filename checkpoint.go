@@ -1,6 +1,6 @@
 package pdtstore
 
-// Incremental, cost-based checkpoints. A checkpoint no longer has to rewrite
+// Incremental, cost-based checkpoints. A checkpoint does not have to rewrite
 // the whole stable image: the PDT's positional entries name the exact dirty
 // blocks (table.ComputeDirty), so generation N+1 can be a small delta segment
 // that stores only the changed blocks and a block map referencing the rest
@@ -8,14 +8,19 @@ package pdtstore
 // *chain*; fully superseded members drop out of the chain at the next
 // checkpoint and are unlinked after the manifest swap.
 //
-// The checkpoint itself picks the cheapest safe mode per shard:
+// There is one build (buildShardImage): compute the dirty set, start a
+// builder that inherits every block below the set's shift block, re-encode
+// the dirty cells among those, stream the rest. The three modes Stats reports
+// are that build over three dirty sets:
 //
-//	shared       empty delta — re-reference the current chain, bump the
+//	shared       the empty set — re-reference the current chain, bump the
 //	             freeze LSN, write no segment at all
 //	incremental  dirty cells < half the image and the chain stays within
-//	             Checkpoint.MaxGenerations
-//	full         everything else — rewrites one flat segment, collapsing
-//	             the chain (bounds scan fan-out and read amplification)
+//	             Checkpoint.MaxGenerations: the set as computed
+//	full         everything else — the set widened to shift block 0, so
+//	             nothing is inherited and the result is one flat segment,
+//	             collapsing the chain (bounds scan fan-out and read
+//	             amplification)
 //
 // CheckpointOptions.Auto adds a background scheduler that weighs the modeled
 // cold-open replay cost of each shard's WAL tail against the modeled cost of
@@ -27,6 +32,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"pdtstore/internal/colstore"
@@ -36,16 +42,17 @@ import (
 	"pdtstore/internal/table"
 )
 
-// Default checkpoint policy values, substituted for zero fields by Open.
+// Checkpoint policy defaults, substituted for zero CheckpointOptions fields
+// by Open.
 const (
-	// DefaultMaxGenerations bounds a segment chain's length; reaching it
-	// forces a full rewrite that collapses the chain.
-	DefaultMaxGenerations = 8
-	// DefaultCheckpointInterval is the scheduler's decision cadence.
-	DefaultCheckpointInterval = 25 * time.Millisecond
-	// DefaultMaxWALRecords force-checkpoints a shard whose tail grew this
+	// defaultMaxGenerations bounds a segment chain's length; reaching it
+	// forces a whole rewrite that collapses the chain.
+	defaultMaxGenerations = 8
+	// defaultCheckpointInterval is the scheduler's decision cadence.
+	defaultCheckpointInterval = 25 * time.Millisecond
+	// defaultMaxWALRecords force-checkpoints a shard whose tail grew this
 	// long regardless of the cost model.
-	DefaultMaxWALRecords = 1024
+	defaultMaxWALRecords = 1024
 )
 
 // Cost-model weights, in microseconds: replaying one WAL record at open,
@@ -59,37 +66,35 @@ const (
 )
 
 // CheckpointOptions tunes the incremental checkpoint machinery and its
-// background scheduler. The zero value means: incremental checkpoints
-// enabled, chains up to DefaultMaxGenerations, no background scheduler.
+// background scheduler. The zero value means: chains of up to 8 segments, no
+// background scheduler.
 type CheckpointOptions struct {
-	// FullOnly disables incremental checkpoints: every checkpoint rewrites
-	// the full image into a single flat segment (the pre-chain behavior).
-	FullOnly bool
 	// MaxGenerations caps the segment chain length per shard; a checkpoint
-	// that would exceed it rewrites in full instead (0 = default). Must be
-	// at least 1.
+	// that would exceed it rewrites in full instead (0 = default, 8). Must be
+	// at least 1, which makes every checkpoint a whole rewrite into a single
+	// flat segment.
 	MaxGenerations int
 	// Auto runs a background scheduler that checkpoints a shard when the
 	// cost model says its WAL tail's replay cost exceeds the checkpoint's
 	// write cost, or the tail exceeds MaxWALRecords.
 	Auto bool
-	// Interval is the scheduler's decision cadence (0 = default).
+	// Interval is the scheduler's decision cadence (0 = default, 25ms).
 	Interval time.Duration
 	// MaxWALRecords force-checkpoints a shard whose tail reached this many
-	// commit-clock entries (0 = default).
+	// commit-clock entries (0 = default, 1024).
 	MaxWALRecords int
 }
 
 // normalize substitutes defaults for zero fields and rejects nonsense.
 func (o CheckpointOptions) normalize() (CheckpointOptions, error) {
 	if o.MaxGenerations == 0 {
-		o.MaxGenerations = DefaultMaxGenerations
+		o.MaxGenerations = defaultMaxGenerations
 	}
 	if o.Interval == 0 {
-		o.Interval = DefaultCheckpointInterval
+		o.Interval = defaultCheckpointInterval
 	}
 	if o.MaxWALRecords == 0 {
-		o.MaxWALRecords = DefaultMaxWALRecords
+		o.MaxWALRecords = defaultMaxWALRecords
 	}
 	if o.MaxGenerations < 1 {
 		return o, fmt.Errorf("pdtstore: Checkpoint.MaxGenerations < 1 (%d)", o.MaxGenerations)
@@ -121,6 +126,20 @@ type CheckpointDecision struct {
 	// Mode is what happened: "skip", "shared", "incremental" or "full"
 	// ("" before any decision ran).
 	Mode string
+}
+
+// decision is the one place the cost model is evaluated: replaying tail
+// records at the next open against writing write of total (column, block)
+// cells plus the manifest swap.
+func decision(tail uint64, write, total int, mode string) CheckpointDecision {
+	return CheckpointDecision{
+		TailRecords: tail,
+		DirtyBlocks: write,
+		TotalBlocks: total,
+		ReplayUs:    float64(tail) * replayCostUs,
+		WriteUs:     float64(write)*blockWriteCostUs + swapCostUs,
+		Mode:        mode,
+	}
 }
 
 // Checkpoint makes the online checkpoint durable: each shard's committed
@@ -164,7 +183,6 @@ func (db *DB) checkpointLocked(only []bool) error {
 			}
 		}
 		first = false
-		i := i
 		prevFreeze := db.man.Shards[i].LSN
 		var retired *colstore.Store
 		err := db.mgrs[i].CheckpointInto(func(lsn uint64, store *colstore.Store, deltas ...*pdt.PDT) (*colstore.Store, error) {
@@ -184,9 +202,10 @@ func (db *DB) checkpointLocked(only []bool) error {
 		// superseded in memory from here on, whatever happens to the
 		// manifest below. Chain members it shares with the new image stay
 		// open — segment descriptors are refcounted.
-		if retired != nil {
-			db.retired = append(db.retired, retired)
-		}
+		// The manager closes a retired image when its last pinned reader
+		// finishes — with none, it already has. Keep only the open ones, or
+		// the list grows by a block map and a sparse index per checkpoint.
+		db.retired = slices.DeleteFunc(append(db.retired, retired), (*colstore.Store).Closed)
 	}
 	if err := db.injectFault(faultPreManifestSwap); err != nil {
 		return err
@@ -236,65 +255,28 @@ func (db *DB) checkpointLocked(only []bool) error {
 	return nil
 }
 
-// buildShardImage materializes shard i's next stable image under the mode the
-// cost rules pick, records the decision in lastCost, and returns the new
-// store (whose segment chain the manifest entry will name).
+// buildShardImage materializes shard i's next stable image from the dirty set
+// the frozen deltas leave on store, records the decision in lastCost, and
+// returns the new store (whose segment chain the manifest entry will name).
 func (db *DB) buildShardImage(i int, name string, tail uint64, store *colstore.Store, deltas []*pdt.PDT) (*colstore.Store, error) {
-	path := filepath.Join(db.dir, name)
-	full := db.ckpt.FullOnly || store.Segments() == nil
-	var ds *table.DirtySet
-	if !full {
-		var err error
-		ds, err = db.tbls[i].ComputeDirty(store, deltas...)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case ds.Empty:
-			// Nothing changed since the last checkpoint: re-reference the
-			// current chain under the new freeze LSN; no segment is written.
-			db.lastCost[i] = CheckpointDecision{
-				TailRecords: tail, TotalBlocks: ds.TotalCells(), Mode: "shared",
-			}
-			return store.CloneShared(), nil
-		case len(store.Segments())+1 > db.ckpt.MaxGenerations,
-			2*ds.WriteCells() >= ds.TotalCells():
-			full = true
-		}
+	ds, err := db.tbls[i].ComputeDirty(store, deltas...)
+	if err != nil {
+		return nil, err
 	}
-	if full {
-		b, err := colstore.NewFileBuilder(db.schema, db.dev, db.opts.BlockRows, db.opts.Compressed, path)
-		if err != nil {
-			return nil, err
-		}
-		if err := db.tbls[i].MaterializeStream(b, store, deltas...); err != nil {
-			b.Abort()
-			return nil, err
-		}
-		if err := db.injectFault(faultMidSegmentWrite); err != nil {
-			return nil, err // crash sim: partial file stays, no footer
-		}
-		ns, err := b.Finish() // footer + fsync: image durable past here
-		if err != nil {
-			return nil, err
-		}
-		if err := db.reindex(ns, nil, nil); err != nil {
-			return nil, err
-		}
-		d := CheckpointDecision{TailRecords: tail, Mode: "full"}
-		if ds != nil {
-			d.DirtyBlocks = ds.WriteCells()
-			d.TotalBlocks = ds.TotalCells()
-		} else {
-			d.TotalBlocks = ns.NumBlocks() * db.schema.NumCols()
-			d.DirtyBlocks = d.TotalBlocks
-		}
-		d.ReplayUs = float64(tail) * replayCostUs
-		d.WriteUs = float64(d.TotalBlocks)*blockWriteCostUs + swapCostUs
-		db.lastCost[i] = d
-		return ns, nil
+	if ds.Empty {
+		// Nothing changed since the last checkpoint: re-reference the
+		// current chain under the new freeze LSN; no segment is written.
+		db.lastCost[i] = decision(tail, 0, ds.TotalCells(), "shared")
+		return store.CloneShared(), nil
 	}
-	b, err := colstore.NewDeltaBuilder(store, path, ds.NewRows, ds.ShiftBlk)
+	mode := "incremental"
+	if len(store.Segments())+1 > db.ckpt.MaxGenerations || 2*ds.WriteCells() >= ds.TotalCells() {
+		// Inheriting would overrun the chain bound, or spare less than half
+		// the image: inherit nothing and collapse the chain instead.
+		ds.Widen()
+		mode = "full"
+	}
+	b, err := colstore.NewCheckpointBuilder(store, ds.ShiftBlk, db.opts.BlockRows, db.opts.Compressed, filepath.Join(db.dir, name))
 	if err != nil {
 		return nil, err
 	}
@@ -303,54 +285,38 @@ func (db *DB) buildShardImage(i int, name string, tail uint64, store *colstore.S
 		return nil, err
 	}
 	if err := db.injectFault(faultMidSegmentWrite); err != nil {
-		return nil, err // crash sim: partial delta file stays, no block map
+		return nil, err // crash sim: partial file stays, no footer
 	}
 	if err := db.injectFault(faultMidBlockMapWrite); err != nil {
 		return nil, err // crash sim: dirty blocks on disk, footer/map missing
 	}
-	ns, err := b.Finish()
+	ns, err := b.Finish() // footer (+ block map) + fsync: image durable past here
 	if err != nil {
 		return nil, err
 	}
 	if err := db.reindex(ns, store, ds); err != nil {
 		return nil, err
 	}
-	db.lastCost[i] = CheckpointDecision{
-		TailRecords: tail,
-		DirtyBlocks: ds.WriteCells(),
-		TotalBlocks: ds.TotalCells(),
-		ReplayUs:    float64(tail) * replayCostUs,
-		WriteUs:     float64(ds.WriteCells())*blockWriteCostUs + swapCostUs,
-		Mode:        "incremental",
-	}
+	db.lastCost[i] = decision(tail, ds.WriteCells(), ds.TotalCells(), mode)
 	return ns, nil
 }
 
 // reindex attaches the next image's secondary-index set, if Options asked for
-// one: a fresh Build after a full rewrite (prev == nil), or an incremental
-// Rebuild that reuses every summary of the previous image's set whose block
-// the checkpoint's dirty map left untouched. Blocks at or past the dirty
-// set's first position shift are always rebuilt — the delta image rewrote
-// them. The "shared" (no-write) mode needs no call: CloneShared carries the
-// aux sidecar, and with it the index, verbatim.
-func (db *DB) reindex(ns *colstore.Store, prev *colstore.Store, ds *table.DirtySet) error {
-	if len(db.opts.IndexColumns) == 0 {
-		return nil
+// one: a Rebuild that reuses every summary of the previous image's set whose
+// block the checkpoint's dirty set left untouched. Blocks at or past the
+// set's shift block are always rebuilt — the checkpoint rewrote them — so
+// after a whole rewrite that is every block. The "shared" (no-write) mode
+// needs no call: CloneShared carries the aux sidecar, and with it the index,
+// verbatim.
+func (db *DB) reindex(ns, prev *colstore.Store, ds *table.DirtySet) error {
+	old, ok := prev.Aux().(*index.Set)
+	if !ok {
+		return nil // no Options.IndexColumns: Open attached no set to hand on
 	}
-	if prev != nil && ds != nil {
-		if old, ok := prev.Aux().(*index.Set); ok {
-			idx, err := old.Rebuild(ns, ns.NumBlocks(), func(col, blk int) bool {
-				return blk >= ds.ShiftBlk ||
-					(col < len(ds.Dirty) && blk < len(ds.Dirty[col]) && ds.Dirty[col][blk])
-			})
-			if err != nil {
-				return err
-			}
-			ns.SetAux(idx)
-			return nil
-		}
-	}
-	idx, err := index.Build(ns, db.opts.IndexColumns)
+	idx, err := old.Rebuild(ns, ns.NumBlocks(), func(col, blk int) bool {
+		return blk >= ds.ShiftBlk ||
+			(col < len(ds.Dirty) && blk < len(ds.Dirty[col]) && ds.Dirty[col][blk])
+	})
 	if err != nil {
 		return err
 	}
@@ -376,24 +342,15 @@ func storeChainNames(s *colstore.Store) []string {
 func (db *DB) decideShard(i int) CheckpointDecision {
 	tail := db.mgrs[i].LSN() - db.man.Shards[i].LSN
 	total := db.tbls[i].Store().NumBlocks() * db.schema.NumCols()
-	d := CheckpointDecision{TailRecords: tail, TotalBlocks: total, Mode: "skip"}
 	if tail == 0 {
-		return d
+		return CheckpointDecision{TotalBlocks: total, Mode: "skip"}
 	}
 	ins, del, mod := db.mgrs[i].DeltaCounts()
 	est := mod
 	if ins+del > 0 {
 		est += total / 2
 	}
-	if est > total {
-		est = total
-	}
-	if est < 1 {
-		est = 1
-	}
-	d.DirtyBlocks = est
-	d.ReplayUs = float64(tail) * replayCostUs
-	d.WriteUs = float64(est)*blockWriteCostUs + swapCostUs
+	d := decision(tail, max(min(est, total), 1), total, "skip")
 	if int(tail) >= db.ckpt.MaxWALRecords || d.ReplayUs > d.WriteUs {
 		d.Mode = "checkpoint"
 	}

@@ -66,8 +66,6 @@ type Options struct {
 	BlockRows int
 	// Compressed selects compressed stable blocks.
 	Compressed bool
-	// Fanout is the PDT fanout (0 = paper default).
-	Fanout int
 	// WriteBudget caps the Write-PDT before background Write→Read folds
 	// (0 = transaction-manager default).
 	WriteBudget uint64
@@ -161,13 +159,14 @@ type DB struct {
 	// installed its segment as the manager's live store (only the manifest
 	// write failed), so a retry must never reuse — and O_TRUNC — that name.
 	nextGen uint64
-	// retired tracks superseded file-backed images. The transaction manager
-	// closes each one as soon as its last pinned reader finishes
-	// (txn.releaseVersionLocked); this list is the backstop that closes
-	// whatever is still pinned when the DB itself closes (Close is
-	// idempotent, so the two paths may both run). Chain segments shared with
-	// the live image survive these closes — they are refcounted and only the
-	// last referencing store releases the descriptor.
+	// retired tracks the superseded images a reader still pins. The
+	// transaction manager closes each one as soon as its last pinned reader
+	// finishes (txn.releaseVersionLocked), and every checkpoint drops the
+	// closed ones from this list; it is the backstop that closes whatever is
+	// still pinned when the DB itself closes (Close is idempotent, so the two
+	// paths may both run). Chain segments shared with the live image survive
+	// these closes — they are refcounted and only the last referencing store
+	// releases the descriptor.
 	retired []*colstore.Store
 	closed  bool
 
@@ -191,10 +190,10 @@ type DB struct {
 // Checkpoint fault-injection points, in execution order.
 const (
 	faultMidSegmentWrite = "mid-segment-write"
-	// faultMidBlockMapWrite fires on the incremental path after the dirty
-	// blocks streamed but before Finish writes the block map + footer: the
-	// new segment has data blocks and no trailer, and the manifest still
-	// names the previous generation's chain.
+	// faultMidBlockMapWrite fires after the dirty blocks streamed but before
+	// Finish writes the footer (and, when blocks are inherited, the block
+	// map): the new segment has data blocks and no trailer, and the manifest
+	// still names the previous generation's chain.
 	faultMidBlockMapWrite = "mid-block-map-write"
 	// faultBetweenShardCheckpoints fires before each shard's image build
 	// except the first (so never with one shard): some shards have already
@@ -292,9 +291,9 @@ func Open(dir string, opts Options) (*DB, error) {
 	}
 	gcStraySegments(dir, manifestSegments(man))
 
-	// Secondary indexes ride each shard image's aux sidecar; checkpoints
-	// carry them forward (shared), Rebuild them (incremental) or Build them
-	// afresh (full). Built here last so every Open branch is covered.
+	// Secondary indexes ride each shard image's aux sidecar; a checkpoint
+	// carries the set forward (shared) or Rebuilds it over the blocks it
+	// rewrote. Built here last so every Open branch is covered.
 	if len(opts.IndexColumns) > 0 {
 		for _, st := range stores {
 			idx, err := index.Build(st, opts.IndexColumns)
@@ -314,13 +313,9 @@ func Open(dir string, opts Options) (*DB, error) {
 	streams := make([][]wal.Record, n)
 	for i := range stores {
 		bases[i] = man.Shards[i].LSN
-		tbls[i], err = table.FromStore(stores[i], table.Options{
-			Mode:       table.ModePDT,
-			BlockRows:  opts.BlockRows,
-			Compressed: opts.Compressed,
-			Fanout:     opts.Fanout,
-			Device:     dev,
-		})
+		// Mode is all the table needs: it never builds an image of its own
+		// here — every checkpoint hands the manager its build.
+		tbls[i], err = table.FromStore(stores[i], table.Options{Mode: table.ModePDT})
 		if err != nil {
 			return nil, err
 		}

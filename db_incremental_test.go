@@ -5,16 +5,22 @@ package pdtstore
 // randomized full-vs-incremental state-equivalence harness.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"pdtstore/internal/colstore"
+	"pdtstore/internal/engine"
 	"pdtstore/internal/table"
 	"pdtstore/internal/types"
+	"pdtstore/internal/vector"
 )
 
 // commitUpdates commits pure in-place updates (col 2, no sort-key churn) so
@@ -149,65 +155,101 @@ func TestEmptyDeltaCheckpointShares(t *testing.T) {
 // checkpoint added — mid block-map write, pre-swap with mixed-generation
 // references, and GC after the swap — and requires recovery to reconstruct
 // exactly the committed state off the old manifest (or the new one, past the
-// swap).
+// swap). Each cut runs on both shapes the one build takes: a delta that
+// inherits blocks, and a whole rewrite (which passes no mixed-generation
+// swap: its chains are one segment long).
 func TestIncrementalCrashPoints(t *testing.T) { testIncrementalCrashPoints(t, 1) }
 
-// TestShardedIncrementalCheckpointCrashPoints drives the same three cuts on a
+// TestShardedIncrementalCheckpointCrashPoints drives the same cuts on a
 // 4-shard store, where the manifest swap commits four chains at once.
 func TestShardedIncrementalCheckpointCrashPoints(t *testing.T) { testIncrementalCrashPoints(t, 4) }
 
 func testIncrementalCrashPoints(t *testing.T, shards int) {
-	points := []string{faultMidBlockMapWrite, faultPreSwapMixedGen, faultPostSwapPreGC}
-	for _, point := range points {
-		t.Run(point, func(t *testing.T) {
-			dir := t.TempDir()
-			db := openShardDB(t, dir, shards)
-			m := model{}
-			commitInserts(t, db, m, 0, 1000) // four blocks of 64 per shard at least
-			if err := db.Checkpoint(); err != nil {
-				t.Fatal(err)
+	cuts := []struct {
+		point string
+		modes []string
+	}{
+		{faultMidBlockMapWrite, []string{"incremental", "full"}},
+		{faultPreSwapMixedGen, []string{"incremental"}},
+		{faultPostSwapPreGC, []string{"incremental", "full"}},
+	}
+	for _, cut := range cuts {
+		t.Run(cut.point, func(t *testing.T) {
+			for _, mode := range cut.modes {
+				t.Run(mode, func(t *testing.T) { testIncrementalCrashPoint(t, shards, cut.point, mode) })
 			}
-			commitUpdates(t, db, m, 10, 300, 550, 800) // modify-only, one per quarter: incremental path
-
-			errBoom := errors.New("injected crash: " + point)
-			fired := false
-			db.fault = func(p string) error {
-				if p == point {
-					fired = true
-					return errBoom
-				}
-				return nil
-			}
-			if err := db.Checkpoint(); !errors.Is(err, errBoom) {
-				t.Fatalf("Checkpoint through the fault = %v", err)
-			}
-			if !fired {
-				t.Fatalf("fault point %s never fired", point)
-			}
-			db.crash()
-
-			db = openShardDB(t, dir, shards)
-			checkState(t, db, m)
-			// The interrupted attempt left no half-GC'd chain: every segment
-			// the manifest names is openable, strays are gone, and the next
-			// incremental checkpoint completes.
-			commitUpdates(t, db, m, 15, 305)
-			if err := db.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			if err := db.Close(); err != nil {
-				t.Fatal(err)
-			}
-			db = openShardDB(t, dir, shards)
-			defer db.Close()
-			checkState(t, db, m)
 		})
 	}
 }
 
+func testIncrementalCrashPoint(t *testing.T, shards int, point, mode string) {
+	dir := t.TempDir()
+	db := openShardDB(t, dir, shards)
+	m := model{}
+	commitInserts(t, db, m, 0, 1000) // four blocks of 64 per shard at least
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	commitUpdates(t, db, m, 10, 300, 550, 800) // modify-only, one per quarter: blocks are inherited
+	if mode == "full" {
+		// A delete in each shard's first block: every block shifts.
+		ops := []table.Op{}
+		for _, k := range []int64{1, 251, 501, 751} {
+			ops = append(ops, table.Op{Kind: table.OpDelete, Key: types.Row{types.Int(k)}})
+			delete(m, k)
+		}
+		tx := db.Begin()
+		if _, err := tx.ApplyBatch(ops); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	errBoom := errors.New("injected crash: " + point)
+	fired := false
+	db.fault = func(p string) error {
+		if p == point {
+			fired = true
+			return errBoom
+		}
+		return nil
+	}
+	if err := db.Checkpoint(); !errors.Is(err, errBoom) {
+		t.Fatalf("Checkpoint through the fault = %v", err)
+	}
+	if !fired {
+		t.Fatalf("fault point %s never fired", point)
+	}
+	db.crash()
+
+	db = openShardDB(t, dir, shards)
+	checkState(t, db, m)
+	// The interrupted attempt left no half-GC'd chain: every segment
+	// the manifest names is openable, strays are gone, and the next
+	// checkpoint completes in the shape under test.
+	commitUpdates(t, db, m, 15, 305)
+	if mode == "full" {
+		commitMixed(t, db, m, 2, 12)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Stats().Shard[0].LastDecision.Mode; got != mode {
+		t.Fatalf("follow-up checkpoint of shard 0 ran %q, want %q", got, mode)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = openShardDB(t, dir, shards)
+	defer db.Close()
+	checkState(t, db, m)
+}
+
 // TestIncrementalFullEquivalence is the randomized long-run harness: two
-// stores replay one random op stream, one restricted to full rewrites, one
-// free to chain incremental checkpoints (with a tight MaxGenerations so both
+// stores replay one random op stream, one pinned to whole rewrites
+// (MaxGenerations 1), one free to chain incremental checkpoints (with a tight MaxGenerations so both
 // modes and forced collapses all occur), with checkpoints and kill-reopen
 // cycles interleaved at random. After every reopen and at the end, both
 // stores must serve the identical committed state.
@@ -230,7 +272,7 @@ func testEquivalence(t *testing.T, shards int) {
 		}
 		return db
 	}
-	fullCkpt := CheckpointOptions{FullOnly: true}
+	fullCkpt := CheckpointOptions{MaxGenerations: 1}
 	incCkpt := CheckpointOptions{MaxGenerations: 3}
 	dirA, dirB := t.TempDir(), t.TempDir()
 	dbA := open(dirA, fullCkpt)
@@ -496,4 +538,216 @@ func TestSharedSegmentRefcount(t *testing.T) {
 		t.Fatal("superseded chain member still open after the chain collapsed")
 	}
 	checkState(t, db, m)
+}
+
+// fullCheckpointHashes are the SHA-256 of the segment files commit 1dd5c71
+// (the last one with a separate full-rewrite arm) wrote for
+// TestFullCheckpointSegmentHash's script, per shard count: every shard's
+// segment after the first whole rewrite, then after the second.
+var fullCheckpointHashes = map[int][]string{
+	1: {
+		"e282316e57d219214c2a7707f5477341e93091a5f7a0128151292d578d0b8b36",
+		"bc5b8fafd2e05a332eecb30f2443531a2f52c2c10ff6a855a6c92447543c4fbe",
+	},
+	4: {
+		"38b9df42ceb7fa4fd2f59de1593eab9f574c14dcd4b164b496052cbe3190e20f",
+		"0fe443d0906e7fcd3b876a17680e8ebc1c410e199119286ea7922ce6143b5320",
+		"aa8dff2e8b2f505e2c6304dad5d9c4a0f00ce445fad63687234e78b333692a1b",
+		"46aceb4b5bee495aca3360e6374f5449b18563600cf9d769e72b01fc9c949606",
+		"dfa39d49c48eaf2af7174c9308f88eebd6b6e5b2f57ef0fc393eabf2516a41e4",
+		"5928f0f424b98095166f2a4b5709d6a92ce6199466b9dddf843ff5f774f2a19c",
+		"924457d0e0305724995f35ae05ff1bd2e10c8cfb4e935c33f189e20639ceca75",
+		"c43eadeff16a27ab9cffedb36af7c4bd10322b7e1838352a44ef6db9c4400eeb",
+	},
+}
+
+// TestFullCheckpointSegmentHash: a whole rewrite through the one image
+// builder is, byte for byte, the flat segment the dedicated full-rewrite arm
+// used to write — no block map, same block order, same footer.
+func TestFullCheckpointSegmentHash(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := Open(dir, Options{Schema: dbSchema, BlockRows: 64, Compressed: true,
+				Checkpoint: CheckpointOptions{MaxGenerations: 1},
+				Shards:     shards, ShardKeys: shardTestCuts[:shards-1]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			var got []string
+			checkpoint := func() {
+				t.Helper()
+				if err := db.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				for i, sh := range db.Stats().Shard {
+					if sh.Generations != 1 || sh.LastDecision.Mode != "full" {
+						t.Fatalf("shard %d: %d generations, mode %q, want one flat segment", i, sh.Generations, sh.LastDecision.Mode)
+					}
+					raw, err := os.ReadFile(filepath.Join(dir, sh.Segments[0].Name))
+					if err != nil {
+						t.Fatal(err)
+					}
+					sum := sha256.Sum256(raw)
+					got = append(got, hex.EncodeToString(sum[:]))
+				}
+			}
+			m := model{}
+			commitInserts(t, db, m, 0, 1000)
+			checkpoint()
+			// Modifies in every shard's first blocks, deletes and inserts
+			// behind them: at the parent the dirty set has a non-zero shift
+			// block, and the chain bound alone forces the rewrite.
+			commitUpdates(t, db, m, 3, 70, 255, 410, 640, 901)
+			commitMixed(t, db, m, 180, 240)
+			commitMixed(t, db, m, 700, 745)
+			commitInserts(t, db, m, 1000, 1090)
+			checkpoint()
+			checkState(t, db, m)
+			want := fullCheckpointHashes[shards]
+			if len(got) != len(want) {
+				t.Fatalf("hashed %d segments, recorded %d: %q", len(got), len(want), got)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("segment %d: SHA-256 %s, commit 1dd5c71 wrote %s", i, got[i], want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestReopenWithDifferentBlockRows: Options.BlockRows is the geometry of the
+// next whole rewrite, not of the directory. A checkpoint that inherits blocks
+// keeps the base's geometry whatever the option says; one that inherits
+// nothing re-blocks.
+func TestReopenWithDifferentBlockRows(t *testing.T) {
+	dir := t.TempDir()
+	m := model{}
+	db := openTestDB(t, dir) // 64 rows per block
+	commitInserts(t, db, m, 0, 640)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	open := func() *DB {
+		t.Helper()
+		db, err := Open(dir, Options{Schema: dbSchema, BlockRows: 128, Compressed: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	geometry := func(db *DB, mode string, blockRows, blocks int) {
+		t.Helper()
+		st := db.tbls[0].Store()
+		if got := db.Stats().Shard[0].LastDecision.Mode; got != mode {
+			t.Fatalf("checkpoint ran %q, want %q", got, mode)
+		}
+		if st.BlockRows() != blockRows || st.NumBlocks() != blocks {
+			t.Fatalf("%s checkpoint under BlockRows 128: %d rows per block in %d blocks, want %d in %d",
+				mode, st.BlockRows(), st.NumBlocks(), blockRows, blocks)
+		}
+		checkState(t, db, m)
+	}
+
+	db = open()
+	commitUpdates(t, db, m, 3, 70)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	geometry(db, "incremental", 64, 10)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db = open()
+	geometry(db, "", 64, 10) // the chain reopens in the geometry it was written in
+	commitMixed(t, db, m, 0, 20)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	geometry(db, "full", 128, 5) // 636 rows
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db = open()
+	defer db.Close()
+	geometry(db, "", 128, 5)
+}
+
+// TestRetiredImagesDoNotAccumulate: the DB's list of superseded images holds
+// only the ones a reader still pins — the manager closed the others when
+// their last reader finished — so it stays bounded by the pinned count, not
+// the checkpoint count; a pinned image stays readable across any number of
+// checkpoints and is closed by Close.
+func TestRetiredImagesDoNotAccumulate(t *testing.T) {
+	const shards = 4
+	dir := t.TempDir()
+	m := model{}
+	db := openShardDB(t, dir, shards)
+	commitInserts(t, db, m, 0, 1000)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	churn := func() {
+		t.Helper()
+		for i := int64(0); i < 40; i++ {
+			switch i % 3 { // incremental, shared and full checkpoints alike
+			case 0:
+				commitUpdates(t, db, m, 3+i, 260+i, 510+i, 760+i)
+			case 1:
+				commitMixed(t, db, m, 20*i, 20*i+7)
+			}
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	churn()
+	if got := len(db.retired); got > shards {
+		t.Fatalf("%d retired images held after 40 checkpoints with no reader pinned", got)
+	}
+
+	snapshot := m.clone()
+	long := db.Begin() // pins the current image of every shard
+	pinned := make([]*colstore.Store, shards)
+	for i := range pinned {
+		pinned[i] = db.tbls[i].Store()
+	}
+	churn()
+	if got := len(db.retired); got < shards || got > 2*shards {
+		t.Fatalf("%d retired images held with one reader pinning %d", got, shards)
+	}
+	got := model{}
+	err := engine.Scan(long, 0, 1, 2).Run(func(b *vector.Batch, sel []uint32) error {
+		for _, i := range sel {
+			r := b.Row(int(i))
+			got[r[0].I] = modelRow{V: r[1].S, N: r[2].I}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(snapshot) {
+		t.Fatalf("pinned snapshot reads %d rows, want %d", len(got), len(snapshot))
+	}
+	for k, want := range snapshot {
+		if got[k] != want {
+			t.Fatalf("pinned snapshot: key %d = %+v, want %+v", k, got[k], want)
+		}
+	}
+	checkState(t, db, m)
+	if err := db.Close(); err != nil { // with the reader still pinned
+		t.Fatal(err)
+	}
+	for i, st := range pinned {
+		if !st.Closed() {
+			t.Fatalf("shard %d: pinned image still open after Close", i)
+		}
+	}
 }

@@ -64,12 +64,13 @@
 // members are unlinked after the manifest swap). An empty delta shares the
 // previous image outright, and a delta worth more than half the table — or
 // a chain at CheckpointOptions.MaxGenerations — collapses to a full
-// rewrite. The same cost model drives an optional background scheduler
-// (CheckpointOptions.Auto) that checkpoints a shard when its estimated WAL
-// replay cost outgrows the estimated checkpoint cost, bounding cold-open
-// time; knobs are validated at Open. DB.Stats exposes the per-shard WAL
-// tail, generation chain, per-segment live-block counts and the last
-// scheduler decision.
+// rewrite: the same build with nothing inherited, which leaves one flat
+// segment and no block map. The same cost model drives an optional
+// background scheduler (CheckpointOptions.Auto) that checkpoints a shard
+// when its estimated WAL replay cost outgrows the estimated checkpoint cost,
+// bounding cold-open time; knobs are validated at Open. DB.Stats exposes the
+// per-shard WAL tail, generation chain, per-segment live-block counts and
+// the last scheduler decision.
 //
 // The public write surface is the Tx interface, returned by DB.Begin, and
 // DB.Stats is the window into durability state; no accessor hands out the

@@ -115,21 +115,85 @@ func failWrites(b *Builder) {
 	b.segw.Abort()
 }
 
+// buildInput is one way to start a file build, and the batches to feed it.
+type buildInput struct {
+	name    string
+	start   func(t *testing.T, blockRows int, path string) *Builder
+	batches func(blockRows int) []*vector.Batch
+}
+
+// inheritBlocks is how many leading blocks the with-base input inherits.
+const inheritBlocks = 2
+
+// buildInputs are the two shapes every file build takes: a flat build fed
+// hashBatches(5000) from row 0, and a checkpoint build over a base holding
+// those rows that inherits the first inheritBlocks blocks and is fed the rest.
+var buildInputs = []buildInput{
+	{"flat", startFlat, func(int) []*vector.Batch { return hashBatches(5000) }},
+	{"with-base", startWithBase, func(blockRows int) []*vector.Batch {
+		return skipRows(hashBatches(5000), inheritBlocks*blockRows)
+	}},
+}
+
+func startFlat(t *testing.T, blockRows int, path string) *Builder {
+	b, err := NewFileBuilder(hashSchema(), nil, blockRows, true, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func startWithBase(t *testing.T, blockRows int, path string) *Builder {
+	base := startFlat(t, blockRows, filepath.Join(t.TempDir(), "base.seg"))
+	for _, batch := range hashBatches(5000) {
+		if err := base.AddBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := base.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	b, err := NewCheckpointBuilder(st, inheritBlocks, 0, false, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// skipRows drops the first n rows of a batch sequence.
+func skipRows(batches []*vector.Batch, n int) []*vector.Batch {
+	var out []*vector.Batch
+	for _, batch := range batches {
+		if skip := min(n, batch.Len()); skip < batch.Len() {
+			rest := vector.NewBatch(batch.Kinds(), batch.Len()-skip)
+			for c, v := range rest.Vecs {
+				v.AppendRange(batch.Vecs[c], skip, batch.Len())
+			}
+			out = append(out, rest)
+		}
+		n -= min(n, batch.Len())
+	}
+	return out
+}
+
 // TestBackgroundFlushErrorSurfaces: a block that fails to append in the
 // background is reported by a later AddBatch or by Finish — never dropped,
 // even when the failing block is the last full one.
 func TestBackgroundFlushErrorSurfaces(t *testing.T) {
 	const blockRows = 512
-	batches := hashBatches(5000)
-	newBuilder := func(t *testing.T) *Builder {
-		b, err := NewFileBuilder(hashSchema(), nil, blockRows, true, filepath.Join(t.TempDir(), "e.seg"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+	// each runs one scenario on both build shapes.
+	each := func(name string, run func(t *testing.T, b *Builder, batches []*vector.Batch)) {
+		t.Run(name, func(t *testing.T) {
+			for _, in := range buildInputs {
+				t.Run(in.name, func(t *testing.T) {
+					run(t, in.start(t, blockRows, filepath.Join(t.TempDir(), "e.seg")), in.batches(blockRows))
+				})
+			}
+		})
 	}
-	t.Run("next-AddBatch", func(t *testing.T) {
-		b := newBuilder(t)
+	each("next-AddBatch", func(t *testing.T, b *Builder, batches []*vector.Batch) {
 		// The first block handed over after the injection fails in the
 		// background; the hand-over after that one joins it. So the error
 		// belongs to the batch that completes the second block from there.
@@ -156,8 +220,7 @@ func TestBackgroundFlushErrorSurfaces(t *testing.T) {
 			t.Fatalf("Finish on a failed builder returned (%v, %v)", s, err)
 		}
 	})
-	t.Run("Finish", func(t *testing.T) {
-		b := newBuilder(t)
+	each("Finish", func(t *testing.T, b *Builder, batches []*vector.Batch) {
 		failWrites(b)
 		// One block and a bit: the only full block is in flight (or failed
 		// unobserved) when Finish is called.
@@ -182,37 +245,174 @@ func TestBackgroundFlushErrorSurfaces(t *testing.T) {
 // TestAbortJoinsInFlightBlock: Abort with a block in flight waits for it,
 // removes the partial file and leaves no goroutine behind.
 func TestAbortJoinsInFlightBlock(t *testing.T) {
-	before := runtime.NumGoroutine()
-	path := filepath.Join(t.TempDir(), "a.seg")
-	b, err := NewFileBuilder(hashSchema(), nil, 2048, true, path)
-	if err != nil {
+	for _, in := range buildInputs {
+		t.Run(in.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "a.seg")
+			b := in.start(t, 1024, path)
+			before := runtime.NumGoroutine()
+			for _, batch := range in.batches(1024) {
+				if err := b.AddBatch(batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if b.inflight == nil {
+				t.Fatal("no block in flight after the last full block")
+			}
+			b.Abort()
+			if b.inflight != nil {
+				t.Fatal("Abort returned with a block still in flight")
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatalf("partial segment survives Abort: %v", err)
+			}
+			if _, err := b.Finish(); err == nil {
+				t.Fatal("Finish after Abort must fail")
+			}
+			// The flush goroutine's last act is the send Abort received; give the
+			// scheduler a moment to retire it.
+			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines, %d before the build", runtime.NumGoroutine(), before)
+				}
+				runtime.Gosched()
+			}
+		})
+	}
+}
+
+// TestCheckpointBuilderOrderCheck: the tail of a with-base build is held to
+// the order check of any other build — each block's first row against the
+// last row written, not against the previous block's first key. A block that
+// starts inside the previous block's key range is rejected.
+func TestCheckpointBuilderOrderCheck(t *testing.T) {
+	const blockRows = 512
+	in := buildInputs[1]
+	b := in.start(t, blockRows, filepath.Join(t.TempDir(), "o.seg"))
+	defer b.Abort()
+	var block *vector.Batch // exactly the first tail block
+	for _, batch := range in.batches(blockRows) {
+		if block == nil {
+			block = vector.NewBatch(batch.Kinds(), blockRows)
+		}
+		for c, v := range block.Vecs {
+			v.AppendRange(batch.Vecs[c], 0, min(batch.Len(), blockRows-v.Len()))
+		}
+	}
+	if err := b.AddBatch(block); err != nil {
 		t.Fatal(err)
 	}
+	// Rows 100.. of that block again: above its first key, below its last.
+	overlap := vector.NewBatch(block.Kinds(), 10)
+	for c, v := range overlap.Vecs {
+		v.AppendRange(block.Vecs[c], 100, 110)
+	}
+	if first, last := block.Row(0)[0].I, block.Row(blockRows - 1)[0].I; overlap.Row(0)[0].I <= first || overlap.Row(0)[0].I >= last {
+		t.Fatalf("setup: key %d is not inside (%d, %d)", overlap.Row(0)[0].I, first, last)
+	}
+	if err := b.AddBatch(overlap); err == nil {
+		t.Fatal("a tail block starting inside the previous block's key range was accepted")
+	}
+}
+
+// TestCheckpointBuilderChain: inherited blocks resolve into the base's file,
+// rewritten and tail blocks into the new one, and the image reads like the
+// flat build of the same rows; a build that ends up referencing no base
+// member is that flat build, byte for byte — no block map.
+func TestCheckpointBuilderChain(t *testing.T) {
+	const blockRows = 512
+	in := buildInputs[1]
+	dir := t.TempDir()
+	flatPath := filepath.Join(dir, "flat.seg")
+	flatB := startFlat(t, blockRows, flatPath)
 	for _, batch := range hashBatches(5000) {
-		if err := b.AddBatch(batch); err != nil {
+		if err := flatB.AddBatch(batch); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if b.inflight == nil {
-		t.Fatal("no block in flight after two full blocks")
+	flat, err := flatB.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer flat.Close()
+	ncols := flat.Schema().NumCols()
+	all := make([]int, ncols)
+	for c := range all {
+		all[c] = c
+	}
+	// rewrite re-encodes block blk of the given columns from the flat image.
+	rewrite := func(b *Builder, blk int, cols ...int) {
+		t.Helper()
+		buf := vector.NewBatch(hashBatches(1)[0].Kinds(), blockRows)
+		if _, err := flat.NewScanner(all, uint64(blk*blockRows), uint64((blk+1)*blockRows)).Next(buf, blockRows); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cols {
+			if err := b.WriteBlock(c, blk, buf.Vecs[c]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	feed := func(b *Builder) *Store {
+		t.Helper()
+		for _, batch := range in.batches(blockRows) {
+			if err := b.AddBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return st
+	}
+
+	b := in.start(t, blockRows, filepath.Join(dir, "rejected.seg"))
+	if err := b.WriteBlock(0, inheritBlocks, nil); err == nil {
+		t.Fatal("WriteBlock past the shift block was accepted")
 	}
 	b.Abort()
-	if b.inflight != nil {
-		t.Fatal("Abort returned with a block still in flight")
+
+	b = in.start(t, blockRows, filepath.Join(dir, "chained.seg"))
+	rewrite(b, 1, 2, 5)
+	chained := feed(b)
+	if got := len(chained.Segments()); got != 2 {
+		t.Fatalf("chain has %d members, want 2", got)
 	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("partial segment survives Abort: %v", err)
+	if refs, want := chained.BlockRefCounts(), inheritBlocks*ncols-2; refs[0] != want || refs[1] != chained.NumBlocks()*ncols-want {
+		t.Fatalf("block references %v, want %d into the base", refs, want)
 	}
-	if _, err := b.Finish(); err == nil {
-		t.Fatal("Finish after Abort must fail")
+	if chained.NRows() != flat.NRows() || chained.NumBlocks() != flat.NumBlocks() {
+		t.Fatalf("chained image: %d rows in %d blocks, flat: %d in %d", chained.NRows(), chained.NumBlocks(), flat.NRows(), flat.NumBlocks())
 	}
-	// The flush goroutine's last act is the send Abort received; give the
-	// scheduler a moment to retire it.
-	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines, %d before the build", runtime.NumGoroutine(), before)
+	for c := 0; c < ncols; c++ {
+		for blk := 0; blk < flat.NumBlocks(); blk++ {
+			ce, err := chained.EncodedBlock(c, blk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fe, _ := flat.EncodedBlock(c, blk)
+			cz, _ := chained.Zone(c, blk)
+			fz, _ := flat.Zone(c, blk)
+			if !bytes.Equal(ce, fe) || cz != fz {
+				t.Fatalf("column %d block %d differs between the chained and the flat image", c, blk)
+			}
 		}
-		runtime.Gosched()
+	}
+
+	collapsedPath := filepath.Join(dir, "collapsed.seg")
+	b = in.start(t, blockRows, collapsedPath)
+	for blk := 0; blk < inheritBlocks; blk++ {
+		rewrite(b, blk, all...)
+	}
+	collapsed := feed(b)
+	if got := len(collapsed.Segments()); got != 1 || collapsed.Segment().Placements() != nil {
+		t.Fatalf("every block rewritten: %d chain members, block map %v; want one flat segment", got, collapsed.Segment().Placements() != nil)
+	}
+	want, _ := os.ReadFile(flatPath)
+	got, _ := os.ReadFile(collapsedPath)
+	if !bytes.Equal(got, want) {
+		t.Fatal("a build that inherits nothing in the end differs from the flat build's file")
 	}
 }
 

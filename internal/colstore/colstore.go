@@ -7,12 +7,12 @@
 //
 // A store is either RAM-resident (built by NewBuilder/BulkLoad — the paper's
 // simulated-I/O benchmark configuration, where the device only accounts
-// bytes) or file-backed (built by NewFileBuilder or opened via FromSegmentChain):
-// its blocks live in an on-disk segment file and are pread lazily through the
-// device's buffer pool, so cold scans do real I/O, Device.Stats reports real
-// bytes, and DropCaches makes the next scan hit the disk again. Stable IDs
-// (SIDs) are implicit: the value at position i of every column belongs to the
-// tuple with SID i.
+// bytes) or file-backed (built by NewFileBuilder/NewCheckpointBuilder or
+// opened via FromSegmentChain): its blocks live in an on-disk segment file and
+// are pread lazily through the device's buffer pool, so cold scans do real
+// I/O, Device.Stats reports real bytes, and DropCaches makes the next scan hit
+// the disk again. Stable IDs (SIDs) are implicit: the value at position i of
+// every column belongs to the tuple with SID i.
 package colstore
 
 import (
@@ -261,24 +261,38 @@ type Store struct {
 }
 
 // Builder accumulates rows in sort-key order and produces a Store — in RAM,
-// or streamed block by block into an on-disk segment file (NewFileBuilder).
+// or streamed block by block into an on-disk segment file (NewFileBuilder),
+// optionally on top of a base image whose leading blocks it inherits
+// (NewCheckpointBuilder).
 //
 // Filling a block and flushing it overlap: a full block is handed to one
 // goroutine that encodes it, computes its zones and appends it column by
 // column, while the caller fills the other of two row buffers. At most one
-// block is in flight; flush, Finish and Abort join it before they touch the
-// writer, and its error becomes the builder's. A builder dropped without
-// Finish or Abort strands nothing: the goroutine finishes its block and
-// exits, its result channel being buffered.
+// block is in flight; flush, WriteBlock, Finish and Abort join it before they
+// touch the writer, and its error becomes the builder's. A builder dropped
+// without Finish or Abort strands nothing: the goroutine finishes its block
+// and exits, its result channel being buffered.
 type Builder struct {
 	store    *Store
 	segw     *storage.SegmentWriter // nil for RAM-resident builds
+	physBlk  []int                  // blocks appended to segw so far, per column
 	pending  *vector.Batch          // the block being filled
 	spare    *vector.Batch          // the other buffer: in flight, or idle after join
 	inflight chan error             // non-nil while a block is in flight; yields its result
 	lastKey  types.Row
 	err      error
+
+	// With a base only: the image whose blocks below shiftBlk the build
+	// inherits, and the block map under construction. A placement's Seg is a
+	// base chain index, or newSegMark for a block written by this build.
+	base     *Store
+	shiftBlk int
+	places   [][]storage.BlockPlace
 }
+
+// newSegMark marks a placement that points into the segment being written;
+// Finish rewrites it to the new segment's final chain position.
+const newSegMark = ^uint32(0)
 
 // NewBuilder starts building a store. blockRows <= 0 selects
 // DefaultBlockRows. The device may be shared across stores (one device per
@@ -318,8 +332,67 @@ func NewFileBuilder(schema *types.Schema, dev *Device, blockRows int, compressed
 		return nil, err
 	}
 	b.segw = segw
+	b.physBlk = make([]int, schema.NumCols())
 	b.store.blocks = nil
 	return b, nil
+}
+
+// NewCheckpointBuilder is NewFileBuilder for the next generation of base, a
+// file-backed image: blocks [0, shiftBlk) keep their tuple positions, so
+// their placements and sparse keys are inherited from base — WriteBlock
+// replaces the cells an in-place modify dirtied — and every row from block
+// shiftBlk on streams through Add/AddBatch like any other build, re-blocked,
+// re-encoded and re-keyed. Finish renumbers the chain: base members no
+// placement references any more fall out (the caller unlinks them after the
+// manifest swap), survivors are retained, and the new segment joins last,
+// carrying the footer and block map of the whole generation.
+//
+// With shiftBlk 0 nothing is inherited and the build is a plain file build —
+// the one case where blockRows and compressed apply; inherited blocks pin the
+// base's geometry.
+func NewCheckpointBuilder(base *Store, shiftBlk, blockRows int, compressed bool, path string) (*Builder, error) {
+	if shiftBlk == 0 {
+		return NewFileBuilder(base.schema, base.dev, blockRows, compressed, path)
+	}
+	if base.segs == nil || shiftBlk > len(base.sparse) {
+		return nil, fmt.Errorf("colstore: cannot inherit %d blocks from a base of %d (file-backed: %v)", shiftBlk, len(base.sparse), base.segs != nil)
+	}
+	b, err := NewFileBuilder(base.schema, base.dev, base.blockRows, base.compressed, path)
+	if err != nil {
+		return nil, err
+	}
+	b.base, b.shiftBlk = base, shiftBlk
+	b.places = make([][]storage.BlockPlace, base.schema.NumCols())
+	for c := range b.places {
+		col := make([]storage.BlockPlace, shiftBlk)
+		for blk := range col {
+			si, pb := base.place(c, blk)
+			col[blk] = storage.BlockPlace{Seg: uint32(si), Blk: uint32(pb)}
+		}
+		b.places[c] = col
+	}
+	b.store.sparse = append([]types.Row(nil), base.sparse[:shiftBlk]...)
+	b.store.nrows = min(uint64(shiftBlk)*uint64(base.blockRows), base.nrows)
+	// The last inherited block's rows are not at hand, only its first key:
+	// the tail's first row must at least sort above that.
+	b.lastKey = base.sparse[shiftBlk-1]
+	return b, nil
+}
+
+// WriteBlock re-encodes one inherited block of one column into the new
+// segment, replacing its placement. Positions are stable below the shift
+// block, so v holds exactly the block's row count and the block's sparse key
+// is unchanged (in-place modifies never touch sort-key columns — a sort-key
+// update is a delete+insert, which shifts positions and lands in the tail).
+func (b *Builder) WriteBlock(col, blk int, v *vector.Vector) error {
+	b.join()
+	if b.err == nil && blk >= b.shiftBlk {
+		b.err = fmt.Errorf("colstore: WriteBlock(%d) at or past the shift block %d", blk, b.shiftBlk)
+	}
+	if b.err == nil {
+		b.places[col][blk], b.err = b.appendBlock(col, v)
+	}
+	return b.err
 }
 
 // Abort discards a file-backed build, removing the partial segment file. It
@@ -407,7 +480,7 @@ func (b *Builder) AddBatch(batch *vector.Batch) error {
 }
 
 // encodeVec encodes one column vector as a block in the store's on-disk
-// format (shared by the full builder and the incremental DeltaBuilder).
+// format.
 func encodeVec(v *vector.Vector, compressed bool) []byte {
 	switch v.Kind {
 	case types.Float64:
@@ -512,23 +585,37 @@ func (b *Builder) join() {
 	b.spare.Reset()
 }
 
-// writeBlock encodes one block's columns and appends them, in column order,
-// to the segment file or the RAM store.
+// writeBlock appends one block of every column, in column order, at the end
+// of the image.
 func (b *Builder) writeBlock(block *vector.Batch) error {
-	s := b.store
 	for c, v := range block.Vecs {
-		enc := encodeVec(v, s.compressed)
-		z := zoneOf(v)
-		if b.segw != nil {
-			if err := b.segw.AppendBlock(c, enc, z); err != nil {
-				return err
-			}
-		} else {
-			s.blocks[c] = append(s.blocks[c], enc)
-			s.zones[c] = append(s.zones[c], z)
+		p, err := b.appendBlock(c, v)
+		if err != nil {
+			return err
+		}
+		if b.base != nil {
+			b.places[c] = append(b.places[c], p)
 		}
 	}
 	return nil
+}
+
+// appendBlock encodes one column block and appends it to the segment file or
+// the RAM store, returning where in the new segment it landed.
+func (b *Builder) appendBlock(c int, v *vector.Vector) (storage.BlockPlace, error) {
+	s := b.store
+	enc, z := encodeVec(v, s.compressed), zoneOf(v)
+	if b.segw == nil {
+		s.blocks[c] = append(s.blocks[c], enc)
+		s.zones[c] = append(s.zones[c], z)
+		return storage.BlockPlace{}, nil
+	}
+	if err := b.segw.AppendBlock(c, enc, z); err != nil {
+		return storage.BlockPlace{}, err
+	}
+	p := storage.BlockPlace{Seg: newSegMark, Blk: uint32(b.physBlk[c])}
+	b.physBlk[c]++
+	return p, nil
 }
 
 // Finish seals the store. The builder must not be used afterwards. For a
@@ -543,24 +630,76 @@ func (b *Builder) Finish() (*Store, error) {
 		b.pending.Reset()
 	}
 	if b.err != nil {
-		if b.segw != nil {
-			b.segw.Abort()
-			b.segw = nil
-		}
+		b.Abort()
 		return nil, b.err
 	}
 	if b.segw != nil {
-		seg, err := b.segw.Finish(b.store.nrows, b.store.sparse)
+		s := b.store
+		chain := b.renumber()
+		seg, err := b.segw.Finish(s.nrows, s.sparse)
 		if err != nil {
-			b.segw.Abort()
-			b.segw = nil
+			b.err = err
+			b.Abort()
 			return nil, err
 		}
-		b.store.segs = []*storage.Segment{seg}
-		b.store.segIDs = []uint64{b.store.dev.segmentID(seg)}
 		b.segw = nil
+		// Surviving base members are retained: the base store keeps its own
+		// references and releases them independently on Close.
+		for _, m := range chain {
+			m.Retain()
+		}
+		s.segs = append(chain, seg)
+		s.segIDs = make([]uint64, len(s.segs))
+		for i, m := range s.segs {
+			s.segIDs[i] = s.dev.segmentID(m)
+		}
 	}
 	return b.store, nil
+}
+
+// renumber closes a with-base build's block map over the generation's final
+// chain and hands it to the segment writer: it returns the base members some
+// placement still references, in their old relative order, with the new
+// segment to come last. A generation that resolves every block into the new
+// segment in file order is self-contained and carries no map — a whole
+// rewrite is the same flat file whichever way it was asked for.
+func (b *Builder) renumber() []*storage.Segment {
+	if b.base == nil {
+		return nil
+	}
+	used := make([]bool, len(b.base.segs))
+	flat := true
+	for _, col := range b.places {
+		for blk, p := range col {
+			if p.Seg != newSegMark {
+				used[p.Seg] = true
+			}
+			flat = flat && p.Seg == newSegMark && int(p.Blk) == blk
+		}
+	}
+	if flat {
+		return nil
+	}
+	remap := make([]uint32, len(used))
+	var chain []*storage.Segment
+	for i, u := range used {
+		if u {
+			remap[i] = uint32(len(chain))
+			chain = append(chain, b.base.segs[i])
+		}
+	}
+	for _, col := range b.places {
+		for blk, p := range col {
+			if p.Seg == newSegMark {
+				col[blk].Seg = uint32(len(chain))
+			} else {
+				col[blk].Seg = remap[p.Seg]
+			}
+		}
+	}
+	b.segw.SetPlacements(b.places)
+	b.store.places = b.places
+	return chain
 }
 
 // BulkLoad builds a store from pre-sorted rows in one call.
@@ -729,6 +868,9 @@ func (s *Store) Close() error {
 	}
 	return err
 }
+
+// Closed reports whether Close has run.
+func (s *Store) Closed() bool { return s.closed.Load() }
 
 // BlockRefCounts returns, per chain member (oldest first), how many logical
 // (column, block) cells of this generation's image resolve into that file —

@@ -28,8 +28,6 @@ import (
 // image: which region-A cells need rewriting, where the shifted tail begins,
 // and the merged image's geometry.
 type DirtySet struct {
-	BlockRows int
-	OldBlocks int    // per-column logical blocks in the base image
 	NewBlocks int    // per-column logical blocks in the merged image
 	NewRows   uint64 // merged image row count
 	// ShiftBlk is the first block whose tuple positions shift (region B
@@ -80,8 +78,6 @@ func (t *Table) ComputeDirty(store *colstore.Store, deltas ...*pdt.PDT) (*DirtyS
 	oldBlocks := store.NumBlocks()
 	ncols := t.schema.NumCols()
 	ds := &DirtySet{
-		BlockRows: R,
-		OldBlocks: oldBlocks,
 		NewBlocks: oldBlocks,
 		NewRows:   store.NRows(),
 		ShiftBlk:  oldBlocks,
@@ -129,15 +125,24 @@ func (t *Table) ComputeDirty(store *colstore.Store, deltas ...*pdt.PDT) (*DirtyS
 	return ds, nil
 }
 
-// MaterializeDelta streams only the dirty part of the merged (store ∘ deltas)
-// view into an incremental checkpoint builder: each dirty region-A block gets
-// a narrow stacked scan of just its dirty columns over just its SID range,
-// and the shifted tail streams through the same full-width merge pipeline a
-// full checkpoint would use, starting at the shift block. The caller decides
-// between Finish and Abort (the durable checkpoint puts its crash-injection
-// points in between).
-func (t *Table) MaterializeDelta(b *colstore.DeltaBuilder, store *colstore.Store, ds *DirtySet, deltas ...*pdt.PDT) error {
-	R := uint64(ds.BlockRows)
+// Widen turns the set into a whole rewrite: the shift block moves to 0, so
+// nothing is inherited and every row streams through the tail. A checkpoint
+// does this when inheriting would cost more than it saves (see the rule in
+// the root package's checkpoint.go).
+func (ds *DirtySet) Widen() {
+	ds.ShiftBlk, ds.Shifted, ds.dirtyCells = 0, true, 0
+	clear(ds.Dirty)
+}
+
+// MaterializeDelta streams the dirty part of the merged (store ∘ deltas) view
+// into a checkpoint builder started at ds.ShiftBlk: each dirty region-A block
+// gets a narrow stacked scan of just its dirty columns over just its SID
+// range, and the shifted tail streams through the full-width merge pipeline
+// from the shift block on — all of the image when that is block 0. The caller
+// decides between Finish and Abort (the durable checkpoint puts its
+// crash-injection points in between).
+func (t *Table) MaterializeDelta(b *colstore.Builder, store *colstore.Store, ds *DirtySet, deltas ...*pdt.PDT) error {
+	R := uint64(store.BlockRows())
 	var cols []int
 	for blk := 0; blk < ds.ShiftBlk; blk++ {
 		cols = cols[:0]
@@ -178,24 +183,15 @@ func (t *Table) MaterializeDelta(b *colstore.DeltaBuilder, store *colstore.Store
 			}
 		}
 	}
-	if ds.Shifted {
-		lo := uint64(ds.ShiftBlk) * R
-		all := t.allCols()
-		src := engine.StackPDTs(store.NewScanner(all, lo, store.NRows()), all, lo, true, deltas...)
-		buf := vector.NewBatch(t.Kinds(all), 4096)
-		for {
-			buf.Reset()
-			n, err := src.Next(buf, 4096)
-			if err != nil {
-				return err
-			}
-			if n == 0 {
-				break
-			}
-			if err := b.AppendTail(buf); err != nil {
-				return err
-			}
-		}
+	if !ds.Shifted {
+		return nil
 	}
-	return nil
+	lo := uint64(ds.ShiftBlk) * R
+	all := t.allCols()
+	src := engine.StackPDTs(store.NewScanner(all, lo, store.NRows()), all, lo, true, deltas...)
+	rows, err := drainInto(b, t.schema, src)
+	if err == nil && lo+rows != ds.NewRows {
+		err = fmt.Errorf("table: tail from block %d produced %d rows, image needs %d", ds.ShiftBlk, rows, ds.NewRows-lo)
+	}
+	return err
 }

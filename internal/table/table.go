@@ -398,37 +398,16 @@ func (t *Table) Checkpoint() error {
 }
 
 // Materialize streams the merged image of a stable store and a stack of
-// consecutive PDT layers (bottom-to-top) into a brand-new store on the same
-// device, using the table's block geometry. The inputs are only read, and
-// the layers merge on the fly — no intermediate folded PDT is built. This
-// is the build step of the transaction manager's online checkpoint, which
-// runs it without any lock while commits keep landing in a fresh delta
-// layer.
+// consecutive PDT layers (bottom-to-top) into a brand-new RAM store on the
+// same device, using the table's block geometry. The inputs are only read,
+// and the layers merge on the fly — no intermediate folded PDT is built. This
+// is the build step of the transaction manager's online checkpoint when no
+// durable build is supplied; it runs without any lock while commits keep
+// landing in a fresh delta layer.
 func (t *Table) Materialize(store *colstore.Store, deltas ...*pdt.PDT) (*colstore.Store, error) {
-	b := colstore.NewBuilder(t.schema, store.Device(), t.opts.BlockRows, t.opts.Compressed)
-	return t.MaterializeInto(b, store, deltas...)
-}
-
-// MaterializeInto is Materialize with a caller-supplied destination builder —
-// the durable checkpoint passes a file builder streaming to a new segment
-// generation, so the image goes to disk block by block instead of through
-// RAM. On error the builder is aborted (a partial segment file is removed).
-func (t *Table) MaterializeInto(b *colstore.Builder, store *colstore.Store, deltas ...*pdt.PDT) (*colstore.Store, error) {
-	if err := t.MaterializeStream(b, store, deltas...); err != nil {
-		b.Abort()
-		return nil, err
-	}
-	return b.Finish()
-}
-
-// MaterializeStream drains the merged (store ∘ deltas) view into b without
-// sealing it; the caller decides between Finish and Abort. The durable
-// checkpoint uses the split to put its crash-injection point between the last
-// streamed block and the footer write.
-func (t *Table) MaterializeStream(b *colstore.Builder, store *colstore.Store, deltas ...*pdt.PDT) error {
 	cols := t.allCols()
 	src := engine.StackPDTs(store.NewScanner(cols, 0, store.NRows()), cols, 0, true, deltas...)
-	return drainInto(b, t.schema, src)
+	return buildImage(t.schema, src, store.Device(), t.opts.BlockRows, t.opts.Compressed)
 }
 
 // Install atomically swaps in a checkpointed image and its differential
@@ -448,36 +427,31 @@ func (t *Table) Install(store *colstore.Store, p *pdt.PDT) error {
 // buildImage drains a batch source of all schema columns, in sort-key order,
 // into a new stable store.
 func buildImage(schema *types.Schema, src pdt.BatchSource, dev *colstore.Device, blockRows int, compressed bool) (*colstore.Store, error) {
-	return fillBuilder(colstore.NewBuilder(schema, dev, blockRows, compressed), schema, src)
-}
-
-// fillBuilder drains src into an already-constructed builder (RAM- or
-// file-backed) and seals it.
-func fillBuilder(b *colstore.Builder, schema *types.Schema, src pdt.BatchSource) (*colstore.Store, error) {
-	if err := drainInto(b, schema, src); err != nil {
+	b := colstore.NewBuilder(schema, dev, blockRows, compressed)
+	if _, err := drainInto(b, schema, src); err != nil {
 		return nil, err
 	}
 	return b.Finish()
 }
 
-// drainInto streams every batch of src into b without sealing it.
-func drainInto(b *colstore.Builder, schema *types.Schema, src pdt.BatchSource) error {
+// drainInto streams every batch of src into b without sealing it, and
+// reports how many rows that was.
+func drainInto(b *colstore.Builder, schema *types.Schema, src pdt.BatchSource) (uint64, error) {
 	kinds := make([]types.Kind, schema.NumCols())
 	for i, c := range schema.Cols {
 		kinds[i] = c.Kind
 	}
 	buf := vector.NewBatch(kinds, 4096)
+	var rows uint64
 	for {
 		buf.Reset()
 		n, err := src.Next(buf, 4096)
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			return nil
+		if err != nil || n == 0 {
+			return rows, err
 		}
 		if err := b.AddBatch(buf); err != nil {
-			return err
+			return rows, err
 		}
+		rows += uint64(n)
 	}
 }

@@ -168,12 +168,16 @@ func (m *Manager) WaitMaintenance() error {
 // and the store swap installs that side layer as the new version's Read-PDT.
 // Transactions begun before or during the checkpoint read their pinned
 // pre-checkpoint view to completion and may still commit afterwards.
-func (m *Manager) Checkpoint() error { return m.CheckpointInto(nil) }
+func (m *Manager) Checkpoint() error {
+	return m.CheckpointInto(func(_ uint64, store *colstore.Store, deltas ...*pdt.PDT) (*colstore.Store, error) {
+		return m.tbl.Materialize(store, deltas...)
+	})
+}
 
-// CheckpointInto is Checkpoint with a caller-supplied image build: a durable
-// store passes a build that streams into a new on-disk segment generation and
-// uses the freeze LSN as the generation's WAL position. A nil build selects
-// the in-memory tbl.Materialize.
+// CheckpointInto is Checkpoint with the caller's image build in place of the
+// in-memory tbl.Materialize: a durable store passes a build that streams into
+// a new on-disk segment generation and uses the freeze LSN as the
+// generation's WAL position.
 func (m *Manager) CheckpointInto(build MaterializeFn) error {
 	m.mu.Lock()
 	m.ckptWaiters++ // pauses fold re-arming so the wait below terminates
@@ -189,15 +193,6 @@ func (m *Manager) CheckpointInto(build MaterializeFn) error {
 	base := m.cur
 	freezeLSN := m.lsn // every commit <= this is in (base ∘ read ∘ frozen)
 	frozen := m.freezeLocked()
-	materialize := build
-	if materialize == nil {
-		materialize = m.materialize
-	}
-	if materialize == nil {
-		materialize = func(_ uint64, store *colstore.Store, deltas ...*pdt.PDT) (*colstore.Store, error) {
-			return m.tbl.Materialize(store, deltas...)
-		}
-	}
 	// The commit leader yields round boundaries while a checkpointer waits;
 	// wake it now that the freeze is done — commits flow during the build.
 	m.cond.Broadcast()
@@ -207,7 +202,7 @@ func (m *Manager) CheckpointInto(build MaterializeFn) error {
 	// Write, merged on the fly) into a new stable image. The new image
 	// materializes exactly that view, so the Write-PDT filling up meanwhile
 	// is already positioned in the new image's SID domain.
-	newStore, err := materialize(freezeLSN, base.store, base.readPDT, frozen)
+	newStore, err := build(freezeLSN, base.store, base.readPDT, frozen)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()

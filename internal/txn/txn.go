@@ -120,10 +120,6 @@ type Manager struct {
 	ckptInstalling bool  // checkpoint swap waiting for the leader round to end
 	maintErr       error // first background maintenance failure, sticky
 
-	// materialize stubs the checkpoint image build in fault-injection tests;
-	// nil selects tbl.Materialize (via CheckpointInto's default build).
-	materialize MaterializeFn
-
 	writeBudget uint64 // bytes before Write→Read propagation
 	log         wal.Log
 }

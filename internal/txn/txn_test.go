@@ -458,7 +458,7 @@ func TestCheckpointBuildFailureRollsBack(t *testing.T) {
 
 	boom := errors.New("device full")
 	var mid *Txn
-	m.materialize = func(uint64, *colstore.Store, ...*pdt.PDT) (*colstore.Store, error) {
+	failing := func(uint64, *colstore.Store, ...*pdt.PDT) (*colstore.Store, error) {
 		// Runs off-lock mid-checkpoint: start a transaction that captures
 		// the frozen layer, then fail the build.
 		mid = m.Begin()
@@ -470,10 +470,9 @@ func TestCheckpointBuildFailureRollsBack(t *testing.T) {
 		}
 		return nil, boom
 	}
-	if err := m.Checkpoint(); !errors.Is(err, boom) {
+	if err := m.CheckpointInto(failing); !errors.Is(err, boom) {
 		t.Fatalf("checkpoint error = %v, want %v", err, boom)
 	}
-	m.materialize = nil
 
 	// Rollback restored the two-layer state: the mid-build transaction reads
 	// its pinned view and commits across the rollback.
