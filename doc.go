@@ -95,7 +95,8 @@
 // fold forks rather than rebuilds its base via pdt.FoldSnap), committing
 // over k overlapping transactions runs one cascaded sweep instead of k
 // serialize passes (pdt.SerializeChain), and an insert's position probe
-// stages merge-scan batches at the consumer's size, compares keys against
+// reads its 16-row window through the same unstaged merge stack a scan uses
+// (the probe's own batch goes down to the scanner), compares keys against
 // column vectors without materializing rows, and decodes only the tail of
 // the stable block it enters — for every encoding, dictionary and RLE
 // included — while still fetching (and charging) whole blocks from the

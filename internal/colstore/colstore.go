@@ -1159,17 +1159,19 @@ func (s *Store) LowerBound(key types.Row) (uint64, error) {
 }
 
 // Scanner iterates a SID range of the store, producing schema-typed batches
-// for a column subset.
+// for a column subset. It is the bottom of every positional read pipeline
+// (pdt.Source): the merges stacked above it pass the consumer's batch down,
+// so Next is the one place a stable value is written.
 type Scanner struct {
 	store *Store
 	cols  []int
 	sid   uint64 // next SID to produce
 	end   uint64
-	// decoded window per requested column: the values of block blkIdx from
-	// offset blkSkip up to the block's (or the scan's) end
-	bufs    []*vector.Vector
-	blkIdx  int // which block the bufs hold, -1 if none
-	blkSkip int // value index the bufs start at within that block
+	// decoded window per requested column: the values at SIDs [winLo, winHi),
+	// one block's rows from where the scan entered it up to the block's (or
+	// the scan's) end; empty until the first Next
+	bufs         []*vector.Vector
+	winLo, winHi uint64
 }
 
 // NewScanner returns a scanner over SIDs [from, to) producing the given
@@ -1182,58 +1184,58 @@ func (s *Store) NewScanner(cols []int, from, to uint64) *Scanner {
 		from = to
 	}
 	return &Scanner{
-		store:  s,
-		cols:   append([]int(nil), cols...),
-		sid:    from,
-		end:    to,
-		bufs:   make([]*vector.Vector, len(cols)),
-		blkIdx: -1,
+		store: s,
+		cols:  append([]int(nil), cols...),
+		sid:   from,
+		end:   to,
+		bufs:  make([]*vector.Vector, len(cols)),
 	}
 }
-
-// NextSID returns the SID the next produced row will have.
-func (sc *Scanner) NextSID() uint64 { return sc.sid }
 
 // SizeHint returns exactly how many rows remain in the scanner's SID range.
 func (sc *Scanner) SizeHint() int { return int(sc.end - sc.sid) }
 
+// Skip advances past up to n rows without producing them and returns how
+// many. Skipped rows cost nothing: a block the scan only skips through is
+// never fetched or decoded.
+func (sc *Scanner) Skip(n int) (int, error) {
+	n = min(n, int(sc.end-sc.sid))
+	sc.sid += uint64(n)
+	return n, nil
+}
+
+// More reports whether a row remains in the scanner's SID range.
+func (sc *Scanner) More() (bool, error) { return sc.sid < sc.end, nil }
+
 // Next appends up to max rows to out (one vector per requested column, plus
-// nothing else) and returns the number appended; 0 means the range is done.
-// out's vectors must match the requested columns' kinds.
+// nothing else) and returns the number appended; 0 means the range is done,
+// fewer than max that a block ended. out's vectors must match the requested
+// columns' kinds.
 func (sc *Scanner) Next(out *vector.Batch, max int) (int, error) {
 	if sc.sid >= sc.end || max <= 0 {
 		return 0, nil
 	}
-	s := sc.store
-	blk := int(sc.sid) / s.blockRows
-	blockEnd := uint64(blk+1) * uint64(s.blockRows)
-	if blockEnd > sc.end {
-		blockEnd = sc.end
-	}
-	if blk != sc.blkIdx {
+	if sc.sid >= sc.winHi {
 		// Entering a block decodes exactly the rows of it the scan will read:
-		// from the entry offset (non-zero only in the scan's first block) to
-		// the block's end or the scan's, whichever comes first. A full scan
-		// decodes whole blocks; a point probe's 16-row window decodes 16.
-		skip := int(sc.sid) % s.blockRows
-		n := int(blockEnd - sc.sid)
+		// from the entry offset (non-zero in the scan's first block, or after
+		// a Skip landed inside this one) to the block's end or the scan's,
+		// whichever comes first. A full scan decodes whole blocks; a point
+		// probe's 16-row window decodes 16.
+		s := sc.store
+		blk := int(sc.sid) / s.blockRows
+		hi := min(uint64(blk+1)*uint64(s.blockRows), sc.end)
 		for i, c := range sc.cols {
 			if sc.bufs[i] == nil {
 				// Room for the largest window this scan will decode.
 				sc.bufs[i] = vector.New(s.schema.Cols[c].Kind, min(int(sc.end-sc.sid), s.blockRows))
 			}
-			if err := s.decodeWindowInto(c, blk, skip, n, sc.bufs[i]); err != nil {
+			if err := s.decodeWindowInto(c, blk, int(sc.sid)%s.blockRows, int(hi-sc.sid), sc.bufs[i]); err != nil {
 				return 0, err
 			}
 		}
-		sc.blkIdx = blk
-		sc.blkSkip = skip
+		sc.winLo, sc.winHi = sc.sid, hi
 	}
-	off := int(sc.sid)%s.blockRows - sc.blkSkip
-	n := int(blockEnd - sc.sid)
-	if n > max {
-		n = max
-	}
+	off, n := int(sc.sid-sc.winLo), min(max, int(sc.winHi-sc.sid))
 	for i := range sc.cols {
 		out.Vecs[i].AppendRange(sc.bufs[i], off, off+n)
 	}

@@ -396,7 +396,10 @@ func DecodeStrings(buf []byte, out []string) ([]string, error) {
 // DecodeStringsFrom decodes the n values starting at value index skip (see
 // DecodeInt64sFrom). Plain blocks random-access the offset array; dictionary
 // blocks still parse the dictionary but walk the codes before the window
-// without materializing their strings, and stop at the window's end.
+// without materializing their strings, and stop at the window's end. The
+// values of one call share one allocation: a plain window's bytes, or a
+// dictionary's, are copied out of buf once and every value is a slice of
+// that copy — so a retained value keeps the whole copy alive.
 func DecodeStringsFrom(buf []byte, skip, n int, out []string) ([]string, error) {
 	scheme, count, body, err := readHeader(buf)
 	if err != nil {
@@ -412,16 +415,25 @@ func DecodeStringsFrom(buf []byte, skip, n int, out []string) ([]string, error) 
 			return nil, corrupt("string offsets truncated")
 		}
 		data := body[4*count:]
-		prev := uint32(0)
-		if skip > 0 {
-			prev = binary.LittleEndian.Uint32(body[4*(skip-1):])
+		if end == skip {
+			return out, nil
 		}
+		first := uint32(0)
+		if skip > 0 {
+			first = binary.LittleEndian.Uint32(body[4*(skip-1):])
+		}
+		last := binary.LittleEndian.Uint32(body[4*(end-1):])
+		if first > last || uint64(last) > uint64(len(data)) {
+			return nil, corrupt("bad string offset")
+		}
+		// One arena for the window's bytes; every value is a slice of it.
+		arena, prev := string(data[first:last]), first
 		for i := skip; i < end; i++ {
 			off := binary.LittleEndian.Uint32(body[4*i:])
-			if off < prev || uint64(off) > uint64(len(data)) {
+			if off < prev || off > last {
 				return nil, corrupt("bad string offset")
 			}
-			out = append(out, string(data[prev:off]))
+			out = append(out, arena[prev-first:off-first])
 			prev = off
 		}
 		return out, nil
@@ -433,16 +445,23 @@ func DecodeStringsFrom(buf []byte, skip, n int, out []string) ([]string, error) 
 		if end-skip < dictLen {
 			return decodeDictWindow(body, dictLen, skip, end, out)
 		}
-		// The window is at least as long as the dictionary: materialize each
-		// entry once and share it across all its codes.
-		dict := make([]string, dictLen)
+		// The window is at least as long as the dictionary: materialize the
+		// dictionary once — one arena holding all its bytes, each entry a
+		// slice of it — and share an entry across all its codes. (A scan's
+		// batch may pin the block's dictionary; the paths whose results are
+		// retained, decodeDictWindow and DictValues, copy per entry.)
 		p := 0
-		for i := range dict {
-			var entry []byte
-			if entry, p, err = dictEntry(body, p); err != nil {
+		for i := 0; i < dictLen; i++ {
+			if _, p, err = dictEntry(body, p); err != nil {
 				return nil, err
 			}
-			dict[i] = string(entry)
+		}
+		arena, dict := string(body[:p]), make([]string, dictLen)
+		p = 0
+		for i := range dict {
+			entry, next, _ := dictEntry(body, p)
+			dict[i] = arena[next-len(entry) : next]
+			p = next
 		}
 		i := 0
 		if dictLen <= 0x80 && skip <= len(body)-p {

@@ -1,0 +1,191 @@
+package compress
+
+// DecodeStringsFrom against hostile bytes: whatever the buffer and the window,
+// it returns ErrCorrupt or exactly what a slow, copy-per-value reading of the
+// format returns — and never panics. The reference below is that reading.
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"testing"
+)
+
+// refDecodeStringsFrom reads values [skip, skip+n) of a string block one at a
+// time, copying each. It accepts exactly the blocks the format defines: a
+// window inside the count; for plain blocks, non-decreasing offsets inside
+// the data over the window; for dictionary blocks, a whole dictionary that
+// parses, and varint codes below its length — walked from the block's first
+// code, or from byte skip of the codes when every valid code is one byte (a
+// dictionary of at most 128 entries).
+func refDecodeStringsFrom(buf []byte, skip, n int) ([]string, error) {
+	if len(buf) < headerSize {
+		return nil, corrupt("reference: truncated header")
+	}
+	count := int(binary.LittleEndian.Uint32(buf[1:headerSize]))
+	body := buf[headerSize:]
+	if n < 0 {
+		n = count - skip
+	}
+	if skip < 0 || n < 0 || skip+n > count {
+		return nil, corrupt("reference: window outside block")
+	}
+	var out []string
+	switch Scheme(buf[0]) {
+	case PlainString:
+		if len(body) < 4*count {
+			return nil, corrupt("reference: offsets truncated")
+		}
+		data := body[4*count:]
+		for i := skip; i < skip+n; i++ {
+			lo := uint32(0)
+			if i > 0 {
+				lo = binary.LittleEndian.Uint32(body[4*(i-1):])
+			}
+			hi := binary.LittleEndian.Uint32(body[4*i:])
+			if lo > hi || uint64(hi) > uint64(len(data)) {
+				return nil, corrupt("reference: offset")
+			}
+			out = append(out, string(data[lo:hi]))
+		}
+		return out, nil
+	case DictString:
+		dictLen, sz := binary.Uvarint(body)
+		if sz <= 0 {
+			return nil, corrupt("reference: dictionary length")
+		}
+		body = body[sz:]
+		var dict []string
+		for i := uint64(0); i < dictLen; i++ {
+			l, sz := binary.Uvarint(body)
+			if sz <= 0 || l > uint64(len(body)-sz) {
+				return nil, corrupt("reference: dictionary entry")
+			}
+			dict = append(dict, string(body[sz:sz+int(l)]))
+			body = body[sz+int(l):]
+		}
+		i := 0
+		if dictLen <= 0x80 && skip <= len(body) {
+			i, body = skip, body[skip:]
+		}
+		for ; i < skip+n; i++ {
+			code, sz := binary.Uvarint(body)
+			if sz <= 0 || code >= dictLen {
+				return nil, corrupt("reference: code")
+			}
+			body = body[sz:]
+			if i >= skip {
+				out = append(out, dict[code])
+			}
+		}
+		return out, nil
+	}
+	return nil, corrupt("reference: not a string block")
+}
+
+// checkDecodeStrings holds one (buffer, window) to the reference.
+func checkDecodeStrings(t testing.TB, buf []byte, skip, n int) {
+	t.Helper()
+	sentinel := []string{"kept"}
+	got, err := DecodeStringsFrom(buf, skip, n, sentinel)
+	want, werr := refDecodeStringsFrom(buf, skip, n)
+	if err != nil {
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("window (%d, %d): error %v is not ErrCorrupt", skip, n, err)
+		}
+		if werr == nil {
+			t.Fatalf("window (%d, %d): %v, but the reference reads %d values", skip, n, err, len(want))
+		}
+		return
+	}
+	if werr != nil {
+		t.Fatalf("window (%d, %d): decoded %d values from a block the reference rejects: %v", skip, n, len(got)-1, werr)
+	}
+	if len(got) != 1+len(want) || got[0] != "kept" {
+		t.Fatalf("window (%d, %d): %d values after the caller's own, want %d", skip, n, len(got)-1, len(want))
+	}
+	for i, w := range want {
+		if got[1+i] != w {
+			t.Fatalf("window (%d, %d): value %d = %q, want %q", skip, n, i, got[1+i], w)
+		}
+	}
+}
+
+// decodeSeeds are valid blocks of every string layout the store writes.
+func decodeSeeds() [][]byte {
+	wide := make([]string, 300) // more than 128 distinct: two-byte codes
+	for i := range wide {
+		wide[i] = fmt.Sprintf("value-%03d", i%150)
+	}
+	var seeds [][]byte
+	for _, vals := range [][]string{nil, {""}, {"", "a", "bc", "", "def", "ghij"}, stringBlocks()["low-cardinality"][:64], wide} {
+		seeds = append(seeds, encodePlainString(vals), encodeDictString(vals))
+	}
+	return seeds
+}
+
+func FuzzDecodeStringsFrom(f *testing.F) {
+	for _, buf := range decodeSeeds() {
+		f.Add(buf, int16(0), int16(-1))
+		f.Add(buf, int16(2), int16(3))
+		f.Add(buf[:len(buf)*2/3], int16(1), int16(-1))
+	}
+	f.Fuzz(func(t *testing.T, buf []byte, skip, n int16) {
+		checkDecodeStrings(t, buf, int(skip), int(n))
+	})
+}
+
+// TestDecodeStringsHostile is the fuzz target's twin under go test: every
+// seed block, every window of it, whole and with each single byte damaged or
+// the tail cut.
+func TestDecodeStringsHostile(t *testing.T) {
+	for _, seed := range decodeSeeds() {
+		count := int(binary.LittleEndian.Uint32(seed[1:headerSize]))
+		windows := [][2]int{{0, -1}, {0, 0}, {count, 0}, {count / 2, -1}, {1, count / 3}, {count, 1}, {-1, 1}, {count - 1, 1}}
+		for _, w := range windows {
+			checkDecodeStrings(t, seed, w[0], w[1])
+		}
+		if len(seed) > 600 {
+			continue // the damage sweep is quadratic; the small blocks cover it
+		}
+		for cut := 0; cut < len(seed); cut++ {
+			checkDecodeStrings(t, seed[:cut], 0, -1)
+			for _, flip := range []byte{0x01, 0x80, 0xff} {
+				bad := append([]byte(nil), seed...)
+				bad[cut] ^= flip
+				for _, w := range windows {
+					checkDecodeStrings(t, bad, w[0], w[1])
+				}
+			}
+		}
+	}
+}
+
+// TestDecodeStringsArena: a block's strings cost a constant number of
+// allocations — one arena for the bytes, plus the dictionary's index — not
+// one per value or per entry, and a scan-sized window of a dictionary block
+// shares each entry across its codes.
+func TestDecodeStringsArena(t *testing.T) {
+	distinct := stringBlocks()["all-distinct"]
+	cases := []struct {
+		name string
+		buf  []byte
+		max  float64
+	}{
+		{"plain", encodePlainString(distinct), 1},
+		{"dict/all-distinct", encodeDictString(distinct), 2},
+		{"dict/low-cardinality", encodeDictString(stringBlocks()["low-cardinality"]), 2},
+	}
+	for _, c := range cases {
+		out := make([]string, 0, 4096)
+		got := testing.AllocsPerRun(10, func() {
+			var err error
+			if out, err = DecodeStringsFrom(c.buf, 0, -1, out[:0]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > c.max {
+			t.Errorf("%s: %.0f allocations per block of %d values, want <= %.0f", c.name, got, len(out), c.max)
+		}
+	}
+}

@@ -230,10 +230,26 @@ func TestStackedPDTScan(t *testing.T) {
 			t.Fatalf("rid %d = %d", i, out.Rids[i])
 		}
 	}
-	// zero layers: StackPDTs must hand back the base unchanged
-	base2 := store.NewScanner(cols, 0, store.NRows())
-	if got := engine.StackPDTs(base2, cols, 0, true); got != pdt.BatchSource(base2) {
-		t.Fatal("StackPDTs with no layers must return the base")
+	// no live layers (none, nil, empty): rows and RIDs of the bare scan
+	bare, err := pdt.ScanAll(store.NewScanner(cols, 2, store.NRows()), []types.Kind{types.Int64, types.Int64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, layers := range [][]*pdt.PDT{nil, {nil}, {pdt.New(schema, 0), nil, pdt.New(schema, 0)}} {
+		src := engine.StackPDTs(store.NewScanner(cols, 2, store.NRows()), cols, 2, true, layers...)
+		got, err := pdt.ScanAll(src, []types.Kind{types.Int64, types.Int64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != bare.Len() || len(got.Rids) != bare.Len() {
+			t.Fatalf("%d dead layers: %d rows, %d rids, want %d", len(layers), got.Len(), len(got.Rids), bare.Len())
+		}
+		for i := 0; i < bare.Len(); i++ {
+			if types.CompareRows(got.Row(i), bare.Row(i)) != 0 || got.Rids[i] != uint64(2+i) {
+				t.Fatalf("%d dead layers: row %d = %v rid %d, want %v rid %d",
+					len(layers), i, got.Row(i), got.Rids[i], bare.Row(i), 2+i)
+			}
+		}
 	}
 }
 
@@ -268,7 +284,7 @@ func TestSizeHints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h := engine.SizeHint(src); h != int(tbl.NRows()) {
+	if h := pdt.SizeHint(src); h != int(tbl.NRows()) {
 		t.Fatalf("merged hint = %d, want %d", h, tbl.NRows())
 	}
 	clean, err := table.Load(testSchema, testRows(50), table.Options{Mode: table.ModeNone, BlockRows: 16})
@@ -279,7 +295,7 @@ func TestSizeHints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h := engine.SizeHint(src); h != 50 {
+	if h := pdt.SizeHint(src); h != 50 {
 		t.Fatalf("plain hint = %d, want 50", h)
 	}
 }

@@ -65,11 +65,9 @@ func Seek(store *colstore.Store, key types.Row, cols []int, layers ...*pdt.PDT) 
 			scanCols = append(scanCols, c)
 		}
 	}
-	live := make([]*pdt.PDT, 0, len(layers))
 	visible := int64(store.NRows())
 	for _, l := range layers {
-		if l != nil && !l.Empty() {
-			live = append(live, l)
+		if l != nil {
 			visible += l.Delta()
 		}
 	}
@@ -85,11 +83,7 @@ func Seek(store *colstore.Store, key types.Row, cols []int, layers ...*pdt.PDT) 
 	for w := uint64(seekWindow); ; w *= 2 {
 		hi := min(sid+w, store.NRows())
 		last := hi == store.NRows()
-		sc := store.NewScanner(scanCols, sid, hi)
-		var src pdt.BatchSource = &plainSource{sc: sc}
-		if len(live) > 0 {
-			src = StackPDTs(sc, scanCols, sid, last, live...)
-		}
+		src := StackPDTs(store.NewScanner(scanCols, sid, hi), scanCols, sid, last, layers...)
 		for {
 			b.Reset()
 			n, err := src.Next(b, int(w))

@@ -68,57 +68,57 @@ func NewSource(spec TableSpec, cols []int, loKey, hiKey types.Row) (pdt.BatchSou
 
 // PartitionSpec is the read pipeline of a positional table image: it
 // resolves the sort-key range to stable-SID bounds once and returns a
-// PartScan whose Open assembles the merge pipeline — stable scanner, under a
-// PDT MergeScan when the image has a non-empty PDT — clamped to one morsel's
-// [lo, hi) sub-range. Non-last morsels open their PDT merge with
-// includeEnd=false, so a delta entry sitting exactly on a morsel boundary is
-// owned by the morsel that starts there — the invariant that makes
-// concatenated morsel outputs equal the whole scan. A table whose updates
-// live in a VDT declines (returns nil): a value-based merge interleaves by
-// key, not position, and cannot be sliced by SID range.
+// PartScan whose Open is StackPDTs over the stable scanner and the image's
+// PDT, clamped to one morsel's [lo, hi) sub-range. Non-last morsels open
+// their PDT merge with includeEnd=false, so a delta entry sitting exactly on
+// a morsel boundary is owned by the morsel that starts there — the invariant
+// that makes concatenated morsel outputs equal the whole scan. A table whose
+// updates live in a VDT declines (returns nil): a value-based merge
+// interleaves by key, not position, and cannot be sliced by SID range.
 func PartitionSpec(spec TableSpec, loKey, hiKey types.Row) *PartScan {
 	if spec.VDT != nil && !spec.VDT.Empty() {
 		return nil
 	}
 	s := spec.Store
 	lo, hi := s.SIDRange(loKey, hiKey)
-	delta := spec.PDT
-	if delta != nil && delta.Empty() {
-		delta = nil
-	}
 	return &PartScan{Lo: lo, Hi: hi, Unit: s.BlockRows(),
-		Prune: PruneFunc(s, lo, hi, delta),
+		Prune: PruneFunc(s, lo, hi, spec.PDT),
 		Open: func(cols []int, mlo, mhi uint64, last, ahead bool) (pdt.BatchSource, error) {
 			if ahead {
 				if err := s.Prefetch(cols, mlo, mhi); err != nil {
 					return nil, err
 				}
 			}
-			sc := s.NewScanner(cols, mlo, mhi)
-			if delta != nil {
-				return pdt.NewMergeScan(delta, sc, cols, mlo, last), nil
-			}
-			return &plainSource{sc: sc}, nil
+			return StackPDTs(s.NewScanner(cols, mlo, mhi), cols, mlo, last, spec.PDT), nil
 		}}
 }
 
 // StackPDTs chains PDT layers bottom-to-top over a base source producing the
 // given columns for consecutive positions starting at startSID: each layer's
 // SIDs are the RIDs produced by the layer below (the transaction scheme's
-// TABLE₀ ∘ R ∘ W ∘ T stacking). Nil layers are skipped, so callers with
-// optional layers — the transaction manager stacks a frozen maintenance
-// layer only while a background fold or checkpoint is in flight — pass them
-// unconditionally. With no (non-nil) layers the base is returned as-is.
-func StackPDTs(base pdt.BatchSource, cols []int, startSID uint64, includeEnd bool, layers ...*pdt.PDT) pdt.BatchSource {
+// TABLE₀ ∘ R ∘ W ∘ T stacking). The merges share the consumer's batch — base
+// writes every stable value into it once, whatever the depth — and the result
+// numbers the rows with their RIDs.
+//
+// This is the one place that drops dead layers: nil and empty ones get no
+// merge, so callers with optional layers — the transaction manager stacks a
+// frozen maintenance layer only while a background fold or checkpoint is in
+// flight, and a fresh transaction's Trans-PDT is empty — pass them
+// unconditionally, and an image with nothing live above it reads as the bare
+// scan. Emptiness is judged here, when the source is opened: a layer that
+// gains its first entry under an open source stays invisible to it. A
+// statement that writes while it scans must not rely on either outcome; that
+// is what Txn.BeginQuery's private Query-PDT is for.
+func StackPDTs(base pdt.Source, cols []int, startSID uint64, includeEnd bool, layers ...*pdt.PDT) pdt.BatchSource {
 	src, sid := base, startSID
 	for _, l := range layers {
-		if l == nil {
+		if l == nil || l.Empty() {
 			continue
 		}
 		m := pdt.NewMergeScan(l, src, cols, sid, includeEnd)
 		src, sid = m, m.StartRID()
 	}
-	return src
+	return pdt.Numbered(src, sid)
 }
 
 // Concat chains sources end to end: rows flow from the first until it is
@@ -155,7 +155,7 @@ func (c *concatSource) Next(out *vector.Batch, max int) (int, error) {
 func (c *concatSource) SizeHint() int {
 	total := 0
 	for _, s := range c.srcs[c.cur:] {
-		h := SizeHint(s)
+		h := pdt.SizeHint(s)
 		if h < 0 {
 			return -1
 		}
@@ -189,30 +189,4 @@ func (r *ridShift) Next(out *vector.Batch, max int) (int, error) {
 	return n, err
 }
 
-func (r *ridShift) SizeHint() int { return SizeHint(r.src) }
-
-// plainSource adapts a stable scanner to the BatchSource contract, emitting
-// RID == SID.
-type plainSource struct {
-	sc *colstore.Scanner
-}
-
-func (p *plainSource) Next(out *vector.Batch, max int) (int, error) {
-	sid := p.sc.NextSID()
-	n, err := p.sc.Next(out, max)
-	for i := 0; i < n; i++ {
-		out.Rids = append(out.Rids, sid+uint64(i))
-	}
-	return n, err
-}
-
-func (p *plainSource) SizeHint() int { return p.sc.SizeHint() }
-
-// SizeHint returns the source's estimate of how many rows remain, or -1 when
-// the source offers none. Sinks use it to pre-size output batches.
-func SizeHint(src pdt.BatchSource) int {
-	if h, ok := src.(pdt.SizeHinter); ok {
-		return h.SizeHint()
-	}
-	return -1
-}
+func (r *ridShift) SizeHint() int { return pdt.SizeHint(r.src) }

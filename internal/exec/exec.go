@@ -46,10 +46,8 @@ func Collect(src pdt.BatchSource, kinds []types.Kind, batchSize int) (*vector.Ba
 		batchSize = 1024
 	}
 	capHint := batchSize
-	if h, ok := src.(pdt.SizeHinter); ok {
-		if n := h.SizeHint(); n > 0 {
-			capHint = n
-		}
+	if n := pdt.SizeHint(src); n > 0 {
+		capHint = n
 	}
 	out := vector.NewBatch(kinds, capHint)
 	for {

@@ -1,55 +1,100 @@
 package pdt
 
 // MergeScan merges a stable-image scan with the updates in a PDT, purely by
-// position (the paper's Algorithm 2, in its block-oriented form: runs of
-// tuples between updates are copied through wholesale, and the sort key is
-// never read unless the query itself projects it).
+// position (the paper's Algorithm 2, in its block-oriented form: a run of
+// tuples between two updates is passed through, never re-handled, and the
+// sort key is never read unless the query itself projects it).
 //
-// A MergeScan is itself a BatchSource, so stacked PDTs (Read/Write/Trans)
-// merge by chaining MergeScans: each layer's SIDs are the RIDs produced by
-// the layer below.
+// A merge holds no batch of its own. It hands the consumer's batch down to
+// its source for every run of untouched positions, so a stable value is
+// written exactly once — by the stable scanner, from its decoded block —
+// however many layers sit above it; a layer only interleaves its inserts,
+// patches its modifies in place and tells the source to skip what it deletes.
+//
+// A MergeScan is itself a Source, so stacked PDTs (Read/Write/Trans) merge by
+// chaining MergeScans: each layer's SIDs are the RIDs produced by the layer
+// below. The RIDs of a merge's output are consecutive by construction, so no
+// layer writes them: Numbered does, once per batch, on top of the stack.
 
 import (
 	"fmt"
+	"slices"
 
 	"pdtstore/internal/types"
 	"pdtstore/internal/vector"
 )
 
-// BatchSource produces rows in position order, up to max per call, appending
-// to out's vectors; it returns 0 when exhausted. colstore.Scanner and
-// MergeScan both implement it.
+// BatchSource is what a consumer reads: rows in position order, up to max per
+// call, appended to out's vectors (and, from a Numbered source, out.Rids); it
+// returns 0 when exhausted.
 type BatchSource interface {
 	Next(out *vector.Batch, max int) (int, error)
 }
 
-// SizeHinter is optionally implemented by batch sources that can estimate how
-// many rows remain; sinks use the hint to pre-size output batches. The hint
-// is advisory — it may be off for merged sources whose deltas overlap the
-// remaining range.
+// Source is the positional input of a merge: the rows at consecutive
+// positions of one image. Next appends the values of up to max of them to
+// out's vectors — never RIDs — and returns how many (0 when exhausted, fewer
+// than max whenever it suits the source); Skip passes over up to n positions
+// without producing them and returns how many; More reports whether Next
+// would still produce a row. colstore.Scanner and MergeScan implement it.
+type Source interface {
+	BatchSource
+	Skip(n int) (int, error)
+	More() (bool, error)
+}
+
+// SizeHinter is optionally implemented by sources that can estimate how many
+// rows remain; sinks use the hint to pre-size output batches. The hint is
+// advisory.
 type SizeHinter interface {
 	SizeHint() int
 }
 
+// SizeHint returns src's estimate of how many rows remain, or -1 when it
+// offers none.
+func SizeHint(src BatchSource) int {
+	if h, ok := src.(SizeHinter); ok {
+		return h.SizeHint()
+	}
+	return -1
+}
+
+// Numbered is the top of a positional pipeline: src's rows, numbered with
+// consecutive RIDs from startRID.
+func Numbered(src Source, startRID uint64) BatchSource {
+	return &numbered{src: src, rid: startRID}
+}
+
+type numbered struct {
+	src Source
+	rid uint64
+}
+
+func (s *numbered) Next(out *vector.Batch, max int) (int, error) {
+	n, err := s.src.Next(out, max)
+	base := len(out.Rids)
+	out.Rids = slices.Grow(out.Rids, n)[:base+n]
+	for i := range out.Rids[base:] {
+		out.Rids[base+i] = s.rid + uint64(i)
+	}
+	s.rid += uint64(n)
+	return n, err
+}
+
+func (s *numbered) SizeHint() int { return SizeHint(s.src) }
+
 // MergeScan applies one PDT layer on top of a positional row source.
 type MergeScan struct {
-	t     *PDT
-	src   BatchSource
-	cols  []int // schema column indexes present in the batches, in order
-	proj  []int // schema column -> batch index, -1 if not projected
-	kinds []types.Kind
+	t    *PDT
+	src  Source
+	cols []int // schema column indexes present in the batches, in order
+	proj []int // schema column -> batch index, -1 if not projected
 
 	cur        cursor
 	nextSID    uint64 // SID of the next stable row to consume from src
-	rid        uint64 // RID of the next row to emit
 	startRID   uint64
 	includeEnd bool
-
-	buf     *vector.Batch
-	bufPos  int
-	want    int // rows per staging refill: the consumer's batch size
-	srcDone bool
-	done    bool
+	done       bool
 }
 
 // NewMergeScan builds a merge over src, which must produce the given schema
@@ -58,28 +103,23 @@ type MergeScan struct {
 // (wanted by key-range scans, whose qualifying inserts may sit just past the
 // last stable row of the range, and by full scans for appends at the table
 // end).
-func NewMergeScan(t *PDT, src BatchSource, cols []int, startSID uint64, includeEnd bool) *MergeScan {
+func NewMergeScan(t *PDT, src Source, cols []int, startSID uint64, includeEnd bool) *MergeScan {
 	proj := make([]int, t.schema.NumCols())
 	for i := range proj {
 		proj[i] = -1
 	}
-	kinds := make([]types.Kind, len(cols))
 	for i, c := range cols {
 		proj[c] = i
-		kinds[i] = t.schema.Cols[c].Kind
 	}
 	cur := t.newCursorAtSid(startSID)
-	rid := uint64(int64(startSID) + cur.delta)
 	return &MergeScan{
 		t:          t,
 		src:        src,
 		cols:       append([]int(nil), cols...),
 		proj:       proj,
-		kinds:      kinds,
 		cur:        cur,
 		nextSID:    startSID,
-		rid:        rid,
-		startRID:   rid,
+		startRID:   uint64(int64(startSID) + cur.delta),
 		includeEnd: includeEnd,
 	}
 }
@@ -88,198 +128,159 @@ func NewMergeScan(t *PDT, src BatchSource, cols []int, startSID uint64, includeE
 // startSID for a further stacked layer.
 func (m *MergeScan) StartRID() uint64 { return m.startRID }
 
-// SizeHint estimates the remaining row count: the source's remainder adjusted
-// by the PDT's net delta (advisory; see SizeHinter).
+// SizeHint estimates the remaining row count: the source's remainder plus the
+// layer's net shift over exactly those positions (one descent), counting the
+// inserts at the range's end when this merge emits them.
 func (m *MergeScan) SizeHint() int {
-	h, ok := m.src.(SizeHinter)
-	if !ok {
-		return -1
-	}
-	n := h.SizeHint()
+	n := SizeHint(m.src)
 	if n < 0 {
 		return -1
 	}
-	if n += int(m.t.Delta()); n < 0 {
-		n = 0
+	end := m.nextSID + uint64(n)
+	if m.includeEnd {
+		end++
 	}
-	return n
+	rid, _, _ := m.t.SeekSid(end)
+	return max(0, int(int64(rid)-int64(end)-m.cur.delta)+n)
 }
 
-// refill tops up the staging buffer; reports whether rows are available. The
-// refill granularity is the consumer's batch size, not a fixed buffer width:
-// a point probe reading 16 rows pulls 16 rows through every stacked layer
-// instead of materializing a full-width batch per layer, and the buffer
-// itself is allocated on first use at that size.
-func (m *MergeScan) refill() (bool, error) {
-	if m.buf != nil && m.bufPos < m.buf.Len() {
-		return true, nil
+// Next emits up to max merged rows into out — one vector per projected
+// column, in column order — returning the count; 0 means the scan is complete.
+func (m *MergeScan) Next(out *vector.Batch, max int) (int, error) { return m.merge(out, max) }
+
+// Skip passes over up to n merged rows, returning the count.
+func (m *MergeScan) Skip(n int) (int, error) { return m.merge(nil, n) }
+
+// More reports whether Next would emit another row. Stable rows this layer
+// deletes are consumed on the way: they could never be emitted.
+func (m *MergeScan) More() (bool, error) {
+	for !m.done {
+		if m.cur.valid() && m.cur.sid() == m.nextSID {
+			switch m.cur.kind() {
+			case KindDel:
+				if err := m.dropDeleted(); err != nil {
+					return false, err
+				}
+				continue
+			case KindIns:
+				if m.includeEnd {
+					return true, nil
+				}
+			}
+		}
+		return m.src.More()
 	}
-	if m.srcDone {
-		return false, nil
-	}
-	if m.buf == nil {
-		m.buf = vector.NewBatch(m.kinds, m.want)
-	}
-	m.buf.Reset()
-	m.bufPos = 0
-	n, err := m.src.Next(m.buf, m.want)
-	if err != nil {
-		return false, err
-	}
-	if n == 0 {
-		m.srcDone = true
-		return false, nil
-	}
-	return true, nil
+	return false, nil
 }
 
-// copyStable passes through up to n stable rows, returning how many.
-func (m *MergeScan) copyStable(out *vector.Batch, n int) (int, error) {
-	copied := 0
-	for copied < n {
-		ok, err := m.refill()
-		if err != nil {
-			return copied, err
-		}
-		if !ok {
-			break
-		}
-		avail := m.buf.Len() - m.bufPos
-		take := n - copied
-		if take > avail {
-			take = avail
-		}
-		for i := range m.cols {
-			out.Vecs[i].AppendRange(m.buf.Vecs[i], m.bufPos, m.bufPos+take)
-		}
-		for k := 0; k < take; k++ {
-			out.Rids = append(out.Rids, m.rid)
-			m.rid++
-		}
-		m.bufPos += take
-		m.nextSID += uint64(take)
-		copied += take
+// dropDeleted consumes the stable row under the cursor's delete entry; the
+// scan is complete when the source has no such row.
+func (m *MergeScan) dropDeleted() error {
+	n, err := m.src.Skip(1)
+	if n == 1 {
+		m.nextSID++
+		m.cur.advance()
 	}
-	return copied, nil
+	m.done = n == 0
+	return err
 }
 
-// skipStable consumes one stable row without emitting it (a delete).
-func (m *MergeScan) skipStable() (bool, error) {
-	ok, err := m.refill()
-	if err != nil || !ok {
-		return false, err
+// pull consumes up to n stable rows: into out, or past them when out is nil.
+func (m *MergeScan) pull(out *vector.Batch, n int) (int, error) {
+	var err error
+	if out == nil {
+		n, err = m.src.Skip(n)
+	} else {
+		n, err = m.src.Next(out, n)
 	}
-	m.bufPos++
-	m.nextSID++
-	return true, nil
+	m.nextSID += uint64(n)
+	return n, err
 }
 
-// Next emits up to max merged rows into out, returning the count; 0 means
-// the scan is complete. out must have one vector per projected column, in
-// column order, plus the Rids slice, which Next always fills.
-func (m *MergeScan) Next(out *vector.Batch, max int) (int, error) {
-	if m.done {
-		return 0, nil
-	}
-	if max > m.want {
-		m.want = max
-	}
+// merge is Algorithm 2 over up to max output rows: appended to out, or only
+// counted when out is nil (Skip).
+func (m *MergeScan) merge(out *vector.Batch, max int) (int, error) {
 	produced := 0
-	for produced < max {
-		if !m.cur.valid() {
-			n, err := m.copyStable(out, max-produced)
+	for produced < max && !m.done {
+		// Tuples before the next insert or delete (all that are left, when
+		// there is none) pass through: the source writes them into out. A
+		// modify does not end the run: its tuple passes through with the
+		// rest and is patched where it landed.
+		run, mod := max-produced, false
+		if m.cur.valid() {
+			usid, kind := m.cur.sid(), m.cur.kind()
+			if usid < m.nextSID {
+				return produced, fmt.Errorf("pdt: merge cursor behind scan (entry sid %d, scan at %d)", usid, m.nextSID)
+			}
+			d := usid - m.nextSID
+			if mod = kind != KindIns && kind != KindDel; mod {
+				d++
+			}
+			if d < uint64(run) {
+				run = int(d)
+			}
+		}
+		if run > 0 {
+			n, err := m.pull(out, run)
+			produced += n
 			if err != nil {
 				return produced, err
 			}
-			if n == 0 {
-				m.done = true
-				break
+			// A stable range ending before the next update applies ends the
+			// scan: only inserts at the boundary could still qualify, and
+			// that update is beyond it.
+			m.done = n == 0
+			if mod && m.cur.sid() < m.nextSID {
+				if err := m.patch(out); err != nil {
+					return produced, err
+				}
 			}
-			produced += n
 			continue
 		}
-		usid := m.cur.sid()
-		if usid > m.nextSID {
-			// Run of unmodified tuples before the next update: pass through.
-			run := usid - m.nextSID
-			want := max - produced
-			if uint64(want) > run {
-				want = int(run)
-			}
-			n, err := m.copyStable(out, want)
-			if err != nil {
+		if m.cur.kind() == KindDel {
+			if err := m.dropDeleted(); err != nil {
 				return produced, err
 			}
-			if n == 0 {
-				// Stable range ended before the next update applies: only
-				// trailing inserts at the boundary may still qualify, and
-				// this update is beyond it.
-				m.done = true
-				break
-			}
-			produced += n
 			continue
 		}
-		if usid < m.nextSID {
-			return produced, fmt.Errorf("pdt: merge cursor behind scan (entry sid %d, scan at %d)", usid, m.nextSID)
-		}
-		switch kind := m.cur.kind(); kind {
-		case KindIns:
-			// The insert may land exactly at the end of the stable range;
-			// peek whether a stable row remains to decide includeEnd.
-			ok, err := m.refill()
+		if !m.includeEnd {
+			// An insert exactly at the end of the stable range belongs to the
+			// scan that starts there.
+			more, err := m.src.More()
 			if err != nil {
 				return produced, err
 			}
-			if !ok && !m.includeEnd {
+			if !more {
 				m.done = true
-				return produced, nil
+				continue
 			}
+		}
+		if out != nil {
 			tuple := m.t.vals.ins[m.cur.val()]
 			for i, c := range m.cols {
 				out.Vecs[i].Append(tuple[c])
 			}
-			out.Rids = append(out.Rids, m.rid)
-			m.rid++
-			produced++
-			m.cur.advance()
-		case KindDel:
-			ok, err := m.skipStable()
-			if err != nil {
-				return produced, err
-			}
-			if !ok {
-				m.done = true
-				return produced, nil
-			}
-			m.cur.advance()
-		default:
-			// Modify run for the stable tuple at nextSID: emit it with all
-			// its modified columns patched.
-			n, err := m.copyStable(out, 1)
-			if err != nil {
-				return produced, err
-			}
-			if n == 0 {
-				m.done = true
-				return produced, nil
-			}
-			rowIdx := out.Len() - 1
-			modSID := usid
-			for m.cur.valid() && m.cur.sid() == modSID {
-				k := m.cur.kind()
-				if k == KindIns || k == KindDel {
-					return produced, fmt.Errorf("pdt: malformed chain at sid %d", modSID)
-				}
-				if bi := m.proj[int(k)]; bi >= 0 {
-					out.Vecs[bi].Set(rowIdx, m.t.vals.mods[k][m.cur.val()])
-				}
-				m.cur.advance()
-			}
-			produced++
 		}
+		produced++
+		m.cur.advance()
 	}
 	return produced, nil
+}
+
+// patch applies the modify chain under the cursor to the tuple the source
+// wrote last (to nothing when out is nil), and moves the cursor past it.
+func (m *MergeScan) patch(out *vector.Batch) error {
+	for sid := m.cur.sid(); m.cur.valid() && m.cur.sid() == sid; m.cur.advance() {
+		k := m.cur.kind()
+		if k == KindIns || k == KindDel {
+			return fmt.Errorf("pdt: malformed chain at sid %d", sid)
+		}
+		if bi := m.proj[k]; bi >= 0 && out != nil {
+			v := out.Vecs[bi]
+			v.Set(v.Len()-1, m.t.vals.mods[k][m.cur.val()])
+		}
+	}
+	return nil
 }
 
 // ScanAll is a convenience for tests and examples: it drains a BatchSource

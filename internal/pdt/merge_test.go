@@ -71,7 +71,7 @@ func TestMergeScanRange(t *testing.T) {
 	src := newSliceSource(stable, cols, 3, 12)
 	ms := NewMergeScan(p, src, cols, 3, false)
 	kinds := []types.Kind{types.Int64, types.Int64, types.String}
-	out, err := ScanAll(ms, kinds)
+	out, err := scanNumbered(ms, kinds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestMergeScanStacked(t *testing.T) {
 	src := newSliceSource(stable, cols, 0, len(stable))
 	m1 := NewMergeScan(lower, src, cols, 0, true)
 	m2 := NewMergeScan(upper, m1, cols, m1.StartRID(), true)
-	out, err := ScanAll(m2, kinds)
+	out, err := scanNumbered(m2, kinds)
 	if err != nil {
 		t.Fatal(err)
 	}

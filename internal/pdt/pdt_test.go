@@ -35,7 +35,7 @@ func table0() []types.Row {
 	}
 }
 
-// sliceSource is a BatchSource over in-memory rows, standing in for the
+// sliceSource is a Source over in-memory rows, standing in for the
 // stable-store scanner.
 type sliceSource struct {
 	rows []types.Row
@@ -64,6 +64,20 @@ func (s *sliceSource) Next(out *vector.Batch, max int) (int, error) {
 		n++
 	}
 	return n, nil
+}
+
+func (s *sliceSource) Skip(n int) (int, error) {
+	n = min(n, s.end-s.pos)
+	s.pos += n
+	return n, nil
+}
+
+func (s *sliceSource) More() (bool, error) { return s.pos < s.end, nil }
+
+// scanNumbered drains a merge the way a consumer sees it: under Numbered, from
+// the merge's own start RID.
+func scanNumbered(ms *MergeScan, kinds []types.Kind) (*vector.Batch, error) {
+	return ScanAll(Numbered(ms, ms.StartRID()), kinds)
 }
 
 // refModel is the naive row-slice reference implementation of an updatable
@@ -119,7 +133,7 @@ func mergeAll(t *testing.T, p *PDT, stable []types.Row) *vector.Batch {
 	}
 	src := newSliceSource(stable, cols, 0, len(stable))
 	ms := NewMergeScan(p, src, cols, 0, true)
-	out, err := ScanAll(ms, kinds)
+	out, err := scanNumbered(ms, kinds)
 	if err != nil {
 		t.Fatalf("merge scan: %v", err)
 	}

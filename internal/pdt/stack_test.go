@@ -1,0 +1,462 @@
+package pdt
+
+// The stack differential: 1-5 MergeScans chained over a block-shaped fake of
+// the stable scanner, driven through Next/Skip/More in arbitrary order and
+// batch sizes, against a row-at-a-time model that never looks at a cursor —
+// plus the property the chain exists for: every stable value is written once,
+// into the consumer's own batch, whatever the depth.
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"pdtstore/internal/types"
+	"pdtstore/internal/vector"
+)
+
+// blockSource is the stable scanner's shape without a store: rows [pos, end)
+// of an image, handed out at most one block at a time (a short count at every
+// block boundary, as colstore.Scanner returns). It records what it is asked
+// for: wrote counts the values appended per position, skipped the positions
+// passed over, batches every distinct batch it was handed.
+type blockSource struct {
+	rows     []types.Row
+	cols     []int
+	pos, end int
+	block    int
+	wrote    map[int]int
+	skipped  map[int]bool
+	batches  map[*vector.Batch]bool
+}
+
+func newBlockSource(rows []types.Row, cols []int, from, to, block int) *blockSource {
+	return &blockSource{rows: rows, cols: cols, pos: from, end: to, block: block,
+		wrote: map[int]int{}, skipped: map[int]bool{}, batches: map[*vector.Batch]bool{}}
+}
+
+func (s *blockSource) Next(out *vector.Batch, max int) (int, error) {
+	s.batches[out] = true
+	n := min(max, s.end-s.pos, s.block-s.pos%s.block)
+	for i := 0; i < n; i++ {
+		for j, c := range s.cols {
+			out.Vecs[j].Append(s.rows[s.pos][c])
+		}
+		s.wrote[s.pos]++
+		s.pos++
+	}
+	return n, nil
+}
+
+func (s *blockSource) Skip(n int) (int, error) {
+	n = min(n, s.end-s.pos)
+	for i := 0; i < n; i++ {
+		s.skipped[s.pos+i] = true
+	}
+	s.pos += n
+	return n, nil
+}
+
+func (s *blockSource) More() (bool, error) { return s.pos < s.end, nil }
+
+func (s *blockSource) SizeHint() int { return s.end - s.pos }
+
+// modelLayer is one layer of the model: in holds the rows at positions
+// [start, start+len(in)) of the image below p; the result is what a merge of
+// p over exactly those positions must emit, and the RID of its first row. It
+// walks p's entry list position by position: the inserts at a position, then
+// the row there unless deleted, with its modifies applied; at the position
+// past the last row, the inserts only, and only when includeEnd.
+func modelLayer(p *PDT, in []types.Row, start uint64, includeEnd bool) (out []types.Row, startRID uint64) {
+	es := p.Entries()
+	shift, i := int64(0), 0
+	for ; i < len(es) && es[i].SID < start; i++ {
+		shift += kindShift(es[i].Kind)
+	}
+	for k := 0; k <= len(in); k++ {
+		sid := start + uint64(k)
+		var row types.Row
+		deleted := k == len(in)
+		if !deleted {
+			row = in[k].Clone()
+		}
+		for ; i < len(es) && es[i].SID == sid; i++ {
+			switch e := es[i]; {
+			case e.IsInsert():
+				if k < len(in) || includeEnd {
+					out = append(out, p.EntryTuple(e).Clone())
+				}
+			case e.IsDelete():
+				deleted = true
+			case !deleted:
+				row[e.ModColumn()] = p.EntryTuple(e)[0]
+			}
+		}
+		if !deleted {
+			out = append(out, row)
+		}
+	}
+	return out, uint64(int64(start) + shift)
+}
+
+// modelStack folds modelLayer over the layers, bottom to top.
+func modelStack(layers []*PDT, stable []types.Row, lo, hi int, includeEnd bool) ([]types.Row, uint64) {
+	rows, sid := stable[lo:hi], uint64(lo)
+	for _, l := range layers {
+		rows, sid = modelLayer(l, rows, sid, includeEnd)
+	}
+	return rows, sid
+}
+
+// stackOver chains one MergeScan per layer (empty ones included: a merge over
+// an empty tree must be the identity) over base.
+func stackOver(layers []*PDT, base Source, cols []int, lo int, includeEnd bool) (Source, uint64) {
+	src, sid := base, uint64(lo)
+	for _, l := range layers {
+		m := NewMergeScan(l, src, cols, sid, includeEnd)
+		src, sid = m, m.StartRID()
+	}
+	return src, sid
+}
+
+// stackKeyGap spaces the stable keys so that an insert fits between any two
+// neighbours some twenty times over.
+const stackKeyGap = 1 << 20
+
+func stackStable(n int) []types.Row {
+	rows := make([]types.Row, n)
+	for i := range rows {
+		rows[i] = types.Row{types.Int(int64(i+1) * stackKeyGap), types.Int(int64(i)), types.Str(fmt.Sprintf("s%d", i))}
+	}
+	return rows
+}
+
+// buildStack interprets script as update operations, two bytes each, dealt
+// round-robin in runs to nLayers layers: every layer's operations address
+// the image the layers below it produce (ref mirrors it). The op byte picks
+// insert at a position (a key strictly between the neighbours there, so
+// inserts pile up at one SID, at the table's ends, and next to ghosts),
+// re-insert of the key this layer deleted last, delete, or modify of either
+// data column; the second byte picks the position. The result is the layers
+// bottom to top and the image on top of them.
+func buildStack(t *testing.T, script []byte, stable []types.Row, nLayers int) ([]*PDT, []types.Row) {
+	t.Helper()
+	schema := intSchema()
+	ref := newRefModel(schema, stable)
+	layers := make([]*PDT, nLayers)
+	per := (len(script)/2 + nLayers - 1) / nLayers
+	for li := range layers {
+		p := New(schema, 4)
+		layers[li] = p
+		var ghost types.Row
+		ops := script[min(2*per*li, len(script)):min(2*per*(li+1), len(script))]
+		for i := 0; i+1 < len(ops); i += 2 {
+			op, at := ops[i]%8, int(ops[i+1])
+			tag := int64(li*1000 + i)
+			switch {
+			case op <= 2: // insert at position at
+				at %= len(ref.rows) + 1
+				lo, hi := int64(-1<<40), int64(1<<40)
+				if at > 0 {
+					lo = ref.rows[at-1][0].I
+				}
+				if at < len(ref.rows) {
+					hi = ref.rows[at][0].I
+				}
+				if hi-lo < 2 {
+					continue
+				}
+				key := lo + (hi-lo)/2
+				if at == len(ref.rows) {
+					key = lo + stackKeyGap
+				}
+				applyInsert(t, p, ref, types.Row{types.Int(key), types.Int(-tag), types.Str(fmt.Sprintf("i%d", tag))})
+			case op == 3: // re-insert the ghost's key
+				if ghost == nil {
+					continue
+				}
+				at := ref.insertRid(ghost)
+				if at > 0 && ref.rows[at-1][0].I == ghost[0].I {
+					continue
+				}
+				applyInsert(t, p, ref, types.Row{ghost[0], types.Int(-tag), types.Str("again")})
+				ghost = nil
+			case len(ref.rows) == 0:
+			case op <= 5:
+				at %= len(ref.rows)
+				ghost = ref.rows[at]
+				applyDelete(t, p, ref, at)
+			case op == 6:
+				applyModify(t, p, ref, at%len(ref.rows), 1, types.Int(tag))
+			default:
+				applyModify(t, p, ref, at%len(ref.rows), 2, types.Str(fmt.Sprintf("m%d", tag)))
+			}
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("layer %d: %v\n%s", li, err, p)
+		}
+	}
+	return layers, ref.rows
+}
+
+var stackProjections = [][]int{{0, 1, 2}, {1}, {2, 0}, {}}
+
+var stackBatchSizes = []int{1, 3, 16, 1024}
+
+// checkStack is the differential for one stack and one way of reading it.
+// drive is consumed a byte per step: Next of one of the batch sizes, Skip of
+// 1-8 rows, or More; when it runs out the rest is read with Next.
+func checkStack(t *testing.T, layers []*PDT, stable, image []types.Row, lo, hi, block int, includeEnd bool, cols []int, drive []byte) {
+	t.Helper()
+	want, wantRID := modelStack(layers, stable, lo, hi, includeEnd)
+	if lo == 0 && hi == len(stable) && includeEnd {
+		// The model itself, against the image the updates were applied to.
+		if len(want) != len(image) {
+			t.Fatalf("model has %d rows, image %d", len(want), len(image))
+		}
+		for i := range want {
+			if types.CompareRows(want[i], image[i]) != 0 {
+				t.Fatalf("model row %d = %v, image has %v", i, want[i], image[i])
+			}
+		}
+	}
+	kinds := make([]types.Kind, len(cols))
+	for i, c := range cols {
+		kinds[i] = intSchema().Cols[c].Kind
+	}
+	where := fmt.Sprintf("[%d,%d) block %d end %v cols %v", lo, hi, block, includeEnd, cols)
+
+	// Once as a consumer reads it: rows and consecutive RIDs.
+	top, startRID := stackOver(layers, newBlockSource(stable, cols, lo, hi, block), cols, lo, includeEnd)
+	if startRID != wantRID {
+		t.Fatalf("%s: start RID %d, model %d", where, startRID, wantRID)
+	}
+	// One layer hints exactly, but for a delete entry sitting on the end of an
+	// includeEnd range; further up the error compounds and the hint is advice.
+	if h := SizeHint(top); h < 0 || (len(layers) == 1 && (h > len(want) || h < len(want)-1)) {
+		t.Fatalf("%s: size hint %d for %d rows under %d layers", where, h, len(want), len(layers))
+	}
+	all, err := ScanAll(Numbered(top, startRID), kinds)
+	if err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	if all.Len() != len(want) || len(all.Rids) != len(want) {
+		t.Fatalf("%s: %d rows, %d rids, model %d\nlayers %v", where, all.Len(), len(all.Rids), len(want), layers)
+	}
+	for i, rid := range all.Rids {
+		if rid != wantRID+uint64(i) {
+			t.Fatalf("%s: rid %d = %d, want %d", where, i, rid, wantRID+uint64(i))
+		}
+	}
+
+	// Once through the positional contract, steered by drive.
+	base := newBlockSource(stable, cols, lo, hi, block)
+	top, _ = stackOver(layers, base, cols, lo, includeEnd)
+	out := vector.NewBatch(kinds, 16)
+	pos := 0
+	for step := 0; ; step++ {
+		act := byte(0)
+		if step < len(drive) {
+			act = drive[step]
+		}
+		switch {
+		case act%4 == 1:
+			k := 1 + int(act>>2)%8
+			n, err := top.Skip(k)
+			if err != nil || n != min(k, len(want)-pos) {
+				t.Fatalf("%s: Skip(%d) at row %d of %d = %d, %v", where, k, pos, len(want), n, err)
+			}
+			pos += n
+		case act%4 == 2:
+			more, err := top.More()
+			if err != nil || more != (pos < len(want)) {
+				t.Fatalf("%s: More at row %d of %d = %v, %v", where, pos, len(want), more, err)
+			}
+		default:
+			k := stackBatchSizes[int(act>>2)%len(stackBatchSizes)]
+			out.Reset()
+			n, err := top.Next(out, k)
+			if err != nil || n != min(k, len(want)-pos) || len(out.Rids) != 0 {
+				t.Fatalf("%s: Next(%d) at row %d of %d = %d, %v (%d rids)", where, k, pos, len(want), n, err, len(out.Rids))
+			}
+			for j, v := range out.Vecs {
+				if v.Len() != n {
+					t.Fatalf("%s: Next(%d) = %d but vector %d holds %d", where, k, n, j, v.Len())
+				}
+				for i := 0; i < n; i++ {
+					if types.Compare(v.Get(i), want[pos+i][cols[j]]) != 0 {
+						t.Fatalf("%s: row %d col %d = %v, want %v\nlayers %v", where, pos+i, cols[j], v.Get(i), want[pos+i], layers)
+					}
+				}
+			}
+			pos += n
+			if n == 0 {
+				if len(base.batches) > 1 || (len(base.batches) == 1 && !base.batches[out]) {
+					t.Fatalf("%s: the base was handed a batch that is not the consumer's", where)
+				}
+				for sid, times := range base.wrote {
+					if times != 1 || base.skipped[sid] {
+						t.Fatalf("%s: stable row %d written %d times (skipped %v)", where, sid, times, base.skipped[sid])
+					}
+				}
+				return
+			}
+		}
+	}
+}
+
+// checkStackScript reads one stack every which way the byte arguments select.
+func checkStackScript(t *testing.T, script, drive []byte, nLayers, nStable, lo, hi, block, proj uint8, includeEnd bool) {
+	t.Helper()
+	stable := stackStable(int(nStable) % 80)
+	layers, image := buildStack(t, script, stable, 1+int(nLayers)%5)
+	from, to := 0, len(stable)
+	if len(stable) > 0 {
+		from = int(lo) % (len(stable) + 1)
+		to = from + int(hi)%(len(stable)-from+1)
+	}
+	cols := stackProjections[int(proj)%len(stackProjections)]
+	checkStack(t, layers, stable, image, from, to, 1+int(block)%17, includeEnd, cols, drive)
+	checkStack(t, layers, stable, image, 0, len(stable), 1+int(block)%17, true, cols, drive)
+}
+
+// FuzzMergeScanStack feeds arbitrary update scripts and read schedules to the
+// stack differential.
+func FuzzMergeScanStack(f *testing.F) {
+	f.Add([]byte{0, 3, 4, 3, 3, 0, 6, 2, 0, 200, 4, 0, 7, 1}, []byte{0, 1, 2, 4, 9, 2}, uint8(2), uint8(20), uint8(3), uint8(9), uint8(4), uint8(0), false)
+	f.Add([]byte{0, 255, 1, 255, 2, 255, 4, 0, 3, 0, 4, 0, 4, 0}, []byte{2, 2, 5, 8}, uint8(4), uint8(6), uint8(0), uint8(6), uint8(2), uint8(3), true)
+	// Skip to the last row, then More: a trailing insert three layers down.
+	f.Add([]byte("0B0700$7$0$1"), []byte("12000000"), uint8(4), uint8(6), uint8(0), uint8(6), uint8(2), uint8(3), true)
+	f.Add([]byte{}, []byte{12}, uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(1), true)
+	f.Fuzz(func(t *testing.T, script, drive []byte, nLayers, nStable, lo, hi, block, proj uint8, includeEnd bool) {
+		if len(script) > 400 {
+			script = script[:400]
+		}
+		checkStackScript(t, script, drive, nLayers, nStable, lo, hi, block, proj, includeEnd)
+	})
+}
+
+// TestMergeScanStackSeeded is the fuzz target's twin under go test: seeded
+// random scripts over every depth, projection and end rule.
+func TestMergeScanStackSeeded(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		script := make([]byte, 2*rng.Intn(120))
+		rng.Read(script)
+		drive := make([]byte, rng.Intn(60))
+		rng.Read(drive)
+		b := make([]byte, 5)
+		rng.Read(b)
+		checkStackScript(t, script, drive, uint8(seed), b[0], b[1], b[2], b[3], uint8(seed/5), seed%2 == 0)
+	}
+}
+
+// TestMergeScanStackCorners pins the cases the issue names, by construction
+// rather than by luck.
+func TestMergeScanStackCorners(t *testing.T) {
+	stable := stackStable(12)
+	schema := intSchema()
+	ref := newRefModel(schema, stable)
+	ins := func(p *PDT, key int64, tag string) {
+		applyInsert(t, p, ref, types.Row{types.Int(key), types.Int(-1), types.Str(tag)})
+	}
+	// L0: two inserts before stable row 4 and one exactly at the table's end;
+	// L1 deletes the first of them and modifies the second; L2 deletes stable
+	// row 4 itself (now a ghost with an insert in front of it), L3 re-inserts
+	// its key and appends; L4 stays empty.
+	l0, l1, l2, l3, l4 := New(schema, 4), New(schema, 4), New(schema, 4), New(schema, 4), New(schema, 4)
+	ins(l0, 4*stackKeyGap+10, "a")
+	ins(l0, 4*stackKeyGap+20, "b")
+	ins(l0, 13*stackKeyGap, "tail")
+	applyDelete(t, l1, ref, 4)
+	applyModify(t, l1, ref, 4, 1, types.Int(77))
+	applyDelete(t, l2, ref, 5)
+	ins(l3, 5*stackKeyGap, "again")
+	ins(l3, 14*stackKeyGap, "tail2")
+	layers := []*PDT{l0, l1, l2, l3, l4}
+	for _, r := range [][2]int{{0, 12}, {4, 12}, {0, 4}, {3, 5}, {4, 4}, {12, 12}, {5, 9}} {
+		for _, includeEnd := range []bool{false, true} {
+			for _, cols := range stackProjections {
+				for block := 1; block <= 5; block += 2 {
+					checkStack(t, layers, stable, ref.rows, r[0], r[1], block, includeEnd, cols, []byte{0, 1, 2, 4, 5, 2, 8, 2})
+				}
+			}
+		}
+	}
+}
+
+// TestMergeScanSizeHintIsRangeLocal: the hint is the source's remainder plus
+// the shift of the entries over those positions — not the whole tree's.
+func TestMergeScanSizeHintIsRangeLocal(t *testing.T) {
+	schema := intSchema()
+	stable := stackStable(64)
+	for _, grow := range []bool{true, false} {
+		p := New(schema, 4)
+		ref := newRefModel(schema, stable)
+		for i := 0; i < 20; i++ { // all inside stable [40, 64)
+			if grow {
+				applyInsert(t, p, ref, types.Row{types.Int(50*stackKeyGap + int64(i) + 1), types.Int(0), types.Str("x")})
+			} else {
+				applyDelete(t, p, ref, 40)
+			}
+		}
+		ms := NewMergeScan(p, newBlockSource(stable, []int{1}, 8, 24, 16), []int{1}, 8, false)
+		if h := ms.SizeHint(); h != 16 {
+			t.Fatalf("grow=%v: a 16-row range no entry touches hints %d", grow, h)
+		}
+		ms = NewMergeScan(p, newBlockSource(stable, []int{1}, 32, 64, 16), []int{1}, 32, true)
+		want := 32 + int(p.Delta())
+		if h := ms.SizeHint(); h != want {
+			t.Fatalf("grow=%v: the touched range hints %d, want %d", grow, h, want)
+		}
+		out := vector.NewBatch([]types.Kind{types.Int64}, 8)
+		if _, err := ms.Next(out, 5); err != nil {
+			t.Fatal(err)
+		}
+		if h := ms.SizeHint(); h != want-5 {
+			t.Fatalf("grow=%v: after 5 rows the hint is %d, want %d", grow, h, want-5)
+		}
+	}
+}
+
+// TestMergeScanStackAllocsAreFlat: reading through five live layers allocates
+// what reading the bare source does plus a constant per merge opened — no
+// layer owns a batch, and nothing is allocated per batch or per row.
+func TestMergeScanStackAllocsAreFlat(t *testing.T) {
+	schema := intSchema()
+	stable := stackStable(20000)
+	ref := newRefModel(schema, stable[:64]) // updates near the front: cheap to mirror
+	layers := make([]*PDT, 5)
+	for li := range layers {
+		p := New(schema, 8)
+		applyInsert(t, p, ref, types.Row{types.Int(int64(3+li)*stackKeyGap + 7), types.Int(1), types.Str("x")})
+		applyDelete(t, p, ref, 20+li)
+		applyModify(t, p, ref, 30, 1, types.Int(int64(li)))
+		layers[li] = p
+	}
+	cols := []int{0, 1}
+	kinds := []types.Kind{types.Int64, types.Int64}
+	out := vector.NewBatch(kinds, 1024)
+	base := &sliceSource{rows: stable, cols: cols}
+	scan := func(layers []*PDT) func() {
+		return func() {
+			base.pos, base.end = 0, len(stable)
+			top, rid := stackOver(layers, base, cols, 0, true)
+			src := Numbered(top, rid)
+			for {
+				out.Reset()
+				if n, err := src.Next(out, 1024); err != nil || n == 0 {
+					return
+				}
+			}
+		}
+	}
+	bare := testing.AllocsPerRun(5, scan(nil))
+	deep := testing.AllocsPerRun(5, scan(layers))
+	// A merge is its struct, its column list and its projection map (and a
+	// cursor spine in a tree with inner nodes); a staging batch of two columns
+	// would be seven more.
+	if deep-bare > 4*float64(len(layers)) {
+		t.Fatalf("5 layers allocate %.0f, the bare source %.0f: more than 4 per merge", deep, bare)
+	}
+}

@@ -1,8 +1,10 @@
 package txn
 
 import (
+	"fmt"
 	"testing"
 
+	"pdtstore/internal/pdt"
 	"pdtstore/internal/types"
 	"pdtstore/internal/vector"
 )
@@ -178,5 +180,94 @@ func TestQueryFinishLeavesOpenScansAlone(t *testing.T) {
 	}
 	if _, row, found, _ := tx.FindByKey(types.Row{types.Int(15)}); !found || row[1].I != 777 {
 		t.Fatalf("statement's update missing after Finish: %v %v", row, found)
+	}
+}
+
+// TestScanJudgesLayersWhenOpened: engine.StackPDTs drops an empty layer when
+// the source is opened, so the first write a fresh transaction makes under an
+// open scan of its own does not reach that scan; the next scan sees it. A
+// statement that writes while it reads must not lean on that: it runs under
+// BeginQuery, and reads one and the same view whether the Trans-PDT was empty
+// or live when its scan was opened.
+func TestScanJudgesLayersWhenOpened(t *testing.T) {
+	drain := func(src pdt.BatchSource, out *vector.Batch) {
+		for {
+			if n, err := src.Next(out, 3); err != nil {
+				t.Fatal(err)
+			} else if n == 0 {
+				return
+			}
+		}
+	}
+	rowsOf := func(b *vector.Batch) []types.Row {
+		rows := make([]types.Row, b.Len())
+		for i := range rows {
+			rows[i] = b.Row(i)
+		}
+		return rows
+	}
+	cols, kinds := []int{0, 1, 2}, []types.Kind{types.Int64, types.Int64, types.String}
+
+	m := newManager(t, 10, Options{})
+	tx := m.Begin()
+	defer tx.Abort()
+	before := snapshotRows(t, tx)
+	src, err := tx.Scan(cols, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := vector.NewBatch(kinds, 16)
+	if _, err := src.Next(out, 3); err != nil {
+		t.Fatal(err)
+	}
+	// The Trans-PDT's first entry, ahead of the open scan's position.
+	if err := tx.Insert(types.Row{types.Int(55), types.Int(0), types.Str("late")}); err != nil {
+		t.Fatal(err)
+	}
+	drain(src, out)
+	sameRows(t, rowsOf(out), before, "scan opened over the empty Trans-PDT")
+	if after := snapshotRows(t, tx); len(after) != len(before)+1 {
+		t.Fatalf("a scan opened after the write reads %d rows, want %d", len(after), len(before)+1)
+	}
+
+	for _, live := range []bool{false, true} {
+		tx := m.Begin()
+		if live {
+			if err := tx.Insert(types.Row{types.Int(15), types.Int(0), types.Str("tx")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		q, err := tx.BeginQuery()
+		if err != nil {
+			t.Fatal(err)
+		}
+		view := snapshotRows(t, q)
+		src, err := q.Scan(cols, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Reset()
+		for read := 0; ; {
+			n, err := src.Next(out, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n == 0 {
+				break
+			}
+			for ; read < out.Len(); read++ { // INSERT INTO t SELECT key+1 FROM t
+				if err := q.Insert(types.Row{types.Int(out.Vecs[0].I[read] + 1), types.Int(0), types.Str("q")}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		sameRows(t, rowsOf(out), view, fmt.Sprintf("statement scan (Trans-PDT live at open: %v)", live))
+		if err := q.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if after := snapshotRows(t, tx); len(after) != 2*len(view) {
+			t.Fatalf("after Finish (live %v): %d rows, want %d", live, len(after), 2*len(view))
+		}
+		tx.Abort()
 	}
 }
