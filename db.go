@@ -486,7 +486,7 @@ func adoptShards(dir string, man storage.Manifest, opts Options, dev *colstore.D
 }
 
 // openChain opens a manifest segment chain (oldest generation first) into one
-// file-backed store: the last member carries the block map and geometry, the
+// store: the last member carries the block map and geometry, the
 // earlier members only serve the blocks the map still references.
 func openChain(dir string, chain []string, dev *colstore.Device, want *types.Schema) (*colstore.Store, error) {
 	segs := make([]*storage.Segment, len(chain))
@@ -532,7 +532,7 @@ func (db *DB) Shards() int { return len(db.mgrs) }
 func (db *DB) Begin() Tx { return db.sharded.Begin() }
 
 // Close stops the background checkpoint scheduler and waits for background
-// maintenance, then releases the log and every file-backed image. It reports
+// maintenance, then releases the log and every image. It reports
 // a sticky maintenance or scheduler failure, if any.
 func (db *DB) Close() error {
 	db.stopScheduler()

@@ -115,7 +115,8 @@ func failWrites(b *Builder) {
 	b.segw.Abort()
 }
 
-// buildInput is one way to start a file build, and the batches to feed it.
+// buildInput is one way to start a build into path (a memory segment when it
+// is empty), and the batches to feed it.
 type buildInput struct {
 	name    string
 	start   func(t *testing.T, blockRows int, path string) *Builder
@@ -125,14 +126,18 @@ type buildInput struct {
 // inheritBlocks is how many leading blocks the with-base input inherits.
 const inheritBlocks = 2
 
-// buildInputs are the two shapes every file build takes: a flat build fed
+// buildInputs are the shapes every build takes: a flat build fed
 // hashBatches(5000) from row 0, and a checkpoint build over a base holding
-// those rows that inherits the first inheritBlocks blocks and is fed the rest.
+// those rows — in a file, or in memory — that inherits the first
+// inheritBlocks blocks and is fed the rest.
 var buildInputs = []buildInput{
 	{"flat", startFlat, func(int) []*vector.Batch { return hashBatches(5000) }},
-	{"with-base", startWithBase, func(blockRows int) []*vector.Batch {
-		return skipRows(hashBatches(5000), inheritBlocks*blockRows)
-	}},
+	{"with-base", startWithBase(true), tailBatches},
+	{"with-memory-base", startWithBase(false), tailBatches},
+}
+
+func tailBatches(blockRows int) []*vector.Batch {
+	return skipRows(hashBatches(5000), inheritBlocks*blockRows)
 }
 
 func startFlat(t *testing.T, blockRows int, path string) *Builder {
@@ -143,23 +148,29 @@ func startFlat(t *testing.T, blockRows int, path string) *Builder {
 	return b
 }
 
-func startWithBase(t *testing.T, blockRows int, path string) *Builder {
-	base := startFlat(t, blockRows, filepath.Join(t.TempDir(), "base.seg"))
-	for _, batch := range hashBatches(5000) {
-		if err := base.AddBatch(batch); err != nil {
+func startWithBase(baseInFile bool) func(t *testing.T, blockRows int, path string) *Builder {
+	return func(t *testing.T, blockRows int, path string) *Builder {
+		basePath := ""
+		if baseInFile {
+			basePath = filepath.Join(t.TempDir(), "base.seg")
+		}
+		base := startFlat(t, blockRows, basePath)
+		for _, batch := range hashBatches(5000) {
+			if err := base.AddBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := base.Finish()
+		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { st.Close() })
+		b, err := NewCheckpointBuilder(st, inheritBlocks, 0, false, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	st, err := base.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
-	b, err := NewCheckpointBuilder(st, inheritBlocks, 0, false, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }
 
 // skipRows drops the first n rows of a batch sequence.
@@ -314,13 +325,13 @@ func TestCheckpointBuilderOrderCheck(t *testing.T) {
 	}
 }
 
-// TestCheckpointBuilderChain: inherited blocks resolve into the base's file,
-// rewritten and tail blocks into the new one, and the image reads like the
-// flat build of the same rows; a build that ends up referencing no base
-// member is that flat build, byte for byte — no block map.
+// TestCheckpointBuilderChain: inherited blocks resolve into the base's
+// segment, rewritten and tail blocks into the new one, and the image reads
+// like the flat build of the same rows; a build that ends up referencing no
+// base member is that flat build, byte for byte — no block map. Wherever the
+// base's bytes and the new segment's live, file or memory.
 func TestCheckpointBuilderChain(t *testing.T) {
 	const blockRows = 512
-	in := buildInputs[1]
 	dir := t.TempDir()
 	flatPath := filepath.Join(dir, "flat.seg")
 	flatB := startFlat(t, blockRows, flatPath)
@@ -334,6 +345,23 @@ func TestCheckpointBuilderChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer flat.Close()
+	for _, in := range buildInputs[1:] {
+		for _, outInFile := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/out-in-file=%v", in.name, outInFile), func(t *testing.T) {
+				testCheckpointBuilderChain(t, in, blockRows, flat, flatPath, outInFile)
+			})
+		}
+	}
+}
+
+func testCheckpointBuilderChain(t *testing.T, in buildInput, blockRows int, flat *Store, flatPath string, outInFile bool) {
+	dir := t.TempDir()
+	out := func(name string) string {
+		if !outInFile {
+			return ""
+		}
+		return filepath.Join(dir, name)
+	}
 	ncols := flat.Schema().NumCols()
 	all := make([]int, ncols)
 	for c := range all {
@@ -366,14 +394,35 @@ func TestCheckpointBuilderChain(t *testing.T) {
 		t.Cleanup(func() { st.Close() })
 		return st
 	}
+	// sameAsFlat holds an image to the flat build's, block by block.
+	sameAsFlat := func(st *Store) {
+		t.Helper()
+		if st.NRows() != flat.NRows() || st.NumBlocks() != flat.NumBlocks() {
+			t.Fatalf("image: %d rows in %d blocks, flat: %d in %d", st.NRows(), st.NumBlocks(), flat.NRows(), flat.NumBlocks())
+		}
+		for c := 0; c < ncols; c++ {
+			for blk := 0; blk < flat.NumBlocks(); blk++ {
+				ce, err := st.EncodedBlock(c, blk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fe, _ := flat.EncodedBlock(c, blk)
+				cz, _ := st.Zone(c, blk)
+				fz, _ := flat.Zone(c, blk)
+				if !bytes.Equal(ce, fe) || cz != fz {
+					t.Fatalf("column %d block %d differs from the flat image", c, blk)
+				}
+			}
+		}
+	}
 
-	b := in.start(t, blockRows, filepath.Join(dir, "rejected.seg"))
+	b := in.start(t, blockRows, out("rejected.seg"))
 	if err := b.WriteBlock(0, inheritBlocks, nil); err == nil {
 		t.Fatal("WriteBlock past the shift block was accepted")
 	}
 	b.Abort()
 
-	b = in.start(t, blockRows, filepath.Join(dir, "chained.seg"))
+	b = in.start(t, blockRows, out("chained.seg"))
 	rewrite(b, 1, 2, 5)
 	chained := feed(b)
 	if got := len(chained.Segments()); got != 2 {
@@ -382,26 +431,9 @@ func TestCheckpointBuilderChain(t *testing.T) {
 	if refs, want := chained.BlockRefCounts(), inheritBlocks*ncols-2; refs[0] != want || refs[1] != chained.NumBlocks()*ncols-want {
 		t.Fatalf("block references %v, want %d into the base", refs, want)
 	}
-	if chained.NRows() != flat.NRows() || chained.NumBlocks() != flat.NumBlocks() {
-		t.Fatalf("chained image: %d rows in %d blocks, flat: %d in %d", chained.NRows(), chained.NumBlocks(), flat.NRows(), flat.NumBlocks())
-	}
-	for c := 0; c < ncols; c++ {
-		for blk := 0; blk < flat.NumBlocks(); blk++ {
-			ce, err := chained.EncodedBlock(c, blk)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fe, _ := flat.EncodedBlock(c, blk)
-			cz, _ := chained.Zone(c, blk)
-			fz, _ := flat.Zone(c, blk)
-			if !bytes.Equal(ce, fe) || cz != fz {
-				t.Fatalf("column %d block %d differs between the chained and the flat image", c, blk)
-			}
-		}
-	}
+	sameAsFlat(chained)
 
-	collapsedPath := filepath.Join(dir, "collapsed.seg")
-	b = in.start(t, blockRows, collapsedPath)
+	b = in.start(t, blockRows, out("collapsed.seg"))
 	for blk := 0; blk < inheritBlocks; blk++ {
 		rewrite(b, blk, all...)
 	}
@@ -409,10 +441,13 @@ func TestCheckpointBuilderChain(t *testing.T) {
 	if got := len(collapsed.Segments()); got != 1 || collapsed.Segment().Placements() != nil {
 		t.Fatalf("every block rewritten: %d chain members, block map %v; want one flat segment", got, collapsed.Segment().Placements() != nil)
 	}
-	want, _ := os.ReadFile(flatPath)
-	got, _ := os.ReadFile(collapsedPath)
-	if !bytes.Equal(got, want) {
-		t.Fatal("a build that inherits nothing in the end differs from the flat build's file")
+	sameAsFlat(collapsed)
+	if outInFile {
+		want, _ := os.ReadFile(flatPath)
+		got, _ := os.ReadFile(out("collapsed.seg"))
+		if !bytes.Equal(got, want) {
+			t.Fatal("a build that inherits nothing in the end differs from the flat build's file")
+		}
 	}
 }
 

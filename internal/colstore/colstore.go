@@ -5,14 +5,16 @@
 // block device fronting every fetch with a buffer pool that accounts every
 // byte read.
 //
-// A store is either RAM-resident (built by NewBuilder/BulkLoad — the paper's
-// simulated-I/O benchmark configuration, where the device only accounts
-// bytes) or file-backed (built by NewFileBuilder/NewCheckpointBuilder or
-// opened via FromSegmentChain): its blocks live in an on-disk segment file and
-// are pread lazily through the device's buffer pool, so cold scans do real
-// I/O, Device.Stats reports real bytes, and DropCaches makes the next scan hit
-// the disk again. Stable IDs (SIDs) are implicit: the value at position i of
-// every column belongs to the tuple with SID i.
+// Every store is a chain of storage segments read through the device's buffer
+// pool: the first fetch of a block is a cold ReadBlock charged to the device,
+// later ones hit the pool, and DropCaches makes the next scan cold again.
+// Where a segment's bytes live is the segment's business alone. One built
+// with a path (NewFileBuilder/NewCheckpointBuilder, or opened via
+// FromSegmentChain) preads them from its file, so cold scans do real I/O; one
+// built without (NewBuilder/BulkLoad — the paper's simulated-I/O benchmark
+// configuration) keeps them in memory and a cold read only accounts bytes.
+// Stable IDs (SIDs) are implicit: the value at position i of every column
+// belongs to the tuple with SID i.
 package colstore
 
 import (
@@ -34,10 +36,10 @@ const DefaultBlockRows = 8192
 // a cold read and is charged to the byte counter; subsequent fetches hit the
 // (unbounded) buffer pool and are free, so a benchmark can measure a query's
 // cold I/O volume by calling DropCaches and ResetStats first, and its hot
-// time by re-running with the pool warm. For a RAM-resident store the pool
-// entry is presence-only (the bytes live in the store); for a file-backed
-// store the pool owns the bytes read from disk, so evicting them really does
-// make the next fetch a pread.
+// time by re-running with the pool warm. A pool entry holds the bytes its
+// segment's ReadBlock returned, so evicting it really does make the next fetch
+// a ReadBlock again — a pread and a CRC check for a file, the CRC check alone
+// for a memory segment.
 //
 // A device is safe for concurrent scanners — the parallel scan engine's
 // workers all charge fetches through one device. Pool hits take only a read
@@ -49,8 +51,6 @@ type Device struct {
 	bytesRead uint64
 	reads     uint64
 	cached    map[devKey][]byte
-	nextStore uint64
-	segIDs    map[*storage.Segment]uint64 // pool identity per segment file
 
 	// Block-skip accounting: blocks a scan proved irrelevant without
 	// fetching, split by which structure proved it. Atomic (not under mu)
@@ -59,101 +59,32 @@ type Device struct {
 	indexSkips atomic.Uint64
 }
 
-// devKey identifies a block globally: RAM-resident stores key on their store
-// id, file-backed stores on the owning segment file's id — so a block
-// inherited across checkpoint generations keeps one pool entry and stays warm
-// after the generation swap.
+// devKey identifies a block globally by the segment holding its bytes and
+// its physical position there — so a block inherited across checkpoint
+// generations keeps one pool entry and stays warm after the generation swap.
 type devKey struct {
-	store    uint64
+	seg      *storage.Segment
 	col, blk int
 }
 
 // NewDevice returns a device with an empty buffer pool.
 func NewDevice() *Device {
-	return &Device{
-		cached: make(map[devKey][]byte),
-		segIDs: make(map[*storage.Segment]uint64),
-	}
+	return &Device{cached: make(map[devKey][]byte)}
 }
 
-func (d *Device) register() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.nextStore++
-	return d.nextStore
-}
-
-// segmentID returns the pool identity of a segment file, assigning one on
-// first sight. Stores sharing a segment (checkpoint generations chained by
-// incremental checkpoints) share its id, so inherited blocks never go cold.
-func (d *Device) segmentID(seg *storage.Segment) uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.segIDs == nil {
-		d.segIDs = make(map[*storage.Segment]uint64)
-	}
-	if id, ok := d.segIDs[seg]; ok {
-		return id
-	}
-	d.nextStore++
-	d.segIDs[seg] = d.nextStore
-	return d.nextStore
-}
-
-// evictSegment drops every pool entry of one segment file, keeping its pool
-// identity (the next read is cold but lands under the same key).
+// evictSegment drops every pool entry of one segment: its next reads are
+// cold.
 func (d *Device) evictSegment(seg *storage.Segment) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	id, ok := d.segIDs[seg]
-	if !ok {
-		return
-	}
-	d.evictLocked(id)
-}
-
-// dropSegment forgets a segment entirely: pool entries and identity. Called
-// when the last store referencing the segment releases it.
-func (d *Device) dropSegment(seg *storage.Segment) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	id, ok := d.segIDs[seg]
-	if !ok {
-		return
-	}
-	delete(d.segIDs, seg)
-	d.evictLocked(id)
-}
-
-func (d *Device) evictLocked(id uint64) {
 	for k := range d.cached {
-		if k.store == id {
+		if k.seg == seg {
 			delete(d.cached, k)
 		}
 	}
 }
 
-// fetch charges a RAM-resident block's first read (presence-only pool entry).
-func (d *Device) fetch(store uint64, col, blk, size int) {
-	k := devKey{store, col, blk}
-	d.mu.RLock()
-	_, ok := d.cached[k]
-	d.mu.RUnlock()
-	if ok {
-		return
-	}
-	d.mu.Lock()
-	if _, ok := d.cached[k]; ok {
-		d.mu.Unlock()
-		return
-	}
-	d.cached[k] = nil
-	d.bytesRead += uint64(size)
-	d.reads++
-	d.mu.Unlock()
-}
-
-// poolGet returns a file-backed block's bytes if resident in the pool.
+// poolGet returns a block's bytes if resident in the pool.
 func (d *Device) poolGet(k devKey) ([]byte, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -161,7 +92,7 @@ func (d *Device) poolGet(k devKey) ([]byte, bool) {
 	return b, ok
 }
 
-// poolFill inserts bytes just pread from disk, charging the cold read. A
+// poolFill inserts bytes just read from their segment, charging the cold read. A
 // concurrent fill of the same block charges only once; both copies are valid.
 func (d *Device) poolFill(k devKey, b []byte) {
 	d.mu.Lock()
@@ -181,13 +112,6 @@ func (d *Device) DropCaches() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.cached = make(map[devKey][]byte)
-}
-
-// evictStore drops every buffer-pool entry belonging to one store.
-func (d *Device) evictStore(id uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.evictLocked(id)
 }
 
 // PoolBlocks returns the number of blocks currently resident in the buffer
@@ -232,27 +156,20 @@ func (d *Device) Stats() (bytesRead, reads uint64) {
 	return d.bytesRead, d.reads
 }
 
-// Store is one table's immutable stable image. It is RAM-resident (blocks
-// held in memory) or file-backed (blocks pread from a segment file through
-// the device's buffer pool); readers cannot tell the difference except
-// through the device's byte accounting.
-//
-// A file-backed store reads through a segment chain: a full checkpoint
-// produces a single self-contained segment, an incremental checkpoint
-// produces a new segment holding only the blocks that changed plus a
-// logical→physical block map resolving every unchanged block into an earlier
-// chain member. Readers are oblivious — encodedBlock resolves the map — and
-// chain members are refcounted, shared between consecutive generations.
+// Store is one table's immutable stable image, read through a segment chain:
+// a build without a base (and a whole rewrite) produces a single
+// self-contained segment, an incremental checkpoint produces a new segment
+// holding only the blocks that changed plus a logical→physical block map
+// resolving every unchanged block into an earlier chain member. Readers are
+// oblivious — encodedBlock resolves the map, and whether a member is a file
+// or memory only the member knows — and chain members are refcounted, shared
+// between consecutive generations.
 type Store struct {
 	schema     *types.Schema
-	id         uint64 // pool identity of a RAM-resident store
 	blockRows  int
 	compressed bool
 	nrows      uint64
-	blocks     [][][]byte             // blocks[col][blk] = encoded bytes (RAM-resident)
-	zones      [][]storage.Zone       // zones[col][blk] (RAM-resident; file-backed reads footers)
-	segs       []*storage.Segment     // on-disk segment chain, oldest first (file-backed)
-	segIDs     []uint64               // pool identity of each chain member
+	segs       []*storage.Segment     // segment chain, oldest first
 	places     [][]storage.BlockPlace // block map; nil = identity on the single chain member
 	sparse     []types.Row
 	dev        *Device
@@ -260,10 +177,10 @@ type Store struct {
 	aux        any // opaque per-image sidecar (the secondary-index set); set before sharing
 }
 
-// Builder accumulates rows in sort-key order and produces a Store — in RAM,
-// or streamed block by block into an on-disk segment file (NewFileBuilder),
-// optionally on top of a base image whose leading blocks it inherits
-// (NewCheckpointBuilder).
+// Builder accumulates rows in sort-key order and produces a Store, streaming
+// block by block into one new segment — memory (NewBuilder), or a file
+// (NewFileBuilder) — optionally on top of a base image whose leading blocks
+// it inherits (NewCheckpointBuilder).
 //
 // Filling a block and flushing it overlap: a full block is handed to one
 // goroutine that encodes it, computes its zones and appends it column by
@@ -274,7 +191,7 @@ type Store struct {
 // and exits, its result channel being buffered.
 type Builder struct {
 	store    *Store
-	segw     *storage.SegmentWriter // nil for RAM-resident builds
+	segw     *storage.SegmentWriter // nil once Finish or Abort has run
 	physBlk  []int                  // blocks appended to segw so far, per column
 	pending  *vector.Batch          // the block being filled
 	spare    *vector.Batch          // the other buffer: in flight, or idle after join
@@ -294,10 +211,19 @@ type Builder struct {
 // Finish rewrites it to the new segment's final chain position.
 const newSegMark = ^uint32(0)
 
-// NewBuilder starts building a store. blockRows <= 0 selects
-// DefaultBlockRows. The device may be shared across stores (one device per
-// benchmark "machine").
+// NewBuilder is NewFileBuilder without a path: the image's one segment lives
+// in memory, and there is no file whose creation could fail.
 func NewBuilder(schema *types.Schema, dev *Device, blockRows int, compressed bool) *Builder {
+	b, _ := NewFileBuilder(schema, dev, blockRows, compressed, "")
+	return b
+}
+
+// NewFileBuilder starts building a store whose flushed blocks stream to a
+// segment file at path; Finish seals the footer, fsyncs, and returns a store
+// reading lazily through the device. blockRows <= 0 selects DefaultBlockRows.
+// The device may be shared across stores (one device per benchmark
+// "machine").
+func NewFileBuilder(schema *types.Schema, dev *Device, blockRows int, compressed bool, path string) (*Builder, error) {
 	if blockRows <= 0 {
 		blockRows = DefaultBlockRows
 	}
@@ -308,54 +234,38 @@ func NewBuilder(schema *types.Schema, dev *Device, blockRows int, compressed boo
 	for i, c := range schema.Cols {
 		kinds[i] = c.Kind
 	}
-	return &Builder{
-		store: &Store{
-			schema:     schema,
-			id:         dev.register(),
-			blockRows:  blockRows,
-			compressed: compressed,
-			blocks:     make([][][]byte, schema.NumCols()),
-			zones:      make([][]storage.Zone, schema.NumCols()),
-			dev:        dev,
-		},
-		pending: vector.NewBatch(kinds, blockRows),
-	}
-}
-
-// NewFileBuilder is NewBuilder with a durable destination: every flushed
-// block streams to a segment file at path, and Finish seals the footer,
-// fsyncs, and returns a file-backed store reading lazily through the device.
-func NewFileBuilder(schema *types.Schema, dev *Device, blockRows int, compressed bool, path string) (*Builder, error) {
-	b := NewBuilder(schema, dev, blockRows, compressed)
-	segw, err := storage.CreateSegment(path, schema, b.store.blockRows, compressed)
+	segw, err := storage.CreateSegment(path, schema, blockRows, compressed)
 	if err != nil {
 		return nil, err
 	}
-	b.segw = segw
-	b.physBlk = make([]int, schema.NumCols())
-	b.store.blocks = nil
-	return b, nil
+	return &Builder{
+		store:   &Store{schema: schema, blockRows: blockRows, compressed: compressed, dev: dev},
+		segw:    segw,
+		physBlk: make([]int, schema.NumCols()),
+		pending: vector.NewBatch(kinds, blockRows),
+	}, nil
 }
 
-// NewCheckpointBuilder is NewFileBuilder for the next generation of base, a
-// file-backed image: blocks [0, shiftBlk) keep their tuple positions, so
-// their placements and sparse keys are inherited from base — WriteBlock
-// replaces the cells an in-place modify dirtied — and every row from block
-// shiftBlk on streams through Add/AddBatch like any other build, re-blocked,
-// re-encoded and re-keyed. Finish renumbers the chain: base members no
-// placement references any more fall out (the caller unlinks them after the
-// manifest swap), survivors are retained, and the new segment joins last,
-// carrying the footer and block map of the whole generation.
+// NewCheckpointBuilder is NewFileBuilder for the next generation of base, an
+// image of either residency (and, again, no path means a memory segment):
+// blocks [0, shiftBlk) keep their tuple positions, so their placements and
+// sparse keys are inherited from base — WriteBlock replaces the cells an
+// in-place modify dirtied — and every row from block shiftBlk on streams
+// through Add/AddBatch like any other build, re-blocked, re-encoded and
+// re-keyed. Finish renumbers the chain: base members no placement references
+// any more fall out (the caller unlinks them after the manifest swap),
+// survivors are retained, and the new segment joins last, carrying the footer
+// and block map of the whole generation.
 //
-// With shiftBlk 0 nothing is inherited and the build is a plain file build —
-// the one case where blockRows and compressed apply; inherited blocks pin the
-// base's geometry.
+// With shiftBlk 0 nothing is inherited and the build is a plain one — the one
+// case where blockRows and compressed apply; inherited blocks pin the base's
+// geometry.
 func NewCheckpointBuilder(base *Store, shiftBlk, blockRows int, compressed bool, path string) (*Builder, error) {
 	if shiftBlk == 0 {
 		return NewFileBuilder(base.schema, base.dev, blockRows, compressed, path)
 	}
-	if base.segs == nil || shiftBlk > len(base.sparse) {
-		return nil, fmt.Errorf("colstore: cannot inherit %d blocks from a base of %d (file-backed: %v)", shiftBlk, len(base.sparse), base.segs != nil)
+	if shiftBlk > len(base.sparse) {
+		return nil, fmt.Errorf("colstore: cannot inherit %d blocks from a base of %d", shiftBlk, len(base.sparse))
 	}
 	b, err := NewFileBuilder(base.schema, base.dev, base.blockRows, base.compressed, path)
 	if err != nil {
@@ -395,8 +305,8 @@ func (b *Builder) WriteBlock(col, blk int, v *vector.Vector) error {
 	return b.err
 }
 
-// Abort discards a file-backed build, removing the partial segment file. It
-// is a no-op for RAM builds and after Finish.
+// Abort discards the build, removing the partial segment file if there is
+// one. It is a no-op after Finish.
 func (b *Builder) Abort() {
 	b.join()
 	if b.segw != nil {
@@ -501,9 +411,8 @@ func encodeVec(v *vector.Vector, compressed bool) []byte {
 const zoneMaxStr = 64
 
 // zoneOf computes a block's zone-map statistics from its decoded vector —
-// the stats ride next to the encoded bytes wherever the block lands (RAM
-// store, segment file, delta segment). Bool and Date columns share the int
-// arm (bools as 0/1).
+// the stats ride next to the encoded bytes in whichever segment the block
+// lands. Bool and Date columns share the int arm (bools as 0/1).
 func zoneOf(v *vector.Vector) storage.Zone {
 	if v.Len() == 0 {
 		return storage.Zone{}
@@ -572,8 +481,8 @@ func (b *Builder) flush() {
 }
 
 // join waits for the block in flight, if any, keeps its error and makes its
-// buffer the idle spare. Everything writeBlock touches — the segment writer,
-// the RAM store's block lists — belongs to the caller again once it returns.
+// buffer the idle spare. The segment writer, which writeBlock appends to,
+// belongs to the caller again once it returns.
 func (b *Builder) join() {
 	if b.inflight == nil {
 		return
@@ -600,17 +509,10 @@ func (b *Builder) writeBlock(block *vector.Batch) error {
 	return nil
 }
 
-// appendBlock encodes one column block and appends it to the segment file or
-// the RAM store, returning where in the new segment it landed.
+// appendBlock encodes one column block and appends it to the new segment,
+// returning where in it the block landed.
 func (b *Builder) appendBlock(c int, v *vector.Vector) (storage.BlockPlace, error) {
-	s := b.store
-	enc, z := encodeVec(v, s.compressed), zoneOf(v)
-	if b.segw == nil {
-		s.blocks[c] = append(s.blocks[c], enc)
-		s.zones[c] = append(s.zones[c], z)
-		return storage.BlockPlace{}, nil
-	}
-	if err := b.segw.AppendBlock(c, enc, z); err != nil {
+	if err := b.segw.AppendBlock(c, encodeVec(v, b.store.compressed), zoneOf(v)); err != nil {
 		return storage.BlockPlace{}, err
 	}
 	p := storage.BlockPlace{Seg: newSegMark, Blk: uint32(b.physBlk[c])}
@@ -618,9 +520,9 @@ func (b *Builder) appendBlock(c int, v *vector.Vector) (storage.BlockPlace, erro
 	return p, nil
 }
 
-// Finish seals the store. The builder must not be used afterwards. For a
-// file-backed build this writes the segment footer and fsyncs: when Finish
-// returns, the image is durable.
+// Finish seals the store. The builder must not be used afterwards. A build
+// into a file writes the segment footer and fsyncs: when Finish returns, the
+// image is durable.
 func (b *Builder) Finish() (*Store, error) {
 	b.join()
 	if b.err == nil && b.pending.Len() > 0 {
@@ -633,28 +535,22 @@ func (b *Builder) Finish() (*Store, error) {
 		b.Abort()
 		return nil, b.err
 	}
-	if b.segw != nil {
-		s := b.store
-		chain := b.renumber()
-		seg, err := b.segw.Finish(s.nrows, s.sparse)
-		if err != nil {
-			b.err = err
-			b.Abort()
-			return nil, err
-		}
-		b.segw = nil
-		// Surviving base members are retained: the base store keeps its own
-		// references and releases them independently on Close.
-		for _, m := range chain {
-			m.Retain()
-		}
-		s.segs = append(chain, seg)
-		s.segIDs = make([]uint64, len(s.segs))
-		for i, m := range s.segs {
-			s.segIDs[i] = s.dev.segmentID(m)
-		}
+	s := b.store
+	chain := b.renumber()
+	seg, err := b.segw.Finish(s.nrows, s.sparse)
+	if err != nil {
+		b.err = err
+		b.Abort()
+		return nil, err
 	}
-	return b.store, nil
+	b.segw = nil
+	// Surviving base members are retained: the base store keeps its own
+	// references and releases them independently on Close.
+	for _, m := range chain {
+		m.Retain()
+	}
+	s.segs = append(chain, seg)
+	return s, nil
 }
 
 // renumber closes a with-base build's block map over the generation's final
@@ -702,7 +598,7 @@ func (b *Builder) renumber() []*storage.Segment {
 	return chain
 }
 
-// BulkLoad builds a store from pre-sorted rows in one call.
+// BulkLoad builds a memory store from pre-sorted rows in one call.
 func BulkLoad(schema *types.Schema, dev *Device, blockRows int, compressed bool, rows []types.Row) (*Store, error) {
 	b := NewBuilder(schema, dev, blockRows, compressed)
 	for _, r := range rows {
@@ -713,9 +609,9 @@ func BulkLoad(schema *types.Schema, dev *Device, blockRows int, compressed bool,
 	return b.Finish()
 }
 
-// FromSegmentChain wraps an opened segment chain (oldest first) in a
-// file-backed store: blocks are pread on demand through the device's buffer
-// pool, with cold bytes charged to its counters. The newest segment's block map resolves every logical
+// FromSegmentChain wraps an opened segment chain (oldest first) in a store:
+// blocks are read on demand through the device's buffer pool, with cold bytes
+// charged to its counters. The newest segment's block map resolves every logical
 // block to its owning chain member; a missing map is only legal for a
 // single-segment (self-contained) chain. The store owns one reference to
 // each member and releases them via Close.
@@ -741,37 +637,24 @@ func FromSegmentChain(segs []*storage.Segment, dev *Device) (*Store, error) {
 			}
 		}
 	}
-	ids := make([]uint64, len(segs))
-	for i, seg := range segs {
-		ids[i] = dev.segmentID(seg)
-	}
 	return &Store{
 		schema:     newest.Schema(),
-		id:         dev.register(),
 		blockRows:  newest.BlockRows(),
 		compressed: newest.Compressed(),
 		nrows:      newest.NRows(),
 		segs:       append([]*storage.Segment(nil), segs...),
-		segIDs:     ids,
 		places:     places,
 		sparse:     newest.Sparse(),
 		dev:        dev,
 	}, nil
 }
 
-// Segment returns the newest on-disk segment backing this store (the one
-// carrying the generation's footer and block map), or nil for a RAM-resident
-// store.
-func (s *Store) Segment() *storage.Segment {
-	if len(s.segs) == 0 {
-		return nil
-	}
-	return s.segs[len(s.segs)-1]
-}
+// Segment returns the newest segment backing this store, the one carrying
+// the generation's footer and block map.
+func (s *Store) Segment() *storage.Segment { return s.segs[len(s.segs)-1] }
 
-// Segments returns the on-disk segment chain backing this store, oldest
-// first, or nil for a RAM-resident store. The returned slice is the store's
-// own — callers must not mutate it.
+// Segments returns the segment chain backing this store, oldest first. The
+// returned slice is the store's own — callers must not mutate it.
 func (s *Store) Segments() []*storage.Segment { return s.segs }
 
 // CloneShared returns a new store over the same segment chain, retaining one
@@ -784,14 +667,10 @@ func (s *Store) CloneShared() *Store {
 	}
 	return &Store{
 		schema:     s.schema,
-		id:         s.dev.register(),
 		blockRows:  s.blockRows,
 		compressed: s.compressed,
 		nrows:      s.nrows,
-		blocks:     s.blocks,
-		zones:      s.zones,
 		segs:       s.segs,
-		segIDs:     s.segIDs,
 		places:     s.places,
 		sparse:     s.sparse,
 		dev:        s.dev,
@@ -810,19 +689,12 @@ func (s *Store) place(col, blk int) (si, pb int) {
 }
 
 // Zone returns the zone-map statistics of one logical column block, and
-// whether usable stats exist for it. File-backed stores resolve the logical
-// coordinate through the block map first, so a block inherited across
-// incremental checkpoints keeps the stats of the chain member holding its
-// bytes. A pre-zone-map segment (or a ZoneNone block) reports ok=false; such
-// blocks are never skipped.
+// whether usable stats exist for it. The logical coordinate resolves through
+// the block map first, so a block inherited across incremental checkpoints
+// keeps the stats of the chain member holding its bytes. A pre-zone-map
+// segment (or a ZoneNone block) reports ok=false; such blocks are never
+// skipped.
 func (s *Store) Zone(col, blk int) (storage.Zone, bool) {
-	if s.segs == nil {
-		if col >= len(s.zones) || blk >= len(s.zones[col]) {
-			return storage.Zone{}, false
-		}
-		z := s.zones[col][blk]
-		return z, z.Kind != storage.ZoneNone
-	}
 	si, pb := s.place(col, blk)
 	return s.segs[si].Zone(col, pb)
 }
@@ -844,23 +716,19 @@ func (s *Store) SetAux(aux any) { s.aux = aux }
 // Aux returns the sidecar attached by SetAux, or nil.
 func (s *Store) Aux() any { return s.aux }
 
-// Close releases the store's reference on every chain member of a
-// file-backed store (idempotent; a RAM-resident store has no descriptor to
-// free). The member that hits refcount zero is closed and its buffer-pool
-// entries evicted — members still shared with a newer generation stay open
-// and warm. The store must not be read afterwards.
+// Close releases the store's reference on every chain member (idempotent).
+// The member that hits refcount zero is closed and its buffer-pool entries
+// evicted — members still shared with a newer generation or a clone stay
+// open and warm. The store must not be read afterwards.
 func (s *Store) Close() error {
 	if s.closed.Swap(true) {
-		return nil
-	}
-	if s.segs == nil {
-		s.Evict()
 		return nil
 	}
 	var err error
 	for _, seg := range s.segs {
 		if seg.Release() {
-			s.dev.dropSegment(seg)
+			// Evict, then close: a stale hit must not outlive the file.
+			s.dev.evictSegment(seg)
 			if e := seg.Close(); e != nil && err == nil {
 				err = e
 			}
@@ -873,13 +741,10 @@ func (s *Store) Close() error {
 func (s *Store) Closed() bool { return s.closed.Load() }
 
 // BlockRefCounts returns, per chain member (oldest first), how many logical
-// (column, block) cells of this generation's image resolve into that file —
-// the member's live-block count. A member's dead blocks are its
-// TotalBlocks() minus this. Nil for RAM-resident stores.
+// (column, block) cells of this generation's image resolve into that member —
+// its live-block count. A member's dead blocks are its TotalBlocks() minus
+// this.
 func (s *Store) BlockRefCounts() []int {
-	if s.segs == nil {
-		return nil
-	}
 	counts := make([]int, len(s.segs))
 	if s.places == nil {
 		counts[0] = s.schema.NumCols() * s.NumBlocks()
@@ -914,31 +779,14 @@ func (s *Store) Device() *Device { return s.dev }
 // cold again — so evicting is always safe; it is called when a checkpoint
 // retires an image and its last reader finishes.
 func (s *Store) Evict() {
-	if s.segs == nil {
-		s.dev.evictStore(s.id)
-	} else {
-		for _, seg := range s.segs {
-			s.dev.evictSegment(seg)
-		}
+	for _, seg := range s.segs {
+		s.dev.evictSegment(seg)
 	}
 }
 
-// NumBlocks returns the per-column logical block count.
-func (s *Store) NumBlocks() int {
-	if s.places != nil {
-		if len(s.places) == 0 {
-			return 0
-		}
-		return len(s.places[0])
-	}
-	if s.segs != nil {
-		return s.segs[len(s.segs)-1].NumBlocks()
-	}
-	if len(s.blocks) == 0 {
-		return 0
-	}
-	return len(s.blocks[0])
-}
+// NumBlocks returns the per-column logical block count: the sparse index
+// holds one key per block.
+func (s *Store) NumBlocks() int { return len(s.sparse) }
 
 // EncodedSize returns the on-disk size in bytes of the given column, or of
 // the whole table when col is negative.
@@ -950,35 +798,25 @@ func (s *Store) EncodedSize(col int) uint64 {
 			continue
 		}
 		for blk := 0; blk < nb; blk++ {
-			if s.segs != nil {
-				si, pb := s.place(c, blk)
-				total += uint64(s.segs[si].BlockLen(c, pb))
-			} else {
-				total += uint64(len(s.blocks[c][blk]))
-			}
+			si, pb := s.place(c, blk)
+			total += uint64(s.segs[si].BlockLen(c, pb))
 		}
 	}
 	return total
 }
 
 // encodedBlock returns one column block's encoded bytes, charging the device
-// for a cold fetch: a RAM-resident block is charged on first touch; a
-// file-backed block resolves the logical coordinate through the block map,
-// then preads from the owning chain member unless the buffer pool already
-// holds it. Pool keys are per segment file, so blocks inherited across
-// checkpoint generations stay warm through the swap.
+// for a cold fetch: the logical coordinate resolves through the block map,
+// then the owning chain member reads the block unless the buffer pool already
+// holds it. Pool keys are per segment, so blocks inherited across checkpoint
+// generations stay warm through the swap.
 func (s *Store) encodedBlock(col, blk int) ([]byte, error) {
-	if s.segs == nil {
-		enc := s.blocks[col][blk]
-		s.dev.fetch(s.id, col, blk, len(enc))
-		return enc, nil
-	}
 	si, pb := s.place(col, blk)
-	k := devKey{s.segIDs[si], col, pb}
+	k := devKey{s.segs[si], col, pb}
 	if b, ok := s.dev.poolGet(k); ok {
 		return b, nil
 	}
-	b, err := s.segs[si].ReadBlock(col, pb)
+	b, err := k.seg.ReadBlock(col, pb)
 	if err != nil {
 		return nil, err
 	}
@@ -989,7 +827,7 @@ func (s *Store) encodedBlock(col, blk int) ([]byte, error) {
 // Prefetch charges the cold read of every block of the given columns
 // overlapping SIDs [from, to) — the sequential readahead of a scan about to
 // visit that range. Blocks already resident are untouched; cold ones are
-// fetched (and, for file-backed stores, loaded into the buffer pool). A
+// fetched into the buffer pool. A
 // parallel scan worker prefetches its morsel on open, so the I/O of
 // concurrent morsels overlaps like queued readahead instead of serializing
 // behind ordered batch delivery.

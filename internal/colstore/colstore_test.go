@@ -19,23 +19,7 @@ func testSchema() *types.Schema {
 
 func buildStore(t testing.TB, n, blockRows int, compressed bool) *Store {
 	t.Helper()
-	b := NewBuilder(testSchema(), nil, blockRows, compressed)
-	for i := 0; i < n; i++ {
-		row := types.Row{
-			types.Int(int64(i * 2)), // even keys so gaps exist
-			types.Str(fmt.Sprintf("s%04d", i)),
-			types.Float(float64(i) / 2),
-			types.BoolVal(i%3 == 0),
-		}
-		if err := b.Add(row); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s, err := b.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return buildFileStore(t, nil, n, blockRows, compressed, "")
 }
 
 func TestBuildAndMeta(t *testing.T) {

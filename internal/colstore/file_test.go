@@ -3,6 +3,7 @@ package colstore
 import (
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"pdtstore/internal/storage"
@@ -10,7 +11,7 @@ import (
 	"pdtstore/internal/vector"
 )
 
-func buildFileStore(t *testing.T, dev *Device, n, blockRows int, compressed bool, path string) *Store {
+func buildFileStore(t testing.TB, dev *Device, n, blockRows int, compressed bool, path string) *Store {
 	t.Helper()
 	b, err := NewFileBuilder(testSchema(), dev, blockRows, compressed, path)
 	if err != nil {
@@ -18,7 +19,7 @@ func buildFileStore(t *testing.T, dev *Device, n, blockRows int, compressed bool
 	}
 	for i := 0; i < n; i++ {
 		row := types.Row{
-			types.Int(int64(i * 2)),
+			types.Int(int64(i * 2)), // even keys so gaps exist
 			types.Str(fmt.Sprintf("s%04d", i)),
 			types.Float(float64(i) / 2),
 			types.BoolVal(i%3 == 0),
@@ -89,6 +90,76 @@ func TestFileStoreMatchesRAMStore(t *testing.T) {
 		if bytes != fs.EncodedSize(-1) {
 			t.Fatalf("cold full scan read %d bytes, EncodedSize says %d", bytes, fs.EncodedSize(-1))
 		}
+	}
+}
+
+// observeLifecycle builds an image of 100 rows at path (in memory when it is
+// empty) and drives it through cold scan → warm scan → DropCaches → cold scan
+// → CloneShared → Close of the original → scan of the clone → Close of the
+// clone, recording everything a reader can observe on the way: metadata
+// first, then the device's counters and pool size after every step.
+func observeLifecycle(t *testing.T, path string) []string {
+	t.Helper()
+	dev := NewDevice()
+	s := buildFileStore(t, dev, 100, 16, true, path)
+	var seen []string
+	see := func(format string, args ...any) { seen = append(seen, fmt.Sprintf(format, args...)) }
+	step := func(name string) {
+		bytes, reads := dev.Stats()
+		see("%s: %d bytes in %d reads charged, %d blocks pooled", name, bytes, reads, dev.PoolBlocks())
+		dev.ResetStats()
+	}
+	see("sparse %v, refs %v, %d bytes encoded", s.sparse, s.BlockRefCounts(), s.EncodedSize(-1))
+	for c := 0; c < s.Schema().NumCols(); c++ {
+		for blk := 0; blk < s.NumBlocks(); blk++ {
+			z, ok := s.Zone(c, blk)
+			see("column %d block %d: zone %+v %v", c, blk, z, ok)
+		}
+		see("column %d: %d bytes encoded", c, s.EncodedSize(c))
+	}
+	want := scanAllRows(t, s)
+	step("cold scan")
+	scanAllRows(t, s)
+	step("warm scan")
+	dev.DropCaches()
+	step("DropCaches")
+	scanAllRows(t, s)
+	step("cold again")
+	clone := s.CloneShared()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	step("original closed")
+	if got := scanAllRows(t, clone); !reflect.DeepEqual(got, want) {
+		t.Fatalf("path %q: the clone reads %d rows that differ from the original's %d", path, len(got), len(want))
+	}
+	if bytes, _ := dev.Stats(); bytes != 0 || dev.PoolBlocks() == 0 {
+		t.Fatalf("path %q: the clone's scan charged %d bytes with %d blocks pooled; it shares the original's warm segments", path, bytes, dev.PoolBlocks())
+	}
+	step("clone scan")
+	if err := clone.Close(); err != nil {
+		t.Fatal(err)
+	}
+	step("clone closed")
+	return seen
+}
+
+// TestResidencyIsInvisible: a memory and a file image of the same rows show a
+// reader the same zones, sparse index, sizes, block references and — step by
+// step through an image's life — the same device counters and pool.
+func TestResidencyIsInvisible(t *testing.T) {
+	mem := observeLifecycle(t, "")
+	file := observeLifecycle(t, filepath.Join(t.TempDir(), "t.seg"))
+	if len(mem) != len(file) {
+		t.Fatalf("%d observations in memory, %d from the file", len(mem), len(file))
+	}
+	for i := range mem {
+		if mem[i] != file[i] {
+			t.Errorf("memory: %s\n  file: %s", mem[i], file[i])
+		}
+	}
+	if last := mem[len(mem)-1]; last != "clone closed: 0 bytes in 0 reads charged, 0 blocks pooled" {
+		t.Errorf("after the last Close: %s", last)
 	}
 }
 

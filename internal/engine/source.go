@@ -66,30 +66,39 @@ func NewSource(spec TableSpec, cols []int, loKey, hiKey types.Row) (pdt.BatchSou
 	return vdt.NewMergeScan(spec.VDT, src, srcCols, cols, loKey, hiKey, startRID)
 }
 
-// PartitionSpec is the read pipeline of a positional table image: it
-// resolves the sort-key range to stable-SID bounds once and returns a
-// PartScan whose Open is StackPDTs over the stable scanner and the image's
-// PDT, clamped to one morsel's [lo, hi) sub-range. Non-last morsels open
-// their PDT merge with includeEnd=false, so a delta entry sitting exactly on
-// a morsel boundary is owned by the morsel that starts there — the invariant
-// that makes concatenated morsel outputs equal the whole scan. A table whose
-// updates live in a VDT declines (returns nil): a value-based merge
-// interleaves by key, not position, and cannot be sliced by SID range.
+// PartitionSpec is the read pipeline of a positional table image:
+// PartitionLayers over its store and its one PDT. A table whose updates live
+// in a VDT declines (returns nil): a value-based merge interleaves by key, not
+// position, and cannot be sliced by SID range.
 func PartitionSpec(spec TableSpec, loKey, hiKey types.Row) *PartScan {
 	if spec.VDT != nil && !spec.VDT.Empty() {
 		return nil
 	}
-	s := spec.Store
+	return PartitionLayers(spec.Store, loKey, hiKey, spec.PDT)
+}
+
+// PartitionLayers is the read pipeline of a stable image under a stack of PDT
+// layers (bottom to top; nil and empty ones allowed): it resolves the sort-key
+// range to stable-SID bounds once and returns a PartScan whose Open is
+// StackPDTs over the stable scanner and the layers, clamped to one morsel's
+// [lo, hi) sub-range. Non-last morsels open their PDT merges with
+// includeEnd=false, so a delta entry sitting exactly on a morsel boundary is
+// owned by the morsel that starts there — the invariant that makes
+// concatenated morsel outputs equal the whole scan. The prune pass consults
+// the image's zone maps and index sidecar, treating every block the layers
+// touch as unskippable — the positional dirty-block gate that keeps index and
+// zone answers consistent with the layers while they are unfolded.
+func PartitionLayers(s *colstore.Store, loKey, hiKey types.Row, layers ...*pdt.PDT) *PartScan {
 	lo, hi := s.SIDRange(loKey, hiKey)
 	return &PartScan{Lo: lo, Hi: hi, Unit: s.BlockRows(),
-		Prune: PruneFunc(s, lo, hi, spec.PDT),
+		Prune: PruneFunc(s, lo, hi, layers...),
 		Open: func(cols []int, mlo, mhi uint64, last, ahead bool) (pdt.BatchSource, error) {
 			if ahead {
 				if err := s.Prefetch(cols, mlo, mhi); err != nil {
 					return nil, err
 				}
 			}
-			return StackPDTs(s.NewScanner(cols, mlo, mhi), cols, mlo, last, spec.PDT), nil
+			return StackPDTs(s.NewScanner(cols, mlo, mhi), cols, mlo, last, layers...), nil
 		}}
 }
 

@@ -94,7 +94,7 @@ func (r *reader) value() types.Value {
 
 func (r *reader) row() types.Row {
 	n := int(r.u32())
-	if r.err != nil || n > len(r.buf) {
+	if r.err != nil || n > len(r.buf)/5 {
 		r.err = io.ErrUnexpectedEOF
 		return nil
 	}
@@ -107,7 +107,7 @@ func (r *reader) row() types.Row {
 
 func (r *reader) schema() (*types.Schema, error) {
 	ncols := int(r.u32())
-	if r.err != nil || ncols > len(r.buf) {
+	if r.err != nil || ncols > len(r.buf)/5 {
 		return nil, io.ErrUnexpectedEOF
 	}
 	cols := make([]types.Column, ncols)
@@ -116,7 +116,7 @@ func (r *reader) schema() (*types.Schema, error) {
 		cols[i].Kind = types.Kind(r.u8())
 	}
 	nsort := int(r.u32())
-	if r.err != nil || nsort > len(r.buf) {
+	if r.err != nil || nsort > len(r.buf)/4 {
 		return nil, io.ErrUnexpectedEOF
 	}
 	sortKey := make([]int, nsort)

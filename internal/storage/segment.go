@@ -10,11 +10,16 @@
 // trailer at the end of the file. A partially written segment (crash before
 // Finish) has no trailer and is simply unreadable — recovery never trusts a
 // segment that the MANIFEST does not name.
+//
+// A segment created without a path has no file: its writer keeps the encoded
+// slices it is handed and ReadBlock returns them, under the same index, CRCs,
+// zones, placements and reference counts as a file's.
 package storage
 
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -48,13 +53,15 @@ type BlockPlace struct {
 	Blk uint32
 }
 
-// SegmentWriter streams encoded blocks into a new segment file. Blocks may
-// arrive in any column interleaving (the builder emits one row group at a
-// time); the footer index records where each landed.
+// SegmentWriter streams encoded blocks into a new segment: a file, or memory
+// when it was created without a path. Blocks may arrive in any column
+// interleaving (the builder emits one row group at a time); the footer index
+// records where each landed.
 type SegmentWriter struct {
-	f          *os.File
+	f          *os.File // nil for a memory segment
 	path       string
 	w          *bufio.Writer
+	mem        [][][]byte // memory segment: mem[col][blk] is the slice AppendBlock was given
 	off        int64
 	schema     *types.Schema
 	blockRows  int
@@ -67,38 +74,45 @@ type SegmentWriter struct {
 
 // CreateSegment starts writing a segment file at path (truncating any
 // previous file there — stray partial segments from a crashed checkpoint are
-// overwritten, never appended to).
+// overwritten, never appended to). An empty path starts a memory segment,
+// which cannot fail.
 func CreateSegment(path string, schema *types.Schema, blockRows int, compressed bool) (*SegmentWriter, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("storage: create segment: %w", err)
-	}
 	w := &SegmentWriter{
-		f:          f,
 		path:       path,
-		w:          bufio.NewWriterSize(f, 1<<20),
+		off:        int64(len(segMagic)),
 		schema:     schema,
 		blockRows:  blockRows,
 		compressed: compressed,
 		index:      make([][]BlockEntry, schema.NumCols()),
 		zones:      make([][]Zone, schema.NumCols()),
 	}
+	if path == "" {
+		w.mem = make([][][]byte, schema.NumCols())
+		return w, nil
+	}
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("storage: create segment: %w", err)
+	}
+	w.f, w.w = f, bufio.NewWriterSize(f, 1<<20)
 	if _, err := w.w.Write(segMagic[:]); err != nil {
 		f.Close()
 		return nil, err
 	}
-	w.off = int64(len(segMagic))
 	return w, nil
 }
 
 // AppendBlock writes one encoded column block and records it in the index
 // along with its zone-map statistics (pass a zero Zone — Kind ZoneNone — when
-// the caller has none; such blocks are never skipped).
+// the caller has none; such blocks are never skipped). A memory segment keeps
+// enc itself, so the caller must not write to it afterwards.
 func (w *SegmentWriter) AppendBlock(col int, enc []byte, z Zone) error {
 	if w.err != nil {
 		return w.err
 	}
-	if _, err := w.w.Write(enc); err != nil {
+	if w.f == nil {
+		w.mem[col] = append(w.mem[col], enc)
+	} else if _, err := w.w.Write(enc); err != nil {
 		w.err = fmt.Errorf("storage: write block: %w", err)
 		return w.err
 	}
@@ -123,34 +137,21 @@ func (w *SegmentWriter) SetPlacements(places [][]BlockPlace) {
 
 // Finish writes the footer and trailer, fsyncs the file and its directory,
 // and returns the finished segment opened for reading (the same descriptor;
-// pread works regardless of the write-mode open).
+// pread works regardless of the write-mode open). A memory segment has
+// nothing to write: its metadata goes straight to the reader.
 func (w *SegmentWriter) Finish(nrows uint64, sparse []types.Row) (*Segment, error) {
 	if w.err != nil {
 		return nil, w.err
 	}
-	footer := encodeFooter(w.schema, nrows, w.blockRows, w.compressed, w.index, sparse, w.places, w.zones)
-	footerOff := w.off
-	var trailer [trailerSize]byte
-	binary.LittleEndian.PutUint64(trailer[0:8], uint64(footerOff))
-	binary.LittleEndian.PutUint32(trailer[8:12], uint32(len(footer)))
-	binary.LittleEndian.PutUint32(trailer[12:16], crc32.ChecksumIEEE(footer))
-	copy(trailer[16:], segMagic[:])
-	if _, err := w.w.Write(footer); err != nil {
-		return nil, err
+	if w.f != nil {
+		if err := w.seal(nrows, sparse); err != nil {
+			return nil, err
+		}
 	}
-	if _, err := w.w.Write(trailer[:]); err != nil {
-		return nil, err
-	}
-	if err := w.w.Flush(); err != nil {
-		return nil, err
-	}
-	if err := w.f.Sync(); err != nil {
-		return nil, fmt.Errorf("storage: fsync segment: %w", err)
-	}
-	syncDir(filepath.Dir(w.path))
 	s := &Segment{
 		f:          w.f,
 		path:       w.path,
+		mem:        w.mem,
 		schema:     w.schema,
 		nrows:      nrows,
 		blockRows:  w.blockRows,
@@ -164,8 +165,35 @@ func (w *SegmentWriter) Finish(nrows uint64, sparse []types.Row) (*Segment, erro
 	return s, nil
 }
 
+// seal makes a segment file durable: footer, trailer, flush, fsync, directory
+// sync.
+func (w *SegmentWriter) seal(nrows uint64, sparse []types.Row) error {
+	footer := encodeFooter(w.schema, nrows, w.blockRows, w.compressed, w.index, sparse, w.places, w.zones)
+	footerOff := w.off
+	var trailer [trailerSize]byte
+	binary.LittleEndian.PutUint64(trailer[0:8], uint64(footerOff))
+	binary.LittleEndian.PutUint32(trailer[8:12], uint32(len(footer)))
+	binary.LittleEndian.PutUint32(trailer[12:16], crc32.ChecksumIEEE(footer))
+	copy(trailer[16:], segMagic[:])
+	if _, err := w.w.Write(footer); err != nil {
+		return err
+	}
+	if _, err := w.w.Write(trailer[:]); err != nil {
+		return err
+	}
+	if err := w.w.Flush(); err != nil {
+		return err
+	}
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("storage: fsync segment: %w", err)
+	}
+	syncDir(filepath.Dir(w.path))
+	return nil
+}
+
 // Abort closes and removes the partial file (the orderly error path; a crash
-// leaves the partial file behind, which Open-side GC removes).
+// leaves the partial file behind, which Open-side GC removes) and fails every
+// later append.
 func (w *SegmentWriter) Abort() {
 	if w.f != nil {
 		w.f.Close()
@@ -175,7 +203,8 @@ func (w *SegmentWriter) Abort() {
 	w.err = fmt.Errorf("storage: segment writer aborted")
 }
 
-// Segment is a finished, immutable segment file open for block reads.
+// Segment is a finished, immutable segment open for block reads, from its
+// file or, for a memory segment, from the slices its writer kept.
 //
 // Segments are shared between store generations by incremental checkpoints:
 // generation N+1's image can resolve unchanged blocks straight into
@@ -183,8 +212,9 @@ func (w *SegmentWriter) Abort() {
 // Release); the store that sees the count hit zero closes the descriptor and
 // evicts the segment's buffer-pool entries.
 type Segment struct {
-	f          *os.File
+	f          *os.File // nil for a memory segment
 	path       string
+	mem        [][][]byte
 	closed     atomic.Bool
 	refs       atomic.Int64
 	schema     *types.Schema
@@ -239,7 +269,7 @@ func readSegmentMeta(f *os.File, path string) (*Segment, error) {
 	if crc32.ChecksumIEEE(footer) != footerCRC {
 		return nil, fmt.Errorf("storage: %s: footer checksum mismatch", path)
 	}
-	s, err := decodeFooter(footer)
+	s, err := decodeFooter(footer, footerOff)
 	if err != nil {
 		return nil, fmt.Errorf("storage: %s: %w", path, err)
 	}
@@ -315,15 +345,21 @@ func (s *Segment) Retain() { s.refs.Add(1) }
 // buffer-pool entries.
 func (s *Segment) Release() bool { return s.refs.Add(-1) <= 0 }
 
-// Path returns the segment's file path.
+// Path returns the segment's file path, empty for a memory segment.
 func (s *Segment) Path() string { return s.path }
 
-// ReadBlock preads one encoded block and verifies its checksum.
+// ReadBlock reads one encoded block — a pread, or the slice a memory segment
+// kept — and verifies its checksum.
 func (s *Segment) ReadBlock(col, blk int) ([]byte, error) {
 	e := s.index[col][blk]
-	buf := make([]byte, e.Len)
-	if _, err := s.f.ReadAt(buf, e.Off); err != nil {
-		return nil, fmt.Errorf("storage: %s: read col %d blk %d: %w", s.path, col, blk, err)
+	var buf []byte
+	if s.f == nil {
+		buf = s.mem[col][blk]
+	} else {
+		buf = make([]byte, e.Len)
+		if _, err := s.f.ReadAt(buf, e.Off); err != nil {
+			return nil, fmt.Errorf("storage: %s: read col %d blk %d: %w", s.path, col, blk, err)
+		}
 	}
 	if crc32.ChecksumIEEE(buf) != e.CRC {
 		return nil, fmt.Errorf("storage: %s: col %d blk %d checksum mismatch", s.path, col, blk)
@@ -331,12 +367,13 @@ func (s *Segment) ReadBlock(col, blk int) ([]byte, error) {
 	return buf, nil
 }
 
-// Close closes the underlying file. Reads after Close fail. It is
-// idempotent — a retired image may be closed both by the version release
+// Close closes the underlying file. Reads of a file after Close fail; a
+// memory segment has no descriptor and only records that it was closed. It
+// is idempotent — a retired image may be closed both by the version release
 // that saw its last pinned reader finish and by DB.Close's sweep — and safe
 // for those two callers to race.
 func (s *Segment) Close() error {
-	if s.closed.Swap(true) {
+	if s.closed.Swap(true) || s.f == nil {
 		return nil
 	}
 	return s.f.Close()
@@ -425,11 +462,62 @@ func encodeFooter(schema *types.Schema, nrows uint64, blockRows int, compressed 
 	return buf
 }
 
-func decodeFooter(buf []byte) (*Segment, error) {
+// ErrCorruptFooter is what every footer that parses wrongly, or parses into a
+// geometry no reader could index safely, is reported as.
+var ErrCorruptFooter = errors.New("corrupt footer")
+
+// decodeFooter parses a checksummed footer and validates what the checksum
+// cannot: that the geometry it describes is one readers can index without
+// further checks. dataEnd is the footer's own offset, the end of the blocks.
+func decodeFooter(buf []byte, dataEnd int64) (*Segment, error) {
+	s, err := parseFooter(buf)
+	if err == nil {
+		err = s.checkGeometry(dataEnd)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorruptFooter, err)
+	}
+	return s, nil
+}
+
+// checkGeometry rejects a footer whose counts disagree: a zero block size,
+// columns (or block-map columns) of different lengths, a sparse index or row
+// count that does not match the logical block count, or a block entry outside
+// the data area [len(segMagic), dataEnd).
+func (s *Segment) checkGeometry(dataEnd int64) error {
+	if s.blockRows <= 0 {
+		return fmt.Errorf("block size %d", s.blockRows)
+	}
+	nb := s.NumBlocks()
+	if s.places != nil {
+		nb = len(s.places[0])
+		for c, col := range s.places {
+			if len(col) != nb {
+				return fmt.Errorf("block map column %d holds %d blocks, column 0 holds %d", c, len(col), nb)
+			}
+		}
+	}
+	for c, col := range s.index {
+		if s.places == nil && len(col) != nb {
+			return fmt.Errorf("column %d holds %d blocks, column 0 holds %d, and there is no block map", c, len(col), nb)
+		}
+		for b, e := range col {
+			if e.Off < int64(len(segMagic)) || e.Off > dataEnd-int64(e.Len) {
+				return fmt.Errorf("column %d block %d at [%d, +%d) lies outside the data area ending at %d", c, b, e.Off, e.Len, dataEnd)
+			}
+		}
+	}
+	if full, br := uint64(nb)*uint64(s.blockRows), uint64(s.blockRows); s.nrows > full || s.nrows+br <= full || len(s.sparse) != nb {
+		return fmt.Errorf("%d rows at %d per block do not fill %d blocks under %d sparse keys", s.nrows, s.blockRows, nb, len(s.sparse))
+	}
+	return nil
+}
+
+func parseFooter(buf []byte) (*Segment, error) {
 	r := &reader{buf: buf}
 	schema, err := r.schema()
 	if err != nil {
-		return nil, fmt.Errorf("corrupt footer: %w", err)
+		return nil, err
 	}
 	s := &Segment{schema: schema}
 	s.nrows = r.u64()
@@ -437,13 +525,13 @@ func decodeFooter(buf []byte) (*Segment, error) {
 	s.compressed = r.u8() != 0
 	ncols := int(r.u32())
 	if r.err != nil || ncols != schema.NumCols() {
-		return nil, fmt.Errorf("corrupt footer: index covers %d columns, schema has %d", ncols, schema.NumCols())
+		return nil, fmt.Errorf("index covers %d columns, schema has %d", ncols, schema.NumCols())
 	}
 	s.index = make([][]BlockEntry, ncols)
 	for c := range s.index {
 		nblk := int(r.u32())
-		if r.err != nil || nblk > len(r.buf) {
-			return nil, fmt.Errorf("corrupt footer: bad block count %d", nblk)
+		if r.err != nil || nblk > len(r.buf)/16 {
+			return nil, fmt.Errorf("bad block count %d", nblk)
 		}
 		col := make([]BlockEntry, nblk)
 		for b := range col {
@@ -452,25 +540,25 @@ func decodeFooter(buf []byte) (*Segment, error) {
 		s.index[c] = col
 	}
 	nsparse := int(r.u32())
-	if r.err != nil || nsparse > len(r.buf) {
-		return nil, fmt.Errorf("corrupt footer: bad sparse count %d", nsparse)
+	if r.err != nil || nsparse > len(r.buf)/4 {
+		return nil, fmt.Errorf("bad sparse count %d", nsparse)
 	}
 	s.sparse = make([]types.Row, nsparse)
 	for i := range s.sparse {
 		s.sparse[i] = r.row()
 	}
 	if r.err != nil {
-		return nil, fmt.Errorf("corrupt footer: %w", r.err)
+		return nil, r.err
 	}
 	if marker := r.u32(); r.err != nil || marker != sectionSentinel {
-		return nil, fmt.Errorf("corrupt footer: no section tail after the sparse index")
+		return nil, fmt.Errorf("no section tail after the sparse index")
 	}
 	nsec := int(r.u8())
 	for i := 0; i < nsec; i++ {
 		tag := r.u8()
 		plen := int(r.u32())
 		if r.err != nil || plen > len(r.buf) {
-			return nil, fmt.Errorf("corrupt footer: bad section length %d", plen)
+			return nil, fmt.Errorf("bad section length %d", plen)
 		}
 		sr := &reader{buf: r.take(plen)}
 		switch tag {
@@ -487,7 +575,7 @@ func decodeFooter(buf []byte) (*Segment, error) {
 		}
 	}
 	if r.err != nil {
-		return nil, fmt.Errorf("corrupt footer: %w", r.err)
+		return nil, r.err
 	}
 	return s, nil
 }
@@ -495,13 +583,13 @@ func decodeFooter(buf []byte) (*Segment, error) {
 func decodePlaces(r *reader, ncols int) ([][]BlockPlace, error) {
 	npcols := int(r.u32())
 	if r.err != nil || npcols != ncols {
-		return nil, fmt.Errorf("corrupt footer: block map covers %d columns, schema has %d", npcols, ncols)
+		return nil, fmt.Errorf("block map covers %d columns, schema has %d", npcols, ncols)
 	}
 	places := make([][]BlockPlace, npcols)
 	for c := range places {
 		nblk := int(r.u32())
-		if r.err != nil || nblk > len(r.buf) {
-			return nil, fmt.Errorf("corrupt footer: bad block map count %d", nblk)
+		if r.err != nil || nblk > len(r.buf)/8 {
+			return nil, fmt.Errorf("bad block map count %d", nblk)
 		}
 		col := make([]BlockPlace, nblk)
 		for b := range col {
@@ -510,7 +598,7 @@ func decodePlaces(r *reader, ncols int) ([][]BlockPlace, error) {
 		places[c] = col
 	}
 	if r.err != nil {
-		return nil, fmt.Errorf("corrupt footer: %w", r.err)
+		return nil, r.err
 	}
 	return places, nil
 }
@@ -518,13 +606,13 @@ func decodePlaces(r *reader, ncols int) ([][]BlockPlace, error) {
 func decodeZones(r *reader, ncols int) ([][]Zone, error) {
 	nzcols := int(r.u32())
 	if r.err != nil || nzcols != ncols {
-		return nil, fmt.Errorf("corrupt footer: zone map covers %d columns, schema has %d", nzcols, ncols)
+		return nil, fmt.Errorf("zone map covers %d columns, schema has %d", nzcols, ncols)
 	}
 	zones := make([][]Zone, nzcols)
 	for c := range zones {
 		nblk := int(r.u32())
-		if r.err != nil || nblk > len(r.buf) {
-			return nil, fmt.Errorf("corrupt footer: bad zone count %d", nblk)
+		if r.err != nil || nblk > len(r.buf)/5 {
+			return nil, fmt.Errorf("bad zone count %d", nblk)
 		}
 		col := make([]Zone, nblk)
 		for b := range col {
@@ -533,7 +621,7 @@ func decodeZones(r *reader, ncols int) ([][]Zone, error) {
 		zones[c] = col
 	}
 	if r.err != nil {
-		return nil, fmt.Errorf("corrupt footer: %w", r.err)
+		return nil, r.err
 	}
 	return zones, nil
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -14,7 +15,7 @@ import (
 	"pdtstore/internal/types"
 )
 
-func testSchema(t *testing.T) *types.Schema {
+func testSchema(t testing.TB) *types.Schema {
 	t.Helper()
 	return types.MustSchema([]types.Column{
 		{Name: "k", Kind: types.Int64},
@@ -23,7 +24,7 @@ func testSchema(t *testing.T) *types.Schema {
 	}, []int{0})
 }
 
-func buildSegment(t *testing.T, path string) (*Segment, [][]byte) {
+func buildSegment(t testing.TB, path string) (*Segment, [][]byte) {
 	t.Helper()
 	schema := testSchema(t)
 	w, err := CreateSegment(path, schema, 4, true)
@@ -247,6 +248,141 @@ func TestFooterRequiresSectionTail(t *testing.T) {
 			t.Errorf("%s: OpenSegment = %v, want a corrupt-footer error", name, err)
 		}
 	}
+}
+
+// assertIndexable restates, by doing it, what readers do to a parsed footer
+// without checking: divide by the block size, index every column (or the
+// block map) and the sparse index up to the logical block count, land the
+// last row in the last block, and size a read buffer from any entry.
+func assertIndexable(t *testing.T, s *Segment, dataEnd int64) {
+	t.Helper()
+	nb := s.NumBlocks()
+	if s.places != nil {
+		nb = len(s.places[0])
+	}
+	for c := range s.index {
+		for blk := 0; blk < nb; blk++ {
+			if s.places != nil {
+				_ = s.places[c][blk]
+			} else {
+				_ = s.index[c][blk]
+			}
+		}
+		for blk, e := range s.index[c] {
+			if e.Off < int64(len(segMagic)) || e.Off+int64(e.Len) > dataEnd {
+				t.Fatalf("column %d block %d at [%d, +%d) accepted in a data area ending at %d", c, blk, e.Off, e.Len, dataEnd)
+			}
+		}
+	}
+	if len(s.sparse) != nb {
+		t.Fatalf("%d sparse keys accepted for %d blocks", len(s.sparse), nb)
+	}
+	if s.nrows == 0 && nb == 0 {
+		return
+	}
+	if last := (s.nrows - 1) / uint64(s.blockRows); s.nrows == 0 || last != uint64(nb-1) {
+		t.Fatalf("%d rows at %d per block accepted for %d blocks", s.nrows, s.blockRows, nb)
+	}
+}
+
+// TestFooterGeometry: a footer whose checksum holds but whose counts disagree
+// — what a buggy or hostile writer can produce through CreateSegment itself —
+// is ErrCorruptFooter at OpenSegment, not a division by zero, an index out of
+// range or a 4 GiB read buffer in whichever reader trips over it first.
+func TestFooterGeometry(t *testing.T) {
+	sparse := []types.Row{{types.Int(1)}, {types.Int(5)}}
+	grow := func(col int) func(w *SegmentWriter) {
+		return func(w *SegmentWriter) { w.AppendBlock(col, []byte("one-more"), Zone{}) }
+	}
+	cases := []struct {
+		name      string
+		blockRows int
+		nrows     uint64
+		sparse    []types.Row
+		edit      func(w *SegmentWriter) // after two blocks of every column went in
+		ok        bool
+	}{
+		{"intact", 4, 7, sparse, nil, true},
+		{"intact, last block full", 4, 8, sparse, nil, true},
+		{"intact, block map over uneven columns", 4, 7, sparse, func(w *SegmentWriter) {
+			grow(1)(w)
+			w.SetPlacements([][]BlockPlace{{{0, 0}, {0, 1}}, {{0, 2}, {0, 1}}, {{0, 0}, {0, 1}}})
+		}, true},
+		{"zero block size", 0, 7, sparse, nil, false},
+		{"rows past the indexed blocks", 4, 100, sparse, nil, false},
+		{"rows short of the indexed blocks", 4, 4, sparse, nil, false},
+		{"sparse index shorter than the block count", 4, 7, sparse[:1], nil, false},
+		{"sparse index longer than the block count", 4, 7, append(sparse[:2:2], sparse[1]), nil, false},
+		{"uneven columns and no block map", 4, 7, sparse, grow(0), false},
+		{"uneven block map", 4, 7, sparse, func(w *SegmentWriter) {
+			w.SetPlacements([][]BlockPlace{{{0, 0}, {0, 1}}, {{0, 0}}, {{0, 0}, {0, 1}}})
+		}, false},
+		{"block before the data area", 4, 7, sparse, func(w *SegmentWriter) { w.index[1][0].Off = 0 }, false},
+		{"block past the data area", 4, 7, sparse, func(w *SegmentWriter) { w.index[2][1].Len = 1 << 31 }, false},
+		{"block at a negative offset", 4, 7, sparse, func(w *SegmentWriter) { w.index[0][1].Off = -9 }, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "g.seg")
+			w, err := CreateSegment(path, testSchema(t), tc.blockRows, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for blk := 0; blk < 2; blk++ {
+				for col := 0; col < 3; col++ {
+					if err := w.AppendBlock(col, []byte(fmt.Sprintf("col%d-blk%d", col, blk)), Zone{}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if tc.edit != nil {
+				tc.edit(w)
+			}
+			seg, err := w.Finish(tc.nrows, tc.sparse)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dataEnd := w.off
+			seg.Close()
+			seg, err = OpenSegment(path)
+			if !tc.ok {
+				if !errors.Is(err, ErrCorruptFooter) {
+					t.Fatalf("OpenSegment = %v, want ErrCorruptFooter", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer seg.Close()
+			assertIndexable(t, seg, dataEnd)
+		})
+	}
+}
+
+// FuzzDecodeFooter: any bytes behind a valid checksum parse into
+// ErrCorruptFooter or into a segment readers can index blindly; never a
+// panic. Seeded with the three shapes encodeFooter writes: zones only, block
+// map and zones, neither.
+func FuzzDecodeFooter(f *testing.F) {
+	seg, _ := buildSegment(f, filepath.Join(f.TempDir(), "seed.seg"))
+	seg.Close()
+	places := [][]BlockPlace{{{0, 0}, {1, 1}}, {{1, 0}, {1, 1}}, {{0, 5}, {1, 0}}}
+	zones := [][]Zone{{{Kind: ZoneString, MinS: "a", MaxS: "zz", MaxSTrunc: true}, {}}, {{Kind: ZoneFloat, MinF: -1, MaxF: 2}, {}}, {{}, {}}}
+	dataEnd := seg.index[2][1].Off + int64(seg.index[2][1].Len)
+	f.Add(encodeFooter(seg.schema, seg.nrows, seg.blockRows, seg.compressed, seg.index, seg.sparse, nil, seg.zones), dataEnd)
+	f.Add(encodeFooter(seg.schema, seg.nrows, seg.blockRows, seg.compressed, seg.index, seg.sparse, places, zones), dataEnd)
+	f.Add(encodeFooter(seg.schema, seg.nrows, seg.blockRows, seg.compressed, seg.index, seg.sparse, nil, nil), dataEnd)
+	f.Fuzz(func(t *testing.T, footer []byte, dataEnd int64) {
+		s, err := decodeFooter(footer, dataEnd)
+		if err != nil {
+			if !errors.Is(err, ErrCorruptFooter) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		assertIndexable(t, s, dataEnd)
+	})
 }
 
 func TestManifestRoundtrip(t *testing.T) {

@@ -57,8 +57,8 @@ func ShardCuts(store *colstore.Store, n int) ([]types.Row, error) {
 // SplitStore streams a stable image's rows into len(keys)+1 new images cut
 // at the given ascending full-sort-key boundaries: image i receives the rows
 // with key in [keys[i-1], keys[i]). mk supplies the destination builder for
-// each sub-image (a RAM builder for tests and benchmarks, a file builder for
-// the durable re-shard); builders for key ranges the image does not populate
+// each sub-image (a builder without a path for tests and benchmarks, a file
+// builder for the durable re-shard); builders for key ranges the image does not populate
 // still run, producing valid empty sub-images. On error every unfinished
 // builder is aborted.
 func SplitStore(store *colstore.Store, keys []types.Row, mk func(i int) (*colstore.Builder, error)) ([]*colstore.Store, error) {
@@ -131,8 +131,8 @@ func SplitStore(store *colstore.Store, keys []types.Row, mk func(i int) (*colsto
 	return stores, nil
 }
 
-// ShardSplit is the in-memory convenience: quantile cuts plus a RAM-builder
-// split, returning the sub-images and the n-1 cut keys. Benchmarks and
+// ShardSplit is the in-memory convenience: quantile cuts plus a split into
+// memory segments, returning the sub-images and the n-1 cut keys. Benchmarks and
 // differential tests use it to stand up a sharded copy of a loaded table.
 func ShardSplit(store *colstore.Store, n int, dev *colstore.Device, blockRows int, compressed bool) ([]*colstore.Store, []types.Row, error) {
 	keys, err := ShardCuts(store, n)

@@ -398,8 +398,9 @@ func (t *Table) Checkpoint() error {
 }
 
 // Materialize streams the merged image of a stable store and a stack of
-// consecutive PDT layers (bottom-to-top) into a brand-new RAM store on the
-// same device, using the table's block geometry. The inputs are only read,
+// consecutive PDT layers (bottom-to-top) into a brand-new store — one memory
+// segment, whatever the input's chain is made of — on the same device, using
+// the table's block geometry. The inputs are only read,
 // and the layers merge on the fly — no intermediate folded PDT is built. This
 // is the build step of the transaction manager's online checkpoint when no
 // durable build is supplied; it runs without any lock while commits keep

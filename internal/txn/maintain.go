@@ -131,11 +131,12 @@ func (m *Manager) installVersionLocked(v *version) {
 
 // releaseVersionLocked drops a version's claim on its stable image once it
 // is retired (no longer current) and unpinned (no running transaction).
-// When an image loses its last version its blocks leave the buffer pool and
-// — for a file-backed image — its descriptor is closed right here, so a
-// long-running store does not accumulate one open fd per superseded segment
-// until DB.Close. Readers that need the image to stay readable must pin it
-// through a transaction; direct table reads always track the newest version.
+// When an image loses its last version it is closed right here: it releases
+// its chain members, and each one no newer image shares leaves the buffer
+// pool and closes its descriptor if it has one, so a long-running store does
+// not accumulate one open fd per superseded segment until DB.Close. Readers
+// that need the image to stay readable must pin it through a transaction;
+// direct table reads always track the newest version.
 func (m *Manager) releaseVersionLocked(v *version) {
 	if v == m.cur || v.refs > 0 {
 		return
@@ -143,8 +144,8 @@ func (m *Manager) releaseVersionLocked(v *version) {
 	m.storeRefs[v.store]--
 	if m.storeRefs[v.store] == 0 {
 		delete(m.storeRefs, v.store)
-		// Evict-then-close: pool residents first so a stale hit cannot
-		// outlive the file, then the descriptor (no-op for RAM images).
+		// Store.Close evicts a member's pool entries before closing it, so a
+		// stale hit cannot outlive the file.
 		_ = v.store.Close()
 	}
 }

@@ -371,28 +371,14 @@ func (t *Txn) Scan(cols []int, loKey, hiKey types.Row) (pdt.BatchSource, error) 
 // mutates; so workers may cursor through all four layers concurrently while
 // commits, folds and checkpoints proceed elsewhere. Each PDT merge seeks its
 // cursor to the morsel's start SID (carrying the running shift in) and
-// chains its StartRID into the layer above (engine.StackPDTs).
+// chains its StartRID into the layer above (engine.StackPDTs); pruning gates
+// on the pinned layers, so zone and index answers stay snapshot-consistent
+// (engine.PartitionLayers).
 func (t *Txn) PartitionScan(loKey, hiKey types.Row) (*engine.PartScan, error) {
 	if t.done {
 		return nil, ErrTxnDone
 	}
-	store, layers := t.ver.store, t.layers()
-	lo, hi := store.SIDRange(loKey, hiKey)
-	return &engine.PartScan{Lo: lo, Hi: hi, Unit: store.BlockRows(),
-		// The prune pass consults the pinned image's zone maps and index
-		// sidecar, treating every block the pinned layers touch as
-		// unskippable — the positional dirty-block gate that keeps index and
-		// zone answers snapshot-consistent while deltas are unfolded.
-		Prune: engine.PruneFunc(store, lo, hi, layers...),
-		Open: func(cols []int, mlo, mhi uint64, last, ahead bool) (pdt.BatchSource, error) {
-			if ahead {
-				if err := store.Prefetch(cols, mlo, mhi); err != nil {
-					return nil, err
-				}
-			}
-			base := store.NewScanner(cols, mlo, mhi)
-			return engine.StackPDTs(base, cols, mlo, last, layers...), nil
-		}}, nil
+	return engine.PartitionLayers(t.ver.store, loKey, hiKey, t.layers()...), nil
 }
 
 // seek is the transaction's key probe: engine.Seek over the pinned image and
