@@ -540,24 +540,27 @@ func TestSharedSegmentRefcount(t *testing.T) {
 	checkState(t, db, m)
 }
 
-// fullCheckpointHashes are the SHA-256 of the segment files commit 1dd5c71
-// (the last one with a separate full-rewrite arm) wrote for
-// TestFullCheckpointSegmentHash's script, per shard count: every shard's
-// segment after the first whole rewrite, then after the second.
+// fullCheckpointHashes are the SHA-256 of the segment files
+// TestFullCheckpointSegmentHash's script writes, per shard count: every
+// shard's segment after the first whole rewrite, then after the second.
+// Commit 1dd5c71 (the last one with a separate full-rewrite arm) recorded
+// them first; they were re-recorded when ForInt and the packed dictionary
+// replaced delta-varint and varint-code dictionary blocks, a format change
+// that leaves the one builder's block order and footer as they were.
 var fullCheckpointHashes = map[int][]string{
 	1: {
-		"e282316e57d219214c2a7707f5477341e93091a5f7a0128151292d578d0b8b36",
-		"bc5b8fafd2e05a332eecb30f2443531a2f52c2c10ff6a855a6c92447543c4fbe",
+		"92fa83f0990488f54556199f5fab71e291ab0e9c509ab3158ae392580488f9ba",
+		"5e2ed5bdfaa2e048035c69cc2a30aee6884881a48877cf38c7949a28a8c65dc7",
 	},
 	4: {
-		"38b9df42ceb7fa4fd2f59de1593eab9f574c14dcd4b164b496052cbe3190e20f",
-		"0fe443d0906e7fcd3b876a17680e8ebc1c410e199119286ea7922ce6143b5320",
-		"aa8dff2e8b2f505e2c6304dad5d9c4a0f00ce445fad63687234e78b333692a1b",
-		"46aceb4b5bee495aca3360e6374f5449b18563600cf9d769e72b01fc9c949606",
-		"dfa39d49c48eaf2af7174c9308f88eebd6b6e5b2f57ef0fc393eabf2516a41e4",
-		"5928f0f424b98095166f2a4b5709d6a92ce6199466b9dddf843ff5f774f2a19c",
-		"924457d0e0305724995f35ae05ff1bd2e10c8cfb4e935c33f189e20639ceca75",
-		"c43eadeff16a27ab9cffedb36af7c4bd10322b7e1838352a44ef6db9c4400eeb",
+		"5c32b19e304070ae6bf49d9b8c640e6790a91ce6d840f68a48df257eb0d22736",
+		"ca144c76b64b4f03ef3b46521fc80f2f55a957a37ecba7d5f83a875d21f0e091",
+		"9640033d3be308ee689afc37a92f5d1f937e5f8cfed71e5d0b7a4d6fc216d5cd",
+		"b0130dc70e2c3042b28b7e925340fac1d900debac77ee8d6bb9fbe70edf45d2c",
+		"6d6ef62459f4c19b70a380262e45bbb7d7b4188964ae74200c1974838e41e3c5",
+		"bcc9e8a11c043743c60dcf4746e9adf33e6e5528962453ca64f1e1287270f385",
+		"fec8d8ae55b4645e61d011a403a1b46f5edd4ceb3c3477d56aabaf1aa3e0d457",
+		"01d31e0af6558ff56269ef041dbb0bcbc7c7dd9ffc206af8d6977693926298e5",
 	},
 }
 
@@ -611,7 +614,7 @@ func TestFullCheckpointSegmentHash(t *testing.T) {
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Errorf("segment %d: SHA-256 %s, commit 1dd5c71 wrote %s", i, got[i], want[i])
+					t.Errorf("segment %d: SHA-256 %s, recorded %s", i, got[i], want[i])
 				}
 			}
 		})

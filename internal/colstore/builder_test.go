@@ -17,9 +17,11 @@ import (
 )
 
 // hashSchema has one column per encoder arm the builder can take: a dense
-// sorted key (delta), a date-like column with long runs (RLE), a full-range
-// int (plain), a low-cardinality and an all-distinct string (both dictionary;
-// compressed=false makes them plain), a float and a bool.
+// sorted key (ForInt, width 0 on its line), a date-like column with long runs
+// (RLE), a full-range int (plain), a low-cardinality string (packed
+// dictionary) and an all-distinct one (plain: offsets and codes would cost
+// more than the bytes they save; compressed=false makes every column plain), a
+// float and a bool.
 func hashSchema() *types.Schema {
 	return types.MustSchema([]types.Column{
 		{Name: "k", Kind: types.Int64},
@@ -69,11 +71,14 @@ func hashBatches(n int) []*vector.Batch {
 	return out
 }
 
-// parentSegmentHashes are the SHA-256 of the segment files the commit before
-// the overlapped flush and the decide-then-write encoders built from
-// hashBatches(5000) at 512 rows per block, keyed by the compressed flag.
+// parentSegmentHashes are the SHA-256 of the segment files built from
+// hashBatches(5000) at 512 rows per block, keyed by the compressed flag. The
+// uncompressed file is the one the commit before the overlapped flush and the
+// decide-then-write encoders built. The compressed one was re-recorded when
+// ForInt and the packed dictionary replaced delta-varint and varint-code
+// dictionary blocks (a format change: the parent wrote d9c7b3e1…e299).
 var parentSegmentHashes = map[bool]string{
-	true:  "d9c7b3e1d63081b0c463a336a9a43d628d180e89794e514f70aaa49dc6d1e299",
+	true:  "43755648b41c3ef33986e795eab8950a5be7b29b84c53019eb28bfd7ea67c429",
 	false: "5c978edf539546af7636640e177dcd5cc6b86152aa5a0f104a0fe7267981d147",
 }
 
@@ -500,8 +505,8 @@ func TestOverlappedBuildMatchesRowBuild(t *testing.T) {
 			}
 		}
 	}
-	want := []compress.Scheme{compress.DeltaVarint, compress.RLEInt, compress.PlainInt,
-		compress.DictString, compress.DictString, compress.PlainFloat, compress.BitBool}
+	want := []compress.Scheme{compress.ForInt, compress.RLEInt, compress.PlainInt,
+		compress.PackedDict, compress.PlainString, compress.PlainFloat, compress.BitBool}
 	for c, w := range want {
 		enc, _ := ram.EncodedBlock(c, 0)
 		if got := compress.BlockScheme(enc); got != w {

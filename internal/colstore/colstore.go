@@ -955,10 +955,13 @@ func (s *Store) SIDRange(loKey, hiKey types.Row) (from, to uint64) {
 // LowerBound returns the SID of the first stable tuple whose sort key is >=
 // key (NRows when every key is smaller). key is the full sort key or a prefix
 // of it. The sparse index names the one block that can hold the boundary; of
-// that block only the sort-key columns are decoded, leading column first, and
+// that block only the sort-key columns are searched, leading column first, and
 // each later key column only over the rows still tied on the columns before
-// it. A full key equal to a block's first key resolves from the sparse index
-// alone, without touching any block.
+// it. Int key columns are searched in their encoded block
+// (compress.SearchInt64s: a binary search on plain and ForInt blocks, a run
+// walk on RLE), other kinds decode the tied rows. A full key equal to a
+// block's first key resolves from the sparse index alone, without touching
+// any block.
 func (s *Store) LowerBound(key types.Row) (uint64, error) {
 	key = key[:min(len(key), len(s.schema.SortKey))]
 	// b: first block whose first key is >= key; the boundary lies in b-1.
@@ -980,18 +983,30 @@ func (s *Store) LowerBound(key types.Row) (uint64, error) {
 	var v *vector.Vector
 	for i, want := range key {
 		col := s.schema.SortKey[i]
-		if kind := s.schema.Cols[col].Kind; v == nil || v.Kind != kind {
-			v = vector.New(kind, hi-lo)
+		var ge, gt int
+		switch kind := s.schema.Cols[col].Kind; kind {
+		case types.Int64, types.Date:
+			enc, err := s.encodedBlock(col, blk)
+			if err == nil {
+				ge, gt, err = compress.SearchInt64s(enc, lo, hi, want.I)
+			}
+			if err != nil {
+				return 0, fmt.Errorf("colstore: column %d block %d: %w", col, blk, err)
+			}
+		default:
+			if v == nil || v.Kind != kind {
+				v = vector.New(kind, hi-lo)
+			}
+			if err := s.decodeWindowInto(col, blk, lo, hi-lo, v); err != nil {
+				return 0, err
+			}
+			ge = lo + sort.Search(hi-lo, func(r int) bool { return types.Compare(v.Get(r), want) >= 0 })
+			gt = ge + sort.Search(hi-ge, func(r int) bool { return types.Compare(v.Get(ge-lo+r), want) > 0 })
 		}
-		if err := s.decodeWindowInto(col, blk, lo, hi-lo, v); err != nil {
-			return 0, err
-		}
-		ge := sort.Search(hi-lo, func(r int) bool { return types.Compare(v.Get(r), want) >= 0 })
-		gt := ge + sort.Search(hi-lo-ge, func(r int) bool { return types.Compare(v.Get(ge+r), want) > 0 })
 		if ge == gt {
-			return uint64(blk*s.blockRows + lo + ge), nil
+			return uint64(blk*s.blockRows + ge), nil
 		}
-		lo, hi = lo+ge, lo+gt
+		lo, hi = ge, gt
 	}
 	return uint64(blk*s.blockRows + lo), nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"pdtstore/internal/compress"
 	"pdtstore/internal/types"
 	"pdtstore/internal/vector"
 )
@@ -137,6 +138,32 @@ func TestLowerBoundTouchesOneBlock(t *testing.T) {
 		sid, err := s.LowerBound(types.Row{types.Int(c.key)})
 		if _, reads := s.Device().Stats(); err != nil || sid != c.sid || reads != c.reads {
 			t.Errorf("LowerBound(%d) = %d, %v with %d block reads; want %d with %d", c.key, sid, err, reads, c.sid, c.reads)
+		}
+	}
+}
+
+// TestLowerBoundAllocatesNothing: an int sort key is searched in its encoded
+// block — a binary search of a ForInt or plain block — so on a warm block a
+// descent allocates no byte, wherever in the block the key lands.
+func TestLowerBoundAllocatesNothing(t *testing.T) {
+	for _, c := range []struct {
+		compressed bool
+		scheme     compress.Scheme
+	}{{true, compress.ForInt}, {false, compress.PlainInt}} {
+		s := buildStore(t, 5000, 1024, c.compressed)
+		if enc, err := s.EncodedBlock(0, 1); err != nil || compress.BlockScheme(enc) != c.scheme {
+			t.Fatalf("compressed=%v: key block scheme %d, %v; want %d", c.compressed, compress.BlockScheme(enc), err, c.scheme)
+		}
+		keys := []types.Row{{types.Int(2 * 1030)}, {types.Int(2*2047 + 1)}, {types.Int(2 * 4999)}, {types.Int(2*3000 - 1)}}
+		descend := func() {
+			for _, k := range keys {
+				if sid, err := s.LowerBound(k); err != nil || sid != uint64((k[0].I+1)/2) {
+					t.Fatalf("LowerBound(%v) = %d, %v", k, sid, err)
+				}
+			}
+		}
+		if b := allocBytes(descend, 50); b != 0 {
+			t.Errorf("compressed=%v: %d warm descents allocate %d bytes", c.compressed, len(keys), b)
 		}
 	}
 }

@@ -1,10 +1,27 @@
 // Package compress implements the lightweight column-block codecs the stable
-// store uses: plain, delta+zigzag varint and run-length encoding for
-// integers, bit-packing for booleans, and plain/dictionary encodings for
-// strings. Encoders pick the smallest applicable scheme per block (column
+// store uses. Encoders pick the smallest applicable scheme per block (column
 // stores compress per block so scans can skip and decompress independently),
 // unless compression is disabled, in which case the plain scheme is forced —
 // that is the paper's "non-compressed" workstation configuration.
+//
+// Written schemes: PlainInt, ForInt and RLEInt for integers, PlainFloat for
+// floats, BitBool for booleans, PlainString and PackedDict for strings. ForInt
+// and PackedDict are bit-packed at one fixed width per block, so value i of
+// either is found without reading values 0..i-1 — the key probe binary-searches
+// a ForInt block in place (SearchInt64s) and decodes only the rows it reads.
+//
+// Read-only schemes: DeltaVarint and DictString (varint codes) are decoded but
+// no longer written, so segments written before ForInt and PackedDict existed
+// keep working.
+//
+// What a window of n values starting at value skip costs (Decode*From, and
+// SearchInt64s over [lo, hi)):
+//
+//   - PlainInt, ForInt, PlainFloat, BitBool, PlainString, PackedDict: O(n)
+//     (SearchInt64s: O(log(hi-lo)) on PlainInt and ForInt);
+//   - RLEInt: O(n) plus the runs before skip;
+//   - DeltaVarint: O(skip+n), every varint before the window is walked;
+//   - DictString: O(skip+n) plus a walk over the whole dictionary.
 package compress
 
 import (
@@ -14,7 +31,9 @@ import (
 	"hash/maphash"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // ErrCorrupt is wrapped by every decode error: the bytes are not a block this
@@ -33,8 +52,8 @@ type Scheme byte
 const (
 	// PlainInt stores each int64 little-endian in 8 bytes.
 	PlainInt Scheme = iota + 1
-	// DeltaVarint stores zigzag-encoded deltas as varints; dense sorted
-	// columns (keys!) compress extremely well.
+	// DeltaVarint stores zigzag-encoded deltas as varints. Read-only: blocks
+	// written before ForInt existed still decode.
 	DeltaVarint
 	// RLEInt stores (zigzag varint value, varint run length) pairs.
 	RLEInt
@@ -45,13 +64,26 @@ const (
 	// PlainString stores uint32 offsets followed by the concatenated bytes.
 	PlainString
 	// DictString stores a dictionary of the distinct strings, in order of
-	// first appearance, followed by one varint code per value.
+	// first appearance, followed by one varint code per value. Read-only:
+	// blocks written before PackedDict existed still decode.
 	DictString
+	// ForInt stores value i as base + line(i) + a residual bit-packed at one
+	// width for the whole block: a frame of reference, over a line through
+	// the block's first and last value when that packs narrower.
+	ForInt
+	// PackedDict stores the distinct strings, in order of first appearance,
+	// in PlainString layout (a uint32 count, end offsets, bytes), followed by
+	// one code per value bit-packed at bits.Len(count-1) bits.
+	PackedDict
 )
 
 // headerSize is the scheme byte plus the little-endian uint32 value count
 // every block starts with.
 const headerSize = 5
+
+// forHeaderSize is a ForInt body's prefix: the base and the 32.32 fixed-point
+// slope as little-endian int64s, then the residual width in bits.
+const forHeaderSize = 17
 
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
@@ -70,7 +102,7 @@ func newBlock(scheme Scheme, n, size int) []byte {
 func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
 
 // putUvarint writes u at buf[p:] and returns the offset after it; the
-// one-byte case (zero deltas, run lengths, small dictionary codes) is inline.
+// one-byte case (run lengths, small values) is inline.
 func putUvarint(buf []byte, p int, u uint64) int {
 	if u < 0x80 {
 		buf[p] = byte(u)
@@ -99,11 +131,10 @@ func window(count, skip, n int) (int, error) {
 	return skip + n, nil
 }
 
-// uvarint2 decodes a one- or two-byte varint at body[p:] — the widths sorted
-// keys, dates and dictionary codes almost always take — with a branch per
-// width the predictor learns, which is what makes walking the prefix of a
-// delta block to a probe's window cheap. sz == 0 sends the caller to
-// binary.Uvarint (longer varint, or too close to the buffer's end).
+// uvarint2 decodes a one- or two-byte varint at body[p:] — the widths delta
+// keys and dictionary codes almost always take — with a branch per width the
+// predictor learns. sz == 0 sends the caller to binary.Uvarint (longer
+// varint, or too close to the buffer's end).
 func uvarint2(body []byte, p int) (u uint64, sz int) {
 	if p+1 < len(body) {
 		b0, b1 := body[p], body[p+1]
@@ -117,28 +148,167 @@ func uvarint2(body []byte, p int) (u uint64, sz int) {
 	return 0, 0
 }
 
-// EncodeInt64s encodes vals, choosing the smallest of plain, delta-varint and
-// RLE when compress is true (plain unless delta is strictly smaller, RLE if
-// strictly smaller than that), plain otherwise. One pass over the run
-// structure sizes all three; only the winner is written.
+// packedLen is the byte length of n values bit-packed at w bits into
+// little-endian 64-bit words. It is computed in uint64 so a hostile count and
+// width cannot overflow it.
+func packedLen(n int, w uint) uint64 { return 8 * ((uint64(n)*uint64(w) + 63) >> 6) }
+
+// packer appends w-bit values to the little-endian 64-bit words at buf[p:].
+type packer struct {
+	buf []byte
+	p   int
+	acc uint64 // bits not yet written, low-aligned
+	n   uint   // how many of acc's bits are live (< 64)
+}
+
+// put appends the low w bits of u (w <= 64; u must not have higher bits set).
+func (pk *packer) put(u uint64, w uint) {
+	pk.acc |= u << pk.n
+	pk.n += w
+	if pk.n >= 64 {
+		binary.LittleEndian.PutUint64(pk.buf[pk.p:], pk.acc)
+		pk.p += 8
+		pk.n -= 64
+		pk.acc = u >> (w - pk.n) // the bits of u the full word had no room for
+	}
+}
+
+// flush writes the last, partly filled word.
+func (pk *packer) flush() {
+	if pk.n > 0 {
+		binary.LittleEndian.PutUint64(pk.buf[pk.p:], pk.acc)
+	}
+}
+
+// unpack is the one bit-unpack kernel both bit-packed schemes read through:
+// it stores values [from, from+len(dst)) of the w-bit values packed into
+// packed in dst, which the caller has checked holds packedLen(count, w) bytes
+// for a count that covers them. It streams: one 64-bit load per word, a shift
+// and a mask per value.
+func unpack[T int64 | uint64](dst []T, packed []byte, w uint, from int) {
+	if w == 0 {
+		clear(dst)
+		return
+	}
+	if len(dst) == 0 {
+		return
+	}
+	mask := uint64(1)<<w - 1
+	pos := uint(from) * w
+	k, sh := 8*(pos>>6), pos&63
+	word := binary.LittleEndian.Uint64(packed[k:])
+	for i := range dst {
+		if sh == 64 { // the last value ended the word; this one starts the next
+			k, sh = k+8, 0
+			word = binary.LittleEndian.Uint64(packed[k:])
+		}
+		u := word >> sh
+		if sh += w; sh > 64 { // straddles two words
+			k, sh = k+8, sh-64
+			word = binary.LittleEndian.Uint64(packed[k:])
+			u |= word << (w - sh)
+		}
+		dst[i] = T(u & mask)
+	}
+}
+
+// forBlock is a parsed ForInt block: value i is base + line(i) + residual i.
+type forBlock struct {
+	base, slope int64
+	w           uint
+	packed      []byte
+}
+
+// line is the fixed-point line's value at i. All ForInt arithmetic wraps, the
+// same way on both sides, so a round trip is exact whatever the values.
+func (f *forBlock) line(i int) int64 { return (f.slope * int64(i)) >> 32 }
+
+func (f *forBlock) at(i int) int64 {
+	var r [1]int64
+	unpack(r[:], f.packed, f.w, i)
+	return f.base + f.line(i) + r[0]
+}
+
+// decode stores values [from, from+len(dst)) in dst.
+func (f *forBlock) decode(dst []int64, from int) {
+	unpack(dst, f.packed, f.w, from)
+	if f.slope == 0 {
+		for i := range dst {
+			dst[i] += f.base
+		}
+		return
+	}
+	for i := range dst {
+		dst[i] += f.base + f.line(from+i)
+	}
+}
+
+// parseFor reads a ForInt body holding count values.
+func parseFor(body []byte, count int) (forBlock, error) {
+	if len(body) < forHeaderSize {
+		return forBlock{}, corrupt("ForInt header truncated")
+	}
+	f := forBlock{
+		base:   int64(binary.LittleEndian.Uint64(body)),
+		slope:  int64(binary.LittleEndian.Uint64(body[8:])),
+		w:      uint(body[16]),
+		packed: body[forHeaderSize:],
+	}
+	if f.w > 64 || packedLen(count, f.w) > uint64(len(f.packed)) {
+		return forBlock{}, corrupt("ForInt residuals truncated (width %d)", f.w)
+	}
+	return f, nil
+}
+
+// widthOf is the bit width of the residuals of values spanning [lo, hi].
+func widthOf(lo, hi int64) uint { return uint(bits.Len64(uint64(hi - lo))) }
+
+// fitFor chooses a non-empty block's frame of reference: the line through its
+// first and last value when the residuals from it pack strictly narrower than
+// from the plain minimum, the plain minimum (slope 0) otherwise. The line is
+// tried when the block spans less than 2^31 end to end, so neither the slope
+// nor slope·i overflows.
+func fitFor(vals []int64) forBlock {
+	n := len(vals)
+	f := forBlock{}
+	if d := vals[n-1] - vals[0]; n > 1 && (d >= 0) == (vals[n-1] >= vals[0]) && d > -1<<31 && d < 1<<31 {
+		f.slope = (d << 32) / int64(n-1)
+	}
+	lo, hi, dlo, dhi := vals[0], vals[0], vals[0], vals[0]
+	for i, v := range vals {
+		lo, hi = min(lo, v), max(hi, v)
+		d := v - f.line(i)
+		dlo, dhi = min(dlo, d), max(dhi, d)
+	}
+	if w := widthOf(dlo, dhi); f.slope != 0 && w < widthOf(lo, hi) {
+		f.base, f.w = dlo, w
+		return f
+	}
+	return forBlock{base: lo, w: widthOf(lo, hi)}
+}
+
+// EncodeInt64s encodes vals, choosing the smallest of plain, ForInt and RLE
+// when compress is true (plain unless ForInt is strictly smaller, RLE if
+// strictly smaller than that), plain otherwise. One pass fits the frame of
+// reference, a second sizes RLE up to the best size so far; only the winner
+// is written.
 func EncodeInt64s(vals []int64, compress bool) []byte {
-	plain := headerSize + 8*len(vals)
-	scheme, size := PlainInt, plain
-	if compress {
-		delta, rle := headerSize, headerSize
-		prev := int64(0)
-		// Sizes only grow, so once both are past plain the block is plain.
-		for i := 0; i < len(vals) && (delta < plain || rle < plain); {
+	scheme, size := PlainInt, headerSize+8*len(vals)
+	var f forBlock
+	if compress && len(vals) > 0 {
+		f = fitFor(vals)
+		if s := headerSize + forHeaderSize + int(packedLen(len(vals), f.w)); s < size {
+			scheme, size = ForInt, s
+		}
+		rle := headerSize
+		// Sizes only grow, so RLE is out once it reaches the best so far.
+		for i := 0; i < len(vals) && rle < size; {
 			v, j := vals[i], i+1
 			for j < len(vals) && vals[j] == v {
 				j++
 			}
-			delta += uvarintLen(zigzag(v-prev)) + (j - i - 1) // a repeat is a zero delta
 			rle += uvarintLen(zigzag(v)) + uvarintLen(uint64(j-i))
-			prev, i = v, j
-		}
-		if delta < size {
-			scheme, size = DeltaVarint, delta
+			i = j
 		}
 		if rle < size {
 			scheme, size = RLEInt, rle
@@ -152,11 +322,16 @@ func EncodeInt64s(vals []int64, compress bool) []byte {
 			binary.LittleEndian.PutUint64(buf[p:], uint64(v))
 			p += 8
 		}
-	case DeltaVarint:
-		prev := int64(0)
-		for _, v := range vals {
-			p = putUvarint(buf, p, zigzag(v-prev))
-			prev = v
+	case ForInt:
+		binary.LittleEndian.PutUint64(buf[p:], uint64(f.base))
+		binary.LittleEndian.PutUint64(buf[p+8:], uint64(f.slope))
+		buf[p+16] = byte(f.w)
+		if f.w > 0 {
+			pk := packer{buf: buf, p: p + forHeaderSize}
+			for i, v := range vals {
+				pk.put(uint64(v-f.line(i)-f.base), f.w)
+			}
+			pk.flush()
 		}
 	case RLEInt:
 		for i := 0; i < len(vals); {
@@ -179,10 +354,10 @@ func DecodeInt64s(buf []byte, out []int64) ([]int64, error) {
 
 // DecodeInt64sFrom decodes the n values of a block starting at value index
 // skip, appending to out; n < 0 decodes through the block's end. Point probes
-// use it to materialize only the window they will read: plain blocks jump
-// straight to the offset, varint blocks walk the prefix without appending it
-// and stop at the window's end, and RLE blocks skip whole runs
-// arithmetically. A window reaching past the block's value count is an error.
+// use it to materialize only the window they will read: plain and ForInt
+// blocks jump straight to the offset, RLE blocks skip whole runs
+// arithmetically, and legacy delta blocks walk the prefix without appending
+// it. A window reaching past the block's value count is an error.
 func DecodeInt64sFrom(buf []byte, skip, n int, out []int64) ([]int64, error) {
 	scheme, count, body, err := readHeader(buf)
 	if err != nil {
@@ -201,14 +376,34 @@ func DecodeInt64sFrom(buf []byte, skip, n int, out []int64) ([]int64, error) {
 			out = append(out, int64(binary.LittleEndian.Uint64(body[8*i:])))
 		}
 		return out, nil
+	case ForInt:
+		f, err := parseFor(body, count)
+		if err != nil {
+			return nil, err
+		}
+		n0 := len(out)
+		out = slices.Grow(out, end-skip)[:n0+end-skip]
+		f.decode(out[n0:], skip)
+		return out, nil
+	case RLEInt:
+		for got := 0; got < end; {
+			v, run, rest, err := rleRun(body, count-got)
+			if err != nil {
+				return nil, err
+			}
+			body = rest
+			for k := max(got, skip); k < min(got+run, end); k++ {
+				out = append(out, v)
+			}
+			got += run
+		}
+		return out, nil
 	case DeltaVarint:
 		prev, p := int64(0), 0
 		for i := 0; i < end; i++ {
-			u, sz := uvarint2(body, p)
-			if sz == 0 {
-				if u, sz = binary.Uvarint(body[p:]); sz <= 0 {
-					return nil, corrupt("bad varint in delta block")
-				}
+			u, sz := deltaVarint(body, p)
+			if sz <= 0 {
+				return nil, corrupt("bad varint in delta block")
 			}
 			p += sz
 			prev += unzigzag(u)
@@ -217,30 +412,118 @@ func DecodeInt64sFrom(buf []byte, skip, n int, out []int64) ([]int64, error) {
 			}
 		}
 		return out, nil
-	case RLEInt:
-		for got := 0; got < end; {
-			u, sz := binary.Uvarint(body)
-			if sz <= 0 {
-				return nil, corrupt("bad RLE value varint")
-			}
-			body = body[sz:]
-			run, sz := binary.Uvarint(body)
-			if sz <= 0 {
-				return nil, corrupt("bad RLE run varint")
-			}
-			body = body[sz:]
-			if run == 0 || run > uint64(count-got) {
-				return nil, corrupt("RLE run overflows block")
-			}
-			v := unzigzag(u)
-			for k := max(got, skip); k < min(got+int(run), end); k++ {
-				out = append(out, v)
-			}
-			got += int(run)
-		}
-		return out, nil
 	}
 	return nil, corrupt("scheme %d is not an int encoding", scheme)
+}
+
+// rleRun reads the (value, run length) pair at the front of an RLE body whose
+// block has left values still to produce, returning the rest of the body.
+func rleRun(body []byte, left int) (v int64, run int, rest []byte, err error) {
+	u, sz := binary.Uvarint(body)
+	if sz <= 0 {
+		return 0, 0, nil, corrupt("bad RLE value varint")
+	}
+	body = body[sz:]
+	r, sz := binary.Uvarint(body)
+	if sz <= 0 {
+		return 0, 0, nil, corrupt("bad RLE run varint")
+	}
+	if r == 0 || r > uint64(left) {
+		return 0, 0, nil, corrupt("RLE run overflows block")
+	}
+	return unzigzag(u), int(r), body[sz:], nil
+}
+
+// deltaVarint reads the varint at body[p:] of a legacy delta block; sz <= 0
+// means it is malformed.
+func deltaVarint(body []byte, p int) (u uint64, sz int) {
+	if u, sz = uvarint2(body, p); sz == 0 {
+		u, sz = binary.Uvarint(body[p:])
+	}
+	return u, sz
+}
+
+// SearchInt64s finds want among values [lo, hi) of an int block the caller
+// knows to be sorted there, without materializing them: ge is the index of
+// the first value >= want and gt of the first value > want, each hi when there
+// is none. PlainInt and ForInt blocks binary-search in place, RLE blocks walk
+// their runs, and a legacy delta block walks its varints up to the answer.
+func SearchInt64s(buf []byte, lo, hi int, want int64) (ge, gt int, err error) {
+	scheme, count, body, err := readHeader(buf)
+	if err != nil {
+		return 0, 0, err
+	}
+	if hi < lo {
+		return 0, 0, corrupt("values [%d, %d) requested", lo, hi)
+	}
+	if _, err := window(count, lo, hi-lo); err != nil {
+		return 0, 0, err
+	}
+	switch scheme {
+	case PlainInt:
+		if len(body)/8 < count {
+			return 0, 0, corrupt("plain int block truncated")
+		}
+		ge, gt = searchSorted(lo, hi, want, func(i int) int64 { return int64(binary.LittleEndian.Uint64(body[8*i:])) })
+		return ge, gt, nil
+	case ForInt:
+		f, err := parseFor(body, count)
+		if err != nil {
+			return 0, 0, err
+		}
+		ge, gt = searchSorted(lo, hi, want, f.at)
+		return ge, gt, nil
+	case RLEInt:
+		ge = -1
+		for got := 0; got < hi; {
+			v, run, rest, err := rleRun(body, count-got)
+			if err != nil {
+				return 0, 0, err
+			}
+			body = rest
+			if got+run > lo {
+				if v >= want && ge < 0 {
+					ge = max(got, lo)
+				}
+				if v > want {
+					return ge, max(got, lo), nil
+				}
+			}
+			got += run
+		}
+	case DeltaVarint:
+		ge = -1
+		prev, p := int64(0), 0
+		for i := 0; i < hi; i++ {
+			u, sz := deltaVarint(body, p)
+			if sz <= 0 {
+				return 0, 0, corrupt("bad varint in delta block")
+			}
+			p += sz
+			if prev += unzigzag(u); i < lo {
+				continue
+			}
+			if prev >= want && ge < 0 {
+				ge = i
+			}
+			if prev > want {
+				return ge, i, nil
+			}
+		}
+	default:
+		return 0, 0, corrupt("scheme %d is not an int encoding", scheme)
+	}
+	if ge < 0 {
+		ge = hi
+	}
+	return ge, hi, nil
+}
+
+// searchSorted binary-searches [lo, hi) of a sorted random-access sequence.
+func searchSorted(lo, hi int, want int64, at func(int) int64) (ge, gt int) {
+	ge = lo + sort.Search(hi-lo, func(r int) bool { return at(lo+r) >= want })
+	gt = ge + sort.Search(hi-ge, func(r int) bool { return at(ge+r) > want })
+	return ge, gt
 }
 
 // EncodeFloat64s encodes vals; floats are stored plain (the paper's
@@ -327,7 +610,15 @@ func DecodeBoolsFrom(buf []byte, skip, n int, out []int64) ([]int64, error) {
 // first-appearance order, so the seed never shows in the output.
 var dictSeed = maphash.MakeSeed()
 
-// EncodeStrings encodes vals, choosing dictionary encoding when it is
+// codeWidth is the bit width of a PackedDict block's codes for ndict entries.
+func codeWidth(ndict int) uint {
+	if ndict <= 1 {
+		return 0
+	}
+	return uint(bits.Len(uint(ndict - 1)))
+}
+
+// EncodeStrings encodes vals, choosing the packed dictionary when it is
 // strictly smaller than plain (and compress is true). The dictionary pass
 // assigns every value its code and sums the exact dictionary block size
 // without building the block; only the winner is written.
@@ -344,7 +635,7 @@ func EncodeStrings(vals []string, compress bool) []byte {
 		mask := 1<<bits.Len(uint(max(2*n-1, 0))) - 1
 		scratch := make([]uint32, n+mask+1)
 		codes, slots := scratch[:n], scratch[n:]
-		ndict, dict := 0, headerSize
+		ndict, dictBytes := 0, 0
 		for i, s := range vals {
 			h := int(maphash.String(dictSeed, s)) & mask
 			for slots[h] != 0 && vals[slots[h]-1] != s {
@@ -354,26 +645,30 @@ func EncodeStrings(vals []string, compress bool) []byte {
 				slots[h] = uint32(i + 1)
 				codes[i] = uint32(ndict)
 				ndict++
-				dict += uvarintLen(uint64(len(s))) + len(s)
+				dictBytes += len(s)
 			} else {
 				codes[i] = codes[slots[h]-1]
 			}
-			dict += uvarintLen(uint64(codes[i]))
 		}
-		dict += uvarintLen(uint64(ndict))
-		if dict < plain {
-			buf := newBlock(DictString, n, dict)
-			p := putUvarint(buf, headerSize, uint64(ndict))
+		w := codeWidth(ndict)
+		if size := headerSize + 4 + 4*ndict + dictBytes + int(packedLen(n, w)); size < plain {
+			buf := newBlock(PackedDict, n, size)
+			binary.LittleEndian.PutUint32(buf[headerSize:], uint32(ndict))
+			offs, p := headerSize+4, headerSize+4+4*ndict
 			next := uint32(0)
 			for i, s := range vals {
 				if codes[i] == next { // first appearance: the next dictionary entry
-					p = putUvarint(buf, p, uint64(len(s)))
 					p += copy(buf[p:], s)
+					binary.LittleEndian.PutUint32(buf[offs+4*int(next):], uint32(p-offs-4*ndict))
 					next++
 				}
 			}
-			for _, c := range codes {
-				p = putUvarint(buf, p, uint64(c))
+			if w > 0 {
+				pk := packer{buf: buf, p: p}
+				for _, c := range codes {
+					pk.put(uint64(c), w)
+				}
+				pk.flush()
 			}
 			return buf
 		}
@@ -394,12 +689,13 @@ func DecodeStrings(buf []byte, out []string) ([]string, error) {
 }
 
 // DecodeStringsFrom decodes the n values starting at value index skip (see
-// DecodeInt64sFrom). Plain blocks random-access the offset array; dictionary
-// blocks still parse the dictionary but walk the codes before the window
-// without materializing their strings, and stop at the window's end. The
-// values of one call share one allocation: a plain window's bytes, or a
-// dictionary's, are copied out of buf once and every value is a slice of
-// that copy — so a retained value keeps the whole copy alive.
+// DecodeInt64sFrom). Plain blocks random-access the offset array, packed
+// dictionary blocks their codes and the dictionary's offsets; legacy
+// dictionary blocks still parse the dictionary and walk the codes before the
+// window. The values of one call share one allocation: a plain window's
+// bytes, a dictionary's, or — for a window shorter than its dictionary — the
+// window's own values are copied out of buf once and every value is a slice
+// of that copy, so a retained value keeps the whole copy alive.
 func DecodeStringsFrom(buf []byte, skip, n int, out []string) ([]string, error) {
 	scheme, count, body, err := readHeader(buf)
 	if err != nil {
@@ -437,6 +733,12 @@ func DecodeStringsFrom(buf []byte, skip, n int, out []string) ([]string, error) 
 			prev = off
 		}
 		return out, nil
+	case PackedDict:
+		d, err := parseDict(body, count)
+		if err != nil {
+			return nil, err
+		}
+		return d.decode(skip, end, out)
 	case DictString:
 		dictLen, body, err := dictHeader(body)
 		if err != nil {
@@ -486,11 +788,136 @@ func DecodeStringsFrom(buf []byte, skip, n int, out []string) ([]string, error) 
 	return nil, corrupt("scheme %d is not a string encoding", scheme)
 }
 
-// decodeDictWindow decodes codes [skip, end) of a dictionary block whose
-// window is shorter than its dictionary (a probe reading a handful of rows of
-// a block whose dictionary may hold thousands of entries), keeping no
-// per-entry state: it steps over the dictionary to reach the codes, reads the
-// window's, then revisits the dictionary once for just the entries they name.
+// dictBlock is a parsed PackedDict block.
+type dictBlock struct {
+	ndict int
+	offs  []byte // ndict little-endian uint32 end offsets into data
+	data  []byte
+	w     uint
+	codes []byte // count codes, bit-packed at w bits
+}
+
+// parseDict reads a PackedDict body holding count values. Its entries are
+// checked as they are read (entry).
+func parseDict(body []byte, count int) (dictBlock, error) {
+	if len(body) < 4 {
+		return dictBlock{}, corrupt("dict header truncated")
+	}
+	nd := uint64(binary.LittleEndian.Uint32(body))
+	body = body[4:]
+	if nd > uint64(len(body)/4) || (nd == 0 && count > 0) {
+		return dictBlock{}, corrupt("bad dict length")
+	}
+	d := dictBlock{ndict: int(nd), offs: body[:4*nd], w: codeWidth(int(nd))}
+	body = body[4*nd:]
+	size := uint64(0)
+	if nd > 0 {
+		size = uint64(binary.LittleEndian.Uint32(d.offs[4*nd-4:]))
+	}
+	if size > uint64(len(body)) || packedLen(count, d.w) > uint64(len(body))-size {
+		return dictBlock{}, corrupt("dict block truncated")
+	}
+	d.data, d.codes = body[:size], body[size:]
+	return d, nil
+}
+
+// codeChunk is how many codes a dictionary decode unpacks at a time, into a
+// buffer on the stack.
+const codeChunk = 256
+
+// decode appends values [skip, end). A window shorter than the dictionary and
+// than one chunk — a probe's — copies only its own values, into one arena.
+// Any other copies the dictionary's bytes once; when the window is at least as
+// long as the dictionary, it also slices every entry once and shares it across
+// its codes.
+func (d *dictBlock) decode(skip, end int, out []string) ([]string, error) {
+	n := end - skip
+	var codes [codeChunk]uint64
+	if n < d.ndict && n <= codeChunk {
+		window := codes[:n]
+		unpack(window, d.codes, d.w, skip)
+		total := 0
+		for _, c := range window {
+			lo, hi, err := d.entry(c)
+			if err != nil {
+				return nil, err
+			}
+			total += int(hi - lo)
+		}
+		var sb strings.Builder
+		sb.Grow(total)
+		for _, c := range window {
+			lo, hi, _ := d.entry(c)
+			sb.Write(d.data[lo:hi])
+		}
+		arena, p := sb.String(), 0
+		for _, c := range window {
+			lo, hi, _ := d.entry(c)
+			out = append(out, arena[p:p+int(hi-lo)])
+			p += int(hi - lo)
+		}
+		return out, nil
+	}
+	arena := string(d.data)
+	// dict stays nil where slicing every entry would cost more than the
+	// window, or some entry is malformed: those windows check each value's
+	// entry as they read it, so an entry no code names is never an error.
+	var small [64]string
+	var dict []string
+	if n >= d.ndict {
+		dict = small[:0]
+		if d.ndict > len(small) {
+			dict = make([]string, 0, d.ndict)
+		}
+		for c := 0; c < d.ndict; c++ {
+			lo, hi, err := d.entry(uint64(c))
+			if err != nil {
+				dict = nil
+				break
+			}
+			dict = append(dict, arena[lo:hi])
+		}
+	}
+	n0 := len(out)
+	out = slices.Grow(out, n)[:n0+n]
+	dst := out[n0:]
+	for i := 0; i < n; i += codeChunk {
+		chunk := codes[:min(codeChunk, n-i)]
+		unpack(chunk, d.codes, d.w, skip+i)
+		for j, c := range chunk {
+			if c < uint64(len(dict)) {
+				dst[i+j] = dict[c]
+				continue
+			}
+			lo, hi, err := d.entry(c)
+			if err != nil {
+				return nil, err
+			}
+			dst[i+j] = arena[lo:hi]
+		}
+	}
+	return out, nil
+}
+
+// entry returns the bounds of dictionary entry c in d.data.
+func (d *dictBlock) entry(c uint64) (lo, hi uint32, err error) {
+	if c >= uint64(d.ndict) {
+		return 0, 0, corrupt("bad dict code")
+	}
+	hi = binary.LittleEndian.Uint32(d.offs[4*c:])
+	if c > 0 {
+		lo = binary.LittleEndian.Uint32(d.offs[4*c-4:])
+	}
+	if lo > hi || uint64(hi) > uint64(len(d.data)) {
+		return 0, 0, corrupt("bad dict entry")
+	}
+	return lo, hi, nil
+}
+
+// decodeDictWindow decodes codes [skip, end) of a legacy dictionary block
+// whose window is shorter than its dictionary, keeping no per-entry state: it
+// steps over the dictionary to reach the codes, reads the window's, then
+// revisits the dictionary once for just the entries they name.
 func decodeDictWindow(body []byte, dictLen, skip, end int, out []string) ([]string, error) {
 	p, err := 0, error(nil)
 	for i := 0; i < dictLen; i++ {
@@ -543,8 +970,8 @@ func decodeDictWindow(body []byte, dictLen, skip, end int, out []string) ([]stri
 	return out, nil
 }
 
-// dictHeader reads a dictionary block's entry count, bounded by the bytes
-// left (every entry takes at least its length byte).
+// dictHeader reads a legacy dictionary block's entry count, bounded by the
+// bytes left (every entry takes at least its length byte).
 func dictHeader(body []byte) (int, []byte, error) {
 	dictLen, sz := binary.Uvarint(body)
 	if sz <= 0 || dictLen > uint64(len(body)-sz) {
@@ -553,8 +980,8 @@ func dictHeader(body []byte) (int, []byte, error) {
 	return int(dictLen), body[sz:], nil
 }
 
-// dictEntry reads the length-prefixed dictionary entry at body[p:], returning
-// its bytes (aliasing body) and the offset of whatever follows it.
+// dictEntry reads the length-prefixed legacy dictionary entry at body[p:],
+// returning its bytes (aliasing body) and the offset of whatever follows it.
 func dictEntry(body []byte, p int) (entry []byte, next int, err error) {
 	l, sz := uvarint2(body, p)
 	if sz == 0 {
@@ -567,64 +994,84 @@ func dictEntry(body []byte, p int) (entry []byte, next int, err error) {
 	return body[p+sz : next], next, nil
 }
 
-// DictValues returns the dictionary of a DictString block — its exact
-// distinct value set, in first-appearance order — without decoding the code
-// stream. ok is false for any other scheme. Index builds and encoded-block
-// filters use it to see every value a block can produce at dictionary cost
-// instead of row count cost.
+// DictValues returns the dictionary of a PackedDict or DictString block — its
+// exact distinct value set, in first-appearance order — without decoding the
+// code stream. ok is false for any other scheme. Index builds and
+// encoded-block filters use it to see every value a block can produce at
+// dictionary cost instead of row count cost. A packed dictionary's values
+// share one copy of its bytes: a summary keeps every entry or none.
 func DictValues(buf []byte) (vals []string, ok bool, err error) {
-	scheme, _, body, err := readHeader(buf)
+	scheme, count, body, err := readHeader(buf)
 	if err != nil {
 		return nil, false, err
 	}
-	if scheme != DictString {
-		return nil, false, nil
-	}
-	dictLen, body, err := dictHeader(body)
-	if err != nil {
-		return nil, false, err
-	}
-	vals = make([]string, dictLen)
-	for i, p := 0, 0; i < dictLen; i++ {
-		var entry []byte
-		if entry, p, err = dictEntry(body, p); err != nil {
+	switch scheme {
+	case PackedDict:
+		d, err := parseDict(body, count)
+		if err != nil {
 			return nil, false, err
 		}
-		vals[i] = string(entry)
+		arena := string(d.data)
+		vals = make([]string, d.ndict)
+		for c := range vals {
+			lo, hi, err := d.entry(uint64(c))
+			if err != nil {
+				return nil, false, err
+			}
+			vals[c] = arena[lo:hi]
+		}
+		return vals, true, nil
+	case DictString:
+		dictLen, body, err := dictHeader(body)
+		if err != nil {
+			return nil, false, err
+		}
+		vals = make([]string, dictLen)
+		for i, p := 0, 0; i < dictLen; i++ {
+			var entry []byte
+			if entry, p, err = dictEntry(body, p); err != nil {
+				return nil, false, err
+			}
+			vals[i] = string(entry)
+		}
+		return vals, true, nil
 	}
-	return vals, true, nil
+	return nil, false, nil
 }
 
-// RLEValues returns the run values of an RLEInt block — a superset-free list
-// of every value the block holds, one entry per run — without materializing
-// the rows. ok is false for any other scheme.
-func RLEValues(buf []byte) (vals []int64, ok bool, err error) {
+// RunValues returns one value per run of equal values of an int block whose
+// runs are known without reading its rows — the run values of an RLEInt
+// block, or the points of a width-0 ForInt block's line (every value of such
+// a block lies on the line, so it holds no residuals) — a list holding every
+// value the block holds and nothing else. ok is false for any other block.
+func RunValues(buf []byte) (vals []int64, ok bool, err error) {
 	scheme, n, body, err := readHeader(buf)
 	if err != nil {
 		return nil, false, err
 	}
-	if scheme != RLEInt {
-		return nil, false, nil
+	switch scheme {
+	case RLEInt:
+		for got := 0; got < n; {
+			v, run, rest, err := rleRun(body, n-got)
+			if err != nil {
+				return nil, false, err
+			}
+			vals, body, got = append(vals, v), rest, got+run
+		}
+		return vals, true, nil
+	case ForInt:
+		f, err := parseFor(body, n)
+		if err != nil || f.w != 0 {
+			return nil, false, err
+		}
+		for i := 0; i < n; i++ {
+			if v := f.base + f.line(i); i == 0 || v != vals[len(vals)-1] {
+				vals = append(vals, v)
+			}
+		}
+		return vals, true, nil
 	}
-	got := 0
-	for got < n {
-		u, sz := binary.Uvarint(body)
-		if sz <= 0 {
-			return nil, false, corrupt("bad RLE value varint")
-		}
-		body = body[sz:]
-		run, sz := binary.Uvarint(body)
-		if sz <= 0 {
-			return nil, false, corrupt("bad RLE run varint")
-		}
-		body = body[sz:]
-		if run == 0 || run > uint64(n-got) {
-			return nil, false, corrupt("RLE run overflows block")
-		}
-		vals = append(vals, unzigzag(u))
-		got += int(run)
-	}
-	return vals, true, nil
+	return nil, false, nil
 }
 
 // BlockScheme reports the scheme tag of an encoded block (for stats/tests).
@@ -633,4 +1080,16 @@ func BlockScheme(buf []byte) Scheme {
 		return 0
 	}
 	return Scheme(buf[0])
+}
+
+// BlockCount reports the value count an encoded block's header claims, -1
+// when it has no header. RLE runs and width-0 ForInt and PackedDict blocks
+// hold any count in a few bytes, so a caller about to decode a whole block it
+// did not write checks this against the rows it expects first.
+func BlockCount(buf []byte) int {
+	_, count, _, err := readHeader(buf)
+	if err != nil {
+		return -1
+	}
+	return count
 }

@@ -1,8 +1,11 @@
 package compress
 
 import (
+	"encoding/binary"
 	"errors"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 )
@@ -22,24 +25,27 @@ func TestIntRoundTripPlain(t *testing.T) {
 	}
 }
 
-func TestIntCompressedPicksDeltaForSorted(t *testing.T) {
+// TestIntCompressedPacksSortedToWidthZero: a dense sorted block lies on the
+// line through its first and last value, so ForInt stores it in its 17-byte
+// frame with no residual bits at all.
+func TestIntCompressedPacksSortedToWidthZero(t *testing.T) {
 	vals := make([]int64, 1000)
 	for i := range vals {
 		vals[i] = int64(1000000 + i)
 	}
 	buf := EncodeInt64s(vals, true)
-	if BlockScheme(buf) != DeltaVarint {
-		t.Errorf("sorted ints should pick delta-varint, got %d", BlockScheme(buf))
+	if BlockScheme(buf) != ForInt {
+		t.Fatalf("sorted ints should pick ForInt, got %d", BlockScheme(buf))
 	}
-	if len(buf) >= 8*len(vals) {
-		t.Errorf("delta encoding did not shrink: %d bytes", len(buf))
+	if w := buf[headerSize+16]; w != 0 || len(buf) != headerSize+forHeaderSize {
+		t.Errorf("sorted ints pack at width %d in %d bytes, want width 0 in %d", w, len(buf), headerSize+forHeaderSize)
 	}
 	got, err := DecodeInt64s(buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, vals) {
-		t.Error("delta round trip broken")
+		t.Error("ForInt round trip broken")
 	}
 }
 
@@ -144,8 +150,12 @@ func TestStringDictChosenForLowCardinality(t *testing.T) {
 		vals[i] = []string{"alpha", "beta", "gamma"}[i%3]
 	}
 	buf := EncodeStrings(vals, true)
-	if BlockScheme(buf) != DictString {
-		t.Errorf("low-cardinality strings should pick dict, got %d", BlockScheme(buf))
+	if BlockScheme(buf) != PackedDict {
+		t.Errorf("low-cardinality strings should pick the packed dictionary, got %d", BlockScheme(buf))
+	}
+	// Three entries: 4 + 3·4 offset bytes + 14 dictionary bytes, then 2-bit codes.
+	if want := headerSize + 4 + 12 + 14 + 8*((2*len(vals)+63)/64); len(buf) != want {
+		t.Errorf("packed dictionary of %d values is %d bytes, want %d", len(vals), len(buf), want)
 	}
 	plain := EncodeStrings(vals, false)
 	if BlockScheme(plain) != PlainString {
@@ -213,7 +223,7 @@ func TestZigzag(t *testing.T) {
 }
 
 // windowCase is one encoded block with its expected full decode and a
-// type-erased windowed decoder, so one checker serves all seven encodings.
+// type-erased windowed decoder, so one checker serves all nine encodings.
 type windowCase struct {
 	name   string
 	buf    []byte
@@ -303,26 +313,34 @@ func checkWindows(t *testing.T, c windowCase) {
 }
 
 // TestDecodeFromWindows runs the window contract over one small block of each
-// of the seven encodings.
+// of the nine encodings, the two read-only ones built by the reference's
+// legacy builders.
 func TestDecodeFromWindows(t *testing.T) {
 	ints := []int64{3, -1, 0, 1 << 40, -(1 << 40), 7, 7, 7, -9, 0, 0, 2}
+	line := []int64{-50, -41, -33, -20, -14, -3, 5, 11, 22, 31, 40, 52, 59}
 	strs := []string{"", "a", "bc", "", "a", "ghij", "bc", "a"}
 	cases := []windowCase{
 		intCase("plain-int", encodePlainInt(ints), false),
 		intCase("delta-varint", encodeDeltaVarint(ints), false),
 		intCase("rle-int", encodeRLEInt(ints), false),
+		intCase("for-int", encodeForInt(ints), false),
+		intCase("for-int-line", encodeForInt(line), false),
 		floatCase("plain-float", EncodeFloat64s([]float64{0, -1.5, 3.25, 1e300, -1e-300, 42})),
 		intCase("bit-bool", EncodeBools([]int64{1, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1}), true),
 		stringCase("plain-string", encodePlainString(strs)),
 		stringCase("dict-string", encodeDictString(strs)),
+		stringCase("packed-dict", encodePackedDict(strs)),
 	}
 	seen := map[Scheme]bool{}
 	for _, c := range cases {
 		seen[BlockScheme(c.buf)] = true
 		checkWindows(t, c)
 	}
-	if len(seen) != int(DictString) {
-		t.Errorf("table covers %d of %d encodings", len(seen), DictString)
+	if len(seen) != int(PackedDict) {
+		t.Errorf("table covers %d of %d encodings", len(seen), PackedDict)
+	}
+	if slope := binary.LittleEndian.Uint64(encodeForInt(line)[headerSize+8:]); slope == 0 {
+		t.Error("for-int-line was built without its line")
 	}
 }
 
@@ -360,6 +378,41 @@ func TestDecodeFromHostileLengths(t *testing.T) {
 	if allocs > 64 {
 		t.Errorf("hostile headers cost %v allocs per run", allocs)
 	}
+	// The bit-packed schemes: a ForInt frame too short for its header, frames
+	// whose 2^32-1 residuals at 1, 64 and 255 bits are missing, a packed
+	// dictionary claiming 2^32-1 entries, and one whose one entry claims
+	// 2^32-1 bytes. Bounded in bytes: the error values' allocation count
+	// varies with the build (-race adds some), a slice sized from any of
+	// those lengths would be gigabytes.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	func() {
+		if _, err := DecodeInt64s(huge(ForInt, 2, 1), nil); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("short ForInt frame: err = %v", err)
+		}
+		for _, w := range []byte{1, 64, 255} {
+			frame := huge(ForInt, append(make([]byte, 16), w, 0, 0, 0, 0, 0, 0, 0, 0)...)
+			if _, err := DecodeInt64sFrom(frame, 0, 1, nil); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("ForInt width %d: err = %v", w, err)
+			}
+			if _, _, err := SearchInt64s(frame, 0, 1, 0); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("ForInt width %d search: err = %v", w, err)
+			}
+		}
+		for _, buf := range [][]byte{huge(PackedDict, 0xff, 0xff, 0xff, 0xff, 0), huge(PackedDict, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0)} {
+			if _, err := DecodeStrings(buf, nil); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("packed dictionary: err = %v", err)
+			}
+			if _, _, err := DictValues(buf); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("packed DictValues: err = %v", err)
+			}
+		}
+	}()
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - before.TotalAlloc; b > 64<<10 {
+		t.Errorf("hostile bit-packed headers cost %d bytes", b)
+	}
 }
 
 func TestDecodeInt64sFrom(t *testing.T) {
@@ -381,8 +434,9 @@ func TestDecodeInt64sFrom(t *testing.T) {
 			checkWindows(t, intCase(name, EncodeInt64s(vals, compress), false))
 		}
 	}
-	// force each int scheme explicitly
-	for _, enc := range [][]byte{encodePlainInt(sorted), encodeDeltaVarint(sorted), encodeRLEInt(constant), encodeRLEInt(runs)} {
+	// force each int scheme explicitly, the legacy delta blocks included
+	for _, enc := range [][]byte{encodePlainInt(sorted), encodeDeltaVarint(sorted), encodeDeltaVarint(runs),
+		encodeRLEInt(constant), encodeRLEInt(runs), encodeForInt(sorted[:120]), encodeForInt(runs), encodeForInt(constant[:120])} {
 		checkWindows(t, intCase("forced", enc, false))
 	}
 }
@@ -414,5 +468,9 @@ func TestDecodeStringsFrom(t *testing.T) {
 		for _, compress := range []bool{false, true} {
 			checkWindows(t, stringCase("strings", EncodeStrings(vals, compress)))
 		}
+		// the legacy varint-code dictionary, and a packed one even where
+		// plain is smaller
+		checkWindows(t, stringCase("legacy-dict", encodeDictString(vals)))
+		checkWindows(t, stringCase("packed-dict", encodePackedDict(vals)))
 	}
 }

@@ -12,8 +12,10 @@ import (
 )
 
 // intBlocks are generated blocks covering every arm of the int sizing pass:
-// each scheme winning, ties, the early exit once delta and RLE are both past
-// plain, varint width boundaries and wrapping deltas.
+// each scheme winning, ties, RLE's early exit once it reaches the best size,
+// the line against the plain frame (winning, losing, descending, at the 2^31
+// span limit on both sides), every residual width, varint width boundaries
+// and wrapping residuals.
 func intBlocks() map[string][]int64 {
 	rng := rand.New(rand.NewSource(21))
 	blocks := map[string][]int64{
@@ -48,6 +50,19 @@ func intBlocks() map[string][]int64 {
 	}
 	blocks["sorted"], blocks["runs"], blocks["negatives"] = sorted, runs, neg
 	blocks["full-range"], blocks["widths"], blocks["mixed"] = full, widths, mixed
+	noisy, down, under, over, top := make([]int64, 4096), make([]int64, 4096), make([]int64, 512), make([]int64, 512), make([]int64, 512)
+	for i := range noisy {
+		noisy[i] = 7_000_000 + int64(i)*37/10 + rng.Int63n(64) // orderkey-like: line + 6 bits
+		down[i] = 1<<40 - int64(i)*1001 + rng.Int63n(3)
+	}
+	for i := range under {
+		// spans of 2^31 - 1 (the line is tried) and 2^31 (it is not)
+		under[i] = int64(i) * (1<<31 - 1) / 511
+		over[i] = int64(i) * (1 << 31) / 511
+		top[i] = math.MaxInt64 - int64(511-i)*5 // residuals wrap past MaxInt64 from the line
+	}
+	blocks["noisy-line"], blocks["descending"] = noisy, down
+	blocks["span-under"], blocks["span-over"], blocks["near-max"] = under, over, top
 	blocks["constant"] = make([]int64, 4096)
 	blocks["bools"] = make([]int64, 1000)
 	for i := range blocks["bools"] {
@@ -148,12 +163,19 @@ func TestEncodersMatchReference(t *testing.T) {
 	}
 	// The generated blocks reach every scheme, so every writer was compared.
 	ints, strs := intBlocks(), stringBlocks()
-	for name, want := range map[string]Scheme{"sorted": DeltaVarint, "runs": RLEInt, "full-range": PlainInt, "mixed": RLEInt} {
+	for name, want := range map[string]Scheme{"sorted": ForInt, "noisy-line": ForInt, "descending": ForInt, "runs": RLEInt, "full-range": PlainInt, "mixed": RLEInt} {
 		if got := BlockScheme(EncodeInt64s(ints[name], true)); got != want {
 			t.Errorf("int block %q encodes as scheme %d, want %d", name, got, want)
 		}
 	}
-	for name, want := range map[string]Scheme{"low-cardinality": DictString, "all-distinct": DictString, "plain-wins": PlainString, "empty": PlainString} {
+	// The line is taken where it packs narrower, and only then.
+	for name, want := range map[string]bool{"sorted": true, "noisy-line": true, "descending": true, "span-under": true, "span-over": false, "negatives": true} {
+		enc := EncodeInt64s(ints[name], true)
+		if hasLine := BlockScheme(enc) == ForInt && binary.LittleEndian.Uint64(enc[headerSize+8:]) != 0; hasLine != want {
+			t.Errorf("int block %q (scheme %d): line taken = %v, want %v", name, BlockScheme(enc), hasLine, want)
+		}
+	}
+	for name, want := range map[string]Scheme{"low-cardinality": PackedDict, "some-empty": PackedDict, "all-distinct": PlainString, "plain-wins": PlainString, "empty": PlainString} {
 		if got := BlockScheme(EncodeStrings(strs[name], true)); got != want {
 			t.Errorf("string block %q encodes as scheme %d, want %d", name, got, want)
 		}

@@ -1,14 +1,18 @@
 package compress
 
-// The encoders as they stood before the decide-then-write rewrite, verbatim:
-// build every candidate block by append and keep the smallest. They are the
-// reference the differential tests, the fuzz targets and the TPC-H block
+// The encoders as a build-every-candidate-and-keep-the-smallest reference:
+// every candidate block is built by append, independently of the sizing pass.
+// They are what the differential tests, the fuzz targets and the TPC-H block
 // sweep hold EncodeInt64s/EncodeStrings/EncodeFloat64s/EncodeBools to, byte
 // for byte, and the per-scheme encoders the window tests build blocks with.
+// The builders of the read-only schemes (delta-varint, varint-code
+// dictionary) are kept for the legacy-read tests; they are no longer
+// candidates.
 
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 )
 
 func putHeader(scheme Scheme, n int) []byte {
@@ -19,21 +23,18 @@ func putHeader(scheme Scheme, n int) []byte {
 	return append(buf, tmp[:]...)
 }
 
-// refEncodeInt64s encodes vals, choosing the smallest of plain, delta-varint and
-// RLE when compress is true, plain otherwise.
+// refEncodeInt64s encodes vals, choosing the smallest of plain, ForInt and
+// RLE when compress is true (a later candidate only when strictly smaller),
+// plain otherwise.
 func refEncodeInt64s(vals []int64, compress bool) []byte {
+	best := encodePlainInt(vals)
 	if !compress {
-		return encodePlainInt(vals)
+		return best
 	}
-	plain := encodePlainInt(vals)
-	delta := encodeDeltaVarint(vals)
-	rle := encodeRLEInt(vals)
-	best := plain
-	if len(delta) < len(best) {
-		best = delta
-	}
-	if len(rle) < len(best) {
-		best = rle
+	for _, cand := range [][]byte{encodeForInt(vals), encodeRLEInt(vals)} {
+		if len(cand) < len(best) {
+			best = cand
+		}
 	}
 	return best
 }
@@ -77,6 +78,67 @@ func encodeRLEInt(vals []int64) []byte {
 	return buf
 }
 
+// encodeForInt builds a ForInt block twice — residuals from the block's
+// minimum, and from the line through its first and last value — and keeps
+// the line only when its residuals are strictly narrower. The line is tried
+// when the last value is less than 2^31 away from the first.
+func encodeForInt(vals []int64) []byte {
+	best, w := forCandidate(vals, 0)
+	if n := len(vals); n > 1 {
+		first, last := vals[0], vals[n-1]
+		if (last >= first && uint64(last-first) < 1<<31) || (last < first && uint64(first-last) < 1<<31) {
+			if slope := ((last - first) << 32) / int64(n-1); slope != 0 {
+				if line, lw := forCandidate(vals, slope); lw < w {
+					best = line
+				}
+			}
+		}
+	}
+	return best
+}
+
+// forCandidate builds the ForInt block of vals over the line of the given
+// 32.32 fixed-point slope and returns it with its residual width.
+func forCandidate(vals []int64, slope int64) ([]byte, int) {
+	res := make([]int64, len(vals))
+	for i, v := range vals {
+		res[i] = v - (slope*int64(i))>>32
+	}
+	base := int64(0)
+	for i, r := range res {
+		if i == 0 || r < base {
+			base = r
+		}
+	}
+	w := 0
+	us := make([]uint64, len(res))
+	for i, r := range res {
+		us[i] = uint64(r - base)
+		w = max(w, bits.Len64(us[i]))
+	}
+	buf := putHeader(ForInt, len(vals))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(base))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(slope))
+	buf = append(buf, byte(w))
+	return append(buf, bitStream(us, w)...), w
+}
+
+// bitStream lays out each value's low w bits one after another, least
+// significant bit first, padded to a whole number of 8-byte words — the
+// layout of little-endian 64-bit words filled from bit 0 up.
+func bitStream(us []uint64, w int) []byte {
+	out := make([]byte, 8*((len(us)*w+63)/64))
+	for i, u := range us {
+		for b := 0; b < w; b++ {
+			if u>>b&1 == 1 {
+				pos := i*w + b
+				out[pos/8] |= 1 << (pos % 8)
+			}
+		}
+	}
+	return out
+}
+
 // refEncodeFloat64s encodes vals; floats are stored plain (the paper's
 // lightweight codecs target keys and categorical data, not measures).
 func refEncodeFloat64s(vals []float64) []byte {
@@ -104,14 +166,14 @@ func refEncodeBools(vals []int64) []byte {
 	return append(buf, bits...)
 }
 
-// refEncodeStrings encodes vals, choosing dictionary encoding when it is
+// refEncodeStrings encodes vals, choosing the packed dictionary when it is
 // smaller than plain (and compress is true).
 func refEncodeStrings(vals []string, compress bool) []byte {
 	plain := encodePlainString(vals)
 	if !compress {
 		return plain
 	}
-	if dict := encodeDictString(vals); len(dict) < len(plain) {
+	if dict := encodePackedDict(vals); len(dict) < len(plain) {
 		return dict
 	}
 	return plain
@@ -155,6 +217,39 @@ func encodeDictString(vals []string) []byte {
 		buf = append(buf, tmp[:n]...)
 	}
 	return buf
+}
+
+// encodePackedDict builds a PackedDict block: the distinct values in order
+// of first appearance as a count, end offsets and bytes, then every value's
+// code in bits.Len(count-1) bits.
+func encodePackedDict(vals []string) []byte {
+	distinct := make(map[string]int, 64)
+	var dict []string
+	codes := make([]uint64, len(vals))
+	for i, s := range vals {
+		c, ok := distinct[s]
+		if !ok {
+			c = len(dict)
+			distinct[s] = c
+			dict = append(dict, s)
+		}
+		codes[i] = uint64(c)
+	}
+	buf := putHeader(PackedDict, len(vals))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(dict)))
+	off := uint32(0)
+	for _, s := range dict {
+		off += uint32(len(s))
+		buf = binary.LittleEndian.AppendUint32(buf, off)
+	}
+	for _, s := range dict {
+		buf = append(buf, s...)
+	}
+	w := 0
+	if len(dict) > 1 {
+		w = bits.Len(uint(len(dict) - 1))
+	}
+	return append(buf, bitStream(codes, w)...)
 }
 
 // The reference encoders as package compress_test sees them: the TPC-H block

@@ -5,9 +5,10 @@
 //
 //   - An exact sorted distinct set when the block holds at most maxExact
 //     distinct values (categorical and low-cardinality columns — built
-//     straight from the dictionary of a DictString block or the run values
-//     of an RLEInt block, never materializing rows). Exact sets answer
-//     equality, membership, range and prefix probes.
+//     straight from the dictionary of a dictionary block, the run values of
+//     an RLEInt block or the line of a width-0 ForInt block, never
+//     materializing rows). Exact sets answer equality, membership, range and
+//     prefix probes.
 //   - A Bloom filter (about bloomBitsPerRow bits per row, bloomHashes probe
 //     positions) otherwise. Blooms answer equality and membership only, with
 //     one-sided error: a negative is certain, so a "skip" is always sound.
@@ -74,9 +75,9 @@ func (s *Set) Cols() []int {
 }
 
 // Build constructs summaries for cols over every block of st, reading
-// encoded blocks (dictionary and RLE digests come straight from the
-// encoding). Float64 columns cannot be indexed: equality on measures is not
-// a meaningful probe and exact float sets are trap-prone.
+// encoded blocks (dictionary, RLE and width-0 ForInt digests come straight
+// from the encoding). Float64 columns cannot be indexed: equality on measures
+// is not a meaningful probe and exact float sets are trap-prone.
 func Build(st *colstore.Store, cols []int) (*Set, error) {
 	s := &Set{cols: make(map[int][]summary, len(cols))}
 	nb := st.NumBlocks()
@@ -91,11 +92,7 @@ func Build(st *colstore.Store, cols []int) (*Set, error) {
 		}
 		sums := make([]summary, nb)
 		for b := 0; b < nb; b++ {
-			enc, err := st.EncodedBlock(c, b)
-			if err != nil {
-				return nil, err
-			}
-			sum, err := buildSummary(kind, enc)
+			sum, err := summarize(st, kind, c, b)
 			if err != nil {
 				return nil, err
 			}
@@ -122,11 +119,7 @@ func (s *Set) Rebuild(st *colstore.Store, nblocks int, dirty func(col, blk int) 
 				sums[b] = old[b]
 				continue
 			}
-			enc, err := st.EncodedBlock(c, b)
-			if err != nil {
-				return nil, err
-			}
-			sum, err := buildSummary(kind, enc)
+			sum, err := summarize(st, kind, c, b)
 			if err != nil {
 				return nil, err
 			}
@@ -135,6 +128,22 @@ func (s *Set) Rebuild(st *colstore.Store, nblocks int, dirty func(col, blk int) 
 		out.cols[c] = sums
 	}
 	return out, nil
+}
+
+// summarize digests block b of column c of st. The block must hold the rows
+// the store's geometry gives it: a summary decodes whole blocks, and an RLE
+// run or a width-0 frame can claim any count in a few bytes.
+func summarize(st *colstore.Store, kind types.Kind, c, b int) (summary, error) {
+	enc, err := st.EncodedBlock(c, b)
+	if err != nil {
+		return summary{}, err
+	}
+	br := uint64(st.BlockRows())
+	if rows := min(br, st.NRows()-uint64(b)*br); compress.BlockCount(enc) != int(rows) {
+		return summary{}, fmt.Errorf("index: column %d block %d: %w: %d values where the image has %d rows",
+			c, b, compress.ErrCorrupt, compress.BlockCount(enc), rows)
+	}
+	return buildSummary(kind, enc)
 }
 
 // CanSkip implements engine.IndexProber: it reports whether block blk of
@@ -192,10 +201,10 @@ func (sum *summary) strSkipEq(x string) (skip, indexed bool) {
 	return false, false
 }
 
-// buildSummary digests one encoded block. Dictionary and RLE encodings hand
-// over their exact value sets directly; other encodings decode. Up to
-// maxExact distinct values make the exact arm, more overflow into a Bloom
-// filter.
+// buildSummary digests one encoded block. Dictionary, RLE and width-0 ForInt
+// encodings hand over their exact value sets directly; other encodings
+// decode. Up to maxExact distinct values make the exact arm, more overflow
+// into a Bloom filter.
 func buildSummary(kind types.Kind, enc []byte) (summary, error) {
 	sum := summary{kind: kind}
 	switch kind {
@@ -223,7 +232,7 @@ func buildSummary(kind types.Kind, enc []byte) (summary, error) {
 		}
 		sum.ints, _ = distinct(vals) // at most two
 	default: // Int64, Date
-		vals, ok, err := compress.RLEValues(enc)
+		vals, ok, err := compress.RunValues(enc)
 		if err != nil {
 			return sum, err
 		}

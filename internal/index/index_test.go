@@ -2,15 +2,19 @@ package index
 
 // Unit tests for the secondary-index summaries: exact-set and Bloom arm
 // selection, the decode-free dictionary/RLE fast paths, probe semantics
-// (one-sided error only), incremental Rebuild reuse, and the Float64
-// rejection.
+// (one-sided error only), incremental Rebuild reuse, and the Float64 and
+// block-count rejections.
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"testing"
 
 	"pdtstore/internal/colstore"
+	"pdtstore/internal/compress"
 	"pdtstore/internal/engine"
+	"pdtstore/internal/storage"
 	"pdtstore/internal/table"
 	"pdtstore/internal/types"
 )
@@ -174,5 +178,35 @@ func TestRebuildReusesCleanSummaries(t *testing.T) {
 	}
 	if sk, ix := next.CanSkip(engine.Pred{Col: 1, Op: engine.PredStrEq, Strs: []string{"cat1"}}, 4); sk || !ix {
 		t.Fatalf("grown-tail block summary missing: (%v,%v)", sk, ix)
+	}
+}
+
+// TestBuildRejectsBlockCountMismatch: a block whose header claims more values
+// than the image gives it — here a 22-byte width-0 ForInt frame claiming
+// 2^32-1, which decodes to that many values by the format's own rules — is
+// ErrCorrupt before any summary decodes it.
+func TestBuildRejectsBlockCountMismatch(t *testing.T) {
+	schema := types.MustSchema([]types.Column{{Name: "k", Kind: types.Int64}}, []int{0})
+	w, err := storage.CreateSegment("", schema, 4, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := []byte{byte(compress.ForInt), 0xff, 0xff, 0xff, 0xff}
+	frame = binary.LittleEndian.AppendUint64(frame, 0)     // base
+	frame = binary.LittleEndian.AppendUint64(frame, 1<<32) // slope 1: every value distinct
+	frame = append(frame, 0)                               // width
+	if err := w.AppendBlock(0, frame, storage.Zone{}); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := w.Finish(4, []types.Row{{types.Int(0)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := colstore.FromSegmentChain([]*storage.Segment{seg}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(st, []int{0}); !errors.Is(err, compress.ErrCorrupt) {
+		t.Fatalf("Build over a block claiming 2^32-1 of its 4 rows: %v, want ErrCorrupt", err)
 	}
 }

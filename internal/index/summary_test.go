@@ -43,7 +43,7 @@ func refBuildSummary(kind types.Kind, enc []byte) (summary, error) {
 		}
 		sum.ints = dedupInt64s(vals)
 	default: // Int64, Date
-		vals, ok, err := compress.RLEValues(enc)
+		vals, ok, err := compress.RunValues(enc)
 		if err != nil {
 			return sum, err
 		}
@@ -93,10 +93,19 @@ func dedupStrings(vals []string) []string {
 
 // TestSummariesMatchDedupPath: counting distinct values with a set that bails
 // at maxExact+1 yields the summary the sort-everything path built, on both
-// sides of the exact/Bloom boundary and for every encoding a block can take.
+// sides of the exact/Bloom boundary and for every encoding a block can take
+// (the table checks it reached each of them, a width-0 ForInt line included).
 func TestSummariesMatchDedupPath(t *testing.T) {
 	const n = 4096
 	ints := map[string][]int64{"empty": {}, "one": {-5}}
+	for _, step := range []int64{1, 7, -3} { // dense lines: width-0 ForInt, every value distinct
+		line := make([]int64, n)
+		for i := range line {
+			line[i] = 1_000 + int64(i)*step
+		}
+		ints[fmt.Sprintf("line-%d", step)] = line
+	}
+	ints["line-short"] = []int64{10, 20, 30, 40, 50}
 	strs := map[string][]string{"empty": {}, "one": {""}}
 	for _, card := range []int{1, 2, 50, maxExact - 1, maxExact, maxExact + 1, 1000, n} {
 		scattered, sorted, runs := make([]int64, n), make([]int64, n), make([]int64, n)
@@ -114,8 +123,15 @@ func TestSummariesMatchDedupPath(t *testing.T) {
 		strs[fmt.Sprintf("cats-%d", card)] = cats
 		strs[fmt.Sprintf("sorted-cats-%d", card)] = sortedCats
 	}
+	seen := map[string]bool{}
 	check := func(name string, kind types.Kind, enc []byte) {
 		t.Helper()
+		scheme := fmt.Sprint(compress.BlockScheme(enc))
+		if compress.BlockScheme(enc) == compress.ForInt {
+			_, line, _ := compress.RunValues(enc)
+			scheme += fmt.Sprintf("/width-0=%v", line)
+		}
+		seen[scheme] = true
 		got, err := buildSummary(kind, enc)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -139,4 +155,13 @@ func TestSummariesMatchDedupPath(t *testing.T) {
 	bools[40] = 1
 	check("bool/mixed", types.Bool, compress.EncodeBools(bools))
 	check("bool/empty", types.Bool, compress.EncodeBools(nil))
+	for _, want := range []string{
+		fmt.Sprint(compress.PlainInt), fmt.Sprint(compress.RLEInt),
+		fmt.Sprintf("%d/width-0=true", compress.ForInt), fmt.Sprintf("%d/width-0=false", compress.ForInt),
+		fmt.Sprint(compress.PlainString), fmt.Sprint(compress.PackedDict),
+	} {
+		if !seen[want] {
+			t.Errorf("no block of scheme %s was summarized (saw %v)", want, seen)
+		}
+	}
 }
