@@ -1025,6 +1025,20 @@ type Scanner struct {
 	// the scan's) end; empty until the first Next
 	bufs         []*vector.Vector
 	winLo, winHi uint64
+	sel          *selectState // Select's state; nil until the first Select
+}
+
+// selectState is what Select keeps between batches of one block: the block's
+// encoded bytes per requested column, fetched on first use, and the first
+// filter's survivors over the block's window [lo, hi), as offsets from lo.
+type selectState struct {
+	blk      int
+	enc      [][]byte
+	first    []uint32
+	at       int // first[at:] lie at or after the scan position
+	lo, hi   uint64
+	have     []bool   // per column: gathered at a superset of the batch's selection
+	gathered []uint64 // per column: values gathered so far (read by tests)
 }
 
 // NewScanner returns a scanner over SIDs [from, to) producing the given
@@ -1094,4 +1108,132 @@ func (sc *Scanner) Next(out *vector.Batch, max int) (int, error) {
 	}
 	sc.sid += uint64(n)
 	return n, nil
+}
+
+// Select is Next for a consumer that filters (pdt.Selector): the chain runs
+// on encoded blocks, and a value is decoded only where some filter or the
+// consumer reads it. Entering a block, the first filter selects over the
+// scan's window of it in the encoded domain (compress.Select*). Each batch
+// then takes that filter's survivors in its rows, gathers each later filter's
+// column at the rows still selected and filters it, and gathers the remaining
+// output columns (chain.Outputs) at the rows that survive, in their batch
+// positions. A column only the first filter reads is never decoded, and a
+// block whose rows all fail it fetches no other column. out must be empty.
+func (sc *Scanner) Select(out *vector.Batch, max int, chain *vector.Chain, sel *vector.Selection) (int, error) {
+	sel.Reset()
+	if sc.sid >= sc.end || max <= 0 {
+		return 0, nil
+	}
+	if out.Len() != 0 {
+		return 0, fmt.Errorf("colstore: Select into a batch holding %d rows", out.Len())
+	}
+	s := sc.store
+	blk := int(sc.sid) / s.blockRows
+	st := sc.sel
+	if st == nil {
+		st = &selectState{blk: -1, enc: make([][]byte, len(sc.cols)),
+			have: make([]bool, len(sc.cols)), gathered: make([]uint64, len(sc.cols))}
+		sc.sel = st
+	}
+	if sc.sid >= st.hi {
+		hi := min(uint64(blk+1)*uint64(s.blockRows), sc.end)
+		f := chain.Filters[0]
+		enc, err := sc.block(f.Slot, blk)
+		if err == nil {
+			st.first, err = selectBlock(s.schema.Cols[sc.cols[f.Slot]].Kind, enc, int(sc.sid)%s.blockRows, int(hi-sc.sid), f.Pred, st.first[:0])
+		}
+		if err != nil {
+			return 0, fmt.Errorf("colstore: column %d block %d: %w", sc.cols[f.Slot], blk, err)
+		}
+		st.lo, st.hi, st.at = sc.sid, hi, 0
+	}
+	off, n := uint32(sc.sid-st.lo), min(max, int(st.hi-sc.sid))
+	for st.at < len(st.first) && st.first[st.at] < off {
+		st.at++ // rows a Skip passed over
+	}
+	for ; st.at < len(st.first) && st.first[st.at] < off+uint32(n); st.at++ {
+		sel.Append(st.first[st.at] - off)
+	}
+	for _, v := range out.Vecs {
+		v.Extend(n)
+	}
+	clear(st.have)
+	base := int(sc.sid) - blk*s.blockRows
+	for _, f := range chain.Filters[1:] {
+		if sel.Len() == 0 {
+			break
+		}
+		if !st.have[f.Slot] {
+			if err := sc.gather(f.Slot, blk, base, sel.Indexes(), out.Vecs[f.Slot]); err != nil {
+				return 0, err
+			}
+		}
+		sel.Filter(out.Vecs[f.Slot], f.Pred)
+	}
+	for slot := 0; slot < chain.Outputs && sel.Len() > 0; slot++ {
+		if !st.have[slot] {
+			if err := sc.gather(slot, blk, base, sel.Indexes(), out.Vecs[slot]); err != nil {
+				return 0, err
+			}
+		}
+	}
+	sc.sid += uint64(n)
+	return n, nil
+}
+
+// block returns the encoded bytes of block blk of the scanner's column slot,
+// fetching them once per block.
+func (sc *Scanner) block(slot, blk int) ([]byte, error) {
+	st := sc.sel
+	if st.blk != blk {
+		clear(st.enc)
+		st.blk = blk
+	}
+	if st.enc[slot] == nil {
+		b, err := sc.store.encodedBlock(sc.cols[slot], blk)
+		if err != nil {
+			return nil, err
+		}
+		st.enc[slot] = b
+	}
+	return st.enc[slot], nil
+}
+
+// gather decodes column slot's values at the batch positions pos, which lie
+// base rows into block blk, into v at the same positions.
+func (sc *Scanner) gather(slot, blk, base int, pos []uint32, v *vector.Vector) error {
+	enc, err := sc.block(slot, blk)
+	if err == nil {
+		switch v.Kind {
+		case types.Float64:
+			err = compress.GatherFloat64sAt(enc, base, pos, v.F)
+		case types.String:
+			err = compress.GatherStringsAt(enc, base, pos, v.S)
+		case types.Bool:
+			err = compress.GatherBoolsAt(enc, base, pos, v.I)
+		default:
+			err = compress.GatherInt64sAt(enc, base, pos, v.I)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("colstore: column %d block %d: %w", sc.cols[slot], blk, err)
+	}
+	sc.sel.have[slot] = true
+	sc.sel.gathered[slot] += uint64(len(pos))
+	return nil
+}
+
+// selectBlock evaluates p over n values of an encoded block of the given
+// column kind from index skip, appending the offsets it keeps to out.
+func selectBlock(kind types.Kind, enc []byte, skip, n int, p vector.Pred, out []uint32) ([]uint32, error) {
+	switch kind {
+	case types.Float64:
+		return compress.SelectFloat64s(enc, skip, n, p, out)
+	case types.String:
+		return compress.SelectStrings(enc, skip, n, p, out)
+	case types.Bool:
+		return compress.SelectBools(enc, skip, n, p, out)
+	default:
+		return compress.SelectInt64s(enc, skip, n, p, out)
+	}
 }

@@ -14,6 +14,7 @@ import (
 	"pdtstore/internal/compress"
 	"pdtstore/internal/engine"
 	"pdtstore/internal/storage"
+	"pdtstore/internal/table"
 	"pdtstore/internal/types"
 	"pdtstore/internal/vector"
 )
@@ -116,6 +117,35 @@ func TestLegacySegmentReads(t *testing.T) {
 			if got, want := out.Row(i), rows[w[0]+i]; types.CompareRows(got, want) != 0 {
 				t.Fatalf("scan [%d, %d) row %d = %v, want %v", w[0], w[1], w[0]+i, got, want)
 			}
+		}
+	}
+
+	// A filtered plan over the clean image selects in the scanner: the first
+	// filter decodes its delta-varint window, the later ones are gathered from
+	// varint-code dictionary and bool blocks, and delta, dictionary, RLE and
+	// float columns are gathered at the survivors.
+	tbl, err := table.FromStore(st, table.Options{Mode: table.ModePDT})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := engine.Scan(tbl, 1, 4, 0, 5).
+		FilterInt64Range(1, 500, 8000).FilterStrIn(3, "A", "R").FilterInt64Eq(6, 1).
+		Parallel(1).BatchSize(100).Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []types.Row
+	for _, r := range rows {
+		if r[1].I >= 500 && r[1].I <= 8000 && r[3].S != "N" && r[6].I == 1 {
+			want = append(want, types.Row{r[1], r[4], r[0], r[5]})
+		}
+	}
+	if got.Len() != len(want) || len(want) == 0 {
+		t.Fatalf("filtered plan: %d rows, want %d (none is vacuous)", got.Len(), len(want))
+	}
+	for i, w := range want {
+		if g := got.Row(i); types.CompareRows(g, w) != 0 {
+			t.Fatalf("filtered plan row %d = %v, want %v", i, g, w)
 		}
 	}
 

@@ -832,55 +832,24 @@ const codeChunk = 256
 // its codes.
 func (d *dictBlock) decode(skip, end int, out []string) ([]string, error) {
 	n := end - skip
+	n0 := len(out)
+	out = slices.Grow(out, n)[:n0+n]
+	dst := out[n0:]
 	var codes [codeChunk]uint64
 	if n < d.ndict && n <= codeChunk {
 		window := codes[:n]
 		unpack(window, d.codes, d.w, skip)
-		total := 0
-		for _, c := range window {
-			lo, hi, err := d.entry(c)
-			if err != nil {
-				return nil, err
-			}
-			total += int(hi - lo)
-		}
-		var sb strings.Builder
-		sb.Grow(total)
-		for _, c := range window {
-			lo, hi, _ := d.entry(c)
-			sb.Write(d.data[lo:hi])
-		}
-		arena, p := sb.String(), 0
-		for _, c := range window {
-			lo, hi, _ := d.entry(c)
-			out = append(out, arena[p:p+int(hi-lo)])
-			p += int(hi - lo)
+		if err := d.copyOut(window, dst); err != nil {
+			return nil, err
 		}
 		return out, nil
 	}
 	arena := string(d.data)
-	// dict stays nil where slicing every entry would cost more than the
-	// window, or some entry is malformed: those windows check each value's
-	// entry as they read it, so an entry no code names is never an error.
 	var small [64]string
 	var dict []string
 	if n >= d.ndict {
-		dict = small[:0]
-		if d.ndict > len(small) {
-			dict = make([]string, 0, d.ndict)
-		}
-		for c := 0; c < d.ndict; c++ {
-			lo, hi, err := d.entry(uint64(c))
-			if err != nil {
-				dict = nil
-				break
-			}
-			dict = append(dict, arena[lo:hi])
-		}
+		dict = d.table(arena, small[:0])
 	}
-	n0 := len(out)
-	out = slices.Grow(out, n)[:n0+n]
-	dst := out[n0:]
 	for i := 0; i < n; i += codeChunk {
 		chunk := codes[:min(codeChunk, n-i)]
 		unpack(chunk, d.codes, d.w, skip+i)
@@ -889,14 +858,69 @@ func (d *dictBlock) decode(skip, end int, out []string) ([]string, error) {
 				dst[i+j] = dict[c]
 				continue
 			}
-			lo, hi, err := d.entry(c)
+			v, err := d.value(arena, c)
 			if err != nil {
 				return nil, err
 			}
-			dst[i+j] = arena[lo:hi]
+			dst[i+j] = v
 		}
 	}
 	return out, nil
+}
+
+// copyOut stores in vals[k] the value of codes[k]. The values share one
+// arena holding their own bytes alone.
+func (d *dictBlock) copyOut(codes []uint64, vals []string) error {
+	total := 0
+	for _, c := range codes {
+		lo, hi, err := d.entry(c)
+		if err != nil {
+			return err
+		}
+		total += int(hi - lo)
+	}
+	var sb strings.Builder
+	sb.Grow(total)
+	for _, c := range codes {
+		lo, hi, _ := d.entry(c)
+		sb.Write(d.data[lo:hi])
+	}
+	arena, p := sb.String(), 0
+	for k, c := range codes {
+		lo, hi, _ := d.entry(c)
+		vals[k] = arena[p : p+int(hi-lo)]
+		p += int(hi - lo)
+	}
+	return nil
+}
+
+// table slices every entry out of arena, a copy of d.data, once — into buf's
+// room when it fits — for a read of at least as many values as there are
+// entries. It is nil when some entry is malformed: such reads check each
+// value's entry as they meet it (value), so an entry no code names is never an
+// error.
+func (d *dictBlock) table(arena string, buf []string) []string {
+	if d.ndict > cap(buf) {
+		buf = make([]string, 0, d.ndict)
+	}
+	for c := 0; c < d.ndict; c++ {
+		lo, hi, err := d.entry(uint64(c))
+		if err != nil {
+			return nil
+		}
+		buf = append(buf, arena[lo:hi])
+	}
+	return buf
+}
+
+// value is code c's checked entry sliced out of arena, a copy of d.data: a
+// read without a table, or past a table's entries.
+func (d *dictBlock) value(arena string, c uint64) (string, error) {
+	lo, hi, err := d.entry(c)
+	if err != nil {
+		return "", err
+	}
+	return arena[lo:hi], nil
 }
 
 // entry returns the bounds of dictionary entry c in d.data.

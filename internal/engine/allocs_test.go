@@ -52,6 +52,78 @@ func TestWideScanAllocsPerRow(t *testing.T) {
 	}
 }
 
+// q6Plan is TPC-H Q6's plan: two projected columns, three filters, the first
+// on the unprojected shipdate.
+func q6Plan(rel engine.Relation) *engine.Plan {
+	return engine.Scan(rel, tpch.LExtendedprice, tpch.LDiscount).
+		FilterInt64Range(tpch.LShipdate, tpch.Days(1994, 1, 1), tpch.Days(1995, 1, 1)-1).
+		FilterFloat64Range(tpch.LDiscount, 0.05, 0.07).
+		FilterFloat64Lt(tpch.LQuantity, 24).
+		Parallel(1)
+}
+
+// cleanLineitem loads TPC-H at SF 0.01 (lineitem: 60 000 rows in 15 blocks of
+// 4096) with an empty PDT, so every scan of it filters in the stable scanner.
+func cleanLineitem(t testing.TB) *table.Table {
+	db, err := tpch.Load(0.01, table.ModePDT, true, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !db.Lineitem.PDT().Empty() {
+		t.Fatal("a fresh load left lineitem's PDT non-empty")
+	}
+	return db.Lineitem
+}
+
+// TestQ6AllocsPerRow holds the selection-first scan to the wide scan's bound:
+// Q6 over a clean image allocates per plan (batch, scanner, the first
+// filter's survivor list), never per row or per block.
+func TestQ6AllocsPerRow(t *testing.T) {
+	li := cleanLineitem(t)
+	rows := int(li.Store().NRows())
+	matched := 0
+	scan := func() {
+		matched = 0
+		err := q6Plan(li).Run(func(b *vector.Batch, sel []uint32) error {
+			matched += len(sel)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(5, scan)
+	if matched == 0 {
+		t.Fatal("Q6 selected nothing: the bound would be vacuous")
+	}
+	if perK := allocs / (float64(rows) / 1e3); perK > 5 {
+		t.Fatalf("%.0f allocations for a Q6 over %d rows: %.1f per 1000 rows, want <= 5", allocs, rows, perK)
+	}
+}
+
+// BenchmarkQ6Clean is one Q6 over a clean SF 0.01 image on one worker.
+func BenchmarkQ6Clean(b *testing.B) {
+	li := cleanLineitem(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sum := 0.0
+		err := q6Plan(li).Run(func(bt *vector.Batch, sel []uint32) error {
+			price, disc := bt.Vecs[0].F, bt.Vecs[1].F
+			for _, r := range sel {
+				sum += price[r] * disc[r]
+			}
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		q6Sink = sum
+	}
+}
+
+var q6Sink float64
+
 // lineitemProbes loads TPC-H lineitem at SF 0.01 (60 000 rows, 15 blocks of
 // 4096) into a compressed store and picks keys spread over every block and
 // every offset within one, each the full (l_orderkey, l_linenumber) key of a

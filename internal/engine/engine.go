@@ -18,6 +18,17 @@
 // typed comparison kernels that narrow a reusable selection vector (package
 // vector), and column projection is pushed down so the stable image only
 // decodes the blocks a query touches.
+//
+// Where the predicates run depends on what lies above the stable image. A
+// morsel with no live PDT layer over it — every morsel of a checkpointed
+// image — reads the stable scanner bare, so the plan's filter chain runs
+// inside it (colstore.Scanner.Select): the first filter on the encoded block,
+// each later one on its column gathered at the rows still selected, and the
+// projected columns gathered at the final survivors only. Under a live layer
+// the merge needs every row, so the scanner decodes the plan's columns in
+// full and the chain runs on the merged batch (pipe.pump). Either way every
+// vector of a batch keeps the batch's length, and its values at rows the
+// selection leaves out are unspecified.
 package engine
 
 import (
@@ -46,27 +57,17 @@ type Relation interface {
 // Stop is returned by a sink callback to end a Run early without error.
 var Stop = errors.New("engine: stop iteration")
 
-// planFilter is one bound predicate: a typed kernel applied to the vector
-// holding schema column col, plus the declarative Pred the pruning pass uses
-// to skip blocks the kernel could never select from (pred.Op == PredNone for
-// filters with no prunable description).
-type planFilter struct {
-	col   int
-	pred  Pred
-	apply func(v *vector.Vector, sel *vector.Selection)
-}
-
 // Plan is a buildable scan pipeline over one relation. Zero or more typed
 // filters narrow a selection vector per batch; the sink sees (batch, sel)
 // pairs and never a per-row closure. Filter columns that the caller does not
-// project are still decoded (appended after the projected columns) but are
+// project are still scanned (appended after the projected columns) but are
 // dropped again at the sink boundary by Collect.
 type Plan struct {
 	rel       Relation
 	outCols   []int
 	loKey     types.Row
 	hiKey     types.Row
-	filters   []planFilter
+	filters   []Pred // in the order they narrow the selection; Col is the schema column
 	batchSize int
 	needRids  bool
 	workers   int  // 0 = auto, 1 = caller's goroutine, n > 1 = forced (see Parallel)
@@ -113,81 +114,72 @@ func (p *Plan) NoPrune() *Plan {
 	return p
 }
 
-func (p *Plan) addFilter(col int, pred Pred, apply func(*vector.Vector, *vector.Selection)) *Plan {
+func (p *Plan) addFilter(col int, pred Pred) *Plan {
 	pred.Col = col
-	p.filters = append(p.filters, planFilter{col: col, pred: pred, apply: apply})
+	p.filters = append(p.filters, pred)
 	return p
 }
 
 // FilterInt64Range keeps rows with lo <= col <= hi (Int64/Date/Bool columns).
 func (p *Plan) FilterInt64Range(col int, lo, hi int64) *Plan {
-	return p.addFilter(col, Pred{Op: PredInt64Range, ILo: lo, IHi: hi},
-		func(v *vector.Vector, s *vector.Selection) { s.FilterInt64Range(v, lo, hi) })
+	return p.addFilter(col, Pred{Op: PredInt64Range, ILo: lo, IHi: hi})
 }
 
 // FilterInt64Le keeps rows with col <= hi.
 func (p *Plan) FilterInt64Le(col int, hi int64) *Plan {
-	return p.addFilter(col, Pred{Op: PredInt64Range, ILo: math.MinInt64, IHi: hi},
-		func(v *vector.Vector, s *vector.Selection) { s.FilterInt64Le(v, hi) })
+	return p.addFilter(col, Pred{Op: PredInt64Range, ILo: math.MinInt64, IHi: hi})
 }
 
 // FilterInt64Ge keeps rows with col >= lo.
 func (p *Plan) FilterInt64Ge(col int, lo int64) *Plan {
-	return p.addFilter(col, Pred{Op: PredInt64Range, ILo: lo, IHi: math.MaxInt64},
-		func(v *vector.Vector, s *vector.Selection) { s.FilterInt64Ge(v, lo) })
+	return p.addFilter(col, Pred{Op: PredInt64Range, ILo: lo, IHi: math.MaxInt64})
 }
 
 // FilterInt64Eq keeps rows with col == x.
 func (p *Plan) FilterInt64Eq(col int, x int64) *Plan {
-	return p.addFilter(col, Pred{Op: PredInt64Range, ILo: x, IHi: x, Eq: true},
-		func(v *vector.Vector, s *vector.Selection) { s.FilterInt64Eq(v, x) })
+	return p.addFilter(col, Pred{Op: PredInt64Range, ILo: x, IHi: x, Eq: true})
 }
 
 // FilterFloat64Range keeps rows with lo <= col <= hi.
 func (p *Plan) FilterFloat64Range(col int, lo, hi float64) *Plan {
-	return p.addFilter(col, Pred{Op: PredFloat64Range, FLo: lo, FHi: hi},
-		func(v *vector.Vector, s *vector.Selection) { s.FilterFloat64Range(v, lo, hi) })
+	return p.addFilter(col, Pred{Op: PredFloat64Range, FLo: lo, FHi: hi})
 }
 
 // FilterFloat64Lt keeps rows with col < hi.
 func (p *Plan) FilterFloat64Lt(col int, hi float64) *Plan {
-	return p.addFilter(col, Pred{Op: PredFloat64Lt, FLo: math.Inf(-1), FHi: hi},
-		func(v *vector.Vector, s *vector.Selection) { s.FilterFloat64Lt(v, hi) })
+	return p.addFilter(col, Pred{Op: PredFloat64Lt, FLo: math.Inf(-1), FHi: hi})
 }
 
 // FilterStrEq keeps rows with col == x.
 func (p *Plan) FilterStrEq(col int, x string) *Plan {
-	return p.addFilter(col, Pred{Op: PredStrEq, Strs: []string{x}, Eq: true},
-		func(v *vector.Vector, s *vector.Selection) { s.FilterStrEq(v, x) })
+	return p.addFilter(col, Pred{Op: PredStrEq, Strs: []string{x}, Eq: true})
 }
 
-// FilterStrIn keeps rows whose col equals one of the given strings.
+// FilterStrIn keeps rows whose col equals one of the given strings. The plan
+// keeps its own copy of set: a caller may reuse the slice afterwards.
 func (p *Plan) FilterStrIn(col int, set ...string) *Plan {
-	return p.addFilter(col, Pred{Op: PredStrIn, Strs: append([]string(nil), set...)},
-		func(v *vector.Vector, s *vector.Selection) { s.FilterStrIn(v, set...) })
+	return p.addFilter(col, Pred{Op: PredStrIn, Strs: append([]string(nil), set...)})
 }
 
 // FilterStrPrefix keeps rows whose col starts with prefix.
 func (p *Plan) FilterStrPrefix(col int, prefix string) *Plan {
-	return p.addFilter(col, Pred{Op: PredStrPrefix, Strs: []string{prefix}},
-		func(v *vector.Vector, s *vector.Selection) { s.FilterStrPrefix(v, prefix) })
+	return p.addFilter(col, Pred{Op: PredStrPrefix, Strs: []string{prefix}})
 }
 
 // FilterStrContains keeps rows whose col contains sub. Substring containment
 // has no zone-map or index description, so this filter never prunes blocks.
 func (p *Plan) FilterStrContains(col int, sub string) *Plan {
-	return p.addFilter(col, Pred{},
-		func(v *vector.Vector, s *vector.Selection) { s.FilterStrContains(v, sub) })
+	return p.addFilter(col, Pred{Op: PredStrContains, Strs: []string{sub}})
 }
 
 // analyzed is the relation-independent part of a plan: the scan column set
 // (projected columns first, then filter-only columns), the batch kinds, and
-// each filter bound to its batch slot. Every worker pipeline of an execution
-// shares one analysis.
+// the filter chain bound to batch slots. Every worker pipeline of an
+// execution shares one analysis.
 type analyzed struct {
 	scanCols []int
 	kinds    []types.Kind
-	slots    []int // filters[i] applies to batch vector slots[i]
+	chain    vector.Chain
 }
 
 func (p *Plan) analyze() (*analyzed, error) {
@@ -196,22 +188,22 @@ func (p *Plan) analyze() (*analyzed, error) {
 	}
 	schema := p.rel.Schema()
 	scanCols := append([]int(nil), p.outCols...)
-	slots := make([]int, len(p.filters))
+	chain := vector.Chain{Filters: make([]vector.Filter, len(p.filters)), Outputs: len(p.outCols)}
 	for i, f := range p.filters {
 		slot := -1
 		for j, c := range scanCols {
-			if c == f.col {
+			if c == f.Col {
 				slot = j
 				break
 			}
 		}
 		if slot < 0 {
 			// Filter on an unprojected column: push it into the scan anyway
-			// (decoded for filtering, dropped at the sink boundary).
+			// (read for filtering, dropped at the sink boundary).
 			slot = len(scanCols)
-			scanCols = append(scanCols, f.col)
+			scanCols = append(scanCols, f.Col)
 		}
-		slots[i] = slot
+		chain.Filters[i] = vector.Filter{Slot: slot, Pred: f}
 	}
 	for _, c := range scanCols {
 		if c < 0 || c >= schema.NumCols() {
@@ -222,15 +214,17 @@ func (p *Plan) analyze() (*analyzed, error) {
 	for i, c := range scanCols {
 		kinds[i] = schema.Cols[c].Kind
 	}
-	return &analyzed{scanCols: scanCols, kinds: kinds, slots: slots}, nil
+	return &analyzed{scanCols: scanCols, kinds: kinds, chain: chain}, nil
 }
 
 // Run streams the pipeline into fn: the ordered sink. Each call hands fn the
 // current batch (the plan's projected columns first, in order, then any
-// filter-only columns) and the selection of qualifying row indexes. The batch
-// and selection are reused across calls; fn must not retain them. Returning
-// Stop from fn ends the run without error. Batches where every row is
-// filtered out never reach fn.
+// filter-only columns) and the selection of qualifying row indexes. Only the
+// projected columns' values at selected rows are defined: a value at a row
+// the selection leaves out, and any value of a filter-only column, is
+// unspecified. The batch and selection are reused across calls; fn must not
+// retain them. Returning Stop from fn ends the run without error. Batches
+// where every row is filtered out never reach fn.
 //
 // fn always runs on the caller's goroutine and sees the rows in scan order.
 // With one worker it is the executor's emit callback itself; with several
@@ -260,6 +254,8 @@ func (p *Plan) Run(fn func(b *vector.Batch, sel []uint32) error) error {
 // parts were scheduled — the deterministic combine step parallel
 // aggregations need. fn may be called concurrently for different parts,
 // never for the same one; returning Stop ends the whole run without error.
+// fn sees batches as Run's does: only the projected columns' values at
+// selected rows are defined.
 func (p *Plan) RunPartitioned(start func(parts int) error, fn func(part int, b *vector.Batch, sel []uint32) error) error {
 	ap, err := p.resolveAccess()
 	if err != nil {
@@ -273,12 +269,13 @@ func (p *Plan) RunPartitioned(start func(parts int) error, fn func(part int, b *
 
 // Collect drains the pipeline into one dense batch holding exactly the
 // projected columns (filter-only columns are projected away): the
-// materializing sink. RIDs are carried through when WithRids was set. Each
-// worker appends its morsels' survivors to a private output batch, pre-sized
-// from the morsel widths, and records one segment per morsel; stitching the
-// segments in morsel order reproduces the scan order exactly, whatever the
-// worker count. With one worker its output already is that order, and is
-// returned as it stands.
+// materializing sink. It copies the selected rows only, so the unspecified
+// values a pipeline batch holds at unselected rows never reach it. RIDs are
+// carried through when WithRids was set. Each worker appends its morsels'
+// survivors to a private output batch, pre-sized from the morsel widths, and
+// records one segment per morsel; stitching the segments in morsel order
+// reproduces the scan order exactly, whatever the worker count. With one
+// worker its output already is that order, and is returned as it stands.
 func (p *Plan) Collect() (*vector.Batch, error) {
 	ap, err := p.resolveAccess()
 	if err != nil {

@@ -107,6 +107,32 @@ func TestPlanAgreesAcrossDeltaModes(t *testing.T) {
 	}
 }
 
+// TestFilterStrInOwnsItsSet: a plan keeps its own copy of an IN list, so a
+// caller reusing the slice after FilterStrIn changes neither what the scan
+// keeps nor what pruning assumes it keeps — on a clean image, where the
+// scanner tests the dictionary, and under a live PDT, where the kernel runs
+// after the merge.
+func TestFilterStrInOwnsItsSet(t *testing.T) {
+	for _, mode := range []table.DeltaMode{table.ModeNone, table.ModePDT} {
+		tbl := loadUpdated(t, mode)
+		want := fingerprint(t, engine.Scan(tbl, 0, 3).FilterStrIn(3, "s001", "s003"), 2)
+		if want == "" {
+			t.Fatal("the IN list selects nothing; test is vacuous")
+		}
+		for _, noPrune := range []bool{false, true} {
+			set := []string{"s001", "s003"}
+			p := engine.Scan(tbl, 0, 3).FilterStrIn(3, set...)
+			set[0], set[1] = "s002", "zzz"
+			if noPrune {
+				p.NoPrune()
+			}
+			if got := fingerprint(t, p, 2); got != want {
+				t.Errorf("%v, NoPrune=%v: the caller's edit reached the plan:\nwant:\n%s\ngot:\n%s", mode, noPrune, want, got)
+			}
+		}
+	}
+}
+
 func TestPlanEmptyAndAllFiltered(t *testing.T) {
 	tbl := loadUpdated(t, table.ModePDT)
 	// all rows filtered out: the sink must never run

@@ -163,8 +163,8 @@ func (p *Plan) resolveAccess() (*accessPlan, error) {
 		return nil, err
 	}
 	ranges := []SIDRange{{ps.Lo, ps.Hi}}
-	if preds := p.typedPreds(); len(preds) > 0 && !p.noPrune && ps.Prune != nil {
-		if res := ps.Prune(preds); res != nil && res.Kept < res.Total {
+	if !p.noPrune && ps.Prune != nil && len(p.filters) > 0 {
+		if res := ps.Prune(p.filters); res != nil && res.Kept < res.Total {
 			ranges = res.Ranges
 		}
 	}
@@ -316,33 +316,39 @@ func (pp *pipe) release() {
 
 // pump is the pipeline loop: it reads src batch by batch into the pipe's
 // scratch, narrows the selection through the plan's filter chain, and hands
-// every batch with survivors to emit, tagged with the morsel index. emit may
-// swap the pipe's scratch for another (the ordered hand-off sends the batch
-// away and continues on a free one). Batches where every row is filtered out
-// never reach emit. pump returns nil only when src is exhausted; it reports
-// an execution stopped under it as Stop.
+// every batch with survivors to emit, tagged with the morsel index. A source
+// that can run the chain itself — the stable scanner, when no live layer sits
+// above it — selects as it reads; any other is read whole and filtered here.
+// emit may swap the pipe's scratch for another (the ordered hand-off sends
+// the batch away and continues on a free one). Batches where every row is
+// filtered out never reach emit. pump returns nil only when src is
+// exhausted; it reports an execution stopped under it as Stop.
 func (pp *pipe) pump(src pdt.BatchSource, mi int, emit func(pp *pipe, mi int) error) error {
-	p, a := pp.ap.plan, pp.ap.a
+	p, chain := pp.ap.plan, &pp.ap.a.chain
 	if pp.b == nil {
 		pp.sel = vector.GetSelection()
 		if pp.ap.pool != nil {
 			pp.b = pp.ap.pool.Get()
 		} else {
-			pp.b = vector.NewBatch(a.kinds, p.batchSize)
+			pp.b = vector.NewBatch(pp.ap.a.kinds, p.batchSize)
 		}
+	}
+	selector, _ := src.(pdt.Selector)
+	if len(chain.Filters) == 0 {
+		selector = nil
 	}
 	for !pp.ap.stop.Load() {
 		pp.b.Reset()
-		n, err := src.Next(pp.b, p.batchSize)
+		var n int
+		var err error
+		if selector != nil {
+			n, err = selector.Select(pp.b, p.batchSize, chain, pp.sel)
+		} else if n, err = src.Next(pp.b, p.batchSize); n > 0 {
+			pp.sel.All(n)
+			chain.Apply(pp.b, pp.sel)
+		}
 		if err != nil || n == 0 {
 			return err
-		}
-		pp.sel.All(n)
-		for i, f := range p.filters {
-			f.apply(pp.b.Vecs[a.slots[i]], pp.sel)
-			if pp.sel.Len() == 0 {
-				break
-			}
 		}
 		if pp.sel.Len() == 0 {
 			continue

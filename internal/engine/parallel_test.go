@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -74,9 +75,9 @@ func fpBatch(b *vector.Batch) string {
 	return sb.String()
 }
 
-// bigTable builds a multi-block table with scattered updates, large enough
-// that forced-parallel runs really split into many morsels.
-func bigTable(t *testing.T, mode table.DeltaMode, n int) *table.Table {
+// cleanBigTable builds a multi-block table large enough that forced-parallel
+// runs really split into many morsels, with nothing in its delta structure.
+func cleanBigTable(t *testing.T, mode table.DeltaMode, n int) *table.Table {
 	t.Helper()
 	rows := make([]types.Row, n)
 	for i := 0; i < n; i++ {
@@ -91,6 +92,14 @@ func bigTable(t *testing.T, mode table.DeltaMode, n int) *table.Table {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tbl
+}
+
+// bigTable is cleanBigTable with scattered updates in the delta structure
+// (none in ModeNone).
+func bigTable(t *testing.T, mode table.DeltaMode, n int) *table.Table {
+	t.Helper()
+	tbl := cleanBigTable(t, mode, n)
 	if mode == table.ModeNone {
 		return tbl
 	}
@@ -143,10 +152,47 @@ func intGe(col int, lo int64) predSpec {
 	return s
 }
 
+func intEq(col int, x int64) predSpec {
+	s := intRange(col, x, x)
+	s.add = func(p *engine.Plan) *engine.Plan { return p.FilterInt64Eq(col, x) }
+	s.pred.Eq = true
+	return s
+}
+
+func floatRange(col int, lo, hi float64) predSpec {
+	return predSpec{col, func(v types.Value) bool { return lo <= v.F && v.F <= hi },
+		func(p *engine.Plan) *engine.Plan { return p.FilterFloat64Range(col, lo, hi) },
+		engine.Pred{Col: col, Op: engine.PredFloat64Range, FLo: lo, FHi: hi}}
+}
+
 func floatLt(col int, hi float64) predSpec {
 	return predSpec{col, func(v types.Value) bool { return v.F < hi },
 		func(p *engine.Plan) *engine.Plan { return p.FilterFloat64Lt(col, hi) },
 		engine.Pred{Col: col, Op: engine.PredFloat64Lt, FLo: math.Inf(-1), FHi: hi}}
+}
+
+func strEq(col int, x string) predSpec {
+	return predSpec{col, func(v types.Value) bool { return v.S == x },
+		func(p *engine.Plan) *engine.Plan { return p.FilterStrEq(col, x) },
+		engine.Pred{Col: col, Op: engine.PredStrEq, Strs: []string{x}, Eq: true}}
+}
+
+func strIn(col int, set ...string) predSpec {
+	return predSpec{col, func(v types.Value) bool { return slices.Contains(set, v.S) },
+		func(p *engine.Plan) *engine.Plan { return p.FilterStrIn(col, set...) },
+		engine.Pred{Col: col, Op: engine.PredStrIn, Strs: set}}
+}
+
+func strPrefix(col int, pre string) predSpec {
+	return predSpec{col, func(v types.Value) bool { return strings.HasPrefix(v.S, pre) },
+		func(p *engine.Plan) *engine.Plan { return p.FilterStrPrefix(col, pre) },
+		engine.Pred{Col: col, Op: engine.PredStrPrefix, Strs: []string{pre}}}
+}
+
+func strContains(col int, sub string) predSpec {
+	return predSpec{col, func(v types.Value) bool { return strings.Contains(v.S, sub) },
+		func(p *engine.Plan) *engine.Plan { return p.FilterStrContains(col, sub) },
+		engine.Pred{Col: col, Op: engine.PredStrContains, Strs: []string{sub}}}
 }
 
 // planSpec describes a plan declaratively, so the test can build both the
@@ -156,7 +202,8 @@ type planSpec struct {
 	cols   []int
 	lo, hi types.Row // Plan.Range bounds; nil = open
 	preds  []predSpec
-	batch  int // 0 = default
+	batch  int      // 0 = default
+	prunes []string // the pruneVariants to run it under; nil = all
 }
 
 func (s planSpec) plan(rel engine.Relation) *engine.Plan {
@@ -229,6 +276,43 @@ func plansUnderTest() []planSpec {
 	}
 }
 
+// everyFilter is one instance of every Filter* constructor, each selecting
+// some rows of bigTable's columns and not others.
+func everyFilter() map[string]predSpec {
+	return map[string]predSpec{
+		"Int64Range":   intRange(1, 10, 60),
+		"Int64Le":      intLe(1, 30),
+		"Int64Ge":      intGe(1, 70),
+		"Int64Eq":      intEq(1, 7),
+		"Float64Range": floatRange(2, 20, 180),
+		"Float64Lt":    floatLt(2, 120),
+		"StrEq":        strEq(3, "s004"),
+		"StrIn":        strIn(3, "s001", "ins", "s009", "zz"),
+		"StrPrefix":    strPrefix(3, "s00"),
+		"StrContains":  strContains(3, "1"),
+	}
+}
+
+// filterPlans put every Filter* constructor first and after another filter,
+// on a projected column and on one only the filters read: a scan that selects
+// in the stable scanner decides the first filter on the encoded block, never
+// decodes a filter-only column it decides there, and gathers the other
+// columns at the rows still selected.
+func filterPlans() []planSpec {
+	var specs []planSpec
+	prunes := []string{"noprune", "some-kept"} // every block read, and some
+	for name, f := range everyFilter() {
+		other := intGe(0, 300)
+		specs = append(specs,
+			planSpec{name: "first/projected/" + name, cols: []int{f.col, 0}, preds: []predSpec{f, other}, prunes: prunes},
+			planSpec{name: "first/filter-only/" + name, cols: []int{0}, preds: []predSpec{f, other}, batch: 100, prunes: prunes},
+			planSpec{name: "later/projected/" + name, cols: []int{0, f.col}, preds: []predSpec{other, f}, prunes: prunes},
+			planSpec{name: "later/filter-only/" + name, cols: []int{0}, preds: []predSpec{other, f}, prunes: prunes})
+	}
+	slices.SortFunc(specs, func(a, b planSpec) int { return strings.Compare(a.name, b.name) })
+	return specs
+}
+
 // pruneVariants put a plan through each outcome of the access-path decision:
 // pruning not attempted, attempted with every block kept (the whole range is
 // read), with some kept, and with none kept (beyond the blocks a delta layer
@@ -298,14 +382,33 @@ var sinks = []struct {
 	}},
 }
 
+// TestSinkMatrix runs the plan shapes over four images: no delta structure;
+// a PDT table whose PDT is empty, which reads the bare stable scan and filters
+// in the scanner; one whose PDT holds live entries, which filters after the
+// merge; and a VDT table. Every filter constructor, first and later, runs over
+// the two PDT images — the two places a filter can run — unpruned and pruned.
 func TestSinkMatrix(t *testing.T) {
-	for _, mode := range []table.DeltaMode{table.ModeNone, table.ModePDT, table.ModeVDT} {
-		tbl := bigTable(t, mode, 2000)
-		for _, base := range plansUnderTest() {
+	images := []struct {
+		name  string
+		mode  table.DeltaMode
+		tbl   *table.Table
+		plans []planSpec
+	}{
+		{"none", table.ModeNone, bigTable(t, table.ModeNone, 2000), plansUnderTest()},
+		{"pdt-empty", table.ModePDT, cleanBigTable(t, table.ModePDT, 2000), append(plansUnderTest(), filterPlans()...)},
+		{"pdt-live", table.ModePDT, bigTable(t, table.ModePDT, 2000), append(plansUnderTest(), filterPlans()...)},
+		{"vdt", table.ModeVDT, bigTable(t, table.ModeVDT, 2000), plansUnderTest()},
+	}
+	for _, im := range images {
+		mode, tbl := im.mode, im.tbl
+		for _, base := range im.plans {
 			for _, v := range pruneVariants {
+				if base.prunes != nil && !slices.Contains(base.prunes, v.name) {
+					continue
+				}
 				spec := base
 				spec.preds = append(append([]predSpec(nil), base.preds...), v.extra...)
-				label := fmt.Sprintf("%v/%s/%s", mode, spec.name, v.name)
+				label := fmt.Sprintf("%s/%s/%s", im.name, spec.name, v.name)
 				withRids, noRids := spec.reference(t, tbl)
 				if (withRids == "") != v.empty {
 					t.Fatalf("%s: reference has %d bytes; the case is vacuous", label, len(withRids))

@@ -1,8 +1,8 @@
 package engine
 
-// Pre-scan block pruning: the access-path half of the plan. Every typed
-// filter also records a Pred — a declarative description of what it keeps —
-// and a partitionable relation may expose a Prune hook that resolves those
+// Pre-scan block pruning: the access-path half of the plan. Every filter is
+// a Pred — a declarative description of what it keeps — and a partitionable
+// relation may expose a Prune hook that resolves those
 // predicates against per-block zone maps and secondary-index summaries
 // BEFORE any block is fetched. The result is the subset of the scan's
 // stable-SID range that can still hold qualifying rows; morselization then
@@ -32,43 +32,30 @@ import (
 	"pdtstore/internal/colstore"
 	"pdtstore/internal/pdt"
 	"pdtstore/internal/storage"
+	"pdtstore/internal/vector"
 )
 
-// PredOp enumerates the predicate shapes the pruning pass understands. A
-// filter whose semantics no PredOp captures (FilterStrContains, custom
-// kernels) records PredNone and simply never prunes.
-type PredOp uint8
+// PredOp is a filter's predicate shape. It is declared beside the kernels in
+// package vector, below the stable scanner that evaluates predicates on
+// encoded blocks; the names here are the ones the index package and plans
+// use.
+type PredOp = vector.PredOp
 
+// The predicate shapes (see vector.PredOp).
 const (
-	// PredNone marks a filter with no prunable description.
-	PredNone PredOp = iota
-	// PredInt64Range keeps ILo <= v <= IHi (Int64/Date/Bool columns).
-	PredInt64Range
-	// PredFloat64Range keeps FLo <= v <= FHi.
-	PredFloat64Range
-	// PredFloat64Lt keeps v < FHi (strict).
-	PredFloat64Lt
-	// PredStrEq keeps v == Strs[0].
-	PredStrEq
-	// PredStrIn keeps v ∈ Strs.
-	PredStrIn
-	// PredStrPrefix keeps v with prefix Strs[0].
-	PredStrPrefix
+	PredNone         = vector.PredNone
+	PredInt64Range   = vector.PredInt64Range
+	PredFloat64Range = vector.PredFloat64Range
+	PredFloat64Lt    = vector.PredFloat64Lt
+	PredStrEq        = vector.PredStrEq
+	PredStrIn        = vector.PredStrIn
+	PredStrPrefix    = vector.PredStrPrefix
+	PredStrContains  = vector.PredStrContains
 )
 
-// Pred is the declarative form of one typed filter: enough for a zone map or
-// index summary to prove "no row of this block qualifies" without running
-// the kernel. The arm named by Op is populated.
-type Pred struct {
-	Col      int
-	Op       PredOp
-	ILo, IHi int64
-	FLo, FHi float64
-	Strs     []string
-	// Eq marks an exact-match predicate (FilterInt64Eq, FilterStrEq) — the
-	// shape a hash/bloom index summary can answer even when a range cannot.
-	Eq bool
-}
+// Pred is the declarative form of one typed filter (see vector.Pred): what
+// the kernel keeps, which a zone map or index summary can answer per block.
+type Pred = vector.Pred
 
 // SIDRange is one kept contiguous stable-SID sub-range of a pruned scan.
 type SIDRange struct{ Lo, Hi uint64 }
@@ -94,17 +81,6 @@ type PruneResult struct {
 // predicate shape not answerable).
 type IndexProber interface {
 	CanSkip(pred Pred, blk int) (skip, indexed bool)
-}
-
-// typedPreds collects the plan's prunable predicate descriptions.
-func (p *Plan) typedPreds() []Pred {
-	var preds []Pred
-	for _, f := range p.filters {
-		if f.pred.Op != PredNone {
-			preds = append(preds, f.pred)
-		}
-	}
-	return preds
 }
 
 // PruneFunc builds a PartScan.Prune hook over one store and the PDT layer

@@ -45,7 +45,7 @@ func TestZoneExcludes(t *testing.T) {
 		// it may still be in the block, so the upper bound cannot exclude.
 		{"trunc max extension kept", truncZone, Pred{Op: PredStrEq, Strs: []string{"zzz"}}, false},
 		{"trunc min still excludes", truncZone, Pred{Op: PredStrEq, Strs: []string{"a"}}, true},
-		{"contains never skips", strZone, Pred{Op: PredNone}, false},
+		{"contains never skips", strZone, Pred{Op: PredStrContains, Strs: []string{"o"}}, false},
 	}
 	for _, c := range cases {
 		if got := zoneExcludes(c.z, c.p); got != c.want {

@@ -114,7 +114,9 @@ func PartitionLayers(s *colstore.Store, loKey, hiKey types.Row, layers ...*pdt.P
 // frozen maintenance layer only while a background fold or checkpoint is in
 // flight, and a fresh transaction's Trans-PDT is empty — pass them
 // unconditionally, and an image with nothing live above it reads as the bare
-// scan. Emptiness is judged here, when the source is opened: a layer that
+// scan — which, under Numbered, is a pdt.Selector: the executor hands it the
+// plan's filter chain and the stable scanner filters on its encoded blocks.
+// Emptiness is judged here, when the source is opened: a layer that
 // gains its first entry under an open source stays invisible to it. A
 // statement that writes while it scans must not rely on either outcome; that
 // is what Txn.BeginQuery's private Query-PDT is for.
@@ -176,12 +178,18 @@ func (c *concatSource) SizeHint() int {
 // OffsetRids shifts every RID a source emits by off: shard i of a sharded
 // table produces local RIDs starting at 0, and the coordinator re-bases them
 // by the visible row counts of the shards before it so the concatenated scan
-// emits one consecutive global RID space.
+// emits one consecutive global RID space. The result is a pdt.Selector when
+// src is one, so a shard read without a live layer still filters in its
+// scanner.
 func OffsetRids(src pdt.BatchSource, off uint64) pdt.BatchSource {
 	if off == 0 {
 		return src
 	}
-	return &ridShift{src: src, off: off}
+	r := &ridShift{src: src, off: off}
+	if s, ok := src.(pdt.Selector); ok {
+		return &ridShiftSelector{ridShift: r, sel: s}
+	}
+	return r
 }
 
 type ridShift struct {
@@ -192,10 +200,26 @@ type ridShift struct {
 func (r *ridShift) Next(out *vector.Batch, max int) (int, error) {
 	base := len(out.Rids)
 	n, err := r.src.Next(out, max)
-	for i := base; i < len(out.Rids); i++ {
-		out.Rids[i] += r.off
-	}
+	r.shift(out.Rids[base:])
 	return n, err
 }
 
+func (r *ridShift) shift(rids []uint64) {
+	for i := range rids {
+		rids[i] += r.off
+	}
+}
+
 func (r *ridShift) SizeHint() int { return pdt.SizeHint(r.src) }
+
+type ridShiftSelector struct {
+	*ridShift
+	sel pdt.Selector
+}
+
+func (r *ridShiftSelector) Select(out *vector.Batch, max int, chain *vector.Chain, sel *vector.Selection) (int, error) {
+	base := len(out.Rids)
+	n, err := r.sel.Select(out, max, chain, sel)
+	r.shift(out.Rids[base:])
+	return n, err
+}

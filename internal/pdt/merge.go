@@ -59,10 +59,27 @@ func SizeHint(src BatchSource) int {
 	return -1
 }
 
+// Selector is a source that runs a consumer's filter chain itself. Only the
+// stable scanner is one: a merge must see every row of its source to place
+// its updates, so a chain can run below the merges only when there are none.
+// Select is Next for a consumer that filters: out (empty on entry) gains up
+// to max rows in every vector, the count returned, and sel is set to the
+// indexes of those that pass every filter of chain, which holds at least
+// one. A vector's values at rows sel leaves out are unspecified, and so is
+// every value of a slot past chain.Outputs.
+type Selector interface {
+	Select(out *vector.Batch, max int, chain *vector.Chain, sel *vector.Selection) (int, error)
+}
+
 // Numbered is the top of a positional pipeline: src's rows, numbered with
-// consecutive RIDs from startRID.
+// consecutive RIDs from startRID. It is a Selector exactly when src is one —
+// when no merge sits between it and the stable scanner.
 func Numbered(src Source, startRID uint64) BatchSource {
-	return &numbered{src: src, rid: startRID}
+	n := &numbered{src: src, rid: startRID}
+	if s, ok := src.(Selector); ok {
+		return &numberedSelector{numbered: n, sel: s}
+	}
+	return n
 }
 
 type numbered struct {
@@ -72,16 +89,32 @@ type numbered struct {
 
 func (s *numbered) Next(out *vector.Batch, max int) (int, error) {
 	n, err := s.src.Next(out, max)
+	s.number(out, n)
+	return n, err
+}
+
+// number appends the RIDs of the n rows just produced.
+func (s *numbered) number(out *vector.Batch, n int) {
 	base := len(out.Rids)
 	out.Rids = slices.Grow(out.Rids, n)[:base+n]
 	for i := range out.Rids[base:] {
 		out.Rids[base+i] = s.rid + uint64(i)
 	}
 	s.rid += uint64(n)
-	return n, err
 }
 
 func (s *numbered) SizeHint() int { return SizeHint(s.src) }
+
+type numberedSelector struct {
+	*numbered
+	sel Selector
+}
+
+func (s *numberedSelector) Select(out *vector.Batch, max int, chain *vector.Chain, sel *vector.Selection) (int, error) {
+	n, err := s.sel.Select(out, max, chain, sel)
+	s.number(out, n)
+	return n, err
+}
 
 // MergeScan applies one PDT layer on top of a positional row source.
 type MergeScan struct {

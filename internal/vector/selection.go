@@ -75,42 +75,6 @@ func (s *Selection) FilterInt64Range(v *Vector, lo, hi int64) {
 	s.idx = kept
 }
 
-// FilterInt64Le keeps rows with v.I[i] <= hi.
-func (s *Selection) FilterInt64Le(v *Vector, hi int64) {
-	kept := s.idx[:0]
-	col := v.I
-	for _, i := range s.idx {
-		if col[i] <= hi {
-			kept = append(kept, i)
-		}
-	}
-	s.idx = kept
-}
-
-// FilterInt64Ge keeps rows with v.I[i] >= lo.
-func (s *Selection) FilterInt64Ge(v *Vector, lo int64) {
-	kept := s.idx[:0]
-	col := v.I
-	for _, i := range s.idx {
-		if col[i] >= lo {
-			kept = append(kept, i)
-		}
-	}
-	s.idx = kept
-}
-
-// FilterInt64Eq keeps rows with v.I[i] == x.
-func (s *Selection) FilterInt64Eq(v *Vector, x int64) {
-	kept := s.idx[:0]
-	col := v.I
-	for _, i := range s.idx {
-		if col[i] == x {
-			kept = append(kept, i)
-		}
-	}
-	s.idx = kept
-}
-
 // FilterFloat64Range keeps rows with lo <= v.F[i] <= hi.
 func (s *Selection) FilterFloat64Range(v *Vector, lo, hi float64) {
 	kept := s.idx[:0]

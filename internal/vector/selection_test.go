@@ -1,6 +1,7 @@
 package vector
 
 import (
+	"math"
 	"testing"
 
 	"pdtstore/internal/types"
@@ -49,16 +50,16 @@ func TestFilterInt64Kernels(t *testing.T) {
 		t.Fatalf("range = %v", got)
 	}
 	// narrowing composes: a second kernel sees only survivors
-	s.FilterInt64Le(v, 5)
+	s.Filter(v, Pred{Op: PredInt64Range, ILo: math.MinInt64, IHi: 5})
 	if got := s.Indexes(); len(got) != 2 || got[0] != 0 || got[1] != 3 {
 		t.Fatalf("range∘le = %v", got)
 	}
-	s.FilterInt64Eq(v, 3)
+	s.Filter(v, Pred{Op: PredInt64Range, ILo: 3, IHi: 3})
 	if got := s.Indexes(); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("eq = %v", got)
 	}
 	// all rows filtered out
-	s.FilterInt64Ge(v, 100)
+	s.Filter(v, Pred{Op: PredInt64Range, ILo: 100, IHi: math.MaxInt64})
 	if s.Len() != 0 {
 		t.Fatal("expected empty selection")
 	}

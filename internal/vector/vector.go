@@ -6,6 +6,7 @@ package vector
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"pdtstore/internal/types"
@@ -96,6 +97,20 @@ func (v *Vector) Set(i int, val types.Value) {
 		v.S[i] = val.S
 	default:
 		v.I[i] = val.I
+	}
+}
+
+// Extend lengthens the vector by n values, keeping capacity where it can, and
+// leaves them unspecified (whatever the backing array held): for a writer
+// that then fills only some of them, at the positions a selection kept.
+func (v *Vector) Extend(n int) {
+	switch v.Kind {
+	case types.Float64:
+		v.F = slices.Grow(v.F, n)[:len(v.F)+n]
+	case types.String:
+		v.S = slices.Grow(v.S, n)[:len(v.S)+n]
+	default:
+		v.I = slices.Grow(v.I, n)[:len(v.I)+n]
 	}
 }
 
