@@ -1014,7 +1014,7 @@ func (s *Store) LowerBound(key types.Row) (uint64, error) {
 // Scanner iterates a SID range of the store, producing schema-typed batches
 // for a column subset. It is the bottom of every positional read pipeline
 // (pdt.Source): the merges stacked above it pass the consumer's batch down,
-// so Next is the one place a stable value is written.
+// so Next and SelectRuns are the only places a stable value is written.
 type Scanner struct {
 	store *Store
 	cols  []int
@@ -1025,20 +1025,26 @@ type Scanner struct {
 	// the scan's) end; empty until the first Next
 	bufs         []*vector.Vector
 	winLo, winHi uint64
-	sel          *selectState // Select's state; nil until the first Select
+	sel          *selectState // SelectRuns' state; nil until the first call
 }
 
-// selectState is what Select keeps between batches of one block: the block's
+// selectState is what SelectRuns keeps across calls: the current block's
 // encoded bytes per requested column, fetched on first use, and the first
-// filter's survivors over the block's window [lo, hi), as offsets from lo.
+// filter's survivors over the scan's window of its block [lo, hi), as offsets
+// from lo. The rest is one block's scratch, reused.
 type selectState struct {
 	blk      int
 	enc      [][]byte
 	first    []uint32
 	at       int // first[at:] lie at or after the scan position
 	lo, hi   uint64
-	have     []bool   // per column: gathered at a superset of the batch's selection
-	gathered []uint64 // per column: values gathered so far (read by tests)
+	pieces   []compress.Span  // the block's share of the runs
+	cand     vector.Selection // batch positions still selected in the block
+	rows     vector.Selection // the block rows of cand, for a gather over several pieces
+	fpos     []uint32         // kept positions in the block's pieces
+	frows    []uint32         // and their block rows
+	have     []bool           // per column: gathered at a superset of cand
+	gathered []uint64         // per column: values gathered or decoded so far (read by tests)
 }
 
 // NewScanner returns a scanner over SIDs [from, to) producing the given
@@ -1058,9 +1064,6 @@ func (s *Store) NewScanner(cols []int, from, to uint64) *Scanner {
 		bufs:  make([]*vector.Vector, len(cols)),
 	}
 }
-
-// SizeHint returns exactly how many rows remain in the scanner's SID range.
-func (sc *Scanner) SizeHint() int { return int(sc.end - sc.sid) }
 
 // Skip advances past up to n rows without producing them and returns how
 // many. Skipped rows cost nothing: a block the scan only skips through is
@@ -1110,75 +1113,207 @@ func (sc *Scanner) Next(out *vector.Batch, max int) (int, error) {
 	return n, nil
 }
 
-// Select is Next for a consumer that filters (pdt.Selector): the chain runs
-// on encoded blocks, and a value is decoded only where some filter or the
-// consumer reads it. Entering a block, the first filter selects over the
-// scan's window of it in the encoded domain (compress.Select*). Each batch
-// then takes that filter's survivors in its rows, gathers each later filter's
-// column at the rows still selected and filters it, and gathers the remaining
-// output columns (chain.Outputs) at the rows that survive, in their batch
-// positions. A column only the first filter reads is never decoded, and a
-// block whose rows all fail it fetches no other column. out must be empty.
-func (sc *Scanner) Select(out *vector.Batch, max int, chain *vector.Chain, sel *vector.Selection) (int, error) {
+// SizeHint returns exactly how many rows remain in the scanner's SID range.
+func (sc *Scanner) SizeHint() int { return int(sc.end - sc.sid) }
+
+// SelectRuns is Next for a consumer that filters, over the runs a merge
+// passes through (pdt.RunSelector); a bare scan is its one-run case. out's
+// vectors already reach every position the runs name. Each run passes over
+// Skip rows and places the next N at its batch positions. keep lists the
+// positions the caller decides itself: a row at one of them is written in
+// every slot and never filtered. sel (reset first) gets every position of
+// keep and those of the other rows that pass every filter of chain, where
+// every output slot (chain.Outputs) is written. Values anywhere else are
+// unspecified.
+//
+// The chain runs on encoded blocks, and a value is decoded only where some
+// filter or the consumer reads it. Entering a block, the first filter selects
+// over the scan's window of it in the encoded domain (compress.Select*); each
+// call takes that filter's survivors in the block's share of its runs,
+// gathers each later filter's column at the rows still selected and filters
+// it, and gathers the output columns at the rows that survive, each value
+// written straight into its batch position (compress.Gather*At) — or, where
+// the rows still selected are most of the share's rows, decodes every row of
+// it (compress.Decode*Spans). A block's bytes are read once per call, however
+// many runs cross it; a column only the first filter reads is never decoded,
+// and a block whose rows all fail it fetches no other column unless a kept
+// row lies in it.
+func (sc *Scanner) SelectRuns(out *vector.Batch, runs []vector.Run, keep []uint32, chain *vector.Chain, sel *vector.Selection) error {
 	sel.Reset()
-	if sc.sid >= sc.end || max <= 0 {
-		return 0, nil
-	}
-	if out.Len() != 0 {
-		return 0, fmt.Errorf("colstore: Select into a batch holding %d rows", out.Len())
-	}
-	s := sc.store
-	blk := int(sc.sid) / s.blockRows
 	st := sc.sel
 	if st == nil {
 		st = &selectState{blk: -1, enc: make([][]byte, len(sc.cols)),
 			have: make([]bool, len(sc.cols)), gathered: make([]uint64, len(sc.cols))}
 		sc.sel = st
 	}
-	if sc.sid >= st.hi {
-		hi := min(uint64(blk+1)*uint64(s.blockRows), sc.end)
+	br := uint64(sc.store.blockRows)
+	ki := 0 // keep[ki:] are not in sel yet
+	for ri, placed, skipped := 0, 0, false; ri < len(runs); {
+		if !skipped {
+			if uint64(runs[ri].Skip) > sc.end-sc.sid {
+				return fmt.Errorf("colstore: a run skips past the scan's end")
+			}
+			sc.sid += uint64(runs[ri].Skip)
+			skipped = true
+		}
+		if placed == runs[ri].N {
+			ri, placed, skipped = ri+1, 0, false
+			continue
+		}
+		if sc.sid >= sc.end {
+			return fmt.Errorf("colstore: a run reads past the scan's end")
+		}
+		// The block holding the scan position, and the share of this run and
+		// of those after it that lies inside it.
+		blk := sc.sid / br
+		hi := min((blk+1)*br, sc.end)
+		st.pieces = st.pieces[:0]
+		for {
+			r := runs[ri]
+			if k := min(r.N-placed, int(hi-sc.sid)); k > 0 {
+				st.pieces = append(st.pieces, compress.Span{Row: int(sc.sid - blk*br), At: r.At + placed, N: k})
+				sc.sid += uint64(k)
+				placed += k
+			}
+			if placed < r.N || sc.sid == hi {
+				break
+			}
+			ri, placed, skipped = ri+1, 0, false
+			if ri == len(runs) || sc.sid+uint64(runs[ri].Skip) >= hi {
+				break
+			}
+			sc.sid += uint64(runs[ri].Skip)
+			skipped = true
+		}
+		var err error
+		if ki, err = sc.selectIn(out, int(blk), hi, keep, ki, chain, sel); err != nil {
+			return err
+		}
+	}
+	sel.AppendUnion(nil, keep[ki:])
+	return nil
+}
+
+// selectIn is SelectRuns over one block: the pieces of st.pieces, which lie in
+// the scan's window of block blk ending at hi, with keep[ki:] still to place.
+// It adds to sel the block's survivors and the kept positions up to its last
+// piece's end, and returns where keep continues.
+func (sc *Scanner) selectIn(out *vector.Batch, blk int, hi uint64, keep []uint32, ki int, chain *vector.Chain, sel *vector.Selection) (int, error) {
+	s, st := sc.store, sc.sel
+	blk0 := uint64(blk * s.blockRows)
+	if start := blk0 + uint64(st.pieces[0].Row); start >= st.hi {
 		f := chain.Filters[0]
 		enc, err := sc.block(f.Slot, blk)
 		if err == nil {
-			st.first, err = selectBlock(s.schema.Cols[sc.cols[f.Slot]].Kind, enc, int(sc.sid)%s.blockRows, int(hi-sc.sid), f.Pred, st.first[:0])
+			st.first, err = selectBlock(s.schema.Cols[sc.cols[f.Slot]].Kind, enc, st.pieces[0].Row, int(hi-start), f.Pred, st.first[:0])
 		}
 		if err != nil {
-			return 0, fmt.Errorf("colstore: column %d block %d: %w", sc.cols[f.Slot], blk, err)
+			return ki, fmt.Errorf("colstore: column %d block %d: %w", sc.cols[f.Slot], blk, err)
 		}
-		st.lo, st.hi, st.at = sc.sid, hi, 0
+		st.lo, st.hi, st.at = start, hi, 0
 	}
-	off, n := uint32(sc.sid-st.lo), min(max, int(st.hi-sc.sid))
-	for st.at < len(st.first) && st.first[st.at] < off {
-		st.at++ // rows a Skip passed over
+	// The first filter's survivors in each piece, but for the kept rows.
+	cand, fpos, frows := &st.cand, st.fpos[:0], st.frows[:0]
+	cand.Reset()
+	lo := uint32(st.lo - blk0) // the block row of offset 0
+	first, a, kj := st.first, st.at, ki
+	for _, p := range st.pieces {
+		kept := len(fpos)
+		for ; kj < len(keep) && int(keep[kj]) < p.At+p.N; kj++ {
+			if int(keep[kj]) >= p.At {
+				fpos = append(fpos, keep[kj])
+				frows = append(frows, uint32(p.Row)+keep[kj]-uint32(p.At))
+			}
+		}
+		from, to := uint32(p.Row)-lo, uint32(p.Row+p.N)-lo
+		for a < len(first) && first[a] < from {
+			a++ // rows a skip passed over
+		}
+		if a == len(first) || first[a] >= to {
+			continue // none of the piece's rows passes
+		}
+		n := vector.Search(first[a:min(len(first), a+p.N)], to)
+		surv, shift := first[a:a+n], uint32(p.At)-from
+		a += n
+		for _, f := range fpos[kept:] {
+			k := vector.Search(surv, f-shift)
+			cand.AppendShifted(surv[:k], shift)
+			if k < len(surv) && surv[k] == f-shift {
+				k++ // a kept row is not filtered
+			}
+			surv = surv[k:]
+		}
+		cand.AppendShifted(surv, shift)
 	}
-	for ; st.at < len(st.first) && st.first[st.at] < off+uint32(n); st.at++ {
-		sel.Append(st.first[st.at] - off)
-	}
-	for _, v := range out.Vecs {
-		v.Extend(n)
-	}
+	st.at = a
 	clear(st.have)
-	base := int(sc.sid) - blk*s.blockRows
+	// A column is read at the rows of cand. Where they are most of the
+	// pieces' rows — a filter that keeps nearly everything — decoding every
+	// row of every piece costs less than gathering them. Otherwise a gather
+	// reads the block rows of cand: cand shifted, when the block holds one
+	// piece, or else st.rows, worked out whenever cand has changed.
+	total := 0
+	for _, p := range st.pieces {
+		total += p.N
+	}
+	stale := true
+	gather := func(slot int) error {
+		st.have[slot] = true
+		switch p := st.pieces[0]; {
+		case 4*cand.Len() >= 3*total:
+			return sc.decode(slot, blk, st.pieces, total, out.Vecs[slot])
+		case len(st.pieces) == 1:
+			return sc.gather(slot, blk, p.Row-p.At, cand.Indexes(), cand.Indexes(), out.Vecs[slot])
+		}
+		if stale {
+			rowsOf(st.pieces, cand.Indexes(), &st.rows)
+			stale = false
+		}
+		return sc.gather(slot, blk, 0, st.rows.Indexes(), cand.Indexes(), out.Vecs[slot])
+	}
 	for _, f := range chain.Filters[1:] {
-		if sel.Len() == 0 {
+		if cand.Len() == 0 {
 			break
 		}
 		if !st.have[f.Slot] {
-			if err := sc.gather(f.Slot, blk, base, sel.Indexes(), out.Vecs[f.Slot]); err != nil {
-				return 0, err
+			if err := gather(f.Slot); err != nil {
+				return ki, err
 			}
 		}
-		sel.Filter(out.Vecs[f.Slot], f.Pred)
+		n := cand.Len()
+		cand.Filter(out.Vecs[f.Slot], f.Pred)
+		stale = stale || cand.Len() != n
 	}
-	for slot := 0; slot < chain.Outputs && sel.Len() > 0; slot++ {
+	for slot := 0; slot < chain.Outputs && cand.Len() > 0; slot++ {
 		if !st.have[slot] {
-			if err := sc.gather(slot, blk, base, sel.Indexes(), out.Vecs[slot]); err != nil {
-				return 0, err
+			if err := gather(slot); err != nil {
+				return ki, err
 			}
 		}
 	}
-	sc.sid += uint64(n)
-	return n, nil
+	for slot := 0; slot < len(sc.cols) && len(fpos) > 0; slot++ {
+		if err := sc.gather(slot, blk, 0, frows, fpos, out.Vecs[slot]); err != nil {
+			return ki, err
+		}
+	}
+	sel.AppendUnion(cand.Indexes(), keep[ki:kj])
+	st.fpos, st.frows = fpos, frows
+	return kj, nil
+}
+
+// rowsOf sets rows to the block rows of the ascending batch positions pos,
+// every one of which lies in one of pieces.
+func rowsOf(pieces []compress.Span, pos []uint32, rows *vector.Selection) {
+	rows.Reset()
+	for len(pos) > 0 {
+		for int(pos[0]) >= pieces[0].At+pieces[0].N {
+			pieces = pieces[1:]
+		}
+		p := pieces[0]
+		n := vector.Search(pos[:min(len(pos), p.N)], uint32(p.At+p.N))
+		rows.AppendShifted(pos[:n], uint32(p.Row-p.At))
+		pos = pos[n:]
+	}
 }
 
 // block returns the encoded bytes of block blk of the scanner's column slot,
@@ -1199,26 +1334,48 @@ func (sc *Scanner) block(slot, blk int) ([]byte, error) {
 	return st.enc[slot], nil
 }
 
-// gather decodes column slot's values at the batch positions pos, which lie
-// base rows into block blk, into v at the same positions.
-func (sc *Scanner) gather(slot, blk, base int, pos []uint32, v *vector.Vector) error {
+// decode decodes column slot's values at every row of the spans of block
+// blk, total of them, into v at the spans' batch positions.
+func (sc *Scanner) decode(slot, blk int, spans []compress.Span, total int, v *vector.Vector) error {
 	enc, err := sc.block(slot, blk)
 	if err == nil {
 		switch v.Kind {
 		case types.Float64:
-			err = compress.GatherFloat64sAt(enc, base, pos, v.F)
+			err = compress.DecodeFloat64sSpans(enc, spans, v.F)
 		case types.String:
-			err = compress.GatherStringsAt(enc, base, pos, v.S)
+			err = compress.DecodeStringsSpans(enc, spans, v.S)
 		case types.Bool:
-			err = compress.GatherBoolsAt(enc, base, pos, v.I)
+			err = compress.DecodeBoolsSpans(enc, spans, v.I)
 		default:
-			err = compress.GatherInt64sAt(enc, base, pos, v.I)
+			err = compress.DecodeInt64sSpans(enc, spans, v.I)
 		}
 	}
 	if err != nil {
 		return fmt.Errorf("colstore: column %d block %d: %w", sc.cols[slot], blk, err)
 	}
-	sc.sel.have[slot] = true
+	sc.sel.gathered[slot] += uint64(total)
+	return nil
+}
+
+// gather decodes column slot's values at rows base+rows of block blk, which
+// ascend, into v at the batch positions pos.
+func (sc *Scanner) gather(slot, blk, base int, rows, pos []uint32, v *vector.Vector) error {
+	enc, err := sc.block(slot, blk)
+	if err == nil {
+		switch v.Kind {
+		case types.Float64:
+			err = compress.GatherFloat64sAt(enc, base, rows, pos, v.F)
+		case types.String:
+			err = compress.GatherStringsAt(enc, base, rows, pos, v.S)
+		case types.Bool:
+			err = compress.GatherBoolsAt(enc, base, rows, pos, v.I)
+		default:
+			err = compress.GatherInt64sAt(enc, base, rows, pos, v.I)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("colstore: column %d block %d: %w", sc.cols[slot], blk, err)
+	}
 	sc.sel.gathered[slot] += uint64(len(pos))
 	return nil
 }

@@ -738,54 +738,65 @@ func DecodeStringsFrom(buf []byte, skip, n int, out []string) ([]string, error) 
 		if err != nil {
 			return nil, err
 		}
-		return d.decode(skip, end, out)
+		n0 := len(out)
+		out = slices.Grow(out, end-skip)[:n0+end-skip]
+		if err := d.decodeSpans([]Span{{Row: skip, At: n0, N: end - skip}}, out); err != nil {
+			return nil, err
+		}
+		return out, nil
 	case DictString:
 		dictLen, body, err := dictHeader(body)
 		if err != nil {
 			return nil, err
 		}
-		if end-skip < dictLen {
-			return decodeDictWindow(body, dictLen, skip, end, out)
-		}
-		// The window is at least as long as the dictionary: materialize the
-		// dictionary once — one arena holding all its bytes, each entry a
-		// slice of it — and share an entry across all its codes. (A scan's
-		// batch may pin the block's dictionary; the paths whose results are
-		// retained, decodeDictWindow and DictValues, copy per entry.)
-		p := 0
-		for i := 0; i < dictLen; i++ {
-			if _, p, err = dictEntry(body, p); err != nil {
-				return nil, err
-			}
-		}
-		arena, dict := string(body[:p]), make([]string, dictLen)
-		p = 0
-		for i := range dict {
-			entry, next, _ := dictEntry(body, p)
-			dict[i] = arena[next-len(entry) : next]
-			p = next
-		}
-		i := 0
-		if dictLen <= 0x80 && skip <= len(body)-p {
-			// Every valid code fits one byte, so the window starts skip in.
-			i, p = skip, p+skip
-		}
-		for ; i < end; i++ {
-			code, sz := uvarint2(body, p)
-			if sz == 0 {
-				code, sz = binary.Uvarint(body[p:])
-			}
-			if sz <= 0 || code >= uint64(dictLen) {
-				return nil, corrupt("bad dict code")
-			}
-			p += sz
-			if i >= skip {
-				out = append(out, dict[code])
-			}
-		}
-		return out, nil
+		return decodeLegacyDict(body, dictLen, skip, end, out)
 	}
 	return nil, corrupt("scheme %d is not a string encoding", scheme)
+}
+
+// decodeLegacyDict appends values [skip, end) of a legacy dictionary block,
+// whose body after the entry count is body, to out.
+func decodeLegacyDict(body []byte, dictLen, skip, end int, out []string) ([]string, error) {
+	if end-skip < dictLen {
+		return decodeDictWindow(body, dictLen, skip, end, out)
+	}
+	// The window is at least as long as the dictionary: materialize the
+	// dictionary once — one arena holding all its bytes, each entry a
+	// slice of it — and share an entry across all its codes. (A scan's
+	// batch may pin the block's dictionary; the paths whose results are
+	// retained, decodeDictWindow and DictValues, copy per entry.)
+	p, err := 0, error(nil)
+	for i := 0; i < dictLen; i++ {
+		if _, p, err = dictEntry(body, p); err != nil {
+			return nil, err
+		}
+	}
+	arena, dict := string(body[:p]), make([]string, dictLen)
+	p = 0
+	for i := range dict {
+		entry, next, _ := dictEntry(body, p)
+		dict[i] = arena[next-len(entry) : next]
+		p = next
+	}
+	i := 0
+	if dictLen <= 0x80 && skip <= len(body)-p {
+		// Every valid code fits one byte, so the window starts skip in.
+		i, p = skip, p+skip
+	}
+	for ; i < end; i++ {
+		code, sz := uvarint2(body, p)
+		if sz == 0 {
+			code, sz = binary.Uvarint(body[p:])
+		}
+		if sz <= 0 || code >= uint64(dictLen) {
+			return nil, corrupt("bad dict code")
+		}
+		p += sz
+		if i >= skip {
+			out = append(out, dict[code])
+		}
+	}
+	return out, nil
 }
 
 // dictBlock is a parsed PackedDict block.
@@ -824,49 +835,6 @@ func parseDict(body []byte, count int) (dictBlock, error) {
 // codeChunk is how many codes a dictionary decode unpacks at a time, into a
 // buffer on the stack.
 const codeChunk = 256
-
-// decode appends values [skip, end). A window shorter than the dictionary and
-// than one chunk — a probe's — copies only its own values, into one arena.
-// Any other copies the dictionary's bytes once; when the window is at least as
-// long as the dictionary, it also slices every entry once and shares it across
-// its codes.
-func (d *dictBlock) decode(skip, end int, out []string) ([]string, error) {
-	n := end - skip
-	n0 := len(out)
-	out = slices.Grow(out, n)[:n0+n]
-	dst := out[n0:]
-	var codes [codeChunk]uint64
-	if n < d.ndict && n <= codeChunk {
-		window := codes[:n]
-		unpack(window, d.codes, d.w, skip)
-		if err := d.copyOut(window, dst); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	arena := string(d.data)
-	var small [64]string
-	var dict []string
-	if n >= d.ndict {
-		dict = d.table(arena, small[:0])
-	}
-	for i := 0; i < n; i += codeChunk {
-		chunk := codes[:min(codeChunk, n-i)]
-		unpack(chunk, d.codes, d.w, skip+i)
-		for j, c := range chunk {
-			if c < uint64(len(dict)) {
-				dst[i+j] = dict[c]
-				continue
-			}
-			v, err := d.value(arena, c)
-			if err != nil {
-				return nil, err
-			}
-			dst[i+j] = v
-		}
-	}
-	return out, nil
-}
 
 // copyOut stores in vals[k] the value of codes[k]. The values share one
 // arena holding their own bytes alone.

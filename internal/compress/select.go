@@ -5,15 +5,19 @@ package compress
 // blocks compare in place, a ForInt block compares its residuals against
 // bounds shifted by the base and the line, an RLE block decides once per run,
 // a packed dictionary once per entry — and Gather*At decodes a block's values
-// only at the positions a selection kept. The legacy read-only schemes decode
-// the window and run the vector kernel on it.
+// only at the rows a selection kept, writing each into the batch position it
+// lands at; where a selection keeps nearly every row, Decode*Spans decodes
+// every row of some stretches of a block into the positions they land at.
+// The legacy read-only schemes decode the window and run the vector kernel
+// on it.
 //
-// Both stand or fall with the decoders: whenever Decode*From accepts a window
-// of a block, Select* over it succeeds and keeps exactly the rows the vector
-// kernel keeps of the decoded values, and Gather*At at positions inside it
-// yields the decoded values. On bytes a decoder would reject they may still
-// succeed (a block decided whole never reads its residuals), but they never
-// panic, and every error they return for bad bytes wraps ErrCorrupt.
+// All of them stand or fall with the decoders: whenever Decode*From accepts
+// a window of a block, Select* over it succeeds and keeps exactly the rows
+// the vector kernel keeps of the decoded values, and Gather*At at rows inside
+// it, like Decode*Spans over spans inside it, yields the decoded values. On
+// bytes a decoder would reject they may still succeed (a block decided whole
+// never reads its residuals), but they never panic, and every error they
+// return for bad bytes wraps ErrCorrupt.
 
 import (
 	"bytes"
@@ -424,14 +428,14 @@ func (d *dictBlock) selectMatch(skip, end int, m *strMatcher, out []uint32) ([]u
 	return out, nil
 }
 
-// gatherWindow checks a gather's positions against a block holding count
-// values: base+p must name one of them for every p of the ascending pos.
-func gatherWindow(count, base int, pos []uint32) error {
-	n := 0
-	if len(pos) > 0 {
-		n = int(pos[len(pos)-1]) + 1
+// gatherWindow checks a gather's rows against a block holding count values:
+// base plus each of the ascending rows must name one of them.
+func gatherWindow(count, base int, rows []uint32) error {
+	if len(rows) == 0 {
+		return nil
 	}
-	_, err := window(count, base, n)
+	first := int(rows[0])
+	_, err := window(count, base+first, int(rows[len(rows)-1])-first+1)
 	return err
 }
 
@@ -450,48 +454,63 @@ func bitsAt(packed []byte, w uint, i int) uint64 {
 	return u & (uint64(1)<<w - 1)
 }
 
-// unpackAt stores in vals[k] the w-bit value at index from+pos[k], for the
-// ascending positions pos (at most codeChunk of them, as long as vals). A
-// dense set is unpacked as the one run covering it, which streams; a sparse
-// one value by value.
-func unpackAt(vals []uint64, packed []byte, w uint, from int, pos []uint32) {
-	if len(pos) == 0 {
+// rowReader reads the w-bit values at index base+r of packed for ascending
+// rows r, a chunk of at most codeChunk rows at a time: a chunk whose rows lie
+// within 2*codeChunk values is unpacked as the one run covering it, which
+// streams, and read from there; a sparser one is read value by value.
+type rowReader struct {
+	packed []byte
+	w      uint
+	base   int
+	first  int // the row run[0] holds; -1: run[k] is the chunk's kth value
+	run    [2 * codeChunk]uint64
+}
+
+// load reads the chunk of ascending rows rs.
+func (rr *rowReader) load(rs []uint32) {
+	rr.first = int(rs[0])
+	if span := int(rs[len(rs)-1]) - rr.first + 1; span <= len(rr.run) {
+		unpack(rr.run[:span], rr.packed, rr.w, rr.base+rr.first)
 		return
 	}
-	first := int(pos[0])
-	if span := int(pos[len(pos)-1]) - first + 1; span <= 2*codeChunk {
-		var run [2 * codeChunk]uint64
-		unpack(run[:span], packed, w, from+first)
-		for k, p := range pos {
-			vals[k] = run[int(p)-first]
-		}
-		return
-	}
-	for k, p := range pos {
-		vals[k] = bitsAt(packed, w, from+int(p))
+	rr.first = -1
+	for k, r := range rs {
+		rr.run[k] = bitsAt(rr.packed, rr.w, rr.base+int(r))
 	}
 }
 
-// GatherInt64sAt decodes value base+p of an int block into dst[p], for every
-// p of the ascending positions pos; dst must be longer than pos's last, and
-// nothing else of it is written. Plain and ForInt blocks read each value where
-// it lies, an RLE block walks its runs once, a legacy delta block decodes the
-// window through the last position.
-func GatherInt64sAt(buf []byte, base int, pos []uint32, dst []int64) error {
+// at is the value of the loaded chunk's kth row, row r.
+func (rr *rowReader) at(k int, r uint32) uint64 {
+	if rr.first < 0 {
+		return rr.run[k]
+	}
+	return rr.run[int(r)-rr.first]
+}
+
+// GatherInt64sAt decodes value base+rows[k] of an int block into dst[pos[k]],
+// for every k: rows ascend, pos holds as many positions of dst, and nothing
+// else of dst is written. A merge's runs place a block's rows at batch
+// positions that need not follow them one for one, and a gather writes each
+// value straight into its position; where they do follow them, rows may be
+// pos itself and base the shift between the two. Plain and ForInt blocks read
+// each value where it lies, an RLE block walks its runs once, a legacy delta
+// block decodes the window from the first row through the last.
+func GatherInt64sAt(buf []byte, base int, rows, pos []uint32, dst []int64) error {
 	scheme, count, body, err := readHeader(buf)
 	if err != nil {
 		return err
 	}
-	if err := gatherWindow(count, base, pos); err != nil {
+	if err := gatherWindow(count, base, rows); err != nil {
 		return err
 	}
+	pos = pos[:len(rows)]
 	switch scheme {
 	case PlainInt:
 		if len(body)/8 < count {
 			return corrupt("plain int block truncated")
 		}
-		for _, p := range pos {
-			dst[p] = int64(binary.LittleEndian.Uint64(body[8*(base+int(p)):]))
+		for k, r := range rows {
+			dst[pos[k]] = int64(binary.LittleEndian.Uint64(body[8*(base+int(r)):]))
 		}
 		return nil
 	case ForInt:
@@ -499,43 +518,45 @@ func GatherInt64sAt(buf []byte, base int, pos []uint32, dst []int64) error {
 		if err != nil {
 			return err
 		}
-		var vals [codeChunk]uint64
-		for c := 0; c < len(pos); c += codeChunk {
-			ps := pos[c:min(c+codeChunk, len(pos))]
-			unpackAt(vals[:len(ps)], f.packed, f.w, base, ps)
+		rr := rowReader{packed: f.packed, w: f.w, base: base}
+		for c := 0; c < len(rows); c += codeChunk {
+			rs := rows[c:min(c+codeChunk, len(rows))]
+			ps := pos[c : c+len(rs)]
+			rr.load(rs)
 			if f.slope == 0 {
-				for k, p := range ps {
-					dst[p] = f.base + int64(vals[k])
+				for k, r := range rs {
+					dst[ps[k]] = f.base + int64(rr.at(k, r))
 				}
 				continue
 			}
-			for k, p := range ps {
-				dst[p] = f.base + f.line(base+int(p)) + int64(vals[k])
+			for k, r := range rs {
+				dst[ps[k]] = f.base + f.line(base+int(r)) + int64(rr.at(k, r))
 			}
 		}
 		return nil
 	case RLEInt:
-		for got, k := 0, 0; k < len(pos); {
+		for got, k := 0, 0; k < len(rows); {
 			v, run, rest, err := rleRun(body, count-got)
 			if err != nil {
 				return err
 			}
 			body, got = rest, got+run
-			for ; k < len(pos) && base+int(pos[k]) < got; k++ {
+			for ; k < len(rows) && base+int(rows[k]) < got; k++ {
 				dst[pos[k]] = v
 			}
 		}
 		return nil
 	case DeltaVarint:
-		if len(pos) == 0 {
+		if len(rows) == 0 {
 			return nil
 		}
-		vals, err := DecodeInt64sFrom(buf, base, int(pos[len(pos)-1])+1, nil)
+		first := int(rows[0])
+		vals, err := DecodeInt64sFrom(buf, base+first, int(rows[len(rows)-1])+1-first, nil)
 		if err != nil {
 			return err
 		}
-		for _, p := range pos {
-			dst[p] = vals[p]
+		for k, r := range rows {
+			dst[pos[k]] = vals[int(r)-first]
 		}
 		return nil
 	}
@@ -543,7 +564,7 @@ func GatherInt64sAt(buf []byte, base int, pos []uint32, dst []int64) error {
 }
 
 // GatherBoolsAt is GatherInt64sAt for a BitBool block (0/1 int64s).
-func GatherBoolsAt(buf []byte, base int, pos []uint32, dst []int64) error {
+func GatherBoolsAt(buf []byte, base int, rows, pos []uint32, dst []int64) error {
 	scheme, count, body, err := readHeader(buf)
 	if err != nil {
 		return err
@@ -554,18 +575,19 @@ func GatherBoolsAt(buf []byte, base int, pos []uint32, dst []int64) error {
 	if len(body) < (count+7)/8 {
 		return corrupt("bool block truncated")
 	}
-	if err := gatherWindow(count, base, pos); err != nil {
+	if err := gatherWindow(count, base, rows); err != nil {
 		return err
 	}
-	for _, p := range pos {
-		i := base + int(p)
-		dst[p] = int64(body[i/8] >> (i % 8) & 1)
+	pos = pos[:len(rows)]
+	for k, r := range rows {
+		i := base + int(r)
+		dst[pos[k]] = int64(body[i/8] >> (i % 8) & 1)
 	}
 	return nil
 }
 
 // GatherFloat64sAt is GatherInt64sAt for a float block.
-func GatherFloat64sAt(buf []byte, base int, pos []uint32, dst []float64) error {
+func GatherFloat64sAt(buf []byte, base int, rows, pos []uint32, dst []float64) error {
 	scheme, count, body, err := readHeader(buf)
 	if err != nil {
 		return err
@@ -576,34 +598,36 @@ func GatherFloat64sAt(buf []byte, base int, pos []uint32, dst []float64) error {
 	if len(body)/8 < count {
 		return corrupt("float block truncated")
 	}
-	if err := gatherWindow(count, base, pos); err != nil {
+	if err := gatherWindow(count, base, rows); err != nil {
 		return err
 	}
-	for _, p := range pos {
-		dst[p] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*(base+int(p)):]))
+	pos = pos[:len(rows)]
+	for k, r := range rows {
+		dst[pos[k]] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*(base+int(r)):]))
 	}
 	return nil
 }
 
 // GatherStringsAt is GatherInt64sAt for a string block. The gathered values
 // share one copy of the bytes they come from, as a decoded window's do: a
-// plain block's bytes from the first gathered value through the last, or a
-// packed dictionary's whole data when the positions are at least as many as
-// its entries (or more than one chunk), just the gathered values' otherwise.
-func GatherStringsAt(buf []byte, base int, pos []uint32, dst []string) error {
+// plain block's bytes from the first gathered row through the last, or a
+// packed dictionary's whole data when the rows are at least as many as its
+// entries (or more than one chunk), just the gathered values' otherwise.
+func GatherStringsAt(buf []byte, base int, rows, pos []uint32, dst []string) error {
 	scheme, count, body, err := readHeader(buf)
 	if err != nil {
 		return err
 	}
-	if err := gatherWindow(count, base, pos); err != nil {
+	if err := gatherWindow(count, base, rows); err != nil {
 		return err
 	}
+	pos = pos[:len(rows)]
 	switch scheme {
 	case PlainString:
 		if len(body)/4 < count {
 			return corrupt("string offsets truncated")
 		}
-		if len(pos) == 0 {
+		if len(rows) == 0 {
 			return nil
 		}
 		data := body[4*count:]
@@ -613,18 +637,18 @@ func GatherStringsAt(buf []byte, base int, pos []uint32, dst []string) error {
 			}
 			return binary.LittleEndian.Uint32(body[4*(i-1):])
 		}
-		first := bound(base + int(pos[0]))
-		last := bound(base + int(pos[len(pos)-1]) + 1)
+		first := bound(base + int(rows[0]))
+		last := bound(base + int(rows[len(rows)-1]) + 1)
 		if first > last || uint64(last) > uint64(len(data)) {
 			return corrupt("bad string offset")
 		}
 		arena := string(data[first:last])
-		for _, p := range pos {
-			lo, hi := bound(base+int(p)), bound(base+int(p)+1)
+		for k, r := range rows {
+			lo, hi := bound(base+int(r)), bound(base+int(r)+1)
 			if lo < first || lo > hi || hi > last {
 				return corrupt("bad string offset")
 			}
-			dst[p] = arena[lo-first : hi-first]
+			dst[pos[k]] = arena[lo-first : hi-first]
 		}
 		return nil
 	case PackedDict:
@@ -632,38 +656,42 @@ func GatherStringsAt(buf []byte, base int, pos []uint32, dst []string) error {
 		if err != nil {
 			return err
 		}
-		return d.gather(base, pos, dst)
+		return d.gather(base, rows, pos, dst)
 	case DictString:
-		if len(pos) == 0 {
+		if len(rows) == 0 {
 			return nil
 		}
-		vals, err := DecodeStringsFrom(buf, base, int(pos[len(pos)-1])+1, nil)
+		first := int(rows[0])
+		vals, err := DecodeStringsFrom(buf, base+first, int(rows[len(rows)-1])+1-first, nil)
 		if err != nil {
 			return err
 		}
-		for _, p := range pos {
-			dst[p] = vals[p]
+		for k, r := range rows {
+			dst[pos[k]] = vals[int(r)-first]
 		}
 		return nil
 	}
 	return corrupt("scheme %d is not a string encoding", scheme)
 }
 
-// gather stores value base+p in dst[p] for every p of pos, sharing bytes as
-// decode does for a window of as many values.
-func (d *dictBlock) gather(base int, pos []uint32, dst []string) error {
-	if len(pos) == 0 {
+// gather stores value base+rows[k] in dst[pos[k]] for every k, sharing bytes
+// as decode does for a window of as many values.
+func (d *dictBlock) gather(base int, rows, pos []uint32, dst []string) error {
+	if len(rows) == 0 {
 		return nil
 	}
-	var codes [codeChunk]uint64
-	if len(pos) < d.ndict && len(pos) <= codeChunk {
-		window := codes[:len(pos)]
-		unpackAt(window, d.codes, d.w, base, pos)
+	rr := rowReader{packed: d.codes, w: d.w, base: base}
+	if len(rows) < d.ndict && len(rows) <= codeChunk {
+		rr.load(rows)
+		var codes [codeChunk]uint64
+		for k, r := range rows {
+			codes[k] = rr.at(k, r)
+		}
 		var vals [codeChunk]string
-		if err := d.copyOut(window, vals[:len(pos)]); err != nil {
+		if err := d.copyOut(codes[:len(rows)], vals[:len(rows)]); err != nil {
 			return err
 		}
-		for k, p := range pos {
+		for k, p := range pos[:len(rows)] {
 			dst[p] = vals[k]
 		}
 		return nil
@@ -671,22 +699,279 @@ func (d *dictBlock) gather(base int, pos []uint32, dst []string) error {
 	arena := string(d.data)
 	var small [64]string
 	var dict []string
-	if len(pos) >= d.ndict {
+	if len(rows) >= d.ndict {
 		dict = d.table(arena, small[:0])
 	}
-	for c := 0; c < len(pos); c += codeChunk {
-		ps := pos[c:min(c+codeChunk, len(pos))]
-		unpackAt(codes[:len(ps)], d.codes, d.w, base, ps)
-		for k, p := range ps {
-			if c := codes[k]; c < uint64(len(dict)) {
-				dst[p] = dict[c]
+	for c := 0; c < len(rows); c += codeChunk {
+		rs := rows[c:min(c+codeChunk, len(rows))]
+		ps := pos[c : c+len(rs)]
+		rr.load(rs)
+		for k, r := range rs {
+			if code := rr.at(k, r); code < uint64(len(dict)) {
+				dst[ps[k]] = dict[code]
 				continue
 			}
-			v, err := d.value(arena, codes[k])
+			v, err := d.value(arena, rr.at(k, r))
 			if err != nil {
 				return err
 			}
-			dst[p] = v
+			dst[ps[k]] = v
+		}
+	}
+	return nil
+}
+
+// Span is a stretch of a block's rows — N of them from row Row — that a span
+// decode writes to consecutive positions of its destination from At: the
+// share of one of a merge's runs that lies in the block, when a scan selects
+// densely enough that decoding every row of it beats gathering the ones it
+// keeps.
+type Span struct{ Row, At, N int }
+
+// spansWindow checks spans against a block holding count values.
+func spansWindow(count int, spans []Span) error {
+	for _, s := range spans {
+		if _, err := window(count, s.Row, s.N); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// DecodeInt64sSpans decodes the rows of every span of an int block into
+// dst[At:At+N], the spans ascending in Row without overlapping. The header is
+// read once however many there are, and an RLE block's runs are walked once;
+// a legacy delta block decodes span by span.
+func DecodeInt64sSpans(buf []byte, spans []Span, dst []int64) error {
+	scheme, count, body, err := readHeader(buf)
+	if err != nil {
+		return err
+	}
+	if err := spansWindow(count, spans); err != nil {
+		return err
+	}
+	switch scheme {
+	case PlainInt:
+		if len(body)/8 < count {
+			return corrupt("plain int block truncated")
+		}
+		for _, s := range spans {
+			out := dst[s.At : s.At+s.N]
+			for i := range out {
+				out[i] = int64(binary.LittleEndian.Uint64(body[8*(s.Row+i):]))
+			}
+		}
+		return nil
+	case ForInt:
+		f, err := parseFor(body, count)
+		if err != nil {
+			return err
+		}
+		for _, s := range spans {
+			f.decode(dst[s.At:s.At+s.N], s.Row)
+		}
+		return nil
+	case RLEInt:
+		var v int64
+		got := 0 // values [0, got) are read, the last run's being v
+		for _, s := range spans {
+			out := dst[s.At : s.At+s.N]
+			for i := 0; i < len(out); {
+				for got <= s.Row+i {
+					var run int
+					if v, run, body, err = rleRun(body, count-got); err != nil {
+						return err
+					}
+					got += run
+				}
+				for ; i < len(out) && s.Row+i < got; i++ {
+					out[i] = v
+				}
+			}
+		}
+		return nil
+	case DeltaVarint:
+		for _, s := range spans {
+			if _, err := DecodeInt64sFrom(buf, s.Row, s.N, dst[s.At:s.At]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return corrupt("scheme %d is not an int encoding", scheme)
+}
+
+// DecodeFloat64sSpans is DecodeInt64sSpans for a float block.
+func DecodeFloat64sSpans(buf []byte, spans []Span, dst []float64) error {
+	scheme, count, body, err := readHeader(buf)
+	if err != nil {
+		return err
+	}
+	if scheme != PlainFloat {
+		return corrupt("scheme %d is not a float encoding", scheme)
+	}
+	if len(body)/8 < count {
+		return corrupt("float block truncated")
+	}
+	if err := spansWindow(count, spans); err != nil {
+		return err
+	}
+	for _, s := range spans {
+		out := dst[s.At : s.At+s.N]
+		for i := range out {
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*(s.Row+i):]))
+		}
+	}
+	return nil
+}
+
+// DecodeBoolsSpans is DecodeInt64sSpans for a BitBool block (0/1 int64s).
+func DecodeBoolsSpans(buf []byte, spans []Span, dst []int64) error {
+	scheme, count, body, err := readHeader(buf)
+	if err != nil {
+		return err
+	}
+	if scheme != BitBool {
+		return corrupt("scheme %d is not a bool encoding", scheme)
+	}
+	if len(body) < (count+7)/8 {
+		return corrupt("bool block truncated")
+	}
+	if err := spansWindow(count, spans); err != nil {
+		return err
+	}
+	for _, s := range spans {
+		out := dst[s.At : s.At+s.N]
+		for i := range out {
+			r := s.Row + i
+			out[i] = int64(body[r/8] >> (r % 8) & 1)
+		}
+	}
+	return nil
+}
+
+// DecodeStringsSpans is DecodeInt64sSpans for a string block. The values of
+// one call share one allocation, as a window's do: a plain block's bytes
+// from the first span's start through the last one's end, or a packed
+// dictionary's (the spans' own values, when they are fewer than its entries
+// and than one chunk).
+func DecodeStringsSpans(buf []byte, spans []Span, dst []string) error {
+	scheme, count, body, err := readHeader(buf)
+	if err != nil {
+		return err
+	}
+	if err := spansWindow(count, spans); err != nil {
+		return err
+	}
+	if len(spans) == 0 {
+		return nil
+	}
+	switch scheme {
+	case PlainString:
+		if len(body)/4 < count {
+			return corrupt("string offsets truncated")
+		}
+		data := body[4*count:]
+		bound := func(i int) uint32 { // end offset of value i-1: value i's start
+			if i == 0 {
+				return 0
+			}
+			return binary.LittleEndian.Uint32(body[4*(i-1):])
+		}
+		last := spans[len(spans)-1]
+		first, end := bound(spans[0].Row), bound(last.Row+last.N)
+		if first > end || uint64(end) > uint64(len(data)) {
+			return corrupt("bad string offset")
+		}
+		// One arena for the spans' bytes; every value is a slice of it.
+		arena := string(data[first:end])
+		for _, s := range spans {
+			prev := bound(s.Row)
+			for i := range dst[s.At : s.At+s.N] {
+				off := bound(s.Row + i + 1)
+				if prev < first || off < prev || off > end {
+					return corrupt("bad string offset")
+				}
+				dst[s.At+i] = arena[prev-first : off-first]
+				prev = off
+			}
+		}
+		return nil
+	case PackedDict:
+		d, err := parseDict(body, count)
+		if err != nil {
+			return err
+		}
+		return d.decodeSpans(spans, dst)
+	case DictString:
+		// Read-only blocks: the window covering the spans, then each span's
+		// share of it.
+		dictLen, body, err := dictHeader(body)
+		if err != nil {
+			return err
+		}
+		last, first := spans[len(spans)-1], spans[0].Row
+		vals, err := decodeLegacyDict(body, dictLen, first, last.Row+last.N, nil)
+		if err != nil {
+			return err
+		}
+		for _, s := range spans {
+			copy(dst[s.At:s.At+s.N], vals[s.Row-first:])
+		}
+		return nil
+	}
+	return corrupt("scheme %d is not a string encoding", scheme)
+}
+
+// decodeSpans stores the values of the rows of every span in dst[At:At+N].
+// Spans holding fewer values than the dictionary and than one chunk — a
+// probe's — copy only their own values, into one arena. Any others copy the
+// dictionary's bytes once; when they hold at least as many values as the
+// dictionary, they also slice every entry once and share it across its codes.
+func (d *dictBlock) decodeSpans(spans []Span, dst []string) error {
+	n := 0
+	for _, s := range spans {
+		n += s.N
+	}
+	var codes [codeChunk]uint64
+	if n < d.ndict && n <= codeChunk {
+		k := 0
+		for _, s := range spans {
+			unpack(codes[k:k+s.N], d.codes, d.w, s.Row)
+			k += s.N
+		}
+		var vals [codeChunk]string
+		if err := d.copyOut(codes[:n], vals[:n]); err != nil {
+			return err
+		}
+		k = 0
+		for _, s := range spans {
+			k += copy(dst[s.At:s.At+s.N], vals[k:k+s.N])
+		}
+		return nil
+	}
+	arena := string(d.data)
+	var small [64]string
+	var dict []string
+	if n >= d.ndict {
+		dict = d.table(arena, small[:0])
+	}
+	for _, s := range spans {
+		out := dst[s.At : s.At+s.N]
+		for i := 0; i < len(out); i += codeChunk {
+			chunk := codes[:min(codeChunk, len(out)-i)]
+			unpack(chunk, d.codes, d.w, s.Row+i)
+			for j, c := range chunk {
+				if c < uint64(len(dict)) {
+					out[i+j] = dict[c]
+					continue
+				}
+				v, err := d.value(arena, c)
+				if err != nil {
+					return err
+				}
+				out[i+j] = v
+			}
 		}
 	}
 	return nil

@@ -1,10 +1,11 @@
 package compress
 
-// Select* and Gather*At against decode-then-kernel: for every scheme the store
-// writes or still reads and every predicate shape, whatever the buffer, the
-// window and the positions, an encoded select keeps exactly the rows the
-// vector kernel keeps of the decoded window, a gather yields exactly the
-// decoded values at its positions and writes nothing else — whenever the
+// Select*, Gather*At and Decode*Spans against decode-then-kernel: for every
+// scheme the store writes or still reads and every predicate shape, whatever
+// the buffer, the window and the positions, an encoded select keeps exactly
+// the rows the vector kernel keeps of the decoded window, a gather yields
+// exactly the decoded values at its positions, and a span decode the decoded
+// values at its spans' positions, each writing nothing else — whenever the
 // decoder accepts the window — and hostile bytes yield ErrCorrupt, never a
 // panic.
 
@@ -22,14 +23,15 @@ import (
 	"pdtstore/internal/vector"
 )
 
-// selKind is one column kind's decode, select and gather, and the predicate
-// shapes that apply to it.
+// selKind is one column kind's decode, select, gather and span decode, and
+// the predicate shapes that apply to it.
 type selKind struct {
 	kind   types.Kind
 	ops    []vector.PredOp
 	decode func(buf []byte, skip, n int, v *vector.Vector) error
 	sel    func(buf []byte, skip, n int, p vector.Pred, out []uint32) ([]uint32, error)
-	gather func(buf []byte, base int, pos []uint32, v *vector.Vector) error
+	gather func(buf []byte, base int, rows, pos []uint32, v *vector.Vector) error
+	spans  func(buf []byte, spans []Span, v *vector.Vector) error
 }
 
 var selKinds = []selKind{
@@ -38,32 +40,44 @@ var selKinds = []selKind{
 			v.I, err = DecodeInt64sFrom(buf, skip, n, v.I)
 			return err
 		}, SelectInt64s,
-		func(buf []byte, base int, pos []uint32, v *vector.Vector) error {
-			return GatherInt64sAt(buf, base, pos, v.I)
+		func(buf []byte, base int, rows, pos []uint32, v *vector.Vector) error {
+			return GatherInt64sAt(buf, base, rows, pos, v.I)
+		},
+		func(buf []byte, spans []Span, v *vector.Vector) error {
+			return DecodeInt64sSpans(buf, spans, v.I)
 		}},
 	{types.Bool, []vector.PredOp{vector.PredNone, vector.PredInt64Range},
 		func(buf []byte, skip, n int, v *vector.Vector) (err error) {
 			v.I, err = DecodeBoolsFrom(buf, skip, n, v.I)
 			return err
 		}, SelectBools,
-		func(buf []byte, base int, pos []uint32, v *vector.Vector) error {
-			return GatherBoolsAt(buf, base, pos, v.I)
+		func(buf []byte, base int, rows, pos []uint32, v *vector.Vector) error {
+			return GatherBoolsAt(buf, base, rows, pos, v.I)
+		},
+		func(buf []byte, spans []Span, v *vector.Vector) error {
+			return DecodeBoolsSpans(buf, spans, v.I)
 		}},
 	{types.Float64, []vector.PredOp{vector.PredNone, vector.PredFloat64Range, vector.PredFloat64Lt},
 		func(buf []byte, skip, n int, v *vector.Vector) (err error) {
 			v.F, err = DecodeFloat64sFrom(buf, skip, n, v.F)
 			return err
 		}, SelectFloat64s,
-		func(buf []byte, base int, pos []uint32, v *vector.Vector) error {
-			return GatherFloat64sAt(buf, base, pos, v.F)
+		func(buf []byte, base int, rows, pos []uint32, v *vector.Vector) error {
+			return GatherFloat64sAt(buf, base, rows, pos, v.F)
+		},
+		func(buf []byte, spans []Span, v *vector.Vector) error {
+			return DecodeFloat64sSpans(buf, spans, v.F)
 		}},
 	{types.String, []vector.PredOp{vector.PredNone, vector.PredStrEq, vector.PredStrIn, vector.PredStrPrefix, vector.PredStrContains},
 		func(buf []byte, skip, n int, v *vector.Vector) (err error) {
 			v.S, err = DecodeStringsFrom(buf, skip, n, v.S)
 			return err
 		}, SelectStrings,
-		func(buf []byte, base int, pos []uint32, v *vector.Vector) error {
-			return GatherStringsAt(buf, base, pos, v.S)
+		func(buf []byte, base int, rows, pos []uint32, v *vector.Vector) error {
+			return GatherStringsAt(buf, base, rows, pos, v.S)
+		},
+		func(buf []byte, spans []Span, v *vector.Vector) error {
+			return DecodeStringsSpans(buf, spans, v.S)
 		}},
 }
 
@@ -136,9 +150,13 @@ func checkSelectGather(t testing.TB, k selKind, buf []byte, skip, n int, p vecto
 		}
 		// The decoder rejects the window: select and gather may succeed or
 		// fail, but only with ErrCorrupt, and must not panic.
-		pos := gatherPositions(max(0, min(n, 1<<12)), seed)
-		if gerr := k.gather(buf, skip, pos, sentinelVector(k.kind, len(pos)+int(lastPos(pos)))); gerr != nil && !errors.Is(gerr, ErrCorrupt) {
-			t.Fatalf("gather (%d, %d positions): error %v is not ErrCorrupt", skip, len(pos), gerr)
+		rows, pos := gatherRows(max(0, min(n, 1<<12)), seed)
+		if gerr := k.gather(buf, skip, rows, pos, sentinelVector(k.kind, int(lastPos(pos)))); gerr != nil && !errors.Is(gerr, ErrCorrupt) {
+			t.Fatalf("gather (%d, %d rows): error %v is not ErrCorrupt", skip, len(rows), gerr)
+		}
+		spans, size := windowSpans(skip, max(0, min(n, 1<<12)), seed)
+		if serr := k.spans(buf, spans, sentinelVector(k.kind, size)); serr != nil && !errors.Is(serr, ErrCorrupt) {
+			t.Fatalf("span decode (%v): error %v is not ErrCorrupt", spans, serr)
 		}
 		return
 	}
@@ -151,20 +169,63 @@ func checkSelectGather(t testing.TB, k selKind, buf []byte, skip, n int, p vecto
 	if got[0] != 7 || !slices.Equal(got[1:], sel.Indexes()) {
 		t.Fatalf("select (%d, %d) %+v of %v = %v after the caller's own, want %v", skip, n, p, dec, got[1:], sel.Indexes())
 	}
-	pos := gatherPositions(dec.Len(), seed)
-	dst := sentinelVector(k.kind, dec.Len())
-	if err := k.gather(buf, skip, pos, dst); err != nil {
-		t.Fatalf("gather (%d, %v): %v, but the window decodes", skip, pos, err)
+	rows, pos := gatherRows(dec.Len(), seed)
+	dst := sentinelVector(k.kind, int(lastPos(pos)))
+	if err := k.gather(buf, skip, rows, pos, dst); err != nil {
+		t.Fatalf("gather (%d, %v): %v, but the window decodes", skip, rows, err)
 	}
-	want := sentinelVector(k.kind, dec.Len())
-	for _, r := range pos {
-		want.Set(int(r), dec.Get(int(r)))
+	want := sentinelVector(k.kind, dst.Len())
+	for i, r := range rows {
+		want.Set(int(pos[i]), dec.Get(int(r)))
 	}
-	for r := 0; r < dec.Len(); r++ {
-		if g, w := dst.Get(r), want.Get(r); types.Compare(g, w) != 0 && !(g.K == types.Float64 && math.IsNaN(g.F) && math.IsNaN(w.F)) {
-			t.Fatalf("gather (%d, %v): row %d = %v, want %v", skip, pos, r, g, w)
+	for p := 0; p < dst.Len(); p++ {
+		if g, w := dst.Get(p), want.Get(p); types.Compare(g, w) != 0 && !(g.K == types.Float64 && math.IsNaN(g.F) && math.IsNaN(w.F)) {
+			t.Fatalf("gather (%d, %v): position %d = %v, want %v", skip, rows, p, g, w)
 		}
 	}
+	spans, size := windowSpans(skip, dec.Len(), seed)
+	dst = sentinelVector(k.kind, size)
+	if err := k.spans(buf, spans, dst); err != nil {
+		t.Fatalf("span decode (%v): %v, but the window decodes", spans, err)
+	}
+	want = sentinelVector(k.kind, size)
+	for _, s := range spans {
+		for i := 0; i < s.N; i++ {
+			want.Set(s.At+i, dec.Get(s.Row-skip+i))
+		}
+	}
+	for p := 0; p < size; p++ {
+		if g, w := dst.Get(p), want.Get(p); types.Compare(g, w) != 0 && !(g.K == types.Float64 && math.IsNaN(g.F) && math.IsNaN(w.F)) {
+			t.Fatalf("scheme %d span decode (%v): position %d = %v, want %v", BlockScheme(buf), spans, p, g, w)
+		}
+	}
+}
+
+// windowSpans cuts the window of n values from skip into spans, as a
+// merge's runs cut a block: gaps between them (rows a skip passes over) and
+// between the positions they land at (rows written by the merge), and
+// returns how many positions they reach.
+func windowSpans(skip, n int, seed uint64) (spans []Span, size int) {
+	rng := rand.New(rand.NewSource(int64(seed)))
+	for r := 0; r < n; {
+		size += rng.Intn(3)
+		k := 1 + rng.Intn(min(n-r, 40))
+		spans = append(spans, Span{Row: skip + r, At: size, N: k})
+		size += k
+		r += k + rng.Intn(3)
+	}
+	return spans, size
+}
+
+// gatherRows picks ascending rows of a window of n values (gatherPositions)
+// and the positions a gather writes them to, each one further on than the
+// last, so a gather that confused a row with its position would show.
+func gatherRows(n int, seed uint64) (rows, pos []uint32) {
+	rows = gatherPositions(n, seed)
+	for k, r := range rows {
+		pos = append(pos, r+uint32(k)+1)
+	}
+	return rows, pos
 }
 
 func lastPos(pos []uint32) uint32 {
@@ -177,8 +238,8 @@ func lastPos(pos []uint32) uint32 {
 // selectSeeds are valid blocks of every layout of one column kind, the
 // written and the read-only ones.
 func selectSeeds(kind types.Kind) [][]byte {
-	// Blocks long enough that a sparse gather's positions spread past what
-	// unpackAt streams, so they are read one value at a time.
+	// Blocks long enough that a sparse gather's rows spread past what a
+	// rowReader unpacks as one run, so they are read one value at a time.
 	rng := rand.New(rand.NewSource(1))
 	long, longStr := make([]int64, 3000), make([]string, 3000)
 	for i := range long {

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"pdtstore/internal/engine"
 	"pdtstore/internal/table"
 	"pdtstore/internal/tpch"
+	"pdtstore/internal/txn"
 	"pdtstore/internal/types"
 	"pdtstore/internal/vector"
 )
@@ -123,6 +125,134 @@ func BenchmarkQ6Clean(b *testing.B) {
 }
 
 var q6Sink float64
+
+// mergeLineitem loads lineitem at SF 0.01 and puts 2.5 % of its rows under
+// scattered updates in a Read+Write stack, the shape of the benchmark's merge
+// workload: a third each inserts, deletes and modifies of l_quantity or
+// l_discount (Q6 filter columns both, so modifies flip verdicts either way).
+// The table's own PDT, which becomes the manager's Read-PDT, holds half of
+// them; the other half is committed through the manager into its Write-PDT.
+// The transaction returned reads through both layers; n is the stable row
+// count.
+func mergeLineitem(t testing.TB) (rel *txn.Txn, n int) {
+	_, rows := tpch.NewGen(0.01, 19920601).OrdersAndLineitems()
+	tbl, err := table.Load(tpch.LineitemSchema, rows, table.Options{Mode: table.ModePDT, BlockRows: 4096, Compressed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var ops []table.Op
+	for i, at := range rng.Perm(len(rows))[:len(rows)/40] {
+		r := rows[at]
+		key := tpch.LineitemSchema.KeyOf(r)
+		switch i % 3 {
+		case 0: // a new line of the same order: line numbers stop at 7
+			ins := r.Clone()
+			ins[tpch.LLinenumber] = types.Int(int64(8 + i))
+			ops = append(ops, table.Op{Kind: table.OpInsert, Row: ins})
+		case 1:
+			ops = append(ops, table.Op{Kind: table.OpDelete, Key: key})
+		default:
+			op := table.Op{Kind: table.OpUpdate, Key: key, Col: tpch.LQuantity, Val: types.Float(float64(1 + rng.Intn(50)))}
+			if rng.Intn(2) == 0 {
+				op.Col, op.Val = tpch.LDiscount, types.Float(float64(rng.Intn(11))/100)
+			}
+			ops = append(ops, op)
+		}
+	}
+	half := len(ops) / 2
+	if _, err := tbl.ApplyBatch(ops[:half]); err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := txn.NewManager(tbl, txn.Options{WriteBudget: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := mgr.Begin()
+	if _, err := tx.ApplyBatch(ops[half:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if mgr.ReadPDT().Empty() || mgr.WritePDT().Empty() {
+		t.Fatal("the updates did not land in both layers")
+	}
+	return mgr.Begin(), len(rows)
+}
+
+// TestQ6MergeAllocsPerRow holds Q6 under a live Read+Write stack to the clean
+// scan's bound: the merges plan each batch in buffers they keep, so what is
+// allocated is per plan and per layer, never per row or per batch.
+func TestQ6MergeAllocsPerRow(t *testing.T) {
+	rel, rows := mergeLineitem(t)
+	matched := 0
+	scan := func() {
+		matched = 0
+		err := q6Plan(rel).Run(func(b *vector.Batch, sel []uint32) error {
+			matched += len(sel)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(5, scan)
+	if matched == 0 {
+		t.Fatal("Q6 selected nothing: the bound would be vacuous")
+	}
+	if perK := allocs / (float64(rows) / 1e3); perK > 5 {
+		t.Fatalf("%.0f allocations for a merged Q6 over %d rows: %.1f per 1000 rows, want <= 5", allocs, rows, perK)
+	}
+}
+
+// BenchmarkQ6Merge is BenchmarkQ6Clean under mergeLineitem's two live layers.
+func BenchmarkQ6Merge(b *testing.B) {
+	rel, _ := mergeLineitem(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sum := 0.0
+		err := q6Plan(rel).Run(func(bt *vector.Batch, sel []uint32) error {
+			price, disc := bt.Vecs[0].F, bt.Vecs[1].F
+			for _, r := range sel {
+				sum += price[r] * disc[r]
+			}
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		q6Sink = sum
+	}
+}
+
+// BenchmarkQ1Merge is one Q1 (six projected columns, a shipdate filter that
+// keeps 98 % of the rows, a group-by sink) under mergeLineitem's two live
+// layers: the dense selection a merge-carried filter must not slow down.
+func BenchmarkQ1Merge(b *testing.B) {
+	rel, _ := mergeLineitem(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var sums [8][8]float64
+		err := engine.Scan(rel, tpch.LQuantity, tpch.LExtendedprice, tpch.LDiscount, tpch.LTax, tpch.LReturnflag, tpch.LLinestatus).
+			FilterInt64Le(tpch.LShipdate, tpch.Days(1998, 12, 1)-90).
+			Parallel(1).
+			Run(func(bt *vector.Batch, sel []uint32) error {
+				qty, price, disc, tax := bt.Vecs[0].F, bt.Vecs[1].F, bt.Vecs[2].F, bt.Vecs[3].F
+				rf, ls := bt.Vecs[4].S, bt.Vecs[5].S
+				for _, r := range sel {
+					sums[rf[r][0]&7][ls[r][0]&7] += qty[r] + price[r]*(1-disc[r])*(1+tax[r])
+				}
+				return nil
+			})
+		if err != nil {
+			b.Fatal(err)
+		}
+		q6Sink = sums['N'&7]['O'&7]
+	}
+}
 
 // lineitemProbes loads TPC-H lineitem at SF 0.01 (60 000 rows, 15 blocks of
 // 4096) into a compressed store and picks keys spread over every block and

@@ -19,16 +19,20 @@
 // vector), and column projection is pushed down so the stable image only
 // decodes the blocks a query touches.
 //
-// Where the predicates run depends on what lies above the stable image. A
-// morsel with no live PDT layer over it — every morsel of a checkpointed
-// image — reads the stable scanner bare, so the plan's filter chain runs
-// inside it (colstore.Scanner.Select): the first filter on the encoded block,
-// each later one on its column gathered at the rows still selected, and the
-// projected columns gathered at the final survivors only. Under a live layer
-// the merge needs every row, so the scanner decodes the plan's columns in
-// full and the chain runs on the merged batch (pipe.pump). Either way every
-// vector of a batch keeps the batch's length, and its values at rows the
-// selection leaves out are unspecified.
+// The predicates run in the stable scanner, under however many PDT layers
+// lie above it. Every positional read pipeline — the bare scanner, or a stack
+// of merges over it — is a pdt.Selector, so pipe.pump hands it the plan's
+// filter chain: each merge walks its entries by position and hands the
+// scanner the batch's runs of untouched rows in one call
+// (colstore.Scanner.SelectRuns), which runs the first filter on the encoded
+// block, each later one on its column gathered at the rows still selected,
+// and gathers the projected columns at the final survivors only (decoding
+// them whole where nearly every row survives). A merge
+// filters just the rows it writes itself — its inserts and the rows it
+// patches — with the same kernels. Only the value-based VDT merge, which must
+// see every row, is read whole and filtered after it. Either way every vector
+// of a batch keeps the batch's length, and its values at rows the selection
+// leaves out are unspecified.
 package engine
 
 import (

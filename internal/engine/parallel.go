@@ -317,8 +317,9 @@ func (pp *pipe) release() {
 // pump is the pipeline loop: it reads src batch by batch into the pipe's
 // scratch, narrows the selection through the plan's filter chain, and hands
 // every batch with survivors to emit, tagged with the morsel index. A source
-// that can run the chain itself — the stable scanner, when no live layer sits
-// above it — selects as it reads; any other is read whole and filtered here.
+// that can run the chain itself — every positional pipeline, however many
+// merges it stacks over the stable scanner — selects as it reads; one that
+// cannot, the VDT merge, is read whole and filtered here.
 // emit may swap the pipe's scratch for another (the ordered hand-off sends
 // the batch away and continues on a free one). Batches where every row is
 // filtered out never reach emit. pump returns nil only when src is

@@ -21,6 +21,7 @@ import (
 	"pdtstore/internal/engine"
 	"pdtstore/internal/pdt"
 	"pdtstore/internal/table"
+	"pdtstore/internal/txn"
 	"pdtstore/internal/types"
 	"pdtstore/internal/vector"
 )
@@ -382,25 +383,69 @@ var sinks = []struct {
 	}},
 }
 
-// TestSinkMatrix runs the plan shapes over four images: no delta structure;
+// partRelation is a relation the prune pass can be asked about directly: a
+// table, or a transaction over one.
+type partRelation interface {
+	engine.Relation
+	PartitionScan(loKey, hiKey types.Row) (*engine.PartScan, error)
+}
+
+// txnStack is bigTable's PDT table under a transaction manager whose Write-PDT
+// holds committed updates of its own: a read through it stacks two live
+// layers, the table's PDT as the Read-PDT and the Write-PDT above it.
+func txnStack(t *testing.T, n int) *txn.Txn {
+	t.Helper()
+	mgr, err := txn.NewManager(bigTable(t, table.ModePDT, n), txn.Options{WriteBudget: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := mgr.Begin()
+	ops := []table.Op{
+		{Kind: table.OpInsert, Row: types.Row{types.Int(77), types.Int(5), types.Float(3), types.Str("s001")}},
+		{Kind: table.OpInsert, Row: types.Row{types.Int(2*int64(n) + 9), types.Int(50), types.Float(100), types.Str("ins")}},
+		{Kind: table.OpDelete, Key: types.Row{types.Int(256)}},
+		{Kind: table.OpDelete, Key: types.Row{types.Int(1500)}},
+		{Kind: table.OpUpdate, Key: types.Row{types.Int(640)}, Col: 1, Val: types.Int(12)},
+		{Kind: table.OpUpdate, Key: types.Row{types.Int(1024)}, Col: 3, Val: types.Str("s009")},
+		{Kind: table.OpUpdate, Key: types.Row{types.Int(1)}, Col: 2, Val: types.Float(150)},
+	}
+	for i := int64(3); i < 2*int64(n); i += 396 {
+		ops = append(ops, table.Op{Kind: table.OpInsert, Row: types.Row{types.Int(i), types.Int(i % 97), types.Float(float64(i) / 16), types.Str("s004")}})
+	}
+	if _, err := tx.ApplyBatch(ops); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if mgr.ReadPDT().Empty() || mgr.WritePDT().Empty() {
+		t.Fatal("the stack is not two live layers")
+	}
+	return mgr.Begin()
+}
+
+// TestSinkMatrix runs the plan shapes over five images: no delta structure;
 // a PDT table whose PDT is empty, which reads the bare stable scan and filters
-// in the scanner; one whose PDT holds live entries, which filters after the
-// merge; and a VDT table. Every filter constructor, first and later, runs over
-// the two PDT images — the two places a filter can run — unpruned and pruned.
+// in the scanner; one whose PDT holds live entries, and a transaction over a
+// Read+Write stack of two live layers, which both filter in the scanner
+// through their merges; and a VDT table, which filters after its merge. Every
+// filter constructor, first and later, runs over the PDT images, unpruned and
+// pruned.
 func TestSinkMatrix(t *testing.T) {
 	images := []struct {
 		name  string
 		mode  table.DeltaMode
-		tbl   *table.Table
+		rel   partRelation
 		plans []planSpec
 	}{
 		{"none", table.ModeNone, bigTable(t, table.ModeNone, 2000), plansUnderTest()},
 		{"pdt-empty", table.ModePDT, cleanBigTable(t, table.ModePDT, 2000), append(plansUnderTest(), filterPlans()...)},
 		{"pdt-live", table.ModePDT, bigTable(t, table.ModePDT, 2000), append(plansUnderTest(), filterPlans()...)},
+		{"txn-live", table.ModePDT, txnStack(t, 2000), append(plansUnderTest(), filterPlans()...)},
 		{"vdt", table.ModeVDT, bigTable(t, table.ModeVDT, 2000), plansUnderTest()},
 	}
 	for _, im := range images {
-		mode, tbl := im.mode, im.tbl
+		mode, tbl := im.mode, im.rel
 		for _, base := range im.plans {
 			for _, v := range pruneVariants {
 				if base.prunes != nil && !slices.Contains(base.prunes, v.name) {
@@ -442,7 +487,7 @@ func TestSinkMatrix(t *testing.T) {
 // checkPruneOutcome asserts that a prune variant steers the access path where
 // its name says, by asking the relation's own prune hook (VDT tables decline
 // partitioning altogether and are adapted to one morsel over Scan).
-func checkPruneOutcome(t *testing.T, label string, tbl *table.Table, mode table.DeltaMode, spec planSpec, variant string) {
+func checkPruneOutcome(t *testing.T, label string, tbl partRelation, mode table.DeltaMode, spec planSpec, variant string) {
 	t.Helper()
 	ps, err := tbl.PartitionScan(spec.lo, spec.hi)
 	if err != nil {

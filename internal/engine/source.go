@@ -114,9 +114,11 @@ func PartitionLayers(s *colstore.Store, loKey, hiKey types.Row, layers ...*pdt.P
 // frozen maintenance layer only while a background fold or checkpoint is in
 // flight, and a fresh transaction's Trans-PDT is empty — pass them
 // unconditionally, and an image with nothing live above it reads as the bare
-// scan — which, under Numbered, is a pdt.Selector: the executor hands it the
-// plan's filter chain and the stable scanner filters on its encoded blocks.
-// Emptiness is judged here, when the source is opened: a layer that
+// scan. Either way the stack, under Numbered, is a pdt.Selector when base is
+// a pdt.RunSelector, as the stable scanner is: the executor hands it the
+// plan's filter chain, each merge passes its runs of untouched rows down in
+// one call per batch, and the stable scanner filters them on its encoded
+// blocks. Emptiness is judged here, when the source is opened: a layer that
 // gains its first entry under an open source stays invisible to it. A
 // statement that writes while it scans must not rely on either outcome; that
 // is what Txn.BeginQuery's private Query-PDT is for.
@@ -136,12 +138,28 @@ func StackPDTs(base pdt.Source, cols []int, startSID uint64, includeEnd bool, la
 // exhausted, then the second, and so on. A sharded table scans as the
 // concatenation of its shards' merged pipelines (each wrapped in OffsetRids so
 // RIDs stay globally consecutive). Errors surface from whichever source is
-// active.
+// active. The result is a pdt.Selector when every source is one, so a morsel
+// that also opens an empty shard's slot still filters in its scanners.
 func Concat(srcs ...pdt.BatchSource) pdt.BatchSource {
 	if len(srcs) == 1 {
 		return srcs[0]
 	}
+	if sels := selectors(srcs); sels != nil {
+		return &concatSelector{concatSource{srcs: srcs}, sels}
+	}
 	return &concatSource{srcs: srcs}
+}
+
+// selectors returns srcs as pdt.Selectors, or nil when one is not.
+func selectors(srcs []pdt.BatchSource) []pdt.Selector {
+	sels := make([]pdt.Selector, len(srcs))
+	for i, s := range srcs {
+		var ok bool
+		if sels[i], ok = s.(pdt.Selector); !ok {
+			return nil
+		}
+	}
+	return sels
 }
 
 type concatSource struct {
@@ -163,6 +181,20 @@ func (c *concatSource) Next(out *vector.Batch, max int) (int, error) {
 	return 0, nil
 }
 
+type concatSelector struct {
+	concatSource
+	sels []pdt.Selector
+}
+
+func (c *concatSelector) Select(out *vector.Batch, max int, chain *vector.Chain, sel *vector.Selection) (int, error) {
+	for ; c.cur < len(c.sels); c.cur++ {
+		if n, err := c.sels[c.cur].Select(out, max, chain, sel); err != nil || n > 0 {
+			return n, err
+		}
+	}
+	return 0, nil
+}
+
 func (c *concatSource) SizeHint() int {
 	total := 0
 	for _, s := range c.srcs[c.cur:] {
@@ -179,8 +211,7 @@ func (c *concatSource) SizeHint() int {
 // table produces local RIDs starting at 0, and the coordinator re-bases them
 // by the visible row counts of the shards before it so the concatenated scan
 // emits one consecutive global RID space. The result is a pdt.Selector when
-// src is one, so a shard read without a live layer still filters in its
-// scanner.
+// src is one, so a shard's read still filters in its scanner.
 func OffsetRids(src pdt.BatchSource, off uint64) pdt.BatchSource {
 	if off == 0 {
 		return src

@@ -7,14 +7,21 @@ package pdt
 //
 // A merge holds no batch of its own. It hands the consumer's batch down to
 // its source for every run of untouched positions, so a stable value is
-// written exactly once — by the stable scanner, from its decoded block —
-// however many layers sit above it; a layer only interleaves its inserts,
-// patches its modifies in place and tells the source to skip what it deletes.
+// written exactly once — by the stable scanner, from its block — however many
+// layers sit above it; a layer only interleaves its inserts, patches its
+// modifies in place and tells the source to skip what it deletes.
 //
 // A MergeScan is itself a Source, so stacked PDTs (Read/Write/Trans) merge by
 // chaining MergeScans: each layer's SIDs are the RIDs produced by the layer
 // below. The RIDs of a merge's output are consecutive by construction, so no
 // layer writes them: Numbered does, once per batch, on top of the stack.
+//
+// Because the merge is positional, a consumer's filters can run below it. A
+// run between two entries is untouched stable rows at contiguous positions,
+// so whether they qualify is the source's to decide: a selecting merge
+// (SelectRuns) walks its cursor over a batch, hands its source the batch's
+// runs in one call, and filters only the rows it writes itself — its inserts
+// and the stable rows it patches.
 
 import (
 	"fmt"
@@ -59,25 +66,52 @@ func SizeHint(src BatchSource) int {
 	return -1
 }
 
-// Selector is a source that runs a consumer's filter chain itself. Only the
-// stable scanner is one: a merge must see every row of its source to place
-// its updates, so a chain can run below the merges only when there are none.
-// Select is Next for a consumer that filters: out (empty on entry) gains up
-// to max rows in every vector, the count returned, and sel is set to the
-// indexes of those that pass every filter of chain, which holds at least
-// one. A vector's values at rows sel leaves out are unspecified, and so is
-// every value of a slot past chain.Outputs.
+// Selector is a source that runs a consumer's filter chain itself: a
+// positional stack under Numbered (and engine.OffsetRids) whose bottom is a
+// RunSelector, whatever the number of merges above it. Select is Next for a
+// consumer that filters: out (empty on entry) gains up to max rows in every
+// vector, the count returned, and sel is set to the indexes of those that
+// pass every filter of chain, which holds at least one. A vector's values at
+// rows sel leaves out are unspecified, and so is every value of a slot past
+// chain.Outputs.
 type Selector interface {
 	Select(out *vector.Batch, max int, chain *vector.Chain, sel *vector.Selection) (int, error)
 }
 
+// RunSelector is a Source that filters the rows the merge above it passes
+// through: colstore.Scanner, and a MergeScan over a RunSelector. Its SizeHint
+// is exact. SelectRuns places a batch's rows: out's vectors already reach
+// every position runs names, and each run passes over Skip rows, then puts
+// the next N at batch positions At, At+1, ...; the runs ascend in position.
+// keep lists, ascending, the positions the caller decides itself: rows it
+// writes, and rows of the runs it patches. A run row at one of them is
+// written in every slot and never filtered. sel (reset first) gets, in
+// ascending order, every position of keep and those of the other run rows
+// that pass every filter of chain, with every output slot written there.
+// Values anywhere else are unspecified.
+type RunSelector interface {
+	Source
+	SizeHinter
+	SelectRuns(out *vector.Batch, runs []vector.Run, keep []uint32, chain *vector.Chain, sel *vector.Selection) error
+}
+
+// runSelector returns src as a RunSelector when it can select: a merge can
+// exactly when its own source can.
+func runSelector(src Source) RunSelector {
+	if m, ok := src.(*MergeScan); ok && m.rs == nil {
+		return nil
+	}
+	rs, _ := src.(RunSelector)
+	return rs
+}
+
 // Numbered is the top of a positional pipeline: src's rows, numbered with
-// consecutive RIDs from startRID. It is a Selector exactly when src is one —
-// when no merge sits between it and the stable scanner.
+// consecutive RIDs from startRID. It is a Selector exactly when src is a
+// RunSelector: a stack of merges over the stable scanner.
 func Numbered(src Source, startRID uint64) BatchSource {
 	n := &numbered{src: src, rid: startRID}
-	if s, ok := src.(Selector); ok {
-		return &numberedSelector{numbered: n, sel: s}
+	if rs := runSelector(src); rs != nil {
+		return &numberedSelector{numbered: n, rs: rs}
 	}
 	return n
 }
@@ -107,27 +141,63 @@ func (s *numbered) SizeHint() int { return SizeHint(s.src) }
 
 type numberedSelector struct {
 	*numbered
-	sel Selector
+	rs  RunSelector
+	one [1]vector.Run
 }
 
+// Select reads the next batch as the one run of a SelectRuns call.
 func (s *numberedSelector) Select(out *vector.Batch, max int, chain *vector.Chain, sel *vector.Selection) (int, error) {
-	n, err := s.sel.Select(out, max, chain, sel)
+	sel.Reset()
+	n := min(max, s.rs.SizeHint())
+	if n <= 0 {
+		return 0, nil
+	}
+	if out.Len() != 0 {
+		return 0, fmt.Errorf("pdt: Select into a batch holding %d rows", out.Len())
+	}
+	out.Extend(n)
+	s.one[0] = vector.Run{N: n}
+	if err := s.rs.SelectRuns(out, s.one[:], nil, chain, sel); err != nil {
+		return 0, err
+	}
 	s.number(out, n)
-	return n, err
+	return n, nil
 }
 
 // MergeScan applies one PDT layer on top of a positional row source.
 type MergeScan struct {
 	t    *PDT
 	src  Source
-	cols []int // schema column indexes present in the batches, in order
-	proj []int // schema column -> batch index, -1 if not projected
+	rs   RunSelector // src, when it can select
+	cols []int       // schema column indexes present in the batches, in order
+	proj []int       // schema column -> batch index, -1 if not projected
 
 	cur        cursor
+	left       int    // rows still to emit, once SizeHint has counted them (-1 before)
 	nextSID    uint64 // SID of the next stable row to consume from src
 	startRID   uint64
 	includeEnd bool
 	done       bool
+	plan       *runPlan // SelectRuns' buffers; nil until the first call
+}
+
+// runPlan is one SelectRuns call's walk: what the merge asks of its source,
+// and the rows it decides itself.
+type runPlan struct {
+	runs   []vector.Run     // the stable rows passed through, for the source
+	skip   int              // source rows passed over since the last run
+	keep   []uint32         // positions the source leaves undecided
+	above  []uint32         // the caller's keep positions not yet reached
+	mods   []modAt          // patches, applied once the source has written their rows
+	decide []uint32         // the rows this layer decides: its inserts and patched rows
+	passed vector.Selection // those of them that pass the chain
+}
+
+// modAt is one modify entry's value for the tuple at batch position at.
+type modAt struct {
+	at, slot int
+	col      uint16
+	val      uint64
 }
 
 // NewMergeScan builds a merge over src, which must produce the given schema
@@ -148,9 +218,11 @@ func NewMergeScan(t *PDT, src Source, cols []int, startSID uint64, includeEnd bo
 	return &MergeScan{
 		t:          t,
 		src:        src,
+		rs:         runSelector(src),
 		cols:       append([]int(nil), cols...),
 		proj:       proj,
 		cur:        cur,
+		left:       -1,
 		nextSID:    startSID,
 		startRID:   uint64(int64(startSID) + cur.delta),
 		includeEnd: includeEnd,
@@ -161,28 +233,50 @@ func NewMergeScan(t *PDT, src Source, cols []int, startSID uint64, includeEnd bo
 // startSID for a further stacked layer.
 func (m *MergeScan) StartRID() uint64 { return m.startRID }
 
-// SizeHint estimates the remaining row count: the source's remainder plus the
-// layer's net shift over exactly those positions (one descent), counting the
-// inserts at the range's end when this merge emits them.
+// SizeHint counts the remaining rows: the source's remainder plus the layer's
+// net shift over exactly those positions (one descent), plus the inserts at
+// the range's end when this merge emits them. It is exact when the source's
+// hint is. The count is taken once and then kept up to date as rows go out.
 func (m *MergeScan) SizeHint() int {
+	if m.left >= 0 {
+		return m.left
+	}
 	n := SizeHint(m.src)
 	if n < 0 {
 		return -1
 	}
 	end := m.nextSID + uint64(n)
-	if m.includeEnd {
-		end++
+	c := m.t.newCursorAtSid(end)
+	rows := int64(n) + c.delta - m.cur.delta
+	for m.includeEnd && c.valid() && c.sid() == end && c.kind() == KindIns {
+		rows++
+		c.advance()
 	}
-	rid, _, _ := m.t.SeekSid(end)
-	return max(0, int(int64(rid)-int64(end)-m.cur.delta)+n)
+	m.left = int(max(0, rows))
+	return m.left
+}
+
+// emitted counts n rows out of what SizeHint counted.
+func (m *MergeScan) emitted(n int) {
+	if m.left >= 0 {
+		m.left = max(0, m.left-n)
+	}
 }
 
 // Next emits up to max merged rows into out — one vector per projected
 // column, in column order — returning the count; 0 means the scan is complete.
-func (m *MergeScan) Next(out *vector.Batch, max int) (int, error) { return m.merge(out, max) }
+func (m *MergeScan) Next(out *vector.Batch, max int) (int, error) {
+	n, err := m.merge(out, max)
+	m.emitted(n)
+	return n, err
+}
 
 // Skip passes over up to n merged rows, returning the count.
-func (m *MergeScan) Skip(n int) (int, error) { return m.merge(nil, n) }
+func (m *MergeScan) Skip(n int) (int, error) {
+	n, err := m.merge(nil, n)
+	m.emitted(n)
+	return n, err
+}
 
 // More reports whether Next would emit another row. Stable rows this layer
 // deletes are consumed on the way: they could never be emitted.
@@ -235,23 +329,9 @@ func (m *MergeScan) pull(out *vector.Batch, n int) (int, error) {
 func (m *MergeScan) merge(out *vector.Batch, max int) (int, error) {
 	produced := 0
 	for produced < max && !m.done {
-		// Tuples before the next insert or delete (all that are left, when
-		// there is none) pass through: the source writes them into out. A
-		// modify does not end the run: its tuple passes through with the
-		// rest and is patched where it landed.
-		run, mod := max-produced, false
-		if m.cur.valid() {
-			usid, kind := m.cur.sid(), m.cur.kind()
-			if usid < m.nextSID {
-				return produced, fmt.Errorf("pdt: merge cursor behind scan (entry sid %d, scan at %d)", usid, m.nextSID)
-			}
-			d := usid - m.nextSID
-			if mod = kind != KindIns && kind != KindDel; mod {
-				d++
-			}
-			if d < uint64(run) {
-				run = int(d)
-			}
+		run, mod, err := m.nextRun(max - produced)
+		if err != nil {
+			return produced, err
 		}
 		if run > 0 {
 			n, err := m.pull(out, run)
@@ -263,8 +343,12 @@ func (m *MergeScan) merge(out *vector.Batch, max int) (int, error) {
 			// scan: only inserts at the boundary could still qualify, and
 			// that update is beyond it.
 			m.done = n == 0
-			if mod && m.cur.sid() < m.nextSID {
-				if err := m.patch(out); err != nil {
+			if mod && n == run {
+				at := 0
+				if out != nil {
+					at = out.Len() - 1
+				}
+				if err := m.patch(out, at, false); err != nil {
 					return produced, err
 				}
 			}
@@ -289,10 +373,7 @@ func (m *MergeScan) merge(out *vector.Batch, max int) (int, error) {
 			}
 		}
 		if out != nil {
-			tuple := m.t.vals.ins[m.cur.val()]
-			for i, c := range m.cols {
-				out.Vecs[i].Append(tuple[c])
-			}
+			m.insert(out, out.Len())
 		}
 		produced++
 		m.cur.advance()
@@ -300,20 +381,188 @@ func (m *MergeScan) merge(out *vector.Batch, max int) (int, error) {
 	return produced, nil
 }
 
-// patch applies the modify chain under the cursor to the tuple the source
-// wrote last (to nothing when out is nil), and moves the cursor past it.
-func (m *MergeScan) patch(out *vector.Batch) error {
+// nextRun is where Algorithm 2 stands: how many of the next up to n rows are
+// stable ones to pass through, up to the next insert or delete (all that are
+// left, when there is none), and whether the last of them carries a modify. A
+// modify does not end a run: its tuple passes through with the rest and is
+// patched where it landed.
+func (m *MergeScan) nextRun(n int) (run int, mod bool, err error) {
+	if !m.cur.valid() {
+		return n, false, nil
+	}
+	usid, kind := m.cur.sid(), m.cur.kind()
+	if usid < m.nextSID {
+		return 0, false, fmt.Errorf("pdt: merge cursor behind scan (entry sid %d, scan at %d)", usid, m.nextSID)
+	}
+	d := usid - m.nextSID
+	if mod = kind != KindIns && kind != KindDel; mod {
+		d++
+	}
+	if d <= uint64(n) {
+		return int(d), mod, nil
+	}
+	return n, false, nil
+}
+
+// insert writes the insert under the cursor into every vector of out, at
+// position at — appended when at is the batch's length.
+func (m *MergeScan) insert(out *vector.Batch, at int) {
+	tuple := m.t.vals.ins[m.cur.val()]
+	for i, c := range m.cols {
+		if v := out.Vecs[i]; at == v.Len() {
+			v.Append(tuple[c])
+		} else {
+			v.Set(at, tuple[c])
+		}
+	}
+}
+
+// patch applies the modify chain under the cursor to the tuple at batch
+// position at of out (to nothing when out is nil), and moves the cursor past
+// it. later records the values in the plan instead, for a tuple the source
+// has yet to write.
+func (m *MergeScan) patch(out *vector.Batch, at int, later bool) error {
 	for sid := m.cur.sid(); m.cur.valid() && m.cur.sid() == sid; m.cur.advance() {
 		k := m.cur.kind()
 		if k == KindIns || k == KindDel {
 			return fmt.Errorf("pdt: malformed chain at sid %d", sid)
 		}
-		if bi := m.proj[k]; bi >= 0 && out != nil {
-			v := out.Vecs[bi]
-			v.Set(v.Len()-1, m.t.vals.mods[k][m.cur.val()])
+		switch bi := m.proj[k]; {
+		case bi < 0 || out == nil:
+		case later:
+			m.plan.mods = append(m.plan.mods, modAt{at: at, slot: bi, col: k, val: m.cur.val()})
+		default:
+			out.Vecs[bi].Set(at, m.t.vals.mods[k][m.cur.val()])
 		}
 	}
 	return nil
+}
+
+// SelectRuns is the merge's side of a selection (RunSelector). It walks its
+// cursor over the runs by position only, as Algorithm 2 does, and hands its
+// source the stable rows among them in one call: the rows this layer deletes,
+// and those the runs skip, are gaps in the source's runs. It writes its
+// inserts into every slot and has the source write the rows it modifies
+// whole, then patches them. Those two kinds are the rows it decides itself —
+// unless the caller keeps them, to patch or decide them in turn — so it has
+// the source keep them in sel, then runs the chain's kernels over them once
+// and drops from sel those that fail.
+func (m *MergeScan) SelectRuns(out *vector.Batch, runs []vector.Run, keep []uint32, chain *vector.Chain, sel *vector.Selection) error {
+	if m.rs == nil {
+		return fmt.Errorf("pdt: a merge over a source that cannot select")
+	}
+	if m.plan == nil {
+		m.plan = &runPlan{}
+	}
+	p := m.plan
+	p.runs, p.skip, p.keep, p.above, p.mods, p.decide = p.runs[:0], 0, p.keep[:0], keep, p.mods[:0], p.decide[:0]
+	for _, r := range runs {
+		if err := m.walk(nil, r.Skip, 0); err != nil {
+			return err
+		}
+		if err := m.walk(out, r.N, r.At); err != nil {
+			return err
+		}
+		m.emitted(r.Skip + r.N)
+	}
+	if p.skip > 0 {
+		p.runs = append(p.runs, vector.Run{Skip: p.skip})
+	}
+	p.keep = append(p.keep, p.above...)
+	if err := m.rs.SelectRuns(out, p.runs, p.keep, chain, sel); err != nil {
+		return err
+	}
+	for _, md := range p.mods {
+		out.Vecs[md.slot].Set(md.at, m.t.vals.mods[md.col][md.val])
+	}
+	p.passed.Reset()
+	for _, at := range p.decide {
+		p.passed.Append(at)
+	}
+	chain.Apply(out, &p.passed)
+	sel.Drop(p.decide, p.passed.Indexes())
+	return nil
+}
+
+// walk is Algorithm 2 over n output rows, by position only: placed at batch
+// positions at, at+1, ... of out, or passed over when out is nil. Stable rows
+// become the source's runs (or its skips), inserts are written at once, and
+// modifies wait in the plan for the source to write their tuples.
+func (m *MergeScan) walk(out *vector.Batch, n, at int) error {
+	p := m.plan
+	for n > 0 {
+		run, mod, err := m.nextRun(n)
+		if err != nil {
+			return err
+		}
+		if run > 0 {
+			m.nextSID += uint64(run)
+			if out == nil {
+				p.skip += run
+			} else {
+				p.pass(run, at)
+			}
+			if mod {
+				last := at + run - 1
+				if out != nil {
+					p.own(last)
+				}
+				if err := m.patch(out, last, true); err != nil {
+					return err
+				}
+			}
+			at += run
+			n -= run
+			continue
+		}
+		if m.cur.kind() == KindDel {
+			p.skip++
+			m.nextSID++
+			m.cur.advance()
+			continue
+		}
+		if out != nil {
+			m.insert(out, at)
+			p.forward(at + 1)
+			p.own(at)
+		}
+		m.cur.advance()
+		at++
+		n--
+	}
+	return nil
+}
+
+// pass hands the source the n stable rows landing at batch positions from at:
+// one more run, or the last one lengthened when they follow it directly.
+func (p *runPlan) pass(n, at int) {
+	if k := len(p.runs) - 1; p.skip == 0 && k >= 0 && p.runs[k].At+p.runs[k].N == at {
+		p.runs[k].N += n
+	} else {
+		p.runs = append(p.runs, vector.Run{Skip: p.skip, N: n, At: at})
+		p.skip = 0
+	}
+	p.forward(at + n)
+}
+
+// forward passes the caller's keep positions before limit on to the source:
+// rows the caller writes itself, and rows of this layer's it patches or
+// decides in turn.
+func (p *runPlan) forward(limit int) {
+	for len(p.above) > 0 && int(p.above[0]) < limit {
+		p.keep = append(p.keep, p.above[0])
+		p.above = p.above[1:]
+	}
+}
+
+// own makes the row at batch position at, which this layer writes or
+// patches, one it decides itself — unless the caller keeps it, and forward
+// has passed it on already.
+func (p *runPlan) own(at int) {
+	if k := len(p.keep) - 1; k < 0 || p.keep[k] != uint32(at) {
+		p.keep = append(p.keep, uint32(at))
+		p.decide = append(p.decide, uint32(at))
+	}
 }
 
 // ScanAll is a convenience for tests and examples: it drains a BatchSource

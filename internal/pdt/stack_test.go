@@ -4,22 +4,42 @@ package pdt
 // the stable scanner, driven through Next/Skip/More in arbitrary order and
 // batch sizes, against a row-at-a-time model that never looks at a cursor —
 // plus the property the chain exists for: every stable value is written once,
-// into the consumer's own batch, whatever the depth.
+// into the consumer's own batch, whatever the depth. Its selecting twin reads
+// the same stack through Select with a drawn filter chain, and must keep
+// exactly the rows, values and RIDs that Next followed by Chain.Apply keeps.
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"pdtstore/internal/types"
 	"pdtstore/internal/vector"
 )
 
+// stackSchema is the stack tests' table: a key, then an int, a string and a
+// float column, one of each kind a filter tests.
+func stackSchema() *types.Schema {
+	return types.MustSchema([]types.Column{
+		{Name: "k", Kind: types.Int64},
+		{Name: "a", Kind: types.Int64},
+		{Name: "b", Kind: types.String},
+		{Name: "f", Kind: types.Float64},
+	}, []int{0})
+}
+
 // blockSource is the stable scanner's shape without a store: rows [pos, end)
 // of an image, handed out at most one block at a time (a short count at every
 // block boundary, as colstore.Scanner returns). It records what it is asked
-// for: wrote counts the values appended per position, skipped the positions
-// passed over, batches every distinct batch it was handed.
+// for: wrote counts the values written per position, skipped the positions
+// passed over, batches every distinct batch it was handed. It is a
+// RunSelector by the letter of the contract: SelectRuns writes every row of
+// its runs whole, filters those not kept with the chain's kernels, and
+// scribbles over the rows that fail, whose values a selector leaves
+// unspecified.
 type blockSource struct {
 	rows     []types.Row
 	cols     []int
@@ -60,6 +80,60 @@ func (s *blockSource) Skip(n int) (int, error) {
 func (s *blockSource) More() (bool, error) { return s.pos < s.end, nil }
 
 func (s *blockSource) SizeHint() int { return s.end - s.pos }
+
+func (s *blockSource) SelectRuns(out *vector.Batch, runs []vector.Run, keep []uint32, chain *vector.Chain, sel *vector.Selection) error {
+	s.batches[out] = true
+	var cand vector.Selection
+	kept := keep
+	for _, r := range runs {
+		if r.Skip+r.N > s.end-s.pos {
+			return fmt.Errorf("runs reach past the source's end")
+		}
+		for i := 0; i < r.Skip; i++ {
+			s.skipped[s.pos+i] = true
+		}
+		s.pos += r.Skip
+		for at := r.At; at < r.At+r.N; at++ {
+			for j, c := range s.cols {
+				out.Vecs[j].Set(at, s.rows[s.pos][c])
+			}
+			s.wrote[s.pos]++
+			s.pos++
+			for len(kept) > 0 && int(kept[0]) < at {
+				kept = kept[1:]
+			}
+			if len(kept) == 0 || int(kept[0]) != at {
+				cand.Append(uint32(at))
+			}
+		}
+	}
+	tested := slices.Clone(cand.Indexes())
+	chain.Apply(out, &cand)
+	for pass := cand.Indexes(); len(tested) > 0; tested = tested[1:] {
+		if len(pass) > 0 && pass[0] == tested[0] {
+			pass = pass[1:]
+			continue
+		}
+		for _, v := range out.Vecs {
+			scribble(v, int(tested[0]))
+		}
+	}
+	sel.Reset()
+	sel.AppendUnion(cand.Indexes(), keep)
+	return nil
+}
+
+// scribble overwrites value i of v with one no test row holds.
+func scribble(v *vector.Vector, i int) {
+	switch v.Kind {
+	case types.Float64:
+		v.F[i] = -1e300
+	case types.String:
+		v.S[i] = "\x00scribbled"
+	default:
+		v.I[i] = math.MinInt64 + 7
+	}
+}
 
 // modelLayer is one layer of the model: in holds the rows at positions
 // [start, start+len(in)) of the image below p; the result is what a merge of
@@ -126,7 +200,7 @@ const stackKeyGap = 1 << 20
 func stackStable(n int) []types.Row {
 	rows := make([]types.Row, n)
 	for i := range rows {
-		rows[i] = types.Row{types.Int(int64(i+1) * stackKeyGap), types.Int(int64(i)), types.Str(fmt.Sprintf("s%d", i))}
+		rows[i] = types.Row{types.Int(int64(i+1) * stackKeyGap), types.Int(int64(i)), types.Str(fmt.Sprintf("s%d", i)), types.Float(float64(i) / 4)}
 	}
 	return rows
 }
@@ -136,12 +210,14 @@ func stackStable(n int) []types.Row {
 // the image the layers below it produce (ref mirrors it). The op byte picks
 // insert at a position (a key strictly between the neighbours there, so
 // inserts pile up at one SID, at the table's ends, and next to ghosts),
-// re-insert of the key this layer deleted last, delete, or modify of either
-// data column; the second byte picks the position. The result is the layers
-// bottom to top and the image on top of them.
+// re-insert of the key this layer deleted last, delete, or modify of one of
+// the data columns; the second byte picks the position. Inserted and modified
+// values are drawn from the ranges the stable rows span, so a filter keeps
+// some and drops others. The result is the layers bottom to top and the
+// image on top of them.
 func buildStack(t *testing.T, script []byte, stable []types.Row, nLayers int) ([]*PDT, []types.Row) {
 	t.Helper()
-	schema := intSchema()
+	schema := stackSchema()
 	ref := newRefModel(schema, stable)
 	layers := make([]*PDT, nLayers)
 	per := (len(script)/2 + nLayers - 1) / nLayers
@@ -151,7 +227,7 @@ func buildStack(t *testing.T, script []byte, stable []types.Row, nLayers int) ([
 		var ghost types.Row
 		ops := script[min(2*per*li, len(script)):min(2*per*(li+1), len(script))]
 		for i := 0; i+1 < len(ops); i += 2 {
-			op, at := ops[i]%8, int(ops[i+1])
+			op, at := ops[i]%9, int(ops[i+1])
 			tag := int64(li*1000 + i)
 			switch {
 			case op <= 2: // insert at position at
@@ -170,7 +246,7 @@ func buildStack(t *testing.T, script []byte, stable []types.Row, nLayers int) ([
 				if at == len(ref.rows) {
 					key = lo + stackKeyGap
 				}
-				applyInsert(t, p, ref, types.Row{types.Int(key), types.Int(-tag), types.Str(fmt.Sprintf("i%d", tag))})
+				applyInsert(t, p, ref, types.Row{types.Int(key), types.Int(tag % 89), types.Str(fmt.Sprintf("i%d", tag%11)), types.Float(float64(tag%41) / 2)})
 			case op == 3: // re-insert the ghost's key
 				if ghost == nil {
 					continue
@@ -179,7 +255,7 @@ func buildStack(t *testing.T, script []byte, stable []types.Row, nLayers int) ([
 				if at > 0 && ref.rows[at-1][0].I == ghost[0].I {
 					continue
 				}
-				applyInsert(t, p, ref, types.Row{ghost[0], types.Int(-tag), types.Str("again")})
+				applyInsert(t, p, ref, types.Row{ghost[0], types.Int(-tag), types.Str("again"), types.Float(-1)})
 				ghost = nil
 			case len(ref.rows) == 0:
 			case op <= 5:
@@ -187,9 +263,11 @@ func buildStack(t *testing.T, script []byte, stable []types.Row, nLayers int) ([
 				ghost = ref.rows[at]
 				applyDelete(t, p, ref, at)
 			case op == 6:
-				applyModify(t, p, ref, at%len(ref.rows), 1, types.Int(tag))
+				applyModify(t, p, ref, at%len(ref.rows), 1, types.Int(tag%101))
+			case op == 7:
+				applyModify(t, p, ref, at%len(ref.rows), 2, types.Str(fmt.Sprintf("m%d", tag%7)))
 			default:
-				applyModify(t, p, ref, at%len(ref.rows), 2, types.Str(fmt.Sprintf("m%d", tag)))
+				applyModify(t, p, ref, at%len(ref.rows), 3, types.Float(float64(tag%43)/2))
 			}
 		}
 		if err := p.Validate(); err != nil {
@@ -199,7 +277,7 @@ func buildStack(t *testing.T, script []byte, stable []types.Row, nLayers int) ([
 	return layers, ref.rows
 }
 
-var stackProjections = [][]int{{0, 1, 2}, {1}, {2, 0}, {}}
+var stackProjections = [][]int{{0, 1, 2, 3}, {1}, {2, 0}, {3, 1}, {}}
 
 var stackBatchSizes = []int{1, 3, 16, 1024}
 
@@ -220,10 +298,7 @@ func checkStack(t *testing.T, layers []*PDT, stable, image []types.Row, lo, hi, 
 			}
 		}
 	}
-	kinds := make([]types.Kind, len(cols))
-	for i, c := range cols {
-		kinds[i] = intSchema().Cols[c].Kind
-	}
+	kinds := stackKinds(cols)
 	where := fmt.Sprintf("[%d,%d) block %d end %v cols %v", lo, hi, block, includeEnd, cols)
 
 	// Once as a consumer reads it: rows and consecutive RIDs.
@@ -231,9 +306,9 @@ func checkStack(t *testing.T, layers []*PDT, stable, image []types.Row, lo, hi, 
 	if startRID != wantRID {
 		t.Fatalf("%s: start RID %d, model %d", where, startRID, wantRID)
 	}
-	// One layer hints exactly, but for a delete entry sitting on the end of an
-	// includeEnd range; further up the error compounds and the hint is advice.
-	if h := SizeHint(top); h < 0 || (len(layers) == 1 && (h > len(want) || h < len(want)-1)) {
+	// Over an exact source the hint is exact, at every depth: a selecting
+	// stack sizes its batches by it.
+	if h := SizeHint(top); h != len(want) {
 		t.Fatalf("%s: size hint %d for %d rows under %d layers", where, h, len(want), len(layers))
 	}
 	all, err := ScanAll(Numbered(top, startRID), kinds)
@@ -305,8 +380,143 @@ func checkStack(t *testing.T, layers []*PDT, stable, image []types.Row, lo, hi, 
 	}
 }
 
+func stackKinds(cols []int) []types.Kind {
+	kinds := make([]types.Kind, len(cols))
+	for i, c := range cols {
+		kinds[i] = stackSchema().Cols[c].Kind
+	}
+	return kinds
+}
+
+// stackChain draws a filter chain over the projection cols from filt: one to
+// three of an int range on a, a float range on f and a string Eq or In on b,
+// in an order filt picks, each on its column's projected slot or, when cols
+// lacks the column, on a filter-only slot after them. It returns the batch's
+// columns — cols, then the filter-only ones — and the chain.
+func stackChain(cols []int, filt []byte) ([]int, *vector.Chain) {
+	at := func(i int) int {
+		if i < len(filt) {
+			return int(filt[i])
+		}
+		return 0
+	}
+	slots := slices.Clone(cols)
+	slotOf := func(c int) int {
+		if i := slices.Index(slots, c); i >= 0 {
+			return i
+		}
+		slots = append(slots, c)
+		return len(slots) - 1
+	}
+	lo, flo := int64(at(1)%90)-5, float64(at(2)%40)/2
+	str := vector.Pred{Op: vector.PredStrEq, Strs: []string{fmt.Sprintf("s%d", at(5)%80)}}
+	if at(6)%2 == 1 {
+		str = vector.Pred{Op: vector.PredStrIn, Strs: []string{str.Strs[0], fmt.Sprintf("m%d", at(6)%7), fmt.Sprintf("i%d", at(7)%11), "again"}}
+	}
+	str.Col = 2
+	preds := []vector.Pred{
+		{Col: 1, Op: vector.PredInt64Range, ILo: lo, IHi: lo + int64(at(3)%60)},
+		{Col: 3, Op: vector.PredFloat64Range, FLo: flo, FHi: flo + float64(at(4)%30)/2},
+		str,
+	}
+	chain := &vector.Chain{Outputs: len(cols)}
+	for k := 0; k <= at(0)%3; k++ {
+		p := preds[(at(0)/3+k)%3]
+		chain.Filters = append(chain.Filters, vector.Filter{Slot: slotOf(p.Col), Pred: p})
+	}
+	return slots, chain
+}
+
+// renderSelected appends one line per selected row of b: its RID and its
+// first outputs values.
+func renderSelected(lines []string, b *vector.Batch, sel []uint32, outputs int) []string {
+	for _, i := range sel {
+		var sb strings.Builder
+		fmt.Fprintf(&sb, "@%d:", b.Rids[i])
+		for _, v := range b.Vecs[:outputs] {
+			sb.WriteString(v.Get(int(i)).String())
+			sb.WriteByte('|')
+		}
+		lines = append(lines, sb.String())
+	}
+	return lines
+}
+
+// checkSelect is the selecting differential for one stack: Select, in batch
+// sizes drive picks (now and then a Next, filtered here, in between), must
+// keep what Next followed by Chain.Apply keeps — the same rows, the same
+// values in every output slot, the same RIDs — and still write every stable
+// value at most once, into the consumer's batch. (blockSource serves runs
+// whatever blocks they cross; the stable scanner's side of that is
+// colstore's TestSelectRunsMatchesRows.)
+func checkSelect(t *testing.T, layers []*PDT, stable []types.Row, lo, hi, block int, includeEnd bool, cols []int, filt, drive []byte) {
+	t.Helper()
+	slots, chain := stackChain(cols, filt)
+	kinds := stackKinds(slots)
+	where := fmt.Sprintf("[%d,%d) block %d end %v slots %v chain %+v", lo, hi, block, includeEnd, slots, chain.Filters)
+
+	top, rid := stackOver(layers, newBlockSource(stable, slots, lo, hi, block), slots, lo, includeEnd)
+	all, err := ScanAll(Numbered(top, rid), kinds)
+	if err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	ref := vector.NewSelection(all.Len())
+	ref.All(all.Len())
+	chain.Apply(all, ref)
+	want := renderSelected(nil, all, ref.Indexes(), len(cols))
+
+	base := newBlockSource(stable, slots, lo, hi, block)
+	top, rid = stackOver(layers, base, slots, lo, includeEnd)
+	src, ok := Numbered(top, rid).(Selector)
+	if !ok {
+		t.Fatalf("%s: a stack over a RunSelector does not select", where)
+	}
+	out, sel := vector.NewBatch(kinds, 16), vector.NewSelection(16)
+	var got []string
+	rows := 0
+	for step := 0; ; step++ {
+		act := 0
+		if step < len(drive) {
+			act = int(drive[step])
+		}
+		k := stackBatchSizes[act%len(stackBatchSizes)]
+		out.Reset()
+		var n int
+		if act%5 == 4 {
+			if n, err = src.(BatchSource).Next(out, k); n > 0 {
+				sel.All(n)
+				chain.Apply(out, sel)
+			}
+		} else {
+			n, err = src.Select(out, k, chain, sel)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		if n == 0 {
+			break
+		}
+		if n > k || len(out.Rids) != n || out.Len() != n {
+			t.Fatalf("%s: a batch of %d rows (asked %d) holds %d RIDs and %d values", where, n, k, len(out.Rids), out.Len())
+		}
+		got = renderSelected(got, out, sel.Indexes(), len(cols))
+		rows += n
+	}
+	if rows != all.Len() || !slices.Equal(got, want) {
+		t.Fatalf("%s: Select read %d rows and kept\n%v\nNext then the chain read %d and kept\n%v\nlayers %v", where, rows, got, all.Len(), want, layers)
+	}
+	if len(base.batches) > 1 {
+		t.Fatalf("%s: the base was handed a batch that is not the consumer's", where)
+	}
+	for sid, times := range base.wrote {
+		if times != 1 || base.skipped[sid] {
+			t.Fatalf("%s: stable row %d written %d times (skipped %v)", where, sid, times, base.skipped[sid])
+		}
+	}
+}
+
 // checkStackScript reads one stack every which way the byte arguments select.
-func checkStackScript(t *testing.T, script, drive []byte, nLayers, nStable, lo, hi, block, proj uint8, includeEnd bool) {
+func checkStackScript(t *testing.T, script, drive, filt []byte, nLayers, nStable, lo, hi, block, proj uint8, includeEnd bool) {
 	t.Helper()
 	stable := stackStable(int(nStable) % 80)
 	layers, image := buildStack(t, script, stable, 1+int(nLayers)%5)
@@ -318,26 +528,28 @@ func checkStackScript(t *testing.T, script, drive []byte, nLayers, nStable, lo, 
 	cols := stackProjections[int(proj)%len(stackProjections)]
 	checkStack(t, layers, stable, image, from, to, 1+int(block)%17, includeEnd, cols, drive)
 	checkStack(t, layers, stable, image, 0, len(stable), 1+int(block)%17, true, cols, drive)
+	checkSelect(t, layers, stable, from, to, 1+int(block)%17, includeEnd, cols, filt, drive)
+	checkSelect(t, layers, stable, 0, len(stable), 1+int(block)%17, true, cols, filt, drive)
 }
 
-// FuzzMergeScanStack feeds arbitrary update scripts and read schedules to the
-// stack differential.
+// FuzzMergeScanStack feeds arbitrary update scripts, read schedules and
+// filter chains to the stack differential and its selecting twin.
 func FuzzMergeScanStack(f *testing.F) {
-	f.Add([]byte{0, 3, 4, 3, 3, 0, 6, 2, 0, 200, 4, 0, 7, 1}, []byte{0, 1, 2, 4, 9, 2}, uint8(2), uint8(20), uint8(3), uint8(9), uint8(4), uint8(0), false)
-	f.Add([]byte{0, 255, 1, 255, 2, 255, 4, 0, 3, 0, 4, 0, 4, 0}, []byte{2, 2, 5, 8}, uint8(4), uint8(6), uint8(0), uint8(6), uint8(2), uint8(3), true)
+	f.Add([]byte{0, 3, 4, 3, 3, 0, 6, 2, 0, 200, 4, 0, 7, 1}, []byte{0, 1, 2, 4, 9, 2}, []byte{1, 3, 5, 40, 9, 3}, uint8(2), uint8(20), uint8(3), uint8(9), uint8(4), uint8(0), false)
+	f.Add([]byte{0, 255, 1, 255, 2, 255, 4, 0, 3, 0, 4, 0, 4, 0}, []byte{2, 2, 5, 8}, []byte{5, 0, 0, 59, 29, 1, 1}, uint8(4), uint8(6), uint8(0), uint8(6), uint8(2), uint8(3), true)
 	// Skip to the last row, then More: a trailing insert three layers down.
-	f.Add([]byte("0B0700$7$0$1"), []byte("12000000"), uint8(4), uint8(6), uint8(0), uint8(6), uint8(2), uint8(3), true)
-	f.Add([]byte{}, []byte{12}, uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(1), true)
-	f.Fuzz(func(t *testing.T, script, drive []byte, nLayers, nStable, lo, hi, block, proj uint8, includeEnd bool) {
+	f.Add([]byte("0B0700$7$0$1"), []byte("12000000"), []byte{8, 10, 2, 30, 10, 4, 3, 5}, uint8(4), uint8(6), uint8(0), uint8(6), uint8(2), uint8(3), true)
+	f.Add([]byte{}, []byte{12}, []byte{}, uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(1), true)
+	f.Fuzz(func(t *testing.T, script, drive, filt []byte, nLayers, nStable, lo, hi, block, proj uint8, includeEnd bool) {
 		if len(script) > 400 {
 			script = script[:400]
 		}
-		checkStackScript(t, script, drive, nLayers, nStable, lo, hi, block, proj, includeEnd)
+		checkStackScript(t, script, drive, filt, nLayers, nStable, lo, hi, block, proj, includeEnd)
 	})
 }
 
 // TestMergeScanStackSeeded is the fuzz target's twin under go test: seeded
-// random scripts over every depth, projection and end rule.
+// random scripts over every depth, projection, chain and end rule.
 func TestMergeScanStackSeeded(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -345,9 +557,11 @@ func TestMergeScanStackSeeded(t *testing.T) {
 		rng.Read(script)
 		drive := make([]byte, rng.Intn(60))
 		rng.Read(drive)
+		filt := make([]byte, 8)
+		rng.Read(filt)
 		b := make([]byte, 5)
 		rng.Read(b)
-		checkStackScript(t, script, drive, uint8(seed), b[0], b[1], b[2], b[3], uint8(seed/5), seed%2 == 0)
+		checkStackScript(t, script, drive, filt, uint8(seed), b[0], b[1], b[2], b[3], uint8(seed/5), seed%2 == 0)
 	}
 }
 
@@ -355,10 +569,10 @@ func TestMergeScanStackSeeded(t *testing.T) {
 // rather than by luck.
 func TestMergeScanStackCorners(t *testing.T) {
 	stable := stackStable(12)
-	schema := intSchema()
+	schema := stackSchema()
 	ref := newRefModel(schema, stable)
 	ins := func(p *PDT, key int64, tag string) {
-		applyInsert(t, p, ref, types.Row{types.Int(key), types.Int(-1), types.Str(tag)})
+		applyInsert(t, p, ref, types.Row{types.Int(key), types.Int(-1), types.Str(tag), types.Float(0.5)})
 	}
 	// L0: two inserts before stable row 4 and one exactly at the table's end;
 	// L1 deletes the first of them and modifies the second; L2 deletes stable
@@ -380,6 +594,10 @@ func TestMergeScanStackCorners(t *testing.T) {
 				for block := 1; block <= 5; block += 2 {
 					checkStack(t, layers, stable, ref.rows, r[0], r[1], block, includeEnd, cols, []byte{0, 1, 2, 4, 5, 2, 8, 2})
 				}
+				// A chain that keeps every a, inserted and modified alike, and
+				// one that tells row 4's old a from its new one.
+				checkSelect(t, layers, stable, r[0], r[1], 3, includeEnd, cols, []byte{0, 4, 0, 80}, []byte{0, 1, 2, 3})
+				checkSelect(t, layers, stable, r[0], r[1], 3, includeEnd, cols, []byte{3, 77, 0, 2, 20}, []byte{3, 2})
 			}
 		}
 	}
@@ -388,14 +606,14 @@ func TestMergeScanStackCorners(t *testing.T) {
 // TestMergeScanSizeHintIsRangeLocal: the hint is the source's remainder plus
 // the shift of the entries over those positions — not the whole tree's.
 func TestMergeScanSizeHintIsRangeLocal(t *testing.T) {
-	schema := intSchema()
+	schema := stackSchema()
 	stable := stackStable(64)
 	for _, grow := range []bool{true, false} {
 		p := New(schema, 4)
 		ref := newRefModel(schema, stable)
 		for i := 0; i < 20; i++ { // all inside stable [40, 64)
 			if grow {
-				applyInsert(t, p, ref, types.Row{types.Int(50*stackKeyGap + int64(i) + 1), types.Int(0), types.Str("x")})
+				applyInsert(t, p, ref, types.Row{types.Int(50*stackKeyGap + int64(i) + 1), types.Int(0), types.Str("x"), types.Float(0)})
 			} else {
 				applyDelete(t, p, ref, 40)
 			}
@@ -423,13 +641,13 @@ func TestMergeScanSizeHintIsRangeLocal(t *testing.T) {
 // what reading the bare source does plus a constant per merge opened — no
 // layer owns a batch, and nothing is allocated per batch or per row.
 func TestMergeScanStackAllocsAreFlat(t *testing.T) {
-	schema := intSchema()
+	schema := stackSchema()
 	stable := stackStable(20000)
 	ref := newRefModel(schema, stable[:64]) // updates near the front: cheap to mirror
 	layers := make([]*PDT, 5)
 	for li := range layers {
 		p := New(schema, 8)
-		applyInsert(t, p, ref, types.Row{types.Int(int64(3+li)*stackKeyGap + 7), types.Int(1), types.Str("x")})
+		applyInsert(t, p, ref, types.Row{types.Int(int64(3+li)*stackKeyGap + 7), types.Int(1), types.Str("x"), types.Float(0)})
 		applyDelete(t, p, ref, 20+li)
 		applyModify(t, p, ref, 30, 1, types.Int(int64(li)))
 		layers[li] = p

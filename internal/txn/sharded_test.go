@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"pdtstore/internal/engine"
+	"pdtstore/internal/pdt"
 	"pdtstore/internal/table"
 	"pdtstore/internal/types"
 	"pdtstore/internal/vector"
@@ -481,5 +483,87 @@ func TestShardedCheckpoint(t *testing.T) {
 		if c := s.Shard(i).WritePDT().Count(); c != 0 {
 			t.Fatalf("shard %d Write-PDT still holds %d entries", i, c)
 		}
+	}
+}
+
+// TestShardedMorselWithEmptyShardSelects opens the morsel that also owns an
+// empty shard's zero-width slot, so Concat joins two shards' pipelines: the
+// result still selects in its scanners, and keeps what Next followed by the
+// chain keeps.
+func TestShardedMorselWithEmptyShardSelects(t *testing.T) {
+	s := newSharded(t, 400, 4, Options{}, nil)
+	tx := s.Begin()
+	// Keys 10..4000, cut at 1010, 2010 and 3010.
+	for _, k := range []int64{5, 1505, 1995, 2405, 2445, 3905} {
+		if err := tx.Insert(types.Row{types.Int(k), types.Int(k % 7), types.Str("ins")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range []int64{1510, 2020, 2450, 3500} {
+		if ok, err := tx.DeleteByKey(types.Row{types.Int(k)}); err != nil || !ok {
+			t.Fatalf("delete %d: %v %v", k, ok, err)
+		}
+	}
+	if ok, err := tx.UpdateByKey(types.Row{types.Int(2100)}, 1, types.Int(2)); err != nil || !ok {
+		t.Fatalf("update: %v %v", ok, err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	check := s.Begin()
+	defer check.Abort()
+	// Shard 3's keys all lie above the range: its slot is empty and sits at
+	// the domain's end, owned by the last morsel, which reads shard 2.
+	ps, err := check.PartitionScan(types.Row{types.Int(1500)}, types.Row{types.Int(2500)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols, kinds := []int{0, 1}, []types.Kind{types.Int64, types.Int64}
+	chain := &vector.Chain{Outputs: 2, Filters: []vector.Filter{{Slot: 1, Pred: vector.Pred{Op: vector.PredInt64Range, ILo: 0, IHi: 3}}}}
+	open := func() pdt.BatchSource {
+		src, err := ps.Open(cols, ps.Cuts[len(ps.Cuts)-1], ps.Hi, true, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}
+	render := func(b *vector.Batch, sel []uint32) (rows []string) {
+		for _, i := range sel {
+			rows = append(rows, fmt.Sprintf("@%d:%d|%d", b.Rids[i], b.Vecs[0].I[i], b.Vecs[1].I[i]))
+		}
+		return rows
+	}
+	all, err := pdt.ScanAll(open(), kinds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := vector.NewSelection(all.Len())
+	ref.All(all.Len())
+	chain.Apply(all, ref)
+	want := render(all, ref.Indexes())
+
+	morsel := open()
+	if name := fmt.Sprintf("%T", morsel); !strings.Contains(name, "concat") {
+		t.Fatalf("the last morsel is a %s, not the two shards' pipelines joined", name)
+	}
+	src, ok := morsel.(pdt.Selector)
+	if !ok {
+		t.Fatal("a morsel joining two shards' pipelines does not select")
+	}
+	out, sel := vector.NewBatch(kinds, 64), vector.NewSelection(64)
+	var got []string
+	for {
+		out.Reset()
+		n, err := src.Select(out, 64, chain, sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			break
+		}
+		got = append(got, render(out, sel.Indexes())...)
+	}
+	if len(want) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Select kept\n%v\nNext then the chain kept\n%v", got, want)
 	}
 }

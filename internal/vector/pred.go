@@ -55,6 +55,14 @@ type Chain struct {
 	Outputs int
 }
 
+// Run places a stretch of a source's rows in a batch: the source passes over
+// Skip rows, then its next N rows land at batch positions At, At+1, ... A
+// merge describes the rows it passes through untouched as runs, and its
+// source selects over them (pdt.RunSelector).
+type Run struct {
+	Skip, N, At int
+}
+
 // Apply narrows sel through every filter of the chain in order, reading each
 // filter's slot of b.
 func (c *Chain) Apply(b *Batch, sel *Selection) {

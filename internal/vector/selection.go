@@ -1,6 +1,7 @@
 package vector
 
 import (
+	"slices"
 	"strings"
 	"sync"
 )
@@ -45,6 +46,82 @@ func (s *Selection) Reset() { s.idx = s.idx[:0] }
 
 // Append adds one row index (must keep ascending order).
 func (s *Selection) Append(i uint32) { s.idx = append(s.idx, i) }
+
+// AppendShifted appends i+shift, in uint32 arithmetic, for every i of idx:
+// the rows of a run of offsets that land shift positions on. They must keep
+// the selection ascending.
+func (s *Selection) AppendShifted(idx []uint32, shift uint32) {
+	n := len(s.idx)
+	s.idx = slices.Grow(s.idx, len(idx))[:n+len(idx)]
+	for k, i := range idx {
+		s.idx[n+k] = i + shift
+	}
+}
+
+// Search returns how many of the ascending, distinct rows s lie below x.
+// At most x-s[0] do, and exactly that many when the rows run without a gap
+// up to x, the common case of a dense selection: that count is tried first,
+// then a binary search.
+func Search(s []uint32, x uint32) int {
+	if len(s) == 0 || s[0] >= x {
+		return 0
+	}
+	if d := x - s[0]; uint64(d) < uint64(len(s)) {
+		s = s[:d]
+	}
+	if s[len(s)-1] < x {
+		return len(s)
+	}
+	lo, hi := 1, len(s)-1 // s[lo-1] < x <= s[hi]
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s[m] < x {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// AppendUnion appends the rows of a and of b, two ascending lists with none
+// in common, in ascending order; all of them must follow s's own. b is meant
+// to be the short one: s grows once, and a is copied in stretches, split
+// where b's rows go.
+func (s *Selection) AppendUnion(a, b []uint32) {
+	s.idx = slices.Grow(s.idx, len(a)+len(b))
+	for _, x := range b {
+		k := Search(a, x)
+		s.idx = append(append(s.idx, a[:k]...), x)
+		a = a[k:]
+	}
+	s.idx = append(s.idx, a...)
+}
+
+// Drop removes from s the rows of all that kept lacks, where kept is all
+// narrowed by some filter and s holds every row of all. Nothing moves unless
+// a row is dropped, and then only the rows from the first dropped one on.
+func (s *Selection) Drop(all, kept []uint32) {
+	for len(kept) > 0 && all[0] == kept[0] {
+		all, kept = all[1:], kept[1:]
+	}
+	if len(all) == 0 {
+		return
+	}
+	w := Search(s.idx, all[0])
+	for _, x := range s.idx[w:] {
+		if len(all) > 0 && all[0] == x {
+			all = all[1:]
+			if len(kept) == 0 || kept[0] != x {
+				continue
+			}
+			kept = kept[1:]
+		}
+		s.idx[w] = x
+		w++
+	}
+	s.idx = s.idx[:w]
+}
 
 // All resets the selection to the identity over n rows: 0..n-1.
 func (s *Selection) All(n int) {

@@ -2,6 +2,8 @@ package vector
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"pdtstore/internal/types"
@@ -137,4 +139,61 @@ func TestAppendSelected(t *testing.T) {
 		}
 	}()
 	dst.AppendSelected(strSrc, []uint32{0})
+}
+
+// TestSelectionListOps holds Search, AppendShifted, AppendUnion and Drop to
+// their definitions over random ascending lists, dense runs and sparse ones.
+func TestSelectionListOps(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 2000; trial++ {
+		// a and b: disjoint ascending rows, dense stretches and gaps.
+		var a, b []uint32
+		for r, end := uint32(rng.Intn(5)), uint32(rng.Intn(300)); r < end; r++ {
+			switch rng.Intn(8) {
+			case 0:
+				b = append(b, r)
+			case 1, 2:
+			default:
+				a = append(a, r)
+			}
+		}
+		x := uint32(rng.Intn(320))
+		want := 0
+		for want < len(a) && a[want] < x {
+			want++
+		}
+		if got := Search(a, x); got != want {
+			t.Fatalf("Search(%v, %d) = %d, want %d", a, x, got, want)
+		}
+		s := NewSelection(0)
+		s.AppendShifted(a, 7)
+		for i, r := range s.Indexes() {
+			if r != a[i]+7 {
+				t.Fatalf("AppendShifted(%v, 7) = %v", a, s.Indexes())
+			}
+		}
+		u := NewSelection(0)
+		u.AppendUnion(a, b)
+		union := append(slices.Clone(a), b...)
+		slices.Sort(union)
+		if !slices.Equal(u.Indexes(), union) {
+			t.Fatalf("AppendUnion(%v, %v) = %v", a, b, u.Indexes())
+		}
+		// Drop the rows of b that a filter turned down from the union.
+		var kept, left []uint32
+		for _, r := range b {
+			if rng.Intn(3) == 0 {
+				kept = append(kept, r)
+			}
+		}
+		for _, r := range union {
+			if !slices.Contains(b, r) || slices.Contains(kept, r) {
+				left = append(left, r)
+			}
+		}
+		u.Drop(b, kept)
+		if !slices.Equal(u.Indexes(), left) {
+			t.Fatalf("Drop(%v, %v) from %v = %v, want %v", b, kept, union, u.Indexes(), left)
+		}
+	}
 }

@@ -185,6 +185,13 @@ func (b *Batch) Reset() {
 	b.Rids = b.Rids[:0]
 }
 
+// Extend lengthens every vector by n unspecified values (Vector.Extend).
+func (b *Batch) Extend(n int) {
+	for _, v := range b.Vecs {
+		v.Extend(n)
+	}
+}
+
 // AppendRow appends one row; r must have one value per vector, kind-aligned.
 func (b *Batch) AppendRow(r types.Row) {
 	if len(r) != len(b.Vecs) {
