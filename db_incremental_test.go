@@ -496,6 +496,47 @@ func TestSchedulerAutoCheckpoint(t *testing.T) {
 	checkState(t, db2, m)
 }
 
+// TestStatsReportsSchedulerFailure: a failed auto-checkpoint shows in Stats
+// while the store stays open and serving, and Close still returns it.
+func TestStatsReportsSchedulerFailure(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, Options{
+		Schema: dbSchema, BlockRows: 64, Compressed: true,
+		Checkpoint: CheckpointOptions{Auto: true, Interval: time.Millisecond, MaxWALRecords: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errBoom := errors.New("injected auto-checkpoint failure")
+	db.mu.Lock() // the scheduler reads the hook under db.mu
+	db.fault = func(p string) error {
+		if p == faultPreManifestSwap {
+			return errBoom
+		}
+		return nil
+	}
+	db.mu.Unlock()
+	if err := db.Stats().AutoCheckpointErr; err != nil {
+		t.Fatalf("failure reported before any checkpoint ran: %v", err)
+	}
+	m := model{}
+	commitInserts(t, db, m, 0, 64) // one record: the tail bound forces a checkpoint
+	deadline := time.Now().Add(5 * time.Second)
+	for db.Stats().AutoCheckpointErr == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("Stats never reported the failed auto-checkpoint")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := db.Stats().AutoCheckpointErr; !errors.Is(err, errBoom) {
+		t.Fatalf("Stats reports %v, want the injected failure", err)
+	}
+	checkState(t, db, m)
+	if err := db.Close(); !errors.Is(err, errBoom) {
+		t.Fatalf("Close = %v, want the injected failure", err)
+	}
+}
+
 // TestSharedSegmentRefcount: a chain member shared between the retired and
 // live images must survive the retired store's close and die only when the
 // last referencing store lets go.

@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"pdtstore/internal/table"
 	"pdtstore/internal/txn"
@@ -331,6 +332,89 @@ func TestShardedCheckpointCrashPoints(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestShardedCrossCommitDuringBuild commits a cross-shard transaction from
+// inside shard 0's image build (the mid-segment-write hook): the commit must
+// not wait for the build, which holds the checkpoint open until the hook
+// returns. The store is then killed at each later cut point, so the commit
+// sits in shard 0's side layer and tail, past its freeze LSN, while the other
+// participant's image may or may not contain it. Reopen must return exactly
+// the acknowledged state, and so must a further checkpoint and reopen.
+func TestShardedCrossCommitDuringBuild(t *testing.T) {
+	points := []string{
+		faultBetweenShardCheckpoints,
+		faultPreManifestSwap,
+		faultPostSwapPreTruncate,
+	}
+	for _, point := range points {
+		for _, shards := range []int{2, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", point, shards), func(t *testing.T) {
+				dir := t.TempDir()
+				db := openShardDB(t, dir, shards)
+				m := model{}
+				sCommitInserts(t, db, m, 10, 20, 260, 270, 510, 760)
+				sCommitInserts(t, db, m, 100, 600, 900)
+
+				// Keys 130 and 630 route to shard 0 and to shard 1 (2 shards)
+				// or 2 (4 shards).
+				cross := []table.Op{
+					{Kind: table.OpInsert, Row: types.Row{types.Int(130), types.Str("v130"), types.Int(1300)}},
+					{Kind: table.OpInsert, Row: types.Row{types.Int(630), types.Str("v630"), types.Int(6300)}},
+				}
+				errBoom := errors.New("injected crash: " + point)
+				committed, fired := false, false
+				db.fault = func(p string) error {
+					switch {
+					case p == faultMidSegmentWrite && !committed:
+						committed = true
+						done := make(chan error, 1)
+						go func() {
+							tx := db.Begin()
+							if _, err := tx.ApplyBatch(cross); err != nil {
+								done <- err
+								return
+							}
+							done <- tx.Commit()
+						}()
+						select {
+						case err := <-done:
+							if err != nil {
+								return err
+							}
+						case <-time.After(5 * time.Second):
+							return errors.New("cross-shard commit blocked behind the image build")
+						}
+						m[130] = modelRow{V: "v130", N: 1300}
+						m[630] = modelRow{V: "v630", N: 6300}
+					case p == point:
+						fired = true
+						return errBoom
+					}
+					return nil
+				}
+				if err := db.Checkpoint(); !errors.Is(err, errBoom) {
+					t.Fatalf("Checkpoint through the fault = %v", err)
+				}
+				if !committed || !fired {
+					t.Fatalf("hooks fired: commit %v, crash %v", committed, fired)
+				}
+				db.crash()
+
+				db = openShardDB(t, dir, shards)
+				checkState(t, db, m)
+				if err := db.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+				db = openShardDB(t, dir, shards)
+				defer db.Close()
+				checkState(t, db, m)
+			})
+		}
 	}
 }
 

@@ -70,7 +70,7 @@
 // when its estimated WAL replay cost outgrows the estimated checkpoint cost,
 // bounding cold-open time; knobs are validated at Open. DB.Stats exposes the
 // per-shard WAL tail, generation chain, per-segment live-block counts and
-// the last scheduler decision.
+// the last scheduler decision, and the scheduler's first failure.
 //
 // The public write surface is the Tx interface, returned by DB.Begin, and
 // DB.Stats is the window into durability state; no accessor hands out the
@@ -118,7 +118,8 @@
 // a consistent per-shard snapshot vector; a one-shard store adopts more
 // shards at Open (checkpointed tail required, manifest swap as the commit
 // point); checkpoints build per-shard segments behind a single manifest
-// swap and truncate each stream at its own freeze LSN.
+// swap and truncate each stream at its own freeze LSN. A commit, cross-shard
+// or not, never waits for a shard's image build, only for its swap.
 //
 // Selective scans prune before they read. Every checkpoint stamps a zone
 // map — min/max plus null count — per (column, block) into the segment

@@ -5,12 +5,15 @@ package txn
 // fsync must cover the whole batch, Begin must never wait behind an
 // in-flight fsync, a failed batch fsync must abort every transaction in the
 // batch with nothing visible, and checkpoints must interleave with parked
-// commits without breaking the layer invariants.
+// commits without breaking the layer invariants — and with cross-shard
+// commits, which wait for a shard's swap but never its build.
 
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -18,6 +21,8 @@ import (
 	"testing"
 	"time"
 
+	"pdtstore/internal/colstore"
+	"pdtstore/internal/pdt"
 	"pdtstore/internal/types"
 	"pdtstore/internal/wal"
 )
@@ -343,6 +348,207 @@ func TestCheckpointInterleavesWithParkedCommits(t *testing.T) {
 	}
 	if err := m.WritePDT().Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// await returns what ch delivers, failing the test if that takes more than
+// five seconds: a cycle in the wait graph fails the test instead of hanging.
+func await[T any](t *testing.T, ch <-chan T, what string) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(5 * time.Second):
+		t.Fatalf("timed out after 5s waiting for %s", what)
+	}
+	panic("unreachable")
+}
+
+// heldCheckpoint starts a checkpoint of m whose image build blocks until
+// release is closed, and returns once the build has started (the write
+// layer is frozen). done delivers the checkpoint's result.
+func heldCheckpoint(t *testing.T, m *Manager) (release chan struct{}, done <-chan error) {
+	t.Helper()
+	started, release := make(chan struct{}), make(chan struct{})
+	res := make(chan error, 1)
+	go func() {
+		res <- m.CheckpointInto(func(_ uint64, store *colstore.Store, deltas ...*pdt.PDT) (*colstore.Store, error) {
+			close(started)
+			<-release
+			return m.tbl.Materialize(store, deltas...)
+		})
+	}()
+	await(t, started, "the checkpoint build to start")
+	return release, res
+}
+
+// commitAsync commits one transaction inserting keys, in the background.
+func commitAsync(s *Sharded, keys ...int64) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		tx := s.Begin()
+		for _, k := range keys {
+			if err := tx.Insert(types.Row{types.Int(k), types.Int(0), types.Str("x")}); err != nil {
+				tx.Abort()
+				done <- err
+				return
+			}
+		}
+		done <- tx.Commit()
+	}()
+	return done
+}
+
+// checkShardedKeys compares the table's visible keys with the model (the
+// loaded keys 10..10n plus extra) and validates every shard's PDT layers.
+func checkShardedKeys(t *testing.T, s *Sharded, n int, extra ...int64) {
+	t.Helper()
+	want := append([]int64(nil), extra...)
+	for i := 1; i <= n; i++ {
+		want = append(want, int64(i*10))
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	tx := s.Begin()
+	defer tx.Abort()
+	if got := stxnKeys(t, tx); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("visible keys\n%v\nwant\n%v", got, want)
+	}
+	for i := 0; i < s.Shards(); i++ {
+		if err := s.Shard(i).ReadPDT().Validate(); err != nil {
+			t.Fatalf("shard %d Read-PDT: %v", i, err)
+		}
+		if err := s.Shard(i).WritePDT().Validate(); err != nil {
+			t.Fatalf("shard %d Write-PDT: %v", i, err)
+		}
+	}
+}
+
+// TestCrossShardCommitDuringCheckpointBuild: a cross-shard commit over a
+// shard whose checkpoint is mid-build completes before the build does. Its
+// fold lands on the side layer, which the swap installs as the new Read-PDT.
+func TestCrossShardCommitDuringCheckpointBuild(t *testing.T) {
+	s := newSharded(t, 40, 2, Options{}, nil)
+	m := s.Shard(0)
+	release, ckpt := heldCheckpoint(t, m)
+
+	if err := await(t, commitAsync(s, 15, 395), "a cross-shard commit over a shard mid-build"); err != nil {
+		t.Fatal(err)
+	}
+	checkShardedKeys(t, s, 40, 15, 395)
+	close(release)
+	if err := await(t, ckpt, "the checkpoint"); err != nil {
+		t.Fatal(err)
+	}
+	checkShardedKeys(t, s, 40, 15, 395)
+	if c := m.WritePDT().Count(); c != 0 {
+		t.Fatalf("the commit is not in the swapped-in side layer: Write-PDT holds %d entries", c)
+	}
+	if got := m.Table().Store().NRows(); got != 20 {
+		t.Fatalf("new image holds %d rows, want the 20 frozen ones", got)
+	}
+}
+
+// TestCheckpointSwapWaitsForHeldShard: a cross-shard commit is held between
+// its WAL appends while the checkpoint of a shard it prepared reaches its
+// swap. The swap waits for the hold (its fold chains onto the side layer the
+// swap retires), then both finish with nothing lost.
+func TestCheckpointSwapWaitsForHeldShard(t *testing.T) {
+	var logs []*bytes.Buffer
+	s := newSharded(t, 40, 2, Options{}, &logs)
+	m := s.Shard(0)
+	release, ckpt := heldCheckpoint(t, m)
+
+	inHook, hookGo := make(chan struct{}), make(chan struct{})
+	s.SetCommitFault(&CommitFault{BetweenAppends: func(int) error {
+		close(inHook)
+		<-hookGo
+		return nil
+	}})
+	commit := commitAsync(s, 15, 395)
+	await(t, inHook, "the cross-shard commit to reach its second append")
+	close(release)
+	waitFor(t, m, "the swap to wait on the held shard", func() bool { return m.ckptInstalling && m.held })
+	select {
+	case err := <-ckpt:
+		t.Fatalf("checkpoint swapped under a held shard (%v)", err)
+	default:
+	}
+	close(hookGo)
+	if err := await(t, commit, "the held cross-shard commit"); err != nil {
+		t.Fatal(err)
+	}
+	if err := await(t, ckpt, "the checkpoint swap"); err != nil {
+		t.Fatal(err)
+	}
+	checkShardedKeys(t, s, 40, 15, 395)
+	if c := m.WritePDT().Count(); c != 0 {
+		t.Fatalf("the commit is not in the swapped-in side layer: Write-PDT holds %d entries", c)
+	}
+	for i, buf := range logs {
+		recs, err := wal.Replay(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 1 || len(recs[0].Parts) != 2 {
+			t.Fatalf("shard %d stream: %d records, want the one cross-shard record", i, len(recs))
+		}
+	}
+}
+
+// TestSwapLeaderAndHoldAllComplete is the three-way case: a swap is
+// waiting, the leader has yielded to it with commits parked, and then a
+// coordinator holds the shard. The prepare's broadcast turns the leader
+// back to draining, the prepare completes on the drained queue, and the swap
+// runs once the hold is released.
+func TestSwapLeaderAndHoldAllComplete(t *testing.T) {
+	s := newSharded(t, 40, 2, Options{}, nil)
+	m := s.Shard(0)
+	release, ckpt := heldCheckpoint(t, m)
+
+	// A round the swap has not yet seen end stands in for the instant
+	// between a leader's yield and the swap waking up; the leader's next
+	// round resets the count.
+	m.mu.Lock()
+	m.inflight++
+	m.mu.Unlock()
+	close(release)
+	waitFor(t, m, "the swap to wait", func() bool { return m.ckptInstalling })
+	c1, c2 := commitAsync(s, 15), commitAsync(s, 25)
+	waitFor(t, m, "two commits to park", func() bool { return len(m.pending) == 2 })
+	waitForStack(t, "the leader to yield to the swap", "(*Manager).commitLeader", "(*Cond).Wait")
+
+	cross := commitAsync(s, 16, 396)
+	for what, ch := range map[string]<-chan error{
+		"the cross-shard commit": cross, "parked commit 15": c1, "parked commit 25": c2, "the checkpoint": ckpt,
+	} {
+		if err := await(t, ch, what); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	checkShardedKeys(t, s, 40, 15, 16, 25, 396)
+}
+
+// waitForStack waits until some goroutine's stack holds every frame
+// substring in frames.
+func waitForStack(t *testing.T, what string, frames ...string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+			all := true
+			for _, f := range frames {
+				all = all && strings.Contains(g, f)
+			}
+			if all {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -18,6 +18,37 @@ package txn
 // expressed in, so the side Write-PDT becomes the new version's Read-PDT
 // verbatim. Retired versions are released when their last reader finishes,
 // evicting the retired image's blocks from the device's buffer pool.
+//
+// The build is off every commit path, cross-shard ones included: a prepare
+// folds onto the side layer, which the swap installs as the next Read-PDT.
+// Who waits for what, per shard (every wait is a cond.Wait on m.mu,
+// re-checked on each broadcast):
+//
+//	Commit           held clear, then its batch's round
+//	leader round     its WAL append only
+//	leader yield     a waiting freeze or swap, only while !held
+//	prepare          pending and inflight drained (the leader's rounds)
+//	install/release  nothing beyond m.mu
+//	freeze (entry)   no checkpoint, no frozen layer, no round, !held
+//	swap/rollback    no round, !held
+//	background fold  nothing (folds off-lock, installs under m.mu)
+//
+// and across shards: xmu is held by one coordinator from its first prepare
+// to its last install or release; its phase B waits on beginGate, whose
+// readers (Begin) take each m.mu only briefly; db.mu is held by a DB
+// checkpoint from its first build to its last truncation.
+//
+// The graph is acyclic. A prepare waits only on rounds, and a leader never
+// yields while held (prepare broadcasts after setting it), so a prepare
+// reaches its rounds' WAL appends and nothing else. The freeze and the swap
+// wait on rounds and on held; the only edge back to them is a leader's yield,
+// which needs !held — so the swap → held → drain → leader → swap cycle cannot
+// close. A coordinator holds shards one at a time in participant order and
+// waits only for the next one's drain, which depends on that shard's own
+// leader; shards never wait for each other's checkpoints. db.mu and xmu are
+// taken in that order only (a build may commit across shards; nothing under
+// xmu takes db.mu), and neither is taken under m.mu. A commit landing during
+// a build thus waits for the swap's locked step at most, never the build.
 
 import (
 	"fmt"
@@ -209,11 +240,12 @@ func (m *Manager) CheckpointInto(build MaterializeFn) error {
 	defer m.mu.Unlock()
 	defer m.cond.Broadcast()
 	// The swap (or rollback) replaces the write layer, so it must not race a
-	// group-commit round whose precomputed folds chain onto the current one:
-	// signal the leader to pause at its next boundary and wait the round out.
+	// group-commit round or a held cross-shard prepare, whose precomputed
+	// folds chain onto the current one: signal the leader to pause at its
+	// next boundary and wait out the round and the hold.
 	m.ckptInstalling = true
 	m.cond.Broadcast()
-	for m.inflight > 0 {
+	for m.inflight > 0 || m.held {
 		m.cond.Wait()
 	}
 	m.ckptInstalling = false

@@ -9,11 +9,20 @@ package txn
 // what it inserts. CI's race job runs this file under -race.
 
 import (
+	"errors"
+	"fmt"
+	"path/filepath"
+	"runtime"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pdtstore/internal/table"
 	"pdtstore/internal/types"
+	"pdtstore/internal/vector"
+	"pdtstore/internal/wal"
 )
 
 // countRows scans the transaction's full view and returns the row count.
@@ -228,4 +237,302 @@ func TestOnlineMaintenanceStress(t *testing.T) {
 	if got := m.Table().Store().NRows(); got != stableRows {
 		t.Fatalf("checkpointed image has %d rows, want %d", got, stableRows)
 	}
+}
+
+// stressOp is one effect of a committed stress transaction: key's row is set
+// to (a, b), or deleted.
+type stressOp struct {
+	key, a int64
+	b      string
+	del    bool
+}
+
+// TestShardedMaintenanceStress races every maintenance path against every
+// commit path on a sharded table over real fsynced logs: writers mix
+// single-shard and cross-shard transactions (cross-shard ones contend on one
+// hot key pair, single-shard ones on a warm key per shard), a checkpoint
+// loop runs per shard and a tiny write budget keeps background folds firing.
+// Readers assert that no cross-shard commit is ever half-visible. The final
+// state must equal the model built from the commits in clock order, and so
+// must a cold replay of the logs onto the initial image. A watchdog fails
+// the test with a goroutine dump when no commit completes for 10 s.
+func TestShardedMaintenanceStress(t *testing.T) {
+	for _, shards := range []int{2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			shardedStress(t, shards)
+		})
+	}
+}
+
+func shardedStress(t *testing.T, shards int) {
+	const (
+		stableRows = 400 // keys 10..4000
+		writers    = 4
+		rounds     = 60
+		hotLo      = 10   // shard 0
+		hotHi      = 4000 // last shard
+	)
+	dir := t.TempDir()
+	opts := Options{WriteBudget: 1 << 10}
+	s := newShardedLogs(t, stableRows, shards, opts, fileLogs(t, dir))
+	warm := make([]int64, shards) // a contended stable key in each shard
+	warm[0] = 20
+	for i, k := range s.Keys() {
+		warm[i+1] = k[0].I + 10
+	}
+
+	var (
+		mu        sync.Mutex
+		committed = map[uint64][]stressOp{} // by commit LSN
+		progress  atomic.Int64
+	)
+	record := func(tx *STxn, ops []stressOp) {
+		mu.Lock()
+		committed[tx.CommitLSN()] = ops
+		mu.Unlock()
+	}
+
+	stop := make(chan struct{})
+	var bg sync.WaitGroup
+	for i := 0; i < shards; i++ {
+		m := s.Shard(i)
+		bg.Add(1)
+		go func() {
+			defer bg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := m.Checkpoint(); err != nil {
+					t.Errorf("checkpoint: %v", err)
+					return
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}()
+	}
+	// Readers: a cross-shard insert names its partner in column b, and the
+	// hot pair's column a moves in lockstep; a snapshot must see either both
+	// halves of a cross-shard commit or neither.
+	bg.Add(1)
+	go func() {
+		defer bg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			tx := s.Begin()
+			rows, err := stxnRows(tx)
+			tx.Abort()
+			if err != nil {
+				t.Errorf("reader scan: %v", err)
+				return
+			}
+			if a0, a1 := rows[hotLo].a, rows[hotHi].a; a0 != a1 && (a0 != 0 || a1 != stableRows-1) {
+				t.Errorf("hot pair half-visible: a=%d and a=%d", a0, a1)
+				return
+			}
+			for k, r := range rows {
+				var partner int64
+				if _, err := fmt.Sscanf(r.b, "p%d", &partner); err == nil {
+					if _, ok := rows[partner]; !ok {
+						t.Errorf("cross-shard insert %d visible without its partner %d", k, partner)
+						return
+					}
+				}
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		w := int64(w)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var mine []int64 // this writer's committed single-shard inserts
+			for i := int64(0); i < rounds; i++ {
+				j := (i*13 + w*101) % stableRows
+				tx := s.Begin()
+				var ops []stressOp
+				apply := func(err error) bool {
+					if err != nil {
+						t.Errorf("writer %d round %d: %v", w, i, err)
+					}
+					return err == nil
+				}
+				switch i % 3 {
+				case 0: // cross-shard: an insert pair and the hot pair
+					k1, k2 := 10*j+5+w, 10*((j+stableRows/2)%stableRows)+5+w
+					v := w*1000 + i + stableRows
+					ok := apply(tx.Insert(types.Row{types.Int(k1), types.Int(v), types.Str(fmt.Sprintf("p%d", k2))})) &&
+						apply(tx.Insert(types.Row{types.Int(k2), types.Int(v), types.Str(fmt.Sprintf("p%d", k1))}))
+					for _, k := range []int64{hotLo, hotHi} {
+						if ok {
+							_, err := tx.UpdateByKey(types.Row{types.Int(k)}, 1, types.Int(v))
+							ok = apply(err)
+						}
+					}
+					if !ok {
+						tx.Abort()
+						return
+					}
+					ops = []stressOp{{key: k1, a: v, b: fmt.Sprintf("p%d", k2)}, {key: k2, a: v, b: fmt.Sprintf("p%d", k1)},
+						{key: hotLo, a: v, b: "s0"}, {key: hotHi, a: v, b: fmt.Sprintf("s%d", stableRows-1)}}
+				case 1: // single-shard: a fresh key and its shard's warm key
+					k := 10*j + 1 + w
+					hot := warm[s.ShardOf(types.Row{types.Int(k)})]
+					if !apply(tx.Insert(types.Row{types.Int(k), types.Int(w), types.Str("w")})) {
+						tx.Abort()
+						return
+					}
+					if _, err := tx.UpdateByKey(types.Row{types.Int(hot)}, 1, types.Int(-i)); !apply(err) {
+						tx.Abort()
+						return
+					}
+					mine = append(mine, k)
+					ops = []stressOp{{key: k, a: w, b: "w"}, {key: hot, a: -i, b: fmt.Sprintf("s%d", hot/10-1)}}
+				default: // single-shard: delete an earlier insert of this writer
+					if len(mine) == 0 {
+						tx.Abort()
+						continue
+					}
+					k := mine[0]
+					if found, err := tx.DeleteByKey(types.Row{types.Int(k)}); !apply(err) || !found {
+						t.Errorf("writer %d: own committed key %d not found", w, k)
+						tx.Abort()
+						return
+					}
+					ops = []stressOp{{key: k, del: true}}
+				}
+				err := tx.Commit()
+				progress.Add(1)
+				switch {
+				case err == nil:
+					record(tx, ops)
+					if i%3 == 2 {
+						mine = mine[1:]
+					}
+				case errors.Is(err, ErrConflict):
+					if i%3 == 1 {
+						mine = mine[:len(mine)-1]
+					}
+				default:
+					t.Errorf("writer %d round %d commit: %v", w, i, err)
+					return
+				}
+			}
+		}()
+	}
+
+	// Watchdog: fail with every goroutine's stack once commits stop.
+	writersDone := make(chan struct{})
+	go func() { wg.Wait(); close(writersDone) }()
+	last, since := progress.Load(), time.Now()
+	for waiting := true; waiting; {
+		select {
+		case <-writersDone:
+			waiting = false
+		case <-time.After(100 * time.Millisecond):
+			if n := progress.Load(); n != last {
+				last, since = n, time.Now()
+			} else if time.Since(since) > 10*time.Second {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("no commit completed for 10s; goroutines:\n%s", buf[:runtime.Stack(buf, true)])
+			}
+		}
+	}
+	close(stop)
+	bg.Wait()
+	if err := s.WaitMaintenance(); err != nil {
+		t.Fatal(err)
+	}
+	if t.Failed() {
+		return
+	}
+
+	// The model: the initial rows, then every committed effect in clock order.
+	model := map[int64]stressRow{}
+	for i := 1; i <= stableRows; i++ {
+		model[int64(i*10)] = stressRow{a: int64(i - 1), b: fmt.Sprintf("s%d", i-1)}
+	}
+	lsns := make([]uint64, 0, len(committed))
+	for lsn := range committed {
+		lsns = append(lsns, lsn)
+	}
+	sort.Slice(lsns, func(i, j int) bool { return lsns[i] < lsns[j] })
+	for _, lsn := range lsns {
+		for _, op := range committed[lsn] {
+			if op.del {
+				delete(model, op.key)
+			} else {
+				model[op.key] = stressRow{a: op.a, b: op.b}
+			}
+		}
+	}
+	check := func(what string, s *Sharded) {
+		t.Helper()
+		tx := s.Begin()
+		defer tx.Abort()
+		got, err := stxnRows(tx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(model) {
+			t.Fatalf("%s: %d rows differ from the model's %d", what, len(got), len(model))
+		}
+	}
+	check("live state", s)
+
+	// Cold replay: the logs, reconciled across streams, onto the initial image.
+	streams := make([][]wal.Record, shards)
+	for i := range streams {
+		l, recs, err := wal.OpenFileLog(filepath.Join(dir, fmt.Sprintf("wal-%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.Close()
+		streams[i] = recs
+	}
+	streams = wal.CompleteGroups(streams, make([]uint64, shards))
+	cold := newShardedLogs(t, stableRows, shards, Options{}, nil)
+	for i, recs := range streams {
+		if err := cold.Shard(i).Recover(recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("cold replay", cold)
+}
+
+// stressRow is a row's non-key columns.
+type stressRow struct {
+	a int64
+	b string
+}
+
+// stxnRows scans a sharded transaction's whole view into a key → row map.
+func stxnRows(tx *STxn) (map[int64]stressRow, error) {
+	src, err := tx.Scan([]int{0, 1, 2}, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	out := vector.NewBatch([]types.Kind{types.Int64, types.Int64, types.String}, 256)
+	for {
+		n, err := src.Next(out, 256)
+		if err != nil {
+			return nil, err
+		}
+		if n == 0 {
+			break
+		}
+	}
+	rows := make(map[int64]stressRow, out.Len())
+	for i, k := range out.Vecs[0].I {
+		rows[k] = stressRow{a: out.Vecs[1].I[i], b: out.Vecs[2].S[i]}
+	}
+	return rows, nil
 }

@@ -9,7 +9,9 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
+	"pdtstore/internal/colstore"
 	"pdtstore/internal/pdt"
 	"pdtstore/internal/table"
 	"pdtstore/internal/types"
@@ -76,6 +78,46 @@ func BenchmarkBeginSnapshot(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkCrossShardCommitDuringCheckpoint measures a cross-shard commit's
+// latency over real fsynced logs while one participant's checkpoint build
+// runs for 20 ms. The commit waits for the shard's image swap, never its
+// build: expect about one fsync, not the build's 20 ms. Only the commit is
+// timed, so use a fixed -benchtime (10x): each iteration also waits out a
+// build.
+func BenchmarkCrossShardCommitDuringCheckpoint(b *testing.B) {
+	s := newShardedLogs(b, 400, 2, Options{}, fileLogs(b, b.TempDir()))
+	m := s.Shard(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		started := make(chan struct{})
+		done := make(chan error, 1)
+		go func() {
+			done <- m.CheckpointInto(func(_ uint64, store *colstore.Store, deltas ...*pdt.PDT) (*colstore.Store, error) {
+				close(started)
+				time.Sleep(20 * time.Millisecond)
+				return m.tbl.Materialize(store, deltas...)
+			})
+		}()
+		<-started
+		tx := s.Begin()
+		for _, k := range []int64{10, 4000} { // one key per shard
+			if _, err := tx.UpdateByKey(types.Row{types.Int(k)}, 1, types.Int(int64(i))); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		if err := tx.Commit(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := <-done; err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

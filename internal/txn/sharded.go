@@ -143,7 +143,8 @@ func (s *Sharded) Clock() uint64 { return s.clock.Load() }
 func (s *Sharded) RaiseClock(lsn uint64) { raiseClock(s.clock, lsn) }
 
 // Checkpoint checkpoints every shard, one at a time (each shard's checkpoint
-// is online; commits keep flowing on all shards throughout).
+// is online; commits keep flowing on all shards throughout, cross-shard ones
+// included: they wait for a shard's image swap, never its build).
 func (s *Sharded) Checkpoint() error {
 	for _, m := range s.mgrs {
 		if err := m.Checkpoint(); err != nil {
@@ -582,32 +583,32 @@ type preparedCommit struct {
 
 // prepareCommit is hold, drain, then the ordinary validate step. On return
 // the shard's held flag is set: new commits park at the top of Commit, fold
-// re-arming and checkpoint entry wait, and the Write-PDT cannot change until
-// install or release clears it — so the fold validateLocked computed against
-// the drained (empty) queue stays installable by a bare pointer swap.
+// re-arming, checkpoint entry and a checkpoint's swap wait, and the Write-PDT
+// cannot change until install or release clears it — so the fold
+// validateLocked computed against the drained (empty) queue stays installable
+// by a bare pointer swap. A checkpoint build in flight is not waited for: the
+// fold lands on the side layer, already in the new image's SID domain, at an
+// LSN above the shard's freeze LSN.
 func (m *Manager) prepareCommit(t *Txn) (*preparedCommit, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	t.done = true
 	m.held = true
-	// Drain: parked rounds flush (the leader ignores held), new arrivals
-	// wait on held, and a checkpoint in flight completes its swap (its
-	// install is not held-gated) — after this loop the Write-PDT is quiet.
-	for (len(m.pending) > 0 || m.inflight > 0 || m.checkpointing) && m.maintErr == nil {
+	// A leader parked behind a waiting swap must see held and drain.
+	m.cond.Broadcast()
+	// Drain: parked rounds flush (the leader does not yield while held) and
+	// new arrivals wait on held — after this loop the Write-PDT is quiet.
+	for (len(m.pending) > 0 || m.inflight > 0) && m.maintErr == nil {
 		m.cond.Wait()
 	}
-	fail := func(err error) (*preparedCommit, error) {
-		m.held = false
-		m.finishLocked(t)
-		m.cond.Broadcast()
-		return nil, err
-	}
 	if err := m.maintErr; err != nil {
-		return fail(err)
+		m.releaseLocked(t)
+		return nil, err
 	}
 	serialized, folded, err := m.validateLocked(t)
 	if err != nil {
-		return fail(err)
+		m.releaseLocked(t)
+		return nil, err
 	}
 	return &preparedCommit{m: m, t: t, serialized: serialized, folded: folded}, nil
 }
@@ -627,10 +628,14 @@ func (p *preparedCommit) install(lsn uint64) {
 // release abandons the prepared commit — the Write-PDT never changes — and
 // releases the held pipeline.
 func (p *preparedCommit) release() {
-	m := p.m
-	m.mu.Lock()
+	p.m.mu.Lock()
+	p.m.releaseLocked(p.t)
+	p.m.mu.Unlock()
+}
+
+// releaseLocked clears the hold and finishes t with nothing installed.
+func (m *Manager) releaseLocked(t *Txn) {
 	m.held = false
-	m.finishLocked(p.t)
+	m.finishLocked(t)
 	m.cond.Broadcast()
-	m.mu.Unlock()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -21,40 +22,69 @@ import (
 // receives one in-memory WAL writer per shard (buffer i backs shard i).
 func newSharded(t *testing.T, n, shards int, opts Options, logs *[]*bytes.Buffer) *Sharded {
 	t.Helper()
+	var logFor func(int) wal.Log
+	if logs != nil {
+		logFor = func(int) wal.Log {
+			buf := &bytes.Buffer{}
+			*logs = append(*logs, buf)
+			return wal.NewWriter(buf)
+		}
+	}
+	return newShardedLogs(t, n, shards, opts, logFor)
+}
+
+// newShardedLogs is newSharded with shard i logging to logFor(i) (nil: no
+// logs).
+func newShardedLogs(tb testing.TB, n, shards int, opts Options, logFor func(i int) wal.Log) *Sharded {
+	tb.Helper()
 	rows := make([]types.Row, n)
 	for i := range rows {
 		rows[i] = types.Row{types.Int(int64((i + 1) * 10)), types.Int(int64(i)), types.Str(fmt.Sprintf("s%d", i))}
 	}
 	tbl, err := table.Load(testSchema(), rows, table.Options{Mode: table.ModePDT, BlockRows: 32})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	stores, keys, err := table.ShardSplit(tbl.Store(), shards, tbl.Store().Device(), 32, false)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	mgrs := make([]*Manager, shards)
 	for i, st := range stores {
 		shtbl, err := table.FromStore(st, table.Options{Mode: table.ModePDT, BlockRows: 32})
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		sopts := opts
-		if logs != nil {
-			buf := &bytes.Buffer{}
-			*logs = append(*logs, buf)
-			sopts.Log = wal.NewWriter(buf)
+		if logFor != nil {
+			sopts.Log = logFor(i)
 		}
 		mgrs[i], err = NewManager(shtbl, sopts)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	s, err := NewSharded(mgrs, keys)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return s
+}
+
+// fileLogs opens shard i's log as a real, fsynced wal.FileLog in
+// dir/wal-<i>, closed when the test ends.
+func fileLogs(tb testing.TB, dir string) func(int) wal.Log {
+	return func(i int) wal.Log {
+		l, recs, err := wal.OpenFileLog(filepath.Join(dir, fmt.Sprintf("wal-%d", i)))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if len(recs) != 0 {
+			tb.Fatalf("fresh log %d replayed %d records", i, len(recs))
+		}
+		tb.Cleanup(func() { l.Close() })
+		return l
+	}
 }
 
 func stxnKeys(t *testing.T, tx *STxn) []int64 {

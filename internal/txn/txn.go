@@ -94,9 +94,11 @@ type Manager struct {
 
 	// held pauses this shard's commit pipeline while a cross-shard
 	// coordinator quiesces it (Sharded.commitCross): new commits park at
-	// the top of Commit until released, and fold re-arming and checkpoint
-	// entry wait it out, so the coordinator can validate and fold against a
-	// stable Write-PDT with no rounds in flight.
+	// the top of Commit until released, the leader does not yield to a
+	// checkpoint, and fold re-arming, checkpoint entry and a checkpoint's
+	// swap wait it out, so the coordinator can validate and fold against a
+	// Write-PDT nothing replaces before its install or release. A checkpoint
+	// build in flight does not stop a hold (the wait graph: maintain.go).
 	held bool
 
 	running   map[*Txn]struct{}
@@ -614,18 +616,19 @@ func (t *Txn) Commit() error {
 // other writers' batches — every commit's latency is bounded by its own
 // batch plus the round in front of it. Between rounds the leader also
 // yields to a checkpointer waiting to freeze or to swap in a finished
-// image, so maintenance cannot starve under a saturated queue.
+// image, so maintenance cannot starve under a saturated queue — except
+// while a cross-shard prepare holds the shard and waits for this queue.
 func (m *Manager) commitLeader(own *commitReq) {
 	m.mu.Lock()
 	for {
-		if m.maintErr == nil &&
-			(m.ckptInstalling || (m.ckptWaiters > 0 && !m.checkpointing && m.frozen == nil && !m.held)) {
-			// (While a cross-shard prepare holds the pipeline the leader must
-			// keep draining the queue, not yield to a checkpointer that is
-			// itself gated on held — that cycle would deadlock all three.)
+		if m.maintErr == nil && !m.held &&
+			(m.ckptInstalling || (m.ckptWaiters > 0 && !m.checkpointing && m.frozen == nil)) {
 			// A checkpoint is ready to freeze the write layer or install a
 			// finished image: let it take the round boundary (both are quick
-			// locked operations; commits resume immediately after).
+			// locked operations; commits resume immediately after). Never
+			// while a cross-shard prepare holds the shard: the prepare waits
+			// for this queue to drain and both checkpoint steps wait on held,
+			// so yielding then would deadlock all three.
 			m.cond.Broadcast()
 			m.cond.Wait()
 			continue

@@ -13,6 +13,10 @@ type Stats struct {
 	Generation uint64
 	// Shard holds one entry per shard, in shard order.
 	Shard []ShardStats
+	// AutoCheckpointErr is the first failure of a background checkpoint
+	// (Checkpoint.Auto), sticky until Close, which returns it too; nil while
+	// every scheduled checkpoint succeeded.
+	AutoCheckpointErr error
 	// ZoneSkippedBlocks and IndexSkippedBlocks count stable blocks that scans
 	// proved empty of matches — via zone maps and secondary indexes
 	// respectively — and therefore never read. They accumulate across the
@@ -59,14 +63,16 @@ type SegmentStats struct {
 
 // Stats reports the store's current durability state: per shard, the commit
 // clock position, WAL tail, segment chain with live/dead block counts, and
-// the last checkpoint decision's cost-model inputs.
+// the last checkpoint decision's cost-model inputs; and the background
+// scheduler's first failure, if any.
 func (db *DB) Stats() Stats {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	st := Stats{
-		Shards:     len(db.mgrs),
-		Generation: db.man.Generation,
-		Shard:      make([]ShardStats, len(db.mgrs)),
+		Shards:            len(db.mgrs),
+		Generation:        db.man.Generation,
+		Shard:             make([]ShardStats, len(db.mgrs)),
+		AutoCheckpointErr: db.schedErr,
 	}
 	st.ZoneSkippedBlocks, st.IndexSkippedBlocks = db.dev.SkipStats()
 	for i := range db.mgrs {
@@ -82,12 +88,13 @@ func (db *DB) Stats() Stats {
 		segs := store.Segments()
 		refs := store.BlockRefCounts()
 		ss.Generations = len(segs)
+		ss.Segments = make([]SegmentStats, len(segs))
 		for j, seg := range segs {
-			ss.Segments = append(ss.Segments, SegmentStats{
+			ss.Segments[j] = SegmentStats{
 				Name:        filepath.Base(seg.Path()),
 				LiveBlocks:  refs[j],
 				TotalBlocks: seg.TotalBlocks(),
-			})
+			}
 		}
 		st.Shard[i] = ss
 	}
