@@ -805,78 +805,6 @@ func (s *Store) EncodedSize(col int) uint64 {
 	return total
 }
 
-// encodedBlock returns one column block's encoded bytes, charging the device
-// for a cold fetch: the logical coordinate resolves through the block map,
-// then the owning chain member reads the block unless the buffer pool already
-// holds it. Pool keys are per segment, so blocks inherited across checkpoint
-// generations stay warm through the swap.
-func (s *Store) encodedBlock(col, blk int) ([]byte, error) {
-	si, pb := s.place(col, blk)
-	k := devKey{s.segs[si], col, pb}
-	if b, ok := s.dev.poolGet(k); ok {
-		return b, nil
-	}
-	b, err := k.seg.ReadBlock(col, pb)
-	if err != nil {
-		return nil, err
-	}
-	s.dev.poolFill(k, b)
-	return b, nil
-}
-
-// Prefetch charges the cold read of every block of the given columns
-// overlapping SIDs [from, to) — the sequential readahead of a scan about to
-// visit that range. Blocks already resident are untouched; cold ones are
-// fetched into the buffer pool. A
-// parallel scan worker prefetches its morsel on open, so the I/O of
-// concurrent morsels overlaps like queued readahead instead of serializing
-// behind ordered batch delivery.
-func (s *Store) Prefetch(cols []int, from, to uint64) error {
-	if from >= to || s.nrows == 0 {
-		return nil
-	}
-	if to > s.nrows {
-		to = s.nrows
-	}
-	b0 := int(from) / s.blockRows
-	b1 := int(to-1) / s.blockRows
-	for _, c := range cols {
-		for blk := b0; blk <= b1; blk++ {
-			if _, err := s.encodedBlock(c, blk); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// decodeWindowInto fetches (charging the device) and decodes the n values of
-// one column block starting at value index skip into v, reusing v's backing
-// arrays. The whole encoded block is still fetched — the device's byte
-// accounting is what a disk would see — but only the window is materialized:
-// a scan decodes its share of the block, a point probe the few rows it reads.
-func (s *Store) decodeWindowInto(col, blk, skip, n int, v *vector.Vector) error {
-	enc, err := s.encodedBlock(col, blk)
-	if err != nil {
-		return err
-	}
-	v.Reset()
-	switch v.Kind {
-	case types.Float64:
-		v.F, err = compress.DecodeFloat64sFrom(enc, skip, n, v.F)
-	case types.String:
-		v.S, err = compress.DecodeStringsFrom(enc, skip, n, v.S)
-	case types.Bool:
-		v.I, err = compress.DecodeBoolsFrom(enc, skip, n, v.I)
-	default:
-		v.I, err = compress.DecodeInt64sFrom(enc, skip, n, v.I)
-	}
-	if err != nil {
-		return fmt.Errorf("colstore: column %d block %d: %w", col, blk, err)
-	}
-	return nil
-}
-
 // comparePrefix orders a (possibly partial, prefix-of-sort-key) key against
 // a block's first-row key, comparing only the columns present in key.
 func comparePrefix(key, blockKey types.Row) int {
@@ -1011,10 +939,90 @@ func (s *Store) LowerBound(key types.Row) (uint64, error) {
 	return uint64(blk*s.blockRows + lo), nil
 }
 
+// encodedBlock returns one column block's encoded bytes, charging the device
+// for a cold fetch: the logical coordinate resolves through the block map,
+// then the owning chain member reads the block unless the buffer pool already
+// holds it. Pool keys are per segment, so blocks inherited across checkpoint
+// generations stay warm through the swap.
+func (s *Store) encodedBlock(col, blk int) ([]byte, error) {
+	si, pb := s.place(col, blk)
+	k := devKey{s.segs[si], col, pb}
+	if b, ok := s.dev.poolGet(k); ok {
+		return b, nil
+	}
+	b, err := k.seg.ReadBlock(col, pb)
+	if err != nil {
+		return nil, err
+	}
+	s.dev.poolFill(k, b)
+	return b, nil
+}
+
+// Prefetch charges the cold read of every block of the given columns
+// overlapping SIDs [from, to) — the sequential readahead of a scan about to
+// visit that range. Blocks already resident are untouched; cold ones are
+// fetched into the buffer pool. A
+// parallel scan worker prefetches its morsel on open, so the I/O of
+// concurrent morsels overlaps like queued readahead instead of serializing
+// behind ordered batch delivery.
+func (s *Store) Prefetch(cols []int, from, to uint64) error {
+	if from >= to || s.nrows == 0 {
+		return nil
+	}
+	if to > s.nrows {
+		to = s.nrows
+	}
+	b0 := int(from) / s.blockRows
+	b1 := int(to-1) / s.blockRows
+	for _, c := range cols {
+		for blk := b0; blk <= b1; blk++ {
+			if _, err := s.encodedBlock(c, blk); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// decodeWindowInto fetches (charging the device) and decodes the n values of
+// one column block starting at value index skip into v — one span — reusing
+// v's backing arrays. The whole encoded block is still fetched — the device's
+// byte accounting is what a disk would see — but only the window is
+// materialized: a scan decodes its share of the block, a point probe the few
+// rows it reads.
+func (s *Store) decodeWindowInto(col, blk, skip, n int, v *vector.Vector) error {
+	enc, err := s.encodedBlock(col, blk)
+	if err != nil {
+		return err
+	}
+	v.Reset()
+	v.Extend(n)
+	if err := decodeSpans(enc, []compress.Span{{Row: skip, N: n}}, v); err != nil {
+		return fmt.Errorf("colstore: column %d block %d: %w", col, blk, err)
+	}
+	return nil
+}
+
+// decodeSpans decodes the rows of the spans of an encoded block of v's kind
+// into v at the spans' positions.
+func decodeSpans(enc []byte, spans []compress.Span, v *vector.Vector) error {
+	switch v.Kind {
+	case types.Float64:
+		return compress.DecodeFloat64sSpans(enc, spans, v.F)
+	case types.String:
+		return compress.DecodeStringsSpans(enc, spans, v.S)
+	case types.Bool:
+		return compress.DecodeBoolsSpans(enc, spans, v.I)
+	default:
+		return compress.DecodeInt64sSpans(enc, spans, v.I)
+	}
+}
+
 // Scanner iterates a SID range of the store, producing schema-typed batches
 // for a column subset. It is the bottom of every positional read pipeline
 // (pdt.Source): the merges stacked above it pass the consumer's batch down,
-// so Next and SelectRuns are the only places a stable value is written.
+// and SelectRuns is the one place a stable value is written — Next is its
+// one-run case without a filter.
 type Scanner struct {
 	store *Store
 	cols  []int
@@ -1022,23 +1030,30 @@ type Scanner struct {
 	end   uint64
 	// decoded window per requested column: the values at SIDs [winLo, winHi),
 	// one block's rows from where the scan entered it up to the block's (or
-	// the scan's) end; empty until the first Next
+	// the scan's) end; empty until a read without a filter
 	bufs         []*vector.Vector
 	winLo, winHi uint64
-	sel          *selectState // SelectRuns' state; nil until the first call
+	pieces       []compress.Span // the current block's share of SelectRuns' runs
+	sel          *selectState    // the filters' state; nil until the first filtered read
+	next         nextState       // Next's one run and empty chain
 }
 
-// selectState is what SelectRuns keeps across calls: the current block's
-// encoded bytes per requested column, fetched on first use, and the first
-// filter's survivors over the scan's window of its block [lo, hi), as offsets
-// from lo. The rest is one block's scratch, reused.
+// nextState is what Next hands SelectRuns.
+type nextState struct {
+	one [1]vector.Run
+	all vector.Chain
+}
+
+// selectState is what a filtered SelectRuns keeps across calls: the current
+// block's encoded bytes per requested column, fetched on first use, and the
+// first filter's survivors over the scan's window of its block [lo, hi), as
+// offsets from lo. The rest is one block's scratch, reused.
 type selectState struct {
 	blk      int
 	enc      [][]byte
 	first    []uint32
 	at       int // first[at:] lie at or after the scan position
 	lo, hi   uint64
-	pieces   []compress.Span  // the block's share of the runs
 	cand     vector.Selection // batch positions still selected in the block
 	rows     vector.Selection // the block rows of cand, for a gather over several pieces
 	fpos     []uint32         // kept positions in the block's pieces
@@ -1065,66 +1080,33 @@ func (s *Store) NewScanner(cols []int, from, to uint64) *Scanner {
 	}
 }
 
-// Skip advances past up to n rows without producing them and returns how
-// many. Skipped rows cost nothing: a block the scan only skips through is
-// never fetched or decoded.
-func (sc *Scanner) Skip(n int) (int, error) {
-	n = min(n, int(sc.end-sc.sid))
-	sc.sid += uint64(n)
-	return n, nil
-}
-
-// More reports whether a row remains in the scanner's SID range.
-func (sc *Scanner) More() (bool, error) { return sc.sid < sc.end, nil }
-
 // Next appends up to max rows to out (one vector per requested column, plus
-// nothing else) and returns the number appended; 0 means the range is done,
-// fewer than max that a block ended. out's vectors must match the requested
-// columns' kinds.
+// nothing else) and returns the number appended; 0 means the range is done.
+// out's vectors must match the requested columns' kinds. It is SelectRuns
+// over one run at the batch's end, without a filter.
 func (sc *Scanner) Next(out *vector.Batch, max int) (int, error) {
-	if sc.sid >= sc.end || max <= 0 {
+	n := min(max, sc.SizeHint())
+	if n <= 0 {
 		return 0, nil
 	}
-	if sc.sid >= sc.winHi {
-		// Entering a block decodes exactly the rows of it the scan will read:
-		// from the entry offset (non-zero in the scan's first block, or after
-		// a Skip landed inside this one) to the block's end or the scan's,
-		// whichever comes first. A full scan decodes whole blocks; a point
-		// probe's 16-row window decodes 16.
-		s := sc.store
-		blk := int(sc.sid) / s.blockRows
-		hi := min(uint64(blk+1)*uint64(s.blockRows), sc.end)
-		for i, c := range sc.cols {
-			if sc.bufs[i] == nil {
-				// Room for the largest window this scan will decode.
-				sc.bufs[i] = vector.New(s.schema.Cols[c].Kind, min(int(sc.end-sc.sid), s.blockRows))
-			}
-			if err := s.decodeWindowInto(c, blk, int(sc.sid)%s.blockRows, int(hi-sc.sid), sc.bufs[i]); err != nil {
-				return 0, err
-			}
-		}
-		sc.winLo, sc.winHi = sc.sid, hi
-	}
-	off, n := int(sc.sid-sc.winLo), min(max, int(sc.winHi-sc.sid))
-	for i := range sc.cols {
-		out.Vecs[i].AppendRange(sc.bufs[i], off, off+n)
-	}
-	sc.sid += uint64(n)
-	return n, nil
+	nx := &sc.next
+	nx.one[0] = vector.Run{N: n, At: out.Len()}
+	nx.all.Outputs = len(sc.cols)
+	out.Extend(n)
+	return n, sc.SelectRuns(out, nx.one[:], nil, &nx.all, nil)
 }
 
 // SizeHint returns exactly how many rows remain in the scanner's SID range.
 func (sc *Scanner) SizeHint() int { return int(sc.end - sc.sid) }
 
-// SelectRuns is Next for a consumer that filters, over the runs a merge
-// passes through (pdt.RunSelector); a bare scan is its one-run case. out's
-// vectors already reach every position the runs name. Each run passes over
-// Skip rows and places the next N at its batch positions. keep lists the
-// positions the caller decides itself: a row at one of them is written in
-// every slot and never filtered. sel (reset first) gets every position of
-// keep and those of the other rows that pass every filter of chain, where
-// every output slot (chain.Outputs) is written. Values anywhere else are
-// unspecified.
+// SelectRuns reads the runs a merge passes through (pdt.Source); a bare scan
+// is its one-run case. out's vectors already reach every position the runs
+// name. Each run passes over Skip rows and places the next N at its batch
+// positions. keep lists the positions the caller decides itself: a row at
+// one of them is written in every slot and never filtered. sel (reset first)
+// gets every position of keep and those of the other rows that pass every
+// filter of chain, where every output slot (chain.Outputs) is written; it may
+// be nil when chain has no filter. Values anywhere else are unspecified.
 //
 // The chain runs on encoded blocks, and a value is decoded only where some
 // filter or the consumer reads it. Entering a block, the first filter selects
@@ -1137,14 +1119,11 @@ func (sc *Scanner) SizeHint() int { return int(sc.end - sc.sid) }
 // it (compress.Decode*Spans). A block's bytes are read once per call, however
 // many runs cross it; a column only the first filter reads is never decoded,
 // and a block whose rows all fail it fetches no other column unless a kept
-// row lies in it.
+// row lies in it. Without a filter every row is read: entering a block
+// decodes the scan's window of it once, and each call copies its share.
 func (sc *Scanner) SelectRuns(out *vector.Batch, runs []vector.Run, keep []uint32, chain *vector.Chain, sel *vector.Selection) error {
-	sel.Reset()
-	st := sc.sel
-	if st == nil {
-		st = &selectState{blk: -1, enc: make([][]byte, len(sc.cols)),
-			have: make([]bool, len(sc.cols)), gathered: make([]uint64, len(sc.cols))}
-		sc.sel = st
+	if sel != nil {
+		sel.Reset()
 	}
 	br := uint64(sc.store.blockRows)
 	ki := 0 // keep[ki:] are not in sel yet
@@ -1167,11 +1146,11 @@ func (sc *Scanner) SelectRuns(out *vector.Batch, runs []vector.Run, keep []uint3
 		// of those after it that lies inside it.
 		blk := sc.sid / br
 		hi := min((blk+1)*br, sc.end)
-		st.pieces = st.pieces[:0]
+		sc.pieces = sc.pieces[:0]
 		for {
 			r := runs[ri]
 			if k := min(r.N-placed, int(hi-sc.sid)); k > 0 {
-				st.pieces = append(st.pieces, compress.Span{Row: int(sc.sid - blk*br), At: r.At + placed, N: k})
+				sc.pieces = append(sc.pieces, compress.Span{Row: int(sc.sid - blk*br), At: r.At + placed, N: k})
 				sc.sid += uint64(k)
 				placed += k
 			}
@@ -1190,22 +1169,32 @@ func (sc *Scanner) SelectRuns(out *vector.Batch, runs []vector.Run, keep []uint3
 			return err
 		}
 	}
-	sel.AppendUnion(nil, keep[ki:])
+	if sel != nil {
+		sel.AppendUnion(nil, keep[ki:])
+	}
 	return nil
 }
 
-// selectIn is SelectRuns over one block: the pieces of st.pieces, which lie in
+// selectIn is SelectRuns over one block: the pieces of sc.pieces, which lie in
 // the scan's window of block blk ending at hi, with keep[ki:] still to place.
 // It adds to sel the block's survivors and the kept positions up to its last
 // piece's end, and returns where keep continues.
 func (sc *Scanner) selectIn(out *vector.Batch, blk int, hi uint64, keep []uint32, ki int, chain *vector.Chain, sel *vector.Selection) (int, error) {
-	s, st := sc.store, sc.sel
+	if len(chain.Filters) == 0 {
+		return sc.copyIn(out, blk, hi, keep, ki, sel)
+	}
+	s, st, pieces := sc.store, sc.sel, sc.pieces
+	if st == nil {
+		st = &selectState{blk: -1, enc: make([][]byte, len(sc.cols)),
+			have: make([]bool, len(sc.cols)), gathered: make([]uint64, len(sc.cols))}
+		sc.sel = st
+	}
 	blk0 := uint64(blk * s.blockRows)
-	if start := blk0 + uint64(st.pieces[0].Row); start >= st.hi {
+	if start := blk0 + uint64(pieces[0].Row); start >= st.hi {
 		f := chain.Filters[0]
 		enc, err := sc.block(f.Slot, blk)
 		if err == nil {
-			st.first, err = selectBlock(s.schema.Cols[sc.cols[f.Slot]].Kind, enc, st.pieces[0].Row, int(hi-start), f.Pred, st.first[:0])
+			st.first, err = selectBlock(s.schema.Cols[sc.cols[f.Slot]].Kind, enc, pieces[0].Row, int(hi-start), f.Pred, st.first[:0])
 		}
 		if err != nil {
 			return ki, fmt.Errorf("colstore: column %d block %d: %w", sc.cols[f.Slot], blk, err)
@@ -1217,7 +1206,7 @@ func (sc *Scanner) selectIn(out *vector.Batch, blk int, hi uint64, keep []uint32
 	cand.Reset()
 	lo := uint32(st.lo - blk0) // the block row of offset 0
 	first, a, kj := st.first, st.at, ki
-	for _, p := range st.pieces {
+	for _, p := range pieces {
 		kept := len(fpos)
 		for ; kj < len(keep) && int(keep[kj]) < p.At+p.N; kj++ {
 			if int(keep[kj]) >= p.At {
@@ -1253,20 +1242,20 @@ func (sc *Scanner) selectIn(out *vector.Batch, blk int, hi uint64, keep []uint32
 	// reads the block rows of cand: cand shifted, when the block holds one
 	// piece, or else st.rows, worked out whenever cand has changed.
 	total := 0
-	for _, p := range st.pieces {
+	for _, p := range pieces {
 		total += p.N
 	}
 	stale := true
 	gather := func(slot int) error {
 		st.have[slot] = true
-		switch p := st.pieces[0]; {
+		switch p := pieces[0]; {
 		case 4*cand.Len() >= 3*total:
-			return sc.decode(slot, blk, st.pieces, total, out.Vecs[slot])
-		case len(st.pieces) == 1:
+			return sc.decode(slot, blk, pieces, total, out.Vecs[slot])
+		case len(pieces) == 1:
 			return sc.gather(slot, blk, p.Row-p.At, cand.Indexes(), cand.Indexes(), out.Vecs[slot])
 		}
 		if stale {
-			rowsOf(st.pieces, cand.Indexes(), &st.rows)
+			rowsOf(pieces, cand.Indexes(), &st.rows)
 			stale = false
 		}
 		return sc.gather(slot, blk, 0, st.rows.Indexes(), cand.Indexes(), out.Vecs[slot])
@@ -1334,21 +1323,66 @@ func (sc *Scanner) block(slot, blk int) ([]byte, error) {
 	return st.enc[slot], nil
 }
 
+// copyIn is selectIn without a filter. Entering the block decodes exactly the
+// rows of it the scan will read, into the window buffers: from where the scan
+// entered it (non-zero in the scan's first block, or after a skip landed
+// inside this one) to the block's end or the scan's, whichever comes first —
+// a full scan decodes whole blocks, a point probe's 16-row window decodes 16.
+// Each piece is then copied to its batch positions, and sel, unless nil, gets
+// every one of them and the kept positions between them.
+func (sc *Scanner) copyIn(out *vector.Batch, blk int, hi uint64, keep []uint32, ki int, sel *vector.Selection) (int, error) {
+	s, pieces := sc.store, sc.pieces
+	blk0 := uint64(blk * s.blockRows)
+	if start := blk0 + uint64(pieces[0].Row); start >= sc.winHi {
+		for i, c := range sc.cols {
+			if sc.bufs[i] == nil {
+				// Room for the largest window this scan will decode.
+				sc.bufs[i] = vector.New(s.schema.Cols[c].Kind, min(int(sc.end-start), s.blockRows))
+			}
+			if err := s.decodeWindowInto(c, blk, pieces[0].Row, int(hi-start), sc.bufs[i]); err != nil {
+				return ki, err
+			}
+		}
+		sc.winLo, sc.winHi = start, hi
+	}
+	for _, p := range pieces {
+		off := int(blk0 + uint64(p.Row) - sc.winLo)
+		for i, b := range sc.bufs {
+			copyAt(out.Vecs[i], p.At, b, off, p.N)
+		}
+		if sel == nil {
+			continue
+		}
+		for ; ki < len(keep) && int(keep[ki]) < p.At+p.N; ki++ {
+			if int(keep[ki]) < p.At {
+				sel.Append(keep[ki])
+			}
+		}
+		for at := p.At; at < p.At+p.N; at++ {
+			sel.Append(uint32(at))
+		}
+	}
+	return ki, nil
+}
+
+// copyAt copies the n values of src from from into dst at position at.
+func copyAt(dst *vector.Vector, at int, src *vector.Vector, from, n int) {
+	switch dst.Kind {
+	case types.Float64:
+		copy(dst.F[at:at+n], src.F[from:])
+	case types.String:
+		copy(dst.S[at:at+n], src.S[from:])
+	default:
+		copy(dst.I[at:at+n], src.I[from:])
+	}
+}
+
 // decode decodes column slot's values at every row of the spans of block
 // blk, total of them, into v at the spans' batch positions.
 func (sc *Scanner) decode(slot, blk int, spans []compress.Span, total int, v *vector.Vector) error {
 	enc, err := sc.block(slot, blk)
 	if err == nil {
-		switch v.Kind {
-		case types.Float64:
-			err = compress.DecodeFloat64sSpans(enc, spans, v.F)
-		case types.String:
-			err = compress.DecodeStringsSpans(enc, spans, v.S)
-		case types.Bool:
-			err = compress.DecodeBoolsSpans(enc, spans, v.I)
-		default:
-			err = compress.DecodeInt64sSpans(enc, spans, v.I)
-		}
+		err = decodeSpans(enc, spans, v)
 	}
 	if err != nil {
 		return fmt.Errorf("colstore: column %d block %d: %w", sc.cols[slot], blk, err)

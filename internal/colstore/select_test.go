@@ -133,9 +133,10 @@ func runsRow(i int) types.Row {
 // TestSelectRunsMatchesRows holds the scanner's side of a merge to the rows
 // it stores: random runs — gaps between them, runs that cross block
 // boundaries, empty ones — at random batch positions, with kept positions in
-// and between them, under random chains. sel must hold every kept position
-// and exactly the other run rows that pass, the outputs must be the rows'
-// values there, and a kept run row must be written in every slot.
+// and between them, under random chains, the empty one (a read without a
+// filter) included. sel must hold every kept position and exactly the other
+// run rows that pass, the outputs must be the rows' values there, and a kept
+// run row must be written in every slot.
 func TestSelectRunsMatchesRows(t *testing.T) {
 	const n = 3000
 	b := NewBuilder(runsSchema, nil, 128, true)
@@ -163,7 +164,7 @@ func TestSelectRunsMatchesRows(t *testing.T) {
 		// the filters read.
 		cols := rng.Perm(5)[:1+rng.Intn(3)]
 		chain := &vector.Chain{Outputs: len(cols)}
-		for _, pi := range rng.Perm(len(preds))[:1+rng.Intn(3)] {
+		for _, pi := range rng.Perm(len(preds))[:rng.Intn(4)] {
 			p := preds[pi]
 			slot := slices.Index(cols, p.Col)
 			if slot < 0 {

@@ -14,14 +14,16 @@
 // no longer written, so segments written before ForInt and PackedDict existed
 // keep working.
 //
-// What a window of n values starting at value skip costs (Decode*From, and
-// SearchInt64s over [lo, hi)):
+// One decoder per kind reads any part of a block: Decode*Spans decodes the
+// rows of ascending spans of it — a window is one span, a whole block
+// (Decode*) the span of every row. What spans of n values in all, the last
+// ending at value end, cost (and SearchInt64s over [lo, hi)):
 //
 //   - PlainInt, ForInt, PlainFloat, BitBool, PlainString, PackedDict: O(n)
 //     (SearchInt64s: O(log(hi-lo)) on PlainInt and ForInt);
-//   - RLEInt: O(n) plus the runs before skip;
-//   - DeltaVarint: O(skip+n), every varint before the window is walked;
-//   - DictString: O(skip+n) plus a walk over the whole dictionary.
+//   - RLEInt: O(n) plus the runs before end;
+//   - DeltaVarint: O(end), every varint before end is walked;
+//   - DictString: O(end) plus a walk over the whole dictionary.
 package compress
 
 import (
@@ -347,73 +349,108 @@ func EncodeInt64s(vals []int64, compress bool) []byte {
 	return buf
 }
 
-// DecodeInt64s decodes a block produced by EncodeInt64s, appending to out.
+// DecodeInt64s decodes a whole block produced by EncodeInt64s, appending to
+// out: the one span of every row (DecodeInt64sSpans).
 func DecodeInt64s(buf []byte, out []int64) ([]int64, error) {
-	return DecodeInt64sFrom(buf, 0, -1, out)
+	out, s, err := whole(buf, out)
+	if err != nil {
+		return nil, err
+	}
+	return out, DecodeInt64sSpans(buf, s[:], out)
 }
 
-// DecodeInt64sFrom decodes the n values of a block starting at value index
-// skip, appending to out; n < 0 decodes through the block's end. Point probes
-// use it to materialize only the window they will read: plain and ForInt
-// blocks jump straight to the offset, RLE blocks skip whole runs
-// arithmetically, and legacy delta blocks walk the prefix without appending
-// it. A window reaching past the block's value count is an error.
-func DecodeInt64sFrom(buf []byte, skip, n int, out []int64) ([]int64, error) {
+// whole grows out by the value count of a whole block (wholeCount) and
+// returns the one span of every row.
+func whole[T any](buf []byte, out []T) ([]T, [1]Span, error) {
+	n, err := wholeCount(buf)
+	if err != nil {
+		return nil, [1]Span{}, err
+	}
+	at := len(out)
+	return slices.Grow(out, n)[:at+n], [1]Span{{At: at, N: n}}, nil
+}
+
+// wholeCount is the value count of a whole block, once buf's bytes could hold
+// that many values, so that nothing is sized from a count they could not. A
+// plain block spends 8 bytes per int or float and a 4-byte offset per string,
+// a BitBool block a bit per value and a legacy varint block a byte; RLE runs
+// are walked, and width-0 ForInt and PackedDict blocks hold any count
+// (callers check BlockCount against the rows they expect first).
+func wholeCount(buf []byte) (int, error) {
 	scheme, count, body, err := readHeader(buf)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	end, err := window(count, skip, n)
+	bitsPer := uint64(8)
+	switch scheme {
+	case RLEInt:
+		for got := 0; got < count && err == nil; {
+			var run int
+			_, run, body, err = rleRun(body, count-got)
+			got += run
+		}
+		return count, err
+	case ForInt:
+		_, err = parseFor(body, count)
+		return count, err
+	case PackedDict:
+		_, err = parseDict(body, count)
+		return count, err
+	case PlainInt, PlainFloat:
+		bitsPer = 64
+	case PlainString:
+		bitsPer = 32
+	case BitBool:
+		bitsPer = 1
+	}
+	if (uint64(count)*bitsPer+7)/8 > uint64(len(body)) {
+		return 0, corrupt("%d values in %d bytes", count, len(body))
+	}
+	return count, nil
+}
+
+// EncodeFloat64s encodes vals; floats are stored plain (the paper's
+// lightweight codecs target keys and categorical data, not measures).
+func EncodeFloat64s(vals []float64) []byte {
+	buf := newBlock(PlainFloat, len(vals), headerSize+8*len(vals))
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(buf[headerSize+8*i:], math.Float64bits(v))
+	}
+	return buf
+}
+
+// DecodeFloat64s decodes a whole block produced by EncodeFloat64s, appending
+// to out (see DecodeInt64s).
+func DecodeFloat64s(buf []byte, out []float64) ([]float64, error) {
+	out, s, err := whole(buf, out)
 	if err != nil {
 		return nil, err
 	}
-	switch scheme {
-	case PlainInt:
-		if len(body)/8 < count {
-			return nil, corrupt("plain int block truncated")
+	return out, DecodeFloat64sSpans(buf, s[:], out)
+}
+
+// EncodeBools bit-packs booleans represented as 0/1 int64s (the vector
+// layer's native bool representation). There is no plain alternative:
+// bit-packing is always worthwhile and lossless.
+func EncodeBools(vals []int64) []byte {
+	buf := newBlock(BitBool, len(vals), headerSize+(len(vals)+7)/8)
+	packed := buf[headerSize:]
+	for i, v := range vals {
+		if v != 0 {
+			packed[i/8] |= 1 << (i % 8)
 		}
-		for i := skip; i < end; i++ {
-			out = append(out, int64(binary.LittleEndian.Uint64(body[8*i:])))
-		}
-		return out, nil
-	case ForInt:
-		f, err := parseFor(body, count)
-		if err != nil {
-			return nil, err
-		}
-		n0 := len(out)
-		out = slices.Grow(out, end-skip)[:n0+end-skip]
-		f.decode(out[n0:], skip)
-		return out, nil
-	case RLEInt:
-		for got := 0; got < end; {
-			v, run, rest, err := rleRun(body, count-got)
-			if err != nil {
-				return nil, err
-			}
-			body = rest
-			for k := max(got, skip); k < min(got+run, end); k++ {
-				out = append(out, v)
-			}
-			got += run
-		}
-		return out, nil
-	case DeltaVarint:
-		prev, p := int64(0), 0
-		for i := 0; i < end; i++ {
-			u, sz := deltaVarint(body, p)
-			if sz <= 0 {
-				return nil, corrupt("bad varint in delta block")
-			}
-			p += sz
-			prev += unzigzag(u)
-			if i >= skip {
-				out = append(out, prev)
-			}
-		}
-		return out, nil
 	}
-	return nil, corrupt("scheme %d is not an int encoding", scheme)
+	return buf
+}
+
+// DecodeBools decodes a whole block produced by EncodeBools, appending 0/1
+// int64s (see DecodeInt64s).
+func DecodeBools(buf []byte, out []int64) ([]int64, error) {
+	out, s, err := whole(buf, out)
+	if err != nil {
+		return nil, err
+	}
+	return out, DecodeBoolsSpans(buf, s[:], out)
 }
 
 // rleRun reads the (value, run length) pair at the front of an RLE body whose
@@ -526,86 +563,6 @@ func searchSorted(lo, hi int, want int64, at func(int) int64) (ge, gt int) {
 	return ge, gt
 }
 
-// EncodeFloat64s encodes vals; floats are stored plain (the paper's
-// lightweight codecs target keys and categorical data, not measures).
-func EncodeFloat64s(vals []float64) []byte {
-	buf := newBlock(PlainFloat, len(vals), headerSize+8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[headerSize+8*i:], math.Float64bits(v))
-	}
-	return buf
-}
-
-// DecodeFloat64s decodes a block produced by EncodeFloat64s, appending to out.
-func DecodeFloat64s(buf []byte, out []float64) ([]float64, error) {
-	return DecodeFloat64sFrom(buf, 0, -1, out)
-}
-
-// DecodeFloat64sFrom decodes the n values starting at value index skip (see
-// DecodeInt64sFrom).
-func DecodeFloat64sFrom(buf []byte, skip, n int, out []float64) ([]float64, error) {
-	scheme, count, body, err := readHeader(buf)
-	if err != nil {
-		return nil, err
-	}
-	if scheme != PlainFloat {
-		return nil, corrupt("scheme %d is not a float encoding", scheme)
-	}
-	if len(body)/8 < count {
-		return nil, corrupt("float block truncated")
-	}
-	end, err := window(count, skip, n)
-	if err != nil {
-		return nil, err
-	}
-	for i := skip; i < end; i++ {
-		out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:])))
-	}
-	return out, nil
-}
-
-// EncodeBools bit-packs booleans represented as 0/1 int64s (the vector
-// layer's native bool representation). There is no plain alternative:
-// bit-packing is always worthwhile and lossless.
-func EncodeBools(vals []int64) []byte {
-	buf := newBlock(BitBool, len(vals), headerSize+(len(vals)+7)/8)
-	packed := buf[headerSize:]
-	for i, v := range vals {
-		if v != 0 {
-			packed[i/8] |= 1 << (i % 8)
-		}
-	}
-	return buf
-}
-
-// DecodeBools decodes a block produced by EncodeBools, appending 0/1 int64s.
-func DecodeBools(buf []byte, out []int64) ([]int64, error) {
-	return DecodeBoolsFrom(buf, 0, -1, out)
-}
-
-// DecodeBoolsFrom decodes the n values starting at value index skip (see
-// DecodeInt64sFrom).
-func DecodeBoolsFrom(buf []byte, skip, n int, out []int64) ([]int64, error) {
-	scheme, count, body, err := readHeader(buf)
-	if err != nil {
-		return nil, err
-	}
-	if scheme != BitBool {
-		return nil, corrupt("scheme %d is not a bool encoding", scheme)
-	}
-	if len(body) < (count+7)/8 {
-		return nil, corrupt("bool block truncated")
-	}
-	end, err := window(count, skip, n)
-	if err != nil {
-		return nil, err
-	}
-	for i := skip; i < end; i++ {
-		out = append(out, int64(body[i/8]>>(i%8)&1))
-	}
-	return out, nil
-}
-
 // dictSeed keys the hash of the dictionary sizing pass. Codes are assigned in
 // first-appearance order, so the seed never shows in the output.
 var dictSeed = maphash.MakeSeed()
@@ -616,6 +573,17 @@ func codeWidth(ndict int) uint {
 		return 0
 	}
 	return uint(bits.Len(uint(ndict - 1)))
+}
+
+// DecodeStrings decodes a whole block produced by EncodeStrings, appending to
+// out (see DecodeInt64s). Its values share one copy of their bytes
+// (DecodeStringsSpans), so a retained value keeps the whole copy alive.
+func DecodeStrings(buf []byte, out []string) ([]string, error) {
+	out, s, err := whole(buf, out)
+	if err != nil {
+		return nil, err
+	}
+	return out, DecodeStringsSpans(buf, s[:], out)
 }
 
 // EncodeStrings encodes vals, choosing the packed dictionary when it is
@@ -681,122 +649,6 @@ func EncodeStrings(vals []string, compress bool) []byte {
 		p += copy(buf[p:], s)
 	}
 	return buf
-}
-
-// DecodeStrings decodes a block produced by EncodeStrings, appending to out.
-func DecodeStrings(buf []byte, out []string) ([]string, error) {
-	return DecodeStringsFrom(buf, 0, -1, out)
-}
-
-// DecodeStringsFrom decodes the n values starting at value index skip (see
-// DecodeInt64sFrom). Plain blocks random-access the offset array, packed
-// dictionary blocks their codes and the dictionary's offsets; legacy
-// dictionary blocks still parse the dictionary and walk the codes before the
-// window. The values of one call share one allocation: a plain window's
-// bytes, a dictionary's, or — for a window shorter than its dictionary — the
-// window's own values are copied out of buf once and every value is a slice
-// of that copy, so a retained value keeps the whole copy alive.
-func DecodeStringsFrom(buf []byte, skip, n int, out []string) ([]string, error) {
-	scheme, count, body, err := readHeader(buf)
-	if err != nil {
-		return nil, err
-	}
-	end, err := window(count, skip, n)
-	if err != nil {
-		return nil, err
-	}
-	switch scheme {
-	case PlainString:
-		if len(body)/4 < count {
-			return nil, corrupt("string offsets truncated")
-		}
-		data := body[4*count:]
-		if end == skip {
-			return out, nil
-		}
-		first := uint32(0)
-		if skip > 0 {
-			first = binary.LittleEndian.Uint32(body[4*(skip-1):])
-		}
-		last := binary.LittleEndian.Uint32(body[4*(end-1):])
-		if first > last || uint64(last) > uint64(len(data)) {
-			return nil, corrupt("bad string offset")
-		}
-		// One arena for the window's bytes; every value is a slice of it.
-		arena, prev := string(data[first:last]), first
-		for i := skip; i < end; i++ {
-			off := binary.LittleEndian.Uint32(body[4*i:])
-			if off < prev || off > last {
-				return nil, corrupt("bad string offset")
-			}
-			out = append(out, arena[prev-first:off-first])
-			prev = off
-		}
-		return out, nil
-	case PackedDict:
-		d, err := parseDict(body, count)
-		if err != nil {
-			return nil, err
-		}
-		n0 := len(out)
-		out = slices.Grow(out, end-skip)[:n0+end-skip]
-		if err := d.decodeSpans([]Span{{Row: skip, At: n0, N: end - skip}}, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	case DictString:
-		dictLen, body, err := dictHeader(body)
-		if err != nil {
-			return nil, err
-		}
-		return decodeLegacyDict(body, dictLen, skip, end, out)
-	}
-	return nil, corrupt("scheme %d is not a string encoding", scheme)
-}
-
-// decodeLegacyDict appends values [skip, end) of a legacy dictionary block,
-// whose body after the entry count is body, to out.
-func decodeLegacyDict(body []byte, dictLen, skip, end int, out []string) ([]string, error) {
-	if end-skip < dictLen {
-		return decodeDictWindow(body, dictLen, skip, end, out)
-	}
-	// The window is at least as long as the dictionary: materialize the
-	// dictionary once — one arena holding all its bytes, each entry a
-	// slice of it — and share an entry across all its codes. (A scan's
-	// batch may pin the block's dictionary; the paths whose results are
-	// retained, decodeDictWindow and DictValues, copy per entry.)
-	p, err := 0, error(nil)
-	for i := 0; i < dictLen; i++ {
-		if _, p, err = dictEntry(body, p); err != nil {
-			return nil, err
-		}
-	}
-	arena, dict := string(body[:p]), make([]string, dictLen)
-	p = 0
-	for i := range dict {
-		entry, next, _ := dictEntry(body, p)
-		dict[i] = arena[next-len(entry) : next]
-		p = next
-	}
-	i := 0
-	if dictLen <= 0x80 && skip <= len(body)-p {
-		// Every valid code fits one byte, so the window starts skip in.
-		i, p = skip, p+skip
-	}
-	for ; i < end; i++ {
-		code, sz := uvarint2(body, p)
-		if sz == 0 {
-			code, sz = binary.Uvarint(body[p:])
-		}
-		if sz <= 0 || code >= uint64(dictLen) {
-			return nil, corrupt("bad dict code")
-		}
-		p += sz
-		if i >= skip {
-			out = append(out, dict[code])
-		}
-	}
-	return out, nil
 }
 
 // dictBlock is a parsed PackedDict block.
@@ -906,60 +758,105 @@ func (d *dictBlock) entry(c uint64) (lo, hi uint32, err error) {
 	return lo, hi, nil
 }
 
-// decodeDictWindow decodes codes [skip, end) of a legacy dictionary block
-// whose window is shorter than its dictionary, keeping no per-entry state: it
-// steps over the dictionary to reach the codes, reads the window's, then
-// revisits the dictionary once for just the entries they name.
-func decodeDictWindow(body []byte, dictLen, skip, end int, out []string) ([]string, error) {
+// decodeLegacyDict stores the values of the rows of every span of a legacy
+// dictionary block, whose body after the entry count is body, in
+// dst[At:At+N].
+func decodeLegacyDict(body []byte, dictLen int, spans []Span, dst []string) error {
+	n := 0
+	for _, s := range spans {
+		n += s.N
+	}
+	if n < dictLen {
+		return decodeDictWindow(body, dictLen, spans, n, dst)
+	}
+	// The spans hold at least as many values as the dictionary: materialize
+	// the dictionary once — one arena holding all its bytes, each entry a
+	// slice of it — and share an entry across all its codes. (A scan's batch
+	// may pin the block's dictionary; the paths whose results are retained,
+	// decodeDictWindow and DictValues, copy per entry.)
 	p, err := 0, error(nil)
 	for i := 0; i < dictLen; i++ {
 		if _, p, err = dictEntry(body, p); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	codes, i, p := body[p:], 0, 0
-	if dictLen <= 0x80 && skip <= len(codes) {
-		// Every valid code fits one byte, so the window starts at byte skip.
-		i, p = skip, skip
-	}
-	want := make([]int, 0, end-skip)
-	for ; i < end; i++ {
-		code, sz := uvarint2(codes, p)
-		if sz == 0 {
-			code, sz = binary.Uvarint(codes[p:])
-		}
-		if sz <= 0 || code >= uint64(dictLen) {
-			return nil, corrupt("bad dict code")
-		}
-		p += sz
-		if i >= skip {
-			want = append(want, int(code))
-		}
-	}
-	// Fill the window in code order, so one forward pass over the dictionary
-	// serves every position; equal codes share one string.
-	order := make([]int, len(want))
-	for k := range order {
-		order[k] = k
-	}
-	sort.Slice(order, func(a, b int) bool { return want[order[a]] < want[order[b]] })
-	base := len(out)
-	out = append(out, make([]string, len(want))...)
-	next, str := 0, ""
+	arena, dict := string(body[:p]), make([]string, dictLen)
 	p = 0
-	for n, k := range order {
-		if n == 0 || want[k] != want[order[n-1]] {
+	for i := range dict {
+		entry, next, _ := dictEntry(body, p)
+		dict[i] = arena[next-len(entry) : next]
+		p = next
+	}
+	return walkCodes(body[p:], dictLen, spans, func(at int, code uint64) { dst[at] = dict[code] })
+}
+
+// walkCodes reads the varint codes of a legacy dictionary block through the
+// last span's end and hands put each code of a span's rows with the position
+// it lands at. The codes before the first span are stepped over — in one
+// jump when every valid code fits one byte (at most 128 entries).
+func walkCodes(codes []byte, dictLen int, spans []Span, put func(at int, code uint64)) error {
+	if len(spans) == 0 {
+		return nil
+	}
+	i, p := 0, 0
+	if first := spans[0].Row; dictLen <= 0x80 && first <= len(codes) {
+		i, p = first, first
+	}
+	for _, s := range spans {
+		for ; i < s.Row+s.N; i++ {
+			code, sz := uvarint2(codes, p)
+			if sz == 0 {
+				code, sz = binary.Uvarint(codes[p:])
+			}
+			if sz <= 0 || code >= uint64(dictLen) {
+				return corrupt("bad dict code")
+			}
+			p += sz
+			if i >= s.Row {
+				put(s.At+i-s.Row, code)
+			}
+		}
+	}
+	return nil
+}
+
+// decodeDictWindow is decodeLegacyDict for spans of n values in all, fewer
+// than the dictionary's entries, keeping no per-entry state: it steps over
+// the dictionary to reach the codes, reads the spans', then revisits the
+// dictionary once for just the entries they name.
+func decodeDictWindow(body []byte, dictLen int, spans []Span, n int, dst []string) error {
+	p, err := 0, error(nil)
+	for i := 0; i < dictLen; i++ {
+		if _, p, err = dictEntry(body, p); err != nil {
+			return err
+		}
+	}
+	type want struct {
+		code uint64
+		at   int
+	}
+	wants := make([]want, 0, n)
+	if err := walkCodes(body[p:], dictLen, spans, func(at int, code uint64) { wants = append(wants, want{code, at}) }); err != nil {
+		return err
+	}
+	// Fill the positions in code order, so one forward pass over the
+	// dictionary serves every one; equal codes share one string.
+	sort.Slice(wants, func(a, b int) bool { return wants[a].code < wants[b].code })
+	next, str := uint64(0), ""
+	p = 0
+	for k, w := range wants {
+		if k == 0 || w.code != wants[k-1].code {
 			var entry []byte
-			for ; next <= want[k]; next++ {
+			for ; next <= w.code; next++ {
 				if entry, p, err = dictEntry(body, p); err != nil {
-					return nil, err
+					return err
 				}
 			}
 			str = string(entry)
 		}
-		out[base+k] = str
+		dst[w.at] = str
 	}
-	return out, nil
+	return nil
 }
 
 // dictHeader reads a legacy dictionary block's entry count, bounded by the

@@ -3,9 +3,12 @@ package compress
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -222,58 +225,110 @@ func TestZigzag(t *testing.T) {
 	}
 }
 
-// windowCase is one encoded block with its expected full decode and a
-// type-erased windowed decoder, so one checker serves all nine encodings.
+// windowCase is one encoded block with its expected full decode and its
+// type-erased span decoder, so one checker serves all nine encodings.
 type windowCase struct {
 	name   string
 	buf    []byte
 	count  int
-	window func(buf []byte, skip, n int) (any, error)
-	slice  func(lo, hi int) any // full decode's [lo:hi]
+	window func(buf []byte, skip, n int) (any, error) // the window as one span
+	slice  func(lo, hi int) any                       // full decode's [lo:hi]
 	length func(v any) int
+	spans  func(skip, n int, cut uint64) error // the window cut into spans, against the full decode
 }
 
-func intCase(name string, buf []byte, bools bool) windowCase {
-	dec := DecodeInt64sFrom
-	if bools {
-		dec = DecodeBoolsFrom
+// decodeWindow reads values [skip, skip+n) of a block — through its end when
+// n < 0 — as the one span a scan's window is, through the span decoder
+// spans, appended to out.
+func decodeWindow[T any](buf []byte, skip, n int, out []T, spans func([]byte, []Span, []T) error) ([]T, error) {
+	if n < 0 {
+		count, err := wholeCount(buf)
+		if err != nil {
+			return nil, err
+		}
+		n = count - skip
 	}
-	full, err := dec(buf, 0, -1, nil)
+	at := len(out)
+	out = slices.Grow(out, max(n, 0))[:at+max(n, 0)]
+	if err := spans(buf, []Span{{Row: skip, At: at, N: n}}, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// drawSpans cuts the window of n values from skip into one to three
+// ascending spans, as cut picks: rows between them passed over, and their
+// positions scattered — each span lands a few positions past the one before —
+// so a decoder that confused a row with its position would show. It returns
+// the spans and how many positions they reach.
+func drawSpans(skip, n int, cut uint64) (spans []Span, size int) {
+	k := 1 + int(cut%3)
+	cut /= 3
+	next := func(m int) int { // a draw from [0, m)
+		v := int(cut % uint64(m))
+		cut /= uint64(m)
+		return v
+	}
+	row, end := skip, skip+n
+	for i := 0; i < k; i++ {
+		size += next(4)
+		span := Span{Row: row, At: size, N: end - row}
+		if i < k-1 {
+			span.N = next(end - row + 1)
+		}
+		spans = append(spans, span)
+		size += span.N
+		row += span.N + next(min(3, end-row-span.N)+1)
+	}
+	return spans, size
+}
+
+// spanCase is the window case of a block decoded through spans, whose
+// values are never sentinel.
+func spanCase[T comparable](name string, buf []byte, spans func([]byte, []Span, []T) error, sentinel T) windowCase {
+	full, err := decodeWindow(buf, 0, -1, []T(nil), spans)
 	if err != nil {
 		panic(name + ": " + err.Error())
 	}
 	return windowCase{name: name, buf: buf, count: len(full),
-		window: func(b []byte, skip, n int) (any, error) { return dec(b, skip, n, nil) },
+		window: func(b []byte, skip, n int) (any, error) { return decodeWindow(b, skip, n, []T(nil), spans) },
 		slice:  func(lo, hi int) any { return full[lo:hi] },
-		length: func(v any) int { return len(v.([]int64)) }}
+		length: func(v any) int { return len(v.([]T)) },
+		spans: func(skip, n int, cut uint64) error {
+			ss, size := drawSpans(skip, n, cut)
+			got, want := slices.Repeat([]T{sentinel}, size), slices.Repeat([]T{sentinel}, size)
+			if err := spans(buf, ss, got); err != nil {
+				return err
+			}
+			for _, s := range ss {
+				copy(want[s.At:s.At+s.N], full[s.Row:])
+			}
+			if !slices.Equal(got, want) {
+				return fmt.Errorf("spans %v: got %v, want %v", ss, got, want)
+			}
+			return nil
+		}}
 }
+
+func intCase(name string, buf []byte) windowCase {
+	return spanCase(name, buf, DecodeInt64sSpans, math.MinInt64+7)
+}
+
+func boolCase(name string, buf []byte) windowCase { return spanCase(name, buf, DecodeBoolsSpans, -1) }
 
 func floatCase(name string, buf []byte) windowCase {
-	full, err := DecodeFloat64s(buf, nil)
-	if err != nil {
-		panic(name + ": " + err.Error())
-	}
-	return windowCase{name: name, buf: buf, count: len(full),
-		window: func(b []byte, skip, n int) (any, error) { return DecodeFloat64sFrom(b, skip, n, nil) },
-		slice:  func(lo, hi int) any { return full[lo:hi] },
-		length: func(v any) int { return len(v.([]float64)) }}
+	return spanCase(name, buf, DecodeFloat64sSpans, -1e300)
 }
 
 func stringCase(name string, buf []byte) windowCase {
-	full, err := DecodeStrings(buf, nil)
-	if err != nil {
-		panic(name + ": " + err.Error())
-	}
-	return windowCase{name: name, buf: buf, count: len(full),
-		window: func(b []byte, skip, n int) (any, error) { return DecodeStringsFrom(b, skip, n, nil) },
-		slice:  func(lo, hi int) any { return full[lo:hi] },
-		length: func(v any) int { return len(v.([]string)) }}
+	return spanCase(name, buf, DecodeStringsSpans, "\x00sentinel")
 }
 
-// checkWindows asserts the Decode*From contract on one block: every in-range
-// (skip, n) equals the full decode's [skip:skip+n], n < 0 is the tail, and a
-// window outside the block, like any truncation of the buffer, is ErrCorrupt —
-// never a panic, never more values than asked for.
+// checkWindows asserts the span decoders' window contract on one block: every
+// in-range (skip, n) as one span equals the full decode's [skip:skip+n], n < 0
+// is the tail, and so do its values cut into spans at scattered positions; a
+// window outside the block, like any truncation of the buffer, is ErrCorrupt
+// — never a panic, never more values than asked for.
 func checkWindows(t *testing.T, c windowCase) {
 	t.Helper()
 	for skip := 0; skip <= c.count; skip++ {
@@ -288,6 +343,11 @@ func checkWindows(t *testing.T, c windowCase) {
 			}
 			if want := c.slice(skip, hi); c.length(got) != hi-skip || (hi > skip && !reflect.DeepEqual(got, want)) {
 				t.Fatalf("%s [%d,+%d): got %v want %v", c.name, skip, n, got, want)
+			}
+			for _, cut := range []uint64{uint64(skip*7919 + n), uint64(n*104729 + skip)} {
+				if err := c.spans(skip, hi-skip, cut); err != nil {
+					t.Fatalf("%s [%d,+%d) cut %d: %v", c.name, skip, n, cut, err)
+				}
 			}
 		}
 	}
@@ -312,21 +372,21 @@ func checkWindows(t *testing.T, c windowCase) {
 	}
 }
 
-// TestDecodeFromWindows runs the window contract over one small block of each
-// of the nine encodings, the two read-only ones built by the reference's
-// legacy builders.
+// TestDecodeFromWindows runs the span decoders' window contract over one small
+// block of each of the nine encodings, the two read-only ones built by the
+// reference's legacy builders.
 func TestDecodeFromWindows(t *testing.T) {
 	ints := []int64{3, -1, 0, 1 << 40, -(1 << 40), 7, 7, 7, -9, 0, 0, 2}
 	line := []int64{-50, -41, -33, -20, -14, -3, 5, 11, 22, 31, 40, 52, 59}
 	strs := []string{"", "a", "bc", "", "a", "ghij", "bc", "a"}
 	cases := []windowCase{
-		intCase("plain-int", encodePlainInt(ints), false),
-		intCase("delta-varint", encodeDeltaVarint(ints), false),
-		intCase("rle-int", encodeRLEInt(ints), false),
-		intCase("for-int", encodeForInt(ints), false),
-		intCase("for-int-line", encodeForInt(line), false),
+		intCase("plain-int", encodePlainInt(ints)),
+		intCase("delta-varint", encodeDeltaVarint(ints)),
+		intCase("rle-int", encodeRLEInt(ints)),
+		intCase("for-int", encodeForInt(ints)),
+		intCase("for-int-line", encodeForInt(line)),
 		floatCase("plain-float", EncodeFloat64s([]float64{0, -1.5, 3.25, 1e300, -1e-300, 42})),
-		intCase("bit-bool", EncodeBools([]int64{1, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1}), true),
+		boolCase("bit-bool", EncodeBools([]int64{1, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1})),
 		stringCase("plain-string", encodePlainString(strs)),
 		stringCase("dict-string", encodeDictString(strs)),
 		stringCase("packed-dict", encodePackedDict(strs)),
@@ -383,17 +443,36 @@ func TestDecodeFromHostileLengths(t *testing.T) {
 	// dictionary claiming 2^32-1 entries, and one whose one entry claims
 	// 2^32-1 bytes. Bounded in bytes: the error values' allocation count
 	// varies with the build (-race adds some), a slice sized from any of
-	// those lengths would be gigabytes.
+	// those lengths would be gigabytes. Then plain blocks holding a byte per
+	// value they claim, short of the 8 an int or float takes and the 4 of a
+	// string's offset: a whole-block decode sized by their counts before the
+	// check would grow its output by 128 KB of ints or 256 KB of strings.
+	short := func(scheme Scheme) []byte {
+		buf := make([]byte, headerSize+1<<14)
+		buf[0] = byte(scheme)
+		binary.LittleEndian.PutUint32(buf[1:], 1<<14)
+		return buf
+	}
+	shortInt, shortFloat, shortStr := short(PlainInt), short(PlainFloat), short(PlainString)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	func() {
+		if _, err := DecodeInt64s(shortInt, nil); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("short plain int block: err = %v", err)
+		}
+		if _, err := DecodeFloat64s(shortFloat, nil); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("short plain float block: err = %v", err)
+		}
+		if _, err := DecodeStrings(shortStr, nil); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("short plain string block: err = %v", err)
+		}
 		if _, err := DecodeInt64s(huge(ForInt, 2, 1), nil); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("short ForInt frame: err = %v", err)
 		}
 		for _, w := range []byte{1, 64, 255} {
 			frame := huge(ForInt, append(make([]byte, 16), w, 0, 0, 0, 0, 0, 0, 0, 0)...)
-			if _, err := DecodeInt64sFrom(frame, 0, 1, nil); !errors.Is(err, ErrCorrupt) {
+			if err := DecodeInt64sSpans(frame, []Span{{N: 1}}, make([]int64, 1)); !errors.Is(err, ErrCorrupt) {
 				t.Errorf("ForInt width %d: err = %v", w, err)
 			}
 			if _, _, err := SearchInt64s(frame, 0, 1, 0); !errors.Is(err, ErrCorrupt) {
@@ -411,7 +490,7 @@ func TestDecodeFromHostileLengths(t *testing.T) {
 	}()
 	runtime.ReadMemStats(&after)
 	if b := after.TotalAlloc - before.TotalAlloc; b > 64<<10 {
-		t.Errorf("hostile bit-packed headers cost %d bytes", b)
+		t.Errorf("hostile bit-packed headers and short plain blocks cost %d bytes", b)
 	}
 }
 
@@ -431,13 +510,13 @@ func TestDecodeInt64sFrom(t *testing.T) {
 	}
 	for name, vals := range map[string][]int64{"sorted": sorted, "constant": constant, "runs": runs} {
 		for _, compress := range []bool{false, true} {
-			checkWindows(t, intCase(name, EncodeInt64s(vals, compress), false))
+			checkWindows(t, intCase(name, EncodeInt64s(vals, compress)))
 		}
 	}
 	// force each int scheme explicitly, the legacy delta blocks included
 	for _, enc := range [][]byte{encodePlainInt(sorted), encodeDeltaVarint(sorted), encodeDeltaVarint(runs),
 		encodeRLEInt(constant), encodeRLEInt(runs), encodeForInt(sorted[:120]), encodeForInt(runs), encodeForInt(constant[:120])} {
-		checkWindows(t, intCase("forced", enc, false))
+		checkWindows(t, intCase("forced", enc))
 	}
 }
 
@@ -456,7 +535,7 @@ func TestDecodeBoolsFrom(t *testing.T) {
 			vals[i] = 1
 		}
 	}
-	checkWindows(t, intCase("bools", EncodeBools(vals), true))
+	checkWindows(t, boolCase("bools", EncodeBools(vals)))
 }
 
 func TestDecodeStringsFrom(t *testing.T) {

@@ -1,9 +1,9 @@
 package compress
 
-// DecodeInt64sFrom and SearchInt64s against hostile bytes: whatever the buffer
-// and the window, the decoder returns ErrCorrupt or exactly what a slow,
-// one-value-at-a-time reading of the format returns — and never panics. The
-// reference below is that reading.
+// DecodeInt64sSpans and SearchInt64s against hostile bytes: whatever the
+// buffer, the window and the spans it is cut into, the decoder returns
+// ErrCorrupt or exactly what a slow, one-value-at-a-time reading of the format
+// returns — and never panics. The reference below is that reading.
 
 import (
 	"encoding/binary"
@@ -120,14 +120,16 @@ func boundless(buf []byte) bool {
 	return false
 }
 
-// checkDecodeInts holds one (buffer, window) to the reference, and a search
-// for want over that window to a binary search of the reference's values.
-func checkDecodeInts(t testing.TB, buf []byte, skip, n int, want int64) {
+// checkDecodeInts holds one (buffer, window) to the reference — the window as
+// one span, after a value of the caller's that must survive, and cut into
+// spans as cut picks (checkSpans) — and a search for want over that window to
+// a binary search of the reference's values.
+func checkDecodeInts(t testing.TB, buf []byte, skip, n int, want int64, cut uint64) {
 	t.Helper()
 	if n < 0 && boundless(buf) {
 		return
 	}
-	got, err := DecodeInt64sFrom(buf, skip, n, []int64{-7})
+	got, err := decodeWindow(buf, skip, n, []int64{-7}, DecodeInt64sSpans)
 	ref, rerr := refDecodeInt64sFrom(buf, skip, n)
 	switch {
 	case err != nil && !errors.Is(err, ErrCorrupt):
@@ -139,6 +141,7 @@ func checkDecodeInts(t testing.TB, buf []byte, skip, n int, want int64) {
 	case err == nil && (got[0] != -7 || !slices.Equal(got[1:], ref)):
 		t.Fatalf("window (%d, %d): got %v after the caller's own, want %v", skip, n, got[1:], ref)
 	}
+	checkSpans(t, buf, skip, n, cut, math.MinInt64+7, DecodeInt64sSpans, refDecodeInt64sFrom)
 	if n < 0 || rerr != nil {
 		return
 	}
@@ -158,6 +161,53 @@ func checkDecodeInts(t testing.TB, buf []byte, skip, n int, want int64) {
 	}
 }
 
+// checkSpans cuts the window of n values from skip (through the block's end
+// when n < 0) into one to three spans at scattered positions, as cut picks
+// (drawSpans), and holds their decode to the reference: when it reads the
+// window, the decoder must too, yielding its values at the spans' positions
+// and writing nothing anywhere else; when it does not, the decoder may still
+// accept spans that skip what it rejects, but only with every span's own
+// values. Errors wrap ErrCorrupt.
+func checkSpans[T comparable](t testing.TB, buf []byte, skip, n int, cut uint64, sentinel T,
+	spans func([]byte, []Span, []T) error, ref func([]byte, int, int) ([]T, error)) {
+	t.Helper()
+	if n < 0 {
+		count, err := wholeCount(buf)
+		if err != nil {
+			return
+		}
+		n = count - skip
+	}
+	if skip < 0 || n < 0 {
+		return // no window to cut: the single span already failed
+	}
+	ss, size := drawSpans(skip, n, cut)
+	got, want := slices.Repeat([]T{sentinel}, size), slices.Repeat([]T{sentinel}, size)
+	err := spans(buf, ss, got)
+	win, werr := ref(buf, skip, n)
+	switch {
+	case err != nil && !errors.Is(err, ErrCorrupt):
+		t.Fatalf("spans %v: error %v is not ErrCorrupt", ss, err)
+	case err != nil && werr == nil:
+		t.Fatalf("spans %v: %v, but the reference reads the window", ss, err)
+	case err != nil:
+		return
+	}
+	for _, s := range ss {
+		vals := win[min(s.Row-skip, len(win)):]
+		if werr != nil {
+			var serr error
+			if vals, serr = ref(buf, s.Row, s.N); serr != nil {
+				t.Fatalf("spans %v: decoded a span the reference rejects: %v", ss, serr)
+			}
+		}
+		copy(want[s.At:s.At+s.N], vals)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("spans %v of window (%d, %d): got %v, want %v", ss, skip, n, got, want)
+	}
+}
+
 // intDecodeSeeds are valid blocks of every int layout, written and legacy.
 func intDecodeSeeds() [][]byte {
 	blocks := intBlocks()
@@ -169,14 +219,17 @@ func intDecodeSeeds() [][]byte {
 	return seeds
 }
 
+// FuzzDecodeInt64sFrom fuzzes the int span decoder from every window: a
+// buffer, a window of it (n < 0: through its end), one to three spans the
+// window is cut into, and a value to search the window for.
 func FuzzDecodeInt64sFrom(f *testing.F) {
 	for _, buf := range intDecodeSeeds() {
-		f.Add(buf, int16(0), int16(-1), int64(0))
-		f.Add(buf, int16(2), int16(3), int64(1_000_010))
-		f.Add(buf[:len(buf)*2/3], int16(1), int16(-1), int64(7))
+		f.Add(buf, int16(0), int16(-1), int64(0), uint64(0))
+		f.Add(buf, int16(2), int16(3), int64(1_000_010), uint64(0x2a5))
+		f.Add(buf[:len(buf)*2/3], int16(1), int16(-1), int64(7), uint64(0x3c1e))
 	}
-	f.Fuzz(func(t *testing.T, buf []byte, skip, n int16, want int64) {
-		checkDecodeInts(t, buf, int(skip), int(n), want)
+	f.Fuzz(func(t *testing.T, buf []byte, skip, n int16, want int64, cut uint64) {
+		checkDecodeInts(t, buf, int(skip), int(n), want, cut)
 	})
 }
 
@@ -187,19 +240,21 @@ func TestDecodeInt64sHostile(t *testing.T) {
 	for _, seed := range intDecodeSeeds() {
 		count := int(binary.LittleEndian.Uint32(seed[1:headerSize]))
 		windows := [][2]int{{0, -1}, {0, 0}, {count, 0}, {count / 2, -1}, {1, count / 3}, {count, 1}, {-1, 1}, {count - 1, 1}}
-		for _, w := range windows {
-			checkDecodeInts(t, seed, w[0], w[1], 1_000_010)
+		for i, w := range windows {
+			for _, cut := range []uint64{0, uint64(i), 0x2a5, 0x3c1e} {
+				checkDecodeInts(t, seed, w[0], w[1], 1_000_010, cut)
+			}
 		}
 		if len(seed) > 600 {
 			continue // the damage sweep is quadratic; the small blocks cover it
 		}
 		for cut := 0; cut < len(seed); cut++ {
-			checkDecodeInts(t, seed[:cut], 0, -1, 0)
+			checkDecodeInts(t, seed[:cut], 0, -1, 0, uint64(cut))
 			for _, flip := range []byte{0x01, 0x80, 0xff} {
 				bad := append([]byte(nil), seed...)
 				bad[cut] ^= flip
 				for _, w := range windows {
-					checkDecodeInts(t, bad, w[0], w[1], 0)
+					checkDecodeInts(t, bad, w[0], w[1], 0, uint64(cut)*3+uint64(flip))
 				}
 			}
 		}
@@ -229,7 +284,7 @@ func TestSearchInt64s(t *testing.T) {
 			for lo := 0; lo <= len(vals); lo++ {
 				for hi := lo; hi <= len(vals); hi++ {
 					for _, want := range probes {
-						checkDecodeInts(t, enc, lo, hi-lo, want)
+						checkDecodeInts(t, enc, lo, hi-lo, want, uint64(lo*31+hi))
 					}
 				}
 			}

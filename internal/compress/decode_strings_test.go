@@ -1,8 +1,9 @@
 package compress
 
-// DecodeStringsFrom against hostile bytes: whatever the buffer and the window,
-// it returns ErrCorrupt or exactly what a slow, copy-per-value reading of the
-// format returns — and never panics. The reference below is that reading.
+// DecodeStringsSpans against hostile bytes: whatever the buffer, the window
+// and the spans it is cut into, it returns ErrCorrupt or exactly what a slow,
+// copy-per-value reading of the format returns — and never panics. The
+// reference below is that reading.
 
 import (
 	"encoding/binary"
@@ -126,14 +127,17 @@ func refDecodeStringsFrom(buf []byte, skip, n int) ([]string, error) {
 	return nil, corrupt("reference: not a string block")
 }
 
-// checkDecodeStrings holds one (buffer, window) to the reference.
-func checkDecodeStrings(t testing.TB, buf []byte, skip, n int) {
+// checkDecodeStrings holds one (buffer, window) to the reference: the window
+// as one span, after a value of the caller's that must survive, and cut into
+// spans as cut picks (checkSpans).
+func checkDecodeStrings(t testing.TB, buf []byte, skip, n int, cut uint64) {
 	t.Helper()
 	if n < 0 && boundless(buf) {
 		return
 	}
+	checkSpans(t, buf, skip, n, cut, "\x00sentinel", DecodeStringsSpans, refDecodeStringsFrom)
 	sentinel := []string{"kept"}
-	got, err := DecodeStringsFrom(buf, skip, n, sentinel)
+	got, err := decodeWindow(buf, skip, n, sentinel, DecodeStringsSpans)
 	want, werr := refDecodeStringsFrom(buf, skip, n)
 	if err != nil {
 		if !errors.Is(err, ErrCorrupt) {
@@ -176,14 +180,17 @@ func decodeSeeds() [][]byte {
 	return seeds
 }
 
+// FuzzDecodeStringsFrom fuzzes the string span decoder from every window: a
+// buffer, a window of it (n < 0: through its end) and one to three spans the
+// window is cut into.
 func FuzzDecodeStringsFrom(f *testing.F) {
 	for _, buf := range decodeSeeds() {
-		f.Add(buf, int16(0), int16(-1))
-		f.Add(buf, int16(2), int16(3))
-		f.Add(buf[:len(buf)*2/3], int16(1), int16(-1))
+		f.Add(buf, int16(0), int16(-1), uint64(0))
+		f.Add(buf, int16(2), int16(3), uint64(0x2a5))
+		f.Add(buf[:len(buf)*2/3], int16(1), int16(-1), uint64(0x3c1e))
 	}
-	f.Fuzz(func(t *testing.T, buf []byte, skip, n int16) {
-		checkDecodeStrings(t, buf, int(skip), int(n))
+	f.Fuzz(func(t *testing.T, buf []byte, skip, n int16, cut uint64) {
+		checkDecodeStrings(t, buf, int(skip), int(n), cut)
 	})
 }
 
@@ -194,19 +201,21 @@ func TestDecodeStringsHostile(t *testing.T) {
 	for _, seed := range decodeSeeds() {
 		count := int(binary.LittleEndian.Uint32(seed[1:headerSize]))
 		windows := [][2]int{{0, -1}, {0, 0}, {count, 0}, {count / 2, -1}, {1, count / 3}, {count, 1}, {-1, 1}, {count - 1, 1}}
-		for _, w := range windows {
-			checkDecodeStrings(t, seed, w[0], w[1])
+		for i, w := range windows {
+			for _, cut := range []uint64{0, uint64(i), 0x2a5, 0x3c1e} {
+				checkDecodeStrings(t, seed, w[0], w[1], cut)
+			}
 		}
 		if len(seed) > 600 {
 			continue // the damage sweep is quadratic; the small blocks cover it
 		}
 		for cut := 0; cut < len(seed); cut++ {
-			checkDecodeStrings(t, seed[:cut], 0, -1)
+			checkDecodeStrings(t, seed[:cut], 0, -1, uint64(cut))
 			for _, flip := range []byte{0x01, 0x80, 0xff} {
 				bad := append([]byte(nil), seed...)
 				bad[cut] ^= flip
 				for _, w := range windows {
-					checkDecodeStrings(t, bad, w[0], w[1])
+					checkDecodeStrings(t, bad, w[0], w[1], uint64(cut)*3+uint64(flip))
 				}
 			}
 		}
@@ -232,7 +241,7 @@ func TestDecodeStringsArena(t *testing.T) {
 		out := make([]string, 0, 4096)
 		got := testing.AllocsPerRun(10, func() {
 			var err error
-			if out, err = DecodeStringsFrom(c.buf, 0, -1, out[:0]); err != nil {
+			if out, err = DecodeStrings(c.buf, out[:0]); err != nil {
 				t.Fatal(err)
 			}
 		})

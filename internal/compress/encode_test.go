@@ -105,8 +105,9 @@ func stringBlocks() map[string][]string {
 }
 
 // checkBlock holds an encoder to its reference byte for byte, in an exactly
-// sized buffer, and round-trips a set of windows through its Decode*From.
-func checkBlock[T comparable](t testing.TB, vals []T, enc, ref func([]T, bool) []byte, dec func([]byte, int, int, []T) ([]T, error)) {
+// sized buffer, and round-trips a set of windows through its span decoder,
+// each window one span.
+func checkBlock[T comparable](t testing.TB, vals []T, enc, ref func([]T, bool) []byte, spans func([]byte, []Span, []T) error) {
 	t.Helper()
 	for _, compress := range []bool{true, false} {
 		got, want := enc(vals, compress), ref(vals, compress)
@@ -118,7 +119,7 @@ func checkBlock[T comparable](t testing.TB, vals []T, enc, ref func([]T, bool) [
 			t.Fatalf("%T block of %d bytes in a buffer of %d", *new(T), len(got), cap(got))
 		}
 		for _, w := range [][2]int{{0, -1}, {0, len(vals)}, {len(vals) / 2, -1}, {len(vals) / 3, len(vals) / 3}, {len(vals), 0}} {
-			out, err := dec(got, w[0], w[1], nil)
+			out, err := decodeWindow(got, w[0], w[1], nil, spans)
 			end := len(vals)
 			if w[1] >= 0 {
 				end = w[0] + w[1]
@@ -132,12 +133,12 @@ func checkBlock[T comparable](t testing.TB, vals []T, enc, ref func([]T, bool) [
 
 func checkIntBlock(t testing.TB, vals []int64) {
 	t.Helper()
-	checkBlock(t, vals, EncodeInt64s, refEncodeInt64s, DecodeInt64sFrom)
+	checkBlock(t, vals, EncodeInt64s, refEncodeInt64s, DecodeInt64sSpans)
 }
 
 func checkStringBlock(t testing.TB, vals []string) {
 	t.Helper()
-	checkBlock(t, vals, EncodeStrings, refEncodeStrings, DecodeStringsFrom)
+	checkBlock(t, vals, EncodeStrings, refEncodeStrings, DecodeStringsSpans)
 }
 
 // TestEncodersMatchReference is the differential: the decide-then-write

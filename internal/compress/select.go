@@ -11,13 +11,13 @@ package compress
 // The legacy read-only schemes decode the window and run the vector kernel
 // on it.
 //
-// All of them stand or fall with the decoders: whenever Decode*From accepts
-// a window of a block, Select* over it succeeds and keeps exactly the rows
-// the vector kernel keeps of the decoded values, and Gather*At at rows inside
-// it, like Decode*Spans over spans inside it, yields the decoded values. On
-// bytes a decoder would reject they may still succeed (a block decided whole
-// never reads its residuals), but they never panic, and every error they
-// return for bad bytes wraps ErrCorrupt.
+// All of them stand or fall with the span decoders: whenever Decode*Spans
+// accepts a window of a block — one span — Select* over it succeeds and keeps
+// exactly the rows the vector kernel keeps of the decoded values, and
+// Gather*At at rows inside it, like Decode*Spans over spans inside it, yields
+// the decoded values. On bytes a decoder would reject they may still succeed
+// (a block decided whole never reads its residuals), but they never panic,
+// and every error they return for bad bytes wraps ErrCorrupt.
 
 import (
 	"bytes"
@@ -106,13 +106,27 @@ func SelectInt64s(buf []byte, skip, n int, p vector.Pred, out []uint32) ([]uint3
 		}
 		return out, nil
 	case DeltaVarint:
-		vals, err := DecodeInt64sFrom(buf, skip, end-skip, nil)
-		if err != nil {
-			return nil, err
+		vals, err := legacyWindow(buf, skip, end, DecodeInt64sSpans)
+		if err == nil {
+			out = selectDecoded(&vector.Vector{Kind: types.Int64, I: vals}, p, out)
 		}
-		return selectDecoded(&vector.Vector{Kind: types.Int64, I: vals}, p, out), nil
+		return out, err
 	}
 	return nil, corrupt("scheme %d is not an int encoding", scheme)
+}
+
+// legacyWindow decodes values [from, to) of a read-only block through its
+// span decoder, spans. Every value of one takes at least a byte, so a window
+// longer than the block is corrupt before anything is sized from it.
+func legacyWindow[T any](buf []byte, from, to int, spans func([]byte, []Span, []T) error) ([]T, error) {
+	if to-from > len(buf) {
+		return nil, corrupt("%d values in a %d-byte block", to-from, len(buf))
+	}
+	vals := make([]T, to-from)
+	if err := spans(buf, []Span{{Row: from, N: to - from}}, vals); err != nil {
+		return nil, err
+	}
+	return vals, nil
 }
 
 // selectRange appends the offsets from skip of the values [skip, end) lying
@@ -351,7 +365,7 @@ func SelectStrings(buf []byte, skip, n int, p vector.Pred, out []uint32) ([]uint
 		}
 		return d.selectMatch(skip, end, &m, out)
 	case DictString:
-		vals, err := DecodeStringsFrom(buf, skip, end-skip, nil)
+		vals, err := legacyWindow(buf, skip, end, DecodeStringsSpans)
 		if err != nil {
 			return nil, err
 		}
@@ -547,18 +561,7 @@ func GatherInt64sAt(buf []byte, base int, rows, pos []uint32, dst []int64) error
 		}
 		return nil
 	case DeltaVarint:
-		if len(rows) == 0 {
-			return nil
-		}
-		first := int(rows[0])
-		vals, err := DecodeInt64sFrom(buf, base+first, int(rows[len(rows)-1])+1-first, nil)
-		if err != nil {
-			return err
-		}
-		for k, r := range rows {
-			dst[pos[k]] = vals[int(r)-first]
-		}
-		return nil
+		return gatherDecoded(buf, base, rows, pos, dst, DecodeInt64sSpans)
 	}
 	return corrupt("scheme %d is not an int encoding", scheme)
 }
@@ -658,20 +661,27 @@ func GatherStringsAt(buf []byte, base int, rows, pos []uint32, dst []string) err
 		}
 		return d.gather(base, rows, pos, dst)
 	case DictString:
-		if len(rows) == 0 {
-			return nil
-		}
-		first := int(rows[0])
-		vals, err := DecodeStringsFrom(buf, base+first, int(rows[len(rows)-1])+1-first, nil)
-		if err != nil {
-			return err
-		}
-		for k, r := range rows {
-			dst[pos[k]] = vals[int(r)-first]
-		}
-		return nil
+		return gatherDecoded(buf, base, rows, pos, dst, DecodeStringsSpans)
 	}
 	return corrupt("scheme %d is not a string encoding", scheme)
+}
+
+// gatherDecoded is Gather*At for a read-only block: it decodes the window from
+// the first row through the last through the block's span decoder, spans,
+// and stores each row's value at its position.
+func gatherDecoded[T any](buf []byte, base int, rows, pos []uint32, dst []T, spans func([]byte, []Span, []T) error) error {
+	if len(rows) == 0 {
+		return nil
+	}
+	first := int(rows[0])
+	vals, err := legacyWindow(buf, base+first, base+int(rows[len(rows)-1])+1, spans)
+	if err != nil {
+		return err
+	}
+	for k, r := range rows {
+		dst[pos[k]] = vals[int(r)-first]
+	}
+	return nil
 }
 
 // gather stores value base+rows[k] in dst[pos[k]] for every k, sharing bytes
@@ -728,20 +738,25 @@ func (d *dictBlock) gather(base int, rows, pos []uint32, dst []string) error {
 // keeps.
 type Span struct{ Row, At, N int }
 
-// spansWindow checks spans against a block holding count values.
+// spansWindow checks spans against a block holding count values: each inside
+// it, none longer than it, and each after the one before.
 func spansWindow(count int, spans []Span) error {
+	end := 0
 	for _, s := range spans {
-		if _, err := window(count, s.Row, s.N); err != nil {
-			return err
+		if s.Row < end || s.N < 0 || s.N > count-s.Row {
+			return corrupt("span of %d values at %d requested after %d from a block of %d", s.N, s.Row, end, count)
 		}
+		end = s.Row + s.N
 	}
 	return nil
 }
 
 // DecodeInt64sSpans decodes the rows of every span of an int block into
-// dst[At:At+N], the spans ascending in Row without overlapping. The header is
-// read once however many there are, and an RLE block's runs are walked once;
-// a legacy delta block decodes span by span.
+// dst[At:At+N], the spans ascending in Row without overlapping. A window is
+// one span; a whole block (DecodeInt64s) the span of every row. The header is
+// read once however many there are, and an RLE block's runs and a legacy
+// delta block's varints are walked once, up to the last span's end: plain and
+// ForInt blocks jump straight to each span's rows.
 func DecodeInt64sSpans(buf []byte, spans []Span, dst []int64) error {
 	scheme, count, body, err := readHeader(buf)
 	if err != nil {
@@ -775,25 +790,34 @@ func DecodeInt64sSpans(buf []byte, spans []Span, dst []int64) error {
 		var v int64
 		got := 0 // values [0, got) are read, the last run's being v
 		for _, s := range spans {
-			out := dst[s.At : s.At+s.N]
-			for i := 0; i < len(out); {
-				for got <= s.Row+i {
-					var run int
-					if v, run, body, err = rleRun(body, count-got); err != nil {
-						return err
-					}
-					got += run
+			for r, end := s.Row, s.Row+s.N; ; {
+				for ; r < got && r < end; r++ {
+					dst[s.At+r-s.Row] = v
 				}
-				for ; i < len(out) && s.Row+i < got; i++ {
-					out[i] = v
+				if got >= end {
+					break
 				}
+				var run int
+				if v, run, body, err = rleRun(body, count-got); err != nil {
+					return err
+				}
+				got += run
 			}
 		}
 		return nil
 	case DeltaVarint:
+		prev, p, i := int64(0), 0, 0 // value i-1 is prev; value i's varint is at p
 		for _, s := range spans {
-			if _, err := DecodeInt64sFrom(buf, s.Row, s.N, dst[s.At:s.At]); err != nil {
-				return err
+			out := dst[s.At : s.At+s.N]
+			for ; i < s.Row+s.N; i++ {
+				u, sz := deltaVarint(body, p)
+				if sz <= 0 {
+					return corrupt("bad varint in delta block")
+				}
+				p += sz
+				if prev += unzigzag(u); i >= s.Row {
+					out[i-s.Row] = prev
+				}
 			}
 		}
 		return nil
@@ -871,6 +895,10 @@ func DecodeStringsSpans(buf []byte, spans []Span, dst []string) error {
 		if len(body)/4 < count {
 			return corrupt("string offsets truncated")
 		}
+		last := spans[len(spans)-1]
+		if last.Row+last.N == spans[0].Row {
+			return nil // no value, so no offset to read
+		}
 		data := body[4*count:]
 		bound := func(i int) uint32 { // end offset of value i-1: value i's start
 			if i == 0 {
@@ -878,7 +906,6 @@ func DecodeStringsSpans(buf []byte, spans []Span, dst []string) error {
 			}
 			return binary.LittleEndian.Uint32(body[4*(i-1):])
 		}
-		last := spans[len(spans)-1]
 		first, end := bound(spans[0].Row), bound(last.Row+last.N)
 		if first > end || uint64(end) > uint64(len(data)) {
 			return corrupt("bad string offset")
@@ -904,21 +931,11 @@ func DecodeStringsSpans(buf []byte, spans []Span, dst []string) error {
 		}
 		return d.decodeSpans(spans, dst)
 	case DictString:
-		// Read-only blocks: the window covering the spans, then each span's
-		// share of it.
 		dictLen, body, err := dictHeader(body)
 		if err != nil {
 			return err
 		}
-		last, first := spans[len(spans)-1], spans[0].Row
-		vals, err := decodeLegacyDict(body, dictLen, first, last.Row+last.N, nil)
-		if err != nil {
-			return err
-		}
-		for _, s := range spans {
-			copy(dst[s.At:s.At+s.N], vals[s.Row-first:])
-		}
-		return nil
+		return decodeLegacyDict(body, dictLen, spans, dst)
 	}
 	return corrupt("scheme %d is not a string encoding", scheme)
 }

@@ -23,8 +23,8 @@ import (
 	"pdtstore/internal/vector"
 )
 
-// selKind is one column kind's decode, select, gather and span decode, and
-// the predicate shapes that apply to it.
+// selKind is one column kind's window decode (one span), select, gather and
+// span decode, and the predicate shapes that apply to it.
 type selKind struct {
 	kind   types.Kind
 	ops    []vector.PredOp
@@ -37,7 +37,7 @@ type selKind struct {
 var selKinds = []selKind{
 	{types.Int64, []vector.PredOp{vector.PredNone, vector.PredInt64Range},
 		func(buf []byte, skip, n int, v *vector.Vector) (err error) {
-			v.I, err = DecodeInt64sFrom(buf, skip, n, v.I)
+			v.I, err = decodeWindow(buf, skip, n, v.I, DecodeInt64sSpans)
 			return err
 		}, SelectInt64s,
 		func(buf []byte, base int, rows, pos []uint32, v *vector.Vector) error {
@@ -48,7 +48,7 @@ var selKinds = []selKind{
 		}},
 	{types.Bool, []vector.PredOp{vector.PredNone, vector.PredInt64Range},
 		func(buf []byte, skip, n int, v *vector.Vector) (err error) {
-			v.I, err = DecodeBoolsFrom(buf, skip, n, v.I)
+			v.I, err = decodeWindow(buf, skip, n, v.I, DecodeBoolsSpans)
 			return err
 		}, SelectBools,
 		func(buf []byte, base int, rows, pos []uint32, v *vector.Vector) error {
@@ -59,7 +59,7 @@ var selKinds = []selKind{
 		}},
 	{types.Float64, []vector.PredOp{vector.PredNone, vector.PredFloat64Range, vector.PredFloat64Lt},
 		func(buf []byte, skip, n int, v *vector.Vector) (err error) {
-			v.F, err = DecodeFloat64sFrom(buf, skip, n, v.F)
+			v.F, err = decodeWindow(buf, skip, n, v.F, DecodeFloat64sSpans)
 			return err
 		}, SelectFloat64s,
 		func(buf []byte, base int, rows, pos []uint32, v *vector.Vector) error {
@@ -70,7 +70,7 @@ var selKinds = []selKind{
 		}},
 	{types.String, []vector.PredOp{vector.PredNone, vector.PredStrEq, vector.PredStrIn, vector.PredStrPrefix, vector.PredStrContains},
 		func(buf []byte, skip, n int, v *vector.Vector) (err error) {
-			v.S, err = DecodeStringsFrom(buf, skip, n, v.S)
+			v.S, err = decodeWindow(buf, skip, n, v.S, DecodeStringsSpans)
 			return err
 		}, SelectStrings,
 		func(buf []byte, base int, rows, pos []uint32, v *vector.Vector) error {

@@ -29,10 +29,12 @@
 // and gathers the projected columns at the final survivors only (decoding
 // them whole where nearly every row survives). A merge
 // filters just the rows it writes itself — its inserts and the rows it
-// patches — with the same kernels. Only the value-based VDT merge, which must
-// see every row, is read whole and filtered after it. Either way every vector
-// of a batch keeps the batch's length, and its values at rows the selection
-// leaves out are unspecified.
+// patches — with the same kernels. A plan without filters is the same read
+// with an empty chain, and so is a source's Next: there is one positional
+// read path. Only the value-based VDT merge, which must see every row, is
+// read whole through Next and filtered after it. Either way every vector of a
+// batch keeps the batch's length, and its values at rows the selection leaves
+// out are unspecified.
 package engine
 
 import (

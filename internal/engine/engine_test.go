@@ -304,24 +304,20 @@ func TestCollectRidsAndStop(t *testing.T) {
 	}
 }
 
+// TestSizeHints: the Sources a table's pipeline is built of — the stable
+// scanner and a merge over it — know exactly how many rows they have left.
 func TestSizeHints(t *testing.T) {
 	tbl := loadUpdated(t, table.ModePDT)
-	src, err := tbl.Scan([]int{0}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h := pdt.SizeHint(src); h != int(tbl.NRows()) {
+	st := tbl.Store()
+	var src pdt.Source = pdt.NewMergeScan(tbl.PDT(), st.NewScanner([]int{0}, 0, st.NRows()), []int{0}, 0, true)
+	if h := src.SizeHint(); h != int(tbl.NRows()) {
 		t.Fatalf("merged hint = %d, want %d", h, tbl.NRows())
 	}
 	clean, err := table.Load(testSchema, testRows(50), table.Options{Mode: table.ModeNone, BlockRows: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err = clean.Scan([]int{0}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h := pdt.SizeHint(src); h != 50 {
+	if h := clean.Store().NewScanner([]int{0}, 0, 50).SizeHint(); h != 50 {
 		t.Fatalf("plain hint = %d, want 50", h)
 	}
 }

@@ -318,8 +318,9 @@ func (pp *pipe) release() {
 // scratch, narrows the selection through the plan's filter chain, and hands
 // every batch with survivors to emit, tagged with the morsel index. A source
 // that can run the chain itself — every positional pipeline, however many
-// merges it stacks over the stable scanner — selects as it reads; one that
-// cannot, the VDT merge, is read whole and filtered here.
+// merges it stacks over the stable scanner — selects as it reads, the empty
+// chain included; one that cannot, the VDT merge, is read whole and filtered
+// here.
 // emit may swap the pipe's scratch for another (the ordered hand-off sends
 // the batch away and continues on a free one). Batches where every row is
 // filtered out never reach emit. pump returns nil only when src is
@@ -335,9 +336,6 @@ func (pp *pipe) pump(src pdt.BatchSource, mi int, emit func(pp *pipe, mi int) er
 		}
 	}
 	selector, _ := src.(pdt.Selector)
-	if len(chain.Filters) == 0 {
-		selector = nil
-	}
 	for !pp.ap.stop.Load() {
 		pp.b.Reset()
 		var n int

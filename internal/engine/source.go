@@ -114,11 +114,10 @@ func PartitionLayers(s *colstore.Store, loKey, hiKey types.Row, layers ...*pdt.P
 // frozen maintenance layer only while a background fold or checkpoint is in
 // flight, and a fresh transaction's Trans-PDT is empty — pass them
 // unconditionally, and an image with nothing live above it reads as the bare
-// scan. Either way the stack, under Numbered, is a pdt.Selector when base is
-// a pdt.RunSelector, as the stable scanner is: the executor hands it the
-// plan's filter chain, each merge passes its runs of untouched rows down in
-// one call per batch, and the stable scanner filters them on its encoded
-// blocks. Emptiness is judged here, when the source is opened: a layer that
+// scan. Either way the stack, under Numbered, is a pdt.Selector: the executor
+// hands it the plan's filter chain — empty when the plan has no filter — each
+// merge passes its runs of untouched rows down in one call per batch, and the
+// stable scanner filters them on its encoded blocks. Emptiness is judged here, when the source is opened: a layer that
 // gains its first entry under an open source stays invisible to it. A
 // statement that writes while it scans must not rely on either outcome; that
 // is what Txn.BeginQuery's private Query-PDT is for.
@@ -138,93 +137,53 @@ func StackPDTs(base pdt.Source, cols []int, startSID uint64, includeEnd bool, la
 // exhausted, then the second, and so on. A sharded table scans as the
 // concatenation of its shards' merged pipelines (each wrapped in OffsetRids so
 // RIDs stay globally consecutive). Errors surface from whichever source is
-// active. The result is a pdt.Selector when every source is one, so a morsel
-// that also opens an empty shard's slot still filters in its scanners.
+// active. Every source must be a pdt.Selector, as every positional pipeline
+// is, and so is the result: a morsel that also opens an empty shard's slot
+// still filters in its scanners.
 func Concat(srcs ...pdt.BatchSource) pdt.BatchSource {
 	if len(srcs) == 1 {
 		return srcs[0]
 	}
-	if sels := selectors(srcs); sels != nil {
-		return &concatSelector{concatSource{srcs: srcs}, sels}
-	}
-	return &concatSource{srcs: srcs}
+	return &concat{srcs: srcs}
 }
 
-// selectors returns srcs as pdt.Selectors, or nil when one is not.
-func selectors(srcs []pdt.BatchSource) []pdt.Selector {
-	sels := make([]pdt.Selector, len(srcs))
-	for i, s := range srcs {
-		var ok bool
-		if sels[i], ok = s.(pdt.Selector); !ok {
-			return nil
-		}
-	}
-	return sels
-}
-
-type concatSource struct {
+type concat struct {
 	srcs []pdt.BatchSource
 	cur  int
 }
 
-func (c *concatSource) Next(out *vector.Batch, max int) (int, error) {
-	for c.cur < len(c.srcs) {
-		n, err := c.srcs[c.cur].Next(out, max)
-		if err != nil {
-			return n, err
-		}
-		if n > 0 {
-			return n, nil
-		}
-		c.cur++
-	}
-	return 0, nil
-}
-
-type concatSelector struct {
-	concatSource
-	sels []pdt.Selector
-}
-
-func (c *concatSelector) Select(out *vector.Batch, max int, chain *vector.Chain, sel *vector.Selection) (int, error) {
-	for ; c.cur < len(c.sels); c.cur++ {
-		if n, err := c.sels[c.cur].Select(out, max, chain, sel); err != nil || n > 0 {
+func (c *concat) Next(out *vector.Batch, max int) (int, error) {
+	for ; c.cur < len(c.srcs); c.cur++ {
+		if n, err := c.srcs[c.cur].Next(out, max); err != nil || n > 0 {
 			return n, err
 		}
 	}
 	return 0, nil
 }
 
-func (c *concatSource) SizeHint() int {
-	total := 0
-	for _, s := range c.srcs[c.cur:] {
-		h := pdt.SizeHint(s)
-		if h < 0 {
-			return -1
+func (c *concat) Select(out *vector.Batch, max int, chain *vector.Chain, sel *vector.Selection) (int, error) {
+	for ; c.cur < len(c.srcs); c.cur++ {
+		if n, err := c.srcs[c.cur].(pdt.Selector).Select(out, max, chain, sel); err != nil || n > 0 {
+			return n, err
 		}
-		total += h
 	}
-	return total
+	return 0, nil
 }
 
 // OffsetRids shifts every RID a source emits by off: shard i of a sharded
 // table produces local RIDs starting at 0, and the coordinator re-bases them
 // by the visible row counts of the shards before it so the concatenated scan
-// emits one consecutive global RID space. The result is a pdt.Selector when
-// src is one, so a shard's read still filters in its scanner.
+// emits one consecutive global RID space. src must be a pdt.Selector, and so
+// is the result, so a shard's read still filters in its scanner.
 func OffsetRids(src pdt.BatchSource, off uint64) pdt.BatchSource {
 	if off == 0 {
 		return src
 	}
-	r := &ridShift{src: src, off: off}
-	if s, ok := src.(pdt.Selector); ok {
-		return &ridShiftSelector{ridShift: r, sel: s}
-	}
-	return r
+	return &ridShift{src: src.(pdt.Selector), off: off}
 }
 
 type ridShift struct {
-	src pdt.BatchSource
+	src pdt.Selector
 	off uint64
 }
 
@@ -235,22 +194,15 @@ func (r *ridShift) Next(out *vector.Batch, max int) (int, error) {
 	return n, err
 }
 
+func (r *ridShift) Select(out *vector.Batch, max int, chain *vector.Chain, sel *vector.Selection) (int, error) {
+	base := len(out.Rids)
+	n, err := r.src.Select(out, max, chain, sel)
+	r.shift(out.Rids[base:])
+	return n, err
+}
+
 func (r *ridShift) shift(rids []uint64) {
 	for i := range rids {
 		rids[i] += r.off
 	}
-}
-
-func (r *ridShift) SizeHint() int { return pdt.SizeHint(r.src) }
-
-type ridShiftSelector struct {
-	*ridShift
-	sel pdt.Selector
-}
-
-func (r *ridShiftSelector) Select(out *vector.Batch, max int, chain *vector.Chain, sel *vector.Selection) (int, error) {
-	base := len(out.Rids)
-	n, err := r.sel.Select(out, max, chain, sel)
-	r.shift(out.Rids[base:])
-	return n, err
 }

@@ -1,7 +1,7 @@
 // Package exec provides the small vectorized query-processing toolkit the
-// TPC-H workload is written against: batch streaming over any positional
-// source, filtering, hash aggregation, hash joins and ordering. It is
-// deliberately minimal — the paper's subject is the scan/merge path, and
+// TPC-H workload is written against: hash aggregation, hash joins and
+// ordering over the batches engine plans deliver. It is deliberately minimal —
+// the paper's subject is the scan/merge path, which package engine runs, and
 // these operators supply the "processing" side of each query in
 // block-at-a-time style.
 package exec
@@ -11,55 +11,9 @@ import (
 	"sort"
 	"strings"
 
-	"pdtstore/internal/pdt"
 	"pdtstore/internal/types"
 	"pdtstore/internal/vector"
 )
-
-// Stream pulls batches of up to batchSize rows from src and hands each to fn
-// (the batch is reused; fn must not retain it).
-func Stream(src pdt.BatchSource, kinds []types.Kind, batchSize int, fn func(b *vector.Batch) error) error {
-	if batchSize <= 0 {
-		batchSize = 1024
-	}
-	b := vector.NewBatch(kinds, batchSize)
-	for {
-		b.Reset()
-		n, err := src.Next(b, batchSize)
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			return nil
-		}
-		if err := fn(b); err != nil {
-			return err
-		}
-	}
-}
-
-// Collect drains src into one batch, stepping by batchSize rows per pull
-// (<= 0 selects 1024) and pre-sizing the output from the source's row-count
-// hint when it offers one.
-func Collect(src pdt.BatchSource, kinds []types.Kind, batchSize int) (*vector.Batch, error) {
-	if batchSize <= 0 {
-		batchSize = 1024
-	}
-	capHint := batchSize
-	if n := pdt.SizeHint(src); n > 0 {
-		capHint = n
-	}
-	out := vector.NewBatch(kinds, capHint)
-	for {
-		n, err := src.Next(out, batchSize)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return out, nil
-		}
-	}
-}
 
 // GroupKey builds a composite group key from values.
 func GroupKey(vals ...types.Value) string {

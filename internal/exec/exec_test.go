@@ -1,74 +1,11 @@
 package exec
 
 import (
-	"errors"
 	"testing"
 
 	"pdtstore/internal/types"
 	"pdtstore/internal/vector"
 )
-
-type fakeSource struct {
-	vals []int64
-	pos  int
-}
-
-func (f *fakeSource) Next(out *vector.Batch, max int) (int, error) {
-	n := 0
-	for f.pos < len(f.vals) && n < max {
-		out.Vecs[0].I = append(out.Vecs[0].I, f.vals[f.pos])
-		out.Rids = append(out.Rids, uint64(f.pos))
-		f.pos++
-		n++
-	}
-	return n, nil
-}
-
-func TestStreamAndCollect(t *testing.T) {
-	vals := make([]int64, 100)
-	for i := range vals {
-		vals[i] = int64(i)
-	}
-	kinds := []types.Kind{types.Int64}
-	sum := int64(0)
-	err := Stream(&fakeSource{vals: vals}, kinds, 7, func(b *vector.Batch) error {
-		for _, v := range b.Vecs[0].I {
-			sum += v
-		}
-		return nil
-	})
-	if err != nil || sum != 4950 {
-		t.Fatalf("stream sum = %d (%v)", sum, err)
-	}
-	out, err := Collect(&fakeSource{vals: vals}, kinds, 7)
-	if err != nil || out.Len() != 100 {
-		t.Fatalf("collect: %d rows (%v)", out.Len(), err)
-	}
-	wantErr := errors.New("stop")
-	err = Stream(&fakeSource{vals: vals}, kinds, 7, func(b *vector.Batch) error { return wantErr })
-	if !errors.Is(err, wantErr) {
-		t.Fatal("stream did not propagate error")
-	}
-}
-
-type hintedSource struct {
-	fakeSource
-	hint int
-}
-
-func (h *hintedSource) SizeHint() int { return h.hint }
-
-func TestCollectPreSizesFromHint(t *testing.T) {
-	vals := make([]int64, 50)
-	src := &hintedSource{fakeSource: fakeSource{vals: vals}, hint: len(vals)}
-	out, err := Collect(src, []types.Kind{types.Int64}, 8)
-	if err != nil || out.Len() != 50 {
-		t.Fatalf("collect: %d rows (%v)", out.Len(), err)
-	}
-	if cap(out.Vecs[0].I) < 50 {
-		t.Fatalf("hint ignored: cap = %d", cap(out.Vecs[0].I))
-	}
-}
 
 func TestAgg(t *testing.T) {
 	var a Agg

@@ -41,9 +41,8 @@ func TestMergeScanProjectionSubset(t *testing.T) {
 	// Project only columns (a) — the merge must apply the col-1 modify,
 	// silently consume the col-2 modify, and never need column k.
 	cols := []int{1}
-	src := newSliceSource(stable, cols, 0, len(stable))
-	ms := NewMergeScan(p, src, cols, 0, true)
-	out, err := ScanAll(ms, []types.Kind{types.Int64})
+	ms := NewMergeScan(p, newBlockSource(stable, cols, 0, len(stable)), cols, 0, true)
+	out, err := scanNumbered(ms, []types.Kind{types.Int64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +67,7 @@ func TestMergeScanRange(t *testing.T) {
 
 	// Scan stable SIDs [3, 12): rows with keys 40..120 as updated.
 	cols := []int{0, 1, 2}
-	src := newSliceSource(stable, cols, 3, 12)
-	ms := NewMergeScan(p, src, cols, 3, false)
+	ms := NewMergeScan(p, newBlockSource(stable, cols, 3, 12), cols, 3, false)
 	kinds := []types.Kind{types.Int64, types.Int64, types.String}
 	out, err := scanNumbered(ms, kinds)
 	if err != nil {
@@ -103,9 +101,8 @@ func TestMergeScanIncludeEnd(t *testing.T) {
 
 	cols := []int{0}
 	// Range [2,5) excluding end: insert at sid 5 not emitted.
-	src := newSliceSource(stable, cols, 2, 5)
-	ms := NewMergeScan(p, src, cols, 2, false)
-	out, err := ScanAll(ms, []types.Kind{types.Int64})
+	ms := NewMergeScan(p, newBlockSource(stable, cols, 2, 5), cols, 2, false)
+	out, err := scanNumbered(ms, []types.Kind{types.Int64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,9 +110,8 @@ func TestMergeScanIncludeEnd(t *testing.T) {
 		t.Fatalf("excl-end merge %d rows, want 3 (keys 30,40,50)", out.Len())
 	}
 	// Same range including end: the trailing insert appears.
-	src = newSliceSource(stable, cols, 2, 5)
-	ms = NewMergeScan(p, src, cols, 2, true)
-	out, err = ScanAll(ms, []types.Kind{types.Int64})
+	ms = NewMergeScan(p, newBlockSource(stable, cols, 2, 5), cols, 2, true)
+	out, err = scanNumbered(ms, []types.Kind{types.Int64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +139,7 @@ func TestMergeScanStacked(t *testing.T) {
 
 	cols := []int{0, 1, 2}
 	kinds := []types.Kind{types.Int64, types.Int64, types.String}
-	src := newSliceSource(stable, cols, 0, len(stable))
-	m1 := NewMergeScan(lower, src, cols, 0, true)
+	m1 := NewMergeScan(lower, newBlockSource(stable, cols, 0, len(stable)), cols, 0, true)
 	m2 := NewMergeScan(upper, m1, cols, m1.StartRID(), true)
 	out, err := scanNumbered(m2, kinds)
 	if err != nil {
@@ -178,11 +173,10 @@ func TestMergeScanSmallBatches(t *testing.T) {
 
 	cols := []int{0, 1, 2}
 	kinds := []types.Kind{types.Int64, types.Int64, types.String}
-	src := newSliceSource(stable, cols, 0, len(stable))
-	ms := NewMergeScan(p, src, cols, 0, true)
-	out := vector.NewBatch(kinds, 4)
+	ms := NewMergeScan(p, newBlockSource(stable, cols, 0, len(stable)), cols, 0, true)
+	src, out := Numbered(ms, ms.StartRID()), vector.NewBatch(kinds, 4)
 	for {
-		n, err := ms.Next(out, 3)
+		n, err := src.Next(out, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

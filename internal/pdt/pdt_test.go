@@ -35,45 +35,6 @@ func table0() []types.Row {
 	}
 }
 
-// sliceSource is a Source over in-memory rows, standing in for the
-// stable-store scanner.
-type sliceSource struct {
-	rows []types.Row
-	cols []int
-	pos  int
-	end  int
-}
-
-func newSliceSource(rows []types.Row, cols []int, from, to int) *sliceSource {
-	if to > len(rows) {
-		to = len(rows)
-	}
-	if from > to {
-		from = to
-	}
-	return &sliceSource{rows: rows, cols: cols, pos: from, end: to}
-}
-
-func (s *sliceSource) Next(out *vector.Batch, max int) (int, error) {
-	n := 0
-	for s.pos < s.end && n < max {
-		for i, c := range s.cols {
-			out.Vecs[i].Append(s.rows[s.pos][c])
-		}
-		s.pos++
-		n++
-	}
-	return n, nil
-}
-
-func (s *sliceSource) Skip(n int) (int, error) {
-	n = min(n, s.end-s.pos)
-	s.pos += n
-	return n, nil
-}
-
-func (s *sliceSource) More() (bool, error) { return s.pos < s.end, nil }
-
 // scanNumbered drains a merge the way a consumer sees it: under Numbered, from
 // the merge's own start RID.
 func scanNumbered(ms *MergeScan, kinds []types.Kind) (*vector.Batch, error) {
@@ -131,8 +92,7 @@ func mergeAll(t *testing.T, p *PDT, stable []types.Row) *vector.Batch {
 		cols[i] = i
 		kinds[i] = p.Schema().Cols[i].Kind
 	}
-	src := newSliceSource(stable, cols, 0, len(stable))
-	ms := NewMergeScan(p, src, cols, 0, true)
+	ms := NewMergeScan(p, newBlockSource(stable, cols, 0, len(stable)), cols, 0, true)
 	out, err := scanNumbered(ms, kinds)
 	if err != nil {
 		t.Fatalf("merge scan: %v", err)

@@ -1,12 +1,14 @@
 package pdt
 
-// The stack differential: 1-5 MergeScans chained over a block-shaped fake of
-// the stable scanner, driven through Next/Skip/More in arbitrary order and
-// batch sizes, against a row-at-a-time model that never looks at a cursor —
-// plus the property the chain exists for: every stable value is written once,
-// into the consumer's own batch, whatever the depth. Its selecting twin reads
-// the same stack through Select with a drawn filter chain, and must keep
-// exactly the rows, values and RIDs that Next followed by Chain.Apply keeps.
+// The stack differential: 1-5 MergeScans chained over a fake of the stable
+// scanner, read under Numbered in arbitrary batch sizes, against a
+// row-at-a-time model that never looks at a cursor — plus the property the
+// chain exists for: every stable value is written once, into the consumer's
+// own batch, whatever the depth. Next is read into fresh batches and into
+// batches still holding the rows before, which it must append after; its
+// selecting twin reads the same stack through Select with a drawn filter
+// chain, the empty one included, and must keep exactly the rows, values and
+// RIDs the chain keeps of the model's.
 
 import (
 	"fmt"
@@ -32,58 +34,35 @@ func stackSchema() *types.Schema {
 }
 
 // blockSource is the stable scanner's shape without a store: rows [pos, end)
-// of an image, handed out at most one block at a time (a short count at every
-// block boundary, as colstore.Scanner returns). It records what it is asked
-// for: wrote counts the values written per position, skipped the positions
-// passed over, batches every distinct batch it was handed. It is a
-// RunSelector by the letter of the contract: SelectRuns writes every row of
-// its runs whole, filters those not kept with the chain's kernels, and
-// scribbles over the rows that fail, whose values a selector leaves
-// unspecified.
+// of an image. It records what it is asked for: wrote counts the values
+// written per position, skipped the positions passed over, batches every
+// distinct batch it was handed. It is a Source by the letter of the contract:
+// SelectRuns writes every row of its runs whole, filters those not kept with
+// the chain's kernels, and scribbles over the rows that fail, whose values a
+// selector leaves unspecified. Its scratch is its own, so a read allocates
+// nothing per call once the maps hold every position.
 type blockSource struct {
-	rows     []types.Row
-	cols     []int
-	pos, end int
-	block    int
-	wrote    map[int]int
-	skipped  map[int]bool
-	batches  map[*vector.Batch]bool
+	rows         []types.Row
+	cols         []int
+	pos, end     int
+	wrote        map[int]int
+	skipped      map[int]bool
+	batches      map[*vector.Batch]bool
+	cand, tested vector.Selection
 }
 
-func newBlockSource(rows []types.Row, cols []int, from, to, block int) *blockSource {
-	return &blockSource{rows: rows, cols: cols, pos: from, end: to, block: block,
+func newBlockSource(rows []types.Row, cols []int, from, to int) *blockSource {
+	to = min(to, len(rows))
+	return &blockSource{rows: rows, cols: cols, pos: min(from, to), end: to,
 		wrote: map[int]int{}, skipped: map[int]bool{}, batches: map[*vector.Batch]bool{}}
 }
-
-func (s *blockSource) Next(out *vector.Batch, max int) (int, error) {
-	s.batches[out] = true
-	n := min(max, s.end-s.pos, s.block-s.pos%s.block)
-	for i := 0; i < n; i++ {
-		for j, c := range s.cols {
-			out.Vecs[j].Append(s.rows[s.pos][c])
-		}
-		s.wrote[s.pos]++
-		s.pos++
-	}
-	return n, nil
-}
-
-func (s *blockSource) Skip(n int) (int, error) {
-	n = min(n, s.end-s.pos)
-	for i := 0; i < n; i++ {
-		s.skipped[s.pos+i] = true
-	}
-	s.pos += n
-	return n, nil
-}
-
-func (s *blockSource) More() (bool, error) { return s.pos < s.end, nil }
 
 func (s *blockSource) SizeHint() int { return s.end - s.pos }
 
 func (s *blockSource) SelectRuns(out *vector.Batch, runs []vector.Run, keep []uint32, chain *vector.Chain, sel *vector.Selection) error {
 	s.batches[out] = true
-	var cand vector.Selection
+	cand := &s.cand
+	cand.Reset()
 	kept := keep
 	for _, r := range runs {
 		if r.Skip+r.N > s.end-s.pos {
@@ -107,9 +86,10 @@ func (s *blockSource) SelectRuns(out *vector.Batch, runs []vector.Run, keep []ui
 			}
 		}
 	}
-	tested := slices.Clone(cand.Indexes())
-	chain.Apply(out, &cand)
-	for pass := cand.Indexes(); len(tested) > 0; tested = tested[1:] {
+	s.tested.Reset()
+	s.tested.AppendShifted(cand.Indexes(), 0)
+	chain.Apply(out, cand)
+	for pass, tested := cand.Indexes(), s.tested.Indexes(); len(tested) > 0; tested = tested[1:] {
 		if len(pass) > 0 && pass[0] == tested[0] {
 			pass = pass[1:]
 			continue
@@ -118,8 +98,10 @@ func (s *blockSource) SelectRuns(out *vector.Batch, runs []vector.Run, keep []ui
 			scribble(v, int(tested[0]))
 		}
 	}
-	sel.Reset()
-	sel.AppendUnion(cand.Indexes(), keep)
+	if sel != nil {
+		sel.Reset()
+		sel.AppendUnion(cand.Indexes(), keep)
+	}
 	return nil
 }
 
@@ -281,10 +263,12 @@ var stackProjections = [][]int{{0, 1, 2, 3}, {1}, {2, 0}, {3, 1}, {}}
 
 var stackBatchSizes = []int{1, 3, 16, 1024}
 
-// checkStack is the differential for one stack and one way of reading it.
-// drive is consumed a byte per step: Next of one of the batch sizes, Skip of
-// 1-8 rows, or More; when it runs out the rest is read with Next.
-func checkStack(t *testing.T, layers []*PDT, stable, image []types.Row, lo, hi, block int, includeEnd bool, cols []int, drive []byte) {
+// checkStack is the differential for one stack read through Next. drive is
+// consumed a byte per step: a batch size, and whether the batch is emptied
+// first or still holds the rows read before — which Next must leave as they
+// are and append after; when it runs out the rest is read into fresh batches.
+// Every row the batch holds must be the model's, with consecutive RIDs.
+func checkStack(t *testing.T, layers []*PDT, stable, image []types.Row, lo, hi int, includeEnd bool, cols []int, drive []byte) {
 	t.Helper()
 	want, wantRID := modelStack(layers, stable, lo, hi, includeEnd)
 	if lo == 0 && hi == len(stable) && includeEnd {
@@ -298,85 +282,60 @@ func checkStack(t *testing.T, layers []*PDT, stable, image []types.Row, lo, hi, 
 			}
 		}
 	}
-	kinds := stackKinds(cols)
-	where := fmt.Sprintf("[%d,%d) block %d end %v cols %v", lo, hi, block, includeEnd, cols)
+	where := fmt.Sprintf("[%d,%d) end %v cols %v", lo, hi, includeEnd, cols)
 
-	// Once as a consumer reads it: rows and consecutive RIDs.
-	top, startRID := stackOver(layers, newBlockSource(stable, cols, lo, hi, block), cols, lo, includeEnd)
+	base := newBlockSource(stable, cols, lo, hi)
+	top, startRID := stackOver(layers, base, cols, lo, includeEnd)
 	if startRID != wantRID {
 		t.Fatalf("%s: start RID %d, model %d", where, startRID, wantRID)
 	}
-	// Over an exact source the hint is exact, at every depth: a selecting
-	// stack sizes its batches by it.
-	if h := SizeHint(top); h != len(want) {
+	// Over an exact source the hint is exact, at every depth: a read sizes
+	// its batches by it.
+	if h := top.SizeHint(); h != len(want) {
 		t.Fatalf("%s: size hint %d for %d rows under %d layers", where, h, len(want), len(layers))
 	}
-	all, err := ScanAll(Numbered(top, startRID), kinds)
-	if err != nil {
-		t.Fatalf("%s: %v", where, err)
-	}
-	if all.Len() != len(want) || len(all.Rids) != len(want) {
-		t.Fatalf("%s: %d rows, %d rids, model %d\nlayers %v", where, all.Len(), len(all.Rids), len(want), layers)
-	}
-	for i, rid := range all.Rids {
-		if rid != wantRID+uint64(i) {
-			t.Fatalf("%s: rid %d = %d, want %d", where, i, rid, wantRID+uint64(i))
-		}
-	}
-
-	// Once through the positional contract, steered by drive.
-	base := newBlockSource(stable, cols, lo, hi, block)
-	top, _ = stackOver(layers, base, cols, lo, includeEnd)
-	out := vector.NewBatch(kinds, 16)
-	pos := 0
+	src := Numbered(top, startRID)
+	out := vector.NewBatch(stackKinds(cols), 16)
+	pos := 0 // rows read so far
 	for step := 0; ; step++ {
-		act := byte(0)
+		act := 0
 		if step < len(drive) {
-			act = drive[step]
+			act = int(drive[step])
 		}
-		switch {
-		case act%4 == 1:
-			k := 1 + int(act>>2)%8
-			n, err := top.Skip(k)
-			if err != nil || n != min(k, len(want)-pos) {
-				t.Fatalf("%s: Skip(%d) at row %d of %d = %d, %v", where, k, pos, len(want), n, err)
-			}
-			pos += n
-		case act%4 == 2:
-			more, err := top.More()
-			if err != nil || more != (pos < len(want)) {
-				t.Fatalf("%s: More at row %d of %d = %v, %v", where, pos, len(want), more, err)
-			}
-		default:
-			k := stackBatchSizes[int(act>>2)%len(stackBatchSizes)]
+		if act%2 == 0 {
 			out.Reset()
-			n, err := top.Next(out, k)
-			if err != nil || n != min(k, len(want)-pos) || len(out.Rids) != 0 {
-				t.Fatalf("%s: Next(%d) at row %d of %d = %d, %v (%d rids)", where, k, pos, len(want), n, err, len(out.Rids))
-			}
-			for j, v := range out.Vecs {
-				if v.Len() != n {
-					t.Fatalf("%s: Next(%d) = %d but vector %d holds %d", where, k, n, j, v.Len())
+		}
+		k, held := stackBatchSizes[act/2%len(stackBatchSizes)], out.Len()
+		n, err := src.Next(out, k)
+		if err != nil || n != min(k, len(want)-pos) || out.Len() != held+n || len(out.Rids) != held+n {
+			t.Fatalf("%s: Next(%d) after row %d of %d into %d rows = %d, %v (%d rows, %d rids)", where, k, pos, len(want), held, n, err, out.Len(), len(out.Rids))
+		}
+		first := pos - held // the model row of the batch's first
+		for j, v := range out.Vecs {
+			for i := 0; i < out.Len(); i++ {
+				if types.Compare(v.Get(i), want[first+i][cols[j]]) != 0 {
+					t.Fatalf("%s: row %d col %d = %v, want %v\nlayers %v", where, first+i, cols[j], v.Get(i), want[first+i], layers)
 				}
-				for i := 0; i < n; i++ {
-					if types.Compare(v.Get(i), want[pos+i][cols[j]]) != 0 {
-						t.Fatalf("%s: row %d col %d = %v, want %v\nlayers %v", where, pos+i, cols[j], v.Get(i), want[pos+i], layers)
-					}
-				}
-			}
-			pos += n
-			if n == 0 {
-				if len(base.batches) > 1 || (len(base.batches) == 1 && !base.batches[out]) {
-					t.Fatalf("%s: the base was handed a batch that is not the consumer's", where)
-				}
-				for sid, times := range base.wrote {
-					if times != 1 || base.skipped[sid] {
-						t.Fatalf("%s: stable row %d written %d times (skipped %v)", where, sid, times, base.skipped[sid])
-					}
-				}
-				return
 			}
 		}
+		for i, rid := range out.Rids {
+			if rid != wantRID+uint64(first+i) {
+				t.Fatalf("%s: rid of row %d = %d, want %d", where, first+i, rid, wantRID+uint64(first+i))
+			}
+		}
+		pos += n
+		if n > 0 {
+			continue
+		}
+		if len(base.batches) > 1 || (len(base.batches) == 1 && !base.batches[out]) {
+			t.Fatalf("%s: the base was handed a batch that is not the consumer's", where)
+		}
+		for sid, times := range base.wrote {
+			if times != 1 || base.skipped[sid] {
+				t.Fatalf("%s: stable row %d written %d times (skipped %v)", where, sid, times, base.skipped[sid])
+			}
+		}
+		return
 	}
 }
 
@@ -388,11 +347,11 @@ func stackKinds(cols []int) []types.Kind {
 	return kinds
 }
 
-// stackChain draws a filter chain over the projection cols from filt: one to
-// three of an int range on a, a float range on f and a string Eq or In on b,
-// in an order filt picks, each on its column's projected slot or, when cols
-// lacks the column, on a filter-only slot after them. It returns the batch's
-// columns — cols, then the filter-only ones — and the chain.
+// stackChain draws a filter chain over the projection cols from filt: none,
+// or one to three of an int range on a, a float range on f and a string Eq or
+// In on b, in an order filt picks, each on its column's projected slot or,
+// when cols lacks the column, on a filter-only slot after them. It returns the
+// batch's columns — cols, then the filter-only ones — and the chain.
 func stackChain(cols []int, filt []byte) ([]int, *vector.Chain) {
 	at := func(i int) int {
 		if i < len(filt) {
@@ -420,8 +379,8 @@ func stackChain(cols []int, filt []byte) ([]int, *vector.Chain) {
 		str,
 	}
 	chain := &vector.Chain{Outputs: len(cols)}
-	for k := 0; k <= at(0)%3; k++ {
-		p := preds[(at(0)/3+k)%3]
+	for k := 0; k < at(0)%4; k++ {
+		p := preds[(at(0)/4+k)%3]
 		chain.Filters = append(chain.Filters, vector.Filter{Slot: slotOf(p.Col), Pred: p})
 	}
 	return slots, chain
@@ -444,36 +403,36 @@ func renderSelected(lines []string, b *vector.Batch, sel []uint32, outputs int) 
 
 // checkSelect is the selecting differential for one stack: Select, in batch
 // sizes drive picks (now and then a Next, filtered here, in between), must
-// keep what Next followed by Chain.Apply keeps — the same rows, the same
+// keep what the chain keeps of the model's rows — the same rows, the same
 // values in every output slot, the same RIDs — and still write every stable
 // value at most once, into the consumer's batch. (blockSource serves runs
 // whatever blocks they cross; the stable scanner's side of that is
 // colstore's TestSelectRunsMatchesRows.)
-func checkSelect(t *testing.T, layers []*PDT, stable []types.Row, lo, hi, block int, includeEnd bool, cols []int, filt, drive []byte) {
+func checkSelect(t *testing.T, layers []*PDT, stable []types.Row, lo, hi int, includeEnd bool, cols []int, filt, drive []byte) {
 	t.Helper()
 	slots, chain := stackChain(cols, filt)
 	kinds := stackKinds(slots)
-	where := fmt.Sprintf("[%d,%d) block %d end %v slots %v chain %+v", lo, hi, block, includeEnd, slots, chain.Filters)
+	where := fmt.Sprintf("[%d,%d) end %v slots %v chain %+v", lo, hi, includeEnd, slots, chain.Filters)
 
-	top, rid := stackOver(layers, newBlockSource(stable, slots, lo, hi, block), slots, lo, includeEnd)
-	all, err := ScanAll(Numbered(top, rid), kinds)
-	if err != nil {
-		t.Fatalf("%s: %v", where, err)
+	rows, rid := modelStack(layers, stable, lo, hi, includeEnd)
+	model := vector.NewBatch(kinds, len(rows))
+	for i, r := range rows {
+		for j, c := range slots {
+			model.Vecs[j].Append(r[c])
+		}
+		model.Rids = append(model.Rids, rid+uint64(i))
 	}
-	ref := vector.NewSelection(all.Len())
-	ref.All(all.Len())
-	chain.Apply(all, ref)
-	want := renderSelected(nil, all, ref.Indexes(), len(cols))
+	ref := vector.NewSelection(len(rows))
+	ref.All(len(rows))
+	chain.Apply(model, ref)
+	want := renderSelected(nil, model, ref.Indexes(), len(cols))
 
-	base := newBlockSource(stable, slots, lo, hi, block)
-	top, rid = stackOver(layers, base, slots, lo, includeEnd)
-	src, ok := Numbered(top, rid).(Selector)
-	if !ok {
-		t.Fatalf("%s: a stack over a RunSelector does not select", where)
-	}
+	base := newBlockSource(stable, slots, lo, hi)
+	top, rid := stackOver(layers, base, slots, lo, includeEnd)
+	src := Numbered(top, rid)
 	out, sel := vector.NewBatch(kinds, 16), vector.NewSelection(16)
 	var got []string
-	rows := 0
+	read := 0
 	for step := 0; ; step++ {
 		act := 0
 		if step < len(drive) {
@@ -482,8 +441,9 @@ func checkSelect(t *testing.T, layers []*PDT, stable []types.Row, lo, hi, block 
 		k := stackBatchSizes[act%len(stackBatchSizes)]
 		out.Reset()
 		var n int
+		var err error
 		if act%5 == 4 {
-			if n, err = src.(BatchSource).Next(out, k); n > 0 {
+			if n, err = src.Next(out, k); n > 0 {
 				sel.All(n)
 				chain.Apply(out, sel)
 			}
@@ -500,10 +460,10 @@ func checkSelect(t *testing.T, layers []*PDT, stable []types.Row, lo, hi, block 
 			t.Fatalf("%s: a batch of %d rows (asked %d) holds %d RIDs and %d values", where, n, k, len(out.Rids), out.Len())
 		}
 		got = renderSelected(got, out, sel.Indexes(), len(cols))
-		rows += n
+		read += n
 	}
-	if rows != all.Len() || !slices.Equal(got, want) {
-		t.Fatalf("%s: Select read %d rows and kept\n%v\nNext then the chain read %d and kept\n%v\nlayers %v", where, rows, got, all.Len(), want, layers)
+	if read != len(rows) || !slices.Equal(got, want) {
+		t.Fatalf("%s: Select read %d rows and kept\n%v\nthe model has %d and the chain keeps\n%v\nlayers %v", where, read, got, len(rows), want, layers)
 	}
 	if len(base.batches) > 1 {
 		t.Fatalf("%s: the base was handed a batch that is not the consumer's", where)
@@ -516,7 +476,7 @@ func checkSelect(t *testing.T, layers []*PDT, stable []types.Row, lo, hi, block 
 }
 
 // checkStackScript reads one stack every which way the byte arguments select.
-func checkStackScript(t *testing.T, script, drive, filt []byte, nLayers, nStable, lo, hi, block, proj uint8, includeEnd bool) {
+func checkStackScript(t *testing.T, script, drive, filt []byte, nLayers, nStable, lo, hi, proj uint8, includeEnd bool) {
 	t.Helper()
 	stable := stackStable(int(nStable) % 80)
 	layers, image := buildStack(t, script, stable, 1+int(nLayers)%5)
@@ -526,25 +486,26 @@ func checkStackScript(t *testing.T, script, drive, filt []byte, nLayers, nStable
 		to = from + int(hi)%(len(stable)-from+1)
 	}
 	cols := stackProjections[int(proj)%len(stackProjections)]
-	checkStack(t, layers, stable, image, from, to, 1+int(block)%17, includeEnd, cols, drive)
-	checkStack(t, layers, stable, image, 0, len(stable), 1+int(block)%17, true, cols, drive)
-	checkSelect(t, layers, stable, from, to, 1+int(block)%17, includeEnd, cols, filt, drive)
-	checkSelect(t, layers, stable, 0, len(stable), 1+int(block)%17, true, cols, filt, drive)
+	checkStack(t, layers, stable, image, from, to, includeEnd, cols, drive)
+	checkStack(t, layers, stable, image, 0, len(stable), true, cols, drive)
+	checkSelect(t, layers, stable, from, to, includeEnd, cols, filt, drive)
+	checkSelect(t, layers, stable, 0, len(stable), true, cols, filt, drive)
 }
 
 // FuzzMergeScanStack feeds arbitrary update scripts, read schedules and
 // filter chains to the stack differential and its selecting twin.
 func FuzzMergeScanStack(f *testing.F) {
-	f.Add([]byte{0, 3, 4, 3, 3, 0, 6, 2, 0, 200, 4, 0, 7, 1}, []byte{0, 1, 2, 4, 9, 2}, []byte{1, 3, 5, 40, 9, 3}, uint8(2), uint8(20), uint8(3), uint8(9), uint8(4), uint8(0), false)
-	f.Add([]byte{0, 255, 1, 255, 2, 255, 4, 0, 3, 0, 4, 0, 4, 0}, []byte{2, 2, 5, 8}, []byte{5, 0, 0, 59, 29, 1, 1}, uint8(4), uint8(6), uint8(0), uint8(6), uint8(2), uint8(3), true)
-	// Skip to the last row, then More: a trailing insert three layers down.
-	f.Add([]byte("0B0700$7$0$1"), []byte("12000000"), []byte{8, 10, 2, 30, 10, 4, 3, 5}, uint8(4), uint8(6), uint8(0), uint8(6), uint8(2), uint8(3), true)
-	f.Add([]byte{}, []byte{12}, []byte{}, uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(1), true)
-	f.Fuzz(func(t *testing.T, script, drive, filt []byte, nLayers, nStable, lo, hi, block, proj uint8, includeEnd bool) {
+	f.Add([]byte{0, 3, 4, 3, 3, 0, 6, 2, 0, 200, 4, 0, 7, 1}, []byte{0, 1, 2, 4, 9, 2}, []byte{1, 3, 5, 40, 9, 3}, uint8(2), uint8(20), uint8(3), uint8(9), uint8(0), false)
+	f.Add([]byte{0, 255, 1, 255, 2, 255, 4, 0, 3, 0, 4, 0, 4, 0}, []byte{2, 2, 5, 8}, []byte{5, 0, 0, 59, 29, 1, 1}, uint8(4), uint8(6), uint8(0), uint8(6), uint8(3), true)
+	// One-row batches appended to the last row: a trailing insert three
+	// layers down.
+	f.Add([]byte("0B0700$7$0$1"), []byte{1, 1, 1, 1, 1, 1, 1}, []byte{8, 10, 2, 30, 10, 4, 3, 5}, uint8(4), uint8(6), uint8(0), uint8(6), uint8(3), true)
+	f.Add([]byte{}, []byte{12}, []byte{}, uint8(0), uint8(0), uint8(0), uint8(0), uint8(1), true)
+	f.Fuzz(func(t *testing.T, script, drive, filt []byte, nLayers, nStable, lo, hi, proj uint8, includeEnd bool) {
 		if len(script) > 400 {
 			script = script[:400]
 		}
-		checkStackScript(t, script, drive, filt, nLayers, nStable, lo, hi, block, proj, includeEnd)
+		checkStackScript(t, script, drive, filt, nLayers, nStable, lo, hi, proj, includeEnd)
 	})
 }
 
@@ -559,9 +520,9 @@ func TestMergeScanStackSeeded(t *testing.T) {
 		rng.Read(drive)
 		filt := make([]byte, 8)
 		rng.Read(filt)
-		b := make([]byte, 5)
+		b := make([]byte, 3)
 		rng.Read(b)
-		checkStackScript(t, script, drive, filt, uint8(seed), b[0], b[1], b[2], b[3], uint8(seed/5), seed%2 == 0)
+		checkStackScript(t, script, drive, filt, uint8(seed), b[0], b[1], b[2], uint8(seed/5), seed%2 == 0)
 	}
 }
 
@@ -591,13 +552,13 @@ func TestMergeScanStackCorners(t *testing.T) {
 	for _, r := range [][2]int{{0, 12}, {4, 12}, {0, 4}, {3, 5}, {4, 4}, {12, 12}, {5, 9}} {
 		for _, includeEnd := range []bool{false, true} {
 			for _, cols := range stackProjections {
-				for block := 1; block <= 5; block += 2 {
-					checkStack(t, layers, stable, ref.rows, r[0], r[1], block, includeEnd, cols, []byte{0, 1, 2, 4, 5, 2, 8, 2})
-				}
-				// A chain that keeps every a, inserted and modified alike, and
-				// one that tells row 4's old a from its new one.
-				checkSelect(t, layers, stable, r[0], r[1], 3, includeEnd, cols, []byte{0, 4, 0, 80}, []byte{0, 1, 2, 3})
-				checkSelect(t, layers, stable, r[0], r[1], 3, includeEnd, cols, []byte{3, 77, 0, 2, 20}, []byte{3, 2})
+				checkStack(t, layers, stable, ref.rows, r[0], r[1], includeEnd, cols, []byte{0, 1, 2, 4, 5, 2, 8, 2})
+				checkStack(t, layers, stable, ref.rows, r[0], r[1], includeEnd, cols, []byte{1, 1, 1, 3, 1, 1})
+				// No chain; a chain that keeps every a, inserted and modified
+				// alike; and one that tells row 4's old a from its new one.
+				checkSelect(t, layers, stable, r[0], r[1], includeEnd, cols, []byte{0}, []byte{0, 1, 2, 4})
+				checkSelect(t, layers, stable, r[0], r[1], includeEnd, cols, []byte{1, 4, 0, 80}, []byte{0, 1, 2, 3})
+				checkSelect(t, layers, stable, r[0], r[1], includeEnd, cols, []byte{5, 77, 0, 2, 20}, []byte{3, 2})
 			}
 		}
 	}
@@ -618,17 +579,17 @@ func TestMergeScanSizeHintIsRangeLocal(t *testing.T) {
 				applyDelete(t, p, ref, 40)
 			}
 		}
-		ms := NewMergeScan(p, newBlockSource(stable, []int{1}, 8, 24, 16), []int{1}, 8, false)
+		ms := NewMergeScan(p, newBlockSource(stable, []int{1}, 8, 24), []int{1}, 8, false)
 		if h := ms.SizeHint(); h != 16 {
 			t.Fatalf("grow=%v: a 16-row range no entry touches hints %d", grow, h)
 		}
-		ms = NewMergeScan(p, newBlockSource(stable, []int{1}, 32, 64, 16), []int{1}, 32, true)
+		ms = NewMergeScan(p, newBlockSource(stable, []int{1}, 32, 64), []int{1}, 32, true)
 		want := 32 + int(p.Delta())
 		if h := ms.SizeHint(); h != want {
 			t.Fatalf("grow=%v: the touched range hints %d, want %d", grow, h, want)
 		}
 		out := vector.NewBatch([]types.Kind{types.Int64}, 8)
-		if _, err := ms.Next(out, 5); err != nil {
+		if _, err := Numbered(ms, ms.StartRID()).Next(out, 5); err != nil {
 			t.Fatal(err)
 		}
 		if h := ms.SizeHint(); h != want-5 {
@@ -639,10 +600,11 @@ func TestMergeScanSizeHintIsRangeLocal(t *testing.T) {
 
 // TestMergeScanStackAllocsAreFlat: reading through five live layers allocates
 // what reading the bare source does plus a constant per merge opened — no
-// layer owns a batch, and nothing is allocated per batch or per row.
+// layer owns a batch, and nothing is allocated per batch or per row: reading
+// twice the rows through them costs what reading the first half does.
 func TestMergeScanStackAllocsAreFlat(t *testing.T) {
 	schema := stackSchema()
-	stable := stackStable(20000)
+	stable := stackStable(40000)
 	ref := newRefModel(schema, stable[:64]) // updates near the front: cheap to mirror
 	layers := make([]*PDT, 5)
 	for li := range layers {
@@ -655,10 +617,10 @@ func TestMergeScanStackAllocsAreFlat(t *testing.T) {
 	cols := []int{0, 1}
 	kinds := []types.Kind{types.Int64, types.Int64}
 	out := vector.NewBatch(kinds, 1024)
-	base := &sliceSource{rows: stable, cols: cols}
-	scan := func(layers []*PDT) func() {
+	base := newBlockSource(stable, cols, 0, len(stable))
+	scan := func(layers []*PDT, rows int) func() {
 		return func() {
-			base.pos, base.end = 0, len(stable)
+			base.pos, base.end = 0, rows
 			top, rid := stackOver(layers, base, cols, 0, true)
 			src := Numbered(top, rid)
 			for {
@@ -669,8 +631,11 @@ func TestMergeScanStackAllocsAreFlat(t *testing.T) {
 			}
 		}
 	}
-	bare := testing.AllocsPerRun(5, scan(nil))
-	deep := testing.AllocsPerRun(5, scan(layers))
+	bare := testing.AllocsPerRun(5, scan(nil, 20000))
+	deep := testing.AllocsPerRun(5, scan(layers, 20000))
+	if twice := testing.AllocsPerRun(5, scan(layers, 40000)); twice != deep {
+		t.Fatalf("5 layers allocate %.0f over 20000 rows, %.0f over 40000", deep, twice)
+	}
 	// A merge is its struct, its column list and its projection map (and a
 	// cursor spine in a tree with inner nodes); a staging batch of two columns
 	// would be seven more.

@@ -304,7 +304,7 @@ func (t *STxn) PartitionScan(loKey, hiKey types.Row) (*engine.PartScan, error) {
 			return res
 		},
 		Open: func(cols []int, mlo, mhi uint64, last, ahead bool) (pdt.BatchSource, error) {
-			var srcs []pdt.BatchSource
+			srcs := make([]pdt.BatchSource, 0, len(segs))
 			for _, sg := range segs {
 				var slo, shi uint64
 				switch {

@@ -211,23 +211,6 @@ func (v *VDT) RangeStartRID(stableSIDsBefore uint64, loKey types.Row) uint64 {
 	return uint64(int64(stableSIDsBefore) + int64(insBefore) - int64(delBefore))
 }
 
-// SizeHint estimates the remaining row count: the source's remainder adjusted
-// by the VDT's net delta (advisory; same contract as pdt.SizeHinter).
-func (m *MergeScan) SizeHint() int {
-	h, ok := m.src.(interface{ SizeHint() int })
-	if !ok {
-		return -1
-	}
-	n := h.SizeHint()
-	if n < 0 {
-		return -1
-	}
-	if n += int(m.v.Delta()); n < 0 {
-		n = 0
-	}
-	return n
-}
-
 // stableKey extracts the sort key of buffered stable row i.
 func (m *MergeScan) stableKey(i int) types.Row {
 	key := make(types.Row, len(m.keyIdx))

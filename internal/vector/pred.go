@@ -58,7 +58,7 @@ type Chain struct {
 // Run places a stretch of a source's rows in a batch: the source passes over
 // Skip rows, then its next N rows land at batch positions At, At+1, ... A
 // merge describes the rows it passes through untouched as runs, and its
-// source selects over them (pdt.RunSelector).
+// source reads them (pdt.Source); a bare read is one run.
 type Run struct {
 	Skip, N, At int
 }
