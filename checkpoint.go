@@ -16,7 +16,7 @@ package pdtstore
 //	shared       the empty set — re-reference the current chain, bump the
 //	             freeze LSN, write no segment at all
 //	incremental  dirty cells < half the image and the chain stays within
-//	             Checkpoint.MaxGenerations: the set as computed
+//	             maxGenerations segments: the set as computed
 //	full         everything else — the set widened to shift block 0, so
 //	             nothing is inherited and the result is one flat segment,
 //	             collapsing the chain (bounds scan fan-out and read
@@ -42,70 +42,32 @@ import (
 	"pdtstore/internal/table"
 )
 
-// Checkpoint policy defaults, substituted for zero CheckpointOptions fields
-// by Open.
+// Checkpoint policy and cost model. Constants, not options: nothing ever set
+// them, and the scheduler is meant to fit the weights online from measured
+// µs/record and µs/block rather than be told.
 const (
-	// defaultMaxGenerations bounds a segment chain's length; reaching it
-	// forces a whole rewrite that collapses the chain.
-	defaultMaxGenerations = 8
-	// defaultCheckpointInterval is the scheduler's decision cadence.
-	defaultCheckpointInterval = 25 * time.Millisecond
-	// defaultMaxWALRecords force-checkpoints a shard whose tail grew this
-	// long regardless of the cost model.
-	defaultMaxWALRecords = 1024
-)
-
-// Cost-model weights, in microseconds: replaying one WAL record at open,
-// writing one (column, block) cell, and one manifest swap + fsync. Constants,
-// not options: nothing ever set them, and the scheduler is meant to fit them
-// online from measured µs/record and µs/block rather than be told.
-const (
+	// maxGenerations bounds a segment chain's length; reaching it forces a
+	// whole rewrite that collapses the chain.
+	maxGenerations = 8
+	// checkpointInterval is the scheduler's decision cadence.
+	checkpointInterval = 25 * time.Millisecond
+	// maxWALRecords force-checkpoints a shard whose tail grew this long
+	// regardless of the cost model.
+	maxWALRecords = 1024
+	// Cost-model weights, in microseconds: replaying one WAL record at open,
+	// writing one (column, block) cell, and one manifest swap + fsync.
 	replayCostUs     = 300.0
 	blockWriteCostUs = 40.0
 	swapCostUs       = 2000.0
 )
 
-// CheckpointOptions tunes the incremental checkpoint machinery and its
-// background scheduler. The zero value means: chains of up to 8 segments, no
-// background scheduler.
+// CheckpointOptions selects the background checkpoint scheduler. The zero
+// value means no scheduler: checkpoints run only when DB.Checkpoint is called.
 type CheckpointOptions struct {
-	// MaxGenerations caps the segment chain length per shard; a checkpoint
-	// that would exceed it rewrites in full instead (0 = default, 8). Must be
-	// at least 1, which makes every checkpoint a whole rewrite into a single
-	// flat segment.
-	MaxGenerations int
 	// Auto runs a background scheduler that checkpoints a shard when the
 	// cost model says its WAL tail's replay cost exceeds the checkpoint's
-	// write cost, or the tail exceeds MaxWALRecords.
+	// write cost, or the tail reaches 1024 commit-clock entries.
 	Auto bool
-	// Interval is the scheduler's decision cadence (0 = default, 25ms).
-	Interval time.Duration
-	// MaxWALRecords force-checkpoints a shard whose tail reached this many
-	// commit-clock entries (0 = default, 1024).
-	MaxWALRecords int
-}
-
-// normalize substitutes defaults for zero fields and rejects nonsense.
-func (o CheckpointOptions) normalize() (CheckpointOptions, error) {
-	if o.MaxGenerations == 0 {
-		o.MaxGenerations = defaultMaxGenerations
-	}
-	if o.Interval == 0 {
-		o.Interval = defaultCheckpointInterval
-	}
-	if o.MaxWALRecords == 0 {
-		o.MaxWALRecords = defaultMaxWALRecords
-	}
-	if o.MaxGenerations < 1 {
-		return o, fmt.Errorf("pdtstore: Checkpoint.MaxGenerations < 1 (%d)", o.MaxGenerations)
-	}
-	if o.Interval < 0 {
-		return o, fmt.Errorf("pdtstore: negative Checkpoint.Interval (%v)", o.Interval)
-	}
-	if o.MaxWALRecords < 1 {
-		return o, fmt.Errorf("pdtstore: Checkpoint.MaxWALRecords < 1 (%d)", o.MaxWALRecords)
-	}
-	return o, nil
 }
 
 // CheckpointDecision records the cost-model inputs and outcome of one
@@ -270,7 +232,7 @@ func (db *DB) buildShardImage(i int, name string, tail uint64, store *colstore.S
 		return store.CloneShared(), nil
 	}
 	mode := "incremental"
-	if len(store.Segments())+1 > db.ckpt.MaxGenerations || 2*ds.WriteCells() >= ds.TotalCells() {
+	if len(store.Segments())+1 > db.maxGenerations || 2*ds.WriteCells() >= ds.TotalCells() {
 		// Inheriting would overrun the chain bound, or spare less than half
 		// the image: inherit nothing and collapse the chain instead.
 		ds.Widen()
@@ -351,7 +313,7 @@ func (db *DB) decideShard(i int) CheckpointDecision {
 		est += total / 2
 	}
 	d := decision(tail, max(min(est, total), 1), total, "skip")
-	if int(tail) >= db.ckpt.MaxWALRecords || d.ReplayUs > d.WriteUs {
+	if int(tail) >= maxWALRecords || d.ReplayUs > d.WriteUs {
 		d.Mode = "checkpoint"
 	}
 	return d
@@ -360,7 +322,7 @@ func (db *DB) decideShard(i int) CheckpointDecision {
 // schedulerLoop is the background checkpoint scheduler (Checkpoint.Auto).
 func (db *DB) schedulerLoop() {
 	defer close(db.schedDone)
-	t := time.NewTicker(db.ckpt.Interval)
+	t := time.NewTicker(checkpointInterval)
 	defer t.Stop()
 	for {
 		select {

@@ -60,6 +60,10 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the figure run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile of the figure run to this file")
 	flag.Parse()
+	if *fanout < 3 { // pdt.New would silently build its default fanout instead
+		fmt.Fprintf(os.Stderr, "pdtbench: -fanout %d: a PDT needs a fanout of at least 3\n", *fanout)
+		os.Exit(2)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

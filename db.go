@@ -66,13 +66,6 @@ type Options struct {
 	BlockRows int
 	// Compressed selects compressed stable blocks.
 	Compressed bool
-	// WriteBudget caps the Write-PDT before background Write→Read folds
-	// (0 = transaction-manager default).
-	WriteBudget uint64
-	// MaxCommitBatch caps how many concurrent commits one group-commit
-	// flush folds into a single WAL append and fsync (0 = transaction-
-	// manager default of 128; 1 makes every commit pay its own fsync).
-	MaxCommitBatch int
 	// Device shares a buffer pool across stores; nil creates a private one.
 	Device *colstore.Device
 	// Shards splits the table into this many key-range shards, each with its
@@ -90,9 +83,8 @@ type Options struct {
 	// where nil selects row-count quantile cuts read off the image. Ignored
 	// once the manifest records splits — they are permanent.
 	ShardKeys []types.Row
-	// Checkpoint tunes incremental checkpoints and the background cost-model
-	// scheduler. The zero value selects the defaults (incremental allowed,
-	// scheduler off); nonsense combinations are rejected at Open.
+	// Checkpoint selects the background cost-model checkpoint scheduler
+	// (off in the zero value).
 	Checkpoint CheckpointOptions
 	// IndexColumns opts listed schema columns into secondary block indexes:
 	// per-(column, block) value summaries over the stable image (exact
@@ -170,12 +162,13 @@ type DB struct {
 	retired []*colstore.Store
 	closed  bool
 
-	// ckpt is Options.Checkpoint with defaults resolved and validated.
-	ckpt CheckpointOptions
+	// maxGenerations bounds each shard's segment chain: the constant of that
+	// name, which tests lower to pin checkpoints to whole rewrites.
+	maxGenerations int
 	// lastCost records, per shard, the cost-model inputs and outcome of the
 	// most recent checkpoint decision (scheduler skip included). Guarded by mu.
 	lastCost []CheckpointDecision
-	// Background checkpoint scheduler lifecycle (ckpt.Auto only).
+	// Background checkpoint scheduler lifecycle (Checkpoint.Auto only).
 	schedStop chan struct{}
 	schedDone chan struct{}
 	schedOnce sync.Once
@@ -236,10 +229,6 @@ func shardWalDir(shard int) string {
 // cross-shard commit whose record is missing from any participant stream,
 // which is dropped from all of them.
 func Open(dir string, opts Options) (*DB, error) {
-	ckpt, err := opts.Checkpoint.normalize()
-	if err != nil {
-		return nil, err
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -337,11 +326,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	streams = wal.CompleteGroups(streams, bases)
 	mgrs := make([]*txn.Manager, n)
 	for i := range stores {
-		mgrs[i], err = txn.NewManager(tbls[i], txn.Options{
-			WriteBudget:    opts.WriteBudget,
-			Log:            logs[i],
-			MaxCommitBatch: opts.MaxCommitBatch,
-		})
+		mgrs[i], err = txn.NewManager(tbls[i], txn.Options{Log: logs[i]})
 		if err != nil {
 			return nil, err
 		}
@@ -380,10 +365,11 @@ func Open(dir string, opts Options) (*DB, error) {
 		sharded:  sharded,
 		man:      man,
 		nextGen:  man.Generation,
-		ckpt:     ckpt,
 		lastCost: make([]CheckpointDecision, n),
+
+		maxGenerations: maxGenerations,
 	}
-	if ckpt.Auto {
+	if opts.Checkpoint.Auto {
 		db.schedStop = make(chan struct{})
 		db.schedDone = make(chan struct{})
 		go db.schedulerLoop()

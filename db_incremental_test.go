@@ -1,7 +1,7 @@
 package pdtstore
 
 // Tests for incremental checkpoints: segment chains, block sharing across
-// generations, the new crash cuts, the checkpoint policy knobs, and the
+// generations, the new crash cuts, the checkpoint scheduler, and the
 // randomized full-vs-incremental state-equivalence harness.
 
 import (
@@ -248,10 +248,10 @@ func testIncrementalCrashPoint(t *testing.T, shards int, point, mode string) {
 }
 
 // TestIncrementalFullEquivalence is the randomized long-run harness: two
-// stores replay one random op stream, one pinned to whole rewrites
-// (MaxGenerations 1), one free to chain incremental checkpoints (with a tight MaxGenerations so both
-// modes and forced collapses all occur), with checkpoints and kill-reopen
-// cycles interleaved at random. After every reopen and at the end, both
+// stores replay one random op stream, one pinned to whole rewrites (a chain
+// bound of 1), one free to chain incremental checkpoints (with a tight chain
+// bound of 3 so both modes and forced collapses all occur), with checkpoints
+// and kill-reopen cycles interleaved at random. After every reopen and at the end, both
 // stores must serve the identical committed state.
 func TestIncrementalFullEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 4} {
@@ -263,17 +263,17 @@ func TestIncrementalFullEquivalence(t *testing.T) {
 
 func testEquivalence(t *testing.T, shards int) {
 	rng := rand.New(rand.NewSource(42 + int64(shards)))
-	open := func(dir string, ckpt CheckpointOptions) *DB {
+	open := func(dir string, maxGen int) *DB {
 		t.Helper()
-		db, err := Open(dir, Options{Schema: dbSchema, BlockRows: 64, Compressed: true, Checkpoint: ckpt,
+		db, err := Open(dir, Options{Schema: dbSchema, BlockRows: 64, Compressed: true,
 			Shards: shards, ShardKeys: shardTestCuts[:shards-1]})
 		if err != nil {
 			t.Fatal(err)
 		}
+		db.maxGenerations = maxGen
 		return db
 	}
-	fullCkpt := CheckpointOptions{MaxGenerations: 1}
-	incCkpt := CheckpointOptions{MaxGenerations: 3}
+	const fullCkpt, incCkpt = 1, 3
 	dirA, dirB := t.TempDir(), t.TempDir()
 	dbA := open(dirA, fullCkpt)
 	dbB := open(dirB, incCkpt)
@@ -387,43 +387,6 @@ func testEquivalence(t *testing.T, shards int) {
 	dbB.Close()
 }
 
-// TestCheckpointOptionsValidation: nonsense knob combinations are rejected at
-// Open, not when the first checkpoint trips over them.
-func TestCheckpointOptionsValidation(t *testing.T) {
-	bad := []CheckpointOptions{
-		{MaxGenerations: -1},
-		{Interval: -time.Second},
-		{MaxWALRecords: -3},
-	}
-	for _, ckpt := range bad {
-		dir := t.TempDir()
-		if _, err := Open(dir, Options{Schema: dbSchema, Checkpoint: ckpt}); err == nil {
-			t.Fatalf("Open accepted nonsense checkpoint options %+v", ckpt)
-		}
-	}
-	// MaxGenerations: 1 is legal and pins every checkpoint to a full rewrite.
-	dir := t.TempDir()
-	db, err := Open(dir, Options{Schema: dbSchema, BlockRows: 64, Checkpoint: CheckpointOptions{MaxGenerations: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	m := model{}
-	commitInserts(t, db, m, 0, 640)
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	commitUpdates(t, db, m, 3)
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	st := db.Stats().Shard[0]
-	if st.Generations != 1 || st.LastDecision.Mode != "full" {
-		t.Fatalf("MaxGenerations=1 still chained: %d generations, mode %q", st.Generations, st.LastDecision.Mode)
-	}
-	checkState(t, db, m)
-}
-
 // TestStatsSnapshot sanity-checks the Stats surface: the only window into the
 // store's clock, WAL and segment chains.
 func TestStatsSnapshot(t *testing.T) {
@@ -464,7 +427,7 @@ func TestSchedulerAutoCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{
 		Schema: dbSchema, BlockRows: 64, Compressed: true,
-		Checkpoint: CheckpointOptions{Auto: true, Interval: time.Millisecond, MaxWALRecords: 8},
+		Checkpoint: CheckpointOptions{Auto: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -474,10 +437,11 @@ func TestSchedulerAutoCheckpoint(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		commitUpdates(t, db, m, int64(i*7), int64(i*7+320))
 	}
-	// The scheduler runs on its own clock; wait until it checkpointed at
-	// least once (13 commits against MaxWALRecords 8 force it). Whatever
-	// tail remains after the last absorb is legitimately below the cost
-	// threshold.
+	// The scheduler runs on its own 25 ms clock; wait until it checkpointed
+	// at least once. Over the empty bootstrap image the cost model writes
+	// one cell and fires at a tail of 7 records, so the 13 commits force
+	// it. Whatever tail remains after the last absorb is legitimately below
+	// the cost threshold.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st := db.Stats()
@@ -502,7 +466,7 @@ func TestStatsReportsSchedulerFailure(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(dir, Options{
 		Schema: dbSchema, BlockRows: 64, Compressed: true,
-		Checkpoint: CheckpointOptions{Auto: true, Interval: time.Millisecond, MaxWALRecords: 1},
+		Checkpoint: CheckpointOptions{Auto: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -520,7 +484,11 @@ func TestStatsReportsSchedulerFailure(t *testing.T) {
 		t.Fatalf("failure reported before any checkpoint ran: %v", err)
 	}
 	m := model{}
-	commitInserts(t, db, m, 0, 64) // one record: the tail bound forces a checkpoint
+	// Eight one-record commits: over the empty bootstrap image the cost
+	// model fires at a tail of 7.
+	for k := int64(0); k < 64; k += 8 {
+		commitInserts(t, db, m, k, k+8)
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for db.Stats().AutoCheckpointErr == nil {
 		if time.Now().After(deadline) {
@@ -613,12 +581,12 @@ func TestFullCheckpointSegmentHash(t *testing.T) {
 		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
 			dir := t.TempDir()
 			db, err := Open(dir, Options{Schema: dbSchema, BlockRows: 64, Compressed: true,
-				Checkpoint: CheckpointOptions{MaxGenerations: 1},
-				Shards:     shards, ShardKeys: shardTestCuts[:shards-1]})
+				Shards: shards, ShardKeys: shardTestCuts[:shards-1]})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer db.Close()
+			db.maxGenerations = 1 // every checkpoint a whole rewrite
 			var got []string
 			checkpoint := func() {
 				t.Helper()

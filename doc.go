@@ -63,12 +63,12 @@
 // chain member holding its current bytes (refcounted; fully superseded
 // members are unlinked after the manifest swap). An empty delta shares the
 // previous image outright, and a delta worth more than half the table — or
-// a chain at CheckpointOptions.MaxGenerations — collapses to a full
-// rewrite: the same build with nothing inherited, which leaves one flat
-// segment and no block map. The same cost model drives an optional
-// background scheduler (CheckpointOptions.Auto) that checkpoints a shard
-// when its estimated WAL replay cost outgrows the estimated checkpoint cost,
-// bounding cold-open time; knobs are validated at Open. DB.Stats exposes the
+// a chain already 8 segments long — collapses to a full rewrite: the same
+// build with nothing inherited, which leaves one flat segment and no block
+// map. The same cost model drives an optional background scheduler
+// (CheckpointOptions.Auto) that checkpoints a shard when its estimated WAL
+// replay cost outgrows the estimated checkpoint cost, bounding cold-open
+// time. DB.Stats exposes the
 // per-shard WAL tail, generation chain, per-segment live-block counts and
 // the last scheduler decision, and the scheduler's first failure.
 //
@@ -86,8 +86,8 @@
 // (wal.AppendGroup); install (installLocked) advances the clock and the
 // Write-PDT and wakes every waiter with its LSN. Begin and scans never wait
 // behind an in-flight fsync, and a failed barrier aborts the whole batch
-// fail-stop with nothing visible, live or at replay. Options.MaxCommitBatch
-// caps the batch.
+// fail-stop with nothing visible, live or at replay. A batch holds at most
+// 128 commits.
 //
 // The serialized part of that commit path is O(change), not O(state):
 // Begin takes a copy-on-write Write-PDT snapshot in O(1) (pdt.Snapshot;

@@ -26,16 +26,14 @@ func main() {
 		{Name: "qty", Kind: types.Int64},
 	}, []int{0})
 
-	// Auto-checkpointing: a background scheduler weighs WAL replay cost
-	// against block rewrite cost and checkpoints when replay would be the
-	// more expensive side. Small deltas become incremental generations.
+	// Auto-checkpointing: every 25 ms a background scheduler weighs WAL
+	// replay cost against block rewrite cost and checkpoints when replay
+	// would be the more expensive side. Small deltas become incremental
+	// generations.
 	db, err := pdtstore.Open(dir, pdtstore.Options{
-		Schema:    schema,
-		BlockRows: 64,
-		Checkpoint: pdtstore.CheckpointOptions{
-			Auto:     true,
-			Interval: 5 * time.Millisecond,
-		},
+		Schema:     schema,
+		BlockRows:  64,
+		Checkpoint: pdtstore.CheckpointOptions{Auto: true},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -71,7 +69,7 @@ func main() {
 		if err := tx.Commit(); err != nil {
 			log.Fatal(err)
 		}
-		time.Sleep(2 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond) // a few scheduler ticks over the trickle
 	}
 
 	// Point read back through the same interface.

@@ -31,7 +31,7 @@ func main() {
 		row("London", "table", false, 20),
 		row("Paris", "rug", false, 1),
 		row("Paris", "stool", false, 5),
-	}, table.Options{Mode: table.ModePDT, Fanout: 2})
+	}, table.Options{Mode: table.ModePDT})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -154,9 +154,6 @@ func New(schema *types.Schema, fanout int) *PDT {
 // Schema returns the table schema the PDT describes updates against.
 func (t *PDT) Schema() *types.Schema { return t.schema }
 
-// Fanout returns the tree's fanout (for stats and tests).
-func (t *PDT) Fanout() int { return t.fanout }
-
 // Count returns the number of update entries in the tree.
 func (t *PDT) Count() int { return t.nEntries }
 

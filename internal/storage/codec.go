@@ -1,48 +1,19 @@
 package storage
 
-// Compact little-endian codec for the metadata that rides in segment footers:
-// values, rows and schemas. The WAL has its own record codec; this one is
-// deliberately independent so the two formats can evolve separately (a WAL
-// format bump must not invalidate every segment on disk, and vice versa).
+// Schema encoding for segment footers. Values and rows use the types codec,
+// which the WAL's records use too.
 
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
-	"math"
 
 	"pdtstore/internal/types"
 )
 
-func appendString(buf []byte, s string) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-	return append(buf, s...)
-}
-
-func appendValue(buf []byte, v types.Value) []byte {
-	buf = append(buf, byte(v.K))
-	switch v.K {
-	case types.Float64:
-		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F))
-	case types.String:
-		return appendString(buf, v.S)
-	default:
-		return binary.LittleEndian.AppendUint64(buf, uint64(v.I))
-	}
-}
-
-func appendRow(buf []byte, r types.Row) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r)))
-	for _, v := range r {
-		buf = appendValue(buf, v)
-	}
-	return buf
-}
-
 func appendSchema(buf []byte, s *types.Schema) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Cols)))
 	for _, c := range s.Cols {
-		buf = appendString(buf, c.Name)
+		buf = types.AppendString(buf, c.Name)
 		buf = append(buf, byte(c.Kind))
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.SortKey)))
@@ -52,79 +23,20 @@ func appendSchema(buf []byte, s *types.Schema) []byte {
 	return buf
 }
 
-type reader struct {
-	buf []byte
-	err error
-}
-
-func (r *reader) take(n int) []byte {
-	if r.err != nil || len(r.buf) < n {
-		r.err = io.ErrUnexpectedEOF
-		return make([]byte, n)
-	}
-	out := r.buf[:n]
-	r.buf = r.buf[n:]
-	return out
-}
-
-func (r *reader) u64() uint64 { return binary.LittleEndian.Uint64(r.take(8)) }
-func (r *reader) u32() uint32 { return binary.LittleEndian.Uint32(r.take(4)) }
-func (r *reader) u8() byte    { return r.take(1)[0] }
-
-func (r *reader) str() string {
-	n := int(r.u32())
-	if r.err != nil || len(r.buf) < n {
-		r.err = io.ErrUnexpectedEOF
-		return ""
-	}
-	return string(r.take(n))
-}
-
-func (r *reader) value() types.Value {
-	k := types.Kind(r.u8())
-	switch k {
-	case types.Float64:
-		return types.Value{K: k, F: math.Float64frombits(r.u64())}
-	case types.String:
-		return types.Value{K: k, S: r.str()}
-	default:
-		return types.Value{K: k, I: int64(r.u64())}
-	}
-}
-
-func (r *reader) row() types.Row {
-	n := int(r.u32())
-	if r.err != nil || n > len(r.buf)/5 {
-		r.err = io.ErrUnexpectedEOF
-		return nil
-	}
-	row := make(types.Row, n)
-	for i := range row {
-		row[i] = r.value()
-	}
-	return row
-}
-
-func (r *reader) schema() (*types.Schema, error) {
-	ncols := int(r.u32())
-	if r.err != nil || ncols > len(r.buf)/5 {
-		return nil, io.ErrUnexpectedEOF
-	}
-	cols := make([]types.Column, ncols)
+// readSchema reads what appendSchema writes. A column takes at least 5
+// bytes (an empty name and a kind), a sort-key entry 4.
+func readSchema(r *types.Reader) (*types.Schema, error) {
+	cols := make([]types.Column, r.Count(5))
 	for i := range cols {
-		cols[i].Name = r.str()
-		cols[i].Kind = types.Kind(r.u8())
+		cols[i].Name = r.Str()
+		cols[i].Kind = types.Kind(r.U8())
 	}
-	nsort := int(r.u32())
-	if r.err != nil || nsort > len(r.buf)/4 {
-		return nil, io.ErrUnexpectedEOF
-	}
-	sortKey := make([]int, nsort)
+	sortKey := make([]int, r.Count(4))
 	for i := range sortKey {
-		sortKey[i] = int(r.u32())
+		sortKey[i] = int(r.U32())
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	s, err := types.NewSchema(cols, sortKey)
 	if err != nil {

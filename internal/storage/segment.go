@@ -416,7 +416,7 @@ func encodeFooter(schema *types.Schema, nrows uint64, blockRows int, compressed 
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(sparse)))
 	for _, row := range sparse {
-		buf = appendRow(buf, row)
+		buf = types.AppendRow(buf, row)
 	}
 	// The tail after the sparse rows is the extensible part of the footer.
 	var sections []struct {
@@ -514,53 +514,53 @@ func (s *Segment) checkGeometry(dataEnd int64) error {
 }
 
 func parseFooter(buf []byte) (*Segment, error) {
-	r := &reader{buf: buf}
-	schema, err := r.schema()
+	r := &types.Reader{Buf: buf}
+	schema, err := readSchema(r)
 	if err != nil {
 		return nil, err
 	}
 	s := &Segment{schema: schema}
-	s.nrows = r.u64()
-	s.blockRows = int(r.u32())
-	s.compressed = r.u8() != 0
-	ncols := int(r.u32())
-	if r.err != nil || ncols != schema.NumCols() {
+	s.nrows = r.U64()
+	s.blockRows = int(r.U32())
+	s.compressed = r.U8() != 0
+	ncols := int(r.U32())
+	if r.Err != nil || ncols != schema.NumCols() {
 		return nil, fmt.Errorf("index covers %d columns, schema has %d", ncols, schema.NumCols())
 	}
 	s.index = make([][]BlockEntry, ncols)
 	for c := range s.index {
-		nblk := int(r.u32())
-		if r.err != nil || nblk > len(r.buf)/16 {
+		nblk := int(r.U32())
+		if r.Err != nil || nblk > len(r.Buf)/16 {
 			return nil, fmt.Errorf("bad block count %d", nblk)
 		}
 		col := make([]BlockEntry, nblk)
 		for b := range col {
-			col[b] = BlockEntry{Off: int64(r.u64()), Len: r.u32(), CRC: r.u32()}
+			col[b] = BlockEntry{Off: int64(r.U64()), Len: r.U32(), CRC: r.U32()}
 		}
 		s.index[c] = col
 	}
-	nsparse := int(r.u32())
-	if r.err != nil || nsparse > len(r.buf)/4 {
+	nsparse := int(r.U32())
+	if r.Err != nil || nsparse > len(r.Buf)/4 {
 		return nil, fmt.Errorf("bad sparse count %d", nsparse)
 	}
 	s.sparse = make([]types.Row, nsparse)
 	for i := range s.sparse {
-		s.sparse[i] = r.row()
+		s.sparse[i] = r.Row()
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err != nil {
+		return nil, r.Err
 	}
-	if marker := r.u32(); r.err != nil || marker != sectionSentinel {
+	if marker := r.U32(); r.Err != nil || marker != sectionSentinel {
 		return nil, fmt.Errorf("no section tail after the sparse index")
 	}
-	nsec := int(r.u8())
+	nsec := int(r.U8())
 	for i := 0; i < nsec; i++ {
-		tag := r.u8()
-		plen := int(r.u32())
-		if r.err != nil || plen > len(r.buf) {
+		tag := r.U8()
+		plen := int(r.U32())
+		if r.Err != nil || plen > len(r.Buf) {
 			return nil, fmt.Errorf("bad section length %d", plen)
 		}
-		sr := &reader{buf: r.take(plen)}
+		sr := &types.Reader{Buf: r.Take(plen)}
 		switch tag {
 		case sectionPlaces:
 			if s.places, err = decodePlaces(sr, ncols); err != nil {
@@ -574,54 +574,54 @@ func parseFooter(buf []byte) (*Segment, error) {
 			// Unknown section written by a newer format: skip it.
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	return s, nil
 }
 
-func decodePlaces(r *reader, ncols int) ([][]BlockPlace, error) {
-	npcols := int(r.u32())
-	if r.err != nil || npcols != ncols {
+func decodePlaces(r *types.Reader, ncols int) ([][]BlockPlace, error) {
+	npcols := int(r.U32())
+	if r.Err != nil || npcols != ncols {
 		return nil, fmt.Errorf("block map covers %d columns, schema has %d", npcols, ncols)
 	}
 	places := make([][]BlockPlace, npcols)
 	for c := range places {
-		nblk := int(r.u32())
-		if r.err != nil || nblk > len(r.buf)/8 {
+		nblk := int(r.U32())
+		if r.Err != nil || nblk > len(r.Buf)/8 {
 			return nil, fmt.Errorf("bad block map count %d", nblk)
 		}
 		col := make([]BlockPlace, nblk)
 		for b := range col {
-			col[b] = BlockPlace{Seg: r.u32(), Blk: r.u32()}
+			col[b] = BlockPlace{Seg: r.U32(), Blk: r.U32()}
 		}
 		places[c] = col
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	return places, nil
 }
 
-func decodeZones(r *reader, ncols int) ([][]Zone, error) {
-	nzcols := int(r.u32())
-	if r.err != nil || nzcols != ncols {
+func decodeZones(r *types.Reader, ncols int) ([][]Zone, error) {
+	nzcols := int(r.U32())
+	if r.Err != nil || nzcols != ncols {
 		return nil, fmt.Errorf("zone map covers %d columns, schema has %d", nzcols, ncols)
 	}
 	zones := make([][]Zone, nzcols)
 	for c := range zones {
-		nblk := int(r.u32())
-		if r.err != nil || nblk > len(r.buf)/5 {
+		nblk := int(r.U32())
+		if r.Err != nil || nblk > len(r.Buf)/5 {
 			return nil, fmt.Errorf("bad zone count %d", nblk)
 		}
 		col := make([]Zone, nblk)
 		for b := range col {
-			col[b] = r.zone()
+			col[b] = readZone(r)
 		}
 		zones[c] = col
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	return zones, nil
 }

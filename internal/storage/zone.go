@@ -11,6 +11,8 @@ package storage
 import (
 	"encoding/binary"
 	"math"
+
+	"pdtstore/internal/types"
 )
 
 // ZoneKind says which min/max arm of a Zone is populated.
@@ -57,8 +59,8 @@ func appendZone(buf []byte, z Zone) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(z.MinF))
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(z.MaxF))
 	case ZoneString:
-		buf = appendString(buf, z.MinS)
-		buf = appendString(buf, z.MaxS)
+		buf = types.AppendString(buf, z.MinS)
+		buf = types.AppendString(buf, z.MaxS)
 		var flags byte
 		if z.MaxSTrunc {
 			flags |= zoneFlagMaxTrunc
@@ -68,20 +70,20 @@ func appendZone(buf []byte, z Zone) []byte {
 	return buf
 }
 
-func (r *reader) zone() Zone {
-	z := Zone{Kind: ZoneKind(r.u8())}
-	z.Nulls = r.u32()
+func readZone(r *types.Reader) Zone {
+	z := Zone{Kind: ZoneKind(r.U8())}
+	z.Nulls = r.U32()
 	switch z.Kind {
 	case ZoneInt:
-		z.MinI = int64(r.u64())
-		z.MaxI = int64(r.u64())
+		z.MinI = int64(r.U64())
+		z.MaxI = int64(r.U64())
 	case ZoneFloat:
-		z.MinF = math.Float64frombits(r.u64())
-		z.MaxF = math.Float64frombits(r.u64())
+		z.MinF = math.Float64frombits(r.U64())
+		z.MaxF = math.Float64frombits(r.U64())
 	case ZoneString:
-		z.MinS = r.str()
-		z.MaxS = r.str()
-		z.MaxSTrunc = r.u8()&zoneFlagMaxTrunc != 0
+		z.MinS = r.Str()
+		z.MaxS = r.Str()
+		z.MaxSTrunc = r.U8()&zoneFlagMaxTrunc != 0
 	}
 	return z
 }

@@ -46,10 +46,9 @@ func (m DeltaMode) String() string {
 // Options configures a table.
 type Options struct {
 	Mode       DeltaMode
+	Device     *colstore.Device // shared "disk"; nil = private device
 	BlockRows  int              // values per column block (0 = default)
 	Compressed bool             // compress stable blocks
-	Fanout     int              // PDT fanout (0 = paper default of 8)
-	Device     *colstore.Device // shared "disk"; nil = private device
 }
 
 // Table is an updatable ordered table. The stable image and its delta
@@ -97,7 +96,7 @@ func FromStore(store *colstore.Store, opts Options) (*Table, error) {
 	im := &image{store: store}
 	switch opts.Mode {
 	case ModePDT:
-		im.pdt = pdt.New(t.schema, opts.Fanout)
+		im.pdt = pdt.New(t.schema, pdt.DefaultFanout)
 	case ModeVDT:
 		im.vdt = vdt.New(t.schema)
 	case ModeNone:
@@ -113,11 +112,6 @@ func (t *Table) Schema() *types.Schema { return t.schema }
 
 // Mode returns the delta mode.
 func (t *Table) Mode() DeltaMode { return t.opts.Mode }
-
-// Fanout returns the configured PDT fanout (0 selects the paper default).
-// The transaction manager threads it into every write layer it creates, so
-// a tuned tree geometry survives checkpoints.
-func (t *Table) Fanout() int { return t.opts.Fanout }
 
 // Store returns the stable image (read-only).
 func (t *Table) Store() *colstore.Store { return t.img.Load().store }
@@ -388,7 +382,7 @@ func (t *Table) Checkpoint() error {
 	next := &image{store: store}
 	switch t.opts.Mode {
 	case ModePDT:
-		next.pdt = pdt.New(t.schema, t.opts.Fanout)
+		next.pdt = pdt.New(t.schema, pdt.DefaultFanout)
 	case ModeVDT:
 		next.vdt = vdt.New(t.schema)
 	}

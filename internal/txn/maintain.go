@@ -75,9 +75,7 @@ type MaterializeFn func(freezeLSN uint64, store *colstore.Store, deltas ...*pdt.
 func (m *Manager) freezeLocked() *pdt.PDT {
 	frozen := m.writePDT
 	m.frozen = frozen
-	// The table's fanout, not the default: a checkpoint installs this layer
-	// as the next Read-PDT, so the configured geometry must carry through.
-	m.writePDT = pdt.New(m.tbl.Schema(), m.tbl.Fanout())
+	m.writePDT = pdt.New(m.tbl.Schema(), pdt.DefaultFanout)
 	m.snapCache = nil
 	m.rebasePendingLocked()
 	return frozen
@@ -265,7 +263,7 @@ func (m *Manager) CheckpointInto(build MaterializeFn) error {
 		return err
 	}
 	side := m.writePDT // commits that landed during the build
-	m.writePDT = pdt.New(m.tbl.Schema(), m.tbl.Fanout())
+	m.writePDT = pdt.New(m.tbl.Schema(), pdt.DefaultFanout)
 	m.snapCache = nil
 	m.frozen = nil
 	m.rebasePendingLocked()

@@ -180,7 +180,7 @@ func NewManager(tbl *table.Table, opts Options) (*Manager, error) {
 	m := &Manager{
 		tbl:         tbl,
 		cur:         &version{store: tbl.Store(), readPDT: tbl.PDT()},
-		writePDT:    pdt.New(tbl.Schema(), tbl.Fanout()),
+		writePDT:    pdt.New(tbl.Schema(), pdt.DefaultFanout),
 		running:     map[*Txn]struct{}{},
 		writeBudget: budget,
 		log:         opts.Log,

@@ -509,43 +509,6 @@ func TestCheckpointBuildFailureRollsBack(t *testing.T) {
 	}
 }
 
-// TestCheckpointPreservesFanout: the side write layer a checkpoint installs
-// as the next Read-PDT must carry the table's configured fanout, not the
-// default.
-func TestCheckpointPreservesFanout(t *testing.T) {
-	rows := make([]types.Row, 10)
-	for i := range rows {
-		rows[i] = types.Row{types.Int(int64((i + 1) * 10)), types.Int(0), types.Str("s")}
-	}
-	tbl, err := table.Load(testSchema(), rows, table.Options{Mode: table.ModePDT, Fanout: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewManager(tbl, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.WritePDT().Fanout(); got != 16 {
-		t.Fatalf("fresh Write-PDT fanout = %d, want 16", got)
-	}
-	tx := m.Begin()
-	if err := tx.Insert(types.Row{types.Int(5), types.Int(0), types.Str("n")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.ReadPDT().Fanout(); got != 16 {
-		t.Fatalf("post-checkpoint Read-PDT fanout = %d, want 16", got)
-	}
-	if got := m.WritePDT().Fanout(); got != 16 {
-		t.Fatalf("post-checkpoint Write-PDT fanout = %d, want 16", got)
-	}
-}
-
 // TestCheckpointReleasesRetiredImage: once the last transaction pinned to a
 // pre-checkpoint version finishes, the retired stable image's blocks leave
 // the device's buffer pool instead of leaking one entry per block per

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"pdtstore/internal/pdt"
 	"pdtstore/internal/types"
@@ -347,7 +346,7 @@ func CompleteGroups(streams [][]Record, baseLSNs []uint64) [][]Record {
 // encodeRecord appends rec's serialized body to buf and returns it.
 func encodeRecord(buf []byte, rec Record) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, rec.LSN)
-	buf = appendString(buf, rec.Table)
+	buf = types.AppendString(buf, rec.Table)
 	buf = binary.LittleEndian.AppendUint32(buf, rec.Shard)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec.Parts)))
 	for _, p := range rec.Parts {
@@ -359,125 +358,53 @@ func encodeRecord(buf []byte, rec Record) []byte {
 		buf = binary.LittleEndian.AppendUint16(buf, e.Kind)
 		switch e.Kind {
 		case pdt.KindIns:
-			buf = appendRow(buf, e.Ins)
+			buf = types.AppendRow(buf, e.Ins)
 		case pdt.KindDel:
-			buf = appendRow(buf, e.Del)
+			buf = types.AppendRow(buf, e.Del)
 		default:
-			buf = appendValue(buf, e.Mod)
+			buf = types.AppendValue(buf, e.Mod)
 		}
 	}
 	return buf
 }
 
+// minEntrySize is the smallest encoded entry: an SID, a kind and the count
+// of an empty row.
+const minEntrySize = 8 + 2 + 4
+
+// decodeRecord is encodeRecord's inverse. Every count is bounded by the bytes
+// left before anything is allocated from it, and a body with bytes past its
+// last entry is corrupt: a record decodes only from exactly its encoding.
 func decodeRecord(buf []byte) (Record, error) {
 	var rec Record
-	r := &reader{buf: buf}
-	rec.LSN = r.u64()
-	rec.Table = r.str()
-	rec.Shard = r.u32()
-	if np := int(r.u32()); np > 0 {
-		if np > len(r.buf) { // each participant takes 4 bytes; bound before allocating
-			return rec, fmt.Errorf("wal: corrupt record: %w", io.ErrUnexpectedEOF)
-		}
+	r := &types.Reader{Buf: buf}
+	rec.LSN = r.U64()
+	rec.Table = r.Str()
+	rec.Shard = r.U32()
+	if np := r.Count(4); np > 0 {
 		rec.Parts = make([]uint32, np)
 		for i := range rec.Parts {
-			rec.Parts[i] = r.u32()
+			rec.Parts[i] = r.U32()
 		}
 	}
-	n := int(r.u32())
-	rec.Entries = make([]pdt.RebuildEntry, 0, n)
-	for i := 0; i < n; i++ {
-		e := pdt.RebuildEntry{SID: r.u64(), Kind: r.u16()}
+	rec.Entries = make([]pdt.RebuildEntry, r.Count(minEntrySize))
+	for i := range rec.Entries {
+		e := pdt.RebuildEntry{SID: r.U64(), Kind: r.U16()}
 		switch e.Kind {
 		case pdt.KindIns:
-			e.Ins = r.row()
+			e.Ins = r.Row()
 		case pdt.KindDel:
-			e.Del = r.row()
+			e.Del = r.Row()
 		default:
-			e.Mod = r.value()
+			e.Mod = r.Value()
 		}
-		rec.Entries = append(rec.Entries, e)
+		rec.Entries[i] = e
 	}
-	if r.err != nil {
-		return rec, fmt.Errorf("wal: corrupt record: %w", r.err)
+	if r.Err != nil {
+		return rec, fmt.Errorf("wal: corrupt record: %w", r.Err)
+	}
+	if len(r.Buf) > 0 {
+		return rec, fmt.Errorf("wal: corrupt record: %d bytes past the last entry", len(r.Buf))
 	}
 	return rec, nil
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-	return append(buf, s...)
-}
-
-func appendValue(buf []byte, v types.Value) []byte {
-	buf = append(buf, byte(v.K))
-	switch v.K {
-	case types.Float64:
-		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F))
-	case types.String:
-		return appendString(buf, v.S)
-	default:
-		return binary.LittleEndian.AppendUint64(buf, uint64(v.I))
-	}
-}
-
-func appendRow(buf []byte, r types.Row) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r)))
-	for _, v := range r {
-		buf = appendValue(buf, v)
-	}
-	return buf
-}
-
-type reader struct {
-	buf []byte
-	err error
-}
-
-func (r *reader) take(n int) []byte {
-	if r.err != nil || len(r.buf) < n {
-		r.err = io.ErrUnexpectedEOF
-		return make([]byte, n)
-	}
-	out := r.buf[:n]
-	r.buf = r.buf[n:]
-	return out
-}
-
-func (r *reader) u64() uint64 { return binary.LittleEndian.Uint64(r.take(8)) }
-func (r *reader) u32() uint32 { return binary.LittleEndian.Uint32(r.take(4)) }
-func (r *reader) u16() uint16 { return binary.LittleEndian.Uint16(r.take(2)) }
-
-func (r *reader) str() string {
-	n := int(r.u32())
-	if r.err != nil || len(r.buf) < n {
-		r.err = io.ErrUnexpectedEOF
-		return ""
-	}
-	return string(r.take(n))
-}
-
-func (r *reader) value() types.Value {
-	k := types.Kind(r.take(1)[0])
-	switch k {
-	case types.Float64:
-		return types.Value{K: k, F: math.Float64frombits(r.u64())}
-	case types.String:
-		return types.Value{K: k, S: r.str()}
-	default:
-		return types.Value{K: k, I: int64(r.u64())}
-	}
-}
-
-func (r *reader) row() types.Row {
-	n := int(r.u32())
-	if r.err != nil || n > len(r.buf) {
-		r.err = io.ErrUnexpectedEOF
-		return nil
-	}
-	row := make(types.Row, n)
-	for i := range row {
-		row[i] = r.value()
-	}
-	return row
 }
