@@ -192,6 +192,41 @@ func checkSeek(t *testing.T, m *stackModel, key types.Row, label string) {
 	}
 }
 
+// checkSeekKeys resolves a sorted key list in one SeekKeys call — with windows
+// that never stretch past their key, that stretch as usual, and that always
+// stretch — and holds every answer to the model.
+func checkSeekKeys(t *testing.T, m *stackModel, keys []types.Row, label string) {
+	t.Helper()
+	for _, gap := range []uint64{0, 256, 1 << 40} {
+		restore := engine.SetSeekGap(gap)
+		next := 0
+		err := engine.SeekKeys(m.store, keys, func(j int, rid uint64, exact bool) {
+			at := m.lowerBound(keys[j])
+			wantExact := at < len(m.rows) && types.CompareRows(keyOf(m.rows[at]), keys[j]) == 0
+			if j != next || rid != uint64(at) || exact != wantExact {
+				t.Fatalf("%s, gap %d: answer %d (expected key %d of %d, %v) = (%d, %v), model says (%d, %v)", label, gap, j, next, len(keys), keys[j], rid, exact, at, wantExact)
+			}
+			next++
+		}, m.layers...)
+		restore()
+		if err != nil || next != len(keys) {
+			t.Fatalf("%s, gap %d: SeekKeys answered %d of %d keys: %v", label, gap, next, len(keys), err)
+		}
+	}
+}
+
+// sortedSubset keeps each key with probability p and sorts what it keeps.
+func sortedSubset(rng *rand.Rand, keys []types.Row, p float64) []types.Row {
+	var out []types.Row
+	for _, k := range keys {
+		if rng.Float64() < p {
+			out = append(out, k)
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return types.CompareRows(out[i], out[j]) < 0 })
+	return out
+}
+
 // probeKeys is every key worth asking about: each row ever seen (visible or
 // deleted), the gaps around it, every block's first key, and the two ends.
 func probeKeys(m *stackModel, extra []types.Row) []types.Row {
@@ -210,9 +245,14 @@ func TestSeekMatchesScanOnRandomStacks(t *testing.T) {
 		m := newStack(t, 40+rng.Intn(160), []int{4, 16, 32}[seed%3], seed%2 == 0)
 		stable := append([]types.Row(nil), m.rows...)
 		var pool []types.Row
+		sub := rand.New(rand.NewSource(-seed)) // its own stream: the stacks stay what rng draws
 		checkAll := func(label string) {
-			for _, key := range probeKeys(m, append(pool, stable...)) {
+			keys := probeKeys(m, append(pool, stable...))
+			for _, key := range keys {
 				checkSeek(t, m, key, fmt.Sprintf("seed %d %s", seed, label))
+			}
+			for _, p := range []float64{1, 0.5, 0.05} {
+				checkSeekKeys(t, m, sortedSubset(sub, keys, p), fmt.Sprintf("seed %d %s, %.0f%% of the keys", seed, label, 100*p))
 			}
 		}
 		checkAll("no layers")
@@ -358,6 +398,93 @@ func TestSeekTargetedCases(t *testing.T) {
 		if _, _, _, err := engine.Seek(m.store, at(m, 1), []int{9}, m.layers...); err == nil {
 			t.Error("out-of-range column accepted")
 		}
+	})
+}
+
+// TestSeekKeysTargetedCases pins the shapes only a key list takes: windows
+// that end between keys, keys far apart, repeats, and a store with no rows.
+func TestSeekKeysTargetedCases(t *testing.T) {
+	keysAt := func(m *stackModel, idx ...int) []types.Row {
+		keys := make([]types.Row, len(idx))
+		for i, at := range idx {
+			keys[i] = keyOf(m.rows[at])
+		}
+		return keys
+	}
+	t.Run("empty store", func(t *testing.T) {
+		m := newStack(t, 0, 16, false)
+		var keys []types.Row
+		for i := 0; i < 2000; i++ {
+			keys = append(keys, types.Row{types.Int(int64(i)), types.Str("x")})
+		}
+		checkSeekKeys(t, m, keys, "no layers")
+		m.push()
+		m.insert(t, seekRow(700, "x", 1))
+		m.push()
+		m.insert(t, seekRow(5000, "x", 2))
+		checkSeekKeys(t, m, keys, "inserts only")
+		// A load's shape: one window for the whole list, none per key.
+		allocs := func(keys []types.Row) float64 {
+			return testing.AllocsPerRun(10, func() {
+				if err := engine.SeekKeys(m.store, keys, func(int, uint64, bool) {}, m.layers...); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if few, all := allocs(keys[:10]), allocs(keys); all > few {
+			t.Errorf("SeekKeys into an empty store allocates %v objects for %d keys, %v for 10", all, len(keys), few)
+		}
+	})
+	t.Run("every key past the end", func(t *testing.T) {
+		m := newStack(t, 300, 16, true)
+		m.push()
+		m.insert(t, seekRow(5000, "a", 1))
+		checkSeekKeys(t, m, []types.Row{
+			{types.Int(990), types.Str("zz")}, {types.Int(4000), types.Str("")}, {types.Int(5000), types.Str("a")},
+			{types.Int(5000), types.Str("b")}, {types.Int(1 << 40), types.Str("")}}, "past the end")
+	})
+	t.Run("deletes spanning the gap between two keys", func(t *testing.T) {
+		m := newStack(t, 2000, 64, true)
+		keys := keysAt(m, 299, 300, 650, 1000, 1001)
+		for l := 0; l < 2; l++ {
+			m.push()
+			for i := 0; i < 350; i++ {
+				m.deleteAt(t, 300)
+			}
+		}
+		checkSeekKeys(t, m, keys, "700 deleted rows between two keys")
+	})
+	t.Run("inserts at one SID between two keys", func(t *testing.T) {
+		m := newStack(t, 600, 16, true)
+		lo, hi := m.rows[200], m.rows[201] // (660, k4) and (670, k0): stable neighbours
+		keys := []types.Row{keyOf(lo)}
+		for i := 0; i < 24; i++ {
+			if i%12 == 0 {
+				m.push()
+			}
+			row := seekRow(lo[0].I, fmt.Sprintf("%s-%02d", lo[1].S, i), int64(i))
+			m.insert(t, row)
+			if i%3 == 0 {
+				keys = append(keys, keyOf(row), types.Row{row[0], types.Str(row[1].S + "!")})
+			}
+		}
+		checkSeekKeys(t, m, append(keys, keyOf(hi)), "24 inserts at one SID")
+	})
+	t.Run("repeated key", func(t *testing.T) {
+		m := newStack(t, 300, 16, true)
+		m.push()
+		m.modifyAt(t, 50, 1)
+		ghost := keyOf(m.rows[60])
+		m.deleteAt(t, 60)
+		k50, k51 := keyOf(m.rows[50]), keyOf(m.rows[51])
+		checkSeekKeys(t, m, []types.Row{k50, k50, k50, k51, ghost, ghost}, "repeats")
+	})
+	t.Run("a key 10k rows past the window", func(t *testing.T) {
+		m := newStack(t, 12000, 4096, true)
+		m.push()
+		m.modifyAt(t, 101, 7)
+		m.deleteAt(t, 10050)
+		checkSeekKeys(t, m, keysAt(m, 100, 101, 10100), "across two block boundaries")
 	})
 }
 

@@ -124,34 +124,62 @@ func LoadManifest(dir string) (m Manifest, ok bool, err error) {
 		m.Shards = []ShardEntry{{Segment: m.Segment, Segments: m.Segments, LSN: m.LSN}}
 	}
 	m.Segment, m.Segments, m.LSN = "", nil, 0
-	for i, sh := range m.Shards {
-		if sh.Segment == "" {
+	for i := range m.Shards {
+		if m.Shards[i].Segment == "" {
 			return Manifest{}, false, fmt.Errorf("storage: manifest shard %d names no segment", i)
 		}
-		if err := validateChain(sh.Segment, sh.Segments); err != nil {
+		if err := validateChain(&m.Shards[i]); err != nil {
 			return Manifest{}, false, fmt.Errorf("storage: manifest shard %d: %w", i, err)
 		}
 	}
 	if len(m.Splits) != len(m.Shards)-1 {
 		return Manifest{}, false, fmt.Errorf("storage: manifest has %d shards but %d split keys", len(m.Shards), len(m.Splits))
 	}
+	if err := validateSplits(m.Splits); err != nil {
+		return Manifest{}, false, err
+	}
+	if len(m.Splits) == 0 {
+		m.Splits = nil // the form WriteManifest writes
+	}
 	return m, true, nil
 }
 
-// validateChain checks a segment chain against the entry's newest-segment
-// name: every member must be named and the newest chain member must be the
-// segment the entry points at (readers resolve the block map out of it).
-func validateChain(segment string, chain []string) error {
-	if len(chain) == 0 {
-		return nil
+// validateChain checks a shard's segment names: each must be a plain file name
+// in the store directory (a checkpoint unlinks the names it supersedes, so
+// "../x" would delete outside it), and the newest chain member must be the
+// segment the entry points at (readers resolve the block map out of it). An
+// empty chain becomes none, the form WriteManifest writes.
+func validateChain(sh *ShardEntry) error {
+	if len(sh.Segments) == 0 {
+		sh.Segments = nil
 	}
-	for i, nm := range chain {
-		if nm == "" {
-			return fmt.Errorf("storage: manifest chain member %d is unnamed", i)
+	for _, nm := range append([]string{sh.Segment}, sh.Segments...) {
+		if nm == "." || nm == ".." || filepath.Base(nm) != nm {
+			return fmt.Errorf("storage: manifest segment %q is not a file name in the store directory", nm)
 		}
 	}
-	if chain[len(chain)-1] != segment {
-		return fmt.Errorf("storage: manifest chain ends at %q, segment is %q", chain[len(chain)-1], segment)
+	if n := len(sh.Segments); n > 0 && sh.Segments[n-1] != sh.Segment {
+		return fmt.Errorf("storage: manifest chain ends at %q, segment is %q", sh.Segments[n-1], sh.Segment)
+	}
+	return nil
+}
+
+// validateSplits checks that the split keys are non-empty rows of one shape
+// in strictly ascending order: ShardOf binary-searches them, and comparing
+// values of different or unknown kinds panics.
+func validateSplits(splits []types.Row) error {
+	for i, s := range splits {
+		if len(s) == 0 || len(s) != len(splits[0]) {
+			return fmt.Errorf("storage: manifest split %d has %d key columns, split 0 has %d", i, len(s), len(splits[0]))
+		}
+		for j, v := range s {
+			if v.K != splits[0][j].K || v.K > types.Date {
+				return fmt.Errorf("storage: manifest split %d column %d has kind %v", i, j, v.K)
+			}
+		}
+		if i > 0 && types.CompareRows(splits[i-1], s) >= 0 {
+			return fmt.Errorf("storage: manifest splits %d and %d are not strictly ascending", i-1, i)
+		}
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -442,6 +443,88 @@ func TestManifestLiftsFlatForm(t *testing.T) {
 	if _, _, err := LoadManifest(dir); err == nil {
 		t.Fatal("a manifest naming no segment in either form loaded")
 	}
+}
+
+// TestManifestRejectsHostileNamesAndSplits: a checkpoint unlinks the segment
+// names a manifest supersedes, so a name that is not a plain file in the store
+// directory must not load; nor may split keys ShardOf cannot binary-search.
+func TestManifestRejectsHostileNamesAndSplits(t *testing.T) {
+	dir := t.TempDir()
+	one := func(seg string, chain ...string) []ShardEntry { return []ShardEntry{{Segment: seg, Segments: chain}} }
+	three := []ShardEntry{{Segment: "a.seg"}, {Segment: "b.seg"}, {Segment: "c.seg"}}
+	for name, m := range map[string]Manifest{
+		"parent directory":   {Shards: one("../x.seg")},
+		"absolute path":      {Shards: one("/tmp/x.seg")},
+		"subdirectory":       {Shards: one("wal/x.seg")},
+		"dot":                {Shards: one(".")},
+		"dot-dot":            {Shards: one("..")},
+		"chain member":       {Shards: one("b.seg", "../../a.seg", "b.seg")},
+		"flat form":          {Segment: "../MANIFEST"},
+		"flat form chain":    {Segment: "b.seg", Segments: []string{"../a.seg", "b.seg"}},
+		"splits descend":     {Shards: three, Splits: []types.Row{{types.Int(20)}, {types.Int(10)}}},
+		"splits repeat":      {Shards: three, Splits: []types.Row{{types.Int(10)}, {types.Int(10)}}},
+		"splits mix kinds":   {Shards: three, Splits: []types.Row{{types.Int(10)}, {types.Str("a")}}},
+		"splits mix lengths": {Shards: three, Splits: []types.Row{{types.Int(10)}, {types.Int(10), types.Int(1)}}},
+		"empty split":        {Shards: three[:2], Splits: []types.Row{{}}},
+		"unknown kind":       {Shards: three[:2], Splits: []types.Row{{types.Value{K: 9}}}},
+	} {
+		if err := WriteManifest(dir, m); err != nil {
+			t.Fatal(err)
+		}
+		if got, _, err := LoadManifest(dir); err == nil {
+			t.Errorf("%s: manifest loaded as %+v", name, got)
+		}
+	}
+}
+
+// FuzzLoadManifest: arbitrary manifest bytes load as an error, or as a
+// manifest whose every segment is a plain file name, whose splits ascend, and
+// which WriteManifest and LoadManifest carry over unchanged — never a panic.
+func FuzzLoadManifest(f *testing.F) {
+	for _, m := range []Manifest{
+		{Generation: 3, Segment: "seg-0000000000000003.seg", LSN: 42},
+		{Generation: 4, Shards: []ShardEntry{{Segment: "seg-0000000000000004-s0.seg", LSN: 9}, {Segment: "seg-0000000000000004-s1.seg", LSN: 7}},
+			Splits: []types.Row{{types.Int(10), types.Str("k")}}},
+		{Generation: 5, Shards: []ShardEntry{{Segment: "seg-0000000000000005-s0.seg",
+			Segments: []string{"seg-0000000000000003-s0.seg", "seg-0000000000000005-s0.seg"}, LSN: 11}}},
+	} {
+		data, err := json.Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, ok, err := LoadManifest(dir)
+		if err != nil {
+			return
+		}
+		if !ok {
+			t.Fatal("a manifest file loaded as absent")
+		}
+		for _, sh := range m.Shards {
+			for _, nm := range sh.Chain() {
+				if nm == "." || nm == ".." || filepath.Base(nm) != nm {
+					t.Fatalf("segment %q loaded", nm)
+				}
+			}
+		}
+		for i := 1; i < len(m.Splits); i++ {
+			if types.CompareRows(m.Splits[i-1], m.Splits[i]) >= 0 {
+				t.Fatalf("splits %v loaded out of order", m.Splits)
+			}
+		}
+		if err := WriteManifest(dir, m); err != nil {
+			t.Fatal(err)
+		}
+		if again, _, err := LoadManifest(dir); err != nil || !reflect.DeepEqual(again, m) {
+			t.Fatalf("round trip of %+v = %+v, %v", m, again, err)
+		}
+	})
 }
 
 func TestManifestCorruptIsError(t *testing.T) {

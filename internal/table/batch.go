@@ -1,23 +1,25 @@
 // Batched updates: the paper's §6 bulk-load regime. A batch of inserts,
 // deletes and modifies is sorted by sort key, every op's target position is
-// resolved with ONE shared merge-scan cursor over the visible image (instead
-// of one key-probing table scan per row), and the ops are applied to the
-// positional delta structure in key order with a running shift — so the PDT
-// receives its entries in (SID, RID) order, its cheapest insertion pattern.
+// resolved in ONE forward pass of the positional key probe over the visible
+// image (engine.SeekKeys: a sparse-index lower bound and a small window per
+// scattered key, one stretched window over dense ones), and the ops are
+// applied to the positional delta structure in key order with a running
+// shift — so the PDT receives its entries in (SID, RID) order, its cheapest
+// insertion pattern.
 //
 // The same resolution pass serves Table.ApplyBatch (direct table updates)
 // and Txn.ApplyBatch (transactional updates into a Trans-PDT): both are
-// engine.Relations, so the resolver only sees "a sorted visible image".
+// Stacked, so the resolver only sees "a stable image under PDT layers".
 package table
 
 import (
 	"fmt"
 	"sort"
 
+	"pdtstore/internal/colstore"
 	"pdtstore/internal/engine"
 	"pdtstore/internal/pdt"
 	"pdtstore/internal/types"
-	"pdtstore/internal/vector"
 )
 
 // OpKind selects what a batched Op does.
@@ -114,69 +116,34 @@ type OpPos struct {
 	Found bool
 }
 
-// ResolveOps resolves the target position of every op of a sorted batch with
-// a single merge scan over rel's sort-key columns, started at the smallest
-// op key and stopped as soon as the last op is placed. ops must be the
-// output of SortOps.
-func ResolveOps(rel engine.Relation, ops []Op) ([]OpPos, error) {
-	if len(ops) == 0 {
-		return nil, nil
-	}
-	schema := rel.Schema()
-	// Target keys, materialized once per op (not once per scanned row —
-	// KeyOf allocates for inserts).
+// Stacked is an image a batch resolves against: a pinned stable store and
+// the PDT layers over it, bottom to top. Table and txn.Txn are Stacked.
+type Stacked interface {
+	Stack() (*colstore.Store, []*pdt.PDT)
+}
+
+// Stack pins the table's positional image: its store under its one PDT (nil
+// in ModeVDT and ModeNone, whose stack is the stable image alone).
+func (t *Table) Stack() (*colstore.Store, []*pdt.PDT) {
+	im := t.img.Load()
+	return im.store, []*pdt.PDT{im.pdt}
+}
+
+// ResolveOps resolves the target position of every op of a sorted batch in
+// one forward pass over img's stack: engine.SeekKeys over the op keys, which
+// opens a small window at each key's stable lower bound and stretches one
+// window over keys that lie close together. ops must be the output of
+// SortOps.
+func ResolveOps(img Stacked, ops []Op) ([]OpPos, error) {
+	store, layers := img.Stack()
+	schema := store.Schema()
 	keys := make([]types.Row, len(ops))
 	for i, op := range ops {
 		keys[i] = op.key(schema)
 	}
 	pos := make([]OpPos, len(ops))
-	i := 0
-	var lastRID uint64
-	seen := false
-	// cmpKeyAt orders an op key against the scan row at index r without
-	// materializing the row (the projected columns are the sort key, in
-	// order).
-	cmpKeyAt := func(key types.Row, b *vector.Batch, r int) int {
-		for c := range key {
-			if cmp := types.Compare(key[c], b.Vecs[c].Get(r)); cmp != 0 {
-				return cmp
-			}
-		}
-		return 0
-	}
-	err := engine.Scan(rel, schema.SortKey...).
-		Range(keys[0], nil).
-		WithRids().
-		Run(func(b *vector.Batch, sel []uint32) error {
-			for _, r := range sel {
-				rid := b.Rids[r]
-				for i < len(ops) {
-					cmp := cmpKeyAt(keys[i], b, int(r))
-					if cmp > 0 {
-						break // op targets a later row
-					}
-					// cmp < 0: no visible tuple with this key; it would sit
-					// right where this row is. cmp == 0: exact hit.
-					pos[i] = OpPos{RID: rid, Found: cmp == 0}
-					i++
-				}
-				if i == len(ops) {
-					return engine.Stop
-				}
-				lastRID, seen = rid, true
-			}
-			return nil
-		})
-	if err != nil {
+	if err := engine.SeekKeys(store, keys, func(j int, rid uint64, found bool) { pos[j] = OpPos{RID: rid, Found: found} }, layers...); err != nil {
 		return nil, err
-	}
-	// Ops beyond the last visible row land just past it.
-	end := uint64(0)
-	if seen {
-		end = lastRID + 1
-	}
-	for ; i < len(ops); i++ {
-		pos[i] = OpPos{RID: end}
 	}
 	return pos, nil
 }
@@ -224,8 +191,8 @@ func ApplyOps(p *pdt.PDT, schema *types.Schema, ops []Op, pos []OpPos) (int, err
 	return applied, nil
 }
 
-// ApplyBatch applies a batch of updates, resolving all target positions with
-// one shared scan (ModePDT). ModeVDT has no positions to resolve and applies
+// ApplyBatch applies a batch of updates, resolving all target positions in
+// one forward probe pass (ModePDT). ModeVDT has no positions to resolve and applies
 // the validated, sorted batch through the per-op path — the same batch
 // contract (distinct keys, no sort-key updates) holds in every mode; ModeNone
 // rejects. It returns the number of ops that took effect: delete/update

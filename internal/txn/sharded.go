@@ -398,8 +398,8 @@ func (t *STxn) UpdateByKey(key types.Row, col int, val types.Value) (bool, error
 }
 
 // ApplyBatch splits the batch by owning shard and applies each run with the
-// per-shard bulk path (shared merge-scan cursor, Trans-PDT fed in SID
-// order). Per-shard semantics match Txn.ApplyBatch; the effect count sums
+// per-shard bulk path (one forward key-probe pass over the shard's view,
+// Trans-PDT fed in SID order). Per-shard semantics match Txn.ApplyBatch; the effect count sums
 // across shards.
 func (t *STxn) ApplyBatch(ops []table.Op) (int, error) {
 	if t.done {

@@ -498,10 +498,18 @@ func (t *Txn) rekey(rid uint64, key, newRow types.Row, dst *Txn) error {
 	return dst.trans.Insert(at, newRow)
 }
 
+// Stack pins the transaction's view for a batch probe (table.ResolveOps): the
+// pinned stable image under the full Equation 9 layer stack, in a slice with
+// room for one layer more.
+func (t *Txn) Stack() (*colstore.Store, []*pdt.PDT) {
+	return t.ver.store, append(make([]*pdt.PDT, 0, 5), t.layers()...)
+}
+
 // ApplyBatch applies a batch of inserts, deletes and updates within the
-// transaction, resolving every op's position with one shared merge-scan
-// cursor over the transaction's view instead of one key probe per row, and
-// feeding the Trans-PDT in SID order (the paper's §6 bulk-load regime). It
+// transaction, resolving every op's position in one forward pass of the key
+// probe over the transaction's view (table.ResolveOps: a small window at each
+// scattered key's lower bound, one window stretched over keys close together),
+// and feeding the Trans-PDT in SID order (the paper's §6 bulk-load regime). It
 // returns the number of ops that took effect: delete/update misses are
 // skipped, a duplicate-key insert aborts the batch with the earlier ops
 // already in the Trans-PDT (Abort discards them, as usual). Batch keys must
