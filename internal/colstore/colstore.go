@@ -1047,20 +1047,29 @@ type nextState struct {
 // selectState is what a filtered SelectRuns keeps across calls: the current
 // block's encoded bytes per requested column, fetched on first use, and the
 // first filter's survivors over the scan's window of its block [lo, hi), as
-// offsets from lo. The rest is one block's scratch, reused.
+// offsets from lo. The rest is one call's scratch, reused.
 type selectState struct {
 	blk      int
 	enc      [][]byte
 	first    []uint32
 	at       int // first[at:] lie at or after the scan position
 	lo, hi   uint64
-	cand     vector.Selection // batch positions still selected in the block
-	rows     vector.Selection // the block rows of cand, for a gather over several pieces
-	fpos     []uint32         // kept positions in the block's pieces
-	frows    []uint32         // and their block rows
-	have     []bool           // per column: gathered at a superset of cand
+	cand     vector.Selection // a call's rows still selected, numbered from its first piece's block row
+	win      []*vector.Vector // per slot: a later filter's column at the call's rows
+	read     []uint8          // per slot: inWin, or inOut once written at pos
+	rows     []uint32         // the call's rows the outputs are read at: survivors and kept rows
+	pos      vector.Selection // and their batch positions
+	fpos     []uint32         // kept positions in the pieces
+	frows    []uint32         // and their rows
 	gathered []uint64         // per column: values gathered or decoded so far (read by tests)
 }
+
+// How far a call has read a slot: into its window vector, or into the batch
+// at every position of selectState.pos.
+const (
+	inWin uint8 = 1 + iota
+	inOut
+)
 
 // NewScanner returns a scanner over SIDs [from, to) producing the given
 // columns. to is clamped to the table size.
@@ -1113,14 +1122,15 @@ func (sc *Scanner) SizeHint() int { return int(sc.end - sc.sid) }
 // over the scan's window of it in the encoded domain (compress.Select*); each
 // call takes that filter's survivors in the block's share of its runs,
 // gathers each later filter's column at the rows still selected and filters
-// it, and gathers the output columns at the rows that survive, each value
-// written straight into its batch position (compress.Gather*At) — or, where
-// the rows still selected are most of the share's rows, decodes every row of
-// it (compress.Decode*Spans). A block's bytes are read once per call, however
-// many runs cross it; a column only the first filter reads is never decoded,
-// and a block whose rows all fail it fetches no other column unless a kept
-// row lies in it. Without a filter every row is read: entering a block
-// decodes the scan's window of it once, and each call copies its share.
+// it, maps the rows that survive to batch positions in one forward walk over
+// them, the share's pieces and the kept positions, and gathers the output
+// columns there (compress.Gather*At) — or, where the rows still selected are
+// most of the share's rows, decodes every row of it (compress.Decode*Spans).
+// A block's bytes are read once per call, however many runs cross it; a
+// column only the first filter reads is never decoded, and a block whose
+// rows all fail it fetches no other column unless a kept row lies in it.
+// Without a filter every row is read: entering a block decodes the scan's
+// window of it once, and each call copies its share.
 func (sc *Scanner) SelectRuns(out *vector.Batch, runs []vector.Run, keep []uint32, chain *vector.Chain, sel *vector.Selection) error {
 	if sel != nil {
 		sel.Reset()
@@ -1147,12 +1157,14 @@ func (sc *Scanner) SelectRuns(out *vector.Batch, runs []vector.Run, keep []uint3
 		blk := sc.sid / br
 		hi := min((blk+1)*br, sc.end)
 		sc.pieces = sc.pieces[:0]
+		total := 0
 		for {
 			r := runs[ri]
 			if k := min(r.N-placed, int(hi-sc.sid)); k > 0 {
 				sc.pieces = append(sc.pieces, compress.Span{Row: int(sc.sid - blk*br), At: r.At + placed, N: k})
 				sc.sid += uint64(k)
 				placed += k
+				total += k
 			}
 			if placed < r.N || sc.sid == hi {
 				break
@@ -1165,28 +1177,29 @@ func (sc *Scanner) SelectRuns(out *vector.Batch, runs []vector.Run, keep []uint3
 			skipped = true
 		}
 		var err error
-		if ki, err = sc.selectIn(out, int(blk), hi, keep, ki, chain, sel); err != nil {
+		if ki, err = sc.selectIn(out, int(blk), hi, total, keep, ki, chain, sel); err != nil {
 			return err
 		}
 	}
 	if sel != nil {
-		sel.AppendUnion(nil, keep[ki:])
+		sel.AppendShifted(keep[ki:], 0)
 	}
 	return nil
 }
 
-// selectIn is SelectRuns over one block: the pieces of sc.pieces, which lie in
-// the scan's window of block blk ending at hi, with keep[ki:] still to place.
-// It adds to sel the block's survivors and the kept positions up to its last
-// piece's end, and returns where keep continues.
-func (sc *Scanner) selectIn(out *vector.Batch, blk int, hi uint64, keep []uint32, ki int, chain *vector.Chain, sel *vector.Selection) (int, error) {
+// selectIn is SelectRuns over one block: the pieces of sc.pieces, total rows
+// of them, in the scan's window of block blk ending at hi, with keep[ki:]
+// still to place. It adds to sel the block's survivors and the kept positions
+// up to its last piece's end, and returns where keep continues.
+func (sc *Scanner) selectIn(out *vector.Batch, blk int, hi uint64, total int, keep []uint32, ki int, chain *vector.Chain, sel *vector.Selection) (int, error) {
 	if len(chain.Filters) == 0 {
 		return sc.copyIn(out, blk, hi, keep, ki, sel)
 	}
 	s, st, pieces := sc.store, sc.sel, sc.pieces
 	if st == nil {
-		st = &selectState{blk: -1, enc: make([][]byte, len(sc.cols)),
-			have: make([]bool, len(sc.cols)), gathered: make([]uint64, len(sc.cols))}
+		n := len(sc.cols)
+		st = &selectState{blk: -1, enc: make([][]byte, n), win: make([]*vector.Vector, n),
+			read: make([]uint8, n), gathered: make([]uint64, n)}
 		sc.sel = st
 	}
 	blk0 := uint64(blk * s.blockRows)
@@ -1201,107 +1214,148 @@ func (sc *Scanner) selectIn(out *vector.Batch, blk int, hi uint64, keep []uint32
 		}
 		st.lo, st.hi, st.at = start, hi, 0
 	}
-	// The first filter's survivors in each piece, but for the kept rows.
-	cand, fpos, frows := &st.cand, st.fpos[:0], st.frows[:0]
+	// The chain runs on the first filter's survivors in the pieces' span,
+	// numbered from the first piece's block row r0; those a skip or a delete
+	// passed over drop out in the co-walk below.
+	r0, last := uint32(pieces[0].Row), pieces[len(pieces)-1]
+	span, d0 := uint32(last.Row+last.N)-r0, r0-uint32(st.lo-blk0) // d0: r0 as an offset of st.first's
+	a := st.at + vector.Search(st.first[st.at:], d0)
+	st.at = a + vector.Search(st.first[a:], d0+span)
+	cand := &st.cand
 	cand.Reset()
-	lo := uint32(st.lo - blk0) // the block row of offset 0
-	first, a, kj := st.first, st.at, ki
-	for _, p := range pieces {
-		kept := len(fpos)
-		for ; kj < len(keep) && int(keep[kj]) < p.At+p.N; kj++ {
-			if int(keep[kj]) >= p.At {
-				fpos = append(fpos, keep[kj])
-				frows = append(frows, uint32(p.Row)+keep[kj]-uint32(p.At))
-			}
-		}
-		from, to := uint32(p.Row)-lo, uint32(p.Row+p.N)-lo
-		for a < len(first) && first[a] < from {
-			a++ // rows a skip passed over
-		}
-		if a == len(first) || first[a] >= to {
-			continue // none of the piece's rows passes
-		}
-		n := vector.Search(first[a:min(len(first), a+p.N)], to)
-		surv, shift := first[a:a+n], uint32(p.At)-from
-		a += n
-		for _, f := range fpos[kept:] {
-			k := vector.Search(surv, f-shift)
-			cand.AppendShifted(surv[:k], shift)
-			if k < len(surv) && surv[k] == f-shift {
-				k++ // a kept row is not filtered
-			}
-			surv = surv[k:]
-		}
-		cand.AppendShifted(surv, shift)
-	}
-	st.at = a
-	clear(st.have)
-	// A column is read at the rows of cand. Where they are most of the
-	// pieces' rows — a filter that keeps nearly everything — decoding every
-	// row of every piece costs less than gathering them. Otherwise a gather
-	// reads the block rows of cand: cand shifted, when the block holds one
-	// piece, or else st.rows, worked out whenever cand has changed.
-	total := 0
-	for _, p := range pieces {
-		total += p.N
-	}
-	stale := true
-	gather := func(slot int) error {
-		st.have[slot] = true
-		switch p := pieces[0]; {
-		case 4*cand.Len() >= 3*total:
-			return sc.decode(slot, blk, pieces, total, out.Vecs[slot])
-		case len(pieces) == 1:
-			return sc.gather(slot, blk, p.Row-p.At, cand.Indexes(), cand.Indexes(), out.Vecs[slot])
-		}
-		if stale {
-			rowsOf(pieces, cand.Indexes(), &st.rows)
-			stale = false
-		}
-		return sc.gather(slot, blk, 0, st.rows.Indexes(), cand.Indexes(), out.Vecs[slot])
-	}
+	cand.AppendShifted(st.first[a:st.at], -d0)
+	clear(st.read)
 	for _, f := range chain.Filters[1:] {
 		if cand.Len() == 0 {
 			break
 		}
-		if !st.have[f.Slot] {
-			if err := gather(f.Slot); err != nil {
+		if st.read[f.Slot] == 0 {
+			if err := sc.window(f.Slot, blk, r0, int(span), cand.Indexes()); err != nil {
 				return ki, err
 			}
 		}
-		n := cand.Len()
-		cand.Filter(out.Vecs[f.Slot], f.Pred)
-		stale = stale || cand.Len() != n
+		cand.Filter(st.win[f.Slot], f.Pred)
 	}
-	for slot := 0; slot < chain.Outputs && cand.Len() > 0; slot++ {
-		if !st.have[slot] {
-			if err := gather(slot); err != nil {
-				return ki, err
+	// One forward co-walk over the survivors, the pieces and the kept
+	// positions maps the survivors to batch positions: a piece's stretch of
+	// them is shifted by its offset and split where a kept row lies (upTo
+	// measures a stretch without a gap by count). Unless the survivors are
+	// most of the pieces' rows, which are then decoded whole, rows and pos
+	// list where the outputs are read, kept rows included.
+	surv, dense := cand.Indexes(), 4*cand.Len() >= 3*total
+	st.rows, st.fpos, st.frows = st.rows[:0], st.fpos[:0], st.frows[:0]
+	st.pos.Reset()
+	c, kj := 0, ki
+	for _, p := range pieces {
+		from := uint32(p.Row) - r0
+		shift, end := uint32(p.At)-from, uint32(p.At+p.N)
+		c = upTo(surv, c, from)
+		b := upTo(surv, c, from+uint32(p.N))
+		for ; kj < len(keep) && keep[kj] < end; kj++ {
+			k := keep[kj]
+			if k < uint32(p.At) {
+				sel.Append(k) // a row the caller writes between pieces
+				continue
 			}
+			f := k - shift // the kept row, as the call numbers it
+			d := upTo(surv[:b], c, f)
+			st.take(sel, surv[c:d], shift, dense)
+			if c = d; c < b && surv[c] == f {
+				c++ // a kept row is not filtered
+			}
+			st.fpos, st.frows = append(st.fpos, k), append(st.frows, f)
+			st.take(sel, st.frows[len(st.frows)-1:], shift, dense)
 		}
+		st.take(sel, surv[c:b], shift, dense)
+		c = b
 	}
-	for slot := 0; slot < len(sc.cols) && len(fpos) > 0; slot++ {
-		if err := sc.gather(slot, blk, 0, frows, fpos, out.Vecs[slot]); err != nil {
+	// The outputs are gathered at rows, or copied out of a filter's window
+	// vector; the kept rows get every slot not yet written at them.
+	for slot := range sc.cols {
+		var err error
+		switch {
+		case slot >= chain.Outputs || !dense && len(st.rows) == 0:
+		case dense:
+			st.read[slot], err = inOut, sc.decode(slot, blk, pieces, total, out.Vecs[slot])
+		case st.read[slot] == inWin:
+			scatter(out.Vecs[slot], st.pos.Indexes(), st.win[slot], st.rows)
+		default:
+			st.read[slot], err = inOut, sc.gather(slot, blk, int(r0), st.rows, st.pos.Indexes(), out.Vecs[slot])
+		}
+		if err == nil && len(st.fpos) > 0 && st.read[slot] != inOut {
+			err = sc.gather(slot, blk, int(r0), st.frows, st.fpos, out.Vecs[slot])
+		}
+		if err != nil {
 			return ki, err
 		}
 	}
-	sel.AppendUnion(cand.Indexes(), keep[ki:kj])
-	st.fpos, st.frows = fpos, frows
 	return kj, nil
 }
 
-// rowsOf sets rows to the block rows of the ascending batch positions pos,
-// every one of which lies in one of pieces.
-func rowsOf(pieces []compress.Span, pos []uint32, rows *vector.Selection) {
-	rows.Reset()
-	for len(pos) > 0 {
-		for int(pos[0]) >= pieces[0].At+pieces[0].N {
-			pieces = pieces[1:]
+// take adds the rows s of one piece to sel at batch positions s+shift, and
+// unless dense to the rows the outputs are read at.
+func (st *selectState) take(sel *vector.Selection, s []uint32, shift uint32, dense bool) {
+	sel.AppendShifted(s, shift)
+	if !dense {
+		st.rows = append(st.rows, s...)
+		st.pos.AppendShifted(s, shift)
+	}
+}
+
+// window reads column slot of block blk at the ascending rows offs (< span)
+// from block row r0 into the slot's window vector at the same indexes:
+// gathered, or decoded over their span where they are most of it.
+func (sc *Scanner) window(slot, blk int, r0 uint32, span int, offs []uint32) error {
+	st := sc.sel
+	st.read[slot] = inWin
+	if st.win[slot] == nil {
+		st.win[slot] = vector.New(sc.store.schema.Cols[sc.cols[slot]].Kind, span)
+	}
+	if v := st.win[slot]; v.Len() < span {
+		v.Extend(span - v.Len())
+	}
+	if n := int(offs[len(offs)-1]-offs[0]) + 1; 4*len(offs) >= 3*n {
+		return sc.decode(slot, blk, []compress.Span{{Row: int(r0 + offs[0]), At: int(offs[0]), N: n}}, n, st.win[slot])
+	}
+	return sc.gather(slot, blk, int(r0), offs, offs, st.win[slot])
+}
+
+// upTo returns where the ascending, distinct s[a:] reach x: the first c >= a
+// with s[c] >= x, or len(s). When every row left lies below x, or s runs
+// without a gap from a to x, that is taken by count; otherwise the rows are
+// passed one by one.
+func upTo(s []uint32, a int, x uint32) int {
+	switch {
+	case a == len(s) || s[a] >= x:
+		return a
+	case s[len(s)-1] < x:
+		return len(s)
+	}
+	if c := a + int(x-s[a]); c <= len(s) && s[c-1] == x-1 {
+		return c
+	}
+	for s[a] < x {
+		a++
+	}
+	return a
+}
+
+// scatter copies the values of src at rows into dst at the positions pos.
+func scatter(dst *vector.Vector, pos []uint32, src *vector.Vector, rows []uint32) {
+	pos = pos[:len(rows)]
+	switch dst.Kind {
+	case types.Float64:
+		for k, r := range rows {
+			dst.F[pos[k]] = src.F[r]
 		}
-		p := pieces[0]
-		n := vector.Search(pos[:min(len(pos), p.N)], uint32(p.At+p.N))
-		rows.AppendShifted(pos[:n], uint32(p.Row-p.At))
-		pos = pos[n:]
+	case types.String:
+		for k, r := range rows {
+			dst.S[pos[k]] = src.S[r]
+		}
+	default:
+		for k, r := range rows {
+			dst.I[pos[k]] = src.I[r]
+		}
 	}
 }
 

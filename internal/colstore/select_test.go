@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"pdtstore/internal/pdt"
@@ -407,5 +408,171 @@ func TestSelectUnderLiveStack(t *testing.T) {
 	}
 	if g := sc.sel.gathered[0]; g != uint64(survivors) {
 		t.Errorf("extendedprice gathered at %d rows, want %d: the untouched survivors and the patched rows", g, survivors)
+	}
+}
+
+// fuzzRuns is the store FuzzSelectRuns reads: runsRow's rows in blocks of
+// 128, built once.
+var fuzzRuns = sync.OnceValues(func() ([]types.Row, *Store) {
+	const n = 3000
+	b := NewBuilder(runsSchema, nil, 128, true)
+	rows := make([]types.Row, n)
+	for i := range rows {
+		rows[i] = runsRow(i)
+		if err := b.Add(rows[i]); err != nil {
+			panic(err)
+		}
+	}
+	store, err := b.Finish()
+	if err != nil {
+		panic(err)
+	}
+	return rows, store
+})
+
+// fuzzPreds are the filters FuzzSelectRuns draws from:
+// TestSelectRunsMatchesRows' and one that keeps no row.
+var fuzzPreds = []vector.Pred{
+	{Col: 1, Op: vector.PredInt64Range, ILo: 30, IHi: 300},
+	{Col: 2, Op: vector.PredFloat64Range, FLo: 3, FHi: 20},
+	{Col: 3, Op: vector.PredStrIn, Strs: []string{"AIR", "RAIL"}},
+	{Col: 4, Op: vector.PredInt64Range, ILo: 1, IHi: 1},
+	{Col: 2, Op: vector.PredFloat64Lt, FHi: 24.5},
+	{Col: 1, Op: vector.PredInt64Range, ILo: 400, IHi: 500},
+}
+
+// FuzzSelectRuns drives Scanner.SelectRuns with runs, skips, kept positions
+// and a filter chain decoded from bytes, and holds every call to the rows
+// the store holds, as TestSelectRunsMatchesRows does. head picks the scan's
+// first row (2*head), the projected columns (bits of proj) and the chain
+// (each byte of chain a filter); script is read four bytes per run: the
+// positions before it the caller writes itself (the low two bits of the
+// first byte, kept by the bits above), its skip (0-3), its length (0-255),
+// and which of its rows are kept (bit 0 the first, bit 1 the last, the
+// rest a stride). A call takes 1 + calls%6 runs.
+func FuzzSelectRuns(f *testing.F) {
+	// Merge-shaped: 1-60-row pieces between one-row skips and inserts, a
+	// modify here and there.
+	f.Add(uint8(0), uint8(0b00111), []byte{0, 2, 1}, uint8(5), []byte{
+		0b101, 1, 40, 0, 1, 1, 1, 0, 0b1101, 1, 60, 1, 0, 0, 17, 2,
+		2, 1, 33, 0, 1, 1, 55, 16, 0, 0, 9, 0, 3, 1, 48, 3})
+	// Kept rows on a piece's first and last row, runs of one row.
+	f.Add(uint8(3), uint8(0b11000), []byte{1, 3}, uint8(2), []byte{
+		0, 1, 50, 3, 0, 0, 1, 1, 0, 1, 1, 2, 0, 2, 45, 3, 1, 0, 20, 1})
+	// Runs across block boundaries.
+	f.Add(uint8(60), uint8(0b00110), []byte{0, 4}, uint8(0), []byte{
+		0, 0, 200, 0, 0, 3, 255, 8, 0, 0, 255, 0})
+	// A multi-piece block whose first filter keeps ≥ 3/4 of the rows: every
+	// later column is decoded whole over the pieces.
+	f.Add(uint8(0), uint8(0b01111), []byte{4, 3}, uint8(5), []byte{
+		1, 1, 30, 0, 0, 1, 25, 4, 2, 1, 40, 1, 0, 1, 20, 0, 0, 2, 50, 2})
+	// A multi-piece block whose first filter keeps none: only the kept rows
+	// are read.
+	f.Add(uint8(0), uint8(0b10101), []byte{5, 1}, uint8(4), []byte{
+		0b111, 1, 30, 3, 0, 1, 25, 4, 2, 1, 40, 1, 0, 1, 20, 0})
+	f.Add(uint8(0), uint8(0), []byte{}, uint8(0), []byte{0, 0, 255, 0})
+	f.Fuzz(func(t *testing.T, head, proj uint8, chainBytes []byte, calls uint8, script []byte) {
+		rows, store := fuzzRuns()
+		n := len(rows)
+		var cols []int
+		for c := range runsSchema.Cols {
+			if proj&(1<<c) != 0 {
+				cols = append(cols, c)
+			}
+		}
+		if len(cols) == 0 {
+			cols = []int{0}
+		}
+		chain := &vector.Chain{Outputs: len(cols)}
+		for _, b := range chainBytes[:min(len(chainBytes), 4)] {
+			p := fuzzPreds[int(b)%len(fuzzPreds)]
+			slot := slices.Index(cols, p.Col)
+			if slot < 0 {
+				slot = len(cols)
+				cols = append(cols, p.Col)
+			}
+			chain.Filters = append(chain.Filters, vector.Filter{Slot: slot, Pred: p})
+		}
+		kinds := make([]types.Kind, len(cols))
+		for i, c := range cols {
+			kinds[i] = runsSchema.Cols[c].Kind
+		}
+		sid := min(2*int(head), n)
+		sc := store.NewScanner(cols, uint64(sid), uint64(n))
+		out, sel := vector.NewBatch(kinds, 64), vector.NewSelection(64)
+		next := func() byte {
+			if len(script) == 0 {
+				return 0
+			}
+			b := script[0]
+			script = script[1:]
+			return b
+		}
+		for len(script) > 0 && sid < n {
+			var runs []vector.Run
+			var keep []uint32
+			at, srcOf := 0, map[int]int{}
+			for len(runs) < 1+int(calls)%6 && len(script) > 0 && sid < n {
+				g, skip, rn, kb := next(), int(next()%4), int(next()), next()
+				for i := 0; i < int(g&3); i++ {
+					if g>>(2+i)&1 != 0 {
+						keep = append(keep, uint32(at))
+					}
+					at++
+				}
+				r := vector.Run{Skip: min(skip, n-sid), At: at}
+				r.N = min(rn, n-sid-r.Skip)
+				for i := 0; i < r.N; i++ {
+					srcOf[at+i] = sid + r.Skip + i
+					stride := int(kb >> 2)
+					if i == 0 && kb&1 != 0 || i == r.N-1 && kb&2 != 0 || stride > 0 && i%(stride+1) == stride {
+						keep = append(keep, uint32(at+i))
+					}
+				}
+				runs = append(runs, r)
+				sid += r.Skip + r.N
+				at += r.N
+			}
+			slices.Sort(keep)
+			keep = slices.Compact(keep)
+			out.Reset()
+			out.Extend(at)
+			if err := sc.SelectRuns(out, runs, keep, chain, sel); err != nil {
+				t.Fatalf("runs %v keep %v: %v", runs, keep, err)
+			}
+			checkRunsCall(t, rows, cols, chain, out, srcOf, keep, at, sel.Indexes())
+		}
+	})
+}
+
+// checkRunsCall holds one SelectRuns call over at batch positions to the
+// rows: srcOf maps the positions its runs placed to their stored rows. sel
+// must hold every kept position and exactly the other run rows that pass
+// the chain, a kept run row must be written in every slot, and the outputs
+// must be the rows' values at sel.
+func checkRunsCall(t *testing.T, rows []types.Row, cols []int, chain *vector.Chain, out *vector.Batch, srcOf map[int]int, keep []uint32, at int, sel []uint32) {
+	t.Helper()
+	var want []uint32
+	for p := 0; p < at; p++ {
+		r, inRun := srcOf[p]
+		kept := slices.Contains(keep, uint32(p))
+		if kept || inRun && passes(rows[r], cols, chain) {
+			want = append(want, uint32(p))
+		}
+		if !inRun || !kept && !slices.Contains(want, uint32(p)) {
+			continue
+		}
+		slots := chain.Outputs
+		if kept {
+			slots = len(cols)
+		}
+		for slot := 0; slot < slots; slot++ {
+			if types.Compare(out.Vecs[slot].Get(p), rows[r][cols[slot]]) != 0 {
+				t.Fatalf("row %d at %d (kept %v), slot %d = %v, want %v", r, p, kept, slot, out.Vecs[slot].Get(p), rows[r][cols[slot]])
+			}
+		}
+	}
+	if !slices.Equal(sel, want) {
+		t.Fatalf("keep %v chain %+v: sel %v, want %v", keep, chain.Filters, sel, want)
 	}
 }

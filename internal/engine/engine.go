@@ -102,9 +102,10 @@ func (p *Plan) BatchSize(n int) *Plan {
 	return p
 }
 
-// WithRids asks the pipeline to keep RIDs flowing to the sink (Collect then
-// fills out.Rids; Run batches carry them either way when the source emits
-// them).
+// WithRids asks Collect to fill out.Rids with the RIDs of the rows it
+// returns. A Run batch carries RIDs either way when its source emits them,
+// and, like its values, they are those of the rows sel names: a pipeline
+// that filters as it reads writes none anywhere else.
 func (p *Plan) WithRids() *Plan {
 	p.needRids = true
 	return p

@@ -12,6 +12,7 @@ import (
 	"pdtstore/internal/engine"
 	"pdtstore/internal/pdt"
 	"pdtstore/internal/table"
+	"pdtstore/internal/tpch"
 	"pdtstore/internal/types"
 	"pdtstore/internal/vector"
 )
@@ -301,6 +302,49 @@ func TestCollectRidsAndStop(t *testing.T) {
 	})
 	if err != nil || seen != 8 {
 		t.Fatalf("stop: seen=%d err=%v", seen, err)
+	}
+}
+
+// TestFilteredRids holds a filtered WithRids scan to the RIDs of the
+// unfiltered scan, filtered afterwards: a selecting pipeline writes a RID
+// only where its selection keeps a row, and every one of those must be
+// right — under a two-layer stack, across two shards (each shifted by
+// OffsetRids, joined by Concat), and through the morsel stitch at one and
+// at four workers.
+func TestFilteredRids(t *testing.T) {
+	merged, _ := mergeLineitem(t)
+	rels := map[string]engine.Relation{"two-layer stack": merged, "two shards": shardedLineitem(t)}
+	lo, hi := tpch.Days(1994, 1, 1), tpch.Days(1995, 1, 1)-1
+	for name, rel := range rels {
+		all, err := engine.Scan(rel, tpch.LExtendedprice, tpch.LShipdate, tpch.LDiscount, tpch.LQuantity).WithRids().Parallel(1).Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for i := 0; i < all.Len(); i++ {
+			ship, disc, qty := all.Vecs[1].I[i], all.Vecs[2].F[i], all.Vecs[3].F[i]
+			if ship >= lo && ship <= hi && disc >= 0.05 && disc <= 0.07 && qty < 24 {
+				want = append(want, fmt.Sprintf("@%d:%v", all.Rids[i], all.Vecs[0].F[i]))
+			}
+		}
+		for _, workers := range []int{1, 4} {
+			got, err := engine.Scan(rel, tpch.LExtendedprice).
+				FilterInt64Range(tpch.LShipdate, lo, hi).
+				FilterFloat64Range(tpch.LDiscount, 0.05, 0.07).
+				FilterFloat64Lt(tpch.LQuantity, 24).
+				WithRids().Parallel(workers).Collect()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Rids) != got.Len() || got.Len() != len(want) || len(want) == 0 {
+				t.Fatalf("%s, %d workers: %d rows and %d RIDs, want %d of each", name, workers, got.Len(), len(got.Rids), len(want))
+			}
+			for i, w := range want {
+				if g := fmt.Sprintf("@%d:%v", got.Rids[i], got.Vecs[0].F[i]); g != w {
+					t.Fatalf("%s, %d workers: row %d is %s, want %s", name, workers, i, g, w)
+				}
+			}
+		}
 	}
 }
 

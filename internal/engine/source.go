@@ -117,10 +117,11 @@ func PartitionLayers(s *colstore.Store, loKey, hiKey types.Row, layers ...*pdt.P
 // scan. Either way the stack, under Numbered, is a pdt.Selector: the executor
 // hands it the plan's filter chain — empty when the plan has no filter — each
 // merge passes its runs of untouched rows down in one call per batch, and the
-// stable scanner filters them on its encoded blocks. Emptiness is judged here, when the source is opened: a layer that
-// gains its first entry under an open source stays invisible to it. A
-// statement that writes while it scans must not rely on either outcome; that
-// is what Txn.BeginQuery's private Query-PDT is for.
+// stable scanner filters them on its encoded blocks. Emptiness is judged
+// here, when the source is opened: a layer that gains its first entry under
+// an open source stays invisible to it. A statement that writes while it
+// scans must not rely on either outcome; that is what Txn.BeginQuery's
+// private Query-PDT is for.
 func StackPDTs(base pdt.Source, cols []int, startSID uint64, includeEnd bool, layers ...*pdt.PDT) pdt.BatchSource {
 	src, sid := base, startSID
 	for _, l := range layers {
@@ -174,7 +175,9 @@ func (c *concat) Select(out *vector.Batch, max int, chain *vector.Chain, sel *ve
 // table produces local RIDs starting at 0, and the coordinator re-bases them
 // by the visible row counts of the shards before it so the concatenated scan
 // emits one consecutive global RID space. src must be a pdt.Selector, and so
-// is the result, so a shard's read still filters in its scanner.
+// is the result, so a shard's read still filters in its scanner; a Select
+// shifts only the RIDs of the rows its selection keeps, the only ones
+// written.
 func OffsetRids(src pdt.BatchSource, off uint64) pdt.BatchSource {
 	if off == 0 {
 		return src
@@ -195,10 +198,16 @@ func (r *ridShift) Next(out *vector.Batch, max int) (int, error) {
 }
 
 func (r *ridShift) Select(out *vector.Batch, max int, chain *vector.Chain, sel *vector.Selection) (int, error) {
-	base := len(out.Rids)
+	at, base := out.Len(), len(out.Rids)
 	n, err := r.src.Select(out, max, chain, sel)
-	r.shift(out.Rids[base:])
-	return n, err
+	if err != nil {
+		return n, err
+	}
+	rids := out.Rids[base:]
+	for _, i := range sel.Indexes() {
+		rids[int(i)-at] += r.off
+	}
+	return n, nil
 }
 
 func (r *ridShift) shift(rids []uint64) {

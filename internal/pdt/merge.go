@@ -69,9 +69,10 @@ type SizeHinter interface {
 // whatever the number of merges in it. Select is Next for a consumer that
 // filters: out gains up to max rows at its end in every vector, the count
 // returned, and sel is set to the indexes of those that pass every filter of
-// chain. A vector's values at rows sel leaves out are unspecified, and so is
-// every value of a slot past chain.Outputs. Next is Select with an empty chain
-// whose outputs are all of out's vectors: every row it appends is written.
+// chain. Values and RIDs at rows sel leaves out are unspecified, and so is
+// every value of a slot past chain.Outputs. Next is Select with an empty
+// chain whose outputs are all of out's vectors: every row it appends is
+// written.
 type Selector interface {
 	BatchSource
 	Select(out *vector.Batch, max int, chain *vector.Chain, sel *vector.Selection) (int, error)
@@ -101,7 +102,7 @@ func (s *numbered) Select(out *vector.Batch, max int, chain *vector.Chain, sel *
 }
 
 // read reads the next batch as the one run of a SelectRuns call, placed at
-// the batch's end.
+// the batch's end, and numbers the rows sel keeps (all of them, when nil).
 func (s *numbered) read(out *vector.Batch, max int, chain *vector.Chain, sel *vector.Selection) (int, error) {
 	n := min(max, s.src.SizeHint())
 	if n <= 0 {
@@ -115,8 +116,16 @@ func (s *numbered) read(out *vector.Batch, max int, chain *vector.Chain, sel *ve
 	}
 	base := len(out.Rids)
 	out.Rids = slices.Grow(out.Rids, n)[:base+n]
-	for i := range out.Rids[base:] {
-		out.Rids[base+i] = s.rid + uint64(i)
+	if sel == nil {
+		for i := range out.Rids[base:] {
+			out.Rids[base+i] = s.rid + uint64(i)
+		}
+	} else {
+		rids := out.Rids[base:]
+		for _, i := range sel.Indexes() {
+			k := int(i) - at
+			rids[k] = s.rid + uint64(k)
+		}
 	}
 	s.rid += uint64(n)
 	return n, nil

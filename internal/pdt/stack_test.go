@@ -49,6 +49,7 @@ type blockSource struct {
 	skipped      map[int]bool
 	batches      map[*vector.Batch]bool
 	cand, tested vector.Selection
+	union        []uint32
 }
 
 func newBlockSource(rows []types.Row, cols []int, from, to int) *blockSource {
@@ -99,8 +100,10 @@ func (s *blockSource) SelectRuns(out *vector.Batch, runs []vector.Run, keep []ui
 		}
 	}
 	if sel != nil {
+		s.union = append(append(s.union[:0], cand.Indexes()...), keep...)
+		slices.Sort(s.union)
 		sel.Reset()
-		sel.AppendUnion(cand.Indexes(), keep)
+		sel.AppendShifted(s.union, 0)
 	}
 	return nil
 }

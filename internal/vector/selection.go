@@ -84,20 +84,6 @@ func Search(s []uint32, x uint32) int {
 	return lo
 }
 
-// AppendUnion appends the rows of a and of b, two ascending lists with none
-// in common, in ascending order; all of them must follow s's own. b is meant
-// to be the short one: s grows once, and a is copied in stretches, split
-// where b's rows go.
-func (s *Selection) AppendUnion(a, b []uint32) {
-	s.idx = slices.Grow(s.idx, len(a)+len(b))
-	for _, x := range b {
-		k := Search(a, x)
-		s.idx = append(append(s.idx, a[:k]...), x)
-		a = a[k:]
-	}
-	s.idx = append(s.idx, a...)
-}
-
 // Drop removes from s the rows of all that kept lacks, where kept is all
 // narrowed by some filter and s holds every row of all. Nothing moves unless
 // a row is dropped, and then only the rows from the first dropped one on.
