@@ -37,9 +37,9 @@ const DefaultBlockRows = 8192
 // (unbounded) buffer pool and are free, so a benchmark can measure a query's
 // cold I/O volume by calling DropCaches and ResetStats first, and its hot
 // time by re-running with the pool warm. A pool entry holds the bytes its
-// segment's ReadBlock returned, so evicting it really does make the next fetch
-// a ReadBlock again — a pread and a CRC check for a file, the CRC check alone
-// for a memory segment.
+// segment's ReadBlock returned, in a written scheme (compress.Upgrade), so
+// evicting it really does make the next fetch a ReadBlock again — a pread and
+// a CRC check for a file, the CRC check alone for a memory segment.
 //
 // A device is safe for concurrent scanners — the parallel scan engine's
 // workers all charge fetches through one device. Pool hits take only a read
@@ -92,8 +92,9 @@ func (d *Device) poolGet(k devKey) ([]byte, bool) {
 	return b, ok
 }
 
-// poolFill inserts bytes just read from their segment, charging the cold read. A
-// concurrent fill of the same block charges only once; both copies are valid.
+// poolFill inserts a block just read from its segment, charging the cold read
+// of the bytes the segment holds for it (b may be their upgrade). A concurrent
+// fill of the same block charges only once; both copies are valid.
 func (d *Device) poolFill(k devKey, b []byte) {
 	d.mu.Lock()
 	if _, ok := d.cached[k]; ok {
@@ -101,7 +102,7 @@ func (d *Device) poolFill(k devKey, b []byte) {
 		return
 	}
 	d.cached[k] = b
-	d.bytesRead += uint64(len(b))
+	d.bytesRead += uint64(k.seg.BlockLen(k.col, k.blk))
 	d.reads++
 	d.mu.Unlock()
 }
@@ -942,7 +943,9 @@ func (s *Store) LowerBound(key types.Row) (uint64, error) {
 // encodedBlock returns one column block's encoded bytes, charging the device
 // for a cold fetch: the logical coordinate resolves through the block map,
 // then the owning chain member reads the block unless the buffer pool already
-// holds it. Pool keys are per segment, so blocks inherited across checkpoint
+// holds it. This is where block bytes enter the process: a block of a retired
+// scheme is upgraded here, before the pool, so every caller sees a written
+// one. Pool keys are per segment, so blocks inherited across checkpoint
 // generations stay warm through the swap.
 func (s *Store) encodedBlock(col, blk int) ([]byte, error) {
 	si, pb := s.place(col, blk)
@@ -950,9 +953,13 @@ func (s *Store) encodedBlock(col, blk int) ([]byte, error) {
 	if b, ok := s.dev.poolGet(k); ok {
 		return b, nil
 	}
-	b, err := k.seg.ReadBlock(col, pb)
+	raw, err := k.seg.ReadBlock(col, pb)
 	if err != nil {
 		return nil, err
+	}
+	b, err := compress.Upgrade(raw)
+	if err != nil {
+		return nil, fmt.Errorf("colstore: column %d block %d: %w", col, blk, err)
 	}
 	s.dev.poolFill(k, b)
 	return b, nil

@@ -3,10 +3,14 @@ package colstore_test
 // Segments written before ForInt and the packed dictionary existed still open
 // and read. testdata/legacy-ad4cc9b.seg is the file commit ad4cc9b — the last
 // whose encoders wrote delta-varint and varint-code dictionary blocks — built
-// from legacyRows at 128 rows per block, compressed.
+// from legacyRows at 128 rows per block, compressed. Its blocks of those
+// retired schemes are upgraded where they are read (compress.Upgrade), so no
+// reader above the store sees one, and checkpoints over it write none.
 
 import (
+	"errors"
 	"fmt"
+	"path/filepath"
 	"sort"
 	"testing"
 
@@ -67,49 +71,143 @@ func openLegacy(t *testing.T) *colstore.Store {
 	return st
 }
 
+// allCols lists every column of the legacy schema, and their kinds.
+func allCols() ([]int, []types.Kind) {
+	cols := make([]int, len(legacySchema.Cols))
+	kinds := make([]types.Kind, len(cols))
+	for i, c := range legacySchema.Cols {
+		cols[i], kinds[i] = i, c.Kind
+	}
+	return cols, kinds
+}
+
+// scanAll reads rows [from, to) of every column of st in batches of 37.
+func scanAll(t *testing.T, st *colstore.Store, from, to int) *vector.Batch {
+	t.Helper()
+	cols, kinds := allCols()
+	out := vector.NewBatch(kinds, 64)
+	sc := st.NewScanner(cols, uint64(from), uint64(to))
+	for {
+		n, err := sc.Next(out, 37)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			return out
+		}
+	}
+}
+
 func TestLegacySegmentReads(t *testing.T) {
 	st := openLegacy(t)
 	rows := legacyRows()
 	if st.NRows() != uint64(len(rows)) || st.NumBlocks() != 8 {
 		t.Fatalf("%d rows in %d blocks, want %d in 8", st.NRows(), st.NumBlocks(), len(rows))
 	}
-	seen := map[compress.Scheme]bool{}
+	// The file holds the retired schemes; the store hands out none of them.
+	seg := st.Segment()
+	raw, read := map[compress.Scheme]bool{}, map[compress.Scheme]bool{}
+	segBytes := uint64(0)
 	for c := range legacySchema.Cols {
 		for b := 0; b < st.NumBlocks(); b++ {
+			buf, err := seg.ReadBlock(c, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[compress.BlockScheme(buf)] = true
+			segBytes += uint64(seg.BlockLen(c, b))
 			enc, err := st.EncodedBlock(c, b)
 			if err != nil {
 				t.Fatal(err)
 			}
-			seen[compress.BlockScheme(enc)] = true
+			read[compress.BlockScheme(enc)] = true
 		}
 	}
 	for _, s := range []compress.Scheme{compress.DeltaVarint, compress.RLEInt, compress.DictString, compress.PlainInt} {
-		if !seen[s] {
+		if !raw[s] {
 			t.Errorf("the file holds no scheme %d block", s)
 		}
 	}
-	if seen[compress.ForInt] || seen[compress.PackedDict] {
+	if raw[compress.ForInt] || raw[compress.PackedDict] {
 		t.Error("the file holds blocks of a scheme its commit could not write")
 	}
-
-	cols := make([]int, len(legacySchema.Cols))
-	kinds := make([]types.Kind, len(cols))
-	for i, c := range legacySchema.Cols {
-		cols[i], kinds[i] = i, c.Kind
+	if read[compress.DeltaVarint] || read[compress.DictString] {
+		t.Errorf("the store hands out blocks of a retired scheme: %v", read)
 	}
-	// Whole-table and mid-block windows, in odd batch sizes.
-	for _, w := range [][2]int{{0, len(rows)}, {5, 300}, {127, 129}, {640, 1000}, {999, 1000}} {
-		out := vector.NewBatch(kinds, 64)
-		sc := st.NewScanner(cols, uint64(w[0]), uint64(w[1]))
-		for {
-			n, err := sc.Next(out, 37)
+	// A cold scan still charges the bytes the segment holds, not the
+	// upgraded blocks' size.
+	dev := st.Device()
+	dev.DropCaches()
+	dev.ResetStats()
+	scanAll(t, st, 0, len(rows))
+	if got, _ := dev.Stats(); got != segBytes {
+		t.Errorf("a cold scan charged %d bytes, the segment's blocks hold %d", got, segBytes)
+	}
+	checkLegacyReads(t, st, rows)
+
+	// An incremental checkpoint over it rewrites one inherited block and the
+	// last one, and inherits the rest, still in their retired schemes.
+	const shiftBlk = 7
+	inc, err := colstore.NewCheckpointBuilder(st, shiftBlk, 0, true, filepath.Join(t.TempDir(), "inc.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := scanAll(t, st, 3*128, 4*128)
+	if err := inc.WriteBlock(4, 3, block.Vecs[4]); err != nil {
+		t.Fatal(err)
+	}
+	if err := inc.AddBatch(scanAll(t, st, shiftBlk*128, len(rows))); err != nil {
+		t.Fatal(err)
+	}
+	incSt, err := inc.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer incSt.Close()
+	if segs := incSt.Segments(); len(segs) != 2 || segs[0] != seg {
+		t.Fatalf("the incremental image is a chain of %d segments, want the legacy file and its own", len(segs))
+	}
+	t.Run("incremental", func(t *testing.T) { checkLegacyReads(t, incSt, rows) })
+
+	// A full checkpoint writes every block again, none in a retired scheme.
+	full, err := colstore.NewCheckpointBuilder(st, 0, 128, true, filepath.Join(t.TempDir(), "full.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := full.AddBatch(scanAll(t, st, 0, len(rows))); err != nil {
+		t.Fatal(err)
+	}
+	fullSt, err := full.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fullSt.Close()
+	fseg := fullSt.Segment()
+	if len(fullSt.Segments()) != 1 {
+		t.Fatalf("the full image is a chain of %d segments", len(fullSt.Segments()))
+	}
+	for c := range legacySchema.Cols {
+		for b := 0; b < fullSt.NumBlocks(); b++ {
+			buf, err := fseg.ReadBlock(c, b)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n == 0 {
-				break
+			if s := compress.BlockScheme(buf); s == compress.DeltaVarint || s == compress.DictString {
+				t.Errorf("the full checkpoint wrote column %d block %d in scheme %d", c, b, s)
 			}
 		}
+	}
+	t.Run("full", func(t *testing.T) { checkLegacyReads(t, fullSt, rows) })
+}
+
+// checkLegacyReads holds scans, a filtered plan, LowerBound and Seek over st
+// to rows.
+func checkLegacyReads(t *testing.T, st *colstore.Store, rows []types.Row) {
+	t.Helper()
+	cols, _ := allCols()
+	// Whole-table and mid-block windows, in odd batch sizes.
+	for _, w := range [][2]int{{0, len(rows)}, {5, 300}, {127, 129}, {640, 1000}, {999, 1000}} {
+		out := scanAll(t, st, w[0], w[1])
 		if out.Len() != w[1]-w[0] {
 			t.Fatalf("scan [%d, %d): %d rows", w[0], w[1], out.Len())
 		}
@@ -121,9 +219,8 @@ func TestLegacySegmentReads(t *testing.T) {
 	}
 
 	// A filtered plan over the clean image selects in the scanner: the first
-	// filter decodes its delta-varint window, the later ones are gathered from
-	// varint-code dictionary and bool blocks, and delta, dictionary, RLE and
-	// float columns are gathered at the survivors.
+	// filter on the key column, the later ones gathered from string and bool
+	// blocks, and the outputs gathered at the survivors.
 	tbl, err := table.FromStore(st, table.Options{Mode: table.ModePDT})
 	if err != nil {
 		t.Fatal(err)
@@ -177,5 +274,35 @@ func TestLegacySegmentReads(t *testing.T) {
 		if exact && types.CompareRows(row, rows[want]) != 0 {
 			t.Fatalf("Seek(%v) row %v, want %v", key, row, rows[want])
 		}
+	}
+}
+
+// TestUpgradeErrorAtFetch: a retired block whose bytes pass the segment's
+// checksum but do not decode fails its fetch with ErrCorrupt naming the
+// block, and neither enters the pool nor is charged.
+func TestUpgradeErrorAtFetch(t *testing.T) {
+	schema := types.MustSchema([]types.Column{{Name: "k", Kind: types.Int64}}, []int{0})
+	w, err := storage.CreateSegment("", schema, 128, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two delta-varint values, the second varint cut short.
+	if err := w.AppendBlock(0, []byte{byte(compress.DeltaVarint), 2, 0, 0, 0, 2, 0x80}, storage.Zone{}); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := w.Finish(2, []types.Row{{types.Int(1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := colstore.FromSegmentChain([]*storage.Segment{seg}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.EncodedBlock(0, 0); !errors.Is(err, compress.ErrCorrupt) {
+		t.Fatalf("fetch of a damaged retired block: err = %v, want ErrCorrupt", err)
+	}
+	if bytes, reads := st.Device().Stats(); bytes != 0 || reads != 0 || st.Device().PoolBlocks() != 0 {
+		t.Errorf("a failed fetch charged %d bytes in %d reads and left %d blocks pooled", bytes, reads, st.Device().PoolBlocks())
 	}
 }

@@ -10,9 +10,11 @@
 // either is found without reading values 0..i-1 — the key probe binary-searches
 // a ForInt block in place (SearchInt64s) and decodes only the rows it reads.
 //
-// Read-only schemes: DeltaVarint and DictString (varint codes) are decoded but
-// no longer written, so segments written before ForInt and PackedDict existed
-// keep working.
+// Retired schemes: delta varints and the varint-code dictionary are no longer
+// written, and no kernel reads them. Upgrade, called where a block's bytes
+// enter the process, decodes a block of either whole and encodes it again in
+// a written scheme, so segments written before ForInt and PackedDict existed
+// keep reading.
 //
 // One decoder per kind reads any part of a block: Decode*Spans decodes the
 // rows of ascending spans of it — a window is one span, a whole block
@@ -21,9 +23,7 @@
 //
 //   - PlainInt, ForInt, PlainFloat, BitBool, PlainString, PackedDict: O(n)
 //     (SearchInt64s: O(log(hi-lo)) on PlainInt and ForInt);
-//   - RLEInt: O(n) plus the runs before end;
-//   - DeltaVarint: O(end), every varint before end is walked;
-//   - DictString: O(end) plus a walk over the whole dictionary.
+//   - RLEInt: O(n) plus the runs before end.
 package compress
 
 import (
@@ -54,8 +54,8 @@ type Scheme byte
 const (
 	// PlainInt stores each int64 little-endian in 8 bytes.
 	PlainInt Scheme = iota + 1
-	// DeltaVarint stores zigzag-encoded deltas as varints. Read-only: blocks
-	// written before ForInt existed still decode.
+	// DeltaVarint stores zigzag-encoded deltas as varints. Retired: blocks
+	// written before ForInt existed are read through Upgrade.
 	DeltaVarint
 	// RLEInt stores (zigzag varint value, varint run length) pairs.
 	RLEInt
@@ -66,8 +66,8 @@ const (
 	// PlainString stores uint32 offsets followed by the concatenated bytes.
 	PlainString
 	// DictString stores a dictionary of the distinct strings, in order of
-	// first appearance, followed by one varint code per value. Read-only:
-	// blocks written before PackedDict existed still decode.
+	// first appearance, followed by one varint code per value. Retired:
+	// blocks written before PackedDict existed are read through Upgrade.
 	DictString
 	// ForInt stores value i as base + line(i) + a residual bit-packed at one
 	// width for the whole block: a frame of reference, over a line through
@@ -131,23 +131,6 @@ func window(count, skip, n int) (int, error) {
 		return 0, corrupt("values [%d, %d+%d) requested from a block of %d", skip, skip, n, count)
 	}
 	return skip + n, nil
-}
-
-// uvarint2 decodes a one- or two-byte varint at body[p:] — the widths delta
-// keys and dictionary codes almost always take — with a branch per width the
-// predictor learns. sz == 0 sends the caller to binary.Uvarint (longer
-// varint, or too close to the buffer's end).
-func uvarint2(body []byte, p int) (u uint64, sz int) {
-	if p+1 < len(body) {
-		b0, b1 := body[p], body[p+1]
-		if b0 < 0x80 {
-			return uint64(b0), 1
-		}
-		if b1 < 0x80 {
-			return uint64(b0&0x7f) | uint64(b1)<<7, 2
-		}
-	}
-	return 0, 0
 }
 
 // packedLen is the byte length of n values bit-packed at w bits into
@@ -370,45 +353,6 @@ func whole[T any](buf []byte, out []T) ([]T, [1]Span, error) {
 	return slices.Grow(out, n)[:at+n], [1]Span{{At: at, N: n}}, nil
 }
 
-// wholeCount is the value count of a whole block, once buf's bytes could hold
-// that many values, so that nothing is sized from a count they could not. A
-// plain block spends 8 bytes per int or float and a 4-byte offset per string,
-// a BitBool block a bit per value and a legacy varint block a byte; RLE runs
-// are walked, and width-0 ForInt and PackedDict blocks hold any count
-// (callers check BlockCount against the rows they expect first).
-func wholeCount(buf []byte) (int, error) {
-	scheme, count, body, err := readHeader(buf)
-	if err != nil {
-		return 0, err
-	}
-	bitsPer := uint64(8)
-	switch scheme {
-	case RLEInt:
-		for got := 0; got < count && err == nil; {
-			var run int
-			_, run, body, err = rleRun(body, count-got)
-			got += run
-		}
-		return count, err
-	case ForInt:
-		_, err = parseFor(body, count)
-		return count, err
-	case PackedDict:
-		_, err = parseDict(body, count)
-		return count, err
-	case PlainInt, PlainFloat:
-		bitsPer = 64
-	case PlainString:
-		bitsPer = 32
-	case BitBool:
-		bitsPer = 1
-	}
-	if (uint64(count)*bitsPer+7)/8 > uint64(len(body)) {
-		return 0, corrupt("%d values in %d bytes", count, len(body))
-	}
-	return count, nil
-}
-
 // EncodeFloat64s encodes vals; floats are stored plain (the paper's
 // lightweight codecs target keys and categorical data, not measures).
 func EncodeFloat64s(vals []float64) []byte {
@@ -471,20 +415,11 @@ func rleRun(body []byte, left int) (v int64, run int, rest []byte, err error) {
 	return unzigzag(u), int(r), body[sz:], nil
 }
 
-// deltaVarint reads the varint at body[p:] of a legacy delta block; sz <= 0
-// means it is malformed.
-func deltaVarint(body []byte, p int) (u uint64, sz int) {
-	if u, sz = uvarint2(body, p); sz == 0 {
-		u, sz = binary.Uvarint(body[p:])
-	}
-	return u, sz
-}
-
 // SearchInt64s finds want among values [lo, hi) of an int block the caller
 // knows to be sorted there, without materializing them: ge is the index of
 // the first value >= want and gt of the first value > want, each hi when there
 // is none. PlainInt and ForInt blocks binary-search in place, RLE blocks walk
-// their runs, and a legacy delta block walks its varints up to the answer.
+// their runs.
 func SearchInt64s(buf []byte, lo, hi int, want int64) (ge, gt int, err error) {
 	scheme, count, body, err := readHeader(buf)
 	if err != nil {
@@ -511,7 +446,7 @@ func SearchInt64s(buf []byte, lo, hi int, want int64) (ge, gt int, err error) {
 		ge, gt = searchSorted(lo, hi, want, f.at)
 		return ge, gt, nil
 	case RLEInt:
-		ge = -1
+		ge = hi // until a run in the window holds a value >= want
 		for got := 0; got < hi; {
 			v, run, rest, err := rleRun(body, count-got)
 			if err != nil {
@@ -519,7 +454,7 @@ func SearchInt64s(buf []byte, lo, hi int, want int64) (ge, gt int, err error) {
 			}
 			body = rest
 			if got+run > lo {
-				if v >= want && ge < 0 {
+				if v >= want && ge == hi {
 					ge = max(got, lo)
 				}
 				if v > want {
@@ -528,32 +463,9 @@ func SearchInt64s(buf []byte, lo, hi int, want int64) (ge, gt int, err error) {
 			}
 			got += run
 		}
-	case DeltaVarint:
-		ge = -1
-		prev, p := int64(0), 0
-		for i := 0; i < hi; i++ {
-			u, sz := deltaVarint(body, p)
-			if sz <= 0 {
-				return 0, 0, corrupt("bad varint in delta block")
-			}
-			p += sz
-			if prev += unzigzag(u); i < lo {
-				continue
-			}
-			if prev >= want && ge < 0 {
-				ge = i
-			}
-			if prev > want {
-				return ge, i, nil
-			}
-		}
-	default:
-		return 0, 0, corrupt("scheme %d is not an int encoding", scheme)
+		return ge, hi, nil
 	}
-	if ge < 0 {
-		ge = hi
-	}
-	return ge, hi, nil
+	return 0, 0, corrupt("scheme %d is not an int encoding", scheme)
 }
 
 // searchSorted binary-searches [lo, hi) of a sorted random-access sequence.
@@ -758,174 +670,35 @@ func (d *dictBlock) entry(c uint64) (lo, hi uint32, err error) {
 	return lo, hi, nil
 }
 
-// decodeLegacyDict stores the values of the rows of every span of a legacy
-// dictionary block, whose body after the entry count is body, in
-// dst[At:At+N].
-func decodeLegacyDict(body []byte, dictLen int, spans []Span, dst []string) error {
-	n := 0
-	for _, s := range spans {
-		n += s.N
-	}
-	if n < dictLen {
-		return decodeDictWindow(body, dictLen, spans, n, dst)
-	}
-	// The spans hold at least as many values as the dictionary: materialize
-	// the dictionary once — one arena holding all its bytes, each entry a
-	// slice of it — and share an entry across all its codes. (A scan's batch
-	// may pin the block's dictionary; the paths whose results are retained,
-	// decodeDictWindow and DictValues, copy per entry.)
-	p, err := 0, error(nil)
-	for i := 0; i < dictLen; i++ {
-		if _, p, err = dictEntry(body, p); err != nil {
-			return err
-		}
-	}
-	arena, dict := string(body[:p]), make([]string, dictLen)
-	p = 0
-	for i := range dict {
-		entry, next, _ := dictEntry(body, p)
-		dict[i] = arena[next-len(entry) : next]
-		p = next
-	}
-	return walkCodes(body[p:], dictLen, spans, func(at int, code uint64) { dst[at] = dict[code] })
-}
-
-// walkCodes reads the varint codes of a legacy dictionary block through the
-// last span's end and hands put each code of a span's rows with the position
-// it lands at. The codes before the first span are stepped over — in one
-// jump when every valid code fits one byte (at most 128 entries).
-func walkCodes(codes []byte, dictLen int, spans []Span, put func(at int, code uint64)) error {
-	if len(spans) == 0 {
-		return nil
-	}
-	i, p := 0, 0
-	if first := spans[0].Row; dictLen <= 0x80 && first <= len(codes) {
-		i, p = first, first
-	}
-	for _, s := range spans {
-		for ; i < s.Row+s.N; i++ {
-			code, sz := uvarint2(codes, p)
-			if sz == 0 {
-				code, sz = binary.Uvarint(codes[p:])
-			}
-			if sz <= 0 || code >= uint64(dictLen) {
-				return corrupt("bad dict code")
-			}
-			p += sz
-			if i >= s.Row {
-				put(s.At+i-s.Row, code)
-			}
-		}
-	}
-	return nil
-}
-
-// decodeDictWindow is decodeLegacyDict for spans of n values in all, fewer
-// than the dictionary's entries, keeping no per-entry state: it steps over
-// the dictionary to reach the codes, reads the spans', then revisits the
-// dictionary once for just the entries they name.
-func decodeDictWindow(body []byte, dictLen int, spans []Span, n int, dst []string) error {
-	p, err := 0, error(nil)
-	for i := 0; i < dictLen; i++ {
-		if _, p, err = dictEntry(body, p); err != nil {
-			return err
-		}
-	}
-	type want struct {
-		code uint64
-		at   int
-	}
-	wants := make([]want, 0, n)
-	if err := walkCodes(body[p:], dictLen, spans, func(at int, code uint64) { wants = append(wants, want{code, at}) }); err != nil {
-		return err
-	}
-	// Fill the positions in code order, so one forward pass over the
-	// dictionary serves every one; equal codes share one string.
-	sort.Slice(wants, func(a, b int) bool { return wants[a].code < wants[b].code })
-	next, str := uint64(0), ""
-	p = 0
-	for k, w := range wants {
-		if k == 0 || w.code != wants[k-1].code {
-			var entry []byte
-			for ; next <= w.code; next++ {
-				if entry, p, err = dictEntry(body, p); err != nil {
-					return err
-				}
-			}
-			str = string(entry)
-		}
-		dst[w.at] = str
-	}
-	return nil
-}
-
-// dictHeader reads a legacy dictionary block's entry count, bounded by the
-// bytes left (every entry takes at least its length byte).
-func dictHeader(body []byte) (int, []byte, error) {
-	dictLen, sz := binary.Uvarint(body)
-	if sz <= 0 || dictLen > uint64(len(body)-sz) {
-		return 0, nil, corrupt("bad dict length")
-	}
-	return int(dictLen), body[sz:], nil
-}
-
-// dictEntry reads the length-prefixed legacy dictionary entry at body[p:],
-// returning its bytes (aliasing body) and the offset of whatever follows it.
-func dictEntry(body []byte, p int) (entry []byte, next int, err error) {
-	l, sz := uvarint2(body, p)
-	if sz == 0 {
-		l, sz = binary.Uvarint(body[p:])
-	}
-	if sz <= 0 || l > uint64(len(body)-p-sz) {
-		return nil, 0, corrupt("bad dict entry")
-	}
-	next = p + sz + int(l)
-	return body[p+sz : next], next, nil
-}
-
-// DictValues returns the dictionary of a PackedDict or DictString block — its
-// exact distinct value set, in first-appearance order — without decoding the
-// code stream. ok is false for any other scheme. Index builds and
+// DictValues returns the dictionary of a PackedDict block — its exact
+// distinct value set, in first-appearance order — without decoding the code
+// stream. ok is false for a PlainString block, and any other scheme is not a
+// string block (ErrCorrupt). Index builds and
 // encoded-block filters use it to see every value a block can produce at
 // dictionary cost instead of row count cost. A packed dictionary's values
 // share one copy of its bytes: a summary keeps every entry or none.
 func DictValues(buf []byte) (vals []string, ok bool, err error) {
 	scheme, count, body, err := readHeader(buf)
+	if err != nil || scheme == PlainString {
+		return nil, false, err
+	}
+	if scheme != PackedDict {
+		return nil, false, corrupt("scheme %d is not a string encoding", scheme)
+	}
+	d, err := parseDict(body, count)
 	if err != nil {
 		return nil, false, err
 	}
-	switch scheme {
-	case PackedDict:
-		d, err := parseDict(body, count)
+	arena := string(d.data)
+	vals = make([]string, d.ndict)
+	for c := range vals {
+		lo, hi, err := d.entry(uint64(c))
 		if err != nil {
 			return nil, false, err
 		}
-		arena := string(d.data)
-		vals = make([]string, d.ndict)
-		for c := range vals {
-			lo, hi, err := d.entry(uint64(c))
-			if err != nil {
-				return nil, false, err
-			}
-			vals[c] = arena[lo:hi]
-		}
-		return vals, true, nil
-	case DictString:
-		dictLen, body, err := dictHeader(body)
-		if err != nil {
-			return nil, false, err
-		}
-		vals = make([]string, dictLen)
-		for i, p := 0, 0; i < dictLen; i++ {
-			var entry []byte
-			if entry, p, err = dictEntry(body, p); err != nil {
-				return nil, false, err
-			}
-			vals[i] = string(entry)
-		}
-		return vals, true, nil
+		vals[c] = arena[lo:hi]
 	}
-	return nil, false, nil
+	return vals, true, nil
 }
 
 // RunValues returns one value per run of equal values of an int block whose
@@ -981,4 +754,46 @@ func BlockCount(buf []byte) int {
 		return -1
 	}
 	return count
+}
+
+// wholeCount is the value count of a whole block, once buf's bytes could hold
+// that many values, so that nothing is sized from a count they could not. A
+// plain block spends 8 bytes per int or float and a 4-byte offset per string,
+// and a BitBool block a bit per value; RLE runs are walked, and width-0 ForInt
+// and PackedDict blocks hold any count (callers check BlockCount against the
+// rows they expect first). Any other scheme is not a written one, and no
+// whole decode of it sizes anything.
+func wholeCount(buf []byte) (int, error) {
+	scheme, count, body, err := readHeader(buf)
+	if err != nil {
+		return 0, err
+	}
+	var bitsPer uint64
+	switch scheme {
+	case RLEInt:
+		for got := 0; got < count && err == nil; {
+			var run int
+			_, run, body, err = rleRun(body, count-got)
+			got += run
+		}
+		return count, err
+	case ForInt:
+		_, err = parseFor(body, count)
+		return count, err
+	case PackedDict:
+		_, err = parseDict(body, count)
+		return count, err
+	case PlainInt, PlainFloat:
+		bitsPer = 64
+	case PlainString:
+		bitsPer = 32
+	case BitBool:
+		bitsPer = 1
+	default:
+		return 0, corrupt("scheme %d is not a written encoding", scheme)
+	}
+	if (uint64(count)*bitsPer+7)/8 > uint64(len(body)) {
+		return 0, corrupt("%d values in %d bytes", count, len(body))
+	}
+	return count, nil
 }

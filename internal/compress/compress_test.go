@@ -226,7 +226,8 @@ func TestZigzag(t *testing.T) {
 }
 
 // windowCase is one encoded block with its expected full decode and its
-// type-erased span decoder, so one checker serves all nine encodings.
+// type-erased span decoder, so one checker serves all seven written
+// encodings.
 type windowCase struct {
 	name   string
 	buf    []byte
@@ -373,22 +374,19 @@ func checkWindows(t *testing.T, c windowCase) {
 }
 
 // TestDecodeFromWindows runs the span decoders' window contract over one small
-// block of each of the nine encodings, the two read-only ones built by the
-// reference's legacy builders.
+// block of each of the seven written encodings.
 func TestDecodeFromWindows(t *testing.T) {
 	ints := []int64{3, -1, 0, 1 << 40, -(1 << 40), 7, 7, 7, -9, 0, 0, 2}
 	line := []int64{-50, -41, -33, -20, -14, -3, 5, 11, 22, 31, 40, 52, 59}
 	strs := []string{"", "a", "bc", "", "a", "ghij", "bc", "a"}
 	cases := []windowCase{
 		intCase("plain-int", encodePlainInt(ints)),
-		intCase("delta-varint", encodeDeltaVarint(ints)),
 		intCase("rle-int", encodeRLEInt(ints)),
 		intCase("for-int", encodeForInt(ints)),
 		intCase("for-int-line", encodeForInt(line)),
 		floatCase("plain-float", EncodeFloat64s([]float64{0, -1.5, 3.25, 1e300, -1e-300, 42})),
 		boolCase("bit-bool", EncodeBools([]int64{1, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1})),
 		stringCase("plain-string", encodePlainString(strs)),
-		stringCase("dict-string", encodeDictString(strs)),
 		stringCase("packed-dict", encodePackedDict(strs)),
 	}
 	seen := map[Scheme]bool{}
@@ -396,23 +394,39 @@ func TestDecodeFromWindows(t *testing.T) {
 		seen[BlockScheme(c.buf)] = true
 		checkWindows(t, c)
 	}
-	if len(seen) != int(PackedDict) {
-		t.Errorf("table covers %d of %d encodings", len(seen), PackedDict)
+	if len(seen) != 7 || seen[DeltaVarint] || seen[DictString] {
+		t.Errorf("table covers %d encodings, want the 7 written ones", len(seen))
 	}
 	if slope := binary.LittleEndian.Uint64(encodeForInt(line)[headerSize+8:]); slope == 0 {
 		t.Error("for-int-line was built without its line")
 	}
 }
 
+// allocBytes is how many bytes f allocates, with the collector off so that
+// none are missed. A byte bound, unlike an allocation count, does not move
+// with the build (-race adds allocations to error paths), and a slice sized
+// from a hostile count would exceed any sane one by orders of magnitude.
+func allocBytes(f func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // TestDecodeFromHostileLengths feeds headers whose counts and dictionary
-// sizes promise far more than the buffer holds: the decoders must answer
-// ErrCorrupt without sizing anything from the claimed length.
+// sizes promise far more than the buffer holds: the decoders, and Upgrade for
+// the retired schemes, must answer ErrCorrupt without sizing anything from the
+// claimed length.
 func TestDecodeFromHostileLengths(t *testing.T) {
 	huge := func(scheme Scheme, body ...byte) []byte {
 		return append([]byte{byte(scheme), 0xff, 0xff, 0xff, 0xff}, body...)
 	}
-	allocs := testing.AllocsPerRun(10, func() {
-		for _, scheme := range []Scheme{PlainInt, DeltaVarint, RLEInt} {
+	// 2^32-1 values over a byte or two, and a retired dictionary whose length
+	// varint claims 2^40 entries over a 6-byte body.
+	if b := allocBytes(func() {
+		for _, scheme := range []Scheme{PlainInt, RLEInt} {
 			if _, err := DecodeInt64s(huge(scheme, 2, 1), nil); !errors.Is(err, ErrCorrupt) {
 				t.Errorf("scheme %d: err = %v", scheme, err)
 			}
@@ -423,30 +437,24 @@ func TestDecodeFromHostileLengths(t *testing.T) {
 		if _, err := DecodeBools(huge(BitBool, 0), nil); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("bool: err = %v", err)
 		}
-		// dict length varint claiming 2^40 entries over a 6-byte body
-		for _, buf := range [][]byte{huge(PlainString, 0), huge(DictString, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20)} {
-			if _, err := DecodeStrings(buf, nil); !errors.Is(err, ErrCorrupt) {
-				t.Errorf("scheme %d: err = %v", BlockScheme(buf), err)
-			}
-			if _, _, err := DictValues(buf); BlockScheme(buf) == DictString && !errors.Is(err, ErrCorrupt) {
-				t.Errorf("DictValues: err = %v", err)
+		if _, err := DecodeStrings(huge(PlainString, 0), nil); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("string: err = %v", err)
+		}
+		for _, buf := range [][]byte{huge(DeltaVarint, 2, 1), huge(DictString, 0x80, 0x80, 0x80, 0x80, 0x80, 0x20)} {
+			if _, err := Upgrade(buf); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("upgrade of scheme %d: err = %v", BlockScheme(buf), err)
 			}
 		}
-	})
-	// Error values and the test's own small buffers allocate; a slice sized
-	// from a 2^32 count or a 2^40 dictionary would dwarf this bound (or die).
-	if allocs > 64 {
-		t.Errorf("hostile headers cost %v allocs per run", allocs)
+	}); b > 64<<10 {
+		t.Errorf("hostile headers cost %d bytes", b)
 	}
 	// The bit-packed schemes: a ForInt frame too short for its header, frames
 	// whose 2^32-1 residuals at 1, 64 and 255 bits are missing, a packed
 	// dictionary claiming 2^32-1 entries, and one whose one entry claims
-	// 2^32-1 bytes. Bounded in bytes: the error values' allocation count
-	// varies with the build (-race adds some), a slice sized from any of
-	// those lengths would be gigabytes. Then plain blocks holding a byte per
-	// value they claim, short of the 8 an int or float takes and the 4 of a
-	// string's offset: a whole-block decode sized by their counts before the
-	// check would grow its output by 128 KB of ints or 256 KB of strings.
+	// 2^32-1 bytes. Then plain blocks holding a byte per value they claim,
+	// short of the 8 an int or float takes and the 4 of a string's offset: a
+	// whole-block decode sized by their counts before the check would grow its
+	// output by 128 KB of ints or 256 KB of strings.
 	short := func(scheme Scheme) []byte {
 		buf := make([]byte, headerSize+1<<14)
 		buf[0] = byte(scheme)
@@ -454,10 +462,7 @@ func TestDecodeFromHostileLengths(t *testing.T) {
 		return buf
 	}
 	shortInt, shortFloat, shortStr := short(PlainInt), short(PlainFloat), short(PlainString)
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	func() {
+	if b := allocBytes(func() {
 		if _, err := DecodeInt64s(shortInt, nil); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("short plain int block: err = %v", err)
 		}
@@ -487,9 +492,7 @@ func TestDecodeFromHostileLengths(t *testing.T) {
 				t.Errorf("packed DictValues: err = %v", err)
 			}
 		}
-	}()
-	runtime.ReadMemStats(&after)
-	if b := after.TotalAlloc - before.TotalAlloc; b > 64<<10 {
+	}); b > 64<<10 {
 		t.Errorf("hostile bit-packed headers and short plain blocks cost %d bytes", b)
 	}
 }
@@ -513,9 +516,9 @@ func TestDecodeInt64sFrom(t *testing.T) {
 			checkWindows(t, intCase(name, EncodeInt64s(vals, compress)))
 		}
 	}
-	// force each int scheme explicitly, the legacy delta blocks included
-	for _, enc := range [][]byte{encodePlainInt(sorted), encodeDeltaVarint(sorted), encodeDeltaVarint(runs),
-		encodeRLEInt(constant), encodeRLEInt(runs), encodeForInt(sorted[:120]), encodeForInt(runs), encodeForInt(constant[:120])} {
+	// force each int scheme explicitly
+	for _, enc := range [][]byte{encodePlainInt(sorted), encodeRLEInt(constant), encodeRLEInt(runs),
+		encodeForInt(sorted[:120]), encodeForInt(runs), encodeForInt(constant[:120])} {
 		checkWindows(t, intCase("forced", enc))
 	}
 }
@@ -547,9 +550,7 @@ func TestDecodeStringsFrom(t *testing.T) {
 		for _, compress := range []bool{false, true} {
 			checkWindows(t, stringCase("strings", EncodeStrings(vals, compress)))
 		}
-		// the legacy varint-code dictionary, and a packed one even where
-		// plain is smaller
-		checkWindows(t, stringCase("legacy-dict", encodeDictString(vals)))
+		// a packed dictionary even where plain is smaller
 		checkWindows(t, stringCase("packed-dict", encodePackedDict(vals)))
 	}
 }

@@ -19,10 +19,8 @@ import (
 // bytes up to its last offset inside the block, every value's code bits in
 // whole 64-bit words after them, and — over the window — codes below the
 // entry count naming entries whose offsets are in order and inside those
-// bytes; for legacy dictionary blocks, a whole dictionary that parses, and
-// varint codes below its length — walked from the block's first code, or from
-// byte skip of the codes when every valid code is one byte (a dictionary of
-// at most 128 entries).
+// bytes. A block of a retired scheme is not one (upgrade_test.go reads
+// those).
 func refDecodeStringsFrom(buf []byte, skip, n int) ([]string, error) {
 	if len(buf) < headerSize {
 		return nil, corrupt("reference: truncated header")
@@ -93,36 +91,6 @@ func refDecodeStringsFrom(buf []byte, skip, n int) ([]string, error) {
 			out = append(out, string(data[end(c-1):end(c)]))
 		}
 		return out, nil
-	case DictString:
-		dictLen, sz := binary.Uvarint(body)
-		if sz <= 0 {
-			return nil, corrupt("reference: dictionary length")
-		}
-		body = body[sz:]
-		var dict []string
-		for i := uint64(0); i < dictLen; i++ {
-			l, sz := binary.Uvarint(body)
-			if sz <= 0 || l > uint64(len(body)-sz) {
-				return nil, corrupt("reference: dictionary entry")
-			}
-			dict = append(dict, string(body[sz:sz+int(l)]))
-			body = body[sz+int(l):]
-		}
-		i := 0
-		if dictLen <= 0x80 && skip <= len(body) {
-			i, body = skip, body[skip:]
-		}
-		for ; i < skip+n; i++ {
-			code, sz := binary.Uvarint(body)
-			if sz <= 0 || code >= dictLen {
-				return nil, corrupt("reference: code")
-			}
-			body = body[sz:]
-			if i >= skip {
-				out = append(out, dict[code])
-			}
-		}
-		return out, nil
 	}
 	return nil, corrupt("reference: not a string block")
 }
@@ -161,8 +129,10 @@ func checkDecodeStrings(t testing.TB, buf []byte, skip, n int, cut uint64) {
 	}
 }
 
-// decodeSeeds are valid blocks of every string layout the store writes or
-// still reads.
+// decodeSeeds are valid blocks of every string layout the store writes. The
+// second of each pair was a varint-code dictionary block when the kernels read
+// that scheme; it is the block Upgrade makes of it now, so the seeds keep
+// their numbers.
 func decodeSeeds() [][]byte {
 	wide := make([]string, 300) // more than 128 distinct: two-byte codes
 	for i := range wide {
@@ -170,7 +140,7 @@ func decodeSeeds() [][]byte {
 	}
 	var seeds [][]byte
 	for _, vals := range [][]string{nil, {""}, {"", "a", "bc", "", "def", "ghij"}, stringBlocks()["low-cardinality"][:64], wide} {
-		seeds = append(seeds, encodePlainString(vals), encodeDictString(vals))
+		seeds = append(seeds, encodePlainString(vals), upgraded(encodeDictString(vals)))
 	}
 	// Appended, so the seeds above keep their numbers: packed dictionaries of
 	// every code width from 0 to 9 bits.
@@ -234,8 +204,8 @@ func TestDecodeStringsArena(t *testing.T) {
 		max  float64
 	}{
 		{"plain", encodePlainString(distinct), 1},
-		{"dict/all-distinct", encodeDictString(distinct), 2},
-		{"dict/low-cardinality", encodeDictString(stringBlocks()["low-cardinality"]), 2},
+		{"dict/all-distinct", encodePackedDict(distinct), 2},
+		{"dict/low-cardinality", encodePackedDict(stringBlocks()["low-cardinality"]), 2},
 	}
 	for _, c := range cases {
 		out := make([]string, 0, 4096)

@@ -5,9 +5,9 @@ package compress
 // They are what the differential tests, the fuzz targets and the TPC-H block
 // sweep hold EncodeInt64s/EncodeStrings/EncodeFloat64s/EncodeBools to, byte
 // for byte, and the per-scheme encoders the window tests build blocks with.
-// The builders of the read-only schemes (delta-varint, varint-code
-// dictionary) are kept for the legacy-read tests; they are no longer
-// candidates.
+// The builders of the retired schemes (delta-varint, varint-code dictionary)
+// are no longer candidates: they build the blocks the upgrade tests feed
+// Upgrade.
 
 import (
 	"encoding/binary"

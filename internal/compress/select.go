@@ -8,8 +8,8 @@ package compress
 // only at the rows a selection kept, writing each into the batch position it
 // lands at; where a selection keeps nearly every row, Decode*Spans decodes
 // every row of some stretches of a block into the positions they land at.
-// The legacy read-only schemes decode the window and run the vector kernel
-// on it.
+// They read the written schemes alone: a block of a retired one is ErrCorrupt
+// here, and reaches them only through Upgrade.
 //
 // All of them stand or fall with the span decoders: whenever Decode*Spans
 // accepts a window of a block — one span — Select* over it succeeds and keeps
@@ -26,7 +26,6 @@ import (
 	"math"
 	"slices"
 
-	"pdtstore/internal/types"
 	"pdtstore/internal/vector"
 )
 
@@ -42,15 +41,6 @@ func appendAll(out []uint32, n int) []uint32 {
 		out = append(out, uint32(i))
 	}
 	return out
-}
-
-// selectDecoded runs p's vector kernel over a decoded window and appends the
-// offsets it keeps: the legacy schemes' select.
-func selectDecoded(v *vector.Vector, p vector.Pred, out []uint32) []uint32 {
-	sel := vector.NewSelection(v.Len())
-	sel.All(v.Len())
-	sel.Filter(v, p)
-	return append(out, sel.Indexes()...)
 }
 
 // SelectInt64s appends to out the offsets r, ascending, of the values skip+r
@@ -86,10 +76,10 @@ func SelectInt64s(buf []byte, skip, n int, p vector.Pred, out []uint32) ([]uint3
 		return out, nil
 	case ForInt:
 		f, err := parseFor(body, count)
-		if err != nil {
-			return nil, err
+		if err == nil {
+			out = f.selectRange(skip, end, lo, hi, out)
 		}
-		return f.selectRange(skip, end, lo, hi, out), nil
+		return out, err
 	case RLEInt:
 		for got := 0; got < end; {
 			v, run, rest, err := rleRun(body, count-got)
@@ -105,28 +95,8 @@ func SelectInt64s(buf []byte, skip, n int, p vector.Pred, out []uint32) ([]uint3
 			got += run
 		}
 		return out, nil
-	case DeltaVarint:
-		vals, err := legacyWindow(buf, skip, end, DecodeInt64sSpans)
-		if err == nil {
-			out = selectDecoded(&vector.Vector{Kind: types.Int64, I: vals}, p, out)
-		}
-		return out, err
 	}
 	return nil, corrupt("scheme %d is not an int encoding", scheme)
-}
-
-// legacyWindow decodes values [from, to) of a read-only block through its
-// span decoder, spans. Every value of one takes at least a byte, so a window
-// longer than the block is corrupt before anything is sized from it.
-func legacyWindow[T any](buf []byte, from, to int, spans func([]byte, []Span, []T) error) ([]T, error) {
-	if to-from > len(buf) {
-		return nil, corrupt("%d values in a %d-byte block", to-from, len(buf))
-	}
-	vals := make([]T, to-from)
-	if err := spans(buf, []Span{{Row: from, N: to - from}}, vals); err != nil {
-		return nil, err
-	}
-	return vals, nil
 }
 
 // selectRange appends the offsets from skip of the values [skip, end) lying
@@ -364,12 +334,6 @@ func SelectStrings(buf []byte, skip, n int, p vector.Pred, out []uint32) ([]uint
 			return nil, err
 		}
 		return d.selectMatch(skip, end, &m, out)
-	case DictString:
-		vals, err := legacyWindow(buf, skip, end, DecodeStringsSpans)
-		if err != nil {
-			return nil, err
-		}
-		return selectDecoded(&vector.Vector{Kind: types.String, S: vals}, p, out), nil
 	}
 	return nil, corrupt("scheme %d is not a string encoding", scheme)
 }
@@ -507,8 +471,7 @@ func (rr *rowReader) at(k int, r uint32) uint64 {
 // positions that need not follow them one for one, and a gather writes each
 // value straight into its position; where they do follow them, rows may be
 // pos itself and base the shift between the two. Plain and ForInt blocks read
-// each value where it lies, an RLE block walks its runs once, a legacy delta
-// block decodes the window from the first row through the last.
+// each value where it lies, an RLE block walks its runs once.
 func GatherInt64sAt(buf []byte, base int, rows, pos []uint32, dst []int64) error {
 	scheme, count, body, err := readHeader(buf)
 	if err != nil {
@@ -560,8 +523,6 @@ func GatherInt64sAt(buf []byte, base int, rows, pos []uint32, dst []int64) error
 			}
 		}
 		return nil
-	case DeltaVarint:
-		return gatherDecoded(buf, base, rows, pos, dst, DecodeInt64sSpans)
 	}
 	return corrupt("scheme %d is not an int encoding", scheme)
 }
@@ -607,6 +568,107 @@ func GatherFloat64sAt(buf []byte, base int, rows, pos []uint32, dst []float64) e
 	pos = pos[:len(rows)]
 	for k, r := range rows {
 		dst[pos[k]] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*(base+int(r)):]))
+	}
+	return nil
+}
+
+// gather stores value base+rows[k] in dst[pos[k]] for every k, sharing bytes
+// as decode does for a window of as many values.
+func (d *dictBlock) gather(base int, rows, pos []uint32, dst []string) error {
+	if len(rows) == 0 {
+		return nil
+	}
+	rr := rowReader{packed: d.codes, w: d.w, base: base}
+	if len(rows) < d.ndict && len(rows) <= codeChunk {
+		rr.load(rows)
+		var codes [codeChunk]uint64
+		for k, r := range rows {
+			codes[k] = rr.at(k, r)
+		}
+		var vals [codeChunk]string
+		if err := d.copyOut(codes[:len(rows)], vals[:len(rows)]); err != nil {
+			return err
+		}
+		for k, p := range pos[:len(rows)] {
+			dst[p] = vals[k]
+		}
+		return nil
+	}
+	arena := string(d.data)
+	var small [64]string
+	var dict []string
+	if len(rows) >= d.ndict {
+		dict = d.table(arena, small[:0])
+	}
+	for c := 0; c < len(rows); c += codeChunk {
+		rs := rows[c:min(c+codeChunk, len(rows))]
+		ps := pos[c : c+len(rs)]
+		rr.load(rs)
+		for k, r := range rs {
+			if code := rr.at(k, r); code < uint64(len(dict)) {
+				dst[ps[k]] = dict[code]
+				continue
+			}
+			v, err := d.value(arena, rr.at(k, r))
+			if err != nil {
+				return err
+			}
+			dst[ps[k]] = v
+		}
+	}
+	return nil
+}
+
+// decodeSpans stores the values of the rows of every span in dst[At:At+N].
+// Spans holding fewer values than the dictionary and than one chunk — a
+// probe's — copy only their own values, into one arena. Any others copy the
+// dictionary's bytes once; when they hold at least as many values as the
+// dictionary, they also slice every entry once and share it across its codes.
+func (d *dictBlock) decodeSpans(spans []Span, dst []string) error {
+	n := 0
+	for _, s := range spans {
+		n += s.N
+	}
+	var codes [codeChunk]uint64
+	if n < d.ndict && n <= codeChunk {
+		k := 0
+		for _, s := range spans {
+			unpack(codes[k:k+s.N], d.codes, d.w, s.Row)
+			k += s.N
+		}
+		var vals [codeChunk]string
+		if err := d.copyOut(codes[:n], vals[:n]); err != nil {
+			return err
+		}
+		k = 0
+		for _, s := range spans {
+			k += copy(dst[s.At:s.At+s.N], vals[k:k+s.N])
+		}
+		return nil
+	}
+	arena := string(d.data)
+	var small [64]string
+	var dict []string
+	if n >= d.ndict {
+		dict = d.table(arena, small[:0])
+	}
+	for _, s := range spans {
+		out := dst[s.At : s.At+s.N]
+		for i := 0; i < len(out); i += codeChunk {
+			chunk := codes[:min(codeChunk, len(out)-i)]
+			unpack(chunk, d.codes, d.w, s.Row+i)
+			for j, c := range chunk {
+				if c < uint64(len(dict)) {
+					out[i+j] = dict[c]
+					continue
+				}
+				v, err := d.value(arena, c)
+				if err != nil {
+					return err
+				}
+				out[i+j] = v
+			}
+		}
 	}
 	return nil
 }
@@ -660,75 +722,8 @@ func GatherStringsAt(buf []byte, base int, rows, pos []uint32, dst []string) err
 			return err
 		}
 		return d.gather(base, rows, pos, dst)
-	case DictString:
-		return gatherDecoded(buf, base, rows, pos, dst, DecodeStringsSpans)
 	}
 	return corrupt("scheme %d is not a string encoding", scheme)
-}
-
-// gatherDecoded is Gather*At for a read-only block: it decodes the window from
-// the first row through the last through the block's span decoder, spans,
-// and stores each row's value at its position.
-func gatherDecoded[T any](buf []byte, base int, rows, pos []uint32, dst []T, spans func([]byte, []Span, []T) error) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	first := int(rows[0])
-	vals, err := legacyWindow(buf, base+first, base+int(rows[len(rows)-1])+1, spans)
-	if err != nil {
-		return err
-	}
-	for k, r := range rows {
-		dst[pos[k]] = vals[int(r)-first]
-	}
-	return nil
-}
-
-// gather stores value base+rows[k] in dst[pos[k]] for every k, sharing bytes
-// as decode does for a window of as many values.
-func (d *dictBlock) gather(base int, rows, pos []uint32, dst []string) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	rr := rowReader{packed: d.codes, w: d.w, base: base}
-	if len(rows) < d.ndict && len(rows) <= codeChunk {
-		rr.load(rows)
-		var codes [codeChunk]uint64
-		for k, r := range rows {
-			codes[k] = rr.at(k, r)
-		}
-		var vals [codeChunk]string
-		if err := d.copyOut(codes[:len(rows)], vals[:len(rows)]); err != nil {
-			return err
-		}
-		for k, p := range pos[:len(rows)] {
-			dst[p] = vals[k]
-		}
-		return nil
-	}
-	arena := string(d.data)
-	var small [64]string
-	var dict []string
-	if len(rows) >= d.ndict {
-		dict = d.table(arena, small[:0])
-	}
-	for c := 0; c < len(rows); c += codeChunk {
-		rs := rows[c:min(c+codeChunk, len(rows))]
-		ps := pos[c : c+len(rs)]
-		rr.load(rs)
-		for k, r := range rs {
-			if code := rr.at(k, r); code < uint64(len(dict)) {
-				dst[ps[k]] = dict[code]
-				continue
-			}
-			v, err := d.value(arena, rr.at(k, r))
-			if err != nil {
-				return err
-			}
-			dst[ps[k]] = v
-		}
-	}
-	return nil
 }
 
 // Span is a stretch of a block's rows — N of them from row Row — that a span
@@ -738,25 +733,12 @@ func (d *dictBlock) gather(base int, rows, pos []uint32, dst []string) error {
 // keeps.
 type Span struct{ Row, At, N int }
 
-// spansWindow checks spans against a block holding count values: each inside
-// it, none longer than it, and each after the one before.
-func spansWindow(count int, spans []Span) error {
-	end := 0
-	for _, s := range spans {
-		if s.Row < end || s.N < 0 || s.N > count-s.Row {
-			return corrupt("span of %d values at %d requested after %d from a block of %d", s.N, s.Row, end, count)
-		}
-		end = s.Row + s.N
-	}
-	return nil
-}
-
 // DecodeInt64sSpans decodes the rows of every span of an int block into
 // dst[At:At+N], the spans ascending in Row without overlapping. A window is
 // one span; a whole block (DecodeInt64s) the span of every row. The header is
-// read once however many there are, and an RLE block's runs and a legacy
-// delta block's varints are walked once, up to the last span's end: plain and
-// ForInt blocks jump straight to each span's rows.
+// read once however many there are, and an RLE block's runs are walked once,
+// up to the last span's end: plain and ForInt blocks jump straight to each
+// span's rows.
 func DecodeInt64sSpans(buf []byte, spans []Span, dst []int64) error {
 	scheme, count, body, err := readHeader(buf)
 	if err != nil {
@@ -805,24 +787,21 @@ func DecodeInt64sSpans(buf []byte, spans []Span, dst []int64) error {
 			}
 		}
 		return nil
-	case DeltaVarint:
-		prev, p, i := int64(0), 0, 0 // value i-1 is prev; value i's varint is at p
-		for _, s := range spans {
-			out := dst[s.At : s.At+s.N]
-			for ; i < s.Row+s.N; i++ {
-				u, sz := deltaVarint(body, p)
-				if sz <= 0 {
-					return corrupt("bad varint in delta block")
-				}
-				p += sz
-				if prev += unzigzag(u); i >= s.Row {
-					out[i-s.Row] = prev
-				}
-			}
-		}
-		return nil
 	}
 	return corrupt("scheme %d is not an int encoding", scheme)
+}
+
+// spansWindow checks spans against a block holding count values: each inside
+// it, none longer than it, and each after the one before.
+func spansWindow(count int, spans []Span) error {
+	end := 0
+	for _, s := range spans {
+		if s.Row < end || s.N < 0 || s.N > count-s.Row {
+			return corrupt("span of %d values at %d requested after %d from a block of %d", s.N, s.Row, end, count)
+		}
+		end = s.Row + s.N
+	}
+	return nil
 }
 
 // DecodeFloat64sSpans is DecodeInt64sSpans for a float block.
@@ -930,66 +909,6 @@ func DecodeStringsSpans(buf []byte, spans []Span, dst []string) error {
 			return err
 		}
 		return d.decodeSpans(spans, dst)
-	case DictString:
-		dictLen, body, err := dictHeader(body)
-		if err != nil {
-			return err
-		}
-		return decodeLegacyDict(body, dictLen, spans, dst)
 	}
 	return corrupt("scheme %d is not a string encoding", scheme)
-}
-
-// decodeSpans stores the values of the rows of every span in dst[At:At+N].
-// Spans holding fewer values than the dictionary and than one chunk — a
-// probe's — copy only their own values, into one arena. Any others copy the
-// dictionary's bytes once; when they hold at least as many values as the
-// dictionary, they also slice every entry once and share it across its codes.
-func (d *dictBlock) decodeSpans(spans []Span, dst []string) error {
-	n := 0
-	for _, s := range spans {
-		n += s.N
-	}
-	var codes [codeChunk]uint64
-	if n < d.ndict && n <= codeChunk {
-		k := 0
-		for _, s := range spans {
-			unpack(codes[k:k+s.N], d.codes, d.w, s.Row)
-			k += s.N
-		}
-		var vals [codeChunk]string
-		if err := d.copyOut(codes[:n], vals[:n]); err != nil {
-			return err
-		}
-		k = 0
-		for _, s := range spans {
-			k += copy(dst[s.At:s.At+s.N], vals[k:k+s.N])
-		}
-		return nil
-	}
-	arena := string(d.data)
-	var small [64]string
-	var dict []string
-	if n >= d.ndict {
-		dict = d.table(arena, small[:0])
-	}
-	for _, s := range spans {
-		out := dst[s.At : s.At+s.N]
-		for i := 0; i < len(out); i += codeChunk {
-			chunk := codes[:min(codeChunk, len(out)-i)]
-			unpack(chunk, d.codes, d.w, s.Row+i)
-			for j, c := range chunk {
-				if c < uint64(len(dict)) {
-					out[i+j] = dict[c]
-					continue
-				}
-				v, err := d.value(arena, c)
-				if err != nil {
-					return err
-				}
-				out[i+j] = v
-			}
-		}
-	}
-	return nil
 }

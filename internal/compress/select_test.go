@@ -1,13 +1,12 @@
 package compress
 
 // Select*, Gather*At and Decode*Spans against decode-then-kernel: for every
-// scheme the store writes or still reads and every predicate shape, whatever
-// the buffer, the window and the positions, an encoded select keeps exactly
-// the rows the vector kernel keeps of the decoded window, a gather yields
-// exactly the decoded values at its positions, and a span decode the decoded
-// values at its spans' positions, each writing nothing else — whenever the
-// decoder accepts the window — and hostile bytes yield ErrCorrupt, never a
-// panic.
+// scheme the store writes and every predicate shape, whatever the buffer, the
+// window and the positions, an encoded select keeps exactly the rows the
+// vector kernel keeps of the decoded window, a gather yields exactly the
+// decoded values at its positions, and a span decode the decoded values at
+// its spans' positions, each writing nothing else — whenever the decoder
+// accepts the window — and hostile bytes yield ErrCorrupt, never a panic.
 
 import (
 	"encoding/binary"
@@ -235,8 +234,7 @@ func lastPos(pos []uint32) uint32 {
 	return pos[len(pos)-1] + 1
 }
 
-// selectSeeds are valid blocks of every layout of one column kind, the
-// written and the read-only ones.
+// selectSeeds are valid blocks of every written layout of one column kind.
 func selectSeeds(kind types.Kind) [][]byte {
 	// Blocks long enough that a sparse gather's rows spread past what a
 	// rowReader unpacks as one run, so they are read one value at a time.
