@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"time"
 
 	"pdtstore/internal/colstore"
@@ -146,10 +145,8 @@ func (db *DB) checkpointLocked(only []bool) error {
 		}
 		first = false
 		prevFreeze := db.man.Shards[i].LSN
-		var retired *colstore.Store
 		err := db.mgrs[i].CheckpointInto(func(lsn uint64, store *colstore.Store, deltas ...*pdt.PDT) (*colstore.Store, error) {
 			freeze[i] = lsn
-			retired = store
 			ns, err := db.buildShardImage(i, shardSegmentName(gen, i), lsn-prevFreeze, store, deltas)
 			if err != nil {
 				return nil, err
@@ -162,12 +159,9 @@ func (db *DB) checkpointLocked(only []bool) error {
 		}
 		// The manager has installed the new image: the base store is
 		// superseded in memory from here on, whatever happens to the
-		// manifest below. Chain members it shares with the new image stay
-		// open — segment descriptors are refcounted.
-		// The manager closes a retired image when its last pinned reader
-		// finishes — with none, it already has. Keep only the open ones, or
-		// the list grows by a block map and a sparse index per checkpoint.
-		db.retired = slices.DeleteFunc(append(db.retired, retired), (*colstore.Store).Closed)
+		// manifest below, and the manager closes it once no reader pins it.
+		// Chain members it shares with the new image stay open — segment
+		// descriptors are refcounted.
 	}
 	if err := db.injectFault(faultPreManifestSwap); err != nil {
 		return err
@@ -221,7 +215,7 @@ func (db *DB) checkpointLocked(only []bool) error {
 // the frozen deltas leave on store, records the decision in lastCost, and
 // returns the new store (whose segment chain the manifest entry will name).
 func (db *DB) buildShardImage(i int, name string, tail uint64, store *colstore.Store, deltas []*pdt.PDT) (*colstore.Store, error) {
-	ds, err := db.tbls[i].ComputeDirty(store, deltas...)
+	ds, err := table.ComputeDirty(store, deltas...)
 	if err != nil {
 		return nil, err
 	}
@@ -242,7 +236,7 @@ func (db *DB) buildShardImage(i int, name string, tail uint64, store *colstore.S
 	if err != nil {
 		return nil, err
 	}
-	if err := db.tbls[i].MaterializeDelta(b, store, ds, deltas...); err != nil {
+	if err := table.MaterializeDelta(b, store, ds, deltas...); err != nil {
 		b.Abort()
 		return nil, err
 	}
@@ -303,7 +297,7 @@ func storeChainNames(s *colstore.Store) []string {
 // delete shifts the image's tail, costed as half the image.
 func (db *DB) decideShard(i int) CheckpointDecision {
 	tail := db.mgrs[i].LSN() - db.man.Shards[i].LSN
-	total := db.tbls[i].Store().NumBlocks() * db.schema.NumCols()
+	total := db.mgrs[i].Store().NumBlocks() * db.schema.NumCols()
 	if tail == 0 {
 		return CheckpointDecision{TotalBlocks: total, Mode: "skip"}
 	}

@@ -140,8 +140,8 @@ type DB struct {
 	opts   Options
 	schema *types.Schema
 	dev    *colstore.Device
-	// One entry per shard, coordinated by sharded.
-	tbls    []*table.Table
+	// One entry per shard, coordinated by sharded. Each manager owns its
+	// shard's current image and every retired one a reader still pins.
 	mgrs    []*txn.Manager
 	logs    []*wal.FileLog
 	sharded *txn.Sharded
@@ -151,15 +151,6 @@ type DB struct {
 	// installed its segment as the manager's live store (only the manifest
 	// write failed), so a retry must never reuse — and O_TRUNC — that name.
 	nextGen uint64
-	// retired tracks the superseded images a reader still pins. The
-	// transaction manager closes each one as soon as its last pinned reader
-	// finishes (txn.releaseVersionLocked), and every checkpoint drops the
-	// closed ones from this list; it is the backstop that closes whatever is
-	// still pinned when the DB itself closes (Close is idempotent, so the two
-	// paths may both run). Chain segments shared with the live image survive
-	// these closes — they are refcounted and only the last referencing store
-	// releases the descriptor.
-	retired []*colstore.Store
 	closed  bool
 
 	// maxGenerations bounds each shard's segment chain: the constant of that
@@ -297,17 +288,10 @@ func Open(dir string, opts Options) (*DB, error) {
 	// Per-shard base LSNs: records at or below a shard's bar were
 	// materialized into its image before the manifest swapped.
 	bases := make([]uint64, n)
-	tbls := make([]*table.Table, n)
 	logs = make([]*wal.FileLog, n)
 	streams := make([][]wal.Record, n)
 	for i := range stores {
 		bases[i] = man.Shards[i].LSN
-		// Mode is all the table needs: it never builds an image of its own
-		// here — every checkpoint hands the manager its build.
-		tbls[i], err = table.FromStore(stores[i], table.Options{Mode: table.ModePDT})
-		if err != nil {
-			return nil, err
-		}
 		logs[i], streams[i], err = wal.OpenFileLog(filepath.Join(dir, shardWalDir(i)))
 		if err != nil {
 			return nil, err
@@ -326,10 +310,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	streams = wal.CompleteGroups(streams, bases)
 	mgrs := make([]*txn.Manager, n)
 	for i := range stores {
-		mgrs[i], err = txn.NewManager(tbls[i], txn.Options{Log: logs[i]})
-		if err != nil {
-			return nil, err
-		}
+		mgrs[i] = txn.NewManager(stores[i], nil, txn.Options{Log: logs[i]})
 		// Replay only the records the checkpointed image does not already
 		// contain: everything at or below the shard's manifest LSN was
 		// materialized into its segment before the manifest swapped (the
@@ -359,7 +340,6 @@ func Open(dir string, opts Options) (*DB, error) {
 		opts:     opts,
 		schema:   stores[0].Schema(),
 		dev:      dev,
-		tbls:     tbls,
 		mgrs:     mgrs,
 		logs:     logs,
 		sharded:  sharded,
@@ -540,13 +520,10 @@ func (db *DB) Close() error {
 			err = cerr
 		}
 	}
-	for _, t := range db.tbls {
-		if cerr := t.Store().Close(); err == nil {
+	for _, m := range db.mgrs {
+		if cerr := m.Close(); err == nil {
 			err = cerr
 		}
-	}
-	for _, s := range db.retired {
-		s.Close()
 	}
 	unlockDir(db.lock)
 	if maintErr != nil {
@@ -574,11 +551,8 @@ func (db *DB) crash() {
 	for _, l := range db.logs {
 		l.Close()
 	}
-	for _, t := range db.tbls {
-		t.Store().Close()
-	}
-	for _, s := range db.retired {
-		s.Close()
+	for _, m := range db.mgrs {
+		m.Close()
 	}
 	unlockDir(db.lock)
 }

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -517,7 +518,7 @@ func TestSharedSegmentRefcount(t *testing.T) {
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	base := db.tbls[0].Store().Segment() // gen-2 flat segment
+	base := db.mgrs[0].Store().Segment() // gen-2 flat segment
 	long := db.Begin()                   // pins the gen-2 store
 
 	commitUpdates(t, db, m, 3)
@@ -655,7 +656,7 @@ func TestReopenWithDifferentBlockRows(t *testing.T) {
 	}
 	geometry := func(db *DB, mode string, blockRows, blocks int) {
 		t.Helper()
-		st := db.tbls[0].Store()
+		st := db.mgrs[0].Store()
 		if got := db.Stats().Shard[0].LastDecision.Mode; got != mode {
 			t.Fatalf("checkpoint ran %q, want %q", got, mode)
 		}
@@ -691,11 +692,11 @@ func TestReopenWithDifferentBlockRows(t *testing.T) {
 	geometry(db, "", 128, 5)
 }
 
-// TestRetiredImagesDoNotAccumulate: the DB's list of superseded images holds
-// only the ones a reader still pins — the manager closed the others when
-// their last reader finished — so it stays bounded by the pinned count, not
-// the checkpoint count; a pinned image stays readable across any number of
-// checkpoints and is closed by Close.
+// TestRetiredImagesDoNotAccumulate: every image a checkpoint supersedes is
+// closed as soon as no reader pins it — with no reader, right at the swap —
+// so a long-running store holds the pinned images, not one per checkpoint;
+// a pinned image stays readable across any number of checkpoints and is
+// closed by Close.
 func TestRetiredImagesDoNotAccumulate(t *testing.T) {
 	const shards = 4
 	dir := t.TempDir()
@@ -704,6 +705,24 @@ func TestRetiredImagesDoNotAccumulate(t *testing.T) {
 	commitInserts(t, db, m, 0, 1000)
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
+	}
+	var seen []*colstore.Store // every image the shards published
+	current := func() []*colstore.Store {
+		cur := make([]*colstore.Store, shards)
+		for i := range cur {
+			cur[i] = db.mgrs[i].Store()
+		}
+		return cur
+	}
+	retiredOpen := func() int {
+		cur := current()
+		n := 0
+		for _, st := range seen {
+			if !st.Closed() && !slices.Contains(cur, st) {
+				n++
+			}
+		}
+		return n
 	}
 	churn := func() {
 		t.Helper()
@@ -714,25 +733,23 @@ func TestRetiredImagesDoNotAccumulate(t *testing.T) {
 			case 1:
 				commitMixed(t, db, m, 20*i, 20*i+7)
 			}
+			seen = append(seen, current()...)
 			if err := db.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	churn()
-	if got := len(db.retired); got > shards {
-		t.Fatalf("%d retired images held after 40 checkpoints with no reader pinned", got)
+	if got := retiredOpen(); got != 0 {
+		t.Fatalf("%d retired images open after 40 checkpoints with no reader pinned", got)
 	}
 
 	snapshot := m.clone()
 	long := db.Begin() // pins the current image of every shard
-	pinned := make([]*colstore.Store, shards)
-	for i := range pinned {
-		pinned[i] = db.tbls[i].Store()
-	}
+	pinned := current()
 	churn()
-	if got := len(db.retired); got < shards || got > 2*shards {
-		t.Fatalf("%d retired images held with one reader pinning %d", got, shards)
+	if got := retiredOpen(); got != shards {
+		t.Fatalf("%d retired images open with one reader pinning %d", got, shards)
 	}
 	got := model{}
 	err := engine.Scan(long, 0, 1, 2).Run(func(b *vector.Batch, sel []uint32) error {

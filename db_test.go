@@ -673,7 +673,7 @@ func TestRetiredImageClosesOnLastRelease(t *testing.T) {
 	}
 	snapshot := m.clone()
 	long := db.Begin() // pins the gen-2 version
-	seg := db.tbls[0].Store().Segment()
+	seg := db.mgrs[0].Store().Segment()
 	if seg == nil {
 		t.Fatal("checkpointed store is not file-backed")
 	}

@@ -11,8 +11,8 @@
 // table layer, the transaction layer and the TPC-H workload alike.
 //
 // Point access is positional: FindByKey and every key-addressed write
-// (Insert, DeleteByKey, UpdateByKey) resolve their target through one probe,
-// engine.Seek. The sparse index names one block, whose sort-key columns alone
+// (Insert, DeleteByKey, UpdateByKey — one-op batches — and ApplyBatch)
+// resolve their target through one probe, engine.SeekKeys. The sparse index names one block, whose sort-key columns alone
 // are binary-searched to the first stable SID at or past the key
 // (colstore.Store.LowerBound); the pinned layer stack is opened AT that SID,
 // each PDT cursor seeking there with its running shift as every scan morsel
@@ -83,7 +83,7 @@
 // commits it overlapped and folds it onto the write chain under a narrow
 // critical section; the commit then parks on its shard's sequencer, where a
 // leader makes the whole batch durable with one WAL append and one fsync
-// (wal.AppendGroup); install (installLocked) advances the clock and the
+// (wal.Log.AppendGroupAt); install (installLocked) advances the clock and the
 // Write-PDT and wakes every waiter with its LSN. Begin and scans never wait
 // behind an in-flight fsync, and a failed barrier aborts the whole batch
 // fail-stop with nothing visible, live or at replay. A batch holds at most

@@ -1,6 +1,6 @@
 // Inventory: the paper's running example (Figures 1-13), executed through
-// the table layer with SQL-shaped updates — watch the table image and the
-// PDT evolve through the three batches.
+// the table layer with each of the paper's three update batches applied as
+// one key-level batch — watch the table image and the PDT evolve.
 package main
 
 import (
@@ -59,41 +59,40 @@ func main() {
 		}
 		fmt.Printf("\nPDT state: %s\n", tbl.PDT())
 	}
-	must := func(err error) {
+	apply := func(ops ...table.Op) {
+		n, err := tbl.ApplyBatch(ops)
 		if err != nil {
 			log.Fatal(err)
 		}
-	}
-	mustOK := func(ok bool, err error) {
-		must(err)
-		if !ok {
-			log.Fatal("key not found")
+		if n != len(ops) {
+			log.Fatalf("%d of %d updates found their key", n, len(ops))
 		}
+	}
+	insert := func(r types.Row) table.Op { return table.Op{Kind: table.OpInsert, Row: r} }
+	key := func(store, prod string) types.Row {
+		return types.Row{types.Str(store), types.Str(prod)}
 	}
 
 	print("TABLE0 (Figure 1)")
 
 	// BATCH1 (Figure 2): INSERT INTO inventory VALUES (...)
-	must(tbl.Insert(row("Berlin", "table", true, 10)))
-	must(tbl.Insert(row("Berlin", "cloth", true, 5)))
-	must(tbl.Insert(row("Berlin", "chair", true, 20)))
+	apply(insert(row("Berlin", "table", true, 10)),
+		insert(row("Berlin", "cloth", true, 5)),
+		insert(row("Berlin", "chair", true, 20)))
 	print("TABLE1 after BATCH1 (Figure 5); PDT1 = Figure 3")
 
 	// BATCH2 (Figure 6): UPDATEs and DELETEs by key.
-	key := func(store, prod string) types.Row {
-		return types.Row{types.Str(store), types.Str(prod)}
-	}
-	mustOK(tbl.UpdateByKey(key("Berlin", "cloth"), 3, types.Int(1)))
-	mustOK(tbl.UpdateByKey(key("London", "stool"), 3, types.Int(9)))
-	mustOK(tbl.DeleteByKey(key("Berlin", "table")))
-	mustOK(tbl.DeleteByKey(key("Paris", "rug")))
+	apply(table.Op{Kind: table.OpUpdate, Key: key("Berlin", "cloth"), Col: 3, Val: types.Int(1)},
+		table.Op{Kind: table.OpUpdate, Key: key("London", "stool"), Col: 3, Val: types.Int(9)},
+		table.Op{Kind: table.OpDelete, Key: key("Berlin", "table")},
+		table.Op{Kind: table.OpDelete, Key: key("Paris", "rug")})
 	print("TABLE2 after BATCH2 (Figure 9); PDT2 = Figure 7")
 
 	// BATCH3 (Figure 10): more inserts, one of them between a ghost and its
 	// predecessor — note (Paris,rack) receives the ghost-respecting SID 3.
-	must(tbl.Insert(row("Paris", "rack", true, 4)))
-	must(tbl.Insert(row("London", "rack", true, 4)))
-	must(tbl.Insert(row("Berlin", "rack", true, 4)))
+	apply(insert(row("Paris", "rack", true, 4)),
+		insert(row("London", "rack", true, 4)),
+		insert(row("Berlin", "rack", true, 4)))
 	print("TABLE3 after BATCH3 (Figure 13); PDT3 = Figure 11")
 
 	// Range query from §2.1: SELECT qty FROM inventory

@@ -33,14 +33,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Updates buffer in the PDT; the stable image is never touched.
-	if err := tbl.Insert(types.Row{types.Int(250), types.Str("gadget"), types.Float(4.99)}); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := tbl.UpdateByKey(types.Row{types.Int(300)}, 2, types.Float(1.50)); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := tbl.DeleteByKey(types.Row{types.Int(700)}); err != nil {
+	// Updates arrive as one key-level batch and buffer in the PDT; the
+	// stable image is never touched.
+	if _, err := tbl.ApplyBatch([]table.Op{
+		{Kind: table.OpInsert, Row: types.Row{types.Int(250), types.Str("gadget"), types.Float(4.99)}},
+		{Kind: table.OpUpdate, Key: types.Row{types.Int(300)}, Col: 2, Val: types.Float(1.50)},
+		{Kind: table.OpDelete, Key: types.Row{types.Int(700)}},
+	}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("visible rows: %d, PDT entries: %d, delta memory: %d bytes\n\n",

@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"log"
 
-	"pdtstore/internal/table"
+	"pdtstore/internal/colstore"
 	"pdtstore/internal/txn"
 	"pdtstore/internal/types"
 	"pdtstore/internal/vector"
@@ -26,15 +26,13 @@ func main() {
 	for i := int64(1); i <= 5; i++ {
 		rows = append(rows, types.Row{types.Int(i), types.Str(fmt.Sprintf("acct-%d", i)), types.Int(100)})
 	}
-	tbl, err := table.Load(schema, rows, table.Options{Mode: table.ModePDT})
+	// The stable image; the manager owns it and an empty Read-PDT over it.
+	store, err := colstore.BulkLoad(schema, nil, 0, false, rows)
 	if err != nil {
 		log.Fatal(err)
 	}
 	var logBuf bytes.Buffer
-	mgr, err := txn.NewManager(tbl, txn.Options{Log: wal.NewWriter(&logBuf)})
-	if err != nil {
-		log.Fatal(err)
-	}
+	mgr := txn.NewManager(store, nil, txn.Options{Log: wal.NewWriter(&logBuf)})
 
 	// Snapshot isolation: b, started before a commits, keeps the old view.
 	a := mgr.Begin()
@@ -102,15 +100,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Crash recovery: rebuild from the WAL over the same initial table.
-	tbl2, err := table.Load(schema, rows, table.Options{Mode: table.ModePDT})
+	// Crash recovery: rebuild from the WAL over the same initial image.
+	store2, err := colstore.BulkLoad(schema, nil, 0, false, rows)
 	if err != nil {
 		log.Fatal(err)
 	}
-	mgr2, err := txn.NewManager(tbl2, txn.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	mgr2 := txn.NewManager(store2, nil, txn.Options{})
 	records, err := wal.Replay(bytes.NewReader(logBuf.Bytes()))
 	if err != nil {
 		log.Fatal(err)

@@ -211,7 +211,8 @@ func (s *rowSource) Next(out *vector.Batch, max int) (int, error) {
 
 // BuildScanTable loads the table and applies the configured update ratio
 // (40% modifies, 30% inserts, 30% deletes, scattered uniformly, applied
-// through the table layer so they land in the mode's delta structure).
+// through the table layer as one-op batches so they land in the mode's
+// delta structure one at a time).
 func BuildScanTable(c ScanConfig) (*table.Table, error) {
 	dev := colstore.NewDevice()
 	tbl, err := table.LoadBatches(c.schema(), &rowSource{c: c, n: c.Tuples},
@@ -225,25 +226,20 @@ func BuildScanTable(c ScanConfig) (*table.Table, error) {
 	rng := rand.New(rand.NewSource(c.Seed + 17))
 	nUpd := int(float64(c.Tuples) * c.UpdatesPer100 / 100)
 	for u := 0; u < nUpd; u++ {
+		op := table.Op{Kind: table.OpDelete}
 		r := rng.Float64()
 		switch {
 		case r < 0.4: // modify a random data column of a random base tuple
-			key := c.keyRow(int64(rng.Intn(c.Tuples)) * 2)
-			col := c.KeyCols + rng.Intn(c.DataCols)
-			if _, err := tbl.UpdateByKey(key, col, types.Int(int64(u))); err != nil {
-				return nil, err
-			}
+			op = table.Op{Kind: table.OpUpdate, Key: c.keyRow(int64(rng.Intn(c.Tuples)) * 2),
+				Col: c.KeyCols + rng.Intn(c.DataCols), Val: types.Int(int64(u))}
 		case r < 0.7: // insert at an odd key (scattered position)
-			x := int64(rng.Intn(c.Tuples))*2 + 1
-			if err := tbl.Insert(c.rowFor(x, 7)); err != nil &&
-				!strings.Contains(err.Error(), "duplicate") {
-				return nil, err
-			}
+			op = table.Op{Kind: table.OpInsert, Row: c.rowFor(int64(rng.Intn(c.Tuples))*2+1, 7)}
 		default: // delete a random base tuple
-			key := c.keyRow(int64(rng.Intn(c.Tuples)) * 2)
-			if _, err := tbl.DeleteByKey(key); err != nil {
-				return nil, err
-			}
+			op.Key = c.keyRow(int64(rng.Intn(c.Tuples)) * 2)
+		}
+		// Only an insert can collide; a colliding one is skipped.
+		if _, err := tbl.ApplyBatch([]table.Op{op}); err != nil && !strings.Contains(err.Error(), "duplicate") {
+			return nil, err
 		}
 	}
 	return tbl, nil

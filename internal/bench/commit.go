@@ -129,10 +129,7 @@ func commitCell(mode string, writers int, barrier time.Duration, cfg CommitBench
 	if mode == "per-commit" {
 		opts.MaxCommitBatch = 1 // every commit pays its own barrier
 	}
-	mgr, err := txn.NewManager(tbl, opts)
-	if err != nil {
-		return CommitBenchRow{}, err
-	}
+	mgr := txn.NewManager(tbl.Store(), tbl.PDT(), opts)
 
 	commits := writers * cfg.CommitsPerWriter
 	lats := make([][]time.Duration, writers)
@@ -215,10 +212,6 @@ func commitShardedCell(mode string, writers, shards int, barrier time.Duration, 
 	var syncs atomic.Uint64
 	mgrs := make([]*txn.Manager, shards)
 	for i := range stores {
-		stbl, err := table.FromStore(stores[i], table.Options{Mode: table.ModePDT, BlockRows: cfg.BlockRows})
-		if err != nil {
-			return CommitBenchRow{}, err
-		}
 		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("%s-%d-%d-s%d.wal", mode, writers, barrier.Microseconds(), i)))
 		if err != nil {
 			return CommitBenchRow{}, err
@@ -238,9 +231,7 @@ func commitShardedCell(mode string, writers, shards int, barrier time.Duration, 
 		if mode == "per-commit" {
 			opts.MaxCommitBatch = 1
 		}
-		if mgrs[i], err = txn.NewManager(stbl, opts); err != nil {
-			return CommitBenchRow{}, err
-		}
+		mgrs[i] = txn.NewManager(stores[i], nil, opts)
 	}
 	sh, err := txn.NewSharded(mgrs, keys)
 	if err != nil {

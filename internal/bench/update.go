@@ -360,11 +360,7 @@ func txnRows(cfg UpdateConfig) ([]UpdateRow, error) {
 			for i := 0; i < b.N; i++ {
 				if i%50 == 0 {
 					b.StopTimer()
-					var err error
-					mgr, err = txn.NewManager(tbl, txn.Options{WriteBudget: 64 << 20, Log: wal.NewWriter(io.Discard)})
-					if err != nil {
-						b.Fatal(err)
-					}
+					mgr = txn.NewManager(tbl.Store(), tbl.PDT(), txn.Options{WriteBudget: 64 << 20, Log: wal.NewWriter(io.Discard)})
 					b.StartTimer()
 				}
 				tx := mgr.Begin()
@@ -408,7 +404,7 @@ func checkpointRows(cfg UpdateConfig) ([]UpdateRow, error) {
 
 // throughputCell applies U = frac·N mixed updates to an N-row table and
 // reports sustained updates/sec. Modes: PDT via ApplyBatch, PDT and VDT
-// row-at-a-time, and "inplace" — PDT batches each immediately folded into
+// row-at-a-time (one-op batches), and "inplace" — PDT batches each immediately folded into
 // the stable image by a checkpoint, modeling a store that merges on every
 // write batch instead of buffering a differential.
 func throughputCell(mode string, tableRows int, frac float64, batchSize int) (UpdateRow, error) {
@@ -448,19 +444,8 @@ func throughputCell(mode string, tableRows int, frac float64, batchSize int) (Up
 			}
 		case "PDT/per-op", "VDT/per-op":
 			for _, op := range ops {
-				switch op.Kind {
-				case table.OpInsert:
-					if err := tbl.Insert(op.Row); err != nil {
-						return UpdateRow{}, err
-					}
-				case table.OpDelete:
-					if _, err := tbl.DeleteByKey(op.Key); err != nil {
-						return UpdateRow{}, err
-					}
-				case table.OpUpdate:
-					if _, err := tbl.UpdateByKey(op.Key, op.Col, op.Val); err != nil {
-						return UpdateRow{}, err
-					}
+				if _, err := tbl.ApplyBatch([]table.Op{op}); err != nil {
+					return UpdateRow{}, err
 				}
 			}
 		default:

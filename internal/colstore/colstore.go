@@ -759,9 +759,6 @@ func (s *Store) BlockRefCounts() []int {
 	return counts
 }
 
-// Schema returns the store's schema.
-func (s *Store) Schema() *types.Schema { return s.schema }
-
 // NRows returns the number of stable tuples.
 func (s *Store) NRows() uint64 { return s.nrows }
 
@@ -1489,3 +1486,6 @@ func selectBlock(kind types.Kind, enc []byte, skip, n int, p vector.Pred, out []
 		return compress.SelectInt64s(enc, skip, n, p, out)
 	}
 }
+
+// Schema returns the store's schema.
+func (s *Store) Schema() *types.Schema { return s.schema }

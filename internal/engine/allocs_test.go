@@ -143,10 +143,7 @@ func mergeLineitem(t testing.TB) (rel *txn.Txn, n int) {
 	if _, err := tbl.ApplyBatch(ops[:half]); err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := txn.NewManager(tbl, txn.Options{WriteBudget: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mgr := txn.NewManager(tbl.Store(), tbl.PDT(), txn.Options{WriteBudget: 1 << 30})
 	tx := mgr.Begin()
 	if _, err := tx.ApplyBatch(ops[half:]); err != nil {
 		t.Fatal(err)
@@ -205,13 +202,7 @@ func shardedLineitem(t testing.TB) *txn.STxn {
 	}
 	mgrs := make([]*txn.Manager, len(stores))
 	for i, st := range stores {
-		shard, err := table.FromStore(st, opts)
-		if err == nil {
-			mgrs[i], err = txn.NewManager(shard, txn.Options{WriteBudget: 1 << 30})
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
+		mgrs[i] = txn.NewManager(st, nil, txn.Options{WriteBudget: 1 << 30})
 	}
 	s, err := txn.NewSharded(mgrs, keys)
 	if err != nil {

@@ -48,15 +48,14 @@ func loadUpdated(t *testing.T, mode table.DeltaMode) *table.Table {
 	if mode == table.ModeNone {
 		return tbl
 	}
+	ops := []table.Op{
+		{Kind: table.OpDelete, Key: types.Row{types.Int(40)}},
+		{Kind: table.OpUpdate, Key: types.Row{types.Int(10)}, Col: 1, Val: types.Int(42)},
+	}
 	for _, k := range []int64{7, 33, 121} {
-		if err := tbl.Insert(types.Row{types.Int(k), types.Int(k % 7), types.Float(0.5), types.Str("ins")}); err != nil {
-			t.Fatal(err)
-		}
+		ops = append(ops, table.Op{Kind: table.OpInsert, Row: types.Row{types.Int(k), types.Int(k % 7), types.Float(0.5), types.Str("ins")}})
 	}
-	if _, err := tbl.DeleteByKey(types.Row{types.Int(40)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tbl.UpdateByKey(types.Row{types.Int(10)}, 1, types.Int(42)); err != nil {
+	if _, err := tbl.ApplyBatch(ops); err != nil {
 		t.Fatal(err)
 	}
 	return tbl

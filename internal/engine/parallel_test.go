@@ -106,19 +106,19 @@ func bigTable(t *testing.T, mode table.DeltaMode, n int) *table.Table {
 	}
 	// Scattered inserts (odd keys), deletes and modifies across the range,
 	// including one insert past the last stable key (owned by the final
-	// morsel) and one before the first.
+	// morsel) and one before the first, applied one at a time.
+	var ops []table.Op
 	for _, k := range []int64{1, 333, 1001, 2*int64(n) + 5} {
-		if err := tbl.Insert(types.Row{types.Int(k), types.Int(k % 97), types.Float(0.5), types.Str("ins")}); err != nil {
-			t.Fatal(err)
-		}
+		ops = append(ops, table.Op{Kind: table.OpInsert, Row: types.Row{types.Int(k), types.Int(k % 97), types.Float(0.5), types.Str("ins")}})
 	}
 	for _, k := range []int64{0, 128, 2 * int64(n/2)} {
-		if _, err := tbl.DeleteByKey(types.Row{types.Int(k)}); err != nil {
-			t.Fatal(err)
-		}
+		ops = append(ops, table.Op{Kind: table.OpDelete, Key: types.Row{types.Int(k)}})
 	}
 	for _, k := range []int64{64, 1024} {
-		if _, err := tbl.UpdateByKey(types.Row{types.Int(k)}, 1, types.Int(7777)); err != nil {
+		ops = append(ops, table.Op{Kind: table.OpUpdate, Key: types.Row{types.Int(k)}, Col: 1, Val: types.Int(7777)})
+	}
+	for _, op := range ops {
+		if _, err := tbl.ApplyBatch([]table.Op{op}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -395,10 +395,8 @@ type partRelation interface {
 // layers, the table's PDT as the Read-PDT and the Write-PDT above it.
 func txnStack(t *testing.T, n int) *txn.Txn {
 	t.Helper()
-	mgr, err := txn.NewManager(bigTable(t, table.ModePDT, n), txn.Options{WriteBudget: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := bigTable(t, table.ModePDT, n)
+	mgr := txn.NewManager(tbl.Store(), tbl.PDT(), txn.Options{WriteBudget: 1 << 30})
 	tx := mgr.Begin()
 	ops := []table.Op{
 		{Kind: table.OpInsert, Row: types.Row{types.Int(77), types.Int(5), types.Float(3), types.Str("s001")}},
@@ -715,10 +713,12 @@ func TestParallelEmptyStableWithInserts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var ops []table.Op
 	for i := int64(0); i < 20; i++ {
-		if err := tbl.Insert(types.Row{types.Int(i), types.Int(i), types.Float(0), types.Str("x")}); err != nil {
-			t.Fatal(err)
-		}
+		ops = append(ops, table.Op{Kind: table.OpInsert, Row: types.Row{types.Int(i), types.Int(i), types.Float(0), types.Str("x")}})
+	}
+	if _, err := tbl.ApplyBatch(ops); err != nil {
+		t.Fatal(err)
 	}
 	want := fpRun(t, engine.Scan(tbl, 0, 1).Parallel(1), 2)
 	got := fpRun(t, engine.Scan(tbl, 0, 1).Parallel(4), 2)

@@ -92,7 +92,7 @@ func TestPruneBlocksAppendBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Append beyond the stable key domain (stable max key is 198).
-	if err := tbl.Insert(types.Row{types.Int(301), types.Int(99), types.Float(0), types.Str("app")}); err != nil {
+	if _, err := tbl.ApplyBatch([]table.Op{{Kind: table.OpInsert, Row: types.Row{types.Int(301), types.Int(99), types.Float(0), types.Str("app")}}}); err != nil {
 		t.Fatal(err)
 	}
 	res := prune(t, tbl, engine.Pred{Col: 0, Op: engine.PredInt64Range, ILo: 300, IHi: 310})

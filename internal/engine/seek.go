@@ -1,10 +1,12 @@
 package engine
 
 // Point access: the one positional key probe. Every key-addressed operation —
-// Table/Txn/STxn.FindByKey, insert positions, DeleteByKey, UpdateByKey, the
-// Query-PDT's statement-level inserts, and the op targets of every ApplyBatch
-// (table.ResolveOps) — resolves its targets through SeekKeys, of which Seek is
-// the one-key case, so there is exactly one place that compares a search key
+// Table/Txn/STxn.FindByKey, the op targets of every ApplyBatch
+// (table.ResolveOps, which a transaction's one-op Insert, DeleteByKey and
+// UpdateByKey go through too), the stable-key checks of a VDT batch, a
+// sort-key UpdateByKey's new key, and the Query-PDT's statement-level
+// writes — resolves its targets through SeekKeys, of which Seek is the
+// one-key case, so there is exactly one place that compares a search key
 // against rows.
 
 import (
@@ -136,8 +138,8 @@ func seekKeys(store *colstore.Store, keys []types.Row, cols []int, layers []*pdt
 		return lbSID, nil
 	}
 	for j, key := range keys {
-		if len(key) != len(schema.SortKey) {
-			return fmt.Errorf("engine: a key probe needs the full %d-column sort key, got %d values", len(schema.SortKey), len(key))
+		if err := schema.ValidateKey(key, false); err != nil {
+			return fmt.Errorf("engine: key probe: %w", err)
 		}
 		for w := uint64(seekWindow); ; {
 			at := i

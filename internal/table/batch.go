@@ -1,15 +1,17 @@
-// Batched updates: the paper's §6 bulk-load regime. A batch of inserts,
-// deletes and modifies is sorted by sort key, every op's target position is
-// resolved in ONE forward pass of the positional key probe over the visible
-// image (engine.SeekKeys: a sparse-index lower bound and a small window per
+// Batched updates: the paper's §6 bulk-load regime, and the one way a
+// key-level update reaches a delta structure. A batch of inserts, deletes and
+// modifies is sorted by sort key, every op's target position is resolved in
+// ONE forward pass of the positional key probe over the visible image
+// (engine.SeekKeys: a sparse-index lower bound and a small window per
 // scattered key, one stretched window over dense ones), and the ops are
 // applied to the positional delta structure in key order with a running
 // shift — so the PDT receives its entries in (SID, RID) order, its cheapest
 // insertion pattern.
 //
-// The same resolution pass serves Table.ApplyBatch (direct table updates)
-// and Txn.ApplyBatch (transactional updates into a Trans-PDT): both are
-// Stacked, so the resolver only sees "a stable image under PDT layers".
+// SortOps → ResolveOps → ApplyOps serves Table.ApplyBatch (direct table
+// updates) and Txn.ApplyBatch (transactional updates into a Trans-PDT, and
+// every one-op write of a transaction): both are Stacked, so the resolver
+// only sees "a stable image under PDT layers".
 package table
 
 import (
@@ -29,11 +31,12 @@ const (
 	// OpInsert adds Row (whose key must not be visible).
 	OpInsert OpKind = iota
 	// OpDelete removes the visible tuple with sort key Key (a miss is
-	// skipped, matching DeleteByKey's found=false).
+	// skipped and not counted).
 	OpDelete
 	// OpUpdate sets column Col of the visible tuple with sort key Key to
-	// Val. Sort-key columns cannot be updated in a batch (express that as
-	// delete+insert across two batches, or use UpdateByKey).
+	// Val. Sort-key columns cannot be updated in a batch: express that as a
+	// delete and an insert in two batches, or use a transaction's
+	// UpdateByKey, which moves the tuple.
 	OpUpdate
 )
 
@@ -54,12 +57,33 @@ func (o Op) key(schema *types.Schema) types.Row {
 	return o.Key
 }
 
+// Target validates what the op names of its tuple — the whole row of an
+// insert, the full sort key of a delete or an update — and returns the
+// tuple's sort key. SortOps checks every op with it, and a sharded
+// transaction routes each op by it.
+func (o Op) Target(schema *types.Schema) (types.Row, error) {
+	switch o.Kind {
+	case OpInsert:
+		if err := schema.ValidateRow(o.Row); err != nil {
+			return nil, err
+		}
+	case OpDelete, OpUpdate:
+		if err := schema.ValidateKey(o.Key, false); err != nil {
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("table: unknown op kind %d", o.Kind)
+	}
+	return o.key(schema), nil
+}
+
 // SortOps validates a batch and returns it sorted into application order:
 // ascending by target sort key, stable (ops on the same key keep their
 // submitted order). Within one batch keys must be distinct, except that
 // several OpUpdates may target the same key; richer same-key interaction
-// (insert-then-modify, delete-then-reinsert) needs the row-at-a-time API,
-// whose positions see each prior update. The input slice is not modified.
+// (insert-then-modify, delete-then-reinsert) takes one batch per step, each
+// resolved against the image the previous one left. The input slice is not
+// modified.
 func SortOps(schema *types.Schema, ops []Op) ([]Op, error) {
 	type keyed struct {
 		op  Op
@@ -67,19 +91,11 @@ func SortOps(schema *types.Schema, ops []Op) ([]Op, error) {
 	}
 	sorted := make([]keyed, len(ops))
 	for i, op := range ops {
-		switch op.Kind {
-		case OpInsert:
-			if err := schema.ValidateRow(op.Row); err != nil {
-				return nil, fmt.Errorf("table: batch op %d: %w", i, err)
-			}
-		case OpDelete:
-			if len(op.Key) != len(schema.SortKey) {
-				return nil, fmt.Errorf("table: batch op %d: delete needs the full %d-column sort key", i, len(schema.SortKey))
-			}
-		case OpUpdate:
-			if len(op.Key) != len(schema.SortKey) {
-				return nil, fmt.Errorf("table: batch op %d: update needs the full %d-column sort key", i, len(schema.SortKey))
-			}
+		key, err := op.Target(schema)
+		if err != nil {
+			return nil, fmt.Errorf("table: batch op %d: %w", i, err)
+		}
+		if op.Kind == OpUpdate {
 			if op.Col < 0 || op.Col >= schema.NumCols() {
 				return nil, fmt.Errorf("table: batch op %d: column %d out of range", i, op.Col)
 			}
@@ -89,10 +105,8 @@ func SortOps(schema *types.Schema, ops []Op) ([]Op, error) {
 			if op.Val.K != schema.Cols[op.Col].Kind {
 				return nil, fmt.Errorf("table: batch op %d: column %q expects %v, got %v", i, schema.Cols[op.Col].Name, schema.Cols[op.Col].Kind, op.Val.K)
 			}
-		default:
-			return nil, fmt.Errorf("table: batch op %d: unknown kind %d", i, op.Kind)
 		}
-		sorted[i] = keyed{op: op, key: op.key(schema)}
+		sorted[i] = keyed{op: op, key: key}
 	}
 	sort.SliceStable(sorted, func(i, j int) bool {
 		return types.CompareRows(sorted[i].key, sorted[j].key) < 0
@@ -191,61 +205,76 @@ func ApplyOps(p *pdt.PDT, schema *types.Schema, ops []Op, pos []OpPos) (int, err
 	return applied, nil
 }
 
-// ApplyBatch applies a batch of updates, resolving all target positions in
-// one forward probe pass (ModePDT). ModeVDT has no positions to resolve and applies
-// the validated, sorted batch through the per-op path — the same batch
-// contract (distinct keys, no sort-key updates) holds in every mode; ModeNone
-// rejects. It returns the number of ops that took effect: delete/update
-// misses are skipped, a duplicate-key insert aborts the batch with the
-// earlier ops applied.
+// ApplyBatch is the table's one writer: it validates and sorts a batch
+// (SortOps) and applies it to the mode's delta structure. ModePDT resolves
+// every target position in one forward probe pass (ResolveOps, ApplyOps);
+// ModeVDT has no positions to resolve and applies the sorted ops by key
+// (applyVDT); ModeNone rejects. The same batch contract (distinct keys, no
+// sort-key updates) holds in every mode. It returns the number of ops that
+// took effect: delete/update misses are skipped, a duplicate-key insert
+// aborts the batch with the earlier ops applied.
 func (t *Table) ApplyBatch(ops []Op) (int, error) {
-	switch t.opts.Mode {
-	case ModeNone:
+	if t.mode == ModeNone {
 		return 0, fmt.Errorf("table: read-only (ModeNone)")
-	case ModeVDT:
-		sorted, err := SortOps(t.schema, ops)
-		if err != nil {
-			return 0, err
-		}
-		applied := 0
-		for _, op := range sorted {
-			switch op.Kind {
-			case OpInsert:
-				if err := t.Insert(op.Row); err != nil {
-					return applied, err
-				}
-				applied++
-			case OpDelete:
-				ok, err := t.DeleteByKey(op.Key)
-				if err != nil {
-					return applied, err
-				}
-				if ok {
-					applied++
-				}
-			case OpUpdate:
-				ok, err := t.UpdateByKey(op.Key, op.Col, op.Val)
-				if err != nil {
-					return applied, err
-				}
-				if ok {
-					applied++
-				}
-			default:
-				return applied, fmt.Errorf("table: unknown op kind %d", op.Kind)
-			}
-		}
-		return applied, nil
-	case ModePDT:
-		sorted, err := SortOps(t.schema, ops)
-		if err != nil {
-			return 0, err
-		}
-		pos, err := ResolveOps(t, sorted)
-		if err != nil {
-			return 0, err
-		}
-		return ApplyOps(t.PDT(), t.schema, sorted, pos)
 	}
-	return 0, fmt.Errorf("table: unknown mode")
+	sorted, err := SortOps(t.schema, ops)
+	if err != nil {
+		return 0, err
+	}
+	if t.mode == ModeVDT {
+		return t.applyVDT(sorted)
+	}
+	pos, err := ResolveOps(t, sorted)
+	if err != nil {
+		return 0, err
+	}
+	return ApplyOps(t.PDT(), t.schema, sorted, pos)
+}
+
+// applyVDT applies a sorted batch to the value-based baseline. A VDT keys its
+// updates by value, so each op asks the stable image whether it holds the key
+// (bypassing the VDT on purpose) and the VDT whether it buffers an insert or
+// a delete of it: an insert needs the key invisible (a deleted stable key may
+// come back), a delete or an update a visible tuple, whose current values an
+// update reads from the VDT's insert or else from the stable image.
+func (t *Table) applyVDT(ops []Op) (int, error) {
+	im := t.img.Load()
+	applied := 0
+	for _, op := range ops {
+		key := op.key(t.schema)
+		var cols []int
+		if op.Kind == OpUpdate {
+			cols = allCols(t.schema)
+		}
+		_, row, stable, err := engine.Seek(im.store, key, cols)
+		if err != nil {
+			return applied, err
+		}
+		visible := stable && !im.vdt.IsDeleted(key)
+		if ins, ok := im.vdt.HasInsert(key); ok {
+			row, visible = ins, true
+		}
+		switch op.Kind {
+		case OpInsert:
+			if visible {
+				return applied, fmt.Errorf("table: duplicate key %v", key)
+			}
+			err = im.vdt.Insert(op.Row)
+		case OpDelete:
+			if !visible {
+				continue
+			}
+			im.vdt.Delete(key, stable)
+		case OpUpdate:
+			if !visible {
+				continue
+			}
+			err = im.vdt.Modify(row, op.Col, op.Val, stable)
+		}
+		if err != nil {
+			return applied, err
+		}
+		applied++
+	}
+	return applied, nil
 }

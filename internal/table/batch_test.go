@@ -32,11 +32,12 @@ func loadBatchTable(t *testing.T, mode DeltaMode, n int) *Table {
 
 func allRows(t *testing.T, tbl *Table) []types.Row {
 	t.Helper()
-	src, err := tbl.Scan(tbl.allCols(), nil, nil)
+	cols := allCols(tbl.Schema())
+	src, err := tbl.Scan(cols, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := vector.NewBatch(tbl.Kinds(tbl.allCols()), 64)
+	b := vector.NewBatch(tbl.Kinds(cols), 64)
 	for {
 		n, err := src.Next(b, 64)
 		if err != nil {
@@ -54,8 +55,10 @@ func allRows(t *testing.T, tbl *Table) []types.Row {
 }
 
 // TestTableApplyBatchMatchesPerOp drives the same randomized batches through
-// ApplyBatch on one table and the row-at-a-time API on another, for both
-// delta modes, and compares full scans (plus the PDT invariant audit).
+// ApplyBatch on one table and, op by op in submitted order, as one-op
+// batches on another, for both delta modes, and compares full scans (plus
+// the PDT invariant audit): one resolution pass with a running shift places
+// every op where its own probe would.
 func TestTableApplyBatchMatchesPerOp(t *testing.T) {
 	for _, mode := range []DeltaMode{ModePDT, ModeVDT} {
 		for seed := int64(0); seed < 4; seed++ {
@@ -101,29 +104,11 @@ func TestTableApplyBatchMatchesPerOp(t *testing.T) {
 					}
 					nP := 0
 					for _, op := range ops {
-						switch op.Kind {
-						case OpInsert:
-							if err := perOp.Insert(op.Row); err != nil {
-								t.Fatal(err)
-							}
-							nP++
-						case OpDelete:
-							ok, err := perOp.DeleteByKey(op.Key)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if ok {
-								nP++
-							}
-						case OpUpdate:
-							ok, err := perOp.UpdateByKey(op.Key, op.Col, op.Val)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if ok {
-								nP++
-							}
+						n, err := apply(perOp, op)
+						if err != nil {
+							t.Fatal(err)
 						}
+						nP += n
 					}
 					if nB != nP {
 						t.Fatalf("round %d: batch applied %d, per-op %d", round, nB, nP)
@@ -162,38 +147,40 @@ func TestTableApplyBatchMatchesPerOp(t *testing.T) {
 }
 
 func TestTableApplyBatchEdges(t *testing.T) {
-	tbl := loadBatchTable(t, ModePDT, 10)
+	for _, mode := range []DeltaMode{ModePDT, ModeVDT} {
+		tbl := loadBatchTable(t, mode, 10)
 
-	// Batch touching positions before the first and past the last stable row.
-	n, err := tbl.ApplyBatch([]Op{
-		{Kind: OpInsert, Row: types.Row{types.Int(1), types.Int(0), types.Str("front")}},
-		{Kind: OpInsert, Row: types.Row{types.Int(500), types.Int(0), types.Str("back")}},
-		{Kind: OpDelete, Key: types.Row{types.Int(10)}},
-		{Kind: OpDelete, Key: types.Row{types.Int(100)}},
-		{Kind: OpUpdate, Key: types.Row{types.Int(999)}, Col: 1, Val: types.Int(1)}, // miss
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 4 {
-		t.Fatalf("applied %d, want 4", n)
-	}
-	rows := allRows(t, tbl)
-	if rows[0][0].I != 1 || rows[len(rows)-1][0].I != 500 {
-		t.Fatalf("edge inserts misplaced: %v", rows)
-	}
-	if tbl.NRows() != 10 {
-		t.Fatalf("NRows %d, want 10", tbl.NRows())
+		// Batch touching positions before the first and past the last stable row.
+		n, err := tbl.ApplyBatch([]Op{
+			{Kind: OpInsert, Row: types.Row{types.Int(1), types.Int(0), types.Str("front")}},
+			{Kind: OpInsert, Row: types.Row{types.Int(500), types.Int(0), types.Str("back")}},
+			{Kind: OpDelete, Key: types.Row{types.Int(10)}},
+			{Kind: OpDelete, Key: types.Row{types.Int(100)}},
+			{Kind: OpUpdate, Key: types.Row{types.Int(999)}, Col: 1, Val: types.Int(1)}, // miss
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 4 {
+			t.Fatalf("%v: applied %d, want 4", mode, n)
+		}
+		rows := allRows(t, tbl)
+		if rows[0][0].I != 1 || rows[len(rows)-1][0].I != 500 {
+			t.Fatalf("%v: edge inserts misplaced: %v", mode, rows)
+		}
+		if tbl.NRows() != 10 {
+			t.Fatalf("%v: NRows %d, want 10", mode, tbl.NRows())
+		}
+
+		// Empty batch is a no-op.
+		if n, err := tbl.ApplyBatch(nil); err != nil || n != 0 {
+			t.Fatalf("%v: empty batch: n=%d err=%v", mode, n, err)
+		}
 	}
 
 	// ModeNone rejects batches.
 	none := loadBatchTable(t, ModeNone, 5)
 	if _, err := none.ApplyBatch([]Op{{Kind: OpDelete, Key: types.Row{types.Int(10)}}}); err == nil {
 		t.Fatal("ModeNone accepted a batch")
-	}
-
-	// Empty batch is a no-op.
-	if n, err := tbl.ApplyBatch(nil); err != nil || n != 0 {
-		t.Fatalf("empty batch: n=%d err=%v", n, err)
 	}
 }

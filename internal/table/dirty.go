@@ -55,10 +55,10 @@ func (ds *DirtySet) TotalCells() int {
 
 // ComputeDirty folds the delta layers (bottom-to-top, nils skipped) and maps
 // their positional entries to exact block coordinates over store. The fold is
-// read-only (pdt.Fold is non-destructive), so the layers stay shareable — the
-// transaction manager calls this from its checkpoint closure on the same
-// frozen layers it then materializes from.
-func (t *Table) ComputeDirty(store *colstore.Store, deltas ...*pdt.PDT) (*DirtySet, error) {
+// read-only (pdt.Fold is non-destructive), so the layers stay shareable — a
+// durable checkpoint calls this from its build closure on the same frozen
+// layers it then materializes from.
+func ComputeDirty(store *colstore.Store, deltas ...*pdt.PDT) (*DirtySet, error) {
 	var merged *pdt.PDT
 	for _, d := range deltas {
 		if d == nil || d.Empty() {
@@ -76,7 +76,7 @@ func (t *Table) ComputeDirty(store *colstore.Store, deltas ...*pdt.PDT) (*DirtyS
 	}
 	R := store.BlockRows()
 	oldBlocks := store.NumBlocks()
-	ncols := t.schema.NumCols()
+	ncols := store.Schema().NumCols()
 	ds := &DirtySet{
 		NewBlocks: oldBlocks,
 		NewRows:   store.NRows(),
@@ -125,6 +125,11 @@ func (t *Table) ComputeDirty(store *colstore.Store, deltas ...*pdt.PDT) (*DirtyS
 	return ds, nil
 }
 
+// ComputeDirty is the package function ComputeDirty (the table plays no part).
+func (t *Table) ComputeDirty(store *colstore.Store, deltas ...*pdt.PDT) (*DirtySet, error) {
+	return ComputeDirty(store, deltas...)
+}
+
 // Widen turns the set into a whole rewrite: the shift block moves to 0, so
 // nothing is inherited and every row streams through the tail. A checkpoint
 // does this when inheriting would cost more than it saves (see the rule in
@@ -141,7 +146,8 @@ func (ds *DirtySet) Widen() {
 // from the shift block on — all of the image when that is block 0. The caller
 // decides between Finish and Abort (the durable checkpoint puts its
 // crash-injection points in between).
-func (t *Table) MaterializeDelta(b *colstore.Builder, store *colstore.Store, ds *DirtySet, deltas ...*pdt.PDT) error {
+func MaterializeDelta(b *colstore.Builder, store *colstore.Store, ds *DirtySet, deltas ...*pdt.PDT) error {
+	schema := store.Schema()
 	R := uint64(store.BlockRows())
 	var cols []int
 	for blk := 0; blk < ds.ShiftBlk; blk++ {
@@ -160,7 +166,7 @@ func (t *Table) MaterializeDelta(b *colstore.Builder, store *colstore.Store, ds 
 			hi = store.NRows()
 		}
 		src := engine.StackPDTs(store.NewScanner(cols, lo, hi), cols, lo, false, deltas...)
-		buf := vector.NewBatch(t.Kinds(cols), int(hi-lo))
+		buf := vector.NewBatch(kinds(schema, cols), int(hi-lo))
 		total := 0
 		for {
 			n, err := src.Next(buf, int(hi-lo)-total)
@@ -187,9 +193,9 @@ func (t *Table) MaterializeDelta(b *colstore.Builder, store *colstore.Store, ds 
 		return nil
 	}
 	lo := uint64(ds.ShiftBlk) * R
-	all := t.allCols()
+	all := allCols(schema)
 	src := engine.StackPDTs(store.NewScanner(all, lo, store.NRows()), all, lo, true, deltas...)
-	rows, err := drainInto(b, t.schema, src)
+	rows, err := drainInto(b, schema, src)
 	if err == nil && lo+rows != ds.NewRows {
 		err = fmt.Errorf("table: tail from block %d produced %d rows, image needs %d", ds.ShiftBlk, rows, ds.NewRows-lo)
 	}

@@ -1,9 +1,11 @@
-// Package table provides the updatable ordered table: a read-optimized
-// stable column store image plus a differential structure buffering updates
-// (a PDT, a VDT, or none — the three configurations the paper evaluates
-// against each other), a key-level SQL-ish update API, range scans through
-// the sparse index with on-the-fly merging, and checkpointing that folds the
-// deltas into a fresh stable image.
+// Package table provides the ordered table image: a read-optimized stable
+// column store plus a differential structure buffering updates (a PDT, a
+// VDT, or none — the three configurations the paper evaluates against each
+// other), range scans through the sparse index with on-the-fly merging, key
+// lookups, one batched writer (ApplyBatch), and checkpointing that folds the
+// deltas into a fresh stable image. The transaction layer keeps its own
+// (image, Read-PDT) pair and uses only the package's batch resolution,
+// dirty-set and image-build functions.
 package table
 
 import (
@@ -53,14 +55,12 @@ type Options struct {
 
 // Table is an updatable ordered table. The stable image and its delta
 // structure are published together behind one atomic pointer: every reader
-// loads the pair once per operation, so a checkpoint install — including the
-// transaction manager's *background* maintenance calling Install at an
-// arbitrary moment — can never be observed torn (new store with the old
-// delta, whose positions belong to the pre-swap image). Updates remain
-// single-writer, as before.
+// loads the pair once per operation, so a Checkpoint swapping in a new image
+// is never observed torn (a new store with the old delta, whose positions
+// belong to the pre-swap image). Updates remain single-writer.
 type Table struct {
 	schema *types.Schema
-	opts   Options
+	mode   DeltaMode
 	img    atomic.Pointer[image]
 }
 
@@ -92,7 +92,7 @@ func LoadBatches(schema *types.Schema, src pdt.BatchSource, opts Options) (*Tabl
 
 // FromStore wraps an existing stable image in a table.
 func FromStore(store *colstore.Store, opts Options) (*Table, error) {
-	t := &Table{schema: store.Schema(), opts: opts}
+	t := &Table{schema: store.Schema(), mode: opts.Mode}
 	im := &image{store: store}
 	switch opts.Mode {
 	case ModePDT:
@@ -111,7 +111,7 @@ func FromStore(store *colstore.Store, opts Options) (*Table, error) {
 func (t *Table) Schema() *types.Schema { return t.schema }
 
 // Mode returns the delta mode.
-func (t *Table) Mode() DeltaMode { return t.opts.Mode }
+func (t *Table) Mode() DeltaMode { return t.mode }
 
 // Store returns the stable image (read-only).
 func (t *Table) Store() *colstore.Store { return t.img.Load().store }
@@ -127,7 +127,7 @@ func (t *Table) VDT() *vdt.VDT { return t.img.Load().vdt }
 func (t *Table) NRows() uint64 {
 	im := t.img.Load()
 	n := int64(im.store.NRows())
-	switch t.opts.Mode {
+	switch t.mode {
 	case ModePDT:
 		n += im.pdt.Delta()
 	case ModeVDT:
@@ -139,7 +139,7 @@ func (t *Table) NRows() uint64 {
 // DeltaMemBytes reports the memory held by the differential structure.
 func (t *Table) DeltaMemBytes() uint64 {
 	im := t.img.Load()
-	switch t.opts.Mode {
+	switch t.mode {
 	case ModePDT:
 		return im.pdt.MemBytes()
 	case ModeVDT:
@@ -148,9 +148,9 @@ func (t *Table) DeltaMemBytes() uint64 {
 	return 0
 }
 
-// allCols returns [0..numCols).
-func (t *Table) allCols() []int {
-	cols := make([]int, t.schema.NumCols())
+// allCols returns [0..numCols) of schema.
+func allCols(schema *types.Schema) []int {
+	cols := make([]int, schema.NumCols())
 	for i := range cols {
 		cols[i] = i
 	}
@@ -158,12 +158,15 @@ func (t *Table) allCols() []int {
 }
 
 // Kinds returns the vector kinds for a column projection.
-func (t *Table) Kinds(cols []int) []types.Kind {
-	kinds := make([]types.Kind, len(cols))
+func (t *Table) Kinds(cols []int) []types.Kind { return kinds(t.schema, cols) }
+
+// kinds returns the vector kinds of schema's columns cols.
+func kinds(schema *types.Schema, cols []int) []types.Kind {
+	out := make([]types.Kind, len(cols))
 	for i, c := range cols {
-		kinds[i] = t.schema.Cols[c].Kind
+		out[i] = schema.Cols[c].Kind
 	}
-	return kinds
+	return out
 }
 
 // Scan returns a batch source producing the projected columns of all visible
@@ -177,7 +180,18 @@ func (t *Table) Kinds(cols []int) []types.Kind {
 // buffered updates gets the value-based merge. Table satisfies
 // engine.Relation, so plans can be built directly over it.
 func (t *Table) Scan(cols []int, loKey, hiKey types.Row) (pdt.BatchSource, error) {
+	if err := t.checkRange(loKey, hiKey); err != nil {
+		return nil, err
+	}
 	return engine.NewSource(t.spec(), cols, loKey, hiKey)
+}
+
+// checkRange validates a scan's bounds as sort-key prefixes.
+func (t *Table) checkRange(loKey, hiKey types.Row) error {
+	if err := t.schema.ValidateKey(loKey, true); err != nil {
+		return err
+	}
+	return t.schema.ValidateKey(hiKey, true)
 }
 
 // spec pins one consistent (store, delta) image. An empty delta structure
@@ -199,20 +213,23 @@ func (t *Table) spec() engine.TableSpec {
 // serialize; the transaction layer's snapshots are the safe way to scan
 // while writes proceed.
 func (t *Table) PartitionScan(loKey, hiKey types.Row) (*engine.PartScan, error) {
+	if err := t.checkRange(loKey, hiKey); err != nil {
+		return nil, err
+	}
 	return engine.PartitionSpec(t.spec(), loKey, hiKey), nil
 }
 
 // FindByKey locates the visible tuple with the given (full) sort key,
 // returning its RID and current column values.
 func (t *Table) FindByKey(key types.Row) (rid uint64, row types.Row, found bool, err error) {
-	if len(key) != len(t.schema.SortKey) {
-		return 0, nil, false, fmt.Errorf("table: FindByKey needs the full %d-column sort key", len(t.schema.SortKey))
+	if err := t.schema.ValidateKey(key, false); err != nil {
+		return 0, nil, false, err
 	}
 	im := t.img.Load()
-	if t.opts.Mode == ModeVDT {
+	if t.mode == ModeVDT {
 		return t.vdtFind(im, key)
 	}
-	rid, row, found, err = engine.Seek(im.store, key, t.allCols(), im.pdt)
+	rid, row, found, err = engine.Seek(im.store, key, allCols(t.schema), im.pdt)
 	if err != nil || !found {
 		return 0, nil, false, err
 	}
@@ -224,7 +241,7 @@ func (t *Table) FindByKey(key types.Row) (rid uint64, row types.Row, found bool,
 // the sparse-index range around key by value and stops at the first row at or
 // past it. (Every positional image goes through engine.Seek instead.)
 func (t *Table) vdtFind(im *image, key types.Row) (rid uint64, row types.Row, found bool, err error) {
-	cols := t.allCols()
+	cols := allCols(t.schema)
 	src, err := engine.NewSource(engine.TableSpec{Store: im.store, VDT: im.vdt}, cols, key, key)
 	if err != nil {
 		return 0, nil, false, err
@@ -247,140 +264,27 @@ func (t *Table) vdtFind(im *image, key types.Row) (rid uint64, row types.Row, fo
 	}
 }
 
-// stableHasKey reports whether the stable image contains the key (the probe
-// bypasses the delta structure on purpose).
-func (t *Table) stableHasKey(key types.Row) (found bool, err error) {
-	_, _, found, err = engine.Seek(t.img.Load().store, key, nil)
-	return found, err
-}
-
-// Insert adds a new tuple; its sort key must not be visible.
-func (t *Table) Insert(row types.Row) error {
-	if err := t.schema.ValidateRow(row); err != nil {
-		return err
-	}
-	key := t.schema.KeyOf(row)
-	im := t.img.Load()
-	switch t.opts.Mode {
-	case ModeNone:
-		return fmt.Errorf("table: read-only (ModeNone)")
-	case ModePDT:
-		rid, _, dup, err := engine.Seek(im.store, key, nil, im.pdt)
-		if err != nil {
-			return err
-		}
-		if dup {
-			return fmt.Errorf("table: duplicate key %v", key)
-		}
-		return im.pdt.Insert(rid, row)
-	case ModeVDT:
-		if _, ok := im.vdt.HasInsert(key); ok {
-			return fmt.Errorf("table: duplicate key %v", key)
-		}
-		stable, err := t.stableHasKey(key)
-		if err != nil {
-			return err
-		}
-		if stable && !im.vdt.IsDeleted(key) {
-			return fmt.Errorf("table: duplicate key %v", key)
-		}
-		return im.vdt.Insert(row)
-	}
-	return fmt.Errorf("table: unknown mode")
-}
-
-// DeleteByKey removes the visible tuple with the given sort key, reporting
-// whether it existed.
-func (t *Table) DeleteByKey(key types.Row) (bool, error) {
-	im := t.img.Load()
-	switch t.opts.Mode {
-	case ModeNone:
-		return false, fmt.Errorf("table: read-only (ModeNone)")
-	case ModePDT:
-		rid, _, found, err := engine.Seek(im.store, key, nil, im.pdt)
-		if err != nil || !found {
-			return false, err
-		}
-		return true, im.pdt.Delete(rid, key)
-	case ModeVDT:
-		_, inIns := im.vdt.HasInsert(key)
-		stable, err := t.stableHasKey(key)
-		if err != nil {
-			return false, err
-		}
-		if !inIns && (!stable || im.vdt.IsDeleted(key)) {
-			return false, nil
-		}
-		im.vdt.Delete(key, stable)
-		return true, nil
-	}
-	return false, fmt.Errorf("table: unknown mode")
-}
-
-// UpdateByKey sets one column of the visible tuple with the given sort key.
-// Updating a sort-key column is expressed as delete+insert, per the paper;
-// the new key's uniqueness is checked before the delete, so a collision with
-// an existing row rejects the update and leaves the old row in place.
-func (t *Table) UpdateByKey(key types.Row, col int, val types.Value) (bool, error) {
-	if t.opts.Mode == ModeNone {
-		return false, fmt.Errorf("table: read-only (ModeNone)")
-	}
-	im := t.img.Load()
-	if t.opts.Mode == ModePDT && !t.schema.IsSortKeyCol(col) {
-		// A positional modify needs the row's RID and none of its values.
-		rid, _, found, err := engine.Seek(im.store, key, nil, im.pdt)
-		if err != nil || !found {
-			return false, err
-		}
-		return true, im.pdt.Modify(rid, col, val)
-	}
-	_, row, found, err := t.FindByKey(key)
-	if err != nil || !found {
-		return false, err
-	}
-	if t.schema.IsSortKeyCol(col) {
-		newRow := row.Clone()
-		newRow[col] = val
-		newKey := t.schema.KeyOf(newRow)
-		if types.CompareRows(newKey, key) != 0 {
-			if _, _, taken, err := t.FindByKey(newKey); err != nil {
-				return false, err
-			} else if taken {
-				return false, fmt.Errorf("table: duplicate key %v", newKey)
-			}
-		}
-		if _, err := t.DeleteByKey(key); err != nil {
-			return false, err
-		}
-		return true, t.Insert(newRow)
-	}
-	stable, err := t.stableHasKey(key)
-	if err != nil {
-		return false, err
-	}
-	return true, im.vdt.Modify(row, col, val, stable)
-}
-
-// Checkpoint folds the buffered deltas into a brand-new stable image and
-// resets the differential structure (the paper's checkpointing step: the
-// table image with all updates applied replaces TABLE0, and query
-// processing switches over). The retired image's blocks are evicted from the
-// device's buffer pool so repeated checkpoints don't leak pool entries.
+// Checkpoint folds the buffered deltas into a brand-new stable image, in the
+// current one's block geometry, and resets the differential structure (the
+// paper's checkpointing step: the table image with all updates applied
+// replaces TABLE0, and query processing switches over). The retired image's
+// blocks are evicted from the device's buffer pool so repeated checkpoints
+// don't leak pool entries.
 func (t *Table) Checkpoint() error {
-	if t.opts.Mode == ModeNone {
+	if t.mode == ModeNone {
 		return nil
 	}
-	src, err := t.Scan(t.allCols(), nil, nil)
+	old := t.img.Load()
+	src, err := t.Scan(allCols(t.schema), nil, nil)
 	if err != nil {
 		return err
 	}
-	old := t.img.Load()
-	store, err := buildImage(t.schema, src, old.store.Device(), t.opts.BlockRows, t.opts.Compressed)
+	store, err := buildImage(t.schema, src, old.store.Device(), old.store.BlockRows(), old.store.Compressed())
 	if err != nil {
 		return err
 	}
 	next := &image{store: store}
-	switch t.opts.Mode {
+	switch t.mode {
 	case ModePDT:
 		next.pdt = pdt.New(t.schema, pdt.DefaultFanout)
 	case ModeVDT:
@@ -393,30 +297,21 @@ func (t *Table) Checkpoint() error {
 
 // Materialize streams the merged image of a stable store and a stack of
 // consecutive PDT layers (bottom-to-top) into a brand-new store — one memory
-// segment, whatever the input's chain is made of — on the same device, using
-// the table's block geometry. The inputs are only read,
-// and the layers merge on the fly — no intermediate folded PDT is built. This
-// is the build step of the transaction manager's online checkpoint when no
-// durable build is supplied; it runs without any lock while commits keep
-// landing in a fresh delta layer.
-func (t *Table) Materialize(store *colstore.Store, deltas ...*pdt.PDT) (*colstore.Store, error) {
-	cols := t.allCols()
+// segment, whatever the input's chain is made of — on the same device, in
+// the store's block geometry. The inputs are only read, and the layers merge
+// on the fly — no intermediate folded PDT is built. This is the transaction
+// manager's in-memory checkpoint build; it runs without any lock while
+// commits keep landing in a fresh delta layer.
+func Materialize(store *colstore.Store, deltas ...*pdt.PDT) (*colstore.Store, error) {
+	schema := store.Schema()
+	cols := allCols(schema)
 	src := engine.StackPDTs(store.NewScanner(cols, 0, store.NRows()), cols, 0, true, deltas...)
-	return buildImage(t.schema, src, store.Device(), t.opts.BlockRows, t.opts.Compressed)
+	return buildImage(schema, src, store.Device(), store.BlockRows(), store.Compressed())
 }
 
-// Install atomically swaps in a checkpointed image and its differential
-// layer (ModePDT only): the transaction manager's online checkpoint builds
-// the new store via Materialize and hands the side delta that accumulated
-// during the build. The swap publishes the pair as one unit, so readers
-// racing a background install always see a consistent image; direct table
-// *updates* remain the caller's to serialize, as ever.
-func (t *Table) Install(store *colstore.Store, p *pdt.PDT) error {
-	if t.opts.Mode != ModePDT {
-		return fmt.Errorf("table: Install requires ModePDT, got %v", t.opts.Mode)
-	}
-	t.img.Store(&image{store: store, pdt: p})
-	return nil
+// Materialize is the package function Materialize (the table plays no part).
+func (t *Table) Materialize(store *colstore.Store, deltas ...*pdt.PDT) (*colstore.Store, error) {
+	return Materialize(store, deltas...)
 }
 
 // buildImage drains a batch source of all schema columns, in sort-key order,
@@ -432,11 +327,7 @@ func buildImage(schema *types.Schema, src pdt.BatchSource, dev *colstore.Device,
 // drainInto streams every batch of src into b without sealing it, and
 // reports how many rows that was.
 func drainInto(b *colstore.Builder, schema *types.Schema, src pdt.BatchSource) (uint64, error) {
-	kinds := make([]types.Kind, schema.NumCols())
-	for i, c := range schema.Cols {
-		kinds[i] = c.Kind
-	}
-	buf := vector.NewBatch(kinds, 4096)
+	buf := vector.NewBatch(kinds(schema, allCols(schema)), 4096)
 	var rows uint64
 	for {
 		buf.Reset()

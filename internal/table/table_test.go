@@ -65,6 +65,17 @@ func scanKeys(t *testing.T, tbl *Table, lo, hi types.Row) []types.Row {
 	return rows
 }
 
+// apply runs one op as a batch of its own.
+func apply(tbl *Table, op Op) (int, error) { return tbl.ApplyBatch([]Op{op}) }
+
+func insertOp(row types.Row) Op { return Op{Kind: OpInsert, Row: row} }
+
+func deleteOp(key types.Row) Op { return Op{Kind: OpDelete, Key: key} }
+
+func updateOp(key types.Row, col int, val types.Value) Op {
+	return Op{Kind: OpUpdate, Key: key, Col: col, Val: val}
+}
+
 func TestAllModesBasicLifecycle(t *testing.T) {
 	for _, mode := range []DeltaMode{ModePDT, ModeVDT} {
 		mode := mode
@@ -76,55 +87,61 @@ func TestAllModesBasicLifecycle(t *testing.T) {
 
 			// insert a fresh key
 			row := types.Row{types.Int(55), types.Str("zz"), types.Int(-1), types.Float(0)}
-			if err := tbl.Insert(row); err != nil {
-				t.Fatal(err)
+			if n, err := apply(tbl, insertOp(row)); err != nil || n != 1 {
+				t.Fatalf("insert: %d %v", n, err)
 			}
 			if tbl.NRows() != 61 {
 				t.Fatalf("NRows after insert = %d", tbl.NRows())
 			}
-			rid, got, found, err := tbl.FindByKey(types.Row{types.Int(55), types.Str("zz")})
+			_, got, found, err := tbl.FindByKey(types.Row{types.Int(55), types.Str("zz")})
 			if err != nil || !found {
 				t.Fatalf("inserted key not found: %v", err)
 			}
 			if types.CompareRows(got, row) != 0 {
 				t.Fatalf("FindByKey row = %v", got)
 			}
-			_ = rid
 
 			// duplicate insert rejected
-			if err := tbl.Insert(row); err == nil {
+			if _, err := apply(tbl, insertOp(row)); err == nil {
 				t.Fatal("duplicate insert accepted")
 			}
 
 			// update a stable tuple
 			key := types.Row{types.Int(0), types.Str("s01")}
-			ok, err := tbl.UpdateByKey(key, 2, types.Int(999))
-			if err != nil || !ok {
-				t.Fatalf("update: %v %v", ok, err)
+			if n, err := apply(tbl, updateOp(key, 2, types.Int(999))); err != nil || n != 1 {
+				t.Fatalf("update: %d %v", n, err)
 			}
 			_, got, _, err = tbl.FindByKey(key)
 			if err != nil || got[2].I != 999 {
 				t.Fatalf("update not visible: %v %v", got, err)
 			}
 
-			// delete it
-			ok, err = tbl.DeleteByKey(key)
-			if err != nil || !ok {
-				t.Fatalf("delete: %v %v", ok, err)
+			// delete it; a second delete misses and counts 0
+			if n, err := apply(tbl, deleteOp(key)); err != nil || n != 1 {
+				t.Fatalf("delete: %d %v", n, err)
 			}
 			if _, _, found, _ := tbl.FindByKey(key); found {
 				t.Fatal("deleted key still visible")
 			}
-			if ok, _ := tbl.DeleteByKey(key); ok {
-				t.Fatal("double delete reported success")
+			if n, err := apply(tbl, deleteOp(key)); err != nil || n != 0 {
+				t.Fatalf("double delete: %d %v", n, err)
 			}
 			if tbl.NRows() != 60 {
 				t.Fatalf("NRows after delete = %d", tbl.NRows())
 			}
 
-			// update of missing key
-			if ok, _ := tbl.UpdateByKey(types.Row{types.Int(-5), types.Str("no")}, 2, types.Int(0)); ok {
-				t.Fatal("update of missing key reported success")
+			// the deleted key may come back, with the new row's values
+			back := types.Row{key[0], key[1], types.Int(7), types.Float(7)}
+			if n, err := apply(tbl, insertOp(back)); err != nil || n != 1 {
+				t.Fatalf("insert after delete: %d %v", n, err)
+			}
+			if _, got, found, err := tbl.FindByKey(key); err != nil || !found || types.CompareRows(got, back) != 0 {
+				t.Fatalf("re-inserted key: %v %v %v", got, found, err)
+			}
+
+			// update of a missing key counts 0
+			if n, err := apply(tbl, updateOp(types.Row{types.Int(-5), types.Str("no")}, 2, types.Int(0))); err != nil || n != 0 {
+				t.Fatalf("update of missing key: %d %v", n, err)
 			}
 			if tbl.DeltaMemBytes() == 0 {
 				t.Fatal("delta memory should be positive")
@@ -135,14 +152,11 @@ func TestAllModesBasicLifecycle(t *testing.T) {
 
 func TestModeNoneRejectsUpdates(t *testing.T) {
 	tbl := newTable(t, ModeNone, 10)
-	if err := tbl.Insert(genRows(10)[0]); err == nil {
-		t.Error("ModeNone insert accepted")
-	}
-	if _, err := tbl.DeleteByKey(types.Row{types.Int(0), types.Str("s00")}); err == nil {
-		t.Error("ModeNone delete accepted")
-	}
-	if _, err := tbl.UpdateByKey(types.Row{types.Int(0), types.Str("s00")}, 2, types.Int(1)); err == nil {
-		t.Error("ModeNone update accepted")
+	key := types.Row{types.Int(0), types.Str("s00")}
+	for _, op := range []Op{insertOp(genRows(10)[0]), deleteOp(key), updateOp(key, 2, types.Int(1))} {
+		if _, err := apply(tbl, op); err == nil {
+			t.Errorf("ModeNone accepted op kind %d", op.Kind)
+		}
 	}
 	keys := scanKeys(t, tbl, nil, nil)
 	if len(keys) != 10 {
@@ -150,53 +164,36 @@ func TestModeNoneRejectsUpdates(t *testing.T) {
 	}
 }
 
+// TestSortKeyUpdateBecomesDeleteInsert: a batch cannot update a sort-key
+// column — it rejects the whole batch with the row in place — so a move is
+// a delete batch followed by an insert batch.
 func TestSortKeyUpdateBecomesDeleteInsert(t *testing.T) {
 	for _, mode := range []DeltaMode{ModePDT, ModeVDT} {
 		tbl := newTable(t, mode, 30)
 		key := types.Row{types.Int(30), types.Str("s00")}
-		ok, err := tbl.UpdateByKey(key, 0, types.Int(31))
-		if err != nil || !ok {
-			t.Fatalf("%v: sort-key update: %v", mode, err)
+		if _, err := apply(tbl, updateOp(key, 0, types.Int(31))); err == nil {
+			t.Fatalf("%v: sort-key update accepted in a batch", mode)
+		}
+		_, row, found, err := tbl.FindByKey(key)
+		if err != nil || !found {
+			t.Fatalf("%v: row lost after rejected batch: %v", mode, err)
+		}
+		if n, err := apply(tbl, deleteOp(key)); err != nil || n != 1 {
+			t.Fatalf("%v: delete: %d %v", mode, n, err)
+		}
+		row[0] = types.Int(31)
+		if n, err := apply(tbl, insertOp(row)); err != nil || n != 1 {
+			t.Fatalf("%v: insert: %d %v", mode, n, err)
 		}
 		if _, _, found, _ := tbl.FindByKey(key); found {
 			t.Fatalf("%v: old key still visible", mode)
 		}
-		_, row, found, err := tbl.FindByKey(types.Row{types.Int(31), types.Str("s00")})
+		_, moved, found, err := tbl.FindByKey(types.Row{types.Int(31), types.Str("s00")})
 		if err != nil || !found {
 			t.Fatalf("%v: new key missing", mode)
 		}
-		if row[0].I != 31 {
-			t.Fatalf("%v: moved row = %v", mode, row)
-		}
-	}
-}
-
-// TestSortKeyUpdateCollisionKeepsOldRow is the regression test for the
-// delete-then-insert bug: a sort-key update whose new key collides with an
-// existing row must fail up front, with the old row still visible — not
-// delete the old row and then fail the insert.
-func TestSortKeyUpdateCollisionKeepsOldRow(t *testing.T) {
-	for _, mode := range []DeltaMode{ModePDT, ModeVDT} {
-		tbl := newTable(t, mode, 30)
-		key := types.Row{types.Int(30), types.Str("s00")}
-		before := tbl.NRows()
-		// Key (30, "s01") exists in genRows(30): the update must be rejected.
-		if ok, err := tbl.UpdateByKey(key, 1, types.Str("s01")); err == nil {
-			t.Fatalf("%v: colliding sort-key update accepted (ok=%v)", mode, ok)
-		}
-		_, row, found, err := tbl.FindByKey(key)
-		if err != nil || !found {
-			t.Fatalf("%v: old row lost after rejected update: %v", mode, err)
-		}
-		if row[1].S != "s00" {
-			t.Fatalf("%v: old row mutated: %v", mode, row)
-		}
-		if tbl.NRows() != before {
-			t.Fatalf("%v: row count changed: %d -> %d", mode, before, tbl.NRows())
-		}
-		// A no-op sort-key update (same value) must still succeed.
-		if ok, err := tbl.UpdateByKey(key, 1, types.Str("s00")); err != nil || !ok {
-			t.Fatalf("%v: same-key update rejected: %v", mode, err)
+		if types.CompareRows(moved, row) != 0 {
+			t.Fatalf("%v: moved row = %v", mode, moved)
 		}
 	}
 }
@@ -204,13 +201,12 @@ func TestSortKeyUpdateCollisionKeepsOldRow(t *testing.T) {
 func TestRangeScanWithUpdates(t *testing.T) {
 	for _, mode := range []DeltaMode{ModePDT, ModeVDT} {
 		tbl := newTable(t, mode, 90) // k1 in 0,10,...,290
-		// insert inside a future range
-		if err := tbl.Insert(types.Row{types.Int(105), types.Str("aa"), types.Int(0), types.Float(0)}); err != nil {
-			t.Fatal(err)
-		}
-		// delete one row inside the range
-		if ok, err := tbl.DeleteByKey(types.Row{types.Int(110), types.Str("s00")}); err != nil || !ok {
-			t.Fatal(err)
+		// insert inside a future range, delete one row inside the range
+		if n, err := tbl.ApplyBatch([]Op{
+			insertOp(types.Row{types.Int(105), types.Str("aa"), types.Int(0), types.Float(0)}),
+			deleteOp(types.Row{types.Int(110), types.Str("s00")}),
+		}); err != nil || n != 2 {
+			t.Fatal(n, err)
 		}
 		keys := scanKeys(t, tbl, types.Row{types.Int(100)}, types.Row{types.Int(120)})
 		// qualifying visible keys: (100,s00..s02), (105,aa), (110,s01),
@@ -238,12 +234,12 @@ func TestCheckpointEquivalence(t *testing.T) {
 				switch rng.Intn(3) {
 				case 0:
 					k := types.Row{types.Int(int64(rng.Intn(300))), types.Str(fmt.Sprintf("n%03d", i)), types.Int(int64(i)), types.Float(1)}
-					_ = tbl.Insert(k) // duplicates rejected, fine
+					_, _ = apply(tbl, insertOp(k)) // duplicates rejected, fine
 				case 1:
 					keys := scanKeys(t, tbl, nil, nil)
 					if len(keys) > 0 {
 						k := keys[rng.Intn(len(keys))]
-						if _, err := tbl.DeleteByKey(k); err != nil {
+						if _, err := apply(tbl, deleteOp(k)); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -251,7 +247,7 @@ func TestCheckpointEquivalence(t *testing.T) {
 					keys := scanKeys(t, tbl, nil, nil)
 					if len(keys) > 0 {
 						k := keys[rng.Intn(len(keys))]
-						if _, err := tbl.UpdateByKey(k, 2, types.Int(int64(i))); err != nil {
+						if _, err := apply(tbl, updateOp(k, 2, types.Int(int64(i)))); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -278,7 +274,7 @@ func TestCheckpointEquivalence(t *testing.T) {
 				}
 			}
 			// the table remains updatable after checkpointing
-			if err := tbl.Insert(types.Row{types.Int(9999), types.Str("post"), types.Int(0), types.Float(0)}); err != nil {
+			if _, err := apply(tbl, insertOp(types.Row{types.Int(9999), types.Str("post"), types.Int(0), types.Float(0)})); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -323,11 +319,10 @@ func TestVDTScanReadsSortKeysPDTDoesNot(t *testing.T) {
 	}
 	pdtTbl, vdtTbl := mk(ModePDT), mk(ModeVDT)
 	// buffer one update in each so the merge path is active
-	if err := pdtTbl.Insert(types.Row{types.Int(5), types.Str("x"), types.Int(0), types.Float(0)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := vdtTbl.Insert(types.Row{types.Int(5), types.Str("x"), types.Int(0), types.Float(0)}); err != nil {
-		t.Fatal(err)
+	for _, tbl := range []*Table{pdtTbl, vdtTbl} {
+		if _, err := apply(tbl, insertOp(types.Row{types.Int(5), types.Str("x"), types.Int(0), types.Float(0)})); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	measure := func(tbl *Table) uint64 {
@@ -374,8 +369,8 @@ func TestLoadRejectsUnsortedRows(t *testing.T) {
 // TestFindByKeyAgreesAcrossModes: the positional probe (ModePDT, ModeNone)
 // and the value-merge baseline (ModeVDT) answer every key identically — RID,
 // row and found — on a clean image and, for the two updatable modes, after
-// the same random row-at-a-time updates (inserts, deletes, modifies and
-// sort-key updates in both directions).
+// the same random one-op batches (inserts, deletes, modifies, and deletes
+// followed by a re-insert of the key).
 func TestFindByKeyAgreesAcrossModes(t *testing.T) {
 	const n = 90
 	tbls := map[DeltaMode]*Table{}
@@ -409,24 +404,27 @@ func TestFindByKeyAgreesAcrossModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
 		key := keys[rng.Intn(len(keys))]
-		op, shift := rng.Intn(4), int64(rng.Intn(5)-2)*5
-		var errs [2]error
-		var oks [2]bool
-		for j, mode := range []DeltaMode{ModePDT, ModeVDT} {
-			tbl := tbls[mode]
-			switch op {
-			case 0:
-				errs[j] = tbl.Insert(types.Row{key[0], key[1], types.Int(int64(i)), types.Float(0.5)})
-			case 1:
-				oks[j], errs[j] = tbl.DeleteByKey(key)
-			case 2:
-				oks[j], errs[j] = tbl.UpdateByKey(key, 2, types.Int(int64(-i)))
-			default:
-				oks[j], errs[j] = tbl.UpdateByKey(key, 0, types.Int(key[0].I+shift))
-			}
+		row := types.Row{key[0], key[1], types.Int(int64(i)), types.Float(0.5)}
+		var ops []Op
+		switch rng.Intn(4) {
+		case 0:
+			ops = []Op{insertOp(row)}
+		case 1:
+			ops = []Op{deleteOp(key)}
+		case 2:
+			ops = []Op{updateOp(key, 2, types.Int(int64(-i)))}
+		default:
+			ops = []Op{deleteOp(key), insertOp(row)}
 		}
-		if oks[0] != oks[1] || (errs[0] == nil) != (errs[1] == nil) {
-			t.Fatalf("op %d on %v: PDT says (%v, %v), VDT says (%v, %v)", op, key, oks[0], errs[0], oks[1], errs[1])
+		for _, op := range ops {
+			var ns [2]int
+			var errs [2]error
+			for j, mode := range []DeltaMode{ModePDT, ModeVDT} {
+				ns[j], errs[j] = apply(tbls[mode], op)
+			}
+			if ns[0] != ns[1] || (errs[0] == nil) != (errs[1] == nil) {
+				t.Fatalf("op kind %d on %v: PDT says (%d, %v), VDT says (%d, %v)", op.Kind, key, ns[0], errs[0], ns[1], errs[1])
+			}
 		}
 	}
 	if err := tbls[ModePDT].PDT().Validate(); err != nil {

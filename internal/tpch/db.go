@@ -1,9 +1,9 @@
 package tpch
 
 // DB bundles the eight TPC-H tables over one simulated device, loads them at
-// a scale factor, and applies the RF1/RF2 refresh streams through the
-// table-layer update API (so the updates land in whichever differential
-// structure the delta mode selects).
+// a scale factor, and applies the RF1/RF2 refresh streams as table batches
+// (so the updates land in whichever differential structure the delta mode
+// selects).
 
 import (
 	"fmt"
@@ -84,30 +84,39 @@ func (db *DB) ApplyRefresh(streams int, fraction float64) error {
 	if n < 1 {
 		n = 1
 	}
+	refresh := func(rf string, orders, lines []table.Op) error {
+		if _, err := db.Orders.ApplyBatch(orders); err != nil {
+			return fmt.Errorf("tpch: %s orders: %w", rf, err)
+		}
+		if _, err := db.Lineitem.ApplyBatch(lines); err != nil {
+			return fmt.Errorf("tpch: %s lineitem: %w", rf, err)
+		}
+		return nil
+	}
 	for s := 0; s < streams; s++ {
-		// RF1: scattered inserts into both big tables.
+		// RF1: scattered inserts into both big tables, one batch per table.
+		// The generator never repeats a key (RF1 draws unused gap slots, RF2
+		// distinct existing orders), so each batch's keys are distinct.
+		var orders, lines []table.Op
 		for _, ro := range db.Gen.RF1(n) {
-			if err := db.Orders.Insert(ro.Order); err != nil {
-				return fmt.Errorf("tpch: RF1 order insert: %w", err)
-			}
+			orders = append(orders, table.Op{Kind: table.OpInsert, Row: ro.Order})
 			for _, lr := range ro.Lineitems {
-				if err := db.Lineitem.Insert(lr); err != nil {
-					return fmt.Errorf("tpch: RF1 lineitem insert: %w", err)
-				}
+				lines = append(lines, table.Op{Kind: table.OpInsert, Row: lr})
 			}
 		}
+		if err := refresh("RF1", orders, lines); err != nil {
+			return err
+		}
 		// RF2: scattered deletes of existing orders and their lineitems.
+		orders, lines = nil, nil
 		for _, meta := range db.Gen.RF2(n) {
-			key := types.Row{types.DateVal(meta.Date), types.Int(meta.Key)}
-			if _, err := db.Orders.DeleteByKey(key); err != nil {
-				return fmt.Errorf("tpch: RF2 order delete: %w", err)
-			}
+			orders = append(orders, table.Op{Kind: table.OpDelete, Key: types.Row{types.DateVal(meta.Date), types.Int(meta.Key)}})
 			for ln := 1; ln <= meta.Lines; ln++ {
-				lkey := types.Row{types.Int(meta.Key), types.Int(int64(ln))}
-				if _, err := db.Lineitem.DeleteByKey(lkey); err != nil {
-					return fmt.Errorf("tpch: RF2 lineitem delete: %w", err)
-				}
+				lines = append(lines, table.Op{Kind: table.OpDelete, Key: types.Row{types.Int(meta.Key), types.Int(int64(ln))}})
 			}
+		}
+		if err := refresh("RF2", orders, lines); err != nil {
+			return err
 		}
 	}
 	return nil

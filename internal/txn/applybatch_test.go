@@ -24,10 +24,7 @@ func lineitemManager(tb testing.TB, rows []types.Row) *txn.Manager {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	m, err := txn.NewManager(tbl, txn.Options{})
-	if err != nil {
-		tb.Fatal(err)
-	}
+	m := txn.NewManager(tbl.Store(), nil, txn.Options{})
 	return m
 }
 

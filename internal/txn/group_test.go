@@ -23,6 +23,7 @@ import (
 
 	"pdtstore/internal/colstore"
 	"pdtstore/internal/pdt"
+	"pdtstore/internal/table"
 	"pdtstore/internal/types"
 	"pdtstore/internal/wal"
 )
@@ -375,7 +376,7 @@ func heldCheckpoint(t *testing.T, m *Manager) (release chan struct{}, done <-cha
 		res <- m.CheckpointInto(func(_ uint64, store *colstore.Store, deltas ...*pdt.PDT) (*colstore.Store, error) {
 			close(started)
 			<-release
-			return m.tbl.Materialize(store, deltas...)
+			return table.Materialize(store, deltas...)
 		})
 	}()
 	await(t, started, "the checkpoint build to start")
@@ -443,7 +444,7 @@ func TestCrossShardCommitDuringCheckpointBuild(t *testing.T) {
 	if c := m.WritePDT().Count(); c != 0 {
 		t.Fatalf("the commit is not in the swapped-in side layer: Write-PDT holds %d entries", c)
 	}
-	if got := m.Table().Store().NRows(); got != 20 {
+	if got := m.Store().NRows(); got != 20 {
 		t.Fatalf("new image holds %d rows, want the 20 frozen ones", got)
 	}
 }

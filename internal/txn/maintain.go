@@ -55,6 +55,7 @@ import (
 
 	"pdtstore/internal/colstore"
 	"pdtstore/internal/pdt"
+	"pdtstore/internal/table"
 )
 
 // MaterializeFn builds the new stable image for a checkpoint. It runs with no
@@ -75,7 +76,7 @@ type MaterializeFn func(freezeLSN uint64, store *colstore.Store, deltas ...*pdt.
 func (m *Manager) freezeLocked() *pdt.PDT {
 	frozen := m.writePDT
 	m.frozen = frozen
-	m.writePDT = pdt.New(m.tbl.Schema(), pdt.DefaultFanout)
+	m.writePDT = pdt.New(m.schema, pdt.DefaultFanout)
 	m.snapCache = nil
 	m.rebasePendingLocked()
 	return frozen
@@ -147,15 +148,12 @@ func (m *Manager) completeFold(base *version, frozen *pdt.PDT) {
 }
 
 // installVersionLocked makes v the current read view and releases the
-// previous one if no transaction still pins it. The owned table's direct
-// view tracks the newest version.
+// previous one if no transaction still pins it.
 func (m *Manager) installVersionLocked(v *version) {
 	old := m.cur
 	m.storeRefs[v.store]++
 	m.cur = v
 	m.releaseVersionLocked(old)
-	// NewManager guarantees ModePDT, so Install cannot fail.
-	_ = m.tbl.Install(v.store, v.readPDT)
 }
 
 // releaseVersionLocked drops a version's claim on its stable image once it
@@ -163,9 +161,8 @@ func (m *Manager) installVersionLocked(v *version) {
 // When an image loses its last version it is closed right here: it releases
 // its chain members, and each one no newer image shares leaves the buffer
 // pool and closes its descriptor if it has one, so a long-running store does
-// not accumulate one open fd per superseded segment until DB.Close. Readers
-// that need the image to stay readable must pin it through a transaction;
-// direct table reads always track the newest version.
+// not accumulate one open fd per superseded segment until Close. Readers
+// that need the image to stay readable pin it through a transaction.
 func (m *Manager) releaseVersionLocked(v *version) {
 	if v == m.cur || v.refs > 0 {
 		return
@@ -177,6 +174,23 @@ func (m *Manager) releaseVersionLocked(v *version) {
 		// stale hit cannot outlive the file.
 		_ = v.store.Close()
 	}
+}
+
+// Close closes every stable image the manager still holds: the current one
+// and each retired one a running transaction pins. Callers stop using the
+// manager first (DB.Close waits out maintenance); a transaction that
+// finishes afterwards finds its image closed already, and closing twice is
+// harmless.
+func (m *Manager) Close() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var err error
+	for s := range m.storeRefs {
+		if cerr := s.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
 }
 
 // WaitMaintenance blocks until no background fold or checkpoint is in
@@ -200,12 +214,12 @@ func (m *Manager) WaitMaintenance() error {
 // pre-checkpoint view to completion and may still commit afterwards.
 func (m *Manager) Checkpoint() error {
 	return m.CheckpointInto(func(_ uint64, store *colstore.Store, deltas ...*pdt.PDT) (*colstore.Store, error) {
-		return m.tbl.Materialize(store, deltas...)
+		return table.Materialize(store, deltas...)
 	})
 }
 
 // CheckpointInto is Checkpoint with the caller's image build in place of the
-// in-memory tbl.Materialize: a durable store passes a build that streams into
+// in-memory table.Materialize: a durable store passes a build that streams into
 // a new on-disk segment generation and uses the freeze LSN as the
 // generation's WAL position.
 func (m *Manager) CheckpointInto(build MaterializeFn) error {
@@ -263,7 +277,7 @@ func (m *Manager) CheckpointInto(build MaterializeFn) error {
 		return err
 	}
 	side := m.writePDT // commits that landed during the build
-	m.writePDT = pdt.New(m.tbl.Schema(), pdt.DefaultFanout)
+	m.writePDT = pdt.New(m.schema, pdt.DefaultFanout)
 	m.snapCache = nil
 	m.frozen = nil
 	m.rebasePendingLocked()

@@ -31,58 +31,6 @@ func countRows(t *testing.T, tx *Txn) int {
 	return len(txnKeys(t, tx))
 }
 
-// TestDirectTableReadsRaceBackgroundInstalls pins the atomic image swap:
-// direct reads through mgr.Table() (legal between transactions) race the
-// background fold/checkpoint installs and must always observe a consistent
-// (store, Read-PDT) pair — under -race this test fails without the table's
-// atomic image pointer.
-func TestDirectTableReadsRaceBackgroundInstalls(t *testing.T) {
-	const stableRows = 100
-	m := newManager(t, stableRows, Options{WriteBudget: 1 << 10})
-	stop := make(chan struct{})
-	var bg sync.WaitGroup
-	bg.Add(1)
-	go func() {
-		defer bg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			// The manager only installs committed state, so a consistent
-			// image always holds at least the stable rows.
-			if n := m.Table().NRows(); n < stableRows {
-				t.Errorf("direct read saw torn image: %d rows", n)
-				return
-			}
-			if _, _, found, err := m.Table().FindByKey(types.Row{types.Int(10)}); err != nil || !found {
-				t.Errorf("direct point read: found=%v err=%v", found, err)
-				return
-			}
-		}
-	}()
-	for i := 0; i < 30; i++ {
-		tx := m.Begin()
-		if err := tx.Insert(types.Row{types.Int(int64(10_000 + i)), types.Int(0), types.Str("d")}); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		if i%10 == 5 {
-			if err := m.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	close(stop)
-	bg.Wait()
-	if err := m.WaitMaintenance(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestOnlineMaintenanceStress(t *testing.T) {
 	const (
 		stableRows = 200
@@ -234,7 +182,7 @@ func TestOnlineMaintenanceStress(t *testing.T) {
 	if err := m.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Table().Store().NRows(); got != stableRows {
+	if got := m.Store().NRows(); got != stableRows {
 		t.Fatalf("checkpointed image has %d rows, want %d", got, stableRows)
 	}
 }

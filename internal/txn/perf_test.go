@@ -54,10 +54,7 @@ func mustManager(tb testing.TB, nStable int, opts Options) *Manager {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	m, err := NewManager(tbl, opts)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	m := NewManager(tbl.Store(), nil, opts)
 	return m
 }
 
@@ -100,7 +97,7 @@ func BenchmarkCrossShardCommitDuringCheckpoint(b *testing.B) {
 			done <- m.CheckpointInto(func(_ uint64, store *colstore.Store, deltas ...*pdt.PDT) (*colstore.Store, error) {
 				close(started)
 				time.Sleep(20 * time.Millisecond)
-				return m.tbl.Materialize(store, deltas...)
+				return table.Materialize(store, deltas...)
 			})
 		}()
 		<-started

@@ -229,10 +229,7 @@ func TestFindByKeyAllocsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewManager(tbl, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewManager(tbl.Store(), nil, Options{})
 	growWritePDT(t, m, 64)
 	tx := m.Begin()
 	defer tx.Abort()

@@ -26,11 +26,11 @@ func (t *Txn) BeginQuery() (*Query, error) {
 	if t.done {
 		return nil, ErrTxnDone
 	}
-	return &Query{txn: t, qpdt: pdt.New(t.mgr.tbl.Schema(), 0)}, nil
+	return &Query{txn: t, qpdt: pdt.New(t.mgr.schema, 0)}, nil
 }
 
 // Schema returns the table schema (making Query an engine.Relation).
-func (q *Query) Schema() *types.Schema { return q.txn.mgr.tbl.Schema() }
+func (q *Query) Schema() *types.Schema { return q.txn.mgr.schema }
 
 // Scan reads through the statement's frozen view: the transaction's three
 // layers — Equation 9 — without the statement's own pending writes. (The
@@ -59,7 +59,7 @@ func (q *Query) Insert(row types.Row) error {
 	if q.done {
 		return ErrTxnDone
 	}
-	schema := q.txn.mgr.tbl.Schema()
+	schema := q.txn.mgr.schema
 	if err := schema.ValidateRow(row); err != nil {
 		return err
 	}

@@ -85,7 +85,7 @@ type CommitFault struct {
 // NewSharded couples n shard managers into one sharded table. keys are the
 // n-1 strictly ascending full-sort-key cuts: shard 0 owns keys below keys[0],
 // shard i owns [keys[i-1], keys[i]), the last shard owns the rest. Each
-// manager must already own its shard's physically split sub-table and (for a
+// manager must already own its shard's physically split image and (for a
 // durable table) its own WAL stream, and must not have started transactions:
 // NewSharded rewires every manager onto one shared commit clock, seeded at
 // the maximum of the shards' recovered LSNs.
@@ -96,7 +96,7 @@ func NewSharded(mgrs []*Manager, keys []types.Row) (*Sharded, error) {
 	if len(keys) != len(mgrs)-1 {
 		return nil, fmt.Errorf("txn: %d shards need %d split keys, got %d", len(mgrs), len(mgrs)-1, len(keys))
 	}
-	schema := mgrs[0].tbl.Schema()
+	schema := mgrs[0].schema
 	for i, k := range keys {
 		if len(k) != len(schema.SortKey) {
 			return nil, fmt.Errorf("txn: split key %d: need the full %d-column sort key", i, len(schema.SortKey))
@@ -342,8 +342,8 @@ func (t *STxn) FindByKey(key types.Row) (rid uint64, row types.Row, found bool, 
 	if t.done {
 		return 0, nil, false, ErrTxnDone
 	}
-	if len(key) != len(t.s.schema.SortKey) {
-		return 0, nil, false, fmt.Errorf("txn: need the full %d-column sort key", len(t.s.schema.SortKey))
+	if err := t.s.schema.ValidateKey(key, false); err != nil {
+		return 0, nil, false, err
 	}
 	home := t.s.ShardOf(key)
 	rid, row, found, err = t.txns[home].FindByKey(key)
@@ -356,51 +356,44 @@ func (t *STxn) FindByKey(key types.Row) (rid uint64, row types.Row, found bool, 
 	return rid, row, true, nil
 }
 
-// Insert adds a tuple to the shard owning its key.
+// Insert adds a tuple to the shard owning its key: a one-op ApplyBatch.
 func (t *STxn) Insert(row types.Row) error {
-	if t.done {
-		return ErrTxnDone
-	}
-	if err := t.s.schema.ValidateRow(row); err != nil {
-		return err
-	}
-	return t.txns[t.s.ShardOf(t.s.schema.KeyOf(row))].Insert(row)
+	_, err := t.ApplyBatch([]table.Op{{Kind: table.OpInsert, Row: row}})
+	return err
 }
 
-// DeleteByKey removes the visible tuple with the given key.
+// DeleteByKey removes the visible tuple with the given key: a one-op
+// ApplyBatch.
 func (t *STxn) DeleteByKey(key types.Row) (bool, error) {
-	if t.done {
-		return false, ErrTxnDone
-	}
-	return t.txns[t.s.ShardOf(key)].DeleteByKey(key)
+	n, err := t.ApplyBatch([]table.Op{{Kind: table.OpDelete, Key: key}})
+	return n == 1, err
 }
 
-// UpdateByKey sets one column of the visible tuple with the given key. A
-// sort-key update whose new key lands on a different shard becomes a
-// delete on the source shard plus an insert on the destination — one
-// transaction, so Commit makes the move atomic (cross-shard, when the two
-// shards differ).
+// UpdateByKey sets one column of the visible tuple with the given key: a
+// one-op ApplyBatch, or for a sort-key column a move of the tuple. A move
+// whose new key lands on a different shard becomes a delete on the source
+// shard plus an insert on the destination — one transaction, so Commit makes
+// the move atomic (cross-shard, when the two shards differ).
 func (t *STxn) UpdateByKey(key types.Row, col int, val types.Value) (bool, error) {
+	if !t.s.schema.IsSortKeyCol(col) {
+		n, err := t.ApplyBatch([]table.Op{{Kind: table.OpUpdate, Key: key, Col: col, Val: val}})
+		return n == 1, err
+	}
 	if t.done {
 		return false, ErrTxnDone
 	}
-	src := t.txns[t.s.ShardOf(key)]
-	if !t.s.schema.IsSortKeyCol(col) {
-		return src.UpdateByKey(key, col, val)
-	}
-	rid, row, found, err := src.FindByKey(key)
-	if err != nil || !found {
+	if err := t.s.schema.ValidateKey(key, false); err != nil {
 		return false, err
 	}
-	row[col] = val
-	err = src.rekey(rid, key, row, t.txns[t.s.ShardOf(t.s.schema.KeyOf(row))])
-	return err == nil, err
+	return t.txns[t.s.ShardOf(key)].rekey(key, col, val, func(newKey types.Row) *Txn {
+		return t.txns[t.s.ShardOf(newKey)]
+	})
 }
 
 // ApplyBatch splits the batch by owning shard and applies each run with the
 // per-shard bulk path (one forward key-probe pass over the shard's view,
-// Trans-PDT fed in SID order). Per-shard semantics match Txn.ApplyBatch; the effect count sums
-// across shards.
+// Trans-PDT fed in SID order). Per-shard semantics match Txn.ApplyBatch; the
+// effect count sums across shards.
 func (t *STxn) ApplyBatch(ops []table.Op) (int, error) {
 	if t.done {
 		return 0, ErrTxnDone
@@ -408,15 +401,11 @@ func (t *STxn) ApplyBatch(ops []table.Op) (int, error) {
 	if len(t.txns) == 1 {
 		return t.txns[0].ApplyBatch(ops)
 	}
-	schema := t.s.schema
 	byShard := make([][]table.Op, len(t.txns))
 	for _, op := range ops {
-		key := op.Key
-		if op.Kind == table.OpInsert {
-			if err := schema.ValidateRow(op.Row); err != nil {
-				return 0, err
-			}
-			key = schema.KeyOf(op.Row)
+		key, err := op.Target(t.s.schema)
+		if err != nil {
+			return 0, err
 		}
 		i := t.s.ShardOf(key)
 		byShard[i] = append(byShard[i], op)

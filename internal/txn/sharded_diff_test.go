@@ -75,14 +75,8 @@ func runDiffScript(t *testing.T, base *table.Table, s diffScript, n int) (state,
 	}
 	mgrs := make([]*txn.Manager, n)
 	for i, st := range stores {
-		tbl, err := table.FromStore(st, table.Options{Mode: table.ModePDT})
-		if err != nil {
-			t.Fatal(err)
-		}
 		// A small budget forces Write→Read freezes mid-script.
-		if mgrs[i], err = txn.NewManager(tbl, txn.Options{WriteBudget: 64 << 10}); err != nil {
-			t.Fatal(err)
-		}
+		mgrs[i] = txn.NewManager(st, nil, txn.Options{WriteBudget: 64 << 10})
 	}
 	sh, err := txn.NewSharded(mgrs, keys)
 	if err != nil {

@@ -51,18 +51,11 @@ func newShardedLogs(tb testing.TB, n, shards int, opts Options, logFor func(i in
 	}
 	mgrs := make([]*Manager, shards)
 	for i, st := range stores {
-		shtbl, err := table.FromStore(st, table.Options{Mode: table.ModePDT, BlockRows: 32})
-		if err != nil {
-			tb.Fatal(err)
-		}
 		sopts := opts
 		if logFor != nil {
 			sopts.Log = logFor(i)
 		}
-		mgrs[i], err = NewManager(shtbl, sopts)
-		if err != nil {
-			tb.Fatal(err)
-		}
+		mgrs[i] = NewManager(st, nil, sopts)
 	}
 	s, err := NewSharded(mgrs, keys)
 	if err != nil {

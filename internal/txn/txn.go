@@ -68,11 +68,13 @@ type version struct {
 	refs    int // running transactions pinned to this version
 }
 
-// Manager coordinates transactions over one PDT-mode table.
+// Manager coordinates transactions over one table image. It alone owns the
+// current (stable image, Read-PDT) pair and every retired image a running
+// transaction still pins.
 type Manager struct {
-	mu   sync.Mutex
-	cond *sync.Cond // broadcast when background maintenance completes
-	tbl  *table.Table
+	mu     sync.Mutex
+	cond   *sync.Cond // broadcast when background maintenance completes
+	schema *types.Schema
 
 	cur      *version // current read view (immutable once installed)
 	frozen   *pdt.PDT // write layer a background fold/checkpoint is consuming
@@ -163,11 +165,14 @@ type Options struct {
 	MaxCommitBatch int
 }
 
-// NewManager wraps a ModePDT table. The table's own PDT becomes the first
-// version's Read-PDT; direct table updates must stop once a manager owns it.
-func NewManager(tbl *table.Table, opts Options) (*Manager, error) {
-	if tbl.Mode() != table.ModePDT {
-		return nil, fmt.Errorf("txn: manager requires a ModePDT table, got %v", tbl.Mode())
+// NewManager takes ownership of a stable image and the Read-PDT over it (nil
+// for an empty one): the pair becomes the first version transactions read,
+// and from here on the manager publishes every later pair — after folds and
+// checkpoints — and closes each image it retires (Close closes the rest).
+// Nothing else may update readPDT.
+func NewManager(store *colstore.Store, readPDT *pdt.PDT, opts Options) *Manager {
+	if readPDT == nil {
+		readPDT = pdt.New(store.Schema(), pdt.DefaultFanout)
 	}
 	budget := opts.WriteBudget
 	if budget == 0 {
@@ -178,9 +183,9 @@ func NewManager(tbl *table.Table, opts Options) (*Manager, error) {
 		maxBatch = 128
 	}
 	m := &Manager{
-		tbl:         tbl,
-		cur:         &version{store: tbl.Store(), readPDT: tbl.PDT()},
-		writePDT:    pdt.New(tbl.Schema(), pdt.DefaultFanout),
+		schema:      store.Schema(),
+		cur:         &version{store: store, readPDT: readPDT},
+		writePDT:    pdt.New(store.Schema(), pdt.DefaultFanout),
 		running:     map[*Txn]struct{}{},
 		writeBudget: budget,
 		log:         opts.Log,
@@ -194,7 +199,7 @@ func NewManager(tbl *table.Table, opts Options) (*Manager, error) {
 	}
 	m.clock = new(atomic.Uint64)
 	m.clock.Store(m.lsn)
-	return m, nil
+	return m
 }
 
 // raiseClock lifts c to at least lsn (it never rewinds).
@@ -207,8 +212,12 @@ func raiseClock(c *atomic.Uint64, lsn uint64) {
 	}
 }
 
-// Table returns the underlying table.
-func (m *Manager) Table() *table.Table { return m.tbl }
+// Store returns the current version's stable image (for stats and tests).
+func (m *Manager) Store() *colstore.Store {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.cur.store
+}
 
 // ReadPDT returns the current version's Read-PDT (for stats and tests).
 func (m *Manager) ReadPDT() *pdt.PDT {
@@ -268,7 +277,7 @@ func (m *Manager) Begin() *Txn {
 		ver:       m.cur,
 		frozen:    m.frozen,
 		writeSnap: m.snapCache,
-		trans:     pdt.New(m.tbl.Schema(), 0),
+		trans:     pdt.New(m.schema, 0),
 	}
 	m.cur.refs++
 	m.running[t] = struct{}{}
@@ -306,7 +315,7 @@ func (m *Manager) Recover(records []wal.Record) error {
 	defer m.mu.Unlock()
 	w, lsn := m.writePDT.Snapshot(), m.lsn
 	for _, rec := range records {
-		p, err := pdt.Rebuild(m.tbl.Schema(), 0, rec.Entries)
+		p, err := pdt.Rebuild(m.schema, 0, rec.Entries)
 		if err == nil {
 			err = w.Propagate(p)
 		}
@@ -343,7 +352,7 @@ func (t *Txn) CommitLSN() uint64 { return t.commitLSN }
 
 // Schema returns the table schema (making Txn an engine.Relation: plans can
 // be built directly over a transaction's view).
-func (t *Txn) Schema() *types.Schema { return t.mgr.tbl.Schema() }
+func (t *Txn) Schema() *types.Schema { return t.mgr.schema }
 
 // layers is the transaction's PDT stack, bottom to top (Equation 9:
 // TABLE₀ ∘ R ∘ W ∘ T, with the frozen maintenance layer — nil unless a fold
@@ -380,6 +389,12 @@ func (t *Txn) PartitionScan(loKey, hiKey types.Row) (*engine.PartScan, error) {
 	if t.done {
 		return nil, ErrTxnDone
 	}
+	if err := t.mgr.schema.ValidateKey(loKey, true); err != nil {
+		return nil, err
+	}
+	if err := t.mgr.schema.ValidateKey(hiKey, true); err != nil {
+		return nil, err
+	}
 	return engine.PartitionLayers(t.ver.store, loKey, hiKey, t.layers()...), nil
 }
 
@@ -397,7 +412,7 @@ func (t *Txn) seek(key types.Row, cols []int, above ...*pdt.PDT) (rid uint64, ro
 // FindByKey locates the visible tuple with the given (full) sort key in the
 // transaction's snapshot, returning its RID and current column values.
 func (t *Txn) FindByKey(key types.Row) (rid uint64, row types.Row, found bool, err error) {
-	schema := t.mgr.tbl.Schema()
+	schema := t.mgr.schema
 	cols := make([]int, schema.NumCols())
 	for i := range cols {
 		cols[i] = i
@@ -420,82 +435,66 @@ func (t *Txn) visibleRows() uint64 {
 	return uint64(n)
 }
 
-// Insert adds a tuple within the transaction.
+// Insert adds a tuple within the transaction: a one-op ApplyBatch.
 func (t *Txn) Insert(row types.Row) error {
-	if t.done {
-		return ErrTxnDone
-	}
-	schema := t.mgr.tbl.Schema()
-	if err := schema.ValidateRow(row); err != nil {
-		return err
-	}
-	key := schema.KeyOf(row)
-	rid, _, dup, err := t.seek(key, nil)
-	if err != nil {
-		return err
-	}
-	if dup {
-		return fmt.Errorf("txn: duplicate key %v", key)
-	}
-	return t.trans.Insert(rid, row)
+	_, err := t.ApplyBatch([]table.Op{{Kind: table.OpInsert, Row: row}})
+	return err
 }
 
-// DeleteByKey removes the visible tuple with the given key.
+// DeleteByKey removes the visible tuple with the given key: a one-op
+// ApplyBatch, reporting whether the tuple existed.
 func (t *Txn) DeleteByKey(key types.Row) (bool, error) {
-	rid, _, found, err := t.seek(key, nil)
-	if err != nil || !found {
-		return false, err
-	}
-	return true, t.trans.Delete(rid, key)
+	n, err := t.ApplyBatch([]table.Op{{Kind: table.OpDelete, Key: key}})
+	return n == 1, err
 }
 
-// UpdateByKey sets one column of the visible tuple with the given key.
-// Updating a sort-key column is expressed as delete+insert; the new key's
-// uniqueness is validated before the delete, so a collision rejects the
-// update with the old row still in place.
+// UpdateByKey sets one column of the visible tuple with the given key: a
+// one-op ApplyBatch, or for a sort-key column a move of the tuple (rekey).
 func (t *Txn) UpdateByKey(key types.Row, col int, val types.Value) (bool, error) {
-	if !t.mgr.tbl.Schema().IsSortKeyCol(col) {
-		// A positional modify needs the row's RID and none of its values.
-		rid, _, found, err := t.seek(key, nil)
-		if err != nil || !found {
-			return false, err
-		}
-		return true, t.trans.Modify(rid, col, val)
+	if !t.mgr.schema.IsSortKeyCol(col) {
+		n, err := t.ApplyBatch([]table.Op{{Kind: table.OpUpdate, Key: key, Col: col, Val: val}})
+		return n == 1, err
 	}
+	return t.rekey(key, col, val, func(types.Row) *Txn { return t })
+}
+
+// rekey is a sort-key update, expressed as delete+insert: it sets column col
+// of the tuple with sort key key to val and moves the tuple to its new key —
+// a delete here plus an insert into the transaction route picks for the new
+// key (this one, or the sibling shard transaction owning it). One probe of
+// the destination both proves the new key free, before anything is written,
+// and places the insert, so a collision rejects the update with the old row
+// still in place; the delete reuses the found RID, and within one
+// transaction shifts the insert left by one when it lands past the deleted
+// row.
+func (t *Txn) rekey(key types.Row, col int, val types.Value, route func(newKey types.Row) *Txn) (bool, error) {
 	rid, row, found, err := t.FindByKey(key)
 	if err != nil || !found {
 		return false, err
 	}
 	row[col] = val
-	err = t.rekey(rid, key, row, t)
-	return err == nil, err
-}
-
-// rekey moves the tuple at rid (whose sort key is key) to newRow's key: a
-// delete here plus an insert into dst — this transaction, or the sibling shard
-// transaction owning the new key. One probe of dst both proves the new key
-// free, before anything is written, and places the insert; the delete reuses
-// the caller's RID, and within one transaction shifts the insert left by one
-// when it lands past the deleted row.
-func (t *Txn) rekey(rid uint64, key, newRow types.Row, dst *Txn) error {
-	newKey := dst.mgr.tbl.Schema().KeyOf(newRow)
+	schema := t.mgr.schema
+	newKey := schema.KeyOf(row)
+	if err := schema.ValidateKey(newKey, false); err != nil {
+		return false, err
+	}
+	dst := route(newKey)
 	at := rid
 	if dst != t || types.CompareRows(newKey, key) != 0 {
 		var taken bool
-		var err error
 		if at, _, taken, err = dst.seek(newKey, nil); err != nil {
-			return err
+			return false, err
 		} else if taken {
-			return fmt.Errorf("txn: duplicate key %v", newKey)
+			return false, fmt.Errorf("txn: duplicate key %v", newKey)
 		}
 		if dst == t && at > rid {
 			at--
 		}
 	}
 	if err := t.trans.Delete(rid, key); err != nil {
-		return err
+		return false, err
 	}
-	return dst.trans.Insert(at, newRow)
+	return true, dst.trans.Insert(at, row)
 }
 
 // Stack pins the transaction's view for a batch probe (table.ResolveOps): the
@@ -519,7 +518,7 @@ func (t *Txn) ApplyBatch(ops []table.Op) (int, error) {
 	if t.done {
 		return 0, ErrTxnDone
 	}
-	schema := t.mgr.tbl.Schema()
+	schema := t.mgr.schema
 	sorted, err := table.SortOps(schema, ops)
 	if err != nil {
 		return 0, err

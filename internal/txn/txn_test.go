@@ -34,10 +34,7 @@ func newManager(t *testing.T, n int, opts Options) *Manager {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewManager(tbl, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewManager(tbl.Store(), nil, opts)
 	return m
 }
 
@@ -58,16 +55,6 @@ func txnKeys(t *testing.T, tx *Txn) []int64 {
 		}
 	}
 	return append([]int64(nil), out.Vecs[0].I...)
-}
-
-func TestManagerRequiresPDTMode(t *testing.T) {
-	tbl, err := table.Load(testSchema(), nil, table.Options{Mode: table.ModeVDT})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewManager(tbl, Options{}); err == nil {
-		t.Fatal("VDT table accepted")
-	}
 }
 
 func TestCommitVisibility(t *testing.T) {
@@ -406,7 +393,7 @@ func TestCheckpointUnderRunningTransactions(t *testing.T) {
 	if err := m.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint with a running transaction: %v", err)
 	}
-	if got := m.Table().Store().NRows(); got != 11 {
+	if got := m.Store().NRows(); got != 11 {
 		t.Fatalf("stable rows after checkpoint = %d, want 11", got)
 	}
 
@@ -495,7 +482,7 @@ func TestCheckpointBuildFailureRollsBack(t *testing.T) {
 	if err := m.Checkpoint(); err != nil {
 		t.Fatalf("retried checkpoint: %v", err)
 	}
-	if got := m.Table().Store().NRows(); got != 13 {
+	if got := m.Store().NRows(); got != 13 {
 		t.Fatalf("checkpointed image has %d rows, want 13", got)
 	}
 	check := m.Begin()
@@ -523,10 +510,7 @@ func TestCheckpointReleasesRetiredImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewManager(tbl, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewManager(tbl.Store(), nil, Options{})
 
 	long := m.Begin()
 	txnKeys(t, long) // pull the old image's blocks into the pool
@@ -558,8 +542,40 @@ func TestCheckpointReleasesRetiredImage(t *testing.T) {
 	defer check.Abort()
 	txnKeys(t, check)
 	after := dev.PoolBlocks()
-	if after > m.Table().Store().NumBlocks()*testSchema().NumCols() {
+	if after > m.Store().NumBlocks()*testSchema().NumCols() {
 		t.Fatalf("pool holds %d blocks after release; retired image leaked", after)
+	}
+}
+
+// TestCloseClosesPinnedRetiredImage: a checkpoint retires an image a running
+// transaction still pins, so the manager keeps it open; Close closes it along
+// with the current one, and the transaction finishing afterwards is harmless.
+func TestCloseClosesPinnedRetiredImage(t *testing.T) {
+	m := newManager(t, 40, Options{})
+	old := m.Store()
+	long := m.Begin()
+	tx := m.Begin()
+	if err := tx.Insert(types.Row{types.Int(5), types.Int(0), types.Str("n")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	cur := m.Store()
+	if cur == old || old.Closed() {
+		t.Fatalf("checkpoint did not retire the pinned image (retired=%v closed=%v)", cur != old, old.Closed())
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !old.Closed() || !cur.Closed() {
+		t.Fatalf("after Close: retired closed=%v, current closed=%v", old.Closed(), cur.Closed())
+	}
+	if err := long.Abort(); err != nil {
+		t.Fatal(err)
 	}
 }
 

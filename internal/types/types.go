@@ -8,6 +8,7 @@
 package types
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
@@ -310,6 +311,26 @@ func (s *Schema) ValidateRow(r Row) error {
 	for i, v := range r {
 		if v.K != s.Cols[i].Kind {
 			return fmt.Errorf("types: column %q expects %v, got %v", s.Cols[i].Name, s.Cols[i].Kind, v.K)
+		}
+	}
+	return nil
+}
+
+// ErrKey is what ValidateKey wraps: a key that does not fit the sort key.
+var ErrKey = errors.New("types: key does not fit the sort key")
+
+// ValidateKey checks a sort-key value before anything compares it with
+// stored keys (Compare panics on mixed kinds). A full key — a probe or a
+// write target — needs one value per sort-key column; a prefix — a range
+// bound, nil for an open one — at most that many. Every value must have its
+// column's kind.
+func (s *Schema) ValidateKey(key Row, prefix bool) error {
+	if n := len(s.SortKey); len(key) > n || !prefix && len(key) < n {
+		return fmt.Errorf("%w: %d values for a %d-column sort key", ErrKey, len(key), n)
+	}
+	for i, c := range s.SortKey[:len(key)] {
+		if key[i].K != s.Cols[c].Kind {
+			return fmt.Errorf("%w: column %q expects %v, got %v", ErrKey, s.Cols[c].Name, s.Cols[c].Kind, key[i].K)
 		}
 	}
 	return nil

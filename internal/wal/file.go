@@ -3,7 +3,7 @@ package wal
 // FileLog: the durable write-ahead log. A log is a directory of numbered
 // segment files (%016x.wal); records append to the newest with an fsync per
 // appended batch — one commit via Append, or a whole group of parked commits
-// via AppendGroup — the log rotates to a fresh file when the current one
+// via AppendGroupAt — the log rotates to a fresh file when the current one
 // outgrows its budget (and at every checkpoint truncation), and recovery
 // replays the files in sequence order. A torn record is tolerated only at the very end of the
 // newest file — exactly where a crash mid-append leaves one — and is
@@ -167,19 +167,11 @@ func (l *FileLog) Append(tableName string, entries []pdt.RebuildEntry) (uint64, 
 	return l.appendLocked(1, func() (uint64, error) { return l.w.Append(tableName, entries) })
 }
 
-// AppendGroup durably writes a batch of commit records behind one fsync,
-// returning the LSN of the first (record i carries LSN first+i). The batch
-// is all-or-nothing: on error the log is poisoned and none of the group's
-// records may surface at replay.
-func (l *FileLog) AppendGroup(recs []GroupRecord) (uint64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appendLocked(len(recs), func() (uint64, error) { return l.w.AppendGroup(recs) })
-}
-
-// AppendGroupAt durably writes a batch with caller-assigned LSNs (record i
-// carries first+i; first must exceed the stream's last LSN but may leave a
-// gap — the shared commit clock's other shards own the skipped LSNs).
+// AppendGroupAt durably writes a batch of commit records behind one fsync
+// (record i carries LSN first+i; first must exceed the stream's last LSN but
+// may leave a gap — the shared commit clock's other shards own the skipped
+// LSNs). The batch is all-or-nothing: on error the log is poisoned and none
+// of the group's records may surface at replay.
 func (l *FileLog) AppendGroupAt(first uint64, recs []GroupRecord) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

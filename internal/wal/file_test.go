@@ -233,7 +233,7 @@ func TestFileLogAppendIsDurable(t *testing.T) {
 	l.Close()
 }
 
-// TestFileLogGroupAppend: one AppendGroup is one fsync for the whole batch,
+// TestFileLogGroupAppend: one AppendGroupAt is one fsync for the whole batch,
 // the records are individually durable on disk, and a reopen replays them
 // with consecutive LSNs.
 func TestFileLogGroupAppend(t *testing.T) {
@@ -248,12 +248,11 @@ func TestFileLogGroupAppend(t *testing.T) {
 	for i := range group {
 		group[i] = GroupRecord{Table: "t", Entries: sampleEntries()}
 	}
-	first, err := l.AppendGroup(group)
-	if err != nil {
+	if err := l.AppendGroupAt(3, group); err != nil {
 		t.Fatal(err)
 	}
-	if first != 3 || l.LSN() != 7 {
-		t.Fatalf("group LSNs: first=%d lsn=%d, want 3 and 7", first, l.LSN())
+	if l.LSN() != 7 {
+		t.Fatalf("group LSNs end at %d, want 7", l.LSN())
 	}
 	if got := l.Syncs() - preSyncs; got != 1 {
 		t.Fatalf("group of 5 cost %d fsyncs, want 1", got)
@@ -295,7 +294,7 @@ func TestFileLogGroupSyncFailureRetracts(t *testing.T) {
 		{Table: "t", Entries: sampleEntries()},
 		{Table: "t", Entries: sampleEntries()},
 	}
-	if _, err := l.AppendGroup(group); err == nil {
+	if err := l.AppendGroupAt(4, group); err == nil {
 		t.Fatal("group append with failing fsync succeeded")
 	}
 	if l.LSN() != 3 {

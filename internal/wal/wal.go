@@ -12,10 +12,10 @@
 // FileLog is the durable form: a directory of rotated log files with an
 // fsync per flushed batch, torn-tail repair at open, and LSN-bounded
 // truncation after a checkpoint. Both satisfy Log, which the transaction
-// manager appends to — one record at a time (Append), or a whole group of
-// parked commits behind a single durability barrier (AppendGroup, the
-// group-commit fast path: n records, one write, one fsync, consecutive
-// LSNs, all-or-nothing).
+// manager appends to: a whole group of parked commits behind a single
+// durability barrier (AppendGroupAt, the group-commit path: n records, one
+// write, one fsync, consecutive LSNs, all-or-nothing). Append writes one
+// record the same way.
 //
 // A sharded table runs one log per shard, all allocating LSNs from one
 // global commit clock, so each stream carries a gapped subsequence of a
@@ -77,20 +77,15 @@ type GroupRecord struct {
 // Log is the commit log the transaction manager appends to: an in-memory
 // *Writer, or a durable *FileLog that fsyncs every batch.
 type Log interface {
-	// Append durably writes one commit record, returning its LSN.
-	Append(tableName string, entries []pdt.RebuildEntry) (uint64, error)
-	// AppendGroup durably writes a batch of commit records behind one
-	// flush (and one fsync, on a synced log), returning the LSN of the
-	// first: record i carries LSN first+i. The batch is all-or-nothing —
-	// on error none of its records is appended, the clock does not move,
-	// and the log is poisoned exactly as a failed Append poisons it.
-	AppendGroup(recs []GroupRecord) (uint64, error)
-	// AppendGroupAt is AppendGroup with caller-assigned LSNs: record i
-	// carries LSN first+i. A sharded table's streams share one global
-	// commit clock, so a shard's leader allocates a contiguous LSN run
-	// from the clock and stamps its stream explicitly; gaps relative to
-	// the stream's previous record are legal (other shards own those
-	// LSNs), but first must exceed the stream's last LSN.
+	// AppendGroupAt durably writes a batch of commit records behind one
+	// flush (and one fsync, on a synced log); record i carries LSN
+	// first+i. A sharded table's streams share one global commit clock, so
+	// a shard's leader allocates a contiguous LSN run from the clock and
+	// stamps its stream explicitly; gaps relative to the stream's previous
+	// record are legal (other shards own those LSNs), but first must exceed
+	// the stream's last LSN. The batch is all-or-nothing — on error none of
+	// its records is appended, the clock does not move, and the log is
+	// poisoned.
 	AppendGroupAt(first uint64, recs []GroupRecord) error
 	// LSN returns the LSN of the last record appended.
 	LSN() uint64
@@ -102,7 +97,7 @@ type Log interface {
 // across Append calls, so steady-state commits serialize without
 // per-record allocation.
 //
-// A failed Append or AppendGroup poisons the writer (fail-stop): the
+// A failed append poisons the writer (fail-stop): the
 // half-written frames are dropped from the buffer, the clock stays put, and
 // every later append returns the original error. Without this, a record
 // whose flush failed — for a commit the caller therefore aborted — would
@@ -148,39 +143,34 @@ func (w *Writer) LSN() uint64 { return w.lsn }
 // transaction manager's commit clock never diverges from the log's.
 func (w *Writer) SetLSN(lsn uint64) { w.lsn = lsn }
 
-// Append writes one commit record and returns its LSN. The record is
-// durable (flushed) when Append returns nil; on error nothing of it stays
-// buffered and the LSN is not consumed. The entries are serialized before
-// Append returns, so they may alias live PDT storage (pdt.Dump's contract).
+// Append writes one commit record at the next LSN and returns that LSN. The
+// record is durable (flushed) when Append returns nil; on error nothing of
+// it stays buffered and the LSN is not consumed. The entries are serialized
+// before Append returns, so they may alias live PDT storage (pdt.Dump's
+// contract).
 func (w *Writer) Append(tableName string, entries []pdt.RebuildEntry) (uint64, error) {
+	lsn := w.lsn + 1
 	w.one[0] = GroupRecord{Table: tableName, Entries: entries}
-	lsn, err := w.AppendGroup(w.one[:])
+	err := w.AppendGroupAt(lsn, w.one[:])
 	w.one[0] = GroupRecord{}
-	return lsn, err
-}
-
-// AppendGroup writes a batch of commit records framed back to back, with one
-// buffered write, one flush and — on a synced writer — one fsync for the
-// whole batch: the group-commit durability barrier. It returns the LSN of
-// the first record; record i carries LSN first+i, so the caller can hand
-// every parked transaction in the batch its own LSN. The batch is
-// all-or-nothing: when AppendGroup returns nil every record is durable in
-// order, and on error the writer is poisoned, the clock stays put, and no
-// record of the group may surface at replay (a torn prefix of the batch is
-// exactly the tail Replay truncates).
-func (w *Writer) AppendGroup(recs []GroupRecord) (uint64, error) {
-	first := w.lsn + 1
-	if err := w.AppendGroupAt(first, recs); err != nil {
+	if err != nil {
 		return 0, err
 	}
-	return first, nil
+	return lsn, nil
 }
 
-// AppendGroupAt writes a batch like AppendGroup but with caller-assigned
-// LSNs: record i carries LSN first+i. first must exceed the stream's last
-// LSN; it need not be contiguous with it — per-shard streams of one table
-// share a global commit clock, so each stream sees a gapped subsequence of
-// it. On success the stream's clock advances to first+len(recs)-1.
+// AppendGroupAt writes a batch of commit records framed back to back, with
+// one buffered write, one flush and — on a synced writer — one fsync for the
+// whole batch: the group-commit durability barrier. Record i carries LSN
+// first+i, so the caller can hand every parked transaction in the batch its
+// own LSN. first must exceed the stream's last LSN; it need not be
+// contiguous with it — per-shard streams of one table share a global commit
+// clock, so each stream sees a gapped subsequence of it. The batch is
+// all-or-nothing: when AppendGroupAt returns nil every record is durable in
+// order and the stream's clock advances to first+len(recs)-1; on error the
+// writer is poisoned, the clock stays put, and no record of the group may
+// surface at replay (a torn prefix of the batch is exactly the tail Replay
+// truncates).
 func (w *Writer) AppendGroupAt(first uint64, recs []GroupRecord) error {
 	if w.err != nil {
 		return w.err

@@ -217,12 +217,11 @@ func TestAppendGroupRoundTrip(t *testing.T) {
 	if _, err := gw.Append("seed", sampleEntries()); err != nil {
 		t.Fatal(err)
 	}
-	first, err := gw.AppendGroup(group)
-	if err != nil {
+	if err := gw.AppendGroupAt(2, group); err != nil {
 		t.Fatal(err)
 	}
-	if first != 2 || gw.LSN() != 4 {
-		t.Fatalf("group LSNs: first=%d lsn=%d, want 2 and 4", first, gw.LSN())
+	if gw.LSN() != 4 {
+		t.Fatalf("group LSNs end at %d, want 4", gw.LSN())
 	}
 	sw := NewWriter(&single)
 	if _, err := sw.Append("seed", sampleEntries()); err != nil {
@@ -264,14 +263,14 @@ func TestAppendGroupFailureIsFailStop(t *testing.T) {
 	}
 	f.tripped = true
 	group := []GroupRecord{{Table: "t", Entries: rec}, {Table: "t", Entries: rec}, {Table: "t", Entries: rec}}
-	if _, err := w.AppendGroup(group); err == nil {
+	if err := w.AppendGroupAt(2, group); err == nil {
 		t.Fatal("group append over failing device succeeded")
 	}
 	if w.LSN() != 1 {
 		t.Fatalf("failed group consumed LSNs: %d", w.LSN())
 	}
 	f.tripped = false
-	if _, err := w.AppendGroup(group); err == nil {
+	if err := w.AppendGroupAt(2, group); err == nil {
 		t.Fatal("poisoned writer accepted another group")
 	}
 	recs, err := Replay(bytes.NewReader(f.buf.Bytes()))
@@ -288,7 +287,7 @@ func TestAppendGroupFailureIsFailStop(t *testing.T) {
 func TestAppendGroupEmpty(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	if _, err := w.AppendGroup(nil); err == nil {
+	if err := w.AppendGroupAt(1, nil); err == nil {
 		t.Fatal("empty group accepted")
 	}
 	if w.LSN() != 0 || buf.Len() != 0 {

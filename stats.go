@@ -76,7 +76,7 @@ func (db *DB) Stats() Stats {
 	}
 	st.ZoneSkippedBlocks, st.IndexSkippedBlocks = db.dev.SkipStats()
 	for i := range db.mgrs {
-		store := db.tbls[i].Store()
+		store := db.mgrs[i].Store()
 		ss := ShardStats{
 			LSN:          db.mgrs[i].LSN(),
 			FreezeLSN:    db.man.Shards[i].LSN,
