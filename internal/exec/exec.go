@@ -1,9 +1,9 @@
-// Package exec provides the small vectorized query-processing toolkit the
-// TPC-H workload is written against: hash aggregation, hash joins and
-// ordering over the batches engine plans deliver. It is deliberately minimal —
-// the paper's subject is the scan/merge path, which package engine runs, and
-// these operators supply the "processing" side of each query in
-// block-at-a-time style.
+// Package exec provides the small query-processing toolkit the TPC-H workload
+// is written against: hash aggregation over the batches engine plans deliver,
+// and the fixed-precision row rendering its results are compared by. It is
+// deliberately minimal — the paper's subject is the scan/merge path, which
+// package engine runs, and these helpers supply the "processing" side of each
+// query.
 package exec
 
 import (
@@ -12,20 +12,7 @@ import (
 	"strings"
 
 	"pdtstore/internal/types"
-	"pdtstore/internal/vector"
 )
-
-// GroupKey builds a composite group key from values.
-func GroupKey(vals ...types.Value) string {
-	var sb strings.Builder
-	for i, v := range vals {
-		if i > 0 {
-			sb.WriteByte(0)
-		}
-		sb.WriteString(v.String())
-	}
-	return sb.String()
-}
 
 // Agg is one accumulator cell.
 type Agg struct {
@@ -90,21 +77,12 @@ func NewGroupAgg(nAggs int) *GroupAgg {
 	return &GroupAgg{nAggs: nAggs, groups: map[string]*groupState{}}
 }
 
-// Touch returns the accumulator cells for a group, creating it with the
-// given representative key row on first sight.
-func (g *GroupAgg) Touch(key string, repr func() types.Row) []Agg {
-	st, ok := g.groups[key]
-	if !ok {
-		st = &groupState{repr: repr(), aggs: make([]Agg, g.nAggs)}
-		g.groups[key] = st
-	}
-	return st.aggs
-}
-
-// TouchKey is Touch for a byte-slice key built in a reusable scratch buffer:
-// the lookup allocates nothing (the compiler elides the string conversion),
-// and the key is only copied when the group is first created — the zero-alloc
-// per-row aggregation path the vectorized pipeline feeds.
+// TouchKey returns the accumulator cells for the group whose composite key is
+// key, creating it with the representative key row repr returns on first
+// sight. The key may live in a reusable scratch buffer: the lookup allocates
+// nothing (the compiler elides the string conversion), and the key is only
+// copied when the group is first created — the zero-alloc per-row aggregation
+// path the vectorized pipeline feeds.
 func (g *GroupAgg) TouchKey(key []byte, repr func() types.Row) []Agg {
 	st, ok := g.groups[string(key)]
 	if !ok {
@@ -151,100 +129,6 @@ func (g *GroupAgg) Results() []Result {
 		return types.CompareRows(out[i].Key, out[j].Key) < 0
 	})
 	return out
-}
-
-// IntJoinMap is a hash join build side keyed by int64 (the common TPC-H
-// case: all join keys are integer surrogates).
-type IntJoinMap struct {
-	rows map[int64][]types.Row
-}
-
-// NewIntJoinMap builds a join map from the selected rows of a batch (sel nil
-// means all rows): key column keyCol, payload the given columns.
-func NewIntJoinMap(b *vector.Batch, sel []uint32, keyCol int, payloadCols []int) *IntJoinMap {
-	n := b.Len()
-	if sel != nil {
-		n = len(sel)
-	}
-	m := NewEmptyIntJoinMap(n)
-	m.AddBatch(b, sel, keyCol, payloadCols)
-	return m
-}
-
-// NewEmptyIntJoinMap returns an empty build side sized for capHint rows, for
-// incremental building with AddBatch — the per-worker partial state of a
-// parallel join build.
-func NewEmptyIntJoinMap(capHint int) *IntJoinMap {
-	if capHint < 0 {
-		capHint = 0
-	}
-	return &IntJoinMap{rows: make(map[int64][]types.Row, capHint)}
-}
-
-// AddBatch inserts the selected rows of a batch (sel nil means all rows):
-// key column keyCol, payload the given columns.
-func (m *IntJoinMap) AddBatch(b *vector.Batch, sel []uint32, keyCol int, payloadCols []int) {
-	build := func(i int) {
-		k := b.Vecs[keyCol].I[i]
-		payload := make(types.Row, len(payloadCols))
-		for j, c := range payloadCols {
-			payload[j] = b.Vecs[c].Get(i)
-		}
-		m.rows[k] = append(m.rows[k], payload)
-	}
-	if sel != nil {
-		for _, i := range sel {
-			build(int(i))
-		}
-	} else {
-		for i := 0; i < b.Len(); i++ {
-			build(i)
-		}
-	}
-}
-
-// Merge folds another build side into m, appending o's payload rows after
-// m's for shared keys — so merging per-partition maps in partition order
-// reproduces the row order of a serial build. o must not be used afterwards.
-func (m *IntJoinMap) Merge(o *IntJoinMap) {
-	for k, rs := range o.rows {
-		if mine, ok := m.rows[k]; ok {
-			m.rows[k] = append(mine, rs...)
-		} else {
-			m.rows[k] = rs
-		}
-	}
-}
-
-// Probe returns the payload rows for key.
-func (m *IntJoinMap) Probe(key int64) []types.Row { return m.rows[key] }
-
-// ProbeOne returns the single payload row for key (unique joins).
-func (m *IntJoinMap) ProbeOne(key int64) (types.Row, bool) {
-	rs := m.rows[key]
-	if len(rs) == 0 {
-		return nil, false
-	}
-	return rs[0], true
-}
-
-// Len returns the number of distinct keys.
-func (m *IntJoinMap) Len() int { return len(m.rows) }
-
-// SortBatch returns the selected row indexes of b (sel nil means all rows)
-// ordered by less. The input selection is not modified.
-func SortBatch(b *vector.Batch, sel []uint32, less func(i, j uint32) bool) []uint32 {
-	var idx []uint32
-	if sel != nil {
-		idx = append([]uint32(nil), sel...)
-	} else {
-		idx = make([]uint32, b.Len())
-		for i := range idx {
-			idx[i] = uint32(i)
-		}
-	}
-	sort.SliceStable(idx, func(x, y int) bool { return less(idx[x], idx[y]) })
-	return idx
 }
 
 // FormatRow renders a result row with fixed float precision, for the

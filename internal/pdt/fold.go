@@ -18,8 +18,8 @@ import (
 // order and the combined entry stream is emitted into a bulkBuilder, so
 // folding m updates into a tree of n entries costs O(n+m) sequential work
 // instead of m root descents with per-entry leaf shifting (Propagate, which
-// fold_test.go's checkFold holds it entry-equal to on the whole
-// randomized/directed suite). The running output delta dOut plays the role of
+// fold_test.go's checkFold holds it entry-equal to on every small two-layer
+// mix and the directed cases). The running output delta dOut plays the role of
 // Algorithm 7's δ: a w entry targeting final position r stores SID r−dOut,
 // which is exactly what the per-entry algorithms derive by cursor descent.
 //

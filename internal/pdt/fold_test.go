@@ -1,12 +1,12 @@
 package pdt
 
 // Differential tests for the three downward merges. Over every two-layer mix
-// the propagate and serialize suites generate, the bulk Fold must produce a
-// Validate()-clean tree with a Dump() identical to the per-entry reference,
-// Algorithm 7 (Propagate) run on a Snapshot of the base — payload-level
-// equality; value-space offsets legitimately differ because Fold compacts
-// orphaned slots away — FoldSnap must agree with both, and both inputs must be
-// bit-for-bit untouched afterwards.
+// the small-scope check and the propagate and serialize suites generate, the
+// bulk Fold must produce a Validate()-clean tree with a Dump() identical to
+// the per-entry reference, Algorithm 7 (Propagate) run on a Snapshot of the
+// base — payload-level equality; value-space offsets legitimately differ
+// because Fold compacts orphaned slots away — FoldSnap must agree with both,
+// and both inputs must be bit-for-bit untouched afterwards.
 
 import (
 	"testing"
@@ -41,9 +41,9 @@ func dumpsEqual(a, b []RebuildEntry) bool {
 }
 
 // checkFold runs Fold(base, w), cross-checks it against Snapshot+Propagate
-// and FoldSnap, and returns the folded tree. It is how every test of the
-// propagate and serialize suites folds a layer, so the whole
-// randomized/directed set exercises all three merges on the same inputs.
+// and FoldSnap, and returns the folded tree. It is how the small-scope check
+// and every test of the propagate and serialize suites fold a layer, so all of
+// them exercise all three merges on the same inputs.
 func checkFold(t *testing.T, base, w *PDT, stable []types.Row, ref *refModel) *PDT {
 	t.Helper()
 	baseBefore := snapshotDump(base)

@@ -36,9 +36,14 @@ func table0() []types.Row {
 }
 
 // scanNumbered drains a merge the way a consumer sees it: under Numbered, from
-// the merge's own start RID.
+// the merge's own start RID, into one batch of the size the merge hints.
 func scanNumbered(ms *MergeScan, kinds []types.Kind) (*vector.Batch, error) {
-	return ScanAll(Numbered(ms, ms.StartRID()), kinds)
+	out := vector.NewBatch(kinds, ms.SizeHint())
+	for src := Numbered(ms, ms.StartRID()); ; {
+		if n, err := src.Next(out, 1024); n == 0 || err != nil {
+			return out, err
+		}
+	}
 }
 
 // refModel is the naive row-slice reference implementation of an updatable
@@ -453,4 +458,46 @@ func TestEntryTupleAndString(t *testing.T) {
 		t.Error("String() empty")
 	}
 	checkAgainstRef(t, p, stable, ref)
+}
+
+func TestDeleteReinsertSameKey(t *testing.T) {
+	// Deleting a stable tuple and re-inserting the same key must work: the
+	// new insert ties with the ghost and lands beside it.
+	schema := intSchema()
+	stable := buildIntTable(5) // keys 10..50
+	p := New(schema, 4)
+	ref := newRefModel(schema, stable)
+	applyDelete(t, p, ref, 2) // key 30
+	applyInsert(t, p, ref, types.Row{types.Int(30), types.Int(99), types.Str("re")})
+	checkAgainstRef(t, p, stable, ref)
+	// And delete it again.
+	applyDelete(t, p, ref, 2)
+	checkAgainstRef(t, p, stable, ref)
+}
+
+func TestManyGhostsThenInsertsBetween(t *testing.T) {
+	// Delete a run of stable tuples, then insert keys that interleave with
+	// the ghosts: SKRidToSid must order each insert among the ghosts.
+	schema := intSchema()
+	stable := buildIntTable(10) // keys 10..100
+	p := New(schema, 4)
+	ref := newRefModel(schema, stable)
+	for i := 0; i < 4; i++ { // delete keys 30,40,50,60 (rid 2 four times)
+		applyDelete(t, p, ref, 2)
+	}
+	for _, k := range []int64{45, 35, 55, 31, 59} {
+		applyInsert(t, p, ref, types.Row{types.Int(k), types.Int(k), types.Str("g")})
+	}
+	checkAgainstRef(t, p, stable, ref)
+	// Inserted keys must carry ghost-respecting SIDs: 31,35 before ghost 40
+	// (SID 3), 45 before ghost 50 (SID 4), 55,59 before ghost 60 (SID 5).
+	wantSID := map[int64]uint64{31: 3, 35: 3, 45: 4, 55: 5, 59: 5}
+	for _, e := range p.Entries() {
+		if e.IsInsert() {
+			k := p.EntryTuple(e)[0].I
+			if e.SID != wantSID[k] {
+				t.Errorf("insert key %d got SID %d, want %d", k, e.SID, wantSID[k])
+			}
+		}
+	}
 }

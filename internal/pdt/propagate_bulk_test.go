@@ -1,54 +1,17 @@
 package pdt
 
-// Inputs for the downward-merge differentials (fold_test.go's checkFold: bulk
-// Fold ≡ Snapshot + per-entry Propagate ≡ FoldSnap, inputs untouched):
-// randomized two-layer update mixes — including chain boundaries at small
-// fanouts, ghost deletes, delete-of-insert collapses, re-inserts of deleted
-// keys and modify collisions — whose merged view must also match the
-// row-slice reference model.
+// Directed inputs for the downward-merge differential (fold_test.go's
+// checkFold: bulk Fold ≡ Snapshot + per-entry Propagate ≡ FoldSnap, inputs
+// untouched): the §2.1 interaction cases one by one, whose merged view must
+// also match the row-slice reference model. smallscope_test.go folds every
+// small two-layer mix.
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"pdtstore/internal/types"
 )
-
-func TestBulkPropagateRandomized(t *testing.T) {
-	for _, fanout := range []int{3, 4, DefaultFanout} {
-		for seed := int64(0); seed < 6; seed++ {
-			fanout, seed := fanout, seed
-			t.Run(fmt.Sprintf("fanout=%d/seed=%d", fanout, seed), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(seed))
-				schema := intSchema()
-				stable := buildIntTable(40)
-				base := New(schema, fanout)
-				ref := newRefModel(schema, stable)
-				randomOps(t, rng, base, ref, 150, false)
-				// Second layer over the first layer's output image: w's SIDs
-				// are base's RIDs.
-				w := New(schema, fanout)
-				wref := newRefModel(schema, ref.rows)
-				randomOps(t, rng, w, wref, 120, false)
-				checkFold(t, base, w, stable, wref)
-			})
-		}
-	}
-}
-
-func TestBulkPropagateLargeMix(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	schema := intSchema()
-	stable := buildIntTable(300)
-	base := New(schema, DefaultFanout)
-	ref := newRefModel(schema, stable)
-	randomOps(t, rng, base, ref, 2000, false)
-	w := New(schema, DefaultFanout)
-	wref := newRefModel(schema, ref.rows)
-	randomOps(t, rng, w, wref, 1500, false)
-	checkFold(t, base, w, stable, wref)
-}
 
 func TestBulkPropagateEmptyCases(t *testing.T) {
 	schema := intSchema()

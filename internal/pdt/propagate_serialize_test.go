@@ -8,8 +8,6 @@ package pdt
 
 import (
 	"errors"
-	"fmt"
-	"math/rand"
 	"testing"
 
 	"pdtstore/internal/types"
@@ -74,24 +72,16 @@ func TestPropagateCollapsesUpperOntoLowerEntries(t *testing.T) {
 	}
 }
 
-func TestPropagateRandomizedEquivalence(t *testing.T) {
-	// Applying W's ops through a stacked merge must equal Propagate(R, W)
-	// then a single-layer merge, for random R and W.
-	for seed := int64(0); seed < 6; seed++ {
-		rng := rand.New(rand.NewSource(seed + 100))
-		schema := intSchema()
-		stable := buildIntTable(25)
-		lower := New(schema, 4)
-		ref := newRefModel(schema, stable)
-		randomOps(t, rng, lower, ref, 60, false)
-		upper := New(schema, 4)
-		randomOps(t, rng, upper, ref, 60, false)
-
-		checkFold(t, lower, upper, stable, ref)
-	}
-}
-
 // --- Serialize ---------------------------------------------------------------
+
+// opKind names a logical operation's kind.
+type opKind int
+
+const (
+	opInsert opKind = iota
+	opDelete
+	opModify
+)
 
 // logicalOp describes a transaction operation in snapshot terms, so the test
 // can replay it through any serialization order.
@@ -104,29 +94,11 @@ type logicalOp struct {
 }
 
 // buildTxn applies ops against a private copy of the snapshot, recording them
-// in a fresh PDT (aligned with the snapshot).
+// in a fresh fanout-3 PDT (aligned with the snapshot).
 func buildTxn(t *testing.T, schema *types.Schema, snapshot []types.Row, ops []logicalOp) *PDT {
 	t.Helper()
-	p := New(schema, 4)
-	ref := newRefModel(schema, snapshot)
-	for _, op := range ops {
-		switch op.kind {
-		case opInsert:
-			applyInsert(t, p, ref, op.row)
-		case opDelete:
-			rid := findKeyRid(ref, op.key)
-			if rid < 0 {
-				t.Fatalf("test bug: delete key %d not visible", op.key)
-			}
-			applyDelete(t, p, ref, rid)
-		case opModify:
-			rid := findKeyRid(ref, op.key)
-			if rid < 0 {
-				t.Fatalf("test bug: modify key %d not visible", op.key)
-			}
-			applyModify(t, p, ref, rid, op.col, op.val)
-		}
-	}
+	p := New(schema, 3)
+	applyOpsByKey(t, p, newRefModel(schema, snapshot), ops)
 	return p
 }
 
@@ -139,37 +111,54 @@ func findKeyRid(ref *refModel, key int64) int {
 	return -1
 }
 
+// writeSet is what a transaction's ops leave for a concurrent one to collide
+// with: the keys it inserted and did not delete again, the snapshot tuples it
+// deleted, and the columns it modified of the snapshot tuples it kept.
+type writeSet struct {
+	ins, del map[int64]bool
+	mod      map[int64]map[int]bool
+}
+
+func writesOf(ops []logicalOp) writeSet {
+	w := writeSet{ins: map[int64]bool{}, del: map[int64]bool{}, mod: map[int64]map[int]bool{}}
+	for _, op := range ops {
+		switch {
+		case op.kind == opInsert:
+			w.ins[op.row[0].I] = true
+		case w.ins[op.key]: // the transaction's own insert
+			if op.kind == opDelete {
+				delete(w.ins, op.key)
+			}
+		case op.kind == opDelete:
+			w.del[op.key] = true
+			delete(w.mod, op.key)
+		default:
+			if w.mod[op.key] == nil {
+				w.mod[op.key] = map[int]bool{}
+			}
+			w.mod[op.key][op.col] = true
+		}
+	}
+	return w
+}
+
 // naiveConflict reports whether x conflicts with committed y under
 // tuple-level write sets with per-column modify reconciliation.
 func naiveConflict(x, y []logicalOp) bool {
-	yIns := map[int64]bool{}
-	yDel := map[int64]bool{}
-	yMod := map[int64]map[int]bool{}
-	for _, op := range y {
-		switch op.kind {
-		case opInsert:
-			yIns[op.row[0].I] = true
-		case opDelete:
-			yDel[op.key] = true
-		case opModify:
-			if yMod[op.key] == nil {
-				yMod[op.key] = map[int]bool{}
-			}
-			yMod[op.key][op.col] = true
+	wx, wy := writesOf(x), writesOf(y)
+	for k := range wx.ins {
+		if wy.ins[k] {
+			return true
 		}
 	}
-	for _, op := range x {
-		switch op.kind {
-		case opInsert:
-			if yIns[op.row[0].I] {
-				return true
-			}
-		case opDelete:
-			if yDel[op.key] || yMod[op.key] != nil {
-				return true
-			}
-		case opModify:
-			if yDel[op.key] || (yMod[op.key] != nil && yMod[op.key][op.col]) {
+	for k := range wx.del {
+		if wy.del[k] || wy.mod[k] != nil {
+			return true
+		}
+	}
+	for k, cols := range wx.mod {
+		for c := range cols {
+			if wy.del[k] || wy.mod[k][c] {
 				return true
 			}
 		}
@@ -177,18 +166,22 @@ func naiveConflict(x, y []logicalOp) bool {
 	return false
 }
 
-// applyOpsByKey replays logical ops against ref, locating tuples by key
+// applyOpsByKey replays logical ops against p and ref, locating tuples by key
 // (the serial re-execution semantics Serialize must reproduce).
 func applyOpsByKey(t *testing.T, p *PDT, ref *refModel, ops []logicalOp) {
 	t.Helper()
 	for _, op := range ops {
+		rid := findKeyRid(ref, op.key)
+		if op.kind != opInsert && rid < 0 {
+			t.Fatalf("test bug: key %d not visible", op.key)
+		}
 		switch op.kind {
 		case opInsert:
 			applyInsert(t, p, ref, op.row)
 		case opDelete:
-			applyDelete(t, p, ref, findKeyRid(ref, op.key))
+			applyDelete(t, p, ref, rid)
 		case opModify:
-			applyModify(t, p, ref, findKeyRid(ref, op.key), op.col, op.val)
+			applyModify(t, p, ref, rid, op.col, op.val)
 		}
 	}
 }
@@ -223,12 +216,27 @@ func TestSerializeNoConflictDisjoint(t *testing.T) {
 
 // checkSerialExecution folds the serialized x' onto y's own PDT (checkFold:
 // all three downward merges) and holds the result to serial re-execution
-// semantics: y's updates, then x's located by key.
+// semantics: y's updates, then x's write set located by key — the rows x
+// left where it inserted, its deletes, and the values it left where it
+// modified; what x wrote and undid again is not in its PDT.
 func checkSerialExecution(t *testing.T, schema *types.Schema, snapshot []types.Row, xOps, yOps []logicalOp, txPrime *PDT) *PDT {
 	t.Helper()
-	ref := newRefModel(schema, snapshot)
+	ref, x := newRefModel(schema, snapshot), newRefModel(schema, snapshot)
 	replayByKey(t, ref, yOps)
-	replayByKey(t, ref, xOps)
+	replayByKey(t, x, xOps)
+	w := writesOf(xOps)
+	for k := range w.del {
+		ref.deleteAt(findKeyRid(ref, k))
+	}
+	for k := range w.ins {
+		row := x.rows[findKeyRid(x, k)]
+		ref.insertAt(ref.insertRid(row), row)
+	}
+	for k, cols := range w.mod {
+		for c := range cols {
+			ref.modifyAt(findKeyRid(ref, k), c, x.rows[findKeyRid(x, k)][c])
+		}
+	}
 	return checkFold(t, buildTxn(t, schema, snapshot, yOps), txPrime, snapshot, ref)
 }
 
@@ -352,80 +360,4 @@ func TestSerializeConcurrentInsertsSameSID(t *testing.T) {
 			t.Fatalf("key %d = %d, want %d", i, out.Vecs[0].I[i], k)
 		}
 	}
-}
-
-func TestSerializeRandomizedAgainstNaive(t *testing.T) {
-	// Random pairs of transactions from a shared snapshot: Serialize must
-	// conflict exactly when the naive tuple-level checker does, and when it
-	// does not, the serialized result must equal serial re-execution.
-	for seed := int64(0); seed < 40; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed + 500))
-			schema := intSchema()
-			snapshot := buildIntTable(30) // keys 10..300
-
-			genOps := func(n int, keyBase int64) []logicalOp {
-				visible := map[int64]bool{}
-				for _, r := range snapshot {
-					visible[r[0].I] = true
-				}
-				var ops []logicalOp
-				for i := 0; i < n; i++ {
-					switch opKind(rng.Intn(3)) {
-					case opInsert:
-						key := keyBase + int64(rng.Intn(200))
-						if visible[key] {
-							continue
-						}
-						visible[key] = true
-						ops = append(ops, logicalOp{kind: opInsert,
-							row: types.Row{types.Int(key), types.Int(int64(i)), types.Str("r")}})
-					case opDelete:
-						key := int64((rng.Intn(30) + 1) * 10)
-						if !visible[key] {
-							continue
-						}
-						delete(visible, key)
-						ops = append(ops, logicalOp{kind: opDelete, key: key})
-					case opModify:
-						key := int64((rng.Intn(30) + 1) * 10)
-						if !visible[key] {
-							continue
-						}
-						col := 1 + rng.Intn(2)
-						ops = append(ops, logicalOp{kind: opModify, key: key,
-							col: col, val: randVal(rng, col)})
-					}
-				}
-				return ops
-			}
-			// Overlapping key bases make both conflicting and conflict-free
-			// pairs likely.
-			xOps := genOps(8, 1001)
-			yOps := genOps(8, 1001+int64(rng.Intn(2))*200)
-
-			tx := buildTxn(t, schema, snapshot, xOps)
-			ty := buildTxn(t, schema, snapshot, yOps)
-			txPrime, err := tx.Serialize(ty)
-			wantConflict := naiveConflict(xOps, yOps)
-			if wantConflict {
-				if err == nil {
-					t.Fatalf("naive says conflict, Serialize accepted\nx=%v\ny=%v", xOps, yOps)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("naive says ok, Serialize rejected: %v\nx=%v\ny=%v", err, xOps, yOps)
-			}
-			checkSerialExecution(t, schema, snapshot, xOps, yOps, txPrime)
-		})
-	}
-}
-
-func randVal(rng *rand.Rand, col int) types.Value {
-	if col == 2 {
-		return types.Str(fmt.Sprintf("s%d", rng.Intn(10000)))
-	}
-	return types.Int(int64(rng.Intn(10000)))
 }

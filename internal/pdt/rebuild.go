@@ -56,15 +56,15 @@ func Rebuild(schema *types.Schema, fanout int, entries []RebuildEntry) (*PDT, er
 			b.append(e.SID, KindIns, uint64(len(t.vals.ins)))
 			t.vals.ins = append(t.vals.ins, e.Ins.Clone())
 		case KindDel:
-			if len(e.Del) != len(schema.SortKey) {
-				return nil, fmt.Errorf("pdt: rebuild entry %d: ghost key arity %d", i, len(e.Del))
+			if err := schema.ValidateKey(e.Del, false); err != nil {
+				return nil, fmt.Errorf("pdt: rebuild entry %d: ghost key: %w", i, err)
 			}
 			b.append(e.SID, KindDel, uint64(len(t.vals.del)))
 			t.vals.del = append(t.vals.del, e.Del.Clone())
 		default:
 			col := int(e.Kind)
-			if col >= schema.NumCols() {
-				return nil, fmt.Errorf("pdt: rebuild entry %d: column %d out of range", i, col)
+			if col >= schema.NumCols() || schema.IsSortKeyCol(col) || e.Mod.K != schema.Cols[col].Kind {
+				return nil, fmt.Errorf("pdt: rebuild entry %d: no modify of column %d to a %v", i, col, e.Mod.K)
 			}
 			b.append(e.SID, e.Kind, uint64(len(t.vals.mods[col])))
 			t.vals.mods[col] = append(t.vals.mods[col], e.Mod)

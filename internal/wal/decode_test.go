@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"runtime"
+	"slices"
 	"testing"
 
 	"pdtstore/internal/pdt"
@@ -110,6 +111,76 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 		if got := encodeRecord(nil, rec); !bytes.Equal(got, body) {
 			t.Fatalf("decoded %+v re-encodes to %x, body %x", rec, got, body)
+		}
+	})
+}
+
+// TestReplayBoundsAllocationByStream: a frame header may claim up to 1 GiB;
+// Replay checks the claim against the bytes the stream holds before it sizes
+// a buffer from it, so the header is a tear that costs next to nothing.
+func TestReplayBoundsAllocationByStream(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := NewWriter(&buf).Append("t", sampleEntries()); err != nil {
+		t.Fatal(err)
+	}
+	stream := binary.LittleEndian.AppendUint32(buf.Bytes(), maxRecordSize)
+	stream = binary.LittleEndian.AppendUint32(stream, 0)
+	var recs []Record
+	var err error
+	n := allocated(func() { recs, err = Replay(bytes.NewReader(stream)) })
+	if len(recs) != 1 || !errors.Is(err, ErrTornTail) {
+		t.Fatalf("Replay = %d records, %v; want the one record and a torn tail", len(recs), err)
+	}
+	if n >= 1<<20 {
+		t.Fatalf("Replay allocated %d bytes for a %d-byte stream", n, len(stream))
+	}
+}
+
+// FuzzReplay: any stream — headers, CRCs and bodies — replays to records that
+// re-frame to a prefix of it, and then a nil error at its end, ErrTornTail, or
+// the decode error of the CRC-valid frame after the prefix; never a panic,
+// and never an allocation out of proportion to the stream.
+func FuzzReplay(f *testing.F) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for _, rec := range []Record{{Table: "orders", Entries: sampleEntries()}, {Table: "t"}} {
+		if _, err := w.Append(rec.Table, rec.Entries); err != nil {
+			f.Fatal(err)
+		}
+	}
+	good := buf.Bytes()
+	f.Add(good)
+	f.Add(good[:len(good)-3])
+	f.Add(append(binary.LittleEndian.AppendUint32(slices.Clone(good), maxRecordSize), 0, 0, 0, 0))
+	f.Add(append(slices.Clone(good), frame(hostileBodies()[0].body)...))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		var recs []Record
+		var err error
+		n := allocated(func() { recs, err = Replay(bytes.NewReader(stream)) })
+		if limit := 64*uint64(len(stream)) + 64<<10; n > limit {
+			t.Fatalf("replaying %d bytes allocated %d", len(stream), n)
+		}
+		var prefix []byte
+		for _, rec := range recs {
+			prefix = append(prefix, frame(encodeRecord(nil, rec))...)
+		}
+		if !bytes.HasPrefix(stream, prefix) {
+			t.Fatalf("%d records re-frame to %x, not a prefix of %x", len(recs), prefix, stream)
+		}
+		rest := stream[len(prefix):]
+		switch {
+		case err == nil:
+			if len(rest) > 0 {
+				t.Fatalf("a clean end with %d bytes left", len(rest))
+			}
+		case !errors.Is(err, ErrTornTail):
+			size := int(binary.LittleEndian.Uint32(rest))
+			if body := rest[8 : 8+size]; crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(rest[4:]) {
+				t.Fatalf("%v at a frame that fails its CRC", err)
+			} else if _, derr := decodeRecord(body); derr == nil {
+				t.Fatalf("%v at a frame that decodes", err)
+			}
 		}
 	})
 }

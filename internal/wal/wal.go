@@ -29,6 +29,7 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -225,17 +226,23 @@ func (w *Writer) AppendGroupAt(first uint64, recs []GroupRecord) error {
 // so the caller can distinguish "log ends here" from "log was cut mid-write"
 // and truncate the tear before appending again. Only a record that fails its
 // CRC or length framing is a tear; a CRC-valid record that does not decode is
-// real corruption and fails replay.
+// real corruption and fails replay. The whole stream is read first, so every
+// frame is checked against the bytes that are there before a buffer is
+// allocated for its body.
 func Replay(r io.Reader) ([]Record, error) {
-	out, _, err := replayConsumed(r, -1)
-	return out, err
+	data, err := io.ReadAll(r)
+	out, _, torn := replayConsumed(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		return out, err
+	}
+	return out, torn
 }
 
-// replayConsumed is Replay plus the byte length of the valid prefix — what a
-// file log truncates a torn file down to. total is the stream's byte length
-// when known (a file), or negative: a frame claiming more bytes than the
-// stream holds is then classified as a tear up front, instead of allocating
-// a buffer for a garbage length read out of a torn header.
+// replayConsumed is Replay of a stream of total bytes plus the byte length of
+// the valid prefix — what a file log truncates a torn file down to. A frame
+// claiming more bytes than the stream holds is classified as a tear up front,
+// instead of allocating a buffer for a garbage length read out of a torn
+// header.
 func replayConsumed(r io.Reader, total int64) ([]Record, int64, error) {
 	br := bufio.NewReader(r)
 	var out []Record
@@ -253,7 +260,7 @@ func replayConsumed(r io.Reader, total int64) ([]Record, int64, error) {
 		}
 		size := binary.LittleEndian.Uint32(hdr[0:4])
 		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if total >= 0 && int64(size) > total-consumed-8 {
+		if int64(size) > total-consumed-8 {
 			return out, consumed, fmt.Errorf("%w: record frame overruns the stream", ErrTornTail)
 		}
 		if size == 0 {
