@@ -45,6 +45,25 @@ func TestGroupAgg(t *testing.T) {
 	}
 }
 
+// TestTouchKeyMatchesTouch drives TouchKey as the string-keyed Touch was
+// driven: a group is found by its key's bytes at the call, so one buffer
+// reused for every key still gives one group per key.
+func TestTouchKeyMatchesTouch(t *testing.T) {
+	g := NewGroupAgg(1)
+	var buf []byte
+	for i, k := range []string{"a", "b", "a"} {
+		buf = append(buf[:0], k...)
+		cells := g.TouchKey(buf, func() types.Row { return types.Row{types.Str(k)} })
+		cells[0].Add(float64(i))
+	}
+	if g.Len() != 2 {
+		t.Fatalf("groups = %d", g.Len())
+	}
+	if a := g.Results()[0]; a.Key[0].S != "a" || a.Aggs[0].Count != 2 || a.Aggs[0].Sum != 2 {
+		t.Fatalf("group a = %+v", a)
+	}
+}
+
 func TestFormatRow(t *testing.T) {
 	got := FormatRow("x", 1.23456, 7)
 	if got != "x|1.23|7" {

@@ -182,12 +182,22 @@ func checkScopeLayer(t *testing.T, p *PDT, stable, image []types.Row, ops []logi
 	for _, cols := range stackProjections {
 		checkStack(t, layers, stable, image, 0, n, true, cols, []byte{3, 0, 1})
 	}
+	checkSidToRid(t, p, stable, image, ops)
+}
+
+// byKey orders a row of the scope's schema against a key.
+func byKey(r types.Row, k int64) int { return cmp.Compare(r[0].I, k) }
+
+// checkSidToRid holds SidToRid of every stable SID of p, whose ops are ops, to
+// image.
+func checkSidToRid(t *testing.T, p *PDT, stable, image []types.Row, ops []logicalOp) {
+	t.Helper()
 	for sid, row := range stable {
 		// A stable row's first delete deletes it; an insert of its key after
 		// that lands before its ghost.
 		key := row[0].I
 		ghost := slices.ContainsFunc(ops, func(op logicalOp) bool { return op.kind == opDelete && op.key == key })
-		at, found := slices.BinarySearchFunc(image, key, func(r types.Row, k int64) int { return cmp.Compare(r[0].I, k) })
+		at, found := slices.BinarySearchFunc(image, key, byKey)
 		if ghost && found {
 			at++
 		}
