@@ -18,9 +18,10 @@
 // each PDT cursor seeking there with its running shift as every scan morsel
 // does, so ghosts, re-inserts of a deleted key and layer-only inserts are
 // merged in by construction and RIDs are exact; and the scanner underneath
-// decodes only a 16-row window of the projected columns, doubling while a run
-// of deletes or of same-SID inserts (append-only keys) hides the answer —
-// the one part still walked linearly. Writes project the sort key only.
+// decodes only the lower-bound row of the projected columns (the layers merge
+// in the rows that land at it), straight into a pooled batch, doubling the
+// window (1, 2, 4, … rows) while a run of deletes or of same-SID inserts
+// (append-only keys) hides the answer — the one part still walked linearly. Writes project the sort key only.
 //
 // The write path is vectorized end to end as well: batches of updates
 // resolve their target positions with one shared merge-scan cursor
@@ -95,7 +96,7 @@
 // fold forks rather than rebuilds its base via pdt.FoldSnap), committing
 // over k overlapping transactions runs one cascaded sweep instead of k
 // serialize passes (pdt.SerializeChain), and an insert's position probe
-// reads its 16-row window through the same unstaged merge stack a scan uses
+// reads its one-row window through the same unstaged merge stack a scan uses
 // (the probe's own batch goes down to the scanner), compares keys against
 // column vectors without materializing rows, and decodes only the tail of
 // the stable block it enters — for every encoding, dictionary and RLE

@@ -1382,17 +1382,33 @@ func (sc *Scanner) block(slot, blk int) ([]byte, error) {
 }
 
 // copyIn is selectIn without a filter. Entering the block decodes exactly the
-// rows of it the scan will read, into the window buffers: from where the scan
-// entered it (non-zero in the scan's first block, or after a skip landed
-// inside this one) to the block's end or the scan's, whichever comes first —
-// a full scan decodes whole blocks, a point probe's 16-row window decodes 16.
-// Each piece is then copied to its batch positions, and sel, unless nil, gets
-// every one of them and the kept positions between them.
+// rows of it the scan will read: from where the scan entered it (non-zero in
+// the scan's first block, or after a skip landed inside this one) to the
+// block's end or the scan's, whichever comes first — a full scan decodes
+// whole blocks, a point probe the few rows of its window. A call that reads
+// the rest of that window decodes its pieces straight to their batch
+// positions; one that leaves rows for a later call decodes the window into
+// the window buffers, and each piece is then copied to its batch positions.
+// sel, unless nil, gets every piece's positions and the kept positions
+// between them.
 func (sc *Scanner) copyIn(out *vector.Batch, blk int, hi uint64, keep []uint32, ki int, sel *vector.Selection) (int, error) {
 	s, pieces := sc.store, sc.pieces
 	blk0 := uint64(blk * s.blockRows)
+	direct := false
 	if start := blk0 + uint64(pieces[0].Row); start >= sc.winHi {
+		last := pieces[len(pieces)-1]
+		direct = blk0+uint64(last.Row+last.N) == hi
 		for i, c := range sc.cols {
+			if direct {
+				enc, err := s.encodedBlock(c, blk)
+				if err == nil {
+					err = decodeSpans(enc, pieces, out.Vecs[i])
+				}
+				if err != nil {
+					return ki, fmt.Errorf("colstore: column %d block %d: %w", c, blk, err)
+				}
+				continue
+			}
 			if sc.bufs[i] == nil {
 				// Room for the largest window this scan will decode.
 				sc.bufs[i] = vector.New(s.schema.Cols[c].Kind, min(int(sc.end-start), s.blockRows))
@@ -1401,12 +1417,16 @@ func (sc *Scanner) copyIn(out *vector.Batch, blk int, hi uint64, keep []uint32, 
 				return ki, err
 			}
 		}
-		sc.winLo, sc.winHi = start, hi
+		if !direct {
+			sc.winLo, sc.winHi = start, hi
+		}
 	}
 	for _, p := range pieces {
-		off := int(blk0 + uint64(p.Row) - sc.winLo)
-		for i, b := range sc.bufs {
-			copyAt(out.Vecs[i], p.At, b, off, p.N)
+		if !direct {
+			off := int(blk0 + uint64(p.Row) - sc.winLo)
+			for i, b := range sc.bufs {
+				copyAt(out.Vecs[i], p.At, b, off, p.N)
+			}
 		}
 		if sel == nil {
 			continue

@@ -469,6 +469,94 @@ func TestScannerMidBlockStart(t *testing.T) {
 	}
 }
 
+// TestScannerEveryCallSize reads scans that start and end mid-block with every
+// call size from 1 to the scan's length. A call that reads the rest of its
+// window in a block decodes straight into the batch; one that leaves rows of
+// the block for a later call decodes into the window buffers and copies out.
+// Every size must read what one call over the whole range reads, and what the
+// rows were built from — as one run per call (Next), and as runs that skip
+// every third row, the way a merge passes over deleted rows, so a call puts
+// several pieces in a block.
+func TestScannerEveryCallSize(t *testing.T) {
+	const n, blockRows = 100, 16
+	cols := []int{0, 1, 2, 3}
+	kinds := []types.Kind{types.Int64, types.String, types.Float64, types.Bool}
+	model := func(i uint64) types.Row {
+		return types.Row{types.Int(int64(i * 2)), types.Str(fmt.Sprintf("s%04d", i)), types.Float(float64(i) / 2), types.BoolVal(i%3 == 0)}
+	}
+	skipped := func(gaps bool, i uint64) bool { return gaps && i%3 == 1 }
+	// read scans [from, to) in calls of size rows each and returns what it
+	// read, the rows it should have read, and the scanner.
+	read := func(s *Store, from, to uint64, size int, gaps bool) (got *vector.Batch, want []types.Row, sc *Scanner) {
+		got = vector.NewBatch(kinds, 1)
+		sc = s.NewScanner(cols, from, to)
+		chain := &vector.Chain{Outputs: len(cols)}
+		var runs []vector.Run
+		skip := 0
+		for p := from; p < to; p += uint64(size) {
+			runs = runs[:0]
+			for i := p; i < min(p+uint64(size), to); i++ {
+				switch {
+				case skipped(gaps, i):
+					skip++
+				case len(runs) > 0 && skip == 0:
+					runs[len(runs)-1].N++
+				default:
+					runs = append(runs, vector.Run{Skip: skip, N: 1, At: len(want)})
+					skip = 0
+				}
+				if !skipped(gaps, i) {
+					want = append(want, model(i))
+				}
+			}
+			if len(runs) == 0 {
+				continue
+			}
+			got.Extend(len(want) - got.Len())
+			if err := sc.SelectRuns(got, runs, nil, chain, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return got, want, sc
+	}
+	buffered := func(sc *Scanner) bool { return sc.bufs[0] != nil }
+	for _, compressed := range []bool{false, true} {
+		s := buildStore(t, n, blockRows, compressed)
+		for _, gaps := range []bool{false, true} {
+			for _, r := range [][2]uint64{{3, 4}, {3, 13}, {5, 16}, {5, 40}, {17, 100}, {31, 97}, {0, 100}} {
+				from, to := r[0], r[1]
+				label := fmt.Sprintf("compressed=%v gaps=%v [%d,%d)", compressed, gaps, from, to)
+				one, _, sc := read(s, from, to, int(to-from), gaps)
+				if !gaps && buffered(sc) {
+					t.Errorf("%s: a single call filled the window buffers", label)
+				}
+				for size := 1; size <= int(to-from); size++ {
+					got, want, sc := read(s, from, to, size, gaps)
+					if got.Len() != len(want) || one.Len() != len(want) {
+						t.Fatalf("%s by %d: got %d rows, one call %d, want %d", label, size, got.Len(), one.Len(), len(want))
+					}
+					for i := range want {
+						if row := got.Row(i); types.CompareRows(row, want[i]) != 0 || types.CompareRows(row, one.Row(i)) != 0 {
+							t.Fatalf("%s by %d, row %d: %v, one call read %v, built %v", label, size, i, row, one.Row(i), want[i])
+						}
+					}
+					if gaps {
+						continue
+					}
+					// A call that ends inside a block buffers that block's window.
+					ends := false
+					for at := from + uint64(size); at < to; at += uint64(size) {
+						ends = ends || at%blockRows != 0
+					}
+					if buffered(sc) != ends {
+						t.Errorf("%s by %d: window buffers filled = %v, want %v", label, size, buffered(sc), ends)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestScannerMidBlockByteAccounting checks that tail decode does not change
 // what the device charges: the whole encoded block is still a single cold
 // fetch of its full size.

@@ -17,8 +17,8 @@ import (
 )
 
 // BenchmarkPositionProbe measures a 16-row probe landing near the tail of a
-// late block — the shape the transaction layer's insert-position and
-// find-by-key probes produce.
+// late block — the shape a key probe's window takes once it has doubled past
+// a run of deletes or of inserts at one SID.
 func BenchmarkPositionProbe(b *testing.B) {
 	const blockRows = 8192
 	const n = blockRows * 8

@@ -21,10 +21,10 @@ import (
 
 // seekWindow is the row count of a probe's first window past a key's lower
 // bound; each further window for the same key doubles it. The lower bound is
-// exact on the stable image, so the first row of the first window is the
-// answer unless delta layers put inserts with smaller keys, or a run of
-// deletes, at the seek point.
-const seekWindow = 16
+// exact on the stable image, so the first window — the lower-bound stable row
+// and the layer rows that land at it — holds the answer unless delta layers
+// put inserts with smaller keys, or a run of deletes, at the seek point.
+const seekWindow = 1
 
 // seekGap is how many stable rows per key a window stretches over to reach
 // later keys: walking them costs about what a fresh stack open costs. Tests
@@ -87,12 +87,13 @@ func Seek(store *colstore.Store, key types.Row, cols []int, layers ...*pdt.PDT) 
 // cursor there carrying the running shift, exactly as a morsel open does, so
 // inserts, ghosts and re-inserts of a deleted key at that SID are merged in
 // by construction and RIDs are exact — over a scanner clamped to a window,
-// which decodes only the window's rows.
+// which decodes only the window's rows, straight into the probe's batch.
 //
-// A window reaches seekWindow rows past its key and stretches over later keys
-// (probed at the 1st, 2nd, 4th, … key on) while their lower bounds stay within
+// A window reaches seekWindow rows past its key's lower bound (that one row
+// and the layer rows that land at it) and stretches over later keys (probed
+// at the 1st, 2nd, 4th, … key on) while their lower bounds stay within
 // seekGap rows per key, so a dense batch (a load, a refresh) reads as one scan
-// and a sparse one opens a small window per key. A key the open window holds
+// and a sparse one opens a one-row window per key. A key the open window holds
 // continues its merge; a key past it gallops to its own lower bound. A window
 // that ends before a row with key >= key appears is followed by one twice as
 // wide (a run of deletes, or of inserts at one SID, is walked linearly). Once
@@ -107,9 +108,17 @@ func SeekKeys(store *colstore.Store, keys []types.Row, at func(j int, rid uint64
 }
 
 // seekKeys is SeekKeys reading cols (the sort key first) and handing each
-// answer to hit; for an exact one, row i of b holds the tuple.
+// answer to hit; for an exact one, row i of b holds the tuple. b is pooled:
+// it goes back to the pool once every key is answered (an error leaves it to
+// the collector), so hit copies out what it keeps.
 func seekKeys(store *colstore.Store, keys []types.Row, cols []int, layers []*pdt.PDT, hit func(j int, rid uint64, found bool, b *vector.Batch, i int)) error {
 	schema := store.Schema()
+	kinds := make([]types.Kind, len(cols))
+	for i, c := range cols {
+		kinds[i] = schema.Cols[c].Kind
+	}
+	pool := poolFor(kinds, seekWindow)
+	b := pool.Get()
 	nrows := store.NRows()
 	visible := int64(nrows)
 	for _, l := range layers {
@@ -117,11 +126,6 @@ func seekKeys(store *colstore.Store, keys []types.Row, cols []int, layers []*pdt
 			visible += l.Delta()
 		}
 	}
-	kinds := make([]types.Kind, len(cols))
-	for i, c := range cols {
-		kinds[i] = schema.Cols[c].Kind
-	}
-	b := vector.NewBatch(kinds, seekWindow)
 	var src pdt.BatchSource // the open window; nil once drained
 	var hi uint64           // the stable end of the last window opened
 	last := false           // that window reaches the end of the store
@@ -186,5 +190,6 @@ func seekKeys(store *colstore.Store, keys []types.Row, cols []int, layers []*pdt
 			w *= 2
 		}
 	}
+	pool.Put(b)
 	return nil
 }

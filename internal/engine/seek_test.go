@@ -274,6 +274,50 @@ func TestSeekMatchesScanOnRandomStacks(t *testing.T) {
 	}
 }
 
+// windowRuns are the run lengths that sit around the probe's window
+// boundaries. A first window of one row doubles to 2, 4, 8, …, so a run of
+// 2^k - 1 rows puts the row after it first in a new window and a run one
+// shorter puts it last in the one before; 16, 17, 47–49 and 70 sit around a
+// 16-row first window's boundaries.
+var windowRuns = []int{0, 1, 2, 3, 6, 7, 8, 9, 14, 15, 16, 17, 30, 31, 32, 33, 47, 48, 49, 62, 63, 64, 65, 70}
+
+// deleteRun deletes the run visible rows from at on, the first half in the
+// top layer and the rest in a new one over it.
+func deleteRun(t *testing.T, m *stackModel, at, run int) {
+	t.Helper()
+	for i := 0; i < run/2; i++ {
+		m.deleteAt(t, at)
+	}
+	m.push()
+	for i := run / 2; i < run; i++ {
+		m.deleteAt(t, at)
+	}
+}
+
+// insertRun inserts run rows whose keys lie between the stable rows at-1 and
+// at (both of the same a-group), so every one lands at SID at. The even ones
+// go to the top layer and the odd ones to a new one over it, so the two
+// layers' inserts interleave. It returns the inserted keys in order.
+func insertRun(t *testing.T, m *stackModel, at, run int) []types.Row {
+	t.Helper()
+	lo := m.rows[at-1]
+	keys := make([]types.Row, run)
+	for i := range keys {
+		keys[i] = types.Row{lo[0], types.Str(fmt.Sprintf("%s-%03d", lo[1].S, i))}
+	}
+	for pass := 0; pass < 2; pass++ {
+		if pass == 1 {
+			m.push()
+		}
+		for i := pass; i < run; i += 2 {
+			if !m.insert(t, seekRow(keys[i][0].I, keys[i][1].S, int64(3000+i))) {
+				t.Fatalf("insert %v: key exists", keys[i])
+			}
+		}
+	}
+	return keys
+}
+
 // TestSeekTargetedCases pins the situations the stack-open-at-SID argument
 // rests on, one by one.
 func TestSeekTargetedCases(t *testing.T) {
@@ -361,22 +405,33 @@ func TestSeekTargetedCases(t *testing.T) {
 	})
 	t.Run("run of deletes after the seek point", func(t *testing.T) {
 		// A run of deleted rows from the seek point on, split over two
-		// layers: the 16-row window must grow (16, 32, 64) before a row shows
-		// up, and runs of 16 and 48 put the survivor first in a new window.
-		for _, run := range []int{15, 16, 17, 47, 48, 49, 70} {
+		// layers: the one-row window must grow (1, 2, 4, …) before a row
+		// shows up (windowRuns sit around each boundary).
+		for _, run := range windowRuns {
 			m := fresh()
 			key, next := at(m, 40), at(m, 40+run)
-			for i := 0; i < run/2; i++ {
-				m.deleteAt(t, 40)
-			}
-			m.push()
-			for i := run / 2; i < run; i++ {
-				m.deleteAt(t, 40)
-			}
+			deleteRun(t, m, 40, run)
 			checkSeek(t, m, key, fmt.Sprintf("first of %d deleted keys", run))
 			checkSeek(t, m, next, fmt.Sprintf("survivor after %d deleted keys", run))
-			if rid, _, exact, err := engine.Seek(m.store, key, nil, m.layers...); err != nil || exact || rid != 40 {
+			if rid, _, exact, err := engine.Seek(m.store, key, nil, m.layers...); err != nil || exact != (run == 0) || rid != 40 {
 				t.Fatalf("Seek over %d ghosts = (%d, %v, %v)", run, rid, exact, err)
+			}
+		}
+	})
+	t.Run("run of smaller inserts at the seek point", func(t *testing.T) {
+		// Stable row 40's lower bound is SID 40, where a run of layer
+		// inserts with smaller keys lands, split over two layers: the window
+		// grows over them as over a run of deletes.
+		for _, run := range windowRuns {
+			m := fresh()
+			key := at(m, 40)
+			inserted := insertRun(t, m, 40, run)
+			checkSeek(t, m, key, fmt.Sprintf("stable row after %d smaller inserts", run))
+			for _, k := range inserted {
+				checkSeek(t, m, k, fmt.Sprintf("one of %d inserts at one SID", run))
+			}
+			if rid, _, exact, err := engine.Seek(m.store, key, nil, m.layers...); err != nil || !exact || rid != uint64(40+run) {
+				t.Fatalf("Seek past %d inserts = (%d, %v, %v)", run, rid, exact, err)
 			}
 		}
 	})
@@ -425,7 +480,7 @@ func TestSeekKeysTargetedCases(t *testing.T) {
 		checkSeekKeys(t, m, keys, "inserts only")
 		// A load's shape: one window for the whole list, none per key.
 		allocs := func(keys []types.Row) float64 {
-			return testing.AllocsPerRun(10, func() {
+			return warmAllocs(func() {
 				if err := engine.SeekKeys(m.store, keys, func(int, uint64, bool) {}, m.layers...); err != nil {
 					t.Fatal(err)
 				}
@@ -469,6 +524,27 @@ func TestSeekKeysTargetedCases(t *testing.T) {
 			}
 		}
 		checkSeekKeys(t, m, append(keys, keyOf(hi)), "24 inserts at one SID")
+	})
+	t.Run("runs around the window boundaries", func(t *testing.T) {
+		// The single-key runs of TestSeekTargetedCases inside a key list,
+		// with keys before, in and after each run.
+		for _, run := range windowRuns {
+			m := newStack(t, 200, 16, true)
+			m.push()
+			keys := keysAt(m, 38, 40, 40+run, 40+run+1)
+			deleteRun(t, m, 40, run)
+			checkSeekKeys(t, m, keys, fmt.Sprintf("%d deleted keys", run))
+
+			m = newStack(t, 200, 16, true)
+			m.push()
+			keys = keysAt(m, 38, 39)
+			inserted := insertRun(t, m, 40, run)
+			if run > 0 {
+				keys = append(keys, inserted[0], inserted[run/2], inserted[run-1])
+			}
+			keys = append(keys, keyOf(m.rows[40+run]), keyOf(m.rows[41+run]))
+			checkSeekKeys(t, m, keys, fmt.Sprintf("%d smaller inserts at one SID", run))
+		}
 	})
 	t.Run("repeated key", func(t *testing.T) {
 		m := newStack(t, 300, 16, true)

@@ -95,7 +95,7 @@ func TestApplyBatchAllocs(t *testing.T) {
 	}
 	ops := scatteredModifies(rows, 256, 1)
 	applyAborted(t, m, ops) // warm the pool
-	const want = 2862
+	const want = 2247
 	if got := testing.AllocsPerRun(5, func() { applyAborted(t, m, ops) }); got > want*1.1 {
 		t.Errorf("256 scattered modifies allocate %.0f objects, want at most %d + 10 %%", got, want)
 	}

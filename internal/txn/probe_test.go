@@ -9,6 +9,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -216,9 +217,10 @@ func TestProbesMatchModelAcrossShardCounts(t *testing.T) {
 	}
 }
 
-// TestFindByKeyAllocsBounded is the probe's allocation guard: a lookup decodes
-// one block's key column and a 16-row window of the rest, so its allocation
-// count is small and the same wherever in its block the row sits.
+// TestFindByKeyAllocsBounded is the probe's allocation guard: a lookup searches
+// one block's key column in place and decodes the one row it finds of every
+// column straight into a pooled batch, so its allocation count is small and
+// the same wherever in its block the row sits.
 func TestFindByKeyAllocsBounded(t *testing.T) {
 	const blockRows, n = 4096, 3 * 4096
 	rows := make([]types.Row, n)
@@ -236,24 +238,31 @@ func TestFindByKeyAllocsBounded(t *testing.T) {
 	if _, err := tx.UpdateByKey(types.Row{types.Int(10 * (blockRows + 100))}, 1, types.Int(7)); err != nil {
 		t.Fatal(err)
 	}
+	// A lookup's cost is the fewest objects of 20 single lookups: its batch
+	// comes from a sync.Pool, which under the race detector drops a quarter
+	// of what is put back, so one lookup in a few pays for a fresh batch there.
 	measure := func(offset int) float64 {
 		key := types.Row{types.Int(int64(10 * (blockRows + offset + 1)))}
-		return testing.AllocsPerRun(100, func() {
-			if _, _, found, err := tx.FindByKey(key); err != nil || !found {
-				t.Fatalf("FindByKey(%v) = %v, %v", key, found, err)
-			}
-		})
+		least := math.Inf(1)
+		for range 20 {
+			least = min(least, testing.AllocsPerRun(1, func() {
+				if _, _, found, err := tx.FindByKey(key); err != nil || !found {
+					t.Fatalf("FindByKey(%v) = %v, %v", key, found, err)
+				}
+			}))
+		}
+		return least
 	}
 	head, mid, tail := measure(1), measure(blockRows/2), measure(blockRows-40)
 	if head != mid || mid != tail {
 		t.Errorf("FindByKey allocations depend on the row's offset in its block: %v at 1, %v at %d, %v at %d", head, mid, blockRows/2, tail, blockRows-40)
 	}
-	// A row in the last 16 of its block makes the window straddle two blocks:
-	// one more set of window decodes, still nothing sized by the block.
-	if edge := measure(blockRows - 2); edge > head+8 {
+	// The one-row window of a block's last row ends with the block: it
+	// allocates what any other row's does.
+	if edge := measure(blockRows - 1); edge != head {
 		t.Errorf("FindByKey at a block's edge allocates %v objects, %v mid-block", edge, head)
 	}
-	if head > 120 {
+	if head > 24 {
 		t.Errorf("FindByKey allocates %v objects per lookup through three layers of three columns", head)
 	}
 }

@@ -126,6 +126,7 @@ type Manager struct {
 
 	writeBudget uint64 // bytes before Write→Read propagation
 	log         wal.Log
+	cols        []int // every column, in order: what FindByKey reads
 }
 
 type committedTxn struct {
@@ -199,6 +200,10 @@ func NewManager(store *colstore.Store, readPDT *pdt.PDT, opts Options) *Manager 
 	}
 	m.clock = new(atomic.Uint64)
 	m.clock.Store(m.lsn)
+	m.cols = make([]int, m.schema.NumCols())
+	for i := range m.cols {
+		m.cols[i] = i
+	}
 	return m
 }
 
@@ -412,14 +417,12 @@ func (t *Txn) seek(key types.Row, cols []int, above ...*pdt.PDT) (rid uint64, ro
 // FindByKey locates the visible tuple with the given (full) sort key in the
 // transaction's snapshot, returning its RID and current column values.
 func (t *Txn) FindByKey(key types.Row) (rid uint64, row types.Row, found bool, err error) {
-	schema := t.mgr.schema
-	cols := make([]int, schema.NumCols())
-	for i := range cols {
-		cols[i] = i
-	}
-	rid, row, found, err = t.seek(key, cols)
-	if err != nil || !found {
+	rid, row, found, err = t.seek(key, t.mgr.cols)
+	if err != nil {
 		return 0, nil, false, err
+	}
+	if !found {
+		return 0, nil, false, nil
 	}
 	return rid, row, true, nil
 }
