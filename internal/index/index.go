@@ -9,9 +9,14 @@
 //     an RLEInt block or the line of a width-0 ForInt block, never
 //     materializing rows). Exact sets answer equality, membership, range and
 //     prefix probes.
-//   - A Bloom filter (about bloomBitsPerRow bits per row, bloomHashes probe
-//     positions) otherwise. Blooms answer equality and membership only, with
-//     one-sided error: a negative is certain, so a "skip" is always sound.
+//   - A blocked Bloom filter otherwise: bloomBitsPerRow bits per row in 64-bit
+//     words, and each value's bloomHashes bits in the one word its hash picks
+//     (Putze, Sanders and Singler, "Cache-, Hash- and Space-Efficient Bloom
+//     Filters", WEA 2007), so adding or probing a value reads one word, at
+//     about 2% false positives. Blooms answer equality and membership only,
+//     with one-sided error: a negative is certain, so a "skip" is always
+//     sound. Values are hashed without a per-process seed, so skip decisions
+//     repeat across runs.
 //
 // Summaries describe the stable image only. Consistency under unfolded PDT
 // deltas is the scan's job, and it is positional: the engine's prune pass
@@ -25,7 +30,8 @@
 // A Set is immutable once built and rides a store's Aux sidecar: shared
 // ("no-write") checkpoints reuse it via CloneShared verbatim, incremental
 // checkpoints Rebuild it reusing every clean region-A summary, and full
-// rewrites Build afresh.
+// rewrites Build afresh. Summaries live in memory only — no byte of a segment
+// holds them — so every Open builds them again from the encoded blocks.
 package index
 
 import (
@@ -43,10 +49,17 @@ import (
 const (
 	// maxExact is the distinct-value ceiling for the exact summary arm.
 	maxExact = 256
-	// bloomBitsPerRow sizes the Bloom arm (~1% false positives at 4 hashes).
+	// bloomBitsPerRow sizes the Bloom arm: about 2% false positives with
+	// bloomHashes bits per value in one 64-bit word (an unblocked filter of
+	// the same size would give about 1.2%, at four scattered word reads).
 	bloomBitsPerRow = 10
-	// bloomHashes is the number of probe positions per value.
+	// bloomHashes is the number of bits a value sets, all in one word
+	// (bloomWord's four 6-bit fields).
 	bloomHashes = 4
+	// distinctBits sizes distinct's open-addressed table: distinctSlots is
+	// at least twice maxExact.
+	distinctBits  = 9
+	distinctSlots = 1 << distinctBits
 )
 
 // summary is one block's value digest: exactly one arm is populated.
@@ -218,7 +231,7 @@ func buildSummary(kind types.Kind, enc []byte) (summary, error) {
 				return sum, err
 			}
 		}
-		if sum.strs, ok = distinct(vals); ok {
+		if sum.strs, ok = distinct(vals, hashStr); ok {
 			return sum, nil
 		}
 		sum.bits = newBloom(len(vals))
@@ -230,7 +243,7 @@ func buildSummary(kind types.Kind, enc []byte) (summary, error) {
 		if err != nil {
 			return sum, err
 		}
-		sum.ints, _ = distinct(vals) // at most two
+		sum.ints, _ = distinct(vals, hashInt) // at most two
 	default: // Int64, Date
 		vals, ok, err := compress.RunValues(enc)
 		if err != nil {
@@ -241,7 +254,7 @@ func buildSummary(kind types.Kind, enc []byte) (summary, error) {
 				return sum, err
 			}
 		}
-		if sum.ints, ok = distinct(vals); ok {
+		if sum.ints, ok = distinct(vals, hashInt); ok {
 			return sum, nil
 		}
 		sum.bits = newBloom(len(vals))
@@ -254,26 +267,46 @@ func buildSummary(kind types.Kind, enc []byte) (summary, error) {
 
 // distinct returns the sorted distinct values of vals, or ok=false as soon as
 // it has seen more than maxExact of them — a Bloom block learns that within
-// its first few hundred values, without copying or sorting the block.
-func distinct[T cmp.Ordered](vals []T) (out []T, ok bool) {
-	seen := make(map[T]struct{}, 16)
+// its first few hundred values, without copying or sorting the block. A fixed
+// open-addressed table on the stack holds, for each distinct value seen, its
+// first index in vals plus one (0 is an empty slot); it has more than twice
+// maxExact slots, so a probe ends at an empty slot well before it wraps. hash
+// is hashInt or hashStr.
+func distinct[T cmp.Ordered](vals []T, hash func(T) uint64) (out []T, ok bool) {
+	var table [distinctSlots]int
+	n := 0
 	for i, v := range vals {
 		if i > 0 && v == vals[i-1] {
 			continue
 		}
-		if _, dup := seen[v]; !dup {
-			if len(seen) == maxExact {
+		s := hash(v) >> (64 - distinctBits)
+		for table[s] != 0 && vals[table[s]-1] != v {
+			s = (s + 1) & (distinctSlots - 1)
+		}
+		if table[s] == 0 {
+			if n == maxExact {
 				return nil, false
 			}
-			seen[v] = struct{}{}
-			out = append(out, v)
+			n++
+			table[s] = i + 1
+		}
+	}
+	if n == 0 {
+		return nil, true
+	}
+	out = make([]T, 0, n)
+	for s := range table {
+		if table[s] != 0 {
+			out = append(out, vals[table[s]-1])
 		}
 	}
 	slices.Sort(out)
 	return out, true
 }
 
-// newBloom sizes a bit set for n values at bloomBitsPerRow bits each.
+// newBloom sizes a blocked Bloom filter for n values at bloomBitsPerRow bits
+// each. Its blocks are 64-bit words: a value's bloomHashes bits all land in
+// the one word its hash picks (bloomWord).
 func newBloom(n int) []uint64 {
 	if n < 1 {
 		n = 1
@@ -281,46 +314,53 @@ func newBloom(n int) []uint64 {
 	return make([]uint64, (n*bloomBitsPerRow+63)/64)
 }
 
-// bloomAdd sets bloomHashes positions derived from h by double hashing.
-func bloomAdd(bits []uint64, h uint64) {
-	h1, h2 := uint32(h), uint32(h>>32)|1
-	n := uint32(len(bits) * 64)
-	for i := uint32(0); i < bloomHashes; i++ {
-		p := (h1 + i*h2) % n
-		bits[p/64] |= 1 << (p % 64)
-	}
+// bloomWord picks the word of bits h lands in and the bits it sets there:
+// multiply-shift of h's high 32 bits chooses the word without a division, and
+// the low 24 bits, as bloomHashes 6-bit fields, choose a bit each (two fields
+// may choose the same bit).
+func bloomWord(bits []uint64, h uint64) (w int, mask uint64) {
+	w = int((h >> 32) * uint64(len(bits)) >> 32)
+	mask = 1<<(h&63) | 1<<(h>>6&63) | 1<<(h>>12&63) | 1<<(h>>18&63)
+	return w, mask
 }
 
-// bloomHas reports whether every probe position of h is set; false means the
+// bloomAdd sets h's bits in its word.
+func bloomAdd(bits []uint64, h uint64) {
+	w, mask := bloomWord(bits, h)
+	bits[w] |= mask
+}
+
+// bloomHas reports whether every bit of h is set in its word; false means the
 // value is certainly absent.
 func bloomHas(bits []uint64, h uint64) bool {
-	h1, h2 := uint32(h), uint32(h>>32)|1
-	n := uint32(len(bits) * 64)
-	for i := uint32(0); i < bloomHashes; i++ {
-		p := (h1 + i*h2) % n
-		if bits[p/64]&(1<<(p%64)) == 0 {
-			return false
-		}
-	}
-	return true
+	w, mask := bloomWord(bits, h)
+	return bits[w]&mask == mask
 }
 
-// hashInt is FNV-1a over the value's little-endian bytes.
+// hashInt is murmur3's 64-bit finalizer (fmix64) of the value: a bijection
+// whose every output bit depends on every input bit, in two multiplies. It
+// takes no per-process seed, so skip decisions repeat across runs.
 func hashInt(v int64) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < 8; i++ {
-		h ^= uint64(byte(v >> (8 * i)))
-		h *= 1099511628211
-	}
-	return h
+	return fmix64(uint64(v))
 }
 
-// hashStr is FNV-1a over the string's bytes.
+// hashStr is FNV-1a over the string's bytes, finished by fmix64 so that both
+// halves of the hash are mixed.
 func hashStr(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= 1099511628211
 	}
+	return fmix64(h)
+}
+
+// fmix64 is murmur3's 64-bit finalizer.
+func fmix64(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
 	return h
 }

@@ -89,7 +89,7 @@ func TestBuildArmsAndProbes(t *testing.T) {
 	if _, ix := s.CanSkip(engine.Pred{Col: 2, Op: engine.PredInt64Range, ILo: 0, IHi: 1 << 40}, 0); ix {
 		t.Fatal("bloom arm claimed to answer a non-equality range")
 	}
-	// Absent probes must skip most blocks (~1% false positives).
+	// Absent probes must skip most blocks (~2% false positives).
 	skips := 0
 	for i := 0; i < 400; i++ {
 		if sk, _ := s.CanSkip(engine.Pred{Col: 2, Op: engine.PredInt64Range, ILo: int64(-9000 - i), IHi: int64(-9000 - i), Eq: true}, i%4); sk {
