@@ -286,22 +286,25 @@ func Open(dir string, opts Options) (*DB, error) {
 
 	n := len(stores)
 	// Per-shard base LSNs: records at or below a shard's bar were
-	// materialized into its image before the manifest swapped.
+	// materialized into its image before the manifest swapped. The shards'
+	// streams are read concurrently; of several failures the lowest-numbered
+	// shard's is reported.
 	bases := make([]uint64, n)
 	logs = make([]*wal.FileLog, n)
 	streams := make([][]wal.Record, n)
-	for i := range stores {
+	errs := make([]error, n)
+	eachShard(n, func(i int) {
 		bases[i] = man.Shards[i].LSN
-		logs[i], streams[i], err = wal.OpenFileLog(filepath.Join(dir, shardWalDir(i)))
-		if err != nil {
-			return nil, err
-		}
+		logs[i], streams[i], errs[i] = wal.OpenFileLog(filepath.Join(dir, shardWalDir(i)))
 		// The clock must sit at the max of the manifest's freeze LSN and the
 		// last log record: a fully truncated log must not rewind it below the
 		// checkpoint, or post-recovery commits would reuse spent LSNs.
-		if bases[i] > logs[i].LSN() {
+		if errs[i] == nil && bases[i] > logs[i].LSN() {
 			logs[i].SetLSN(bases[i])
 		}
+	})
+	if err := firstError(errs); err != nil {
+		return nil, err
 	}
 	// Cross-shard atomicity: a commit clock entry missing from any
 	// participant stream (crash between two shards' batch fsyncs, or a torn
@@ -309,7 +312,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	// stream.
 	streams = wal.CompleteGroups(streams, bases)
 	mgrs := make([]*txn.Manager, n)
-	for i := range stores {
+	eachShard(n, func(i int) {
 		mgrs[i] = txn.NewManager(stores[i], nil, txn.Options{Log: logs[i]})
 		// Replay only the records the checkpointed image does not already
 		// contain: everything at or below the shard's manifest LSN was
@@ -322,8 +325,11 @@ func Open(dir string, opts Options) (*DB, error) {
 			}
 		}
 		if err := mgrs[i].Recover(tail); err != nil {
-			return nil, fmt.Errorf("pdtstore: WAL replay shard %d: %w", i, err)
+			errs[i] = fmt.Errorf("pdtstore: WAL replay shard %d: %w", i, err)
 		}
+	})
+	if err := firstError(errs); err != nil {
+		return nil, err
 	}
 	sharded, err := txn.NewSharded(mgrs, man.Splits)
 	if err != nil {
@@ -356,6 +362,35 @@ func Open(dir string, opts Options) (*DB, error) {
 	}
 	opened = true
 	return db, nil
+}
+
+// eachShard runs f(0) … f(n-1) concurrently and returns when all are done;
+// one shard runs inline.
+func eachShard(n int, f func(i int)) {
+	if n == 1 {
+		f(0)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			f(i)
+			wg.Done()
+		}()
+	}
+	wg.Wait()
+}
+
+// firstError returns the first non-nil error of errs: the failure of the
+// lowest-numbered shard.
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func closeStores(stores []*colstore.Store) {

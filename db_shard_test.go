@@ -10,13 +10,17 @@ package pdtstore
 // builds.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"pdtstore/internal/pdt"
 	"pdtstore/internal/table"
 	"pdtstore/internal/txn"
 	"pdtstore/internal/types"
@@ -447,4 +451,115 @@ func TestShardedCheckpointTruncatesPerStream(t *testing.T) {
 	db = openShardDB(t, dir, 4)
 	defer db.Close()
 	checkState(t, db, m)
+}
+
+// openFDs counts the process's open file descriptors, or returns -1 where
+// /proc does not list them.
+func openFDs() int {
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(fds)
+}
+
+// TestShardedOpenReportsLowestFailingShard: shards 1 and 3 each end in a
+// CRC-valid record that pdt.Rebuild rejects. The shards replay concurrently,
+// and Open returns shard 1's error whichever finishes first, with every log
+// closed and the directory lock released — so a second Open fails the same
+// way, not with "already open".
+func TestShardedOpenReportsLowestFailingShard(t *testing.T) {
+	dir := t.TempDir()
+	db := openShardDB(t, dir, 4)
+	m := model{}
+	sCommitInserts(t, db, m, 10, 260, 510, 760)
+	sCommitInserts(t, db, m, 20, 270)
+	db.crash()
+	for _, shard := range []int{1, 3} {
+		flog, _, err := wal.OpenFileLog(filepath.Join(dir, shardWalDir(shard)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Column 1 holds strings: a modify to an int does not fit the schema.
+		bad := wal.GroupRecord{Table: "table", Shard: uint32(shard), Entries: []pdt.RebuildEntry{
+			{SID: 0, Kind: 1, Mod: types.Int(7)}}}
+		if err := flog.AppendGroupAt(flog.LSN()+1, []wal.GroupRecord{bad}); err != nil {
+			t.Fatal(err)
+		}
+		flog.Close()
+	}
+	fds := openFDs()
+	for attempt := 0; attempt < 2; attempt++ {
+		db, err := Open(dir, Options{Schema: dbSchema})
+		if err == nil {
+			db.Close()
+			t.Fatal("Open replayed a record that does not fit the schema")
+		}
+		if !strings.Contains(err.Error(), "shard 1:") || strings.Contains(err.Error(), "already open") {
+			t.Fatalf("Open attempt %d = %v; want shard 1's replay error", attempt, err)
+		}
+		if now := openFDs(); now > fds {
+			t.Fatalf("failed Open left %d descriptors open", now-fds)
+		}
+	}
+}
+
+// rewriteWAL rewrites the newest file of the log in walDir as fn of its
+// frames, each a header and its body.
+func rewriteWAL(t *testing.T, walDir string, fn func(frames [][]byte) [][]byte) {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(walDir, "*.wal"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no log file in %s: %v", walDir, err)
+	}
+	path := files[len(files)-1]
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames [][]byte
+	for len(data) > 0 {
+		n := 8 + int(binary.LittleEndian.Uint32(data))
+		frames, data = append(frames, data[:n:n]), data[n:]
+	}
+	if err := os.WriteFile(path, slices.Concat(fn(frames)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenRejectsLSNsThatDoNotAscend: a CRC-valid record repeated at the end
+// of the log, or the last two records swapped, would replay an update twice
+// or rewind the commit clock. Open refuses the tail, and keeps refusing it.
+func TestOpenRejectsLSNsThatDoNotAscend(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fn   func(frames [][]byte) [][]byte
+	}{
+		{"duplicate", func(f [][]byte) [][]byte { return append(f, f[len(f)-1]) }},
+		{"lower", func(f [][]byte) [][]byte {
+			f[len(f)-2], f[len(f)-1] = f[len(f)-1], f[len(f)-2]
+			return f
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			db := openTestDB(t, dir)
+			m := model{}
+			commitInserts(t, db, m, 1, 4)
+			commitInserts(t, db, m, 4, 6)
+			commitInserts(t, db, m, 6, 9)
+			db.crash()
+			rewriteWAL(t, filepath.Join(dir, shardWalDir(0)), tc.fn)
+			for attempt := 0; attempt < 2; attempt++ {
+				db, err := Open(dir, Options{Schema: dbSchema})
+				if err == nil {
+					db.Close()
+					t.Fatal("Open replayed a tail whose LSNs do not ascend")
+				}
+				if !strings.Contains(err.Error(), "ascend") {
+					t.Fatalf("Open attempt %d = %v; want an LSN-order error", attempt, err)
+				}
+			}
+		})
+	}
 }

@@ -27,10 +27,11 @@
 // resolve their target positions with one shared merge-scan cursor
 // (Table.ApplyBatch, Txn.ApplyBatch), commits serialize straight out of the
 // Trans-PDT into a buffer-reusing WAL, PDT layers fold into each other with
-// an O(n+m) leaf-chain merge (pdt.Fold; when the layer is small pdt.FoldSnap
-// takes the paper's per-entry Algorithm 7, pdt.Propagate, on a copy-on-write
-// fork, which is also how a WAL tail is replayed), and checkpoints stream the
-// merged view into the block builder without materializing rows.
+// an O(n+m) leaf-chain merge (pdt.Fold; when the layer is small pdt.Apply
+// takes the paper's per-entry Algorithm 7, pdt.Propagate, instead — on a
+// copy-on-write fork at commit, pdt.FoldSnap, and in place on one snapshot
+// when a WAL tail is replayed), and checkpoints stream the merged view into
+// the block builder without materializing rows.
 //
 // Maintenance is online: every transaction pins an immutable (stable image,
 // Read-PDT) version at Begin, and both downward folds — Write→Read
@@ -52,8 +53,9 @@
 // the committed view into the next generation, fsyncs, atomically swaps the
 // MANIFEST and truncates the log; recovery loads the manifest's segment,
 // replays only the WAL tail past the manifest's LSN (so an interrupted
-// truncation cannot double-apply), truncates a torn final record, and
-// resumes the commit clock. Crashing at any point of that sequence recovers
+// truncation cannot double-apply; a tail whose LSNs do not ascend is
+// refused), truncates a torn final record, and resumes the commit clock.
+// The shards' streams are read, and their tails replayed, concurrently. Crashing at any point of that sequence recovers
 // exactly the committed state. A superseded segment's descriptor is closed
 // as soon as its last pinned reader finishes, not at DB.Close.
 //

@@ -35,7 +35,16 @@ func Fold(base, w *PDT) (*PDT, error) {
 	out := New(base.schema, base.fanout)
 	b := newBulkBuilder(out)
 	b.reserve(base.nEntries + w.nEntries)
+	// Every payload the merge emits comes from one input's table of its
+	// kind, so the inputs' tables bound the output's: size them once.
 	ov := out.vals
+	ov.ins = make([]types.Row, 0, base.nIns+w.nIns)
+	ov.del = make([]types.Row, 0, base.nDel+w.nDel)
+	for c := range ov.mods {
+		if n := len(base.vals.mods[c]) + len(w.vals.mods[c]); n > 0 {
+			ov.mods[c] = make([]types.Value, 0, n)
+		}
+	}
 	cb := base.newCursorAtStart()
 	cw := w.newCursorAtStart()
 
@@ -154,28 +163,36 @@ func Fold(base, w *PDT) (*PDT, error) {
 	return out, nil
 }
 
-// foldSnapRatio is FoldSnap's cutover: when w holds at least 1/foldSnapRatio
-// of base's entries the full bulk merge beats per-entry insertion.
+// foldSnapRatio is Apply's cutover: when w holds at least 1/foldSnapRatio
+// of the target's entries the full bulk merge beats per-entry insertion.
 const foldSnapRatio = 8
 
 // FoldSnap is Fold for the common commit-path shape — a small w landing on a
-// large base. Instead of rebuilding base's whole tree it forks base (O(1),
-// structure shared) and applies w entry by entry, path-copying only the
-// nodes w touches; large w falls back to the bulk merge. Both inputs stay
+// large base. It forks base (O(1), structure shared) and hands the fork to
+// Apply, so a small w is applied entry by entry, path-copying only the
+// nodes it touches, and a large w takes the bulk merge. Both inputs stay
 // valid. The result is entry-equivalent to Fold but not offset-identical:
 // payloads may occupy different value-space slots.
 func FoldSnap(base, w *PDT) (*PDT, error) {
-	if w.schema.NumCols() != base.schema.NumCols() {
-		return nil, fmt.Errorf("pdt: fold across different schemas")
+	if base.nEntries == 0 {
+		return Fold(base, w) // nothing to fork: Fold leaves base as it is
 	}
-	if base.nEntries == 0 || w.nEntries*foldSnapRatio >= base.nEntries {
-		return Fold(base, w)
+	return Apply(base.fork(), w)
+}
+
+// Apply moves layer w down into t, a PDT the caller owns, by the one size
+// rule of this package: when t is empty or w holds at least 1/foldSnapRatio
+// of t's entries it returns Fold(t, w), a new PDT that leaves t untouched;
+// otherwise it runs t.Propagate(w) and returns t itself, updated in place.
+// The caller keeps using the result in place of t. On an error t may hold
+// part of w and must be discarded; FoldSnap and WAL replay apply to a fork
+// or a snapshot, so their base stays intact.
+func Apply(t, w *PDT) (*PDT, error) {
+	if t.nEntries == 0 || w.nEntries*foldSnapRatio >= t.nEntries {
+		return Fold(t, w)
 	}
-	out := base.fork()
-	if err := out.Propagate(w); err != nil {
-		// out is abandoned; base was never written (all mutation was
-		// copy-on-write into out's own nodes and reallocated payload tables).
+	if err := t.Propagate(w); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return t, nil
 }

@@ -20,11 +20,10 @@ type RebuildEntry struct {
 }
 
 // Dump flattens the PDT into rebuildable entries (the WAL's record body).
-// The returned rows alias the PDT's value space — they are serialized or
-// cloned by the consumer (the WAL encoder serializes them immediately and
-// Rebuild clones on intake), so Dump itself never copies a payload. Callers
-// must not mutate the rows, and a dump taken before later updates to the
-// PDT may observe those updates through the aliases.
+// The returned rows alias the PDT's value space — the WAL encoder serializes
+// them immediately — so Dump itself never copies a payload. Callers must not
+// mutate the rows, and a dump taken before later updates to the PDT may
+// observe those updates through the aliases.
 func (t *PDT) Dump() []RebuildEntry {
 	out := make([]RebuildEntry, 0, t.nEntries)
 	for c := t.newCursorAtStart(); c.valid(); c.advance() {
@@ -42,11 +41,27 @@ func (t *PDT) Dump() []RebuildEntry {
 	return out
 }
 
-// Rebuild constructs a PDT from dumped entries.
+// Rebuild constructs a PDT from dumped entries and takes ownership of their
+// rows: it stores them as they are, without a copy, so the caller must not
+// write them afterwards (WAL replay hands over the rows it decoded for the
+// record). The PDT never writes them in place either — its payload counts as
+// shared, so a later update repoints instead — which keeps a Rebuild of
+// another PDT's Dump from writing through to that PDT.
 func Rebuild(schema *types.Schema, fanout int, entries []RebuildEntry) (*PDT, error) {
 	t := New(schema, fanout)
 	b := newBulkBuilder(t)
 	b.reserve(len(entries))
+	var nIns, nDel int
+	for _, e := range entries {
+		switch e.Kind {
+		case KindIns:
+			nIns++
+		case KindDel:
+			nDel++
+		}
+	}
+	t.vals.ins = make([]types.Row, 0, nIns)
+	t.vals.del = make([]types.Row, 0, nDel)
 	for i, e := range entries {
 		switch e.Kind {
 		case KindIns:
@@ -54,13 +69,13 @@ func Rebuild(schema *types.Schema, fanout int, entries []RebuildEntry) (*PDT, er
 				return nil, fmt.Errorf("pdt: rebuild entry %d: %w", i, err)
 			}
 			b.append(e.SID, KindIns, uint64(len(t.vals.ins)))
-			t.vals.ins = append(t.vals.ins, e.Ins.Clone())
+			t.vals.ins = append(t.vals.ins, e.Ins)
 		case KindDel:
 			if err := schema.ValidateKey(e.Del, false); err != nil {
 				return nil, fmt.Errorf("pdt: rebuild entry %d: ghost key: %w", i, err)
 			}
 			b.append(e.SID, KindDel, uint64(len(t.vals.del)))
-			t.vals.del = append(t.vals.del, e.Del.Clone())
+			t.vals.del = append(t.vals.del, e.Del)
 		default:
 			col := int(e.Kind)
 			if col >= schema.NumCols() || schema.IsSortKeyCol(col) || e.Mod.K != schema.Cols[col].Kind {
@@ -71,6 +86,7 @@ func Rebuild(schema *types.Schema, fanout int, entries []RebuildEntry) (*PDT, er
 		}
 	}
 	b.finish()
+	t.sharedPayload = true
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("pdt: rebuild produced invalid tree: %w", err)
 	}

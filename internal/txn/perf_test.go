@@ -172,6 +172,30 @@ func BenchmarkRecoverTail(b *testing.B) {
 	}
 }
 
+// BenchmarkRecoverBatchTail replays the merge workload's tail shape onto an
+// empty Write-PDT over 40k stable rows: 8 records of 940 mixed ops, which
+// the size rule bulk-folds, then 960 one-op records, which it propagates.
+func BenchmarkRecoverBatchTail(b *testing.B) {
+	const stable = 40 << 10
+	sizes := make([]int, 0, 8+960)
+	for len(sizes) < 8 {
+		sizes = append(sizes, 940)
+	}
+	for len(sizes) < 8+960 {
+		sizes = append(sizes, 1)
+	}
+	records, _, _, _ := scriptedLog(b, stable, sizes, 1)
+	store := mustManager(b, stable, Options{}).Store()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := NewManager(store, nil, Options{})
+		if err := m.Recover(records); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestRecoverCostFollowsTail is the guard for per-entry replay: the bytes
 // allocated replaying a fixed tail must not follow the size of the layer it
 // lands on. A whole-tree rebuild per record grows them 16x here, and so does

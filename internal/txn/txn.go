@@ -16,8 +16,8 @@
 // durable with a single WAL append (one fsync), so the durability wait
 // happens off the manager mutex and concurrent writers share the barrier
 // instead of queueing on it; installLocked then makes it visible. See
-// Txn.Commit and commitLeader. Recover replays the logged records with the
-// per-entry half of that fold, on one snapshot of the Write-PDT.
+// Txn.Commit and commitLeader. Recover replays the logged records by the
+// same size rule as that fold (pdt.Apply), on one snapshot of the Write-PDT.
 //
 // Maintenance is online (maintain.go): the (store, Read-PDT) pair a
 // transaction reads is an immutable version pinned at Begin. When the
@@ -310,19 +310,26 @@ func (m *Manager) finishLocked(t *Txn) {
 // Recover rebuilds the committed state from WAL records (applied on top of
 // the manager's current checkpointed state, in LSN order) and re-syncs both
 // the commit clock and the attached WAL writer to the last durable LSN, so
-// post-recovery commits continue the pre-crash sequence. Every record is
-// applied entry by entry (pdt.Propagate, the paper's Algorithm 7) to one
-// copy-on-write snapshot of the Write-PDT, installed only when the whole tail
-// went in: replay costs what the tail holds, and a record that cannot be
-// applied leaves the manager where Recover found it.
+// post-recovery commits continue the pre-crash sequence. The records must
+// carry strictly ascending LSNs: a duplicated or reordered record would
+// replay an update twice and rewind the clock. Each record is moved down
+// into one copy-on-write snapshot of the Write-PDT by pdt.Apply, the size
+// rule commits use (a record holding at least an eighth of the layer is
+// bulk-folded, a smaller one propagated entry by entry, the paper's
+// Algorithm 7, with no fork per record), and the result is installed only
+// when the whole tail went in: replay costs what the tail holds, and a
+// record that cannot be applied leaves the manager where Recover found it.
 func (m *Manager) Recover(records []wal.Record) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	w, lsn := m.writePDT.Snapshot(), m.lsn
-	for _, rec := range records {
+	for i, rec := range records {
+		if i > 0 && rec.LSN <= lsn {
+			return fmt.Errorf("txn: recover LSN %d: follows LSN %d; a tail's LSNs must ascend", rec.LSN, lsn)
+		}
 		p, err := pdt.Rebuild(m.schema, 0, rec.Entries)
 		if err == nil {
-			err = w.Propagate(p)
+			w, err = pdt.Apply(w, p)
 		}
 		if err != nil {
 			return fmt.Errorf("txn: recover LSN %d: %w", rec.LSN, err)

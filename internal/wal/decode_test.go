@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"runtime"
 	"slices"
 	"testing"
 
 	"pdtstore/internal/pdt"
+	"pdtstore/internal/types"
 )
 
 // frame wraps a record body in the header Replay checks: its length and CRC.
@@ -109,10 +111,42 @@ func FuzzDecodeRecord(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if got := encodeRecord(nil, rec); !bytes.Equal(got, body) {
-			t.Fatalf("decoded %+v re-encodes to %x, body %x", rec, got, body)
+		// Replay reuses one buffer for every frame, so nothing decoded may
+		// alias the body: overwriting it must leave the record as it was.
+		want := slices.Clone(body)
+		for i := range body {
+			body[i] = ^body[i]
+		}
+		if got := encodeRecord(nil, rec); !bytes.Equal(got, want) {
+			t.Fatalf("decoded %+v re-encodes to %x, body %x", rec, got, want)
 		}
 	})
+}
+
+// TestDecodeRecordAllocsAreFixed: a record's rows are cut from one value
+// slab and its strings from one arena, so decoding 1,000 inserts allocates
+// the same few objects as decoding ten.
+func TestDecodeRecordAllocsAreFixed(t *testing.T) {
+	body := func(n int) []byte {
+		entries := make([]pdt.RebuildEntry, n)
+		for i := range entries {
+			entries[i] = pdt.RebuildEntry{SID: uint64(i), Kind: pdt.KindIns, Ins: types.Row{
+				types.Int(int64(i)), types.Str(fmt.Sprintf("row %d", i)), types.Float(float64(i) / 4), types.DateVal(int64(i))}}
+		}
+		return encodeRecord(nil, Record{LSN: 1, Table: "lineitem", Entries: entries})
+	}
+	allocs := func(b []byte) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := decodeRecord(b); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// The table name, the entries, the value slab and the string arena.
+	const fixed = 4
+	if small, large := allocs(body(10)), allocs(body(1000)); small > fixed || large > fixed {
+		t.Fatalf("decoding 10 inserts allocates %v objects, 1,000 inserts %v; want at most %d", small, large, fixed)
+	}
 }
 
 // TestReplayBoundsAllocationByStream: a frame header may claim up to 1 GiB;

@@ -35,6 +35,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
+	"strings"
 
 	"pdtstore/internal/pdt"
 	"pdtstore/internal/types"
@@ -242,11 +244,13 @@ func Replay(r io.Reader) ([]Record, error) {
 // the valid prefix — what a file log truncates a torn file down to. A frame
 // claiming more bytes than the stream holds is classified as a tear up front,
 // instead of allocating a buffer for a garbage length read out of a torn
-// header.
+// header. One body buffer serves every frame: a decoded record holds none
+// of its bytes.
 func replayConsumed(r io.Reader, total int64) ([]Record, int64, error) {
 	br := bufio.NewReader(r)
 	var out []Record
 	var consumed int64
+	var body []byte
 	for {
 		var hdr [8]byte
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -274,7 +278,7 @@ func replayConsumed(r io.Reader, total int64) ([]Record, int64, error) {
 		if size > maxRecordSize {
 			return out, consumed, fmt.Errorf("%w: implausible record size %d", ErrTornTail, size)
 		}
-		body := make([]byte, size)
+		body = append(body[:0], make([]byte, size)...) // resized in place once it is large enough
 		if _, err := io.ReadFull(br, body); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
 				return out, consumed, ErrTornTail
@@ -372,6 +376,10 @@ const minEntrySize = 8 + 2 + 4
 // decodeRecord is encodeRecord's inverse. Every count is bounded by the bytes
 // left before anything is allocated from it, and a body with bytes past its
 // last entry is corrupt: a record decodes only from exactly its encoding.
+// A first pass over the entries sums their row values and string bytes, so
+// the second cuts every row from one value slab and every string from one
+// arena of exactly their bytes: a record costs the same few allocations
+// whatever it holds, and nothing decoded aliases buf.
 func decodeRecord(buf []byte) (Record, error) {
 	var rec Record
 	r := &types.Reader{Buf: buf}
@@ -384,24 +392,78 @@ func decodeRecord(buf []byte) (Record, error) {
 			rec.Parts[i] = r.U32()
 		}
 	}
-	rec.Entries = make([]pdt.RebuildEntry, r.Count(minEntrySize))
+	n := r.Count(minEntrySize)
+	sizes := *r
+	nVals, nBytes := payloadSize(&sizes, n)
+	if sizes.Err != nil {
+		return rec, fmt.Errorf("wal: corrupt record: %w", sizes.Err)
+	}
+	if len(sizes.Buf) > 0 {
+		return rec, fmt.Errorf("wal: corrupt record: %d bytes past the last entry", len(sizes.Buf))
+	}
+	rec.Entries = make([]pdt.RebuildEntry, n)
+	slab := make([]types.Value, nVals)
+	var arena strings.Builder
+	arena.Grow(nBytes)
 	for i := range rec.Entries {
-		e := pdt.RebuildEntry{SID: r.U64(), Kind: r.U16()}
+		e := &rec.Entries[i]
+		e.SID, e.Kind = r.U64(), r.U16()
 		switch e.Kind {
-		case pdt.KindIns:
-			e.Ins = r.Row()
-		case pdt.KindDel:
-			e.Del = r.Row()
+		case pdt.KindIns, pdt.KindDel:
+			k := r.Count(5)
+			row := types.Row(slab[:k:k])
+			slab = slab[k:]
+			for j := range row {
+				row[j] = value(r, &arena)
+			}
+			if e.Kind == pdt.KindIns {
+				e.Ins = row
+			} else {
+				e.Del = row
+			}
 		default:
-			e.Mod = r.Value()
+			e.Mod = value(r, &arena)
 		}
-		rec.Entries[i] = e
-	}
-	if r.Err != nil {
-		return rec, fmt.Errorf("wal: corrupt record: %w", r.Err)
-	}
-	if len(r.Buf) > 0 {
-		return rec, fmt.Errorf("wal: corrupt record: %d bytes past the last entry", len(r.Buf))
 	}
 	return rec, nil
+}
+
+// value is types.Reader.Value with a string's bytes copied into arena, which
+// decodeRecord has grown by the bytes of every string it reads: one
+// allocation for all of them.
+func value(r *types.Reader, arena *strings.Builder) types.Value {
+	k := types.Kind(r.U8())
+	switch k {
+	case types.Float64:
+		return types.Value{K: k, F: math.Float64frombits(r.U64())}
+	case types.String:
+		start := arena.Len()
+		arena.Write(r.Take(r.Count(1)))
+		return types.Value{K: k, S: arena.String()[start:]}
+	default:
+		return types.Value{K: k, I: int64(r.U64())}
+	}
+}
+
+// payloadSize reads past n encoded entries and returns how many row values
+// and string bytes they hold; the first short read sets r.Err.
+func payloadSize(r *types.Reader, n int) (vals, strBytes int) {
+	for i := 0; i < n && r.Err == nil; i++ {
+		r.Take(8)
+		values := 1
+		if kind := r.U16(); kind == pdt.KindIns || kind == pdt.KindDel {
+			values = r.Count(5)
+			vals += values
+		}
+		for j := 0; j < values && r.Err == nil; j++ {
+			if types.Kind(r.U8()) != types.String {
+				r.Take(8)
+				continue
+			}
+			l := r.Count(1)
+			r.Take(l)
+			strBytes += l
+		}
+	}
+	return vals, strBytes
 }
