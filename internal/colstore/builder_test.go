@@ -21,7 +21,7 @@ import (
 // (RLE), a full-range int (plain), a low-cardinality string (packed
 // dictionary) and an all-distinct one (plain: offsets and codes would cost
 // more than the bytes they save; compressed=false makes every column plain), a
-// float and a bool.
+// float of hundredths (ScaledFloat) and a bool.
 func hashSchema() *types.Schema {
 	return types.MustSchema([]types.Column{
 		{Name: "k", Kind: types.Int64},
@@ -76,9 +76,11 @@ func hashBatches(n int) []*vector.Batch {
 // uncompressed file is the one the commit before the overlapped flush and the
 // decide-then-write encoders built. The compressed one was re-recorded when
 // ForInt and the packed dictionary replaced delta-varint and varint-code
-// dictionary blocks (a format change: the parent wrote d9c7b3e1…e299).
+// dictionary blocks (a format change: the parent wrote d9c7b3e1…e299), and
+// again when column f, hundredths, began to encode as ScaledFloat instead of
+// PlainFloat (the parent wrote 43755648…c429).
 var parentSegmentHashes = map[bool]string{
-	true:  "43755648b41c3ef33986e795eab8950a5be7b29b84c53019eb28bfd7ea67c429",
+	true:  "991ffc850dd1011d1ad67c43456684b2249786e7ab5d15ef78274603f9e378ac",
 	false: "5c978edf539546af7636640e177dcd5cc6b86152aa5a0f104a0fe7267981d147",
 }
 
@@ -458,15 +460,26 @@ func testCheckpointBuilderChain(t *testing.T, in buildInput, blockRows int, flat
 
 // TestOverlappedBuildMatchesRowBuild: the same rows through AddBatch (blocks
 // flushed in the background) and through Add on a RAM builder scan alike,
-// and every column took the encoding hashSchema promises.
+// and every column took the encoding hashSchema promises — f, hundredths, as
+// ScaledFloat — and a float column of thirds, which no digit count holds,
+// stayed PlainFloat.
 func TestOverlappedBuildMatchesRowBuild(t *testing.T) {
-	schema := hashSchema()
+	schema := types.MustSchema(append(hashSchema().Cols, types.Column{Name: "thirds", Kind: types.Float64}), []int{0})
+	batches := hashBatches(5000)
+	row := 0
+	for _, b := range batches {
+		thirds := vector.New(types.Float64, b.Len())
+		for i := 0; i < b.Len(); i, row = i+1, row+1 {
+			thirds.F = append(thirds.F, float64(row)/3)
+		}
+		b.Vecs = append(b.Vecs, thirds)
+	}
 	fileB, err := NewFileBuilder(schema, nil, 512, true, filepath.Join(t.TempDir(), "o.seg"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ramB := NewBuilder(schema, nil, 512, true)
-	for _, batch := range hashBatches(5000) {
+	for _, batch := range batches {
 		if err := fileB.AddBatch(batch); err != nil {
 			t.Fatal(err)
 		}
@@ -506,7 +519,7 @@ func TestOverlappedBuildMatchesRowBuild(t *testing.T) {
 		}
 	}
 	want := []compress.Scheme{compress.ForInt, compress.RLEInt, compress.PlainInt,
-		compress.PackedDict, compress.PlainString, compress.PlainFloat, compress.BitBool}
+		compress.PackedDict, compress.PlainString, compress.ScaledFloat, compress.BitBool, compress.PlainFloat}
 	for c, w := range want {
 		enc, _ := ram.EncodedBlock(c, 0)
 		if got := compress.BlockScheme(enc); got != w {

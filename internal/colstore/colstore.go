@@ -395,7 +395,7 @@ func (b *Builder) AddBatch(batch *vector.Batch) error {
 func encodeVec(v *vector.Vector, compressed bool) []byte {
 	switch v.Kind {
 	case types.Float64:
-		return compress.EncodeFloat64s(v.F)
+		return compress.EncodeFloat64s(v.F, compressed)
 	case types.String:
 		return compress.EncodeStrings(v.S, compressed)
 	case types.Bool:

@@ -277,6 +277,85 @@ func checkLegacyReads(t *testing.T, st *colstore.Store, rows []types.Row) {
 	}
 }
 
+// TestLegacyCheckpointWritesScaledFloats: the legacy file's float column,
+// quarters, is PlainFloat throughout — its commit wrote no other float
+// scheme. A checkpoint over it writes that column's blocks as ScaledFloat: an
+// incremental one the block it rewrites and the tail, beside inherited plain
+// blocks, and a full one every block. Every row of both reads back equal.
+func TestLegacyCheckpointWritesScaledFloats(t *testing.T) {
+	const fcol = 5
+	st := openLegacy(t)
+	rows := legacyRows()
+	schemes := func(st *colstore.Store) []compress.Scheme {
+		seg := st.Segments()[len(st.Segments())-1]
+		var out []compress.Scheme
+		for b := 0; b < st.NumBlocks(); b++ {
+			if buf, err := seg.ReadBlock(fcol, b); err == nil {
+				out = append(out, compress.BlockScheme(buf))
+			}
+		}
+		return out
+	}
+	for b, s := range schemes(st) {
+		if s != compress.PlainFloat {
+			t.Fatalf("legacy float block %d has scheme %d", b, s)
+		}
+	}
+
+	inc, err := colstore.NewCheckpointBuilder(st, 7, 0, true, filepath.Join(t.TempDir(), "inc.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inc.WriteBlock(fcol, 3, scanAll(t, st, 3*128, 4*128).Vecs[fcol]); err != nil {
+		t.Fatal(err)
+	}
+	if err := inc.AddBatch(scanAll(t, st, 7*128, len(rows))); err != nil {
+		t.Fatal(err)
+	}
+	incSt, err := inc.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer incSt.Close()
+	for b := 0; b < incSt.NumBlocks(); b++ {
+		enc, err := incSt.EncodedBlock(fcol, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := compress.PlainFloat
+		if b == 3 || b == 7 {
+			want = compress.ScaledFloat
+		}
+		if got := compress.BlockScheme(enc); got != want {
+			t.Errorf("incremental checkpoint: float block %d has scheme %d, want %d", b, got, want)
+		}
+	}
+	t.Run("incremental", func(t *testing.T) { checkLegacyReads(t, incSt, rows) })
+
+	full, err := colstore.NewCheckpointBuilder(st, 0, 128, true, filepath.Join(t.TempDir(), "full.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := full.AddBatch(scanAll(t, st, 0, len(rows))); err != nil {
+		t.Fatal(err)
+	}
+	fullSt, err := full.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fullSt.Close()
+	got := schemes(fullSt)
+	if len(got) != fullSt.NumBlocks() {
+		t.Fatalf("read %d of %d float blocks", len(got), fullSt.NumBlocks())
+	}
+	for b, s := range got {
+		if s != compress.ScaledFloat {
+			t.Errorf("full checkpoint: float block %d has scheme %d, want ScaledFloat", b, s)
+		}
+	}
+	t.Run("full", func(t *testing.T) { checkLegacyReads(t, fullSt, rows) })
+}
+
 // TestUpgradeErrorAtFetch: a retired block whose bytes pass the segment's
 // checksum but do not decode fails its fetch with ErrCorrupt naming the
 // block, and neither enters the pool nor is charged.

@@ -4,11 +4,14 @@
 // unless compression is disabled, in which case the plain scheme is forced —
 // that is the paper's "non-compressed" workstation configuration.
 //
-// Written schemes: PlainInt, ForInt and RLEInt for integers, PlainFloat for
-// floats, BitBool for booleans, PlainString and PackedDict for strings. ForInt
-// and PackedDict are bit-packed at one fixed width per block, so value i of
-// either is found without reading values 0..i-1 — the key probe binary-searches
-// a ForInt block in place (SearchInt64s) and decodes only the rows it reads.
+// Written schemes: PlainInt, ForInt and RLEInt for integers, PlainFloat and
+// ScaledFloat for floats, BitBool for booleans, PlainString and PackedDict for
+// strings. ForInt, ScaledFloat and PackedDict are bit-packed at one fixed
+// width per block, so value i of any of them is found without reading values
+// 0..i-1 — the key probe binary-searches a ForInt block in place
+// (SearchInt64s) and decodes only the rows it reads. ScaledFloat stores a
+// block of decimals — every value float64(n)/10^k for one k ≤ 4 — as the
+// integers n, and a float filter over it compares their residuals.
 //
 // Retired schemes: delta varints and the varint-code dictionary are no longer
 // written, and no kernel reads them. Upgrade, called where a block's bytes
@@ -21,7 +24,8 @@
 // (Decode*) the span of every row. What spans of n values in all, the last
 // ending at value end, cost (and SearchInt64s over [lo, hi)):
 //
-//   - PlainInt, ForInt, PlainFloat, BitBool, PlainString, PackedDict: O(n)
+//   - PlainInt, ForInt, PlainFloat, ScaledFloat, BitBool, PlainString,
+//     PackedDict: O(n)
 //     (SearchInt64s: O(log(hi-lo)) on PlainInt and ForInt);
 //   - RLEInt: O(n) plus the runs before end.
 package compress
@@ -31,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
-	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -77,6 +80,10 @@ const (
 	// in PlainString layout (a uint32 count, end offsets, bytes), followed by
 	// one code per value bit-packed at bits.Len(count-1) bits.
 	PackedDict
+	// ScaledFloat stores value i as float64(base+r_i) / 10^k: the base as a
+	// little-endian int64, the digit count k (0..4) and the residual width,
+	// then the residuals bit-packed at that width.
+	ScaledFloat
 )
 
 // headerSize is the scheme byte plus the little-endian uint32 value count
@@ -156,6 +163,24 @@ func (pk *packer) put(u uint64, w uint) {
 		pk.n -= 64
 		pk.acc = u >> (w - pk.n) // the bits of u the full word had no room for
 	}
+}
+
+// putScaled appends each value of vals as its ScaledFloat residual at w
+// bits: the integer nearest v·p, less base. It holds the packer's state in
+// registers across the run.
+func (pk *packer) putScaled(vals []float64, p float64, base int64, w uint) {
+	acc, n, at := pk.acc, pk.n, pk.p
+	for _, v := range vals {
+		u := uint64(int64(float64(v*p)+roundMagic-roundMagic) - base)
+		acc |= u << n
+		if n += w; n >= 64 {
+			binary.LittleEndian.PutUint64(pk.buf[at:], acc)
+			at += 8
+			n -= 64
+			acc = u >> (w - n)
+		}
+	}
+	pk.acc, pk.n, pk.p = acc, n, at
 }
 
 // flush writes the last, partly filled word.
@@ -351,16 +376,6 @@ func whole[T any](buf []byte, out []T) ([]T, [1]Span, error) {
 	}
 	at := len(out)
 	return slices.Grow(out, n)[:at+n], [1]Span{{At: at, N: n}}, nil
-}
-
-// EncodeFloat64s encodes vals; floats are stored plain (the paper's
-// lightweight codecs target keys and categorical data, not measures).
-func EncodeFloat64s(vals []float64) []byte {
-	buf := newBlock(PlainFloat, len(vals), headerSize+8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[headerSize+8*i:], math.Float64bits(v))
-	}
-	return buf
 }
 
 // DecodeFloat64s decodes a whole block produced by EncodeFloat64s, appending
@@ -745,9 +760,10 @@ func BlockScheme(buf []byte) Scheme {
 }
 
 // BlockCount reports the value count an encoded block's header claims, -1
-// when it has no header. RLE runs and width-0 ForInt and PackedDict blocks
-// hold any count in a few bytes, so a caller about to decode a whole block it
-// did not write checks this against the rows it expects first.
+// when it has no header. RLE runs and width-0 ForInt, ScaledFloat and
+// PackedDict blocks hold any count in a few bytes, so a caller about to
+// decode a whole block it did not write checks this against the rows it
+// expects first.
 func BlockCount(buf []byte) int {
 	_, count, _, err := readHeader(buf)
 	if err != nil {
@@ -759,10 +775,10 @@ func BlockCount(buf []byte) int {
 // wholeCount is the value count of a whole block, once buf's bytes could hold
 // that many values, so that nothing is sized from a count they could not. A
 // plain block spends 8 bytes per int or float and a 4-byte offset per string,
-// and a BitBool block a bit per value; RLE runs are walked, and width-0 ForInt
-// and PackedDict blocks hold any count (callers check BlockCount against the
-// rows they expect first). Any other scheme is not a written one, and no
-// whole decode of it sizes anything.
+// and a BitBool block a bit per value; RLE runs are walked, and width-0
+// ForInt, ScaledFloat and PackedDict blocks hold any count (callers check
+// BlockCount against the rows they expect first). Any other scheme is not a
+// written one, and no whole decode of it sizes anything.
 func wholeCount(buf []byte) (int, error) {
 	scheme, count, body, err := readHeader(buf)
 	if err != nil {
@@ -782,6 +798,9 @@ func wholeCount(buf []byte) (int, error) {
 		return count, err
 	case PackedDict:
 		_, err = parseDict(body, count)
+		return count, err
+	case ScaledFloat:
+		_, err = parseScaled(body, count)
 		return count, err
 	case PlainInt, PlainFloat:
 		bitsPer = 64

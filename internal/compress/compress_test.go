@@ -88,8 +88,8 @@ func TestIntRoundTripQuick(t *testing.T) {
 }
 
 func TestFloatRoundTrip(t *testing.T) {
-	f := func(vals []float64) bool {
-		got, err := DecodeFloat64s(EncodeFloat64s(vals), nil)
+	f := func(vals []float64, compress bool) bool {
+		got, err := DecodeFloat64s(EncodeFloat64s(vals, compress), nil)
 		if err != nil {
 			return false
 		}
@@ -194,7 +194,7 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := DecodeBools(ints, nil); err == nil {
 		t.Error("bool decoder accepted int block")
 	}
-	floats := EncodeFloat64s([]float64{1})
+	floats := EncodeFloat64s([]float64{1}, false)
 	if _, err := DecodeInt64s(floats, nil); err == nil {
 		t.Error("int decoder accepted float block")
 	}
@@ -203,7 +203,7 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := DecodeInt64s(long[:10], nil); err == nil {
 		t.Error("truncated int body accepted")
 	}
-	fbuf := EncodeFloat64s([]float64{1, 2})
+	fbuf := EncodeFloat64s([]float64{1, 2}, false)
 	if _, err := DecodeFloat64s(fbuf[:8], nil); err == nil {
 		t.Error("truncated float body accepted")
 	}
@@ -374,7 +374,7 @@ func checkWindows(t *testing.T, c windowCase) {
 }
 
 // TestDecodeFromWindows runs the span decoders' window contract over one small
-// block of each of the seven written encodings.
+// block of each of the eight written encodings.
 func TestDecodeFromWindows(t *testing.T) {
 	ints := []int64{3, -1, 0, 1 << 40, -(1 << 40), 7, 7, 7, -9, 0, 0, 2}
 	line := []int64{-50, -41, -33, -20, -14, -3, 5, 11, 22, 31, 40, 52, 59}
@@ -384,7 +384,8 @@ func TestDecodeFromWindows(t *testing.T) {
 		intCase("rle-int", encodeRLEInt(ints)),
 		intCase("for-int", encodeForInt(ints)),
 		intCase("for-int-line", encodeForInt(line)),
-		floatCase("plain-float", EncodeFloat64s([]float64{0, -1.5, 3.25, 1e300, -1e-300, 42})),
+		floatCase("plain-float", EncodeFloat64s([]float64{0, -1.5, 3.25, 1e300, -1e-300, 42}, true)),
+		floatCase("scaled-float", EncodeFloat64s([]float64{0, -1.5, 3.25, 1e3, -1e-2, 42, 17.75, 0.5}, true)),
 		boolCase("bit-bool", EncodeBools([]int64{1, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1})),
 		stringCase("plain-string", encodePlainString(strs)),
 		stringCase("packed-dict", encodePackedDict(strs)),
@@ -394,8 +395,8 @@ func TestDecodeFromWindows(t *testing.T) {
 		seen[BlockScheme(c.buf)] = true
 		checkWindows(t, c)
 	}
-	if len(seen) != 7 || seen[DeltaVarint] || seen[DictString] {
-		t.Errorf("table covers %d encodings, want the 7 written ones", len(seen))
+	if len(seen) != 8 || seen[DeltaVarint] || seen[DictString] {
+		t.Errorf("table covers %d encodings, want the 8 written ones", len(seen))
 	}
 	if slope := binary.LittleEndian.Uint64(encodeForInt(line)[headerSize+8:]); slope == 0 {
 		t.Error("for-int-line was built without its line")
@@ -528,7 +529,8 @@ func TestDecodeFloat64sFrom(t *testing.T) {
 	for i := range vals {
 		vals[i] = float64(i)*1.5 - 7
 	}
-	checkWindows(t, floatCase("floats", EncodeFloat64s(vals)))
+	checkWindows(t, floatCase("floats", EncodeFloat64s(vals, false)))
+	checkWindows(t, floatCase("scaled", EncodeFloat64s(vals, true)))
 }
 
 func TestDecodeBoolsFrom(t *testing.T) {

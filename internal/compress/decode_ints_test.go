@@ -87,8 +87,8 @@ func refDecodeInt64sFrom(buf []byte, skip, n int) ([]int64, error) {
 }
 
 // boundless reports whether buf claims more than 2^16 values in a layout
-// that holds any count in a few bytes — RLE runs, a width-0 ForInt frame, a
-// one-entry PackedDict. A full decode yields the block's count of values by
+// that holds any count in a few bytes — RLE runs, a width-0 ForInt or
+// ScaledFloat frame, a one-entry PackedDict. A full decode yields the block's count of values by
 // contract, so the harnesses decode such a block only through windows with
 // an explicit n; callers check a block's count against the rows they expect
 // before decoding it whole (compress.BlockCount; index.summarize does).
@@ -101,6 +101,8 @@ func boundless(buf []byte) bool {
 		return true
 	case ForInt:
 		return len(body) > 16 && body[16] == 0
+	case ScaledFloat:
+		return len(body) > 9 && body[9] == 0
 	case PackedDict:
 		return len(body) >= 4 && binary.LittleEndian.Uint32(body) <= 1
 	}

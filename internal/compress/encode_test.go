@@ -104,6 +104,131 @@ func stringBlocks() map[string][]string {
 	return blocks
 }
 
+// lineitemFloats are 4096-value blocks shaped like TPC-H lineitem's float
+// columns, drawn as its generator draws them: l_quantity whole numbers 1..50,
+// l_discount hundredths 0..0.10, l_tax hundredths 0..0.08, and
+// l_extendedprice, a product computed in floating point that is often not the
+// nearest double of any short decimal.
+func lineitemFloats() map[string][]float64 {
+	rng := rand.New(rand.NewSource(24))
+	qty, disc, tax, price := make([]float64, 4096), make([]float64, 4096), make([]float64, 4096), make([]float64, 4096)
+	for i := range qty {
+		qty[i] = float64(rng.Intn(50) + 1)
+		price[i] = (900 + float64(rng.Intn(1000))/10) * qty[i] / 10
+		disc[i] = float64(rng.Intn(11)) / 100
+		tax[i] = float64(rng.Intn(9)) / 100
+	}
+	return map[string][]float64{"quantity": qty, "discount": disc, "tax": tax, "extendedprice": price}
+}
+
+// floatBlocks are generated blocks covering every arm of the float encoder:
+// decimal blocks at each digit count, widths 0 through wide, a stray value
+// in a decimal block (first, middle, last), the values no digit count takes
+// (−0, NaN, ±Inf, subnormals, more than 4 decimals), integers at the edge of
+// the range, and a block that fits but is no smaller than plain.
+func floatBlocks() map[string][]float64 {
+	blocks := map[string][]float64{
+		"empty":      {},
+		"one":        {2.5},
+		"one-zero":   {0},
+		"neg-zero":   {1, 2, math.Copysign(0, -1), 3},
+		"nan":        {1, math.NaN(), 2},
+		"inf":        {math.Inf(-1), 1, 2},
+		"subnormal":  {0, 5e-324, 1},
+		"five-digit": {0.12345, 0.5},
+		"tie":        {0.5, 1.5, 2.5, 3.5}, // k = 0 rounds the halves to even and misses
+		"no-smaller": {0.1},                // 15 bytes scaled against 13 plain
+		"limit-in":   slices.Repeat([]float64{(1<<51 - 1) / 1e4, 0, 12.3456}, 20),
+		"limit-neg":  slices.Repeat([]float64{-(1<<51 - 1) / 1e4, 0, -12.3456}, 20),
+		"limit-wide": slices.Repeat([]float64{(1<<51 - 1) / 1e4, -(1<<51 - 1) / 1e4, 0}, 20), // the frame would leave the range
+		"limit-out":  {1 << 51, 0},
+		"limit-52":   {1<<52 - 1, 3},
+		"constant":   slices.Repeat([]float64{0.07}, 4096),
+	}
+	for name, vals := range lineitemFloats() {
+		blocks[name] = vals
+	}
+	rng := rand.New(rand.NewSource(25))
+	for k := range 5 {
+		vals := make([]float64, 1000)
+		for i := range vals {
+			vals[i] = float64(rng.Int63n(2_000_000)-1_000_000) / math.Pow10(k)
+		}
+		blocks[fmt.Sprintf("k%d", k)] = vals
+		for _, at := range []int{0, 500, 999} {
+			stray := slices.Clone(vals)
+			stray[at] = 1.0 / 3
+			blocks[fmt.Sprintf("k%d-stray-%d", k, at)] = stray
+		}
+	}
+	return blocks
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// scaledFits reports whether ScaledFloat can hold vals: some digit count
+// takes every value back through the decoder's function, and the block it
+// makes is strictly smaller than plain.
+func scaledFits(vals []float64) bool {
+	for k := range 5 {
+		if blk, ok := encodeScaledFloat(vals, k); ok {
+			return len(blk) < headerSize+8*len(vals)
+		}
+	}
+	return false
+}
+
+// checkFloatBlock holds the float encoder to its reference byte for byte, in
+// an exactly sized buffer, for both compress flags, holds its scheme choice
+// to scaledFits, and reads every block back bit for bit: whole, through span
+// decodes of windows cut into scattered spans, and through gathers.
+func checkFloatBlock(t testing.TB, vals []float64) {
+	t.Helper()
+	for _, compress := range []bool{true, false} {
+		got, want := EncodeFloat64s(vals, compress), refEncodeFloat64s(vals, compress)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d floats, compress=%v: scheme %d, %d bytes; reference scheme %d, %d bytes",
+				len(vals), compress, BlockScheme(got), len(got), BlockScheme(want), len(want))
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("float block of %d bytes in a buffer of %d", len(got), cap(got))
+		}
+		if scaled := BlockScheme(got) == ScaledFloat; scaled != (compress && scaledFits(vals)) {
+			t.Fatalf("%d floats, compress=%v: ScaledFloat = %v, want %v", len(vals), compress, scaled, !scaled)
+		}
+		whole, err := DecodeFloat64s(got, nil)
+		if err != nil || !sameBits(whole, vals) {
+			t.Fatalf("scheme %d whole decode: %v (%v), want %v", BlockScheme(got), whole, err, vals)
+		}
+		for _, seed := range []uint64{0, 0x1201, 0x3407, 0x550f} {
+			skip := int(seed % uint64(len(vals)+1))
+			spans, size := windowSpans(skip, len(vals)-skip, seed)
+			dst := slices.Repeat([]float64{-1e300}, size)
+			if err := DecodeFloat64sSpans(got, spans, dst); err != nil {
+				t.Fatalf("scheme %d span decode %v: %v", BlockScheme(got), spans, err)
+			}
+			for _, sp := range spans {
+				if !sameBits(dst[sp.At:sp.At+sp.N], vals[sp.Row:sp.Row+sp.N]) {
+					t.Fatalf("scheme %d span %+v: %v, want %v", BlockScheme(got), sp, dst[sp.At:sp.At+sp.N], vals[sp.Row:sp.Row+sp.N])
+				}
+			}
+			rows, pos := gatherRows(len(vals)-skip, seed)
+			dst = make([]float64, lastPos(pos))
+			if err := GatherFloat64sAt(got, skip, rows, pos, dst); err != nil {
+				t.Fatalf("scheme %d gather: %v", BlockScheme(got), err)
+			}
+			for i, r := range rows {
+				if g, w := dst[pos[i]], vals[skip+int(r)]; math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("scheme %d gather row %d: %v, want %v", BlockScheme(got), skip+int(r), g, w)
+				}
+			}
+		}
+	}
+}
+
 // checkBlock holds an encoder to its reference byte for byte, in an exactly
 // sized buffer, and round-trips a set of windows through its span decoder,
 // each window one span.
@@ -154,10 +279,15 @@ func TestEncodersMatchReference(t *testing.T) {
 			for i, v := range vals {
 				floats[i] = math.Float64frombits(uint64(v)) // NaNs and infinities included
 			}
-			if got, want := EncodeFloat64s(floats), refEncodeFloat64s(floats); !bytes.Equal(got, want) {
-				t.Fatalf("EncodeFloat64s differs from reference (%d vs %d bytes)", len(got), len(want))
+			checkFloatBlock(t, floats)
+			for i, v := range vals { // the same integers as hundredths
+				floats[i] = float64(v%1e12) / 100
 			}
+			checkFloatBlock(t, floats)
 		})
+	}
+	for name, vals := range floatBlocks() {
+		t.Run("float/"+name, func(t *testing.T) { checkFloatBlock(t, vals) })
 	}
 	for name, vals := range stringBlocks() {
 		t.Run("string/"+name, func(t *testing.T) { checkStringBlock(t, vals) })
@@ -174,6 +304,19 @@ func TestEncodersMatchReference(t *testing.T) {
 		enc := EncodeInt64s(ints[name], true)
 		if hasLine := BlockScheme(enc) == ForInt && binary.LittleEndian.Uint64(enc[headerSize+8:]) != 0; hasLine != want {
 			t.Errorf("int block %q (scheme %d): line taken = %v, want %v", name, BlockScheme(enc), hasLine, want)
+		}
+	}
+	floats := floatBlocks()
+	for name, want := range map[string]Scheme{"quantity": ScaledFloat, "discount": ScaledFloat, "tax": ScaledFloat, "extendedprice": PlainFloat,
+		"constant": ScaledFloat, "k0": ScaledFloat, "k4": ScaledFloat, "k2-stray-999": PlainFloat, "tie": ScaledFloat, "limit-in": ScaledFloat,
+		"limit-neg": ScaledFloat, "limit-wide": PlainFloat, "limit-out": PlainFloat, "neg-zero": PlainFloat, "nan": PlainFloat, "no-smaller": PlainFloat} {
+		if got := BlockScheme(EncodeFloat64s(floats[name], true)); got != want {
+			t.Errorf("float block %q encodes as scheme %d, want %d", name, got, want)
+		}
+	}
+	for name, want := range map[string]byte{"quantity": 0, "discount": 2, "tax": 2, "tie": 1, "k3": 3} {
+		if enc := EncodeFloat64s(floats[name], true); BlockScheme(enc) != ScaledFloat || enc[headerSize+8] != want {
+			t.Errorf("float block %q: scheme %d, digit count %d; want %d", name, BlockScheme(enc), enc[headerSize+8], want)
 		}
 	}
 	for name, want := range map[string]Scheme{"low-cardinality": PackedDict, "some-empty": PackedDict, "all-distinct": PlainString, "plain-wins": PlainString, "empty": PlainString} {
@@ -234,6 +377,75 @@ func FuzzEncodeInt64s(f *testing.F) {
 	})
 }
 
+// fuzzFloats reads data as 8-byte little-endian words; shape picks how each
+// becomes a float, so the fuzzer reaches both sides of the scaled encoder's
+// decision as easily as raw bit patterns:
+//
+//   - 0: the word's bit pattern (NaN payloads, subnormals, −0, ±Inf);
+//   - 1: a decimal, the word's low 8·(1 + shape>>5) bits over 10^k;
+//   - 2: a decimal whose integer lies within 255 of ±2^51 or ±2^52;
+//   - 3: decimals as 1, with the value at the first word's index replaced by
+//     its bit pattern — one stray in a decimal block.
+//
+// k is (shape>>2)&7, which past 4 is a digit count no block can carry.
+func fuzzFloats(data []byte, shape uint8) []float64 {
+	k, bitsKept := int(shape>>2&7), 8*(1+uint(shape>>5))
+	vals := make([]float64, 0, len(data)/8)
+	for p := 0; p+8 <= len(data); p += 8 {
+		u := binary.LittleEndian.Uint64(data[p:])
+		switch shape & 3 {
+		case 0:
+			vals = append(vals, math.Float64frombits(u))
+		case 2:
+			edge := int64(1) << (51 + u>>8&1)
+			if u>>9&1 == 1 {
+				edge = -edge
+			}
+			vals = append(vals, float64(edge+int64(int8(u)))/math.Pow10(k))
+		default:
+			n := int64(u<<(64-bitsKept)) >> (64 - bitsKept)
+			vals = append(vals, float64(n)/math.Pow10(k))
+		}
+	}
+	if shape&3 == 3 && len(vals) > 0 {
+		u := binary.LittleEndian.Uint64(data)
+		vals[u%uint64(len(vals))] = math.Float64frombits(u)
+	}
+	return vals
+}
+
+func FuzzEncodeFloat64s(f *testing.F) {
+	raw := func(vals ...float64) []byte {
+		out := make([]byte, 8*len(vals))
+		for i, v := range vals {
+			binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
+		}
+		return out
+	}
+	words := func(us ...uint64) []byte {
+		out := make([]byte, 8*len(us))
+		for i, u := range us {
+			binary.LittleEndian.PutUint64(out[8*i:], u)
+		}
+		return out
+	}
+	f.Add(words(0x7ff8000000000001, 0xfff4000000000000, 1, 0x000fffffffffffff, 0x8000000000000000, 0x7ff0000000000000), uint8(0))
+	f.Add(raw(0.01, 0.02, 0.1, 0.05, 0), uint8(0))
+	for _, name := range []string{"quantity", "discount", "extendedprice", "k4-stray-500", "limit-in", "tie"} {
+		vals := floatBlocks()[name]
+		f.Add(raw(vals[:min(len(vals), 64)]...), uint8(0))
+	}
+	for k := uint8(0); k < 8; k++ {
+		f.Add(words(5, 10, 0xffff, 3, 1<<40), 1|k<<2)
+		f.Add(words(5, 10, 0xffff, 3, 1<<40), 1|k<<2|7<<5)
+		f.Add(words(0, 0x100, 0x2ff, 0x3ff, 7), 2|k<<2)
+		f.Add(words(2, 500, 7, 9, 11), 3|k<<2|1<<5)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, shape uint8) {
+		checkFloatBlock(t, fuzzFloats(data, shape))
+	})
+}
+
 // fuzzStrings cuts data into values at every sep byte, keeping at most card
 // distinct ones (card 0: all of them), so the fuzzer reaches both sides of
 // the dictionary decision.
@@ -261,8 +473,7 @@ func FuzzEncodeStrings(f *testing.F) {
 // TestEncodeAllocs guards the point of sizing before writing: a block is one
 // exactly sized allocation, plus the dictionary pass's scratch for strings.
 func TestEncodeAllocs(t *testing.T) {
-	ints, strs := intBlocks(), stringBlocks()
-	floats := make([]float64, 4096)
+	ints, strs, floats := intBlocks(), stringBlocks(), lineitemFloats()
 	cases := []struct {
 		name string
 		max  float64
@@ -272,7 +483,9 @@ func TestEncodeAllocs(t *testing.T) {
 		{"int/runs", 1, func() { EncodeInt64s(ints["runs"], true) }},
 		{"int/full-range", 1, func() { EncodeInt64s(ints["full-range"], true) }},
 		{"int/uncompressed", 1, func() { EncodeInt64s(ints["sorted"], false) }},
-		{"float", 1, func() { EncodeFloat64s(floats) }},
+		{"float/scaled", 1, func() { EncodeFloat64s(floats["discount"], true) }},
+		{"float/plain", 1, func() { EncodeFloat64s(floats["extendedprice"], true) }},
+		{"float/uncompressed", 1, func() { EncodeFloat64s(floats["discount"], false) }},
 		{"bool", 1, func() { EncodeBools(ints["bools"]) }},
 		{"string/all-distinct", 4, func() { EncodeStrings(strs["all-distinct"], true) }},
 		{"string/low-cardinality", 4, func() { EncodeStrings(strs["low-cardinality"], true) }},
@@ -312,14 +525,43 @@ func BenchmarkEncodeStrings(b *testing.B) {
 	}
 }
 
+// floatBenchBlocks are the float microbenchmarks' blocks: lineitem's
+// quantity (ScaledFloat, k = 0), discount (ScaledFloat, k = 2) and
+// extendedprice (the plain fallback) compressed, and discount uncompressed —
+// the PlainFloat encode every float block took before ScaledFloat.
+var floatBenchBlocks = []struct {
+	name, block string
+	compress    bool
+}{{"quantity", "quantity", true}, {"discount", "discount", true}, {"extendedprice", "extendedprice", true}, {"uncompressed", "discount", false}}
+
 func BenchmarkEncodeFloat64s(b *testing.B) {
-	vals := make([]float64, 4096)
-	for i := range vals {
-		vals[i] = float64(i) / 7
+	blocks := lineitemFloats()
+	for _, c := range floatBenchBlocks {
+		b.Run(c.name, func(b *testing.B) {
+			vals := blocks[c.block]
+			b.ReportAllocs()
+			b.SetBytes(int64(8 * len(vals)))
+			for i := 0; i < b.N; i++ {
+				encodeSink = EncodeFloat64s(vals, c.compress)
+			}
+		})
 	}
-	b.ReportAllocs()
-	b.SetBytes(int64(8 * len(vals)))
-	for i := 0; i < b.N; i++ {
-		encodeSink = EncodeFloat64s(vals)
+}
+
+var floatSink []float64
+
+// BenchmarkDecodeFloat64s decodes each block whole into a reused buffer.
+func BenchmarkDecodeFloat64s(b *testing.B) {
+	blocks := lineitemFloats()
+	for _, c := range floatBenchBlocks {
+		b.Run(c.name, func(b *testing.B) {
+			buf := EncodeFloat64s(blocks[c.block], c.compress)
+			dst := make([]float64, 0, len(blocks[c.block]))
+			b.ReportAllocs()
+			b.SetBytes(int64(8 * len(blocks[c.block])))
+			for i := 0; i < b.N; i++ {
+				floatSink, _ = DecodeFloat64s(buf, dst)
+			}
+		})
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 func putHeader(scheme Scheme, n int) []byte {
@@ -139,9 +140,26 @@ func bitStream(us []uint64, w int) []byte {
 	return out
 }
 
-// refEncodeFloat64s encodes vals; floats are stored plain (the paper's
-// lightweight codecs target keys and categorical data, not measures).
-func refEncodeFloat64s(vals []float64) []byte {
+// refEncodeFloat64s encodes vals, choosing ScaledFloat at the first digit
+// count every value comes back through when it is strictly smaller than plain
+// (and compress is true), plain otherwise.
+func refEncodeFloat64s(vals []float64, compress bool) []byte {
+	best := encodePlainFloat(vals)
+	if !compress {
+		return best
+	}
+	for k := range 5 {
+		if cand, ok := encodeScaledFloat(vals, k); ok {
+			if len(cand) < len(best) {
+				best = cand
+			}
+			break
+		}
+	}
+	return best
+}
+
+func encodePlainFloat(vals []float64) []byte {
 	buf := putHeader(PlainFloat, len(vals))
 	var tmp [8]byte
 	for _, v := range vals {
@@ -149,6 +167,49 @@ func refEncodeFloat64s(vals []float64) []byte {
 		buf = append(buf, tmp[:]...)
 	}
 	return buf
+}
+
+// refScaled is the integer n, of magnitude below 2^51, whose float64(n)/10^k
+// is v bit for bit, when there is one.
+func refScaled(v float64, k int) (int64, bool) {
+	p := math.Pow10(k)
+	x := math.Round(v * p)
+	if math.IsNaN(x) || math.Abs(x) >= 1<<51 {
+		return 0, false
+	}
+	n := int64(x)
+	return n, math.Float64bits(float64(n)/p) == math.Float64bits(v)
+}
+
+// encodeScaledFloat builds the ScaledFloat block of vals at digit count k —
+// a base, k, a width and the residuals from the base — when there are values
+// and every one comes back through it.
+func encodeScaledFloat(vals []float64, k int) ([]byte, bool) {
+	if len(vals) == 0 {
+		return nil, false
+	}
+	ns := make([]int64, len(vals))
+	for i, v := range vals {
+		n, ok := refScaled(v, k)
+		if !ok {
+			return nil, false
+		}
+		ns[i] = n
+	}
+	base, top := slices.Min(ns), slices.Max(ns)
+	us := make([]uint64, len(ns))
+	w := 0
+	for i, n := range ns {
+		us[i] = uint64(n - base)
+		w = max(w, bits.Len64(us[i]))
+	}
+	if top >= 1<<51 || base+(1<<w-1) >= 1<<51 {
+		return nil, false
+	}
+	buf := putHeader(ScaledFloat, len(vals))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(base))
+	buf = append(buf, byte(k), byte(w))
+	return append(buf, bitStream(us, w)...), true
 }
 
 // refEncodeBools bit-packs booleans represented as 0/1 int64s (the vector

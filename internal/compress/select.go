@@ -146,8 +146,22 @@ func selectResiduals(packed []byte, w uint, from, n int, a, span uint64, out []u
 	if w <= 56 {
 		// A value of at most 56 bits lies within the 8 bytes from the byte
 		// holding its first bit, so one unaligned load and a shift read it,
-		// while those 8 bytes lie inside packed.
+		// while those 8 bytes lie inside packed. Values of at most 19 bits
+		// are read three or more to a load: the 57/w that lie whole within it.
+		w &= 63
 		mask := uint64(1)<<w - 1
+		if per := int(57 / max(w, 1)); per >= 3 {
+			for bp := uint(from) * w; i+per <= n && int(bp>>3)+8 <= len(packed); bp += uint(per) * w {
+				word := binary.LittleEndian.Uint64(packed[bp>>3:]) >> (bp & 7)
+				for end := i + per; i < end; i++ {
+					out[at] = uint32(i)
+					if word&mask-a <= span {
+						at++
+					}
+					word >>= w
+				}
+			}
+		}
 		for ; i < n; i++ {
 			bp := uint(from+i) * w
 			if int(bp>>3)+8 > len(packed) {
@@ -211,16 +225,22 @@ func SelectBools(buf []byte, skip, n int, p vector.Pred, out []uint32) ([]uint32
 }
 
 // SelectFloat64s is SelectInt64s for a float block and a PredFloat64Range or
-// PredFloat64Lt, compared in place.
+// PredFloat64Lt, compared in place: a plain block's values, a ScaledFloat
+// block's residuals against the residual range the bounds map to.
 func SelectFloat64s(buf []byte, skip, n int, p vector.Pred, out []uint32) ([]uint32, error) {
 	scheme, count, body, err := readHeader(buf)
 	if err != nil {
 		return nil, err
 	}
-	if scheme != PlainFloat {
+	var s scaledBlock
+	switch {
+	case scheme == ScaledFloat:
+		if s, err = parseScaled(body, count); err != nil {
+			return nil, err
+		}
+	case scheme != PlainFloat:
 		return nil, corrupt("scheme %d is not a float encoding", scheme)
-	}
-	if len(body)/8 < count {
+	case len(body)/8 < count:
 		return nil, corrupt("float block truncated")
 	}
 	end, err := window(count, skip, n)
@@ -230,6 +250,12 @@ func SelectFloat64s(buf []byte, skip, n int, p vector.Pred, out []uint32) ([]uin
 	switch p.Op {
 	case vector.PredNone:
 		return appendAll(out, end-skip), nil
+	case vector.PredFloat64Range, vector.PredFloat64Lt:
+		if scheme == ScaledFloat {
+			return s.selectPred(skip, end, p, out), nil
+		}
+	}
+	switch p.Op {
 	case vector.PredFloat64Range:
 		lo, hi := p.FLo, p.FHi
 		for i := skip; i < end; i++ {
@@ -556,16 +582,25 @@ func GatherFloat64sAt(buf []byte, base int, rows, pos []uint32, dst []float64) e
 	if err != nil {
 		return err
 	}
-	if scheme != PlainFloat {
+	var s scaledBlock
+	switch {
+	case scheme == ScaledFloat:
+		if s, err = parseScaled(body, count); err != nil {
+			return err
+		}
+	case scheme != PlainFloat:
 		return corrupt("scheme %d is not a float encoding", scheme)
-	}
-	if len(body)/8 < count {
+	case len(body)/8 < count:
 		return corrupt("float block truncated")
 	}
 	if err := gatherWindow(count, base, rows); err != nil {
 		return err
 	}
 	pos = pos[:len(rows)]
+	if scheme == ScaledFloat {
+		s.gather(base, rows, pos, dst)
+		return nil
+	}
 	for k, r := range rows {
 		dst[pos[k]] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*(base+int(r)):]))
 	}
@@ -804,20 +839,30 @@ func spansWindow(count int, spans []Span) error {
 	return nil
 }
 
-// DecodeFloat64sSpans is DecodeInt64sSpans for a float block.
+// DecodeFloat64sSpans is DecodeInt64sSpans for a float block. A ScaledFloat
+// block unpacks and scales its residuals in one loop (scaledBlock.decodeSpans).
 func DecodeFloat64sSpans(buf []byte, spans []Span, dst []float64) error {
 	scheme, count, body, err := readHeader(buf)
 	if err != nil {
 		return err
 	}
-	if scheme != PlainFloat {
+	var sb scaledBlock
+	switch {
+	case scheme == ScaledFloat:
+		if sb, err = parseScaled(body, count); err != nil {
+			return err
+		}
+	case scheme != PlainFloat:
 		return corrupt("scheme %d is not a float encoding", scheme)
-	}
-	if len(body)/8 < count {
+	case len(body)/8 < count:
 		return corrupt("float block truncated")
 	}
 	if err := spansWindow(count, spans); err != nil {
 		return err
+	}
+	if scheme == ScaledFloat {
+		sb.decodeSpans(spans, dst)
+		return nil
 	}
 	for _, s := range spans {
 		out := dst[s.At : s.At+s.N]

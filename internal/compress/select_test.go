@@ -251,13 +251,43 @@ func selectSeeds(kind types.Kind) [][]byte {
 		return [][]byte{EncodeBools(nil), EncodeBools([]int64{1}), EncodeBools([]int64{0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1}),
 			EncodeBools(make([]int64, 300))}
 	case types.Float64:
-		vals := make([]float64, 200)
-		for i := range vals {
-			vals[i] = float64(i%37) / 4
-		}
-		return [][]byte{EncodeFloat64s(nil), EncodeFloat64s([]float64{math.NaN(), math.Inf(-1), -0.0, 1.5}), EncodeFloat64s(vals)}
+		return floatSelectSeeds()
 	}
 	return append(decodeSeeds(), encodePackedDict(longStr))
+}
+
+// floatSelectSeeds are plain float blocks and ScaledFloat blocks at digit
+// counts 0 and 2 and widths 0, 4 and 24 — residuals of 24 bits straddle the
+// 64-bit words they are packed in.
+func floatSelectSeeds() [][]byte {
+	quarters, narrow, wide := make([]float64, 200), make([]float64, 150), make([]float64, 300)
+	for i := range quarters {
+		quarters[i] = float64(i%37) / 4
+	}
+	rng := rand.New(rand.NewSource(2))
+	for i := range narrow {
+		narrow[i] = float64(rng.Intn(11)) / 100
+	}
+	for i := range wide {
+		wide[i] = float64(rng.Int63n(1<<24)-1<<20) / 100
+	}
+	wide[7] = float64(1<<24-1-1<<20) / 100 // the top residual of the width
+	seeds := [][]byte{EncodeFloat64s(nil, true), EncodeFloat64s([]float64{math.NaN(), math.Inf(-1), -0.0, 1.5}, true),
+		EncodeFloat64s(quarters, false)}
+	for _, c := range []struct {
+		vals  []float64
+		k     int
+		width byte
+	}{{slices.Repeat([]float64{7}, 60), 0, 0}, {slices.Repeat([]float64{0.07}, 60), 2, 0},
+		{[]float64{3, 9, 1, 15, 4, 4, 12, 0, 7}, 0, 4}, {narrow, 2, 4}, {wide, 2, 24}, {quarters, 2, 10}} {
+		buf := EncodeFloat64s(c.vals, true)
+		if BlockScheme(buf) != ScaledFloat || int(buf[headerSize+8]) != c.k || buf[headerSize+9] != c.width {
+			panic(fmt.Sprintf("%d floats encode as scheme %d, k %d, width %d; want ScaledFloat, %d, %d",
+				len(c.vals), BlockScheme(buf), buf[headerSize+8], buf[headerSize+9], c.k, c.width))
+		}
+		seeds = append(seeds, buf)
+	}
+	return seeds
 }
 
 // seedPreds are predicates of every shape for kind, with operands drawn from
@@ -389,5 +419,73 @@ func TestSelectDecidesWhole(t *testing.T) {
 	// A predicate the dictionary splits must read the damaged codes.
 	if _, err := SelectStrings(dict, 0, 900, vector.Pred{Op: vector.PredStrEq, Strs: []string{"AIR"}}, nil); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("split dictionary over damaged codes: err %v, want ErrCorrupt", err)
+	}
+}
+
+// TestScaledFloatHostile: a ScaledFloat frame whose digit count is past the
+// table, whose width is past 64 bits (or past the range its integers may
+// span), whose base leaves that range, or whose residuals are cut short —
+// its own count's or a claimed 2^32-1 — is ErrCorrupt from every kernel, and
+// none of them sizes anything from the claim.
+func TestScaledFloatHostile(t *testing.T) {
+	vals := make([]float64, 150)
+	for i := range vals {
+		vals[i] = float64(i%11) / 100
+	}
+	good := EncodeFloat64s(vals, true)
+	if BlockScheme(good) != ScaledFloat {
+		t.Fatalf("hundredths encode as scheme %d", BlockScheme(good))
+	}
+	edit := func(f func(b []byte) []byte) []byte { return f(slices.Clone(good)) }
+	cases := map[string][]byte{
+		"k 5":        edit(func(b []byte) []byte { b[headerSize+8] = 5; return b }),
+		"k 255":      edit(func(b []byte) []byte { b[headerSize+8] = 255; return b }),
+		"width 65":   edit(func(b []byte) []byte { b[headerSize+9] = 65; return b }),
+		"width 255":  edit(func(b []byte) []byte { b[headerSize+9] = 255; return b }),
+		"width 53":   edit(func(b []byte) []byte { b[headerSize+9] = 53; return b }),
+		"base 2^51":  edit(func(b []byte) []byte { binary.LittleEndian.PutUint64(b[headerSize:], 1<<51); return b }),
+		"base -2^51": edit(func(b []byte) []byte { binary.LittleEndian.PutUint64(b[headerSize:], 1<<63|1<<51); return b }),
+		"top 2^51":   edit(func(b []byte) []byte { binary.LittleEndian.PutUint64(b[headerSize:], 1<<51-15); return b }),
+		"residuals":  good[:len(good)-1],
+		"frame":      good[:headerSize+scaledHeaderSize-1],
+		"count 2^32": edit(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[1:], math.MaxUint32); return b }),
+		"count width": edit(func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[1:], math.MaxUint32)
+			b[headerSize+9] = 64
+			return b
+		}),
+	}
+	rows, pos := []uint32{0, 3, 9}, []uint32{0, 1, 2}
+	for name, buf := range cases {
+		dst := make([]float64, 150)
+		calls := map[string]func() error{
+			"DecodeFloat64s":      func() error { _, err := DecodeFloat64s(buf, nil); return err },
+			"DecodeFloat64sSpans": func() error { return DecodeFloat64sSpans(buf, []Span{{Row: 2, N: 100}}, dst) },
+			"GatherFloat64sAt":    func() error { return GatherFloat64sAt(buf, 0, rows, pos, dst) },
+			"SelectFloat64s/none": func() error {
+				_, err := SelectFloat64s(buf, 0, 10, vector.Pred{Op: vector.PredNone}, nil)
+				return err
+			},
+			"SelectFloat64s/range": func() error {
+				_, err := SelectFloat64s(buf, 0, -1, vector.Pred{Op: vector.PredFloat64Range, FLo: 0.02, FHi: 0.05}, nil)
+				return err
+			},
+			"SelectFloat64s/lt": func() error {
+				_, err := SelectFloat64s(buf, 0, -1, vector.Pred{Op: vector.PredFloat64Lt, FHi: 0.05}, nil)
+				return err
+			},
+		}
+		for call, f := range calls {
+			var err error
+			if b := allocBytes(func() { err = f() }); b > 64<<10 {
+				t.Errorf("%s of %s: %d bytes allocated", call, name, b)
+			}
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s of %s: err = %v, want ErrCorrupt", call, name, err)
+			}
+		}
+		if !slices.Equal(dst, make([]float64, 150)) {
+			t.Errorf("%s: a kernel wrote values", name)
+		}
 	}
 }

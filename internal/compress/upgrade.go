@@ -17,7 +17,7 @@ func Upgrade(buf []byte) ([]byte, error) {
 		return nil, err
 	}
 	switch scheme {
-	case PlainInt, RLEInt, PlainFloat, BitBool, PlainString, ForInt, PackedDict:
+	case PlainInt, RLEInt, PlainFloat, BitBool, PlainString, ForInt, PackedDict, ScaledFloat:
 		return buf, nil
 	case DeltaVarint:
 		vals, err := decodeDeltas(body, count)

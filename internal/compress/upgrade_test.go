@@ -96,7 +96,7 @@ func checkUpgrade(t testing.TB, buf []byte) {
 	}
 	retired := map[Scheme]bool{DeltaVarint: true, DictString: true}
 	switch scheme := BlockScheme(buf); {
-	case len(buf) >= headerSize && scheme >= PlainInt && scheme <= PackedDict && !retired[scheme]:
+	case len(buf) >= headerSize && scheme >= PlainInt && scheme <= ScaledFloat && !retired[scheme]:
 		if err != nil || len(out) != len(buf) || &out[0] != &buf[0] {
 			t.Fatalf("a scheme %d block was not returned as it is (err %v)", scheme, err)
 		}
@@ -137,7 +137,8 @@ func checkUpgraded[T comparable](t testing.TB, out []byte, err error, want []T, 
 
 // upgradeSeeds are valid retired blocks — delta-varint blocks of every int
 // shape the decode seeds hold, varint-code dictionaries with one- and
-// two-byte codes (more than 128 entries) — and one written block per kind.
+// two-byte codes (more than 128 entries) — and one written block per kind,
+// both float schemes among them.
 func upgradeSeeds() [][]byte {
 	blocks := intBlocks()
 	var seeds [][]byte
@@ -152,7 +153,8 @@ func upgradeSeeds() [][]byte {
 		seeds = append(seeds, encodeDictString(vals))
 	}
 	return append(seeds, EncodeInt64s(blocks["sorted"][:50], true), EncodeStrings(wide, true),
-		EncodeFloat64s([]float64{1.5, -2}), EncodeBools([]int64{1, 0, 1}))
+		EncodeFloat64s([]float64{1.5, -2}, false), EncodeFloat64s(slices.Repeat([]float64{1.5, -2, 0.25}, 8), true),
+		EncodeBools([]int64{1, 0, 1}))
 }
 
 // FuzzUpgradeBlock fuzzes Upgrade over any bytes.
