@@ -165,24 +165,6 @@ func (pk *packer) put(u uint64, w uint) {
 	}
 }
 
-// putScaled appends each value of vals as its ScaledFloat residual at w
-// bits: the integer nearest v·p, less base. It holds the packer's state in
-// registers across the run.
-func (pk *packer) putScaled(vals []float64, p float64, base int64, w uint) {
-	acc, n, at := pk.acc, pk.n, pk.p
-	for _, v := range vals {
-		u := uint64(int64(float64(v*p)+roundMagic-roundMagic) - base)
-		acc |= u << n
-		if n += w; n >= 64 {
-			binary.LittleEndian.PutUint64(pk.buf[at:], acc)
-			at += 8
-			n -= 64
-			acc = u >> (w - n)
-		}
-	}
-	pk.acc, pk.n, pk.p = acc, n, at
-}
-
 // flush writes the last, partly filled word.
 func (pk *packer) flush() {
 	if pk.n > 0 {
@@ -190,35 +172,41 @@ func (pk *packer) flush() {
 	}
 }
 
-// unpack is the one bit-unpack kernel both bit-packed schemes read through:
-// it stores values [from, from+len(dst)) of the w-bit values packed into
-// packed in dst, which the caller has checked holds packedLen(count, w) bytes
-// for a count that covers them. It streams: one 64-bit load per word, a shift
-// and a mask per value.
+// unpack is the one bit-unpack kernel every read of bit-packed values goes
+// through: it stores values [from, from+len(dst)) of the w-bit values packed
+// into packed in dst, which the caller has checked holds packedLen(count, w)
+// bytes for a count that covers them. A value of at most 56 bits lies within
+// the 8 bytes from the byte holding its first bit, so one unaligned load and
+// a shift read it while those 8 bytes lie inside packed; at most 19 bits
+// wide, the 57/w ≥ 3 values from there all lie within them, so one load reads
+// that many. Values wider than 56 bits, and the last few of a block, are
+// read by bitsAt.
 func unpack[T int64 | uint64](dst []T, packed []byte, w uint, from int) {
 	if w == 0 {
 		clear(dst)
 		return
 	}
-	if len(dst) == 0 {
-		return
+	i := 0
+	if w <= 56 {
+		w &= 63 // the compiler then knows every shift by w stays below 64
+		mask, per := uint64(1)<<w-1, int(57/w)
+		bp := uint(from) * w
+		for ; per >= 3 && i+per <= len(dst) && int(bp>>3)+8 <= len(packed); bp += uint(per) * w {
+			word := binary.LittleEndian.Uint64(packed[bp>>3:]) >> (bp & 7)
+			out := dst[i : i+per]
+			for j := range out {
+				out[j] = T(word & mask)
+				word >>= w
+			}
+			i += per
+		}
+		for ; i < len(dst) && int(bp>>3)+8 <= len(packed); bp += w {
+			dst[i] = T(binary.LittleEndian.Uint64(packed[bp>>3:]) >> (bp & 7) & mask)
+			i++
+		}
 	}
-	mask := uint64(1)<<w - 1
-	pos := uint(from) * w
-	k, sh := 8*(pos>>6), pos&63
-	word := binary.LittleEndian.Uint64(packed[k:])
-	for i := range dst {
-		if sh == 64 { // the last value ended the word; this one starts the next
-			k, sh = k+8, 0
-			word = binary.LittleEndian.Uint64(packed[k:])
-		}
-		u := word >> sh
-		if sh += w; sh > 64 { // straddles two words
-			k, sh = k+8, sh-64
-			word = binary.LittleEndian.Uint64(packed[k:])
-			u |= word << (w - sh)
-		}
-		dst[i] = T(u & mask)
+	for ; i < len(dst); i++ {
+		dst[i] = T(bitsAt(packed, w, from+i))
 	}
 }
 

@@ -528,14 +528,30 @@ func BenchmarkEncodeStrings(b *testing.B) {
 // floatBenchBlocks are the float microbenchmarks' blocks: lineitem's
 // quantity (ScaledFloat, k = 0), discount (ScaledFloat, k = 2) and
 // extendedprice (the plain fallback) compressed, and discount uncompressed —
-// the PlainFloat encode every float block took before ScaledFloat.
+// the PlainFloat encode every float block took before ScaledFloat — and two
+// ScaledFloat blocks of hundredths on either side of tableWidth: a read maps
+// each residual of the 6-bit one through the table and divides at 7 bits.
 var floatBenchBlocks = []struct {
 	name, block string
 	compress    bool
-}{{"quantity", "quantity", true}, {"discount", "discount", true}, {"extendedprice", "extendedprice", true}, {"uncompressed", "discount", false}}
+}{{"quantity", "quantity", true}, {"discount", "discount", true}, {"extendedprice", "extendedprice", true}, {"uncompressed", "discount", false}, {"w6", "w6", true}, {"w7", "w7", true}}
+
+// floatBenchValues are lineitemFloats and the hundredths blocks w6 and w7.
+func floatBenchValues() map[string][]float64 {
+	blocks := lineitemFloats()
+	rng := rand.New(rand.NewSource(25))
+	for _, w := range []int{6, 7} {
+		vals := make([]float64, 4096)
+		for i := range vals {
+			vals[i] = float64(rng.Intn(1<<w)) / 100
+		}
+		blocks[fmt.Sprintf("w%d", w)] = vals
+	}
+	return blocks
+}
 
 func BenchmarkEncodeFloat64s(b *testing.B) {
-	blocks := lineitemFloats()
+	blocks := floatBenchValues()
 	for _, c := range floatBenchBlocks {
 		b.Run(c.name, func(b *testing.B) {
 			vals := blocks[c.block]
@@ -552,7 +568,7 @@ var floatSink []float64
 
 // BenchmarkDecodeFloat64s decodes each block whole into a reused buffer.
 func BenchmarkDecodeFloat64s(b *testing.B) {
-	blocks := lineitemFloats()
+	blocks := floatBenchValues()
 	for _, c := range floatBenchBlocks {
 		b.Run(c.name, func(b *testing.B) {
 			buf := EncodeFloat64s(blocks[c.block], c.compress)

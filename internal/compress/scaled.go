@@ -39,12 +39,8 @@ type scaledBlock struct {
 	packed []byte
 }
 
-// value is the decoder's one function: the float whose residual is r. At
-// k = 0 the division by 1 is exact, so it is left out.
+// value is the decoder's one function: the float whose residual is r.
 func (s *scaledBlock) value(r uint64) float64 {
-	if s.p == 1 {
-		return float64(s.base + int64(r))
-	}
 	return float64(s.base+int64(r)) / s.p
 }
 
@@ -65,7 +61,7 @@ func parseScaled(body []byte, count int) (scaledBlock, error) {
 	} else {
 		s.p = pow10[k]
 	}
-	if s.w > 52 || s.base <= -scaledLimit || s.base+(1<<s.w-1) >= scaledLimit {
+	if s.w > 52 || s.base <= -scaledLimit || s.base >= scaledLimit-(1<<s.w-1) {
 		return scaledBlock{}, corrupt("ScaledFloat integers out of range (base %d, width %d)", s.base, s.w)
 	}
 	if packedLen(count, s.w) > uint64(len(s.packed)) {
@@ -135,27 +131,16 @@ func writeScaled(vals []float64, k int, base int64, w uint, size int) []byte {
 	binary.LittleEndian.PutUint64(buf[headerSize:], uint64(base))
 	buf[headerSize+8], buf[headerSize+9] = byte(k), byte(w)
 	if w > 0 {
-		pk := packer{buf: buf, p: headerSize + scaledHeaderSize}
-		pk.putScaled(vals, pow10[k], base, w)
+		pk, p := packer{buf: buf, p: headerSize + scaledHeaderSize}, pow10[k]
+		for _, v := range vals {
+			pk.put(uint64(int64(float64(v*p)+roundMagic-roundMagic)-base), w)
+		}
 		pk.flush()
 	}
 	return buf
 }
 
-// residual is the w-bit residual at index i. A ScaledFloat residual is at
-// most 52 bits wide, so it lies within the 8 bytes from the byte holding its
-// first bit: one unaligned load reads it, from the last 8 bytes of the packed
-// residuals when those 8 would run past them.
-func (s *scaledBlock) residual(i int) uint64 {
-	if s.w == 0 {
-		return 0
-	}
-	bp := uint(i) * s.w
-	at := min(int(bp>>3), len(s.packed)-8)
-	return binary.LittleEndian.Uint64(s.packed[at:]) >> ((bp - 8*uint(at)) & 63) & (1<<(s.w&63) - 1)
-}
-
-// tableWidth is the widest residual a decode looks up in a table of the
+// tableWidth is the widest residual a read maps through a table of the
 // decoder's values (table), which then has 64 entries at most.
 const tableWidth = 6
 
@@ -172,69 +157,53 @@ func (s *scaledBlock) table(tab *[1 << tableWidth]float64, n int) bool {
 	return true
 }
 
-// decodeSpans stores the values of the rows of every span in dst[At:At+N],
-// through a table of the decoder's values (lookup) when it pays, computing
-// each value otherwise.
+// decodeSpans stores the values of the rows of every span in dst[At:At+N]:
+// the residuals are unpacked a chunk at a time and each is mapped to its
+// value, through the table when there is one.
 func (s *scaledBlock) decodeSpans(spans []Span, dst []float64) {
 	n := 0
 	for _, sp := range spans {
 		n += sp.N
 	}
 	var tab [1 << tableWidth]float64
-	if s.table(&tab, n) {
-		for _, sp := range spans {
-			s.lookup(dst[sp.At:sp.At+sp.N], sp.Row, &tab)
-		}
-		return
-	}
+	tabled := s.table(&tab, n)
+	var r [codeChunk]uint64
 	for _, sp := range spans {
-		for i := range sp.N {
-			dst[sp.At+i] = s.value(s.residual(sp.Row + i))
+		for i := 0; i < sp.N; i += codeChunk {
+			chunk := r[:min(codeChunk, sp.N-i)]
+			unpack(chunk, s.packed, s.w, sp.Row+i)
+			s.scale(chunk, dst[sp.At+i:sp.At+i+len(chunk)], &tab, tabled)
 		}
 	}
 }
 
-// lookup stores values [from, from+len(dst)) in dst, residual r as tab[r], for
-// a width of at most tableWidth. It reads the residuals a chunk at a time: one
-// unaligned 8-byte load holds 57/w of them whole from the byte their first
-// bit lies in, while those 8 bytes lie inside the packed residuals.
-func (s *scaledBlock) lookup(dst []float64, from int, tab *[1 << tableWidth]float64) {
-	w := s.w & 63 // the compiler then knows every shift by w stays below 64
-	if w == 0 {
-		for i := range dst {
-			dst[i] = tab[0]
+// scale stores the value of residual rs[j] in out[j], as tab[rs[j]] when
+// tabled.
+func (s *scaledBlock) scale(rs []uint64, out []float64, tab *[1 << tableWidth]float64, tabled bool) {
+	out = out[:len(rs)]
+	if tabled {
+		for j, u := range rs {
+			out[j] = tab[u&(1<<tableWidth-1)]
 		}
 		return
 	}
-	mask, per := uint64(1)<<w-1, int(57/w)
-	bp := uint(from) * w
-	for len(dst) >= per && int(bp>>3)+8 <= len(s.packed) {
-		word := binary.LittleEndian.Uint64(s.packed[bp>>3:]) >> (bp & 7)
-		out := dst[:per]
-		for j := range out {
-			out[j] = tab[word&mask&(1<<tableWidth-1)]
-			word >>= w
-		}
-		dst, from, bp = dst[per:], from+per, bp+uint(per)*w
-	}
-	for i := range dst {
-		dst[i] = tab[s.residual(from+i)&(1<<tableWidth-1)]
+	for j, u := range rs {
+		out[j] = s.value(u)
 	}
 }
 
-// gather stores value base+rows[k] in dst[pos[k]] for every k, each residual
-// read where it lies.
+// gather stores value base+rows[k] in dst[pos[k]] for every k, each
+// residual read where it lies (bitsAt) and mapped as decodeSpans maps it.
 func (s *scaledBlock) gather(base int, rows, pos []uint32, dst []float64) {
-	pos = pos[:len(rows)]
 	var tab [1 << tableWidth]float64
 	if s.table(&tab, len(rows)) {
 		for k, r := range rows {
-			dst[pos[k]] = tab[s.residual(base+int(r))&(1<<tableWidth-1)]
+			dst[pos[k]] = tab[bitsAt(s.packed, s.w, base+int(r))&(1<<tableWidth-1)]
 		}
 		return
 	}
 	for k, r := range rows {
-		dst[pos[k]] = s.value(s.residual(base + int(r)))
+		dst[pos[k]] = s.value(bitsAt(s.packed, s.w, base+int(r)))
 	}
 }
 

@@ -138,45 +138,36 @@ func (f *forBlock) selectRange(skip, end int, lo, hi int64, out []uint32) []uint
 // selectResiduals appends the offsets r in [0, n) of the w-bit values at
 // from+r with value - a <= span in uint64 arithmetic. It writes every offset
 // and advances past only the passing ones, so the loop does not branch on the
-// data.
+// data. Values of at most 19 bits (a date block's) are read as unpack reads
+// them, 57/w ≥ 3 to an unaligned load, and compared as they are read; the
+// rest are unpacked a chunk at a time and then compared.
 func selectResiduals(packed []byte, w uint, from, n int, a, span uint64, out []uint32) []uint32 {
 	at := len(out)
 	out = slices.Grow(out, n)[:at+n]
 	i := 0
-	if w <= 56 {
-		// A value of at most 56 bits lies within the 8 bytes from the byte
-		// holding its first bit, so one unaligned load and a shift read it,
-		// while those 8 bytes lie inside packed. Values of at most 19 bits
-		// are read three or more to a load: the 57/w that lie whole within it.
+	if w <= 19 {
 		w &= 63
-		mask := uint64(1)<<w - 1
-		if per := int(57 / max(w, 1)); per >= 3 {
-			for bp := uint(from) * w; i+per <= n && int(bp>>3)+8 <= len(packed); bp += uint(per) * w {
-				word := binary.LittleEndian.Uint64(packed[bp>>3:]) >> (bp & 7)
-				for end := i + per; i < end; i++ {
-					out[at] = uint32(i)
-					if word&mask-a <= span {
-						at++
-					}
-					word >>= w
+		mask, per := uint64(1)<<w-1, int(57/max(w, 1))
+		for bp := uint(from) * w; i+per <= n && int(bp>>3)+8 <= len(packed); bp += uint(per) * w {
+			word := binary.LittleEndian.Uint64(packed[bp>>3:]) >> (bp & 7)
+			for end := i + per; i < end; i++ {
+				out[at] = uint32(i)
+				if word&mask-a <= span {
+					at++
 				}
-			}
-		}
-		for ; i < n; i++ {
-			bp := uint(from+i) * w
-			if int(bp>>3)+8 > len(packed) {
-				break
-			}
-			out[at] = uint32(i)
-			if (binary.LittleEndian.Uint64(packed[bp>>3:])>>(bp&7))&mask-a <= span {
-				at++
+				word >>= w
 			}
 		}
 	}
-	for ; i < n; i++ {
-		out[at] = uint32(i)
-		if bitsAt(packed, w, from+i)-a <= span {
-			at++
+	var r [codeChunk]uint64
+	for ; i < n; i += codeChunk {
+		chunk := r[:min(codeChunk, n-i)]
+		unpack(chunk, packed, w, from+i)
+		for j, u := range chunk {
+			out[at] = uint32(i + j)
+			if u-a <= span {
+				at++
+			}
 		}
 	}
 	return out[:at]

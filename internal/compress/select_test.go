@@ -424,7 +424,8 @@ func TestSelectDecidesWhole(t *testing.T) {
 
 // TestScaledFloatHostile: a ScaledFloat frame whose digit count is past the
 // table, whose width is past 64 bits (or past the range its integers may
-// span), whose base leaves that range, or whose residuals are cut short —
+// span), whose base or top integer leaves that range (a base near MaxInt64
+// included, whose top would wrap), or whose residuals are cut short —
 // its own count's or a claimed 2^32-1 — is ErrCorrupt from every kernel, and
 // none of them sizes anything from the claim.
 func TestScaledFloatHostile(t *testing.T) {
@@ -437,18 +438,28 @@ func TestScaledFloatHostile(t *testing.T) {
 		t.Fatalf("hundredths encode as scheme %d", BlockScheme(good))
 	}
 	edit := func(f func(b []byte) []byte) []byte { return f(slices.Clone(good)) }
+	// maxBase is a frame at width w whose residuals are all there and whose
+	// base is MaxInt64: base+2^w-1 wraps negative.
+	maxBase := func(w uint) []byte {
+		b := slices.Clone(good[:headerSize+scaledHeaderSize])
+		binary.LittleEndian.PutUint64(b[headerSize:], math.MaxInt64)
+		b[headerSize+9] = byte(w)
+		return append(b, make([]byte, packedLen(len(vals), w))...)
+	}
 	cases := map[string][]byte{
-		"k 5":        edit(func(b []byte) []byte { b[headerSize+8] = 5; return b }),
-		"k 255":      edit(func(b []byte) []byte { b[headerSize+8] = 255; return b }),
-		"width 65":   edit(func(b []byte) []byte { b[headerSize+9] = 65; return b }),
-		"width 255":  edit(func(b []byte) []byte { b[headerSize+9] = 255; return b }),
-		"width 53":   edit(func(b []byte) []byte { b[headerSize+9] = 53; return b }),
-		"base 2^51":  edit(func(b []byte) []byte { binary.LittleEndian.PutUint64(b[headerSize:], 1<<51); return b }),
-		"base -2^51": edit(func(b []byte) []byte { binary.LittleEndian.PutUint64(b[headerSize:], 1<<63|1<<51); return b }),
-		"top 2^51":   edit(func(b []byte) []byte { binary.LittleEndian.PutUint64(b[headerSize:], 1<<51-15); return b }),
-		"residuals":  good[:len(good)-1],
-		"frame":      good[:headerSize+scaledHeaderSize-1],
-		"count 2^32": edit(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[1:], math.MaxUint32); return b }),
+		"base MaxInt64 width 4":  maxBase(4),
+		"base MaxInt64 width 52": maxBase(52),
+		"k 5":                    edit(func(b []byte) []byte { b[headerSize+8] = 5; return b }),
+		"k 255":                  edit(func(b []byte) []byte { b[headerSize+8] = 255; return b }),
+		"width 65":               edit(func(b []byte) []byte { b[headerSize+9] = 65; return b }),
+		"width 255":              edit(func(b []byte) []byte { b[headerSize+9] = 255; return b }),
+		"width 53":               edit(func(b []byte) []byte { b[headerSize+9] = 53; return b }),
+		"base 2^51":              edit(func(b []byte) []byte { binary.LittleEndian.PutUint64(b[headerSize:], 1<<51); return b }),
+		"base -2^51":             edit(func(b []byte) []byte { binary.LittleEndian.PutUint64(b[headerSize:], 1<<63|1<<51); return b }),
+		"top 2^51":               edit(func(b []byte) []byte { binary.LittleEndian.PutUint64(b[headerSize:], 1<<51-15); return b }),
+		"residuals":              good[:len(good)-1],
+		"frame":                  good[:headerSize+scaledHeaderSize-1],
+		"count 2^32":             edit(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[1:], math.MaxUint32); return b }),
 		"count width": edit(func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[1:], math.MaxUint32)
 			b[headerSize+9] = 64
@@ -474,6 +485,18 @@ func TestScaledFloatHostile(t *testing.T) {
 				_, err := SelectFloat64s(buf, 0, -1, vector.Pred{Op: vector.PredFloat64Lt, FHi: 0.05}, nil)
 				return err
 			},
+			"SelectFloat64s/lt 0": func() error {
+				_, err := SelectFloat64s(buf, 0, -1, vector.Pred{Op: vector.PredFloat64Lt, FHi: 0}, nil)
+				return err
+			},
+			"SelectFloat64s/lt past 2^63": func() error {
+				_, err := SelectFloat64s(buf, 0, -1, vector.Pred{Op: vector.PredFloat64Lt, FHi: 0x1p63 + 0x1p40}, nil)
+				return err
+			},
+			"SelectFloat64s/range past 2^63": func() error {
+				_, err := SelectFloat64s(buf, 0, -1, vector.Pred{Op: vector.PredFloat64Range, FLo: 1, FHi: 0x1p63 + 0x1p40}, nil)
+				return err
+			},
 		}
 		for call, f := range calls {
 			var err error
@@ -486,6 +509,79 @@ func TestScaledFloatHostile(t *testing.T) {
 		}
 		if !slices.Equal(dst, make([]float64, 150)) {
 			t.Errorf("%s: a kernel wrote values", name)
+		}
+	}
+}
+
+// packedBenchWidths are the residual widths of the bit-packed kernels'
+// microbenchmark blocks: a discount or flag column, a shipdate block, a key
+// block, and wider ones up to the last width a single load reads.
+var packedBenchWidths = []int{4, 12, 24, 40, 56}
+
+// forBenchBlock is a ForInt block of 4096 random values of w bits: no line
+// fits them, so its residuals are w bits wide.
+func forBenchBlock(b *testing.B, w int) []byte {
+	rng := rand.New(rand.NewSource(int64(w)))
+	vals := make([]int64, 4096)
+	for i := range vals {
+		vals[i] = rng.Int63n(1 << w)
+	}
+	buf := EncodeInt64s(vals, true)
+	if BlockScheme(buf) != ForInt {
+		b.Fatalf("width %d: scheme %d", w, BlockScheme(buf))
+	}
+	return buf
+}
+
+// BenchmarkDecodeInt64s decodes each ForInt block whole into a reused
+// buffer, through unpack.
+func BenchmarkDecodeInt64s(b *testing.B) {
+	for _, w := range packedBenchWidths {
+		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
+			buf, dst := forBenchBlock(b, w), make([]int64, 0, 4096)
+			b.SetBytes(8 * 4096)
+			for i := 0; i < b.N; i++ {
+				intSink, _ = DecodeInt64s(buf, dst)
+			}
+		})
+	}
+}
+
+var intSink []int64
+
+// BenchmarkSelectInt64s filters each ForInt block whole by a range keeping
+// about half its values, through selectResiduals.
+func BenchmarkSelectInt64s(b *testing.B) {
+	for _, w := range packedBenchWidths {
+		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
+			buf, out := forBenchBlock(b, w), make([]uint32, 0, 4096)
+			p := vector.Pred{Op: vector.PredInt64Range, ILo: 1 << (w - 2), IHi: 3 << (w - 2)}
+			for i := 0; i < b.N; i++ {
+				out, _ = SelectInt64s(buf, 0, 4096, p, out[:0])
+			}
+		})
+	}
+}
+
+// BenchmarkSelectFloat64s runs Q6's float filters over lineitem-shaped
+// blocks: discount in [0.05, 0.07] and quantity < 24, each on its
+// ScaledFloat block and on the PlainFloat block of the same values.
+func BenchmarkSelectFloat64s(b *testing.B) {
+	blocks := lineitemFloats()
+	for _, c := range []struct {
+		name, block string
+		p           vector.Pred
+	}{
+		{"discount", "discount", vector.Pred{Op: vector.PredFloat64Range, FLo: 0.05, FHi: 0.07}},
+		{"quantity", "quantity", vector.Pred{Op: vector.PredFloat64Lt, FHi: 24}},
+	} {
+		for _, compress := range []bool{true, false} {
+			b.Run(fmt.Sprintf("%s/compressed=%v", c.name, compress), func(b *testing.B) {
+				buf, out := EncodeFloat64s(blocks[c.block], compress), make([]uint32, 0, 4096)
+				for i := 0; i < b.N; i++ {
+					out, _ = SelectFloat64s(buf, 0, 4096, c.p, out[:0])
+				}
+			})
 		}
 	}
 }
