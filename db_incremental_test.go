@@ -556,21 +556,23 @@ func TestSharedSegmentRefcount(t *testing.T) {
 // Commit 1dd5c71 (the last one with a separate full-rewrite arm) recorded
 // them first; they were re-recorded when ForInt and the packed dictionary
 // replaced delta-varint and varint-code dictionary blocks, a format change
-// that leaves the one builder's block order and footer as they were.
+// that leaves the one builder's block order and footer as they were, and
+// again when column v's blocks began to store their offsets as FramedString
+// (the parent wrote 92fa83f0…f9ba and 5e2ed5bd…5dc7 for one shard).
 var fullCheckpointHashes = map[int][]string{
 	1: {
-		"92fa83f0990488f54556199f5fab71e291ab0e9c509ab3158ae392580488f9ba",
-		"5e2ed5bdfaa2e048035c69cc2a30aee6884881a48877cf38c7949a28a8c65dc7",
+		"956bee2e7c790f28fae94f788e095643c75a658286997b6d3af019a5fa00c86d",
+		"b50eafb57a79012f0d47f3fa1dcc64da2981ea37610d5aff742d5cbcf279daa5",
 	},
 	4: {
-		"5c32b19e304070ae6bf49d9b8c640e6790a91ce6d840f68a48df257eb0d22736",
-		"ca144c76b64b4f03ef3b46521fc80f2f55a957a37ecba7d5f83a875d21f0e091",
-		"9640033d3be308ee689afc37a92f5d1f937e5f8cfed71e5d0b7a4d6fc216d5cd",
-		"b0130dc70e2c3042b28b7e925340fac1d900debac77ee8d6bb9fbe70edf45d2c",
-		"6d6ef62459f4c19b70a380262e45bbb7d7b4188964ae74200c1974838e41e3c5",
-		"bcc9e8a11c043743c60dcf4746e9adf33e6e5528962453ca64f1e1287270f385",
-		"fec8d8ae55b4645e61d011a403a1b46f5edd4ceb3c3477d56aabaf1aa3e0d457",
-		"01d31e0af6558ff56269ef041dbb0bcbc7c7dd9ffc206af8d6977693926298e5",
+		"ef90dd24d3b2dc4fdc6884c94340d00831547e3bc63f9987aba372918cc79aba",
+		"f37a9457d20928fb6694199fe8488374164feb7ab2240c96c1ceaa585bc695c4",
+		"926ac42d5e5df5fc175ceea8e576c960b669b4f144351fe6cb2f8e6492d424fe",
+		"41da7cca92f77d2f2eec78a31b180cbf63e6cbc190711c5511423a0961c6cb98",
+		"3dda78c9fcb4113897da8477fcad14d9dce1fe177e1ea4464af86e006b586b26",
+		"a289a9a5e1fcd6f5b048b7ecffcd1657974cf2dcdc17e8dd638ce8a4ef77de78",
+		"413e05e5ee58fb60708c2a263d3971ae3da384d85962660f4c83c87b7e006c67",
+		"3741ddc6d04cbc3ac4740a6fd00a69eece746e651ab1be871525740d32767314",
 	},
 }
 

@@ -19,8 +19,8 @@ import (
 // hashSchema has one column per encoder arm the builder can take: a dense
 // sorted key (ForInt, width 0 on its line), a date-like column with long runs
 // (RLE), a full-range int (plain), a low-cardinality string (packed
-// dictionary) and an all-distinct one (plain: offsets and codes would cost
-// more than the bytes they save; compressed=false makes every column plain), a
+// dictionary) and an all-distinct one (framed offsets: codes would cost more
+// than the bytes they save; compressed=false makes every column plain), a
 // float of hundredths (ScaledFloat) and a bool.
 func hashSchema() *types.Schema {
 	return types.MustSchema([]types.Column{
@@ -78,9 +78,11 @@ func hashBatches(n int) []*vector.Batch {
 // ForInt and the packed dictionary replaced delta-varint and varint-code
 // dictionary blocks (a format change: the parent wrote d9c7b3e1…e299), and
 // again when column f, hundredths, began to encode as ScaledFloat instead of
-// PlainFloat (the parent wrote 43755648…c429).
+// PlainFloat (the parent wrote 43755648…c429), and again when column note,
+// all-distinct, began to store its offsets as FramedString instead of
+// PlainString (the parent wrote 991ffc85…78ac).
 var parentSegmentHashes = map[bool]string{
-	true:  "991ffc850dd1011d1ad67c43456684b2249786e7ab5d15ef78274603f9e378ac",
+	true:  "364b59b32d74ec2367e7ce0a3335d74b5fe18c36853be92f846c307fd652a815",
 	false: "5c978edf539546af7636640e177dcd5cc6b86152aa5a0f104a0fe7267981d147",
 }
 
@@ -519,7 +521,7 @@ func TestOverlappedBuildMatchesRowBuild(t *testing.T) {
 		}
 	}
 	want := []compress.Scheme{compress.ForInt, compress.RLEInt, compress.PlainInt,
-		compress.PackedDict, compress.PlainString, compress.ScaledFloat, compress.BitBool, compress.PlainFloat}
+		compress.PackedDict, compress.FramedString, compress.ScaledFloat, compress.BitBool, compress.PlainFloat}
 	for c, w := range want {
 		enc, _ := ram.EncodedBlock(c, 0)
 		if got := compress.BlockScheme(enc); got != w {

@@ -5,13 +5,15 @@
 // that is the paper's "non-compressed" workstation configuration.
 //
 // Written schemes: PlainInt, ForInt and RLEInt for integers, PlainFloat and
-// ScaledFloat for floats, BitBool for booleans, PlainString and PackedDict for
-// strings. ForInt, ScaledFloat and PackedDict are bit-packed at one fixed
-// width per block, so value i of any of them is found without reading values
-// 0..i-1 — the key probe binary-searches a ForInt block in place
-// (SearchInt64s) and decodes only the rows it reads. ScaledFloat stores a
-// block of decimals — every value float64(n)/10^k for one k ≤ 4 — as the
+// ScaledFloat for floats, BitBool for booleans, PlainString, FramedString and
+// PackedDict for strings. ForInt, ScaledFloat, FramedString's offsets and
+// PackedDict are bit-packed at one fixed width per block, so value i of any of
+// them is found without reading values 0..i-1 — the key probe binary-searches
+// a ForInt block in place (SearchInt64s) and decodes only the rows it reads.
+// ScaledFloat stores a block of decimals — every value float64(n)/10^k for one
+// k ≤ 4, or one ULP beside it, corrected through a 2-bit lane — as the
 // integers n, and a float filter over it compares their residuals.
+// FramedString is PlainString with its end offsets stored as a ForInt frame.
 //
 // Retired schemes: delta varints and the varint-code dictionary are no longer
 // written, and no kernel reads them. Upgrade, called where a block's bytes
@@ -24,8 +26,8 @@
 // (Decode*) the span of every row. What spans of n values in all, the last
 // ending at value end, cost (and SearchInt64s over [lo, hi)):
 //
-//   - PlainInt, ForInt, PlainFloat, ScaledFloat, BitBool, PlainString,
-//     PackedDict: O(n)
+//   - PlainInt, ForInt, PlainFloat, ScaledFloat (with or without a lane),
+//     BitBool, PlainString, FramedString, PackedDict: O(n)
 //     (SearchInt64s: O(log(hi-lo)) on PlainInt and ForInt);
 //   - RLEInt: O(n) plus the runs before end.
 package compress
@@ -82,8 +84,14 @@ const (
 	PackedDict
 	// ScaledFloat stores value i as float64(base+r_i) / 10^k: the base as a
 	// little-endian int64, the digit count k (0..4) and the residual width,
-	// then the residuals bit-packed at that width.
+	// then the residuals bit-packed at that width. With the digit count's
+	// high bit set, each packed value also carries a 2-bit signed ULP
+	// correction in its low bits: a lane (scaled.go).
 	ScaledFloat
+	// FramedString stores PlainString's end offsets as a ForInt body — a
+	// base, a line and residuals bit-packed at one width — followed by the
+	// concatenated bytes.
+	FramedString
 )
 
 // headerSize is the scheme byte plus the little-endian uint32 value count
@@ -285,6 +293,22 @@ func fitFor(vals []int64) forBlock {
 	return forBlock{base: lo, w: widthOf(lo, hi)}
 }
 
+// putFor writes the ForInt body of vals, at the frame fitFor chose for them,
+// at buf[p:] and returns the offset after it.
+func putFor(buf []byte, p int, f forBlock, vals []int64) int {
+	binary.LittleEndian.PutUint64(buf[p:], uint64(f.base))
+	binary.LittleEndian.PutUint64(buf[p+8:], uint64(f.slope))
+	buf[p+16] = byte(f.w)
+	if f.w > 0 {
+		pk := packer{buf: buf, p: p + forHeaderSize}
+		for i, v := range vals {
+			pk.put(uint64(v-f.line(i)-f.base), f.w)
+		}
+		pk.flush()
+	}
+	return p + forHeaderSize + int(packedLen(len(vals), f.w))
+}
+
 // EncodeInt64s encodes vals, choosing the smallest of plain, ForInt and RLE
 // when compress is true (plain unless ForInt is strictly smaller, RLE if
 // strictly smaller than that), plain otherwise. One pass fits the frame of
@@ -321,16 +345,7 @@ func EncodeInt64s(vals []int64, compress bool) []byte {
 			p += 8
 		}
 	case ForInt:
-		binary.LittleEndian.PutUint64(buf[p:], uint64(f.base))
-		binary.LittleEndian.PutUint64(buf[p+8:], uint64(f.slope))
-		buf[p+16] = byte(f.w)
-		if f.w > 0 {
-			pk := packer{buf: buf, p: p + forHeaderSize}
-			for i, v := range vals {
-				pk.put(uint64(v-f.line(i)-f.base), f.w)
-			}
-			pk.flush()
-		}
+		putFor(buf, p, f, vals)
 	case RLEInt:
 		for i := 0; i < len(vals); {
 			j := i + 1
@@ -501,69 +516,182 @@ func DecodeStrings(buf []byte, out []string) ([]string, error) {
 	return out, DecodeStringsSpans(buf, s[:], out)
 }
 
-// EncodeStrings encodes vals, choosing the packed dictionary when it is
-// strictly smaller than plain (and compress is true). The dictionary pass
-// assigns every value its code and sums the exact dictionary block size
-// without building the block; only the winner is written.
+// EncodeStrings encodes vals, when compress is true, as the smallest of
+// plain, FramedString (taken only when strictly smaller than plain) and the
+// packed dictionary (only when strictly smaller than both); plain otherwise.
+// One pass fits the end offsets' frame, the dictionary pass assigns every
+// value its code and sums the exact dictionary block size without building
+// the block; only the winner is written.
 func EncodeStrings(vals []string, compress bool) []byte {
 	n := len(vals)
-	plain := headerSize + 4*n
+	data := 0
 	for _, s := range vals {
-		plain += len(s)
+		data += len(s)
 	}
-	if compress {
-		// One scratch allocation: codes[i] is vals[i]'s dictionary code, slots
-		// an open-addressed table (a power of two, at most half full) holding
-		// 1 + the index of a distinct value's first appearance.
-		mask := 1<<bits.Len(uint(max(2*n-1, 0))) - 1
-		scratch := make([]uint32, n+mask+1)
-		codes, slots := scratch[:n], scratch[n:]
-		ndict, dictBytes := 0, 0
+	scheme, size := PlainString, headerSize+4*n+data
+	var ends []int64
+	var f forBlock
+	if compress && n > 0 {
+		ends = make([]int64, n)
+		end := int64(0)
 		for i, s := range vals {
-			h := int(maphash.String(dictSeed, s)) & mask
-			for slots[h] != 0 && vals[slots[h]-1] != s {
-				h = (h + 1) & mask
-			}
-			if slots[h] == 0 {
-				slots[h] = uint32(i + 1)
-				codes[i] = uint32(ndict)
-				ndict++
-				dictBytes += len(s)
-			} else {
-				codes[i] = codes[slots[h]-1]
-			}
+			end += int64(len(s))
+			ends[i] = end
 		}
-		w := codeWidth(ndict)
-		if size := headerSize + 4 + 4*ndict + dictBytes + int(packedLen(n, w)); size < plain {
-			buf := newBlock(PackedDict, n, size)
-			binary.LittleEndian.PutUint32(buf[headerSize:], uint32(ndict))
-			offs, p := headerSize+4, headerSize+4+4*ndict
-			next := uint32(0)
-			for i, s := range vals {
-				if codes[i] == next { // first appearance: the next dictionary entry
-					p += copy(buf[p:], s)
-					binary.LittleEndian.PutUint32(buf[offs+4*int(next):], uint32(p-offs-4*ndict))
-					next++
-				}
-			}
-			if w > 0 {
-				pk := packer{buf: buf, p: p}
-				for _, c := range codes {
-					pk.put(uint64(c), w)
-				}
-				pk.flush()
-			}
+		f = fitFor(ends)
+		if s := headerSize + forHeaderSize + int(packedLen(n, f.w)) + data; s < size {
+			scheme, size = FramedString, s
+		}
+		if buf := encodeDict(vals, size); buf != nil {
 			return buf
 		}
 	}
-	buf := newBlock(PlainString, n, plain)
-	off, p := uint32(0), headerSize+4*n
-	for i, s := range vals {
-		off += uint32(len(s))
-		binary.LittleEndian.PutUint32(buf[headerSize+4*i:], off)
+	buf := newBlock(scheme, n, size)
+	p := headerSize + 4*n
+	if scheme == FramedString {
+		p = putFor(buf, headerSize, f, ends)
+	} else {
+		off := uint32(0)
+		for i, s := range vals {
+			off += uint32(len(s))
+			binary.LittleEndian.PutUint32(buf[headerSize+4*i:], off)
+		}
+	}
+	for _, s := range vals {
 		p += copy(buf[p:], s)
 	}
 	return buf
+}
+
+// encodeDict writes the PackedDict block of vals when it is strictly smaller
+// than limit bytes, and returns nil otherwise.
+func encodeDict(vals []string, limit int) []byte {
+	n := len(vals)
+	// One scratch allocation: codes[i] is vals[i]'s dictionary code, slots
+	// an open-addressed table (a power of two, at most half full) holding
+	// 1 + the index of a distinct value's first appearance.
+	mask := 1<<bits.Len(uint(max(2*n-1, 0))) - 1
+	scratch := make([]uint32, n+mask+1)
+	codes, slots := scratch[:n], scratch[n:]
+	ndict, dictBytes := 0, 0
+	for i, s := range vals {
+		h := int(maphash.String(dictSeed, s)) & mask
+		for slots[h] != 0 && vals[slots[h]-1] != s {
+			h = (h + 1) & mask
+		}
+		if slots[h] == 0 {
+			slots[h] = uint32(i + 1)
+			codes[i] = uint32(ndict)
+			ndict++
+			dictBytes += len(s)
+		} else {
+			codes[i] = codes[slots[h]-1]
+		}
+	}
+	w := codeWidth(ndict)
+	size := headerSize + 4 + 4*ndict + dictBytes + int(packedLen(n, w))
+	if size >= limit {
+		return nil
+	}
+	buf := newBlock(PackedDict, n, size)
+	binary.LittleEndian.PutUint32(buf[headerSize:], uint32(ndict))
+	offs, p := headerSize+4, headerSize+4+4*ndict
+	next := uint32(0)
+	for i, s := range vals {
+		if codes[i] == next { // first appearance: the next dictionary entry
+			p += copy(buf[p:], s)
+			binary.LittleEndian.PutUint32(buf[offs+4*int(next):], uint32(p-offs-4*ndict))
+			next++
+		}
+	}
+	if w > 0 {
+		pk := packer{buf: buf, p: p}
+		for _, c := range codes {
+			pk.put(uint64(c), w)
+		}
+		pk.flush()
+	}
+	return buf
+}
+
+// strBlock is a parsed PlainString or FramedString block: value i is
+// data[start(i):start(i+1)], where start(0) is 0 and start(i) value i-1's end
+// offset. The two layouts differ only in how those offsets are stored, and
+// starts is the one reader of them.
+type strBlock struct {
+	offs   []byte   // PlainString: count little-endian uint32 end offsets
+	frame  forBlock // FramedString: the end offsets' ForInt frame
+	framed bool
+	data   []byte
+}
+
+// parseStrings reads a PlainString or FramedString body holding count
+// values. The offsets are checked as they are read: every reader holds them
+// to 0 <= start(i) <= start(i+1) <= len(data) over the values it reads.
+func parseStrings(scheme Scheme, body []byte, count int) (strBlock, error) {
+	switch scheme {
+	case PlainString:
+		if len(body)/4 < count {
+			return strBlock{}, corrupt("string offsets truncated")
+		}
+		return strBlock{offs: body[:4*count], data: body[4*count:]}, nil
+	case FramedString:
+		f, err := parseFor(body, count)
+		if err != nil {
+			return strBlock{}, err
+		}
+		n := int(packedLen(count, f.w))
+		f.packed = f.packed[:n]
+		return strBlock{frame: f, framed: true, data: body[forHeaderSize+n:]}, nil
+	}
+	return strBlock{}, corrupt("scheme %d is not a string encoding", scheme)
+}
+
+// starts stores start(from+k) in dst[k], for from+len(dst) <= count+1: the
+// offsets of a run of values, and the end of the run's last one, read a
+// chunk at a time.
+func (s *strBlock) starts(dst []int64, from int) {
+	if len(dst) == 0 {
+		return
+	}
+	if from == 0 {
+		dst[0] = 0
+		dst, from = dst[1:], 1
+	}
+	if s.framed {
+		s.frame.decode(dst, from-1)
+		return
+	}
+	offs := s.offs[4*(from-1):]
+	for k := range dst {
+		dst[k] = int64(binary.LittleEndian.Uint32(offs[4*k:]))
+	}
+}
+
+// start is start(i) alone.
+func (s *strBlock) start(i int) int64 {
+	var b [1]int64
+	s.starts(b[:], i)
+	return b[0]
+}
+
+// checkOffsets checks that [lo, hi) is a value's bytes inside [first, end),
+// the part of data a read copied: an offset out of order or past the data is
+// corrupt.
+func checkOffsets(lo, hi, first, end int64) error {
+	if lo < first || lo > hi || hi > end {
+		return corrupt("bad string offset")
+	}
+	return nil
+}
+
+// arena copies data[first:end) once for the values of a read to share, after
+// checking that it lies within the data.
+func (s *strBlock) arena(first, end int64) (string, error) {
+	if first < 0 || first > end || end > int64(len(s.data)) {
+		return "", corrupt("bad string offset")
+	}
+	return string(s.data[first:end]), nil
 }
 
 // dictBlock is a parsed PackedDict block.
@@ -675,17 +803,19 @@ func (d *dictBlock) entry(c uint64) (lo, hi uint32, err error) {
 
 // DictValues returns the dictionary of a PackedDict block — its exact
 // distinct value set, in first-appearance order — without decoding the code
-// stream. ok is false for a PlainString block, and any other scheme is not a
-// string block (ErrCorrupt). Index builds and
+// stream. ok is false for a PlainString or FramedString block, and any other
+// scheme is not a string block (ErrCorrupt). Index builds and
 // encoded-block filters use it to see every value a block can produce at
 // dictionary cost instead of row count cost. A packed dictionary's values
 // share one copy of its bytes: a summary keeps every entry or none.
 func DictValues(buf []byte) (vals []string, ok bool, err error) {
 	scheme, count, body, err := readHeader(buf)
-	if err != nil || scheme == PlainString {
+	switch {
+	case err != nil:
 		return nil, false, err
-	}
-	if scheme != PackedDict {
+	case scheme == PlainString || scheme == FramedString:
+		return nil, false, nil
+	case scheme != PackedDict:
 		return nil, false, corrupt("scheme %d is not a string encoding", scheme)
 	}
 	d, err := parseDict(body, count)
@@ -748,10 +878,10 @@ func BlockScheme(buf []byte) Scheme {
 }
 
 // BlockCount reports the value count an encoded block's header claims, -1
-// when it has no header. RLE runs and width-0 ForInt, ScaledFloat and
-// PackedDict blocks hold any count in a few bytes, so a caller about to
-// decode a whole block it did not write checks this against the rows it
-// expects first.
+// when it has no header. RLE runs and width-0 ForInt, ScaledFloat,
+// FramedString and PackedDict blocks hold any count in a few bytes, so a
+// caller about to decode a whole block it did not write checks this against
+// the rows it expects first.
 func BlockCount(buf []byte) int {
 	_, count, _, err := readHeader(buf)
 	if err != nil {
@@ -764,9 +894,9 @@ func BlockCount(buf []byte) int {
 // that many values, so that nothing is sized from a count they could not. A
 // plain block spends 8 bytes per int or float and a 4-byte offset per string,
 // and a BitBool block a bit per value; RLE runs are walked, and width-0
-// ForInt, ScaledFloat and PackedDict blocks hold any count (callers check
-// BlockCount against the rows they expect first). Any other scheme is not a
-// written one, and no whole decode of it sizes anything.
+// ForInt, ScaledFloat, FramedString and PackedDict blocks hold any count
+// (callers check BlockCount against the rows they expect first). Any other
+// scheme is not a written one, and no whole decode of it sizes anything.
 func wholeCount(buf []byte) (int, error) {
 	scheme, count, body, err := readHeader(buf)
 	if err != nil {
@@ -781,7 +911,7 @@ func wholeCount(buf []byte) (int, error) {
 			got += run
 		}
 		return count, err
-	case ForInt:
+	case FramedString, ForInt: // a FramedString body starts with its offsets' ForInt frame
 		_, err = parseFor(body, count)
 		return count, err
 	case PackedDict:

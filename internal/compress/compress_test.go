@@ -374,7 +374,8 @@ func checkWindows(t *testing.T, c windowCase) {
 }
 
 // TestDecodeFromWindows runs the span decoders' window contract over one small
-// block of each of the eight written encodings.
+// block of each of the nine written encodings, and a ScaledFloat block with a
+// lane.
 func TestDecodeFromWindows(t *testing.T) {
 	ints := []int64{3, -1, 0, 1 << 40, -(1 << 40), 7, 7, 7, -9, 0, 0, 2}
 	line := []int64{-50, -41, -33, -20, -14, -3, 5, 11, 22, 31, 40, 52, 59}
@@ -386,17 +387,19 @@ func TestDecodeFromWindows(t *testing.T) {
 		intCase("for-int-line", encodeForInt(line)),
 		floatCase("plain-float", EncodeFloat64s([]float64{0, -1.5, 3.25, 1e300, -1e-300, 42}, true)),
 		floatCase("scaled-float", EncodeFloat64s([]float64{0, -1.5, 3.25, 1e3, -1e-2, 42, 17.75, 0.5}, true)),
+		floatCase("scaled-float-lane", EncodeFloat64s(laneVals()[:11], true)),
 		boolCase("bit-bool", EncodeBools([]int64{1, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1})),
 		stringCase("plain-string", encodePlainString(strs)),
 		stringCase("packed-dict", encodePackedDict(strs)),
+		stringCase("framed-string", encodeFramedString(strs)),
 	}
 	seen := map[Scheme]bool{}
 	for _, c := range cases {
 		seen[BlockScheme(c.buf)] = true
 		checkWindows(t, c)
 	}
-	if len(seen) != 8 || seen[DeltaVarint] || seen[DictString] {
-		t.Errorf("table covers %d encodings, want the 8 written ones", len(seen))
+	if len(seen) != 9 || seen[DeltaVarint] || seen[DictString] {
+		t.Errorf("table covers %d encodings, want the 9 written ones", len(seen))
 	}
 	if slope := binary.LittleEndian.Uint64(encodeForInt(line)[headerSize+8:]); slope == 0 {
 		t.Error("for-int-line was built without its line")
@@ -449,8 +452,9 @@ func TestDecodeFromHostileLengths(t *testing.T) {
 	}); b > 64<<10 {
 		t.Errorf("hostile headers cost %d bytes", b)
 	}
-	// The bit-packed schemes: a ForInt frame too short for its header, frames
-	// whose 2^32-1 residuals at 1, 64 and 255 bits are missing, a packed
+	// The bit-packed schemes: a ForInt frame too short for its header, ForInt
+	// and FramedString frames whose 2^32-1 residuals at 1, 64 and 255 bits
+	// are missing, a packed
 	// dictionary claiming 2^32-1 entries, and one whose one entry claims
 	// 2^32-1 bytes. Then plain blocks holding a byte per value they claim,
 	// short of the 8 an int or float takes and the 4 of a string's offset: a
@@ -483,6 +487,15 @@ func TestDecodeFromHostileLengths(t *testing.T) {
 			}
 			if _, _, err := SearchInt64s(frame, 0, 1, 0); !errors.Is(err, ErrCorrupt) {
 				t.Errorf("ForInt width %d search: err = %v", w, err)
+			}
+		}
+		for _, w := range []byte{1, 64, 255} {
+			frame := huge(FramedString, append(make([]byte, 16), w, 'a', 'b', 0, 0, 0, 0, 0, 0)...)
+			if _, err := DecodeStrings(frame, nil); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("FramedString width %d: err = %v", w, err)
+			}
+			if err := DecodeStringsSpans(frame, []Span{{N: 1}}, make([]string, 1)); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("FramedString width %d span: err = %v", w, err)
 			}
 		}
 		for _, buf := range [][]byte{huge(PackedDict, 0xff, 0xff, 0xff, 0xff, 0), huge(PackedDict, 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0)} {
@@ -531,6 +544,7 @@ func TestDecodeFloat64sFrom(t *testing.T) {
 	}
 	checkWindows(t, floatCase("floats", EncodeFloat64s(vals, false)))
 	checkWindows(t, floatCase("scaled", EncodeFloat64s(vals, true)))
+	checkWindows(t, floatCase("lane", EncodeFloat64s(laneVals()[:40], true)))
 }
 
 func TestDecodeBoolsFrom(t *testing.T) {
@@ -554,5 +568,7 @@ func TestDecodeStringsFrom(t *testing.T) {
 		}
 		// a packed dictionary even where plain is smaller
 		checkWindows(t, stringCase("packed-dict", encodePackedDict(vals)))
+		// and framed offsets even where they are not
+		checkWindows(t, stringCase("framed", encodeFramedString(vals)))
 	}
 }

@@ -74,10 +74,10 @@ func refDecodeInt64sFrom(buf []byte, skip, n int) ([]int64, error) {
 				return nil, corrupt("reference: run length")
 			}
 			body = body[sz:]
-			for k := 0; k < int(run); k++ {
-				if got+k >= skip && got+k < skip+n {
-					out = append(out, unzigzag(u))
-				}
+			// Only the run's overlap with the window: a run may claim 2^32-1
+			// values of which the window holds three.
+			for k := max(got, skip); k < min(got+int(run), skip+n); k++ {
+				out = append(out, unzigzag(u))
 			}
 			got += int(run)
 		}
@@ -87,11 +87,12 @@ func refDecodeInt64sFrom(buf []byte, skip, n int) ([]int64, error) {
 }
 
 // boundless reports whether buf claims more than 2^16 values in a layout
-// that holds any count in a few bytes — RLE runs, a width-0 ForInt or
-// ScaledFloat frame, a one-entry PackedDict. A full decode yields the block's count of values by
-// contract, so the harnesses decode such a block only through windows with
-// an explicit n; callers check a block's count against the rows they expect
-// before decoding it whole (compress.BlockCount; index.summarize does).
+// that holds any count in a few bytes — RLE runs, a width-0 ForInt,
+// FramedString or ScaledFloat frame, a one-entry PackedDict. A full decode
+// yields the block's count of values by contract, so the harnesses decode
+// such a block only through windows with an explicit n; callers check a
+// block's count against the rows they expect before decoding it whole
+// (compress.BlockCount; index.summarize does).
 func boundless(buf []byte) bool {
 	if BlockCount(buf) <= 1<<16 {
 		return false
@@ -99,7 +100,7 @@ func boundless(buf []byte) bool {
 	switch body := buf[headerSize:]; BlockScheme(buf) {
 	case RLEInt:
 		return true
-	case ForInt:
+	case ForInt, FramedString:
 		return len(body) > 16 && body[16] == 0
 	case ScaledFloat:
 		return len(body) > 9 && body[9] == 0

@@ -9,13 +9,20 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
+	"strings"
 	"testing"
+
+	"pdtstore/internal/vector"
 )
 
 // refDecodeStringsFrom reads values [skip, skip+n) of a string block one at a
 // time, copying each. It accepts exactly the blocks the format defines: a
 // window inside the count; for plain blocks, non-decreasing offsets inside
-// the data over the window; for packed dictionaries, an offset array and the
+// the data over the window; for framed offsets, a ForInt frame (as
+// refDecodeInt64sFrom reads it) whose end offsets over the window are
+// non-decreasing and inside the bytes after it; for packed dictionaries, an offset array and the
 // bytes up to its last offset inside the block, every value's code bits in
 // whole 64-bit words after them, and — over the window — codes below the
 // entry count naming entries whose offsets are in order and inside those
@@ -50,6 +57,30 @@ func refDecodeStringsFrom(buf []byte, skip, n int) ([]string, error) {
 				return nil, corrupt("reference: offset")
 			}
 			out = append(out, string(data[lo:hi]))
+		}
+		return out, nil
+	case FramedString:
+		if len(body) < 17 {
+			return nil, corrupt("reference: frame truncated")
+		}
+		w := int(body[16])
+		if w > 64 || uint64(len(body)-17) < 8*((uint64(count)*uint64(w)+63)/64) {
+			return nil, corrupt("reference: residuals truncated")
+		}
+		data := body[17+8*((count*w+63)/64):]
+		frame := append([]byte{byte(ForInt), buf[1], buf[2], buf[3], buf[4]}, body[:len(body)-len(data)]...)
+		for i := skip; i < skip+n; i++ {
+			lo := int64(0)
+			if i > 0 {
+				prev, _ := refDecodeInt64sFrom(frame, i-1, 1)
+				lo = prev[0]
+			}
+			end, _ := refDecodeInt64sFrom(frame, i, 1)
+			if hi := end[0]; lo < 0 || lo > hi || hi > int64(len(data)) {
+				return nil, corrupt("reference: offset")
+			} else {
+				out = append(out, string(data[lo:hi]))
+			}
 		}
 		return out, nil
 	case PackedDict:
@@ -132,7 +163,7 @@ func checkDecodeStrings(t testing.TB, buf []byte, skip, n int, cut uint64) {
 // decodeSeeds are valid blocks of every string layout the store writes. The
 // second of each pair was a varint-code dictionary block when the kernels read
 // that scheme; it is the block Upgrade makes of it now, so the seeds keep
-// their numbers.
+// their numbers, and later layouts' seeds are appended.
 func decodeSeeds() [][]byte {
 	wide := make([]string, 300) // more than 128 distinct: two-byte codes
 	for i := range wide {
@@ -147,7 +178,17 @@ func decodeSeeds() [][]byte {
 	for _, vals := range [][]string{nil, {""}, {"", "a", "bc", "", "def", "ghij"}, stringBlocks()["low-cardinality"][:64], wide} {
 		seeds = append(seeds, encodePackedDict(vals))
 	}
-	return seeds
+	// Framed offsets: residuals of 0 bits (values of one length, on the line)
+	// and of several, and the block EncodeStrings writes for distinct text.
+	equal := make([]string, 40)
+	for i := range equal {
+		equal[i] = fmt.Sprintf("k%03d", i)
+	}
+	distinct, _ := framedBlock(120)
+	for _, vals := range [][]string{{""}, {"", "a", "bc", "", "def", "ghij"}, equal, wide} {
+		seeds = append(seeds, encodeFramedString(vals))
+	}
+	return append(seeds, distinct)
 }
 
 // FuzzDecodeStringsFrom fuzzes the string span decoder from every window: a
@@ -204,6 +245,7 @@ func TestDecodeStringsArena(t *testing.T) {
 		max  float64
 	}{
 		{"plain", encodePlainString(distinct), 1},
+		{"framed", encodeFramedString(distinct), 1},
 		{"dict/all-distinct", encodePackedDict(distinct), 2},
 		{"dict/low-cardinality", encodePackedDict(stringBlocks()["low-cardinality"]), 2},
 	}
@@ -217,6 +259,87 @@ func TestDecodeStringsArena(t *testing.T) {
 		})
 		if got > c.max {
 			t.Errorf("%s: %.0f allocations per block of %d values, want <= %.0f", c.name, got, len(out), c.max)
+		}
+	}
+}
+
+// framedBlock is a FramedString block of n distinct values of uneven length,
+// and the values.
+func framedBlock(n int) ([]byte, []string) {
+	vals := make([]string, n)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("note %d %s", i, strings.Repeat("x", i*7%13))
+	}
+	buf := EncodeStrings(vals, true)
+	if BlockScheme(buf) != FramedString {
+		panic(fmt.Sprintf("%d distinct values encode as scheme %d", n, BlockScheme(buf)))
+	}
+	return buf, vals
+}
+
+// TestFramedStringHostile is TestScaledFloatHostile's twin for framed
+// offsets: end offsets that go down, go negative or pass the data, a frame
+// wider than 64 bits, and a frame or its residuals cut short — its own
+// count's or a claimed 2^32-1 — are ErrCorrupt from every kernel reading the
+// values they spoil (which may have written the values before), none of
+// which sizes anything from the claim; DictValues answers ok = false without
+// reading the frame.
+func TestFramedStringHostile(t *testing.T) {
+	good, vals := framedBlock(200)
+	n := len(vals)
+	edit := func(f func(b []byte) []byte) []byte { return f(slices.Clone(good)) }
+	setInt := func(at int, v int64) func(b []byte) []byte {
+		return func(b []byte) []byte { binary.LittleEndian.PutUint64(b[headerSize+at:], uint64(v)); return b }
+	}
+	base := int64(binary.LittleEndian.Uint64(good[headerSize:]))
+	// The end offsets of the values, with the third one's below the second's.
+	ends, end := make([]int64, n), int64(0)
+	for i, v := range vals {
+		end += int64(len(v))
+		ends[i] = end
+	}
+	ends[2] = ends[1] - 1
+	down := append(putHeader(FramedString, n), encodeForInt(ends)[headerSize:]...)
+	for _, v := range vals {
+		down = append(down, v...)
+	}
+	cases := map[string][]byte{
+		"offsets not monotone": down,
+		"slope negative":       edit(setInt(8, -1<<40)),
+		"base negative":        edit(setInt(0, -1000)),
+		"ends past the data":   edit(setInt(0, base+1<<20)),
+		"last end past data":   good[:len(good)-1],
+		"width 65":             edit(func(b []byte) []byte { b[headerSize+16] = 65; return b }),
+		"width 255":            edit(func(b []byte) []byte { b[headerSize+16] = 255; return b }),
+		"frame":                good[:headerSize+forHeaderSize-1],
+		"residuals":            good[:headerSize+forHeaderSize+3],
+		"count 2^32":           edit(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[1:], math.MaxUint32); return b }),
+	}
+	rows, pos := []uint32{0, 2, uint32(n / 2), uint32(n - 1)}, []uint32{0, 1, 2, 3}
+	for name, buf := range cases {
+		dst := make([]string, n)
+		sel := func(p vector.Pred) func() error {
+			return func() error { _, err := SelectStrings(buf, 0, n, p, nil); return err }
+		}
+		calls := map[string]func() error{
+			"DecodeStrings":         func() error { _, err := DecodeStrings(buf, nil); return err },
+			"DecodeStringsSpans":    func() error { return DecodeStringsSpans(buf, []Span{{N: 3}, {Row: 3, At: 3, N: n - 3}}, dst) },
+			"GatherStringsAt":       func() error { return GatherStringsAt(buf, 0, rows, pos, dst) },
+			"SelectStrings/none":    sel(vector.Pred{Op: vector.PredNone}),
+			"SelectStrings/eq":      sel(vector.Pred{Op: vector.PredStrEq, Strs: []string{vals[1]}}),
+			"SelectStrings/contain": sel(vector.Pred{Op: vector.PredStrContains, Strs: []string{"x"}}),
+		}
+		for call, f := range calls {
+			var err error
+			if b := allocBytes(func() { err = f() }); b > 64<<10 {
+				t.Errorf("%s of %s: %d bytes allocated", call, name, b)
+			}
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s of %s: err = %v, want ErrCorrupt", call, name, err)
+			}
+		}
+		if got, ok, err := DictValues(buf); ok || err != nil || got != nil {
+			t.Errorf("DictValues of %s: %d values, ok %v, err %v; want none, false, nil", name, len(got), ok, err)
 		}
 	}
 }

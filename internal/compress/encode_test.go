@@ -144,6 +144,15 @@ func floatBlocks() map[string][]float64 {
 		"limit-out":  {1 << 51, 0},
 		"limit-52":   {1<<52 - 1, 3},
 		"constant":   slices.Repeat([]float64{0.07}, 4096),
+		// One ULP beside a decimal: a lane over positive integers below
+		// 2^48, and plain for a negative value, a zero beside the moved ones,
+		// two ULPs, or an integer at 2^48.
+		"ulp":           {math.Nextafter(0.07, 1), 0.07, math.Nextafter(0.07, 0), 1234.56, math.Nextafter(99.99, 100)},
+		"ulp-neg":       {math.Nextafter(-0.07, -1), 0.07, 1.25},
+		"ulp-zero":      {0, math.Nextafter(0.07, 1), 0.07, 1.25},
+		"ulp-two":       {math.Nextafter(math.Nextafter(0.07, 1), 1), 0.07, 1.25},
+		"ulp-limit-in":  slices.Repeat([]float64{math.Nextafter(1<<48-1, 0), 1<<48 - 2}, 30),
+		"ulp-limit-out": slices.Repeat([]float64{math.Nextafter(1<<48, 0), 1<<48 - 2}, 30),
 	}
 	for name, vals := range lineitemFloats() {
 		blocks[name] = vals
@@ -307,19 +316,22 @@ func TestEncodersMatchReference(t *testing.T) {
 		}
 	}
 	floats := floatBlocks()
-	for name, want := range map[string]Scheme{"quantity": ScaledFloat, "discount": ScaledFloat, "tax": ScaledFloat, "extendedprice": PlainFloat,
+	for name, want := range map[string]Scheme{"quantity": ScaledFloat, "discount": ScaledFloat, "tax": ScaledFloat, "extendedprice": ScaledFloat,
 		"constant": ScaledFloat, "k0": ScaledFloat, "k4": ScaledFloat, "k2-stray-999": PlainFloat, "tie": ScaledFloat, "limit-in": ScaledFloat,
-		"limit-neg": ScaledFloat, "limit-wide": PlainFloat, "limit-out": PlainFloat, "neg-zero": PlainFloat, "nan": PlainFloat, "no-smaller": PlainFloat} {
+		"limit-neg": ScaledFloat, "limit-wide": PlainFloat, "limit-out": PlainFloat, "neg-zero": PlainFloat, "nan": PlainFloat, "no-smaller": PlainFloat,
+		"ulp": ScaledFloat, "ulp-neg": PlainFloat, "ulp-zero": PlainFloat, "ulp-two": PlainFloat, "ulp-limit-in": ScaledFloat, "ulp-limit-out": PlainFloat} {
 		if got := BlockScheme(EncodeFloat64s(floats[name], true)); got != want {
 			t.Errorf("float block %q encodes as scheme %d, want %d", name, got, want)
 		}
 	}
-	for name, want := range map[string]byte{"quantity": 0, "discount": 2, "tax": 2, "tie": 1, "k3": 3} {
+	for name, want := range map[string]byte{"quantity": 0, "discount": 2, "tax": 2, "tie": 1, "k3": 3, "extendedprice": 2 | scaledLane,
+		"ulp": 2 | scaledLane, "ulp-limit-in": 0 | scaledLane, "k2": 2} {
 		if enc := EncodeFloat64s(floats[name], true); BlockScheme(enc) != ScaledFloat || enc[headerSize+8] != want {
 			t.Errorf("float block %q: scheme %d, digit count %d; want %d", name, BlockScheme(enc), enc[headerSize+8], want)
 		}
 	}
-	for name, want := range map[string]Scheme{"low-cardinality": PackedDict, "some-empty": PackedDict, "all-distinct": PlainString, "plain-wins": PlainString, "empty": PlainString} {
+	for name, want := range map[string]Scheme{"low-cardinality": PackedDict, "some-empty": PackedDict, "all-distinct": FramedString,
+		"20000-distinct": FramedString, "plain-wins": PlainString, "empty": PlainString} {
 		if got := BlockScheme(EncodeStrings(strs[name], true)); got != want {
 			t.Errorf("string block %q encodes as scheme %d, want %d", name, got, want)
 		}
@@ -382,7 +394,9 @@ func FuzzEncodeInt64s(f *testing.F) {
 // decision as easily as raw bit patterns:
 //
 //   - 0: the word's bit pattern (NaN payloads, subnormals, −0, ±Inf);
-//   - 1: a decimal, the word's low 8·(1 + shape>>5) bits over 10^k;
+//   - 1: a decimal, the word's low 8·(1 + shape>>5) bits over 10^k, moved one
+//     ULP up when the word's top two bits are 01 and down when they are 10
+//     — the values a lane corrects, on both sides of 0;
 //   - 2: a decimal whose integer lies within 255 of ±2^51 or ±2^52;
 //   - 3: decimals as 1, with the value at the first word's index replaced by
 //     its bit pattern — one stray in a decimal block.
@@ -404,7 +418,14 @@ func fuzzFloats(data []byte, shape uint8) []float64 {
 			vals = append(vals, float64(edge+int64(int8(u)))/math.Pow10(k))
 		default:
 			n := int64(u<<(64-bitsKept)) >> (64 - bitsKept)
-			vals = append(vals, float64(n)/math.Pow10(k))
+			v := float64(n) / math.Pow10(k)
+			switch u >> 62 {
+			case 1:
+				v = math.Nextafter(v, math.Inf(1))
+			case 2:
+				v = math.Nextafter(v, math.Inf(-1))
+			}
+			vals = append(vals, v)
 		}
 	}
 	if shape&3 == 3 && len(vals) > 0 {
@@ -440,6 +461,11 @@ func FuzzEncodeFloat64s(f *testing.F) {
 		f.Add(words(5, 10, 0xffff, 3, 1<<40), 1|k<<2|7<<5)
 		f.Add(words(0, 0x100, 0x2ff, 0x3ff, 7), 2|k<<2)
 		f.Add(words(2, 500, 7, 9, 11), 3|k<<2|1<<5)
+		// ±1 ULP beside decimals: positive cents (a lane), and hundredths
+		// straddling 0 (no lane takes them).
+		const up, down = 1 << 62, 2 << 62
+		f.Add(words(9000|up, 9001, 499900|down, 123456|up, 7|down), 1|k<<2|2<<5)
+		f.Add(words(0xfe|up, 0xff, 0|down, 1|up, 2|down), 1|k<<2)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, shape uint8) {
 		checkFloatBlock(t, fuzzFloats(data, shape))
@@ -465,6 +491,9 @@ func FuzzEncodeStrings(f *testing.F) {
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint8(' '), uint8(3))
 	f.Add([]byte{}, uint8(0), uint8(0))
 	f.Add(bytes.Repeat([]byte{0, 1}, 200), uint8(1), uint8(0))
+	// Distinct values: framed offsets win, on their line (one length) or not.
+	f.Add([]byte("k001 k002 k003 k004 k005 k006 k007 k008 k009 k010 k011 k012"), uint8(' '), uint8(0))
+	f.Add([]byte("carefully final deposits|quickly ironic requests|slyly bold accounts|furiously even pinto beans|blithely regular ideas"), uint8('|'), uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, sep, card uint8) {
 		checkStringBlock(t, fuzzStrings(data, sep, card))
 	})
@@ -473,7 +502,7 @@ func FuzzEncodeStrings(f *testing.F) {
 // TestEncodeAllocs guards the point of sizing before writing: a block is one
 // exactly sized allocation, plus the dictionary pass's scratch for strings.
 func TestEncodeAllocs(t *testing.T) {
-	ints, strs, floats := intBlocks(), stringBlocks(), lineitemFloats()
+	ints, strs, floats, stray := intBlocks(), stringBlocks(), lineitemFloats(), floatBlocks()["k2-stray-500"]
 	cases := []struct {
 		name string
 		max  float64
@@ -484,10 +513,11 @@ func TestEncodeAllocs(t *testing.T) {
 		{"int/full-range", 1, func() { EncodeInt64s(ints["full-range"], true) }},
 		{"int/uncompressed", 1, func() { EncodeInt64s(ints["sorted"], false) }},
 		{"float/scaled", 1, func() { EncodeFloat64s(floats["discount"], true) }},
-		{"float/plain", 1, func() { EncodeFloat64s(floats["extendedprice"], true) }},
+		{"float/lane", 1, func() { EncodeFloat64s(floats["extendedprice"], true) }},
+		{"float/plain", 1, func() { EncodeFloat64s(stray, true) }},
 		{"float/uncompressed", 1, func() { EncodeFloat64s(floats["discount"], false) }},
 		{"bool", 1, func() { EncodeBools(ints["bools"]) }},
-		{"string/all-distinct", 4, func() { EncodeStrings(strs["all-distinct"], true) }},
+		{"string/all-distinct", 4, func() { EncodeStrings(strs["all-distinct"], true) }}, // FramedString
 		{"string/low-cardinality", 4, func() { EncodeStrings(strs["low-cardinality"], true) }},
 		{"string/uncompressed", 4, func() { EncodeStrings(strs["all-distinct"], false) }},
 	}
@@ -527,20 +557,27 @@ func BenchmarkEncodeStrings(b *testing.B) {
 
 // floatBenchBlocks are the float microbenchmarks' blocks: lineitem's
 // quantity (ScaledFloat, k = 0), discount (ScaledFloat, k = 2) and
-// extendedprice (the plain fallback) compressed, and discount uncompressed —
-// the PlainFloat encode every float block took before ScaledFloat — and two
-// ScaledFloat blocks of hundredths on either side of tableWidth: a read maps
-// each residual of the 6-bit one through the table and divides at 7 bits.
+// extendedprice (ScaledFloat, k = 2, 19 bits and a lane) compressed, and
+// discount and extendedprice uncompressed — the PlainFloat encode every float
+// block took before ScaledFloat, and the one extendedprice took before the
+// lane — and four ScaledFloat blocks of hundredths without a lane: two on
+// either side of tableWidth (a read maps each residual of the 6-bit one
+// through the table and divides at 7 bits), one as wide as extendedprice's
+// residuals, the lane's comparator, and one as wide as its ranks, which
+// separates what the correction costs from what two more bits cost.
 var floatBenchBlocks = []struct {
 	name, block string
 	compress    bool
-}{{"quantity", "quantity", true}, {"discount", "discount", true}, {"extendedprice", "extendedprice", true}, {"uncompressed", "discount", false}, {"w6", "w6", true}, {"w7", "w7", true}}
+}{{"quantity", "quantity", true}, {"discount", "discount", true}, {"extendedprice", "extendedprice", true}, {"uncompressed", "discount", false},
+	{"extendedprice_plain", "extendedprice", false}, {"w6", "w6", true}, {"w7", "w7", true}, {"w19", "w19", true},
+	{"w21", "w21", true}}
 
-// floatBenchValues are lineitemFloats and the hundredths blocks w6 and w7.
+// floatBenchValues are lineitemFloats and the hundredths blocks w6, w7, w19
+// and w21.
 func floatBenchValues() map[string][]float64 {
 	blocks := lineitemFloats()
 	rng := rand.New(rand.NewSource(25))
-	for _, w := range []int{6, 7} {
+	for _, w := range []int{6, 7, 19, 21} {
 		vals := make([]float64, 4096)
 		for i := range vals {
 			vals[i] = float64(rng.Intn(1<<w)) / 100

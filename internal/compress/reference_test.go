@@ -169,32 +169,47 @@ func encodePlainFloat(vals []float64) []byte {
 	return buf
 }
 
-// refScaled is the integer n, of magnitude below 2^51, whose float64(n)/10^k
-// is v bit for bit, when there is one.
-func refScaled(v float64, k int) (int64, bool) {
+// refScaled is the integer n, of magnitude below 2^51, whose
+// float64(n)/10^k is v bit for bit, or — for n in [1, 2^48) — one ULP beside
+// it, when there is one, and the ULPs d from that quotient to v.
+func refScaled(v float64, k int) (n, d int64, ok bool) {
 	p := math.Pow10(k)
 	x := math.Round(v * p)
 	if math.IsNaN(x) || math.Abs(x) >= 1<<51 {
-		return 0, false
+		return 0, 0, false
 	}
-	n := int64(x)
-	return n, math.Float64bits(float64(n)/p) == math.Float64bits(v)
+	n = int64(x)
+	q := float64(n) / p
+	switch {
+	case math.Float64bits(q) == math.Float64bits(v):
+		return n, 0, true
+	case n >= 1 && n < 1<<48 && v > 0 && math.Nextafter(q, math.Inf(1)) == v:
+		return n, 1, true
+	case n >= 1 && n < 1<<48 && v > 0 && math.Nextafter(q, 0) == v:
+		return n, -1, true
+	}
+	return 0, 0, false
 }
 
 // encodeScaledFloat builds the ScaledFloat block of vals at digit count k —
-// a base, k, a width and the residuals from the base — when there are values
-// and every one comes back through it.
+// a base, k, a width and the residuals from the base, or, when some value
+// needs a correction, the lane flag, a width 2 wider and every value's rank
+// 4·residual + correction + 2 — when there are values and every one comes
+// back through it: its integers within ±2^51, and within [1, 2^48) with a
+// lane.
 func encodeScaledFloat(vals []float64, k int) ([]byte, bool) {
 	if len(vals) == 0 {
 		return nil, false
 	}
-	ns := make([]int64, len(vals))
+	ns, ds := make([]int64, len(vals)), make([]int64, len(vals))
+	lane := false
 	for i, v := range vals {
-		n, ok := refScaled(v, k)
+		n, d, ok := refScaled(v, k)
 		if !ok {
 			return nil, false
 		}
-		ns[i] = n
+		ns[i], ds[i] = n, d
+		lane = lane || d != 0
 	}
 	base, top := slices.Min(ns), slices.Max(ns)
 	us := make([]uint64, len(ns))
@@ -203,12 +218,20 @@ func encodeScaledFloat(vals []float64, k int) ([]byte, bool) {
 		us[i] = uint64(n - base)
 		w = max(w, bits.Len64(us[i]))
 	}
-	if top >= 1<<51 || base+(1<<w-1) >= 1<<51 {
+	if top >= 1<<51 || base+(1<<w-1) >= 1<<51 || (lane && (base < 1 || base+(1<<w-1) >= 1<<48)) {
 		return nil, false
+	}
+	digits := byte(k)
+	if lane {
+		digits |= 0x80
+		for i := range us {
+			us[i] = 4*us[i] + uint64(ds[i]+2)
+		}
+		w += 2
 	}
 	buf := putHeader(ScaledFloat, len(vals))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(base))
-	buf = append(buf, byte(k), byte(w))
+	buf = append(buf, digits, byte(w))
 	return append(buf, bitStream(us, w)...), true
 }
 
@@ -227,17 +250,40 @@ func refEncodeBools(vals []int64) []byte {
 	return append(buf, bits...)
 }
 
-// refEncodeStrings encodes vals, choosing the packed dictionary when it is
-// smaller than plain (and compress is true).
+// refEncodeStrings encodes vals, choosing the smallest of plain, framed
+// offsets and the packed dictionary when compress is true (a later candidate
+// only when strictly smaller), plain otherwise.
 func refEncodeStrings(vals []string, compress bool) []byte {
-	plain := encodePlainString(vals)
+	best := encodePlainString(vals)
 	if !compress {
-		return plain
+		return best
 	}
-	if dict := encodePackedDict(vals); len(dict) < len(plain) {
-		return dict
+	for _, cand := range [][]byte{encodeFramedString(vals), encodePackedDict(vals)} {
+		if len(cand) < len(best) {
+			best = cand
+		}
 	}
-	return plain
+	return best
+}
+
+// encodeFramedString builds a FramedString block: the end offsets PlainString
+// stores, as the body encodeForInt builds for them, then the bytes.
+func encodeFramedString(vals []string) []byte {
+	if len(vals) == 0 {
+		return encodePlainString(vals) // no frame to fit: never smaller
+	}
+	ends := make([]int64, len(vals))
+	off := int64(0)
+	for i, s := range vals {
+		off += int64(len(s))
+		ends[i] = off
+	}
+	buf := putHeader(FramedString, len(vals))
+	buf = append(buf, encodeForInt(ends)[headerSize:]...)
+	for _, s := range vals {
+		buf = append(buf, s...)
+	}
+	return buf
 }
 
 func encodePlainString(vals []string) []byte {
@@ -321,3 +367,8 @@ var (
 	RefEncodeBools    = refEncodeBools
 	RefEncodeStrings  = refEncodeStrings
 )
+
+// ScaledLane reports whether buf is a ScaledFloat block with a lane.
+func ScaledLane(buf []byte) bool {
+	return BlockScheme(buf) == ScaledFloat && len(buf) > headerSize+8 && buf[headerSize+8]&scaledLane != 0
+}

@@ -307,11 +307,12 @@ func (m *strMatcher) match(b []byte) bool {
 }
 
 // SelectStrings is SelectInt64s for a string block and a PredStrEq, PredStrIn,
-// PredStrPrefix or PredStrContains. A plain block tests each value's bytes in
-// place. A packed dictionary whose window holds at least as many rows as it
-// has entries tests each entry once and then only looks codes up — a window
-// no entry or every entry passes is decided without reading a code — and a
-// shorter window tests the entries its codes name.
+// PredStrPrefix or PredStrContains. A PlainString or FramedString block tests
+// each value's bytes in place. A packed dictionary whose window holds at
+// least as many rows as it has entries tests each entry once and then only
+// looks codes up — a window no entry or every entry passes is decided
+// without reading a code — and a shorter window tests the entries its codes
+// name.
 func SelectStrings(buf []byte, skip, n int, p vector.Pred, out []uint32) ([]uint32, error) {
 	scheme, count, body, err := readHeader(buf)
 	if err != nil {
@@ -325,34 +326,32 @@ func SelectStrings(buf []byte, skip, n int, p vector.Pred, out []uint32) ([]uint
 	if !ok {
 		return nil, opMismatch(p, "string")
 	}
-	switch scheme {
-	case PlainString:
-		if len(body)/4 < count {
-			return nil, corrupt("string offsets truncated")
-		}
-		data, prev := body[4*count:], uint32(0)
-		if skip > 0 {
-			prev = binary.LittleEndian.Uint32(body[4*(skip-1):])
-		}
-		for i := skip; i < end; i++ {
-			off := binary.LittleEndian.Uint32(body[4*i:])
-			if off < prev || uint64(off) > uint64(len(data)) {
-				return nil, corrupt("bad string offset")
-			}
-			if m.match(data[prev:off]) {
-				out = append(out, uint32(i-skip))
-			}
-			prev = off
-		}
-		return out, nil
-	case PackedDict:
+	if scheme == PackedDict {
 		d, err := parseDict(body, count)
 		if err != nil {
 			return nil, err
 		}
 		return d.selectMatch(skip, end, &m, out)
 	}
-	return nil, corrupt("scheme %d is not a string encoding", scheme)
+	s, err := parseStrings(scheme, body, count)
+	if err != nil {
+		return nil, err
+	}
+	var b [codeChunk + 1]int64
+	for i := skip; i < end; i += codeChunk {
+		bs := b[:min(codeChunk, end-i)+1]
+		s.starts(bs, i)
+		for j := range bs[:len(bs)-1] {
+			lo, hi := bs[j], bs[j+1]
+			if err := checkOffsets(lo, hi, 0, int64(len(s.data))); err != nil {
+				return nil, err
+			}
+			if m.match(s.data[lo:hi]) {
+				out = append(out, uint32(i+j-skip))
+			}
+		}
+	}
+	return out, nil
 }
 
 // Verdicts of one dictionary entry under a predicate.
@@ -701,9 +700,10 @@ func (d *dictBlock) decodeSpans(spans []Span, dst []string) error {
 
 // GatherStringsAt is GatherInt64sAt for a string block. The gathered values
 // share one copy of the bytes they come from, as a decoded window's do: a
-// plain block's bytes from the first gathered row through the last, or a
-// packed dictionary's whole data when the rows are at least as many as its
-// entries (or more than one chunk), just the gathered values' otherwise.
+// PlainString or FramedString block's bytes from the first gathered row
+// through the last, or a packed dictionary's whole data when the rows are at
+// least as many as its entries (or more than one chunk), just the gathered
+// values' otherwise.
 func GatherStringsAt(buf []byte, base int, rows, pos []uint32, dst []string) error {
 	scheme, count, body, err := readHeader(buf)
 	if err != nil {
@@ -713,43 +713,31 @@ func GatherStringsAt(buf []byte, base int, rows, pos []uint32, dst []string) err
 		return err
 	}
 	pos = pos[:len(rows)]
-	switch scheme {
-	case PlainString:
-		if len(body)/4 < count {
-			return corrupt("string offsets truncated")
-		}
-		if len(rows) == 0 {
-			return nil
-		}
-		data := body[4*count:]
-		bound := func(i int) uint32 { // end offset of value i-1: value i's start
-			if i == 0 {
-				return 0
-			}
-			return binary.LittleEndian.Uint32(body[4*(i-1):])
-		}
-		first := bound(base + int(rows[0]))
-		last := bound(base + int(rows[len(rows)-1]) + 1)
-		if first > last || uint64(last) > uint64(len(data)) {
-			return corrupt("bad string offset")
-		}
-		arena := string(data[first:last])
-		for k, r := range rows {
-			lo, hi := bound(base+int(r)), bound(base+int(r)+1)
-			if lo < first || lo > hi || hi > last {
-				return corrupt("bad string offset")
-			}
-			dst[pos[k]] = arena[lo-first : hi-first]
-		}
-		return nil
-	case PackedDict:
+	if scheme == PackedDict {
 		d, err := parseDict(body, count)
 		if err != nil {
 			return err
 		}
 		return d.gather(base, rows, pos, dst)
 	}
-	return corrupt("scheme %d is not a string encoding", scheme)
+	s, err := parseStrings(scheme, body, count)
+	if err != nil || len(rows) == 0 {
+		return err
+	}
+	first, last := s.start(base+int(rows[0])), s.start(base+int(rows[len(rows)-1])+1)
+	arena, err := s.arena(first, last)
+	if err != nil {
+		return err
+	}
+	var b [2]int64
+	for k, r := range rows {
+		s.starts(b[:], base+int(r))
+		if err := checkOffsets(b[0], b[1], first, last); err != nil {
+			return err
+		}
+		dst[pos[k]] = arena[b[0]-first : b[1]-first]
+	}
+	return nil
 }
 
 // Span is a stretch of a block's rows — N of them from row Row — that a span
@@ -831,7 +819,7 @@ func spansWindow(count int, spans []Span) error {
 }
 
 // DecodeFloat64sSpans is DecodeInt64sSpans for a float block. A ScaledFloat
-// block unpacks and scales its residuals in one loop (scaledBlock.decodeSpans).
+// block reads and scales its residuals in one pass (scaledBlock.decode).
 func DecodeFloat64sSpans(buf []byte, spans []Span, dst []float64) error {
 	scheme, count, body, err := readHeader(buf)
 	if err != nil {
@@ -890,10 +878,10 @@ func DecodeBoolsSpans(buf []byte, spans []Span, dst []int64) error {
 }
 
 // DecodeStringsSpans is DecodeInt64sSpans for a string block. The values of
-// one call share one allocation, as a window's do: a plain block's bytes
-// from the first span's start through the last one's end, or a packed
-// dictionary's (the spans' own values, when they are fewer than its entries
-// and than one chunk).
+// one call share one allocation, as a window's do: a PlainString or
+// FramedString block's bytes from the first span's start through the last
+// one's end, or a packed dictionary's (the spans' own values, when they are
+// fewer than its entries and than one chunk).
 func DecodeStringsSpans(buf []byte, spans []Span, dst []string) error {
 	scheme, count, body, err := readHeader(buf)
 	if err != nil {
@@ -905,46 +893,41 @@ func DecodeStringsSpans(buf []byte, spans []Span, dst []string) error {
 	if len(spans) == 0 {
 		return nil
 	}
-	switch scheme {
-	case PlainString:
-		if len(body)/4 < count {
-			return corrupt("string offsets truncated")
-		}
-		last := spans[len(spans)-1]
-		if last.Row+last.N == spans[0].Row {
-			return nil // no value, so no offset to read
-		}
-		data := body[4*count:]
-		bound := func(i int) uint32 { // end offset of value i-1: value i's start
-			if i == 0 {
-				return 0
-			}
-			return binary.LittleEndian.Uint32(body[4*(i-1):])
-		}
-		first, end := bound(spans[0].Row), bound(last.Row+last.N)
-		if first > end || uint64(end) > uint64(len(data)) {
-			return corrupt("bad string offset")
-		}
-		// One arena for the spans' bytes; every value is a slice of it.
-		arena := string(data[first:end])
-		for _, s := range spans {
-			prev := bound(s.Row)
-			for i := range dst[s.At : s.At+s.N] {
-				off := bound(s.Row + i + 1)
-				if prev < first || off < prev || off > end {
-					return corrupt("bad string offset")
-				}
-				dst[s.At+i] = arena[prev-first : off-first]
-				prev = off
-			}
-		}
-		return nil
-	case PackedDict:
+	if scheme == PackedDict {
 		d, err := parseDict(body, count)
 		if err != nil {
 			return err
 		}
 		return d.decodeSpans(spans, dst)
 	}
-	return corrupt("scheme %d is not a string encoding", scheme)
+	s, err := parseStrings(scheme, body, count)
+	if err != nil {
+		return err
+	}
+	last := spans[len(spans)-1]
+	if last.Row+last.N == spans[0].Row {
+		return nil // no value, so no offset to read
+	}
+	first, end := s.start(spans[0].Row), s.start(last.Row+last.N)
+	// One arena for the spans' bytes; every value is a slice of it.
+	arena, err := s.arena(first, end)
+	if err != nil {
+		return err
+	}
+	var b [codeChunk + 1]int64
+	for _, sp := range spans {
+		for i := 0; i < sp.N; i += codeChunk {
+			bs := b[:min(codeChunk, sp.N-i)+1]
+			s.starts(bs, sp.Row+i)
+			out := dst[sp.At+i : sp.At+i+len(bs)-1]
+			for j := range out {
+				lo, hi := bs[j], bs[j+1]
+				if err := checkOffsets(lo, hi, first, end); err != nil {
+					return err
+				}
+				out[j] = arena[lo-first : hi-first]
+			}
+		}
+	}
+	return nil
 }

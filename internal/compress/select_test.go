@@ -253,12 +253,13 @@ func selectSeeds(kind types.Kind) [][]byte {
 	case types.Float64:
 		return floatSelectSeeds()
 	}
-	return append(decodeSeeds(), encodePackedDict(longStr))
+	return append(decodeSeeds(), encodePackedDict(longStr), encodeFramedString(longStr))
 }
 
-// floatSelectSeeds are plain float blocks and ScaledFloat blocks at digit
+// floatSelectSeeds are plain float blocks, ScaledFloat blocks at digit
 // counts 0 and 2 and widths 0, 4 and 24 — residuals of 24 bits straddle the
-// 64-bit words they are packed in.
+// 64-bit words they are packed in — and ScaledFloat blocks with a lane, one of
+// ranks 3 bits wide (read through the table) and one of prices.
 func floatSelectSeeds() [][]byte {
 	quarters, narrow, wide := make([]float64, 200), make([]float64, 150), make([]float64, 300)
 	for i := range quarters {
@@ -287,6 +288,13 @@ func floatSelectSeeds() [][]byte {
 		}
 		seeds = append(seeds, buf)
 	}
+	for _, vals := range [][]float64{laneCents(20), laneVals()} {
+		buf := EncodeFloat64s(vals, true)
+		if BlockScheme(buf) != ScaledFloat || buf[headerSize+8] != 2|scaledLane {
+			panic(fmt.Sprintf("%d prices encode as scheme %d, digit byte %#x", len(vals), BlockScheme(buf), buf[headerSize+8]))
+		}
+		seeds = append(seeds, buf)
+	}
 	return seeds
 }
 
@@ -309,6 +317,12 @@ func seedPreds(k selKind, buf []byte) []vector.Pred {
 	var preds []vector.Pred
 	for _, op := range k.ops {
 		preds = append(preds, fuzzPred(op, min(a, b), max(a, b), s), fuzzPred(op, max(a, b), min(a, b), s[:len(s)/2]+"|zz|"+s))
+	}
+	if k.kind == types.Float64 && all.Len() > 2 {
+		// Bounds at the block's own values, which a lane may have moved a
+		// ULP off their decimals.
+		lo, hi := min(all.F[1], all.F[all.Len()/2]), max(all.F[1], all.F[all.Len()/2])
+		preds = append(preds, vector.Pred{Op: vector.PredFloat64Range, FLo: lo, FHi: hi}, vector.Pred{Op: vector.PredFloat64Lt, FHi: hi})
 	}
 	preds = append(preds, fuzzPred(k.ops[1], math.MinInt64, a, ""), fuzzPred(k.ops[len(k.ops)-1], b, math.MaxInt64, "value-01"))
 	if k.kind == types.String && all.Len() > 0 {
@@ -422,12 +436,30 @@ func TestSelectDecidesWhole(t *testing.T) {
 	}
 }
 
+// laneVals are 150 prices a cent apart, every one a ULP below, at or above
+// the nearest double of its cents in turn: a ScaledFloat block with a lane.
+func laneVals() []float64 {
+	vals := make([]float64, 150)
+	for i := range vals {
+		vals[i] = float64(9000+37*i) / 100
+		switch i % 3 {
+		case 0:
+			vals[i] = math.Nextafter(vals[i], 0)
+		case 2:
+			vals[i] = math.Nextafter(vals[i], math.Inf(1))
+		}
+	}
+	return vals
+}
+
 // TestScaledFloatHostile: a ScaledFloat frame whose digit count is past the
 // table, whose width is past 64 bits (or past the range its integers may
 // span), whose base or top integer leaves that range (a base near MaxInt64
 // included, whose top would wrap), or whose residuals are cut short —
 // its own count's or a claimed 2^32-1 — is ErrCorrupt from every kernel, and
-// none of them sizes anything from the claim.
+// none of them sizes anything from the claim. So is a lane whose ranks are
+// cut short, that flags a block whose integers include 0 (a k = 4 one), or
+// whose integers reach ±scaledLimit, 2^48, or a width below 2.
 func TestScaledFloatHostile(t *testing.T) {
 	vals := make([]float64, 150)
 	for i := range vals {
@@ -437,7 +469,19 @@ func TestScaledFloatHostile(t *testing.T) {
 	if BlockScheme(good) != ScaledFloat {
 		t.Fatalf("hundredths encode as scheme %d", BlockScheme(good))
 	}
+	laned := EncodeFloat64s(laneVals(), true)
+	if BlockScheme(laned) != ScaledFloat || laned[headerSize+8] != 2|scaledLane {
+		t.Fatalf("prices beside their cents encode as scheme %d, digit byte %#x", BlockScheme(laned), laned[headerSize+8])
+	}
+	k4 := EncodeFloat64s(slices.Repeat([]float64{0, 0.0001, 0.0123}, 50), true)
+	if BlockScheme(k4) != ScaledFloat || k4[headerSize+8] != 4 {
+		t.Fatalf("ten-thousandths encode as scheme %d, digit byte %#x", BlockScheme(k4), k4[headerSize+8])
+	}
 	edit := func(f func(b []byte) []byte) []byte { return f(slices.Clone(good)) }
+	editLane := func(f func(b []byte) []byte) []byte { return f(slices.Clone(laned)) }
+	setBase := func(base int64) func(b []byte) []byte {
+		return func(b []byte) []byte { binary.LittleEndian.PutUint64(b[headerSize:], uint64(base)); return b }
+	}
 	// maxBase is a frame at width w whose residuals are all there and whose
 	// base is MaxInt64: base+2^w-1 wraps negative.
 	maxBase := func(w uint) []byte {
@@ -465,6 +509,22 @@ func TestScaledFloatHostile(t *testing.T) {
 			b[headerSize+9] = 64
 			return b
 		}),
+		"lane truncated":      laned[:len(laned)-1],
+		"lane count 2^32":     editLane(func(b []byte) []byte { binary.LittleEndian.PutUint32(b[1:], math.MaxUint32); return b }),
+		"lane on k 4":         func() []byte { b := slices.Clone(k4); b[headerSize+8] |= scaledLane; return b }(),
+		"lane on hundredths":  edit(func(b []byte) []byte { b[headerSize+8] |= scaledLane; return b }),
+		"lane width 1":        editLane(func(b []byte) []byte { b[headerSize+9] = 1; return b }),
+		"lane width 0":        editLane(func(b []byte) []byte { b[headerSize+9] = 0; return b }),
+		"lane base 0":         editLane(setBase(0)),
+		"lane base 2^51-15":   editLane(setBase(scaledLimit - 15)),
+		"lane base -2^51+1":   editLane(setBase(-scaledLimit + 1)),
+		"lane top 2^48":       editLane(setBase(laneLimit - 1<<(laned[headerSize+9]-2) + 1)),
+		"lane base MaxInt64":  editLane(setBase(math.MaxInt64)),
+		"lane digit count 5":  editLane(func(b []byte) []byte { b[headerSize+8] = 5 | scaledLane; return b }),
+		"lane digit count 7f": editLane(func(b []byte) []byte { b[headerSize+8] = 0xff; return b }),
+	}
+	if _, err := DecodeFloat64s(editLane(setBase(laneLimit-1<<(laned[headerSize+9]-2))), nil); err != nil {
+		t.Errorf("a lane whose top integer is 2^48-1: %v", err)
 	}
 	rows, pos := []uint32{0, 3, 9}, []uint32{0, 1, 2}
 	for name, buf := range cases {
@@ -511,6 +571,36 @@ func TestScaledFloatHostile(t *testing.T) {
 			t.Errorf("%s: a kernel wrote values", name)
 		}
 	}
+}
+
+// TestSelectFloat64sLaneBounds: on blocks with a lane, a range or less-than
+// filter whose bound is any value of the block, a ULP beside one, or a cent
+// between them keeps exactly the rows decode-then-filter keeps — the ends of
+// a rank range fall inside a residual's corrections there.
+func TestSelectFloat64sLaneBounds(t *testing.T) {
+	k := selKinds[2]
+	for _, vals := range [][]float64{laneVals()[:60], laneCents(4)} {
+		buf := EncodeFloat64s(vals, true)
+		if BlockScheme(buf) != ScaledFloat || buf[headerSize+8]&scaledLane == 0 {
+			t.Fatalf("scheme %d, digit byte %#x: want a lane", BlockScheme(buf), buf[headerSize+8])
+		}
+		var bounds []float64
+		for _, v := range vals {
+			bounds = append(bounds, v, math.Nextafter(v, 0), math.Nextafter(v, math.Inf(1)), math.Round(v*100)/100, math.Round(v*100)/100+0.005)
+		}
+		for i, lo := range bounds {
+			hi := bounds[(i*7+3)%len(bounds)]
+			for _, p := range []vector.Pred{{Op: vector.PredFloat64Lt, FHi: lo}, {Op: vector.PredFloat64Range, FLo: lo, FHi: hi}, {Op: vector.PredFloat64Range, FLo: lo, FHi: lo}} {
+				checkSelectGather(t, k, buf, i%5, len(vals)-i%5-1, p, uint64(i))
+			}
+		}
+	}
+}
+
+// laneCents are 7 and 8 cents, each at and a ULP beside its nearest double,
+// reps times over: a lane of ranks 3 bits wide.
+func laneCents(reps int) []float64 {
+	return slices.Repeat([]float64{math.Nextafter(0.07, 0), 0.07, math.Nextafter(0.07, 1), 0.08, math.Nextafter(0.08, 1)}, reps)
 }
 
 // packedBenchWidths are the residual widths of the bit-packed kernels'

@@ -17,7 +17,7 @@ func Upgrade(buf []byte) ([]byte, error) {
 		return nil, err
 	}
 	switch scheme {
-	case PlainInt, RLEInt, PlainFloat, BitBool, PlainString, ForInt, PackedDict, ScaledFloat:
+	case PlainInt, RLEInt, PlainFloat, BitBool, PlainString, ForInt, PackedDict, ScaledFloat, FramedString:
 		return buf, nil
 	case DeltaVarint:
 		vals, err := decodeDeltas(body, count)

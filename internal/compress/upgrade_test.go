@@ -96,7 +96,7 @@ func checkUpgrade(t testing.TB, buf []byte) {
 	}
 	retired := map[Scheme]bool{DeltaVarint: true, DictString: true}
 	switch scheme := BlockScheme(buf); {
-	case len(buf) >= headerSize && scheme >= PlainInt && scheme <= ScaledFloat && !retired[scheme]:
+	case len(buf) >= headerSize && scheme >= PlainInt && scheme <= FramedString && !retired[scheme]:
 		if err != nil || len(out) != len(buf) || &out[0] != &buf[0] {
 			t.Fatalf("a scheme %d block was not returned as it is (err %v)", scheme, err)
 		}
@@ -138,7 +138,7 @@ func checkUpgraded[T comparable](t testing.TB, out []byte, err error, want []T, 
 // upgradeSeeds are valid retired blocks — delta-varint blocks of every int
 // shape the decode seeds hold, varint-code dictionaries with one- and
 // two-byte codes (more than 128 entries) — and one written block per kind,
-// both float schemes among them.
+// both float schemes, a lane and framed string offsets among them.
 func upgradeSeeds() [][]byte {
 	blocks := intBlocks()
 	var seeds [][]byte
@@ -152,9 +152,10 @@ func upgradeSeeds() [][]byte {
 	for _, vals := range [][]string{nil, {""}, {"", "a", "bc", "", "def", "ghij"}, stringBlocks()["low-cardinality"][:64], wide} {
 		seeds = append(seeds, encodeDictString(vals))
 	}
+	framed, _ := framedBlock(60)
 	return append(seeds, EncodeInt64s(blocks["sorted"][:50], true), EncodeStrings(wide, true),
 		EncodeFloat64s([]float64{1.5, -2}, false), EncodeFloat64s(slices.Repeat([]float64{1.5, -2, 0.25}, 8), true),
-		EncodeBools([]int64{1, 0, 1}))
+		EncodeBools([]int64{1, 0, 1}), framed, EncodeFloat64s(laneVals()[:30], true))
 }
 
 // FuzzUpgradeBlock fuzzes Upgrade over any bytes.

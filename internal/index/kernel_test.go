@@ -248,7 +248,8 @@ func FuzzBuildSummary(f *testing.F) {
 		{0, compress.EncodeInt64s(line, true)},   // ForInt, width 0
 		{0, compress.EncodeInt64s(packed, true)}, // ForInt, packed
 		{1, compress.EncodeStrings(words, false)},
-		{1, compress.EncodeStrings(cats, true)}, // PackedDict
+		{1, compress.EncodeStrings(cats, true)},  // PackedDict
+		{1, compress.EncodeStrings(words, true)}, // FramedString
 		{2, compress.EncodeBools(bools)},
 	} {
 		f.Add(uint8(seed.kind), seed.enc)

@@ -158,7 +158,7 @@ func TestSummariesMatchDedupPath(t *testing.T) {
 	for _, want := range []string{
 		fmt.Sprint(compress.PlainInt), fmt.Sprint(compress.RLEInt),
 		fmt.Sprintf("%d/width-0=true", compress.ForInt), fmt.Sprintf("%d/width-0=false", compress.ForInt),
-		fmt.Sprint(compress.PlainString), fmt.Sprint(compress.PackedDict),
+		fmt.Sprint(compress.PlainString), fmt.Sprint(compress.PackedDict), fmt.Sprint(compress.FramedString),
 	} {
 		if !seen[want] {
 			t.Errorf("no block of scheme %s was summarized (saw %v)", want, seen)
