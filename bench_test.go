@@ -1,8 +1,8 @@
 package pdtstore_test
 
 // One benchmark family per figure of the paper's evaluation (§4). These run
-// at laptop-friendly sizes; cmd/pdtbench and cmd/tpchbench sweep the full
-// parameter grids and print the paper-style series tables.
+// at laptop-friendly sizes; cmd/pdtbench sweeps the full parameter grids and
+// prints the paper-style series tables.
 
 import (
 	"fmt"
@@ -148,7 +148,7 @@ func BenchmarkFig18_MultiColumnKeys(b *testing.B) {
 
 // BenchmarkFig19_TPCH runs each of the 22 TPC-H queries under the three
 // delta modes after two refresh streams (Figure 19's time panels; the I/O
-// panels are printed by cmd/tpchbench).
+// panels are printed by pdtbench -fig 19).
 func BenchmarkFig19_TPCH(b *testing.B) {
 	dbs := map[table.DeltaMode]*tpch.DB{}
 	for _, mode := range []table.DeltaMode{table.ModeNone, table.ModeVDT, table.ModePDT} {
@@ -278,8 +278,7 @@ func BenchmarkAblation_SerializePropagate(b *testing.B) {
 
 // BenchmarkWritePath measures the vectorized write path at smoke-test sizes:
 // bulk vs per-entry propagate, the batched update API against row-at-a-time
-// transactions, and the streaming checkpoint. cmd/pdtbench's -fig update
-// runs the full-size profile and records BENCH_update.json.
+// transactions, and the streaming checkpoint.
 func BenchmarkWritePath(b *testing.B) {
 	base, delta, err := bench.BuildPropagatePair(5_000, 1_000)
 	if err != nil {
@@ -302,9 +301,8 @@ func BenchmarkWritePath(b *testing.B) {
 		}
 	})
 
-	// Table batches and checkpoints share the -fig update workload
-	// generator (bench.LoadUpdateTable / bench.MixedOps), so these smoke
-	// numbers stay comparable with the full profile.
+	// Table batches and checkpoints use the write-path workload generator
+	// (bench.LoadUpdateTable / bench.MixedOps).
 	b.Run("table-apply-batch-128", func(b *testing.B) {
 		b.ReportAllocs()
 		rng := rand.New(rand.NewSource(1))

@@ -115,11 +115,14 @@ type Tx interface {
 	PartitionScan(loKey, hiKey types.Row) (*engine.PartScan, error)
 	// FindByKey locates the visible tuple with the given (full) sort key.
 	FindByKey(key types.Row) (rid uint64, row types.Row, found bool, err error)
-	// Insert adds a new tuple; its sort key must not be visible.
+	// Insert adds a new tuple; its sort key must not be visible (else an
+	// error wrapping types.ErrDuplicateKey).
 	Insert(row types.Row) error
 	// DeleteByKey removes the visible tuple with the given sort key.
 	DeleteByKey(key types.Row) (bool, error)
-	// UpdateByKey sets one column of the visible tuple with the given key.
+	// UpdateByKey sets one column of the visible tuple with the given key;
+	// a new sort-key value another visible tuple holds is an error wrapping
+	// types.ErrDuplicateKey.
 	UpdateByKey(key types.Row, col int, val types.Value) (bool, error)
 	// ApplyBatch resolves and applies a batch of key-level operations.
 	ApplyBatch(ops []table.Op) (int, error)
@@ -313,7 +316,8 @@ func Open(dir string, opts Options) (*DB, error) {
 	streams = wal.CompleteGroups(streams, bases)
 	mgrs := make([]*txn.Manager, n)
 	eachShard(n, func(i int) {
-		mgrs[i] = txn.NewManager(stores[i], nil, txn.Options{Log: logs[i]})
+		m := txn.NewManager(stores[i], nil, txn.Options{Log: logs[i]})
+		mgrs[i] = m
 		// Replay only the records the checkpointed image does not already
 		// contain: everything at or below the shard's manifest LSN was
 		// materialized into its segment before the manifest swapped (the
@@ -324,7 +328,7 @@ func Open(dir string, opts Options) (*DB, error) {
 				tail = append(tail, rec)
 			}
 		}
-		if err := mgrs[i].Recover(tail); err != nil {
+		if err := m.Recover(tail); err != nil {
 			errs[i] = fmt.Errorf("pdtstore: WAL replay shard %d: %w", i, err)
 		}
 	})

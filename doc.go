@@ -146,9 +146,8 @@
 // See README.md for the quickstart and docs/ARCHITECTURE.md for the full
 // stack walk with commit and scan data-flow diagrams. The benchmarks in
 // bench_test.go regenerate every figure of the paper's §4; cmd/pdtbench
-// prints Figures 16–18, the write-path profile (-fig update) and the
-// modeled-barrier group-commit sweep (-fig commit); and benchmark/ is the
-// one end-to-end instrument — scans, lookups, recovery and online
-// maintenance through the public API, every answer checked against an
-// oracle (bash benchmark/run.sh, declared in BENCHMARK.json).
+// prints Figures 16–19; and benchmark/ is the one end-to-end instrument —
+// scans, lookups, writes, recovery and online maintenance through the
+// public API, every answer checked against an oracle (bash
+// benchmark/run.sh, declared in BENCHMARK.json).
 package pdtstore

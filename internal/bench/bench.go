@@ -1,14 +1,14 @@
 // Package bench is the measurement harness behind every figure of the
 // paper's evaluation (§4). It builds the microbenchmark workloads (Figures
 // 16–18) and the TPC-H comparison (Figure 19), shared by the go-test
-// benchmarks in the repository root and the cmd/pdtbench and cmd/tpchbench
-// drivers.
+// benchmarks in the repository root and the cmd/pdtbench driver, plus the
+// write-path workload generator the root BenchmarkWritePath uses.
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"time"
 
 	"pdtstore/internal/colstore"
@@ -238,7 +238,9 @@ func BuildScanTable(c ScanConfig) (*table.Table, error) {
 			op.Key = c.keyRow(int64(rng.Intn(c.Tuples)) * 2)
 		}
 		// Only an insert can collide; a colliding one is skipped.
-		if _, err := tbl.ApplyBatch([]table.Op{op}); err != nil && !strings.Contains(err.Error(), "duplicate") {
+		switch _, err := tbl.ApplyBatch([]table.Op{op}); {
+		case errors.Is(err, types.ErrDuplicateKey):
+		case err != nil:
 			return nil, err
 		}
 	}

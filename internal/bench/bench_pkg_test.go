@@ -2,7 +2,6 @@ package bench
 
 import (
 	"testing"
-	"time"
 
 	"pdtstore/internal/pdt"
 	"pdtstore/internal/table"
@@ -108,8 +107,8 @@ func TestTPCHHarnessSmall(t *testing.T) {
 }
 
 // TestUpdateHarness checks the write-path workload generator: the two-layer
-// pair must be Validate()-clean, consecutive (propagatable both ways to the
-// same result), and the throughput cells must run for every mode.
+// pair must be Validate()-clean and consecutive (propagatable both ways to
+// the same result).
 func TestUpdateHarness(t *testing.T) {
 	base, delta, err := BuildPropagatePair(2000, 400)
 	if err != nil {
@@ -138,47 +137,5 @@ func TestUpdateHarness(t *testing.T) {
 	if bulk.Count() != ent.Count() || bulk.Delta() != ent.Delta() {
 		t.Fatalf("paths disagree: bulk (%d,%+d), entrywise (%d,%+d)",
 			bulk.Count(), bulk.Delta(), ent.Count(), ent.Delta())
-	}
-
-	for _, mode := range ThroughputModes {
-		r, err := throughputCell(mode, 4000, 0.01, 16)
-		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
-		}
-		if r.Updates == 0 || r.UpdatesPerSec <= 0 {
-			t.Fatalf("%s: degenerate cell %+v", mode, r)
-		}
-	}
-}
-
-// TestCommitHarness runs a miniature group-commit profile: both modes must
-// complete for every (writers, barrier) cell, the per-commit series must pay
-// one barrier per commit, and the group series must never pay more.
-func TestCommitHarness(t *testing.T) {
-	rows, err := CommitProfile(CommitBenchConfig{
-		Writers:          []int{1, 4},
-		CommitsPerWriter: 6,
-		Barriers:         []time.Duration{0, 500 * time.Microsecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 8 { // 2 barriers x 2 writer counts x 2 modes
-		t.Fatalf("got %d rows, want 8", len(rows))
-	}
-	for _, r := range rows {
-		if r.CommitsPerSec <= 0 || r.P50Us <= 0 || r.Commits != r.Writers*6 {
-			t.Fatalf("degenerate row %+v", r)
-		}
-		switch r.Mode {
-		case "per-commit":
-			if r.Fsyncs != uint64(r.Commits) {
-				t.Fatalf("per-commit mode paid %d barriers for %d commits: %+v", r.Fsyncs, r.Commits, r)
-			}
-		case "group":
-			if r.Fsyncs > uint64(r.Commits) {
-				t.Fatalf("group mode paid %d barriers for %d commits: %+v", r.Fsyncs, r.Commits, r)
-			}
-		}
 	}
 }

@@ -176,7 +176,7 @@ func ApplyOps(p *pdt.PDT, schema *types.Schema, ops []Op, pos []OpPos) (int, err
 		switch op.Kind {
 		case OpInsert:
 			if pos[i].Found {
-				return applied, fmt.Errorf("table: duplicate key %v", op.key(schema))
+				return applied, fmt.Errorf("table: %w %v", types.ErrDuplicateKey, op.key(schema))
 			}
 			if err := p.Insert(rid, op.Row); err != nil {
 				return applied, err
@@ -257,7 +257,7 @@ func (t *Table) applyVDT(ops []Op) (int, error) {
 		switch op.Kind {
 		case OpInsert:
 			if visible {
-				return applied, fmt.Errorf("table: duplicate key %v", key)
+				return applied, fmt.Errorf("table: %w %v", types.ErrDuplicateKey, key)
 			}
 			err = im.vdt.Insert(op.Row)
 		case OpDelete:

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -102,8 +103,8 @@ func TestAllModesBasicLifecycle(t *testing.T) {
 			}
 
 			// duplicate insert rejected
-			if _, err := apply(tbl, insertOp(row)); err == nil {
-				t.Fatal("duplicate insert accepted")
+			if _, err := apply(tbl, insertOp(row)); !errors.Is(err, types.ErrDuplicateKey) {
+				t.Fatalf("duplicate insert: got %v, want types.ErrDuplicateKey", err)
 			}
 
 			// update a stable tuple

@@ -8,6 +8,8 @@ package txn
 // only into the Query-PDT, and on Finish propagates it into the Trans-PDT.
 
 import (
+	"fmt"
+
 	"pdtstore/internal/engine"
 	"pdtstore/internal/pdt"
 	"pdtstore/internal/types"
@@ -71,7 +73,7 @@ func (q *Query) Insert(row types.Row) error {
 		return err
 	}
 	if dup {
-		return errDuplicate(key)
+		return fmt.Errorf("txn: %w %v", types.ErrDuplicateKey, key)
 	}
 	return q.qpdt.Insert(rid, row)
 }
@@ -133,7 +135,3 @@ func (q *Query) Finish() error {
 func (q *Query) Discard() {
 	q.done = true
 }
-
-type errDuplicate types.Row
-
-func (e errDuplicate) Error() string { return "txn: duplicate key " + types.Row(e).String() }

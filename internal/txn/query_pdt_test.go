@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -113,15 +114,15 @@ func TestQueryPDTDuplicateInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	// duplicate against the frozen view
-	if err := q.Insert(types.Row{types.Int(10), types.Int(0), types.Str("d")}); err == nil {
-		t.Fatal("duplicate of stable key accepted")
+	if err := q.Insert(types.Row{types.Int(10), types.Int(0), types.Str("d")}); !errors.Is(err, types.ErrDuplicateKey) {
+		t.Fatalf("duplicate of stable key: got %v, want types.ErrDuplicateKey", err)
 	}
 	// duplicate against the statement's own pending insert
 	if err := q.Insert(types.Row{types.Int(11), types.Int(0), types.Str("a")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Insert(types.Row{types.Int(11), types.Int(0), types.Str("b")}); err == nil {
-		t.Fatal("duplicate of pending insert accepted")
+	if err := q.Insert(types.Row{types.Int(11), types.Int(0), types.Str("b")}); !errors.Is(err, types.ErrDuplicateKey) {
+		t.Fatalf("duplicate of pending insert: got %v, want types.ErrDuplicateKey", err)
 	}
 }
 

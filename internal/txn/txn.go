@@ -39,6 +39,7 @@
 package txn
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -116,7 +117,6 @@ type Manager struct {
 	inflight     int      // head of pending taken by the in-flight leader round
 	commitChain  *pdt.PDT // fold of writePDT with every parked commit
 	leaderActive bool     // a goroutine is running the sequencer loop
-	maxBatch     int      // commits per WAL append (1 = per-commit fsync)
 
 	storeRefs      map[*colstore.Store]int // live versions per stable image
 	checkpointing  bool
@@ -150,6 +150,10 @@ type commitReq struct {
 	lead       chan struct{}
 }
 
+// maxCommitBatch caps how many parked commits one leader round folds into a
+// single WAL append (and fsync).
+const maxCommitBatch = 128
+
 // Options configures the manager.
 type Options struct {
 	// WriteBudget caps the Write-PDT's memory before its contents migrate
@@ -159,11 +163,6 @@ type Options struct {
 	// Log, when set, receives one record per commit (the WAL): an in-memory
 	// wal.Writer, or a wal.FileLog for commit-durable operation.
 	Log wal.Log
-	// MaxCommitBatch caps how many parked commits one leader flush folds
-	// into a single WAL append (and fsync). Zero selects 128. One disables
-	// group commit — every commit pays its own durability barrier — which
-	// is the baseline the commit benchmark measures against.
-	MaxCommitBatch int
 }
 
 // NewManager takes ownership of a stable image and the Read-PDT over it (nil
@@ -175,14 +174,7 @@ func NewManager(store *colstore.Store, readPDT *pdt.PDT, opts Options) *Manager 
 	if readPDT == nil {
 		readPDT = pdt.New(store.Schema(), pdt.DefaultFanout)
 	}
-	budget := opts.WriteBudget
-	if budget == 0 {
-		budget = 256 << 10
-	}
-	maxBatch := opts.MaxCommitBatch
-	if maxBatch <= 0 {
-		maxBatch = 128
-	}
+	budget := cmp.Or(opts.WriteBudget, 256<<10)
 	m := &Manager{
 		schema:      store.Schema(),
 		cur:         &version{store: store, readPDT: readPDT},
@@ -190,7 +182,6 @@ func NewManager(store *colstore.Store, readPDT *pdt.PDT, opts Options) *Manager 
 		running:     map[*Txn]struct{}{},
 		writeBudget: budget,
 		log:         opts.Log,
-		maxBatch:    maxBatch,
 	}
 	m.cond = sync.NewCond(&m.mu)
 	m.storeRefs = map[*colstore.Store]int{m.cur.store: 1}
@@ -495,7 +486,7 @@ func (t *Txn) rekey(key types.Row, col int, val types.Value, route func(newKey t
 		if at, _, taken, err = dst.seek(newKey, nil); err != nil {
 			return false, err
 		} else if taken {
-			return false, fmt.Errorf("txn: duplicate key %v", newKey)
+			return false, fmt.Errorf("txn: %w %v", types.ErrDuplicateKey, newKey)
 		}
 		if dst == t && at > rid {
 			at--
@@ -656,7 +647,7 @@ func (m *Manager) commitLeader(own *commitReq) {
 			m.mu.Unlock()
 			return
 		}
-		n := min(len(m.pending), m.maxBatch)
+		n := min(maxCommitBatch, len(m.pending))
 		m.inflight = n
 		batch := m.pending[:n:n]
 		m.mu.Unlock()

@@ -319,6 +319,10 @@ func (s *Schema) ValidateRow(r Row) error {
 // ErrKey is what ValidateKey wraps: a key that does not fit the sort key.
 var ErrKey = errors.New("types: key does not fit the sort key")
 
+// ErrDuplicateKey is what every write wraps when it would make a sort key
+// visible twice: an insert of a visible key, or a key update onto one.
+var ErrDuplicateKey = errors.New("duplicate key")
+
 // ValidateKey checks a sort-key value before anything compares it with
 // stored keys (Compare panics on mixed kinds). A full key — a probe or a
 // write target — needs one value per sort-key column; a prefix — a range

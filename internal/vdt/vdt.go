@@ -71,7 +71,7 @@ func (v *VDT) Insert(row types.Row) error {
 	}
 	key := v.schema.KeyOf(row)
 	if _, ok := v.ins.get(key); ok {
-		return fmt.Errorf("vdt: duplicate insert of key %v", key)
+		return fmt.Errorf("vdt: %w %v", types.ErrDuplicateKey, key)
 	}
 	v.ins.set(key, row.Clone())
 	return nil

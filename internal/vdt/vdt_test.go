@@ -1,6 +1,7 @@
 package vdt
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -326,8 +327,8 @@ func TestVDTDuplicateInsertRejected(t *testing.T) {
 	if err := v.Insert(row); err != nil {
 		t.Fatal(err)
 	}
-	if err := v.Insert(row); err == nil {
-		t.Fatal("duplicate insert accepted")
+	if err := v.Insert(row); !errors.Is(err, types.ErrDuplicateKey) {
+		t.Fatalf("duplicate insert: got %v, want types.ErrDuplicateKey", err)
 	}
 }
 

@@ -235,8 +235,8 @@ func (l *FileLog) Err() error {
 }
 
 // Syncs returns how many durability barriers (successful fsyncs) the log has
-// performed. The group-commit benchmark reads it to show batching: far fewer
-// fsyncs than committed records.
+// performed. Tests read it to check batching: one fsync per group append,
+// however many records the group holds.
 func (l *FileLog) Syncs() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()

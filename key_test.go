@@ -66,3 +66,51 @@ func TestWrongKindKeyIsAnError(t *testing.T) {
 		}
 	}
 }
+
+// TestDuplicateKeyIsErrDuplicateKey: every write that would make a sort key
+// visible twice — an insert of a visible key, the same insert through
+// ApplyBatch, and a sort-key update onto a key another row holds (on the
+// other shard when there are two) — returns an error wrapping
+// types.ErrDuplicateKey, and leaves both rows as they were.
+func TestDuplicateKeyIsErrDuplicateKey(t *testing.T) {
+	dup := types.Row{types.Int(20), types.Str("dup"), types.Int(1)}
+	cases := []struct {
+		name string
+		run  func(tx Tx) error
+	}{
+		{"Insert", func(tx Tx) error { return tx.Insert(dup) }},
+		{"ApplyBatch/insert", func(tx Tx) error {
+			_, err := tx.ApplyBatch([]table.Op{{Kind: table.OpInsert, Row: dup}})
+			return err
+		}},
+		{"UpdateByKey/key column", func(tx Tx) error {
+			_, err := tx.UpdateByKey(types.Row{types.Int(20)}, 0, types.Int(600))
+			return err
+		}},
+	}
+	for _, shards := range []int{1, 2} {
+		db := openShardDB(t, t.TempDir(), shards)
+		keys := make([]int64, 200)
+		for i := range keys {
+			keys[i] = int64(i) * 5
+		}
+		sCommitInserts(t, db, model{}, keys...)
+		for _, c := range cases {
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, c.name), func(t *testing.T) {
+				tx := db.Begin()
+				defer tx.Abort()
+				if err := c.run(tx); !errors.Is(err, types.ErrDuplicateKey) {
+					t.Fatalf("got %v, want an error wrapping types.ErrDuplicateKey", err)
+				}
+				for _, k := range []int64{20, 600} {
+					if _, row, found, err := tx.FindByKey(types.Row{types.Int(k)}); err != nil || !found || row[2].I != k*10 {
+						t.Fatalf("key %d after the rejected call: %v %v %v", k, row, found, err)
+					}
+				}
+			})
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
