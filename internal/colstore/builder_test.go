@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -112,6 +113,50 @@ func TestSegmentHashMatchesParent(t *testing.T) {
 		sum := sha256.Sum256(raw)
 		if got := hex.EncodeToString(sum[:]); got != parentSegmentHashes[compressed] {
 			t.Errorf("compressed=%v: segment SHA-256 %s, parent built %s", compressed, got, parentSegmentHashes[compressed])
+		}
+	}
+}
+
+// TestDictZoneMatchesRows: a PackedDict block's zone, taken over its
+// dictionary's entries, is the zone zoneOf computes over its rows — with the
+// empty string as the minimum, and with a minimum and a maximum longer than
+// the zone's cap (cut, the maximum flagged MaxSTrunc).
+func TestDictZoneMatchesRows(t *testing.T) {
+	long := strings.Repeat("z", zoneMaxStr+6)
+	values := [][]string{
+		{"m", "", "b", long + "a", "m", "b"},
+		{long + "c", long + "a", long + "b"},
+		{"b", "a", "c", "a"},
+	}
+	schema := types.MustSchema([]types.Column{{Name: "k", Kind: types.Int64}, {Name: "s", Kind: types.String}}, []int{0})
+	const blockRows = 256
+	b := NewBuilder(schema, nil, blockRows, true)
+	for blk, vals := range values {
+		for i := range blockRows {
+			if err := b.Add(types.Row{types.Int(int64(blk*blockRows + i)), types.Str(vals[i*7%len(vals)])}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for blk := range values {
+		enc, err := s.EncodedBlock(1, blk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := compress.BlockScheme(enc); got != compress.PackedDict {
+			t.Fatalf("block %d: scheme %d, want the packed dictionary", blk, got)
+		}
+		rows, err := compress.DecodeStrings(enc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := s.Zone(1, blk)
+		if want := zoneOf(&vector.Vector{Kind: types.String, S: rows}); got != want {
+			t.Errorf("block %d: zone %+v, its rows give %+v", blk, got, want)
 		}
 	}
 }

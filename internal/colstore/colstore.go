@@ -19,6 +19,7 @@ package colstore
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -184,12 +185,14 @@ type Store struct {
 // it inherits (NewCheckpointBuilder).
 //
 // Filling a block and flushing it overlap: a full block is handed to one
-// goroutine that encodes it, computes its zones and appends it column by
-// column, while the caller fills the other of two row buffers. At most one
-// block is in flight; flush, WriteBlock, Finish and Abort join it before they
-// touch the writer, and its error becomes the builder's. A builder dropped
-// without Finish or Abort strands nothing: the goroutine finishes its block
-// and exits, its result channel being buffered.
+// goroutine, while the caller fills the other of two row buffers. That
+// goroutine encodes the block's columns and computes their zones together
+// with up to GOMAXPROCS-1 helpers (encodeBlock), then appends them in column
+// order, so the file is the same at any GOMAXPROCS. At most one block is in
+// flight; flush, WriteBlock, Finish and Abort join it before they touch the
+// writer, and its error becomes the builder's. A builder dropped without
+// Finish or Abort strands nothing: the goroutine finishes its block and
+// exits, its result channel being buffered.
 type Builder struct {
 	store    *Store
 	segw     *storage.SegmentWriter // nil once Finish or Abort has run
@@ -206,6 +209,12 @@ type Builder struct {
 	base     *Store
 	shiftBlk int
 	places   [][]storage.BlockPlace
+
+	// The flush's column work: order is the order columns are claimed in,
+	// encs and zones the in-flight block's encoded columns and their zones.
+	order []int
+	encs  [][]byte
+	zones []storage.Zone
 }
 
 // newSegMark marks a placement that points into the segment being written;
@@ -231,9 +240,16 @@ func NewFileBuilder(schema *types.Schema, dev *Device, blockRows int, compressed
 	if dev == nil {
 		dev = NewDevice()
 	}
-	kinds := make([]types.Kind, schema.NumCols())
+	ncols := schema.NumCols()
+	kinds := make([]types.Kind, ncols)
+	var order, rest []int // string columns cost the most per value: claimed first
 	for i, c := range schema.Cols {
 		kinds[i] = c.Kind
+		if c.Kind == types.String {
+			order = append(order, i)
+		} else {
+			rest = append(rest, i)
+		}
 	}
 	segw, err := storage.CreateSegment(path, schema, blockRows, compressed)
 	if err != nil {
@@ -242,8 +258,11 @@ func NewFileBuilder(schema *types.Schema, dev *Device, blockRows int, compressed
 	return &Builder{
 		store:   &Store{schema: schema, blockRows: blockRows, compressed: compressed, dev: dev},
 		segw:    segw,
-		physBlk: make([]int, schema.NumCols()),
+		physBlk: make([]int, ncols),
 		pending: vector.NewBatch(kinds, blockRows),
+		order:   append(order, rest...),
+		encs:    make([][]byte, ncols),
+		zones:   make([]storage.Zone, ncols),
 	}, nil
 }
 
@@ -301,7 +320,8 @@ func (b *Builder) WriteBlock(col, blk int, v *vector.Vector) error {
 		b.err = fmt.Errorf("colstore: WriteBlock(%d) at or past the shift block %d", blk, b.shiftBlk)
 	}
 	if b.err == nil {
-		b.places[col][blk], b.err = b.appendBlock(col, v)
+		enc, z := encodeCol(v, b.store.compressed)
+		b.places[col][blk], b.err = b.appendBlock(col, enc, z)
 	}
 	return b.err
 }
@@ -431,23 +451,7 @@ func zoneOf(v *vector.Vector) storage.Zone {
 		}
 		return storage.Zone{Kind: storage.ZoneFloat, MinF: mn, MaxF: mx}
 	case types.String:
-		mn, mx := v.S[0], v.S[0]
-		for _, s := range v.S[1:] {
-			if s < mn {
-				mn = s
-			} else if s > mx {
-				mx = s
-			}
-		}
-		z := storage.Zone{Kind: storage.ZoneString, MinS: mn, MaxS: mx}
-		if len(z.MinS) > zoneMaxStr {
-			z.MinS = z.MinS[:zoneMaxStr]
-		}
-		if len(z.MaxS) > zoneMaxStr {
-			z.MaxS = z.MaxS[:zoneMaxStr]
-			z.MaxSTrunc = true
-		}
-		return z
+		return strZone(v.S)
 	default:
 		mn, mx := v.I[0], v.I[0]
 		for _, i := range v.I[1:] {
@@ -460,6 +464,43 @@ func zoneOf(v *vector.Vector) storage.Zone {
 		}
 		return storage.Zone{Kind: storage.ZoneInt, MinI: mn, MaxI: mx}
 	}
+}
+
+// strZone is the zone of a string block holding exactly the values of ss, a
+// non-empty slice: its rows, or a packed dictionary's entries.
+func strZone(ss []string) storage.Zone {
+	mn, mx := ss[0], ss[0]
+	for _, s := range ss[1:] {
+		if s < mn {
+			mn = s
+		} else if s > mx {
+			mx = s
+		}
+	}
+	z := storage.Zone{Kind: storage.ZoneString, MinS: mn, MaxS: mx}
+	if len(z.MinS) > zoneMaxStr {
+		z.MinS = z.MinS[:zoneMaxStr]
+	}
+	if len(z.MaxS) > zoneMaxStr {
+		z.MaxS = z.MaxS[:zoneMaxStr]
+		z.MaxSTrunc = true
+	}
+	return z
+}
+
+// encodeCol encodes one column block and computes its zone. A PackedDict
+// block's dictionary is its exact value set, so the zone's bounds are taken
+// over its entries instead of every row.
+func encodeCol(v *vector.Vector, compressed bool) ([]byte, storage.Zone) {
+	enc := encodeVec(v, compressed)
+	if v.Kind == types.String {
+		// enc was just written, so it parses; ok is false only for the two
+		// offsets layouts, whose zone is taken over the rows.
+		if vals, ok, _ := compress.DictValues(enc); ok {
+			return enc, strZone(vals)
+		}
+	}
+	return enc, zoneOf(v)
 }
 
 // flush starts writing the pending block in the background and swaps in the
@@ -495,11 +536,12 @@ func (b *Builder) join() {
 	b.spare.Reset()
 }
 
-// writeBlock appends one block of every column, in column order, at the end
-// of the image.
+// writeBlock encodes one block of every column (encodeBlock) and appends
+// them, in column order, at the end of the image.
 func (b *Builder) writeBlock(block *vector.Batch) error {
-	for c, v := range block.Vecs {
-		p, err := b.appendBlock(c, v)
+	b.encodeBlock(block)
+	for c, enc := range b.encs {
+		p, err := b.appendBlock(c, enc, b.zones[c])
 		if err != nil {
 			return err
 		}
@@ -510,10 +552,37 @@ func (b *Builder) writeBlock(block *vector.Batch) error {
 	return nil
 }
 
-// appendBlock encodes one column block and appends it to the new segment,
-// returning where in it the block landed.
-func (b *Builder) appendBlock(c int, v *vector.Vector) (storage.BlockPlace, error) {
-	if err := b.segw.AppendBlock(c, encodeVec(v, b.store.compressed), zoneOf(v)); err != nil {
+// encodeBlock encodes every column of block into encs and computes its zone
+// into zones. This goroutine and up to GOMAXPROCS-1 helpers claim columns in
+// b.order from a shared counter; every helper has returned when it does.
+func (b *Builder) encodeBlock(block *vector.Batch) {
+	var next atomic.Int32
+	work := func() {
+		for {
+			k := int(next.Add(1)) - 1
+			if k >= len(b.order) {
+				return
+			}
+			c := b.order[k]
+			b.encs[c], b.zones[c] = encodeCol(block.Vecs[c], b.store.compressed)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(b.order)) - 1 {
+		wg.Add(1)
+		go func() {
+			work()
+			wg.Done()
+		}()
+	}
+	work()
+	wg.Wait()
+}
+
+// appendBlock appends one encoded column block and its zone to the new
+// segment, returning where in it the block landed.
+func (b *Builder) appendBlock(c int, enc []byte, z storage.Zone) (storage.BlockPlace, error) {
+	if err := b.segw.AppendBlock(c, enc, z); err != nil {
 		return storage.BlockPlace{}, err
 	}
 	p := storage.BlockPlace{Seg: newSegMark, Blk: uint32(b.physBlk[c])}

@@ -493,8 +493,9 @@ func searchSorted(lo, hi int, want int64, at func(int) int64) (ge, gt int) {
 	return ge, gt
 }
 
-// dictSeed keys the hash of the dictionary sizing pass. Codes are assigned in
-// first-appearance order, so the seed never shows in the output.
+// dictSeed keys the hash of the dictionary sizing pass past smallDict
+// entries. Codes are assigned in first-appearance order, so the seed never
+// shows in the output.
 var dictSeed = maphash.MakeSeed()
 
 // codeWidth is the bit width of a PackedDict block's codes for ndict entries.
@@ -519,9 +520,10 @@ func DecodeStrings(buf []byte, out []string) ([]string, error) {
 // EncodeStrings encodes vals, when compress is true, as the smallest of
 // plain, FramedString (taken only when strictly smaller than plain) and the
 // packed dictionary (only when strictly smaller than both); plain otherwise.
-// One pass fits the end offsets' frame, the dictionary pass assigns every
-// value its code and sums the exact dictionary block size without building
-// the block; only the winner is written.
+// The dictionary is sized first (sizeDict). No FramedString block is smaller
+// than its header, frame header and data, so a dictionary below that and
+// below plain wins without the end offsets being framed; otherwise one pass
+// fits the frame and the rule above decides. Only the winner is written.
 func EncodeStrings(vals []string, compress bool) []byte {
 	n := len(vals)
 	data := 0
@@ -532,6 +534,10 @@ func EncodeStrings(vals []string, compress bool) []byte {
 	var ends []int64
 	var f forBlock
 	if compress && n > 0 {
+		codes, ndict, dsize := sizeDict(vals)
+		if dsize < min(size, headerSize+forHeaderSize+data) {
+			return writeDict(vals, codes, ndict, dsize)
+		}
 		ends = make([]int64, n)
 		end := int64(0)
 		for i, s := range vals {
@@ -542,8 +548,8 @@ func EncodeStrings(vals []string, compress bool) []byte {
 		if s := headerSize + forHeaderSize + int(packedLen(n, f.w)) + data; s < size {
 			scheme, size = FramedString, s
 		}
-		if buf := encodeDict(vals, size); buf != nil {
-			return buf
+		if dsize < size {
+			return writeDict(vals, codes, ndict, dsize)
 		}
 	}
 	buf := newBlock(scheme, n, size)
@@ -563,37 +569,82 @@ func EncodeStrings(vals []string, compress bool) []byte {
 	return buf
 }
 
-// encodeDict writes the PackedDict block of vals when it is strictly smaller
-// than limit bytes, and returns nil otherwise.
-func encodeDict(vals []string, limit int) []byte {
+// smallDict is how many dictionary entries sizeDict looks a value up among
+// by comparing it with each in turn, before it hashes.
+const smallDict = 16
+
+// sizeDict assigns every value of vals (at least one) its dictionary code,
+// in first-appearance order, and sums the exact size of the PackedDict block
+// without building it. While the dictionary holds at most smallDict entries a
+// value is compared with each entry, first appearance first; no hash and no
+// table. The value that would be entry smallDict+1 seeds an open-addressed
+// table (a power of two, at most half full, holding 1 + the index of a
+// distinct value's first appearance) with the entries so far, and every value
+// from it on is hashed.
+func sizeDict(vals []string) (codes []uint32, ndict, size int) {
 	n := len(vals)
-	// One scratch allocation: codes[i] is vals[i]'s dictionary code, slots
-	// an open-addressed table (a power of two, at most half full) holding
-	// 1 + the index of a distinct value's first appearance.
-	mask := 1<<bits.Len(uint(max(2*n-1, 0))) - 1
-	scratch := make([]uint32, n+mask+1)
-	codes, slots := scratch[:n], scratch[n:]
-	ndict, dictBytes := 0, 0
-	for i, s := range vals {
-		h := int(maphash.String(dictSeed, s)) & mask
-		for slots[h] != 0 && vals[slots[h]-1] != s {
-			h = (h + 1) & mask
+	codes = make([]uint32, n)
+	var first [smallDict]uint32 // each entry's first appearance
+	// Each entry's length and first byte, which tell most entries apart
+	// without comparing bytes, and which are the whole of a value of at most
+	// one byte.
+	var keys [smallDict]uint64
+	dictBytes, i := 0, 0
+scan:
+	for ; i < n; i++ {
+		s := vals[i]
+		k := uint64(len(s)) << 8
+		if len(s) > 0 {
+			k |= uint64(s[0])
 		}
-		if slots[h] == 0 {
-			slots[h] = uint32(i + 1)
-			codes[i] = uint32(ndict)
-			ndict++
-			dictBytes += len(s)
-		} else {
-			codes[i] = codes[slots[h]-1]
+		for c := 0; c < ndict; c++ {
+			if keys[c] == k && (len(s) <= 1 || vals[first[c]] == s) {
+				codes[i] = uint32(c)
+				continue scan
+			}
+		}
+		if ndict == smallDict {
+			break
+		}
+		first[ndict], keys[ndict] = uint32(i), k
+		codes[i] = uint32(ndict)
+		ndict++
+		dictBytes += len(s)
+	}
+	if i < n {
+		mask := 1<<bits.Len(uint(2*n-1)) - 1
+		slots := make([]uint32, mask+1)
+		for _, at := range first {
+			h := int(maphash.String(dictSeed, vals[at])) & mask
+			for slots[h] != 0 {
+				h = (h + 1) & mask
+			}
+			slots[h] = at + 1
+		}
+		for ; i < n; i++ {
+			s := vals[i]
+			h := int(maphash.String(dictSeed, s)) & mask
+			for slots[h] != 0 && vals[slots[h]-1] != s {
+				h = (h + 1) & mask
+			}
+			if slots[h] == 0 {
+				slots[h] = uint32(i + 1)
+				codes[i] = uint32(ndict)
+				ndict++
+				dictBytes += len(s)
+			} else {
+				codes[i] = codes[slots[h]-1]
+			}
 		}
 	}
+	return codes, ndict, headerSize + 4 + 4*ndict + dictBytes + int(packedLen(n, codeWidth(ndict)))
+}
+
+// writeDict writes the PackedDict block sizeDict sized: size bytes holding
+// ndict entries and vals' codes.
+func writeDict(vals []string, codes []uint32, ndict, size int) []byte {
 	w := codeWidth(ndict)
-	size := headerSize + 4 + 4*ndict + dictBytes + int(packedLen(n, w))
-	if size >= limit {
-		return nil
-	}
-	buf := newBlock(PackedDict, n, size)
+	buf := newBlock(PackedDict, len(vals), size)
 	binary.LittleEndian.PutUint32(buf[headerSize:], uint32(ndict))
 	offs, p := headerSize+4, headerSize+4+4*ndict
 	next := uint32(0)

@@ -101,6 +101,25 @@ func stringBlocks() map[string][]string {
 	}
 	blocks["all-distinct"], blocks["low-cardinality"] = distinct, lowCard
 	blocks["some-empty"], blocks["20000-distinct"] = someEmpty, big
+	// The dictionary pass's two lookups: 16 entries are all found by linear
+	// search, and a 17th, first seen last, seeds the hash table.
+	sixteen, seventeen := make([]string, 4096), make([]string, 4096)
+	for i := range sixteen {
+		sixteen[i] = fmt.Sprintf("mode-%d", rng.Intn(16))
+		seventeen[i] = sixteen[i]
+	}
+	seventeen[4095] = "mode-16"
+	blocks["16-distinct"], blocks["17-distinct-last"] = sixteen, seventeen
+	// 16 values of one length, so the end offsets lie on their line and the
+	// frame costs its header alone: with 12 distinct 11-byte values the
+	// dictionary is one byte smaller than the frame, with 15 distinct 55-byte
+	// values the two are the same size (and the frame is kept).
+	byOne, tie := make([]string, 16), make([]string, 16)
+	for i := range byOne {
+		byOne[i] = fmt.Sprintf("value-%05d", i%12)
+		tie[i] = fmt.Sprintf("%055d", i%15)
+	}
+	blocks["dict-by-one"], blocks["dict-ties"] = byOne, tie
 	return blocks
 }
 
@@ -303,6 +322,14 @@ func TestEncodersMatchReference(t *testing.T) {
 	}
 	// The generated blocks reach every scheme, so every writer was compared.
 	ints, strs := intBlocks(), stringBlocks()
+	// The boundary blocks sit where they claim to: the dictionary's size less
+	// the smaller of plain and framed offsets.
+	for name, want := range map[string]int{"dict-by-one": -1, "dict-ties": 0} {
+		vals := strs[name]
+		if got := len(encodePackedDict(vals)) - min(len(encodePlainString(vals)), len(encodeFramedString(vals))); got != want {
+			t.Errorf("string block %q: dictionary %+d bytes against the best offsets layout, want %+d", name, got, want)
+		}
+	}
 	for name, want := range map[string]Scheme{"sorted": ForInt, "noisy-line": ForInt, "descending": ForInt, "runs": RLEInt, "full-range": PlainInt, "mixed": RLEInt} {
 		if got := BlockScheme(EncodeInt64s(ints[name], true)); got != want {
 			t.Errorf("int block %q encodes as scheme %d, want %d", name, got, want)
@@ -331,7 +358,8 @@ func TestEncodersMatchReference(t *testing.T) {
 		}
 	}
 	for name, want := range map[string]Scheme{"low-cardinality": PackedDict, "some-empty": PackedDict, "all-distinct": FramedString,
-		"20000-distinct": FramedString, "plain-wins": PlainString, "empty": PlainString} {
+		"20000-distinct": FramedString, "plain-wins": PlainString, "empty": PlainString, "16-distinct": PackedDict,
+		"17-distinct-last": PackedDict, "dict-by-one": PackedDict, "dict-ties": FramedString} {
 		if got := BlockScheme(EncodeStrings(strs[name], true)); got != want {
 			t.Errorf("string block %q encodes as scheme %d, want %d", name, got, want)
 		}
@@ -494,6 +522,11 @@ func FuzzEncodeStrings(f *testing.F) {
 	// Distinct values: framed offsets win, on their line (one length) or not.
 	f.Add([]byte("k001 k002 k003 k004 k005 k006 k007 k008 k009 k010 k011 k012"), uint8(' '), uint8(0))
 	f.Add([]byte("carefully final deposits|quickly ironic requests|slyly bold accounts|furiously even pinto beans|blithely regular ideas"), uint8('|'), uint8(0))
+	// Cardinality 16 and 17: all linear search, and a hash table seeded from
+	// 16 entries.
+	letters := []byte("a,b,c,d,e,f,g,h,i,j,k,l,m,n,o,p,q,r,s,t,uu,vvv,wwww,xxxxx,yy,zzz")
+	f.Add(letters, uint8(','), uint8(16))
+	f.Add(letters, uint8(','), uint8(17))
 	f.Fuzz(func(t *testing.T, data []byte, sep, card uint8) {
 		checkStringBlock(t, fuzzStrings(data, sep, card))
 	})

@@ -47,7 +47,7 @@ type FileLog struct {
 	curMax   uint64 // LSN of the last record in the current file
 	sealed   []sealedFile
 	maxBytes int64
-	syncs    uint64 // durability barriers performed (fsyncs that succeeded)
+	syncs    uint64 // durability barriers performed (fsyncs that succeeded); TestFileLogGroupAppend reads it
 	failSync error  // armed one-shot fsync failure (FailNextSync, tests only)
 }
 
@@ -232,15 +232,6 @@ func (l *FileLog) Err() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.w.Err()
-}
-
-// Syncs returns how many durability barriers (successful fsyncs) the log has
-// performed. Tests read it to check batching: one fsync per group append,
-// however many records the group holds.
-func (l *FileLog) Syncs() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.syncs
 }
 
 // FailNextSync arms a one-shot failure of the next append's durability

@@ -233,6 +233,13 @@ func TestFileLogAppendIsDurable(t *testing.T) {
 	l.Close()
 }
 
+// syncsOf reads how many durability barriers l has performed.
+func syncsOf(l *FileLog) uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.syncs
+}
+
 // TestFileLogGroupAppend: one AppendGroupAt is one fsync for the whole batch,
 // the records are individually durable on disk, and a reopen replays them
 // with consecutive LSNs.
@@ -243,7 +250,7 @@ func TestFileLogGroupAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, l, 2)
-	preSyncs := l.Syncs()
+	preSyncs := syncsOf(l)
 	group := make([]GroupRecord, 5)
 	for i := range group {
 		group[i] = GroupRecord{Table: "t", Entries: sampleEntries()}
@@ -254,7 +261,7 @@ func TestFileLogGroupAppend(t *testing.T) {
 	if l.LSN() != 7 {
 		t.Fatalf("group LSNs end at %d, want 7", l.LSN())
 	}
-	if got := l.Syncs() - preSyncs; got != 1 {
+	if got := syncsOf(l) - preSyncs; got != 1 {
 		t.Fatalf("group of 5 cost %d fsyncs, want 1", got)
 	}
 	recs, _, err := replayFile(filepath.Join(dir, logFileName(1)))
