@@ -200,8 +200,11 @@ func TestShardedAdoptRequiresEmptyTail(t *testing.T) {
 
 // TestShardedCrashBetweenAppends cuts a cross-shard commit between two
 // shards' batch fsyncs: the first participant's stream has the group record
-// durable, the second's does not. Reopen must treat the commit as never
-// having happened — on every shard.
+// durable, the second's does not. Shard 3's pre-append point fails once shard
+// 0's leader has taken the batch with the record (its own pre-append point),
+// and the commit resolves only after every participant has reported, so
+// shard 0's append has happened when Commit returns. Reopen must treat the
+// commit as never having happened — on every shard.
 func TestShardedCrashBetweenAppends(t *testing.T) {
 	dir := t.TempDir()
 	db := openShardDB(t, dir, 4)
@@ -209,8 +212,18 @@ func TestShardedCrashBetweenAppends(t *testing.T) {
 	sCommitInserts(t, db, m, 10, 260, 510, 760)
 
 	errBoom := errors.New("injected crash between shard appends")
+	shard0Taken := make(chan struct{})
 	db.sharded.SetCommitFault(&txn.CommitFault{
-		BetweenAppends: func(i int) error { return errBoom },
+		BeforeAppend: func(shard int) error {
+			switch shard {
+			case 0:
+				close(shard0Taken)
+			case 3:
+				<-shard0Taken
+				return errBoom
+			}
+			return nil
+		},
 	})
 	tx := db.Begin()
 	if _, err := tx.ApplyBatch([]table.Op{
@@ -481,9 +494,9 @@ func TestShardedOpenReportsLowestFailingShard(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Column 1 holds strings: a modify to an int does not fit the schema.
-		bad := wal.GroupRecord{Table: "table", Shard: uint32(shard), Entries: []pdt.RebuildEntry{
+		bad := wal.GroupRecord{LSN: flog.LSN() + 1, Table: "table", Shard: uint32(shard), Entries: []pdt.RebuildEntry{
 			{SID: 0, Kind: 1, Mod: types.Int(7)}}}
-		if err := flog.AppendGroupAt(flog.LSN()+1, []wal.GroupRecord{bad}); err != nil {
+		if err := flog.AppendGroup([]wal.GroupRecord{bad}); err != nil {
 			t.Fatal(err)
 		}
 		flog.Close()

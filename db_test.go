@@ -209,7 +209,7 @@ func TestOpenFlatFormDirectory(t *testing.T) {
 		if err := edit(p); err != nil {
 			t.Fatal(err)
 		}
-		if err := flog.AppendGroupAt(lsn, []wal.GroupRecord{{Table: "table", Entries: p.Dump()}}); err != nil {
+		if err := flog.AppendGroup([]wal.GroupRecord{{LSN: lsn, Table: "table", Entries: p.Dump()}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -84,10 +84,11 @@
 // Every commit runs one pipeline — validate, park, durable, install.
 // Validate (txn's validateLocked) serializes the Trans-PDT against the
 // commits it overlapped and folds it onto the write chain under a narrow
-// critical section; the commit then parks on its shard's sequencer, where a
-// leader makes the whole batch durable with one WAL append and one fsync
-// (wal.Log.AppendGroupAt); install (installLocked) advances the clock and the
-// Write-PDT and wakes every waiter with its LSN. Begin and scans never wait
+// critical section, where the commit also takes its LSN from the commit
+// clock; the commit then parks on its shard's sequencer, where a leader
+// makes the whole batch durable with one WAL append and one fsync
+// (wal.Log.AppendGroup); install (installLocked) advances the clock and the
+// Write-PDT and wakes every waiter. Begin and scans never wait
 // behind an in-flight fsync, and a failed barrier aborts the whole batch
 // fail-stop with nothing visible, live or at replay. A batch holds at most
 // 128 commits.
@@ -112,12 +113,14 @@
 // segment chain and freeze LSN per shard, segments are named
 // seg-<generation>-s<shard>.seg, and shard 0's log lives in wal/. Writes
 // shard per core: single-shard commits go through their home shard's
-// sequencer with no global lock; a cross-shard commit is "hold, then the
-// same validate and install" — hold every participant's pipeline and
-// validate it, append one record per participant stream under one shared LSN
-// naming the full participant set, then install behind a begin gate — and
-// recovery drops incomplete groups from every stream (wal.CompleteGroups),
-// so a torn cross-shard commit is all-or-nothing per clock entry. Begin pins
+// sequencer with no global lock, and a cross-shard commit takes the same
+// pipeline over all its participants — validated against each one's queue
+// under their mutexes, one shared LSN, one member in each participant's next
+// batch, whose record names the full participant set and shares that
+// shard's fsync, then installed on every participant behind a begin gate
+// once all of them are durable — and recovery drops incomplete groups from
+// every stream (wal.CompleteGroups), so a torn cross-shard commit is
+// all-or-nothing per clock entry. Begin pins
 // a consistent per-shard snapshot vector; a one-shard store adopts more
 // shards at Open (checkpointed tail required, manifest swap as the commit
 // point); checkpoints build per-shard segments behind a single manifest

@@ -6,14 +6,14 @@ package txn
 // in-flight fsync, a failed batch fsync must abort every transaction in the
 // batch with nothing visible, and checkpoints must interleave with parked
 // commits without breaking the layer invariants — and with cross-shard
-// commits, which wait for a shard's swap but never its build.
+// commits, which ride a shard's batch, hold its swap off while in flight,
+// and never wait for its build.
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -449,107 +449,195 @@ func TestCrossShardCommitDuringCheckpointBuild(t *testing.T) {
 	}
 }
 
-// TestCheckpointSwapWaitsForHeldShard: a cross-shard commit is held between
-// its WAL appends while the checkpoint of a shard it prepared reaches its
-// swap. The swap waits for the hold (its fold chains onto the side layer the
-// swap retires), then both finish with nothing lost.
-func TestCheckpointSwapWaitsForHeldShard(t *testing.T) {
-	var logs []*bytes.Buffer
-	s := newSharded(t, 40, 2, Options{}, &logs)
+// TestCrossMemberSharesBatchFsync: a cross-shard member rides its
+// participant's ordinary batch. Three single-shard commits park on shard 0
+// behind a round inside its fsync, the member parks behind them, and the next
+// round flushes all four behind one fsync — the batch ending at the member.
+func TestCrossMemberSharesBatchFsync(t *testing.T) {
+	g := newGateSync()
+	log0 := &syncCounter{Log: wal.NewSyncedWriter(new(bytes.Buffer), g.sync)}
+	var buf1 bytes.Buffer
+	s := newShardedLogs(t, 40, 2, Options{}, func(i int) wal.Log {
+		if i == 0 {
+			return log0
+		}
+		return wal.NewWriter(&buf1)
+	})
 	m := s.Shard(0)
-	release, ckpt := heldCheckpoint(t, m)
 
-	inHook, hookGo := make(chan struct{}), make(chan struct{})
-	s.SetCommitFault(&CommitFault{BetweenAppends: func(int) error {
-		close(inHook)
-		<-hookGo
-		return nil
-	}})
-	commit := commitAsync(s, 15, 395)
-	await(t, inHook, "the cross-shard commit to reach its second append")
-	close(release)
-	waitFor(t, m, "the swap to wait on the held shard", func() bool { return m.ckptInstalling && m.held })
-	select {
-	case err := <-ckpt:
-		t.Fatalf("checkpoint swapped under a held shard (%v)", err)
-	default:
-	}
-	close(hookGo)
-	if err := await(t, commit, "the held cross-shard commit"); err != nil {
-		t.Fatal(err)
-	}
-	if err := await(t, ckpt, "the checkpoint swap"); err != nil {
-		t.Fatal(err)
-	}
-	checkShardedKeys(t, s, 40, 15, 395)
-	if c := m.WritePDT().Count(); c != 0 {
-		t.Fatalf("the commit is not in the swapped-in side layer: Write-PDT holds %d entries", c)
-	}
-	for i, buf := range logs {
-		recs, err := wal.Replay(bytes.NewReader(buf.Bytes()))
-		if err != nil {
+	first := commitAsync(s, 15)
+	await(t, g.entered, "the first round's fsync")
+	parked := []<-chan error{commitAsync(s, 25), commitAsync(s, 35), commitAsync(s, 45)}
+	waitFor(t, m, "three commits to park", func() bool { return len(m.pending) == 4 })
+	cross := commitAsync(s, 55, 395)
+	waitFor(t, m, "the member to park behind them", func() bool { return len(m.pending) == 5 })
+
+	g.verdict <- nil // round 1 installs; round 2 is the three commits and the member
+	await(t, g.entered, "the second round's fsync")
+	g.verdict <- nil
+	for i, ch := range append(parked, first, cross) {
+		if err := await(t, ch, fmt.Sprintf("commit %d", i)); err != nil {
 			t.Fatal(err)
 		}
-		if len(recs) != 1 || len(recs[0].Parts) != 2 {
-			t.Fatalf("shard %d stream: %d records, want the one cross-shard record", i, len(recs))
+	}
+	if got := log0.syncs.Load(); got != 2 {
+		t.Fatalf("shard 0 took %d fsyncs, want 2: the parked commits and the member share one", got)
+	}
+	if log0.LSN() != 5 || m.LSN() != 5 {
+		t.Fatalf("shard 0's stream ends at LSN %d and its clock at %d, want the member's 5", log0.LSN(), m.LSN())
+	}
+	recs, err := wal.Replay(&buf1)
+	if err != nil || len(recs) != 1 || recs[0].LSN != 5 || len(recs[0].Parts) != 2 {
+		t.Fatalf("shard 1's stream: %+v, %v; want the member's record at LSN 5", recs, err)
+	}
+	checkShardedKeys(t, s, 40, 15, 25, 35, 45, 55, 395)
+}
+
+// gatedLog holds every append at the gate before passing it on.
+type gatedLog struct {
+	wal.Log
+	g *gateSync
+}
+
+func (l gatedLog) AppendGroup(recs []wal.GroupRecord) error {
+	if err := l.g.sync(); err != nil {
+		return err
+	}
+	return l.Log.AppendGroup(recs)
+}
+
+// TestCrossMemberFailureAbortsEverywhere: a cross-shard member X over shards
+// 0 and 1 is durable on shard 1 when its fsync on shard 0 fails. X aborts on
+// both shards, and so does everything validated against it: a single-shard
+// commit parked behind it on shard 1, and a member Y over shards 1 and 2
+// parked behind it there, which never reaches shard 2's stream — it waits
+// for X there — so no orphan of Y outlives the failure on a healthy log. X's
+// own orphan on shard 1 is dropped on replay, and the healthy shards keep
+// committing.
+func TestCrossMemberFailureAbortsEverywhere(t *testing.T) {
+	g := newGateSync()
+	dir := filepath.Join(t.TempDir(), "wal-0")
+	log0, _, err := wal.OpenFileLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log0.Close()
+	log0.FailNextSync(errors.New("injected: device died at the barrier"))
+	var buf1, buf2 bytes.Buffer
+	logs := []wal.Log{gatedLog{log0, g}, wal.NewWriter(&buf1), wal.NewWriter(&buf2)}
+	s := newShardedLogs(t, 60, 3, Options{}, func(i int) wal.Log { return logs[i] })
+	for i, k := range []int64{15, 215, 415} {
+		if s.ShardOf(types.Row{types.Int(k)}) != i {
+			t.Fatalf("key %d is not on shard %d (split keys %v)", k, i, s.Keys())
 		}
+	}
+	m1, m2 := s.Shard(1), s.Shard(2)
+
+	x := commitAsync(s, 15, 215)
+	await(t, g.entered, "shard 0's append of X")
+	waitFor(t, m1, "X to be durable on shard 1", func() bool {
+		grp := m1.pending[0].group
+		grp.mu.Lock()
+		defer grp.mu.Unlock()
+		return grp.left == 1
+	})
+	single := commitAsync(s, 225)
+	waitFor(t, m1, "a commit to park behind X", func() bool { return len(m1.pending) == 2 })
+	y := commitAsync(s, 235, 425)
+	waitFor(t, m1, "Y to park behind them", func() bool { return len(m1.pending) == 3 })
+	waitFor(t, m2, "Y to wait on shard 2", func() bool { return len(m2.pending) == 1 })
+
+	g.verdict <- nil // shard 0 appends X, and its fsync fails
+	for what, ch := range map[string]<-chan error{"X": x, "the parked commit": single, "Y": y} {
+		if err := await(t, ch, what); err == nil {
+			t.Fatalf("%s committed over a failed participant", what)
+		}
+	}
+	checkShardedKeys(t, s, 60)
+	if buf2.Len() != 0 {
+		t.Fatal("Y reached shard 2's stream although X, queued ahead of it, failed")
+	}
+	if err := await(t, commitAsync(s, 245, 435), "a commit over the healthy shards"); err != nil {
+		t.Fatal(err)
+	}
+	checkShardedKeys(t, s, 60, 245, 435)
+
+	log0.Close()
+	_, rec0, err := wal.OpenFileLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec1, err1 := wal.Replay(&buf1)
+	rec2, err2 := wal.Replay(&buf2)
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	if len(rec0) != 0 || len(rec1) != 2 || len(rec2) != 1 {
+		t.Fatalf("streams hold %d, %d, %d records; want none, X's orphan and the last commit, the last commit",
+			len(rec0), len(rec1), len(rec2))
+	}
+	kept := wal.CompleteGroups([][]wal.Record{rec0, rec1, rec2}, make([]uint64, 3))
+	if len(kept[1]) != 1 || kept[1][0].LSN != rec2[0].LSN {
+		t.Fatalf("replay keeps %+v on shard 1, want only the last commit", kept[1])
 	}
 }
 
-// TestSwapLeaderAndHoldAllComplete is the three-way case: a swap is
-// waiting, the leader has yielded to it with commits parked, and then a
-// coordinator holds the shard. The prepare's broadcast turns the leader
-// back to draining, the prepare completes on the drained queue, and the swap
-// runs once the hold is released.
-func TestSwapLeaderAndHoldAllComplete(t *testing.T) {
-	s := newSharded(t, 40, 2, Options{}, nil)
+// TestCheckpointSwapWaitsForDurableMember: a cross-shard member is durable
+// on shard 0 while shard 1's fsync is still out, so shard 0's leader keeps
+// it in flight; shard 0's checkpoint reaches its swap meanwhile, and a
+// single-shard commit parks behind the member. The swap waits for the member
+// (a rebase must not touch a commit already durable), then all three finish
+// with nothing lost, the member in the side layer the swap installed.
+func TestCheckpointSwapWaitsForDurableMember(t *testing.T) {
+	g := newGateSync()
+	var buf0, buf1 bytes.Buffer
+	s := newShardedLogs(t, 40, 2, Options{}, func(i int) wal.Log {
+		if i == 0 {
+			return wal.NewWriter(&buf0)
+		}
+		return wal.NewSyncedWriter(&buf1, g.sync)
+	})
 	m := s.Shard(0)
 	release, ckpt := heldCheckpoint(t, m)
 
-	// A round the swap has not yet seen end stands in for the instant
-	// between a leader's yield and the swap waking up; the leader's next
-	// round resets the count.
-	m.mu.Lock()
-	m.inflight++
-	m.mu.Unlock()
+	cross := commitAsync(s, 15, 395)
+	await(t, g.entered, "shard 1's fsync")
+	waitFor(t, m, "the member to be durable on shard 0", func() bool {
+		grp := m.pending[0].group
+		grp.mu.Lock()
+		defer grp.mu.Unlock()
+		return grp.left == 1
+	})
+	single := commitAsync(s, 25)
+	waitFor(t, m, "a commit to park behind the member", func() bool { return len(m.pending) == 2 })
 	close(release)
-	waitFor(t, m, "the swap to wait", func() bool { return m.ckptInstalling })
-	c1, c2 := commitAsync(s, 15), commitAsync(s, 25)
-	waitFor(t, m, "two commits to park", func() bool { return len(m.pending) == 2 })
-	waitForStack(t, "the leader to yield to the swap", "(*Manager).commitLeader", "(*Cond).Wait")
+	waitFor(t, m, "the swap to wait on the member", func() bool { return m.ckptInstalling && m.inflight == 1 })
+	select {
+	case err := <-ckpt:
+		t.Fatalf("checkpoint swapped under a durable member (%v)", err)
+	default:
+	}
 
-	cross := commitAsync(s, 16, 396)
+	g.verdict <- nil
 	for what, ch := range map[string]<-chan error{
-		"the cross-shard commit": cross, "parked commit 15": c1, "parked commit 25": c2, "the checkpoint": ckpt,
+		"the cross-shard commit": cross, "the parked commit": single, "the checkpoint": ckpt,
 	} {
 		if err := await(t, ch, what); err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
 	}
-	checkShardedKeys(t, s, 40, 15, 16, 25, 396)
-}
-
-// waitForStack waits until some goroutine's stack holds every frame
-// substring in frames.
-func waitForStack(t *testing.T, what string, frames ...string) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	buf := make([]byte, 1<<20)
-	for {
-		n := runtime.Stack(buf, true)
-		for _, g := range strings.Split(string(buf[:n]), "\n\n") {
-			all := true
-			for _, f := range frames {
-				all = all && strings.Contains(g, f)
-			}
-			if all {
-				return
-			}
+	checkShardedKeys(t, s, 40, 15, 25, 395)
+	if c := m.ReadPDT().Count(); c != 1 {
+		t.Fatalf("the member is not in the swapped-in side layer: Read-PDT holds %d entries", c)
+	}
+	for i, buf := range []*bytes.Buffer{&buf0, &buf1} {
+		recs, err := wal.Replay(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
+		if len(recs) == 0 || len(recs[0].Parts) != 2 {
+			t.Fatalf("shard %d stream: %+v, want the cross-shard record first", i, recs)
 		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

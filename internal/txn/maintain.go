@@ -19,36 +19,35 @@ package txn
 // verbatim. Retired versions are released when their last reader finishes,
 // evicting the retired image's blocks from the device's buffer pool.
 //
-// The build is off every commit path, cross-shard ones included: a prepare
-// folds onto the side layer, which the swap installs as the next Read-PDT.
-// Who waits for what, per shard (every wait is a cond.Wait on m.mu,
-// re-checked on each broadcast):
+// The build is off every commit path: a commit parked during it folds onto
+// the side layer, which the swap installs as the next Read-PDT. Who waits
+// for what, per shard (a cond.Wait on m.mu unless marked off-lock):
 //
-//	Commit           held clear, then its batch's round
-//	leader round     its WAL append only
-//	leader yield     a waiting freeze or swap, only while !held
-//	prepare          pending and inflight drained (the leader's rounds)
-//	install/release  nothing beyond m.mu
-//	freeze (entry)   no checkpoint, no frozen layer, no round, !held
-//	swap/rollback    no round, !held
+//	enqueue          nothing (takes its participants' m.mu in shard order)
+//	committer        off-lock, its commit's resolution
+//	leader round     its WAL append; at a member, the member's resolution
+//	leader, head     off-lock, the members queued ahead of its head member
+//	leader yield     a waiting freeze or swap
+//	resolution       beginGate, then each participant's m.mu in shard order
+//	freeze (entry)   no checkpoint, no frozen layer, no round
+//	swap/rollback    no round
 //	background fold  nothing (folds off-lock, installs under m.mu)
 //
-// and across shards: xmu is held by one coordinator from its first prepare
-// to its last install or release; its phase B waits on beginGate, whose
-// readers (Begin) take each m.mu only briefly; db.mu is held by a DB
-// checkpoint from its first build to its last truncation.
+// Begin takes each m.mu briefly under beginGate's read side; db.mu is held
+// by a DB checkpoint from its first build to its last truncation.
 //
-// The graph is acyclic. A prepare waits only on rounds, and a leader never
-// yields while held (prepare broadcasts after setting it), so a prepare
-// reaches its rounds' WAL appends and nothing else. The freeze and the swap
-// wait on rounds and on held; the only edge back to them is a leader's yield,
-// which needs !held — so the swap → held → drain → leader → swap cycle cannot
-// close. A coordinator holds shards one at a time in participant order and
-// waits only for the next one's drain, which depends on that shard's own
-// leader; shards never wait for each other's checkpoints. db.mu and xmu are
-// taken in that order only (a build may commit across shards; nothing under
-// xmu takes db.mu), and neither is taken under m.mu. A commit landing during
-// a build thus waits for the swap's locked step at most, never the build.
+// The graph is acyclic. Between shards, a leader waits for its batch's
+// cross-shard member X until every other participant's leader has appended
+// X, and holds X back until the members queued ahead of X elsewhere resolve.
+// An enqueue holds all its participants' mutexes and takes its LSN under
+// them, so two cross-shard commits sit in LSN order on every shard they
+// share: a member waits only on smaller LSNs, and the smallest unresolved
+// one has only single-shard commits, which need just their round's append,
+// ahead of it. Freeze and swap wait on rounds only and a leader yields to
+// them only between rounds, so a swap waiting for a member in flight waits
+// on other shards' leaders, which never wait for this shard's checkpoint.
+// db.mu is taken before any m.mu, never under one, and a build may commit
+// (across shards too) because no commit waits for a build.
 
 import (
 	"fmt"
@@ -88,7 +87,9 @@ func (m *Manager) freezeLocked() *pdt.PDT {
 // The commits' serialized entries are already positioned in the RID domain
 // the new layer absorbs, so only the precomputed folds need recomputing. A
 // refold failure aborts that commit and everything parked behind it (their
-// serializations chained onto it).
+// serializations chained onto it) and wedges the shard: a member aborted
+// here may be durable on another participant, an orphan recovery drops only
+// while this shard's clock stays below it.
 func (m *Manager) rebasePendingLocked() {
 	m.commitChain = nil
 	base := m.writePDT
@@ -96,13 +97,11 @@ func (m *Manager) rebasePendingLocked() {
 		folded, err := pdt.FoldSnap(base, r.serialized)
 		if err != nil {
 			werr := fmt.Errorf("txn: rebasing parked commit: %w", err)
-			for _, rest := range m.pending[i:] {
-				rest.err = werr
-				m.finishLocked(rest.t)
-				close(rest.done)
+			if m.maintErr == nil {
+				m.maintErr = werr
 			}
-			m.pending = m.pending[:i]
-			break
+			m.failFromLocked(i, werr)
+			return
 		}
 		r.folded = folded
 		base = folded
@@ -123,7 +122,7 @@ func (m *Manager) rebasePendingLocked() {
 func (m *Manager) maybeFoldLocked() {
 	if m.writePDT.MemBytes() < m.writeBudget ||
 		m.frozen != nil || m.checkpointing || m.ckptWaiters > 0 ||
-		m.inflight > 0 || m.held || m.maintErr != nil {
+		m.inflight > 0 || m.maintErr != nil {
 		return
 	}
 	go m.completeFold(m.cur, m.freezeLocked())
@@ -225,7 +224,7 @@ func (m *Manager) Checkpoint() error {
 func (m *Manager) CheckpointInto(build MaterializeFn) error {
 	m.mu.Lock()
 	m.ckptWaiters++ // pauses fold re-arming so the wait below terminates
-	for (m.checkpointing || m.frozen != nil || m.inflight > 0 || m.held) && m.maintErr == nil {
+	for (m.checkpointing || m.frozen != nil || m.inflight > 0) && m.maintErr == nil {
 		m.cond.Wait() // one maintenance operation at a time, between flush rounds
 	}
 	m.ckptWaiters--
@@ -252,12 +251,13 @@ func (m *Manager) CheckpointInto(build MaterializeFn) error {
 	defer m.mu.Unlock()
 	defer m.cond.Broadcast()
 	// The swap (or rollback) replaces the write layer, so it must not race a
-	// group-commit round or a held cross-shard prepare, whose precomputed
-	// folds chain onto the current one: signal the leader to pause at its
-	// next boundary and wait out the round and the hold.
+	// group-commit round, whose records are already on their way to the WAL
+	// with folds chained onto the current layer — a cross-shard member
+	// included, until every participant has made it durable: signal the
+	// leader to pause at its next boundary and wait out the round.
 	m.ckptInstalling = true
 	m.cond.Broadcast()
-	for m.inflight > 0 || m.held {
+	for m.inflight > 0 {
 		m.cond.Wait()
 	}
 	m.ckptInstalling = false

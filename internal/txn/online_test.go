@@ -9,8 +9,10 @@ package txn
 // what it inserts. CI's race job runs this file under -race.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -377,23 +379,7 @@ func shardedStress(t *testing.T, shards int) {
 		}()
 	}
 
-	// Watchdog: fail with every goroutine's stack once commits stop.
-	writersDone := make(chan struct{})
-	go func() { wg.Wait(); close(writersDone) }()
-	last, since := progress.Load(), time.Now()
-	for waiting := true; waiting; {
-		select {
-		case <-writersDone:
-			waiting = false
-		case <-time.After(100 * time.Millisecond):
-			if n := progress.Load(); n != last {
-				last, since = n, time.Now()
-			} else if time.Since(since) > 10*time.Second {
-				buf := make([]byte, 1<<20)
-				t.Fatalf("no commit completed for 10s; goroutines:\n%s", buf[:runtime.Stack(buf, true)])
-			}
-		}
-	}
+	watchdog(t, &wg, &progress)
 	close(stop)
 	bg.Wait()
 	if err := s.WaitMaintenance(); err != nil {
@@ -454,6 +440,228 @@ func shardedStress(t *testing.T, shards int) {
 		}
 	}
 	check("cold replay", cold)
+}
+
+// watchdog waits for the writers in wg, failing the test with every
+// goroutine's stack once progress has not moved for 10 s.
+func watchdog(t *testing.T, wg *sync.WaitGroup, progress *atomic.Int64) {
+	t.Helper()
+	writersDone := make(chan struct{})
+	go func() { wg.Wait(); close(writersDone) }()
+	last, since := progress.Load(), time.Now()
+	for {
+		select {
+		case <-writersDone:
+			return
+		case <-time.After(100 * time.Millisecond):
+			if n := progress.Load(); n != last {
+				last, since = n, time.Now()
+			} else if time.Since(since) > 10*time.Second {
+				buf := make([]byte, 1<<20)
+				t.Fatalf("no commit completed for 10s; goroutines:\n%s", buf[:runtime.Stack(buf, true)])
+			}
+		}
+	}
+}
+
+// TestCrossShardTransferStress moves value between accounts on 4 shards:
+// cross-shard transfers over 2 or 3 shards, with participant sets that
+// overlap and shard orders both ways, beside a single-shard writer, per-shard
+// checkpoint loops and a tiny write budget (background folds). Every
+// snapshot a reader's Begin pins must see the accounts' sum unchanged — no
+// cross-shard commit is ever half-visible — and so must the final state and
+// a cold replay of the logs. A watchdog fails the test with a goroutine dump
+// when no commit completes for 10 s.
+func TestCrossShardTransferStress(t *testing.T) {
+	const (
+		shards     = 4
+		stableRows = 160 // keys 10..1600
+		movers     = 3
+		rounds     = 80
+	)
+	// A durability barrier slow enough that commits park behind a round,
+	// so members share batches with single-shard commits and each other.
+	var logs []*bytes.Buffer
+	s := newShardedLogs(t, stableRows, shards, Options{WriteBudget: 1 << 10}, func(int) wal.Log {
+		buf := &bytes.Buffer{}
+		logs = append(logs, buf)
+		return wal.NewSyncedWriter(buf, func() error {
+			time.Sleep(50 * time.Microsecond)
+			return nil
+		})
+	})
+	// Four accounts per shard: its first four stable keys, balance in
+	// column a.
+	var accounts [shards][4]int64
+	for i := range accounts {
+		first := int64(10)
+		if i > 0 {
+			first = s.Keys()[i-1][0].I
+		}
+		for j := range accounts[i] {
+			accounts[i][j] = first + 10*int64(j)
+		}
+	}
+	sumOf := func(rows map[int64]stressRow) int64 {
+		var sum int64
+		for _, acc := range accounts {
+			for _, k := range acc {
+				sum += rows[k].a
+			}
+		}
+		return sum
+	}
+	sum := func(tx *STxn) (int64, error) {
+		rows, err := stxnRows(tx)
+		return sumOf(rows), err
+	}
+	check := s.Begin()
+	want, err := sum(check)
+	check.Abort()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var progress atomic.Int64
+	stop := make(chan struct{})
+	var bg sync.WaitGroup
+	background := func(f func() error) {
+		bg.Add(1)
+		go func() {
+			defer bg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := f(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < shards; i++ {
+		m := s.Shard(i)
+		background(func() error {
+			time.Sleep(time.Millisecond)
+			return m.Checkpoint()
+		})
+	}
+	background(func() error {
+		tx := s.Begin()
+		defer tx.Abort()
+		got, err := sum(tx)
+		if err == nil && got != want {
+			err = fmt.Errorf("a snapshot sees the accounts sum to %d, want %d", got, want)
+		}
+		return err
+	})
+
+	var wg sync.WaitGroup
+	for w := 0; w < movers; w++ {
+		rng := rand.New(rand.NewSource(int64(w)))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				// 2 or 3 distinct shards in random order; the first pays
+				// the others.
+				parts := rng.Perm(shards)[:2+rng.Intn(2)]
+				tx := s.Begin()
+				err := func() error {
+					from := types.Row{types.Int(accounts[parts[0]][rng.Intn(4)])}
+					for _, p := range parts[1:] {
+						to := types.Row{types.Int(accounts[p][rng.Intn(4)])}
+						amt := int64(1 + rng.Intn(9))
+						for _, mv := range []struct {
+							key   types.Row
+							delta int64
+						}{{from, -amt}, {to, amt}} {
+							_, row, found, err := tx.FindByKey(mv.key)
+							if err != nil || !found {
+								return fmt.Errorf("account %v: found=%v, %v", mv.key, found, err)
+							}
+							if _, err := tx.UpdateByKey(mv.key, 1, types.Int(row[1].I+mv.delta)); err != nil {
+								return err
+							}
+						}
+					}
+					return tx.Commit()
+				}()
+				progress.Add(1)
+				if err != nil && !errors.Is(err, ErrConflict) {
+					tx.Abort()
+					t.Errorf("mover %d round %d: %v", w, i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() { // single-shard writer: fresh inserts and a stable non-account key
+		defer wg.Done()
+		for i := int64(0); i < movers*rounds; i++ {
+			tx := s.Begin()
+			k := 10*(i%stableRows) + 5 + 10*stableRows*(i/stableRows)
+			err := tx.Insert(types.Row{types.Int(k), types.Int(i), types.Str("w")})
+			if err == nil {
+				_, err = tx.UpdateByKey(types.Row{types.Int(10*(i%stableRows) + 10)}, 2, types.Str("u"))
+			}
+			if err == nil {
+				err = tx.Commit()
+			}
+			progress.Add(1)
+			if err != nil && !errors.Is(err, ErrConflict) {
+				tx.Abort()
+				t.Errorf("single-shard writer round %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	watchdog(t, &wg, &progress)
+	close(stop)
+	bg.Wait()
+	if err := s.WaitMaintenance(); err != nil {
+		t.Fatal(err)
+	}
+	if t.Failed() {
+		return
+	}
+
+	live := s.Begin()
+	defer live.Abort()
+	rows, err := stxnRows(live)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sumOf(rows); got != want {
+		t.Fatalf("final accounts sum to %d, want %d", got, want)
+	}
+	// Cold replay: the streams, reconciled, onto the initial image.
+	streams := make([][]wal.Record, shards)
+	for i, buf := range logs {
+		if streams[i], err = wal.Replay(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	streams = wal.CompleteGroups(streams, make([]uint64, shards))
+	cold := newSharded(t, stableRows, shards, Options{}, nil)
+	for i, recs := range streams {
+		if err := cold.Shard(i).Recover(recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replayed := cold.Begin()
+	defer replayed.Abort()
+	coldRows, err := stxnRows(replayed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(coldRows) != fmt.Sprint(rows) {
+		t.Fatalf("cold replay: %d rows differ from the live %d", len(coldRows), len(rows))
+	}
 }
 
 // stressRow is a row's non-key columns.

@@ -179,6 +179,93 @@ func BenchmarkCrossShardCommitDuringCheckpoint(b *testing.B) {
 	}
 }
 
+// syncCounter counts the durability barriers a log performs: on a synced log
+// every successful group append is one fsync.
+type syncCounter struct {
+	wal.Log
+	syncs atomic.Int64
+}
+
+func (c *syncCounter) AppendGroup(recs []wal.GroupRecord) error {
+	err := c.Log.AppendGroup(recs)
+	if err == nil {
+		c.syncs.Add(1)
+	}
+	return err
+}
+
+// BenchmarkShardedCommit measures the two commit kinds apart over 2 shards
+// with real fsynced logs: single-shard commits (alternating shards) and
+// cross-shard commits (one insert on each shard), at 1 and 4 writers. It
+// reports µs per commit and fsyncs per commit per participating shard: 1 at
+// one writer, falling as commits share a leader's barrier.
+func BenchmarkShardedCommit(b *testing.B) {
+	for _, kind := range []string{"single", "cross"} {
+		for _, writers := range []int{1, 4} {
+			b.Run(fmt.Sprintf("%s/writers=%d", kind, writers), func(b *testing.B) {
+				var logs []*syncCounter
+				files := fileLogs(b, b.TempDir())
+				s := newShardedLogs(b, 400, 2, Options{WriteBudget: 16 << 10}, func(i int) wal.Log {
+					c := &syncCounter{Log: files(i)}
+					logs = append(logs, c)
+					return c
+				})
+				// Stable keys are 10..4000 with the cut in between: every
+				// negative key is a fresh one on shard 0, every key from 1<<20
+				// up a fresh one on shard 1.
+				keysOf := func(i int64) []int64 {
+					switch {
+					case kind == "cross":
+						return []int64{-i, 1<<20 + i}
+					case i%2 == 0:
+						return []int64{-i}
+					default:
+						return []int64{1<<20 + i}
+					}
+				}
+				var next atomic.Int64
+				var wg sync.WaitGroup
+				b.ResetTimer()
+				for range writers {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := next.Add(1); i <= int64(b.N); i = next.Add(1) {
+							tx := s.Begin()
+							for _, k := range keysOf(i) {
+								if err := tx.Insert(types.Row{types.Int(k), types.Int(i), types.Str("c")}); err != nil {
+									b.Error(err)
+									tx.Abort()
+									return
+								}
+							}
+							if err := tx.Commit(); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
+				b.StopTimer()
+				perShard := 1.0
+				if kind == "cross" {
+					perShard = 2
+				}
+				var syncs int64
+				for _, c := range logs {
+					syncs += c.syncs.Load()
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/commit")
+				b.ReportMetric(float64(syncs)/float64(b.N)/perShard, "fsyncs/commit/shard")
+				if err := s.WaitMaintenance(); err != nil {
+					b.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
 // TestBeginAllocsConstant is the alloc guard for the snapshot path: the
 // number of allocations Begin performs must not grow with the Write-PDT.
 func TestBeginAllocsConstant(t *testing.T) {

@@ -396,7 +396,7 @@ func decodeAgain(t *testing.T, rec wal.Record) wal.Record {
 	t.Helper()
 	var buf bytes.Buffer
 	w := wal.NewWriter(&buf)
-	if err := w.AppendGroupAt(rec.LSN, []wal.GroupRecord{{Table: rec.Table, Shard: rec.Shard, Parts: rec.Parts, Entries: rec.Entries}}); err != nil {
+	if err := w.AppendGroup([]wal.GroupRecord{{LSN: rec.LSN, Table: rec.Table, Shard: rec.Shard, Parts: rec.Parts, Entries: rec.Entries}}); err != nil {
 		t.Fatal(err)
 	}
 	out, err := wal.Replay(&buf)

@@ -6,25 +6,22 @@ package txn
 // not a different design: no split keys, every key routes to shard 0, every
 // commit is single-shard. The Sharded coordinator owns what must stay global:
 //
-//   - one monotonic commit clock all shards allocate LSNs from, so commit,
+//   - one monotonic commit clock all shards take LSNs from, so commit,
 //     recovery and replay ordering stay total across the independent WAL
 //     streams (each stream carries a gapped subsequence of one LSN order);
 //   - the key cuts routing every write to exactly one shard;
-//   - the begin gate making cross-shard installs atomic against Begin;
-//   - the cross-shard commit path itself (commitCross).
+//   - the begin gate making cross-shard installs atomic against Begin.
 //
-// A transaction that only wrote one shard commits through that shard's own
-// sequencer — no coordination, no global lock, which is the whole point:
-// under concurrent writers with disjoint key ranges the N sequencers batch,
-// fsync and install in parallel. A transaction spanning shards runs the same
-// validate and install steps (Manager.validateLocked, installLocked) under a
-// coordinator mutex, with a hold in place of the sequencer: every participant
-// is quiesced and its delta validated and folded (prepare), then one clock
-// slot L is allocated and each participant's WAL stream gets a record at LSN
-// L naming the full participant set (phase A), then all participants install
-// behind the begin gate (phase B). A crash between the phase-A appends leaves
-// an incomplete group that recovery drops on every stream
-// (wal.CompleteGroups), so the commit is all-or-nothing per clock entry.
+// Every commit runs one pipeline (commit, in txn.go) over the shards it
+// wrote. A single-shard commit joins its shard's sequencer with no
+// coordination and no global lock, so writers on disjoint key ranges batch,
+// fsync and install in parallel. A cross-shard commit takes one LSN L under
+// all its participants' mutexes and is one member of each one's next batch:
+// every participant's leader appends its record at L, naming the full
+// participant set, and the last to make it durable installs it on all of
+// them behind the begin gate (crossGroup). A crash between two
+// participants' appends leaves an incomplete group that recovery drops on
+// every stream (wal.CompleteGroups): all-or-nothing per clock entry.
 import (
 	"fmt"
 	"sort"
@@ -35,7 +32,6 @@ import (
 	"pdtstore/internal/pdt"
 	"pdtstore/internal/table"
 	"pdtstore/internal/types"
-	"pdtstore/internal/wal"
 )
 
 // Sharded coordinates transactions over a table split into key-range shards,
@@ -47,39 +43,37 @@ type Sharded struct {
 	keys   []types.Row // len(mgrs)-1 ascending split keys; shard i owns [keys[i-1], keys[i])
 	schema *types.Schema
 
-	// clock is the global commit clock. Every shard's group-commit leader
-	// allocates its batch's LSN run here, and cross-shard commits take one
-	// slot all participants share.
+	// clock is the global commit clock. Every commit takes its LSN here at
+	// enqueue; a cross-shard commit takes one slot all participants share.
 	clock *atomic.Uint64
 
 	// beginGate orders snapshots against cross-shard installs: Begin pins its
-	// per-shard snapshot vector under the read side, commitCross installs all
-	// participants under the write side, so no snapshot ever observes a
-	// cross-shard commit on one shard but not another.
+	// per-shard snapshot vector under the read side, a cross-shard commit
+	// installs on all participants under the write side, so no snapshot ever
+	// observes a cross-shard commit on one shard but not another.
 	beginGate sync.RWMutex
 
-	// xmu serializes cross-shard commits: the quiesce-prepare-append-install
-	// sequence spans several managers, and two interleaved sequences could
-	// deadlock on the shards' held flags.
-	xmu   sync.Mutex
-	fault *CommitFault // crash-test hook, read and written under xmu
+	fault atomic.Pointer[CommitFault] // crash-test hook, taken at enqueue
 }
 
 // CommitFault injects failures at the cut points of a cross-shard commit
-// (crash tests only). A non-nil return from a hook simulates the process
-// dying there: commitCross stops, releases what it prepared, and returns the
-// error — the on-disk state is exactly what a crash at that point leaves.
+// (crash tests only). Each hook gets the shard it runs on. A non-nil return
+// simulates the process dying there: the commit fails on every participant
+// and returns the error, and the on-disk state is exactly what a crash at
+// that point leaves.
 type CommitFault struct {
-	// BetweenAppends runs after participant i's WAL append, before the next
-	// participant's (never after the last).
-	BetweenAppends func(i int) error
-	// BetweenInstalls runs after participant i's in-memory install, before
-	// the next participant's (never after the last). Installs are memory-only
-	// — the commit is already durable on every stream — so a "crash" here
-	// loses nothing: reopen recovers the complete group whole. A live DB that
-	// took this fault is inconsistent (some shards installed, some not) and
-	// is only good for crash-and-reopen.
-	BetweenInstalls func(i int) error
+	// BeforeAppend runs in a participant's leader once it has taken the
+	// batch ending at the member, before appending it. An error fails that
+	// append, while a participant whose leader has taken its batch still
+	// appends it (the commit resolves once all have reported): a torn group.
+	BeforeAppend func(shard int) error
+	// BetweenInstalls runs after a participant's in-memory install, before
+	// the next participant's in shard order (never after the last). Installs
+	// are memory-only — the commit is already durable on every stream — so a
+	// "crash" here loses nothing: reopen recovers the complete group whole.
+	// A live DB that took this fault is inconsistent (some shards installed,
+	// some not) and is only good for crash-and-reopen.
+	BetweenInstalls func(shard int) error
 }
 
 // NewSharded couples n shard managers into one sharded table. keys are the
@@ -144,7 +138,8 @@ func (s *Sharded) RaiseClock(lsn uint64) { raiseClock(s.clock, lsn) }
 
 // Checkpoint checkpoints every shard, one at a time (each shard's checkpoint
 // is online; commits keep flowing on all shards throughout, cross-shard ones
-// included: they wait for a shard's image swap, never its build).
+// included: a shard's image swap waits for a member in flight there, and no
+// commit waits for a build).
 func (s *Sharded) Checkpoint() error {
 	for _, m := range s.mgrs {
 		if err := m.Checkpoint(); err != nil {
@@ -164,12 +159,9 @@ func (s *Sharded) WaitMaintenance() error {
 	return nil
 }
 
-// SetCommitFault arms (or disarms, with nil) the cross-shard fault hooks.
-func (s *Sharded) SetCommitFault(f *CommitFault) {
-	s.xmu.Lock()
-	s.fault = f
-	s.xmu.Unlock()
-}
+// SetCommitFault arms (or disarms, with nil) the cross-shard fault hooks
+// for the commits enqueued from now on.
+func (s *Sharded) SetCommitFault(f *CommitFault) { s.fault.Store(f) }
 
 // Begin starts a transaction spanning every shard: a vector of per-shard
 // snapshots pinned under the begin gate, so no cross-shard commit is ever
@@ -439,192 +431,124 @@ func (t *STxn) Abort() error {
 	return err
 }
 
-// Commit commits the transaction. A transaction that wrote a single shard
-// takes that shard's ordinary group-commit path — it batches and fsyncs with
-// that shard's other writers, fully independent of the rest of the table.
-// One that wrote several commits atomically across them via the coordinator
-// (commitCross). An empty commit consumes no clock slot.
+// Commit commits the transaction through the one commit pipeline over the
+// shards it wrote. A transaction that wrote a single shard batches and fsyncs
+// with that shard's other writers, independent of the rest of the table; one
+// that wrote several is one member of each participant's batch, installed on
+// all of them at once. An empty commit consumes no clock slot and reports the
+// first shard's maintenance failure, as Txn.Commit does.
 func (t *STxn) Commit() error {
 	if t.done {
 		return ErrTxnDone
 	}
 	t.done = true
-	var parts []int
-	for i, tx := range t.txns {
+	var parts []*Txn
+	for _, tx := range t.txns {
 		if tx.trans.Count() > 0 {
-			parts = append(parts, i)
+			parts = append(parts, tx)
 		}
 	}
-	switch len(parts) {
-	case 0:
+	if len(parts) == 0 {
+		parts = t.txns // nothing to log: commit only finishes them
+	} else {
 		for _, tx := range t.txns {
-			tx.Abort()
-		}
-		return nil
-	case 1:
-		p := parts[0]
-		for i, tx := range t.txns {
-			if i != p {
+			if tx.trans.Count() == 0 {
 				tx.Abort()
 			}
 		}
-		if err := t.txns[p].Commit(); err != nil {
-			return err
-		}
-		t.commitLSN = t.txns[p].CommitLSN()
-		return nil
 	}
-	return t.s.commitCross(t, parts)
-}
-
-// commitCross is the two-phase cross-shard commit. Under xmu: every
-// participant is prepared (quiesced, validated, folded), one clock slot L is
-// allocated, each participant's WAL stream gets one record at LSN L carrying
-// the participant set (phase A, each behind its own fsync), and all
-// participants install behind the begin gate (phase B). Failure anywhere
-// before the last phase-A append releases every prepared shard with nothing
-// installed; the records already appended are orphans of an incomplete group
-// that recovery drops on every stream — all-or-nothing per clock entry.
-func (s *Sharded) commitCross(t *STxn, parts []int) error {
-	s.xmu.Lock()
-	defer s.xmu.Unlock()
-
-	isPart := make([]bool, len(t.txns))
-	ids := make([]uint32, len(parts))
-	for n, i := range parts {
-		isPart[i] = true
-		ids[n] = uint32(i)
-	}
-	for i, tx := range t.txns {
-		if !isPart[i] {
-			tx.Abort()
-		}
-	}
-
-	prepared := make([]*preparedCommit, 0, len(parts))
-	release := func() {
-		for _, p := range prepared {
-			p.release()
-		}
-	}
-	for n, i := range parts {
-		pc, err := s.mgrs[i].prepareCommit(t.txns[i])
-		if err != nil {
-			release()
-			for _, j := range parts[n+1:] {
-				t.txns[j].Abort()
-			}
-			return err
-		}
-		prepared = append(prepared, pc)
-	}
-
-	lsn := s.clock.Add(1)
-
-	// Phase A: make the commit durable on every participant stream.
-	for n, i := range parts {
-		m := s.mgrs[i]
-		if m.log != nil {
-			rec := wal.GroupRecord{Table: "table", Shard: uint32(i), Parts: ids,
-				Entries: prepared[n].serialized.Dump()}
-			if err := m.log.AppendGroupAt(lsn, []wal.GroupRecord{rec}); err != nil {
-				release()
-				return fmt.Errorf("txn: cross-shard WAL append, shard %d: %w", i, err)
-			}
-		}
-		if f := s.fault; f != nil && f.BetweenAppends != nil && n < len(parts)-1 {
-			if err := f.BetweenAppends(n); err != nil {
-				release()
-				return err
-			}
-		}
-	}
-
-	// Phase B: memory-only installs, atomic against Begin via the gate.
-	s.beginGate.Lock()
-	for n := range parts {
-		prepared[n].install(lsn)
-		if f := s.fault; f != nil && f.BetweenInstalls != nil && n < len(parts)-1 {
-			if err := f.BetweenInstalls(n); err != nil {
-				for _, rest := range prepared[n+1:] {
-					rest.release()
-				}
-				s.beginGate.Unlock()
-				return err
-			}
-		}
-	}
-	s.beginGate.Unlock()
+	lsn, err := commit(parts, t.s)
 	t.commitLSN = lsn
-	return nil
+	return err
 }
 
-// preparedCommit is one shard's half-committed part of a cross-shard
-// transaction: validated and folded, its manager's commit pipeline held,
-// waiting for the coordinator to either install (the commit is durable
-// everywhere) or release (some participant failed).
-type preparedCommit struct {
-	m          *Manager
-	t          *Txn
-	serialized *pdt.PDT
-	folded     *pdt.PDT
+// crossGroup is what the members of one cross-shard commit share: one
+// commitReq per participant (in shard order), each parked on its own shard's
+// queue, and the participant set every member's WAL record names. A failed
+// commit may leave orphan records on some streams, which recovery drops only
+// while every shard lacking the record stays below its LSN. So a member
+// reaches no stream while a member queued ahead of it on a participant is
+// unresolved (that one's failure would abort it on a healthy shard), and a
+// shard failing a member that may be durable elsewhere stops committing: its
+// log is poisoned (a failed append) or the shard wedged (a failed rebase).
+type crossGroup struct {
+	members []*commitReq
+	parts   []uint32
+	gate    *sync.RWMutex
+	fault   *CommitFault
+	earlier []chan struct{} // done of every member queued ahead at enqueue
+
+	mu   sync.Mutex
+	left int   // participants yet to report
+	err  error // first participant failure
 }
 
-// prepareCommit is hold, drain, then the ordinary validate step. On return
-// the shard's held flag is set: new commits park at the top of Commit, fold
-// re-arming, checkpoint entry and a checkpoint's swap wait, and the Write-PDT
-// cannot change until install or release clears it — so the fold
-// validateLocked computed against the drained (empty) queue stays installable
-// by a bare pointer swap. A checkpoint build in flight is not waited for: the
-// fold lands on the side layer, already in the new image's SID domain, at an
-// LSN above the shard's freeze LSN.
-func (m *Manager) prepareCommit(t *Txn) (*preparedCommit, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t.done = true
-	m.held = true
-	// A leader parked behind a waiting swap must see held and drain.
-	m.cond.Broadcast()
-	// Drain: parked rounds flush (the leader does not yield while held) and
-	// new arrivals wait on held — after this loop the Write-PDT is quiet.
-	for (len(m.pending) > 0 || m.inflight > 0) && m.maintErr == nil {
-		m.cond.Wait()
+// earlierResolved reports whether every member queued ahead of g's at
+// enqueue has resolved, first waiting for them when wait is set. A member
+// that fails records the failure on those behind it before it resolves.
+func (g *crossGroup) earlierResolved(wait bool) bool {
+	for _, done := range g.earlier {
+		if wait {
+			<-done
+		} else if !isClosed(done) {
+			return false
+		}
 	}
-	if err := m.maintErr; err != nil {
-		m.releaseLocked(t)
-		return nil, err
+	return true
+}
+
+// failure returns the first participant failure, if any.
+func (g *crossGroup) failure() error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.err
+}
+
+// report records one participant's outcome for its member — durable (nil)
+// or failed — and reports whether it was the last, whose caller must then
+// resolve the group holding no manager mutex.
+func (g *crossGroup) report(err error) (last bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if err != nil && g.err == nil {
+		g.err = err
 	}
-	serialized, folded, err := m.validateLocked(t)
-	if err != nil {
-		m.releaseLocked(t)
-		return nil, err
+	g.left--
+	return g.left == 0
+}
+
+// resolve ends the commit on every participant: when every stream holds the
+// record it installs each member behind the begin gate (the gate, then each
+// mutex in shard order); otherwise each member still parked (durable there,
+// its leader waiting) aborts with everything queued behind it.
+func (g *crossGroup) resolve() {
+	err := g.failure()
+	if err == nil {
+		g.gate.Lock()
+		defer g.gate.Unlock()
 	}
-	return &preparedCommit{m: m, t: t, serialized: serialized, folded: folded}, nil
-}
-
-// install is the ordinary install step at the global LSN all participants
-// share, then releases the held pipeline.
-func (p *preparedCommit) install(lsn uint64) {
-	m := p.m
-	m.mu.Lock()
-	m.installLocked(p.t, p.serialized, p.folded, lsn)
-	m.held = false
-	m.cond.Broadcast()
-	m.maybeFoldLocked()
-	m.mu.Unlock()
-}
-
-// release abandons the prepared commit — the Write-PDT never changes — and
-// releases the held pipeline.
-func (p *preparedCommit) release() {
-	p.m.mu.Lock()
-	p.m.releaseLocked(p.t)
-	p.m.mu.Unlock()
-}
-
-// releaseLocked clears the hold and finishes t with nothing installed.
-func (m *Manager) releaseLocked(t *Txn) {
-	m.held = false
-	m.finishLocked(t)
-	m.cond.Broadcast()
+	for _, r := range g.members {
+		r.t.mgr.mu.Lock()
+	}
+	for i, r := range g.members {
+		m := r.t.mgr
+		switch {
+		case err == nil:
+			m.installLocked(r.t, r.serialized, r.folded, r.lsn)
+			m.dropHeadLocked(1)
+			if f := g.fault; f != nil && f.BetweenInstalls != nil && i < len(g.members)-1 {
+				err = f.BetweenInstalls(int(m.shardID))
+			}
+		case len(m.pending) > 0 && m.pending[0] == r:
+			m.failFromLocked(1, err)
+			m.finishLocked(r.t)
+			m.dropHeadLocked(1)
+		}
+		m.cond.Broadcast()
+	}
+	for _, r := range g.members {
+		r.err = err
+		close(r.done)
+		r.t.mgr.mu.Unlock()
+	}
 }

@@ -253,6 +253,46 @@ func TestShardedSnapshotInvalidatesPerShard(t *testing.T) {
 	}
 }
 
+// An empty commit on a wedged store reports the wedge, on a sharded table as
+// on a bare manager: Commit returns the first shard's maintenance failure
+// (here the last shard's, the only one wedged), takes no clock slot and
+// finishes every shard's transaction.
+func TestEmptyCommitReportsWedgedShard(t *testing.T) {
+	errWedged := errors.New("injected: background propagate failed")
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s := newSharded(t, 40, shards, Options{}, nil)
+			wedged := s.Shard(shards - 1)
+			wedged.mu.Lock()
+			wedged.maintErr = errWedged // what a failed fold or rollback leaves
+			wedged.mu.Unlock()
+
+			if err := wedged.Begin().Commit(); !errors.Is(err, errWedged) {
+				t.Fatalf("empty Txn.Commit on the wedged shard = %v", err)
+			}
+			tx := s.Begin()
+			if err := tx.Commit(); !errors.Is(err, errWedged) {
+				t.Fatalf("empty STxn.Commit = %v, want the wedged shard's failure", err)
+			}
+			if tx.CommitLSN() != 0 || s.Clock() != 0 {
+				t.Fatalf("empty commit took LSN %d, clock at %d", tx.CommitLSN(), s.Clock())
+			}
+			if err := tx.Commit(); !errors.Is(err, ErrTxnDone) {
+				t.Fatalf("second Commit = %v", err)
+			}
+			for i := 0; i < shards; i++ {
+				m := s.Shard(i)
+				m.mu.Lock()
+				running := len(m.running)
+				m.mu.Unlock()
+				if running != 0 {
+					t.Fatalf("shard %d still runs %d transactions", i, running)
+				}
+			}
+		})
+	}
+}
+
 func TestShardedCrossShardConflict(t *testing.T) {
 	s := newSharded(t, 40, 4, Options{}, nil)
 	a, b := s.Begin(), s.Begin()

@@ -12,12 +12,13 @@
 //
 // Every commit runs one pipeline — validate, park, durable, install.
 // validateLocked serializes the Trans-PDT and folds it onto the write chain;
-// the commit parks on a sequencer where one leader makes a whole batch
-// durable with a single WAL append (one fsync), so the durability wait
-// happens off the manager mutex and concurrent writers share the barrier
-// instead of queueing on it; installLocked then makes it visible. See
-// Txn.Commit and commitLeader. Recover replays the logged records by the
-// same size rule as that fold (pdt.Apply), on one snapshot of the Write-PDT.
+// the commit takes its LSN and parks on a sequencer where one leader makes a
+// whole batch durable with a single WAL append (one fsync), so the
+// durability wait happens off the manager mutex and concurrent writers share
+// the barrier instead of queueing on it; installLocked then makes it
+// visible. See commit and commitLeader. Recover replays the logged records
+// by the same size rule as that fold (pdt.Apply), on one snapshot of the
+// Write-PDT.
 //
 // Maintenance is online (maintain.go): the (store, Read-PDT) pair a
 // transaction reads is an immutable version pinned at Begin. When the
@@ -29,13 +30,12 @@
 //
 // Writes scale across cores by sharding (sharded.go): Sharded coordinates
 // N >= 1 key-range shards, each a full Manager with its own Write-PDT,
-// sequencer and WAL stream, under one global commit clock. Single-shard
-// commits use their home shard's sequencer with no coordination; a
-// cross-shard commit holds each participant's pipeline, then runs the same
-// validate and install around one WAL record per participant stream, which
-// recovery makes all-or-nothing per clock entry (wal.CompleteGroups).
-// Sharded.Begin pins a consistent vector of per-shard snapshots behind a
-// begin gate.
+// sequencer and WAL stream, under one global commit clock. A cross-shard
+// commit is one member of each participant's ordinary batch: one WAL record
+// per participant stream, installed on every participant once all of them
+// are durable, which recovery makes all-or-nothing per clock entry
+// (wal.CompleteGroups). Sharded.Begin pins a consistent vector of per-shard
+// snapshots behind a begin gate.
 package txn
 
 import (
@@ -95,24 +95,16 @@ type Manager struct {
 	clock   *atomic.Uint64
 	shardID uint32
 
-	// held pauses this shard's commit pipeline while a cross-shard
-	// coordinator quiesces it (Sharded.commitCross): new commits park at
-	// the top of Commit until released, the leader does not yield to a
-	// checkpoint, and fold re-arming, checkpoint entry and a checkpoint's
-	// swap wait it out, so the coordinator can validate and fold against a
-	// Write-PDT nothing replaces before its install or release. A checkpoint
-	// build in flight does not stop a hold (the wait graph: maintain.go).
-	held bool
-
 	running   map[*Txn]struct{}
 	committed []*committedTxn // Algorithm 9's TZ, in commit order
 
 	// Commit sequencer (group commit): validated commits park here, in
-	// commit order, until a leader makes a whole batch durable with one
-	// WAL append. pending[:inflight] is the batch the current leader round
-	// is flushing; commitChain is writePDT ∘ every uninstalled pending
-	// commit (nil when none are parked), the base the next enqueued
-	// commit folds onto so install is a single pointer swap.
+	// commit (= LSN) order, until a leader makes a whole batch durable with
+	// one WAL append. pending[:inflight] is the batch the current leader
+	// round is flushing, or the cross-shard member it waits on; commitChain
+	// is writePDT ∘ every uninstalled pending commit (nil when none are
+	// parked), the base the next enqueued commit folds onto so install is a
+	// single pointer swap.
 	pending      []*commitReq
 	inflight     int      // head of pending taken by the in-flight leader round
 	commitChain  *pdt.PDT // fold of writePDT with every parked commit
@@ -137,14 +129,16 @@ type committedTxn struct {
 
 // commitReq is one validated commit parked on the sequencer: its serialized
 // Trans-PDT (the WAL record body), the precomputed fold of the write chain
-// including it, and the channel its transaction waits on until the leader
-// reports durability (lsn) or batch failure (err). Closing lead instead
-// promotes the parked goroutine to flush leader (leadership handoff).
+// including it, the LSN it took at enqueue, and the channel closed once it
+// is installed or failed (err). Closing lead promotes the parked committer
+// to flush leader (leadership handoff). A cross-shard commit parks one
+// member per participant, sharing group, with no lead channel.
 type commitReq struct {
 	t          *Txn
 	serialized *pdt.PDT
 	folded     *pdt.PDT
 	lsn        uint64
+	group      *crossGroup // nil for a single-shard commit
 	err        error
 	done       chan struct{}
 	lead       chan struct{}
@@ -534,172 +528,238 @@ func (t *Txn) ApplyBatch(ops []table.Op) (int, error) {
 // Commit serializes the transaction against everything that committed during
 // its lifetime (Algorithm 9) and folds it into the master Write-PDT. On
 // conflict the transaction aborts and ErrConflict (wrapping the PDT-level
-// detail) is returned.
-//
-// Commits are group-committed: validation and the fold (validateLocked)
-// happen under a narrow critical section, then the commit parks on the
-// sequencer and the manager mutex is released — Begin, Scan and other
-// commits' validation never wait behind an fsync. One leader flushes every parked commit with a single WAL
-// append (one durability barrier for the whole batch) and wakes each waiter
-// with its LSN; the Write-PDT and the commit clock advance, in LSN order,
-// only after the batch is durable. Fail-stop: a failed append or fsync
-// aborts every transaction in the batch — the log is poisoned, the clock
-// stays put, and none of the batch becomes visible, here or at replay.
+// detail) is returned. Commits are group-committed (commit, commitLeader):
+// Begin, Scan and other commits' validation never wait behind an fsync, and
+// a failed append or fsync aborts the whole batch and everything parked
+// behind it, visible neither here nor at replay.
 func (t *Txn) Commit() error {
 	if t.done {
 		return ErrTxnDone
 	}
-	m := t.mgr
-	m.mu.Lock()
-	t.done = true
-	for m.held {
-		// A cross-shard commit is quiescing this shard: wait it out before
-		// joining the queue (its validation assumes no new arrivals).
-		m.cond.Wait()
-	}
-	if err := m.maintErr; err != nil {
-		m.finishLocked(t)
-		m.mu.Unlock()
-		return err
-	}
-	if t.trans.Count() == 0 {
-		// Nothing to log or apply: the clock must not advance (only durable
-		// records move it) and the shared snapshot stays valid.
-		m.finishLocked(t)
-		m.mu.Unlock()
-		return nil
-	}
-	serialized, folded, err := m.validateLocked(t)
-	if err != nil {
-		m.finishLocked(t)
-		m.mu.Unlock()
-		return err
-	}
-	req := &commitReq{t: t, serialized: serialized, folded: folded,
-		done: make(chan struct{}), lead: make(chan struct{})}
-	m.pending = append(m.pending, req)
-	m.commitChain = folded
-	lead := !m.leaderActive
-	if lead {
-		m.leaderActive = true
-	}
-	m.mu.Unlock()
+	lsn, err := commit([]*Txn{t}, nil)
+	t.commitLSN = lsn
+	return err
+}
 
-	if lead {
-		m.commitLeader(req)
-	} else {
-		// Park until the batch resolves — or until the outgoing leader hands
-		// this commit the queue (leadership handoff).
-		select {
-		case <-req.done:
-			// Both channels can be ready (a handoff promoted this commit,
-			// then a rebase failure resolved it before this select ran) and
-			// Go picks either — leadership must not be dropped on the
-			// floor, or every later commit parks with no one flushing.
-			select {
-			case <-req.lead:
-				m.commitLeader(req)
-			default:
+// commit is the one enqueue step of every commit, over its participants: one
+// transaction per shard it wrote, in shard order (a single-shard commit is a
+// list of one; s is nil for a standalone manager). Under the participants'
+// mutexes, taken in shard order, it validates each transaction against its
+// shard's queue, takes one LSN and parks one member per participant — so two
+// cross-shard commits are queued in the same relative order on every shard
+// they share (maintain.go). It then starts every idle sequencer's leader,
+// the first inline and the rest on goroutines so the participants' fsyncs
+// overlap, and waits for the commit to resolve. A commit with nothing to log
+// takes no LSN and reports the first maintenance failure, as others do.
+func commit(txs []*Txn, s *Sharded) (uint64, error) {
+	var err error
+	empty := true
+	for _, t := range txs {
+		t.mgr.mu.Lock()
+		t.done = true
+		if err == nil {
+			err = t.mgr.maintErr
+		}
+		empty = empty && t.trans.Count() == 0
+	}
+	reqs := make([]*commitReq, len(txs))
+	for i, t := range txs {
+		if err != nil || empty {
+			break
+		}
+		reqs[i] = &commitReq{t: t, done: make(chan struct{})}
+		reqs[i].serialized, reqs[i].folded, err = t.mgr.validateLocked(t)
+	}
+	if err != nil || empty {
+		for _, t := range txs {
+			t.mgr.finishLocked(t)
+			t.mgr.mu.Unlock()
+		}
+		return 0, err
+	}
+	var g *crossGroup
+	if len(reqs) > 1 {
+		g = &crossGroup{members: reqs, gate: &s.beginGate, fault: s.fault.Load(), left: len(reqs)}
+		for _, r := range reqs {
+			g.parts = append(g.parts, r.t.mgr.shardID)
+			for _, q := range r.t.mgr.pending {
+				if q.group != nil {
+					g.earlier = append(g.earlier, q.done)
+				}
 			}
+		}
+	}
+	lsn := txs[0].mgr.clock.Add(1)
+	var lead []*commitReq
+	for _, r := range reqs {
+		m := r.t.mgr
+		r.lsn, r.group = lsn, g
+		if g == nil {
+			r.lead = make(chan struct{})
+		}
+		m.pending = append(m.pending, r)
+		m.commitChain = r.folded
+		if !m.leaderActive {
+			m.leaderActive = true
+			lead = append(lead, r)
+		}
+	}
+	for _, t := range txs {
+		t.mgr.mu.Unlock()
+	}
+
+	for _, r := range lead[min(1, len(lead)):] {
+		go r.t.mgr.commitLeader(r)
+	}
+	req := reqs[0]
+	if len(lead) > 0 {
+		lead[0].t.mgr.commitLeader(lead[0])
+	} else if g == nil {
+		// Park until the batch resolves or a handoff promotes this commit;
+		// both can happen (a rebase failure after a handoff), and a dropped
+		// handoff would leave every later commit with no one flushing.
+		select {
 		case <-req.lead:
-			m.commitLeader(req)
+		case <-req.done:
+		}
+		if isClosed(req.lead) {
+			req.t.mgr.commitLeader(req)
 		}
 	}
 	<-req.done
 	if req.err != nil {
-		return req.err
+		return 0, req.err
 	}
-	t.commitLSN = req.lsn
-	return nil
+	return lsn, nil
 }
 
-// commitLeader is the sequencer loop: whoever finds the sequencer idle at
-// enqueue runs it, starting from its own parked commit `own`. Each round
-// takes a batch off the queue, makes it durable with one WAL append (no
-// manager lock held across the fsync — followers keep enqueueing and Begin
-// keeps running), then installs the whole batch in LSN order and wakes its
-// waiters. Once the leader's own commit has resolved it hands the queue to
-// the next parked committer instead of draining it (leadership handoff), so
-// under sustained arrivals no writer's Commit is held hostage flushing
-// other writers' batches — every commit's latency is bounded by its own
-// batch plus the round in front of it. Between rounds the leader also
-// yields to a checkpointer waiting to freeze or to swap in a finished
-// image, so maintenance cannot starve under a saturated queue — except
-// while a cross-shard prepare holds the shard and waits for this queue.
+// commitLeader is the sequencer loop, the one place the commit path appends
+// to a WAL stream: whoever finds the sequencer idle at enqueue runs it,
+// starting from its own parked commit `own`. Each round makes a batch
+// durable with one WAL append (no manager lock held across the fsync), then
+// installs it in LSN order and wakes its waiters. A batch ends at its first
+// cross-shard member, which stays in flight until every participant has
+// reported it durable: no record validated against it reaches this stream
+// first, and no freeze or swap rebases it once durable. Once its own commit
+// has resolved the leader hands the queue to the next parked committer, so
+// no writer's Commit is held hostage flushing other writers' batches;
+// between rounds it yields to a checkpointer waiting to freeze or swap.
 func (m *Manager) commitLeader(own *commitReq) {
 	m.mu.Lock()
 	for {
-		if m.maintErr == nil && !m.held &&
-			(m.ckptInstalling || (m.ckptWaiters > 0 && !m.checkpointing && m.frozen == nil)) {
-			// A checkpoint is ready to freeze the write layer or install a
-			// finished image: let it take the round boundary (both are quick
-			// locked operations; commits resume immediately after). Never
-			// while a cross-shard prepare holds the shard: the prepare waits
-			// for this queue to drain and both checkpoint steps wait on held,
-			// so yielding then would deadlock all three.
-			m.cond.Broadcast()
-			m.cond.Wait()
-			continue
-		}
 		if len(m.pending) == 0 {
 			m.leaderActive = false
 			m.cond.Broadcast()
 			m.mu.Unlock()
 			return
 		}
-		n := min(maxCommitBatch, len(m.pending))
-		m.inflight = n
-		batch := m.pending[:n:n]
-		m.mu.Unlock()
-
-		// Off-lock: allocate the batch's LSN run from the (possibly shared)
-		// commit clock, then one append, one fsync, for the whole batch. On
-		// a failed barrier the allocated LSNs are abandoned — the clock only
-		// moves forward, recovery tolerates per-stream gaps, and this
-		// stream is poisoned anyway.
-		first := m.clock.Add(uint64(len(batch))) - uint64(len(batch)) + 1
-		var err error
-		if m.log != nil {
-			recs := make([]wal.GroupRecord, len(batch))
-			for i, r := range batch {
-				recs[i] = wal.GroupRecord{Table: "table", Shard: m.shardID, Entries: r.serialized.Dump()}
-			}
-			err = m.log.AppendGroupAt(first, recs)
-		}
-
-		m.mu.Lock()
-		m.inflight = 0
-		if err != nil {
-			werr := fmt.Errorf("txn: WAL append failed, aborting: %w", err)
-			// Fail-stop for the whole batch — and for everything parked
-			// behind it, whose folds and serializations chained onto the
-			// failed commits (the poisoned log would refuse them anyway).
-			m.failPendingLocked(werr)
-		} else {
-			m.installBatchLocked(batch, first)
-		}
-		m.cond.Broadcast()
-		m.maybeFoldLocked()
-		select {
-		case <-own.done:
+		if isClosed(own.done) {
 			// The leader's own commit is resolved: hand the rest of the
-			// queue to the next parked committer and return to the caller.
-			if len(m.pending) > 0 {
-				close(m.pending[0].lead)
+			// queue to its head's committer, or a member's own goroutine.
+			if next := m.pending[0]; next.lead != nil {
+				close(next.lead)
 			} else {
-				m.leaderActive = false
-				m.cond.Broadcast()
+				go m.commitLeader(next)
 			}
 			m.mu.Unlock()
 			return
-		default:
-			// Own commit still queued (the batch cap left it behind): keep
-			// leading until its round comes up.
 		}
+		if m.maintErr == nil &&
+			(m.ckptInstalling || (m.ckptWaiters > 0 && !m.checkpointing && m.frozen == nil)) {
+			// A checkpoint is ready to freeze the write layer or install a
+			// finished image: let it take the round boundary (both are quick
+			// locked operations; commits resume immediately after).
+			m.cond.Broadcast()
+			m.cond.Wait()
+			continue
+		}
+		n := min(maxCommitBatch, len(m.pending))
+		for i, r := range m.pending[:n] {
+			if r.group != nil {
+				n = i
+				if r.group.earlierResolved(false) && r.group.failure() == nil {
+					n++
+				}
+				break
+			}
+		}
+		if n == 0 {
+			// The head is a member that may not reach a stream yet: wait
+			// off-lock for the earlier members queued ahead of it, or, once
+			// its commit has failed elsewhere, abort it here unappended.
+			g := m.pending[0].group
+			if err := g.failure(); err != nil {
+				m.failFromLocked(0, err)
+				m.cond.Broadcast()
+			} else {
+				m.mu.Unlock()
+				g.earlierResolved(true)
+				m.mu.Lock()
+			}
+			continue
+		}
+		m.inflight = n
+		batch := m.pending[:n:n]
+		last := batch[n-1]
+		m.mu.Unlock()
+
+		// Off-lock: one append, one fsync, for the whole batch. On a failed
+		// barrier the batch's LSNs are abandoned — the clock only moves
+		// forward, recovery tolerates per-stream gaps, and this stream is
+		// poisoned anyway.
+		var err error
+		if g := last.group; g != nil && g.fault != nil && g.fault.BeforeAppend != nil {
+			err = g.fault.BeforeAppend(int(m.shardID))
+		}
+		if m.log != nil && err == nil {
+			recs := make([]wal.GroupRecord, len(batch))
+			for i, r := range batch {
+				recs[i] = wal.GroupRecord{LSN: r.lsn, Table: "table", Shard: m.shardID, Entries: r.serialized.Dump()}
+				if r.group != nil {
+					recs[i].Parts = r.group.parts
+				}
+			}
+			err = m.log.AppendGroup(recs)
+		}
+
+		m.mu.Lock()
+		switch {
+		case err != nil:
+			// Fail-stop for the whole batch — and for everything parked
+			// behind it, whose folds and serializations chained onto the
+			// failed commits (the poisoned log would refuse them anyway).
+			m.failFromLocked(0, fmt.Errorf("txn: WAL append failed, aborting: %w", err))
+		case last.group == nil:
+			m.installBatchLocked(batch)
+		default:
+			m.installBatchLocked(batch[:n-1])
+			m.inflight = 1 // the member, until every participant reports
+			m.mu.Unlock()
+			if last.group.report(nil) {
+				last.group.resolve()
+			}
+			m.mu.Lock()
+			for !isClosed(last.done) {
+				m.cond.Wait()
+			}
+		}
+		m.inflight = 0
+		m.cond.Broadcast()
+		m.maybeFoldLocked()
 	}
 }
 
-// validateLocked is the validate step of every commit, sequenced or
+// isClosed reports whether ch is closed (a commit's done: resolved).
+func isClosed(ch chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
+// validateLocked is the validate step of every commit, single-shard or
 // cross-shard (Algorithm 9): serialize t's Trans-PDT against everything ahead
 // of it in the commit order — transactions that committed during its lifetime
 // (the TZ members past startLSN), then commits parked on the sequencer
@@ -709,8 +769,7 @@ func (m *Manager) commitLeader(own *commitReq) {
 // overlap chain is resolved in a single SerializeChain sweep (one output
 // build, one payload clone) instead of one Serialize rebuild per overlapping
 // commit. The fold lands on the chain of parked commits, or on the Write-PDT
-// itself when none are parked (always, behind prepareCommit's drain), so
-// installing is one pointer swap; FoldSnap shares the base's structure
+// itself when none are parked, so installing is one pointer swap; FoldSnap shares the base's structure
 // copy-on-write when the layer is small — the common case — so the fold costs
 // what the delta holds, not what the Write-PDT holds. A conflict returns
 // ErrConflict wrapping the PDT-level detail. The caller finishes t on error.
@@ -756,35 +815,51 @@ func (m *Manager) installLocked(t *Txn, serialized, folded *pdt.PDT, lsn uint64)
 	m.snapCache = nil
 }
 
-// installBatchLocked makes a durable batch visible: each member installs at
-// its LSN, in order, and every waiter wakes with its LSN.
-func (m *Manager) installBatchLocked(batch []*commitReq, first uint64) {
-	for i, r := range batch {
-		r.lsn = first + uint64(i)
+// installBatchLocked makes a durable batch at the head of the queue
+// visible: each member installs at its LSN, in order, and every waiter
+// wakes.
+func (m *Manager) installBatchLocked(batch []*commitReq) {
+	for _, r := range batch {
 		m.installLocked(r.t, r.serialized, r.folded, r.lsn)
 	}
-	m.pending = m.pending[len(batch):]
-	if len(m.pending) == 0 {
-		m.pending = nil
-		m.commitChain = nil
-	}
+	m.dropHeadLocked(len(batch))
 	for _, r := range batch {
 		close(r.done)
 	}
 }
 
-// failPendingLocked aborts every parked commit (the in-flight batch and
-// everything queued behind it) with err. None of them consumed an LSN and
-// none may become visible.
-func (m *Manager) failPendingLocked(err error) {
-	for _, r := range m.pending {
-		r.err = err
-		m.finishLocked(r.t)
-		close(r.done)
+// dropHeadLocked removes the first n parked commits, installed or failed.
+func (m *Manager) dropHeadLocked(n int) {
+	m.pending = m.pending[n:]
+	if len(m.pending) == 0 {
+		m.pending = nil
+		m.commitChain = nil
 	}
-	m.pending = nil
-	m.inflight = 0
-	m.commitChain = nil
+}
+
+// failFromLocked aborts pending[i:] with err: every commit from i on was
+// validated and folded against the ones ahead of it, so none of them may
+// become visible. A cross-shard member's failure is reported to its group
+// here, and when it is the last report the group resolves from a fresh
+// goroutine (resolving takes other shards' mutexes), aborting the member on
+// every participant.
+func (m *Manager) failFromLocked(i int, err error) {
+	for _, r := range m.pending[i:] {
+		m.finishLocked(r.t)
+		if r.group != nil {
+			if r.group.report(err) {
+				go r.group.resolve()
+			}
+		} else {
+			r.err = err
+			close(r.done)
+		}
+	}
+	if i == 0 {
+		m.pending, m.commitChain = nil, nil
+	} else {
+		m.pending, m.commitChain = m.pending[:i], m.pending[i-1].folded
+	}
 }
 
 // Abort discards the transaction. It returns any deferred background

@@ -3,7 +3,7 @@ package wal
 // FileLog: the durable write-ahead log. A log is a directory of numbered
 // segment files (%016x.wal); records append to the newest with an fsync per
 // appended batch — one commit via Append, or a whole group of parked commits
-// via AppendGroupAt — the log rotates to a fresh file when the current one
+// via AppendGroup — the log rotates to a fresh file when the current one
 // outgrows its budget (and at every checkpoint truncation), and recovery
 // replays the files in sequence order. A torn record is tolerated only at the very end of the
 // newest file — exactly where a crash mid-append leaves one — and is
@@ -164,32 +164,33 @@ func replayFile(path string) ([]Record, int64, error) {
 func (l *FileLog) Append(tableName string, entries []pdt.RebuildEntry) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.appendLocked(1, func() (uint64, error) { return l.w.Append(tableName, entries) })
+	var lsn uint64
+	err := l.appendLocked(1, func() (err error) {
+		lsn, err = l.w.Append(tableName, entries)
+		return err
+	})
+	return lsn, err
 }
 
-// AppendGroupAt durably writes a batch of commit records behind one fsync
-// (record i carries LSN first+i; first must exceed the stream's last LSN but
-// may leave a gap — the shared commit clock's other shards own the skipped
-// LSNs). The batch is all-or-nothing: on error the log is poisoned and none
-// of the group's records may surface at replay.
-func (l *FileLog) AppendGroupAt(first uint64, recs []GroupRecord) error {
+// AppendGroup durably writes a batch of commit records behind one fsync,
+// each at its own LSN (ascending from the stream's last LSN, gaps allowed —
+// the shared commit clock's other shards own the skipped LSNs). The batch is
+// all-or-nothing: on error the log is poisoned and none of the group's
+// records may surface at replay.
+func (l *FileLog) AppendGroup(recs []GroupRecord) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	_, err := l.appendLocked(len(recs), func() (uint64, error) {
-		return first, l.w.AppendGroupAt(first, recs)
-	})
-	return err
+	return l.appendLocked(len(recs), func() error { return l.w.AppendGroup(recs) })
 }
 
 // appendLocked runs one append (single record or group of n) with the shared
 // failure retraction and rotation policy around it.
-func (l *FileLog) appendLocked(n int, do func() (uint64, error)) (uint64, error) {
+func (l *FileLog) appendLocked(n int, do func() error) error {
 	var preSize int64 = -1
 	if fi, serr := l.f.Stat(); serr == nil {
 		preSize = fi.Size()
 	}
-	first, err := do()
-	if err != nil {
+	if err := do(); err != nil {
 		// The writer is poisoned, but a failed *fsync* may have left the
 		// records flushed to the page cache, where writeback could later
 		// make the aborted commits durable behind our back. Best-effort
@@ -200,16 +201,16 @@ func (l *FileLog) appendLocked(n int, do func() (uint64, error)) (uint64, error)
 				l.f.Sync()
 			}
 		}
-		return 0, err
+		return err
 	}
 	l.curRecs += n
-	l.curMax = first + uint64(n-1)
+	l.curMax = l.w.LSN()
 	if fi, err := l.f.Stat(); err == nil && fi.Size() >= l.maxBytes {
 		// Rotation failure is not a commit failure — the records are durable;
 		// the next append keeps the current file and retries rotation.
 		_ = l.rotateLocked()
 	}
-	return first, nil
+	return nil
 }
 
 // LSN returns the LSN of the last record appended.

@@ -240,7 +240,7 @@ func syncsOf(l *FileLog) uint64 {
 	return l.syncs
 }
 
-// TestFileLogGroupAppend: one AppendGroupAt is one fsync for the whole batch,
+// TestFileLogGroupAppend: one AppendGroup is one fsync for the whole batch,
 // the records are individually durable on disk, and a reopen replays them
 // with consecutive LSNs.
 func TestFileLogGroupAppend(t *testing.T) {
@@ -253,9 +253,9 @@ func TestFileLogGroupAppend(t *testing.T) {
 	preSyncs := syncsOf(l)
 	group := make([]GroupRecord, 5)
 	for i := range group {
-		group[i] = GroupRecord{Table: "t", Entries: sampleEntries()}
+		group[i] = GroupRecord{LSN: uint64(3 + i), Table: "t", Entries: sampleEntries()}
 	}
-	if err := l.AppendGroupAt(3, group); err != nil {
+	if err := l.AppendGroup(group); err != nil {
 		t.Fatal(err)
 	}
 	if l.LSN() != 7 {
@@ -298,10 +298,10 @@ func TestFileLogGroupSyncFailureRetracts(t *testing.T) {
 	appendN(t, l, 3)
 	l.FailNextSync(errors.New("injected: device died at the barrier"))
 	group := []GroupRecord{
-		{Table: "t", Entries: sampleEntries()},
-		{Table: "t", Entries: sampleEntries()},
+		{LSN: 4, Table: "t", Entries: sampleEntries()},
+		{LSN: 5, Table: "t", Entries: sampleEntries()},
 	}
-	if err := l.AppendGroupAt(4, group); err == nil {
+	if err := l.AppendGroup(group); err == nil {
 		t.Fatal("group append with failing fsync succeeded")
 	}
 	if l.LSN() != 3 {

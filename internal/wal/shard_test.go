@@ -6,44 +6,91 @@ import (
 	"testing"
 )
 
-func TestAppendGroupAtRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
+// TestAppendGroupGappedLSNs: a batch whose LSNs leave gaps before and inside
+// it (the shared clock's other shards own 1..4, 6 and 8..11) round-trips
+// through a Writer and through a FileLog, and a batch whose LSNs descend is
+// rejected and poisons the writer without touching the stream.
+func TestAppendGroupGappedLSNs(t *testing.T) {
 	recs := []GroupRecord{
-		{Table: "table", Shard: 2, Entries: sampleEntries()},
-		{Table: "table", Shard: 2, Parts: []uint32{0, 2}, Entries: nil},
+		{LSN: 5, Table: "table", Shard: 2, Entries: sampleEntries()},
+		{LSN: 7, Table: "table", Shard: 2, Parts: []uint32{0, 2}, Entries: nil},
+		{LSN: 12, Table: "table", Shard: 2, Entries: sampleEntries()[:1]},
 	}
-	// A gapped first LSN: the shared clock's other shards own 1..4.
-	if err := w.AppendGroupAt(5, recs); err != nil {
-		t.Fatal(err)
-	}
-	if w.LSN() != 6 {
-		t.Fatalf("LSN after gapped append = %d", w.LSN())
-	}
-	// Non-monotonic explicit LSNs are rejected and poison the writer.
-	if err := w.AppendGroupAt(6, recs[:1]); err == nil {
-		t.Fatal("non-monotonic AppendGroupAt accepted")
-	}
-	if err := w.Err(); err == nil {
-		t.Fatal("writer not poisoned after bad explicit LSN")
+	check := func(t *testing.T, got []Record) {
+		t.Helper()
+		if len(got) != len(recs) {
+			t.Fatalf("replayed %d records, want %d", len(got), len(recs))
+		}
+		for i, r := range got {
+			want := recs[i]
+			if r.LSN != want.LSN || r.Shard != want.Shard || !reflect.DeepEqual(r.Parts, want.Parts) ||
+				len(r.Entries) != len(want.Entries) {
+				t.Fatalf("record %d = %+v, want %+v", i, r, want)
+			}
+		}
+		if !reflect.DeepEqual(got[0].Entries, sampleEntries()) {
+			t.Fatal("entries did not roundtrip")
+		}
 	}
 
-	got, err := Replay(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("replayed %d records", len(got))
-	}
-	if got[0].LSN != 5 || got[0].Shard != 2 || len(got[0].Parts) != 0 {
-		t.Fatalf("record 0 = %+v", got[0])
-	}
-	if !reflect.DeepEqual(got[0].Entries, sampleEntries()) {
-		t.Fatal("entries did not roundtrip")
-	}
-	if got[1].LSN != 6 || got[1].Shard != 2 || !reflect.DeepEqual(got[1].Parts, []uint32{0, 2}) {
-		t.Fatalf("record 1 = %+v", got[1])
-	}
+	t.Run("writer", func(t *testing.T) {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		if err := w.AppendGroup(recs); err != nil {
+			t.Fatal(err)
+		}
+		if w.LSN() != 12 {
+			t.Fatalf("LSN after gapped append = %d, want 12", w.LSN())
+		}
+		size := buf.Len()
+		// Descending LSNs inside one batch are rejected and poison the
+		// writer; nothing of the batch reaches the stream.
+		bad := []GroupRecord{{LSN: 14, Table: "table"}, {LSN: 13, Table: "table"}}
+		if err := w.AppendGroup(bad); err == nil {
+			t.Fatal("descending AppendGroup accepted")
+		}
+		if w.Err() == nil {
+			t.Fatal("writer not poisoned after descending LSNs")
+		}
+		if _, err := w.Append("table", nil); err == nil {
+			t.Fatal("poisoned writer accepted an append")
+		}
+		if buf.Len() != size || w.LSN() != 12 {
+			t.Fatalf("rejected batch moved the stream: %d bytes (was %d), LSN %d", buf.Len(), size, w.LSN())
+		}
+		got, err := Replay(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, got)
+	})
+
+	t.Run("filelog", func(t *testing.T) {
+		dir := t.TempDir()
+		l, _, err := OpenFileLog(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.AppendGroup(recs); err != nil {
+			t.Fatal(err)
+		}
+		if l.LSN() != 12 {
+			t.Fatalf("LSN after gapped append = %d, want 12", l.LSN())
+		}
+		if err := l.AppendGroup([]GroupRecord{{LSN: 12, Table: "table"}}); err == nil {
+			t.Fatal("a batch repeating the stream's last LSN was accepted")
+		}
+		l.Close()
+		l2, got, err := OpenFileLog(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l2.Close()
+		check(t, got)
+		if l2.LSN() != 12 {
+			t.Fatalf("reopened log resumes at LSN %d, want 12", l2.LSN())
+		}
+	})
 }
 
 func rec(lsn uint64, shard uint32, parts ...uint32) Record {

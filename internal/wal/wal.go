@@ -13,17 +13,18 @@
 // fsync per flushed batch, torn-tail repair at open, and LSN-bounded
 // truncation after a checkpoint. Both satisfy Log, which the transaction
 // manager appends to: a whole group of parked commits behind a single
-// durability barrier (AppendGroupAt, the group-commit path: n records, one
-// write, one fsync, consecutive LSNs, all-or-nothing). Append writes one
+// durability barrier (AppendGroup, the group-commit path: n records, one
+// write, one fsync, ascending LSNs, all-or-nothing). Append writes one
 // record the same way.
 //
-// A sharded table runs one log per shard, all allocating LSNs from one
-// global commit clock, so each stream carries a gapped subsequence of a
-// single total order (AppendGroupAt appends a batch at caller-chosen LSNs).
-// A cross-shard commit appends one record per participant stream, all at the
-// same LSN and each naming the full participant set (Record.Parts);
-// CompleteGroups cross-checks the replayed streams at recovery and drops
-// any group that did not reach every participant, making a commit torn
+// A sharded table runs one log per shard, all taking LSNs from one global
+// commit clock, so each stream carries a gapped subsequence of a single
+// total order: every GroupRecord carries the LSN its commit took, and a
+// batch may have gaps inside it as well as before it. A cross-shard commit
+// appends one record per participant stream, all at the same LSN and each
+// naming the full participant set (Record.Parts), each in its own stream's
+// group; CompleteGroups cross-checks the replayed streams at recovery and
+// drops any group that did not reach every participant, making a commit torn
 // between two streams' fsyncs all-or-nothing.
 package wal
 
@@ -67,10 +68,12 @@ type Record struct {
 	Entries []pdt.RebuildEntry
 }
 
-// GroupRecord is one commit of a batched append: the table it targets, the
-// shard its entries are positioned in, and the serialized Trans-PDT entries
-// of the transaction. Parts is set only on cross-shard commit records.
+// GroupRecord is one commit of a batched append: the LSN the commit took,
+// the table it targets, the shard its entries are positioned in, and the
+// serialized Trans-PDT entries of the transaction. Parts is set only on
+// cross-shard commit records.
 type GroupRecord struct {
+	LSN     uint64
 	Table   string
 	Shard   uint32
 	Parts   []uint32
@@ -80,16 +83,15 @@ type GroupRecord struct {
 // Log is the commit log the transaction manager appends to: an in-memory
 // *Writer, or a durable *FileLog that fsyncs every batch.
 type Log interface {
-	// AppendGroupAt durably writes a batch of commit records behind one
-	// flush (and one fsync, on a synced log); record i carries LSN
-	// first+i. A sharded table's streams share one global commit clock, so
-	// a shard's leader allocates a contiguous LSN run from the clock and
-	// stamps its stream explicitly; gaps relative to the stream's previous
-	// record are legal (other shards own those LSNs), but first must exceed
-	// the stream's last LSN. The batch is all-or-nothing — on error none of
-	// its records is appended, the clock does not move, and the log is
-	// poisoned.
-	AppendGroupAt(first uint64, recs []GroupRecord) error
+	// AppendGroup durably writes a batch of commit records behind one
+	// flush (and one fsync, on a synced log), each at its own LSN. A
+	// sharded table's streams share one global commit clock and every
+	// commit takes its LSN when it enqueues, so gaps before and inside a
+	// batch are legal (other shards own those LSNs), but the LSNs must
+	// ascend from the stream's last one. The batch is all-or-nothing — on
+	// error none of its records is appended, the clock does not move, and
+	// the log is poisoned.
+	AppendGroup(recs []GroupRecord) error
 	// LSN returns the LSN of the last record appended.
 	LSN() uint64
 	// SetLSN moves the clock so the next Append returns lsn+1.
@@ -153,8 +155,8 @@ func (w *Writer) SetLSN(lsn uint64) { w.lsn = lsn }
 // contract).
 func (w *Writer) Append(tableName string, entries []pdt.RebuildEntry) (uint64, error) {
 	lsn := w.lsn + 1
-	w.one[0] = GroupRecord{Table: tableName, Entries: entries}
-	err := w.AppendGroupAt(lsn, w.one[:])
+	w.one[0] = GroupRecord{LSN: lsn, Table: tableName, Entries: entries}
+	err := w.AppendGroup(w.one[:])
 	w.one[0] = GroupRecord{}
 	if err != nil {
 		return 0, err
@@ -162,41 +164,46 @@ func (w *Writer) Append(tableName string, entries []pdt.RebuildEntry) (uint64, e
 	return lsn, nil
 }
 
-// AppendGroupAt writes a batch of commit records framed back to back, with
+// AppendGroup writes a batch of commit records framed back to back, with
 // one buffered write, one flush and — on a synced writer — one fsync for the
-// whole batch: the group-commit durability barrier. Record i carries LSN
-// first+i, so the caller can hand every parked transaction in the batch its
-// own LSN. first must exceed the stream's last LSN; it need not be
-// contiguous with it — per-shard streams of one table share a global commit
-// clock, so each stream sees a gapped subsequence of it. The batch is
-// all-or-nothing: when AppendGroupAt returns nil every record is durable in
-// order and the stream's clock advances to first+len(recs)-1; on error the
-// writer is poisoned, the clock stays put, and no record of the group may
-// surface at replay (a torn prefix of the batch is exactly the tail Replay
-// truncates).
-func (w *Writer) AppendGroupAt(first uint64, recs []GroupRecord) error {
+// whole batch: the group-commit durability barrier. Each record carries the
+// LSN its commit took. The LSNs must ascend, starting above the stream's
+// last LSN; they need not be contiguous — per-shard streams of one table
+// share a global commit clock, so each stream sees a gapped subsequence of
+// it, inside a batch as well as between batches. The batch is
+// all-or-nothing: when AppendGroup returns nil every record is durable in
+// order and the stream's clock advances to the last record's LSN; on error
+// the writer is poisoned, the clock stays put, and no record of the group
+// may surface at replay (a torn prefix of the batch is exactly the tail
+// Replay truncates).
+func (w *Writer) AppendGroup(recs []GroupRecord) error {
 	if w.err != nil {
 		return w.err
 	}
 	if len(recs) == 0 {
 		return errors.New("wal: empty append group")
 	}
-	if first <= w.lsn {
-		// The shared commit clock regressed relative to this stream: the
-		// global LSN-order invariant is broken, so the stream is poisoned —
-		// appending on would interleave duplicate LSNs into the replay merge.
-		w.err = fmt.Errorf("wal: non-monotonic append: first LSN %d, stream already at %d", first, w.lsn)
-		return w.err
+	last := w.lsn
+	for _, rec := range recs {
+		if rec.LSN <= last {
+			// The shared commit clock regressed relative to this stream: the
+			// global LSN-order invariant is broken, so the stream is
+			// poisoned — appending on would interleave duplicate LSNs into
+			// the replay merge.
+			w.err = fmt.Errorf("wal: non-monotonic append: LSN %d follows LSN %d", rec.LSN, last)
+			return w.err
+		}
+		last = rec.LSN
 	}
 	// One frame per record, all in the reused encode buffer: 8-byte header
 	// (length + CRC of the body) followed by the body, exactly the layout
 	// Replay expects, so a group is indistinguishable from the same records
 	// appended one by one.
 	w.buf = w.buf[:0]
-	for i, rec := range recs {
+	for _, rec := range recs {
 		start := len(w.buf)
 		w.buf = append(w.buf, 0, 0, 0, 0, 0, 0, 0, 0)
-		w.buf = encodeRecord(w.buf, Record{LSN: first + uint64(i), Table: rec.Table,
+		w.buf = encodeRecord(w.buf, Record{LSN: rec.LSN, Table: rec.Table,
 			Shard: rec.Shard, Parts: rec.Parts, Entries: rec.Entries})
 		body := w.buf[start+8:]
 		binary.LittleEndian.PutUint32(w.buf[start:start+4], uint32(len(body)))
@@ -219,7 +226,7 @@ func (w *Writer) AppendGroupAt(first uint64, recs []GroupRecord) error {
 		w.w.Reset(w.out) // drop whatever of the group is still unflushed
 		return w.err
 	}
-	w.lsn = first + uint64(len(recs)) - 1
+	w.lsn = last
 	return nil
 }
 

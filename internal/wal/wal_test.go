@@ -208,16 +208,16 @@ func TestAppendFailureIsFailStop(t *testing.T) {
 // same replay.
 func TestAppendGroupRoundTrip(t *testing.T) {
 	group := []GroupRecord{
-		{Table: "orders", Entries: sampleEntries()},
-		{Table: "lineitem", Entries: nil},
-		{Table: "orders", Entries: sampleEntries()[:2]},
+		{LSN: 2, Table: "orders", Entries: sampleEntries()},
+		{LSN: 3, Table: "lineitem", Entries: nil},
+		{LSN: 4, Table: "orders", Entries: sampleEntries()[:2]},
 	}
 	var grouped, single bytes.Buffer
 	gw := NewWriter(&grouped)
 	if _, err := gw.Append("seed", sampleEntries()); err != nil {
 		t.Fatal(err)
 	}
-	if err := gw.AppendGroupAt(2, group); err != nil {
+	if err := gw.AppendGroup(group); err != nil {
 		t.Fatal(err)
 	}
 	if gw.LSN() != 4 {
@@ -262,15 +262,15 @@ func TestAppendGroupFailureIsFailStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.tripped = true
-	group := []GroupRecord{{Table: "t", Entries: rec}, {Table: "t", Entries: rec}, {Table: "t", Entries: rec}}
-	if err := w.AppendGroupAt(2, group); err == nil {
+	group := []GroupRecord{{LSN: 2, Table: "t", Entries: rec}, {LSN: 3, Table: "t", Entries: rec}, {LSN: 4, Table: "t", Entries: rec}}
+	if err := w.AppendGroup(group); err == nil {
 		t.Fatal("group append over failing device succeeded")
 	}
 	if w.LSN() != 1 {
 		t.Fatalf("failed group consumed LSNs: %d", w.LSN())
 	}
 	f.tripped = false
-	if err := w.AppendGroupAt(2, group); err == nil {
+	if err := w.AppendGroup(group); err == nil {
 		t.Fatal("poisoned writer accepted another group")
 	}
 	recs, err := Replay(bytes.NewReader(f.buf.Bytes()))
@@ -287,7 +287,7 @@ func TestAppendGroupFailureIsFailStop(t *testing.T) {
 func TestAppendGroupEmpty(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	if err := w.AppendGroupAt(1, nil); err == nil {
+	if err := w.AppendGroup(nil); err == nil {
 		t.Fatal("empty group accepted")
 	}
 	if w.LSN() != 0 || buf.Len() != 0 {
