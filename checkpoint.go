@@ -30,7 +30,6 @@ package pdtstore
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"time"
 
@@ -39,6 +38,7 @@ import (
 	"pdtstore/internal/pdt"
 	"pdtstore/internal/storage"
 	"pdtstore/internal/table"
+	"pdtstore/internal/vfs"
 )
 
 // Checkpoint policy and cost model. Constants, not options: nothing ever set
@@ -130,7 +130,6 @@ func (db *DB) checkpointLocked(only []bool) error {
 	n := len(db.mgrs)
 	freeze := make([]uint64, n)
 	chains := make([][]string, n)
-	first := true
 	for i := range db.mgrs {
 		if only != nil && !only[i] {
 			// Untouched shard: carry the previous chain and freeze bar.
@@ -138,12 +137,6 @@ func (db *DB) checkpointLocked(only []bool) error {
 			chains[i] = db.man.Shards[i].Chain()
 			continue
 		}
-		if !first {
-			if err := db.injectFault(faultBetweenShardCheckpoints); err != nil {
-				return err
-			}
-		}
-		first = false
 		prevFreeze := db.man.Shards[i].LSN
 		err := db.mgrs[i].CheckpointInto(func(lsn uint64, store *colstore.Store, deltas ...*pdt.PDT) (*colstore.Store, error) {
 			freeze[i] = lsn
@@ -163,20 +156,6 @@ func (db *DB) checkpointLocked(only []bool) error {
 		// Chain members it shares with the new image stay open — segment
 		// descriptors are refcounted.
 	}
-	if err := db.injectFault(faultPreManifestSwap); err != nil {
-		return err
-	}
-	mixed := false
-	for _, c := range chains {
-		if len(c) > 1 {
-			mixed = true
-		}
-	}
-	if mixed {
-		if err := db.injectFault(faultPreSwapMixedGen); err != nil {
-			return err
-		}
-	}
 	prev := db.man
 	man := storage.Manifest{Generation: gen, Shards: make([]storage.ShardEntry, n), Splits: prev.Splits}
 	for i := range man.Shards {
@@ -186,20 +165,14 @@ func (db *DB) checkpointLocked(only []bool) error {
 		return err
 	}
 	db.man = man
-	if err := db.injectFault(faultPostSwapPreGC); err != nil {
-		return err
-	}
 	// Unlink the superseded segments' directory entries. Pinned readers keep
 	// their open descriptor (POSIX keeps the data alive until Close releases
 	// it); recovery never needs a non-manifest segment.
 	keep := manifestSegments(man)
 	for old := range manifestSegments(prev) {
 		if !keep[old] {
-			os.Remove(filepath.Join(db.dir, old))
+			vfs.FS.Remove(filepath.Join(db.dir, old))
 		}
-	}
-	if err := db.injectFault(faultPostSwapPreTruncate); err != nil {
-		return err
 	}
 	// Past the swap the checkpoint is already durable; truncation is space
 	// reclamation (recovery filters by the manifest LSNs either way).
@@ -239,12 +212,6 @@ func (db *DB) buildShardImage(i int, name string, tail uint64, store *colstore.S
 	if err := table.MaterializeDelta(b, store, ds, deltas...); err != nil {
 		b.Abort()
 		return nil, err
-	}
-	if err := db.injectFault(faultMidSegmentWrite); err != nil {
-		return nil, err // crash sim: partial file stays, no footer
-	}
-	if err := db.injectFault(faultMidBlockMapWrite); err != nil {
-		return nil, err // crash sim: dirty blocks on disk, footer/map missing
 	}
 	ns, err := b.Finish() // footer (+ block map) + fsync: image durable past here
 	if err != nil {

@@ -53,6 +53,7 @@ import (
 	"pdtstore/internal/table"
 	"pdtstore/internal/txn"
 	"pdtstore/internal/types"
+	"pdtstore/internal/vfs"
 	"pdtstore/internal/wal"
 )
 
@@ -167,39 +168,7 @@ type DB struct {
 	schedDone chan struct{}
 	schedOnce sync.Once
 	schedErr  error // first scheduler checkpoint failure, sticky; guarded by mu
-
-	// fault, when set (crash tests only), is invoked at named points of the
-	// checkpoint sequence; a non-nil return simulates the process dying there
-	// (the step and everything after it never run).
-	fault func(point string) error
 }
-
-// Checkpoint fault-injection points, in execution order.
-const (
-	faultMidSegmentWrite = "mid-segment-write"
-	// faultMidBlockMapWrite fires after the dirty blocks streamed but before
-	// Finish writes the footer (and, when blocks are inherited, the block
-	// map): the new segment has data blocks and no trailer, and the manifest
-	// still names the previous generation's chain.
-	faultMidBlockMapWrite = "mid-block-map-write"
-	// faultBetweenShardCheckpoints fires before each shard's image build
-	// except the first (so never with one shard): some shards have already
-	// streamed and installed their new images, the rest have not, and the
-	// manifest still pairs the old images with the full WAL streams.
-	faultBetweenShardCheckpoints = "between-shard-checkpoints"
-	faultPreManifestSwap         = "pre-manifest-swap"
-	// faultPreSwapMixedGen fires just before the manifest swap when the new
-	// manifest would reference blocks across generations (any shard's chain
-	// has more than one segment): the fsynced incremental segment exists but
-	// nothing names it, and its inherited references point at files the old
-	// manifest still pins.
-	faultPreSwapMixedGen = "pre-swap-mixed-generations"
-	// faultPostSwapPreGC fires after the manifest swap but before the
-	// superseded chain members' directory entries are unlinked: recovery must
-	// ignore the stale files the new manifest no longer pins.
-	faultPostSwapPreGC       = "gc-after-swap"
-	faultPostSwapPreTruncate = "post-swap-pre-truncate"
-)
 
 func shardSegmentName(gen uint64, shard int) string {
 	return fmt.Sprintf("seg-%016x-s%d.seg", gen, shard)
@@ -221,9 +190,9 @@ func shardWalDir(shard int) string {
 // resumes the pre-crash sequence. A torn final WAL record (crash mid-append)
 // is truncated away; every earlier record is applied exactly once — except a
 // cross-shard commit whose record is missing from any participant stream,
-// which is dropped from all of them.
+// which is dropped from all of them, for good (see orphans below).
 func Open(dir string, opts Options) (*DB, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := vfs.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	lock, err := lockDir(dir)
@@ -295,10 +264,12 @@ func Open(dir string, opts Options) (*DB, error) {
 	bases := make([]uint64, n)
 	logs = make([]*wal.FileLog, n)
 	streams := make([][]wal.Record, n)
+	held := make([]int, n) // records read, before incomplete groups drop
 	errs := make([]error, n)
 	eachShard(n, func(i int) {
 		bases[i] = man.Shards[i].LSN
 		logs[i], streams[i], errs[i] = wal.OpenFileLog(filepath.Join(dir, shardWalDir(i)))
+		held[i] = len(streams[i])
 		// The clock must sit at the max of the manifest's freeze LSN and the
 		// last log record: a fully truncated log must not rewind it below the
 		// checkpoint, or post-recovery commits would reuse spent LSNs.
@@ -314,6 +285,13 @@ func Open(dir string, opts Options) (*DB, error) {
 	// tail on one stream) never installed anywhere — drop it from every
 	// stream.
 	streams = wal.CompleteGroups(streams, bases)
+	// orphans: shards whose stream held a dropped record checkpoint before Open
+	// returns; left there, it would replay once a lacking shard checkpoints past it.
+	orphans, dropped := make([]bool, n), false
+	for i := range streams {
+		orphans[i] = len(streams[i]) < held[i]
+		dropped = dropped || orphans[i]
+	}
 	mgrs := make([]*txn.Manager, n)
 	eachShard(n, func(i int) {
 		m := txn.NewManager(stores[i], nil, txn.Options{Log: logs[i]})
@@ -359,12 +337,18 @@ func Open(dir string, opts Options) (*DB, error) {
 
 		maxGenerations: maxGenerations,
 	}
+	opened = true
+	if dropped {
+		if err := db.checkpointLocked(orphans); err != nil {
+			db.Close()
+			return nil, fmt.Errorf("pdtstore: checkpoint past a dropped cross-shard record: %w", err)
+		}
+	}
 	if opts.Checkpoint.Auto {
 		db.schedStop = make(chan struct{})
 		db.schedDone = make(chan struct{})
 		go db.schedulerLoop()
 	}
-	opened = true
 	return db, nil
 }
 
@@ -485,7 +469,7 @@ func adoptShards(dir string, man storage.Manifest, opts Options, dev *colstore.D
 		return nil, man, err
 	}
 	for _, nm := range old.Chain() {
-		os.Remove(filepath.Join(dir, nm))
+		vfs.FS.Remove(filepath.Join(dir, nm))
 	}
 	return stores, newMan, nil
 }
@@ -596,13 +580,6 @@ func (db *DB) crash() {
 	unlockDir(db.lock)
 }
 
-func (db *DB) injectFault(point string) error {
-	if db.fault == nil {
-		return nil
-	}
-	return db.fault(point)
-}
-
 // manifestSegments is the set of segment file names a manifest pins — every
 // member of every shard's generation chain, not just the newest.
 func manifestSegments(m storage.Manifest) map[string]bool {
@@ -618,7 +595,7 @@ func manifestSegments(m storage.Manifest) map[string]bool {
 // gcStraySegments removes segment files the manifest does not pin: partial
 // images from crashed checkpoints and fully superseded generations.
 func gcStraySegments(dir string, keep map[string]bool) {
-	entries, err := os.ReadDir(dir)
+	entries, err := vfs.FS.ReadDir(dir)
 	if err != nil {
 		return
 	}
@@ -628,7 +605,7 @@ func gcStraySegments(dir string, keep map[string]bool) {
 			continue
 		}
 		if strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".seg") {
-			os.Remove(filepath.Join(dir, name))
+			vfs.FS.Remove(filepath.Join(dir, name))
 		}
 	}
 }

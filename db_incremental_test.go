@@ -1,19 +1,19 @@
 package pdtstore
 
 // Tests for incremental checkpoints: segment chains, block sharing across
-// generations, the new crash cuts, the checkpoint scheduler, and the
-// randomized full-vs-incremental state-equivalence harness.
+// generations, the crash cuts of a chained checkpoint, and the checkpoint
+// scheduler.
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -170,222 +170,17 @@ func testIncrementalCrashPoints(t *testing.T, shards int) {
 		point string
 		modes []string
 	}{
-		{faultMidBlockMapWrite, []string{"incremental", "full"}},
-		{faultPreSwapMixedGen, []string{"incremental"}},
-		{faultPostSwapPreGC, []string{"incremental", "full"}},
+		{"mid-block-map-write", []string{"incremental", "full"}},
+		{"pre-swap-mixed-generations", []string{"incremental"}},
+		{"gc-after-swap", []string{"incremental", "full"}},
 	}
 	for _, cut := range cuts {
 		t.Run(cut.point, func(t *testing.T) {
 			for _, mode := range cut.modes {
-				t.Run(mode, func(t *testing.T) { testIncrementalCrashPoint(t, shards, cut.point, mode) })
+				t.Run(mode, func(t *testing.T) { crashCheckpoint(t, shards, cut.point, mode, false) })
 			}
 		})
 	}
-}
-
-func testIncrementalCrashPoint(t *testing.T, shards int, point, mode string) {
-	dir := t.TempDir()
-	db := openShardDB(t, dir, shards)
-	m := model{}
-	commitInserts(t, db, m, 0, 1000) // four blocks of 64 per shard at least
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	commitUpdates(t, db, m, 10, 300, 550, 800) // modify-only, one per quarter: blocks are inherited
-	if mode == "full" {
-		// A delete in each shard's first block: every block shifts.
-		ops := []table.Op{}
-		for _, k := range []int64{1, 251, 501, 751} {
-			ops = append(ops, table.Op{Kind: table.OpDelete, Key: types.Row{types.Int(k)}})
-			delete(m, k)
-		}
-		tx := db.Begin()
-		if _, err := tx.ApplyBatch(ops); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	errBoom := errors.New("injected crash: " + point)
-	fired := false
-	db.fault = func(p string) error {
-		if p == point {
-			fired = true
-			return errBoom
-		}
-		return nil
-	}
-	if err := db.Checkpoint(); !errors.Is(err, errBoom) {
-		t.Fatalf("Checkpoint through the fault = %v", err)
-	}
-	if !fired {
-		t.Fatalf("fault point %s never fired", point)
-	}
-	db.crash()
-
-	db = openShardDB(t, dir, shards)
-	checkState(t, db, m)
-	// The interrupted attempt left no half-GC'd chain: every segment
-	// the manifest names is openable, strays are gone, and the next
-	// checkpoint completes in the shape under test.
-	commitUpdates(t, db, m, 15, 305)
-	if mode == "full" {
-		commitMixed(t, db, m, 2, 12)
-	}
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.Stats().Shard[0].LastDecision.Mode; got != mode {
-		t.Fatalf("follow-up checkpoint of shard 0 ran %q, want %q", got, mode)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	db = openShardDB(t, dir, shards)
-	defer db.Close()
-	checkState(t, db, m)
-}
-
-// TestIncrementalFullEquivalence is the randomized long-run harness: two
-// stores replay one random op stream, one pinned to whole rewrites (a chain
-// bound of 1), one free to chain incremental checkpoints (with a tight chain
-// bound of 3 so both modes and forced collapses all occur), with checkpoints
-// and kill-reopen cycles interleaved at random. After every reopen and at the end, both
-// stores must serve the identical committed state.
-func TestIncrementalFullEquivalence(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
-			testEquivalence(t, shards)
-		})
-	}
-}
-
-func testEquivalence(t *testing.T, shards int) {
-	rng := rand.New(rand.NewSource(42 + int64(shards)))
-	open := func(dir string, maxGen int) *DB {
-		t.Helper()
-		db, err := Open(dir, Options{Schema: dbSchema, BlockRows: 64, Compressed: true,
-			Shards: shards, ShardKeys: shardTestCuts[:shards-1]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		db.maxGenerations = maxGen
-		return db
-	}
-	const fullCkpt, incCkpt = 1, 3
-	dirA, dirB := t.TempDir(), t.TempDir()
-	dbA := open(dirA, fullCkpt)
-	dbB := open(dirB, incCkpt)
-	m := model{}
-	var live []int64
-
-	apply := func(db *DB, ops []table.Op) {
-		t.Helper()
-		tx := db.Begin()
-		if _, err := tx.ApplyBatch(ops); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	compare := func() {
-		t.Helper()
-		gotA, gotB := readAll(t, dbA), readAll(t, dbB)
-		if len(gotA) != len(m) || len(gotB) != len(m) {
-			t.Fatalf("row counts diverged: full=%d incremental=%d model=%d", len(gotA), len(gotB), len(m))
-		}
-		for k, want := range m {
-			if gotA[k] != want {
-				t.Fatalf("full store: key %d = %+v, want %+v", k, gotA[k], want)
-			}
-			if gotB[k] != want {
-				t.Fatalf("incremental store: key %d = %+v, want %+v", k, gotB[k], want)
-			}
-		}
-	}
-
-	const rounds = 60
-	for r := 0; r < rounds; r++ {
-		nops := 1 + rng.Intn(24)
-		ops := make([]table.Op, 0, nops)
-		touched := map[int64]bool{} // one op per key per batch
-		for o := 0; o < nops; o++ {
-			switch {
-			case len(live) == 0 || rng.Intn(3) == 0: // insert a fresh key
-				k := rng.Int63n(1000)
-				if _, ok := m[k]; ok {
-					continue
-				}
-				if touched[k] {
-					continue
-				}
-				touched[k] = true
-				ops = append(ops, table.Op{Kind: table.OpInsert,
-					Row: types.Row{types.Int(k), types.Str(fmt.Sprintf("r%d-%d", r, k)), types.Int(k)}})
-				m[k] = modelRow{V: fmt.Sprintf("r%d-%d", r, k), N: k}
-				live = append(live, k)
-			case rng.Intn(4) == 0: // delete
-				i := rng.Intn(len(live))
-				k := live[i]
-				if touched[k] {
-					continue
-				}
-				touched[k] = true
-				ops = append(ops, table.Op{Kind: table.OpDelete, Key: types.Row{types.Int(k)}})
-				delete(m, k)
-				live[i] = live[len(live)-1]
-				live = live[:len(live)-1]
-			default: // in-place update
-				k := live[rng.Intn(len(live))]
-				if touched[k] {
-					continue
-				}
-				touched[k] = true
-				v := rng.Int63n(1 << 20)
-				ops = append(ops, table.Op{Kind: table.OpUpdate, Key: types.Row{types.Int(k)}, Col: 2, Val: types.Int(v)})
-				m[k] = modelRow{V: m[k].V, N: v}
-			}
-		}
-		if len(ops) == 0 {
-			continue
-		}
-		apply(dbA, ops)
-		apply(dbB, ops)
-
-		if rng.Intn(4) == 0 {
-			if err := dbA.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if rng.Intn(3) == 0 { // checkpoint B more often: longer chains
-			if err := dbB.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if rng.Intn(10) == 0 { // kill both and recover cold
-			dbA.crash()
-			dbB.crash()
-			dbA = open(dirA, fullCkpt)
-			dbB = open(dirB, incCkpt)
-			compare()
-		}
-	}
-	compare()
-	if err := dbA.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := dbB.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// One last cold recovery of each history.
-	dbA = open(dirA, fullCkpt)
-	dbB = open(dirB, incCkpt)
-	compare()
-	dbA.Close()
-	dbB.Close()
 }
 
 // TestStatsSnapshot sanity-checks the Stats surface: the only window into the
@@ -464,6 +259,7 @@ func TestSchedulerAutoCheckpoint(t *testing.T) {
 // TestStatsReportsSchedulerFailure: a failed auto-checkpoint shows in Stats
 // while the store stays open and serving, and Close still returns it.
 func TestStatsReportsSchedulerFailure(t *testing.T) {
+	f := installMemFS(t)
 	dir := t.TempDir()
 	db, err := Open(dir, Options{
 		Schema: dbSchema, BlockRows: 64, Compressed: true,
@@ -472,15 +268,12 @@ func TestStatsReportsSchedulerFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	errBoom := errors.New("injected auto-checkpoint failure")
-	db.mu.Lock() // the scheduler reads the hook under db.mu
-	db.fault = func(p string) error {
-		if p == faultPreManifestSwap {
-			return errBoom
+	f.at = func(op fsOp) fault {
+		if op.kind == "open" && strings.HasSuffix(op.path, ".tmp") {
+			return failOp // every manifest swap fails
 		}
-		return nil
+		return pass
 	}
-	db.mu.Unlock()
 	if err := db.Stats().AutoCheckpointErr; err != nil {
 		t.Fatalf("failure reported before any checkpoint ran: %v", err)
 	}
@@ -497,11 +290,11 @@ func TestStatsReportsSchedulerFailure(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := db.Stats().AutoCheckpointErr; !errors.Is(err, errBoom) {
+	if err := db.Stats().AutoCheckpointErr; !errors.Is(err, syscall.EIO) {
 		t.Fatalf("Stats reports %v, want the injected failure", err)
 	}
 	checkState(t, db, m)
-	if err := db.Close(); !errors.Is(err, errBoom) {
+	if err := db.Close(); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("Close = %v, want the injected failure", err)
 	}
 }

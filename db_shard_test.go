@@ -1,13 +1,11 @@
 package pdtstore
 
-// Kill-and-reopen crash tests across shard counts: per-shard WAL streams, one
-// global commit clock, and the cross-shard cut points. The harness holds at
-// every seam — between two shards' WAL appends of one cross-shard commit
-// (only some streams got their record: reopen must drop the commit from all
-// of them), between the in-memory installs (every stream has the record:
-// reopen must surface the commit whole), and at every fault point of the
-// checkpoint sequence at 1 and 4 shards, including between two shards' image
-// builds.
+// Kill-and-reopen tests across shard counts: per-shard WAL streams, one
+// global commit clock, and the cross-shard cut points — between two shards'
+// WAL appends of one cross-shard commit (only some streams got their record:
+// reopen must drop the commit from all of them, for good), after them
+// (reopen must surface the commit whole), and at the named points of the
+// checkpoint sequence at 1 to 4 shards.
 
 import (
 	"encoding/binary"
@@ -17,12 +15,13 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
-	"time"
 
 	"pdtstore/internal/pdt"
 	"pdtstore/internal/table"
-	"pdtstore/internal/txn"
 	"pdtstore/internal/types"
 	"pdtstore/internal/wal"
 )
@@ -199,43 +198,26 @@ func TestShardedAdoptRequiresEmptyTail(t *testing.T) {
 }
 
 // TestShardedCrashBetweenAppends cuts a cross-shard commit between two
-// shards' batch fsyncs: the first participant's stream has the group record
-// durable, the second's does not. Shard 3's pre-append point fails once shard
-// 0's leader has taken the batch with the record (its own pre-append point),
-// and the commit resolves only after every participant has reported, so
-// shard 0's append has happened when Commit returns. Reopen must treat the
-// commit as never having happened — on every shard.
+// shards' appends: shard 3's write of the group record fails, shard 0's
+// lands and is synced, and the commit fails. Reopen must treat the commit as
+// never having happened — on every shard.
 func TestShardedCrashBetweenAppends(t *testing.T) {
+	f := installMemFS(t)
 	dir := t.TempDir()
 	db := openShardDB(t, dir, 4)
 	m := model{}
 	sCommitInserts(t, db, m, 10, 260, 510, 760)
-
-	errBoom := errors.New("injected crash between shard appends")
-	shard0Taken := make(chan struct{})
-	db.sharded.SetCommitFault(&txn.CommitFault{
-		BeforeAppend: func(shard int) error {
-			switch shard {
-			case 0:
-				close(shard0Taken)
-			case 3:
-				<-shard0Taken
-				return errBoom
-			}
-			return nil
-		},
-	})
-	tx := db.Begin()
-	if _, err := tx.ApplyBatch([]table.Op{
-		{Kind: table.OpInsert, Row: types.Row{types.Int(50), types.Str("torn"), types.Int(0)}},
-		{Kind: table.OpInsert, Row: types.Row{types.Int(950), types.Str("torn"), types.Int(0)}},
-	}); err != nil {
-		t.Fatal(err)
+	f.at = func(op fsOp) fault {
+		if op.kind == "write" && strings.Contains(op.path, "wal-s3") {
+			return failOp
+		}
+		return pass
 	}
-	if err := tx.Commit(); !errors.Is(err, errBoom) {
+	if err := tryCommit(db, m, insertOp(50), insertOp(950)); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("Commit through the fault = %v", err)
 	}
 	db.crash()
+	f.reboot()
 
 	// The torn group really is torn: shard 0's stream carries the two-party
 	// record, shard 3's stream does not.
@@ -247,190 +229,96 @@ func TestShardedCrashBetweenAppends(t *testing.T) {
 		}
 		return false
 	}
-	if !torn(replayStream(t, dir, 0)) {
-		t.Fatal("shard 0's stream is missing the cross-shard record: fault fired too early")
+	if !torn(replayStream(t, dir, 0)) || torn(replayStream(t, dir, 3)) {
+		t.Fatal("the group is not torn: shard 0's stream must hold its record and shard 3's must not")
 	}
-	if torn(replayStream(t, dir, 3)) {
-		t.Fatal("shard 3's stream has the cross-shard record: fault fired too late")
-	}
-
 	db = openShardDB(t, dir, 4)
 	defer db.Close()
 	checkState(t, db, m) // neither key 50 nor key 950 survives
 }
 
-// TestShardedCrashBetweenInstalls cuts a cross-shard commit after every
-// stream's append but between the in-memory installs: the commit is durable
-// everywhere, so reopen must surface it whole.
+// TestShardedCrashBetweenInstalls crashes at the first file operation after
+// a cross-shard commit returned: every stream holds its record and the
+// installs are memory-only, so reopen must surface the commit whole.
 func TestShardedCrashBetweenInstalls(t *testing.T) {
+	f := installMemFS(t)
 	dir := t.TempDir()
 	db := openShardDB(t, dir, 4)
 	m := model{}
 	sCommitInserts(t, db, m, 10, 260, 510, 760)
-
-	errBoom := errors.New("injected crash between shard installs")
-	db.sharded.SetCommitFault(&txn.CommitFault{
-		BetweenInstalls: func(i int) error { return errBoom },
-	})
-	tx := db.Begin()
-	if _, err := tx.ApplyBatch([]table.Op{
-		{Kind: table.OpInsert, Row: types.Row{types.Int(60), types.Str("v60"), types.Int(600)}},
-		{Kind: table.OpInsert, Row: types.Row{types.Int(960), types.Str("v960"), types.Int(9600)}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); !errors.Is(err, errBoom) {
-		t.Fatalf("Commit through the fault = %v", err)
-	}
+	sCommitInserts(t, db, m, 60, 960)
+	f.crashIn(0)
 	db.crash()
-
-	m[60] = modelRow{V: "v60", N: 600}
-	m[960] = modelRow{V: "v960", N: 9600}
+	f.reboot()
 	db = openShardDB(t, dir, 4)
 	defer db.Close()
 	checkState(t, db, m) // both keys present: all-or-nothing, durably "all"
 }
 
-// TestShardedCheckpointCrashPoints kills the store at every fault point of
-// the checkpoint sequence, at 1 and 4 shards — including between two shards'
-// image builds, a point only a multi-shard checkpoint passes — and requires
-// recovery to reconstruct exactly the committed state.
-func TestShardedCheckpointCrashPoints(t *testing.T) {
-	points := []string{
-		faultBetweenShardCheckpoints,
-		faultMidSegmentWrite,
-		faultPreManifestSwap,
-		faultPostSwapPreTruncate,
+// TestDroppedGroupStaysDropped: a cross-shard group torn by a failed append
+// leaves its record on shard 0, which keeps committing after it. The reopen
+// that drops the group must make the drop permanent: once shard 1, which
+// lacks the record, checkpoints past its LSN, the next reopen must still not
+// replay it on shard 0 alone.
+func TestDroppedGroupStaysDropped(t *testing.T) {
+	f := installMemFS(t)
+	dir := t.TempDir()
+	db := openShardDB(t, dir, 2)
+	m := model{}
+	sCommitInserts(t, db, m, 10, 260)
+	f.at = func(op fsOp) fault {
+		if op.kind == "sync" && strings.Contains(op.path, "wal-s1") {
+			return failOp
+		}
+		return pass
 	}
-	for _, point := range points {
+	if err := tryCommit(db, m, insertOp(50), insertOp(300)); err == nil {
+		t.Fatal("a commit over a failed fsync succeeded")
+	}
+	f.at = nil
+	sCommitInserts(t, db, m, 20) // shard 0 keeps committing past the orphan
+	db.crash()
+	f.reboot()
+	db = openShardDB(t, dir, 2)
+	checkState(t, db, m)
+	sCommitInserts(t, db, m, 270) // moves shard 1 past the dropped LSN
+	db.mu.Lock()
+	err := db.checkpointLocked([]bool{false, true})
+	db.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.crash()
+	db = openShardDB(t, dir, 2)
+	defer db.Close()
+	checkState(t, db, m)
+}
+
+// TestShardedCheckpointCrashPoints kills the store at every named point of
+// the checkpoint sequence, at 1 and 4 shards — including between two shards'
+// image builds, a point only a multi-shard checkpoint passes.
+func TestShardedCheckpointCrashPoints(t *testing.T) {
+	for _, point := range []string{"between-shard-checkpoints", "mid-segment-write", "pre-manifest-swap", "post-swap-pre-truncate"} {
 		t.Run(point, func(t *testing.T) {
 			for _, shards := range []int{1, 4} {
-				if shards == 1 && point == faultBetweenShardCheckpoints {
+				if shards == 1 && point == "between-shard-checkpoints" {
 					continue
 				}
-				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-					dir := t.TempDir()
-					db := openShardDB(t, dir, shards)
-					m := model{}
-					sCommitInserts(t, db, m, 10, 20, 260, 270, 510, 760)
-					sCommitInserts(t, db, m, 100, 600, 900) // cross-shard in the tail
-
-					errBoom := errors.New("injected crash: " + point)
-					fired := false
-					db.fault = func(p string) error {
-						if p == point {
-							fired = true
-							return errBoom
-						}
-						return nil
-					}
-					if err := db.Checkpoint(); !errors.Is(err, errBoom) {
-						t.Fatalf("Checkpoint through the fault = %v", err)
-					}
-					if !fired {
-						t.Fatalf("fault point %s never fired", point)
-					}
-					db.crash()
-
-					db = openShardDB(t, dir, shards)
-					checkState(t, db, m)
-					// The next checkpoint completes and the state survives
-					// another reopen off the fresh images.
-					sCommitInserts(t, db, m, 30, 530)
-					if err := db.Checkpoint(); err != nil {
-						t.Fatal(err)
-					}
-					if err := db.Close(); err != nil {
-						t.Fatal(err)
-					}
-					db = openShardDB(t, dir, shards)
-					defer db.Close()
-					checkState(t, db, m)
-				})
+				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { crashCheckpoint(t, shards, point, "full", false) })
 			}
 		})
 	}
 }
 
 // TestShardedCrossCommitDuringBuild commits a cross-shard transaction from
-// inside shard 0's image build (the mid-segment-write hook): the commit must
-// not wait for the build, which holds the checkpoint open until the hook
-// returns. The store is then killed at each later cut point, so the commit
-// sits in shard 0's side layer and tail, past its freeze LSN, while the other
-// participant's image may or may not contain it. Reopen must return exactly
-// the acknowledged state, and so must a further checkpoint and reopen.
+// inside shard 0's image build, which must not wait for the build, and then
+// kills the store at each later named point: the commit sits in shard 0's
+// tail past its freeze LSN while the other participant's image may or may
+// not contain it.
 func TestShardedCrossCommitDuringBuild(t *testing.T) {
-	points := []string{
-		faultBetweenShardCheckpoints,
-		faultPreManifestSwap,
-		faultPostSwapPreTruncate,
-	}
-	for _, point := range points {
+	for _, point := range []string{"between-shard-checkpoints", "pre-manifest-swap", "post-swap-pre-truncate"} {
 		for _, shards := range []int{2, 4} {
-			t.Run(fmt.Sprintf("%s/shards=%d", point, shards), func(t *testing.T) {
-				dir := t.TempDir()
-				db := openShardDB(t, dir, shards)
-				m := model{}
-				sCommitInserts(t, db, m, 10, 20, 260, 270, 510, 760)
-				sCommitInserts(t, db, m, 100, 600, 900)
-
-				// Keys 130 and 630 route to shard 0 and to shard 1 (2 shards)
-				// or 2 (4 shards).
-				cross := []table.Op{
-					{Kind: table.OpInsert, Row: types.Row{types.Int(130), types.Str("v130"), types.Int(1300)}},
-					{Kind: table.OpInsert, Row: types.Row{types.Int(630), types.Str("v630"), types.Int(6300)}},
-				}
-				errBoom := errors.New("injected crash: " + point)
-				committed, fired := false, false
-				db.fault = func(p string) error {
-					switch {
-					case p == faultMidSegmentWrite && !committed:
-						committed = true
-						done := make(chan error, 1)
-						go func() {
-							tx := db.Begin()
-							if _, err := tx.ApplyBatch(cross); err != nil {
-								done <- err
-								return
-							}
-							done <- tx.Commit()
-						}()
-						select {
-						case err := <-done:
-							if err != nil {
-								return err
-							}
-						case <-time.After(5 * time.Second):
-							return errors.New("cross-shard commit blocked behind the image build")
-						}
-						m[130] = modelRow{V: "v130", N: 1300}
-						m[630] = modelRow{V: "v630", N: 6300}
-					case p == point:
-						fired = true
-						return errBoom
-					}
-					return nil
-				}
-				if err := db.Checkpoint(); !errors.Is(err, errBoom) {
-					t.Fatalf("Checkpoint through the fault = %v", err)
-				}
-				if !committed || !fired {
-					t.Fatalf("hooks fired: commit %v, crash %v", committed, fired)
-				}
-				db.crash()
-
-				db = openShardDB(t, dir, shards)
-				checkState(t, db, m)
-				if err := db.Checkpoint(); err != nil {
-					t.Fatal(err)
-				}
-				if err := db.Close(); err != nil {
-					t.Fatal(err)
-				}
-				db = openShardDB(t, dir, shards)
-				defer db.Close()
-				checkState(t, db, m)
-			})
+			t.Run(fmt.Sprintf("%s/shards=%d", point, shards), func(t *testing.T) { crashCheckpoint(t, shards, point, "full", true) })
 		}
 	}
 }
@@ -574,5 +462,51 @@ func TestOpenRejectsLSNsThatDoNotAscend(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDegradedShardShowsInStats: after an injected fsync failure on shard 1,
+// that shard's commits fail fast with the sticky error, touching no file,
+// while Begin, Scan and FindByKey keep answering on every shard, shard 0
+// keeps committing, and Stats names the failure on shard 1 alone.
+func TestDegradedShardShowsInStats(t *testing.T) {
+	f := installMemFS(t)
+	db := openShardDB(t, t.TempDir(), 2)
+	defer db.Close()
+	m := model{}
+	sCommitInserts(t, db, m, 10, 260)
+	var once sync.Once
+	var touched atomic.Int64
+	f.at = func(op fsOp) (ft fault) {
+		if strings.Contains(op.path, "wal-s1") {
+			touched.Add(1)
+			if op.kind == "sync" {
+				once.Do(func() { ft = failOp })
+			}
+		}
+		return ft
+	}
+	if err := tryCommit(db, m, insertOp(270)); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("commit over the failed fsync = %v", err)
+	}
+	before := touched.Load()
+	if err := tryCommit(db, m, insertOp(280)); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("commit on the degraded shard = %v, want its sticky failure", err)
+	}
+	if touched.Load() != before {
+		t.Fatal("a commit on the degraded shard touched its stream")
+	}
+	sCommitInserts(t, db, m, 20)
+	checkState(t, db, m)
+	tx := db.Begin()
+	defer tx.Abort()
+	for _, k := range []int64{10, 260} {
+		if _, _, found, err := tx.FindByKey(types.Row{types.Int(k)}); err != nil || !found {
+			t.Fatalf("FindByKey(%d) = %v, %v", k, found, err)
+		}
+	}
+	st := db.Stats()
+	if st.Shard[0].Err != nil || !errors.Is(st.Shard[1].Err, syscall.EIO) {
+		t.Fatalf("Stats errors = %v, %v; want nil and the injected failure", st.Shard[0].Err, st.Shard[1].Err)
 	}
 }

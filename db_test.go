@@ -4,9 +4,9 @@ package pdtstore
 // means db.crash(): descriptors (and the advisory LOCK) are released exactly
 // as process death releases them, with no orderly shutdown — no maintenance
 // wait, no log flush, no manifest work — then Open(dir) runs cold recovery on
-// the same directory. Fault points injected into the checkpoint sequence cut
-// it at its three interesting seams; after every cut, recovery must
-// reconstruct exactly the committed state: nothing lost, nothing doubled.
+// the same directory; the crash harness (crash_test.go) cuts the checkpoint
+// sequence at named points through the file seam. After every cut, recovery
+// must reconstruct exactly the committed state: nothing lost, nothing doubled.
 
 import (
 	"encoding/json"
@@ -16,6 +16,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
+	"syscall"
 	"testing"
 
 	"pdtstore/internal/colstore"
@@ -346,51 +348,10 @@ func TestCrashRecovery(t *testing.T) {
 		db2.Close()
 	})
 
-	// The three injected fault points of the checkpoint sequence. At each,
-	// the checkpoint dies mid-flight after extra commits landed during the
-	// image build; recovery must surface every commit exactly once.
-	for _, point := range []string{faultMidSegmentWrite, faultPreManifestSwap, faultPostSwapPreTruncate} {
-		t.Run("kill-at-"+point, func(t *testing.T) {
-			dir := t.TempDir()
-			m := model{}
-			db := openTestDB(t, dir)
-			commitInserts(t, db, m, 0, 120)
-			if err := db.Checkpoint(); err != nil {
-				t.Fatal(err) // a real first checkpoint, so the WAL has a truncation history
-			}
-			commitMixed(t, db, m, 0, 60)
-
-			crash := errors.New("simulated crash")
-			db.fault = func(p string) error {
-				if p == faultMidSegmentWrite {
-					// Commits racing the image build: they land in the side
-					// layer and the WAL with LSN > freeze LSN.
-					commitInserts(t, db, m, 500, 520)
-				}
-				if p == point {
-					return crash
-				}
-				return nil
-			}
-			if err := db.Checkpoint(); !errors.Is(err, crash) {
-				t.Fatalf("checkpoint error = %v, want the injected crash", err)
-			}
-			// Die here: no orderly shutdown.
-			db.crash()
-			db2 := openTestDB(t, dir)
-			checkState(t, db2, m)
-			// Post-recovery commits and a real checkpoint still work.
-			commitInserts(t, db2, m, 2000, 2020)
-			if err := db2.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			checkState(t, db2, m)
-			db2.Close()
-
-			db3 := openTestDB(t, dir)
-			checkState(t, db3, m)
-			db3.Close()
-		})
+	// Three named points of the checkpoint sequence, with commits landing
+	// during the image build.
+	for _, point := range []string{"mid-segment-write", "pre-manifest-swap", "post-swap-pre-truncate"} {
+		t.Run("kill-at-"+point, func(t *testing.T) { crashCheckpoint(t, 1, point, "full", true) })
 	}
 
 	t.Run("kill-mid-wal-append", func(t *testing.T) {
@@ -444,22 +405,22 @@ func TestCrashRecovery(t *testing.T) {
 // must take a fresh generation number — reusing the old one would O_TRUNC
 // the file the live store is reading.
 func TestCheckpointRetryAfterFailedSwap(t *testing.T) {
+	f := installMemFS(t)
 	dir := t.TempDir()
 	m := model{}
 	db := openTestDB(t, dir)
 	defer db.Close()
 	commitInserts(t, db, m, 0, 300)
-	transient := errors.New("transient manifest failure")
-	db.fault = func(p string) error {
-		if p == faultPreManifestSwap {
-			return transient
+	f.at = func(op fsOp) fault {
+		if op.kind == "open" && strings.HasSuffix(op.path, ".tmp") {
+			return failOp
 		}
-		return nil
+		return pass
 	}
-	if err := db.Checkpoint(); !errors.Is(err, transient) {
+	if err := db.Checkpoint(); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("checkpoint error = %v, want the injected failure", err)
 	}
-	db.fault = nil
+	f.at = nil
 	commitInserts(t, db, m, 1000, 1020)
 	// Force the retry's materialize to pread the live (failed-swap) segment.
 	db.dev.DropCaches()
@@ -484,24 +445,21 @@ func TestCheckpointRetryAfterFailedSwap(t *testing.T) {
 // record in the log, and recovery must skip all of them (they are already in
 // the new image) while still applying the post-freeze tail.
 func TestCheckpointTruncationOrdering(t *testing.T) {
+	f := installMemFS(t)
 	dir := t.TempDir()
 	m := model{}
 	db := openTestDB(t, dir)
 	commitInserts(t, db, m, 0, 100) // will be inside the image
-	crash := errors.New("simulated crash")
-	db.fault = func(p string) error {
-		if p == faultMidSegmentWrite {
-			commitInserts(t, db, m, 200, 230) // post-freeze tail, WAL-only
+	f.at = atPoint("post-swap-pre-truncate", func() {
+		if err := tryCommit(db, m, insertOp(200), insertOp(230)); err != nil { // post-freeze tail, WAL-only
+			t.Error(err)
 		}
-		if p == faultPostSwapPreTruncate {
-			return crash
-		}
-		return nil
-	}
-	if err := db.Checkpoint(); !errors.Is(err, crash) {
+	})
+	if err := db.Checkpoint(); !errors.Is(err, errCrashed) {
 		t.Fatalf("checkpoint error = %v", err)
 	}
 	db.crash()
+	f.reboot()
 	// The WAL still holds the pre-freeze insert record; the manifest already
 	// points at the image containing those rows. A replay that ignored the
 	// manifest LSN would try to re-insert keys 0..99 and either fail or
@@ -609,6 +567,7 @@ func TestColdFindByKeyDoesRealIO(t *testing.T) {
 // the pre-failure committed state — no record of the failed batch may
 // resurface from the page cache or a torn tail.
 func TestGroupCommitFsyncFailureRecovery(t *testing.T) {
+	f := installMemFS(t)
 	dir := t.TempDir()
 	m := model{}
 	db := openTestDB(t, dir)
@@ -616,7 +575,13 @@ func TestGroupCommitFsyncFailureRecovery(t *testing.T) {
 	commitMixed(t, db, m, 0, 30)
 	lsn := db.Stats().Shard[0].LSN
 
-	db.logs[0].FailNextSync(errors.New("injected: barrier failure under the batch"))
+	var failed sync.Once
+	f.at = func(op fsOp) (ft fault) {
+		if op.kind == "sync" {
+			failed.Do(func() { ft = failOp })
+		}
+		return ft
+	}
 	const writers = 6
 	errs := make(chan error, writers)
 	for w := 0; w < writers; w++ {
@@ -644,6 +609,7 @@ func TestGroupCommitFsyncFailureRecovery(t *testing.T) {
 	// Kill and reopen: recovery replays the log cold. None of the failed
 	// batch's records may surface.
 	db.crash()
+	f.reboot()
 	db2 := openTestDB(t, dir)
 	defer db2.Close()
 	checkState(t, db2, m)

@@ -55,9 +55,15 @@
 // replays only the WAL tail past the manifest's LSN (so an interrupted
 // truncation cannot double-apply; a tail whose LSNs do not ascend is
 // refused), truncates a torn final record, and resumes the commit clock.
-// The shards' streams are read, and their tails replayed, concurrently. Crashing at any point of that sequence recovers
-// exactly the committed state. A superseded segment's descriptor is closed
-// as soon as its last pinned reader finishes, not at DB.Close.
+// The shards' streams are read, and their tails replayed, concurrently.
+// Crashing at any file operation of that sequence recovers exactly the
+// committed state: every file operation goes through one seam
+// (internal/vfs), under which the crash tests put a file system that fails
+// any one operation and keeps only what each file's last Sync covered. A
+// reopen that drops a cross-shard commit some stream lacks checkpoints the
+// shards that hold its record before it returns, so the drop is permanent.
+// A superseded segment's descriptor is closed as soon as its last pinned
+// reader finishes, not at DB.Close.
 //
 // Checkpoints are incremental and cost-based: the frozen PDT's positional
 // updates compute an exact dirty-block set, and a checkpoint writes only
@@ -72,8 +78,10 @@
 // (CheckpointOptions.Auto) that checkpoints a shard when its estimated WAL
 // replay cost outgrows the estimated checkpoint cost, bounding cold-open
 // time. DB.Stats exposes the
-// per-shard WAL tail, generation chain, per-segment live-block counts and
-// the last scheduler decision, and the scheduler's first failure.
+// per-shard WAL tail, generation chain, per-segment live-block counts, the
+// last scheduler decision and the shard's sticky failure (a poisoned WAL or
+// wedged maintenance, after which its commits fail fast), and the
+// scheduler's first failure.
 //
 // The public write surface is the Tx interface, returned by DB.Begin, and
 // DB.Stats is the window into durability state; no accessor hands out the

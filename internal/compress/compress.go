@@ -408,6 +408,11 @@ func EncodeBools(vals []int64) []byte {
 // DecodeBools decodes a whole block produced by EncodeBools, appending 0/1
 // int64s (see DecodeInt64s).
 func DecodeBools(buf []byte, out []int64) ([]int64, error) {
+	// A bool block whose bytes hold its count, before whole sizes out by the
+	// count: an RLE block, say, may claim 2^32 values in a few bytes.
+	if err := DecodeBoolsSpans(buf, nil, nil); err != nil {
+		return nil, err
+	}
 	out, s, err := whole(buf, out)
 	if err != nil {
 		return nil, err

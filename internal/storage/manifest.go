@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 
 	"pdtstore/internal/types"
+	"pdtstore/internal/vfs"
 )
 
 // ManifestName is the pointer file naming the current segment generation.
@@ -77,29 +78,29 @@ func WriteManifest(dir string, m Manifest) error {
 		return err
 	}
 	tmp := filepath.Join(dir, ManifestName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := vfs.FS.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("storage: write manifest: %w", err)
 	}
 	if _, err := f.Write(append(data, '\n')); err != nil {
 		f.Close()
-		os.Remove(tmp)
+		vfs.FS.Remove(tmp)
 		return err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		os.Remove(tmp)
+		vfs.FS.Remove(tmp)
 		return fmt.Errorf("storage: fsync manifest: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+		vfs.FS.Remove(tmp)
 		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, ManifestName)); err != nil {
-		os.Remove(tmp)
+	if err := vfs.FS.Rename(tmp, filepath.Join(dir, ManifestName)); err != nil {
+		vfs.FS.Remove(tmp)
 		return fmt.Errorf("storage: swap manifest: %w", err)
 	}
-	syncDir(dir)
+	vfs.FS.SyncDir(dir)
 	return nil
 }
 
@@ -107,7 +108,7 @@ func WriteManifest(dir string, m Manifest) error {
 // directory); any other failure is an error — a store with an unreadable
 // manifest must not be silently re-initialized over live data.
 func LoadManifest(dir string) (m Manifest, ok bool, err error) {
-	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	data, err := vfs.ReadFile(filepath.Join(dir, ManifestName))
 	if errors.Is(err, fs.ErrNotExist) {
 		return Manifest{}, false, nil
 	}

@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 
 	"pdtstore/internal/types"
+	"pdtstore/internal/vfs"
 )
 
 var segMagic = [8]byte{'P', 'D', 'T', 'S', 'E', 'G', '0', '1'}
@@ -58,7 +59,7 @@ type BlockPlace struct {
 // interleaving (the builder emits one row group at a time); the footer index
 // records where each landed.
 type SegmentWriter struct {
-	f          *os.File // nil for a memory segment
+	f          vfs.File // nil for a memory segment
 	path       string
 	w          *bufio.Writer
 	mem        [][][]byte // memory segment: mem[col][blk] is the slice AppendBlock was given
@@ -90,11 +91,11 @@ func CreateSegment(path string, schema *types.Schema, blockRows int, compressed 
 		w.mem = make([][][]byte, schema.NumCols())
 		return w, nil
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := vfs.FS.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: create segment: %w", err)
 	}
-	w.f, w.w = f, bufio.NewWriterSize(f, 1<<20)
+	w.f, w.w = f, bufio.NewWriterSize(f, 64<<10)
 	if _, err := w.w.Write(segMagic[:]); err != nil {
 		f.Close()
 		return nil, err
@@ -187,7 +188,7 @@ func (w *SegmentWriter) seal(nrows uint64, sparse []types.Row) error {
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("storage: fsync segment: %w", err)
 	}
-	syncDir(filepath.Dir(w.path))
+	vfs.FS.SyncDir(filepath.Dir(w.path))
 	return nil
 }
 
@@ -197,7 +198,7 @@ func (w *SegmentWriter) seal(nrows uint64, sparse []types.Row) error {
 func (w *SegmentWriter) Abort() {
 	if w.f != nil {
 		w.f.Close()
-		os.Remove(w.path)
+		vfs.FS.Remove(w.path)
 		w.f = nil
 	}
 	w.err = fmt.Errorf("storage: segment writer aborted")
@@ -212,7 +213,7 @@ func (w *SegmentWriter) Abort() {
 // Release); the store that sees the count hit zero closes the descriptor and
 // evicts the segment's buffer-pool entries.
 type Segment struct {
-	f          *os.File // nil for a memory segment
+	f          vfs.File // nil for a memory segment
 	path       string
 	mem        [][][]byte
 	closed     atomic.Bool
@@ -229,7 +230,7 @@ type Segment struct {
 
 // OpenSegment opens and validates an existing segment file.
 func OpenSegment(path string) (*Segment, error) {
-	f, err := os.Open(path)
+	f, err := vfs.FS.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +242,7 @@ func OpenSegment(path string) (*Segment, error) {
 	return s, nil
 }
 
-func readSegmentMeta(f *os.File, path string) (*Segment, error) {
+func readSegmentMeta(f vfs.File, path string) (*Segment, error) {
 	fi, err := f.Stat()
 	if err != nil {
 		return nil, err
@@ -624,17 +625,4 @@ func decodeZones(r *types.Reader, ncols int) ([][]Zone, error) {
 		return nil, r.Err
 	}
 	return zones, nil
-}
-
-// syncDir fsyncs a directory so a just-created/renamed/removed entry is
-// durable. Errors are ignored: some filesystems reject directory fsync, and
-// the worst case is the pre-rename state after a crash, which recovery
-// already handles.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync()
-	d.Close()
 }

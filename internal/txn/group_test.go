@@ -507,7 +507,7 @@ func (l gatedLog) AppendGroup(recs []wal.GroupRecord) error {
 }
 
 // TestCrossMemberFailureAbortsEverywhere: a cross-shard member X over shards
-// 0 and 1 is durable on shard 1 when its fsync on shard 0 fails. X aborts on
+// 0 and 1 is durable on shard 1 when its append on shard 0 fails. X aborts on
 // both shards, and so does everything validated against it: a single-shard
 // commit parked behind it on shard 1, and a member Y over shards 1 and 2
 // parked behind it there, which never reaches shard 2's stream — it waits
@@ -522,7 +522,6 @@ func TestCrossMemberFailureAbortsEverywhere(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer log0.Close()
-	log0.FailNextSync(errors.New("injected: device died at the barrier"))
 	var buf1, buf2 bytes.Buffer
 	logs := []wal.Log{gatedLog{log0, g}, wal.NewWriter(&buf1), wal.NewWriter(&buf2)}
 	s := newShardedLogs(t, 60, 3, Options{}, func(i int) wal.Log { return logs[i] })
@@ -547,7 +546,7 @@ func TestCrossMemberFailureAbortsEverywhere(t *testing.T) {
 	waitFor(t, m1, "Y to park behind them", func() bool { return len(m1.pending) == 3 })
 	waitFor(t, m2, "Y to wait on shard 2", func() bool { return len(m2.pending) == 1 })
 
-	g.verdict <- nil // shard 0 appends X, and its fsync fails
+	g.verdict <- errors.New("injected: device died at the barrier") // shard 0's append of X fails
 	for what, ch := range map[string]<-chan error{"X": x, "the parked commit": single, "Y": y} {
 		if err := await(t, ch, what); err == nil {
 			t.Fatalf("%s committed over a failed participant", what)

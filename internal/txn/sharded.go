@@ -52,28 +52,6 @@ type Sharded struct {
 	// installs on all participants under the write side, so no snapshot ever
 	// observes a cross-shard commit on one shard but not another.
 	beginGate sync.RWMutex
-
-	fault atomic.Pointer[CommitFault] // crash-test hook, taken at enqueue
-}
-
-// CommitFault injects failures at the cut points of a cross-shard commit
-// (crash tests only). Each hook gets the shard it runs on. A non-nil return
-// simulates the process dying there: the commit fails on every participant
-// and returns the error, and the on-disk state is exactly what a crash at
-// that point leaves.
-type CommitFault struct {
-	// BeforeAppend runs in a participant's leader once it has taken the
-	// batch ending at the member, before appending it. An error fails that
-	// append, while a participant whose leader has taken its batch still
-	// appends it (the commit resolves once all have reported): a torn group.
-	BeforeAppend func(shard int) error
-	// BetweenInstalls runs after a participant's in-memory install, before
-	// the next participant's in shard order (never after the last). Installs
-	// are memory-only — the commit is already durable on every stream — so a
-	// "crash" here loses nothing: reopen recovers the complete group whole.
-	// A live DB that took this fault is inconsistent (some shards installed,
-	// some not) and is only good for crash-and-reopen.
-	BetweenInstalls func(shard int) error
 }
 
 // NewSharded couples n shard managers into one sharded table. keys are the
@@ -158,10 +136,6 @@ func (s *Sharded) WaitMaintenance() error {
 	}
 	return nil
 }
-
-// SetCommitFault arms (or disarms, with nil) the cross-shard fault hooks
-// for the commits enqueued from now on.
-func (s *Sharded) SetCommitFault(f *CommitFault) { s.fault.Store(f) }
 
 // Begin starts a transaction spanning every shard: a vector of per-shard
 // snapshots pinned under the begin gate, so no cross-shard commit is ever
@@ -475,7 +449,6 @@ type crossGroup struct {
 	members []*commitReq
 	parts   []uint32
 	gate    *sync.RWMutex
-	fault   *CommitFault
 	earlier []chan struct{} // done of every member queued ahead at enqueue
 
 	mu   sync.Mutex
@@ -530,15 +503,12 @@ func (g *crossGroup) resolve() {
 	for _, r := range g.members {
 		r.t.mgr.mu.Lock()
 	}
-	for i, r := range g.members {
+	for _, r := range g.members {
 		m := r.t.mgr
 		switch {
 		case err == nil:
 			m.installLocked(r.t, r.serialized, r.folded, r.lsn)
 			m.dropHeadLocked(1)
-			if f := g.fault; f != nil && f.BetweenInstalls != nil && i < len(g.members)-1 {
-				err = f.BetweenInstalls(int(m.shardID))
-			}
 		case len(m.pending) > 0 && m.pending[0] == r:
 			m.failFromLocked(1, err)
 			m.finishLocked(r.t)
@@ -551,4 +521,12 @@ func (g *crossGroup) resolve() {
 		close(r.done)
 		r.t.mgr.mu.Unlock()
 	}
+}
+
+// Err returns the sticky maintenance failure that wedged the manager, if any.
+func (m *Manager) Err() error {
+	m.mu.Lock()
+	err := m.maintErr
+	m.mu.Unlock()
+	return err
 }

@@ -321,7 +321,9 @@ func (m *Manager) Recover(records []wal.Record) error {
 		}
 		lsn = rec.LSN
 	}
-	m.writePDT, m.lsn = w, lsn
+	// A stream whose last records were dropped (an incomplete cross-shard
+	// group) keeps its clock: their LSNs are spent.
+	m.writePDT, m.lsn = w, max(lsn, m.lsn)
 	if m.log != nil {
 		m.log.SetLSN(m.lsn)
 	}
@@ -579,7 +581,7 @@ func commit(txs []*Txn, s *Sharded) (uint64, error) {
 	}
 	var g *crossGroup
 	if len(reqs) > 1 {
-		g = &crossGroup{members: reqs, gate: &s.beginGate, fault: s.fault.Load(), left: len(reqs)}
+		g = &crossGroup{members: reqs, gate: &s.beginGate, left: len(reqs)}
 		for _, r := range reqs {
 			g.parts = append(g.parts, r.t.mgr.shardID)
 			for _, q := range r.t.mgr.pending {
@@ -708,10 +710,7 @@ func (m *Manager) commitLeader(own *commitReq) {
 		// forward, recovery tolerates per-stream gaps, and this stream is
 		// poisoned anyway.
 		var err error
-		if g := last.group; g != nil && g.fault != nil && g.fault.BeforeAppend != nil {
-			err = g.fault.BeforeAppend(int(m.shardID))
-		}
-		if m.log != nil && err == nil {
+		if m.log != nil {
 			recs := make([]wal.GroupRecord, len(batch))
 			for i, r := range batch {
 				recs[i] = wal.GroupRecord{LSN: r.lsn, Table: "table", Shard: m.shardID, Entries: r.serialized.Dump()}

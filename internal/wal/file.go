@@ -21,6 +21,7 @@ import (
 	"sync"
 
 	"pdtstore/internal/pdt"
+	"pdtstore/internal/vfs"
 )
 
 // DefaultMaxFileBytes is the size at which Append rotates to a new log file.
@@ -39,7 +40,7 @@ type sealedFile struct {
 type FileLog struct {
 	mu       sync.Mutex
 	dir      string
-	f        *os.File
+	f        vfs.File
 	w        *Writer
 	seq      uint64 // sequence number of the current file
 	curPath  string
@@ -48,7 +49,6 @@ type FileLog struct {
 	sealed   []sealedFile
 	maxBytes int64
 	syncs    uint64 // durability barriers performed (fsyncs that succeeded); TestFileLogGroupAppend reads it
-	failSync error  // armed one-shot fsync failure (FailNextSync, tests only)
 }
 
 func logFileName(seq uint64) string { return fmt.Sprintf("%016x.wal", seq) }
@@ -71,10 +71,10 @@ func parseLogFileName(name string) (uint64, bool) {
 // truncated to its valid prefix; a torn or undecodable record anywhere else
 // is an error.
 func OpenFileLog(dir string) (*FileLog, []Record, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := vfs.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
-	names, err := os.ReadDir(dir)
+	names, err := vfs.FS.ReadDir(dir)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -97,7 +97,7 @@ func OpenFileLog(dir string) (*FileLog, []Record, error) {
 				return nil, nil, fmt.Errorf("wal: %s: torn record in a non-final log file: %w", path, err)
 			}
 			// A crash mid-append: keep the valid prefix, drop the tear.
-			if terr := os.Truncate(path, consumed); terr != nil {
+			if terr := vfs.FS.Truncate(path, consumed); terr != nil {
 				return nil, nil, fmt.Errorf("wal: truncate torn tail of %s: %w", path, terr)
 			}
 		} else if err != nil {
@@ -119,26 +119,21 @@ func OpenFileLog(dir string) (*FileLog, []Record, error) {
 		l.seq = 1
 		l.curPath = filepath.Join(dir, logFileName(1))
 	}
-	f, err := os.OpenFile(l.curPath, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	f, err := vfs.FS.OpenFile(l.curPath, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
 	l.f = f
 	l.w = NewSyncedWriter(f, l.syncCurrent)
 	l.w.SetLSN(lastLSN)
-	syncDirBestEffort(dir)
+	vfs.FS.SyncDir(dir)
 	return l, records, nil
 }
 
 // syncCurrent is the durability barrier of the current file: one fsync per
 // flushed append (single record or whole group). It runs under l.mu, from
-// inside the writer's append. The armed test failure is consumed first so
-// fault-injection tests can simulate a dying disk at exactly this barrier.
+// inside the writer's append.
 func (l *FileLog) syncCurrent() error {
-	if err := l.failSync; err != nil {
-		l.failSync = nil
-		return err
-	}
 	if err := l.f.Sync(); err != nil {
 		return err
 	}
@@ -147,7 +142,7 @@ func (l *FileLog) syncCurrent() error {
 }
 
 func replayFile(path string) ([]Record, int64, error) {
-	f, err := os.Open(path)
+	f, err := vfs.FS.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -186,6 +181,9 @@ func (l *FileLog) AppendGroup(recs []GroupRecord) error {
 // appendLocked runs one append (single record or group of n) with the shared
 // failure retraction and rotation policy around it.
 func (l *FileLog) appendLocked(n int, do func() error) error {
+	if err := l.w.Err(); err != nil {
+		return err // poisoned: nothing to write, and nothing to retract
+	}
 	var preSize int64 = -1
 	if fi, serr := l.f.Stat(); serr == nil {
 		preSize = fi.Size()
@@ -235,29 +233,18 @@ func (l *FileLog) Err() error {
 	return l.w.Err()
 }
 
-// FailNextSync arms a one-shot failure of the next append's durability
-// barrier: the records reach the page cache but the fsync reports err,
-// simulating a dying disk at the worst moment. Fault-injection tests use it
-// to assert group-commit's fail-stop contract (every transaction in the
-// batch fails, the log is poisoned, recovery surfaces none of the batch).
-func (l *FileLog) FailNextSync(err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.failSync = err
-}
-
 // rotateLocked seals the current file and starts a fresh one, carrying the
 // LSN clock over. On failure the current file stays active.
 func (l *FileLog) rotateLocked() error {
 	next := l.seq + 1
 	path := filepath.Join(l.dir, logFileName(next))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := vfs.FS.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return err
 	}
 	if err := l.f.Close(); err != nil {
 		f.Close()
-		os.Remove(path)
+		vfs.FS.Remove(path)
 		return err
 	}
 	l.sealed = append(l.sealed, sealedFile{path: l.curPath, records: l.curRecs, maxLSN: l.curMax})
@@ -265,7 +252,7 @@ func (l *FileLog) rotateLocked() error {
 	w.SetLSN(l.w.LSN())
 	l.f, l.w = f, w
 	l.seq, l.curPath, l.curRecs, l.curMax = next, path, 0, 0
-	syncDirBestEffort(l.dir)
+	vfs.FS.SyncDir(l.dir)
 	return nil
 }
 
@@ -289,7 +276,7 @@ func (l *FileLog) TruncateBelow(lsn uint64) error {
 	kept := l.sealed[:0]
 	for _, s := range l.sealed {
 		if s.records == 0 || s.maxLSN <= lsn {
-			if err := os.Remove(s.path); err != nil {
+			if err := vfs.FS.Remove(s.path); err != nil {
 				kept = append(kept, s)
 			}
 			continue
@@ -297,7 +284,7 @@ func (l *FileLog) TruncateBelow(lsn uint64) error {
 		kept = append(kept, s)
 	}
 	l.sealed = kept
-	syncDirBestEffort(l.dir)
+	vfs.FS.SyncDir(l.dir)
 	return nil
 }
 
@@ -307,11 +294,11 @@ func (l *FileLog) SizeBytes() int64 {
 	defer l.mu.Unlock()
 	var total int64
 	for _, s := range l.sealed {
-		if fi, err := os.Stat(s.path); err == nil {
+		if fi, err := vfs.FS.Stat(s.path); err == nil {
 			total += fi.Size()
 		}
 	}
-	if fi, err := os.Stat(l.curPath); err == nil {
+	if fi, err := vfs.FS.Stat(l.curPath); err == nil {
 		total += fi.Size()
 	}
 	return total
@@ -329,15 +316,4 @@ func (l *FileLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.f.Close()
-}
-
-// syncDirBestEffort fsyncs a directory so created/removed entries are
-// durable; filesystems that reject directory fsync are tolerated.
-func syncDirBestEffort(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync()
-	d.Close()
 }

@@ -4,11 +4,41 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"pdtstore/internal/pdt"
 	"pdtstore/internal/types"
+	"pdtstore/internal/vfs"
 )
+
+// failingSync is the operating system's file system, except that once
+// failing is set every fsync fails: the bytes reach the page cache and the
+// durability barrier reports a dying disk.
+type failingSync struct {
+	vfs.OS
+	failing *atomic.Bool
+}
+
+func (s failingSync) OpenFile(name string, flag int, perm os.FileMode) (vfs.File, error) {
+	f, err := s.OS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return syncFails{f, s.failing}, nil
+}
+
+type syncFails struct {
+	vfs.File
+	failing *atomic.Bool
+}
+
+func (f syncFails) Sync() error {
+	if f.failing.Load() {
+		return errors.New("injected: device died at the barrier")
+	}
+	return f.File.Sync()
+}
 
 func appendN(t *testing.T, l *FileLog, n int) (lastLSN uint64) {
 	t.Helper()
@@ -291,12 +321,15 @@ func TestFileLogGroupAppend(t *testing.T) {
 // resurface via page-cache writeback.
 func TestFileLogGroupSyncFailureRetracts(t *testing.T) {
 	dir := t.TempDir()
+	failing := new(atomic.Bool)
+	vfs.FS = failingSync{vfs.OS{}, failing}
+	defer func() { vfs.FS = vfs.OS{} }()
 	l, _, err := OpenFileLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	appendN(t, l, 3)
-	l.FailNextSync(errors.New("injected: device died at the barrier"))
+	failing.Store(true)
 	group := []GroupRecord{
 		{LSN: 4, Table: "t", Entries: sampleEntries()},
 		{LSN: 5, Table: "t", Entries: sampleEntries()},
@@ -314,6 +347,7 @@ func TestFileLogGroupSyncFailureRetracts(t *testing.T) {
 		t.Fatal("poisoned log accepted another append")
 	}
 	l.Close()
+	vfs.FS = vfs.OS{}
 
 	l2, recs, err := OpenFileLog(dir)
 	if err != nil {

@@ -1,6 +1,7 @@
 package pdtstore
 
 import (
+	"cmp"
 	"path/filepath"
 )
 
@@ -47,6 +48,9 @@ type ShardStats struct {
 	// LastDecision is the most recent checkpoint or scheduler decision for
 	// this shard, with the cost-model inputs that drove it.
 	LastDecision CheckpointDecision
+	// Err is the shard's sticky failure — a poisoned WAL stream or wedged
+	// maintenance — after which its commits fail fast; nil while healthy.
+	Err error
 }
 
 // SegmentStats describes one member of a shard's segment chain.
@@ -83,6 +87,7 @@ func (db *DB) Stats() Stats {
 			WALBytes:     db.logs[i].SizeBytes(),
 			WALFiles:     db.logs[i].Files(),
 			LastDecision: db.lastCost[i],
+			Err:          cmp.Or(db.logs[i].Err(), db.mgrs[i].Err()),
 		}
 		ss.WALRecords = ss.LSN - ss.FreezeLSN
 		segs := store.Segments()
