@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"pdtstore/internal/storage"
 	"pdtstore/internal/table"
 	"pdtstore/internal/types"
 )
@@ -281,7 +282,7 @@ func TestOneFaultAtATime(t *testing.T) {
 	}
 	tx := db.Begin()
 	defer tx.Abort()
-	if _, _, _, err := tx.FindByKey(types.Row{types.Int(7)}); err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("FindByKey over a flipped bit = %v, want a checksum error", err)
+	if _, _, _, err := tx.FindByKey(types.Row{types.Int(7)}); !errors.Is(err, storage.ErrChecksum) {
+		t.Fatalf("FindByKey over a flipped bit = %v, want ErrChecksum", err)
 	}
 }

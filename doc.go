@@ -46,8 +46,10 @@
 //
 // Storage is durable: Open(dir) recovers a store from stable storage and
 // DB.Checkpoint writes it back. The stable image lives in immutable segment
-// files (per-column encoded blocks behind a CRC'd footer, pread lazily
-// through the buffer pool, internal/storage), commits append to a rotated,
+// files (per-column encoded blocks behind a CRC'd footer, each block and
+// each 4 KB page of a longer one checksummed, pread lazily through the
+// buffer pool — a cold key probe reads only the pages its row lies in —
+// internal/storage), commits append to a rotated,
 // fsynced file WAL (internal/wal), and a MANIFEST names the current
 // segment generation plus the WAL position it contains. A checkpoint streams
 // the committed view into the next generation, fsyncs, atomically swaps the

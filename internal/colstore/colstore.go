@@ -6,8 +6,10 @@
 // byte read.
 //
 // Every store is a chain of storage segments read through the device's buffer
-// pool: the first fetch of a block is a cold ReadBlock charged to the device,
-// later ones hit the pool, and DropCaches makes the next scan cold again.
+// pool: a block is fetched cold — whole, by ReadBlock, into the pool, or for
+// the first point read of a file block longer than a page, by the pages its
+// rows lie in, around the pool — and charged to the device; later fetches hit
+// the pool, and DropCaches makes the next scan cold again.
 // Where a segment's bytes live is the segment's business alone. One built
 // with a path (NewFileBuilder/NewCheckpointBuilder, or opened via
 // FromSegmentChain) preads them from its file, so cold scans do real I/O; one
@@ -20,6 +22,7 @@ package colstore
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -33,14 +36,21 @@ import (
 // DefaultBlockRows is the default number of values per column block.
 const DefaultBlockRows = 8192
 
-// Device is the disk + buffer pool boundary. The first fetch of any block is
-// a cold read and is charged to the byte counter; subsequent fetches hit the
-// (unbounded) buffer pool and are free, so a benchmark can measure a query's
-// cold I/O volume by calling DropCaches and ResetStats first, and its hot
-// time by re-running with the pool warm. A pool entry holds the bytes its
+// Device is the disk + buffer pool boundary. A fetch of a block the
+// (unbounded) pool does not hold is a cold read, charged to the byte and read
+// counters; fetches of a block it holds are free, so a benchmark can measure a
+// query's cold I/O volume by calling DropCaches and ResetStats first, and its
+// hot time by re-running with the pool warm. A pool entry holds the bytes its
 // segment's ReadBlock returned, in a written scheme (compress.Upgrade), so
 // evicting it really does make the next fetch a ReadBlock again — a pread and
 // a CRC check for a file, the CRC check alone for a memory segment.
+//
+// A point read bypasses the pool on first touch: the first read of a few rows
+// of a file block longer than a page since DropCaches (or its segment's
+// eviction) fetches and verifies only the pages those rows' bytes lie in
+// (Store.rowBlock), charged page bytes and preads, and pools nothing. The
+// second such read of the block reads it whole into the pool, so a key read
+// again stays warm.
 //
 // A device is safe for concurrent scanners — the parallel scan engine's
 // workers all charge fetches through one device. Pool hits take only a read
@@ -52,6 +62,7 @@ type Device struct {
 	bytesRead uint64
 	reads     uint64
 	cached    map[devKey][]byte
+	pointed   map[devKey]struct{} // blocks point-read by pages once, not pooled since; nil while none
 
 	// Block-skip accounting: blocks a scan proved irrelevant without
 	// fetching, split by which structure proved it. Atomic (not under mu)
@@ -73,8 +84,8 @@ func NewDevice() *Device {
 	return &Device{cached: make(map[devKey][]byte)}
 }
 
-// evictSegment drops every pool entry of one segment: its next reads are
-// cold.
+// evictSegment drops every pool entry of one segment, and the record of its
+// point reads: its next reads are cold, and point reads read pages again.
 func (d *Device) evictSegment(seg *storage.Segment) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -83,6 +94,19 @@ func (d *Device) evictSegment(seg *storage.Segment) {
 			delete(d.cached, k)
 		}
 	}
+	for k := range d.pointed {
+		if k.seg == seg {
+			delete(d.pointed, k)
+		}
+	}
+}
+
+// charge counts one pread of n bytes that bypasses the pool.
+func (d *Device) charge(n int) {
+	d.mu.Lock()
+	d.bytesRead += uint64(n)
+	d.reads++
+	d.mu.Unlock()
 }
 
 // poolGet returns a block's bytes if resident in the pool.
@@ -108,12 +132,30 @@ func (d *Device) poolFill(k devKey, b []byte) {
 	d.mu.Unlock()
 }
 
-// DropCaches empties the simulated buffer pool, so the next fetch of every
-// block is cold again.
+// DropCaches empties the simulated buffer pool, and forgets which blocks were
+// point-read, so the next fetch of every block is cold again.
 func (d *Device) DropCaches() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.cached = make(map[devKey][]byte)
+	d.pointed = nil
+}
+
+// firstPointRead records a point read of block k and reports whether it is
+// the first since DropCaches or the segment's eviction: the first reads its
+// rows' pages, the second the whole block into the pool.
+func (d *Device) firstPointRead(k devKey) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if _, ok := d.pointed[k]; ok {
+		delete(d.pointed, k)
+		return false
+	}
+	if d.pointed == nil {
+		d.pointed = make(map[devKey]struct{})
+	}
+	d.pointed[k] = struct{}{}
+	return true
 }
 
 // PoolBlocks returns the number of blocks currently resident in the buffer
@@ -1008,27 +1050,132 @@ func (s *Store) LowerBound(key types.Row) (uint64, error) {
 
 // encodedBlock returns one column block's encoded bytes, charging the device
 // for a cold fetch: the logical coordinate resolves through the block map,
-// then the owning chain member reads the block unless the buffer pool already
-// holds it. This is where block bytes enter the process: a block of a retired
-// scheme is upgraded here, before the pool, so every caller sees a written
-// one. Pool keys are per segment, so blocks inherited across checkpoint
-// generations stay warm through the swap.
+// then the owning chain member reads the block whole unless the buffer pool
+// already holds it. A point read of a few rows fetches through rowBlock
+// instead, which may read only their pages. Pool keys are per segment, so
+// blocks inherited across checkpoint generations stay warm through the swap.
 func (s *Store) encodedBlock(col, blk int) ([]byte, error) {
-	si, pb := s.place(col, blk)
-	k := devKey{s.segs[si], col, pb}
+	k := s.key(col, blk)
 	if b, ok := s.dev.poolGet(k); ok {
 		return b, nil
 	}
-	raw, err := k.seg.ReadBlock(col, pb)
+	return s.fill(k, blk)
+}
+
+// key is the pool key of a logical block: its chain member and physical
+// block.
+func (s *Store) key(col, blk int) devKey {
+	si, pb := s.place(col, blk)
+	return devKey{s.segs[si], col, pb}
+}
+
+// fill reads block k (logical block blk) whole into the pool. This is where
+// block bytes enter the pool: a block of a retired scheme is upgraded here,
+// so every caller sees a written one.
+func (s *Store) fill(k devKey, blk int) ([]byte, error) {
+	raw, err := k.seg.ReadBlock(k.col, k.blk)
 	if err != nil {
 		return nil, err
 	}
 	b, err := compress.Upgrade(raw)
 	if err != nil {
-		return nil, fmt.Errorf("colstore: column %d block %d: %w", col, blk, err)
+		return nil, fmt.Errorf("colstore: column %d block %d: %w", k.col, blk, err)
 	}
 	s.dev.poolFill(k, b)
 	return b, nil
+}
+
+// pageBufs recycles the block-length buffers point reads fetch pages into.
+// No decoded value aliases one: the decoders copy every string's bytes.
+var pageBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// rowBlock returns the bytes of logical block blk of column col for a decode
+// of spans (compress.Decode*Spans). A block the pool holds is returned as it
+// is. The first point read of a cold file block longer than a page since
+// DropCaches or its segment's eviction — spans over less than 1/Pages of its
+// rows — reads the pages its rows' bytes lie in (compress.RowExtent, stage by
+// stage) into a recycled buffer, charged to the device and not pooled: the
+// caller hands buf back (putPages) once the decode is done. Any other cold
+// read fills the pool.
+func (s *Store) rowBlock(col, blk int, spans []compress.Span) (enc []byte, buf *[]byte, err error) {
+	k := s.key(col, blk)
+	if b, ok := s.dev.poolGet(k); ok {
+		return b, nil, nil
+	}
+	np, last := k.seg.Pages(col, k.blk), spans[len(spans)-1]
+	if np == 0 || (last.Row+last.N-spans[0].Row)*np >= s.blockRows || !s.dev.firstPointRead(k) {
+		b, err := s.fill(k, blk)
+		return b, nil, err
+	}
+	buf = pageBufs.Get().(*[]byte)
+	n := k.seg.BlockLen(col, k.blk)
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	enc = (*buf)[:n]
+	var extBuf [8]compress.Extent
+	var readBuf [8][2]int
+	read := readBuf[:0]
+	ext, more := append(extBuf[:0], compress.Extent{Hi: 1}), true // the first page: the block's header
+	for stage := 0; ; stage++ {
+		if read, err = s.readPages(k, enc, ext, read); err != nil || !more {
+			break
+		}
+		ext, more = compress.RowExtent(enc, spans, stage, extBuf[:0])
+	}
+	if err == nil {
+		enc, err = compress.Upgrade(enc) // a block of a retired scheme is read whole
+	}
+	if err != nil {
+		putPages(buf)
+		return nil, nil, fmt.Errorf("colstore: column %d block %d: %w", col, blk, err)
+	}
+	return enc, buf, nil
+}
+
+// readPages reads into enc, block k's bytes, the pages that hold the ascending
+// extents and lie outside read — the ascending stretches of enc read so far —
+// with one ReadPages per stretch of them, charging each, and returns read
+// with those stretches added.
+func (s *Store) readPages(k devKey, enc []byte, ext []compress.Extent, read [][2]int) ([][2]int, error) {
+	for i := 0; i < len(ext); {
+		a, b := storage.PageCover(ext[i].Lo, ext[i].Hi)
+		for i++; i < len(ext); i++ { // the extents whose pages touch or overlap
+			ea, eb := storage.PageCover(ext[i].Lo, ext[i].Hi)
+			if ea > b {
+				break
+			}
+			b = max(b, eb)
+		}
+		b = min(b, len(enc))
+		for r := 0; a < b; r++ {
+			hi := b // [a, hi): the next stretch of [a, b) not read
+			if r < len(read) {
+				hi = min(hi, read[r][0])
+			}
+			if a < hi {
+				got, err := k.seg.ReadPages(k.col, k.blk, enc, a, hi)
+				if err != nil {
+					return read, err
+				}
+				s.dev.charge(got)
+				read = slices.Insert(read, r, [2]int{a, hi})
+				r++
+			}
+			if r == len(read) {
+				break
+			}
+			a = max(a, read[r][1])
+		}
+	}
+	return read, nil
+}
+
+// putPages hands a point read's buffer back, if there is one.
+func putPages(buf *[]byte) {
+	if buf != nil {
+		pageBufs.Put(buf)
+	}
 }
 
 // Prefetch charges the cold read of every block of the given columns
@@ -1059,18 +1206,20 @@ func (s *Store) Prefetch(cols []int, from, to uint64) error {
 
 // decodeWindowInto fetches (charging the device) and decodes the n values of
 // one column block starting at value index skip into v — one span — reusing
-// v's backing arrays. The whole encoded block is still fetched — the device's
-// byte accounting is what a disk would see — but only the window is
-// materialized: a scan decodes its share of the block, a point probe the few
-// rows it reads.
+// v's backing arrays. Only the window is materialized: a scan decodes its
+// share of the block, a point probe the few rows it reads, and a probe of a
+// cold block may fetch only their pages (rowBlock).
 func (s *Store) decodeWindowInto(col, blk, skip, n int, v *vector.Vector) error {
-	enc, err := s.encodedBlock(col, blk)
+	span := []compress.Span{{Row: skip, N: n}}
+	enc, buf, err := s.rowBlock(col, blk, span)
 	if err != nil {
 		return err
 	}
 	v.Reset()
 	v.Extend(n)
-	if err := decodeSpans(enc, []compress.Span{{Row: skip, N: n}}, v); err != nil {
+	err = decodeSpans(enc, span, v)
+	putPages(buf)
+	if err != nil {
 		return fmt.Errorf("colstore: column %d block %d: %w", col, blk, err)
 	}
 	return nil
@@ -1469,9 +1618,10 @@ func (sc *Scanner) copyIn(out *vector.Batch, blk int, hi uint64, keep []uint32, 
 		direct = blk0+uint64(last.Row+last.N) == hi
 		for i, c := range sc.cols {
 			if direct {
-				enc, err := s.encodedBlock(c, blk)
+				enc, buf, err := s.rowBlock(c, blk, pieces)
 				if err == nil {
 					err = decodeSpans(enc, pieces, out.Vecs[i])
+					putPages(buf)
 				}
 				if err != nil {
 					return ki, fmt.Errorf("colstore: column %d block %d: %w", c, blk, err)

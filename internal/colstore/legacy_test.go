@@ -277,6 +277,36 @@ func checkLegacyReads(t *testing.T, st *colstore.Store, rows []types.Row) {
 	}
 }
 
+// TestLegacyPointReadsWhole: the legacy file's footer has no page section,
+// so a cold point read fetches each block it touches whole, into the pool,
+// as every read did before page checksums.
+func TestLegacyPointReadsWhole(t *testing.T) {
+	st := openLegacy(t)
+	seg, dev := st.Segment(), st.Device()
+	cols, kinds := allCols()
+	for _, sid := range []int{0, 300, 999} {
+		dev.DropCaches()
+		dev.ResetStats()
+		out := vector.NewBatch(kinds, 1)
+		if n, err := st.NewScanner(cols, uint64(sid), uint64(sid+1)).Next(out, 1); err != nil || n != 1 {
+			t.Fatalf("point read of row %d: %d rows, %v", sid, n, err)
+		}
+		if got, want := out.Row(0), legacyRows()[sid]; types.CompareRows(got, want) != 0 {
+			t.Fatalf("row %d = %v, want %v", sid, got, want)
+		}
+		want := uint64(0)
+		for c := range cols {
+			if seg.Pages(c, sid/128) != 0 {
+				t.Fatalf("column %d block %d reports pages", c, sid/128)
+			}
+			want += uint64(seg.BlockLen(c, sid/128))
+		}
+		if bytes, reads := dev.Stats(); bytes != want || reads != uint64(len(cols)) || dev.PoolBlocks() != len(cols) {
+			t.Fatalf("row %d: %d bytes in %d reads, %d pooled; want the %d whole blocks' %d bytes, pooled", sid, bytes, reads, dev.PoolBlocks(), len(cols), want)
+		}
+	}
+}
+
 // TestLegacyCheckpointWritesScaledFloats: the legacy file's float column,
 // quarters, is PlainFloat throughout — its commit wrote no other float
 // scheme. A checkpoint over it writes that column's blocks as ScaledFloat: an

@@ -30,6 +30,10 @@
 //     BitBool, PlainString, FramedString, PackedDict: O(n)
 //     (SearchInt64s: O(log(hi-lo)) on PlainInt and ForInt);
 //   - RLEInt: O(n) plus the runs before end.
+//
+// RowExtent names the bytes of a block such a decode reads, so a reader may
+// fetch only those: a cold point read of a block longer than a page reads
+// just the pages its rows lie in.
 package compress
 
 import (

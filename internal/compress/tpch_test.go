@@ -75,6 +75,57 @@ func TestLineitemBlocksMatchReference(t *testing.T) {
 	}
 }
 
+// TestRowExtentLineitem runs the check over every column block of TPC-H
+// lineitem at SF 0.002 in 4096-row blocks, the blocks a cold probe reads by
+// pages: single rows at word and page boundaries, a 16-row window, and spans
+// cut from them. A probe's row lies in a few pages of the larger blocks.
+func TestRowExtentLineitem(t *testing.T) {
+	_, rows := tpch.NewGen(0.002, 1).OrdersAndLineitems()
+	const blockRows = 4096
+	for c, col := range tpch.LineitemSchema.Cols {
+		for from := 0; from < len(rows); from += blockRows {
+			block := rows[from:min(from+blockRows, len(rows))]
+			var buf []byte
+			switch col.Kind {
+			case types.Float64:
+				vals := make([]float64, len(block))
+				for i, r := range block {
+					vals[i] = r[c].F
+				}
+				buf = compress.EncodeFloat64s(vals, true)
+			case types.String:
+				vals := make([]string, len(block))
+				for i, r := range block {
+					vals[i] = r[c].S
+				}
+				buf = compress.EncodeStrings(vals, true)
+			default:
+				vals := make([]int64, len(block))
+				for i, r := range block {
+					vals[i] = r[c].I
+				}
+				buf = compress.EncodeInt64s(vals, true)
+			}
+			n := len(block)
+			for _, r := range []int{0, 1, 63, 64, 65, n / 3, n / 2, n - 2, n - 1} {
+				compress.ExtentCase(t, buf, r, 1, 0)
+				compress.ExtentCase(t, buf, r, min(16, n-r), uint64(r))
+			}
+			if col.Name == "l_comment" && n == blockRows {
+				ext, _ := compress.RowExtent(buf, []compress.Span{{Row: n / 2, N: 1}}, 0, nil)
+				ext, _ = compress.RowExtent(buf, []compress.Span{{Row: n / 2, N: 1}}, 1, ext)
+				named := 0
+				for _, e := range ext {
+					named += e.Hi - e.Lo
+				}
+				if named > 200 {
+					t.Errorf("one l_comment row names %d bytes of a %d-byte block: %v", named, len(buf), ext)
+				}
+			}
+		}
+	}
+}
+
 var stringSink []string
 
 // BenchmarkDecodeStrings decodes a block of lineitem's l_comment whole into a

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"math"
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -363,11 +364,37 @@ func lineitemProbes(t testing.TB) (*colstore.Store, []types.Row) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return store, lineitemKeys(rows)
+}
+
+// lineitemKeys are the keys of every 997th row of rows, from row 17.
+func lineitemKeys(rows []types.Row) []types.Row {
 	var keys []types.Row
 	for i := 17; i < len(rows); i += 997 {
 		keys = append(keys, types.Row{rows[i][tpch.LOrderkey], rows[i][tpch.LLinenumber]})
 	}
-	return store, keys
+	return keys
+}
+
+// lineitemFileProbes is lineitemProbes over a segment file: the image a cold
+// probe preads from and checksums.
+func lineitemFileProbes(t testing.TB) (*colstore.Store, []types.Row) {
+	_, rows := tpch.NewGen(0.01, 1).OrdersAndLineitems()
+	b, err := colstore.NewFileBuilder(tpch.LineitemSchema, nil, 4096, true, filepath.Join(t.TempDir(), "lineitem.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if err := b.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	return store, lineitemKeys(rows)
 }
 
 // TestSeekAllocBytes is the probe's byte guard: a 16-column Seek on warm
@@ -445,6 +472,81 @@ func warmAllocs(f func()) float64 {
 		least = min(least, testing.AllocsPerRun(1, f))
 	}
 	return least
+}
+
+// TestColdSeekReadsPages: a cold 16-column probe of a lineitem file — the
+// pool dropped before each — reads the pages its row lies in, not its
+// blocks: at most 64 KB in at most 20 preads on average (whole blocks were
+// 179 KB in 16 at SF 0.05), and allocates at most 32 KB (190 KB when every
+// block was read into a fresh buffer).
+func TestColdSeekReadsPages(t *testing.T) {
+	store, keys := lineitemFileProbes(t)
+	dev := store.Device()
+	cols := make([]int, tpch.LineitemSchema.NumCols())
+	for i := range cols {
+		cols[i] = i
+	}
+	seek := func(k types.Row) {
+		if _, row, exact, err := engine.Seek(store, k, cols); err != nil || !exact || len(row) != len(cols) {
+			t.Fatalf("Seek(%v): exact=%v err=%v", k, exact, err)
+		}
+	}
+	var bytes, reads, most uint64
+	for _, k := range keys {
+		dev.DropCaches()
+		dev.ResetStats()
+		seek(k)
+		b, r := dev.Stats()
+		bytes, reads, most = bytes+b, reads+r, max(most, b)
+	}
+	n := uint64(len(keys))
+	t.Logf("a cold probe reads %d bytes in %.1f preads on average, at most %d bytes", bytes/n, float64(reads)/float64(n), most)
+	if bytes/n > 64<<10 || reads > 20*n {
+		t.Errorf("a cold probe reads %d bytes in %.1f preads on average, want <= %d in <= 20", bytes/n, float64(reads)/float64(n), 64<<10)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	var total uint64
+	for _, k := range keys {
+		least := uint64(math.MaxUint64)
+		for range warmRuns {
+			dev.DropCaches()
+			runtime.ReadMemStats(&before)
+			seek(k)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		total += least
+	}
+	if perSeek := total / n; perSeek > 32<<10 {
+		t.Errorf("a cold 16-column Seek allocates %d bytes, want <= %d", perSeek, 32<<10)
+	} else {
+		t.Logf("a cold 16-column Seek allocates %d bytes", perSeek)
+	}
+}
+
+// BenchmarkSeekLineitemCold is one cold 16-column key probe of a lineitem
+// file: the pool is dropped before each, and the device's bytes and preads
+// per probe are reported beside the time.
+func BenchmarkSeekLineitemCold(b *testing.B) {
+	store, keys := lineitemFileProbes(b)
+	dev := store.Device()
+	cols := make([]int, tpch.LineitemSchema.NumCols())
+	for i := range cols {
+		cols[i] = i
+	}
+	dev.ResetStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dev.DropCaches()
+		if _, _, _, err := engine.Seek(store, keys[i%len(keys)], cols); err != nil {
+			b.Fatal(err)
+		}
+	}
+	bytes, reads := dev.Stats()
+	b.ReportMetric(float64(bytes)/float64(b.N), "dev-B/op")
+	b.ReportMetric(float64(reads)/float64(b.N), "preads/op")
 }
 
 // BenchmarkSeekLineitem is one warm 16-column key probe of lineitem.

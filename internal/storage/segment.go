@@ -5,8 +5,11 @@
 //
 // A segment is immutable once written. Blocks are laid out in write order and
 // located through the footer's block index, so readers fetch any (column,
-// block) pair with a single pread; every block carries a CRC32 verified on
-// each cold read, and the footer itself is CRC-framed behind a fixed-size
+// block) pair with a single pread. Every block carries a CRC-32, and every
+// block longer than a page also one per 4 KB page of it (the footer's page
+// section): a whole read verifies the block's pages, or its one CRC when it
+// has none, and a point read fetches and verifies only the pages its rows lie
+// in (ReadPages). The footer itself is CRC-framed behind a fixed-size
 // trailer at the end of the file. A partially written segment (crash before
 // Finish) has no trailer and is simply unreadable — recovery never trusts a
 // segment that the MANIFEST does not name.
@@ -36,11 +39,14 @@ var segMagic = [8]byte{'P', 'D', 'T', 'S', 'E', 'G', '0', '1'}
 // u64 footer offset, u32 footer length, u32 footer CRC, 8-byte magic.
 const trailerSize = 8 + 4 + 4 + 8
 
-// BlockEntry locates one encoded column block inside a segment file.
+// BlockEntry locates one encoded column block inside a segment file. CRC is
+// the whole block's; a block longer than a page also has page checksums, the
+// first of them at index page of its segment's flat page list.
 type BlockEntry struct {
-	Off int64
-	Len uint32
-	CRC uint32
+	Off  int64
+	Len  uint32
+	CRC  uint32
+	page uint32
 }
 
 // BlockPlace resolves one logical (column, block) coordinate of a table image
@@ -70,6 +76,7 @@ type SegmentWriter struct {
 	index      [][]BlockEntry
 	zones      [][]Zone
 	places     [][]BlockPlace
+	pages      []uint32 // page checksums, in append order; each entry's page indexes its first
 	err        error
 }
 
@@ -111,17 +118,15 @@ func (w *SegmentWriter) AppendBlock(col int, enc []byte, z Zone) error {
 	if w.err != nil {
 		return w.err
 	}
+	e := BlockEntry{Off: w.off, Len: uint32(len(enc)), page: uint32(len(w.pages))}
+	e.CRC = w.checksum(enc)
 	if w.f == nil {
 		w.mem[col] = append(w.mem[col], enc)
 	} else if _, err := w.w.Write(enc); err != nil {
 		w.err = fmt.Errorf("storage: write block: %w", err)
 		return w.err
 	}
-	w.index[col] = append(w.index[col], BlockEntry{
-		Off: w.off,
-		Len: uint32(len(enc)),
-		CRC: crc32.ChecksumIEEE(enc),
-	})
+	w.index[col] = append(w.index[col], e)
 	w.zones[col] = append(w.zones[col], z)
 	w.off += int64(len(enc))
 	return nil
@@ -161,6 +166,7 @@ func (w *SegmentWriter) Finish(nrows uint64, sparse []types.Row) (*Segment, erro
 		index:      w.index,
 		zones:      w.zones,
 		places:     w.places,
+		pages:      w.pages,
 	}
 	s.refs.Store(1)
 	return s, nil
@@ -169,7 +175,7 @@ func (w *SegmentWriter) Finish(nrows uint64, sparse []types.Row) (*Segment, erro
 // seal makes a segment file durable: footer, trailer, flush, fsync, directory
 // sync.
 func (w *SegmentWriter) seal(nrows uint64, sparse []types.Row) error {
-	footer := encodeFooter(w.schema, nrows, w.blockRows, w.compressed, w.index, sparse, w.places, w.zones)
+	footer := encodeFooter(w.schema, nrows, w.blockRows, w.compressed, w.index, sparse, w.places, w.zones, w.pages)
 	footerOff := w.off
 	var trailer [trailerSize]byte
 	binary.LittleEndian.PutUint64(trailer[0:8], uint64(footerOff))
@@ -226,6 +232,7 @@ type Segment struct {
 	index      [][]BlockEntry
 	zones      [][]Zone
 	places     [][]BlockPlace
+	pages      []uint32 // page checksums (BlockEntry.page); nil when the footer has no page section
 }
 
 // OpenSegment opens and validates an existing segment file.
@@ -349,8 +356,13 @@ func (s *Segment) Release() bool { return s.refs.Add(-1) <= 0 }
 // Path returns the segment's file path, empty for a memory segment.
 func (s *Segment) Path() string { return s.path }
 
+// ErrChecksum is wrapped by every block or page read whose bytes do not match
+// their checksum.
+var ErrChecksum = errors.New("checksum mismatch")
+
 // ReadBlock reads one encoded block — a pread, or the slice a memory segment
-// kept — and verifies its checksum.
+// kept — and verifies its checksums: its pages' when it has them, else its
+// own.
 func (s *Segment) ReadBlock(col, blk int) ([]byte, error) {
 	e := s.index[col][blk]
 	var buf []byte
@@ -362,10 +374,55 @@ func (s *Segment) ReadBlock(col, blk int) ([]byte, error) {
 			return nil, fmt.Errorf("storage: %s: read col %d blk %d: %w", s.path, col, blk, err)
 		}
 	}
-	if crc32.ChecksumIEEE(buf) != e.CRC {
-		return nil, fmt.Errorf("storage: %s: col %d blk %d checksum mismatch", s.path, col, blk)
+	if s.pages != nil && e.Len > pageSize {
+		if err := s.verifyPages(col, blk, buf, 0, len(buf)); err != nil {
+			return nil, err
+		}
+	} else if crc32.ChecksumIEEE(buf) != e.CRC {
+		return nil, fmt.Errorf("storage: %s: col %d blk %d: %w", s.path, col, blk, ErrChecksum)
 	}
 	return buf, nil
+}
+
+// Pages returns how many pages ReadPages reads block blk of column col by: 0
+// when the block is read whole only — a block of one page or less, any block
+// of a segment written without page checksums, and any block of a memory
+// segment, whose whole read copies nothing.
+func (s *Segment) Pages(col, blk int) int {
+	if s.f == nil || s.pages == nil {
+		return 0
+	}
+	return pageCount(s.index[col][blk].Len)
+}
+
+// ReadPages reads the pages of block blk of column col that hold its bytes
+// [lo, hi) into buf at their offsets in the block — buf holds at least the
+// block — with one pread, verifies each page, and returns how many bytes it
+// read. The block must have pages (Pages).
+func (s *Segment) ReadPages(col, blk int, buf []byte, lo, hi int) (int, error) {
+	e := s.index[col][blk]
+	a, b := PageCover(lo, hi)
+	if b = min(b, int(e.Len)); a >= b {
+		return 0, nil
+	}
+	if s.f == nil {
+		copy(buf[a:b], s.mem[col][blk][a:b])
+	} else if _, err := s.f.ReadAt(buf[a:b], e.Off+int64(a)); err != nil {
+		return 0, fmt.Errorf("storage: %s: read col %d blk %d pages [%d, %d): %w", s.path, col, blk, a/pageSize, (b+pageSize-1)/pageSize, err)
+	}
+	return b - a, s.verifyPages(col, blk, buf, a, b)
+}
+
+// verifyPages checks the pages of block blk of column col that buf[a:b]
+// holds, a page-aligned stretch of the block.
+func (s *Segment) verifyPages(col, blk int, buf []byte, a, b int) error {
+	first := int(s.index[col][blk].page)
+	for p := a; p < b; p += pageSize {
+		if crc32.ChecksumIEEE(buf[p:min(p+pageSize, b)]) != s.pages[first+p/pageSize] {
+			return fmt.Errorf("storage: %s: col %d blk %d page %d: %w", s.path, col, blk, p/pageSize, ErrChecksum)
+		}
+	}
+	return nil
 }
 
 // Close closes the underlying file. Reads of a file after Close fail; a
@@ -394,9 +451,10 @@ const (
 	sectionSentinel = 0xFFFFFFFE
 	sectionPlaces   = 1
 	sectionZones    = 2
+	sectionPages    = 3
 )
 
-func encodeFooter(schema *types.Schema, nrows uint64, blockRows int, compressed bool, index [][]BlockEntry, sparse []types.Row, places [][]BlockPlace, zones [][]Zone) []byte {
+func encodeFooter(schema *types.Schema, nrows uint64, blockRows int, compressed bool, index [][]BlockEntry, sparse []types.Row, places [][]BlockPlace, zones [][]Zone, pages []uint32) []byte {
 	var buf []byte
 	buf = appendSchema(buf, schema)
 	buf = binary.LittleEndian.AppendUint64(buf, nrows)
@@ -452,6 +510,22 @@ func encodeFooter(schema *types.Schema, nrows uint64, blockRows int, compressed 
 			tag     byte
 			payload []byte
 		}{sectionZones, p})
+	}
+	if len(pages) > 0 {
+		// Every paged block's checksums, in index order: a block's entries
+		// follow from its Len, so the section needs no per-block count.
+		p := binary.LittleEndian.AppendUint32(nil, uint32(len(pages)))
+		for _, col := range index {
+			for _, e := range col {
+				for _, c := range pages[e.page : e.page+uint32(pageCount(e.Len))] {
+					p = binary.LittleEndian.AppendUint32(p, c)
+				}
+			}
+		}
+		sections = append(sections, struct {
+			tag     byte
+			payload []byte
+		}{sectionPages, p})
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, sectionSentinel)
 	buf = append(buf, byte(len(sections)))
@@ -571,6 +645,10 @@ func parseFooter(buf []byte) (*Segment, error) {
 			if s.zones, err = decodeZones(sr, ncols); err != nil {
 				return nil, err
 			}
+		case sectionPages:
+			if s.pages, err = decodePages(sr, s.index); err != nil {
+				return nil, err
+			}
 		default:
 			// Unknown section written by a newer format: skip it.
 		}
@@ -625,4 +703,106 @@ func decodeZones(r *types.Reader, ncols int) ([][]Zone, error) {
 		return nil, r.Err
 	}
 	return zones, nil
+}
+
+// decodePages reads the page section and numbers each paged block's first
+// page in index. Its count must be the sum of ⌈Len/pageSize⌉ over the blocks
+// longer than a page: every such block has exactly its pages, every other
+// block none.
+func decodePages(r *types.Reader, index [][]BlockEntry) ([]uint32, error) {
+	n := r.Count(4)
+	next := 0
+	for _, col := range index {
+		for b := range col {
+			col[b].page = uint32(next)
+			next += pageCount(col[b].Len)
+		}
+	}
+	if r.Err != nil || n != next {
+		return nil, fmt.Errorf("page section holds %d checksums, the blocks have %d pages", n, next)
+	}
+	pages := make([]uint32, n)
+	for i := range pages {
+		pages[i] = r.U32()
+	}
+	return pages, r.Err
+}
+
+// --- page checksums ------------------------------------------------------------
+
+// pageSize is the unit a block longer than it is checksummed and point-read
+// in.
+const pageSize = 4096
+
+// PageCover is the page-aligned stretch [a, b) of a block that holds its
+// bytes [lo, hi): what ReadPages reads for them, short of the block's end.
+func PageCover(lo, hi int) (a, b int) {
+	return lo / pageSize * pageSize, (hi + pageSize - 1) / pageSize * pageSize
+}
+
+// pageCount is how many page checksums a block of n bytes has: none when it
+// fits in one page.
+func pageCount(n uint32) int {
+	if n <= pageSize {
+		return 0
+	}
+	return int((n + pageSize - 1) / pageSize)
+}
+
+// checksum returns the CRC-32 of a block, and appends its pages' to w.pages
+// when it is longer than a page. Each byte is checksummed once: the block's
+// CRC is its pages' combined.
+func (w *SegmentWriter) checksum(enc []byte) uint32 {
+	if len(enc) <= pageSize {
+		return crc32.ChecksumIEEE(enc)
+	}
+	crc := uint32(0)
+	for p := 0; p < len(enc); p += pageSize {
+		page := enc[p:min(p+pageSize, len(enc))]
+		c := crc32.ChecksumIEEE(page)
+		w.pages = append(w.pages, c)
+		if p == 0 {
+			crc = c
+		} else {
+			crc = crcCombine(crc, c, len(page))
+		}
+	}
+	return crc
+}
+
+// crcPoly is the IEEE CRC-32 polynomial, bit-reversed (hash/crc32.IEEE).
+const crcPoly = 0xedb88320
+
+// multModP multiplies a and b modulo the CRC polynomial, both reflected.
+func multModP(a, b uint32) uint32 {
+	p := uint32(0)
+	for m := uint32(1) << 31; m != 0; m >>= 1 {
+		if a&m != 0 {
+			p ^= b
+		}
+		b = b>>1 ^ crcPoly&-(b&1)
+	}
+	return p
+}
+
+// x2n[k] is x^(2^k) modulo the CRC polynomial, reflected: x^1, then each
+// entry the square of the one before (zlib's x2n_table; TestCRCCombine
+// checks the recurrence).
+var x2n = [32]uint32{
+	0x40000000, 0x20000000, 0x08000000, 0x00800000, 0x00008000, 0xedb88320, 0xb1e6b092, 0xa06a2517,
+	0xed627dae, 0x88d14467, 0xd7bbfe6a, 0xec447f11, 0x8e7ea170, 0x6427800e, 0x4d47bae0, 0x09fe548f,
+	0x83852d0f, 0x30362f1a, 0x7b5a9cc3, 0x31fec169, 0x9fec022a, 0x6c8dedc4, 0x15d6874d, 0x5fde7a4e,
+	0xbad90e37, 0x2e4e5eef, 0x4eaba214, 0xa8a472c0, 0x429a969e, 0x148d302a, 0xc40ba6d0, 0xc4e22c3c,
+}
+
+// crcCombine is the CRC-32 of a‖b from a's CRC, b's CRC and b's length (the
+// combination zlib's crc32_combine computes): a's CRC times x^(8·lenB).
+func crcCombine(crcA, crcB uint32, lenB int) uint32 {
+	p := uint32(1) << 31 // x^0
+	for k := 3; lenB != 0; lenB, k = lenB>>1, k+1 {
+		if lenB&1 != 0 {
+			p = multModP(x2n[k&31], p)
+		}
+	}
+	return multModP(p, crcA) ^ crcB
 }

@@ -140,8 +140,8 @@ func TestSegmentDetectsBlockCorruption(t *testing.T) {
 		t.Fatalf("footer should still open: %v", err)
 	}
 	defer seg.Close()
-	if _, err := seg.ReadBlock(1, 0); err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("corrupt block read: err = %v, want checksum mismatch", err)
+	if _, err := seg.ReadBlock(1, 0); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("corrupt block read: err = %v, want ErrChecksum", err)
 	}
 	if _, err := seg.ReadBlock(0, 0); err != nil {
 		t.Fatalf("untouched block must read fine: %v", err)
@@ -205,7 +205,7 @@ func TestFooterRequiresSectionTail(t *testing.T) {
 	seg, _ := buildSegment(t, src)
 	// The footer up to and including the sparse index: what encodeFooter
 	// writes with no sections, minus its sentinel u32 and section-count byte.
-	bare := encodeFooter(seg.schema, seg.nrows, seg.blockRows, seg.compressed, seg.index, seg.sparse, nil, nil)
+	bare := encodeFooter(seg.schema, seg.nrows, seg.blockRows, seg.compressed, seg.index, seg.sparse, nil, nil, nil)
 	bare = bare[:len(bare)-5]
 	seg.Close()
 	full, err := os.ReadFile(src)
@@ -272,6 +272,9 @@ func assertIndexable(t *testing.T, s *Segment, dataEnd int64) {
 		for blk, e := range s.index[c] {
 			if e.Off < int64(len(segMagic)) || e.Off+int64(e.Len) > dataEnd {
 				t.Fatalf("column %d block %d at [%d, +%d) accepted in a data area ending at %d", c, blk, e.Off, e.Len, dataEnd)
+			}
+			if s.pages != nil && int(e.page)+pageCount(e.Len) > len(s.pages) {
+				t.Fatalf("column %d block %d: pages from %d of %d accepted in a list of %d", c, blk, e.page, pageCount(e.Len), len(s.pages))
 			}
 		}
 	}
@@ -363,17 +366,25 @@ func TestFooterGeometry(t *testing.T) {
 
 // FuzzDecodeFooter: any bytes behind a valid checksum parse into
 // ErrCorruptFooter or into a segment readers can index blindly; never a
-// panic. Seeded with the three shapes encodeFooter writes: zones only, block
-// map and zones, neither.
+// panic. Seeded with the shapes encodeFooter writes — zones only, block map
+// and zones, neither, and a page section — and with page sections whose
+// count is one short, one over or huge, or that lists a page of a one-page
+// block.
 func FuzzDecodeFooter(f *testing.F) {
 	seg, _ := buildSegment(f, filepath.Join(f.TempDir(), "seed.seg"))
 	seg.Close()
 	places := [][]BlockPlace{{{0, 0}, {1, 1}}, {{1, 0}, {1, 1}}, {{0, 5}, {1, 0}}}
 	zones := [][]Zone{{{Kind: ZoneString, MinS: "a", MaxS: "zz", MaxSTrunc: true}, {}}, {{Kind: ZoneFloat, MinF: -1, MaxF: 2}, {}}, {{}, {}}}
 	dataEnd := seg.index[2][1].Off + int64(seg.index[2][1].Len)
-	f.Add(encodeFooter(seg.schema, seg.nrows, seg.blockRows, seg.compressed, seg.index, seg.sparse, nil, seg.zones), dataEnd)
-	f.Add(encodeFooter(seg.schema, seg.nrows, seg.blockRows, seg.compressed, seg.index, seg.sparse, places, zones), dataEnd)
-	f.Add(encodeFooter(seg.schema, seg.nrows, seg.blockRows, seg.compressed, seg.index, seg.sparse, nil, nil), dataEnd)
+	f.Add(encodeFooter(seg.schema, seg.nrows, seg.blockRows, seg.compressed, seg.index, seg.sparse, nil, seg.zones, nil), dataEnd)
+	f.Add(encodeFooter(seg.schema, seg.nrows, seg.blockRows, seg.compressed, seg.index, seg.sparse, places, zones, nil), dataEnd)
+	f.Add(encodeFooter(seg.schema, seg.nrows, seg.blockRows, seg.compressed, seg.index, seg.sparse, nil, nil, nil), dataEnd)
+	paged, pagedEnd := pagedFooter(f)
+	f.Add(paged, pagedEnd)
+	for _, n := range []uint32{1, 3, 1 << 30} { // the paged block has 2 pages
+		f.Add(withPageSection(pagedFooterBare(f), n, 2), pagedEnd)
+	}
+	f.Add(withPageSection(encodeFooter(seg.schema, seg.nrows, seg.blockRows, seg.compressed, seg.index, seg.sparse, nil, nil, nil), 1, 1), dataEnd)
 	f.Fuzz(func(t *testing.T, footer []byte, dataEnd int64) {
 		s, err := decodeFooter(footer, dataEnd)
 		if err != nil {
