@@ -15,10 +15,26 @@ import (
 )
 
 // TestColdProbeBitFlips: a cold key probe of a lineitem image in 4096-row
-// blocks reads some blocks whole and the rest by the pages its row lies in. A
-// bit flipped in any one of the segment reads it makes, one at a time, is an
+// blocks reads its block index through one read plan: a few coalesced
+// preads, each verified unit by unit, bridged bytes included. A bit flipped
+// in any one of the segment reads it makes, one at a time, is an
 // ErrChecksum, never a wrong row.
 func TestColdProbeBitFlips(t *testing.T) {
+	checkColdProbeBitFlips(t, 0, 4)
+}
+
+// TestColdProbeBitFlipsIncremental is TestColdProbeBitFlips over an image
+// checkpointed incrementally twice more, each time after a modify of one
+// column of the probed row: the probe reads at least two segments, and its
+// base-segment read bridges the dead blocks of the columns that moved.
+func TestColdProbeBitFlipsIncremental(t *testing.T) {
+	checkColdProbeBitFlips(t, 2, 8)
+}
+
+// checkColdProbeBitFlips runs the bit-flip check over an image of gens
+// incremental checkpoints past the first, whose cold probe may make at most
+// most segment reads.
+func checkColdProbeBitFlips(t *testing.T, gens, most int) {
 	f := installMemFS(t)
 	_, rows := tpch.NewGen(0.002, 1).OrdersAndLineitems()
 	db, err := Open(t.TempDir(), Options{Schema: tpch.LineitemSchema, BlockRows: 4096, Compressed: true})
@@ -42,7 +58,23 @@ func TestColdProbeBitFlips(t *testing.T) {
 	}
 	want := rows[len(rows)/2+77]
 	key := types.Row{want[tpch.LOrderkey], want[tpch.LLinenumber]}
+	for g, col := range []int{tpch.LQuantity, tpch.LDiscount}[:gens] {
+		v := types.Float(float64(g + 1))
+		want = append(types.Row(nil), want...)
+		want[col] = v
+		tx := db.Begin()
+		if _, err := tx.UpdateByKey(key, col, v); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var segReads atomic.Int64
+	segs := map[string]bool{}
 	probe := func() (types.Row, error) {
 		db.dev.DropCaches()
 		segReads.Store(0)
@@ -57,6 +89,7 @@ func TestColdProbeBitFlips(t *testing.T) {
 	f.at = func(op fsOp) fault {
 		if op.kind == "read" && strings.HasSuffix(op.path, ".seg") {
 			segReads.Add(1)
+			segs[op.path] = true
 		}
 		return pass
 	}
@@ -65,9 +98,9 @@ func TestColdProbeBitFlips(t *testing.T) {
 		t.Fatalf("FindByKey(%v) = %v, %v; want %v", key, row, err, want)
 	}
 	reads := int(segReads.Load())
-	t.Logf("a cold probe makes %d segment reads", reads)
-	if reads < 16 {
-		t.Fatalf("a cold probe made %d segment reads, want one per column at least", reads)
+	t.Logf("a cold probe makes %d segment reads of %d segments", reads, len(segs))
+	if reads == 0 || reads > most || gens > 0 && len(segs) < 2 {
+		t.Fatalf("a cold probe made %d segment reads of %d segments, want 1 to %d (of 2 or more segments past a first checkpoint)", reads, len(segs), most)
 	}
 	for k := 0; k < reads; k++ {
 		f.at = func(op fsOp) fault {

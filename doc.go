@@ -48,7 +48,8 @@
 // DB.Checkpoint writes it back. The stable image lives in immutable segment
 // files (per-column encoded blocks behind a CRC'd footer, each block and
 // each 4 KB page of a longer one checksummed, pread lazily through the
-// buffer pool — a cold key probe reads only the pages its row lies in —
+// buffer pool — a cold key probe reads only the pages its row lies in, its
+// columns' reads coalesced into a few preads per segment —
 // internal/storage), commits append to a rotated,
 // fsynced file WAL (internal/wal), and a MANIFEST names the current
 // segment generation plus the WAL position it contains. A checkpoint streams

@@ -22,8 +22,6 @@ package colstore
 import (
 	"fmt"
 	"runtime"
-	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -45,18 +43,22 @@ const DefaultBlockRows = 8192
 // evicting it really does make the next fetch a ReadBlock again — a pread and
 // a CRC check for a file, the CRC check alone for a memory segment.
 //
-// A point read bypasses the pool on first touch: the first read of a few rows
-// of a file block longer than a page since DropCaches (or its segment's
-// eviction) fetches and verifies only the pages those rows' bytes lie in
-// (Store.rowBlock), charged page bytes and preads, and pools nothing. The
-// second such read of the block reads it whole into the pool, so a key read
-// again stays warm.
+// A point read bypasses the pool on first touch: the first point read of a
+// block of a file segment with page checksums since DropCaches (or its
+// segment's eviction) fetches and verifies only the units its rows' bytes
+// lie in — pages of a block longer than a page, a shorter block whole — in a
+// read plan shared by all of a probe's columns (plan), charged those bytes
+// and preads, and pools nothing. The second such read of the block reads it
+// whole into the pool, so a key read again stays warm, and the third is a
+// pool hit. Scans never read through a plan: they read whole blocks into the
+// pool.
 //
 // A device is safe for concurrent scanners — the parallel scan engine's
 // workers all charge fetches through one device. Pool hits take only a read
 // lock, so warm scans scale; cold charges take the write lock once per block
 // and stay charge-once under races (two workers fetching the same block cold
-// charge one read).
+// charge one read). A plan takes the lock once to look up and mark all of
+// its blocks, and once per stage to charge its reads.
 type Device struct {
 	mu        sync.RWMutex
 	bytesRead uint64
@@ -101,11 +103,11 @@ func (d *Device) evictSegment(seg *storage.Segment) {
 	}
 }
 
-// charge counts one pread of n bytes that bypasses the pool.
-func (d *Device) charge(n int) {
+// charge counts reads preads of bytes in all that bypass the pool.
+func (d *Device) charge(bytes, reads int) {
 	d.mu.Lock()
-	d.bytesRead += uint64(n)
-	d.reads++
+	d.bytesRead += uint64(bytes)
+	d.reads += uint64(reads)
 	d.mu.Unlock()
 }
 
@@ -138,24 +140,45 @@ func (d *Device) DropCaches() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.cached = make(map[devKey][]byte)
-	d.pointed = nil
+	clear(d.pointed)
 }
 
-// firstPointRead records a point read of block k and reports whether it is
-// the first since DropCaches or the segment's eviction: the first reads its
-// rows' pages, the second the whole block into the pool.
-func (d *Device) firstPointRead(k devKey) bool {
+// claim looks the blocks ks up in the pool under one read lock: got[i] is
+// block ks[i]'s pooled bytes, or nil. For a block not pooled whose segment
+// has point reads (storage.Segment.PointReads), first[i] reports — under one
+// write lock for all of them — whether this is its first point read since
+// DropCaches or the segment's eviction, and records it: the first reads its
+// rows' units around the pool, the second the whole block into the pool.
+// first[i] is false for every other block.
+func (d *Device) claim(ks []devKey, got [][]byte, first []bool) {
+	miss := false
+	d.mu.RLock()
+	for i, k := range ks {
+		got[i], first[i] = d.cached[k], false
+		miss = miss || got[i] == nil && k.seg.PointReads()
+	}
+	d.mu.RUnlock()
+	if !miss {
+		return
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.pointed[k]; ok {
-		delete(d.pointed, k)
-		return false
+	for i, k := range ks {
+		if got[i] != nil || !k.seg.PointReads() {
+			continue
+		}
+		if got[i] = d.cached[k]; got[i] != nil {
+			continue
+		}
+		if _, ok := d.pointed[k]; ok {
+			delete(d.pointed, k)
+			continue
+		}
+		if d.pointed == nil {
+			d.pointed = make(map[devKey]struct{})
+		}
+		d.pointed[k], first[i] = struct{}{}, true
 	}
-	if d.pointed == nil {
-		d.pointed = make(map[devKey]struct{})
-	}
-	d.pointed[k] = struct{}{}
-	return true
 }
 
 // PoolBlocks returns the number of blocks currently resident in the buffer
@@ -998,61 +1021,17 @@ func (s *Store) SIDRange(loKey, hiKey types.Row) (from, to uint64) {
 // (compress.SearchInt64s: a binary search on plain and ForInt blocks, a run
 // walk on RLE), other kinds decode the tied rows. A full key equal to a
 // block's first key resolves from the sparse index alone, without touching
-// any block.
+// any block. The key blocks are read whole through the pool; a key probe
+// reads them through its read plan instead (Probe.LowerBound).
 func (s *Store) LowerBound(key types.Row) (uint64, error) {
-	key = key[:min(len(key), len(s.schema.SortKey))]
-	// b: first block whose first key is >= key; the boundary lies in b-1.
-	b := sort.Search(len(s.sparse), func(i int) bool { return comparePrefix(key, s.sparse[i]) <= 0 })
-	if b == 0 {
-		return 0, nil
-	}
-	start := uint64(b) * uint64(s.blockRows)
-	if b < len(s.sparse) && len(key) == len(s.schema.SortKey) && comparePrefix(key, s.sparse[b]) == 0 {
-		return start, nil
-	}
-	blk := b - 1
-	// [lo, hi): the block's rows (as block offsets) equal to key on every
-	// column searched so far; within them the next key column is sorted.
-	lo, hi := 0, s.blockRows
-	if start > s.nrows {
-		hi -= int(start - s.nrows)
-	}
-	var v *vector.Vector
-	for i, want := range key {
-		col := s.schema.SortKey[i]
-		var ge, gt int
-		switch kind := s.schema.Cols[col].Kind; kind {
-		case types.Int64, types.Date:
-			enc, err := s.encodedBlock(col, blk)
-			if err == nil {
-				ge, gt, err = compress.SearchInt64s(enc, lo, hi, want.I)
-			}
-			if err != nil {
-				return 0, fmt.Errorf("colstore: column %d block %d: %w", col, blk, err)
-			}
-		default:
-			if v == nil || v.Kind != kind {
-				v = vector.New(kind, hi-lo)
-			}
-			if err := s.decodeWindowInto(col, blk, lo, hi-lo, v); err != nil {
-				return 0, err
-			}
-			ge = lo + sort.Search(hi-lo, func(r int) bool { return types.Compare(v.Get(r), want) >= 0 })
-			gt = ge + sort.Search(hi-ge, func(r int) bool { return types.Compare(v.Get(ge-lo+r), want) > 0 })
-		}
-		if ge == gt {
-			return uint64(blk*s.blockRows + ge), nil
-		}
-		lo, hi = ge, gt
-	}
-	return uint64(blk*s.blockRows + lo), nil
+	return s.lowerBound(key, nil)
 }
 
 // encodedBlock returns one column block's encoded bytes, charging the device
 // for a cold fetch: the logical coordinate resolves through the block map,
 // then the owning chain member reads the block whole unless the buffer pool
-// already holds it. A point read of a few rows fetches through rowBlock
-// instead, which may read only their pages. Pool keys are per segment, so
+// already holds it. A point read of a few rows fetches through a plan
+// instead, which may read only their units. Pool keys are per segment, so
 // blocks inherited across checkpoint generations stay warm through the swap.
 func (s *Store) encodedBlock(col, blk int) ([]byte, error) {
 	k := s.key(col, blk)
@@ -1085,99 +1064,6 @@ func (s *Store) fill(k devKey, blk int) ([]byte, error) {
 	return b, nil
 }
 
-// pageBufs recycles the block-length buffers point reads fetch pages into.
-// No decoded value aliases one: the decoders copy every string's bytes.
-var pageBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// rowBlock returns the bytes of logical block blk of column col for a decode
-// of spans (compress.Decode*Spans). A block the pool holds is returned as it
-// is. The first point read of a cold file block longer than a page since
-// DropCaches or its segment's eviction — spans over less than 1/Pages of its
-// rows — reads the pages its rows' bytes lie in (compress.RowExtent, stage by
-// stage) into a recycled buffer, charged to the device and not pooled: the
-// caller hands buf back (putPages) once the decode is done. Any other cold
-// read fills the pool.
-func (s *Store) rowBlock(col, blk int, spans []compress.Span) (enc []byte, buf *[]byte, err error) {
-	k := s.key(col, blk)
-	if b, ok := s.dev.poolGet(k); ok {
-		return b, nil, nil
-	}
-	np, last := k.seg.Pages(col, k.blk), spans[len(spans)-1]
-	if np == 0 || (last.Row+last.N-spans[0].Row)*np >= s.blockRows || !s.dev.firstPointRead(k) {
-		b, err := s.fill(k, blk)
-		return b, nil, err
-	}
-	buf = pageBufs.Get().(*[]byte)
-	n := k.seg.BlockLen(col, k.blk)
-	if cap(*buf) < n {
-		*buf = make([]byte, n)
-	}
-	enc = (*buf)[:n]
-	var extBuf [8]compress.Extent
-	var readBuf [8][2]int
-	read := readBuf[:0]
-	ext, more := append(extBuf[:0], compress.Extent{Hi: 1}), true // the first page: the block's header
-	for stage := 0; ; stage++ {
-		if read, err = s.readPages(k, enc, ext, read); err != nil || !more {
-			break
-		}
-		ext, more = compress.RowExtent(enc, spans, stage, extBuf[:0])
-	}
-	if err == nil {
-		enc, err = compress.Upgrade(enc) // a block of a retired scheme is read whole
-	}
-	if err != nil {
-		putPages(buf)
-		return nil, nil, fmt.Errorf("colstore: column %d block %d: %w", col, blk, err)
-	}
-	return enc, buf, nil
-}
-
-// readPages reads into enc, block k's bytes, the pages that hold the ascending
-// extents and lie outside read — the ascending stretches of enc read so far —
-// with one ReadPages per stretch of them, charging each, and returns read
-// with those stretches added.
-func (s *Store) readPages(k devKey, enc []byte, ext []compress.Extent, read [][2]int) ([][2]int, error) {
-	for i := 0; i < len(ext); {
-		a, b := storage.PageCover(ext[i].Lo, ext[i].Hi)
-		for i++; i < len(ext); i++ { // the extents whose pages touch or overlap
-			ea, eb := storage.PageCover(ext[i].Lo, ext[i].Hi)
-			if ea > b {
-				break
-			}
-			b = max(b, eb)
-		}
-		b = min(b, len(enc))
-		for r := 0; a < b; r++ {
-			hi := b // [a, hi): the next stretch of [a, b) not read
-			if r < len(read) {
-				hi = min(hi, read[r][0])
-			}
-			if a < hi {
-				got, err := k.seg.ReadPages(k.col, k.blk, enc, a, hi)
-				if err != nil {
-					return read, err
-				}
-				s.dev.charge(got)
-				read = slices.Insert(read, r, [2]int{a, hi})
-				r++
-			}
-			if r == len(read) {
-				break
-			}
-			a = max(a, read[r][1])
-		}
-	}
-	return read, nil
-}
-
-// putPages hands a point read's buffer back, if there is one.
-func putPages(buf *[]byte) {
-	if buf != nil {
-		pageBufs.Put(buf)
-	}
-}
-
 // Prefetch charges the cold read of every block of the given columns
 // overlapping SIDs [from, to) — the sequential readahead of a scan about to
 // visit that range. Blocks already resident are untouched; cold ones are
@@ -1200,27 +1086,6 @@ func (s *Store) Prefetch(cols []int, from, to uint64) error {
 				return err
 			}
 		}
-	}
-	return nil
-}
-
-// decodeWindowInto fetches (charging the device) and decodes the n values of
-// one column block starting at value index skip into v — one span — reusing
-// v's backing arrays. Only the window is materialized: a scan decodes its
-// share of the block, a point probe the few rows it reads, and a probe of a
-// cold block may fetch only their pages (rowBlock).
-func (s *Store) decodeWindowInto(col, blk, skip, n int, v *vector.Vector) error {
-	span := []compress.Span{{Row: skip, N: n}}
-	enc, buf, err := s.rowBlock(col, blk, span)
-	if err != nil {
-		return err
-	}
-	v.Reset()
-	v.Extend(n)
-	err = decodeSpans(enc, span, v)
-	putPages(buf)
-	if err != nil {
-		return fmt.Errorf("colstore: column %d block %d: %w", col, blk, err)
 	}
 	return nil
 }
@@ -1258,6 +1123,7 @@ type Scanner struct {
 	pieces       []compress.Span // the current block's share of SelectRuns' runs
 	sel          *selectState    // the filters' state; nil until the first filtered read
 	next         nextState       // Next's one run and empty chain
+	probe        *Probe          // the probe whose plans point windows read through; nil for a scan
 }
 
 // nextState is what Next hands SelectRuns.
@@ -1607,8 +1473,10 @@ func (sc *Scanner) block(slot, blk int) ([]byte, error) {
 // the rest of that window decodes its pieces straight to their batch
 // positions; one that leaves rows for a later call decodes the window into
 // the window buffers, and each piece is then copied to its batch positions.
-// sel, unless nil, gets every piece's positions and the kept positions
-// between them.
+// A point window (fewer than 1/pointShare of the block's rows) reads its
+// columns' blocks through a plan — its probe's, or one of its own — and any
+// other reads them whole through the pool. sel, unless nil, gets every
+// piece's positions and the kept positions between them.
 func (sc *Scanner) copyIn(out *vector.Batch, blk int, hi uint64, keep []uint32, ki int, sel *vector.Selection) (int, error) {
 	s, pieces := sc.store, sc.pieces
 	blk0 := uint64(blk * s.blockRows)
@@ -1616,25 +1484,45 @@ func (sc *Scanner) copyIn(out *vector.Batch, blk int, hi uint64, keep []uint32, 
 	if start := blk0 + uint64(pieces[0].Row); start >= sc.winHi {
 		last := pieces[len(pieces)-1]
 		direct = blk0+uint64(last.Row+last.N) == hi
+		n, spans := int(hi-start), pieces
+		var window [1]compress.Span
+		if !direct {
+			window[0] = compress.Span{Row: pieces[0].Row, N: n}
+			spans = window[:]
+		}
+		pl, err := sc.plan(blk, n)
+		if err == nil && pl != nil {
+			err = pl.fetch(spans)
+		}
 		for i, c := range sc.cols {
-			if direct {
-				enc, buf, err := s.rowBlock(c, blk, pieces)
-				if err == nil {
-					err = decodeSpans(enc, pieces, out.Vecs[i])
-					putPages(buf)
+			if err != nil {
+				break
+			}
+			v := out.Vecs[i]
+			if !direct {
+				if sc.bufs[i] == nil {
+					// Room for the largest window this scan will decode.
+					sc.bufs[i] = vector.New(s.schema.Cols[c].Kind, min(int(sc.end-start), s.blockRows))
 				}
-				if err != nil {
-					return ki, fmt.Errorf("colstore: column %d block %d: %w", c, blk, err)
-				}
-				continue
+				v = sc.bufs[i]
+				v.Reset()
+				v.Extend(n)
 			}
-			if sc.bufs[i] == nil {
-				// Room for the largest window this scan will decode.
-				sc.bufs[i] = vector.New(s.schema.Cols[c].Kind, min(int(sc.end-start), s.blockRows))
+			var enc []byte
+			if pl != nil {
+				enc = pl.enc[i]
+			} else if enc, err = s.encodedBlock(c, blk); err != nil {
+				break
 			}
-			if err := s.decodeWindowInto(c, blk, pieces[0].Row, int(hi-start), sc.bufs[i]); err != nil {
-				return ki, err
+			if err = decodeSpans(enc, spans, v); err != nil {
+				err = fmt.Errorf("colstore: column %d block %d: %w", c, blk, err)
 			}
+		}
+		if pl != nil && sc.probe == nil {
+			pl.release()
+		}
+		if err != nil {
+			return ki, err
 		}
 		if !direct {
 			sc.winLo, sc.winHi = start, hi
@@ -1660,6 +1548,25 @@ func (sc *Scanner) copyIn(out *vector.Batch, blk int, hi uint64, keep []uint32, 
 		}
 	}
 	return ki, nil
+}
+
+// plan returns the plan a window of n rows of block blk reads through: the
+// probe's plan of the block, else for a point window a plan — the probe's, or
+// one the caller releases — and nil for any other window.
+func (sc *Scanner) plan(blk, n int) (*plan, error) {
+	p := sc.probe
+	if p != nil {
+		if pl := p.find(blk); pl != nil {
+			return pl, nil
+		}
+	}
+	switch {
+	case n*pointShare >= sc.store.rowsIn(blk):
+		return nil, nil
+	case p != nil:
+		return p.plan(blk)
+	}
+	return sc.store.openPlan(blk, sc.cols, false)
 }
 
 // copyAt copies the n values of src from from into dst at position at.

@@ -94,3 +94,30 @@ func TestPointReadPoolContract(t *testing.T) {
 		t.Fatalf("point read after a scan: %d bytes in %d reads, want none", bytes, reads)
 	}
 }
+
+// TestColdScanStaysOutOfThePlan: a cold full scan of a paged file store
+// reads every block whole into the pool, one read per block — no scan window
+// is a point read — and a point read after it costs nothing.
+func TestColdScanStaysOutOfThePlan(t *testing.T) {
+	const blockRows = 4096
+	dev := NewDevice()
+	s := buildFileStore(t, dev, 3*blockRows, blockRows, true, filepath.Join(t.TempDir(), "p.seg"))
+	defer s.Close()
+	dev.DropCaches()
+	dev.ResetStats()
+	scanAllRows(t, s)
+	var whole uint64
+	for c := range s.schema.Cols {
+		for blk := 0; blk < s.NumBlocks(); blk++ {
+			si, pb := s.place(c, blk)
+			whole += uint64(s.segs[si].BlockLen(c, pb))
+		}
+	}
+	blocks := len(s.schema.Cols) * s.NumBlocks()
+	if bytes, reads := dev.Stats(); reads != uint64(blocks) || bytes != whole || dev.PoolBlocks() != blocks {
+		t.Fatalf("a cold scan read %d bytes in %d reads and pooled %d blocks; want the %d blocks' %d bytes, one read each, all pooled", bytes, reads, dev.PoolBlocks(), blocks, whole)
+	}
+	if _, bytes, reads := pointRead(t, s, 1, 5000); bytes != 0 || reads != 0 {
+		t.Fatalf("point read after a cold scan: %d bytes in %d reads, want none", bytes, reads)
+	}
+}

@@ -110,7 +110,10 @@ func SeekKeys(store *colstore.Store, keys []types.Row, at func(j int, rid uint64
 // seekKeys is SeekKeys reading cols (the sort key first) and handing each
 // answer to hit; for an exact one, row i of b holds the tuple. b is pooled:
 // it goes back to the pool once every key is answered (an error leaves it to
-// the collector), so hit copies out what it keeps.
+// the collector), so hit copies out what it keeps. One colstore.Probe reads
+// the store for every key: a key's lower bound and the window opened at it
+// share the probe's read plan of the key's block, so a cold block index is
+// read in a few coalesced preads across all of cols.
 func seekKeys(store *colstore.Store, keys []types.Row, cols []int, layers []*pdt.PDT, hit func(j int, rid uint64, found bool, b *vector.Batch, i int)) error {
 	schema := store.Schema()
 	kinds := make([]types.Kind, len(cols))
@@ -119,6 +122,7 @@ func seekKeys(store *colstore.Store, keys []types.Row, cols []int, layers []*pdt
 	}
 	pool := poolFor(kinds, seekWindow)
 	b := pool.Get()
+	probe := store.NewProbe(cols)
 	nrows := store.NRows()
 	visible := int64(nrows)
 	for _, l := range layers {
@@ -133,7 +137,7 @@ func seekKeys(store *colstore.Store, keys []types.Row, cols []int, layers []*pdt
 	lbKey, lbSID := -1, uint64(0)
 	lowerBound := func(t int) (uint64, error) {
 		if t != lbKey {
-			sid, err := store.LowerBound(keys[t])
+			sid, err := probe.LowerBound(keys[t])
 			if err != nil {
 				return 0, err
 			}
@@ -186,10 +190,11 @@ func seekKeys(store *colstore.Store, keys []types.Row, cols []int, layers []*pdt
 			}
 			hi = min(end, nrows)
 			last = hi == nrows
-			src = StackPDTs(store.NewScanner(cols, sid, hi), cols, sid, last, layers...)
+			src = StackPDTs(probe.NewScanner(sid, hi), cols, sid, last, layers...)
 			w *= 2
 		}
 	}
+	probe.Release()
 	pool.Put(b)
 	return nil
 }

@@ -50,8 +50,8 @@ func buildPaged(t testing.TB, path string) (*Segment, [][]byte) {
 
 // TestPageChecksums: every block keeps its whole CRC (a reader without page
 // checksums still verifies it), a block longer than a page has one checksum
-// per page, and ReadPages puts exactly the pages covering a byte range at
-// their block offsets — in a file written and reopened, and in memory.
+// per page, and ReadUnits reads exactly the pages covering a byte range —
+// in a file written and reopened, and in memory.
 func TestPageChecksums(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "paged.seg")
 	written, blocks := buildPaged(t, path)
@@ -84,14 +84,11 @@ func TestPageChecksums(t *testing.T) {
 				continue
 			}
 			for _, r := range [][2]int{{0, 1}, {pageSize - 1, pageSize + 1}, {pageSize, pageSize + 1}, {len(want) - 1, len(want)}, {0, len(want)}} {
-				buf := bytes.Repeat([]byte{0xA5}, len(want))
-				n, err := s.ReadPages(col, blk, buf, r[0], r[1])
-				a, b := r[0]/pageSize*pageSize, min((r[1]+pageSize-1)/pageSize*pageSize, len(want))
-				if err != nil || n != b-a {
-					t.Fatalf("ReadPages(%d, %d, [%d, %d)) = %d, %v; want %d bytes", col, blk, r[0], r[1], n, err, b-a)
-				}
-				if !bytes.Equal(buf[a:b], want[a:b]) || !allA5(buf[:a]) || !allA5(buf[b:]) {
-					t.Fatalf("ReadPages(%d, %d, [%d, %d)) wrote outside its pages or the wrong bytes", col, blk, r[0], r[1])
+				a, b := PageCover(r[0], r[1])
+				b = min(b, len(want))
+				buf := bytes.Repeat([]byte{0xA5}, b-a)
+				if err := s.ReadUnits(buf, []Unit{{col, blk, a, b}}); err != nil || !bytes.Equal(buf, want[a:b]) {
+					t.Fatalf("ReadUnits(%d, %d, [%d, %d)) = %v, or the wrong bytes", col, blk, a, b, err)
 				}
 			}
 		}
@@ -137,14 +134,15 @@ func TestPageCorruptionIsErrChecksum(t *testing.T) {
 		if _, err := s.ReadBlock(col, blk); !errors.Is(err, ErrChecksum) {
 			t.Errorf("page %d flipped: ReadBlock = %v, want ErrChecksum", p, err)
 		}
-		buf := make([]byte, e.Len)
 		for q := 0; q < np; q++ {
-			_, err := s.ReadPages(col, blk, buf, q*pageSize, q*pageSize+1)
+			a, b := q*pageSize, min((q+1)*pageSize, len(want))
+			buf := make([]byte, b-a)
+			err := s.ReadUnits(buf, []Unit{{col, blk, a, b}})
 			switch {
 			case q == p && !errors.Is(err, ErrChecksum):
-				t.Errorf("page %d flipped: ReadPages(page %d) = %v, want ErrChecksum", p, q, err)
-			case q != p && (err != nil || !bytes.Equal(buf[q*pageSize:min((q+1)*pageSize, len(want))], want[q*pageSize:min((q+1)*pageSize, len(want))])):
-				t.Errorf("page %d flipped: ReadPages(page %d) = %v", p, q, err)
+				t.Errorf("page %d flipped: ReadUnits(page %d) = %v, want ErrChecksum", p, q, err)
+			case q != p && (err != nil || !bytes.Equal(buf, want[a:b])):
+				t.Errorf("page %d flipped: ReadUnits(page %d) = %v", p, q, err)
 			}
 		}
 		s.Close()
@@ -272,5 +270,59 @@ func TestCRCCombine(t *testing.T) {
 				t.Fatalf("crcCombine at %d of %d = %08x, want %08x", cut, n, got, want)
 			}
 		}
+	}
+}
+
+// TestReadUnitsAcrossBlocks: one ReadUnits over consecutive blocks of
+// several columns — whole short blocks and pages of long ones, in file
+// order — returns their bytes and verifies each unit; a bit flipped in any
+// unit is ErrChecksum, and units that leave a byte of the read uncovered are
+// an error.
+func TestReadUnitsAcrossBlocks(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "paged.seg")
+	seg, _ := buildPaged(t, path)
+	lay := seg.Layout().Blocks
+	var units []Unit
+	start, end := lay[0].Off, lay[len(lay)-1].Off+int64(lay[len(lay)-1].Len)
+	for _, b := range lay {
+		if b.Len > 0 {
+			units = append(units, Unit{b.Col, b.Blk, 0, b.Len})
+		}
+	}
+	buf := make([]byte, end-start)
+	if err := seg.ReadUnits(buf, units); err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range units {
+		want, _ := seg.ReadBlock(u.Col, u.Blk)
+		at := seg.index[u.Col][u.Blk].Off - start
+		if !bytes.Equal(buf[at:at+int64(len(want))], want) {
+			t.Fatalf("block (%d, %d) read wrong", u.Col, u.Blk)
+		}
+	}
+	if err := seg.ReadUnits(buf, units[1:]); err == nil {
+		t.Fatal("units that leave the read's first bytes uncovered: no error")
+	}
+	seg.Close()
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []int64{start, start + 5000, (start + end) / 2, end - 1} {
+		data := append([]byte(nil), clean...)
+		data[at] ^= 0x10
+		bad := filepath.Join(dir, "bad.seg")
+		if err := os.WriteFile(bad, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenSegment(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ReadUnits(buf, units); !errors.Is(err, ErrChecksum) {
+			t.Errorf("bit flipped at %d: ReadUnits = %v, want ErrChecksum", at, err)
+		}
+		s.Close()
 	}
 }

@@ -8,8 +8,9 @@
 // block) pair with a single pread. Every block carries a CRC-32, and every
 // block longer than a page also one per 4 KB page of it (the footer's page
 // section): a whole read verifies the block's pages, or its one CRC when it
-// has none, and a point read fetches and verifies only the pages its rows lie
-// in (ReadPages). The footer itself is CRC-framed behind a fixed-size
+// has none, and a point read fetches and verifies only the units its rows lie
+// in — whole pages of a paged block, or whole blocks — several blocks' at a
+// time (ReadUnits). The footer itself is CRC-framed behind a fixed-size
 // trailer at the end of the file. A partially written segment (crash before
 // Finish) has no trailer and is simply unreadable — recovery never trusts a
 // segment that the MANIFEST does not name.
@@ -27,6 +28,8 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sort"
+	"sync"
 	"sync/atomic"
 
 	"pdtstore/internal/types"
@@ -233,6 +236,8 @@ type Segment struct {
 	zones      [][]Zone
 	places     [][]BlockPlace
 	pages      []uint32 // page checksums (BlockEntry.page); nil when the footer has no page section
+	layout     *Layout  // built on first use (Layout)
+	layoutOnce sync.Once
 }
 
 // OpenSegment opens and validates an existing segment file.
@@ -375,7 +380,7 @@ func (s *Segment) ReadBlock(col, blk int) ([]byte, error) {
 		}
 	}
 	if s.pages != nil && e.Len > pageSize {
-		if err := s.verifyPages(col, blk, buf, 0, len(buf)); err != nil {
+		if err := s.verifyPages(col, blk, buf, 0); err != nil {
 			return nil, err
 		}
 	} else if crc32.ChecksumIEEE(buf) != e.CRC {
@@ -384,7 +389,7 @@ func (s *Segment) ReadBlock(col, blk int) ([]byte, error) {
 	return buf, nil
 }
 
-// Pages returns how many pages ReadPages reads block blk of column col by: 0
+// Pages returns how many pages a point read reads block blk of column col by: 0
 // when the block is read whole only — a block of one page or less, any block
 // of a segment written without page checksums, and any block of a memory
 // segment, whose whole read copies nothing.
@@ -395,31 +400,13 @@ func (s *Segment) Pages(col, blk int) int {
 	return pageCount(s.index[col][blk].Len)
 }
 
-// ReadPages reads the pages of block blk of column col that hold its bytes
-// [lo, hi) into buf at their offsets in the block — buf holds at least the
-// block — with one pread, verifies each page, and returns how many bytes it
-// read. The block must have pages (Pages).
-func (s *Segment) ReadPages(col, blk int, buf []byte, lo, hi int) (int, error) {
-	e := s.index[col][blk]
-	a, b := PageCover(lo, hi)
-	if b = min(b, int(e.Len)); a >= b {
-		return 0, nil
-	}
-	if s.f == nil {
-		copy(buf[a:b], s.mem[col][blk][a:b])
-	} else if _, err := s.f.ReadAt(buf[a:b], e.Off+int64(a)); err != nil {
-		return 0, fmt.Errorf("storage: %s: read col %d blk %d pages [%d, %d): %w", s.path, col, blk, a/pageSize, (b+pageSize-1)/pageSize, err)
-	}
-	return b - a, s.verifyPages(col, blk, buf, a, b)
-}
-
-// verifyPages checks the pages of block blk of column col that buf[a:b]
-// holds, a page-aligned stretch of the block.
-func (s *Segment) verifyPages(col, blk int, buf []byte, a, b int) error {
-	first := int(s.index[col][blk].page)
-	for p := a; p < b; p += pageSize {
-		if crc32.ChecksumIEEE(buf[p:min(p+pageSize, b)]) != s.pages[first+p/pageSize] {
-			return fmt.Errorf("storage: %s: col %d blk %d page %d: %w", s.path, col, blk, p/pageSize, ErrChecksum)
+// verifyPages checks the pages of block blk of column col that b holds: the
+// block's bytes from a, a page boundary, to a page boundary or its end.
+func (s *Segment) verifyPages(col, blk int, b []byte, a int) error {
+	first := int(s.index[col][blk].page) + a/pageSize
+	for p := 0; p < len(b); p += pageSize {
+		if crc32.ChecksumIEEE(b[p:min(p+pageSize, len(b))]) != s.pages[first+p/pageSize] {
+			return fmt.Errorf("storage: %s: col %d blk %d page %d: %w", s.path, col, blk, (a+p)/pageSize, ErrChecksum)
 		}
 	}
 	return nil
@@ -734,10 +721,110 @@ func decodePages(r *types.Reader, index [][]BlockEntry) ([]uint32, error) {
 // in.
 const pageSize = 4096
 
+// PageSize is the unit a block longer than it is checksummed and point-read
+// in.
+const PageSize = pageSize
+
 // PageCover is the page-aligned stretch [a, b) of a block that holds its
-// bytes [lo, hi): what ReadPages reads for them, short of the block's end.
+// bytes [lo, hi): the pages a point read reads for them, short of the
+// block's end.
 func PageCover(lo, hi int) (a, b int) {
 	return lo / pageSize * pageSize, (hi + pageSize - 1) / pageSize * pageSize
+}
+
+// PointReads reports whether a point read may fetch this segment's blocks a
+// verification unit at a time (ReadUnits): it is a file with page checksums.
+// Any other segment's blocks are read whole.
+func (s *Segment) PointReads() bool { return s.f != nil && s.pages != nil }
+
+// A BlockSpan is where one block lies in its segment's file: bytes
+// [Off, Off+Len), block Blk of column Col. Paged blocks have a checksum per
+// page, so each of their pages is a verification unit; any other block is one
+// unit whole.
+type BlockSpan struct {
+	Off      int64
+	Len      int
+	Col, Blk int
+	Paged    bool
+}
+
+// A Layout is a segment's blocks in file order.
+type Layout struct {
+	Blocks []BlockSpan // by offset
+	at     [][]int32   // per column and physical block: its index in Blocks
+}
+
+// Index returns where block blk of column col lies in l.Blocks.
+func (l *Layout) Index(col, blk int) int { return int(l.at[col][blk]) }
+
+// Layout returns the segment's blocks in file order, built on first use.
+func (s *Segment) Layout() *Layout {
+	s.layoutOnce.Do(func() {
+		l := &Layout{at: make([][]int32, len(s.index))}
+		for c, col := range s.index {
+			for b, e := range col {
+				l.Blocks = append(l.Blocks, BlockSpan{Off: e.Off, Len: int(e.Len), Col: c, Blk: b, Paged: s.pages != nil && e.Len > pageSize})
+			}
+			l.at[c] = make([]int32, len(col))
+		}
+		sort.SliceStable(l.Blocks, func(i, j int) bool { return l.Blocks[i].Off < l.Blocks[j].Off })
+		for i, b := range l.Blocks {
+			l.at[b.Col][b.Blk] = int32(i)
+		}
+		s.layout = l
+	})
+	return s.layout
+}
+
+// A Unit is bytes [Lo, Hi) of block Blk of column Col that its checksums
+// verify by themselves: the whole block, or whole pages of a paged block (the
+// last page may be short).
+type Unit struct{ Col, Blk, Lo, Hi int }
+
+// ReadUnits reads into buf, with one pread, the file bytes from where the
+// first of units starts, and verifies every unit. The units lie in file order
+// within those len(buf) bytes and cover every one of them, so no byte read is
+// left unverified; bytes of a unit that does not verify are ErrChecksum.
+func (s *Segment) ReadUnits(buf []byte, units []Unit) error {
+	if len(units) == 0 {
+		return nil
+	}
+	start := s.index[units[0].Col][units[0].Blk].Off + int64(units[0].Lo)
+	end, at := start+int64(len(buf)), start
+	for _, u := range units {
+		e := s.index[u.Col][u.Blk]
+		whole := u.Lo == 0 && u.Hi == int(e.Len)
+		paged := s.pages != nil && e.Len > pageSize && u.Lo%pageSize == 0 && u.Lo < u.Hi && u.Hi <= int(e.Len) && (u.Hi%pageSize == 0 || u.Hi == int(e.Len))
+		lo := e.Off + int64(u.Lo)
+		if !whole && !paged || lo > at || lo+int64(u.Hi-u.Lo) > end {
+			return fmt.Errorf("storage: %s: col %d blk %d bytes [%d, %d) are not a unit in order in [%d, %d)", s.path, u.Col, u.Blk, u.Lo, u.Hi, start, end)
+		}
+		at = max(at, lo+int64(u.Hi-u.Lo))
+	}
+	if at != end {
+		return fmt.Errorf("storage: %s: units cover [%d, %d) of a read of [%d, %d)", s.path, start, at, start, end)
+	}
+	if s.f == nil {
+		for _, u := range units {
+			lo := s.index[u.Col][u.Blk].Off + int64(u.Lo) - start
+			copy(buf[lo:lo+int64(u.Hi-u.Lo)], s.mem[u.Col][u.Blk][u.Lo:u.Hi])
+		}
+	} else if _, err := s.f.ReadAt(buf, start); err != nil {
+		return fmt.Errorf("storage: %s: read [%d, %d): %w", s.path, start, end, err)
+	}
+	for _, u := range units {
+		e := s.index[u.Col][u.Blk]
+		lo := e.Off + int64(u.Lo) - start
+		b := buf[lo : lo+int64(u.Hi-u.Lo)]
+		if s.pages != nil && e.Len > pageSize {
+			if err := s.verifyPages(u.Col, u.Blk, b, u.Lo); err != nil {
+				return err
+			}
+		} else if crc32.ChecksumIEEE(b) != e.CRC {
+			return fmt.Errorf("storage: %s: col %d blk %d: %w", s.path, u.Col, u.Blk, ErrChecksum)
+		}
+	}
+	return nil
 }
 
 // pageCount is how many page checksums a block of n bytes has: none when it
