@@ -36,43 +36,7 @@ func TestColdProbeBitFlipsIncremental(t *testing.T) {
 // most segment reads.
 func checkColdProbeBitFlips(t *testing.T, gens, most int) {
 	f := installMemFS(t)
-	_, rows := tpch.NewGen(0.002, 1).OrdersAndLineitems()
-	db, err := Open(t.TempDir(), Options{Schema: tpch.LineitemSchema, BlockRows: 4096, Compressed: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	ops := make([]table.Op, len(rows))
-	for i, r := range rows {
-		ops[i] = table.Op{Kind: table.OpInsert, Row: r}
-	}
-	tx := db.Begin()
-	if _, err := tx.ApplyBatch(ops); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	want := rows[len(rows)/2+77]
-	key := types.Row{want[tpch.LOrderkey], want[tpch.LLinenumber]}
-	for g, col := range []int{tpch.LQuantity, tpch.LDiscount}[:gens] {
-		v := types.Float(float64(g + 1))
-		want = append(types.Row(nil), want...)
-		want[col] = v
-		tx := db.Begin()
-		if _, err := tx.UpdateByKey(key, col, v); err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	db, key, want := coldProbeImage(t, gens)
 	var segReads atomic.Int64
 	segs := map[string]bool{}
 	probe := func() (types.Row, error) {
@@ -116,6 +80,76 @@ func checkColdProbeBitFlips(t *testing.T, gens, most int) {
 	f.at = nil
 	if row, err := probe(); err != nil || types.CompareRows(row, want) != 0 {
 		t.Fatalf("FindByKey(%v) after the flips = %v, %v; want %v", key, row, err, want)
+	}
+}
+
+// coldProbeImage opens a store over a lineitem image in 4096-row blocks,
+// checkpointed once and then gens times more, each after a modify of one
+// column of the row it returns the key of.
+func coldProbeImage(t *testing.T, gens int) (db *DB, key, want types.Row) {
+	_, rows := tpch.NewGen(0.002, 1).OrdersAndLineitems()
+	db, err := Open(t.TempDir(), Options{Schema: tpch.LineitemSchema, BlockRows: 4096, Compressed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	ops := make([]table.Op, len(rows))
+	for i, r := range rows {
+		ops[i] = table.Op{Kind: table.OpInsert, Row: r}
+	}
+	tx := db.Begin()
+	if _, err := tx.ApplyBatch(ops); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want = rows[len(rows)/2+77]
+	key = types.Row{want[tpch.LOrderkey], want[tpch.LLinenumber]}
+	for g, col := range []int{tpch.LQuantity, tpch.LDiscount}[:gens] {
+		v := types.Float(float64(g + 1))
+		want = append(types.Row(nil), want...)
+		want[col] = v
+		tx := db.Begin()
+		if _, err := tx.UpdateByKey(key, col, v); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db, key, want
+}
+
+// TestColdFindThenUpdateByKey: a write that resolves its key right after a
+// cold read of the row (read-modify-write) finds the sort-key blocks the
+// read searched in the pool — the read's plan read them whole and pooled
+// them — so it reads nothing: each key block is read once.
+func TestColdFindThenUpdateByKey(t *testing.T) {
+	installMemFS(t)
+	db, key, _ := coldProbeImage(t, 1)
+	db.dev.DropCaches()
+	db.dev.ResetStats()
+	tx := db.Begin()
+	defer tx.Abort()
+	if _, _, found, err := tx.FindByKey(key); err != nil || !found {
+		t.Fatalf("FindByKey(%v) = %v, %v", key, found, err)
+	}
+	if _, reads := db.dev.Stats(); reads == 0 {
+		t.Fatalf("a cold FindByKey made no reads")
+	}
+	db.dev.ResetStats()
+	if ok, err := tx.UpdateByKey(key, tpch.LTax, types.Float(0.5)); err != nil || !ok {
+		t.Fatalf("UpdateByKey(%v) = %v, %v", key, ok, err)
+	}
+	if bytes, reads := db.dev.Stats(); reads != 0 {
+		t.Fatalf("UpdateByKey after a cold FindByKey of its key read %d bytes in %d reads, want none", bytes, reads)
 	}
 }
 

@@ -50,15 +50,19 @@ const DefaultBlockRows = 8192
 // read plan shared by all of a probe's columns (plan), charged those bytes
 // and preads, and pools nothing. The second such read of the block reads it
 // whole into the pool, so a key read again stays warm, and the third is a
-// pool hit. Scans never read through a plan: they read whole blocks into the
-// pool.
+// pool hit. The sort-key blocks a probe's LowerBound searches are no point
+// reads: its plan reads them whole, with the rest, and pools them, so the
+// next probe of the block (a write's key resolution after a read of the row)
+// finds them pooled. Scans never read through a plan: they read whole blocks
+// into the pool.
 //
 // A device is safe for concurrent scanners — the parallel scan engine's
 // workers all charge fetches through one device. Pool hits take only a read
 // lock, so warm scans scale; cold charges take the write lock once per block
 // and stay charge-once under races (two workers fetching the same block cold
 // charge one read). A plan takes the lock once to look up and mark all of
-// its blocks, and once per stage to charge its reads.
+// its blocks, and once per stage to charge its reads (and pool its searched
+// key blocks).
 type Device struct {
 	mu        sync.RWMutex
 	bytesRead uint64
@@ -103,11 +107,18 @@ func (d *Device) evictSegment(seg *storage.Segment) {
 	}
 }
 
-// charge counts reads preads of bytes in all that bypass the pool.
-func (d *Device) charge(bytes, reads int) {
+// charge counts reads preads of bytes in all that bypass the pool, and pools
+// each block bs[i] the pool does not hold yet under ks[i] — all under one
+// lock.
+func (d *Device) charge(bytes, reads int, ks []devKey, bs [][]byte) {
 	d.mu.Lock()
 	d.bytesRead += uint64(bytes)
 	d.reads += uint64(reads)
+	for i, k := range ks {
+		if _, ok := d.cached[k]; !ok {
+			d.cached[k] = bs[i]
+		}
+	}
 	d.mu.Unlock()
 }
 
@@ -145,16 +156,18 @@ func (d *Device) DropCaches() {
 
 // claim looks the blocks ks up in the pool under one read lock: got[i] is
 // block ks[i]'s pooled bytes, or nil. For a block not pooled whose segment
-// has point reads (storage.Segment.PointReads), first[i] reports — under one
-// write lock for all of them — whether this is its first point read since
-// DropCaches or the segment's eviction, and records it: the first reads its
-// rows' units around the pool, the second the whole block into the pool.
-// first[i] is false for every other block.
-func (d *Device) claim(ks []devKey, got [][]byte, first []bool) {
+// has point reads (storage.Segment.PointReads), cold[i] reports — under one
+// write lock for all of them — whether a plan reads it: each of the first
+// whole blocks, which the plan reads whole and pools, and any other on its
+// first point read since DropCaches or the segment's eviction, which claim
+// records — the first point read reads its rows' units around the pool, the
+// second the whole block into the pool. cold[i] is false for every other
+// block.
+func (d *Device) claim(ks []devKey, whole int, got [][]byte, cold []bool) {
 	miss := false
 	d.mu.RLock()
 	for i, k := range ks {
-		got[i], first[i] = d.cached[k], false
+		got[i], cold[i] = d.cached[k], false
 		miss = miss || got[i] == nil && k.seg.PointReads()
 	}
 	d.mu.RUnlock()
@@ -170,14 +183,19 @@ func (d *Device) claim(ks []devKey, got [][]byte, first []bool) {
 		if got[i] = d.cached[k]; got[i] != nil {
 			continue
 		}
-		if _, ok := d.pointed[k]; ok {
+		_, pointed := d.pointed[k]
+		switch {
+		case i < whole:
+			delete(d.pointed, k) // it is pooled next
+			cold[i] = true
+		case pointed:
 			delete(d.pointed, k)
-			continue
+		default:
+			if d.pointed == nil {
+				d.pointed = make(map[devKey]struct{})
+			}
+			d.pointed[k], cold[i] = struct{}{}, true
 		}
-		if d.pointed == nil {
-			d.pointed = make(map[devKey]struct{})
-		}
-		d.pointed[k], first[i] = struct{}{}, true
 	}
 }
 
@@ -1022,7 +1040,8 @@ func (s *Store) SIDRange(loKey, hiKey types.Row) (from, to uint64) {
 // walk on RLE), other kinds decode the tied rows. A full key equal to a
 // block's first key resolves from the sparse index alone, without touching
 // any block. The key blocks are read whole through the pool; a key probe
-// reads them through its read plan instead (Probe.LowerBound).
+// reads them through its read plan instead, which pools them too
+// (Probe.LowerBound).
 func (s *Store) LowerBound(key types.Row) (uint64, error) {
 	return s.lowerBound(key, nil)
 }
@@ -1473,9 +1492,9 @@ func (sc *Scanner) block(slot, blk int) ([]byte, error) {
 // the rest of that window decodes its pieces straight to their batch
 // positions; one that leaves rows for a later call decodes the window into
 // the window buffers, and each piece is then copied to its batch positions.
-// A point window (fewer than 1/pointShare of the block's rows) reads its
-// columns' blocks through a plan — its probe's, or one of its own — and any
-// other reads them whole through the pool. sel, unless nil, gets every
+// A point window (Store.pointWindow) reads its columns' blocks through a
+// plan — its probe's, or one of its own — and any other reads them whole
+// through the pool. sel, unless nil, gets every
 // piece's positions and the kept positions between them.
 func (sc *Scanner) copyIn(out *vector.Batch, blk int, hi uint64, keep []uint32, ki int, sel *vector.Selection) (int, error) {
 	s, pieces := sc.store, sc.pieces
@@ -1561,7 +1580,7 @@ func (sc *Scanner) plan(blk, n int) (*plan, error) {
 		}
 	}
 	switch {
-	case n*pointShare >= sc.store.rowsIn(blk):
+	case !sc.store.pointWindow(sc.cols, blk, n):
 		return nil, nil
 	case p != nil:
 		return p.plan(blk)

@@ -10,6 +10,7 @@ package colstore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -28,25 +29,19 @@ import (
 // lost at 12 KB, 2.28 against 1.56).
 const bridgeGap = 8 << 10
 
-// pointShare: a scan's window of a block is a point read when it covers less
-// than 1/pointShare of the block's rows. Any other window reads whole blocks
-// through the pool.
-const pointShare = 16
-
-// maxPlans is how many blocks' plans one probe keeps open. A probe moves
-// forward, so when it needs another the plan of its lowest block goes.
-const maxPlans = 4
-
 // A Probe is one key probe's point reads of a store. LowerBound and the
 // scanners the probe opens read a block through one read plan, opened by
 // whichever of them reaches the block first: the key's block is resolved
 // before any byte of it is read, and each of the probe's columns is read from
-// it together with the others. A probe is for one goroutine; Release hands
-// its buffers back, after which neither it nor its scanners may be used.
+// it together with the others. A probe keeps the plan of the block it reads
+// now: it moves forward, and the sort-key blocks that a probe of an earlier
+// key's block would read again are pooled (Device). A probe is for one
+// goroutine; Release hands its buffers back, after which neither it nor its
+// scanners may be used.
 type Probe struct {
-	s     *Store
-	cols  []int
-	plans []*plan
+	s    *Store
+	cols []int
+	pl   *plan // the plan of the block read now, or nil
 }
 
 var probes = sync.Pool{New: func() any { return new(Probe) }}
@@ -60,13 +55,12 @@ func (s *Store) NewProbe(cols []int) *Probe {
 	return p
 }
 
-// Release hands the probe's plans and the probe back for reuse.
+// Release hands the probe's plan and the probe back for reuse.
 func (p *Probe) Release() {
-	for _, pl := range p.plans {
-		pl.release()
+	if p.pl != nil {
+		p.pl.release()
 	}
-	clear(p.plans)
-	p.plans, p.s = p.plans[:0], nil
+	p.pl, p.s = nil, nil
 	probes.Put(p)
 }
 
@@ -86,36 +80,46 @@ func (p *Probe) LowerBound(key types.Row) (uint64, error) {
 
 // find returns the probe's plan of block blk, or nil.
 func (p *Probe) find(blk int) *plan {
-	for _, pl := range p.plans {
-		if pl.blk == blk {
-			return pl
-		}
+	if p.pl != nil && p.pl.blk == blk {
+		return p.pl
 	}
 	return nil
 }
 
-// plan returns the probe's plan of block blk, opening it if need be.
+// plan returns the probe's plan of block blk, opening it in place of the
+// plan of another block if need be.
 func (p *Probe) plan(blk int) (*plan, error) {
 	if pl := p.find(blk); pl != nil {
 		return pl, nil
 	}
-	if len(p.plans) == maxPlans {
-		lo := 0
-		for i, pl := range p.plans {
-			if pl.blk < p.plans[lo].blk {
-				lo = i
-			}
-		}
-		p.plans[lo].release()
-		p.plans[lo] = p.plans[len(p.plans)-1]
-		p.plans = p.plans[:len(p.plans)-1]
+	if p.pl != nil {
+		p.pl.release()
+		p.pl = nil
 	}
 	pl, err := p.s.openPlan(blk, p.cols, true)
 	if err != nil {
 		return nil, err
 	}
-	p.plans = append(p.plans, pl)
+	p.pl = pl
 	return pl, nil
+}
+
+// pointWindow reports whether a window of n rows of block blk over cols is a
+// point read: whether it covers fewer rows than one page holds on average in
+// the column whose block has the most pages (a block of a page or less, or of
+// a segment without page checksums, counting one). Any other window reads its
+// columns' blocks whole through the pool.
+func (s *Store) pointWindow(cols []int, blk, n int) bool {
+	rows := s.rowsIn(blk)
+	if n >= rows {
+		return false
+	}
+	pages := 1
+	for _, c := range cols {
+		k := s.key(c, blk)
+		pages = max(pages, k.seg.Pages(c, k.blk))
+	}
+	return n*pages < rows
 }
 
 // A plan is a point read's fetch of one logical block over a list of
@@ -127,9 +131,10 @@ func (p *Probe) plan(blk int) (*plan, error) {
 // segment's members lie by file offset.
 //
 // Stage 0 reads each member whole that is a searched key column's or fits in
-// a page, and the header page of every other; each fetch then reads, stage
-// by stage, the ranges compress.RowExtent names for its spans. A stage's
-// wanted bytes of one segment, less those read before, become as few reads as
+// a page, and the header page of every other; the searched key blocks are
+// then pooled, as LowerBound's whole reads. Each fetch then reads, stage by
+// stage, the ranges compress.RowExtent names for its spans. A stage's wanted
+// bytes of one segment, less those read before, become as few reads as
 // bridgeGap allows (planStage), and every byte read is verified before any is
 // decoded: storage.Segment.ReadUnits checks each read's units.
 type plan struct {
@@ -143,7 +148,7 @@ type plan struct {
 
 	// scratch of one open or stage
 	keys  []devKey
-	first []bool
+	cold  []bool
 	order []int
 	wants []want
 	reads []planRead
@@ -191,7 +196,7 @@ type planRead struct {
 var plans = sync.Pool{New: func() any { return new(plan) }}
 
 // openPlan opens the plan of block blk over cols and makes its stage 0. With
-// search, each sort-key column cols begins with is read whole, for
+// search, each sort-key column cols begins with is read whole and pooled, for
 // LowerBound.
 func (s *Store) openPlan(blk int, cols []int, search bool) (*plan, error) {
 	p := plans.Get().(*plan)
@@ -201,15 +206,19 @@ func (s *Store) openPlan(blk int, cols []int, search bool) (*plan, error) {
 	for _, c := range cols {
 		p.keys = append(p.keys, s.key(c, blk))
 	}
+	nkey := 0 // the searched key columns: cols[:nkey]
+	for search && nkey < len(cols) && nkey < len(s.schema.SortKey) && cols[nkey] == s.schema.SortKey[nkey] {
+		nkey++
+	}
 	n := len(cols)
-	p.enc, p.first, p.mem = grow(p.enc, n), grow(p.first, n), grow(p.mem, n)
+	p.enc, p.cold, p.mem = grow(p.enc, n), grow(p.cold, n), grow(p.mem, n)
 	p.segs = p.segs[:0]
-	s.dev.claim(p.keys, p.enc, p.first)
+	s.dev.claim(p.keys, nkey, p.enc, p.cold)
 	for i, k := range p.keys {
 		p.mem[i] = member{seg: -1, whole: true}
 		switch {
 		case p.enc[i] != nil:
-		case !p.first[i]:
+		case !p.cold[i]:
 			b, err := s.fill(k, blk)
 			if err != nil {
 				p.release()
@@ -228,18 +237,32 @@ func (s *Store) openPlan(blk int, cols []int, search bool) (*plan, error) {
 			continue
 		}
 		b := p.segs[m.seg].lay.Blocks[m.li]
-		m.whole = !b.Paged || search && i < len(s.schema.SortKey) && cols[i] == s.schema.SortKey[i]
+		m.whole = !b.Paged || i < nkey
 		hi := b.Len
 		if !m.whole {
 			hi = storage.PageSize
 		}
 		p.wants = append(p.wants, want{m.seg, m.li, 0, hi})
 	}
-	err := p.read()
+	bytes, reads, err := p.read()
 	for i := range p.mem {
-		if m := &p.mem[i]; err == nil && m.seg >= 0 && m.whole {
-			err = p.upgrade(i)
+		m := &p.mem[i]
+		if err != nil || m.seg < 0 || !m.whole {
+			continue
 		}
+		in := p.enc[i]
+		if err = p.upgrade(i); err == nil && i < nkey {
+			if &p.enc[i][0] == &in[0] { // the pool keeps it past buf
+				p.enc[i] = slices.Clone(in)
+			}
+			m.seg = -1
+		}
+	}
+	if err != nil {
+		nkey = 0
+	}
+	if reads > 0 {
+		s.dev.charge(bytes, reads, p.keys[:nkey], p.enc[:nkey])
 	}
 	if err != nil {
 		p.release()
@@ -333,8 +356,12 @@ func (ps *planSeg) bytes(buf []byte, lo, hi int64) ([]byte, bool) {
 
 // fetch reads what a decode of spans (compress.Decode*Spans) reads of every
 // member not yet read whole: compress.RowExtent's ranges, stage by stage, one
-// stage of every member at a time.
+// stage of every member at a time. A plan of pooled blocks alone reads
+// nothing.
 func (p *plan) fetch(spans []compress.Span) error {
+	if len(p.segs) == 0 {
+		return nil
+	}
 	for stage, more := 0, true; more; stage++ {
 		more = false
 		p.wants = p.wants[:0]
@@ -351,7 +378,11 @@ func (p *plan) fetch(spans []compress.Span) error {
 				p.wants = append(p.wants, want{m.seg, m.li, a, min(b, n)})
 			}
 		}
-		if err := p.read(); err != nil {
+		bytes, reads, err := p.read()
+		if reads > 0 {
+			p.s.dev.charge(bytes, reads, nil, nil)
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -379,16 +410,14 @@ func (p *plan) upgrade(i int) error {
 }
 
 // read makes one stage's reads: per segment, the wanted bytes less those read
-// before, as planStage merges them, each read verified whole; then it
-// charges the device for all of them at once.
-func (p *plan) read() error {
+// before, as planStage merges them, each read verified whole. It returns the
+// bytes and the preads read, for the caller to charge.
+func (p *plan) read() (bytes, reads int, err error) {
 	for a := 1; a < len(p.wants); a++ { // by segment; planStage orders each segment's
 		for b := a; b > 0 && p.wants[b].seg < p.wants[b-1].seg; b-- {
 			p.wants[b], p.wants[b-1] = p.wants[b-1], p.wants[b]
 		}
 	}
-	bytes, n := 0, 0
-	var err error
 	for w := 0; w < len(p.wants) && err == nil; {
 		ps, e := &p.segs[p.wants[w].seg], w+1
 		for e < len(p.wants) && p.wants[e].seg == p.wants[w].seg {
@@ -404,15 +433,12 @@ func (p *plan) read() error {
 			if err = ps.seg.ReadUnits(dst, p.units[r.u0:r.u1]); err != nil {
 				break
 			}
-			bytes, n = bytes+len(dst), n+1
+			bytes, reads = bytes+len(dst), reads+1
 		}
 		ps.done = addDone(ps.done, p.reads)
 		w = e
 	}
-	if n > 0 {
-		p.s.dev.charge(bytes, n)
-	}
-	return err
+	return bytes, reads, err
 }
 
 // release hands the plan back for reuse.

@@ -379,6 +379,13 @@ func lineitemKeys(rows []types.Row) []types.Row {
 // lineitemFileProbes is lineitemProbes over a segment file: the image a cold
 // probe preads from and checksums.
 func lineitemFileProbes(t testing.TB) (*colstore.Store, []types.Row) {
+	store, rows := lineitemFile(t)
+	return store, lineitemKeys(rows)
+}
+
+// lineitemFile is a lineitem segment file in 4096-row blocks and its rows, in
+// SID order.
+func lineitemFile(t testing.TB) (*colstore.Store, []types.Row) {
 	_, rows := tpch.NewGen(0.01, 1).OrdersAndLineitems()
 	b, err := colstore.NewFileBuilder(tpch.LineitemSchema, nil, 4096, true, filepath.Join(t.TempDir(), "lineitem.seg"))
 	if err != nil {
@@ -394,7 +401,7 @@ func lineitemFileProbes(t testing.TB) (*colstore.Store, []types.Row) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close() })
-	return store, lineitemKeys(rows)
+	return store, rows
 }
 
 // TestSeekAllocBytes is the probe's byte guard: a 16-column Seek on warm
@@ -479,8 +486,9 @@ func warmAllocs(f func()) float64 {
 // plan, coalesced across columns: at most 72 KB in at most 4 preads on
 // average (bridged bytes are read too; 64 KB in 20 when each column was read
 // apart, 179 KB in 16 as whole blocks at SF 0.05), and allocates at most
-// 12 KB (32 KB with a buffer per column, 190 KB when every block was read
-// into a fresh buffer).
+// 12 KB, the pooled copies of its two searched key blocks included (32 KB
+// with a buffer per column, 190 KB when every block was read into a fresh
+// buffer).
 func TestColdSeekReadsPages(t *testing.T) {
 	store, keys := lineitemFileProbes(t)
 	dev := store.Device()
@@ -524,6 +532,48 @@ func TestColdSeekReadsPages(t *testing.T) {
 		t.Errorf("a cold 16-column Seek allocates %d bytes, want <= %d", perSeek, 12<<10)
 	} else {
 		t.Logf("a cold 16-column Seek allocates %d bytes", perSeek)
+	}
+}
+
+// TestColdSeekKeysReadsKeyBlocksOnce: a cold batch key resolution reads each
+// sort-key block it touches once, and pools it. Its forward pass gallops to
+// later keys' blocks before its windows read the earlier ones, so a key
+// block it read around the pool it would read again. Keys close enough for
+// one window to stretch over several blocks, and keys far apart, each make
+// at most one pread per key block of the five blocks they lie in, leave all
+// of those blocks pooled, and a second pass reads nothing.
+func TestColdSeekKeysReadsKeyBlocksOnce(t *testing.T) {
+	const blocks = 5
+	store, rows := lineitemFile(t)
+	dev := store.Device()
+	sortKey := len(tpch.LineitemSchema.SortKey)
+	for _, step := range []int{97, 997} {
+		var keys []types.Row
+		for i := 5; i < blocks*4096; i += step {
+			keys = append(keys, types.Row{rows[i][tpch.LOrderkey], rows[i][tpch.LLinenumber]})
+		}
+		pass := func() uint64 {
+			dev.ResetStats()
+			err := engine.SeekKeys(store, keys, func(j int, _ uint64, exact bool) {
+				if !exact {
+					t.Fatalf("keys %d rows apart: key %v not found", step, keys[j])
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, reads := dev.Stats()
+			return reads
+		}
+		dev.DropCaches()
+		reads, pooled := pass(), dev.PoolBlocks()
+		t.Logf("keys %d rows apart: a cold pass makes %d preads and pools %d blocks", step, reads, pooled)
+		if reads == 0 || reads > uint64(blocks*sortKey) || pooled != blocks*sortKey {
+			t.Errorf("keys %d rows apart: a cold pass makes %d preads and pools %d blocks; want at most one pread per key block and all %d pooled", step, reads, pooled, blocks*sortKey)
+		}
+		if reads := pass(); reads != 0 {
+			t.Errorf("keys %d rows apart: a warm pass makes %d preads, want none", step, reads)
+		}
 	}
 }
 
