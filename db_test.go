@@ -522,8 +522,9 @@ func TestColdScanDoesRealIO(t *testing.T) {
 }
 
 // TestColdFindByKeyDoesRealIO: a key lookup on a file-backed image goes
-// through the device like a scan does — after DropCaches it preads (one block
-// per column it touches, not the table), warm it reads nothing, and dropping
+// through the device like a scan does — after DropCaches it preads (at most
+// one block per column it touches, not the table), the second lookup of the
+// block reads it whole into the pool, the third reads nothing, and dropping
 // the caches again makes it cold again: nothing above the buffer pool
 // remembers a decoded block.
 func TestColdFindByKeyDoesRealIO(t *testing.T) {
@@ -553,6 +554,9 @@ func TestColdFindByKeyDoesRealIO(t *testing.T) {
 		cold := lookup()
 		if cold == 0 || cold > uint64(2*dbSchema.NumCols()) {
 			t.Fatalf("round %d: cold lookup charged %d block reads, want 1..%d", round, cold, 2*dbSchema.NumCols())
+		}
+		if second := lookup(); second == 0 || second > uint64(dbSchema.NumCols()) {
+			t.Fatalf("round %d: second lookup charged %d block reads, want 1..%d", round, second, dbSchema.NumCols())
 		}
 		if warm := lookup(); warm != 0 {
 			t.Fatalf("round %d: warm lookup charged %d block reads", round, warm)

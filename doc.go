@@ -14,7 +14,7 @@
 // (Insert, DeleteByKey, UpdateByKey — one-op batches — and ApplyBatch)
 // resolve their target through one probe, engine.SeekKeys. The sparse index names one block, whose sort-key columns alone
 // are binary-searched to the first stable SID at or past the key
-// (colstore.Store.LowerBound); the pinned layer stack is opened AT that SID,
+// (colstore.Probe.LowerBound); the pinned layer stack is opened AT that SID,
 // each PDT cursor seeking there with its running shift as every scan morsel
 // does, so ghosts, re-inserts of a deleted key and layer-only inserts are
 // merged in by construction and RIDs are exact; and the scanner underneath

@@ -6,10 +6,10 @@
 // byte read.
 //
 // Every store is a chain of storage segments read through the device's buffer
-// pool: a block is fetched cold — whole, by ReadBlock, into the pool, or for
-// the first point read of a file block longer than a page, by the pages its
-// rows lie in, around the pool — and charged to the device; later fetches hit
-// the pool, and DropCaches makes the next scan cold again.
+// pool: a block is fetched cold — whole, by ReadBlock, into the pool, or for a
+// point read of a file segment's block, through a read plan that reads the
+// units its rows lie in around the pool — and charged to the device; later
+// fetches hit the pool, and DropCaches makes the next scan cold again.
 // Where a segment's bytes live is the segment's business alone. One built
 // with a path (NewFileBuilder/NewCheckpointBuilder, or opened via
 // FromSegmentChain) preads them from its file, so cold scans do real I/O; one
@@ -38,37 +38,34 @@ const DefaultBlockRows = 8192
 // (unbounded) pool does not hold is a cold read, charged to the byte and read
 // counters; fetches of a block it holds are free, so a benchmark can measure a
 // query's cold I/O volume by calling DropCaches and ResetStats first, and its
-// hot time by re-running with the pool warm. A pool entry holds the bytes its
-// segment's ReadBlock returned, in a written scheme (compress.Upgrade), so
-// evicting it really does make the next fetch a ReadBlock again — a pread and
-// a CRC check for a file, the CRC check alone for a memory segment.
+// hot time by re-running with the pool warm. A pool entry holds a block's
+// verified bytes, in a written scheme (compress.Upgrade), so evicting it
+// really does make the next fetch a read again — a pread and a CRC check for
+// a file, the CRC check alone for a memory segment.
 //
-// A point read bypasses the pool on first touch: the first point read of a
-// block of a file segment with page checksums since DropCaches (or its
-// segment's eviction) fetches and verifies only the units its rows' bytes
-// lie in — pages of a block longer than a page, a shorter block whole — in a
-// read plan shared by all of a probe's columns (plan), charged those bytes
-// and preads, and pools nothing. The second such read of the block reads it
-// whole into the pool, so a key read again stays warm, and the third is a
-// pool hit. The sort-key blocks a probe's LowerBound searches are no point
-// reads: its plan reads them whole, with the rest, and pools them, so the
-// next probe of the block (a write's key resolution after a read of the row)
-// finds them pooled. Scans never read through a plan: they read whole blocks
-// into the pool.
+// A point read of a file segment's block reads through a read plan (plan),
+// whatever the segment's footer holds: its first since DropCaches (or its segment's eviction) fetches and
+// verifies only the units its rows lie in — pages of a block with page
+// checksums, any other block whole — together with the probe's other columns,
+// charged those bytes and preads, and pools nothing. The second reads the
+// block whole with them into the pool, so a key read again stays warm, and
+// the third is a pool hit. The sort-key blocks a probe's LowerBound searches
+// are pooled on the first. A memory segment's block is read whole into the
+// pool, which copies nothing. Scans never read through a plan: they read
+// whole blocks into the pool.
 //
 // A device is safe for concurrent scanners — the parallel scan engine's
 // workers all charge fetches through one device. Pool hits take only a read
-// lock, so warm scans scale; cold charges take the write lock once per block
+// lock, so warm scans scale; cold charges take the write lock once per read
 // and stay charge-once under races (two workers fetching the same block cold
 // charge one read). A plan takes the lock once to look up and mark all of
-// its blocks, and once per stage to charge its reads (and pool its searched
-// key blocks).
+// its blocks, and once per stage to charge its reads and pool what it pools.
 type Device struct {
 	mu        sync.RWMutex
 	bytesRead uint64
 	reads     uint64
 	cached    map[devKey][]byte
-	pointed   map[devKey]struct{} // blocks point-read by pages once, not pooled since; nil while none
+	pointed   map[devKey]struct{} // blocks point-read once, not pooled since; nil while none
 
 	// Block-skip accounting: blocks a scan proved irrelevant without
 	// fetching, split by which structure proved it. Atomic (not under mu)
@@ -91,7 +88,8 @@ func NewDevice() *Device {
 }
 
 // evictSegment drops every pool entry of one segment, and the record of its
-// point reads: its next reads are cold, and point reads read pages again.
+// point reads: its next reads are cold, and a point read of a block of it is
+// a first one again.
 func (d *Device) evictSegment(seg *storage.Segment) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -107,17 +105,23 @@ func (d *Device) evictSegment(seg *storage.Segment) {
 	}
 }
 
-// charge counts reads preads of bytes in all that bypass the pool, and pools
-// each block bs[i] the pool does not hold yet under ks[i] — all under one
-// lock.
+// charge counts reads preads of bytes, and pools each block bs[i] the pool
+// does not hold yet under ks[i] — all under one lock. This is the one way a
+// block enters the pool. A read whose every block the pool already holds lost
+// a race with a read of the same blocks, which charged them: it is not
+// charged again, so two workers fetching a block cold charge one read.
 func (d *Device) charge(bytes, reads int, ks []devKey, bs [][]byte) {
 	d.mu.Lock()
-	d.bytesRead += uint64(bytes)
-	d.reads += uint64(reads)
+	fresh := len(ks) == 0
 	for i, k := range ks {
 		if _, ok := d.cached[k]; !ok {
 			d.cached[k] = bs[i]
+			fresh = true
 		}
+	}
+	if fresh {
+		d.bytesRead += uint64(bytes)
+		d.reads += uint64(reads)
 	}
 	d.mu.Unlock()
 }
@@ -130,21 +134,6 @@ func (d *Device) poolGet(k devKey) ([]byte, bool) {
 	return b, ok
 }
 
-// poolFill inserts a block just read from its segment, charging the cold read
-// of the bytes the segment holds for it (b may be their upgrade). A concurrent
-// fill of the same block charges only once; both copies are valid.
-func (d *Device) poolFill(k devKey, b []byte) {
-	d.mu.Lock()
-	if _, ok := d.cached[k]; ok {
-		d.mu.Unlock()
-		return
-	}
-	d.cached[k] = b
-	d.bytesRead += uint64(k.seg.BlockLen(k.col, k.blk))
-	d.reads++
-	d.mu.Unlock()
-}
-
 // DropCaches empties the simulated buffer pool, and forgets which blocks were
 // point-read, so the next fetch of every block is cold again.
 func (d *Device) DropCaches() {
@@ -155,19 +144,18 @@ func (d *Device) DropCaches() {
 }
 
 // claim looks the blocks ks up in the pool under one read lock: got[i] is
-// block ks[i]'s pooled bytes, or nil. For a block not pooled whose segment
-// has point reads (storage.Segment.PointReads), cold[i] reports — under one
-// write lock for all of them — whether a plan reads it: each of the first
-// whole blocks, which the plan reads whole and pools, and any other on its
-// first point read since DropCaches or the segment's eviction, which claim
-// records — the first point read reads its rows' units around the pool, the
-// second the whole block into the pool. cold[i] is false for every other
-// block.
-func (d *Device) claim(ks []devKey, whole int, got [][]byte, cold []bool) {
+// block ks[i]'s pooled bytes, or nil. For a block not pooled of a file
+// segment (storage.Segment.PointReads), which a plan reads, pool[i] reports —
+// under one write lock for all of them — whether the plan pools it whole: each
+// of the first whole blocks, and any other on its second point read since
+// DropCaches or its segment's eviction. Its first, which claim records, reads
+// only its rows' units around the pool. A memory segment's block is read
+// whole into the pool by the caller.
+func (d *Device) claim(ks []devKey, whole int, got [][]byte, pool []bool) {
 	miss := false
 	d.mu.RLock()
 	for i, k := range ks {
-		got[i], cold[i] = d.cached[k], false
+		got[i], pool[i] = d.cached[k], false
 		miss = miss || got[i] == nil && k.seg.PointReads()
 	}
 	d.mu.RUnlock()
@@ -184,17 +172,12 @@ func (d *Device) claim(ks []devKey, whole int, got [][]byte, cold []bool) {
 			continue
 		}
 		_, pointed := d.pointed[k]
-		switch {
-		case i < whole:
+		if pool[i] = i < whole || pointed; pool[i] {
 			delete(d.pointed, k) // it is pooled next
-			cold[i] = true
-		case pointed:
-			delete(d.pointed, k)
-		default:
-			if d.pointed == nil {
-				d.pointed = make(map[devKey]struct{})
-			}
-			d.pointed[k], cold[i] = struct{}{}, true
+		} else if d.pointed == nil {
+			d.pointed = map[devKey]struct{}{k: {}}
+		} else {
+			d.pointed[k] = struct{}{}
 		}
 	}
 }
@@ -1030,22 +1013,6 @@ func (s *Store) SIDRange(loKey, hiKey types.Row) (from, to uint64) {
 	return from, to
 }
 
-// LowerBound returns the SID of the first stable tuple whose sort key is >=
-// key (NRows when every key is smaller). key is the full sort key or a prefix
-// of it. The sparse index names the one block that can hold the boundary; of
-// that block only the sort-key columns are searched, leading column first, and
-// each later key column only over the rows still tied on the columns before
-// it. Int key columns are searched in their encoded block
-// (compress.SearchInt64s: a binary search on plain and ForInt blocks, a run
-// walk on RLE), other kinds decode the tied rows. A full key equal to a
-// block's first key resolves from the sparse index alone, without touching
-// any block. The key blocks are read whole through the pool; a key probe
-// reads them through its read plan instead, which pools them too
-// (Probe.LowerBound).
-func (s *Store) LowerBound(key types.Row) (uint64, error) {
-	return s.lowerBound(key, nil)
-}
-
 // encodedBlock returns one column block's encoded bytes, charging the device
 // for a cold fetch: the logical coordinate resolves through the block map,
 // then the owning chain member reads the block whole unless the buffer pool
@@ -1067,9 +1034,9 @@ func (s *Store) key(col, blk int) devKey {
 	return devKey{s.segs[si], col, pb}
 }
 
-// fill reads block k (logical block blk) whole into the pool. This is where
-// block bytes enter the pool: a block of a retired scheme is upgraded here,
-// so every caller sees a written one.
+// fill reads block k (logical block blk) whole into the pool. A block of a
+// retired scheme is upgraded first, as a plan's whole reads are, so every
+// caller sees a written one.
 func (s *Store) fill(k devKey, blk int) ([]byte, error) {
 	raw, err := k.seg.ReadBlock(k.col, k.blk)
 	if err != nil {
@@ -1079,7 +1046,7 @@ func (s *Store) fill(k devKey, blk int) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("colstore: column %d block %d: %w", k.col, blk, err)
 	}
-	s.dev.poolFill(k, b)
+	s.dev.charge(len(raw), 1, []devKey{k}, [][]byte{b})
 	return b, nil
 }
 
@@ -1585,7 +1552,12 @@ func (sc *Scanner) plan(blk, n int) (*plan, error) {
 	case p != nil:
 		return p.plan(blk)
 	}
-	return sc.store.openPlan(blk, sc.cols, false)
+	pl := plans.Get().(*plan)
+	if err := pl.open(sc.store, blk, sc.cols, false); err != nil {
+		pl.release()
+		return nil, err
+	}
+	return pl, nil
 }
 
 // copyAt copies the n values of src from from into dst at position at.

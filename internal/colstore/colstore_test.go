@@ -96,7 +96,7 @@ func TestLowerBoundAndWindowedScan(t *testing.T) {
 		for _, sid := range []uint64{0, 15, 16, 17, 50, 99} {
 			i := int64(sid)
 			for _, k := range []int64{i * 2, i*2 - 1} { // the key itself, and the gap below it
-				got, err := s.LowerBound(types.Row{types.Int(k)})
+				got, err := lowerBound(s, types.Row{types.Int(k)})
 				if err != nil || got != sid {
 					t.Fatalf("compressed=%v LowerBound(%d) = %d, %v; want %d", compressed, k, got, err, sid)
 				}
@@ -106,7 +106,7 @@ func TestLowerBoundAndWindowedScan(t *testing.T) {
 				t.Errorf("compressed=%v row at %d = %v", compressed, sid, row)
 			}
 		}
-		if got, err := s.LowerBound(types.Row{types.Int(199)}); err != nil || got != 100 {
+		if got, err := lowerBound(s, types.Row{types.Int(199)}); err != nil || got != 100 {
 			t.Errorf("LowerBound past the last key = %d, %v", got, err)
 		}
 		if n, _ := s.NewScanner([]int{0}, 100, 101).Next(vector.NewBatch([]types.Kind{types.Int64}, 1), 1); n != 0 {
@@ -117,7 +117,7 @@ func TestLowerBoundAndWindowedScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := empty.LowerBound(types.Row{types.Int(1)}); err != nil || got != 0 {
+	if got, err := lowerBound(empty, types.Row{types.Int(1)}); err != nil || got != 0 {
 		t.Errorf("LowerBound on an empty store = %d, %v", got, err)
 	}
 }
@@ -135,7 +135,7 @@ func TestLowerBoundTouchesOneBlock(t *testing.T) {
 	}{{-5, 0, 0}, {0, 0, 0}, {64, 32, 0}, {63, 32, 1}, {66, 33, 1}, {62, 31, 1}, {198, 99, 1}, {500, 100, 1}} {
 		s.Device().DropCaches()
 		s.Device().ResetStats()
-		sid, err := s.LowerBound(types.Row{types.Int(c.key)})
+		sid, err := lowerBound(s, types.Row{types.Int(c.key)})
 		if _, reads := s.Device().Stats(); err != nil || sid != c.sid || reads != c.reads {
 			t.Errorf("LowerBound(%d) = %d, %v with %d block reads; want %d with %d", c.key, sid, err, reads, c.sid, c.reads)
 		}
@@ -155,9 +155,10 @@ func TestLowerBoundAllocatesNothing(t *testing.T) {
 			t.Fatalf("compressed=%v: key block scheme %d, %v; want %d", c.compressed, compress.BlockScheme(enc), err, c.scheme)
 		}
 		keys := []types.Row{{types.Int(2 * 1030)}, {types.Int(2*2047 + 1)}, {types.Int(2 * 4999)}, {types.Int(2*3000 - 1)}}
+		p := s.NewProbe(s.schema.SortKey)
 		descend := func() {
 			for _, k := range keys {
-				if sid, err := s.LowerBound(k); err != nil || sid != uint64((k[0].I+1)/2) {
+				if sid, err := p.LowerBound(k); err != nil || sid != uint64((k[0].I+1)/2) {
 					t.Fatalf("LowerBound(%v) = %d, %v", k, sid, err)
 				}
 			}
@@ -165,6 +166,7 @@ func TestLowerBoundAllocatesNothing(t *testing.T) {
 		if b := allocBytes(descend, 50); b != 0 {
 			t.Errorf("compressed=%v: %d warm descents allocate %d bytes", c.compressed, len(keys), b)
 		}
+		p.Release()
 	}
 }
 
@@ -198,11 +200,18 @@ func TestLowerBoundCompositeKey(t *testing.T) {
 					break
 				}
 			}
-			if got, err := s.LowerBound(key); err != nil || got != want {
+			if got, err := lowerBound(s, key); err != nil || got != want {
 				t.Fatalf("compressed=%v LowerBound(%v) = %d, %v; want %d", compressed, key, got, err, want)
 			}
 		}
 	}
+}
+
+// lowerBound is LowerBound through a key probe over the sort key's columns.
+func lowerBound(s *Store, key types.Row) (uint64, error) {
+	p := s.NewProbe(s.schema.SortKey)
+	defer p.Release()
+	return p.LowerBound(key)
 }
 
 func scanAll(t *testing.T, s *Store, cols []int, from, to uint64, batchSize int) *vector.Batch {

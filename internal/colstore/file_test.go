@@ -196,7 +196,7 @@ func TestFileStoreReopen(t *testing.T) {
 		}
 	}
 	// Point reads and the sparse index survive the round trip too.
-	if sid, err := re.LowerBound(types.Row{types.Int(20)}); err != nil || sid != 10 || rowAt(t, re, sid, []int{0, 1})[0].I != 20 {
+	if sid, err := lowerBound(re, types.Row{types.Int(20)}); err != nil || sid != 10 || rowAt(t, re, sid, []int{0, 1})[0].I != 20 {
 		t.Fatalf("LowerBound(20) = %d, %v", sid, err)
 	}
 	from, to := re.SIDRange(types.Row{types.Int(40)}, types.Row{types.Int(60)})

@@ -6,7 +6,10 @@ package colstore
 // side by side in a segment file, the builder writing a block index's
 // columns one after another. A read plan fetches them together: per
 // segment, stage by stage, each stage's bytes of every column in as few
-// preads as the file's layout allows, into one recycled buffer.
+// preads as the file's layout allows, into one recycled buffer. Every file
+// segment is read so, whatever its footer holds: a block without page
+// checksums — one of a page or less, or any of a segment written before them
+// — is one whole unit of the plan.
 
 import (
 	"fmt"
@@ -41,13 +44,13 @@ const bridgeGap = 8 << 10
 type Probe struct {
 	s    *Store
 	cols []int
-	pl   *plan // the plan of the block read now, or nil
+	pl   *plan // the plan of block pl.blk, or nil
 }
 
 var probes = sync.Pool{New: func() any { return new(Probe) }}
 
-// NewProbe returns a probe that reads cols, the sort key's columns first:
-// LowerBound searches those of them it finds in place, in their plan.
+// NewProbe returns a probe that reads cols, which begin with the sort key's
+// columns: LowerBound searches them in place, in their plan.
 func (s *Store) NewProbe(cols []int) *Probe {
 	p := probes.Get().(*Probe)
 	p.s = s
@@ -72,12 +75,6 @@ func (p *Probe) NewScanner(from, to uint64) *Scanner {
 	return sc
 }
 
-// LowerBound is Store.LowerBound reading the block it searches through the
-// probe's plan of it.
-func (p *Probe) LowerBound(key types.Row) (uint64, error) {
-	return p.s.lowerBound(key, p)
-}
-
 // find returns the probe's plan of block blk, or nil.
 func (p *Probe) find(blk int) *plan {
 	if p.pl != nil && p.pl.blk == blk {
@@ -92,16 +89,13 @@ func (p *Probe) plan(blk int) (*plan, error) {
 	if pl := p.find(blk); pl != nil {
 		return pl, nil
 	}
-	if p.pl != nil {
-		p.pl.release()
-		p.pl = nil
+	if p.pl == nil {
+		p.pl = plans.Get().(*plan)
 	}
-	pl, err := p.s.openPlan(blk, p.cols, true)
-	if err != nil {
+	if err := p.pl.open(p.s, blk, p.cols, true); err != nil {
 		return nil, err
 	}
-	p.pl = pl
-	return pl, nil
+	return p.pl, nil
 }
 
 // pointWindow reports whether a window of n rows of block blk over cols is a
@@ -124,22 +118,22 @@ func (s *Store) pointWindow(cols []int, blk, n int) bool {
 
 // A plan is a point read's fetch of one logical block over a list of
 // columns. Opening it resolves each column's block to its chain member and
-// asks the device, under one lock, which are pooled and which are cold:
-// a pooled block is read from the pool, and a cold one of a segment without
-// point reads, or read by points once since DropCaches, whole into the pool.
-// The rest are the plan's members, read around the pool into buf, where each
-// segment's members lie by file offset.
+// asks the device, under one lock, which are pooled: a pooled block is read
+// from the pool, and a memory segment's whole into it. Every other block is
+// a member of the plan, read into buf, where each segment's members lie by
+// file offset: around the pool on its first point read since DropCaches, and
+// whole into the pool on its second, as a searched key block is at once.
 //
-// Stage 0 reads each member whole that is a searched key column's or fits in
-// a page, and the header page of every other; the searched key blocks are
-// then pooled, as LowerBound's whole reads. Each fetch then reads, stage by
-// stage, the ranges compress.RowExtent names for its spans. A stage's wanted
-// bytes of one segment, less those read before, become as few reads as
-// bridgeGap allows (planStage), and every byte read is verified before any is
-// decoded: storage.Segment.ReadUnits checks each read's units.
+// Stage 0 reads each member whole that the plan pools or that has no page
+// checksums — it fits in a page, or its segment predates them — and the
+// header page of every other. Each fetch then reads, stage by stage, the
+// ranges compress.RowExtent names for its spans. A stage's wanted bytes of
+// one segment, less those read before, become as few reads as bridgeGap
+// allows (planStage), and every byte read is verified before any is decoded:
+// storage.Segment.ReadUnits checks each read's units.
 type plan struct {
 	s    *Store
-	blk  int
+	blk  int // -1 while the plan holds no block
 	cols []int
 	enc  [][]byte // per column: its block's bytes; of a member, only those read are
 	mem  []member // per column
@@ -147,13 +141,15 @@ type plan struct {
 	buf  []byte
 
 	// scratch of one open or stage
-	keys  []devKey
-	cold  []bool
-	order []int
-	wants []want
-	reads []planRead
-	units []storage.Unit
-	ext   []compress.Extent
+	keys   []devKey
+	pool   []bool // per column: stage 0 reads it whole into the pool
+	order  []int
+	wants  []want
+	reads  []planRead
+	units  []storage.Unit
+	ext    []compress.Extent
+	pooled []devKey
+	blocks [][]byte
 }
 
 // member is what the plan knows of one column's block.
@@ -195,12 +191,11 @@ type planRead struct {
 
 var plans = sync.Pool{New: func() any { return new(plan) }}
 
-// openPlan opens the plan of block blk over cols and makes its stage 0. With
-// search, each sort-key column cols begins with is read whole and pooled, for
+// open makes p the plan of block blk over cols and reads its stage 0. With
+// search, each sort-key column cols begins with is pooled whole, for
 // LowerBound.
-func (s *Store) openPlan(blk int, cols []int, search bool) (*plan, error) {
-	p := plans.Get().(*plan)
-	p.s, p.blk = s, blk
+func (p *plan) open(s *Store, blk int, cols []int, search bool) error {
+	p.s, p.blk = s, -1
 	p.cols = append(p.cols[:0], cols...)
 	p.keys = p.keys[:0]
 	for _, c := range cols {
@@ -211,18 +206,17 @@ func (s *Store) openPlan(blk int, cols []int, search bool) (*plan, error) {
 		nkey++
 	}
 	n := len(cols)
-	p.enc, p.cold, p.mem = grow(p.enc, n), grow(p.cold, n), grow(p.mem, n)
+	p.enc, p.pool, p.mem = grow(p.enc, n), grow(p.pool, n), grow(p.mem, n)
 	p.segs = p.segs[:0]
-	s.dev.claim(p.keys, nkey, p.enc, p.cold)
+	s.dev.claim(p.keys, nkey, p.enc, p.pool)
 	for i, k := range p.keys {
 		p.mem[i] = member{seg: -1, whole: true}
 		switch {
 		case p.enc[i] != nil:
-		case !p.cold[i]:
+		case !k.seg.PointReads():
 			b, err := s.fill(k, blk)
 			if err != nil {
-				p.release()
-				return nil, err
+				return err
 			}
 			p.enc[i] = b
 		default:
@@ -237,7 +231,7 @@ func (s *Store) openPlan(blk int, cols []int, search bool) (*plan, error) {
 			continue
 		}
 		b := p.segs[m.seg].lay.Blocks[m.li]
-		m.whole = !b.Paged || i < nkey
+		m.whole = !b.Paged || p.pool[i]
 		hi := b.Len
 		if !m.whole {
 			hi = storage.PageSize
@@ -245,30 +239,32 @@ func (s *Store) openPlan(blk int, cols []int, search bool) (*plan, error) {
 		p.wants = append(p.wants, want{m.seg, m.li, 0, hi})
 	}
 	bytes, reads, err := p.read()
+	p.pooled, p.blocks = p.pooled[:0], p.blocks[:0]
 	for i := range p.mem {
 		m := &p.mem[i]
 		if err != nil || m.seg < 0 || !m.whole {
 			continue
 		}
 		in := p.enc[i]
-		if err = p.upgrade(i); err == nil && i < nkey {
+		if err = p.upgrade(i); err == nil && p.pool[i] {
 			if &p.enc[i][0] == &in[0] { // the pool keeps it past buf
 				p.enc[i] = slices.Clone(in)
 			}
 			m.seg = -1
+			p.pooled, p.blocks = append(p.pooled, p.keys[i]), append(p.blocks, p.enc[i])
 		}
 	}
 	if err != nil {
-		nkey = 0
+		p.pooled = p.pooled[:0] // pool nothing
 	}
 	if reads > 0 {
-		s.dev.charge(bytes, reads, p.keys[:nkey], p.enc[:nkey])
+		s.dev.charge(bytes, reads, p.pooled, p.blocks)
 	}
 	if err != nil {
-		p.release()
-		return nil, err
+		return err
 	}
-	return p, nil
+	p.blk = blk
+	return nil
 }
 
 // grow returns s with length n, reusing its array, every element zero.
@@ -575,9 +571,19 @@ func addDone(done []fileRange, reads []planRead) []fileRange {
 	return out
 }
 
-// lowerBound is LowerBound reading the block it searches through p's plan of
-// it, or, without a probe, through the pool.
-func (s *Store) lowerBound(key types.Row, p *Probe) (uint64, error) {
+// LowerBound returns the SID of the first stable tuple whose sort key is >=
+// key (NRows when every key is smaller). key is the full sort key or a prefix
+// of it. The sparse index names the one block that can hold the boundary; of
+// that block only the sort-key columns are searched, leading column first, and
+// each later key column only over the rows still tied on the columns before
+// it. Int key columns are searched in their encoded block
+// (compress.SearchInt64s: a binary search on plain and ForInt blocks, a run
+// walk on RLE), other kinds decode the tied rows. A full key equal to a
+// block's first key resolves from the sparse index alone, without touching
+// any block. The key blocks are read whole through the probe's plan of the
+// block, which pools them.
+func (p *Probe) LowerBound(key types.Row) (uint64, error) {
+	s := p.s
 	key = key[:min(len(key), len(s.schema.SortKey))]
 	// b: first block whose first key is >= key; the boundary lies in b-1.
 	b := sort.Search(len(s.sparse), func(i int) bool { return comparePrefix(key, s.sparse[i]) <= 0 })
@@ -589,12 +595,9 @@ func (s *Store) lowerBound(key types.Row, p *Probe) (uint64, error) {
 		return start, nil
 	}
 	blk := b - 1
-	var pl *plan
-	var err error
-	if p != nil {
-		if pl, err = p.plan(blk); err != nil {
-			return 0, err
-		}
+	pl, err := p.plan(blk)
+	if err != nil {
+		return 0, err
 	}
 	// [lo, hi): the block's rows (as block offsets) equal to key on every
 	// column searched so far; within them the next key column is sorted.
@@ -602,12 +605,10 @@ func (s *Store) lowerBound(key types.Row, p *Probe) (uint64, error) {
 	var v *vector.Vector
 	for i, want := range key {
 		col := s.schema.SortKey[i]
-		var enc []byte // a plan reads the searched key columns whole
-		if pl != nil && i < len(pl.cols) && pl.cols[i] == col {
-			enc = pl.enc[i]
-		} else if enc, err = s.encodedBlock(col, blk); err != nil {
-			return 0, err
+		if i >= len(p.cols) || p.cols[i] != col {
+			return 0, fmt.Errorf("colstore: a probe of columns %v does not begin with the sort key %v", p.cols, s.schema.SortKey)
 		}
+		enc := pl.enc[i] // the plan read it whole
 		var ge, gt int
 		switch kind := s.schema.Cols[col].Kind; kind {
 		case types.Int64, types.Date:

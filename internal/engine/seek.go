@@ -79,7 +79,7 @@ func Seek(store *colstore.Store, key types.Row, cols []int, layers ...*pdt.PDT) 
 // is, or would be inserted; the visible row count when every key is smaller —
 // and exact reports whether that tuple's key equals it.
 //
-// The probe is positional. Store.LowerBound descends the sparse index and
+// The probe is positional. Probe.LowerBound descends the sparse index and
 // binary-searches one block's sort-key columns to the first stable SID whose
 // key is >= key; every stable tuple and every layer insert before that SID
 // has a smaller key, because ghosts keep the stable order valid (§2.1). The

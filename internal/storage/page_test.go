@@ -151,7 +151,10 @@ func TestPageCorruptionIsErrChecksum(t *testing.T) {
 
 // TestSegmentWithoutPagesReadsWhole: a footer without a page section — what
 // every segment written before page checksums carries — opens, reports no
-// pages, and reads and verifies its blocks whole by their one CRC.
+// pages, and reads and verifies its blocks whole by their one CRC. A point
+// read reads them as the whole units they are: one ReadUnits over every
+// block, in file order, returns their bytes, and a page of a block longer than
+// one is not a unit of it.
 func TestSegmentWithoutPagesReadsWhole(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "old.seg")
 	seg, blocks := buildPaged(t, path)
@@ -172,6 +175,31 @@ func TestSegmentWithoutPagesReadsWhole(t *testing.T) {
 		if got, err := old.ReadBlock(col, blk); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("ReadBlock(%d, %d) = %v", col, blk, err)
 		}
+	}
+	lay := old.Layout().Blocks
+	var units []Unit
+	for _, b := range lay {
+		if b.Paged {
+			t.Fatalf("block (%d, %d) of %d bytes is paged without a page section", b.Col, b.Blk, b.Len)
+		}
+		if b.Len > 0 {
+			units = append(units, Unit{b.Col, b.Blk, 0, b.Len})
+		}
+	}
+	start, end := lay[0].Off, lay[len(lay)-1].Off+int64(lay[len(lay)-1].Len)
+	buf := make([]byte, end-start)
+	if err := old.ReadUnits(buf, units); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range blocks {
+		at := old.index[i%3][i/3].Off - start
+		if !bytes.Equal(buf[at:at+int64(len(want))], want) {
+			t.Fatalf("block (%d, %d) read wrong", i%3, i/3)
+		}
+	}
+	long := lay[len(lay)-1]
+	if err := old.ReadUnits(buf[:pageSize], []Unit{{long.Col, long.Blk, 0, pageSize}}); err == nil {
+		t.Fatalf("a page of block (%d, %d), %d bytes without page checksums, read as a unit", long.Col, long.Blk, long.Len)
 	}
 }
 

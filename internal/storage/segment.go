@@ -366,8 +366,7 @@ func (s *Segment) Path() string { return s.path }
 var ErrChecksum = errors.New("checksum mismatch")
 
 // ReadBlock reads one encoded block — a pread, or the slice a memory segment
-// kept — and verifies its checksums: its pages' when it has them, else its
-// own.
+// kept — and verifies it as the one unit it is read as (verify).
 func (s *Segment) ReadBlock(col, blk int) ([]byte, error) {
 	e := s.index[col][blk]
 	var buf []byte
@@ -379,12 +378,8 @@ func (s *Segment) ReadBlock(col, blk int) ([]byte, error) {
 			return nil, fmt.Errorf("storage: %s: read col %d blk %d: %w", s.path, col, blk, err)
 		}
 	}
-	if s.pages != nil && e.Len > pageSize {
-		if err := s.verifyPages(col, blk, buf, 0); err != nil {
-			return nil, err
-		}
-	} else if crc32.ChecksumIEEE(buf) != e.CRC {
-		return nil, fmt.Errorf("storage: %s: col %d blk %d: %w", s.path, col, blk, ErrChecksum)
+	if err := s.verify(Unit{col, blk, 0, len(buf)}, buf); err != nil {
+		return nil, err
 	}
 	return buf, nil
 }
@@ -394,19 +389,30 @@ func (s *Segment) ReadBlock(col, blk int) ([]byte, error) {
 // of a segment written without page checksums, and any block of a memory
 // segment, whose whole read copies nothing.
 func (s *Segment) Pages(col, blk int) int {
-	if s.f == nil || s.pages == nil {
-		return 0
+	if e := s.index[col][blk]; s.f != nil && s.paged(e) {
+		return pageCount(e.Len)
 	}
-	return pageCount(s.index[col][blk].Len)
+	return 0
 }
 
-// verifyPages checks the pages of block blk of column col that b holds: the
-// block's bytes from a, a page boundary, to a page boundary or its end.
-func (s *Segment) verifyPages(col, blk int, b []byte, a int) error {
-	first := int(s.index[col][blk].page) + a/pageSize
+// paged reports whether block e has a checksum per page: it is longer than a
+// page, in a segment whose footer has the page section.
+func (s *Segment) paged(e BlockEntry) bool { return s.pages != nil && e.Len > pageSize }
+
+// verify checks b, the bytes of unit u: each page's checksum of a paged
+// block, else the block's own.
+func (s *Segment) verify(u Unit, b []byte) error {
+	e := s.index[u.Col][u.Blk]
+	if !s.paged(e) {
+		if crc32.ChecksumIEEE(b) != e.CRC {
+			return fmt.Errorf("storage: %s: col %d blk %d: %w", s.path, u.Col, u.Blk, ErrChecksum)
+		}
+		return nil
+	}
+	first := int(e.page) + u.Lo/pageSize
 	for p := 0; p < len(b); p += pageSize {
 		if crc32.ChecksumIEEE(b[p:min(p+pageSize, len(b))]) != s.pages[first+p/pageSize] {
-			return fmt.Errorf("storage: %s: col %d blk %d page %d: %w", s.path, col, blk, (a+p)/pageSize, ErrChecksum)
+			return fmt.Errorf("storage: %s: col %d blk %d page %d: %w", s.path, u.Col, u.Blk, (u.Lo+p)/pageSize, ErrChecksum)
 		}
 	}
 	return nil
@@ -732,10 +738,10 @@ func PageCover(lo, hi int) (a, b int) {
 	return lo / pageSize * pageSize, (hi + pageSize - 1) / pageSize * pageSize
 }
 
-// PointReads reports whether a point read may fetch this segment's blocks a
-// verification unit at a time (ReadUnits): it is a file with page checksums.
-// Any other segment's blocks are read whole.
-func (s *Segment) PointReads() bool { return s.f != nil && s.pages != nil }
+// PointReads reports whether a point read fetches this segment's blocks a
+// verification unit at a time (ReadUnits): it is a file. A memory segment's
+// blocks are read whole, which copies nothing.
+func (s *Segment) PointReads() bool { return s.f != nil }
 
 // A BlockSpan is where one block lies in its segment's file: bytes
 // [Off, Off+Len), block Blk of column Col. Paged blocks have a checksum per
@@ -763,7 +769,7 @@ func (s *Segment) Layout() *Layout {
 		l := &Layout{at: make([][]int32, len(s.index))}
 		for c, col := range s.index {
 			for b, e := range col {
-				l.Blocks = append(l.Blocks, BlockSpan{Off: e.Off, Len: int(e.Len), Col: c, Blk: b, Paged: s.pages != nil && e.Len > pageSize})
+				l.Blocks = append(l.Blocks, BlockSpan{Off: e.Off, Len: int(e.Len), Col: c, Blk: b, Paged: s.paged(e)})
 			}
 			l.at[c] = make([]int32, len(col))
 		}
@@ -794,7 +800,7 @@ func (s *Segment) ReadUnits(buf []byte, units []Unit) error {
 	for _, u := range units {
 		e := s.index[u.Col][u.Blk]
 		whole := u.Lo == 0 && u.Hi == int(e.Len)
-		paged := s.pages != nil && e.Len > pageSize && u.Lo%pageSize == 0 && u.Lo < u.Hi && u.Hi <= int(e.Len) && (u.Hi%pageSize == 0 || u.Hi == int(e.Len))
+		paged := s.paged(e) && u.Lo%pageSize == 0 && u.Lo < u.Hi && u.Hi <= int(e.Len) && (u.Hi%pageSize == 0 || u.Hi == int(e.Len))
 		lo := e.Off + int64(u.Lo)
 		if !whole && !paged || lo > at || lo+int64(u.Hi-u.Lo) > end {
 			return fmt.Errorf("storage: %s: col %d blk %d bytes [%d, %d) are not a unit in order in [%d, %d)", s.path, u.Col, u.Blk, u.Lo, u.Hi, start, end)
@@ -807,21 +813,15 @@ func (s *Segment) ReadUnits(buf []byte, units []Unit) error {
 	if s.f == nil {
 		for _, u := range units {
 			lo := s.index[u.Col][u.Blk].Off + int64(u.Lo) - start
-			copy(buf[lo:lo+int64(u.Hi-u.Lo)], s.mem[u.Col][u.Blk][u.Lo:u.Hi])
+			copy(buf[lo:], s.mem[u.Col][u.Blk][u.Lo:u.Hi])
 		}
 	} else if _, err := s.f.ReadAt(buf, start); err != nil {
 		return fmt.Errorf("storage: %s: read [%d, %d): %w", s.path, start, end, err)
 	}
 	for _, u := range units {
-		e := s.index[u.Col][u.Blk]
-		lo := e.Off + int64(u.Lo) - start
-		b := buf[lo : lo+int64(u.Hi-u.Lo)]
-		if s.pages != nil && e.Len > pageSize {
-			if err := s.verifyPages(u.Col, u.Blk, b, u.Lo); err != nil {
-				return err
-			}
-		} else if crc32.ChecksumIEEE(b) != e.CRC {
-			return fmt.Errorf("storage: %s: col %d blk %d: %w", s.path, u.Col, u.Blk, ErrChecksum)
+		lo := s.index[u.Col][u.Blk].Off + int64(u.Lo) - start
+		if err := s.verify(u, buf[lo:][:u.Hi-u.Lo]); err != nil {
+			return err
 		}
 	}
 	return nil
